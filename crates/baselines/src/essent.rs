@@ -25,11 +25,12 @@
 //! does relative to Verilator and the rolled kernels.
 
 use rteaal_dfg::graph::Graph;
-use rteaal_dfg::op::{canonicalize, eval_raw, DfgOp};
+use rteaal_dfg::op::{canonicalize, DfgOp};
 use rteaal_dfg::passes::{optimize, PassOptions};
 use rteaal_kernels::config::OptLevel;
 use rteaal_kernels::kernel::CompileReport;
 use rteaal_kernels::profile::{MemProbe, NoProbe, Probe, CODE_BASE};
+use rteaal_kernels::state::{eval_staged, Canon};
 use rteaal_perfmodel::cache::MemSim;
 use rteaal_perfmodel::topdown::ExecProfile;
 use std::collections::{HashMap, HashSet};
@@ -62,8 +63,7 @@ struct EInstr {
     params: Vec<u64>,
     srcs: Vec<Loc>,
     dst: Loc,
-    width: u32,
-    signed: bool,
+    canon: Canon,
     code_addr: u64,
 }
 
@@ -78,6 +78,8 @@ pub struct EssentLike {
     outputs: Vec<(String, u32)>,
     commits: Vec<(u32, u32)>,
     commit_buf: Vec<u64>,
+    /// Operand staging for mux chains (sized to the widest statement).
+    scratch: Vec<u64>,
     opt: OptLevel,
     report: CompileReport,
     cycle: u64,
@@ -185,8 +187,7 @@ impl EssentLike {
                 params: node.params.clone(),
                 srcs: node.operands.iter().map(|o| loc(o.0)).collect(),
                 dst: loc(id.0),
-                width: node.width,
-                signed: node.signed,
+                canon: Canon::new(node.width, node.signed),
                 code_addr: addr,
             });
             addr += stmt_bytes;
@@ -203,6 +204,7 @@ impl EssentLike {
         }
         let commits: Vec<(u32, u32)> = graph.regs.iter().map(|r| (r.state.0, r.next.0)).collect();
         let commit_len = commits.len();
+        let widest = instrs.iter().map(|i| i.srcs.len()).max().unwrap_or(0);
         EssentLike {
             instrs,
             values,
@@ -223,6 +225,7 @@ impl EssentLike {
                 .collect(),
             commits,
             commit_buf: vec![0; commit_len],
+            scratch: vec![0; widest],
             opt,
             report: CompileReport {
                 seconds: 0.0,
@@ -272,17 +275,17 @@ impl EssentLike {
 
     fn step_inner<P: Probe>(&mut self, probe: &mut P) {
         let o0 = self.opt == OptLevel::None;
-        let mut buf: Vec<u64> = Vec::with_capacity(16);
         for instr in &self.instrs {
-            buf.clear();
-            for &src in &instr.srcs {
-                match src {
-                    Loc::Reg(r) => buf.push(self.regs[r as usize]),
+            let (values, regs) = (&self.values, &self.regs);
+            let arity = instr.srcs.len();
+            let raw = eval_staged(instr.op, &instr.params, arity, &mut self.scratch, |o| {
+                let v = match instr.srcs[o] {
+                    Loc::Reg(r) => regs[r as usize],
                     Loc::Mem(i) => {
                         probe.load(EDATA_BASE + i as u64 * 8);
-                        buf.push(self.values[i as usize]);
+                        values[i as usize]
                     }
-                }
+                };
                 if o0 {
                     // -O0: every operand round-trips through the stack,
                     // twice (address computation + the value itself).
@@ -291,10 +294,10 @@ impl EssentLike {
                     probe.store(EDATA_BASE + 0x40_0010);
                     probe.load(EDATA_BASE + 0x40_0010);
                 }
-            }
+                v
+            });
             probe.exec(instr.code_addr, if o0 { 20 } else { 2 });
-            let raw = eval_raw(instr.op, &instr.params, &buf);
-            let v = canonicalize(raw, instr.width, instr.signed);
+            let v = instr.canon.apply(raw);
             match instr.dst {
                 Loc::Reg(r) => self.regs[r as usize] = v,
                 Loc::Mem(i) => {

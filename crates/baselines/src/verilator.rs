@@ -15,10 +15,11 @@
 //! optimization scope) at the `-O3` analog.
 
 use rteaal_dfg::graph::{Graph, NodeId};
-use rteaal_dfg::op::{canonicalize, eval_raw, DfgOp, OpClass};
+use rteaal_dfg::op::{canonicalize, DfgOp, OpClass};
 use rteaal_kernels::config::OptLevel;
 use rteaal_kernels::kernel::CompileReport;
 use rteaal_kernels::profile::{MemProbe, NoProbe, Probe, CODE_BASE};
+use rteaal_kernels::state::{eval_staged, Canon};
 use rteaal_perfmodel::cache::MemSim;
 use rteaal_perfmodel::topdown::ExecProfile;
 use std::collections::HashMap;
@@ -44,8 +45,7 @@ struct VNode {
     params: Vec<u64>,
     srcs: Vec<u32>,
     dst: u32,
-    width: u32,
-    signed: bool,
+    canon: Canon,
     code_addr: u64,
 }
 
@@ -59,6 +59,8 @@ pub struct VerilatorLike {
     outputs: Vec<(String, u32)>,
     commits: Vec<(u32, u32)>,
     commit_buf: Vec<u64>,
+    /// Operand staging for mux chains (sized to the widest statement).
+    scratch: Vec<u64>,
     opt: OptLevel,
     report: CompileReport,
     cycle: u64,
@@ -103,8 +105,7 @@ impl VerilatorLike {
                     params: node.params.clone(),
                     srcs,
                     dst: id.0,
-                    width: node.width,
-                    signed: node.signed,
+                    canon: Canon::new(node.width, node.signed),
                     code_addr: addr,
                 });
                 addr += NODE_CODE_BYTES;
@@ -125,6 +126,7 @@ impl VerilatorLike {
                 .map(|r| (r.state.0, alias.get(&r.next).copied().unwrap_or(r.next.0)))
                 .collect();
             let commit_len = commits.len();
+            let widest = schedule.iter().map(|n| n.srcs.len()).max().unwrap_or(0);
             VerilatorLike {
                 schedule,
                 values,
@@ -144,6 +146,7 @@ impl VerilatorLike {
                     .collect(),
                 commits,
                 commit_buf: vec![0; commit_len],
+                scratch: vec![0; widest],
                 opt,
                 report: CompileReport::default(),
                 cycle: 0,
@@ -195,20 +198,20 @@ impl VerilatorLike {
 
     fn step_inner<P: Probe>(&mut self, probe: &mut P) {
         let o0 = if self.opt == OptLevel::None { 4 } else { 1 };
-        let mut buf: Vec<u64> = Vec::with_capacity(16);
         for node in &self.schedule {
-            buf.clear();
-            for &s in &node.srcs {
+            let values = &self.values;
+            let arity = node.srcs.len();
+            let raw = eval_staged(node.op, &node.params, arity, &mut self.scratch, |o| {
+                let s = node.srcs[o];
                 probe.load(VDATA_BASE + s as u64 * 8);
-                buf.push(self.values[s as usize]);
-            }
+                values[s as usize]
+            });
             // Selects compile to data-dependent branches.
             if node.op.class() == OpClass::Select {
                 probe.branch(node.code_addr);
             }
             probe.exec(node.code_addr, 2 * o0);
-            let raw = eval_raw(node.op, &node.params, &buf);
-            let v = canonicalize(raw, node.width, node.signed);
+            let v = node.canon.apply(raw);
             probe.store(VDATA_BASE + node.dst as u64 * 8);
             self.values[node.dst as usize] = v;
         }

@@ -31,6 +31,7 @@ use crate::compiler::Compiled;
 use crate::simulation::UnknownSignal;
 use crate::waveform::VcdWriter;
 use rteaal_dfg::analyze::{analyze_partitioned, AnalysisReport};
+use rteaal_dfg::op::canonicalize;
 use rteaal_dfg::partition::PartitionedPlan;
 use rteaal_dfg::plan::SimPlan;
 use rteaal_dfg::specialize::{specialize, SpecStats, Specialization};
@@ -90,7 +91,8 @@ pub struct BatchSimulation {
     state: BatchLiState,
     plan: SimPlan,
     input_index: HashMap<String, usize>,
-    probe_index: HashMap<String, (u32, u8)>,
+    /// Probe name → `(slot, width, signed)`.
+    probe_index: HashMap<String, (u32, u8, bool)>,
     threads: usize,
     liveness: Option<LaneLiveness>,
     vcd: Option<LaneVcd>,
@@ -296,9 +298,8 @@ impl BatchSimulation {
             }
         }
         let probe_index = plan
-            .probes
-            .iter()
-            .map(|(n, s, w)| (n.clone(), (*s, *w)))
+            .typed_probes()
+            .map(|(n, s, w, signed)| (n.to_string(), (s, w, signed)))
             .collect();
         Ok(BatchSimulation {
             kernel,
@@ -403,7 +404,7 @@ impl BatchSimulation {
     /// halted lane reads its state frozen at the halt cycle.
     pub fn peek(&self, name: &str, lane: usize) -> Option<u64> {
         let phys = self.phys(lane);
-        if let Some(&(slot, _)) = self.probe_index.get(name) {
+        if let Some(&(slot, _, _)) = self.probe_index.get(name) {
             return Some(self.state.slot(slot, phys));
         }
         self.state.output_by_name(name, phys)
@@ -711,19 +712,20 @@ impl BatchSimulation {
     /// Writes a probed signal's state directly on one lane, between
     /// cycles — the per-lane DMI analog of
     /// [`DebugModule::poke_reg`](crate::DebugModule::poke_reg). Like the
-    /// scalar DMI, the raw value is written unchanged (no
-    /// canonicalization), so architectural pre-loading matches a scalar
-    /// run poking the same slot.
+    /// scalar DMI, the value is canonicalized to the signal's width and
+    /// signedness, so architectural pre-loading matches a scalar run
+    /// poking the same slot and no lane ever holds a non-canonical value.
     ///
     /// # Errors
     ///
     /// Returns [`UnknownSignal`] if the name is not probed.
     pub fn poke_state(&mut self, name: &str, lane: usize, value: u64) -> Result<(), UnknownSignal> {
-        let &(slot, _) = self
+        let &(slot, width, signed) = self
             .probe_index
             .get(name)
             .ok_or_else(|| UnknownSignal(name.to_string()))?;
         let phys = self.phys(lane);
+        let value = canonicalize(value, width as u32, signed);
         self.state.poke_slot(slot, phys, value);
         Ok(())
     }

@@ -3,6 +3,7 @@
 
 use crate::compiler::Compiled;
 use crate::waveform::VcdWriter;
+use rteaal_dfg::op::canonicalize;
 use rteaal_dfg::plan::SimPlan;
 use rteaal_kernels::Kernel;
 use std::collections::HashMap;
@@ -38,7 +39,8 @@ pub struct Simulation {
     kernel: Kernel,
     plan: SimPlan,
     input_index: HashMap<String, usize>,
-    probe_index: HashMap<String, (u32, u8)>,
+    /// Probe name → `(slot, width, signed)`.
+    probe_index: HashMap<String, (u32, u8, bool)>,
     vcd: Option<VcdWriter>,
 }
 
@@ -65,9 +67,8 @@ impl Simulation {
             }
         }
         let probe_index = plan
-            .probes
-            .iter()
-            .map(|(n, s, w)| (n.clone(), (*s, *w)))
+            .typed_probes()
+            .map(|(n, s, w, signed)| (n.to_string(), (s, w, signed)))
             .collect();
         Simulation {
             kernel: compiled.kernel,
@@ -95,7 +96,7 @@ impl Simulation {
     /// Reads any probed signal — output ports, registers, inputs, or named
     /// internal nodes (the XMR front door, §6.2).
     pub fn peek(&self, name: &str) -> Option<u64> {
-        if let Some(&(slot, _)) = self.probe_index.get(name) {
+        if let Some(&(slot, _, _)) = self.probe_index.get(name) {
             return Some(self.kernel.slot(slot));
         }
         self.kernel.output_by_name(name)
@@ -165,17 +166,21 @@ impl<'sim> DebugModule<'sim> {
         DebugModule { sim }
     }
 
-    /// Writes a register's architectural state directly (between cycles).
+    /// Writes a register's architectural state directly (between
+    /// cycles), canonicalized to the register's width and signedness as
+    /// [`Simulation::poke`] does for inputs: the kernels assume every
+    /// `LI` value is canonical.
     ///
     /// # Errors
     ///
     /// Returns [`UnknownSignal`] if the name is not a probed register.
     pub fn poke_reg(&mut self, name: &str, value: u64) -> Result<(), UnknownSignal> {
-        let &(slot, _) = self
+        let &(slot, width, signed) = self
             .sim
             .probe_index
             .get(name)
             .ok_or_else(|| UnknownSignal(name.to_string()))?;
+        let value = canonicalize(value, width as u32, signed);
         self.sim.kernel.poke_slot(slot, value);
         Ok(())
     }

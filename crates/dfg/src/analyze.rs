@@ -1478,6 +1478,7 @@ circuit Mixed :
             ],
             stats: PlanStats::default(),
             probes: vec![("r".into(), 1, 8)],
+            signed_probes: vec![],
         };
         assert!(analyze_plan(&base).is_clean());
 

@@ -434,6 +434,7 @@ circuit X :
             ]],
             stats: PlanStats::default(),
             probes: vec![("dangling".to_string(), 5, 8)],
+            signed_probes: vec![],
         };
         let pp = PartitionedPlan::new(&p, 2);
         // r0 -> partition 0, r1 -> partition 1; the dangling xor is in

@@ -199,6 +199,10 @@ pub struct SimPlan {
     /// Named probe points `(signal name, slot, width)` for waveforms and
     /// XMR-style internal access.
     pub probes: Vec<(String, u32, u8)>,
+    /// Slots of the probes whose signal is signed (held sign-extended),
+    /// ascending. With a probe's width this is the type a DMI poke is
+    /// canonicalized to, as `input_types` is for `set_input`.
+    pub signed_probes: Vec<u32>,
 }
 
 impl SimPlan {
@@ -224,6 +228,14 @@ impl SimPlan {
             })
     }
 
+    /// Every probe with its type: `(name, slot, width, signed)`.
+    pub fn typed_probes(&self) -> impl Iterator<Item = (&str, u32, u8, bool)> {
+        self.probes.iter().map(|(name, slot, width)| {
+            let signed = self.signed_probes.binary_search(slot).is_ok();
+            (name.as_str(), *slot, *width, signed)
+        })
+    }
+
     /// Histogram of operations per opcode.
     pub fn op_histogram(&self) -> std::collections::HashMap<DfgOp, usize> {
         let mut h = std::collections::HashMap::new();
@@ -242,6 +254,7 @@ pub fn plan(graph: &Graph) -> SimPlan {
     let mut slot_of = vec![u32::MAX; graph.len()];
     let mut init_values: Vec<u64> = Vec::new();
     let mut probes = Vec::new();
+    let mut signed_probes = Vec::new(); // slots are allocated ascending
     let alloc = |init: u64, init_values: &mut Vec<u64>| -> u32 {
         let s = init_values.len() as u32;
         init_values.push(init);
@@ -257,6 +270,7 @@ pub fn plan(graph: &Graph) -> SimPlan {
         );
         slot_of[reg.state.index()] = s;
         probes.push((reg.name.clone(), s, node.width as u8));
+        signed_probes.extend(node.signed.then_some(s));
     }
     let mut input_slots = Vec::with_capacity(graph.inputs.len());
     let mut input_types = Vec::with_capacity(graph.inputs.len());
@@ -268,6 +282,7 @@ pub fn plan(graph: &Graph) -> SimPlan {
         input_types.push((node.width as u8, node.signed));
         if let Some(name) = &graph.node(input).name {
             probes.push((name.clone(), s, node.width as u8));
+            signed_probes.extend(node.signed.then_some(s));
         }
     }
     let const_start = init_values.len() as u32;
@@ -290,6 +305,7 @@ pub fn plan(graph: &Graph) -> SimPlan {
             slot_of[id.index()] = out;
             if let Some(name) = &node.name {
                 probes.push((name.clone(), out, node.width as u8));
+                signed_probes.extend(node.signed.then_some(out));
             }
             layer.push(OpInst {
                 n: node.op.n_coord(),
@@ -339,6 +355,7 @@ pub fn plan(graph: &Graph) -> SimPlan {
         layers,
         stats,
         probes,
+        signed_probes,
     }
 }
 
@@ -393,12 +410,14 @@ pub fn plan_unelided(graph: &Graph) -> SimPlan {
     let mut init_values: Vec<u64> = Vec::new();
     let mut slot_at: HashMap<(u32, u32), u32> = HashMap::new();
     let mut probes = Vec::new();
+    let mut signed_probes = Vec::new();
     for reg in &graph.regs {
         let node = graph.node(reg.state);
         let s = init_values.len() as u32;
         init_values.push(canonicalize(reg.init, node.width, node.signed));
         slot_at.insert((reg.state.0, 0), s);
         probes.push((reg.name.clone(), s, node.width as u8));
+        signed_probes.extend(node.signed.then_some(s));
     }
     let mut input_slots = Vec::new();
     let mut input_types = Vec::new();
@@ -514,6 +533,7 @@ pub fn plan_unelided(graph: &Graph) -> SimPlan {
         layers,
         stats,
         probes,
+        signed_probes,
     }
 }
 

@@ -150,6 +150,7 @@ fn random_plan(seed: u64) -> SimPlan {
         },
         layers,
         probes,
+        signed_probes: vec![],
     }
 }
 

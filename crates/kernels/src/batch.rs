@@ -351,7 +351,9 @@ impl BatchLiState {
     }
 
     /// Writes a slot on one lane (DMI poke) — into every replica, so a
-    /// partitioned run sees the poke wherever the slot is read.
+    /// partitioned run sees the poke wherever the slot is read. Slots
+    /// carry no type: `value` must already be canonical for the signal,
+    /// which the `rteaal-core` front doors ensure.
     pub fn poke_slot(&mut self, s: u32, lane: usize, value: u64) {
         assert!(lane < self.lanes, "lane {lane} out of range");
         let off = s as usize * self.lanes + lane;

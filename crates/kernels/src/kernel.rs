@@ -117,7 +117,8 @@ impl Kernel {
         self.state.slot(s)
     }
 
-    /// Writes a slot (DMI poke).
+    /// Writes a slot (DMI poke); `value` must be canonical for the signal
+    /// (see [`LiState::poke_slot`]).
     pub fn poke_slot(&mut self, s: u32, value: u64) {
         self.state.poke_slot(s, value);
     }

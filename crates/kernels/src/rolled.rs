@@ -23,13 +23,31 @@
 //! and to the reference interpreters; they differ only in traversal,
 //! instruction/branch overhead, and memory reference streams — exactly
 //! the axes Tables 5–6 measure.
+//!
+//! ## Real and modeled differences
+//!
+//! Every walk is one function generic over the [`Probe`]: the probe calls
+//! are the *model* (they vanish under `NoProbe`), the code around them is
+//! what the wall clock sees.
+//!
+//! - Real: RU/OU decode and dispatch every operation through `eval_raw`'s
+//!   full match; NU/PSU/IU dispatch once per `(layer, type)` group and
+//!   then run a loop specialized for that opcode and arity
+//!   (`RolledKernel::run_group`), with operands at `r_base + A·j + o`
+//!   instead of an `r_offsets` lookup. NU/PSU scan all of a layer's type
+//!   counts; IU walks only its non-empty groups.
+//! - Modeled only: RU's `sel_inputs` staging traffic (RU and OU both
+//!   stage operands in a stack array), PSU's 8×/24× partial unrolling
+//!   (back-edge accounting; NU and PSU run the same machine code), the
+//!   per-group code bodies of IU, and the `-O0` analog's spills.
 
 use crate::config::{KernelConfig, KernelKind, OptLevel};
 use crate::profile::{li_addr, oim_addr, OimArray, Probe, CODE_BASE, HANDLER_BYTES};
-use crate::state::LiState;
-use rteaal_dfg::op::{canonicalize, eval_raw, DfgOp, NUM_OPCODES};
+use crate::state::{eval_staged, Canon, LiState};
+use rteaal_dfg::op::{eval_raw, DfgOp, ALL_OPS, NUM_OPCODES};
 use rteaal_dfg::SimPlan;
 use rteaal_tensor::oim::{OimOptimized, OimSwizzled};
+use std::ops::Range;
 
 /// Code address of the outer-loop bookkeeping.
 const LOOP_ADDR: u64 = CODE_BASE;
@@ -61,15 +79,49 @@ pub(crate) fn exec_cost(op: DfgOp, arity: usize) -> u32 {
     }
 }
 
+/// Where one `(layer, type)` group's loop lives in the code-space model.
+/// NU/PSU run every group of a type through that type's shared handler;
+/// IU gives each group its own body.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct GroupCode {
+    /// The `S` loop's back-edge.
+    back_edge: u64,
+    /// The per-op compute sequence.
+    exec: u64,
+    /// The `-O0` result round-trip.
+    result: u64,
+}
+
+impl GroupCode {
+    /// Opcode `n`'s shared specialized loop (NU/PSU).
+    fn handler(n: u16) -> Self {
+        GroupCode {
+            back_edge: handler(n) + 0x40,
+            exec: handler(n) + 0x50,
+            result: handler(n),
+        }
+    }
+
+    /// IU's `index`-th per-group body.
+    fn iu_body(index: usize) -> Self {
+        let base = IU_GROUP_BASE + index as u64 * IU_GROUP_BYTES;
+        GroupCode {
+            back_edge: base,
+            exec: base + 0x10,
+            result: base,
+        }
+    }
+}
+
 /// One IU schedule entry: a non-empty `(layer, type)` group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct IuGroup {
-    n: u16,
+    op: DfgOp,
     /// Range into the swizzled op arrays.
     start: u32,
     len: u32,
     /// This group's own code body.
-    code_addr: u64,
+    code: GroupCode,
 }
 
 /// A compiled rolled kernel.
@@ -84,6 +136,10 @@ pub struct RolledKernel {
     schedule: Vec<IuGroup>,
     /// Distinct opcodes used (handler footprint).
     used_opcodes: usize,
+    /// Each op's result canonicalization, in the traversal order of the
+    /// format in use (kernel-side: the OIM side table keeps width and
+    /// signedness, and its size accounting is unchanged).
+    canon: Vec<Canon>,
 }
 
 impl RolledKernel {
@@ -91,17 +147,24 @@ impl RolledKernel {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg.kind` is SU or TI (see `crate::unrolled`).
+    /// Panics if `cfg.kind` is SU or TI (see `crate::unrolled`), or if a
+    /// fixed-arity op carries another operand count (the plan verifier
+    /// rejects such plans; the per-type loops index operands by arity).
     pub fn compile(plan: &SimPlan, cfg: KernelConfig) -> Self {
         assert!(
             !cfg.kind.is_unrolled(),
             "SU/TI are handled by UnrolledKernel"
         );
         let mut used = [false; NUM_OPCODES];
-        for layer in &plan.layers {
-            for op in layer {
-                used[op.n as usize] = true;
-            }
+        for op in plan.layers.iter().flatten() {
+            used[op.n as usize] = true;
+            let arity = op.op().arity();
+            assert!(
+                arity.is_none() || arity == Some(op.ins.len()),
+                "`{}` with {} operands",
+                op.op(),
+                op.ins.len()
+            );
         }
         let used_opcodes = used.iter().filter(|&&u| u).count();
         let (oim_b, oim_c, schedule) = match cfg.kind {
@@ -111,15 +174,14 @@ impl RolledKernel {
                 let oim = OimSwizzled::from_plan(plan);
                 let mut schedule = Vec::new();
                 for i in 0..oim.num_layers {
-                    for n in 0..NUM_OPCODES as u16 {
-                        let range = oim.group(i, n);
+                    for (n, &op) in ALL_OPS.iter().enumerate() {
+                        let range = oim.group(i, n as u16);
                         if !range.is_empty() {
-                            let code_addr = IU_GROUP_BASE + schedule.len() as u64 * IU_GROUP_BYTES;
                             schedule.push(IuGroup {
-                                n,
+                                op,
                                 start: range.start as u32,
                                 len: range.len() as u32,
-                                code_addr,
+                                code: GroupCode::iu_body(schedule.len()),
                             });
                         }
                     }
@@ -128,12 +190,22 @@ impl RolledKernel {
             }
             KernelKind::Su | KernelKind::Ti => unreachable!(),
         };
+        let metas = match (&oim_b, &oim_c) {
+            (Some(b), _) => &b.meta,
+            (_, Some(c)) => &c.meta,
+            _ => unreachable!("every rolled kernel traverses one format"),
+        };
+        let canon = metas
+            .iter()
+            .map(|m| Canon::new(m.width as u32, m.signed))
+            .collect();
         RolledKernel {
             cfg,
             oim_b,
             oim_c,
             schedule,
             used_opcodes,
+            canon,
         }
     }
 
@@ -164,8 +236,8 @@ impl RolledKernel {
     /// One simulated clock cycle.
     pub fn step<P: Probe>(&self, st: &mut LiState, probe: &mut P) {
         match self.cfg.kind {
-            KernelKind::Ru => self.step_ru(st, probe),
-            KernelKind::Ou => self.step_ou(st, probe),
+            KernelKind::Ru => self.step_per_op(st, probe, true),
+            KernelKind::Ou => self.step_per_op(st, probe, false),
             KernelKind::Nu => self.step_grouped(st, probe, 1),
             KernelKind::Psu => self.step_grouped(st, probe, self.cfg.psu_op_unroll),
             KernelKind::Iu => self.step_iu(st, probe),
@@ -206,15 +278,18 @@ impl RolledKernel {
         }
     }
 
-    /// RU: Algorithm 3 with the `sel_inputs` staging buffer.
-    fn step_ru<P: Probe>(&self, st: &mut LiState, probe: &mut P) {
-        let oim = self.oim_b.as_ref().expect("RU uses format (b)");
-        let mut buf: Vec<u64> = Vec::with_capacity(16);
+    /// RU and OU: the `[I, S, N, O, R]` walk over format (b) with a
+    /// case-statement dispatch per operation. RU (`staged`) is
+    /// Algorithm 3 verbatim: an `O` loop copies operands into the
+    /// `sel_inputs` buffer and evaluation reloads them. OU unrolls the `O`
+    /// rank: operands are consumed directly from `LI`.
+    fn step_per_op<P: Probe>(&self, st: &mut LiState, probe: &mut P, staged: bool) {
+        let oim = self.oim_b.as_ref().expect("RU/OU use format (b)");
         let mut k = 0usize;
-        for i in 0..oim.num_layers() {
+        for (i, &ops) in oim.i_payloads.iter().enumerate() {
             probe.branch(LOOP_ADDR);
             probe.load(oim_addr(OimArray::IPayloads, i, 4));
-            for _ in 0..oim.i_payloads[i] {
+            for _ in 0..ops {
                 probe.branch(LOOP_ADDR + 0x20);
                 let op_ref = oim.op_at(k);
                 probe.load(oim_addr(OimArray::NCoords, k, 2));
@@ -224,60 +299,32 @@ impl RolledKernel {
                 // The op_r[n]/op_u[n] case statement: an indirect jump.
                 probe.branch(DISPATCH_ADDR);
                 let r_base = oim.r_offsets[k] as usize;
-                buf.clear();
-                for (o, &r) in op_ref.rs.iter().enumerate() {
-                    // O loop: per-iteration overhead plus staging.
-                    probe.branch(LOOP_ADDR + 0x40);
+                let arity = op_ref.rs.len();
+                let li = &st.li;
+                let raw = eval_staged(op, op_ref.params(), arity, &mut st.scratch, |o| {
+                    let r = op_ref.rs[o];
+                    if staged {
+                        // O loop: per-iteration overhead plus staging.
+                        probe.branch(LOOP_ADDR + 0x40);
+                    }
                     probe.load(oim_addr(OimArray::RCoords, r_base + o, 4));
                     probe.load(li_addr(r));
-                    probe.store(SCRATCH_BASE + o as u64 * 8);
-                    buf.push(st.li[r as usize]);
+                    if staged {
+                        probe.store(SCRATCH_BASE + o as u64 * 8);
+                    } else {
+                        self.spill(probe, o);
+                    }
+                    li[r as usize]
+                });
+                if staged {
+                    // Evaluation reloads the staged operands.
+                    for o in 0..arity {
+                        probe.load(SCRATCH_BASE + o as u64 * 8);
+                        self.spill(probe, o);
+                    }
                 }
-                // Evaluation reloads the staged operands.
-                for o in 0..op_ref.rs.len() {
-                    probe.load(SCRATCH_BASE + o as u64 * 8);
-                    self.spill(probe, o);
-                }
-                let arity = op_ref.rs.len();
                 probe.exec(handler(op_ref.n), exec_cost(op, arity) * self.o0_mul());
-                let raw = eval_raw(op, op_ref.params(), &buf);
-                let v = canonicalize(raw, op_ref.meta.width as u32, op_ref.meta.signed);
-                probe.store(li_addr(op_ref.s));
-                self.o0_result(probe, handler(op_ref.n));
-                st.li[op_ref.s as usize] = v;
-                k += 1;
-            }
-        }
-    }
-
-    /// OU: O-rank unrolled — operands consumed directly from `LI`.
-    fn step_ou<P: Probe>(&self, st: &mut LiState, probe: &mut P) {
-        let oim = self.oim_b.as_ref().expect("OU uses format (b)");
-        let mut buf: Vec<u64> = Vec::with_capacity(16);
-        let mut k = 0usize;
-        for i in 0..oim.num_layers() {
-            probe.branch(LOOP_ADDR);
-            probe.load(oim_addr(OimArray::IPayloads, i, 4));
-            for _ in 0..oim.i_payloads[i] {
-                probe.branch(LOOP_ADDR + 0x20);
-                let op_ref = oim.op_at(k);
-                probe.load(oim_addr(OimArray::NCoords, k, 2));
-                probe.load(oim_addr(OimArray::SCoords, k, 4));
-                probe.load(oim_addr(OimArray::Meta, k, 24));
-                let op = op_ref.op();
-                probe.branch(DISPATCH_ADDR);
-                let r_base = oim.r_offsets[k] as usize;
-                buf.clear();
-                for (o, &r) in op_ref.rs.iter().enumerate() {
-                    probe.load(oim_addr(OimArray::RCoords, r_base + o, 4));
-                    probe.load(li_addr(r));
-                    self.spill(probe, o);
-                    buf.push(st.li[r as usize]);
-                }
-                let arity = op_ref.rs.len();
-                probe.exec(handler(op_ref.n), exec_cost(op, arity) * self.o0_mul());
-                let raw = eval_raw(op, op_ref.params(), &buf);
-                let v = canonicalize(raw, op_ref.meta.width as u32, op_ref.meta.signed);
+                let v = self.canon[k].apply(raw);
                 probe.store(li_addr(op_ref.s));
                 self.o0_result(probe, handler(op_ref.n));
                 st.li[op_ref.s as usize] = v;
@@ -290,51 +337,20 @@ impl RolledKernel {
     /// the per-op loop overhead (1 = NU, 8 = PSU).
     fn step_grouped<P: Probe>(&self, st: &mut LiState, probe: &mut P, s_unroll: usize) {
         let oim = self.oim_c.as_ref().expect("NU/PSU use format (c)");
-        let s_unroll = s_unroll.max(1);
-        let mut buf: Vec<u64> = Vec::with_capacity(16);
-        for i in 0..oim.num_layers {
+        let mut start = 0usize;
+        for (i, counts) in oim.n_payloads.chunks_exact(NUM_OPCODES).enumerate() {
             probe.branch(LOOP_ADDR);
-            for n in 0..NUM_OPCODES as u16 {
+            for (n, (&len, &op)) in counts.iter().zip(&ALL_OPS).enumerate() {
                 // Unrolled N rank: each type's loop reads its own count.
-                probe.load(oim_addr(
-                    OimArray::NPayloads,
-                    i * NUM_OPCODES + n as usize,
-                    4,
-                ));
-                probe.exec(handler(n), self.o0_mul()); // the count check itself
-                let range = oim.group(i, n);
-                if range.is_empty() {
+                probe.load(oim_addr(OimArray::NPayloads, i * NUM_OPCODES + n, 4));
+                probe.exec(handler(n as u16), self.o0_mul()); // the count check itself
+                if len == 0 {
                     continue;
                 }
-                let op = DfgOp::from_n_coord(n).expect("valid opcode");
-                for (count, k) in range.enumerate() {
-                    if count % s_unroll == 0 {
-                        probe.branch(handler(n) + 0x40);
-                    }
-                    let (s, rs, meta) = oim.op_at(k);
-                    probe.load(oim_addr(OimArray::SCoords, k, 4));
-                    // Specialized per-type loops bake widths/masks into
-                    // code; only ops with per-op parameters read the side
-                    // table.
-                    if param_count(op) > 0 || op == DfgOp::MuxChain {
-                        probe.load(oim_addr(OimArray::Meta, k, 24));
-                    }
-                    let r_base = oim.r_offsets[k] as usize;
-                    buf.clear();
-                    for (o, &r) in rs.iter().enumerate() {
-                        probe.load(oim_addr(OimArray::RCoords, r_base + o, 4));
-                        probe.load(li_addr(r));
-                        self.spill(probe, o);
-                        buf.push(st.li[r as usize]);
-                    }
-                    let arity = rs.len();
-                    probe.exec(handler(n) + 0x50, exec_cost(op, arity) * self.o0_mul());
-                    let raw = eval_raw(op, &meta.params[..param_count(op)], &buf);
-                    let v = canonicalize(raw, meta.width as u32, meta.signed);
-                    probe.store(li_addr(s));
-                    self.o0_result(probe, handler(n));
-                    st.li[s as usize] = v;
-                }
+                let end = start + len as usize;
+                let code = GroupCode::handler(n as u16);
+                self.run_group(oim, st, probe, op, start..end, code, s_unroll);
+                start = end;
             }
         }
     }
@@ -343,38 +359,141 @@ impl RolledKernel {
     /// loops eliminated; each group has its own code body).
     fn step_iu<P: Probe>(&self, st: &mut LiState, probe: &mut P) {
         let oim = self.oim_c.as_ref().expect("IU uses format (c)");
-        let s_unroll = self.cfg.psu_op_unroll.max(1);
-        let mut buf: Vec<u64> = Vec::with_capacity(16);
+        let s_unroll = self.cfg.psu_op_unroll;
         for group in &self.schedule {
-            let op = DfgOp::from_n_coord(group.n).expect("valid opcode");
-            for (count, k) in (group.start..group.start + group.len).enumerate() {
-                let k = k as usize;
-                if count % s_unroll == 0 {
-                    probe.branch(group.code_addr);
-                }
-                let (s, rs, meta) = oim.op_at(k);
-                probe.load(oim_addr(OimArray::SCoords, k, 4));
-                if param_count(op) > 0 || op == DfgOp::MuxChain {
-                    probe.load(oim_addr(OimArray::Meta, k, 24));
-                }
-                let r_base = oim.r_offsets[k] as usize;
-                buf.clear();
-                for (o, &r) in rs.iter().enumerate() {
-                    probe.load(oim_addr(OimArray::RCoords, r_base + o, 4));
-                    probe.load(li_addr(r));
-                    self.spill(probe, o);
-                    buf.push(st.li[r as usize]);
-                }
-                let arity = rs.len();
-                probe.exec(group.code_addr + 0x10, exec_cost(op, arity) * self.o0_mul());
-                let raw = eval_raw(op, &meta.params[..param_count(op)], &buf);
-                let v = canonicalize(raw, meta.width as u32, meta.signed);
-                probe.store(li_addr(s));
-                self.o0_result(probe, group.code_addr);
-                st.li[s as usize] = v;
-            }
+            let range = group.start as usize..(group.start + group.len) as usize;
+            self.run_group(oim, st, probe, group.op, range, group.code, s_unroll);
         }
     }
+
+    /// The per-type loop bodies of Algorithm 4: dispatches on the opcode
+    /// once per `(layer, type)` group, then runs that type's own `S` loop.
+    #[allow(clippy::too_many_arguments)]
+    fn run_group<P: Probe>(
+        &self,
+        oim: &OimSwizzled,
+        st: &mut LiState,
+        probe: &mut P,
+        op: DfgOp,
+        range: Range<usize>,
+        code: GroupCode,
+        s_unroll: usize,
+    ) {
+        let s_unroll = s_unroll.max(1);
+        // Each arm passes its opcode as a literal into an inlined loop, so
+        // `eval_raw`'s match folds away inside every body.
+        macro_rules! per_type {
+            ($($arity:literal: $($op:ident)|+;)+) => {
+                match op {
+                    $($(DfgOp::$op => {
+                        self.fixed_loop::<$arity, P>(oim, st, probe, DfgOp::$op, range, code, s_unroll)
+                    })+)+
+                    _ => self.chain_loop(oim, st, probe, op, range, code, s_unroll),
+                }
+            };
+        }
+        per_type! {
+            1: Not | Neg | Andr | Orr | Xorr | Shl | Shr | Bits | Head | Resize | Identity;
+            2: Add | Sub | Mul | Divu | Divs | Remu | Rems | And | Or | Xor | Ltu | Lts | Leu
+                | Les | Gtu | Gts | Geu | Ges | Eq | Neq | Dshl | Dshr | Cat | ValidIf;
+            3: Mux;
+        }
+    }
+
+    /// One type's `S` loop at fixed arity `A`: operand `o` of the group's
+    /// `j`-th op is `r_coords[r_base + A * j + o]`, staged in a stack
+    /// array.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn fixed_loop<const A: usize, P: Probe>(
+        &self,
+        oim: &OimSwizzled,
+        st: &mut LiState,
+        probe: &mut P,
+        op: DfgOp,
+        range: Range<usize>,
+        code: GroupCode,
+        s_unroll: usize,
+    ) {
+        debug_assert_eq!(op.arity(), Some(A));
+        let first = range.start;
+        let r_base = oim.r_offsets[first] as usize;
+        let s_coords = &oim.s_coords[range.clone()];
+        let (r_coords, _) = oim.r_coords[r_base..r_base + A * range.len()].as_chunks::<A>();
+        let metas = &oim.meta[range.clone()];
+        let canons = &self.canon[range];
+        let cost = exec_cost(op, A) * self.o0_mul();
+        let ops = s_coords.iter().zip(r_coords).zip(metas).zip(canons);
+        for (j, (((&s, rs), meta), canon)) in ops.enumerate() {
+            if j % s_unroll == 0 {
+                probe.branch(code.back_edge);
+            }
+            probe.load(oim_addr(OimArray::SCoords, first + j, 4));
+            if reads_meta(op) {
+                probe.load(oim_addr(OimArray::Meta, first + j, 24));
+            }
+            let mut ins = [0u64; A];
+            for (o, (v, &r)) in ins.iter_mut().zip(rs).enumerate() {
+                probe.load(oim_addr(OimArray::RCoords, r_base + A * j + o, 4));
+                probe.load(li_addr(r));
+                self.spill(probe, o);
+                *v = st.li[r as usize];
+            }
+            probe.exec(code.exec, cost);
+            let raw = eval_raw(op, &meta.params[..param_count(op)], &ins);
+            let v = canon.apply(raw);
+            probe.store(li_addr(s));
+            self.o0_result(probe, code.result);
+            st.li[s as usize] = v;
+        }
+    }
+
+    /// The variable-arity `S` loop (mux chains): operand runs located
+    /// through `r_offsets`, staged in the state's scratch buffer.
+    #[allow(clippy::too_many_arguments)]
+    fn chain_loop<P: Probe>(
+        &self,
+        oim: &OimSwizzled,
+        st: &mut LiState,
+        probe: &mut P,
+        op: DfgOp,
+        range: Range<usize>,
+        code: GroupCode,
+        s_unroll: usize,
+    ) {
+        for (j, k) in range.enumerate() {
+            if j % s_unroll == 0 {
+                probe.branch(code.back_edge);
+            }
+            let (s, rs, meta) = oim.op_at(k);
+            probe.load(oim_addr(OimArray::SCoords, k, 4));
+            if reads_meta(op) {
+                probe.load(oim_addr(OimArray::Meta, k, 24));
+            }
+            let r_base = oim.r_offsets[k] as usize;
+            let li = &st.li;
+            let params = &meta.params[..param_count(op)];
+            let raw = eval_staged(op, params, rs.len(), &mut st.scratch, |o| {
+                probe.load(oim_addr(OimArray::RCoords, r_base + o, 4));
+                probe.load(li_addr(rs[o]));
+                self.spill(probe, o);
+                li[rs[o] as usize]
+            });
+            probe.exec(code.exec, exec_cost(op, rs.len()) * self.o0_mul());
+            let v = self.canon[k].apply(raw);
+            probe.store(li_addr(s));
+            self.o0_result(probe, code.result);
+            st.li[s as usize] = v;
+        }
+    }
+}
+
+/// Whether a type's specialized loop reads the per-op side table: widths
+/// and masks are baked into the code, so only ops with per-op parameters
+/// (or a per-op operand count) do.
+#[inline]
+fn reads_meta(op: DfgOp) -> bool {
+    param_count(op) > 0 || op == DfgOp::MuxChain
 }
 
 /// Real static-parameter count of an op (the meta table stores two slots).

@@ -1,9 +1,71 @@
 //! Shared runtime state for all kernels: the `LI` slot array, input
-//! binding, register commit, and output reads.
+//! binding, register commit, and output reads — plus the two helpers
+//! every scalar executor (the seven kernels and both baselines) evaluates
+//! an operation through: operand staging ([`eval_staged`]) and result
+//! canonicalization ([`Canon`]).
 
 use crate::profile::{li_addr, Probe, CODE_BASE};
-use rteaal_dfg::op::canonicalize;
+use rteaal_dfg::op::{canonicalize, eval_raw, DfgOp};
 use rteaal_dfg::SimPlan;
+use rteaal_firrtl::ty::mask;
+
+/// Canonicalization of one result type as a `(mask, shift)` pair:
+/// [`canonicalize`] without its branches on width and signedness, built
+/// once per op at kernel compile time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Canon {
+    mask: u64,
+    /// `64 - width` for a signed type narrower than 64 bits, else 0.
+    shift: u32,
+}
+
+impl Canon {
+    /// The pair for a `width`-bit result of the given signedness.
+    pub fn new(width: u32, signed: bool) -> Self {
+        Canon {
+            mask: mask(width),
+            shift: if signed && (1..64).contains(&width) {
+                64 - width
+            } else {
+                0
+            },
+        }
+    }
+
+    /// `canonicalize(raw, width, signed)`: mask, then sign-extend by a
+    /// shift pair (a no-op at shift 0).
+    #[inline(always)]
+    pub fn apply(self, raw: u64) -> u64 {
+        (((raw & self.mask) << self.shift) as i64 >> self.shift) as u64
+    }
+}
+
+/// Largest operand count of a fixed-arity op (`mux`).
+pub const MAX_FIXED_ARITY: usize = 3;
+
+/// Gathers `arity` operands through `fetch` and evaluates `op` on them.
+/// Fixed-arity ops stage on the stack; only a longer mux chain uses the
+/// caller's `scratch` (which must hold `arity` values), so no step path
+/// allocates. [`eval_raw`] stays the one definition of op semantics.
+#[inline(always)]
+pub fn eval_staged(
+    op: DfgOp,
+    params: &[u64],
+    arity: usize,
+    scratch: &mut [u64],
+    mut fetch: impl FnMut(usize) -> u64,
+) -> u64 {
+    let mut stack = [0u64; MAX_FIXED_ARITY];
+    let ins = if arity <= MAX_FIXED_ARITY {
+        &mut stack[..arity]
+    } else {
+        &mut scratch[..arity]
+    };
+    for (o, v) in ins.iter_mut().enumerate() {
+        *v = fetch(o);
+    }
+    eval_raw(op, params, ins)
+}
 
 /// The mutable simulation state a kernel executes against.
 #[derive(Debug, Clone)]
@@ -16,6 +78,9 @@ pub struct LiState {
     output_slots: Vec<(String, u32)>,
     commits: Vec<(u32, u32)>,
     commit_buf: Vec<u64>,
+    /// Operand staging for variable-arity ops (sized to the plan's
+    /// widest op, so `step` never allocates).
+    pub(crate) scratch: Vec<u64>,
     cycle: u64,
 }
 
@@ -23,6 +88,8 @@ impl LiState {
     /// Initializes state from a plan (registers at power-on values,
     /// constants materialized).
     pub fn new(plan: &SimPlan) -> Self {
+        let ops = plan.layers.iter().flatten();
+        let widest_op = ops.map(|op| op.ins.len()).max().unwrap_or(0);
         LiState {
             li: plan.init_values.clone(),
             init: plan.init_values.clone(),
@@ -31,6 +98,7 @@ impl LiState {
             output_slots: plan.output_slots.clone(),
             commits: plan.commits.clone(),
             commit_buf: vec![0; plan.commits.len()],
+            scratch: vec![0; widest_op],
             cycle: 0,
         }
     }
@@ -70,7 +138,9 @@ impl LiState {
         self.li[s as usize]
     }
 
-    /// Writes a register slot directly (DMI poke).
+    /// Writes a register slot directly (DMI poke). Slots carry no type:
+    /// `value` must already be canonical for the signal, which the
+    /// `rteaal-core` front doors ensure.
     pub fn poke_slot(&mut self, s: u32, value: u64) {
         self.li[s as usize] = value;
     }
@@ -166,6 +236,31 @@ circuit I :
         st.set_input(0, 0xfff);
         // Input and output share the slot here (pure wire).
         assert_eq!(st.output(0), 0xf);
+    }
+
+    #[test]
+    fn canon_pair_is_canonicalize() {
+        for width in 0..=70u32 {
+            for signed in [false, true] {
+                let canon = Canon::new(width, signed);
+                for raw in [
+                    0,
+                    1,
+                    0x5a5a_5a5a_5a5a_5a5a,
+                    u64::MAX,
+                    1 << 63,
+                    (1 << 31) - 1,
+                ] {
+                    for raw in [raw, raw >> (64 - width.clamp(1, 64)), !raw] {
+                        assert_eq!(
+                            canon.apply(raw),
+                            canonicalize(raw, width, signed),
+                            "width {width} signed {signed} raw {raw:#x}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -21,10 +21,11 @@
 use crate::config::{KernelConfig, KernelKind, OptLevel};
 use crate::profile::{li_addr, Probe, CODE_BASE, INSTR_BYTES};
 use crate::rolled::{exec_cost, param_count};
-use crate::state::LiState;
-use rteaal_dfg::op::{canonicalize, eval_raw, DfgOp};
+use crate::state::{eval_staged, Canon, LiState};
+use rteaal_dfg::op::DfgOp;
 use rteaal_dfg::SimPlan;
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 
 /// Base of the unrolled instruction stream in the code-space model.
 const STREAM_BASE: u64 = CODE_BASE + 0x100_0000;
@@ -51,14 +52,12 @@ pub struct Instr {
     /// Whether the result is written back to `LI` (TI elides dead
     /// stores).
     pub store_out: bool,
-    /// Operand sources.
-    pub operands: Vec<Operand>,
+    /// Operand sources: a run in the kernel's operand stream.
+    pub operands: Range<u32>,
     /// Static parameters.
     pub params: [u64; 2],
-    /// Result width.
-    pub width: u8,
-    /// Result signedness.
-    pub signed: bool,
+    /// Result canonicalization (width and signedness).
+    pub canon: Canon,
     /// Code address of this block.
     pub code_addr: u64,
 }
@@ -66,18 +65,24 @@ pub struct Instr {
 impl Instr {
     /// Modeled machine instructions in this block: one compute sequence,
     /// a load per slot operand, a store if kept.
-    pub fn machine_instrs(&self) -> u32 {
-        let loads = self
-            .operands
+    pub fn machine_instrs(&self, stream: &[Operand]) -> u32 {
+        let operands = self.operands(stream);
+        let loads = operands
             .iter()
             .filter(|o| matches!(o, Operand::Slot(_)))
             .count();
-        exec_cost(self.op, self.operands.len()) + loads as u32 + if self.store_out { 1 } else { 0 }
+        exec_cost(self.op, operands.len()) + loads as u32 + if self.store_out { 1 } else { 0 }
     }
 
     /// Code bytes this block occupies.
-    pub fn code_bytes(&self) -> u64 {
-        (self.machine_instrs() as u64 * INSTR_BYTES).max(4)
+    pub fn code_bytes(&self, stream: &[Operand]) -> u64 {
+        (self.machine_instrs(stream) as u64 * INSTR_BYTES).max(4)
+    }
+
+    /// This instruction's operand sources within the kernel's `stream`.
+    #[inline]
+    pub fn operands<'a>(&self, stream: &'a [Operand]) -> &'a [Operand] {
+        &stream[self.operands.start as usize..self.operands.end as usize]
     }
 }
 
@@ -86,6 +91,9 @@ impl Instr {
 pub struct UnrolledKernel {
     cfg: KernelConfig,
     instrs: Vec<Instr>,
+    /// Every instruction's operand sources, back to back in instruction
+    /// order (one stream, not a heap vector per instruction).
+    operands: Vec<Operand>,
     code_bytes: u64,
     /// Stores eliminated by TI (reporting).
     pub stores_elided: usize,
@@ -107,20 +115,22 @@ impl UnrolledKernel {
             "rolled kernels live in RolledKernel"
         );
         let mut instrs: Vec<Instr> = Vec::with_capacity(plan.total_ops());
+        let mut operands = Vec::new();
         for layer in &plan.layers {
             for op in layer {
                 let mut params = [0u64; 2];
                 for (k, &p) in op.params.iter().take(2).enumerate() {
                     params[k] = p;
                 }
+                let first = operands.len() as u32;
+                operands.extend(op.ins.iter().map(|&r| Operand::Slot(r)));
                 instrs.push(Instr {
                     op: op.op(),
                     out: op.out,
                     store_out: true,
-                    operands: op.ins.iter().map(|&r| Operand::Slot(r)).collect(),
+                    operands: first..operands.len() as u32,
                     params,
-                    width: op.width,
-                    signed: op.signed,
+                    canon: Canon::new(op.width as u32, op.signed),
                     code_addr: 0,
                 });
             }
@@ -128,6 +138,7 @@ impl UnrolledKernel {
         let mut kernel = UnrolledKernel {
             cfg,
             instrs,
+            operands,
             code_bytes: 0,
             stores_elided: 0,
             imms_inlined: 0,
@@ -151,28 +162,31 @@ impl UnrolledKernel {
         // Reader map: slot -> instruction indices that read it.
         let mut readers: HashMap<u32, Vec<usize>> = HashMap::new();
         for (k, instr) in self.instrs.iter().enumerate() {
-            for op in &instr.operands {
+            for op in instr.operands(&self.operands) {
                 if let Operand::Slot(s) = op {
                     readers.entry(*s).or_default().push(k);
                 }
             }
         }
         let (c_lo, c_hi) = plan.const_slots;
-        for k in 0..self.instrs.len() {
-            // Immediates: constant-slot reads become inline constants.
-            let ops = self.instrs[k].operands.clone();
-            for (j, op) in ops.iter().enumerate() {
-                if let Operand::Slot(s) = op {
-                    if *s >= c_lo && *s < c_hi {
-                        self.instrs[k].operands[j] = Operand::Imm(plan.init_values[*s as usize]);
+        let mut prev_out = None;
+        for instr in &self.instrs {
+            let run = instr.operands.start as usize..instr.operands.end as usize;
+            for op in &mut self.operands[run] {
+                if let Operand::Slot(s) = *op {
+                    if s >= c_lo && s < c_hi {
+                        // Immediates: constant-slot reads become inline
+                        // constants.
+                        *op = Operand::Imm(plan.init_values[s as usize]);
                         self.imms_inlined += 1;
-                    } else if k > 0 && *s == self.instrs[k - 1].out {
+                    } else if prev_out == Some(s) {
                         // Forward from the previous instruction.
-                        self.instrs[k].operands[j] = Operand::Acc;
+                        *op = Operand::Acc;
                         self.forwards += 1;
                     }
                 }
             }
+            prev_out = Some(instr.out);
         }
         // Dead-store elimination: a slot whose only reader is the next
         // instruction (now forwarding through Acc) and which is not
@@ -196,7 +210,7 @@ impl UnrolledKernel {
         let mut addr = STREAM_BASE;
         for instr in &mut self.instrs {
             instr.code_addr = addr;
-            addr += instr.code_bytes();
+            addr += instr.code_bytes(&self.operands);
         }
         self.code_bytes = addr - STREAM_BASE;
     }
@@ -228,26 +242,22 @@ impl UnrolledKernel {
             OptLevel::Full => 1,
             OptLevel::None => 4,
         };
-        let mut buf: Vec<u64> = Vec::with_capacity(16);
         let mut acc = 0u64;
         for instr in &self.instrs {
-            buf.clear();
-            for op in &instr.operands {
-                match op {
-                    Operand::Slot(s) => {
-                        probe.load(li_addr(*s));
-                        buf.push(st.li[*s as usize]);
-                    }
-                    Operand::Imm(v) => buf.push(*v),
-                    Operand::Acc => buf.push(acc),
+            let operands = instr.operands(&self.operands);
+            let params = &instr.params[..param_count(instr.op)];
+            let li = &st.li;
+            let fetch = |o: usize| match operands[o] {
+                Operand::Slot(s) => {
+                    probe.load(li_addr(s));
+                    li[s as usize]
                 }
-            }
-            probe.exec(
-                instr.code_addr,
-                exec_cost(instr.op, instr.operands.len()) * o0,
-            );
-            let raw = eval_raw(instr.op, &instr.params[..param_count(instr.op)], &buf);
-            let v = canonicalize(raw, instr.width as u32, instr.signed);
+                Operand::Imm(v) => v,
+                Operand::Acc => acc,
+            };
+            let raw = eval_staged(instr.op, params, operands.len(), &mut st.scratch, fetch);
+            probe.exec(instr.code_addr, exec_cost(instr.op, operands.len()) * o0);
+            let v = instr.canon.apply(raw);
             if instr.store_out {
                 probe.store(li_addr(instr.out));
                 st.li[instr.out as usize] = v;

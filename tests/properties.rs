@@ -13,7 +13,7 @@ use rteaal_firrtl::lower::lower_typed;
 use rteaal_firrtl::ops::PrimOp;
 use rteaal_firrtl::parser;
 use rteaal_firrtl::ty::Type;
-use rteaal_kernels::{Kernel, KernelConfig, KernelKind};
+use rteaal_kernels::{Kernel, KernelConfig, ALL_KERNELS};
 use rteaal_tensor::oim::{OimOptimized, OimSwizzled};
 
 /// One random combinational/sequential operation in the generated design.
@@ -151,9 +151,7 @@ proptest! {
         ops in prop::collection::vec(gen_op(), 4..30),
         reg_period in 2usize..5,
         stimulus in prop::collection::vec(any::<(u64, u64)>(), 15),
-        kind in prop::sample::select(vec![
-            KernelKind::Ru, KernelKind::Nu, KernelKind::Psu, KernelKind::Su, KernelKind::Ti,
-        ]),
+        kind in prop::sample::select(ALL_KERNELS.to_vec()),
     ) {
         let circuit = random_circuit(&ops, reg_period);
         let raw = rteaal_dfg::build(&lower_typed(&circuit).unwrap()).unwrap();
