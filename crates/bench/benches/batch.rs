@@ -6,7 +6,7 @@
 //! further on wide layers.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use rteaal_bench::experiments::graph_of;
+use rteaal_bench::{driven, experiments::graph_of};
 use rteaal_designs::{rocket, ChipConfig, Workload};
 use rteaal_dfg::plan::plan;
 use rteaal_kernels::{BatchEngine, BatchKernel, BatchLiState, KernelConfig, KernelKind};
@@ -32,9 +32,9 @@ fn bench_batch_engines(c: &mut Criterion) {
                 engine,
             );
             let mut st = BatchLiState::new(&sim_plan, lanes);
-            st.set_input_all(0, 0); // free-running past reset
+            st.set_input_all(0, 0); // running past reset
             group.bench_with_input(BenchmarkId::new(label, lanes), &lanes, |b, _| {
-                b.iter(|| kernel.run(&mut st, CYCLES));
+                b.iter(|| driven(&kernel, &mut st, CYCLES, 1, 0));
             });
         }
     }
@@ -52,7 +52,7 @@ fn bench_batch_lanes(c: &mut Criterion) {
         let mut st = BatchLiState::new(&sim_plan, lanes);
         st.set_input_all(0, 0xdead_beef);
         group.bench_with_input(BenchmarkId::new("seq", lanes), &lanes, |b, _| {
-            b.iter(|| kernel.run(&mut st, CYCLES));
+            b.iter(|| driven(&kernel, &mut st, CYCLES, 1, 0xdead_beef));
         });
     }
     group.finish();
@@ -69,7 +69,7 @@ fn bench_batch_threads(c: &mut Criterion) {
         let mut st = BatchLiState::new(&sim_plan, lanes);
         st.set_input_all(0, 0xdead_beef);
         group.bench_with_input(BenchmarkId::new("threads", threads), &threads, |b, _| {
-            b.iter(|| kernel.run_parallel(&mut st, CYCLES, threads));
+            b.iter(|| driven(&kernel, &mut st, CYCLES, threads, 0xdead_beef));
         });
     }
     group.finish();

@@ -8,7 +8,7 @@
 //! sits for a given replication factor.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use rteaal_bench::experiments::graph_of;
+use rteaal_bench::{driven, experiments::graph_of};
 use rteaal_designs::{rocket, ChipConfig};
 use rteaal_dfg::partition::PartitionedPlan;
 use rteaal_dfg::plan::plan;
@@ -27,7 +27,7 @@ fn bench_repcut_partitions(c: &mut Criterion) {
         let mut st = BatchLiState::new_partitioned(&sim_plan, 1, &pp);
         st.set_input_all(0, 0xdead_beef);
         group.bench_with_input(BenchmarkId::new("parts", parts), &parts, |b, _| {
-            b.iter(|| kernel.run_parallel(&mut st, CYCLES, parts));
+            b.iter(|| driven(&kernel, &mut st, CYCLES, parts, 0xdead_beef));
         });
     }
     group.finish();
@@ -48,7 +48,7 @@ fn bench_repcut_partitions_batched(c: &mut Criterion) {
         let mut st = BatchLiState::new_partitioned(&sim_plan, lanes, &pp);
         st.set_input_all(0, 0xdead_beef);
         group.bench_with_input(BenchmarkId::new("parts", parts), &parts, |b, _| {
-            b.iter(|| kernel.run_parallel(&mut st, CYCLES, 8));
+            b.iter(|| driven(&kernel, &mut st, CYCLES, 8, 0xdead_beef));
         });
     }
     group.finish();

@@ -19,3 +19,21 @@ pub mod experiments;
 pub mod openloop;
 
 pub use experiments::{run_experiment, Ctx, ALL_EXPERIMENTS};
+
+use rteaal_kernels::{BatchKernel, BatchLiState};
+
+/// `cycles` cycles across `threads` workers with one input write per
+/// cycle (`value` on port 0 of lane 0), as a driven testbench makes: the
+/// write keeps the settled-batch gate disarmed, so every timed cycle is
+/// walked. The one timed loop of the batched benches and experiments.
+pub fn driven(
+    kernel: &BatchKernel,
+    st: &mut BatchLiState,
+    cycles: u64,
+    threads: usize,
+    value: u64,
+) {
+    kernel.run_with_stimulus(st, cycles, threads, |_, poker| {
+        poker.set_input(0, 0, value);
+    });
+}

@@ -56,6 +56,38 @@ pub enum Partitioning {
     Auto,
 }
 
+/// Everything settable about a batched engine — the one argument of
+/// [`BatchSimulation::build`] (and of `rteaal_sched::Scheduler::build`
+/// above it).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EngineConfig {
+    /// Stimulus lanes (nonzero).
+    pub lanes: usize,
+    /// Worker threads each layer's operations are split across (1 =
+    /// sequential). Clamped to the host's available parallelism —
+    /// oversubscribing a batch run only adds barrier overhead (drive
+    /// [`BatchKernel::run_parallel`](rteaal_kernels::BatchKernel)
+    /// directly to force an exact count).
+    pub threads: usize,
+    /// RepCut decomposition.
+    pub partitioning: Partitioning,
+    /// Whole-design specialization tier.
+    pub specialization: Specialization,
+}
+
+impl EngineConfig {
+    /// The default engine at `lanes` lanes: one thread, unpartitioned,
+    /// unspecialized. Override fields with struct-update syntax.
+    pub fn new(lanes: usize) -> Self {
+        EngineConfig {
+            lanes,
+            threads: 1,
+            partitioning: Partitioning::None,
+            specialization: Specialization::Off,
+        }
+    }
+}
+
 /// A running batched simulation of one compiled design.
 ///
 /// # Examples
@@ -96,9 +128,6 @@ pub struct BatchSimulation {
     threads: usize,
     liveness: Option<LaneLiveness>,
     vcd: Option<LaneVcd>,
-    /// RepCut replication factor of the decomposition (1.0 when
-    /// unpartitioned).
-    replication: f64,
     /// What the specialization transform removed (`None` when built
     /// with [`Specialization::Off`]).
     spec_stats: Option<SpecStats>,
@@ -151,81 +180,34 @@ impl LaneLiveness {
         self.phys_of[self.orig_of[a]] = a;
         self.phys_of[self.orig_of[b]] = b;
     }
+
+    /// Records the occupant of live column `phys` as finished at the
+    /// current cycle and swaps it out of the evaluated window.
+    fn freeze(&mut self, state: &mut BatchLiState, phys: usize) {
+        self.done_at[self.orig_of[phys]] = Some(state.cycle());
+        let last = state.live() - 1;
+        state.swap_lanes(phys, last);
+        self.swap_phys(phys, last);
+        state.set_live(last);
+    }
 }
 
 impl BatchSimulation {
-    /// Builds a `lanes`-wide simulation from a compile result. Runs
-    /// single-threaded until [`with_threads`](Self::with_threads).
+    /// Builds a `lanes`-wide simulation from a compile result under the
+    /// default [`EngineConfig`]: one thread, unpartitioned, unspecialized.
     ///
     /// # Panics
     ///
     /// Panics if `lanes` is zero.
     pub fn new(compiled: &Compiled, lanes: usize) -> Self {
-        Self::new_with(compiled, lanes, Partitioning::None)
+        Self::build(compiled, EngineConfig::new(lanes))
+            .expect("an unpartitioned engine has no decomposition to reject")
     }
 
-    /// Builds a `lanes`-wide simulation with an explicit RepCut
-    /// decomposition. A partitioned simulation is bit-identical to an
-    /// unpartitioned one through every public method — lane reset,
-    /// admission, halt compaction, pokes and probes are all
-    /// partition-aware — it only changes how a cycle's ops divide across
-    /// worker threads (pair with [`with_threads`](Self::with_threads)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is zero, on `Partitioning::Fixed(0)`, or if the
-    /// static verifier rejects the RepCut decomposition (see
-    /// [`try_new_with`](Self::try_new_with) for the non-panicking form).
-    pub fn new_with(compiled: &Compiled, lanes: usize, partitioning: Partitioning) -> Self {
-        match Self::try_new_with(compiled, lanes, partitioning) {
-            Ok(sim) => sim,
-            Err(report) => panic!("partitioned plan failed verification: {report}"),
-        }
-    }
-
-    /// Builds a `lanes`-wide simulation with an explicit RepCut
-    /// decomposition, running the static verifier
-    /// ([`rteaal_dfg::analyze`]) over the partitioned schedule first.
-    ///
-    /// # Errors
-    ///
-    /// Returns the verifier's [`AnalysisReport`] if the decomposition
-    /// violates a structural invariant (foreign commit, missing RUM
-    /// reader, uncovered op, …) — the engine is never constructed over an
-    /// unverified partitioning.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is zero, or on `Partitioning::Fixed(0)`.
-    pub fn try_new_with(
-        compiled: &Compiled,
-        lanes: usize,
-        partitioning: Partitioning,
-    ) -> Result<Self, AnalysisReport> {
-        Self::try_new_full(compiled, lanes, partitioning, Specialization::Off)
-    }
-
-    /// Builds a `lanes`-wide simulation with an explicit RepCut
-    /// decomposition and specialization tier, panicking on a verifier
-    /// rejection (see [`try_new_full`](Self::try_new_full)).
-    ///
-    /// # Panics
-    ///
-    /// As [`new_with`](Self::new_with).
-    pub fn new_full(
-        compiled: &Compiled,
-        lanes: usize,
-        partitioning: Partitioning,
-        spec: Specialization,
-    ) -> Self {
-        match Self::try_new_full(compiled, lanes, partitioning, spec) {
-            Ok(sim) => sim,
-            Err(report) => panic!("plan failed verification: {report}"),
-        }
-    }
-
-    /// The full-control constructor: RepCut decomposition *and* the
-    /// whole-design specialization tier.
+    /// The one constructor. Every `config` is bit-identical through every
+    /// public method — lane reset, admission, halt compaction, pokes and
+    /// probes are all partition- and specialization-aware — it only
+    /// changes how a cycle's work is represented and divided.
     ///
     /// [`Specialization::Auto`] first applies the plan transform
     /// ([`rteaal_dfg::specialize`]) — constant folding of
@@ -235,34 +217,31 @@ impl BatchSimulation {
     /// program with bit-packed 64-lanes-per-word bodies when `lanes >=
     /// 32` (below that the pack/unpack boundary costs more than packing
     /// saves), while partitioned simulations execute the transformed
-    /// plan through the classic RepCut walk (packing needs
+    /// plan through the per-op RepCut walk (packing needs
     /// whole-schedule consumer analysis, which replicated fan-in cones
-    /// invalidate). Observables — outputs, probes, registers, halt
-    /// conditions, DMI pokes — stay bit-identical to
-    /// [`Specialization::Off`] in every combination.
+    /// invalidate).
     ///
     /// # Errors
     ///
-    /// As [`try_new_with`](Self::try_new_with); a partitioned
-    /// specialized plan is re-verified after the transform.
+    /// Returns the static verifier's [`AnalysisReport`]
+    /// ([`rteaal_dfg::analyze`]) if the RepCut decomposition of the
+    /// (possibly specialized) plan violates a structural invariant
+    /// (foreign commit, missing RUM reader, uncovered op, …) — the engine
+    /// is never constructed over an unverified partitioning.
     ///
     /// # Panics
     ///
     /// Panics if `lanes` is zero, or on `Partitioning::Fixed(0)`.
-    pub fn try_new_full(
-        compiled: &Compiled,
-        lanes: usize,
-        partitioning: Partitioning,
-        spec: Specialization,
-    ) -> Result<Self, AnalysisReport> {
-        let (plan, spec_stats) = match spec {
-            Specialization::Off => (compiled.plan.clone(), None),
-            Specialization::Auto => {
-                let sp = specialize(&compiled.plan);
-                (sp.plan, Some(sp.stats))
-            }
+    pub fn build(compiled: &Compiled, config: EngineConfig) -> Result<Self, AnalysisReport> {
+        let sp = match config.specialization {
+            Specialization::Off => None,
+            Specialization::Auto => Some(specialize(&compiled.plan)),
         };
-        let parts = match partitioning {
+        // Cloned *before* the kernel is compiled, on purpose: the clone soaks
+        // up the compile pipeline's free chunks, so the kernel's op tables —
+        // streamed every cycle — land contiguous (−10 % on the chip otherwise).
+        let plan = sp.as_ref().map_or(&compiled.plan, |sp| &sp.plan).clone();
+        let parts = match config.partitioning {
             Partitioning::None => 1,
             Partitioning::Fixed(p) => {
                 assert!(p > 0, "partition count must be nonzero");
@@ -270,26 +249,22 @@ impl BatchSimulation {
             }
             Partitioning::Auto => PartitionedPlan::auto_partitions(&plan),
         };
-        let (kernel, state, replication) = if parts > 1 {
+        let kernel_config = compiled.kernel.config();
+        let (kernel, state) = if parts > 1 {
             let pp = PartitionedPlan::new(&plan, parts);
             let report = analyze_partitioned(&plan, &pp);
             if !report.is_clean() {
                 return Err(report);
             }
-            let kernel = BatchKernel::compile_partitioned(&pp, compiled.kernel.config());
-            let state = BatchLiState::new_partitioned(&plan, lanes, &pp);
-            (kernel, state, pp.replication_factor())
-        } else if let Some(stats) = spec_stats {
-            let sp = rteaal_dfg::specialize::SpecializedPlan {
-                plan: plan.clone(),
-                stats,
-            };
-            let pack = lanes >= 32;
-            let kernel = BatchKernel::compile_specialized(&sp, compiled.kernel.config(), pack);
-            (kernel, BatchLiState::new(&plan, lanes), 1.0)
+            let kernel = BatchKernel::compile_partitioned(&pp, kernel_config);
+            let state = BatchLiState::new_partitioned(&plan, config.lanes, &pp);
+            (kernel, state)
         } else {
-            let kernel = BatchKernel::compile(&plan, compiled.kernel.config());
-            (kernel, BatchLiState::new(&plan, lanes), 1.0)
+            let kernel = match &sp {
+                Some(sp) => BatchKernel::compile_specialized(sp, kernel_config, config.lanes >= 32),
+                None => BatchKernel::compile(&plan, kernel_config),
+            };
+            (kernel, BatchLiState::new(&plan, config.lanes))
         };
         let mut input_index = HashMap::new();
         for (idx, &slot) in plan.input_slots.iter().enumerate() {
@@ -301,17 +276,21 @@ impl BatchSimulation {
             .typed_probes()
             .map(|(n, s, w, signed)| (n.to_string(), (s, w, signed)))
             .collect();
+        // Asking the host costs a syscall and cgroup reads: only when it matters.
+        let threads = match config.threads {
+            0 | 1 => 1,
+            t => t.min(std::thread::available_parallelism().map_or(1, usize::from)),
+        };
         Ok(BatchSimulation {
             kernel,
             state,
             plan,
             input_index,
             probe_index,
-            threads: 1,
+            threads,
             liveness: None,
             vcd: None,
-            replication,
-            spec_stats,
+            spec_stats: sp.as_ref().map(|sp| sp.stats),
         })
     }
 
@@ -331,21 +310,10 @@ impl BatchSimulation {
     /// ops (including replicated fan-in cones) over the plan's ops. 1.0
     /// when unpartitioned.
     pub fn replication_factor(&self) -> f64 {
-        self.replication
-    }
-
-    /// Sets the worker-thread count for subsequent stepping (each layer's
-    /// operations are split across the workers; 1 = sequential). Clamped
-    /// to the host's available parallelism — oversubscribing a batch run
-    /// only adds barrier overhead. Use
-    /// [`BatchKernel::run_parallel`](rteaal_kernels::BatchKernel) directly
-    /// to force an exact count.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        let cores = std::thread::available_parallelism()
-            .map(usize::from)
-            .unwrap_or(1);
-        self.threads = threads.clamp(1, cores.max(1));
-        self
+        match self.plan.total_ops() {
+            0 => 1.0,
+            base => self.kernel.ops_per_cycle() as f64 / base as f64,
+        }
     }
 
     /// Number of stimulus lanes.
@@ -365,18 +333,19 @@ impl BatchSimulation {
         self.liveness.as_ref().map_or(lane, |lv| lv.phys_of[lane])
     }
 
+    fn input(&self, name: &str) -> Result<usize, UnknownSignal> {
+        self.input_index(name)
+            .ok_or_else(|| UnknownSignal(name.to_string()))
+    }
+
     /// Drives an input port on one lane, by name.
     ///
     /// # Errors
     ///
     /// Returns [`UnknownSignal`] if no input port has this name.
     pub fn poke(&mut self, name: &str, lane: usize, value: u64) -> Result<(), UnknownSignal> {
-        let idx = *self
-            .input_index
-            .get(name)
-            .ok_or_else(|| UnknownSignal(name.to_string()))?;
-        let phys = self.phys(lane);
-        self.state.set_input(idx, phys, value);
+        let idx = self.input(name)?;
+        self.state.set_input(idx, self.phys(lane), value);
         Ok(())
     }
 
@@ -387,15 +356,8 @@ impl BatchSimulation {
     ///
     /// Returns [`UnknownSignal`] if no input port has this name.
     pub fn poke_all(&mut self, name: &str, value: u64) -> Result<(), UnknownSignal> {
-        let idx = *self
-            .input_index
-            .get(name)
-            .ok_or_else(|| UnknownSignal(name.to_string()))?;
-        if self.liveness.is_some() {
-            self.state.set_input_live(idx, value);
-        } else {
-            self.state.set_input_all(idx, value);
-        }
+        // Every lane is live until a halt watch starts freezing them.
+        self.state.set_input_live(self.input(name)?, value);
         Ok(())
     }
 
@@ -418,11 +380,7 @@ impl BatchSimulation {
         if self.liveness.is_some() && self.state.live() == 0 {
             return;
         }
-        if self.threads == 1 {
-            self.kernel.step(&mut self.state);
-        } else {
-            self.kernel.run_parallel(&mut self.state, 1, self.threads);
-        }
+        self.kernel.run_parallel(&mut self.state, 1, self.threads);
         self.probe_halts();
         self.sample_vcd();
     }
@@ -539,11 +497,7 @@ impl BatchSimulation {
         if phys >= self.state.live() || self.state.slot(lv.halt_slot, phys) == 0 {
             return false;
         }
-        lv.done_at[lane] = Some(self.state.cycle());
-        let last = self.state.live() - 1;
-        self.state.swap_lanes(phys, last);
-        lv.swap_phys(phys, last);
-        self.state.set_live(last);
+        lv.freeze(&mut self.state, phys);
         true
     }
 
@@ -597,20 +551,15 @@ impl BatchSimulation {
         let Some(lv) = &mut self.liveness else {
             return;
         };
-        let cycle = self.state.cycle();
         let mut phys = 0;
         while phys < self.state.live() {
             if self.state.slot(lv.halt_slot, phys) == 0 {
                 phys += 1;
-                continue;
+            } else {
+                // The swapped-in occupant of `phys` still needs probing,
+                // so don't advance.
+                lv.freeze(&mut self.state, phys);
             }
-            let last = self.state.live() - 1;
-            lv.done_at[lv.orig_of[phys]] = Some(cycle);
-            self.state.swap_lanes(phys, last);
-            lv.swap_phys(phys, last);
-            self.state.set_live(last);
-            // The swapped-in occupant of `phys` still needs probing, so
-            // don't advance.
         }
     }
 
@@ -693,20 +642,13 @@ impl BatchSimulation {
     ///
     /// Panics unless [`watch_halt`](Self::watch_halt) was enabled.
     pub fn retire_lane(&mut self, lane: usize) {
-        let cycle = self.state.cycle();
         let lv = self
             .liveness
             .as_mut()
             .expect("retire_lane needs a watch_halt signal");
-        if lv.done_at[lane].is_some() {
-            return;
+        if lv.done_at[lane].is_none() {
+            lv.freeze(&mut self.state, lv.phys_of[lane]);
         }
-        lv.done_at[lane] = Some(cycle);
-        let phys = lv.phys_of[lane];
-        let last = self.state.live() - 1;
-        self.state.swap_lanes(phys, last);
-        lv.swap_phys(phys, last);
-        self.state.set_live(last);
     }
 
     /// Writes a probed signal's state directly on one lane, between
@@ -843,7 +785,14 @@ circuit S :
     fn lanes_match_scalar_simulations() {
         let c = compiled(KernelKind::Nu);
         const LANES: usize = 5;
-        let mut batch = BatchSimulation::new(&c, LANES).with_threads(2);
+        let mut batch = BatchSimulation::build(
+            &c,
+            EngineConfig {
+                threads: 2,
+                ..EngineConfig::new(LANES)
+            },
+        )
+        .unwrap();
         let x_idx = batch.input_index("x").unwrap();
         batch.run_with_stimulus(50, |cycle, poker| {
             for lane in 0..LANES {
@@ -1112,7 +1061,11 @@ circuit H :
             Partitioning::Auto,
         ] {
             let mut flat = BatchSimulation::new(&c, LANES);
-            let mut part = BatchSimulation::new_with(&c, LANES, partitioning);
+            let config = EngineConfig {
+                partitioning,
+                ..EngineConfig::new(LANES)
+            };
+            let mut part = BatchSimulation::build(&c, config).unwrap();
             if let Partitioning::Fixed(p) = partitioning {
                 assert_eq!(part.partitions(), p);
                 assert!(part.replication_factor() >= 1.0);
@@ -1152,7 +1105,11 @@ circuit H :
     #[test]
     fn poke_all_and_reset() {
         let c = compiled(KernelKind::Ti);
-        let mut batch = BatchSimulation::new(&c, 4).with_threads(4);
+        let config = EngineConfig {
+            threads: 4,
+            ..EngineConfig::new(4)
+        };
+        let mut batch = BatchSimulation::build(&c, config).unwrap();
         let cores = std::thread::available_parallelism()
             .map(usize::from)
             .unwrap_or(1);

@@ -49,7 +49,7 @@ pub mod compiler;
 pub mod simulation;
 pub mod waveform;
 
-pub use batch::{BatchSimulation, Partitioning};
+pub use batch::{BatchSimulation, EngineConfig, Partitioning};
 pub use clock::{clock_domains, is_single_clock, ClockDomain};
 pub use compiler::{CompileError, Compiled, Compiler, StageTimings};
 pub use rteaal_dfg::analyze::{

@@ -10,21 +10,21 @@
 //! `LI_{c+1} = LI_{c,I} · RUM` Einsum that distinguishes Cascade 2 from
 //! Cascade 1.
 //!
-//! Where `rteaal_einsum::RepCutSim` is a standalone executable model of
-//! that cascade, [`PartitionedPlan`] is the *compiler artifact*: pure
-//! per-partition op schedules (same layer structure as the source plan,
-//! so the levelization barrier argument carries over unchanged), the
-//! owned commit list of each partition, the RUM, and a per-slot *home*
-//! map naming the partition whose replica holds each slot's
-//! authoritative value. `rteaal_kernels::BatchKernel` consumes it to run
-//! a 2-D partition × lane work decomposition; `rteaal_core`,
-//! `rteaal-sched`, and `rteaal-serve` thread it upward from there.
+//! [`PartitionedPlan`] is the *compiler artifact* of that cascade (and
+//! the stack's one RepCut implementation — the scalar executable model
+//! `rteaal_einsum::RepCutSim` runs it too): pure per-partition op
+//! schedules (same layer structure as the source plan, so the
+//! levelization barrier argument carries over unchanged), the owned
+//! commit list of each partition, the RUM, and a per-slot *home* map
+//! naming the partition whose replica holds each slot's authoritative
+//! value. `rteaal_kernels::BatchKernel` consumes it to run a 2-D
+//! partition × lane work decomposition; `rteaal_core`, `rteaal-sched`,
+//! and `rteaal-serve` thread it upward from there.
 //!
-//! Unlike the standalone model, the schedules here cover **every** op of
-//! the plan: ops reachable from neither a register nor an output (named
-//! probe cones kept for waveforms and halt conditions) are folded into
-//! partition 0, so any probed slot reads the same value a scalar run
-//! would report.
+//! The schedules cover **every** op of the plan: ops reachable from
+//! neither a register nor an output (named probe cones kept for
+//! waveforms and halt conditions) are folded into partition 0, so any
+//! probed slot reads the same value a scalar run would report.
 
 use crate::plan::SimPlan;
 use crate::OpInst;

@@ -67,6 +67,7 @@ use crate::plan::{OpInst, SimPlan};
 use rteaal_firrtl::ty::mask;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 
 /// Whether the execution stack applies the specialization tier.
 ///
@@ -761,70 +762,11 @@ impl SpecProgram {
         l.fast.len() + l.slow.len() + l.bits.len()
     }
 
-    /// Evaluates one layer single-threaded: phase A then phase B, with
-    /// the input-cone prefix skipped when `skip_cone` (sound only if no
+    /// Evaluates phase-A instructions `range` of layer `i` (flat
+    /// order: packs then unpacks) through raw pointers, leaving out each
+    /// list's input-cone prefix when `skip_cone` (sound only if no
     /// input, poke, reset, window, or lane permutation happened since
     /// the last full evaluation — the kernel tracks that).
-    pub fn eval_layer(
-        &self,
-        i: usize,
-        li: &mut [u64],
-        w: LaneWindow,
-        bits: &mut [u64],
-        skip_cone: bool,
-        buf: &mut Vec<u64>,
-    ) {
-        let l = &self.layers[i];
-        let (p0, u0, f0, s0, b0) = if skip_cone {
-            (
-                l.cone_packs,
-                l.cone_unpacks,
-                l.cone_fast,
-                l.cone_slow,
-                l.cone_bits,
-            )
-        } else {
-            (0, 0, 0, 0, 0)
-        };
-        let np = l.packs.len();
-        let (nf, ns) = (l.fast.len(), l.slow.len());
-        // SAFETY: `li` and `bits` are exclusive borrows sized by the
-        // caller (`bits` at least `bits_len(w.stride)`), so the row
-        // disjointness the pointer walk needs holds trivially.
-        unsafe {
-            self.eval_phase_a(i, li.as_mut_ptr(), w, bits.as_mut_ptr(), p0, np);
-            self.eval_phase_a(
-                i,
-                li.as_mut_ptr(),
-                w,
-                bits.as_mut_ptr(),
-                np + u0,
-                np + l.unpacks.len(),
-            );
-            self.eval_phase_b(i, li.as_mut_ptr(), w, bits.as_mut_ptr(), f0, nf, buf);
-            self.eval_phase_b(
-                i,
-                li.as_mut_ptr(),
-                w,
-                bits.as_mut_ptr(),
-                nf + s0,
-                nf + ns,
-                buf,
-            );
-            self.eval_phase_b(
-                i,
-                li.as_mut_ptr(),
-                w,
-                bits.as_mut_ptr(),
-                nf + ns + b0,
-                nf + ns + l.bits.len(),
-                buf,
-            );
-        }
-    }
-
-    /// Evaluates phase-A instructions `[lo, hi)` of layer `i` (flat
-    /// order: packs then unpacks) through raw pointers.
     ///
     /// # Safety
     ///
@@ -832,40 +774,38 @@ impl SpecProgram {
     /// and `bits` must cover [`Self::bits_len`]`(w.stride)` words.
     /// Phase-A instructions write disjoint rows (each pack owns its bit
     /// row, each unpack its wide row) and read rows no phase-A
-    /// instruction writes, so concurrent callers over disjoint `[lo,
-    /// hi)` ranges are race-free as long as the previous layer's phase
-    /// B is barrier-sealed.
+    /// instruction writes, so concurrent callers over disjoint ranges
+    /// are race-free as long as the previous layer's phase B is
+    /// barrier-sealed.
     pub unsafe fn eval_phase_a(
         &self,
         i: usize,
         li: *mut u64,
         w: LaneWindow,
         bits: *mut u64,
-        lo: usize,
-        hi: usize,
+        range: Range<usize>,
+        skip_cone: bool,
     ) {
         let l = &self.layers[i];
         let np = l.packs.len();
+        let skip = |cone: usize| if skip_cone { cone } else { 0 };
         let wpr = Self::words_per_row(w.stride);
-        for j in lo..hi {
-            if j < np {
-                let m = l.packs[j];
-                // SAFETY: caller contract — rows in bounds, pack owns
-                // its destination bit row.
-                unsafe { pack_row(li, bits, m.slot, m.row, w, wpr) };
-            } else {
-                let m = l.unpacks[j - np];
-                // SAFETY: caller contract — rows in bounds, unpack owns
-                // its destination wide row (a packed op's slot, which
-                // no wide op writes).
-                unsafe { unpack_row(li, bits, m.slot, m.row, w, wpr) };
-            }
+        for m in &l.packs[sub_range(&range, 0, skip(l.cone_packs), np)] {
+            // SAFETY: caller contract — rows in bounds, pack owns its
+            // destination bit row.
+            unsafe { pack_row(li, bits, m.slot, m.row, w, wpr) };
+        }
+        for m in &l.unpacks[sub_range(&range, np, skip(l.cone_unpacks), l.unpacks.len())] {
+            // SAFETY: caller contract — rows in bounds, unpack owns its
+            // destination wide row (a packed op's slot, which no wide
+            // op writes).
+            unsafe { unpack_row(li, bits, m.slot, m.row, w, wpr) };
         }
     }
 
-    /// Evaluates phase-B instructions `[lo, hi)` of layer `i` (flat
+    /// Evaluates phase-B instructions `range` of layer `i` (flat
     /// order: fused wide bodies, fallback kernels, then packed bodies)
-    /// through raw pointers.
+    /// through raw pointers; `skip_cone` as in [`Self::eval_phase_a`].
     ///
     /// # Safety
     ///
@@ -880,24 +820,25 @@ impl SpecProgram {
         li: *mut u64,
         w: LaneWindow,
         bits: *mut u64,
-        lo: usize,
-        hi: usize,
+        range: Range<usize>,
+        skip_cone: bool,
         buf: &mut Vec<u64>,
     ) {
         let l = &self.layers[i];
         let (nf, ns) = (l.fast.len(), l.slow.len());
+        let skip = |cone: usize| if skip_cone { cone } else { 0 };
         let wpr = Self::words_per_row(w.stride);
         let aw = w.active.div_ceil(64);
-        for inst in &l.fast[lo.min(nf)..hi.min(nf)] {
+        for inst in &l.fast[sub_range(&range, 0, skip(l.cone_fast), nf)] {
             // SAFETY: caller contract matches the `WideInst::eval`
             // contract (same row-disjointness argument).
             unsafe { inst.eval(li, w) };
         }
-        for op in &l.slow[lo.clamp(nf, nf + ns) - nf..hi.clamp(nf, nf + ns) - nf] {
+        for op in &l.slow[sub_range(&range, nf, skip(l.cone_slow), ns)] {
             // SAFETY: caller contract matches `eval_lanes_ptr`'s.
             unsafe { op.eval_lanes_ptr(li, w, buf) };
         }
-        for b in &l.bits[lo.max(nf + ns) - nf - ns..hi.max(nf + ns) - nf - ns] {
+        for b in &l.bits[sub_range(&range, nf + ns, skip(l.cone_bits), l.bits.len())] {
             let (d0, a0, b0, c0) = (
                 b.d as usize * wpr,
                 b.a as usize * wpr,
@@ -923,6 +864,14 @@ impl SpecProgram {
             }
         }
     }
+}
+
+/// The part of a phase's flat instruction range `r` that falls in a list
+/// occupying flat positions `[start, start + len)`, minus the list's
+/// first `skip` entries — as indices into the list.
+fn sub_range(r: &Range<usize>, start: usize, skip: usize, len: usize) -> Range<usize> {
+    let (first, end) = (start + skip, start + len);
+    r.start.clamp(first, end) - start..r.end.clamp(first, end) - start
 }
 
 /// Lowers an op to the fused flat bytecode, or `None` when no fused
@@ -1332,6 +1281,25 @@ mod tests {
         plan(&crate::build(&lower_typed(&parse(src).unwrap()).unwrap()).unwrap())
     }
 
+    /// One layer single-threaded: all of phase A, then all of phase B.
+    fn eval_layer(
+        prog: &SpecProgram,
+        i: usize,
+        li: &mut [u64],
+        w: LaneWindow,
+        bits: &mut [u64],
+        skip_cone: bool,
+        buf: &mut Vec<u64>,
+    ) {
+        let (li, bits) = (li.as_mut_ptr(), bits.as_mut_ptr());
+        // SAFETY: exclusive borrows sized by the caller (`bits` holds
+        // `bits_len(w.stride)` words), phases in program order.
+        unsafe {
+            prog.eval_phase_a(i, li, w, bits, 0..prog.phase_a_len(i), skip_cone);
+            prog.eval_phase_b(i, li, w, bits, 0..prog.phase_b_len(i), skip_cone, buf);
+        }
+    }
+
     /// Keeps only register/input probes, as if the helper `node`s of the
     /// test design were anonymous subexpressions (which is what real
     /// lowered designs mostly consist of). Named wires are probe roots —
@@ -1581,7 +1549,7 @@ circuit Dense :
                 }
                 golden.step();
                 for i in 0..prog.num_layers() {
-                    prog.eval_layer(i, &mut li, w, &mut bits, false, &mut buf);
+                    eval_layer(&prog, i, &mut li, w, &mut bits, false, &mut buf);
                 }
                 for (k, &(_, src)) in staged.iter().enumerate() {
                     let s0 = src as usize * lanes;
@@ -1652,7 +1620,7 @@ circuit Dense :
             golden.step();
             let skip = !dirty;
             for i in 0..prog.num_layers() {
-                prog.eval_layer(i, &mut li, w, &mut bits, skip, &mut buf);
+                eval_layer(&prog, i, &mut li, w, &mut bits, skip, &mut buf);
             }
             dirty = false;
             for (k, &(_, src)) in staged.iter().enumerate() {

@@ -10,37 +10,23 @@
 //! `LI_{c+1} = LI_{c,I} · RUM` Einsum that distinguishes Cascade 2 from
 //! Cascade 1.
 //!
-//! [`RepCutSim`] implements exactly that: per-partition cones with
-//! replication, per-partition `LI` copies, and a `RUM`-driven
-//! synchronization step, with an optional threaded execution path
-//! ("parallelize across partitions", Box 1 mapping level).
+//! [`RepCutSim`] executes exactly that cascade over the decomposition
+//! the compiler produces ([`PartitionedPlan`] — the one RepCut
+//! implementation of the stack: ownership, cone replication, `RUM`):
+//! per-partition `LI` copies, a `RUM`-driven synchronization step, and
+//! an optional threaded execution path ("parallelize across
+//! partitions", Box 1 mapping level).
 
-use rteaal_dfg::{OpInst, SimPlan};
-use std::collections::HashSet;
+use rteaal_dfg::partition::{PartitionSchedule, PartitionedPlan, RumEntry};
+use rteaal_dfg::SimPlan;
 
-/// One RepCut partition: the replicated cone needed to update its
-/// registers (plus, for partition 0, the design outputs).
+/// One RepCut partition at run time: its schedule (the replicated cone
+/// needed to update its registers plus, for partition 0, the design
+/// outputs) and its private `LI` copy.
 #[derive(Debug, Clone)]
 struct Partition {
-    /// Filtered layers (same layer structure as the source plan).
-    layers: Vec<Vec<OpInst>>,
-    /// This partition's private `LI` copy.
+    schedule: PartitionSchedule,
     li: Vec<u64>,
-    /// Registers *owned* (updated) by this partition: `(slot, next slot)`.
-    commits: Vec<(u32, u32)>,
-}
-
-/// An entry of the register update map: where a register is updated and
-/// who reads it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RumEntry {
-    /// The register's `LI` slot.
-    pub slot: u32,
-    /// Partition that updates it.
-    pub owner: usize,
-    /// Partitions that read it (differential exchange: only actual
-    /// readers receive the value).
-    pub readers: Vec<usize>,
 }
 
 /// Partitioned, replication-aided simulator (Cascade 2).
@@ -51,105 +37,34 @@ pub struct RepCutSim {
     input_slots: Vec<u32>,
     input_types: Vec<(u8, bool)>,
     output_slots: Vec<(String, u32)>,
-    /// Total ops across partitions (>= the unpartitioned op count).
-    replicated_ops: usize,
-    /// Ops in the unpartitioned plan.
-    base_ops: usize,
+    replication: f64,
     cycle: u64,
 }
 
 impl RepCutSim {
-    /// Partitions a plan into `num_partitions` sectors by round-robin
-    /// register assignment, replicating each sector's full fan-in cone.
+    /// Partitions a plan into `num_partitions` sectors
+    /// ([`PartitionedPlan::new`]: round-robin register assignment, each
+    /// sector's full fan-in cone replicated).
     ///
     /// # Panics
     ///
     /// Panics if `num_partitions` is zero.
     pub fn new(plan: &SimPlan, num_partitions: usize) -> Self {
-        assert!(num_partitions > 0, "need at least one partition");
-        // Producer map: slot -> (layer, index within layer).
-        let mut producer: Vec<Option<(usize, usize)>> = vec![None; plan.num_slots];
-        for (i, layer) in plan.layers.iter().enumerate() {
-            for (k, op) in layer.iter().enumerate() {
-                producer[op.out as usize] = Some((i, k));
-            }
-        }
-        // Round-robin register ownership.
-        let mut roots: Vec<Vec<u32>> = vec![Vec::new(); num_partitions]; // next slots
-        let mut commits: Vec<Vec<(u32, u32)>> = vec![Vec::new(); num_partitions];
-        for (r, &(dst, src)) in plan.commits.iter().enumerate() {
-            let p = r % num_partitions;
-            roots[p].push(src);
-            commits[p].push((dst, src));
-        }
-        // Outputs belong to partition 0.
-        for (_, s) in &plan.output_slots {
-            roots[0].push(*s);
-        }
-        // Backward closure per partition.
-        let mut partitions = Vec::with_capacity(num_partitions);
-        let mut read_regs: Vec<HashSet<u32>> = vec![HashSet::new(); num_partitions];
-        let reg_slots: HashSet<u32> = plan.commits.iter().map(|&(dst, _)| dst).collect();
-        let mut replicated_ops = 0;
-        for p in 0..num_partitions {
-            let mut included: HashSet<(usize, usize)> = HashSet::new();
-            let mut work: Vec<u32> = roots[p].clone();
-            let mut seen: HashSet<u32> = HashSet::new();
-            while let Some(slot) = work.pop() {
-                if !seen.insert(slot) {
-                    continue;
-                }
-                if reg_slots.contains(&slot) {
-                    read_regs[p].insert(slot);
-                }
-                if let Some(loc) = producer[slot as usize] {
-                    if included.insert(loc) {
-                        let op = &plan.layers[loc.0][loc.1];
-                        work.extend(op.ins.iter().copied());
-                    }
-                }
-            }
-            let layers: Vec<Vec<OpInst>> = plan
-                .layers
-                .iter()
-                .enumerate()
-                .map(|(i, layer)| {
-                    layer
-                        .iter()
-                        .enumerate()
-                        .filter(|(k, _)| included.contains(&(i, *k)))
-                        .map(|(_, op)| op.clone())
-                        .collect()
-                })
-                .collect();
-            replicated_ops += included.len();
-            partitions.push(Partition {
-                layers,
-                li: plan.init_values.clone(),
-                commits: commits[p].clone(),
-            });
-        }
-        // RUM: for each register, its owner and actual readers.
-        let mut rum = Vec::with_capacity(plan.commits.len());
-        for (r, &(dst, _)) in plan.commits.iter().enumerate() {
-            let owner = r % num_partitions;
-            let readers: Vec<usize> = (0..num_partitions)
-                .filter(|&q| q != owner && read_regs[q].contains(&dst))
-                .collect();
-            rum.push(RumEntry {
-                slot: dst,
-                owner,
-                readers,
-            });
-        }
+        let pp = PartitionedPlan::new(plan, num_partitions);
         RepCutSim {
-            partitions,
-            rum,
+            replication: pp.replication_factor(),
+            partitions: pp
+                .partitions
+                .into_iter()
+                .map(|schedule| Partition {
+                    schedule,
+                    li: plan.init_values.clone(),
+                })
+                .collect(),
+            rum: pp.rum,
             input_slots: plan.input_slots.clone(),
             input_types: plan.input_types.clone(),
             output_slots: plan.output_slots.clone(),
-            replicated_ops,
-            base_ops: plan.total_ops(),
             cycle: 0,
         }
     }
@@ -162,11 +77,7 @@ impl RepCutSim {
     /// Replication overhead: total replicated ops over the unpartitioned
     /// op count (1.0 = no replication).
     pub fn replication_factor(&self) -> f64 {
-        if self.base_ops == 0 {
-            1.0
-        } else {
-            self.replicated_ops as f64 / self.base_ops as f64
-        }
+        self.replication
     }
 
     /// Drives an input (canonicalized, replicated into every partition).
@@ -202,18 +113,15 @@ impl RepCutSim {
 
     fn eval_partition(p: &mut Partition) {
         let mut buf = Vec::with_capacity(8);
-        for layer in &p.layers {
+        for layer in &p.schedule.layers {
             for op in layer {
                 op.eval_into(&mut p.li, &mut buf);
             }
         }
         // Commit owned registers (two-phase within the partition).
-        let staged: Vec<u64> = p
-            .commits
-            .iter()
-            .map(|&(_, src)| p.li[src as usize])
-            .collect();
-        for (&(dst, _), v) in p.commits.iter().zip(staged) {
+        let commits = &p.schedule.commits;
+        let staged: Vec<u64> = commits.iter().map(|&(_, src)| p.li[src as usize]).collect();
+        for (&(dst, _), v) in commits.iter().zip(staged) {
             p.li[dst as usize] = v;
         }
     }
@@ -222,9 +130,9 @@ impl RepCutSim {
     /// (`LI_{c+1} = LI_{c,I} · RUM :: ∧←(→)`).
     fn synchronize(&mut self) {
         for entry in &self.rum {
-            let value = self.partitions[entry.owner].li[entry.slot as usize];
+            let value = self.partitions[entry.owner as usize].li[entry.slot as usize];
             for &q in &entry.readers {
-                self.partitions[q].li[entry.slot as usize] = value;
+                self.partitions[q as usize].li[entry.slot as usize] = value;
             }
         }
     }
@@ -343,7 +251,7 @@ circuit X :
         let (g, rc) = setup(3);
         assert_eq!(rc.rum().len(), g.regs.len());
         for (r, entry) in rc.rum().iter().enumerate() {
-            assert_eq!(entry.owner, r % 3);
+            assert_eq!(entry.owner as usize, r % 3);
             assert!(!entry.readers.contains(&entry.owner));
         }
     }

@@ -11,16 +11,25 @@
 //! bit-identical to the sequential one — the safety and determinism
 //! argument is exactly the paper's §4.2 levelization invariant.
 //!
-//! Since the kernel-compilation stage landed, the default layer walk is
-//! over [`CompiledLayer`] slices — each operation pre-lowered by
-//! `rteaal_dfg::lane_kernel` into a specialized, autovectorizable lane
-//! kernel with dispatch, operand offsets, and canonicalization resolved
-//! at [`BatchKernel::compile`] time. The interpreted
-//! [`OpInst::eval_lanes`] walk is retained behind
+//! Every kernel lowers at compile time to a flat list of `Phase`s —
+//! barrier-delimited runs of independent instructions — that **one**
+//! cycle loop executes: `stimulus → [settled? clock only] → walk phases
+//! → commit`. A classic kernel has one phase per layer, over the
+//! flattened `(partition, op)` range of [`CompiledLayer`] slices (each
+//! operation pre-lowered by `rteaal_dfg::lane_kernel` into an
+//! autovectorizable lane kernel); a specialized kernel has two (boundary
+//! moves, then bodies — see `rteaal_dfg::specialize`). Serial is the
+//! `threads = 1` case of that loop (no barrier, no thread scope),
+//! unpartitioned the `P = 1` case. The interpreted
+//! [`OpInst::eval_lanes`] dispatch is retained behind
 //! [`BatchEngine::Interpreted`] as the differential-testing golden
-//! model. Both walks evaluate only the *active* lane window of
+//! model. Every walk evaluates only the *active* lane window of
 //! [`BatchLiState`], which lane-liveness early exit (driven by
 //! `rteaal-core`) shrinks as lanes finish their workloads.
+//!
+//! The commit is change-tracked: once a batch reaches a register fixed
+//! point, cycles only advance the clock until something external touches
+//! the state — for every engine, thread count and partition count.
 //!
 //! Worker threads are spawned once per [`BatchKernel::run_parallel`] /
 //! [`BatchKernel::run_with_stimulus`] call and live for the whole span of
@@ -33,26 +42,40 @@
 //! reordering is sound for the same reason the parallelism is.
 
 use crate::config::{KernelConfig, KernelKind};
+use crate::parallel::{chunk, schedule, Segment, SpinBarrier};
 use crate::profile::{oim_addr, MemProbe, OimArray, Probe, CODE_BASE, HANDLER_BYTES, LI_BASE};
 use crate::rolled::exec_cost;
 use rteaal_dfg::batch::init_lanes;
 use rteaal_dfg::lane_kernel::{compile_layer, BatchEngine, CompiledLayer, LaneWindow};
 use rteaal_dfg::op::canonicalize;
-use rteaal_dfg::partition::PartitionedPlan;
+use rteaal_dfg::partition::{PartitionedPlan, RumEntry};
 use rteaal_dfg::plan::split_commits;
 use rteaal_dfg::specialize::{SpecProgram, SpecializedPlan};
 use rteaal_dfg::{OpInst, SimPlan};
 use rteaal_perfmodel::cache::MemSim;
 use rteaal_perfmodel::ExecProfile;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// One RUM row of the partitioned state: the register's slot, the
-/// replica that commits it, and the replicas it is copied to.
-type RumRow = (u32, u32, Vec<u32>);
+use std::ops::Range;
+use std::slice::{from_raw_parts, from_raw_parts_mut};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Per-partition register commits, split alias-free/staged (see
 /// [`split_commits`]).
 type PartCommits = (Vec<(u32, u32)>, Vec<(u32, u32)>);
+
+/// What the cycle loop's activity gates know about a state; every
+/// mutation site resets it to `Dirty` eagerly.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Activity {
+    /// An input, poke, reset, window change, or lane permutation
+    /// happened since the last walk: nothing may be skipped.
+    Dirty,
+    /// Walked since: input-cone values are current (a specialized walk
+    /// may skip them); registers still move.
+    Clean,
+    /// As `Clean`, and the last commit changed no live-lane value: `LI`
+    /// is its own image under walk + commit — cycles are clock-only.
+    Settled,
+}
 
 /// The mutable batched simulation state: `B` lanes per `LI` slot, of
 /// which the `live` prefix is evaluated (lane-liveness early exit swaps
@@ -86,25 +109,20 @@ pub struct BatchLiState {
     commits: Vec<PartCommits>,
     commit_buf: Vec<u64>,
     /// Register update map rows; empty when unpartitioned.
-    rum: Vec<RumRow>,
-    /// `slot -> home replica`; empty when unpartitioned (all slots home
-    /// in replica 0).
+    rum: Vec<RumEntry>,
+    /// `slot -> home replica` (all zeros when unpartitioned).
     home: Vec<u32>,
     cycle: u64,
     /// Sidecar bit-plane matrix for a specialized kernel's packed rows
-    /// (`SpecProgram::bits_len` words, grown lazily on the first
-    /// specialized step). Input-cone rows persist across cycles — that
-    /// persistence is what the cone skip reuses.
+    /// (`SpecProgram::bits_len` words, sized by each walk — a change of
+    /// kernel is a change of size, and re-dirties the state). Input-cone
+    /// rows persist across cycles — that persistence is what the cone
+    /// skip reuses.
     bits: Vec<u64>,
-    /// An input, poke, reset, window change, or lane permutation
-    /// happened since the last full layer walk — the specialized
-    /// walk's input-cone skip is unsound until it re-evaluates once.
-    inputs_dirty: bool,
-    /// The last specialized step reached a register fixed point: the
-    /// commit changed no live-lane value and inputs were unchanged, so
-    /// `LI` is its own image under walk + commit. While this holds (and
-    /// `inputs_dirty` stays false) whole steps are activity-skipped.
-    settled: bool,
+    activity: Activity,
+    /// Operand staging for variable-arity ops (mux chains), kept here so
+    /// a step never allocates; worker threads bring their own.
+    scratch: Vec<u64>,
 }
 
 impl BatchLiState {
@@ -115,28 +133,8 @@ impl BatchLiState {
     ///
     /// Panics if `lanes` is zero.
     pub fn new(plan: &SimPlan, lanes: usize) -> Self {
-        assert!(lanes > 0, "batch needs at least one lane");
-        let li = init_lanes(plan, lanes);
-        let (direct, staged) = split_commits(&plan.commits);
-        BatchLiState {
-            init: li.clone(),
-            span: li.len(),
-            li,
-            parts: 1,
-            lanes,
-            live: lanes,
-            input_slots: plan.input_slots.clone(),
-            input_types: plan.input_types.clone(),
-            output_slots: plan.output_slots.clone(),
-            commit_buf: vec![0; staged.len() * lanes],
-            commits: vec![(direct, staged)],
-            rum: Vec::new(),
-            home: Vec::new(),
-            cycle: 0,
-            bits: Vec::new(),
-            inputs_dirty: true,
-            settled: false,
-        }
+        let commits = vec![split_commits(&plan.commits)];
+        Self::with_layout(plan, lanes, commits, Vec::new(), vec![0; plan.num_slots])
     }
 
     /// Initializes a partition-replicated state: one `LI` replica per
@@ -148,19 +146,31 @@ impl BatchLiState {
     ///
     /// Panics if `lanes` is zero.
     pub fn new_partitioned(plan: &SimPlan, lanes: usize, pp: &PartitionedPlan) -> Self {
-        assert!(lanes > 0, "batch needs at least one lane");
-        let parts = pp.num_partitions();
-        let span = plan.num_slots * lanes;
-        let replica = init_lanes(plan, lanes);
-        let mut li = Vec::with_capacity(parts * span);
-        for _ in 0..parts {
-            li.extend_from_slice(&replica);
-        }
-        let commits: Vec<PartCommits> = pp
+        let commits = pp
             .partitions
             .iter()
             .map(|s| split_commits(&s.commits))
             .collect();
+        Self::with_layout(plan, lanes, commits, pp.rum.clone(), pp.home.clone())
+    }
+
+    /// The one state constructor: a replica per entry of `commits`
+    /// (unpartitioned is the one-replica case: no RUM, every slot home
+    /// in replica 0).
+    fn with_layout(
+        plan: &SimPlan,
+        lanes: usize,
+        commits: Vec<PartCommits>,
+        rum: Vec<RumEntry>,
+        home: Vec<u32>,
+    ) -> Self {
+        assert!(lanes > 0, "batch needs at least one lane");
+        let parts = commits.len();
+        let mut li = init_lanes(plan, lanes);
+        let span = li.len();
+        for _ in 1..parts {
+            li.extend_from_within(..span);
+        }
         let max_staged = commits.iter().map(|(_, s)| s.len()).max().unwrap_or(0);
         BatchLiState {
             init: li.clone(),
@@ -174,20 +184,12 @@ impl BatchLiState {
             output_slots: plan.output_slots.clone(),
             commit_buf: vec![0; max_staged * lanes],
             commits,
-            rum: pp
-                .rum
-                .iter()
-                .map(|e| (e.slot, e.owner, e.readers.clone()))
-                .collect(),
-            home: if parts > 1 {
-                pp.home.clone()
-            } else {
-                Vec::new()
-            },
+            rum,
+            home,
             cycle: 0,
             bits: Vec::new(),
-            inputs_dirty: true,
-            settled: false,
+            activity: Activity::Dirty,
+            scratch: Vec::with_capacity(8),
         }
     }
 
@@ -199,16 +201,6 @@ impl BatchLiState {
     /// Number of partition replicas (1 = unpartitioned).
     pub fn partitions(&self) -> usize {
         self.parts
-    }
-
-    /// The home replica of a slot — where its authoritative value lives.
-    #[inline]
-    fn home_of(&self, s: u32) -> usize {
-        if self.home.is_empty() {
-            0
-        } else {
-            self.home[s as usize] as usize
-        }
     }
 
     /// Number of lanes still being evaluated (the active prefix).
@@ -229,7 +221,7 @@ impl BatchLiState {
             self.lanes
         );
         self.live = live;
-        self.inputs_dirty = true;
+        self.activity = Activity::Dirty;
     }
 
     /// The active evaluation window.
@@ -251,7 +243,7 @@ impl BatchLiState {
         for s0 in (0..self.li.len()).step_by(lanes) {
             self.li.swap(s0 + a, s0 + b);
         }
-        self.inputs_dirty = true;
+        self.activity = Activity::Dirty;
     }
 
     /// Number of input ports.
@@ -264,7 +256,7 @@ impl BatchLiState {
         self.li.copy_from_slice(&self.init);
         self.live = self.lanes;
         self.cycle = 0;
-        self.inputs_dirty = true;
+        self.activity = Activity::Dirty;
     }
 
     /// Resets one physical lane column to the power-on state — register
@@ -287,46 +279,60 @@ impl BatchLiState {
         for s0 in (0..self.li.len()).step_by(self.lanes) {
             self.li[s0 + phys] = self.init[s0 + phys];
         }
-        self.inputs_dirty = true;
+        self.activity = Activity::Dirty;
     }
 
     /// Drives input port `idx` on one lane (canonicalized to the port
     /// type, written into every partition replica).
     pub fn set_input(&mut self, idx: usize, lane: usize, value: u64) {
-        assert!(lane < self.lanes, "lane {lane} out of range");
-        let (w, signed) = self.input_types[idx];
-        let v = canonicalize(value, w as u32, signed);
-        let off = self.input_slots[idx] as usize * self.lanes + lane;
-        for p in 0..self.parts {
-            self.li[p * self.span + off] = v;
-        }
-        self.inputs_dirty = true;
+        self.write_input(idx, lane, lane + 1, value);
     }
 
     /// Drives input port `idx` identically on every lane: canonicalizes
     /// once and fills the lane row (of every replica).
     pub fn set_input_all(&mut self, idx: usize, value: u64) {
-        let (w, signed) = self.input_types[idx];
-        let v = canonicalize(value, w as u32, signed);
-        let s0 = self.input_slots[idx] as usize * self.lanes;
-        for p in 0..self.parts {
-            let r0 = p * self.span + s0;
-            self.li[r0..r0 + self.lanes].fill(v);
-        }
-        self.inputs_dirty = true;
+        self.write_input(idx, 0, self.lanes, value);
     }
 
     /// Drives input port `idx` identically on every *live* lane; frozen
     /// lanes keep the input they halted with.
     pub fn set_input_live(&mut self, idx: usize, value: u64) {
+        self.write_input(idx, 0, self.live, value);
+    }
+
+    fn write_input(&mut self, idx: usize, lo: usize, hi: usize, value: u64) {
         let (w, signed) = self.input_types[idx];
-        let v = canonicalize(value, w as u32, signed);
-        let s0 = self.input_slots[idx] as usize * self.lanes;
+        self.write(
+            self.input_slots[idx],
+            lo,
+            hi,
+            canonicalize(value, w as u32, signed),
+        );
+    }
+
+    /// The one external write: `v` into lanes `[lo, hi)` of slot `s` in
+    /// every replica, disarming the activity gates. Through the raw
+    /// pointer rather than a slice borrow: inside a stimulus callback,
+    /// parked workers hold pointers into this buffer, so no reference to
+    /// it is materialized.
+    fn write(&mut self, s: u32, lo: usize, hi: usize, v: u64) {
+        assert!(
+            lo <= hi && hi <= self.lanes,
+            "lanes {lo}..{hi} out of range"
+        );
+        let row = s as usize * self.lanes;
+        assert!(row < self.span, "slot {s} out of range");
+        let li = self.li.as_mut_ptr();
         for p in 0..self.parts {
-            let r0 = p * self.span + s0;
-            self.li[r0..r0 + self.live].fill(v);
+            for lane in lo..hi {
+                // SAFETY: row and lane were just bounds-checked against
+                // one replica, and `p` counts the replicas; nothing else
+                // runs — `&mut self`, and a stimulus callback sits in the
+                // cycle loop's single-threaded window.
+                unsafe { *li.add(p * self.span + row + lane) = v };
+            }
         }
-        self.inputs_dirty = true;
+        self.activity = Activity::Dirty;
     }
 
     /// Output value of one lane, by port index.
@@ -347,7 +353,8 @@ impl BatchLiState {
     /// through the slot's home replica.
     pub fn slot(&self, s: u32, lane: usize) -> u64 {
         assert!(lane < self.lanes, "lane {lane} out of range");
-        self.li[self.home_of(s) * self.span + s as usize * self.lanes + lane]
+        let home = self.home[s as usize] as usize;
+        self.li[home * self.span + s as usize * self.lanes + lane]
     }
 
     /// Writes a slot on one lane (DMI poke) — into every replica, so a
@@ -355,12 +362,7 @@ impl BatchLiState {
     /// carry no type: `value` must already be canonical for the signal,
     /// which the `rteaal-core` front doors ensure.
     pub fn poke_slot(&mut self, s: u32, lane: usize, value: u64) {
-        assert!(lane < self.lanes, "lane {lane} out of range");
-        let off = s as usize * self.lanes + lane;
-        for p in 0..self.parts {
-            self.li[p * self.span + off] = value;
-        }
-        self.inputs_dirty = true;
+        self.write(s, lane, lane + 1, value);
     }
 
     /// Cycles completed.
@@ -368,209 +370,127 @@ impl BatchLiState {
         self.cycle
     }
 
-    /// Lane-wise register commit over the active window (the final
-    /// `LI_{i+1}` Einsum of Cascade 1): per replica, staged sources
-    /// first, direct alias-free copies, then the staged writes — each
-    /// partition committing only the registers it owns — followed by the
-    /// RUM reconciliation copying every committed row from its owner
-    /// replica to its reader replicas (the Cascade 2 `LI_{c+1} =
-    /// LI_{c,I} · RUM` Einsum). Frozen lanes keep their state.
-    fn commit_lanes(&mut self) {
-        self.commit_lanes_tracked();
-    }
-
-    /// As [`Self::commit_lanes`], additionally reporting whether any
-    /// commit (or replica reconciliation) changed a live-lane value.
-    /// `false` means the state is a register fixed point: with inputs
-    /// unchanged, the next walk + commit would reproduce `LI` exactly —
-    /// the activity skip's enabling condition. The pre-write compares
-    /// are sound because staged sources are buffered before any
-    /// destination write and direct commits are alias-free by
-    /// construction.
-    fn commit_lanes_tracked(&mut self) -> bool {
-        let (lanes, n) = (self.lanes, self.live);
-        let mut changed = false;
-        for (p, (direct, staged)) in self.commits.iter().enumerate() {
-            let base = p * self.span;
-            for (k, &(dst, src)) in staged.iter().enumerate() {
-                let s0 = base + src as usize * lanes;
-                let d0 = base + dst as usize * lanes;
-                changed |= self.li[d0..d0 + n] != self.li[s0..s0 + n];
-                self.commit_buf[k * lanes..k * lanes + n].copy_from_slice(&self.li[s0..s0 + n]);
-            }
-            for &(dst, src) in direct {
-                let (d0, s0) = (base + dst as usize * lanes, base + src as usize * lanes);
-                changed |= self.li[d0..d0 + n] != self.li[s0..s0 + n];
-                self.li.copy_within(s0..s0 + n, d0);
-            }
-            for (k, &(dst, _)) in staged.iter().enumerate() {
-                let d0 = base + dst as usize * lanes;
-                self.li[d0..d0 + n].copy_from_slice(&self.commit_buf[k * lanes..k * lanes + n]);
-            }
-        }
-        for (slot, owner, readers) in &self.rum {
-            let row = *slot as usize * lanes;
-            let s0 = *owner as usize * self.span + row;
-            for &q in readers {
-                let d0 = q as usize * self.span + row;
-                changed |= self.li[d0..d0 + n] != self.li[s0..s0 + n];
-                self.li.copy_within(s0..s0 + n, d0);
-            }
-        }
-        self.cycle += 1;
-        changed
-    }
-
-    /// Whether the activity skip is armed: the last specialized step hit
+    /// Whether the settled-batch gate is armed: the last commit reached
     /// a register fixed point and nothing external has touched the state
-    /// since.
+    /// since, so further cycles only advance the clock.
     pub fn settled(&self) -> bool {
-        self.settled && !self.inputs_dirty
+        self.activity == Activity::Settled
     }
 }
 
-/// A raw `LI` pointer sharable across the layer-parallel scope.
+/// What the workers of one walk share: the raw `LI` and bit-plane
+/// matrices, the replica stride, the lane window, and whether
+/// input-cone instructions may be skipped this cycle.
 #[derive(Clone, Copy)]
-struct SharedLi(*mut u64);
+struct Walk {
+    li: *mut u64,
+    bits: *mut u64,
+    span: usize,
+    w: LaneWindow,
+    skip_cone: bool,
+}
 
 // SAFETY: workers only touch disjoint rows between barriers (see
-// `CompiledOp::eval_lanes_ptr`); the pointer itself is plain data.
-unsafe impl Send for SharedLi {}
-// SAFETY: as for `Send` — row disjointness between barriers makes shared
-// references to the wrapper harmless.
-unsafe impl Sync for SharedLi {}
+// `BatchKernel::eval_phase`); the pointers themselves are plain data.
+unsafe impl Send for Walk {}
 
-/// A sense-reversing spin barrier.
+/// Lane-wise register commit over the active window (the final
+/// `LI_{i+1}` Einsum of Cascade 1): per replica, staged sources first,
+/// direct alias-free copies, then the staged writes — each partition
+/// committing only the registers it owns — followed by the RUM
+/// reconciliation copying every committed row from its owner replica to
+/// its reader replicas (the Cascade 2 `LI_{c+1} = LI_{c,I} · RUM`
+/// Einsum). Frozen lanes keep their state.
 ///
-/// The layer barrier fires `layers × cycles` times per run, so its
-/// latency *is* the parallelization overhead; `std::sync::Barrier`'s
-/// mutex+condvar rendezvous costs ~10µs, which dwarfs the work of a
-/// typical layer. Spinning (with a yield fallback for oversubscribed
-/// hosts) brings the crossing down to the cache-coherence cost.
-struct SpinBarrier {
-    arrived: AtomicUsize,
-    generation: AtomicUsize,
-    total: usize,
-    /// Spin iterations before falling back to `yield_now`. Zero when the
-    /// host has fewer cores than barrier participants: spinning there
-    /// steals the CPU the late arrivers need.
-    spin_limit: u32,
-}
-
-impl SpinBarrier {
-    fn new(total: usize) -> Self {
-        let cores = std::thread::available_parallelism()
-            .map(usize::from)
-            .unwrap_or(1);
-        let spin_limit = if total <= cores { 1 << 14 } else { 0 };
-        SpinBarrier {
-            arrived: AtomicUsize::new(0),
-            generation: AtomicUsize::new(0),
-            total,
-            spin_limit,
+/// Returns whether any commit (or reconciliation) changed a live-lane
+/// value. `false` means the state is a register fixed point: with inputs
+/// unchanged, the next walk + commit would reproduce `LI` exactly. The
+/// compares are sound because staged sources are buffered before any
+/// destination write and direct commits are alias-free by construction.
+///
+/// # Safety
+///
+/// `cx.li` must cover every replica of the state the commit lists and
+/// RUM belong to, `buf` must hold `w.stride` lanes per staged commit of
+/// the widest partition, and no other thread may touch `LI` during the
+/// call (the cycle loop's single-threaded window).
+unsafe fn commit(cx: &Walk, commits: &[PartCommits], buf: &mut [u64], rum: &[RumEntry]) -> bool {
+    let (lanes, n) = (cx.w.stride, cx.w.active);
+    let mut changed = false;
+    // One row over another. Once a change is seen the compare is moot, so
+    // a busy design pays for (part of) one `memcmp` per cycle and a plain
+    // `memcpy` per row.
+    let mut copy_row = |dst: *mut u64, src: *const u64| {
+        if std::ptr::eq(dst, src) {
+            return;
         }
-    }
-
-    /// Blocks until all `total` threads have arrived.
-    ///
-    /// Each arriver's prior writes are published through the release
-    /// sequence on `arrived`; the last arriver flips `generation` with a
-    /// release store, and every waiter's acquire load of it therefore
-    /// observes all pre-barrier writes of all threads.
-    #[inline]
-    fn wait(&self) {
-        let gen = self.generation.load(Ordering::Acquire);
-        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.total {
-            self.arrived.store(0, Ordering::Relaxed);
-            self.generation
-                .store(gen.wrapping_add(1), Ordering::Release);
-        } else {
-            let mut spins = 0u32;
-            while self.generation.load(Ordering::Acquire) == gen {
-                if spins < self.spin_limit {
-                    spins += 1;
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
+        // SAFETY: every caller below passes rows valid for `n` lanes, and
+        // two different rows of the matrix (or a row and the staging
+        // buffer) are disjoint.
+        let (d, s) = unsafe { (from_raw_parts_mut(dst, n), from_raw_parts(src, n)) };
+        changed = changed || d != s;
+        d.copy_from_slice(s);
+    };
+    // SAFETY: every row offset below is `replica * span + slot * lanes`
+    // with slot < num_slots, in bounds per the contract; a commit's
+    // source and destination rows are distinct slots or the same one.
+    unsafe {
+        for (p, (direct, staged)) in commits.iter().enumerate() {
+            let base = cx.li.add(p * cx.span);
+            for (k, &(_, src)) in staged.iter().enumerate() {
+                let stage = buf[k * lanes..k * lanes + n].as_mut_ptr();
+                std::ptr::copy_nonoverlapping(base.add(src as usize * lanes), stage, n);
+            }
+            for &(dst, src) in direct {
+                copy_row(
+                    base.add(dst as usize * lanes),
+                    base.add(src as usize * lanes),
+                );
+            }
+            for (k, &(dst, _)) in staged.iter().enumerate() {
+                let stage = buf[k * lanes..k * lanes + n].as_ptr();
+                copy_row(base.add(dst as usize * lanes), stage);
+            }
+        }
+        for e in rum {
+            let row = e.slot as usize * lanes;
+            let src = cx.li.add(e.owner as usize * cx.span + row);
+            for &q in &e.readers {
+                copy_row(cx.li.add(q as usize * cx.span + row), src);
             }
         }
     }
+    changed
 }
 
-/// One entry of the layer-parallel execution schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Segment {
-    /// A layer wide enough to split across workers.
-    Parallel(usize),
-    /// A run `[from, to)` of narrow layers worker 0 executes alone —
-    /// splitting them would cost more in barrier crossings than the
-    /// division of work saves, and merging adjacent ones removes their
-    /// interior barriers entirely.
-    Serial(usize, usize),
-}
-
-/// Minimum op×lane work units in a layer before splitting it pays.
-const PAR_MIN_WORK: usize = 1024;
-
-/// Builds the segment schedule for a given lane count from the
-/// cross-partition op totals of each layer.
-fn schedule(layer_totals: &[usize], lanes: usize) -> Vec<Segment> {
-    let mut segments: Vec<Segment> = Vec::with_capacity(layer_totals.len());
-    for (i, &ops) in layer_totals.iter().enumerate() {
-        if ops * lanes >= PAR_MIN_WORK {
-            segments.push(Segment::Parallel(i));
-        } else if let Some(Segment::Serial(_, to)) = segments.last_mut() {
-            *to = i + 1;
-        } else {
-            segments.push(Segment::Serial(i, i + 1));
-        }
-    }
-    segments
+/// One barrier-delimited unit of a cycle's walk: a run of `len`
+/// instructions that write disjoint rows and read only rows sealed by
+/// earlier phases. A per-op kernel has one per layer, over the flattened
+/// `(partition, op)` range; a specialized kernel has two — the
+/// wide/packed boundary `moves`, then the bodies.
+#[derive(Debug, Clone, Copy)]
+struct Phase {
+    layer: usize,
+    moves: bool,
+    len: usize,
 }
 
 /// Per-lane input driver handed to the stimulus callback of
 /// [`BatchKernel::run_with_stimulus`].
 pub struct LanePoker<'a> {
-    li: SharedLi,
-    parts: usize,
-    span: usize,
-    lanes: usize,
-    input_slots: &'a [u32],
-    input_types: &'a [(u8, bool)],
-    /// The state's `inputs_dirty`: any poke through this driver makes
-    /// the specialized walk's input-cone skip unsound until the next
-    /// full evaluation.
-    dirty: &'a mut bool,
+    st: &'a mut BatchLiState,
 }
 
 impl LanePoker<'_> {
     /// Number of stimulus lanes.
     pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// Number of input ports.
-    pub fn num_inputs(&self) -> usize {
-        self.input_slots.len()
+        self.st.lanes
     }
 
     /// Drives input port `idx` on one lane (canonicalized to the port
     /// type, written into every partition replica).
     pub fn set_input(&mut self, idx: usize, lane: usize, value: u64) {
-        assert!(lane < self.lanes, "lane {lane} out of range");
-        let (w, signed) = self.input_types[idx];
-        let v = canonicalize(value, w as u32, signed);
-        let off = self.input_slots[idx] as usize * self.lanes + lane;
-        for p in 0..self.parts {
-            // SAFETY: input slots are source rows no layer op ever writes,
-            // and the callback runs in the single-threaded window between
-            // the commit barrier and the next layer-0 barrier.
-            unsafe {
-                *self.li.0.add(p * self.span + off) = v;
-            }
-        }
-        *self.dirty = true;
+        self.st.set_input(idx, lane, value);
     }
 }
 
@@ -591,47 +511,37 @@ pub struct LayerSample {
     pub stores: u64,
 }
 
-/// Address of lane `lane` of slot `slot` in partition replica `p` of the
-/// slot-major batched `LI` matrix (8 bytes per lane element).
-#[inline]
-fn batched_li_addr(p: usize, span: usize, slot: u32, lanes: usize, lane: usize) -> u64 {
-    LI_BASE + ((p * span + slot as usize * lanes + lane) * 8) as u64
-}
-
 /// The batched, layer-parallel kernel: a layer-structured op program
-/// (one schedule per partition), its kernel-compiled form, and the
-/// traversal the kernel configuration asks for.
+/// (one schedule per partition), its kernel-compiled form, and the flat
+/// phase list the cycle loop walks.
 ///
 /// Unpartitioned kernels are the one-partition special case. Partitioned
 /// kernels ([`BatchKernel::compile_partitioned`]) hold one op schedule
-/// per RepCut partition over the same layer grid; the threaded walk
-/// flattens the (partition, op) pairs of each layer into one work range
-/// so worker threads own (partition, lane-chunk) tiles, and the layer
-/// barrier argument carries over unchanged: output rows are unique
-/// within a partition's layer and live in distinct replicas across
-/// partitions.
+/// per RepCut partition over the same layer grid; a layer's phase
+/// flattens its (partition, op) pairs into one work range so worker
+/// threads own (partition, op-chunk) tiles, and the layer barrier
+/// argument carries over unchanged: output rows are unique within a
+/// partition's layer and live in distinct replicas across partitions.
 #[derive(Debug, Clone)]
 pub struct BatchKernel {
     config: KernelConfig,
     engine: BatchEngine,
     /// Operations per partition per layer (`layers[p][i]`), in execution
-    /// order (the interpreted form, also the input of the schedule
-    /// builder).
+    /// order (the interpreted form, also what the profiled walk models).
     layers: Vec<Vec<Vec<OpInst>>>,
-    /// Kernel-compiled layers, same shape (compiled engine only).
+    /// Kernel-compiled layers, same shape (compiled per-op kernels only:
+    /// a specialized kernel walks `spec` instead).
     compiled: Vec<Vec<CompiledLayer>>,
-    /// Layer count (equal across partitions; short partitions padded).
-    num_layers: usize,
-    /// Total ops of each layer across partitions.
-    layer_totals: Vec<usize>,
-    /// Per layer, prefix sums of per-partition op counts (`parts + 1`
-    /// entries) — maps a flattened work range back to per-partition
-    /// slices.
+    /// Per layer (equal count across partitions; short ones padded),
+    /// prefix sums of per-partition op counts (`parts + 1` entries, the
+    /// last being the layer's total) — maps a flattened work range back
+    /// to per-partition slices.
     offsets: Vec<Vec<usize>>,
-    /// Superblock/bit-packing program for a specialized kernel
-    /// ([`BatchKernel::compile_specialized`]); `None` runs the classic
-    /// per-op walk.
+    /// Superblock/bit-packing program of a specialized kernel
+    /// ([`BatchKernel::compile_specialized`]).
     spec: Option<SpecProgram>,
+    /// What a cycle walks, in order.
+    phases: Vec<Phase>,
 }
 
 impl BatchKernel {
@@ -650,7 +560,7 @@ impl BatchKernel {
     /// dispatch — the golden model, and the baseline of the
     /// interpreted-vs-compiled benchmark axis).
     pub fn compile_with_engine(plan: &SimPlan, config: KernelConfig, engine: BatchEngine) -> Self {
-        Self::from_layers(config, engine, vec![plan.layers.clone()])
+        Self::from_layers(config, engine, vec![plan.layers.clone()], None)
     }
 
     /// Compiles a RepCut decomposition into a partitioned kernel: one op
@@ -658,26 +568,15 @@ impl BatchKernel {
     /// state of [`BatchLiState::new_partitioned`] over the same
     /// decomposition.
     pub fn compile_partitioned(pp: &PartitionedPlan, config: KernelConfig) -> Self {
-        Self::compile_partitioned_with_engine(pp, config, BatchEngine::Compiled)
-    }
-
-    /// Partitioned compilation with an explicit executor choice.
-    pub fn compile_partitioned_with_engine(
-        pp: &PartitionedPlan,
-        config: KernelConfig,
-        engine: BatchEngine,
-    ) -> Self {
-        Self::from_layers(
-            config,
-            engine,
-            pp.partitions.iter().map(|s| s.layers.clone()).collect(),
-        )
+        let layers = pp.partitions.iter().map(|s| s.layers.clone()).collect();
+        Self::from_layers(config, BatchEngine::Compiled, layers, None)
     }
 
     fn from_layers(
         config: KernelConfig,
         engine: BatchEngine,
         mut part_layers: Vec<Vec<Vec<OpInst>>>,
+        spec: Option<SpecProgram>,
     ) -> Self {
         if config.kind.is_swizzled() {
             for layers in &mut part_layers {
@@ -690,51 +589,60 @@ impl BatchKernel {
         for layers in &mut part_layers {
             layers.resize_with(num_layers, Vec::new);
         }
-        let mut layer_totals = Vec::with_capacity(num_layers);
-        let mut offsets = Vec::with_capacity(num_layers);
-        for i in 0..num_layers {
-            let mut pref = Vec::with_capacity(part_layers.len() + 1);
-            let mut acc = 0usize;
-            pref.push(0);
-            for layers in &part_layers {
-                acc += layers[i].len();
-                pref.push(acc);
-            }
-            layer_totals.push(acc);
-            offsets.push(pref);
-        }
-        let compiled = match engine {
-            BatchEngine::Compiled => part_layers
+        let offsets: Vec<Vec<usize>> = (0..num_layers)
+            .map(|i| {
+                let mut pref = vec![0];
+                for layers in &part_layers {
+                    pref.push(pref[pref.len() - 1] + layers[i].len());
+                }
+                pref
+            })
+            .collect();
+        let compiled = match (engine, &spec) {
+            (BatchEngine::Compiled, None) => part_layers
                 .iter()
                 .map(|layers| layers.iter().map(|l| compile_layer(l)).collect())
                 .collect(),
-            BatchEngine::Interpreted => Vec::new(),
+            _ => Vec::new(),
+        };
+        let phase = |layer, moves, len| Phase { layer, moves, len };
+        let phases = match &spec {
+            Some(prog) => (0..prog.num_layers())
+                .flat_map(|i| {
+                    [
+                        phase(i, true, prog.phase_a_len(i)),
+                        phase(i, false, prog.phase_b_len(i)),
+                    ]
+                })
+                .collect(),
+            None => (0..num_layers)
+                .map(|i| phase(i, false, offsets[i][offsets[i].len() - 1]))
+                .collect(),
         };
         BatchKernel {
             config,
             engine,
             layers: part_layers,
             compiled,
-            num_layers,
-            layer_totals,
             offsets,
-            spec: None,
+            spec,
+            phases,
         }
     }
 
     /// Compiles a specialized plan ([`rteaal_dfg::specialize`]) into a
-    /// superblock kernel. The transformed plan's layers are
-    /// kernel-compiled as usual — the interpreted and profiled walks
-    /// keep working against them — and the layer walk additionally
-    /// carries the flat [`SpecProgram`] bytecode: straight-line
-    /// superblocks per layer, bit-packed 64-lanes-per-word bodies when
-    /// `pack`, and the input-cone skip. Specialized kernels are
-    /// unpartitioned; a RepCut decomposition consumes the transformed
-    /// plan instead (fold/dedup/DCE still apply, packing does not).
+    /// superblock kernel: the cycle walks the flat [`SpecProgram`]
+    /// bytecode — per layer a boundary-move phase and a body phase of
+    /// straight-line superblocks, bit-packed 64-lanes-per-word bodies
+    /// when `pack`, input-cone instructions skipped while inputs hold.
+    /// The transformed plan's layers are kept alongside (the profiled
+    /// walk models them). Specialized kernels are unpartitioned; a
+    /// RepCut decomposition consumes the transformed plan instead
+    /// (fold/dedup/DCE still apply, packing does not).
     pub fn compile_specialized(sp: &SpecializedPlan, config: KernelConfig, pack: bool) -> Self {
-        let mut kernel = Self::compile(&sp.plan, config);
-        kernel.spec = Some(SpecProgram::build(&sp.plan, pack));
-        kernel
+        let spec = Some(SpecProgram::build(&sp.plan, pack));
+        let layers = vec![sp.plan.layers.clone()];
+        Self::from_layers(config, BatchEngine::Compiled, layers, spec)
     }
 
     /// The configuration this kernel was compiled under.
@@ -762,75 +670,226 @@ impl BatchKernel {
     /// partitions — for a partitioned kernel this includes the
     /// replicated fan-in cones.
     pub fn ops_per_cycle(&self) -> usize {
-        self.layer_totals.iter().sum()
+        self.offsets
+            .iter()
+            .map(|pref| pref[self.layers.len()])
+            .sum()
     }
 
-    /// Evaluates one layer of every partition over a window,
-    /// single-threaded. `span` is the replica stride of the state.
-    #[inline]
-    fn eval_layer(&self, i: usize, li: &mut [u64], span: usize, w: LaneWindow, buf: &mut Vec<u64>) {
-        for p in 0..self.layers.len() {
-            let rep = &mut li[p * span..(p + 1) * span];
-            match self.engine {
-                BatchEngine::Compiled => {
-                    for op in &self.compiled[p][i] {
-                        op.eval_lanes(rep, w, buf);
-                    }
-                }
-                BatchEngine::Interpreted => {
-                    for op in &self.layers[p][i] {
-                        op.eval_lanes(rep, w, buf);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Evaluates a worker's chunk of one layer through the shared
-    /// pointer. The chunk is a range of the layer's flattened
-    /// (partition, op) pairs, intersected per partition via the prefix
-    /// sums — each worker owns a (partition, op-range) tile set.
+    /// Evaluates instructions `r` of phase `k`. A layer phase's range
+    /// indexes its flattened (partition, op) pairs, intersected per
+    /// partition via the prefix sums: a (partition, op-range) tile set.
     ///
     /// # Safety
     ///
-    /// As `CompiledOp::eval_lanes_ptr`: the layer barrier must seal
-    /// operand rows, and `(worker, threads)` chunking must give this
-    /// caller exclusive ownership of the chunk's output rows (unique
-    /// within a partition layer; distinct replicas across partitions).
+    /// As `CompiledOp::eval_lanes_ptr` (`SpecProgram::eval_phase_a` / `_b`
+    /// for a specialized kernel): `cx` must describe the state this
+    /// kernel is paired with, every earlier phase must be sealed (program
+    /// order or a barrier), and concurrent callers must pass disjoint
+    /// ranges — each then owns its instructions' output rows (unique
+    /// within a phase; distinct replicas across partitions).
     #[inline]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn eval_layer_chunk(
-        &self,
-        i: usize,
-        li: SharedLi,
-        span: usize,
-        w: LaneWindow,
-        worker: usize,
-        threads: usize,
-        buf: &mut Vec<u64>,
-    ) {
-        let (lo, hi) = chunk(self.layer_totals[i], worker, threads);
-        let pref = &self.offsets[i];
-        for p in 0..self.layers.len() {
-            let (a, b) = (pref[p].max(lo), pref[p + 1].min(hi));
-            if a >= b {
-                continue;
-            }
-            let (la, lb) = (a - pref[p], b - pref[p]);
-            let base = li.0.add(p * span);
-            match self.engine {
-                BatchEngine::Compiled => {
-                    for op in &self.compiled[p][i][la..lb] {
-                        op.eval_lanes_ptr(base, w, buf);
-                    }
+    unsafe fn eval_phase(&self, k: usize, cx: &Walk, r: Range<usize>, buf: &mut Vec<u64>) {
+        let (i, moves) = (self.phases[k].layer, self.phases[k].moves);
+        // SAFETY: each arm forwards the caller contract unchanged.
+        unsafe {
+            match (&self.spec, moves) {
+                (Some(prog), true) => prog.eval_phase_a(i, cx.li, cx.w, cx.bits, r, cx.skip_cone),
+                (Some(prog), false) => {
+                    prog.eval_phase_b(i, cx.li, cx.w, cx.bits, r, cx.skip_cone, buf);
                 }
-                BatchEngine::Interpreted => {
-                    for op in &self.layers[p][i][la..lb] {
-                        op.eval_lanes_ptr(base, w, buf);
+                (None, _) => {
+                    let pref = &self.offsets[i];
+                    for p in 0..self.layers.len() {
+                        let (a, b) = (pref[p].max(r.start), pref[p + 1].min(r.end));
+                        if a >= b {
+                            continue;
+                        }
+                        let (la, lb) = (a - pref[p], b - pref[p]);
+                        let base = cx.li.add(p * cx.span);
+                        match self.engine {
+                            BatchEngine::Compiled => {
+                                for op in &self.compiled[p][i][la..lb] {
+                                    op.eval_lanes_ptr(base, cx.w, buf);
+                                }
+                            }
+                            BatchEngine::Interpreted => {
+                                for op in &self.layers[p][i][la..lb] {
+                                    op.eval_lanes_ptr(base, cx.w, buf);
+                                }
+                            }
+                        }
                     }
                 }
             }
         }
+    }
+
+    /// Walks one cycle's phases as `worker` of `threads`: its chunk of
+    /// each `Parallel` phase, all of each `Serial` run if it is worker 0,
+    /// every segment ending at `barrier` (absent on a one-worker walk,
+    /// where program order seals the phases). `after_layer(i)` fires once
+    /// this worker has evaluated the last phase of layer `i`.
+    ///
+    /// # Safety
+    ///
+    /// As [`Self::eval_phase`] for every phase: all `threads` workers
+    /// walk the same `segments` over the same `cx` and meet at the same
+    /// `barrier`, and nothing else touches the state meanwhile.
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn walk(
+        &self,
+        cx: &Walk,
+        segments: &[Segment],
+        worker: usize,
+        threads: usize,
+        barrier: Option<&SpinBarrier>,
+        buf: &mut Vec<u64>,
+        mut after_layer: impl FnMut(usize),
+    ) {
+        let mut eval = |k: usize, range: Range<usize>| {
+            // SAFETY: ranges of one phase are disjoint across workers, and
+            // the previous segment's barrier (or, within a serial run,
+            // program order) sealed every earlier phase.
+            unsafe { self.eval_phase(k, cx, range, buf) };
+            if !self.phases[k].moves {
+                after_layer(self.phases[k].layer);
+            }
+        };
+        for segment in segments {
+            match *segment {
+                Segment::Parallel(k) => eval(k, chunk(self.phases[k].len, worker, threads)),
+                Segment::Serial(from, to) if worker == 0 => {
+                    (from..to).for_each(|k| eval(k, 0..self.phases[k].len));
+                }
+                Segment::Serial(..) => {}
+            }
+            if let Some(barrier) = barrier {
+                barrier.wait();
+            }
+        }
+    }
+
+    /// Checks the kernel/state pairing, sizes the bit-plane sidecar, and
+    /// captures the pointers and window a walk shares (skipping nothing:
+    /// whoever may skip the input cone says so per walk).
+    fn walk_context(&self, st: &mut BatchLiState) -> Walk {
+        assert_eq!(
+            self.layers.len(),
+            st.parts,
+            "kernel/state partition mismatch"
+        );
+        let need = self.spec.as_ref().map_or(0, |p| p.bits_len(st.lanes));
+        if st.bits.len() != need {
+            // Another kernel walked this state last: the packed input-cone
+            // rows are not this program's, so nothing may be skipped.
+            st.bits.resize(need, 0);
+            st.activity = Activity::Dirty;
+        }
+        Walk {
+            li: st.li.as_mut_ptr(),
+            bits: st.bits.as_mut_ptr(),
+            span: st.span,
+            w: st.window(),
+            skip_cone: false,
+        }
+    }
+
+    /// The one cycle loop: `cycles` × `stimulus → [settled? clock only]
+    /// → walk phases → commit`, across `threads` workers. Worker 0 (the
+    /// caller) runs stimulus and commit in the single-threaded window
+    /// between walks and opens each walked cycle at the barrier the other
+    /// workers park at — a settled cycle costs them nothing. One thread
+    /// means no barrier and no thread scope.
+    fn cycles(
+        &self,
+        st: &mut BatchLiState,
+        cycles: u64,
+        threads: usize,
+        mut stimulus: impl FnMut(u64, &mut LanePoker<'_>),
+        mut after_layer: impl FnMut(usize),
+    ) {
+        let threads = threads.max(1);
+        let base = self.walk_context(st);
+        let whole = [Segment::Serial(0, self.phases.len())];
+        let split = if threads > 1 {
+            schedule(self.phases.iter().map(|ph| ph.len), st.lanes)
+        } else {
+            Vec::new()
+        };
+        let segments: &[Segment] = if threads > 1 { &split } else { &whole };
+        // The end of the run, read by the other workers after the opening
+        // barrier (which orders it).
+        let done = AtomicBool::new(false);
+        let mut lead = |barrier: Option<&SpinBarrier>| {
+            for _ in 0..cycles {
+                stimulus(st.cycle, &mut LanePoker { st });
+                if st.activity != Activity::Settled {
+                    let cx = Walk {
+                        skip_cone: st.activity != Activity::Dirty,
+                        ..base
+                    };
+                    if let Some(barrier) = barrier {
+                        barrier.wait(); // open the compute phase
+                    }
+                    let buf = &mut st.scratch;
+                    // SAFETY: `base` was captured from this state; every
+                    // worker walks `segments` in lockstep; after the
+                    // walk's last barrier the others are parked at the
+                    // next opening barrier — the commit's
+                    // single-threaded window.
+                    let changed = unsafe {
+                        self.walk(&cx, segments, 0, threads, barrier, buf, &mut after_layer);
+                        commit(&cx, &st.commits, &mut st.commit_buf, &st.rum)
+                    };
+                    st.activity = if changed {
+                        Activity::Clean
+                    } else {
+                        Activity::Settled
+                    };
+                }
+                st.cycle += 1;
+            }
+        };
+        if threads == 1 {
+            return lead(None);
+        }
+        let barrier = SpinBarrier::new(threads);
+        std::thread::scope(|scope| {
+            for worker in 1..threads {
+                let (barrier, done) = (&barrier, &done);
+                scope.spawn(move || {
+                    // Capture the whole `Send` context, not its raw
+                    // fields (edition-2021 closures capture disjointly).
+                    // Only worker 0 ever skips input-cone instructions;
+                    // any mix is sound — a cone row already holds what a
+                    // recompute would write.
+                    let cx = base;
+                    let mut buf = Vec::with_capacity(8);
+                    loop {
+                        barrier.wait(); // a cycle to walk, or the end
+                        if done.load(Ordering::Relaxed) {
+                            break;
+                        }
+                        // SAFETY: as the worker-0 side.
+                        unsafe {
+                            self.walk(
+                                &cx,
+                                segments,
+                                worker,
+                                threads,
+                                Some(barrier),
+                                &mut buf,
+                                |_| {},
+                            )
+                        };
+                    }
+                });
+            }
+            lead(Some(&barrier));
+            done.store(true, Ordering::Relaxed);
+            barrier.wait();
+        });
     }
 
     /// One cycle on the active lanes, single-threaded.
@@ -839,59 +898,12 @@ impl BatchKernel {
     ///
     /// Panics if the state's partition count differs from the kernel's.
     pub fn step(&self, st: &mut BatchLiState) {
-        assert_eq!(
-            self.layers.len(),
-            st.parts,
-            "kernel/state partition mismatch"
-        );
-        if st.inputs_dirty {
-            st.settled = false;
-        }
-        if self.spec.is_some() && st.settled {
-            // Activity skip: the state is a register fixed point and no
-            // input/poke/window change arrived — walk and commit would
-            // both be identities, so the cycle only advances the clock.
-            st.cycle += 1;
-            return;
-        }
-        let mut buf = Vec::with_capacity(8);
-        self.eval_all(st, &mut buf);
-        if self.spec.is_some() {
-            st.settled = !st.commit_lanes_tracked();
-        } else {
-            st.commit_lanes();
-        }
-    }
-
-    /// Full combinational walk over the active lanes: the specialized
-    /// superblock program when this kernel carries one (input-cone
-    /// prefixes skipped while the state's inputs are unchanged),
-    /// otherwise the classic per-op layer walk.
-    fn eval_all(&self, st: &mut BatchLiState, buf: &mut Vec<u64>) {
-        let w = st.window();
-        if let Some(prog) = &self.spec {
-            let need = prog.bits_len(st.lanes);
-            if st.bits.len() < need {
-                st.bits.resize(need, 0);
-            }
-            let skip_cone = !st.inputs_dirty;
-            for i in 0..prog.num_layers() {
-                prog.eval_layer(i, &mut st.li, w, &mut st.bits, skip_cone, buf);
-            }
-            // The cone (wide slots in `li`, packed rows in `bits`) now
-            // reflects the current inputs; register commits cannot
-            // invalidate it.
-            st.inputs_dirty = false;
-            return;
-        }
-        for i in 0..self.num_layers {
-            self.eval_layer(i, &mut st.li, st.span, w, buf);
-        }
+        self.cycles(st, 1, 1, |_, _| {}, |_| {});
     }
 
     /// One cycle with per-layer instrumentation: the real (bit-exact)
-    /// layer walk runs first, then the layer's reference streams are
-    /// replayed into `mem` through a [`MemProbe`] — per op the OIM
+    /// walk runs, and after each layer that layer's reference streams
+    /// are replayed into `mem` through a [`MemProbe`] — per op the OIM
     /// coordinate/side-table loads and the dispatch branch, per live lane
     /// the operand loads from the batched `LI` matrix, the compute body,
     /// and the output store. Counters accumulate into `profile` (ready
@@ -902,7 +914,9 @@ impl BatchKernel {
     /// [`Kernel::step_profiled`](crate::Kernel::step_profiled): each op's
     /// coordinates are fetched once per cycle while its lane loop streams
     /// `live` contiguous `LI` lanes — exactly the amortization the
-    /// batched engine exists to buy.
+    /// batched engine exists to buy. It models the per-op walk of the
+    /// kernel's layers for every kernel, and every layer every cycle: a
+    /// settled batch is walked too.
     ///
     /// # Panics
     ///
@@ -913,22 +927,21 @@ impl BatchKernel {
         mem: &mut MemSim,
         profile: &mut ExecProfile,
     ) -> Vec<LayerSample> {
-        assert_eq!(
-            self.layers.len(),
-            st.parts,
-            "kernel/state partition mismatch"
-        );
-        let mut buf = Vec::with_capacity(8);
-        let w = st.window();
+        st.activity = st.activity.min(Activity::Clean);
+        let (live, lanes, span) = (st.live, st.lanes, st.span);
+        // Address of one lane of a slot in replica `p` of the slot-major
+        // batched `LI` matrix (8 bytes per lane element).
+        let li_addr = |p: usize, slot: u32, lane: usize| {
+            LI_BASE + ((p * span + slot as usize * lanes + lane) * 8) as u64
+        };
         let mut probe = MemProbe::new(mem);
-        let mut samples = Vec::with_capacity(self.num_layers);
+        let mut samples = Vec::with_capacity(self.offsets.len());
         // OIM arrays are laid out in schedule order: the coordinate index
         // is global across layers (and partitions), as is the running
         // base into the flattened `R`-rank operand array.
         let mut op_index = 0usize;
         let mut r_index = 0usize;
-        for i in 0..self.num_layers {
-            self.eval_layer(i, &mut st.li, st.span, w, &mut buf);
+        let after_layer = |i: usize| {
             let before = probe.counters;
             for p in 0..self.layers.len() {
                 for op in &self.layers[p][i] {
@@ -941,12 +954,12 @@ impl BatchKernel {
                     let handler = CODE_BASE + op.n as u64 * HANDLER_BYTES;
                     probe.branch(handler);
                     let cost = exec_cost(op.op(), op.ins.len());
-                    for lane in 0..st.live {
+                    for lane in 0..live {
                         for &ins in &op.ins {
-                            probe.load(batched_li_addr(p, st.span, ins, st.lanes, lane));
+                            probe.load(li_addr(p, ins, lane));
                         }
                         probe.exec(handler + 0x10, cost);
-                        probe.store(batched_li_addr(p, st.span, op.out, st.lanes, lane));
+                        probe.store(li_addr(p, op.out, lane));
                     }
                     r_index += op.ins.len();
                     op_index += 1;
@@ -955,13 +968,13 @@ impl BatchKernel {
             let after = probe.counters;
             samples.push(LayerSample {
                 layer: i,
-                ops: self.layer_totals[i],
+                ops: self.offsets[i][self.layers.len()],
                 instructions: after.instructions - before.instructions,
                 loads: after.loads - before.loads,
                 stores: after.stores - before.stores,
             });
-        }
-        st.commit_lanes();
+        };
+        self.cycles(st, 1, 1, |_, _| {}, after_layer);
         profile.instructions += probe.counters.instructions;
         profile.branches += probe.counters.branches;
         profile.branch_entropy = match self.config.kind {
@@ -982,27 +995,27 @@ impl BatchKernel {
     /// observe a halt signal that is combinationally true the moment a
     /// testbench is admitted, before spending a cycle on it.
     pub fn eval_comb(&self, st: &mut BatchLiState) {
-        assert_eq!(
-            self.layers.len(),
-            st.parts,
-            "kernel/state partition mismatch"
-        );
-        let mut buf = Vec::with_capacity(8);
-        self.eval_all(st, &mut buf);
+        let mut cx = self.walk_context(st);
+        cx.skip_cone = st.activity != Activity::Dirty;
+        let whole = [Segment::Serial(0, self.phases.len())];
+        // SAFETY: `cx` was just captured from this exclusively borrowed
+        // state, and a one-worker walk seals phases by program order.
+        unsafe { self.walk(&cx, &whole, 0, 1, None, &mut st.scratch, |_| {}) };
+        // The cone now reflects the current inputs; a fixed point, if
+        // one was established, still stands.
+        st.activity = st.activity.max(Activity::Clean);
     }
 
     /// `cycles` cycles on the active lanes, single-threaded.
     pub fn run(&self, st: &mut BatchLiState, cycles: u64) {
-        for _ in 0..cycles {
-            self.step(st);
-        }
+        self.cycles(st, cycles, 1, |_, _| {}, |_| {});
     }
 
-    /// `cycles` cycles with the ops of each layer split across `threads`
-    /// workers (layer barrier preserved). Inputs keep whatever values
-    /// they currently hold.
+    /// `cycles` cycles with the instructions of each phase split across
+    /// `threads` workers (layer barrier preserved). Inputs keep whatever
+    /// values they currently hold.
     pub fn run_parallel(&self, st: &mut BatchLiState, cycles: u64, threads: usize) {
-        self.run_with_stimulus(st, cycles, threads, |_, _| {});
+        self.cycles(st, cycles, threads, |_, _| {}, |_| {});
     }
 
     /// `cycles` cycles across `threads` workers, invoking `stimulus`
@@ -1013,263 +1026,9 @@ impl BatchKernel {
         st: &mut BatchLiState,
         cycles: u64,
         threads: usize,
-        mut stimulus: impl FnMut(u64, &mut LanePoker<'_>),
+        stimulus: impl FnMut(u64, &mut LanePoker<'_>),
     ) {
-        assert_eq!(
-            self.layers.len(),
-            st.parts,
-            "kernel/state partition mismatch"
-        );
-        let start_cycle = st.cycle;
-        let threads = threads.max(1);
-        if threads == 1 {
-            for c in 0..cycles {
-                {
-                    let li = SharedLi(st.li.as_mut_ptr());
-                    let mut poker = LanePoker {
-                        li,
-                        parts: st.parts,
-                        span: st.span,
-                        lanes: st.lanes,
-                        input_slots: &st.input_slots,
-                        input_types: &st.input_types,
-                        dirty: &mut st.inputs_dirty,
-                    };
-                    stimulus(start_cycle + c, &mut poker);
-                }
-                self.step(st);
-            }
-            return;
-        }
-        // Threaded commits are untracked: any settledness established by
-        // a serial run cannot survive a run whose commits aren't
-        // compared (and whose stimulus may poke mid-run).
-        st.settled = false;
-        if let Some(prog) = &self.spec {
-            self.run_spec_parallel(prog, st, cycles, threads, &mut stimulus);
-            return;
-        }
-        let w = st.window();
-        let span = st.span;
-        let shared = SharedLi(st.li.as_mut_ptr());
-        // One barrier rendezvous per schedule segment plus one around the
-        // commit/stimulus window; worker 0 (the calling thread) owns the
-        // single-threaded windows and executes the serial segments.
-        let segments = schedule(&self.layer_totals, st.lanes);
-        let barrier = SpinBarrier::new(threads);
-        std::thread::scope(|scope| {
-            for worker in 1..threads {
-                let barrier = &barrier;
-                let segments = &segments;
-                let kernel = &*self;
-                scope.spawn(move || {
-                    // Capture the whole `Send` wrapper, not its raw field
-                    // (edition-2021 closures capture disjoint fields).
-                    let shared = shared;
-                    let mut buf = Vec::with_capacity(8);
-                    for _ in 0..cycles {
-                        barrier.wait(); // stimulus window closed
-                        for segment in segments {
-                            if let Segment::Parallel(i) = *segment {
-                                // SAFETY: disjoint output rows within the
-                                // layer; operand rows sealed by the
-                                // previous barrier.
-                                unsafe {
-                                    kernel.eval_layer_chunk(
-                                        i, shared, span, w, worker, threads, &mut buf,
-                                    )
-                                };
-                            }
-                            // Serial segments belong to worker 0.
-                            barrier.wait();
-                        }
-                        // Worker 0 commits and applies stimulus next.
-                    }
-                });
-            }
-            let mut buf = Vec::with_capacity(8);
-            for c in 0..cycles {
-                {
-                    let mut poker = LanePoker {
-                        li: shared,
-                        parts: st.parts,
-                        span: st.span,
-                        lanes: st.lanes,
-                        input_slots: &st.input_slots,
-                        input_types: &st.input_types,
-                        dirty: &mut st.inputs_dirty,
-                    };
-                    stimulus(start_cycle + c, &mut poker);
-                }
-                barrier.wait(); // open the compute phase
-                for segment in &segments {
-                    match *segment {
-                        Segment::Parallel(i) => {
-                            // SAFETY: as above.
-                            unsafe {
-                                self.eval_layer_chunk(i, shared, span, w, 0, threads, &mut buf)
-                            };
-                        }
-                        Segment::Serial(from, to) => {
-                            for i in from..to {
-                                // SAFETY: workers never touch serial
-                                // layers; operand rows are sealed.
-                                unsafe {
-                                    self.eval_layer_chunk(i, shared, span, w, 0, 1, &mut buf)
-                                };
-                            }
-                        }
-                    }
-                    barrier.wait();
-                }
-                // Single-threaded window: every worker is parked at the
-                // next cycle's opening barrier.
-                commit_shared(shared, span, w, &st.commits, &mut st.commit_buf, &st.rum);
-            }
-        });
-        st.cycle += cycles;
-    }
-
-    /// The threaded walk of a specialized kernel: each layer runs as
-    /// phase A (boundary pack/unpack moves) and phase B (wide + packed
-    /// bodies), each phase chunked across workers and sealed by a
-    /// barrier — one extra rendezvous per layer versus the classic
-    /// walk, bought back by the packed bodies. The threaded walk never
-    /// skips the input cone (the skip flag is a single-threaded
-    /// optimization); it leaves the cone freshly evaluated, so it
-    /// clears `inputs_dirty` for a subsequent serial walk.
-    fn run_spec_parallel(
-        &self,
-        prog: &SpecProgram,
-        st: &mut BatchLiState,
-        cycles: u64,
-        threads: usize,
-        stimulus: &mut impl FnMut(u64, &mut LanePoker<'_>),
-    ) {
-        let start_cycle = st.cycle;
-        let need = prog.bits_len(st.lanes);
-        if st.bits.len() < need {
-            st.bits.resize(need, 0);
-        }
-        let w = st.window();
-        let shared = SharedLi(st.li.as_mut_ptr());
-        let shared_bits = SharedLi(st.bits.as_mut_ptr());
-        let barrier = SpinBarrier::new(threads);
-        std::thread::scope(|scope| {
-            for worker in 1..threads {
-                let barrier = &barrier;
-                scope.spawn(move || {
-                    let (shared, shared_bits) = (shared, shared_bits);
-                    let mut buf = Vec::with_capacity(8);
-                    for _ in 0..cycles {
-                        barrier.wait(); // stimulus window closed
-                        for i in 0..prog.num_layers() {
-                            let (lo, hi) = chunk(prog.phase_a_len(i), worker, threads);
-                            // SAFETY: phase-A instructions write disjoint
-                            // rows; operand rows sealed by the previous
-                            // barrier.
-                            unsafe { prog.eval_phase_a(i, shared.0, w, shared_bits.0, lo, hi) };
-                            barrier.wait();
-                            let (lo, hi) = chunk(prog.phase_b_len(i), worker, threads);
-                            // SAFETY: as above, per phase B's contract.
-                            unsafe {
-                                prog.eval_phase_b(i, shared.0, w, shared_bits.0, lo, hi, &mut buf)
-                            };
-                            barrier.wait();
-                        }
-                        // Worker 0 commits and applies stimulus next.
-                    }
-                });
-            }
-            let mut buf = Vec::with_capacity(8);
-            for c in 0..cycles {
-                {
-                    let mut poker = LanePoker {
-                        li: shared,
-                        parts: st.parts,
-                        span: st.span,
-                        lanes: st.lanes,
-                        input_slots: &st.input_slots,
-                        input_types: &st.input_types,
-                        dirty: &mut st.inputs_dirty,
-                    };
-                    stimulus(start_cycle + c, &mut poker);
-                }
-                barrier.wait(); // open the compute phase
-                for i in 0..prog.num_layers() {
-                    let (lo, hi) = chunk(prog.phase_a_len(i), 0, threads);
-                    // SAFETY: as the worker side.
-                    unsafe { prog.eval_phase_a(i, shared.0, w, shared_bits.0, lo, hi) };
-                    barrier.wait();
-                    let (lo, hi) = chunk(prog.phase_b_len(i), 0, threads);
-                    // SAFETY: as the worker side.
-                    unsafe { prog.eval_phase_b(i, shared.0, w, shared_bits.0, lo, hi, &mut buf) };
-                    barrier.wait();
-                }
-                // Single-threaded window: every worker is parked at the
-                // next cycle's opening barrier.
-                commit_shared(shared, st.span, w, &st.commits, &mut st.commit_buf, &st.rum);
-            }
-        });
-        st.inputs_dirty = false;
-        st.cycle += cycles;
-    }
-}
-
-/// The contiguous op range worker `w` of `t` owns in a layer of `n` ops.
-#[inline]
-fn chunk(n: usize, w: usize, t: usize) -> (usize, usize) {
-    (n * w / t, n * (w + 1) / t)
-}
-
-/// Lane-wise commit over the active window through the shared pointer
-/// (worker 0's single-threaded window): per replica, staged sources,
-/// direct copies, staged writes, then the RUM reconciliation — same
-/// order and safety argument as `BatchLiState::commit_lanes`.
-fn commit_shared(
-    li: SharedLi,
-    span: usize,
-    w: LaneWindow,
-    commits: &[PartCommits],
-    buf: &mut [u64],
-    rum: &[RumRow],
-) {
-    let (lanes, n) = (w.stride, w.active);
-    for (p, (direct, staged)) in commits.iter().enumerate() {
-        let base = p * span;
-        for (k, &(_, src)) in staged.iter().enumerate() {
-            for lane in 0..n {
-                // SAFETY: single-threaded window; rows are in bounds.
-                buf[k * lanes + lane] = unsafe { *li.0.add(base + src as usize * lanes + lane) };
-            }
-        }
-        for &(dst, src) in direct {
-            for lane in 0..n {
-                // SAFETY: as above; dst is outside the commit source set.
-                unsafe {
-                    *li.0.add(base + dst as usize * lanes + lane) =
-                        *li.0.add(base + src as usize * lanes + lane);
-                }
-            }
-        }
-        for (k, &(dst, _)) in staged.iter().enumerate() {
-            for lane in 0..n {
-                // SAFETY: as above.
-                unsafe { *li.0.add(base + dst as usize * lanes + lane) = buf[k * lanes + lane] };
-            }
-        }
-    }
-    for (slot, owner, readers) in rum {
-        let row = *slot as usize * lanes;
-        let s0 = *owner as usize * span + row;
-        for &q in readers {
-            let d0 = q as usize * span + row;
-            for lane in 0..n {
-                // SAFETY: single-threaded window; replica rows are in
-                // bounds and owner != reader.
-                unsafe { *li.0.add(d0 + lane) = *li.0.add(s0 + lane) };
-            }
-        }
+        self.cycles(st, cycles, threads, stimulus, |_| {});
     }
 }
 
@@ -1402,7 +1161,7 @@ circuit Wide :
         // Every non-empty layer attributes nonzero work, and the per-op
         // coordinate stream plus per-lane body both show up: at least
         // one instruction per lane per op, plus the coordinate loads.
-        assert_eq!(samples.len(), kernel.num_layers);
+        assert_eq!(samples.len(), kernel.offsets.len());
         for s in &samples {
             assert!(s.ops > 0, "layer {} has ops", s.layer);
             assert!(

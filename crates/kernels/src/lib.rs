@@ -45,6 +45,7 @@ pub mod batch;
 pub mod codegen;
 pub mod config;
 pub mod kernel;
+mod parallel;
 pub mod profile;
 pub mod rolled;
 pub mod state;

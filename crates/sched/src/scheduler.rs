@@ -18,15 +18,13 @@
 //! mixed-length rv32i corpus.
 
 use crate::job::{Job, JobId, JobOutcome, JobQueue, JobResult};
-use rteaal_core::{
-    AnalysisReport, BatchSimulation, Compiled, Partitioning, Specialization, UnknownSignal,
-};
+use rteaal_core::{AnalysisReport, BatchSimulation, Compiled, EngineConfig, UnknownSignal};
 use rteaal_telemetry::{Counter, Gauge, JobStage, MetricsRegistry};
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Why a scheduler could not be built (see
-/// [`Scheduler::try_new_with`]).
+/// [`Scheduler::build`]).
 #[derive(Debug)]
 pub enum SchedBuildError {
     /// `halt_signal` names neither a probe nor an output port.
@@ -179,8 +177,9 @@ pub struct Scheduler {
 }
 
 impl Scheduler {
-    /// Builds a `lanes`-wide scheduler over a compile result, watching
-    /// `halt_signal` for per-lane completion.
+    /// Builds a `lanes`-wide scheduler over a compile result under the
+    /// default [`EngineConfig`], watching `halt_signal` for per-lane
+    /// completion.
     ///
     /// # Errors
     ///
@@ -195,93 +194,40 @@ impl Scheduler {
         lanes: usize,
         halt_signal: &str,
     ) -> Result<Self, UnknownSignal> {
-        Self::new_with(compiled, lanes, halt_signal, Partitioning::None)
-    }
-
-    /// Builds a scheduler over an explicitly partitioned engine: each
-    /// cycle's ops are split across the RepCut partitions (pair with
-    /// [`with_threads`](Self::with_threads) to actually spread them over
-    /// workers). Scheduling behavior — admission, harvest, eviction,
-    /// lane recycling — is bit-identical to the unpartitioned engine;
-    /// [`SchedStats::partition_busy_cycles`] additionally tracks each
-    /// partition's share of the work.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UnknownSignal`] if `halt_signal` names neither a probe
-    /// nor an output port.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is zero, on `Partitioning::Fixed(0)`, or if the
-    /// static verifier rejects the RepCut decomposition (see
-    /// [`try_new_with`](Self::try_new_with) for the non-panicking form).
-    pub fn new_with(
-        compiled: &Compiled,
-        lanes: usize,
-        halt_signal: &str,
-        partitioning: Partitioning,
-    ) -> Result<Self, UnknownSignal> {
-        match Self::try_new_with(compiled, lanes, halt_signal, partitioning) {
-            Ok(sched) => Ok(sched),
-            Err(SchedBuildError::UnknownSignal(e)) => Err(e),
-            Err(SchedBuildError::Rejected(report)) => {
-                panic!("partitioned plan failed verification: {report}")
+        Self::build(compiled, EngineConfig::new(lanes), halt_signal).map_err(|e| match e {
+            SchedBuildError::UnknownSignal(e) => e,
+            SchedBuildError::Rejected(report) => {
+                unreachable!("an unpartitioned engine has no decomposition to reject: {report}")
             }
-        }
+        })
     }
 
-    /// Builds a partitioned scheduler with both failure modes surfaced
-    /// as structured errors: an unresolvable halt signal *and* a RepCut
-    /// decomposition the static verifier rejects.
+    /// The one constructor: a scheduler over the engine `config`
+    /// describes ([`BatchSimulation::build`]) — RepCut-partitioned so
+    /// each cycle's ops split across `config.threads` workers,
+    /// specialized ([`rteaal_core::Specialization`]), or both.
+    /// Scheduling behavior — admission, harvest, eviction, lane
+    /// recycling, halt detection, peeks and pokes — is bit-identical
+    /// across every engine shape; [`SchedStats::partition_busy_cycles`]
+    /// additionally tracks each partition's share of the work.
     ///
     /// # Errors
     ///
-    /// Returns [`SchedBuildError`] for either failure; nothing panics on
-    /// malformed input past the zero-lane / zero-partition asserts.
+    /// Returns [`SchedBuildError`] for an unresolvable halt signal or a
+    /// RepCut decomposition the static verifier rejects; nothing panics
+    /// on malformed input past the zero-lane / zero-partition asserts.
     ///
     /// # Panics
     ///
-    /// Panics if `lanes` is zero, or on `Partitioning::Fixed(0)`.
-    pub fn try_new_with(
+    /// Panics if `config.lanes` is zero, or on `Partitioning::Fixed(0)`.
+    pub fn build(
         compiled: &Compiled,
-        lanes: usize,
+        config: EngineConfig,
         halt_signal: &str,
-        partitioning: Partitioning,
     ) -> Result<Self, SchedBuildError> {
-        Self::try_new_full(
-            compiled,
-            lanes,
-            halt_signal,
-            partitioning,
-            Specialization::Off,
-        )
-    }
-
-    /// The full-control constructor: RepCut decomposition *and* the
-    /// whole-design specialization tier
-    /// ([`rteaal_core::Specialization`]). With [`Specialization::Auto`]
-    /// the engine executes the folded/deduplicated plan — as superblock
-    /// bytecode with bit-packed lanes when unpartitioned — while every
-    /// scheduling observable (halt detection, peeks, pokes, recycling)
-    /// stays bit-identical to `Off`.
-    ///
-    /// # Errors
-    ///
-    /// As [`try_new_with`](Self::try_new_with).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is zero, or on `Partitioning::Fixed(0)`.
-    pub fn try_new_full(
-        compiled: &Compiled,
-        lanes: usize,
-        halt_signal: &str,
-        partitioning: Partitioning,
-        spec: Specialization,
-    ) -> Result<Self, SchedBuildError> {
-        let mut sim = BatchSimulation::try_new_full(compiled, lanes, partitioning, spec)
-            .map_err(SchedBuildError::Rejected)?;
+        let lanes = config.lanes;
+        let mut sim =
+            BatchSimulation::build(compiled, config).map_err(SchedBuildError::Rejected)?;
         sim.watch_halt(halt_signal)?;
         // Park every lane out of the evaluated window until a job claims
         // it (retired-at-cycle-0 records are cleared on admission).
@@ -331,13 +277,6 @@ impl Scheduler {
     #[must_use]
     pub fn with_policy(mut self, policy: AdmitPolicy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Sets the engine's worker-thread count.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.sim = self.sim.with_threads(threads);
         self
     }
 
@@ -717,7 +656,7 @@ impl Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rteaal_core::Compiler;
+    use rteaal_core::{Compiler, Partitioning, Specialization};
     use rteaal_kernels::{KernelConfig, KernelKind};
 
     /// A counter that raises `done` at a per-lane limit — the minimal
@@ -801,8 +740,11 @@ circuit H :
         let c = compiled();
         let limits = [5u64, 20, 3, 4, 9, 2, 11];
         let run = |spec: Specialization| {
-            let mut sched =
-                Scheduler::try_new_full(&c, 2, "done", Partitioning::None, spec).unwrap();
+            let config = EngineConfig {
+                specialization: spec,
+                ..EngineConfig::new(2)
+            };
+            let mut sched = Scheduler::build(&c, config, "done").unwrap();
             let mut ids: Vec<JobId> = limits.iter().map(|&l| sched.submit(count_job(l))).collect();
             sched.run(10_000);
             ids.sort_unstable();
@@ -1115,7 +1057,11 @@ circuit H :
             ]
         };
         let run = |partitioning: Partitioning| {
-            let mut sched = Scheduler::new_with(&c, 2, "done", partitioning).unwrap();
+            let config = EngineConfig {
+                partitioning,
+                ..EngineConfig::new(2)
+            };
+            let mut sched = Scheduler::build(&c, config, "done").unwrap();
             for job in jobs() {
                 sched.submit(job);
             }
@@ -1156,7 +1102,11 @@ circuit H :
         // and comparing every lane's probes cycle by cycle.
         let c = compiled();
         let mk = |partitioning| {
-            let mut s = Scheduler::new_with(&c, 3, "done", partitioning).unwrap();
+            let config = EngineConfig {
+                partitioning,
+                ..EngineConfig::new(3)
+            };
+            let mut s = Scheduler::build(&c, config, "done").unwrap();
             // Three runaways fill the lanes; one short job waits.
             for _ in 0..3 {
                 s.submit(

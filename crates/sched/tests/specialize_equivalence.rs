@@ -6,7 +6,7 @@
 //! lane counts, flat and RepCut-partitioned.
 
 use proptest::prelude::*;
-use rteaal_core::{Compiler, Partitioning, Specialization};
+use rteaal_core::{Compiler, EngineConfig, Partitioning, Specialization};
 use rteaal_designs::Workload;
 use rteaal_kernels::{KernelConfig, KernelKind};
 use rteaal_sched::{Job, JobResult, Scheduler};
@@ -30,9 +30,13 @@ proptest! {
         let compiled = compiler.compile(&corpus[0].circuit).unwrap();
 
         let run = |lanes: usize, partitioning: Partitioning, spec: Specialization| {
-            let mut sched =
-                Scheduler::try_new_full(&compiled, lanes, "halt", partitioning, spec)
-                    .expect("halt signal exists and the plan verifies");
+            let config = EngineConfig {
+                partitioning,
+                specialization: spec,
+                ..EngineConfig::new(lanes)
+            };
+            let mut sched = Scheduler::build(&compiled, config, "halt")
+                .expect("halt signal exists and the plan verifies");
             for w in &corpus {
                 sched.submit(Job::from_workload(w, &PROBES));
             }

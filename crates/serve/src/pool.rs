@@ -27,8 +27,8 @@
 //! fleet is built from.
 
 use rteaal_core::{
-    analyze_design, analyze_partitioned, AnalysisReport, AnalysisStats, Compiled, PartitionedPlan,
-    Partitioning, Specialization, UnknownSignal,
+    analyze_design, analyze_partitioned, AnalysisReport, AnalysisStats, Compiled, EngineConfig,
+    PartitionedPlan, Partitioning, Specialization, UnknownSignal,
 };
 use rteaal_sched::{Job, JobId, JobOutcome, JobResult, SchedStats, Scheduler};
 use rteaal_telemetry::{Gauge, JobStage, MetricsRegistry};
@@ -923,7 +923,7 @@ struct DesignRun {
 /// Builds one worker's scheduler for a design: worker 0 gives
 /// partition-parallel designs a RepCut-decomposed engine whose cycles
 /// span `config.partitions` threads; every other (worker, design) pair
-/// keeps the classic single-schedule engine.
+/// keeps the single-schedule, single-thread engine.
 fn build_scheduler(
     compiled: &Compiled,
     halt: &str,
@@ -931,26 +931,15 @@ fn build_scheduler(
     w: usize,
     partition_parallel: bool,
 ) -> Scheduler {
+    let mut engine = EngineConfig {
+        specialization: config.specialization,
+        ..EngineConfig::new(config.lanes)
+    };
     if partition_parallel && w == 0 {
-        Scheduler::try_new_full(
-            compiled,
-            config.lanes,
-            halt,
-            Partitioning::Fixed(config.partitions),
-            config.specialization,
-        )
-        .expect("halt and decomposition validated by the pool")
-        .with_threads(config.partitions)
-    } else {
-        Scheduler::try_new_full(
-            compiled,
-            config.lanes,
-            halt,
-            Partitioning::None,
-            config.specialization,
-        )
-        .expect("halt validated by the pool")
+        engine.partitioning = Partitioning::Fixed(config.partitions);
+        engine.threads = config.partitions;
     }
+    Scheduler::build(compiled, engine, halt).expect("halt and decomposition validated by the pool")
 }
 
 /// One worker: a scheduler per design driven in chunks, fed from its

@@ -10,7 +10,9 @@
 //! cargo run --release --example repcut_partition
 //! ```
 
-use rteaal_core::{BatchSimulation, Compiler, PartitionedPlan, Partitioning, Simulation};
+use rteaal_core::{
+    BatchSimulation, Compiler, EngineConfig, PartitionedPlan, Partitioning, Simulation,
+};
 use rteaal_designs::{rocket, ChipConfig};
 use rteaal_kernels::{KernelConfig, KernelKind};
 use std::time::Instant;
@@ -42,8 +44,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         // Execute it through the engine stack and verify 50 cycles in
         // lock-step against the scalar reference simulation.
-        let mut sim = BatchSimulation::new_with(&compiled, 1, Partitioning::Fixed(partitions))
-            .with_threads(partitions);
+        let config = EngineConfig {
+            threads: partitions,
+            partitioning: Partitioning::Fixed(partitions),
+            ..EngineConfig::new(1)
+        };
+        let mut sim = BatchSimulation::build(&compiled, config).map_err(|r| r.to_string())?;
         let mut reference = Simulation::new(compiled.clone());
         let stim = compiled
             .plan

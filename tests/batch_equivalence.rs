@@ -1,110 +1,177 @@
 //! Batched-vs-sequential equivalence: a `B`-lane [`BatchSimulation`]
 //! must match `B` independent [`Simulation`] runs bit-for-bit, on the
 //! real evaluation designs (the RV32I core and the SHA3 datapath), for
-//! every thread count, including per-lane divergent stimulus — plus the
-//! compiled-vs-interpreted engine differential and lane-liveness early
-//! exit against scalar runs.
+//! every engine shape — specialization × threads × partitioning —
+//! under per-lane divergent stimulus, halt compaction and mid-run DMI
+//! pokes: one differential oracle, [`assert_bit_exact`], that every row
+//! goes through. Plus the compiled-vs-interpreted engine differential.
 
-use rteaal_core::{BatchSimulation, Compiled, Compiler, Simulation};
+use rteaal_core::{
+    BatchSimulation, Compiler, DebugModule, EngineConfig, Partitioning, Simulation, Specialization,
+};
 use rteaal_designs::rv32i::{asm::*, rv32i};
 use rteaal_designs::{sha3, Stimulus, Workload};
 use rteaal_dfg::{BatchPlanSim, SimPlan};
+use rteaal_firrtl::Circuit;
 use rteaal_kernels::{KernelConfig, KernelKind};
 
-/// Input port names of a compiled design, in port order.
-fn input_names(compiled: &Compiled) -> Vec<String> {
-    compiled
-        .plan
-        .input_slots
-        .iter()
-        .map(|slot| {
-            compiled
-                .plan
-                .probes
-                .iter()
-                .find(|(_, s, _)| s == slot)
-                .map(|(n, _, _)| n.clone())
-                .expect("every input is probed")
-        })
-        .collect()
+/// A design under differential test: the circuit, the scalar kernel kind
+/// it compiles under, and the halt signal to watch (if any).
+struct Design {
+    circuit: Circuit,
+    kind: KernelKind,
+    halt: Option<&'static str>,
 }
 
-/// Drives a batch simulation and `lanes` scalar simulations with the
-/// same per-lane stimulus streams and asserts every probed signal is
-/// bit-identical on every lane after every cycle.
+/// Per-lane stimulus for `cycles` cycles: `drive(lane, cycle, input)`
+/// yields each input value, `poke_state` is one optional mid-run DMI
+/// write `(cycle, signal, lane, value)`.
+struct Stim<'a> {
+    cycles: u64,
+    drive: &'a mut dyn FnMut(usize, u64, &str) -> u64,
+    poke_state: Option<(u64, &'static str, usize, u64)>,
+}
+
+/// Independent per-lane random streams (reset toggles randomly too, so
+/// the lanes genuinely diverge).
+fn random(seed: u64, lanes: usize) -> impl FnMut(usize, u64, &str) -> u64 {
+    let mut streams: Vec<Stimulus> = (0..lanes)
+        .map(|lane| Stimulus::from_seed(seed ^ (lane as u64) << 20))
+        .collect();
+    move |lane, _, _| streams[lane].next_value()
+}
+
+/// The differential oracle: drives a batch simulation built from
+/// `config` and `config.lanes` scalar simulations with the same per-lane
+/// stimulus and asserts every probed signal is bit-identical on every
+/// lane after every cycle. With a halt signal the batch compacts halted
+/// lanes out of its window; each scalar run stops at its own halt, and
+/// the completion cycles must agree. Returns the batch for further
+/// (architectural) checks.
+fn assert_bit_exact(design: &Design, stim: Stim<'_>, config: EngineConfig) -> BatchSimulation {
+    let kind = design.kind;
+    let compiled = Compiler::new(KernelConfig::new(kind))
+        .compile(&design.circuit)
+        .expect("compiles");
+    let plan = &compiled.plan;
+    let probe_of = |slot: &u32| plan.probes.iter().find(|(_, s, _)| s == slot);
+    let inputs: Vec<&String> = plan
+        .input_slots
+        .iter()
+        .map(|slot| &probe_of(slot).expect("every input is probed").0)
+        .collect();
+    // TI elides stores of forwarded intermediate nodes, so the *scalar*
+    // TI kernel leaves those LI slots stale (observability traded for
+    // speed, as in the paper); compare the architectural surface —
+    // outputs, registers, inputs — for TI and every probe otherwise.
+    let architectural: Vec<u32> = plan
+        .output_slots
+        .iter()
+        .map(|&(_, s)| s)
+        .chain(plan.commits.iter().map(|&(dst, _)| dst))
+        .chain(plan.input_slots.iter().copied())
+        .collect();
+    let signals: Vec<&String> = plan
+        .probes
+        .iter()
+        .filter(|(_, s, _)| kind != KernelKind::Ti || architectural.contains(s))
+        .map(|(n, _, _)| n)
+        .collect();
+
+    let lanes = config.lanes;
+    let mut batch = BatchSimulation::build(&compiled, config).expect("plan verifies");
+    if let Some(halt) = design.halt {
+        batch.watch_halt(halt).expect("halt signal resolves");
+    }
+    let mut singles: Vec<Simulation> = (0..lanes)
+        .map(|_| Simulation::new(compiled.clone()))
+        .collect();
+    let mut halted = vec![false; lanes];
+
+    for cycle in 0..stim.cycles {
+        if let Some((at, name, lane, value)) = stim.poke_state {
+            if at == cycle {
+                batch.poke_state(name, lane, value).expect("probed");
+                DebugModule::new(&mut singles[lane])
+                    .poke_reg(name, value)
+                    .expect("probed");
+            }
+        }
+        for (lane, single) in singles.iter_mut().enumerate() {
+            if halted[lane] {
+                continue;
+            }
+            for name in &inputs {
+                let v = (stim.drive)(lane, cycle, name);
+                batch.poke(name, lane, v).unwrap();
+                single.poke(name, v).unwrap();
+            }
+        }
+        batch.step();
+        for (lane, single) in singles.iter_mut().enumerate() {
+            if !halted[lane] {
+                single.step();
+                halted[lane] = design.halt.is_some_and(|h| single.peek(h) == Some(1));
+            }
+            let ctx = format!("{kind:?} {config:?} lane {lane} @ cycle {cycle}");
+            assert_eq!(
+                batch.completion_cycle(lane).is_some(),
+                halted[lane],
+                "halt {ctx}"
+            );
+            if halted[lane] {
+                assert_eq!(
+                    batch.completion_cycle(lane),
+                    Some(single.cycle()),
+                    "halt cycle {ctx}"
+                );
+            }
+            for name in &signals {
+                assert_eq!(
+                    batch.peek(name, lane),
+                    single.peek(name),
+                    "signal `{name}` {ctx}"
+                );
+            }
+        }
+        if halted.iter().all(|&h| h) {
+            break;
+        }
+    }
+    if design.halt.is_none() {
+        assert_eq!(batch.cycle(), stim.cycles);
+    }
+    batch
+}
+
+/// The random-stimulus row shape the per-design tests below share.
 fn assert_batch_matches_sequential(
-    circuit: &rteaal_firrtl::Circuit,
+    circuit: Circuit,
     kind: KernelKind,
     lanes: usize,
     threads: usize,
     cycles: u64,
     seed: u64,
 ) {
-    let compiler = Compiler::new(KernelConfig::new(kind));
-    let compiled = compiler.compile(circuit).expect("compiles");
-    let inputs = input_names(&compiled);
-    // TI elides stores of forwarded intermediate nodes, so the *scalar*
-    // TI kernel leaves those LI slots stale (observability traded for
-    // speed, as in the paper); compare the architectural surface —
-    // outputs, registers, inputs — for TI and every probe otherwise.
-    let signals: Vec<String> = if kind == KernelKind::Ti {
-        let mut observable: Vec<u32> = compiled.plan.output_slots.iter().map(|&(_, s)| s).collect();
-        observable.extend(compiled.plan.commits.iter().map(|&(dst, _)| dst));
-        observable.extend(compiled.plan.input_slots.iter().copied());
-        compiled
-            .plan
-            .probes
-            .iter()
-            .filter(|(_, s, _)| observable.contains(s))
-            .map(|(n, _, _)| n.clone())
-            .collect()
-    } else {
-        compiled
-            .plan
-            .probes
-            .iter()
-            .map(|(n, _, _)| n.clone())
-            .collect()
+    let design = Design {
+        circuit,
+        kind,
+        halt: None,
     };
-
-    let mut batch = BatchSimulation::new(&compiled, lanes).with_threads(threads);
-    let mut singles: Vec<Simulation> = (0..lanes)
-        .map(|_| Simulation::new(compiler.compile(circuit).expect("compiles")))
-        .collect();
-
-    let stream = |lane: usize| Stimulus::from_seed(seed ^ (lane as u64) << 20);
-    let mut batch_streams: Vec<Stimulus> = (0..lanes).map(stream).collect();
-    let mut single_streams: Vec<Stimulus> = (0..lanes).map(stream).collect();
-
-    for cycle in 0..cycles {
-        for (lane, stream) in batch_streams.iter_mut().enumerate() {
-            for name in &inputs {
-                let v = stream.next_value();
-                batch.poke(name, lane, v).unwrap();
-            }
-        }
-        batch.step();
-        for (lane, single) in singles.iter_mut().enumerate() {
-            for name in &inputs {
-                let v = single_streams[lane].next_value();
-                single.poke(name, v).unwrap();
-            }
-            single.step();
-            for name in &signals {
-                assert_eq!(
-                    batch.peek(name, lane),
-                    single.peek(name),
-                    "{kind:?} lanes={lanes} threads={threads} lane {lane} \
-                     signal `{name}` @ cycle {cycle}"
-                );
-            }
-        }
-    }
-    assert_eq!(batch.cycle(), cycles);
+    let stim = Stim {
+        cycles,
+        drive: &mut random(seed, lanes),
+        poke_state: None,
+    };
+    let config = EngineConfig {
+        threads,
+        ..EngineConfig::new(lanes)
+    };
+    assert_bit_exact(&design, stim, config);
 }
 
 /// The RV32I test program: sum 1..=20 into a0, then halt.
-fn rv32i_circuit() -> rteaal_firrtl::Circuit {
+fn rv32i_circuit() -> Circuit {
     let program = vec![
         addi(1, 0, 0),
         addi(2, 0, 20),
@@ -120,24 +187,24 @@ fn rv32i_circuit() -> rteaal_firrtl::Circuit {
 #[test]
 fn rv32i_batch_matches_sequential() {
     // Random reset toggling makes the lanes genuinely diverge.
-    assert_batch_matches_sequential(&rv32i_circuit(), KernelKind::Psu, 4, 2, 120, 0xb001);
+    assert_batch_matches_sequential(rv32i_circuit(), KernelKind::Psu, 4, 2, 120, 0xb001);
 }
 
 #[test]
 fn rv32i_batch_matches_sequential_single_thread() {
-    assert_batch_matches_sequential(&rv32i_circuit(), KernelKind::Ti, 3, 1, 120, 0xb002);
+    assert_batch_matches_sequential(rv32i_circuit(), KernelKind::Ti, 3, 1, 120, 0xb002);
 }
 
 #[test]
 fn sha3_batch_matches_sequential() {
-    assert_batch_matches_sequential(&sha3(), KernelKind::Psu, 4, 4, 60, 0xb003);
+    assert_batch_matches_sequential(sha3(), KernelKind::Psu, 4, 4, 60, 0xb003);
 }
 
 #[test]
 fn sha3_batch_matches_sequential_swizzled_vs_plain() {
     // Both traversal orders of the batch engine against the scalar path.
-    assert_batch_matches_sequential(&sha3(), KernelKind::Ru, 2, 2, 40, 0xb004);
-    assert_batch_matches_sequential(&sha3(), KernelKind::Iu, 2, 3, 40, 0xb005);
+    assert_batch_matches_sequential(sha3(), KernelKind::Ru, 2, 2, 40, 0xb004);
+    assert_batch_matches_sequential(sha3(), KernelKind::Iu, 2, 3, 40, 0xb005);
 }
 
 /// Runs the compiled-engine and interpreted-engine batch simulators of
@@ -170,7 +237,7 @@ fn assert_compiled_matches_interpreted(plan: &SimPlan, lanes: usize, cycles: u64
     }
 }
 
-fn plan_of(circuit: &rteaal_firrtl::Circuit) -> SimPlan {
+fn plan_of(circuit: &Circuit) -> SimPlan {
     rteaal_dfg::plan::plan(
         &rteaal_dfg::build(&rteaal_firrtl::lower::lower_typed(circuit).unwrap()).unwrap(),
     )
@@ -186,65 +253,37 @@ fn sha3_compiled_kernels_match_interpreted_walk() {
     assert_compiled_matches_interpreted(&plan_of(&sha3()), 3, 60, 0xc002);
 }
 
+/// The halting RV32I workload under a *different* reset-release cycle
+/// per lane, so the lanes halt at different cycles and the batch
+/// compacts them out one by one.
+fn staggered_reset(lane: usize, cycle: u64, _input: &str) -> u64 {
+    u64::from(cycle < lane as u64 + 2)
+}
+
+fn halting_rv32i() -> Design {
+    let workload = Workload::rv32i_sum_loop();
+    Design {
+        circuit: workload.circuit,
+        kind: KernelKind::Psu,
+        halt: workload.halt_signal,
+    }
+}
+
 #[test]
 fn rv32i_early_exit_matches_scalar_runs() {
-    // Lane-liveness early exit on the halting workload: every lane runs
-    // the sum-loop program with a *different* reset-release cycle, so
-    // the lanes halt at different cycles and the batch compacts them out
-    // one by one. Per-lane halt cycles and architectural outputs must
-    // match dedicated scalar runs with the same reset schedule.
-    let workload = Workload::rv32i_sum_loop();
-    let compiler = Compiler::new(KernelConfig::new(KernelKind::Psu));
-    let compiled = compiler.compile(&workload.circuit).unwrap();
+    // Lane-liveness early exit: per-lane halt cycles and every signal,
+    // frozen at the halt cycle, must match dedicated scalar runs with
+    // the same reset schedule — and the program's result must be right.
     const LANES: usize = 4;
-    const MAX_CYCLES: usize = 400;
-    let reset_until = |lane: usize| lane + 2;
-
-    let mut batch = BatchSimulation::new(&compiled, LANES);
-    batch
-        .watch_halt(workload.halt_signal.expect("halting workload"))
-        .unwrap();
-    let mut cycle = 0usize;
-    while batch.live_lanes() > 0 && cycle < MAX_CYCLES {
-        for lane in 0..LANES {
-            if !batch.halted(lane) {
-                let r = u64::from(cycle < reset_until(lane));
-                batch.poke("reset", lane, r).unwrap();
-            }
-        }
-        batch.step();
-        cycle += 1;
-    }
+    let stim = Stim {
+        cycles: 400,
+        drive: &mut staggered_reset,
+        poke_state: None,
+    };
+    let batch = assert_bit_exact(&halting_rv32i(), stim, EngineConfig::new(LANES));
     assert_eq!(batch.live_lanes(), 0, "every lane halts within the budget");
-
     for lane in 0..LANES {
-        let mut single = Simulation::new(compiler.compile(&workload.circuit).unwrap());
-        let mut scalar_halt = None;
-        for c in 0..MAX_CYCLES {
-            single
-                .poke("reset", u64::from(c < reset_until(lane)))
-                .unwrap();
-            single.step();
-            if single.peek("halt") == Some(1) {
-                scalar_halt = Some((c + 1) as u64);
-                break;
-            }
-        }
-        assert_eq!(
-            batch.completion_cycle(lane),
-            scalar_halt,
-            "lane {lane} halt cycle"
-        );
         assert!(batch.halted(lane));
-        // Architectural outputs frozen at the halt cycle match the
-        // scalar run observed at its own halt cycle.
-        for name in ["a0", "pc", "halt"] {
-            assert_eq!(
-                batch.peek(name, lane),
-                single.peek(name),
-                "lane {lane} signal {name}"
-            );
-        }
         assert_eq!(batch.peek("a0", lane), Some(210), "lane {lane} result");
     }
 }
@@ -252,18 +291,65 @@ fn rv32i_early_exit_matches_scalar_runs() {
 #[test]
 fn rv32i_batch_runs_the_program_on_every_lane() {
     // Functional check on top of the bit-level one: every lane of a
-    // free-running batch executes the program to the architectural
-    // result (a0 = sum(1..=20) = 210).
-    let compiled = Compiler::new(KernelConfig::new(KernelKind::Psu))
-        .compile(&rv32i_circuit())
-        .unwrap();
-    let mut batch = BatchSimulation::new(&compiled, 5).with_threads(2);
-    batch.poke_all("reset", 1).unwrap();
-    batch.step_cycles(2);
-    batch.poke_all("reset", 0).unwrap();
-    batch.step_cycles(200);
+    // free-running two-thread batch executes the program to the
+    // architectural result (a0 = sum(1..=20) = 210).
+    let design = Design {
+        circuit: rv32i_circuit(),
+        kind: KernelKind::Psu,
+        halt: None,
+    };
+    let stim = Stim {
+        cycles: 202,
+        drive: &mut |_, cycle, _| u64::from(cycle < 2),
+        poke_state: None,
+    };
+    let config = EngineConfig {
+        threads: 2,
+        ..EngineConfig::new(5)
+    };
+    let batch = assert_bit_exact(&design, stim, config);
     for lane in 0..5 {
         assert_eq!(batch.peek("halt", lane), Some(1), "lane {lane} halted");
         assert_eq!(batch.peek("a0", lane), Some(210), "lane {lane} result");
+    }
+}
+
+#[test]
+fn every_engine_shape_is_bit_exact_on_rv32i_and_sha3() {
+    // The tier-1 sweep: specialization × threads × partitioning, on the
+    // halting core (halt compaction, a DMI write into the accumulator
+    // mid-loop) and on the free-running SHA3 datapath (random stimulus,
+    // a DMI write into the Keccak state).
+    const LANES: usize = 4;
+    let rv32i = halting_rv32i();
+    let sha3 = Design {
+        circuit: sha3(),
+        kind: KernelKind::Psu,
+        halt: None,
+    };
+    for specialization in [Specialization::Off, Specialization::Auto] {
+        for threads in [1, 2] {
+            for partitioning in [Partitioning::None, Partitioning::Fixed(2)] {
+                let config = EngineConfig {
+                    lanes: LANES,
+                    threads,
+                    partitioning,
+                    specialization,
+                };
+                let stim = Stim {
+                    cycles: 400,
+                    drive: &mut staggered_reset,
+                    poke_state: Some((30, "x1", 1, 1000)),
+                };
+                let batch = assert_bit_exact(&rv32i, stim, config);
+                assert_eq!(batch.live_lanes(), 0, "{config:?}: every lane halts");
+                let stim = Stim {
+                    cycles: 40,
+                    drive: &mut random(0xb006, LANES),
+                    poke_state: Some((17, "s_1_2", 2, 0x0123_4567_89ab_cdef)),
+                };
+                assert_bit_exact(&sha3, stim, config);
+            }
+        }
     }
 }
