@@ -1,11 +1,11 @@
 //! Criterion: the whole-design specialization tier on the control-heavy
 //! RV32I core — interpreted dispatch vs compiled lane kernels vs the
-//! specialized superblock program (fused flat bytecode, bit-packed
-//! 1-bit lanes, input-cone and activity gating).
+//! specialized program (the folded/deduped/pruned plan through the same
+//! lane kernels, plus bit-packed 1-bit lanes where they pay).
 //!
 //! Two regimes matter and are benched separately: the pre-halt walk
-//! (every register toggling, so the fused bytecode is doing real work
-//! each cycle) and the free run (the design halts around cycle 67, the
+//! (every register toggling, so every layer does real work each cycle)
+//! and the free run (the design halts around cycle 67, the
 //! registers reach a fixed point, and the activity gate turns the
 //! remaining steps into clock-only skips). The specialization build tax
 //! is timed on its own so the serve layer can weigh it against

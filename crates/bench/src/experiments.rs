@@ -2067,7 +2067,7 @@ pub fn lint_corpus(ctx: &Ctx) -> Vec<String> {
 }
 
 /// Whole-design specialization: interpreted vs compiled vs specialized
-/// (fold + dedup + DCE + superblocks + bit-packed 1-bit lanes) on the
+/// (fold + dedup + DCE + bit-packed 1-bit lanes) on the
 /// control-heavy halting RV32I workload at B = 64, with a hard 100%
 /// bit-exactness gate against the interpreted golden model, pre-halt
 /// (lanes live) and free-run throughput per engine — gated on the
@@ -2231,10 +2231,9 @@ pub fn specialize_tier(ctx: &Ctx) -> Vec<String> {
     let (packs, unpacks) = prog.boundary_moves();
     out.push(format!(
         "packing: {} 1-bit ops packed 64-lanes/word ({} bit rows, {packs}+{unpacks} \
-         pack/unpack boundary moves, {} input-cone ops skippable)",
+         pack/unpack boundary moves)",
         prog.packed_ops(),
-        prog.bit_rows(),
-        prog.cone_ops()
+        prog.bit_rows()
     ));
     out.push(format!(
         "bottleneck: modeled instructions/cycle {mi} -> {ms} \

@@ -51,9 +51,6 @@ pub enum Partitioning {
     None,
     /// Exactly this many RepCut partitions (1 behaves like `None`).
     Fixed(usize),
-    /// A host- and design-derived partition count
-    /// ([`PartitionedPlan::auto_partitions`]).
-    Auto,
 }
 
 /// Everything settable about a batched engine — the one argument of
@@ -213,11 +210,12 @@ impl BatchSimulation {
     /// ([`rteaal_dfg::specialize`]) — constant folding of
     /// never-toggling cones, value-numbering dedup, dead-code
     /// elimination over the observable roots — and then decides the
-    /// execution form: unpartitioned simulations get the superblock
-    /// program with bit-packed 64-lanes-per-word bodies when `lanes >=
-    /// 32` (below that the pack/unpack boundary costs more than packing
-    /// saves), while partitioned simulations execute the transformed
-    /// plan through the per-op RepCut walk (packing needs
+    /// execution form: every op runs through the same lane kernels as
+    /// an unspecialized engine, and unpartitioned simulations with
+    /// `lanes >= 32` additionally bit-pack 1-bit interior wires 64 lanes
+    /// per word where that out-earns the pack/unpack boundary (below 32
+    /// lanes it never does), while partitioned simulations execute the
+    /// transformed plan through the per-op RepCut walk (packing needs
     /// whole-schedule consumer analysis, which replicated fan-in cones
     /// invalidate).
     ///
@@ -247,7 +245,6 @@ impl BatchSimulation {
                 assert!(p > 0, "partition count must be nonzero");
                 p
             }
-            Partitioning::Auto => PartitionedPlan::auto_partitions(&plan),
         };
         let kernel_config = compiled.kernel.config();
         let (kernel, state) = if parts > 1 {
@@ -1055,21 +1052,15 @@ circuit H :
             .compile_str(HALT_SRC)
             .unwrap();
         const LANES: usize = 5;
-        for partitioning in [
-            Partitioning::Fixed(2),
-            Partitioning::Fixed(4),
-            Partitioning::Auto,
-        ] {
+        for parts in [2, 4] {
             let mut flat = BatchSimulation::new(&c, LANES);
             let config = EngineConfig {
-                partitioning,
+                partitioning: Partitioning::Fixed(parts),
                 ..EngineConfig::new(LANES)
             };
             let mut part = BatchSimulation::build(&c, config).unwrap();
-            if let Partitioning::Fixed(p) = partitioning {
-                assert_eq!(part.partitions(), p);
-                assert!(part.replication_factor() >= 1.0);
-            }
+            assert_eq!(part.partitions(), parts);
+            assert!(part.replication_factor() >= 1.0);
             for sim in [&mut flat, &mut part] {
                 sim.watch_halt("done").unwrap();
                 for lane in 0..LANES {
@@ -1082,7 +1073,7 @@ circuit H :
                 assert_eq!(
                     part.completion_cycle(lane),
                     flat.completion_cycle(lane),
-                    "{partitioning:?} lane {lane}"
+                    "{parts} partitions, lane {lane}"
                 );
                 assert_eq!(part.peek("cnt", lane), flat.peek("cnt", lane));
             }
@@ -1095,7 +1086,7 @@ circuit H :
                 assert_eq!(
                     part.completion_cycle(lane),
                     flat.completion_cycle(lane),
-                    "{partitioning:?} post-admit lane {lane}"
+                    "{parts} partitions, post-admit lane {lane}"
                 );
                 assert_eq!(part.peek("cnt", lane), flat.peek("cnt", lane));
             }

@@ -265,7 +265,19 @@ circuit T :
         let p1 = plain.compile_str(SRC).unwrap();
         let p2 = wave.compile_str(SRC).unwrap();
         assert!(p2.plan.probes.len() >= p1.plan.probes.len());
-        assert!(!p2.pass_stats.const_folded > 0 || p2.pass_stats.const_folded == 0);
+        // Waveform mode runs every pass off, so no signal is rewritten
+        // away (`cse_merged`/`dead_removed` come from hash-consing and
+        // the rebuild itself and may be nonzero regardless).
+        let s = p2.pass_stats;
+        assert_eq!(
+            (
+                s.const_folded,
+                s.copies_propagated,
+                s.chains_fused,
+                s.muxes_absorbed
+            ),
+            (0, 0, 0, 0)
+        );
     }
 
     #[test]

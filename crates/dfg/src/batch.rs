@@ -11,16 +11,14 @@
 //! `OIM` amortizes coordinate reads, dispatch, and loop overhead over `B`
 //! simulations while every data stream stays stride-1.
 //!
-//! [`BatchPlanSim`] is the sequential reference for this execution model
-//! and supports two executors (see [`BatchEngine`]): the default
-//! **compiled** walk over [`CompiledLayer`] slices produced by the
-//! [`crate::lane_kernel`] compile stage, and the **interpreted**
-//! per-lane `eval_raw` walk — bit-exact against `B` independent
-//! [`PlanSim`](crate::plan::PlanSim) runs by construction, and the golden
-//! model both the compiled kernels and the thread-parallel engine in
+//! [`BatchPlanSim`] is the sequential reference for this execution
+//! model and nothing else: the **interpreted** per-lane `eval_raw` walk —
+//! bit-exact against `B` independent [`PlanSim`](crate::plan::PlanSim)
+//! runs by construction, and the golden model both the compiled lane
+//! kernels ([`crate::lane_kernel`]) and the thread-parallel engine in
 //! `rteaal-kernels` are differentially tested against.
 
-use crate::lane_kernel::{compile_plan, BatchEngine, CompiledLayer, LaneWindow};
+use crate::lane_kernel::LaneWindow;
 use crate::op::canonicalize;
 use crate::plan::{split_commits, SimPlan};
 
@@ -38,9 +36,6 @@ pub fn init_lanes(plan: &SimPlan, lanes: usize) -> Vec<u64> {
 #[derive(Debug, Clone)]
 pub struct BatchPlanSim<'p> {
     plan: &'p SimPlan,
-    engine: BatchEngine,
-    /// Kernel-compiled layers (compiled engine only).
-    compiled: Vec<CompiledLayer>,
     lanes: usize,
     li: Vec<u64>,
     buf: Vec<u64>,
@@ -54,54 +49,17 @@ pub struct BatchPlanSim<'p> {
 
 impl<'p> BatchPlanSim<'p> {
     /// Creates a `lanes`-wide simulator with every lane at the plan's
-    /// initial state, executing through compiled lane kernels.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is zero.
-    pub fn new(plan: &'p SimPlan, lanes: usize) -> Self {
-        Self::with_engine(plan, lanes, BatchEngine::Compiled)
-    }
-
-    /// Creates a simulator that walks the layers with the interpreted
-    /// per-lane dispatch — the golden model for differential tests.
+    /// initial state, walking the layers with the interpreted per-lane
+    /// dispatch — the golden model for differential tests.
     ///
     /// # Panics
     ///
     /// Panics if `lanes` is zero.
     pub fn interpreted(plan: &'p SimPlan, lanes: usize) -> Self {
-        Self::with_engine(plan, lanes, BatchEngine::Interpreted)
-    }
-
-    /// Creates a simulator over a specialized plan
-    /// ([`crate::specialize::specialize`]): the folded/deduped/DCE'd
-    /// layer schedule executed through compiled lane kernels. Observable
-    /// slots (outputs, probes, registers) are bit-identical to the
-    /// original plan's.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is zero.
-    pub fn specialized(spec: &'p crate::specialize::SpecializedPlan, lanes: usize) -> Self {
-        Self::with_engine(&spec.plan, lanes, BatchEngine::Compiled)
-    }
-
-    /// Creates a simulator with an explicit executor choice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is zero.
-    pub fn with_engine(plan: &'p SimPlan, lanes: usize, engine: BatchEngine) -> Self {
         assert!(lanes > 0, "batch needs at least one lane");
-        let compiled = match engine {
-            BatchEngine::Compiled => compile_plan(plan),
-            BatchEngine::Interpreted => Vec::new(),
-        };
         let (commit_direct, commit_staged) = split_commits(&plan.commits);
         BatchPlanSim {
             plan,
-            engine,
-            compiled,
             lanes,
             li: init_lanes(plan, lanes),
             buf: Vec::with_capacity(8),
@@ -110,11 +68,6 @@ impl<'p> BatchPlanSim<'p> {
             commit_staged,
             cycle: 0,
         }
-    }
-
-    /// The executor this simulator walks its layers with.
-    pub fn engine(&self) -> BatchEngine {
-        self.engine
     }
 
     /// Number of stimulus lanes.
@@ -160,20 +113,9 @@ impl<'p> BatchPlanSim<'p> {
     /// commit registers lane-wise.
     pub fn step(&mut self) {
         let w = LaneWindow::full(self.lanes);
-        match self.engine {
-            BatchEngine::Compiled => {
-                for layer in &self.compiled {
-                    for op in layer {
-                        op.eval_lanes(&mut self.li, w, &mut self.buf);
-                    }
-                }
-            }
-            BatchEngine::Interpreted => {
-                for layer in &self.plan.layers {
-                    for op in layer {
-                        op.eval_lanes(&mut self.li, w, &mut self.buf);
-                    }
-                }
+        for layer in &self.plan.layers {
+            for op in layer {
+                op.eval_lanes(&mut self.li, w, &mut self.buf);
             }
         }
         let lanes = self.lanes;
@@ -254,69 +196,33 @@ circuit Mixed :
     fn lanes_match_independent_plan_sims() {
         let p = plan_of(MIXED);
         const LANES: usize = 7;
-        for engine in [BatchEngine::Compiled, BatchEngine::Interpreted] {
-            let mut batch = BatchPlanSim::with_engine(&p, LANES, engine);
-            assert_eq!(batch.engine(), engine);
-            let mut singles: Vec<PlanSim> = (0..LANES).map(|_| PlanSim::new(&p)).collect();
-            let mut rng = rand::rngs::StdRng::seed_from_u64(21);
-            for cycle in 0..200 {
-                for (lane, single) in singles.iter_mut().enumerate() {
-                    let x: u64 = rng.gen();
-                    let sel: u64 = rng.gen();
-                    single.set_input(0, x);
-                    single.set_input(1, sel);
-                    batch.set_input(0, lane, x);
-                    batch.set_input(1, lane, sel);
-                }
-                batch.step();
-                for (lane, single) in singles.iter_mut().enumerate() {
-                    single.step();
-                    for idx in 0..p.output_slots.len() {
-                        assert_eq!(
-                            batch.output(idx, lane),
-                            single.output(idx),
-                            "{engine:?} lane {lane} output {idx} @ cycle {cycle}"
-                        );
-                    }
-                    // Internal state agrees slot-by-slot, not just at
-                    // outputs.
-                    for s in 0..p.num_slots as u32 {
-                        assert_eq!(
-                            batch.slot(s, lane),
-                            single.slot(s),
-                            "{engine:?} slot {s} lane {lane}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn compiled_engine_matches_interpreted_engine() {
-        let p = plan_of(MIXED);
-        const LANES: usize = 5;
-        let mut compiled = BatchPlanSim::new(&p, LANES);
-        let mut interpreted = BatchPlanSim::interpreted(&p, LANES);
-        assert_eq!(compiled.engine(), BatchEngine::Compiled);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(87);
-        for cycle in 0..300 {
-            for lane in 0..LANES {
+        let mut batch = BatchPlanSim::interpreted(&p, LANES);
+        let mut singles: Vec<PlanSim> = (0..LANES).map(|_| PlanSim::new(&p)).collect();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(21);
+        for cycle in 0..200 {
+            for (lane, single) in singles.iter_mut().enumerate() {
                 let x: u64 = rng.gen();
                 let sel: u64 = rng.gen();
-                compiled.set_input(0, lane, x);
-                compiled.set_input(1, lane, sel);
-                interpreted.set_input(0, lane, x);
-                interpreted.set_input(1, lane, sel);
+                single.set_input(0, x);
+                single.set_input(1, sel);
+                batch.set_input(0, lane, x);
+                batch.set_input(1, lane, sel);
             }
-            compiled.step();
-            interpreted.step();
-            for s in 0..p.num_slots as u32 {
-                assert_eq!(
-                    compiled.slot_lanes(s),
-                    interpreted.slot_lanes(s),
-                    "slot {s} @ cycle {cycle}"
-                );
+            batch.step();
+            for (lane, single) in singles.iter_mut().enumerate() {
+                single.step();
+                for idx in 0..p.output_slots.len() {
+                    assert_eq!(
+                        batch.output(idx, lane),
+                        single.output(idx),
+                        "lane {lane} output {idx} @ cycle {cycle}"
+                    );
+                }
+                // Internal state agrees slot-by-slot, not just at
+                // outputs.
+                for s in 0..p.num_slots as u32 {
+                    assert_eq!(batch.slot(s, lane), single.slot(s), "slot {s} lane {lane}");
+                }
             }
         }
     }
@@ -324,7 +230,7 @@ circuit Mixed :
     #[test]
     fn set_input_all_broadcasts() {
         let p = plan_of(MIXED);
-        let mut batch = BatchPlanSim::new(&p, 4);
+        let mut batch = BatchPlanSim::interpreted(&p, 4);
         batch.set_input_all(0, 3);
         batch.set_input_all(1, 1);
         for _ in 0..5 {
@@ -341,7 +247,7 @@ circuit Mixed :
     #[test]
     fn set_input_all_canonicalizes_the_fill_value() {
         let p = plan_of(MIXED);
-        let mut batch = BatchPlanSim::new(&p, 3);
+        let mut batch = BatchPlanSim::interpreted(&p, 3);
         batch.set_input_all(0, 0xfff); // x is 8 bits wide
         assert_eq!(batch.slot_lanes(p.input_slots[0]), &[0xff; 3]);
     }
@@ -349,7 +255,7 @@ circuit Mixed :
     #[test]
     fn inputs_canonicalized_per_lane() {
         let p = plan_of(MIXED);
-        let mut batch = BatchPlanSim::new(&p, 2);
+        let mut batch = BatchPlanSim::interpreted(&p, 2);
         batch.set_input(0, 1, 0xfff); // x is 8 bits wide
         let x_slot = p.input_slots[0];
         assert_eq!(batch.slot(x_slot, 0), 0);
@@ -359,7 +265,7 @@ circuit Mixed :
     #[test]
     fn commit_split_is_exhaustive_and_disjoint() {
         let p = plan_of(MIXED);
-        let batch = BatchPlanSim::new(&p, 2);
+        let batch = BatchPlanSim::interpreted(&p, 2);
         let mut all: Vec<(u32, u32)> = batch
             .commit_direct
             .iter()
@@ -393,7 +299,7 @@ circuit Swap :
     out <= a
 ",
         );
-        let mut batch = BatchPlanSim::new(&p, 2);
+        let mut batch = BatchPlanSim::interpreted(&p, 2);
         assert_eq!(batch.commit_staged.len(), 2);
         assert!(batch.commit_direct.is_empty());
         // And the swap semantics hold: power-on values circulate.
@@ -407,14 +313,14 @@ circuit Swap :
     #[should_panic(expected = "at least one lane")]
     fn zero_lanes_rejected() {
         let p = plan_of(MIXED);
-        let _ = BatchPlanSim::new(&p, 0);
+        let _ = BatchPlanSim::interpreted(&p, 0);
     }
 
     #[test]
     fn reset_lane_restores_power_on_and_spares_neighbors() {
         let p = plan_of(MIXED);
         const LANES: usize = 4;
-        let mut batch = BatchPlanSim::new(&p, LANES);
+        let mut batch = BatchPlanSim::interpreted(&p, LANES);
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
         for _ in 0..20 {
             for lane in 0..LANES {
@@ -438,7 +344,7 @@ circuit Swap :
             }
         }
         // The reset lane now evolves exactly like a fresh simulator.
-        let mut fresh = BatchPlanSim::new(&p, 1);
+        let mut fresh = BatchPlanSim::interpreted(&p, 1);
         for cycle in 0..30 {
             let (x, sel) = (cycle * 3 + 1, cycle & 1);
             batch.set_input(0, 2, x);

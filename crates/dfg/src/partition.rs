@@ -241,19 +241,6 @@ impl PartitionedPlan {
         }
     }
 
-    /// A host-informed partition count: as many partitions as there are
-    /// cores, clamped so each partition still has registers to own and a
-    /// meaningful amount of work (tiny designs gain nothing from the
-    /// barrier traffic), capped at 8.
-    pub fn auto_partitions(plan: &SimPlan) -> usize {
-        let cores = std::thread::available_parallelism()
-            .map(usize::from)
-            .unwrap_or(1);
-        let by_regs = plan.commits.len().max(1);
-        let by_work = (plan.total_ops() / 256).max(1);
-        cores.min(by_regs).min(by_work).clamp(1, 8)
-    }
-
     /// Number of partitions.
     pub fn num_partitions(&self) -> usize {
         self.partitions.len()
@@ -464,14 +451,5 @@ circuit X :
             assert!(sched.commits.is_empty());
         }
         assert_eq!(pp.op_counts().iter().sum::<usize>(), pp.replicated_ops);
-    }
-
-    #[test]
-    fn auto_partitions_is_sane() {
-        let p = plan_of(CROSS);
-        let n = PartitionedPlan::auto_partitions(&p);
-        assert!((1..=8).contains(&n));
-        // Tiny plan: the work clamp keeps it at 1 regardless of cores.
-        assert_eq!(n, 1, "a ~10-op plan must not fan out");
     }
 }

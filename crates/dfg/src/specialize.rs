@@ -20,24 +20,17 @@
 //!    pokes, waveforms) works unchanged, and observable slots keep
 //!    their meaning.
 //!
-//! 2. **Superblock compilation** ([`SpecProgram`]): the specialized
-//!    layers are lowered to a flat bytecode the walker executes as
-//!    straight-line superblocks (ESSENT-style, without per-op
-//!    function-pointer dispatch for the packed portion). Slots whose
-//!    canonicalization mask is a single bit are *bit-packed*: 64 lanes
-//!    per `u64` word in a sidecar bit-plane matrix, with `Pack`
-//!    (gather) and `Unpack` (scatter) moves folded into the layer
-//!    bodies at the packed region's boundary. A packed AND/OR/XOR/MUX
-//!    processes 64 stimulus lanes per instruction instead of one.
-//!
-//! The program also splits every layer into an *input cone* prefix
-//! (operations that depend only on inputs and constants, never on
-//! register state) and a sequential remainder. When no input has
-//! changed since the last full evaluation — the common case in a
-//! free-running batch — the cone's results are still valid and the
-//! walker skips it: the activity-conditional layer gating of the
-//! roadmap, driven by the same dependence analysis that powers
-//! `layer_activity`.
+//! 2. **Bit-packing** ([`SpecProgram`]): the specialized layers are
+//!    lowered to the lane kernels every tier runs ([`CompiledOp`] — one
+//!    set of lane bodies, in `crate::lane_kernel`), except for interior
+//!    slots whose canonicalization mask is a single bit. Those are
+//!    *bit-packed*: 64 lanes per `u64` word in a sidecar bit-plane
+//!    matrix, with `Pack` (gather) and `Unpack` (scatter) moves at the
+//!    packed region's boundary. A packed AND/OR/XOR/MUX processes 64
+//!    stimulus lanes per instruction instead of one. A profitability
+//!    pass keeps a packed cluster only if it out-earns its boundary
+//!    moves; a program that packs nothing is exactly the per-op walk of
+//!    the specialized plan.
 //!
 //! # What stays bit-exact
 //!
@@ -51,20 +44,21 @@
 //! # Safety model
 //!
 //! Packed rows live in a sidecar `bits` buffer (rows × words, where
-//! `words = ⌈stride/64⌉`). Within one layer the program is executed in
-//! two phases — phase A moves values across the wide/packed boundary
-//! (`Pack`/`Unpack`), phase B evaluates wide and packed bodies — and
-//! every instruction of a phase writes a row (wide `LI` row or bit
-//! row) no other instruction of the same phase touches, while reading
-//! only rows sealed by an earlier layer or the previous phase. That is
-//! the same disjointness argument the layer-parallel walk already
-//! relies on, so the threaded walk needs one extra barrier per layer
-//! and nothing else.
+//! `words = ⌈stride/64⌉`); every row is rewritten in the cycle that
+//! reads it, so the buffer carries nothing from one cycle to the next.
+//! Within one layer the program is executed in two phases — phase A
+//! moves values across the wide/packed boundary (`Pack`/`Unpack`),
+//! phase B evaluates wide and packed bodies — and every instruction of
+//! a phase writes a row (wide `LI` row or bit row) no other instruction
+//! of the same phase touches, while reading only rows sealed by an
+//! earlier layer or the previous phase. That is the same disjointness
+//! argument the layer-parallel walk already relies on, so the threaded
+//! walk needs one extra barrier per layer that has boundary moves and
+//! nothing else.
 
 use crate::lane_kernel::{CompiledOp, LaneWindow};
-use crate::op::{canonicalize, DfgOp};
+use crate::op::DfgOp;
 use crate::plan::{OpInst, SimPlan};
-use rteaal_firrtl::ty::mask;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
@@ -73,8 +67,8 @@ use std::ops::Range;
 ///
 /// `Off` is the seed behavior (and the golden model's): the plan is
 /// executed exactly as coordinate assignment produced it. `Auto`
-/// applies [`specialize`] and lets each constructor decide whether the
-/// superblock/bit-packing program pays for the lane count at hand (it
+/// applies [`specialize`] and lets the engine builder decide whether
+/// bit-packing ([`SpecProgram`]) pays for the lane count at hand (it
 /// packs when `lanes >= 32`; below that the gather/scatter boundary
 /// costs more than 64-lanes-per-word saves).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -82,7 +76,7 @@ pub enum Specialization {
     /// Execute the plan as-is.
     #[default]
     Off,
-    /// Fold, dedup, eliminate, fuse — and bit-pack when it pays.
+    /// Fold, dedup, eliminate — and bit-pack when it pays.
     Auto,
 }
 
@@ -266,7 +260,7 @@ pub fn specialize(plan: &SimPlan) -> SpecializedPlan {
 }
 
 // ---------------------------------------------------------------------------
-// Superblock program: flat bytecode + bit-packed lanes
+// Packed program: per-op lane kernels + bit-packed lanes
 // ---------------------------------------------------------------------------
 
 /// A packed bitwise body: one instruction processes 64 lanes per word.
@@ -308,103 +302,26 @@ struct MoveInst {
     slot: u32,
 }
 
-/// A wide body with a fused superblock lowering: the opcode set the
-/// flat-bytecode walker executes without per-op function-pointer
-/// dispatch, chunked through lane-local registers so the bodies
-/// autovectorize (the indirect-call kernels defeat LLVM's alias
-/// analysis; staging each 8-lane chunk in local arrays restores it).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WideBody {
-    Add,
-    Sub,
-    Mul,
-    And,
-    Or,
-    Xor,
-    Ltu,
-    Lts,
-    Leu,
-    Les,
-    Gtu,
-    Gts,
-    Geu,
-    Ges,
-    Eq,
-    Neq,
-    Dshl,
-    Dshr,
-    Cat,
-    ValidIf,
-    Not,
-    Neg,
-    Andr,
-    Orr,
-    Xorr,
-    Shl,
-    Shr,
-    Bits,
-    Head,
-    Resize,
-    Mux,
-    Const,
-}
-
-/// One fused wide instruction: the flat-bytecode form of an op with a
-/// [`WideBody`] lowering. Field meanings mirror the compiled kernels'
-/// `KernelArgs` (p0/p1 are the op's static parameters; `msk`/`sh` the
-/// canonicalization constants).
-#[derive(Debug, Clone, Copy)]
-struct WideInst {
-    body: WideBody,
-    out: u32,
-    a: u32,
-    b: u32,
-    c: u32,
-    p0: u64,
-    p1: u64,
-    msk: u64,
-    sh: u32,
-    signed: bool,
-    max_slot: u32,
-}
-
 /// One specialized layer: phase A crosses the wide/packed boundary,
-/// phase B evaluates the bodies — fused flat bytecode (`fast`), the
-/// compiled per-op kernels no fused body exists for (`slow`: variable
-/// arity, division), then the packed bit-plane bodies. Each list is
-/// partitioned input-cone first so the cone prefix can be skipped when
-/// inputs are unchanged; within each cone half the fast stream is
-/// sorted by body so the interpreter's dispatch branch runs in
-/// predictable same-opcode runs (ops within a layer are
-/// order-independent by construction).
+/// phase B evaluates the bodies — the compiled per-op lane kernels of
+/// every op that stays wide, then the packed bit-plane bodies.
 #[derive(Debug, Clone, Default)]
 struct SpecLayer {
     packs: Vec<MoveInst>,
-    cone_packs: usize,
     unpacks: Vec<MoveInst>,
-    cone_unpacks: usize,
-    fast: Vec<WideInst>,
-    cone_fast: usize,
-    slow: Vec<CompiledOp>,
-    cone_slow: usize,
+    wide: Vec<CompiledOp>,
     bits: Vec<BitInst>,
-    cone_bits: usize,
 }
 
-/// The compiled superblock program for one (unpartitioned) plan: a
-/// flat, layer-structured bytecode with bit-packed 1-bit interior
-/// wires. Built by [`SpecProgram::build`]; executed by the batched
-/// kernel's specialized walk.
+/// The compiled program for one (unpartitioned) specialized plan: per
+/// layer, the lane kernels of the ops that stay wide and the packed
+/// bodies of the bit-packed 1-bit interior wires, with the moves between
+/// the two. Built by [`SpecProgram::build`]; executed by the batched
+/// kernel's cycle loop.
 #[derive(Debug, Clone)]
 pub struct SpecProgram {
     layers: Vec<SpecLayer>,
     bit_rows: usize,
-    packed_ops: usize,
-    pack_moves: usize,
-    unpack_moves: usize,
-    cone_ops: usize,
-    fused_ops: usize,
-    slow_ops: usize,
 }
 
 /// How a slot's value is produced, for packability classification.
@@ -421,18 +338,15 @@ enum SlotKind {
 }
 
 impl SpecProgram {
-    /// Lowers a plan's layers into the superblock bytecode. With
-    /// `pack = false` every op stays wide (the program still buys the
-    /// dispatch-free walk and the input-cone skip); with `pack = true`,
+    /// Lowers a plan's layers. With `pack = false` every op stays wide
+    /// (the program is the plan's per-op walk); with `pack = true`,
     /// eligible 1-bit interior wires are packed 64 lanes per word.
     pub fn build(plan: &SimPlan, pack: bool) -> SpecProgram {
         let n = plan.num_slots;
         let mut kind = vec![SlotKind::Static; n];
-        let mut producer_layer = vec![usize::MAX; n];
-        for (i, layer) in plan.layers.iter().enumerate() {
+        for layer in &plan.layers {
             for op in layer {
                 kind[op.out as usize] = SlotKind::OpOut(op.width, op.signed);
-                producer_layer[op.out as usize] = i;
             }
         }
         for (idx, &s) in plan.input_slots.iter().enumerate() {
@@ -526,7 +440,7 @@ impl SpecProgram {
         // consumes. A cluster whose boundary costs as much as the
         // passes it saves is dropped whole — shallow control fragments
         // (rv32i decode's eq→and→mux-sel sprinkles) fall back to the
-        // fused wide walk, dense interiors keep their 64×.
+        // wide walk, dense interiors keep their 64×.
         const MOVE_COST: usize = 2;
         if !body_of.is_empty() {
             let outs: Vec<u32> = body_of.keys().copied().collect();
@@ -591,19 +505,6 @@ impl SpecProgram {
             }
         }
 
-        // Input cone: transitively dependent on inputs and static slots
-        // only (never register state). Valid across steps while no
-        // input changes.
-        let mut cone = vec![false; n];
-        for s in 0..n {
-            cone[s] = matches!(kind[s], SlotKind::Input(_) | SlotKind::Static);
-        }
-        for layer in &plan.layers {
-            for op in layer {
-                cone[op.out as usize] = op.ins.iter().all(|&r| cone[r as usize]);
-            }
-        }
-
         // Row assignment: every packed output gets a bit row, and every
         // wide slot a packed body reads gets a gather row.
         let mut row_of: HashMap<u32, u32> = HashMap::new();
@@ -651,13 +552,8 @@ impl SpecProgram {
             l.packs.sort_by_key(|m| m.slot);
             l.unpacks.sort_by_key(|m| m.slot);
         }
-        let mut packed_ops = 0usize;
-        let mut cone_ops = 0usize;
-        let mut fused_ops = 0usize;
-        let mut slow_ops = 0usize;
         for (i, layer) in plan.layers.iter().enumerate() {
             for op in layer {
-                cone_ops += cone[op.out as usize] as usize;
                 if let Some(&body) = body_of.get(&op.out) {
                     let d = row(op.out, &mut next_row, &mut row_of);
                     let r = |k: usize| row_of[&op.ins[k]];
@@ -667,46 +563,14 @@ impl SpecProgram {
                         _ => (r(0), r(1), 0),
                     };
                     layers[i].bits.push(BitInst { body, d, a, b, c });
-                    packed_ops += 1;
-                } else if let Some(inst) = lower_wide(op) {
-                    fused_ops += 1;
-                    layers[i].fast.push(inst);
                 } else {
-                    slow_ops += 1;
-                    layers[i].slow.push(CompiledOp::compile(op));
+                    layers[i].wide.push(CompiledOp::compile(op));
                 }
             }
-        }
-
-        // Cone-first partition of every list, recording the prefix
-        // length the skip path elides.
-        let mut pack_moves = 0;
-        let mut unpack_moves = 0;
-        for l in &mut layers {
-            l.cone_packs = partition_cone(&mut l.packs, |m| cone[m.slot as usize]);
-            l.cone_unpacks = partition_cone(&mut l.unpacks, |m| cone[m.slot as usize]);
-            l.cone_fast = partition_cone(&mut l.fast, |g| cone[g.out as usize]);
-            l.cone_slow = partition_cone(&mut l.slow, |op| cone[op.out_slot() as usize]);
-            // Opcode-sorted within each cone half: ops in a layer are
-            // order-independent, and same-body runs keep the walker's
-            // dispatch branch predicted.
-            let nc = l.cone_fast;
-            l.fast[..nc].sort_by_key(|g| (g.body as u8, g.out));
-            l.fast[nc..].sort_by_key(|g| (g.body as u8, g.out));
-            let out_of: HashMap<u32, u32> = row_of.iter().map(|(&slot, &r)| (r, slot)).collect();
-            l.cone_bits = partition_cone(&mut l.bits, |b| cone[out_of[&b.d] as usize]);
-            pack_moves += l.packs.len();
-            unpack_moves += l.unpacks.len();
         }
         SpecProgram {
             layers,
             bit_rows: next_row as usize,
-            packed_ops,
-            pack_moves,
-            unpack_moves,
-            cone_ops,
-            fused_ops,
-            slow_ops,
         }
     }
 
@@ -722,23 +586,14 @@ impl SpecProgram {
 
     /// Ops lowered to packed 64-lanes-per-word bodies.
     pub fn packed_ops(&self) -> usize {
-        self.packed_ops
+        self.layers.iter().map(|l| l.bits.len()).sum()
     }
 
     /// Gather/scatter moves at the packed-region boundary.
     pub fn boundary_moves(&self) -> (usize, usize) {
-        (self.pack_moves, self.unpack_moves)
-    }
-
-    /// Ops in the input cone (skippable while inputs are unchanged).
-    pub fn cone_ops(&self) -> usize {
-        self.cone_ops
-    }
-
-    /// Wide ops lowered to fused flat bytecode vs. ops that fell back
-    /// to the compiled per-op kernels: `(fused, fallback)`.
-    pub fn fused_ops(&self) -> (usize, usize) {
-        (self.fused_ops, self.slow_ops)
+        let packs = self.layers.iter().map(|l| l.packs.len()).sum();
+        let unpacks = self.layers.iter().map(|l| l.unpacks.len()).sum();
+        (packs, unpacks)
     }
 
     /// Words per bit-plane row for a lane stride.
@@ -759,14 +614,11 @@ impl SpecProgram {
     /// Phase-B instruction count of a layer (wide + packed bodies).
     pub fn phase_b_len(&self, i: usize) -> usize {
         let l = &self.layers[i];
-        l.fast.len() + l.slow.len() + l.bits.len()
+        l.wide.len() + l.bits.len()
     }
 
     /// Evaluates phase-A instructions `range` of layer `i` (flat
-    /// order: packs then unpacks) through raw pointers, leaving out each
-    /// list's input-cone prefix when `skip_cone` (sound only if no
-    /// input, poke, reset, window, or lane permutation happened since
-    /// the last full evaluation — the kernel tracks that).
+    /// order: packs then unpacks) through raw pointers.
     ///
     /// # Safety
     ///
@@ -784,18 +636,16 @@ impl SpecProgram {
         w: LaneWindow,
         bits: *mut u64,
         range: Range<usize>,
-        skip_cone: bool,
     ) {
         let l = &self.layers[i];
         let np = l.packs.len();
-        let skip = |cone: usize| if skip_cone { cone } else { 0 };
         let wpr = Self::words_per_row(w.stride);
-        for m in &l.packs[sub_range(&range, 0, skip(l.cone_packs), np)] {
+        for m in &l.packs[sub_range(&range, 0, np)] {
             // SAFETY: caller contract — rows in bounds, pack owns its
             // destination bit row.
             unsafe { pack_row(li, bits, m.slot, m.row, w, wpr) };
         }
-        for m in &l.unpacks[sub_range(&range, np, skip(l.cone_unpacks), l.unpacks.len())] {
+        for m in &l.unpacks[sub_range(&range, np, l.unpacks.len())] {
             // SAFETY: caller contract — rows in bounds, unpack owns its
             // destination wide row (a packed op's slot, which no wide
             // op writes).
@@ -804,8 +654,8 @@ impl SpecProgram {
     }
 
     /// Evaluates phase-B instructions `range` of layer `i` (flat
-    /// order: fused wide bodies, fallback kernels, then packed bodies)
-    /// through raw pointers; `skip_cone` as in [`Self::eval_phase_a`].
+    /// order: wide lane kernels, then packed bodies) through raw
+    /// pointers.
     ///
     /// # Safety
     ///
@@ -813,7 +663,6 @@ impl SpecProgram {
     /// contract for the wide portion. Phase-B instructions write
     /// disjoint rows and read only rows sealed by phase A or earlier
     /// layers.
-    #[allow(clippy::too_many_arguments)]
     pub unsafe fn eval_phase_b(
         &self,
         i: usize,
@@ -821,24 +670,17 @@ impl SpecProgram {
         w: LaneWindow,
         bits: *mut u64,
         range: Range<usize>,
-        skip_cone: bool,
         buf: &mut Vec<u64>,
     ) {
         let l = &self.layers[i];
-        let (nf, ns) = (l.fast.len(), l.slow.len());
-        let skip = |cone: usize| if skip_cone { cone } else { 0 };
+        let nw = l.wide.len();
         let wpr = Self::words_per_row(w.stride);
         let aw = w.active.div_ceil(64);
-        for inst in &l.fast[sub_range(&range, 0, skip(l.cone_fast), nf)] {
-            // SAFETY: caller contract matches the `WideInst::eval`
-            // contract (same row-disjointness argument).
-            unsafe { inst.eval(li, w) };
-        }
-        for op in &l.slow[sub_range(&range, nf, skip(l.cone_slow), ns)] {
+        for op in &l.wide[sub_range(&range, 0, nw)] {
             // SAFETY: caller contract matches `eval_lanes_ptr`'s.
             unsafe { op.eval_lanes_ptr(li, w, buf) };
         }
-        for b in &l.bits[sub_range(&range, nf + ns, skip(l.cone_bits), l.bits.len())] {
+        for b in &l.bits[sub_range(&range, nw, l.bits.len())] {
             let (d0, a0, b0, c0) = (
                 b.d as usize * wpr,
                 b.a as usize * wpr,
@@ -867,350 +709,11 @@ impl SpecProgram {
 }
 
 /// The part of a phase's flat instruction range `r` that falls in a list
-/// occupying flat positions `[start, start + len)`, minus the list's
-/// first `skip` entries — as indices into the list.
-fn sub_range(r: &Range<usize>, start: usize, skip: usize, len: usize) -> Range<usize> {
-    let (first, end) = (start + skip, start + len);
-    r.start.clamp(first, end) - start..r.end.clamp(first, end) - start
-}
-
-/// Lowers an op to the fused flat bytecode, or `None` when no fused
-/// body exists (variable arity, division — whose zero-checked bodies
-/// would not vectorize anyway) and the op must fall back to its
-/// compiled per-op kernel. The body semantics mirror the compiled
-/// kernels case for case; equivalence is pinned by the differential
-/// proptests.
-fn lower_wide(op: &OpInst) -> Option<WideInst> {
-    use DfgOp::*;
-    let body = match (op.op(), op.ins.len()) {
-        (Const, 0) => Some(WideBody::Const),
-        (Add, 2) => Some(WideBody::Add),
-        (Sub, 2) => Some(WideBody::Sub),
-        (Mul, 2) => Some(WideBody::Mul),
-        (And, 2) => Some(WideBody::And),
-        (Or, 2) => Some(WideBody::Or),
-        (Xor, 2) => Some(WideBody::Xor),
-        (Ltu, 2) => Some(WideBody::Ltu),
-        (Lts, 2) => Some(WideBody::Lts),
-        (Leu, 2) => Some(WideBody::Leu),
-        (Les, 2) => Some(WideBody::Les),
-        (Gtu, 2) => Some(WideBody::Gtu),
-        (Gts, 2) => Some(WideBody::Gts),
-        (Geu, 2) => Some(WideBody::Geu),
-        (Ges, 2) => Some(WideBody::Ges),
-        (Eq, 2) => Some(WideBody::Eq),
-        (Neq, 2) => Some(WideBody::Neq),
-        (Dshl, 2) => Some(WideBody::Dshl),
-        (Dshr, 2) => Some(WideBody::Dshr),
-        (Cat, 2) => Some(WideBody::Cat),
-        (ValidIf, 2) => Some(WideBody::ValidIf),
-        (Not, 1) => Some(WideBody::Not),
-        (Neg, 1) => Some(WideBody::Neg),
-        (Andr, 1) => Some(WideBody::Andr),
-        (Orr, 1) => Some(WideBody::Orr),
-        (Xorr, 1) => Some(WideBody::Xorr),
-        (Shl, 1) => Some(WideBody::Shl),
-        (Shr, 1) => Some(WideBody::Shr),
-        (Bits, 1) => Some(WideBody::Bits),
-        (Head, 1) => Some(WideBody::Head),
-        (Resize, 1) | (Identity, 1) => Some(WideBody::Resize),
-        (Mux, 3) => Some(WideBody::Mux),
-        _ => None,
-    };
-    let body = body?;
-    let width = (op.width as u32).clamp(1, 64);
-    let p0 = op.params.first().copied().unwrap_or(0);
-    let max_slot = op
-        .ins
-        .iter()
-        .copied()
-        .chain(std::iter::once(op.out))
-        .max()
-        .expect("chain is non-empty");
-    Some(WideInst {
-        body,
-        out: op.out,
-        a: op.ins.first().copied().unwrap_or(0),
-        b: op.ins.get(1).copied().unwrap_or(0),
-        c: op.ins.get(2).copied().unwrap_or(0),
-        p0: if op.op() == Const {
-            canonicalize(p0, width, op.signed)
-        } else {
-            p0
-        },
-        p1: op.params.get(1).copied().unwrap_or(0),
-        msk: mask(width),
-        sh: 64 - width,
-        signed: op.signed,
-        max_slot,
-    })
-}
-
-/// Lanes staged per chunk: enough for two 512-bit vectors, small enough
-/// that the local arrays stay in registers.
-const CHUNK: usize = 8;
-
-/// Runs a unary fused body over the active lanes, staging each 8-lane
-/// chunk through local arrays — separate load / compute / store loops
-/// LLVM can vectorize without aliasing proofs (lanewise semantics make
-/// the staging exact even if the output row aliases an operand row).
-///
-/// # Safety
-///
-/// As [`CompiledOp::eval_lanes_ptr`]: `li` spans `>= g.max_slot + 1`
-/// rows of `w.stride` lanes, `w.active <= w.stride`, and the output row
-/// is the caller's alone.
-#[inline(always)]
-unsafe fn w_run1(li: *mut u64, g: &WideInst, w: LaneWindow, f: impl Fn(u64) -> u64) {
-    // SAFETY: rows `g.a`/`g.out` are `<= g.max_slot`, every offset
-    // `row * w.stride + lane` with `lane < w.active <= w.stride` is in
-    // bounds per the caller contract.
-    unsafe {
-        let po = li.add(g.out as usize * w.stride);
-        let pa = li.add(g.a as usize * w.stride);
-        let n = w.active;
-        let mut lane = 0;
-        while lane + CHUNK <= n {
-            let mut va = [0u64; CHUNK];
-            for (k, v) in va.iter_mut().enumerate() {
-                *v = *pa.add(lane + k);
-            }
-            let mut vo = [0u64; CHUNK];
-            for (k, o) in vo.iter_mut().enumerate() {
-                *o = f(va[k]);
-            }
-            for (k, o) in vo.iter().enumerate() {
-                *po.add(lane + k) = *o;
-            }
-            lane += CHUNK;
-        }
-        while lane < n {
-            *po.add(lane) = f(*pa.add(lane));
-            lane += 1;
-        }
-    }
-}
-
-/// Runs a binary fused body over the active lanes, 8-lane staged.
-///
-/// # Safety
-///
-/// As [`w_run1`].
-#[inline(always)]
-unsafe fn w_run2(li: *mut u64, g: &WideInst, w: LaneWindow, f: impl Fn(u64, u64) -> u64) {
-    // SAFETY: as `w_run1`, with `g.b` also `<= g.max_slot`.
-    unsafe {
-        let po = li.add(g.out as usize * w.stride);
-        let pa = li.add(g.a as usize * w.stride);
-        let pb = li.add(g.b as usize * w.stride);
-        let n = w.active;
-        let mut lane = 0;
-        while lane + CHUNK <= n {
-            let mut va = [0u64; CHUNK];
-            let mut vb = [0u64; CHUNK];
-            for (k, v) in va.iter_mut().enumerate() {
-                *v = *pa.add(lane + k);
-            }
-            for (k, v) in vb.iter_mut().enumerate() {
-                *v = *pb.add(lane + k);
-            }
-            let mut vo = [0u64; CHUNK];
-            for (k, o) in vo.iter_mut().enumerate() {
-                *o = f(va[k], vb[k]);
-            }
-            for (k, o) in vo.iter().enumerate() {
-                *po.add(lane + k) = *o;
-            }
-            lane += CHUNK;
-        }
-        while lane < n {
-            *po.add(lane) = f(*pa.add(lane), *pb.add(lane));
-            lane += 1;
-        }
-    }
-}
-
-/// Runs the ternary fused body (mux) over the active lanes, 8-lane
-/// staged.
-///
-/// # Safety
-///
-/// As [`w_run1`].
-#[inline(always)]
-unsafe fn w_run3(li: *mut u64, g: &WideInst, w: LaneWindow, f: impl Fn(u64, u64, u64) -> u64) {
-    // SAFETY: as `w_run1`, with `g.b`/`g.c` also `<= g.max_slot`.
-    unsafe {
-        let po = li.add(g.out as usize * w.stride);
-        let pa = li.add(g.a as usize * w.stride);
-        let pb = li.add(g.b as usize * w.stride);
-        let pc = li.add(g.c as usize * w.stride);
-        let n = w.active;
-        let mut lane = 0;
-        while lane + CHUNK <= n {
-            let mut va = [0u64; CHUNK];
-            let mut vb = [0u64; CHUNK];
-            let mut vc = [0u64; CHUNK];
-            for (k, v) in va.iter_mut().enumerate() {
-                *v = *pa.add(lane + k);
-            }
-            for (k, v) in vb.iter_mut().enumerate() {
-                *v = *pb.add(lane + k);
-            }
-            for (k, v) in vc.iter_mut().enumerate() {
-                *v = *pc.add(lane + k);
-            }
-            let mut vo = [0u64; CHUNK];
-            for (k, o) in vo.iter_mut().enumerate() {
-                *o = f(va[k], vb[k], vc[k]);
-            }
-            for (k, o) in vo.iter().enumerate() {
-                *po.add(lane + k) = *o;
-            }
-            lane += CHUNK;
-        }
-        while lane < n {
-            *po.add(lane) = f(*pa.add(lane), *pb.add(lane), *pc.add(lane));
-            lane += 1;
-        }
-    }
-}
-
-impl WideInst {
-    /// Evaluates this instruction over the active lanes.
-    ///
-    /// # Safety
-    ///
-    /// As [`CompiledOp::eval_lanes_ptr`] (the caller contract
-    /// [`SpecProgram::eval_phase_b`] documents).
-    #[inline]
-    unsafe fn eval(&self, li: *mut u64, w: LaneWindow) {
-        debug_assert!(w.active <= w.stride, "lane window outgrew its stride");
-        debug_assert!(self.a.max(self.b).max(self.c).max(self.out) <= self.max_slot);
-        if self.signed {
-            // SAFETY: forwarded caller contract; sign-extending canon.
-            unsafe { self.eval_canon(li, w, |raw, m, s| (((raw & m) << s) as i64 >> s) as u64) }
-        } else {
-            // SAFETY: forwarded caller contract; masking canon.
-            unsafe { self.eval_canon(li, w, |raw, m, _| raw & m) }
-        }
-    }
-
-    /// Dispatches the body with the canonicalization closure folded in.
-    /// The match runs once per instruction; each arm instantiates a
-    /// chunk-staged loop whose body LLVM vectorizes.
-    ///
-    /// # Safety
-    ///
-    /// As [`Self::eval`].
-    #[inline(always)]
-    unsafe fn eval_canon(
-        &self,
-        li: *mut u64,
-        w: LaneWindow,
-        canon: impl Fn(u64, u64, u32) -> u64 + Copy,
-    ) {
-        let g = self;
-        let (m, s) = (g.msk, g.sh);
-        let c = move |raw: u64| canon(raw, m, s);
-        // Loop-invariant parameter folds, hoisted out of the closures.
-        let (p0, p1) = (g.p0, g.p1);
-        // SAFETY: every arm forwards the caller contract to a driver.
-        unsafe {
-            match g.body {
-                WideBody::Add => w_run2(li, g, w, move |a, b| c(a.wrapping_add(b))),
-                WideBody::Sub => w_run2(li, g, w, move |a, b| c(a.wrapping_sub(b))),
-                WideBody::Mul => w_run2(li, g, w, move |a, b| c(a.wrapping_mul(b))),
-                WideBody::And => w_run2(li, g, w, move |a, b| c(a & b)),
-                WideBody::Or => w_run2(li, g, w, move |a, b| c(a | b)),
-                WideBody::Xor => w_run2(li, g, w, move |a, b| c(a ^ b)),
-                WideBody::Ltu => w_run2(li, g, w, move |a, b| c((a < b) as u64)),
-                WideBody::Lts => w_run2(li, g, w, move |a, b| c(((a as i64) < (b as i64)) as u64)),
-                WideBody::Leu => w_run2(li, g, w, move |a, b| c((a <= b) as u64)),
-                WideBody::Les => w_run2(li, g, w, move |a, b| c(((a as i64) <= (b as i64)) as u64)),
-                WideBody::Gtu => w_run2(li, g, w, move |a, b| c((a > b) as u64)),
-                WideBody::Gts => w_run2(li, g, w, move |a, b| c(((a as i64) > (b as i64)) as u64)),
-                WideBody::Geu => w_run2(li, g, w, move |a, b| c((a >= b) as u64)),
-                WideBody::Ges => w_run2(li, g, w, move |a, b| c(((a as i64) >= (b as i64)) as u64)),
-                WideBody::Eq => w_run2(li, g, w, move |a, b| c((a == b) as u64)),
-                WideBody::Neq => w_run2(li, g, w, move |a, b| c((a != b) as u64)),
-                WideBody::Dshl => w_run2(li, g, w, move |a, b| {
-                    c((a << (b & 63)) & ((b < 64) as u64).wrapping_neg())
-                }),
-                WideBody::Dshr => w_run2(li, g, w, move |a, b| c(((a as i64) >> b.min(63)) as u64)),
-                WideBody::Cat => {
-                    // p0/p1 = operand widths, truncated to u32 exactly
-                    // as the compiled kernel does; wb >= 64 passes b.
-                    let (ma, mb, wb) = (mask(p0 as u32), mask(p1 as u32), p1 as u32);
-                    if wb >= 64 {
-                        w_run2(li, g, w, move |_, b| c(b));
-                    } else {
-                        w_run2(li, g, w, move |a, b| c(((a & ma) << wb) | (b & mb)));
-                    }
-                }
-                WideBody::ValidIf => {
-                    w_run2(
-                        li,
-                        g,
-                        w,
-                        move |a, b| c(b & ((a != 0) as u64).wrapping_neg()),
-                    )
-                }
-                WideBody::Not => w_run1(li, g, w, move |a| c(!a)),
-                WideBody::Neg => w_run1(li, g, w, move |a| c(a.wrapping_neg())),
-                WideBody::Andr => {
-                    let m0 = mask(p0 as u32);
-                    w_run1(li, g, w, move |a| c(((a & m0) == m0) as u64));
-                }
-                WideBody::Orr => w_run1(li, g, w, move |a| c((a != 0) as u64)),
-                WideBody::Xorr => {
-                    let m0 = mask(p0 as u32);
-                    w_run1(li, g, w, move |a| c(((a & m0).count_ones() & 1) as u64));
-                }
-                WideBody::Shl => {
-                    let n = p0 as u32; // truncated before the range check
-                    let keep = ((n < 64) as u64).wrapping_neg();
-                    w_run1(li, g, w, move |a| c((a << (n & 63)) & keep));
-                }
-                WideBody::Shr => {
-                    let n = (p0 as u32).min(63);
-                    w_run1(li, g, w, move |a| c(((a as i64) >> n) as u64));
-                }
-                WideBody::Bits => {
-                    // p0/p1 = hi/lo bit indices.
-                    let bm = mask((p0 - p1 + 1) as u32);
-                    w_run1(li, g, w, move |a| c((a >> p1) & bm));
-                }
-                WideBody::Head => {
-                    // p0/p1 = n / operand width.
-                    let hm = mask(p1 as u32);
-                    let hs = p1 - p0;
-                    w_run1(li, g, w, move |a| c((a & hm) >> hs));
-                }
-                WideBody::Resize => w_run1(li, g, w, c),
-                WideBody::Mux => w_run3(li, g, w, move |sel, t, f| {
-                    let keep = ((sel != 0) as u64).wrapping_neg();
-                    c((t & keep) | (f & !keep))
-                }),
-                WideBody::Const => {
-                    // p0 already holds the canonical value.
-                    let po = li.add(g.out as usize * w.stride);
-                    for lane in 0..w.active {
-                        *po.add(lane) = p0;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Stable-partitions `v` cone-first and returns the cone prefix length.
-fn partition_cone<T: Clone>(v: &mut Vec<T>, is_cone: impl Fn(&T) -> bool) -> usize {
-    let (cone, rest): (Vec<T>, Vec<T>) = v.iter().cloned().partition(|t| is_cone(t));
-    let n = cone.len();
-    v.clear();
-    v.extend(cone);
-    v.extend(rest);
-    n
+/// occupying flat positions `[start, start + len)`, as indices into the
+/// list.
+fn sub_range(r: &Range<usize>, start: usize, len: usize) -> Range<usize> {
+    let end = start + len;
+    r.start.clamp(start, end) - start..r.end.clamp(start, end) - start
 }
 
 /// Gathers bit 0 of a wide `LI` row into a bit-plane row over the
@@ -1288,15 +791,14 @@ mod tests {
         li: &mut [u64],
         w: LaneWindow,
         bits: &mut [u64],
-        skip_cone: bool,
         buf: &mut Vec<u64>,
     ) {
         let (li, bits) = (li.as_mut_ptr(), bits.as_mut_ptr());
         // SAFETY: exclusive borrows sized by the caller (`bits` holds
         // `bits_len(w.stride)` words), phases in program order.
         unsafe {
-            prog.eval_phase_a(i, li, w, bits, 0..prog.phase_a_len(i), skip_cone);
-            prog.eval_phase_b(i, li, w, bits, 0..prog.phase_b_len(i), skip_cone, buf);
+            prog.eval_phase_a(i, li, w, bits, 0..prog.phase_a_len(i));
+            prog.eval_phase_b(i, li, w, bits, 0..prog.phase_b_len(i), buf);
         }
     }
 
@@ -1503,7 +1005,7 @@ circuit Dense :
     fn shallow_control_fragments_are_pruned_back_to_the_wide_walk() {
         // CONTROL's interior is six 1-bit ops behind six boundary
         // moves — packing it would add gather/scatter traffic the
-        // fused wide walk outruns, so the profitability pass drops the
+        // wide walk outruns, so the profitability pass drops the
         // whole cluster and the program stays all-wide.
         let p = with_anonymous_wires(plan_of(CONTROL));
         let sp = specialize(&p);
@@ -1549,7 +1051,7 @@ circuit Dense :
                 }
                 golden.step();
                 for i in 0..prog.num_layers() {
-                    eval_layer(&prog, i, &mut li, w, &mut bits, false, &mut buf);
+                    eval_layer(&prog, i, &mut li, w, &mut bits, &mut buf);
                 }
                 for (k, &(_, src)) in staged.iter().enumerate() {
                     let s0 = src as usize * lanes;
@@ -1585,69 +1087,6 @@ circuit Dense :
     }
 
     #[test]
-    fn cone_skip_is_exact_while_inputs_hold() {
-        let p = with_anonymous_wires(plan_of(DENSE));
-        let sp = specialize(&p);
-        let prog = SpecProgram::build(&sp.plan, true);
-        assert!(prog.cone_ops() > 0, "the design has an input cone");
-        const LANES: usize = 8;
-        let w = LaneWindow {
-            stride: LANES,
-            active: LANES,
-        };
-        let mut golden = BatchPlanSim::interpreted(&p, LANES);
-        let mut li = init_lanes(&sp.plan, LANES);
-        let mut bits = vec![0u64; prog.bits_len(LANES)];
-        let mut buf = Vec::new();
-        let (direct, staged) = split_commits(&sp.plan.commits);
-        let mut commit_buf = vec![0u64; staged.len() * LANES];
-        let mut rng = rand::rngs::StdRng::seed_from_u64(99);
-        let mut dirty = true;
-        for cycle in 0..120u64 {
-            // Re-drive inputs only every 10th cycle.
-            if cycle % 10 == 0 {
-                for idx in 0..p.input_slots.len() {
-                    for lane in 0..LANES {
-                        let v: u64 = rng.gen();
-                        golden.set_input(idx, lane, v);
-                        let (iw, is) = sp.plan.input_types[idx];
-                        li[sp.plan.input_slots[idx] as usize * LANES + lane] =
-                            crate::op::canonicalize(v, iw as u32, is);
-                    }
-                }
-                dirty = true;
-            }
-            golden.step();
-            let skip = !dirty;
-            for i in 0..prog.num_layers() {
-                eval_layer(&prog, i, &mut li, w, &mut bits, skip, &mut buf);
-            }
-            dirty = false;
-            for (k, &(_, src)) in staged.iter().enumerate() {
-                let s0 = src as usize * LANES;
-                commit_buf[k * LANES..(k + 1) * LANES].copy_from_slice(&li[s0..s0 + LANES]);
-            }
-            for &(dst, src) in &direct {
-                let (d0, s0) = (dst as usize * LANES, src as usize * LANES);
-                li.copy_within(s0..s0 + LANES, d0);
-            }
-            for (k, &(dst, _)) in staged.iter().enumerate() {
-                let d0 = dst as usize * LANES;
-                li[d0..d0 + LANES].copy_from_slice(&commit_buf[k * LANES..(k + 1) * LANES]);
-            }
-            for lane in 0..LANES {
-                for (name, slot, _) in &p.probes {
-                    assert_eq!(
-                        li[*slot as usize * LANES + lane],
-                        golden.slot(*slot, lane),
-                        "probe {name} lane {lane} @ {cycle}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn probed_one_bit_slots_stay_unpacked() {
         // `flag` is a probed register: its consumers may read a poked,
         // non-canonical word, so nothing downstream of it may assume
@@ -1663,10 +1102,10 @@ circuit Dense :
                 if observed.contains(&op.out) {
                     // Observed outs must appear among the wide ops of
                     // the program's layers.
-                    let found = prog.layers.iter().any(|l| {
-                        l.fast.iter().any(|g| g.out == op.out)
-                            || l.slow.iter().any(|c| c.out_slot() == op.out)
-                    });
+                    let found = prog
+                        .layers
+                        .iter()
+                        .any(|l| l.wide.iter().any(|c| c.out_slot() == op.out));
                     assert!(found, "observed slot {} stays wide", op.out);
                 }
             }

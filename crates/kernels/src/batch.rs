@@ -17,8 +17,9 @@
 //! → commit`. A classic kernel has one phase per layer, over the
 //! flattened `(partition, op)` range of [`CompiledLayer`] slices (each
 //! operation pre-lowered by `rteaal_dfg::lane_kernel` into an
-//! autovectorizable lane kernel); a specialized kernel has two (boundary
-//! moves, then bodies — see `rteaal_dfg::specialize`). Serial is the
+//! autovectorizable lane kernel); a specialized kernel adds a boundary
+//! move phase before the bodies of each layer that bit-packs (see
+//! `rteaal_dfg::specialize`). Serial is the
 //! `threads = 1` case of that loop (no barrier, no thread scope),
 //! unpartitioned the `P = 1` case. The interpreted
 //! [`OpInst::eval_lanes`] dispatch is retained behind
@@ -62,21 +63,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// [`split_commits`]).
 type PartCommits = (Vec<(u32, u32)>, Vec<(u32, u32)>);
 
-/// What the cycle loop's activity gates know about a state; every
-/// mutation site resets it to `Dirty` eagerly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Activity {
-    /// An input, poke, reset, window change, or lane permutation
-    /// happened since the last walk: nothing may be skipped.
-    Dirty,
-    /// Walked since: input-cone values are current (a specialized walk
-    /// may skip them); registers still move.
-    Clean,
-    /// As `Clean`, and the last commit changed no live-lane value: `LI`
-    /// is its own image under walk + commit — cycles are clock-only.
-    Settled,
-}
-
 /// The mutable batched simulation state: `B` lanes per `LI` slot, of
 /// which the `live` prefix is evaluated (lane-liveness early exit swaps
 /// finished lanes past the prefix and shrinks it).
@@ -114,12 +100,15 @@ pub struct BatchLiState {
     home: Vec<u32>,
     cycle: u64,
     /// Sidecar bit-plane matrix for a specialized kernel's packed rows
-    /// (`SpecProgram::bits_len` words, sized by each walk — a change of
-    /// kernel is a change of size, and re-dirties the state). Input-cone
-    /// rows persist across cycles — that persistence is what the cone
-    /// skip reuses.
+    /// (`SpecProgram::bits_len` words, sized by each walk). Scratch:
+    /// every row is rewritten in the cycle that reads it.
     bits: Vec<u64>,
-    activity: Activity,
+    /// The activity gate: the last commit changed no live-lane value and
+    /// nothing has touched the state since (no input, poke, reset, window
+    /// change, or lane permutation — every such site clears it eagerly),
+    /// so `LI` is its own image under walk + commit and cycles are
+    /// clock-only.
+    settled: bool,
     /// Operand staging for variable-arity ops (mux chains), kept here so
     /// a step never allocates; worker threads bring their own.
     scratch: Vec<u64>,
@@ -188,7 +177,7 @@ impl BatchLiState {
             home,
             cycle: 0,
             bits: Vec::new(),
-            activity: Activity::Dirty,
+            settled: false,
             scratch: Vec::with_capacity(8),
         }
     }
@@ -221,7 +210,7 @@ impl BatchLiState {
             self.lanes
         );
         self.live = live;
-        self.activity = Activity::Dirty;
+        self.settled = false;
     }
 
     /// The active evaluation window.
@@ -243,7 +232,7 @@ impl BatchLiState {
         for s0 in (0..self.li.len()).step_by(lanes) {
             self.li.swap(s0 + a, s0 + b);
         }
-        self.activity = Activity::Dirty;
+        self.settled = false;
     }
 
     /// Number of input ports.
@@ -256,7 +245,7 @@ impl BatchLiState {
         self.li.copy_from_slice(&self.init);
         self.live = self.lanes;
         self.cycle = 0;
-        self.activity = Activity::Dirty;
+        self.settled = false;
     }
 
     /// Resets one physical lane column to the power-on state — register
@@ -279,7 +268,7 @@ impl BatchLiState {
         for s0 in (0..self.li.len()).step_by(self.lanes) {
             self.li[s0 + phys] = self.init[s0 + phys];
         }
-        self.activity = Activity::Dirty;
+        self.settled = false;
     }
 
     /// Drives input port `idx` on one lane (canonicalized to the port
@@ -311,7 +300,7 @@ impl BatchLiState {
     }
 
     /// The one external write: `v` into lanes `[lo, hi)` of slot `s` in
-    /// every replica, disarming the activity gates. Through the raw
+    /// every replica, disarming the activity gate. Through the raw
     /// pointer rather than a slice borrow: inside a stimulus callback,
     /// parked workers hold pointers into this buffer, so no reference to
     /// it is materialized.
@@ -332,7 +321,7 @@ impl BatchLiState {
                 unsafe { *li.add(p * self.span + row + lane) = v };
             }
         }
-        self.activity = Activity::Dirty;
+        self.settled = false;
     }
 
     /// Output value of one lane, by port index.
@@ -374,20 +363,18 @@ impl BatchLiState {
     /// a register fixed point and nothing external has touched the state
     /// since, so further cycles only advance the clock.
     pub fn settled(&self) -> bool {
-        self.activity == Activity::Settled
+        self.settled
     }
 }
 
 /// What the workers of one walk share: the raw `LI` and bit-plane
-/// matrices, the replica stride, the lane window, and whether
-/// input-cone instructions may be skipped this cycle.
+/// matrices, the replica stride, and the lane window.
 #[derive(Clone, Copy)]
 struct Walk {
     li: *mut u64,
     bits: *mut u64,
     span: usize,
     w: LaneWindow,
-    skip_cone: bool,
 }
 
 // SAFETY: workers only touch disjoint rows between barriers (see
@@ -466,8 +453,8 @@ unsafe fn commit(cx: &Walk, commits: &[PartCommits], buf: &mut [u64], rum: &[Rum
 /// One barrier-delimited unit of a cycle's walk: a run of `len`
 /// instructions that write disjoint rows and read only rows sealed by
 /// earlier phases. A per-op kernel has one per layer, over the flattened
-/// `(partition, op)` range; a specialized kernel has two — the
-/// wide/packed boundary `moves`, then the bodies.
+/// `(partition, op)` range; a specialized kernel's layer that bit-packs
+/// has two — the wide/packed boundary `moves`, then the bodies.
 #[derive(Debug, Clone, Copy)]
 struct Phase {
     layer: usize,
@@ -537,7 +524,7 @@ pub struct BatchKernel {
     /// last being the layer's total) — maps a flattened work range back
     /// to per-partition slices.
     offsets: Vec<Vec<usize>>,
-    /// Superblock/bit-packing program of a specialized kernel
+    /// Bit-packing program of a specialized kernel
     /// ([`BatchKernel::compile_specialized`]).
     spec: Option<SpecProgram>,
     /// What a cycle walks, in order.
@@ -607,6 +594,8 @@ impl BatchKernel {
         };
         let phase = |layer, moves, len| Phase { layer, moves, len };
         let phases = match &spec {
+            // A layer without boundary moves gets no move phase, so a
+            // program that packs nothing walks one phase per layer.
             Some(prog) => (0..prog.num_layers())
                 .flat_map(|i| {
                     [
@@ -614,6 +603,7 @@ impl BatchKernel {
                         phase(i, false, prog.phase_b_len(i)),
                     ]
                 })
+                .filter(|ph| !ph.moves || ph.len > 0)
                 .collect(),
             None => (0..num_layers)
                 .map(|i| phase(i, false, offsets[i][offsets[i].len() - 1]))
@@ -630,11 +620,12 @@ impl BatchKernel {
         }
     }
 
-    /// Compiles a specialized plan ([`rteaal_dfg::specialize`]) into a
-    /// superblock kernel: the cycle walks the flat [`SpecProgram`]
-    /// bytecode — per layer a boundary-move phase and a body phase of
-    /// straight-line superblocks, bit-packed 64-lanes-per-word bodies
-    /// when `pack`, input-cone instructions skipped while inputs hold.
+    /// Compiles a specialized plan ([`rteaal_dfg::specialize`]): the
+    /// cycle walks its [`SpecProgram`] — per layer the same lane kernels
+    /// a per-op kernel runs, and when `pack`, bit-packed
+    /// 64-lanes-per-word bodies for the 1-bit interior wires that pay for
+    /// it, behind a boundary-move phase. Packing nothing, it walks the
+    /// phase list of [`Self::compile`] over the transformed plan.
     /// The transformed plan's layers are kept alongside (the profiled
     /// walk models them). Specialized kernels are unpartitioned; a
     /// RepCut decomposition consumes the transformed plan instead
@@ -655,7 +646,7 @@ impl BatchKernel {
         self.engine
     }
 
-    /// The superblock program of a specialized kernel, if any.
+    /// The packed program of a specialized kernel, if any.
     pub fn specialized(&self) -> Option<&SpecProgram> {
         self.spec.as_ref()
     }
@@ -694,10 +685,8 @@ impl BatchKernel {
         // SAFETY: each arm forwards the caller contract unchanged.
         unsafe {
             match (&self.spec, moves) {
-                (Some(prog), true) => prog.eval_phase_a(i, cx.li, cx.w, cx.bits, r, cx.skip_cone),
-                (Some(prog), false) => {
-                    prog.eval_phase_b(i, cx.li, cx.w, cx.bits, r, cx.skip_cone, buf);
-                }
+                (Some(prog), true) => prog.eval_phase_a(i, cx.li, cx.w, cx.bits, r),
+                (Some(prog), false) => prog.eval_phase_b(i, cx.li, cx.w, cx.bits, r, buf),
                 (None, _) => {
                     let pref = &self.offsets[i];
                     for p in 0..self.layers.len() {
@@ -771,8 +760,7 @@ impl BatchKernel {
     }
 
     /// Checks the kernel/state pairing, sizes the bit-plane sidecar, and
-    /// captures the pointers and window a walk shares (skipping nothing:
-    /// whoever may skip the input cone says so per walk).
+    /// captures the pointers and window a walk shares.
     fn walk_context(&self, st: &mut BatchLiState) -> Walk {
         assert_eq!(
             self.layers.len(),
@@ -780,18 +768,12 @@ impl BatchKernel {
             "kernel/state partition mismatch"
         );
         let need = self.spec.as_ref().map_or(0, |p| p.bits_len(st.lanes));
-        if st.bits.len() != need {
-            // Another kernel walked this state last: the packed input-cone
-            // rows are not this program's, so nothing may be skipped.
-            st.bits.resize(need, 0);
-            st.activity = Activity::Dirty;
-        }
+        st.bits.resize(need, 0);
         Walk {
             li: st.li.as_mut_ptr(),
             bits: st.bits.as_mut_ptr(),
             span: st.span,
             w: st.window(),
-            skip_cone: false,
         }
     }
 
@@ -810,7 +792,7 @@ impl BatchKernel {
         mut after_layer: impl FnMut(usize),
     ) {
         let threads = threads.max(1);
-        let base = self.walk_context(st);
+        let cx = self.walk_context(st);
         let whole = [Segment::Serial(0, self.phases.len())];
         let split = if threads > 1 {
             schedule(self.phases.iter().map(|ph| ph.len), st.lanes)
@@ -824,16 +806,12 @@ impl BatchKernel {
         let mut lead = |barrier: Option<&SpinBarrier>| {
             for _ in 0..cycles {
                 stimulus(st.cycle, &mut LanePoker { st });
-                if st.activity != Activity::Settled {
-                    let cx = Walk {
-                        skip_cone: st.activity != Activity::Dirty,
-                        ..base
-                    };
+                if !st.settled {
                     if let Some(barrier) = barrier {
                         barrier.wait(); // open the compute phase
                     }
                     let buf = &mut st.scratch;
-                    // SAFETY: `base` was captured from this state; every
+                    // SAFETY: `cx` was captured from this state; every
                     // worker walks `segments` in lockstep; after the
                     // walk's last barrier the others are parked at the
                     // next opening barrier — the commit's
@@ -842,11 +820,7 @@ impl BatchKernel {
                         self.walk(&cx, segments, 0, threads, barrier, buf, &mut after_layer);
                         commit(&cx, &st.commits, &mut st.commit_buf, &st.rum)
                     };
-                    st.activity = if changed {
-                        Activity::Clean
-                    } else {
-                        Activity::Settled
-                    };
+                    st.settled = !changed;
                 }
                 st.cycle += 1;
             }
@@ -859,12 +833,6 @@ impl BatchKernel {
             for worker in 1..threads {
                 let (barrier, done) = (&barrier, &done);
                 scope.spawn(move || {
-                    // Capture the whole `Send` context, not its raw
-                    // fields (edition-2021 closures capture disjointly).
-                    // Only worker 0 ever skips input-cone instructions;
-                    // any mix is sound — a cone row already holds what a
-                    // recompute would write.
-                    let cx = base;
                     let mut buf = Vec::with_capacity(8);
                     loop {
                         barrier.wait(); // a cycle to walk, or the end
@@ -927,7 +895,7 @@ impl BatchKernel {
         mem: &mut MemSim,
         profile: &mut ExecProfile,
     ) -> Vec<LayerSample> {
-        st.activity = st.activity.min(Activity::Clean);
+        st.settled = false;
         let (live, lanes, span) = (st.live, st.lanes, st.span);
         // Address of one lane of a slot in replica `p` of the slot-major
         // batched `LI` matrix (8 bytes per lane element).
@@ -995,15 +963,11 @@ impl BatchKernel {
     /// observe a halt signal that is combinationally true the moment a
     /// testbench is admitted, before spending a cycle on it.
     pub fn eval_comb(&self, st: &mut BatchLiState) {
-        let mut cx = self.walk_context(st);
-        cx.skip_cone = st.activity != Activity::Dirty;
+        let cx = self.walk_context(st);
         let whole = [Segment::Serial(0, self.phases.len())];
         // SAFETY: `cx` was just captured from this exclusively borrowed
         // state, and a one-worker walk seals phases by program order.
         unsafe { self.walk(&cx, &whole, 0, 1, None, &mut st.scratch, |_| {}) };
-        // The cone now reflects the current inputs; a fixed point, if
-        // one was established, still stands.
-        st.activity = st.activity.max(Activity::Clean);
     }
 
     /// `cycles` cycles on the active lanes, single-threaded.
@@ -1253,9 +1217,7 @@ circuit Wide :
             let mut gold = BatchLiState::new(&p, LANES);
             let mut rng = rand::rngs::StdRng::seed_from_u64(0xC0DE + pack as u64);
             for cycle in 0..160u64 {
-                // Drive inputs only every third cycle: held-input cycles
-                // exercise the input-cone skip against a walk that never
-                // skips.
+                // Drive inputs only every third cycle.
                 if cycle % 3 == 0 {
                     for lane in 0..LANES {
                         let (x, sel) = (rng.gen(), rng.gen());
@@ -1304,6 +1266,26 @@ circuit Wide :
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_program_without_moves_walks_one_phase_per_layer() {
+        let p = anonymized(plan_of(DESIGN));
+        let sp = rteaal_dfg::specialize(&p);
+        let cfg = KernelConfig::new(KernelKind::Psu);
+        let spec = BatchKernel::compile_specialized(&sp, cfg, true);
+        let prog = spec.specialized().expect("a packed program");
+        assert_eq!(prog.boundary_moves(), (0, 0), "DESIGN packs nothing");
+        // No empty move phase, hence no second barrier per layer: the
+        // phase list of the per-op kernel over the same plan.
+        let shape = |k: &BatchKernel| -> Vec<(usize, bool, usize)> {
+            k.phases
+                .iter()
+                .map(|ph| (ph.layer, ph.moves, ph.len))
+                .collect()
+        };
+        assert_eq!(shape(&spec), shape(&BatchKernel::compile(&sp.plan, cfg)));
+        assert_eq!(spec.phases.len(), sp.plan.layers.len());
     }
 
     #[test]

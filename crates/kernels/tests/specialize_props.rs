@@ -284,24 +284,25 @@ circuit M :
 ";
 
 /// One state, two kernels: a specialized kernel taking over a state a
-/// compiled kernel has walked must not trust cone rows of a bit-plane
-/// matrix it never filled (nor the reverse hand-over anything else).
+/// compiled kernel has walked must not depend on rows of a bit-plane
+/// matrix it did not fill this cycle (nor the reverse hand-over on
+/// anything else).
 #[test]
 fn kernels_can_hand_a_state_to_each_other() {
     let p = anonymized(plan_of(MIXED));
     let sp = specialize(&p);
     let cfg = KernelConfig::new(KernelKind::Psu);
     let spec = BatchKernel::compile_specialized(&sp, cfg, true);
-    let packed = spec.specialized().expect("a superblock program");
+    let packed = spec.specialized().expect("a packed program");
     assert!(packed.bit_rows() > 0, "the control interior packs");
     let plain = BatchKernel::compile(&sp.plan, cfg);
     let obs = observables(&p);
     const LANES: usize = 4;
     let mut st = BatchLiState::new(&sp.plan, LANES);
     let mut golden = BatchPlanSim::interpreted(&p, LANES);
-    // Inputs change only under the compiled kernel: every specialized
-    // walk may skip the input cone — if the cone rows are its own, and
-    // not the ones it left behind two rounds (and one input value) ago.
+    // Inputs change only under the compiled kernel: the packed rows the
+    // specialized kernel left behind two rounds (and one input value)
+    // ago are stale, and every one of its walks must repack them.
     for (round, kernel) in [&plain, &spec, &plain, &spec].into_iter().enumerate() {
         for lane in (0..LANES).filter(|_| round % 2 == 0) {
             for (idx, v) in [(0, (lane + round) as u64 >> 1 & 1), (1, lane as u64 & 1)] {

@@ -70,11 +70,6 @@ pub struct SchedStats {
     pub cycles: u64,
     /// Sum over stepped cycles of occupied lanes — the useful work.
     pub busy_lane_cycles: u64,
-    /// Per-partition busy-lane cycles: entry `p` counts the occupied
-    /// lanes partition replica `p` evaluated, summed over stepped
-    /// cycles. Empty until the first stepped cycle; a single entry on an
-    /// unpartitioned engine.
-    pub partition_busy_cycles: Vec<u64>,
     /// Jobs admitted into lanes.
     pub admitted: usize,
     /// Jobs whose halt condition fired within budget.
@@ -87,8 +82,7 @@ pub struct SchedStats {
 
 impl SchedStats {
     /// Folds another scheduler's counters into this one (the
-    /// multi-worker aggregation the serve layer reports). Partition
-    /// counters merge element-wise, widening to the longer vector.
+    /// multi-worker aggregation the serve layer reports).
     pub fn merge(&mut self, other: &SchedStats) {
         // Saturating throughout: counters merged across many long-lived
         // workers can approach `u64::MAX`, and a wrapped counter turns
@@ -96,13 +90,6 @@ impl SchedStats {
         // upper bound.
         self.cycles = self.cycles.saturating_add(other.cycles);
         self.busy_lane_cycles = self.busy_lane_cycles.saturating_add(other.busy_lane_cycles);
-        if self.partition_busy_cycles.len() < other.partition_busy_cycles.len() {
-            self.partition_busy_cycles
-                .resize(other.partition_busy_cycles.len(), 0);
-        }
-        for (p, &c) in other.partition_busy_cycles.iter().enumerate() {
-            self.partition_busy_cycles[p] = self.partition_busy_cycles[p].saturating_add(c);
-        }
         self.admitted = self.admitted.saturating_add(other.admitted);
         self.completed = self.completed.saturating_add(other.completed);
         self.evicted = self.evicted.saturating_add(other.evicted);
@@ -208,8 +195,7 @@ impl Scheduler {
     /// specialized ([`rteaal_core::Specialization`]), or both.
     /// Scheduling behavior — admission, harvest, eviction, lane
     /// recycling, halt detection, peeks and pokes — is bit-identical
-    /// across every engine shape; [`SchedStats::partition_busy_cycles`]
-    /// additionally tracks each partition's share of the work.
+    /// across every engine shape.
     ///
     /// # Errors
     ///
@@ -425,14 +411,6 @@ impl Scheduler {
                 break;
             }
             self.stats.busy_lane_cycles += busy;
-            if self.stats.partition_busy_cycles.len() < self.sim.partitions() {
-                self.stats
-                    .partition_busy_cycles
-                    .resize(self.sim.partitions(), 0);
-            }
-            for c in &mut self.stats.partition_busy_cycles {
-                *c += busy;
-            }
             self.sim.step();
             self.stats.cycles += 1;
             stepped += 1;
@@ -709,7 +687,6 @@ circuit H :
         let b = SchedStats {
             cycles: 100,
             busy_lane_cycles: 200,
-            partition_busy_cycles: vec![u64::MAX, 7],
             admitted: 5,
             completed: 3,
             ..SchedStats::default()
@@ -719,11 +696,6 @@ circuit H :
         assert_eq!(a.busy_lane_cycles, u64::MAX);
         assert_eq!(a.admitted, usize::MAX);
         assert_eq!(a.completed, 3);
-        assert_eq!(
-            a.partition_busy_cycles,
-            vec![u64::MAX, 7],
-            "widened element-wise"
-        );
         // And the pegged counters can never produce NaN/inf/out-of-range
         // utilization, whatever the lane count.
         for lanes in [0usize, 1, 3, 64, usize::MAX] {
@@ -1081,16 +1053,7 @@ circuit H :
             assert_eq!(outs, flat, "{parts} partitions");
             assert_eq!(stats.cycles, flat_stats.cycles);
             assert_eq!(stats.busy_lane_cycles, flat_stats.busy_lane_cycles);
-            // Every partition replica stepped the same occupied lanes.
-            assert_eq!(stats.partition_busy_cycles.len(), parts);
-            for &p in &stats.partition_busy_cycles {
-                assert_eq!(p, stats.busy_lane_cycles);
-            }
         }
-        assert_eq!(
-            flat_stats.partition_busy_cycles,
-            vec![flat_stats.busy_lane_cycles]
-        );
     }
 
     #[test]

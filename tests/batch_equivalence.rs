@@ -11,9 +11,10 @@ use rteaal_core::{
 };
 use rteaal_designs::rv32i::{asm::*, rv32i};
 use rteaal_designs::{sha3, Stimulus, Workload};
+use rteaal_dfg::specialize::{specialize, SpecProgram};
 use rteaal_dfg::{BatchPlanSim, SimPlan};
 use rteaal_firrtl::Circuit;
-use rteaal_kernels::{KernelConfig, KernelKind};
+use rteaal_kernels::{BatchKernel, BatchLiState, KernelConfig, KernelKind};
 
 /// A design under differential test: the circuit, the scalar kernel kind
 /// it compiles under, and the halt signal to watch (if any).
@@ -207,11 +208,12 @@ fn sha3_batch_matches_sequential_swizzled_vs_plain() {
     assert_batch_matches_sequential(sha3(), KernelKind::Iu, 2, 3, 40, 0xb005);
 }
 
-/// Runs the compiled-engine and interpreted-engine batch simulators of
+/// Runs the compiled batch kernel and the interpreted golden model of
 /// one design side by side under identical per-lane random stimulus and
 /// asserts the *entire* `LI` state matches slot-for-slot every cycle.
 fn assert_compiled_matches_interpreted(plan: &SimPlan, lanes: usize, cycles: u64, seed: u64) {
-    let mut compiled = BatchPlanSim::new(plan, lanes);
+    let kernel = BatchKernel::compile(plan, KernelConfig::new(KernelKind::Psu));
+    let mut compiled = BatchLiState::new(plan, lanes);
     let mut interpreted = BatchPlanSim::interpreted(plan, lanes);
     let mut streams: Vec<Stimulus> = (0..lanes)
         .map(|lane| Stimulus::from_seed(seed ^ (lane as u64) << 24))
@@ -224,15 +226,17 @@ fn assert_compiled_matches_interpreted(plan: &SimPlan, lanes: usize, cycles: u64
                 interpreted.set_input(idx, lane, v);
             }
         }
-        compiled.step();
+        kernel.step(&mut compiled);
         interpreted.step();
         for s in 0..plan.num_slots as u32 {
-            assert_eq!(
-                compiled.slot_lanes(s),
-                interpreted.slot_lanes(s),
-                "{} slot {s} @ cycle {cycle}",
-                plan.name
-            );
+            for lane in 0..lanes {
+                assert_eq!(
+                    compiled.slot(s, lane),
+                    interpreted.slot(s, lane),
+                    "{} slot {s} lane {lane} @ cycle {cycle}",
+                    plan.name
+                );
+            }
         }
     }
 }
@@ -351,5 +355,71 @@ fn every_engine_shape_is_bit_exact_on_rv32i_and_sha3() {
                 assert_bit_exact(&sha3, stim, config);
             }
         }
+    }
+}
+
+/// A control-dense design: a 17-deep chain of anonymous 1-bit ops over
+/// three shared sources feeding a toggling flag, next to a wide
+/// accumulator — an interior the bit-packer keeps (the boundary is four
+/// moves).
+fn dense_control() -> Circuit {
+    let mut chain = String::from("and(en, sel)");
+    for k in 0..16 {
+        let src = ["bits(x, 0, 0)", "en", "sel"][k % 3];
+        let op = ["or", "xor", "and"][k % 3];
+        chain = format!("{op}({chain}, {src})");
+    }
+    let src = format!(
+        "\
+circuit Dense :
+  module Dense :
+    input clock : Clock
+    input x : UInt<8>
+    input en : UInt<1>
+    input sel : UInt<1>
+    output out : UInt<8>
+    output hit : UInt<1>
+    reg acc : UInt<8>, clock
+    reg flag : UInt<1>, clock
+    acc <= tail(add(acc, x), 1)
+    flag <= xor(flag, {chain})
+    out <= acc
+    hit <= flag
+"
+    );
+    rteaal_firrtl::parser::parse(&src).expect("parses")
+}
+
+#[test]
+fn bit_packed_control_interior_is_bit_exact_at_64_lanes() {
+    // The sweep above runs 4 lanes, below the builder's 32-lane packing
+    // threshold, on designs that pack nothing anyway: this row is the
+    // tier-1 run of the packed bodies and the boundary-move phase.
+    const LANES: usize = 64;
+    let design = Design {
+        circuit: dense_control(),
+        kind: KernelKind::Psu,
+        halt: None,
+    };
+    // The program `BatchSimulation::build` lowers this design to.
+    let compiled = Compiler::new(KernelConfig::new(design.kind))
+        .compile(&design.circuit)
+        .expect("compiles");
+    assert!(
+        SpecProgram::build(&specialize(&compiled.plan).plan, true).bit_rows() > 0,
+        "the design no longer packs: this test would not run a packed body"
+    );
+    for threads in [1, 2] {
+        let config = EngineConfig {
+            threads,
+            specialization: Specialization::Auto,
+            ..EngineConfig::new(LANES)
+        };
+        let stim = Stim {
+            cycles: 60,
+            drive: &mut random(0xb007, LANES),
+            poke_state: Some((20, "flag", 37, 1)),
+        };
+        assert_bit_exact(&design, stim, config);
     }
 }
