@@ -670,7 +670,6 @@ impl SpecProgram {
         w: LaneWindow,
         bits: *mut u64,
         range: Range<usize>,
-        buf: &mut Vec<u64>,
     ) {
         let l = &self.layers[i];
         let nw = l.wide.len();
@@ -678,7 +677,7 @@ impl SpecProgram {
         let aw = w.active.div_ceil(64);
         for op in &l.wide[sub_range(&range, 0, nw)] {
             // SAFETY: caller contract matches `eval_lanes_ptr`'s.
-            unsafe { op.eval_lanes_ptr(li, w, buf) };
+            unsafe { op.eval_lanes_ptr(li, w) };
         }
         for b in &l.bits[sub_range(&range, nw, l.bits.len())] {
             let (d0, a0, b0, c0) = (
@@ -785,20 +784,13 @@ mod tests {
     }
 
     /// One layer single-threaded: all of phase A, then all of phase B.
-    fn eval_layer(
-        prog: &SpecProgram,
-        i: usize,
-        li: &mut [u64],
-        w: LaneWindow,
-        bits: &mut [u64],
-        buf: &mut Vec<u64>,
-    ) {
+    fn eval_layer(prog: &SpecProgram, i: usize, li: &mut [u64], w: LaneWindow, bits: &mut [u64]) {
         let (li, bits) = (li.as_mut_ptr(), bits.as_mut_ptr());
         // SAFETY: exclusive borrows sized by the caller (`bits` holds
         // `bits_len(w.stride)` words), phases in program order.
         unsafe {
             prog.eval_phase_a(i, li, w, bits, 0..prog.phase_a_len(i));
-            prog.eval_phase_b(i, li, w, bits, 0..prog.phase_b_len(i), buf);
+            prog.eval_phase_b(i, li, w, bits, 0..prog.phase_b_len(i));
         }
     }
 
@@ -1027,7 +1019,6 @@ circuit Dense :
             let mut golden = BatchPlanSim::interpreted(&p, lanes);
             let mut li = init_lanes(&sp.plan, lanes);
             let mut bits = vec![0u64; prog.bits_len(lanes)];
-            let mut buf = Vec::new();
             let (direct, staged) = split_commits(&sp.plan.commits);
             let mut commit_buf = vec![0u64; staged.len() * lanes];
             let mut rng = rand::rngs::StdRng::seed_from_u64(lanes as u64);
@@ -1051,7 +1042,7 @@ circuit Dense :
                 }
                 golden.step();
                 for i in 0..prog.num_layers() {
-                    eval_layer(&prog, i, &mut li, w, &mut bits, &mut buf);
+                    eval_layer(&prog, i, &mut li, w, &mut bits);
                 }
                 for (k, &(_, src)) in staged.iter().enumerate() {
                     let s0 = src as usize * lanes;

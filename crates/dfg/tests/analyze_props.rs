@@ -183,7 +183,7 @@ fn run_differential(plan: &SimPlan, lanes: usize, cycles: usize, seed: u64) -> R
                 op.eval_lanes(&mut li_int, w, &mut buf);
             }
             for op in clayer {
-                op.eval_lanes(&mut li_cmp, w, &mut buf);
+                op.eval_lanes(&mut li_cmp, w);
             }
         }
         if li_int != li_cmp {

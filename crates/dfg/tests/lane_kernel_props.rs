@@ -1,11 +1,14 @@
 //! Property-based differential test of the kernel-compilation stage:
 //! for every opcode × arity × random width/signedness, the compiled lane
-//! kernel's output row must be bit-identical to the interpreted
-//! `eval_raw` + `canonicalize` per lane, on arbitrary lane data and on
-//! partial (early-exit) lane windows.
+//! kernel of **every table the host supports** must produce an output
+//! row bit-identical to the interpreted `eval_raw` + `canonicalize` per
+//! lane — on operand lanes drawn from the classes that decide an op's
+//! outcome (a zero condition, equal operands, a zero divisor, an
+//! in-range shift), on aliased operand rows, on lane counts either side
+//! of every chunk boundary, and on partial (early-exit) lane windows.
 
 use proptest::prelude::*;
-use rteaal_dfg::lane_kernel::{CompiledOp, LaneWindow};
+use rteaal_dfg::lane_kernel::{CompiledOp, LaneIsa, LaneWindow};
 use rteaal_dfg::op::{canonicalize, eval_raw, DfgOp, ALL_OPS};
 use rteaal_dfg::OpInst;
 
@@ -16,6 +19,12 @@ fn evaluable_ops() -> Vec<DfgOp> {
         .copied()
         .filter(|op| !matches!(op, DfgOp::Input | DfgOp::RegState))
         .collect()
+}
+
+/// Lane counts: every tail length below a chunk, then one lane either
+/// side of two, four and eight 8-lane chunks.
+fn lane_counts() -> Vec<usize> {
+    (1..=12).chain([15, 16, 17, 31, 32, 33, 64, 65]).collect()
 }
 
 /// splitmix64 — dependent random values derived from one generated seed.
@@ -46,8 +55,55 @@ fn arity_and_params(op: DfgOp, seed: &mut u64) -> (usize, Vec<u64>) {
             (1, vec![n, wa])
         }
         DfgOp::Cat => (2, vec![1 + mix(seed) % 64, 1 + mix(seed) % 70]),
-        DfgOp::MuxChain => (3 + 2 * (mix(seed) % 4) as usize, vec![]),
+        DfgOp::MuxChain => (1 + 2 * (mix(seed) % 17) as usize, vec![]),
         _ => (op.arity().expect("fixed arity"), vec![]),
+    }
+}
+
+/// One op over slots `1..=arity` (output in slot 0) — one time in four
+/// with an operand row aliased to another (`add(a, a)`, `mux(c, x, x)`,
+/// a chain whose condition row is also a value row) — and a stimulus
+/// matrix whose every lane is drawn from {0, 1, all-ones, < 70, the
+/// same lane of the row above, uniform}.
+fn case(op: DfgOp, width: u32, signed: bool, lanes: usize, seed: &mut u64) -> (OpInst, Vec<u64>) {
+    let (arity, params) = arity_and_params(op, seed);
+    let alias = mix(seed).is_multiple_of(4);
+    let ins = (1..=arity as u32)
+        .map(|slot| match mix(seed) % 3 {
+            0 if alias => 1 + (mix(seed) % arity as u64) as u32,
+            _ => slot,
+        })
+        .collect();
+    let inst = OpInst {
+        n: op.n_coord(),
+        out: 0,
+        ins,
+        params,
+        width: width as u8,
+        signed,
+    };
+    let mut li = Vec::with_capacity((arity + 1) * lanes);
+    for i in 0..(arity + 1) * lanes {
+        li.push(match mix(seed) % 6 {
+            0 => 0,
+            1 => 1,
+            2 => u64::MAX,
+            3 => mix(seed) % 70,
+            4 if i >= lanes => li[i - lanes],
+            _ => mix(seed),
+        });
+    }
+    (inst, li)
+}
+
+/// The golden row: `eval_raw` + `canonicalize` per active lane.
+fn interpret(inst: &OpInst, li: &mut [u64], w: LaneWindow) {
+    let mut ins = Vec::with_capacity(inst.ins.len());
+    for lane in 0..w.active {
+        ins.clear();
+        ins.extend(inst.ins.iter().map(|&r| li[r as usize * w.stride + lane]));
+        let raw = eval_raw(inst.op(), &inst.params, &ins);
+        li[inst.out as usize * w.stride + lane] = canonicalize(raw, inst.width as u32, inst.signed);
     }
 }
 
@@ -59,42 +115,28 @@ proptest! {
         op in prop::sample::select(evaluable_ops()),
         width in 1u32..65,
         signed in any::<bool>(),
-        lanes in 1usize..12,
+        lanes in prop::sample::select(lane_counts()),
         seed in any::<u64>(),
     ) {
         let mut seed = seed;
-        let (arity, params) = arity_and_params(op, &mut seed);
-        let inst = OpInst {
-            n: op.n_coord(),
-            out: 0,
-            ins: (1..=arity as u32).collect(),
-            params,
-            width: width as u8,
-            signed,
-        };
-        let compiled = CompiledOp::compile(&inst);
-        prop_assert_eq!(compiled.out_slot(), 0);
-        let slots = arity + 1;
-        let li: Vec<u64> = (0..slots * lanes).map(|_| mix(&mut seed)).collect();
-        // Full window and a partial (early-exit) window.
+        let (inst, li) = case(op, width, signed, lanes, &mut seed);
+        // Full window and a ragged (early-exit) window.
         for active in [lanes, 1 + (mix(&mut seed) as usize) % lanes] {
             let w = LaneWindow { stride: lanes, active };
-            let mut got = li.clone();
-            compiled.eval_lanes(&mut got, w, &mut Vec::new());
             let mut want = li.clone();
-            let mut ins = Vec::with_capacity(arity);
-            for lane in 0..active {
-                ins.clear();
-                ins.extend(inst.ins.iter().map(|&r| want[r as usize * lanes + lane]));
-                let raw = eval_raw(op, &inst.params, &ins);
-                want[lane] = canonicalize(raw, width, signed);
+            interpret(&inst, &mut want, w);
+            for isa in LaneIsa::supported() {
+                let compiled = CompiledOp::compile_for(&inst, isa);
+                prop_assert_eq!(compiled.out_slot(), 0);
+                let mut got = li.clone();
+                compiled.eval_lanes(&mut got, w);
+                prop_assert_eq!(
+                    &got,
+                    &want,
+                    "{:?} op {} ins {:?} width {} signed {} lanes {} active {}",
+                    isa, op, &inst.ins, width, signed, lanes, active
+                );
             }
-            prop_assert_eq!(
-                &got,
-                &want,
-                "op {} width {} signed {} lanes {} active {}",
-                op, width, signed, lanes, active
-            );
         }
     }
 
@@ -103,30 +145,72 @@ proptest! {
         op in prop::sample::select(evaluable_ops()),
         width in 1u32..65,
         signed in any::<bool>(),
-        lanes in 1usize..10,
+        lanes in prop::sample::select(lane_counts()),
         seed in any::<u64>(),
     ) {
         // Same property, phrased against `OpInst::eval_lanes` (the
-        // interpreted walk the batch golden model actually runs), so the
-        // two execution paths can never drift apart unnoticed.
+        // interpreted walk the batch golden model actually runs) and the
+        // table `CompiledOp::compile` picks, so the two execution paths
+        // can never drift apart unnoticed.
         let mut seed = seed;
-        let (arity, params) = arity_and_params(op, &mut seed);
-        let inst = OpInst {
-            n: op.n_coord(),
-            out: 0,
-            ins: (1..=arity as u32).collect(),
-            params,
-            width: width as u8,
-            signed,
-        };
-        let compiled = CompiledOp::compile(&inst);
-        let li: Vec<u64> = (0..(arity + 1) * lanes).map(|_| mix(&mut seed)).collect();
+        let (inst, li) = case(op, width, signed, lanes, &mut seed);
         let w = LaneWindow::full(lanes);
         let mut got = li.clone();
-        compiled.eval_lanes(&mut got, w, &mut Vec::new());
-        let mut want = li.clone();
-        let mut buf = Vec::new();
-        inst.eval_lanes(&mut want, w, &mut buf);
-        prop_assert_eq!(&got, &want, "op {}", op);
+        CompiledOp::compile(&inst).eval_lanes(&mut got, w);
+        let mut want = li;
+        inst.eval_lanes(&mut want, w, &mut Vec::new());
+        prop_assert_eq!(&got, &want, "op {} ins {:?}", op, &inst.ins);
+    }
+}
+
+/// Mux chains of 0..=16 pairs under every outcome the cascade has — no
+/// condition true (the default), only the first, only the last, and
+/// several at once (the lowest must win) — one pattern per lane, the
+/// pattern order rotating with the lane so that every one lands in a
+/// chunk and in the tail; conditions are any nonzero value, not just 1.
+#[test]
+fn mux_chains_select_the_lowest_true_pair() {
+    let mut seed = 0xc4a1;
+    for pairs in 0..=16usize {
+        for lanes in lane_counts() {
+            let arity = 2 * pairs + 1;
+            let mut li: Vec<u64> = (0..(arity + 1) * lanes).map(|_| mix(&mut seed)).collect();
+            for lane in 0..lanes {
+                for k in 0..pairs {
+                    let hot = match (lane + pairs) % 4 {
+                        0 => false,
+                        1 => k == 0,
+                        2 => k == pairs - 1,
+                        _ => mix(&mut seed).is_multiple_of(2),
+                    };
+                    let cond = &mut li[(1 + 2 * k) * lanes + lane];
+                    *cond = if hot { *cond | 1 << (lane % 64) } else { 0 };
+                }
+            }
+            let inst = OpInst {
+                n: DfgOp::MuxChain.n_coord(),
+                out: 0,
+                ins: (1..=arity as u32).collect(),
+                params: vec![],
+                width: 64,
+                signed: false,
+            };
+            for active in [lanes, lanes - lanes / 3] {
+                let w = LaneWindow {
+                    stride: lanes,
+                    active,
+                };
+                let mut want = li.clone();
+                interpret(&inst, &mut want, w);
+                for isa in LaneIsa::supported() {
+                    let mut got = li.clone();
+                    CompiledOp::compile_for(&inst, isa).eval_lanes(&mut got, w);
+                    assert_eq!(
+                        got, want,
+                        "{isa:?} pairs {pairs} lanes {lanes} active {active}"
+                    );
+                }
+            }
+        }
     }
 }

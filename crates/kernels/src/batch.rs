@@ -109,8 +109,8 @@ pub struct BatchLiState {
     /// so `LI` is its own image under walk + commit and cycles are
     /// clock-only.
     settled: bool,
-    /// Operand staging for variable-arity ops (mux chains), kept here so
-    /// a step never allocates; worker threads bring their own.
+    /// Operand staging, for `BatchEngine::Interpreted` only (no compiled
+    /// kernel stages): kept here so a step never allocates.
     scratch: Vec<u64>,
 }
 
@@ -686,7 +686,7 @@ impl BatchKernel {
         unsafe {
             match (&self.spec, moves) {
                 (Some(prog), true) => prog.eval_phase_a(i, cx.li, cx.w, cx.bits, r),
-                (Some(prog), false) => prog.eval_phase_b(i, cx.li, cx.w, cx.bits, r, buf),
+                (Some(prog), false) => prog.eval_phase_b(i, cx.li, cx.w, cx.bits, r),
                 (None, _) => {
                     let pref = &self.offsets[i];
                     for p in 0..self.layers.len() {
@@ -699,7 +699,7 @@ impl BatchKernel {
                         match self.engine {
                             BatchEngine::Compiled => {
                                 for op in &self.compiled[p][i][la..lb] {
-                                    op.eval_lanes_ptr(base, cx.w, buf);
+                                    op.eval_lanes_ptr(base, cx.w);
                                 }
                             }
                             BatchEngine::Interpreted => {
@@ -833,7 +833,7 @@ impl BatchKernel {
             for worker in 1..threads {
                 let (barrier, done) = (&barrier, &done);
                 scope.spawn(move || {
-                    let mut buf = Vec::with_capacity(8);
+                    let mut buf = Vec::new(); // staging, interpreted walk only
                     loop {
                         barrier.wait(); // a cycle to walk, or the end
                         if done.load(Ordering::Relaxed) {

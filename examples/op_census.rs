@@ -1,0 +1,139 @@
+//! Per-opcode time census of the compiled lane kernels — the first
+//! answer to "why is this design slow". Every `CompiledOp` of a design is
+//! grouped by opcode and timed over a live 64-lane `LI` image: op count,
+//! share of the summed walk, ns per op and per op-lane; then the
+//! plan-order walk against a whole `step` (the rest is the commit).
+//!
+//! ```text
+//! cargo run --release --example op_census
+//! ```
+
+use rteaal_core::Compiler;
+use rteaal_designs::{rocket, ChipConfig, Stimulus, Workload};
+use rteaal_dfg::lane_kernel::{CompiledOp, LaneWindow};
+use rteaal_firrtl::Circuit;
+use rteaal_kernels::{BatchKernel, BatchLiState, KernelConfig, KernelKind, LanePoker};
+use std::collections::BTreeMap;
+use std::hint::black_box;
+use std::time::Instant;
+
+const LANES: usize = 64;
+
+/// Fastest of `passes` timed calls, in ns (the host is shared: the
+/// minimum is the pass nothing interrupted).
+fn best_ns(passes: usize, mut pass: impl FnMut()) -> f64 {
+    let timed = (0..passes).map(|_| {
+        let t = Instant::now();
+        pass();
+        t.elapsed().as_nanos() as f64
+    });
+    timed.fold(f64::INFINITY, f64::min)
+}
+
+/// Pokes `x15` on every lane (RV32I's loop bound), drives `input` with
+/// `value(cycle, lane)` for `warm` cycles to a live image, then takes the
+/// census.
+fn census(
+    circuit: &Circuit,
+    x15: Option<u64>,
+    input: &str,
+    warm: u64,
+    value: &mut dyn FnMut(u64, usize) -> u64,
+) {
+    let config = KernelConfig::new(KernelKind::Psu);
+    let plan = Compiler::new(config)
+        .compile(circuit)
+        .expect("compiles")
+        .plan;
+    let kernel = BatchKernel::compile(&plan, config);
+    let mut st = BatchLiState::new(&plan, LANES);
+    if let Some(k) = x15 {
+        let x15 = plan.signal_slot("x15").expect("probed");
+        (0..LANES).for_each(|lane| st.poke_slot(x15, lane, k));
+    }
+    let slot = plan.signal_slot(input).expect("input is probed");
+    let idx = plan
+        .input_slots
+        .iter()
+        .position(|&s| s == slot)
+        .expect("an input");
+    let mut drive = |cycle: u64, poker: &mut LanePoker| {
+        (0..LANES).for_each(|lane| poker.set_input(idx, lane, value(cycle, lane)));
+    };
+    kernel.run_with_stimulus(&mut st, warm, 1, &mut drive);
+    let mut li: Vec<u64> = (0..plan.num_slots as u32)
+        .flat_map(|s| (0..LANES).map(move |lane| (s, lane)))
+        .map(|(s, lane)| st.slot(s, lane))
+        .collect();
+    let w = LaneWindow::full(LANES);
+
+    let ops: Vec<CompiledOp> = plan
+        .layers
+        .iter()
+        .flatten()
+        .map(CompiledOp::compile)
+        .collect();
+    let mut groups: BTreeMap<String, Vec<&CompiledOp>> = BTreeMap::new();
+    for op in &ops {
+        let name = op.opcode().expect("valid opcode").to_string();
+        groups.entry(name).or_default().push(op);
+    }
+    let count: usize = groups.values().map(Vec::len).sum();
+    assert_eq!(
+        count,
+        plan.total_ops(),
+        "every scheduled op is in one group"
+    );
+
+    let mut walk = |ops: &[&CompiledOp]| {
+        let passes = (200_000 / ops.len()).clamp(5, 2_000);
+        best_ns(passes, || {
+            ops.iter()
+                .for_each(|op| op.eval_lanes(black_box(&mut li), w))
+        })
+    };
+    let rows: Vec<(&String, usize, f64)> = groups
+        .iter()
+        .map(|(name, ops)| (name, ops.len(), walk(ops)))
+        .collect();
+    let walk_ns = walk(&ops.iter().collect::<Vec<_>>());
+    let sum_ns: f64 = rows.iter().map(|r| r.2).sum();
+    let step_ns = best_ns(100, || kernel.run_with_stimulus(&mut st, 4, 1, &mut drive)) / 4.0;
+    assert!(!st.settled(), "the timed steps ran on a live image");
+
+    println!("{}: {} ops, B = {LANES}", plan.name, plan.total_ops());
+    println!(
+        "  {:<10} {:>6} {:>7} {:>9} {:>11}",
+        "opcode", "ops", "share", "ns/op", "ns/op-lane"
+    );
+    for (name, n, ns) in rows {
+        let per_op = ns / n as f64;
+        let share = 100.0 * ns / sum_ns;
+        println!(
+            "  {name:<10} {n:>6} {share:>6.1}% {per_op:>9.1} {:>11.3}",
+            per_op / LANES as f64
+        );
+    }
+    println!(
+        "  walk {:.1} us (groups sum to {:.1}), step {:.1} us: commit + loop = {:.1}%\n",
+        walk_ns / 1e3,
+        sum_ns / 1e3,
+        step_ns / 1e3,
+        100.0 * (step_ns - walk_ns) / step_ns
+    );
+}
+
+fn main() {
+    // The benchmark's two engine designs (`rv32i_steady`, `chip_stim`):
+    // the core mid-loop on every lane, the chip under fresh random
+    // stimulus every cycle.
+    let core = Workload::param_sum_circuit();
+    census(&core, Some(200), "reset", 40, &mut |cycle, _| {
+        u64::from(cycle < 2)
+    });
+    let chip = rocket(ChipConfig::new(4).with_scale(0.5));
+    let mut streams: Vec<Stimulus> = (0..LANES as u64).map(Stimulus::from_seed).collect();
+    census(&chip, None, "stim", 8, &mut |_, lane| {
+        streams[lane].next_value()
+    });
+}

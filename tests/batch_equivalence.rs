@@ -25,12 +25,12 @@ struct Design {
 }
 
 /// Per-lane stimulus for `cycles` cycles: `drive(lane, cycle, input)`
-/// yields each input value, `poke_state` is one optional mid-run DMI
-/// write `(cycle, signal, lane, value)`.
+/// yields each input value, `poke_state` the DMI writes `(cycle, signal,
+/// lane, value)` made on the way.
 struct Stim<'a> {
     cycles: u64,
     drive: &'a mut dyn FnMut(usize, u64, &str) -> u64,
-    poke_state: Option<(u64, &'static str, usize, u64)>,
+    poke_state: &'a [(u64, &'static str, usize, u64)],
 }
 
 /// Independent per-lane random streams (reset toggles randomly too, so
@@ -90,13 +90,11 @@ fn assert_bit_exact(design: &Design, stim: Stim<'_>, config: EngineConfig) -> Ba
     let mut halted = vec![false; lanes];
 
     for cycle in 0..stim.cycles {
-        if let Some((at, name, lane, value)) = stim.poke_state {
-            if at == cycle {
-                batch.poke_state(name, lane, value).expect("probed");
-                DebugModule::new(&mut singles[lane])
-                    .poke_reg(name, value)
-                    .expect("probed");
-            }
+        for &(_, name, lane, value) in stim.poke_state.iter().filter(|p| p.0 == cycle) {
+            batch.poke_state(name, lane, value).expect("probed");
+            DebugModule::new(&mut singles[lane])
+                .poke_reg(name, value)
+                .expect("probed");
         }
         for (lane, single) in singles.iter_mut().enumerate() {
             if halted[lane] {
@@ -162,7 +160,7 @@ fn assert_batch_matches_sequential(
     let stim = Stim {
         cycles,
         drive: &mut random(seed, lanes),
-        poke_state: None,
+        poke_state: &[],
     };
     let config = EngineConfig {
         threads,
@@ -282,13 +280,44 @@ fn rv32i_early_exit_matches_scalar_runs() {
     let stim = Stim {
         cycles: 400,
         drive: &mut staggered_reset,
-        poke_state: None,
+        poke_state: &[],
     };
     let batch = assert_bit_exact(&halting_rv32i(), stim, EngineConfig::new(LANES));
     assert_eq!(batch.live_lanes(), 0, "every lane halts within the budget");
     for lane in 0..LANES {
         assert!(batch.halted(lane));
         assert_eq!(batch.peek("a0", lane), Some(210), "lane {lane} result");
+    }
+}
+
+#[test]
+fn rv32i_halting_at_19_lanes_runs_chunked_kernels_and_ragged_tails() {
+    // The rows above run 3-5 lanes, below any chunk of the lane kernels:
+    // 19 lanes is whole chunks plus a ragged tail, and a different loop
+    // bound per lane (`x15`, in no lane order) halts the lanes one by
+    // one, so the compacted window passes through every length from 19
+    // down — chunk multiples and ragged ones — on the default engine.
+    const LANES: usize = 19;
+    let workload = Workload::rv32i_param_sum(1);
+    let design = Design {
+        circuit: workload.circuit,
+        kind: KernelKind::Psu,
+        halt: workload.halt_signal,
+    };
+    let bound = |lane: usize| 1 + (lane as u64 * 7) % LANES as u64;
+    let pokes: Vec<_> = (0..LANES)
+        .map(|lane| (0, "x15", lane, bound(lane)))
+        .collect();
+    let stim = Stim {
+        cycles: 100,
+        drive: &mut |_, cycle, _| u64::from(cycle < 2),
+        poke_state: &pokes,
+    };
+    let batch = assert_bit_exact(&design, stim, EngineConfig::new(LANES));
+    assert_eq!(batch.live_lanes(), 0, "every lane halts within the budget");
+    for lane in 0..LANES {
+        let sum = Workload::param_sum_expected(bound(lane));
+        assert_eq!(batch.peek("a0", lane), Some(sum), "lane {lane} result");
     }
 }
 
@@ -305,7 +334,7 @@ fn rv32i_batch_runs_the_program_on_every_lane() {
     let stim = Stim {
         cycles: 202,
         drive: &mut |_, cycle, _| u64::from(cycle < 2),
-        poke_state: None,
+        poke_state: &[],
     };
     let config = EngineConfig {
         threads: 2,
@@ -343,14 +372,14 @@ fn every_engine_shape_is_bit_exact_on_rv32i_and_sha3() {
                 let stim = Stim {
                     cycles: 400,
                     drive: &mut staggered_reset,
-                    poke_state: Some((30, "x1", 1, 1000)),
+                    poke_state: &[(30, "x1", 1, 1000)],
                 };
                 let batch = assert_bit_exact(&rv32i, stim, config);
                 assert_eq!(batch.live_lanes(), 0, "{config:?}: every lane halts");
                 let stim = Stim {
                     cycles: 40,
                     drive: &mut random(0xb006, LANES),
-                    poke_state: Some((17, "s_1_2", 2, 0x0123_4567_89ab_cdef)),
+                    poke_state: &[(17, "s_1_2", 2, 0x0123_4567_89ab_cdef)],
                 };
                 assert_bit_exact(&sha3, stim, config);
             }
@@ -418,7 +447,7 @@ fn bit_packed_control_interior_is_bit_exact_at_64_lanes() {
         let stim = Stim {
             cycles: 60,
             drive: &mut random(0xb007, LANES),
-            poke_state: Some((20, "flag", 37, 1)),
+            poke_state: &[(20, "flag", 37, 1)],
         };
         assert_bit_exact(&design, stim, config);
     }
