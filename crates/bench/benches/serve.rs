@@ -56,7 +56,6 @@ fn bench_submit_wait_latency(c: &mut Criterion) {
         .expect("rv32i compiles");
     let mut cfg = ServeConfig::with_workers(1);
     cfg.lanes = 1;
-    cfg.chunk_cycles = 16;
     let pool = ServerPool::new(&compiled, cfg, "halt").expect("halt resolves");
     let mut group = c.benchmark_group("serve-latency");
     group.throughput(Throughput::Elements(1));

@@ -109,6 +109,10 @@ pub enum JobOutcome {
 pub struct JobResult {
     /// The submission-order identity.
     pub id: JobId,
+    /// The id the job's lifecycle events were recorded under: the one
+    /// given to [`Scheduler::submit_traced`](crate::Scheduler::submit_traced),
+    /// else `id`'s own number.
+    pub trace: u64,
     /// The job's tag.
     pub name: String,
     /// Harvested `(signal, value)` pairs, in the job's probe order
@@ -141,11 +145,25 @@ impl JobResult {
     }
 }
 
+/// One pending job: its identity, the id its lifecycle events are
+/// recorded under, and the job itself.
+#[derive(Debug)]
+pub struct Queued {
+    /// The submission-order identity.
+    pub id: JobId,
+    /// External trace id for event attribution across layers (the serve
+    /// pool keys events by its pool-global id; standalone schedulers use
+    /// the local id).
+    pub trace: u64,
+    /// The testbench.
+    pub job: Job,
+}
+
 /// FIFO of pending jobs with stable id assignment.
 #[derive(Debug, Default)]
 pub struct JobQueue {
     next: u64,
-    pending: VecDeque<(JobId, Job)>,
+    pending: VecDeque<Queued>,
 }
 
 impl JobQueue {
@@ -154,23 +172,28 @@ impl JobQueue {
         JobQueue::default()
     }
 
-    /// Enqueues a job, assigning the next [`JobId`].
-    pub fn push(&mut self, job: Job) -> JobId {
+    /// Enqueues a job, assigning the next [`JobId`]; `trace` defaults
+    /// to that id.
+    pub fn push(&mut self, job: Job, trace: Option<u64>) -> JobId {
         let id = JobId(self.next);
         self.next += 1;
-        self.pending.push_back((id, job));
+        self.pending.push_back(Queued {
+            id,
+            trace: trace.unwrap_or(id.0),
+            job,
+        });
         id
     }
 
     /// Dequeues the oldest pending job.
-    pub fn pop(&mut self) -> Option<(JobId, Job)> {
+    pub fn pop(&mut self) -> Option<Queued> {
         self.pending.pop_front()
     }
 
     /// The oldest pending job, without dequeuing it (so a scheduler can
     /// validate its bindings before committing a lane to it).
-    pub fn front(&self) -> Option<(JobId, &Job)> {
-        self.pending.front().map(|(id, job)| (*id, job))
+    pub fn front(&self) -> Option<&Queued> {
+        self.pending.front()
     }
 
     /// Pending jobs.
@@ -196,20 +219,21 @@ mod tests {
     #[test]
     fn queue_assigns_fifo_ids() {
         let mut q = JobQueue::new();
-        let a = q.push(Job::new("a", 10));
-        let b = q.push(Job::new("b", 10));
+        let a = q.push(Job::new("a", 10), None);
+        let b = q.push(Job::new("b", 10), Some(77));
         assert_eq!((a, b), (JobId(0), JobId(1)));
         assert_eq!(q.len(), 2);
-        let (front_id, front_job) = q.front().unwrap();
-        assert_eq!((front_id, front_job.name.as_str()), (JobId(0), "a"));
-        let (id, job) = q.pop().unwrap();
-        assert_eq!((id, job.name.as_str()), (JobId(0), "a"));
+        let front = q.front().unwrap();
+        assert_eq!((front.id, front.job.name.as_str()), (JobId(0), "a"));
+        let first = q.pop().unwrap();
+        assert_eq!((first.id, first.job.name.as_str()), (JobId(0), "a"));
+        assert_eq!(first.trace, 0, "untraced jobs trace under their own id");
         assert_eq!(q.submitted(), 2);
         assert!(!q.is_empty());
-        q.pop().unwrap();
+        assert_eq!(q.pop().unwrap().trace, 77);
         assert!(q.pop().is_none());
         // Ids keep advancing after a drain.
-        assert_eq!(q.push(Job::new("c", 1)), JobId(2));
+        assert_eq!(q.push(Job::new("c", 1), None), JobId(2));
     }
 
     #[test]

@@ -65,5 +65,5 @@
 pub mod job;
 pub mod scheduler;
 
-pub use job::{Job, JobId, JobOutcome, JobQueue, JobResult};
+pub use job::{Job, JobId, JobOutcome, JobQueue, JobResult, Queued};
 pub use scheduler::{AdmitPolicy, SchedBuildError, SchedStats, Scheduler};

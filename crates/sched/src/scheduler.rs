@@ -17,10 +17,9 @@
 //! stragglers dominate. `tables -- sched` quantifies the gap on a
 //! mixed-length rv32i corpus.
 
-use crate::job::{Job, JobId, JobOutcome, JobQueue, JobResult};
+use crate::job::{Job, JobId, JobOutcome, JobQueue, JobResult, Queued};
 use rteaal_core::{AnalysisReport, BatchSimulation, Compiled, EngineConfig, UnknownSignal};
 use rteaal_telemetry::{Counter, Gauge, JobStage, MetricsRegistry};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Why a scheduler could not be built (see
@@ -118,6 +117,8 @@ impl SchedStats {
 #[derive(Debug)]
 struct Running {
     id: JobId,
+    /// The id this job's lifecycle events are recorded under.
+    trace: u64,
     job: Job,
     admitted_at: u64,
 }
@@ -151,16 +152,15 @@ pub struct Scheduler {
     policy: AdmitPolicy,
     queue: JobQueue,
     running: Vec<Option<Running>>,
+    /// Occupied entries of `running`, kept so the per-cycle loop and
+    /// `has_work` do not rescan the lanes.
+    busy: usize,
     results: Vec<JobResult>,
     stats: SchedStats,
     /// Lanes admitted since the last harvest-check (scratch, reused).
     newly_admitted: Vec<usize>,
     /// Optional metrics/event sink (see [`attach_telemetry`](Self::attach_telemetry)).
     telemetry: Option<SchedTelemetry>,
-    /// External trace id per queued-or-running job, for event
-    /// attribution across layers (the serve pool keys events by its
-    /// pool-global id; standalone schedulers default to the local id).
-    trace_ids: HashMap<u64, u64>,
 }
 
 impl Scheduler {
@@ -225,11 +225,11 @@ impl Scheduler {
             policy: AdmitPolicy::Continuous,
             queue: JobQueue::new(),
             running: (0..lanes).map(|_| None).collect(),
+            busy: 0,
             results: Vec::new(),
             stats: SchedStats::default(),
             newly_admitted: Vec::new(),
             telemetry: None,
-            trace_ids: HashMap::new(),
         })
     }
 
@@ -269,28 +269,29 @@ impl Scheduler {
     /// Enqueues a job; it is admitted the next time a lane frees up
     /// under the active policy.
     pub fn submit(&mut self, job: Job) -> JobId {
-        let id = self.queue.push(job);
-        if let Some(t) = &self.telemetry {
-            // Standalone schedulers trace under the local id; the serve
-            // pool overrides this via `submit_traced`.
-            self.trace_ids.insert(id.0, id.0);
-            t.queue_depth.add(1);
-            t.registry
-                .record_event(id.0, JobStage::Queued, Some(t.worker), None, None);
-        }
-        id
+        // Standalone schedulers trace under the local id; the serve
+        // pool overrides this via `submit_traced`.
+        self.enqueue(job, None)
     }
 
     /// Enqueues a job under an external trace id (the serve pool's
     /// global id), so its timeline events join the ones other layers
     /// record for the same job.
     pub fn submit_traced(&mut self, job: Job, trace: u64) -> JobId {
-        let id = self.queue.push(job);
+        self.enqueue(job, Some(trace))
+    }
+
+    fn enqueue(&mut self, job: Job, trace: Option<u64>) -> JobId {
+        let id = self.queue.push(job, trace);
         if let Some(t) = &self.telemetry {
-            self.trace_ids.insert(id.0, trace);
             t.queue_depth.add(1);
-            t.registry
-                .record_event(trace, JobStage::Queued, Some(t.worker), None, None);
+            t.registry.record_event(
+                trace.unwrap_or(id.0),
+                JobStage::Queued,
+                Some(t.worker),
+                None,
+                None,
+            );
         }
         id
     }
@@ -312,7 +313,7 @@ impl Scheduler {
 
     /// Jobs currently occupying lanes.
     pub fn running(&self) -> usize {
-        self.running.iter().flatten().count()
+        self.busy
     }
 
     /// Results harvested so far, in completion order.
@@ -351,7 +352,7 @@ impl Scheduler {
     /// Whether any job is still queued or occupying a lane (the serve
     /// layer's "keep driving me" signal).
     pub fn has_work(&self) -> bool {
-        !self.queue.is_empty() || self.running() > 0
+        !self.queue.is_empty() || self.busy > 0
     }
 
     /// Runs until the queue is drained and every admitted job has
@@ -372,14 +373,36 @@ impl Scheduler {
     /// it goes, and returns early the moment no lane is busy and no job
     /// is queued. Returns the number of cycles stepped.
     ///
-    /// This is the non-blocking drive hook the serve layer uses: a
-    /// worker calls `run_for` in small chunks, drains
-    /// [`take_results`](Self::take_results) between chunks (results
-    /// stream out the cycle each halt probe fires), and interleaves
-    /// mid-run submissions — [`submit`](Self::submit) between chunks
-    /// feeds lanes exactly like submissions made before the run.
+    /// Chunks compose: draining [`take_results`](Self::take_results)
+    /// and calling [`submit`](Self::submit) between calls feeds lanes
+    /// exactly like submissions made before the run.
     pub fn run_for(&mut self, cycles: u64) -> u64 {
+        self.drive(cycles, false)
+    }
+
+    /// One quantum of a caller that has other things to look at: like
+    /// [`run_for`](Self::run_for), but control also comes back the cycle
+    /// a job finishes — so its result can be handed on while its
+    /// neighbours keep running — and, after at least one step, whenever
+    /// a lane is free with nothing queued, so the caller can look for
+    /// new work to put in it. `cap` bounds the quantum when neither
+    /// happens. Returns the number of cycles stepped.
+    ///
+    /// This is the drive hook the serve layer uses: a worker drains
+    /// [`take_results`](Self::take_results) and its inbox between
+    /// quanta.
+    pub fn run_quantum(&mut self, cap: u64) -> u64 {
+        self.drive(cap, true)
+    }
+
+    /// The one cycle loop behind [`run`](Self::run),
+    /// [`run_for`](Self::run_for) and
+    /// [`run_quantum`](Self::run_quantum): admit, step, harvest, until
+    /// idle or `cycles` — or, with `stop_at_event`, until the caller has
+    /// something to do.
+    fn drive(&mut self, cycles: u64, stop_at_event: bool) -> u64 {
         let busy0 = self.stats.busy_lane_cycles;
+        let results0 = self.results.len();
         let mut stepped = 0;
         loop {
             let admitted = self.admit_free();
@@ -406,8 +429,14 @@ impl Scheduler {
                     continue;
                 }
             }
-            let busy = self.running() as u64;
+            let busy = self.busy as u64;
             if busy == 0 || stepped >= cycles {
+                break;
+            }
+            if stop_at_event
+                && (self.results.len() > results0
+                    || (stepped > 0 && self.busy < self.running.len() && self.queue.is_empty()))
+            {
                 break;
             }
             self.stats.busy_lane_cycles += busy;
@@ -426,7 +455,7 @@ impl Scheduler {
     /// Ledger identity: every job ever submitted is in exactly one
     /// place — still queued, occupying a lane, or finished under one of
     /// the three outcomes. Holds at every quiescent point, not just at
-    /// shutdown; `run_for` checks it after every chunk in debug builds.
+    /// shutdown; every drive call checks it on return in debug builds.
     pub fn accounting_balanced(&self) -> bool {
         self.queue.submitted() as usize
             == self.queue.len()
@@ -455,7 +484,7 @@ impl Scheduler {
     /// admitted into lanes.
     fn admit_free(&mut self) -> usize {
         let mut admitted = 0;
-        if self.policy == AdmitPolicy::StaticBatches && self.running() > 0 {
+        if self.policy == AdmitPolicy::StaticBatches && self.busy > 0 {
             return admitted;
         }
         for lane in 0..self.running.len() {
@@ -468,16 +497,15 @@ impl Scheduler {
             // is popped into a rejected result (not left at the front,
             // where it would wedge every later job) and the freed slot
             // is offered to the job behind it.
-            let (id, job) = loop {
-                let Some((id, job)) = self.queue.front() else {
+            let Queued { id, trace, job } = loop {
+                let Some(front) = self.queue.front() else {
                     return admitted;
                 };
-                match Self::validate(&self.sim, job) {
-                    Ok(()) => break self.queue.pop().expect("front() was Some"),
-                    Err(UnknownSignal(name)) => {
-                        let (_, job) = self.queue.pop().expect("front() was Some");
-                        self.reject(id, job, &name);
-                    }
+                let verdict = Self::validate(&self.sim, &front.job);
+                let queued = self.queue.pop().expect("front() was Some");
+                match verdict {
+                    Ok(()) => break queued,
+                    Err(UnknownSignal(name)) => self.reject(queued, &name),
                 }
             };
             self.sim
@@ -493,7 +521,6 @@ impl Scheduler {
             if let Some(t) = &self.telemetry {
                 t.queue_depth.sub(1);
                 t.admitted.inc();
-                let trace = self.trace_ids.get(&id.0).copied().unwrap_or(id.0);
                 t.registry.record_event(
                     trace,
                     JobStage::Admitted,
@@ -503,8 +530,10 @@ impl Scheduler {
                 );
             }
             self.newly_admitted.push(lane);
+            self.busy += 1;
             self.running[lane] = Some(Running {
                 id,
+                trace,
                 job,
                 admitted_at: self.sim.cycle(),
             });
@@ -513,16 +542,17 @@ impl Scheduler {
     }
 
     /// Records a validation failure as a per-job rejected result.
-    fn reject(&mut self, id: JobId, job: Job, unknown: &str) {
+    fn reject(&mut self, queued: Queued, unknown: &str) {
+        let Queued { id, trace, job } = queued;
         let now = self.sim.cycle();
         self.stats.rejected += 1;
         if let Some(t) = &self.telemetry {
             t.queue_depth.sub(1);
             t.rejected.inc();
-            self.trace_ids.remove(&id.0);
         }
         self.results.push(JobResult {
             id,
+            trace,
             name: job.name,
             outputs: Vec::new(),
             outcome: JobOutcome::Rejected,
@@ -583,9 +613,11 @@ impl Scheduler {
             };
             let Running {
                 id,
+                trace,
                 job,
                 admitted_at,
             } = self.running[lane].take().expect("checked above");
+            self.busy -= 1;
             let outputs = job
                 .probes
                 .iter()
@@ -607,7 +639,6 @@ impl Scheduler {
                 } else {
                     t.evicted.inc();
                 }
-                let trace = self.trace_ids.remove(&id.0).unwrap_or(id.0);
                 t.registry.record_event(
                     trace,
                     JobStage::Halted,
@@ -618,6 +649,7 @@ impl Scheduler {
             }
             self.results.push(JobResult {
                 id,
+                trace,
                 name: job.name,
                 outputs,
                 outcome,
@@ -1008,6 +1040,71 @@ circuit H :
                 .find(|h| h.name == format!("count-{limit}"))
                 .expect("one result per job");
             assert_eq!(r.cycles, limit + 1);
+        }
+    }
+
+    #[test]
+    fn a_quantum_ends_at_a_halt_a_free_lane_or_the_cap() {
+        let c = compiled();
+        let mut sched = Scheduler::new(&c, 2, "done").unwrap();
+        let short = sched.submit(count_job(3));
+        sched.submit(count_job(40));
+        sched.submit(count_job(30));
+        // Both lanes busy, one job queued: the quantum ends the cycle
+        // the short job halts, with the queued job already in its lane.
+        assert_eq!(sched.run_quantum(64), 4);
+        let done = sched.take_results();
+        assert_eq!(done.len(), 1);
+        assert_eq!((done[0].id, done[0].cycles), (short, 4));
+        assert_eq!((sched.running(), sched.pending()), (2, 0));
+        // Lanes full, nothing queued, nothing due: only the cap ends it.
+        assert_eq!(sched.run_quantum(5), 5);
+        assert!(sched.results().is_empty());
+        // The 30-cycle job finishes first (admitted at 4, done at 35).
+        assert_eq!(sched.run_quantum(64), 26);
+        assert_eq!(sched.take_results()[0].cycles, 31);
+        // A lane is free and the queue is empty: every quantum is one
+        // step, so the caller can refill the lane from outside.
+        assert_eq!(sched.run_quantum(64), 1);
+        assert!(sched.results().is_empty());
+        // And a submission made between quanta is admitted by the next.
+        sched.submit(count_job(2));
+        assert_eq!(sched.run_quantum(64), 3);
+        assert_eq!(sched.take_results()[0].cycles, 3);
+        // Instant finishes at admission end a quantum without a step.
+        sched.submit(Job::new("no-budget", 0).with_input("limit", 9));
+        assert_eq!(sched.run_quantum(64), 0);
+        assert_eq!(sched.take_results()[0].outcome, JobOutcome::Evicted);
+    }
+
+    #[test]
+    fn quanta_compose_into_exactly_the_drained_run() {
+        let c = compiled();
+        let limits = [5u64, 20, 3, 4, 9, 2, 11, 0, 17];
+        let mk = || {
+            let mut sched = Scheduler::new(&c, 3, "done").unwrap();
+            for &l in &limits {
+                sched.submit(count_job(l));
+            }
+            sched
+        };
+        let mut whole = mk();
+        whole.run(10_000);
+        let mut pieces = mk();
+        let mut harvested = Vec::new();
+        while pieces.has_work() {
+            pieces.run_quantum(4);
+            harvested.extend(pieces.take_results());
+        }
+        assert_eq!(pieces.stats(), whole.stats());
+        assert_eq!(harvested.len(), limits.len());
+        for (a, b) in harvested.iter().zip(whole.results()) {
+            assert_eq!((a.id, a.cycles, a.lane), (b.id, b.cycles, b.lane));
+            assert_eq!(
+                (a.admitted_at, a.finished_at),
+                (b.admitted_at, b.finished_at)
+            );
+            assert_eq!(a.outputs, b.outputs);
         }
     }
 

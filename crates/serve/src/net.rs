@@ -16,8 +16,8 @@ use rteaal_core::Compiler;
 use rteaal_kernels::{KernelConfig, KernelKind};
 use rteaal_telemetry::{JobEvent, MetricsSnapshot};
 use std::collections::HashMap;
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -82,30 +82,91 @@ impl SocketServer {
     }
 }
 
+/// Longest line either end will buffer, newline included: over three
+/// times the largest `register` line of the design corpus (the 23 k-op
+/// chip's FIRRTL source is 1.1 MB; a test below holds that margin).
+const MAX_LINE: usize = 4 << 20;
+
+/// How [`read_line`] left the buffer.
+#[derive(Debug, PartialEq, Eq)]
+enum Line {
+    /// Nothing before the end of the stream.
+    Eof,
+    /// A line, its `\n` included.
+    Complete,
+    /// The stream ended mid-line: the buffer holds what came.
+    Partial,
+    /// No `\n` within [`MAX_LINE`] bytes; the buffer holds those bytes
+    /// and the rest of the line is still unread.
+    Oversize,
+}
+
+/// Reads the next line into `buf` (cleared first), never buffering more
+/// than [`MAX_LINE`] bytes of it.
+fn read_line(reader: &mut impl BufRead, buf: &mut Vec<u8>) -> io::Result<Line> {
+    buf.clear();
+    reader
+        .by_ref()
+        .take(MAX_LINE as u64)
+        .read_until(b'\n', buf)?;
+    Ok(match buf.last() {
+        None => Line::Eof,
+        Some(b'\n') => Line::Complete,
+        Some(_) if buf.len() == MAX_LINE => Line::Oversize,
+        Some(_) => Line::Partial,
+    })
+}
+
+/// The line as text, or the `InvalidData` error `BufRead::read_line`
+/// reports for the same bytes.
+fn utf8(line: &[u8]) -> io::Result<&str> {
+    std::str::from_utf8(line).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+}
+
 /// Serves one client connection: a request line in, a response line
 /// out, until EOF. Malformed requests get `kind:"error"` responses and
-/// the connection stays usable; only I/O failures end the session.
+/// the connection stays usable; only I/O failures and a line longer
+/// than [`MAX_LINE`] end the session.
 fn handle_client(pool: &ServerPool, stream: TcpStream) -> io::Result<()> {
     let mut writer = stream.try_clone()?;
-    let reader = BufReader::new(stream);
+    let mut reader = BufReader::new(stream);
     // This connection's submissions, by pool-global id. `poll`/`result`
     // resolve ids against these handles (one connection per client: a
     // client can only claim results it submitted).
     let mut handles: HashMap<u64, JobHandle> = HashMap::new();
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
+    // One buffer per direction for the whole session.
+    let (mut line, mut out) = (Vec::new(), String::new());
+    loop {
+        out.clear();
+        match read_line(&mut reader, &mut line)? {
+            Line::Eof => return Ok(()),
+            Line::Oversize => {
+                pool.metrics().counter("serve.rejected_oversize").inc();
+                Response::error(format!("request line exceeds {MAX_LINE} bytes")).encode(&mut out);
+                out.push('\n');
+                writer.write_all(out.as_bytes())?;
+                // Closing with the rest of the line unread would reset
+                // the connection under the answer: end our side, then
+                // let a bounded stretch of what the client already sent
+                // drain.
+                writer.shutdown(Shutdown::Write)?;
+                io::copy(&mut reader.take(MAX_LINE as u64), &mut io::sink())?;
+                return Ok(());
+            }
+            Line::Complete | Line::Partial => {}
+        }
+        let text = utf8(&line)?;
+        if text.trim().is_empty() {
             continue;
         }
-        let response = match serde_json::from_str::<Request>(&line) {
+        let response = match Request::decode(text) {
             Ok(request) => respond(pool, &mut handles, request),
             Err(e) => Response::error(format!("bad request: {e}")),
         };
-        let mut out = serde_json::to_string(&response).expect("responses always serialize");
+        response.encode(&mut out);
         out.push('\n');
         writer.write_all(out.as_bytes())?;
     }
-    Ok(())
 }
 
 /// Executes one request against the pool and this connection's handles.
@@ -131,7 +192,7 @@ fn respond(pool: &ServerPool, handles: &mut HashMap<u64, JobHandle>, request: Re
             match handle.poll() {
                 Some(result) => {
                     handles.remove(&id);
-                    Response::result(WireResult::from(&result))
+                    Response::result(WireResult::from(result))
                 }
                 None => Response::pending(id),
             }
@@ -141,20 +202,15 @@ fn respond(pool: &ServerPool, handles: &mut HashMap<u64, JobHandle>, request: Re
                 let Some(handle) = handles.remove(&id) else {
                     return Response::error(format!("unknown job id {id} on this connection"));
                 };
-                Response::result(WireResult::from(&handle.wait()))
+                Response::result(WireResult::from(handle.wait()))
             }
             // No id: stream this connection's next completion.
             None => {
-                let outstanding: Vec<JobHandle> = handles.drain().map(|(_, h)| h).collect();
-                let Some((taken, result)) = JobHandle::wait_any(&outstanding) else {
+                let Some(result) = JobHandle::wait_any_of(handles.values()) else {
                     return Response::error("no outstanding jobs on this connection");
                 };
-                for (i, h) in outstanding.into_iter().enumerate() {
-                    if i != taken {
-                        handles.insert(h.id(), h);
-                    }
-                }
-                Response::result(WireResult::from(&result))
+                handles.remove(&result.id.0);
+                Response::result(WireResult::from(result))
             }
         },
         Verb::Stats => Response::stats(WireStats::from(&pool.stats())),
@@ -241,6 +297,10 @@ fn respond(pool: &ServerPool, handles: &mut HashMap<u64, JobHandle>, request: Re
 pub struct ServeClient {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
+    /// The outgoing line, reused across calls.
+    line: String,
+    /// The incoming line, likewise.
+    reply: Vec<u8>,
 }
 
 impl ServeClient {
@@ -254,6 +314,8 @@ impl ServeClient {
         Ok(ServeClient {
             writer: stream.try_clone()?,
             reader: BufReader::new(stream),
+            line: String::new(),
+            reply: Vec::new(),
         })
     }
 
@@ -274,24 +336,31 @@ impl ServeClient {
 
     /// One request/response round trip.
     fn call(&mut self, request: &Request) -> Result<Response, ProtocolError> {
-        let mut line = serde_json::to_string(request).expect("requests always serialize");
-        line.push('\n');
-        self.writer.write_all(line.as_bytes())?;
-        let mut reply = String::new();
-        if self.reader.read_line(&mut reply)? == 0 {
-            return Err(ProtocolError::ConnectionClosed);
-        }
-        if !reply.ends_with('\n') {
+        self.line.clear();
+        request.encode(&mut self.line);
+        self.line.push('\n');
+        self.writer.write_all(self.line.as_bytes())?;
+        let trimmed = match read_line(&mut self.reader, &mut self.reply)? {
+            Line::Complete => utf8(&self.reply)?.trim_end(),
+            Line::Eof => return Err(ProtocolError::ConnectionClosed),
             // EOF mid-line: the peer died between writing and
             // terminating its response.
-            return Err(ProtocolError::TruncatedLine { partial: reply });
-        }
-        let trimmed = reply.trim_end();
-        let response: Response =
-            serde_json::from_str(trimmed).map_err(|e| ProtocolError::Malformed {
-                line: trimmed.to_string(),
-                reason: e.to_string(),
-            })?;
+            Line::Partial => {
+                return Err(ProtocolError::TruncatedLine {
+                    partial: utf8(&self.reply)?.to_string(),
+                })
+            }
+            Line::Oversize => {
+                return Err(ProtocolError::Malformed {
+                    line: String::from_utf8_lossy(&self.reply[..80]).into_owned(),
+                    reason: format!("response line exceeds {MAX_LINE} bytes"),
+                })
+            }
+        };
+        let response = Response::decode(trimmed).map_err(|e| ProtocolError::Malformed {
+            line: trimmed.to_string(),
+            reason: e.to_string(),
+        })?;
         if !response.ok {
             return Err(ProtocolError::Server(
                 response.error.unwrap_or_else(|| "server error".to_string()),
@@ -452,5 +521,116 @@ impl ServeClient {
         response
             .timeline
             .ok_or(ProtocolError::MissingPayload { kind: "timeline" })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::pool::ServeConfig;
+    use std::io::Cursor;
+    use std::net::TcpListener;
+
+    const COUNTER_SRC: &str = "\
+circuit H :
+  module H :
+    input clock : Clock
+    input limit : UInt<8>
+    output cnt : UInt<8>
+    output done : UInt<1>
+    reg acc : UInt<8>, clock
+    acc <= tail(add(acc, UInt<8>(1)), 1)
+    cnt <= acc
+    done <= geq(acc, limit)
+";
+
+    #[test]
+    fn read_line_never_buffers_past_the_bound() {
+        let mut buf = Vec::new();
+        let mut two = Cursor::new(b"first\nsecond".to_vec());
+        assert_eq!(read_line(&mut two, &mut buf).unwrap(), Line::Complete);
+        assert_eq!(buf, b"first\n");
+        assert_eq!(read_line(&mut two, &mut buf).unwrap(), Line::Partial);
+        assert_eq!(buf, b"second");
+        assert_eq!(read_line(&mut two, &mut buf).unwrap(), Line::Eof);
+        assert!(buf.is_empty());
+
+        // The longest line that fits, then one byte more.
+        let mut fits = vec![b'x'; MAX_LINE - 1];
+        fits.push(b'\n');
+        let mut fits = Cursor::new(fits);
+        assert_eq!(read_line(&mut fits, &mut buf).unwrap(), Line::Complete);
+        assert_eq!(buf.len(), MAX_LINE);
+        let mut long = vec![b'x'; MAX_LINE];
+        long.extend_from_slice(b"\nnext\n");
+        let mut long = Cursor::new(long);
+        assert_eq!(read_line(&mut long, &mut buf).unwrap(), Line::Oversize);
+        assert_eq!(buf.len(), MAX_LINE, "the rest stays unread");
+    }
+
+    #[test]
+    fn the_largest_corpus_design_registers_within_the_bound() {
+        let chip = rteaal_designs::rocket(rteaal_designs::ChipConfig::new(4).with_scale(0.5));
+        let source = rteaal_firrtl::parser::emit(&chip);
+        let mut line = String::new();
+        Request::register("chip", source, "halt").encode(&mut line);
+        assert!(
+            line.len() > 1 << 20,
+            "still the 1 MB design: {}",
+            line.len()
+        );
+        assert!(3 * line.len() < MAX_LINE, "{} bytes", line.len());
+    }
+
+    #[test]
+    fn an_oversize_request_is_answered_counted_and_hung_up_on() {
+        let compiled = Compiler::new(KernelConfig::new(KernelKind::Psu))
+            .compile_str(COUNTER_SRC)
+            .unwrap();
+        let pool = ServerPool::new(&compiled, ServeConfig::with_workers(1), "done").unwrap();
+        let addr = SocketServer::bind(pool, "127.0.0.1:0")
+            .unwrap()
+            .spawn()
+            .unwrap();
+        let mut raw = TcpStream::connect(addr).unwrap();
+        raw.write_all(&vec![b'x'; MAX_LINE + 1]).unwrap();
+        let mut reader = BufReader::new(raw);
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        let response = Response::decode(reply.trim_end()).unwrap();
+        assert_eq!((response.ok, response.kind.as_str()), (false, "error"));
+        assert!(response.error.unwrap().contains("exceeds"));
+        // The server's side of the connection is closed.
+        assert_eq!(reader.read_line(&mut reply).unwrap(), 0);
+        // Other connections are unaffected, and the refusal is counted.
+        let mut client = ServeClient::connect(addr).unwrap();
+        let (snapshot, _) = client.metrics().unwrap();
+        assert_eq!(snapshot.counter("serve.rejected_oversize"), 1);
+    }
+
+    #[test]
+    fn an_oversize_reply_is_malformed_not_buffered() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut request = String::new();
+            BufReader::new(stream.try_clone().unwrap())
+                .read_line(&mut request)
+                .unwrap();
+            // The client hangs up mid-write: the error is expected.
+            let _ = (&stream).write_all(&vec![b'y'; MAX_LINE + 1]);
+        });
+        let mut client = ServeClient::connect(addr).unwrap();
+        match client.ping() {
+            Err(ProtocolError::Malformed { line, reason }) => {
+                assert!(reason.contains("exceeds"), "{reason}");
+                assert_eq!(line, "y".repeat(80));
+            }
+            other => panic!("expected a malformed reply, got {other:?}"),
+        }
+        assert_eq!(client.reply.len(), MAX_LINE);
+        drop(client);
+        server.join().unwrap();
     }
 }

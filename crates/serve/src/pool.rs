@@ -4,10 +4,11 @@
 //!
 //! [`ServerPool`] is the in-process front door of the serving layer.
 //! Submission returns immediately with a [`JobHandle`]; each worker
-//! drives its schedulers in small [`Scheduler::run_for`] chunks,
-//! interleaving mid-run admissions from its queue with harvests, and
-//! publishes every finished job's [`JobResult`] — keyed by a
-//! pool-global id — the moment the lane's halt probe fires. Clients
+//! drives its schedulers one [`Scheduler::run_quantum`] at a time — a
+//! quantum ends the cycle a job finishes, or when a lane is free with
+//! nothing queued — interleaving mid-run admissions from its queue with
+//! harvests, and publishes every finished job's [`JobResult`] — keyed
+//! by a pool-global id — the cycle the lane's halt probe fires. Clients
 //! [`poll`](JobHandle::poll) or [`wait`](JobHandle::wait) on their
 //! handles; nothing blocks the workers.
 //!
@@ -55,16 +56,18 @@ fn lock_or_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// [`ServerPool::new`]); jobs that name no design run on it.
 pub const DEFAULT_DESIGN: &str = "default";
 
-/// Worker-pool sizing and pacing knobs.
+/// Longest quantum a worker gives one design's scheduler when no job
+/// finishes and every lane stays busy: bounds how long the worker's
+/// other designs and its inbox wait behind a long-running batch.
+const QUANTUM_CAP: u64 = 64;
+
+/// Worker-pool sizing knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
     /// Worker threads, one `Scheduler` each.
     pub workers: usize,
     /// Stimulus lanes per worker.
     pub lanes: usize,
-    /// Engine cycles per `run_for` chunk — the latency granularity at
-    /// which workers check their submission queues and publish results.
-    pub chunk_cycles: u64,
     /// Per-job cycle cap: a submitted job's budget is clamped to this
     /// (guards a server against unhaltable testbenches with huge
     /// budgets).
@@ -95,7 +98,6 @@ impl Default for ServeConfig {
         ServeConfig {
             workers: 2,
             lanes: 8,
-            chunk_cycles: 64,
             max_budget: 1 << 20,
             partitions: 1,
             max_replication: 1.5,
@@ -132,7 +134,8 @@ struct Shared {
     results: Mutex<ResultsTable>,
     /// Signalled whenever new results land.
     done: Condvar,
-    /// Per-worker scheduler counters, refreshed after every chunk.
+    /// Per-worker scheduler counters, refreshed after every quantum
+    /// that stepped or finished something.
     ///
     /// This mutex doubles as the pool's *ledger lock*: id assignment +
     /// load increments (submission) and stats refresh + load decrements
@@ -141,10 +144,12 @@ struct Shared {
     /// — the accounting-closure invariant `stats()` asserts.
     stats: Mutex<Vec<SchedStats>>,
     /// Dispatched-but-unfinished jobs by pool-global id: which worker
-    /// owns each and the job's name. Maintained inside ledger sections
-    /// (insert at submission, remove at publication) so a dying
-    /// worker's unwind guard can fail exactly the jobs that will never
-    /// publish — the "handles must not wedge" invariant.
+    /// owns each and the job's name (parked here while the job runs
+    /// nameless, and moved into the result at publication). Maintained
+    /// inside ledger sections (insert at submission, remove at
+    /// publication) so a dying worker's unwind guard can fail exactly
+    /// the jobs that will never publish — the "handles must not wedge"
+    /// invariant.
     assigned: Mutex<HashMap<u64, (usize, String)>>,
     /// Jobs rejected pool-side without a worker scheduler ever counting
     /// them (unknown design, dead worker, stranded by a worker panic) —
@@ -307,19 +312,35 @@ impl JobHandle {
     /// Returns `None` if `handles` is empty. All handles must come from
     /// the same pool.
     pub fn wait_any(handles: &[JobHandle]) -> Option<(usize, JobResult)> {
-        let shared = &handles.first()?.shared;
+        let r = Self::wait_any_of(handles)?;
+        let claimed = handles.iter().position(|h| h.id == r.id.0);
+        Some((claimed.expect("the result belongs to one of `handles`"), r))
+    }
+
+    /// [`wait_any`](Self::wait_any) over any collection that can be
+    /// walked more than once (a map's values, say), in place: the
+    /// delivered [`JobResult::id`] is the claimed handle's
+    /// [`id`](Self::id).
+    pub fn wait_any_of<'a, I>(handles: I) -> Option<JobResult>
+    where
+        I: IntoIterator<Item = &'a JobHandle> + Clone,
+    {
+        let shared = &handles.clone().into_iter().next()?.shared;
         debug_assert!(
-            handles.iter().all(|h| Arc::ptr_eq(&h.shared, shared)),
+            handles
+                .clone()
+                .into_iter()
+                .all(|h| Arc::ptr_eq(&h.shared, shared)),
             "wait_any handles must share one pool"
         );
         let mut table = lock_or_recover(&shared.results);
         loop {
-            for (i, h) in handles.iter().enumerate() {
+            for h in handles.clone() {
                 if let Some(r) = table.ready.remove(&h.id) {
                     h.mark_claimed();
                     drop(table);
                     h.record_delivered();
-                    return Some((i, r));
+                    return Some(r);
                 }
             }
             table = shared
@@ -434,9 +455,10 @@ enum WorkerMsg {
     Job {
         /// Pool-global id.
         id: u64,
-        /// Registry name (always validated by the front end first).
-        design: String,
-        /// The job itself.
+        /// Registry index: designs reach every worker in registration
+        /// order, so the pool's index is the worker's.
+        design: usize,
+        /// The job itself; its name waits in [`Shared::assigned`].
         job: Job,
         /// Registry timestamp at submission, for the dispatch-latency
         /// histogram (time from front-end submit to worker pickup).
@@ -459,6 +481,11 @@ enum WorkerMsg {
     /// worker owns).
     #[cfg(test)]
     Die,
+    /// Test-only: park the worker at a barrier, so a test can queue
+    /// several submissions behind it and have the worker pick them all
+    /// up at once.
+    #[cfg(test)]
+    Hold(Arc<std::sync::Barrier>),
 }
 
 /// Decides whether a design runs partition-parallel under a config: the
@@ -487,8 +514,7 @@ impl ServerPool {
     ///
     /// # Panics
     ///
-    /// Panics if `config.workers`, `config.lanes`, or
-    /// `config.chunk_cycles` is zero.
+    /// Panics if `config.workers` or `config.lanes` is zero.
     pub fn new(
         compiled: &Compiled,
         config: ServeConfig,
@@ -496,10 +522,6 @@ impl ServerPool {
     ) -> Result<Self, UnknownSignal> {
         assert!(config.workers > 0, "pool needs at least one worker");
         assert!(config.lanes > 0, "pool needs at least one lane per worker");
-        assert!(
-            config.chunk_cycles > 0,
-            "zero-cycle chunks would never step a job"
-        );
         // Validate the halt probe before spawning anything, through the
         // same resolver `BatchSimulation::watch_halt` uses.
         if compiled.plan.signal_slot(halt_signal).is_none() {
@@ -692,22 +714,25 @@ impl ServerPool {
     /// never fails.
     pub fn submit_named(&self, design: Option<&str>, mut job: Job) -> JobHandle {
         job.budget = job.budget.min(self.config.max_budget);
-        let design = design.unwrap_or(DEFAULT_DESIGN);
+        // The job runs nameless: its name is parked in the assignment
+        // record and rejoins the result at publication.
+        let name = std::mem::take(&mut job.name);
         let routing = lock_or_recover(&self.routing);
-        let Some(partition_parallel) = routing
-            .designs
-            .iter()
-            .find(|d| d.name == design)
-            .map(|d| d.partition_parallel)
-        else {
-            drop(routing);
-            return self.reject_unrouted(job.name, format!("unknown design `{design}`"));
+        let index = match design {
+            None => 0,
+            Some(design) => match routing.designs.iter().position(|d| d.name == design) {
+                Some(index) => index,
+                None => {
+                    drop(routing);
+                    return self.reject_unrouted(name, format!("unknown design `{design}`"));
+                }
+            },
         };
         // Partition-parallel designs live on worker 0, whose scheduler
         // spreads each cycle across the partition threads; everything
         // else gets least-loaded dispatch over the *live* workers (ties
         // go to the lowest index). Dead workers never receive jobs.
-        let target = if partition_parallel {
+        let target = if routing.designs[index].partition_parallel {
             (!self.shared.dead[0].load(Ordering::Acquire)).then_some(0)
         } else {
             (0..self.loads.len())
@@ -715,11 +740,12 @@ impl ServerPool {
                 .min_by_key(|&w| self.loads[w].load(Ordering::Acquire))
         };
         let Some(w) = target else {
-            drop(routing);
-            return self.reject_unrouted(
-                job.name,
-                format!("no live worker can run design `{design}`"),
+            let error = format!(
+                "no live worker can run design `{}`",
+                routing.designs[index].name
             );
+            drop(routing);
+            return self.reject_unrouted(name, error);
         };
         // Ledger section: id assignment, the in-flight increment, and
         // the assignment record are atomic with respect to stats() and
@@ -729,7 +755,7 @@ impl ServerPool {
             let _ledger = lock_or_recover(&self.shared.stats);
             let id = self.next_id.fetch_add(1, Ordering::Relaxed);
             self.loads[w].fetch_add(1, Ordering::AcqRel);
-            lock_or_recover(&self.shared.assigned).insert(id, (w, job.name.clone()));
+            lock_or_recover(&self.shared.assigned).insert(id, (w, name));
             id
         };
         self.shared.occupancy[w].add(1);
@@ -740,10 +766,9 @@ impl ServerPool {
         // Sent under the routing lock, after the membership check: the
         // design's `Register` broadcast is already in this worker's
         // queue, so the job can never outrun its scheduler.
-        let name = job.name.clone();
         let sent = routing.senders[w].send(WorkerMsg::Job {
             id,
-            design: design.to_string(),
+            design: index,
             job,
             submitted_at_us,
         });
@@ -754,16 +779,7 @@ impl ServerPool {
             // unwind guard swept the assignment first (it then already
             // published a rejection for this id).
             self.shared.dead[w].store(true, Ordering::Release);
-            let ours = {
-                let _ledger = lock_or_recover(&self.shared.stats);
-                let removed = lock_or_recover(&self.shared.assigned).remove(&id).is_some();
-                if removed {
-                    self.loads[w].fetch_sub(1, Ordering::AcqRel);
-                    self.shared.unrouted.fetch_add(1, Ordering::Relaxed);
-                }
-                removed
-            };
-            if ours {
+            if let Some(name) = unassign(&self.shared, &self.loads, w, id) {
                 self.shared.occupancy[w].sub(1);
                 self.publish_unrouted(id, name, format!("worker {w} is no longer running"));
             }
@@ -912,14 +928,6 @@ impl Drop for ServerPool {
     }
 }
 
-/// One registered design's scheduler on one worker, with its local
-/// `JobId` -> pool-global id mapping.
-struct DesignRun {
-    name: String,
-    sched: Scheduler,
-    global: HashMap<JobId, u64>,
-}
-
 /// Builds one worker's scheduler for a design: worker 0 gives
 /// partition-parallel designs a RepCut-decomposed engine whose cycles
 /// span `config.partitions` threads; every other (worker, design) pair
@@ -942,8 +950,8 @@ fn build_scheduler(
     Scheduler::build(compiled, engine, halt).expect("halt and decomposition validated by the pool")
 }
 
-/// One worker: a scheduler per design driven in chunks, fed from its
-/// queue, publishing results as lanes drain. Exits once the pool
+/// One worker: a scheduler per design driven a quantum at a time, fed
+/// from its queue, publishing results as lanes drain. Exits once the pool
 /// disconnects the queue *and* all outstanding work is done.
 #[allow(clippy::too_many_arguments)]
 fn worker_loop(
@@ -971,17 +979,13 @@ fn worker_loop(
     };
     // A Vec, not a map: designs stay in registration order (determinism
     // for the multiplexed drive below) and the registry is small.
-    let mut designs: Vec<DesignRun> = vec![DesignRun {
-        name: DEFAULT_DESIGN.to_string(),
-        sched: {
-            let mut sched = build_scheduler(compiled, halt, config, w, default_parallel);
-            attach(&mut sched, DEFAULT_DESIGN);
-            sched
-        },
-        global: HashMap::new(),
+    let mut designs: Vec<Scheduler> = vec![{
+        let mut sched = build_scheduler(compiled, halt, config, w, default_parallel);
+        attach(&mut sched, DEFAULT_DESIGN);
+        sched
     }];
     let dispatch_latency = shared.telemetry.histogram("serve.dispatch_latency_us");
-    let apply = |designs: &mut Vec<DesignRun>, msg: WorkerMsg| match msg {
+    let apply = |designs: &mut Vec<Scheduler>, msg: WorkerMsg| match msg {
         WorkerMsg::Register {
             design,
             compiled,
@@ -990,11 +994,7 @@ fn worker_loop(
         } => {
             let mut sched = build_scheduler(&compiled, &halt, config, w, partition_parallel);
             attach(&mut sched, &design);
-            designs.push(DesignRun {
-                name: design,
-                sched,
-                global: HashMap::new(),
-            });
+            designs.push(sched);
         }
         WorkerMsg::Job {
             id,
@@ -1003,108 +1003,118 @@ fn worker_loop(
             submitted_at_us,
         } => {
             dispatch_latency.record(shared.telemetry.now_us().saturating_sub(submitted_at_us));
-            let Some(run) = designs.iter_mut().find(|d| d.name == design) else {
+            let Some(sched) = designs.get_mut(design) else {
                 // Unreachable through the public API (registration is
                 // broadcast under the routing lock before any job can
                 // name the design), but a broken invariant must fail
                 // one job, not the worker.
-                debug_assert!(false, "job for unregistered design `{design}`");
-                reject_on_worker(shared, loads, w, id, job.name, {
-                    format!("design `{design}` is not registered on worker {w}")
+                debug_assert!(false, "job for unregistered design #{design}");
+                reject_on_worker(shared, loads, w, id, {
+                    format!("design #{design} is not registered on worker {w}")
                 });
                 return;
             };
             // Trace under the pool-global id: the scheduler's queued /
             // admitted / halted events join the pool's submitted /
-            // published / delivered ones on one timeline.
-            let local = run.sched.submit_traced(job, id);
-            run.global.insert(local, id);
+            // published / delivered ones on one timeline, and the
+            // result comes back carrying it.
+            sched.submit_traced(job, id);
         }
         #[cfg(test)]
         WorkerMsg::Die => {
             let _poison = shared.stats.lock();
             panic!("worker {w} killed by test");
         }
+        #[cfg(test)]
+        WorkerMsg::Hold(gate) => {
+            gate.wait();
+        }
     };
     loop {
         // Idle workers block on their queue instead of spinning; a
         // disconnected queue with no work left means shutdown.
-        if !designs.iter().any(|d| d.sched.has_work()) {
+        if !designs.iter().any(Scheduler::has_work) {
             match watch.rx.recv() {
                 Ok(msg) => apply(&mut designs, msg),
                 Err(_) => break,
             }
         }
         // Opportunistically drain whatever else has queued up — mid-run
-        // admission packs new jobs into lanes freed this chunk.
+        // admission packs new jobs into lanes freed this quantum.
         while let Ok(msg) = watch.rx.try_recv() {
             apply(&mut designs, msg);
         }
-        // Multiplex: each design with work gets one chunk in turn.
-        for run in &mut designs {
-            if run.sched.has_work() {
-                run.sched.run_for(config.chunk_cycles);
+        // Multiplex: each design with work gets one quantum in turn.
+        let mut stepped = 0;
+        for sched in &mut designs {
+            if sched.has_work() {
+                stepped += sched.run_quantum(QUANTUM_CAP);
             }
         }
-        publish(&mut designs, shared, loads, w);
+        publish(&mut designs, shared, loads, w, stepped);
     }
-    debug_assert!(
-        designs.iter().all(|d| d.global.is_empty()),
-        "every mapped job was published"
-    );
 }
 
-/// Publishes a chunk's harvested results under their pool-global ids
-/// and refreshes the worker's stats snapshot (merged across designs).
-fn publish(designs: &mut [DesignRun], shared: &Shared, loads: &[AtomicUsize], w: usize) {
-    let mut merged = SchedStats::default();
-    // Harvest before touching the results table: chunks that finished
+/// Publishes a round of quanta's harvested results under their
+/// pool-global ids and refreshes the worker's stats snapshot (merged
+/// across designs). A round that stepped nothing and finished nothing
+/// moved no counter and takes no lock.
+fn publish(
+    designs: &mut [Scheduler],
+    shared: &Shared,
+    loads: &[AtomicUsize],
+    w: usize,
+    stepped: u64,
+) {
+    // Harvest before touching the results table: quanta that finished
     // nothing must not contend on the mutex that handles block on.
-    let mut harvested: Vec<(u64, JobResult)> = Vec::new();
-    for run in designs.iter_mut() {
-        merged.merge(&run.sched.stats());
-        for r in run.sched.take_results() {
-            let Some(id) = run.global.remove(&r.id) else {
-                // Unreachable (every scheduled job is mapped at
-                // submission), but an unmapped result must be dropped,
-                // not panic the worker.
-                debug_assert!(false, "unmapped result {:?} on worker {w}", r.id);
-                continue;
-            };
-            harvested.push((id, r));
-        }
+    let mut harvested: Vec<JobResult> = Vec::new();
+    for sched in designs.iter_mut() {
+        harvested.append(&mut sched.take_results());
+    }
+    if stepped == 0 && harvested.is_empty() {
+        return;
+    }
+    let mut merged = SchedStats::default();
+    for sched in designs.iter() {
+        merged.merge(&sched.stats());
     }
     // Ledger section: the refreshed finished counters, the in-flight
     // decrements, and the assignment-record removals land atomically
     // with respect to stats() readers and unwind guards, so a finishing
     // job is never double-counted, dropped mid-snapshot, or re-failed
-    // by a later worker death.
+    // by a later worker death. The removed record hands the job's name
+    // back to its result.
     {
         let mut ledger = lock_or_recover(&shared.stats);
         ledger[w] = merged;
+        if harvested.is_empty() {
+            return;
+        }
         let mut assigned = lock_or_recover(&shared.assigned);
-        for (id, _) in &harvested {
+        for r in &mut harvested {
+            // From here on the result goes by its pool-global id, the
+            // one its scheduler traced it under.
+            r.id = JobId(r.trace);
             loads[w].fetch_sub(1, Ordering::AcqRel);
-            assigned.remove(id);
+            if let Some((_, name)) = assigned.remove(&r.trace) {
+                r.name = name;
+            }
         }
     }
-    if harvested.is_empty() {
-        return;
-    }
     shared.occupancy[w].sub(harvested.len() as i64);
-    for (id, r) in &harvested {
+    for r in &harvested {
         let lane = (r.lane != usize::MAX).then_some(r.lane as u64);
         shared
             .telemetry
-            .record_event(*id, JobStage::Published, Some(w as u64), lane, None);
+            .record_event(r.trace, JobStage::Published, Some(w as u64), lane, None);
     }
     let mut table = lock_or_recover(&shared.results);
-    for (id, mut r) in harvested {
+    for r in harvested {
         // A tombstone means the handle was dropped unclaimed: discard
         // instead of parking the result forever.
-        if !table.abandoned.remove(&id) {
-            r.id = JobId(id);
-            table.ready.insert(id, r);
+        if !table.abandoned.remove(&r.trace) {
+            table.ready.insert(r.trace, r);
         }
     }
     drop(table);
@@ -1125,6 +1135,7 @@ fn publish_rejected(shared: &Shared, id: u64, name: String, error: String) {
             id,
             JobResult {
                 id: JobId(id),
+                trace: id,
                 name,
                 outputs: Vec::new(),
                 outcome: JobOutcome::Rejected,
@@ -1140,24 +1151,22 @@ fn publish_rejected(shared: &Shared, id: u64, name: String, error: String) {
     shared.done.notify_all();
 }
 
-/// Fails one dispatched job from its owning worker: undoes the
-/// dispatch accounting inside a ledger section and publishes a
+/// Undoes one job's dispatch accounting inside a ledger section — the
+/// job will be rejected, not run — and returns its parked name, or
+/// `None` if the record is already gone (an unwind guard swept it and
+/// published the rejection itself).
+fn unassign(shared: &Shared, loads: &[AtomicUsize], w: usize, id: u64) -> Option<String> {
+    let _ledger = lock_or_recover(&shared.stats);
+    let (_, name) = lock_or_recover(&shared.assigned).remove(&id)?;
+    loads[w].fetch_sub(1, Ordering::AcqRel);
+    shared.unrouted.fetch_add(1, Ordering::Relaxed);
+    Some(name)
+}
+
+/// Fails one dispatched job from its owning worker and publishes a
 /// rejection so the job's handle resolves.
-fn reject_on_worker(
-    shared: &Shared,
-    loads: &[AtomicUsize],
-    w: usize,
-    id: u64,
-    name: String,
-    error: String,
-) {
-    {
-        let _ledger = lock_or_recover(&shared.stats);
-        if lock_or_recover(&shared.assigned).remove(&id).is_some() {
-            loads[w].fetch_sub(1, Ordering::AcqRel);
-            shared.unrouted.fetch_add(1, Ordering::Relaxed);
-        }
-    }
+fn reject_on_worker(shared: &Shared, loads: &[AtomicUsize], w: usize, id: u64, error: String) {
+    let name = unassign(shared, loads, w, id).unwrap_or_default();
     shared.occupancy[w].sub(1);
     publish_rejected(shared, id, name, error);
 }
@@ -1266,7 +1275,6 @@ circuit H :
         for workers in [1usize, 2, 3] {
             let mut cfg = ServeConfig::with_workers(workers);
             cfg.lanes = 2;
-            cfg.chunk_cycles = 8;
             let pool = ServerPool::new(&c, cfg, "done").unwrap();
             let limits: Vec<u64> = (0..20).map(|i| 2 + (i * 7) % 23).collect();
             let handles: Vec<JobHandle> =
@@ -1491,6 +1499,115 @@ circuit D :
         pool.shutdown();
     }
 
+    /// The counter of [`HALT_SRC`] at 32 bits: jobs long enough to
+    /// still be running while a test looks at their neighbours.
+    const WIDE_SRC: &str = "\
+circuit W :
+  module W :
+    input clock : Clock
+    input limit : UInt<32>
+    output cnt : UInt<32>
+    output done : UInt<1>
+    reg acc : UInt<32>, clock
+    acc <= tail(add(acc, UInt<32>(1)), 1)
+    cnt <= acc
+    done <= geq(acc, limit)
+";
+
+    fn wide() -> Compiled {
+        Compiler::new(KernelConfig::new(KernelKind::Psu))
+            .compile_str(WIDE_SRC)
+            .unwrap()
+    }
+
+    /// When one stage of a job's timeline was recorded.
+    fn stage_at(pool: &ServerPool, handle: &JobHandle, stage: JobStage) -> u64 {
+        let timeline = pool.timeline(handle.id());
+        let event = timeline.iter().find(|e| e.stage == stage);
+        event.expect("the stage was recorded").at_us
+    }
+
+    #[test]
+    fn a_short_job_is_published_the_cycle_it_halts_beside_a_long_one() {
+        let c = wide();
+        let mut cfg = ServeConfig::with_workers(1);
+        cfg.lanes = 2;
+        let pool = ServerPool::new(&c, cfg, "done").unwrap();
+        // Park the worker until all three jobs are in its inbox: the
+        // long and the short one then start in the same cycle and the
+        // third waits for the short one's lane.
+        let gate = Arc::new(std::sync::Barrier::new(2));
+        lock_or_recover(&pool.routing).senders[0]
+            .send(WorkerMsg::Hold(Arc::clone(&gate)))
+            .unwrap();
+        let wide_job = |name: &str, limit: u64, budget: u64| {
+            Job::new(name, budget)
+                .with_input("limit", limit)
+                .with_probe("cnt")
+        };
+        let long = pool.submit(wide_job("long", 1 << 18, 1 << 19));
+        let short = pool.submit(wide_job("short", 40, 64));
+        // The timeline's only cycle-granular clock: a job evicted one
+        // engine cycle after it takes over the short job's lane.
+        let tick = pool.submit(wide_job("tick", u64::from(u32::MAX), 1));
+        gate.wait();
+        let s = short.wait();
+        let t = tick.wait();
+        let l = long.wait();
+        assert!(s.completed() && l.completed());
+        assert_eq!((s.name.as_str(), s.cycles), ("short", 41));
+        assert_eq!(l.cycles, (1 << 18) + 1);
+        assert_eq!(t.outcome, JobOutcome::Evicted);
+        assert_eq!(
+            (t.admitted_at, t.finished_at),
+            (s.finished_at, s.finished_at + 1),
+            "the tick ran the one cycle after the short job halted"
+        );
+        // Published no later than the next engine cycle's harvest, not
+        // at the end of some longer quantum...
+        assert!(
+            stage_at(&pool, &short, JobStage::Published)
+                <= stage_at(&pool, &tick, JobStage::Halted)
+        );
+        // ...and claimed while its neighbour was still running.
+        assert!(
+            stage_at(&pool, &short, JobStage::Delivered) < stage_at(&pool, &long, JobStage::Halted)
+        );
+        pool.shutdown();
+    }
+
+    #[test]
+    fn a_job_that_never_halts_does_not_starve_the_worker_s_other_design() {
+        // One worker, one lane, two designs. The default design's only
+        // job fills the lane and runs out its whole budget: no finish
+        // and no free lane ever ends its quanta, so the cap alone gives
+        // the other design's jobs their turns.
+        let mut cfg = ServeConfig::with_workers(1);
+        cfg.lanes = 1;
+        let pool = ServerPool::new(&wide(), cfg, "done").unwrap();
+        pool.register("other", &compiled(), "done").unwrap();
+        let hog = pool.submit(
+            Job::new("hog", 1 << 18)
+                .with_input("limit", u64::from(u32::MAX))
+                .with_probe("cnt"),
+        );
+        let others: Vec<JobHandle> = (0..5)
+            .map(|i| pool.submit_named(Some("other"), count_job(3 + i)))
+            .collect();
+        for (i, h) in others.iter().enumerate() {
+            let r = h.wait();
+            assert!(r.completed(), "{}", r.name);
+            assert_eq!(r.outputs[0].1, 3 + i as u64 + 1);
+        }
+        let r = hog.wait();
+        assert_eq!((r.outcome, r.cycles), (JobOutcome::Evicted, 1 << 18));
+        let evicted_at = stage_at(&pool, &hog, JobStage::Halted);
+        for h in &others {
+            assert!(stage_at(&pool, h, JobStage::Published) < evicted_at);
+        }
+        pool.shutdown();
+    }
+
     #[test]
     fn accounting_closes_at_every_snapshot_under_concurrent_polling() {
         // Hammer stats() from another thread while jobs flow: every
@@ -1499,13 +1616,13 @@ circuit D :
         let c = compiled();
         let mut cfg = ServeConfig::with_workers(2);
         cfg.lanes = 2;
-        cfg.chunk_cycles = 4;
         let pool = Arc::new(ServerPool::new(&c, cfg, "done").unwrap());
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let snapshots = Arc::new(AtomicU64::new(0));
         let poller = {
             let (pool, stop) = (Arc::clone(&pool), Arc::clone(&stop));
+            let snapshots = Arc::clone(&snapshots);
             std::thread::spawn(move || {
-                let mut snapshots = 0u64;
                 while !stop.load(Ordering::Relaxed) {
                     let s = pool.stats();
                     assert!(
@@ -1517,27 +1634,32 @@ circuit D :
                         s.merged.rejected,
                         s.in_flight
                     );
-                    snapshots += 1;
+                    snapshots.fetch_add(1, Ordering::Relaxed);
                 }
-                snapshots
             })
         };
-        let handles: Vec<JobHandle> = (0..40)
-            .map(|i| {
-                if i % 10 == 9 {
-                    // Unknown designs exercise the unrouted leg.
-                    pool.submit_named(Some("ghost"), count_job(3))
-                } else {
-                    pool.submit(count_job(2 + (i * 7) % 23))
-                }
-            })
-            .collect();
+        let submit = |i: u64| {
+            if i % 10 == 9 {
+                // Unknown designs exercise the unrouted leg.
+                pool.submit_named(Some("ghost"), count_job(3))
+            } else {
+                pool.submit(count_job(2 + (i * 7) % 23))
+            }
+        };
+        let mut handles: Vec<JobHandle> = (0..20).map(submit).collect();
+        // The poller observes at least one snapshot mid-corpus: the
+        // second half is held back until it has.
+        let seen = snapshots.load(Ordering::Relaxed);
+        while snapshots.load(Ordering::Relaxed) == seen {
+            assert!(!poller.is_finished(), "the poller died on a snapshot");
+            std::thread::yield_now();
+        }
+        handles.extend((20..40).map(submit));
         for h in &handles {
             h.wait();
         }
         stop.store(true, Ordering::Relaxed);
-        let snapshots = poller.join().unwrap();
-        assert!(snapshots > 0, "the poller actually observed snapshots");
+        poller.join().unwrap();
         let final_stats = pool.stats();
         assert!(final_stats.accounting_balanced());
         assert_eq!(final_stats.submitted, 40);
@@ -1553,7 +1675,6 @@ circuit D :
         let c = compiled();
         let mut cfg = ServeConfig::with_workers(1);
         cfg.lanes = 2;
-        cfg.chunk_cycles = 8;
         let pool = ServerPool::new(&c, cfg, "done").unwrap();
         // One job completes normally first, so the corpus provably
         // spans the death.
@@ -1595,7 +1716,6 @@ circuit D :
         let c = compiled();
         let mut cfg = ServeConfig::with_workers(2);
         cfg.lanes = 2;
-        cfg.chunk_cycles = 8;
         let pool = ServerPool::new(&c, cfg, "done").unwrap();
         lock_or_recover(&pool.routing).senders[0]
             .send(WorkerMsg::Die)
@@ -1634,7 +1754,6 @@ circuit D :
         let run = |spec: Specialization| -> Vec<JobResult> {
             let mut cfg = ServeConfig::with_workers(2);
             cfg.lanes = 64;
-            cfg.chunk_cycles = 8;
             cfg.specialization = spec;
             let pool = ServerPool::new(&c, cfg, "done").unwrap();
             let handles: Vec<JobHandle> =
@@ -1657,7 +1776,6 @@ circuit D :
         let c = compiled();
         let mut cfg = ServeConfig::with_workers(2);
         cfg.lanes = 2;
-        cfg.chunk_cycles = 8;
         let pool = ServerPool::new(&c, cfg, "done").unwrap();
         let handles: Vec<JobHandle> = (1u64..=6).map(|k| pool.submit(count_job(k))).collect();
         for h in &handles {

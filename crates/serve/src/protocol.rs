@@ -32,10 +32,37 @@
 //! serde's [`Content`] tree so optional fields may simply be omitted —
 //! a hand-typed `{"verb":"stats"}` is a valid request; inner payload
 //! structs use the derive.
+//!
+//! # Two codecs, one format
+//!
+//! The `Serialize`/`Deserialize` impls here are the *reference*: they
+//! define the wire format, and every line can be written and read
+//! through `serde_json` alone. The socket front end goes through
+//! [`Request::encode`]/[`Request::decode`] and
+//! [`Response::encode`]/[`Response::decode`] instead, which put a typed
+//! codec in front of the reference for the four lines a job costs:
+//!
+//! - requests whose verb is `submit`, `poll` or `result` and whose only
+//!   keys are `verb`, `job` and `id` (inside `job`: `name`, `budget`,
+//!   `inputs`, `state_pokes`, `probes`, `design`);
+//! - responses whose only keys are `ok`, `kind`, `id`, `result` and
+//!   `error` — the `submitted`, `pending`, `result` and `error` kinds.
+//!
+//! Those are written straight into the caller's line buffer, byte for
+//! byte what `serde_json` writes, and read by a pull parser that builds
+//! the value without the [`Content`] tree in between. The typed reader
+//! either accepts a line or *defers*: any other verb, a key it does not
+//! own, a repeated key, a `null` where the writer never puts one, an
+//! escaped key, a number that is not a plain `u64`, a syntax error,
+//! trailing bytes — the same line then goes through `serde_json`, whose
+//! value or error is the answer. So the typed path can only ever be
+//! wrong by accepting, and `tests/codec_props.rs` holds it against the
+//! reference on generated and on mutated lines.
 
 use rteaal_sched::{Job, JobOutcome, JobResult};
 use rteaal_telemetry::{JobEvent, MetricsSnapshot};
 use serde::{Content, Deserialize, Serialize};
+use std::fmt::Write as _;
 
 use crate::pool::ServeStats;
 
@@ -240,19 +267,23 @@ impl WireResult {
     }
 }
 
-impl From<&JobResult> for WireResult {
-    fn from(r: &JobResult) -> Self {
+impl From<JobResult> for WireResult {
+    fn from(r: JobResult) -> Self {
         WireResult {
             id: r.id.0,
-            name: r.name.clone(),
+            name: r.name,
             outcome: match r.outcome {
                 JobOutcome::Completed => "completed",
                 JobOutcome::Evicted => "evicted",
                 JobOutcome::Rejected => "rejected",
             }
             .to_string(),
-            error: r.error.clone(),
-            outputs: bindings(&r.outputs),
+            error: r.error,
+            outputs: r
+                .outputs
+                .into_iter()
+                .map(|(name, value)| WireBinding { name, value })
+                .collect(),
             cycles: r.cycles,
             admitted_at: r.admitted_at,
             finished_at: r.finished_at,
@@ -569,10 +600,10 @@ pub struct Response {
 }
 
 impl Response {
-    fn base(ok: bool, kind: &str) -> Self {
+    fn base(ok: bool, kind: impl Into<String>) -> Self {
         Response {
             ok,
-            kind: kind.to_string(),
+            kind: kind.into(),
             id: None,
             result: None,
             stats: None,
@@ -710,6 +741,477 @@ impl Deserialize for Response {
             exposition: opt_field(content, "exposition")?,
             timeline: opt_field(content, "timeline")?,
             error: opt_field(content, "error")?,
+        })
+    }
+}
+
+impl Request {
+    /// Appends this request's wire line (without the newline) to `out`:
+    /// typed for the hot verbs, through `serde_json` otherwise, the
+    /// same bytes either way.
+    pub fn encode(&self, out: &mut String) {
+        if !write_request(self, out) {
+            out.push_str(&serde_json::to_string(self).expect("requests always serialize"));
+        }
+    }
+
+    /// Parses one wire line: the typed reader first, `serde_json` on
+    /// the same line whenever that defers.
+    ///
+    /// # Errors
+    ///
+    /// `serde_json`'s, for a line that is no valid request.
+    pub fn decode(line: &str) -> Result<Self, serde_json::Error> {
+        match Reader::new(line).request() {
+            Some(request) => Ok(request),
+            None => serde_json::from_str(line),
+        }
+    }
+}
+
+impl Response {
+    /// Appends this response's wire line (without the newline) to
+    /// `out`; see [`Request::encode`].
+    pub fn encode(&self, out: &mut String) {
+        if !write_response(self, out) {
+            out.push_str(&serde_json::to_string(self).expect("responses always serialize"));
+        }
+    }
+
+    /// Parses one wire line; see [`Request::decode`].
+    ///
+    /// # Errors
+    ///
+    /// `serde_json`'s, for a line that is no valid response.
+    pub fn decode(line: &str) -> Result<Self, serde_json::Error> {
+        match Reader::new(line).response() {
+            Some(response) => Ok(response),
+            None => serde_json::from_str(line),
+        }
+    }
+}
+
+/// Writes a JSON string exactly as `serde_json` does: `"`, `\` and the
+/// three named controls escaped, other controls as `\u00xx`, the rest
+/// verbatim.
+fn write_str(s: &str, out: &mut String) {
+    out.push('"');
+    let mut copied = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let named = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0..=0x1f => None,
+            _ => continue,
+        };
+        // Every escaped byte is ASCII, so `i` is a character boundary.
+        out.push_str(&s[copied..i]);
+        match named {
+            Some(escape) => out.push_str(escape),
+            None => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        copied = i + 1;
+    }
+    out.push_str(&s[copied..]);
+    out.push('"');
+}
+
+fn write_u64(v: u64, out: &mut String) {
+    let _ = write!(out, "{v}");
+}
+
+fn write_opt_str(s: Option<&str>, out: &mut String) {
+    match s {
+        Some(s) => write_str(s, out),
+        None => out.push_str("null"),
+    }
+}
+
+fn write_bindings(bindings: &[WireBinding], out: &mut String) {
+    out.push('[');
+    for (i, b) in bindings.iter().enumerate() {
+        out.push_str(if i == 0 { "{\"name\":" } else { ",{\"name\":" });
+        write_str(&b.name, out);
+        out.push_str(",\"value\":");
+        write_u64(b.value, out);
+        out.push('}');
+    }
+    out.push(']');
+}
+
+/// Writes `request` if it is one of the typed lines; `false` (and `out`
+/// untouched) if it is `serde_json`'s.
+fn write_request(request: &Request, out: &mut String) -> bool {
+    let hot = matches!(request.verb, Verb::Submit | Verb::Poll | Verb::Result);
+    if !hot || request.design.is_some() || request.source.is_some() || request.halt.is_some() {
+        return false;
+    }
+    out.push_str("{\"verb\":\"");
+    out.push_str(request.verb.as_str());
+    out.push('"');
+    if let Some(job) = &request.job {
+        out.push_str(",\"job\":{\"name\":");
+        write_str(&job.name, out);
+        out.push_str(",\"budget\":");
+        write_u64(job.budget, out);
+        out.push_str(",\"inputs\":");
+        write_bindings(&job.inputs, out);
+        out.push_str(",\"state_pokes\":");
+        write_bindings(&job.state_pokes, out);
+        out.push_str(",\"probes\":[");
+        for (i, probe) in job.probes.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            write_str(probe, out);
+        }
+        out.push_str("],\"design\":");
+        write_opt_str(job.design.as_deref(), out);
+        out.push('}');
+    }
+    if let Some(id) = request.id {
+        out.push_str(",\"id\":");
+        write_u64(id, out);
+    }
+    out.push('}');
+    true
+}
+
+/// Writes `response` if it is one of the typed lines; `false` (and
+/// `out` untouched) if it is `serde_json`'s.
+fn write_response(response: &Response, out: &mut String) -> bool {
+    let Response {
+        ok,
+        kind,
+        id,
+        result,
+        stats: None,
+        pong: None,
+        design: None,
+        designs: None,
+        metrics: None,
+        exposition: None,
+        timeline: None,
+        error,
+    } = response
+    else {
+        return false;
+    };
+    out.push_str(if *ok {
+        "{\"ok\":true,\"kind\":"
+    } else {
+        "{\"ok\":false,\"kind\":"
+    });
+    write_str(kind, out);
+    if let Some(id) = id {
+        out.push_str(",\"id\":");
+        write_u64(*id, out);
+    }
+    if let Some(r) = result {
+        out.push_str(",\"result\":{\"id\":");
+        write_u64(r.id, out);
+        out.push_str(",\"name\":");
+        write_str(&r.name, out);
+        out.push_str(",\"outcome\":");
+        write_str(&r.outcome, out);
+        out.push_str(",\"error\":");
+        write_opt_str(r.error.as_deref(), out);
+        out.push_str(",\"outputs\":");
+        write_bindings(&r.outputs, out);
+        out.push_str(",\"cycles\":");
+        write_u64(r.cycles, out);
+        out.push_str(",\"admitted_at\":");
+        write_u64(r.admitted_at, out);
+        out.push_str(",\"finished_at\":");
+        write_u64(r.finished_at, out);
+        out.push('}');
+    }
+    if let Some(error) = error {
+        out.push_str(",\"error\":");
+        write_str(error, out);
+    }
+    out.push('}');
+    true
+}
+
+/// Stores a field's value; `None` if the key already had one (the
+/// reference keeps the first of a repeated key — its call).
+fn set<T>(slot: &mut Option<T>, value: T) -> Option<()> {
+    slot.replace(value).is_none().then_some(())
+}
+
+/// The typed reader: a pull parser over one line that builds the hot
+/// envelopes directly. Every method returns `None` to *defer* — the
+/// caller then hands the whole line to `serde_json` — so nothing here
+/// produces an error of its own, and everything it does accept must be
+/// what the reference would have decoded.
+struct Reader<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl<'a> Reader<'a> {
+    fn new(text: &'a str) -> Self {
+        Reader { text, pos: 0 }
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    fn ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    fn eat(&mut self, byte: u8) -> Option<()> {
+        (self.peek()? == byte).then(|| self.pos += 1)
+    }
+
+    fn literal(&mut self, word: &str) -> Option<()> {
+        self.text.as_bytes()[self.pos..]
+            .starts_with(word.as_bytes())
+            .then(|| self.pos += word.len())
+    }
+
+    /// Only trailing whitespace may follow the value.
+    fn end(&mut self) -> Option<()> {
+        self.ws();
+        (self.pos == self.text.len()).then_some(())
+    }
+
+    /// The text up to the next `"` or `\`, and which of the two ended
+    /// it; the reader moves past both. Neither byte occurs inside a
+    /// multi-byte character, so the cut is a character boundary.
+    fn plain_run(&mut self) -> Option<(&'a str, u8)> {
+        let rest = self.text.get(self.pos..)?;
+        let n = rest.bytes().position(|b| b == b'"' || b == b'\\')?;
+        self.pos += n + 1;
+        Some((&rest[..n], rest.as_bytes()[n]))
+    }
+
+    /// An object key, borrowed: an escaped key is the reference's.
+    fn key(&mut self) -> Option<&'a str> {
+        self.eat(b'"')?;
+        match self.plain_run()? {
+            (key, b'"') => Some(key),
+            _ => None,
+        }
+    }
+
+    fn string(&mut self) -> Option<String> {
+        self.eat(b'"')?;
+        let mut out = String::new();
+        loop {
+            let (run, end) = self.plain_run()?;
+            out.push_str(run);
+            if end == b'"' {
+                return Some(out);
+            }
+            out.push(match self.peek()? {
+                b'"' => '"',
+                b'\\' => '\\',
+                b'/' => '/',
+                b'n' => '\n',
+                b'r' => '\r',
+                b't' => '\t',
+                b'b' => '\u{8}',
+                b'f' => '\u{c}',
+                b'u' => {
+                    let hex = self.text.as_bytes().get(self.pos + 1..self.pos + 5)?;
+                    let mut code = 0;
+                    for &h in hex {
+                        code = code * 16 + char::from(h).to_digit(16)?;
+                    }
+                    self.pos += 4;
+                    // A surrogate half is no character: the reference
+                    // rejects it.
+                    char::from_u32(code)?
+                }
+                _ => return None,
+            });
+            self.pos += 1;
+        }
+    }
+
+    /// A run of digits that fits a `u64`; a sign, a fraction, an
+    /// exponent or an overflow is the reference's to judge.
+    fn u64(&mut self) -> Option<u64> {
+        let start = self.pos;
+        let mut value = 0u64;
+        while let Some(digit @ b'0'..=b'9') = self.peek() {
+            value = value
+                .checked_mul(10)?
+                .checked_add(u64::from(digit - b'0'))?;
+            self.pos += 1;
+        }
+        (self.pos > start && !matches!(self.peek(), Some(b'.' | b'e' | b'E'))).then_some(value)
+    }
+
+    fn nullable<T>(&mut self, value: impl FnOnce(&mut Self) -> Option<T>) -> Option<Option<T>> {
+        if self.peek()? == b'n' {
+            self.literal("null").map(|()| None)
+        } else {
+            value(self).map(Some)
+        }
+    }
+
+    /// `{ "key": <field(key)>, ... }`.
+    fn object(&mut self, mut field: impl FnMut(&mut Self, &'a str) -> Option<()>) -> Option<()> {
+        self.eat(b'{')?;
+        self.ws();
+        if self.eat(b'}').is_some() {
+            return Some(());
+        }
+        loop {
+            self.ws();
+            let key = self.key()?;
+            self.ws();
+            self.eat(b':')?;
+            self.ws();
+            field(self, key)?;
+            self.ws();
+            if self.eat(b'}').is_some() {
+                return Some(());
+            }
+            self.eat(b',')?;
+        }
+    }
+
+    /// `[ <item>, ... ]`.
+    fn array<T>(&mut self, mut item: impl FnMut(&mut Self) -> Option<T>) -> Option<Vec<T>> {
+        self.eat(b'[')?;
+        self.ws();
+        let mut items = Vec::new();
+        if self.eat(b']').is_some() {
+            return Some(items);
+        }
+        loop {
+            self.ws();
+            items.push(item(self)?);
+            self.ws();
+            if self.eat(b']').is_some() {
+                return Some(items);
+            }
+            self.eat(b',')?;
+        }
+    }
+
+    fn bindings(&mut self) -> Option<Vec<WireBinding>> {
+        self.array(|r| {
+            let (mut name, mut value) = (None, None);
+            r.object(|r, key| match key {
+                "name" => set(&mut name, r.string()?),
+                "value" => set(&mut value, r.u64()?),
+                _ => None,
+            })?;
+            Some(WireBinding {
+                name: name?,
+                value: value?,
+            })
+        })
+    }
+
+    fn job(&mut self) -> Option<WireJob> {
+        let (mut name, mut budget, mut design) = (None, None, None);
+        let (mut inputs, mut state_pokes, mut probes) = (None, None, None);
+        self.object(|r, key| match key {
+            "name" => set(&mut name, r.string()?),
+            "budget" => set(&mut budget, r.u64()?),
+            "inputs" => set(&mut inputs, r.bindings()?),
+            "state_pokes" => set(&mut state_pokes, r.bindings()?),
+            "probes" => set(&mut probes, r.array(Self::string)?),
+            "design" => set(&mut design, r.nullable(Self::string)?),
+            _ => None,
+        })?;
+        Some(WireJob {
+            name: name?,
+            budget: budget?,
+            inputs: inputs.unwrap_or_default(),
+            state_pokes: state_pokes.unwrap_or_default(),
+            probes: probes.unwrap_or_default(),
+            design: design.flatten(),
+        })
+    }
+
+    fn result(&mut self) -> Option<WireResult> {
+        let (mut id, mut name, mut outcome, mut error) = (None, None, None, None);
+        let (mut outputs, mut cycles, mut admitted_at, mut finished_at) = (None, None, None, None);
+        self.object(|r, key| match key {
+            "id" => set(&mut id, r.u64()?),
+            "name" => set(&mut name, r.string()?),
+            "outcome" => set(&mut outcome, r.string()?),
+            "error" => set(&mut error, r.nullable(Self::string)?),
+            "outputs" => set(&mut outputs, r.bindings()?),
+            "cycles" => set(&mut cycles, r.u64()?),
+            "admitted_at" => set(&mut admitted_at, r.u64()?),
+            "finished_at" => set(&mut finished_at, r.u64()?),
+            _ => None,
+        })?;
+        Some(WireResult {
+            id: id?,
+            name: name?,
+            outcome: outcome?,
+            error: error?,
+            outputs: outputs?,
+            cycles: cycles?,
+            admitted_at: admitted_at?,
+            finished_at: finished_at?,
+        })
+    }
+
+    fn request(mut self) -> Option<Request> {
+        let (mut verb, mut job, mut id) = (None, None, None);
+        self.ws();
+        self.object(|r, key| match key {
+            "verb" => set(
+                &mut verb,
+                match r.key()? {
+                    "submit" => Verb::Submit,
+                    "poll" => Verb::Poll,
+                    "result" => Verb::Result,
+                    _ => return None,
+                },
+            ),
+            "job" => set(&mut job, r.job()?),
+            "id" => set(&mut id, r.u64()?),
+            _ => None,
+        })?;
+        self.end()?;
+        Some(Request {
+            job,
+            id,
+            ..Request::base(verb?)
+        })
+    }
+
+    fn response(mut self) -> Option<Response> {
+        let (mut ok, mut kind, mut id, mut result, mut error) = (None, None, None, None, None);
+        self.ws();
+        self.object(|r, key| match key {
+            "ok" => {
+                let value = r.peek()? == b't';
+                r.literal(if value { "true" } else { "false" })?;
+                set(&mut ok, value)
+            }
+            "kind" => set(&mut kind, r.string()?),
+            "id" => set(&mut id, r.u64()?),
+            "result" => set(&mut result, r.result()?),
+            "error" => set(&mut error, r.string()?),
+            _ => None,
+        })?;
+        self.end()?;
+        Some(Response {
+            id,
+            result,
+            error,
+            ..Response::base(ok?, kind?)
         })
     }
 }
@@ -943,6 +1445,86 @@ mod tests {
         // Compactness: absent options leave no key behind.
         let line = serde_json::to_string(&Response::submitted(4)).unwrap();
         assert_eq!(line, r#"{"ok":true,"kind":"submitted","id":4}"#);
+    }
+
+    #[test]
+    fn a_jobs_four_lines_take_the_typed_path_and_the_rest_defer() {
+        // `tests/codec_props.rs` holds the typed path to the reference
+        // from outside, where a path that always deferred would pass
+        // too: pin here which lines it owns.
+        let job = WireJob {
+            name: "j\"7".to_string(),
+            budget: 27,
+            inputs: vec![],
+            state_pokes: vec![WireBinding {
+                name: "x15".to_string(),
+                value: u64::MAX,
+            }],
+            probes: vec!["a0".to_string()],
+            design: None,
+        };
+        let result = WireResult {
+            id: 4,
+            name: "j\"7".to_string(),
+            outcome: "completed".to_string(),
+            error: None,
+            outputs: vec![WireBinding {
+                name: "a0".to_string(),
+                value: 15,
+            }],
+            cycles: 20,
+            admitted_at: 2,
+            finished_at: 22,
+        };
+        for request in [
+            Request::submit(job.clone()),
+            Request::submit(job.on_design("sha3")),
+            Request::poll(3),
+            Request::result(None),
+            Request::result(Some(7)),
+        ] {
+            let mut line = String::new();
+            assert!(write_request(&request, &mut line), "{request:?}");
+            assert_eq!(line, serde_json::to_string(&request).unwrap());
+            assert_eq!(Reader::new(&line).request(), Some(request), "{line}");
+        }
+        for response in [
+            Response::submitted(4),
+            Response::pending(4),
+            Response::result(result),
+            Response::error("unknown id"),
+        ] {
+            let mut line = String::new();
+            assert!(write_response(&response, &mut line), "{response:?}");
+            assert_eq!(line, serde_json::to_string(&response).unwrap());
+            assert_eq!(Reader::new(&line).response(), Some(response), "{line}");
+        }
+        // Cold verbs and kinds are the reference's, both ways...
+        let mut line = String::new();
+        assert!(!write_request(&Request::timeline(7), &mut line));
+        assert!(!write_request(&Request::register("d", "s", "h"), &mut line));
+        assert!(!write_response(&Response::registered("d"), &mut line));
+        assert!(line.is_empty(), "a deferred write leaves the buffer alone");
+        for deferred in [
+            r#"{"verb":"stats"}"#,
+            r#"{"verb":"timeline","id":7}"#,
+            // ...and so is anything odd about a hot one.
+            r#"{"verb":"poll","id":7,"halt":"h"}"#,
+            r#"{"verb":"poll","id":7,"id":7}"#,
+            r#"{"verb":"poll","id":null}"#,
+            r#"{"verb":"poll","\u0069d":7}"#,
+            r#"{"verb":"poll","id":18446744073709551616}"#,
+            r#"{"verb":"poll","id":7} {}"#,
+        ] {
+            assert_eq!(Reader::new(deferred).request(), None, "{deferred}");
+        }
+        for deferred in [
+            r#"{"ok":true,"kind":"registered","design":"d"}"#,
+            r#"{"ok":true,"kind":"submitted","id":4,"pong":null}"#,
+            r#"{"ok":true,"kind":"result","id":4,"result":null}"#,
+        ] {
+            assert_eq!(Reader::new(deferred).response(), None, "{deferred}");
+        }
     }
 
     #[test]

@@ -45,7 +45,6 @@ fn compiled() -> &'static Compiled {
 fn spawn_server() -> SocketAddr {
     let mut cfg = ServeConfig::with_workers(2);
     cfg.lanes = 4;
-    cfg.chunk_cycles = 16;
     let pool = ServerPool::new(compiled(), cfg, "halt").expect("halt resolves");
     SocketServer::bind(pool, "127.0.0.1:0")
         .expect("binds loopback")

@@ -3,8 +3,8 @@
 //! through a [`ServerPool`] must get back, job for job, results
 //! bit-identical to dedicated scalar [`Simulation`] runs of the same
 //! testbenches — same architectural outputs, same completion cycle —
-//! regardless of worker count, lane count, chunk size, submission
-//! interleaving, or which worker's lane a job lands on.
+//! regardless of worker count, lane count, submission interleaving, or
+//! which worker's lane a job lands on.
 
 use proptest::prelude::*;
 use rteaal_core::{Compiled, Compiler, DebugModule, Simulation};
@@ -80,7 +80,6 @@ proptest! {
         corpus_seed in any::<u64>(),
         shuffle_seed in any::<u64>(),
         lanes in 1usize..5,
-        chunk in prop::sample::select(vec![1u64, 7, 64]),
     ) {
         let total = clients * jobs_per_client;
         let mut ks = Workload::corpus_params(total, corpus_seed);
@@ -88,7 +87,6 @@ proptest! {
 
         let mut cfg = ServeConfig::with_workers(workers);
         cfg.lanes = lanes;
-        cfg.chunk_cycles = chunk;
         let pool = ServerPool::new(compiled(), cfg, "halt").expect("halt resolves");
 
         // Each client thread submits its slice of the shuffled corpus
