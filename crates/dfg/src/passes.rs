@@ -7,7 +7,11 @@
 //!   optimize the OIM" (§6.1).
 //! - **Copy propagation** — a *data-level* optimization in the extended
 //!   TeAAL hierarchy (Box 1, Appendix B.1): removes redundant intermediate
-//!   values.
+//!   values. **Truncation fusion** rides under the same toggle: a
+//!   narrowing (or same-width re-signing) `Resize`/`Identity` that is the
+//!   only consumer of a computed, unnamed op becomes that op re-emitted
+//!   at the resize's type — `tail(add(a, b), 1)` is one 32-bit `add`, not
+//!   a 33-bit `add` and a masked row copy.
 //! - **Common-subexpression elimination** — implicit in the graph's
 //!   hash-consing; every rebuild re-dedupes.
 //! - **Operator fusion (mux-chain extraction)** — a *cascade-level*
@@ -27,7 +31,8 @@ pub struct PassOptions {
     /// Fold constant-operand ops and simplify const-condition muxes.
     pub const_fold: bool,
     /// Collapse value-preserving copies (identity, no-op resize, trivial
-    /// mux) onto their operand.
+    /// mux) onto their operand, and fuse truncating ones into a
+    /// single-use producer.
     pub copy_prop: bool,
     /// Fuse nested mux chains into [`DfgOp::MuxChain`].
     pub fuse_mux_chains: bool,
@@ -65,6 +70,8 @@ pub struct PassStats {
     pub const_folded: usize,
     /// Copies collapsed onto their operand.
     pub copies_propagated: usize,
+    /// Truncating resizes fused into their single-use producer.
+    pub truncs_fused: usize,
     /// Structurally identical ops merged (CSE via hash-consing).
     pub cse_merged: usize,
     /// Unreachable ops dropped.
@@ -78,8 +85,13 @@ pub struct PassStats {
 /// Runs the configured passes and returns the optimized graph with stats.
 pub fn optimize(graph: &Graph, opts: &PassOptions) -> (Graph, PassStats) {
     let mut stats = PassStats::default();
+    let uses = if opts.copy_prop {
+        use_counts(graph)
+    } else {
+        HashMap::new()
+    };
     let mut g = rebuild(graph, &mut |new, node, ops| {
-        transform(new, node, ops, opts, &mut stats)
+        transform(new, graph, &uses, node, ops, opts, &mut stats)
     });
     if opts.fuse_mux_chains {
         g = fuse_mux_chains(&g, opts.min_chain_len, &mut stats);
@@ -145,8 +157,24 @@ pub fn rebuild(
     new
 }
 
+/// Consumers of each node among the live ops, plus one per output port
+/// and register next-state it drives.
+fn use_counts(graph: &Graph) -> HashMap<NodeId, usize> {
+    let mut uses: HashMap<NodeId, usize> = HashMap::new();
+    let roots = graph.outputs.iter().map(|(_, id)| *id);
+    let roots = roots.chain(graph.regs.iter().map(|r| r.next));
+    let live = graph.topo_order();
+    let operands = live.iter().flat_map(|&id| graph.node(id).operands.iter());
+    for id in operands.copied().chain(roots) {
+        *uses.entry(id).or_insert(0) += 1;
+    }
+    uses
+}
+
 fn transform(
     new: &mut Graph,
+    old: &Graph,
+    uses: &HashMap<NodeId, usize>,
     node: &crate::graph::Node,
     ops: &[NodeId],
     opts: &PassOptions,
@@ -200,6 +228,29 @@ fn transform(
             stats.copies_propagated += 1;
             return coerce_like(new, ops[1], node.width, node.signed);
         }
+        // Truncation fusion: the resize's only job is to canonicalize its
+        // producer's value again, at a type no wider — and `eval_raw`
+        // never reads a node's own width, so for `w <= w'`
+        // `canonicalize(canonicalize(raw, w', s'), w, s)` is
+        // `canonicalize(raw, w, s)`: the producer re-emitted at the
+        // resize's type computes the same value in one op. Only when the
+        // resize is the producer's sole consumer (else the work doubles)
+        // and the producer is unnamed (else its probe disappears); the
+        // old graph counts the uses, so the producer must also have come
+        // through the rebuild as itself.
+        if matches!(node.op, DfgOp::Identity | DfgOp::Resize) {
+            let (was, src) = (old.node(node.operands[0]), new.node(ops[0]));
+            if uses.get(&node.operands[0]) == Some(&1)
+                && src.op == was.op
+                && !matches!(src.op.class(), OpClass::Source)
+                && src.name.is_none()
+                && node.width <= src.width
+            {
+                stats.truncs_fused += 1;
+                let (op, params, operands) = (src.op, src.params.clone(), src.operands.clone());
+                return new.add_op(op, params, operands, node.width, node.signed);
+            }
+        }
     }
     let before = new.len();
     let id = new.add_op(
@@ -226,20 +277,8 @@ fn coerce_like(new: &mut Graph, id: NodeId, width: u32, signed: bool) -> NodeId 
 
 /// Fuses single-use nested mux chains into [`DfgOp::MuxChain`] ops.
 fn fuse_mux_chains(graph: &Graph, min_len: usize, stats: &mut PassStats) -> Graph {
-    // Count uses among live nodes (plus output/reg-next roots).
     let live = graph.topo_order();
-    let mut uses: HashMap<NodeId, usize> = HashMap::new();
-    for &id in &live {
-        for &o in &graph.node(id).operands {
-            *uses.entry(o).or_insert(0) += 1;
-        }
-    }
-    for (_, id) in &graph.outputs {
-        *uses.entry(*id).or_insert(0) += 1;
-    }
-    for reg in &graph.regs {
-        *uses.entry(reg.next).or_insert(0) += 1;
-    }
+    let uses = use_counts(graph);
     // Count appearances as the false-arm of a live mux.
     let mut fval_uses: HashMap<NodeId, usize> = HashMap::new();
     for &id in &live {
@@ -249,11 +288,21 @@ fn fuse_mux_chains(graph: &Graph, min_len: usize, stats: &mut PassStats) -> Grap
         }
     }
     // A mux is absorbable if its only use is as the false-arm of exactly
-    // one other mux.
+    // one other mux — and it selects without truncating: a mux narrower
+    // than an arm, or signed differently (truncation fusion makes those),
+    // canonicalizes on the way through, which a chain's one result type
+    // cannot.
+    let selects_verbatim = |mux: &crate::graph::Node| {
+        mux.operands[1..].iter().all(|&arm| {
+            let arm = graph.node(arm);
+            arm.signed == mux.signed && arm.width <= mux.width
+        })
+    };
     let absorbable = |id: NodeId| -> bool {
         graph.node(id).op == DfgOp::Mux
             && uses.get(&id).copied().unwrap_or(0) == 1
             && fval_uses.get(&id).copied().unwrap_or(0) == 1
+            && selects_verbatim(graph.node(id))
     };
     // Identify chain heads: muxes whose false arm starts a chain but which
     // are not absorbable themselves.
@@ -416,9 +465,176 @@ circuit C :
         );
         let (opt, stats) = optimize(&g, &PassOptions::default());
         assert!(stats.const_folded >= 1);
-        // Only the runtime add survives.
-        assert_eq!(opt.effectual_ops(), 2); // add + tail-resize
+        // Only the runtime add survives, at its tail's 8 bits.
+        assert_eq!(stats.truncs_fused, 1);
+        assert_eq!(opt.effectual_ops(), 1);
+        let out = opt.node(opt.outputs[0].1);
+        assert_eq!((out.op, out.width), (DfgOp::Add, 8));
         assert_equivalent(&g, &opt, 50, 1);
+    }
+
+    /// What survives of `src` under the default passes, as
+    /// `(opcode, width)` of every live op, sorted.
+    fn live_ops(src: &str, want_fused: usize) -> Vec<(DfgOp, u32)> {
+        let g = graph_of(src);
+        let (opt, stats) = optimize(&g, &PassOptions::default());
+        assert_eq!(stats.truncs_fused, want_fused);
+        assert_equivalent(&g, &opt, 200, 9);
+        let mut ops: Vec<(DfgOp, u32)> = opt
+            .topo_order()
+            .into_iter()
+            .map(|id| (opt.node(id).op, opt.node(id).width))
+            .collect();
+        ops.sort();
+        ops
+    }
+
+    #[test]
+    fn truncation_fuses_into_a_single_use_producer_of_any_opcode() {
+        // Narrowing a sum, re-signing at the same width, narrowing a
+        // signed product: each resize disappears into its producer.
+        let ops = live_ops(
+            "\
+circuit C :
+  module C :
+    input a : UInt<8>
+    input b : UInt<8>
+    input s : SInt<8>
+    output sum : UInt<8>
+    output neg : UInt<9>
+    output prod : UInt<4>
+    output hi : UInt<3>
+    sum <= tail(add(a, b), 1)
+    neg <= asUInt(neg(a))
+    prod <= tail(mul(s, s), 12)
+    hi <= bits(shl(a, 2), 4, 2)
+",
+            3,
+        );
+        // `bits` is no resize: its `shl` stays 10 bits wide.
+        assert_eq!(
+            ops,
+            vec![
+                (DfgOp::Add, 8),
+                (DfgOp::Mul, 4),
+                (DfgOp::Neg, 9),
+                (DfgOp::Shl, 10),
+                (DfgOp::Bits, 3),
+            ]
+        );
+    }
+
+    #[test]
+    fn truncation_fusion_leaves_shared_named_widening_and_source_operands_alone() {
+        // A producer with a second consumer would be computed twice.
+        let shared = live_ops(
+            "\
+circuit C :
+  module C :
+    input a : UInt<8>
+    input b : UInt<8>
+    output lo : UInt<8>
+    output all : UInt<9>
+    lo <= tail(add(a, b), 1)
+    all <= add(a, b)
+",
+            0,
+        );
+        assert_eq!(shared, vec![(DfgOp::Add, 9), (DfgOp::Resize, 8)]);
+        // A named producer is a probe.
+        let named = live_ops(
+            "\
+circuit C :
+  module C :
+    input a : UInt<8>
+    input b : UInt<8>
+    output lo : UInt<8>
+    node wide = add(a, b)
+    lo <= tail(wide, 1)
+",
+            0,
+        );
+        assert_eq!(named, vec![(DfgOp::Add, 9), (DfgOp::Resize, 8)]);
+        // Widening is not a truncation (a sign change keeps the resize;
+        // a same-sign pad is a plain copy), and neither is a resize of an
+        // input or a constant-fed op that folds away first.
+        let rest = live_ops(
+            "\
+circuit C :
+  module C :
+    input a : UInt<8>
+    input s : SInt<8>
+    output wide : SInt<12>
+    output cut : UInt<4>
+    output k : UInt<4>
+    wide <= cvt(not(a))
+    cut <= tail(a, 4)
+    k <= tail(add(UInt<4>(9), UInt<4>(9)), 1)
+",
+            0,
+        );
+        assert_eq!(
+            rest,
+            vec![(DfgOp::Not, 8), (DfgOp::Resize, 4), (DfgOp::Resize, 9)]
+        );
+    }
+
+    #[test]
+    fn a_fused_truncating_mux_is_not_absorbed_into_a_chain() {
+        // `inner` narrows 8 -> 4 bits on its way into the outer ladder:
+        // fused into its mux, that mux canonicalizes, so the chain a
+        // 3-deep ladder would otherwise form must stop above it.
+        let src = "\
+circuit C :
+  module C :
+    input c0 : UInt<1>
+    input c1 : UInt<1>
+    input c2 : UInt<1>
+    input c3 : UInt<1>
+    input a : UInt<8>
+    input b : UInt<8>
+    input d : UInt<4>
+    output out : UInt<4>
+    out <= mux(c0, d, mux(c1, d, mux(c2, d, tail(mux(c3, a, b), 4))))
+";
+        let g = graph_of(src);
+        let (opt, stats) = optimize(&g, &PassOptions::default());
+        assert_eq!(stats.truncs_fused, 1);
+        assert_eq!((stats.chains_fused, stats.muxes_absorbed), (1, 2));
+        assert_eq!(opt.op_histogram().get(&DfgOp::Mux), Some(&1));
+        assert_equivalent(&g, &opt, 400, 10);
+    }
+
+    #[test]
+    fn a_shared_mux_chain_producer_is_left_alone() {
+        let g = graph_of(
+            "\
+circuit C :
+  module C :
+    input c0 : UInt<1>
+    input c1 : UInt<1>
+    input c2 : UInt<1>
+    input a : UInt<8>
+    input b : UInt<8>
+    input d : UInt<8>
+    output lo : UInt<4>
+    output hi : UInt<4>
+    output all : UInt<8>
+    node pick = mux(c0, a, mux(c1, b, mux(c2, d, a)))
+    lo <= tail(pick, 4)
+    hi <= head(pick, 4)
+    all <= pick
+",
+        );
+        // Twice through the passes: the second run meets the `MuxChain`
+        // the first one built, with its three consumers.
+        let (once, _) = optimize(&g, &PassOptions::default());
+        let (twice, stats) = optimize(&once, &PassOptions::default());
+        assert_eq!(stats.truncs_fused, 0);
+        let hist = twice.op_histogram();
+        assert_eq!(hist.get(&DfgOp::MuxChain), Some(&1));
+        assert_eq!(hist.get(&DfgOp::Resize), Some(&1));
+        assert_equivalent(&g, &twice, 200, 11);
     }
 
     #[test]
