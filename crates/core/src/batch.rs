@@ -31,6 +31,7 @@ use crate::compiler::Compiled;
 use crate::simulation::UnknownSignal;
 use crate::waveform::VcdWriter;
 use rteaal_dfg::analyze::{analyze_partitioned, AnalysisReport};
+use rteaal_dfg::lane_kernel::{BatchEngine, LaneLayout, LaneType};
 use rteaal_dfg::op::canonicalize;
 use rteaal_dfg::partition::PartitionedPlan;
 use rteaal_dfg::plan::SimPlan;
@@ -231,6 +232,31 @@ impl BatchSimulation {
     ///
     /// Panics if `lanes` is zero, or on `Partitioning::Fixed(0)`.
     pub fn build(compiled: &Compiled, config: EngineConfig) -> Result<Self, AnalysisReport> {
+        Self::build_as(compiled, config, None)
+    }
+
+    /// [`build`](Self::build) with the rows held in `lane` instead of
+    /// the plan's own lane type — the witness through which tests run
+    /// one design in both.
+    ///
+    /// # Panics
+    ///
+    /// As [`build`](Self::build), and unless `lane` is in
+    /// `LaneType::supported_for` of the (possibly specialized) plan.
+    #[doc(hidden)]
+    pub fn build_for(
+        compiled: &Compiled,
+        config: EngineConfig,
+        lane: LaneType,
+    ) -> Result<Self, AnalysisReport> {
+        Self::build_as(compiled, config, Some(lane))
+    }
+
+    fn build_as(
+        compiled: &Compiled,
+        config: EngineConfig,
+        lane: Option<LaneType>,
+    ) -> Result<Self, AnalysisReport> {
         let sp = match config.specialization {
             Specialization::Off => None,
             Specialization::Auto => Some(specialize(&compiled.plan)),
@@ -247,8 +273,13 @@ impl BatchSimulation {
             }
         };
         let kernel_config = compiled.kernel.config();
+        let layout = match lane {
+            None => LaneLayout::of(&plan),
+            Some(lane) => LaneLayout::of_as(&plan, lane),
+        };
         let (kernel, state) = if parts > 1 {
-            let pp = PartitionedPlan::new(&plan, parts);
+            let mut pp = PartitionedPlan::new(&plan, parts);
+            pp.lanes = layout;
             let report = analyze_partitioned(&plan, &pp);
             if !report.is_clean() {
                 return Err(report);
@@ -258,10 +289,15 @@ impl BatchSimulation {
             (kernel, state)
         } else {
             let kernel = match &sp {
-                Some(sp) => BatchKernel::compile_specialized(sp, kernel_config, config.lanes >= 32),
-                None => BatchKernel::compile(&plan, kernel_config),
+                Some(sp) => {
+                    let pack = config.lanes >= 32;
+                    BatchKernel::compile_specialized_in(sp, kernel_config, pack, &layout)
+                }
+                None => {
+                    BatchKernel::compile_in(&plan, kernel_config, BatchEngine::Compiled, &layout)
+                }
             };
-            (kernel, BatchLiState::new(&plan, config.lanes))
+            (kernel, BatchLiState::new_in(&plan, config.lanes, &layout))
         };
         let mut input_index = HashMap::new();
         for (idx, &slot) in plan.input_slots.iter().enumerate() {
@@ -295,6 +331,13 @@ impl BatchSimulation {
     /// was built with [`Specialization::Auto`].
     pub fn specialization_stats(&self) -> Option<SpecStats> {
         self.spec_stats
+    }
+
+    /// The lane type the engine holds its rows in — `u32` when every
+    /// signal of the (possibly specialized) plan fits 32 bits, else `u64`
+    /// (see `rteaal_dfg::lane_kernel`). Never a setting.
+    pub fn lane_type(&self) -> LaneType {
+        self.state.lane_type()
     }
 
     /// Number of RepCut partitions this simulation executes (1 =

@@ -36,7 +36,9 @@
 //! lint` sweeps the whole design corpus plus seeded-violation mutants.
 
 use crate::graph::Graph;
-use crate::lane_kernel::{compile_plan, CompiledLayer};
+use crate::lane_kernel::{
+    compile_plan, narrow_exact, CompiledLayer, LaneLayout, LaneType, SlotType,
+};
 use crate::op::{DfgOp, OpClass};
 use crate::partition::PartitionedPlan;
 use crate::plan::SimPlan;
@@ -123,6 +125,12 @@ pub enum DiagKind {
     /// A compiled kernel's folded mask/shift/signedness disagrees with
     /// the op's declared width/sign.
     KernelCanonMismatch,
+    /// A kernel compiled for `u32` rows cannot run there: the plan's
+    /// slot types put it (or a slot it touches) past 32 bits, or the op
+    /// is not narrow-exact on its operands' types, or the kernel is not
+    /// the variant the predicate selects — it would reinterpret or drop
+    /// bits. Also: a table that mixes lane types.
+    KernelLaneMismatch,
     /// An op reads a slot that nothing ever drives (not an input, not a
     /// constant, not a committed register, not an op output) — it holds
     /// its power-on value forever.
@@ -154,6 +162,7 @@ impl fmt::Display for DiagKind {
             DiagKind::KernelShapeMismatch => "kernel-shape-mismatch",
             DiagKind::KernelOutOfBounds => "kernel-out-of-bounds",
             DiagKind::KernelCanonMismatch => "kernel-canon-mismatch",
+            DiagKind::KernelLaneMismatch => "kernel-lane-mismatch",
             DiagKind::UninitRead => "uninit-read",
             DiagKind::DeadOp => "dead-op",
             DiagKind::NeverToggles => "never-toggles",
@@ -1185,12 +1194,18 @@ pub fn analyze_partitioned(plan: &SimPlan, pp: &PartitionedPlan) -> AnalysisRepo
 }
 
 /// Kernel-table verification: the compiled layers' folded offsets,
-/// masks, and shifts against the source plan. A clean report here is what
+/// masks, and shifts against the source plan, and the table's lane type
+/// against the slot types re-derived from it. A clean report here is what
 /// makes the raw-pointer kernels in-bounds by construction (the engines
-/// allocate `num_slots` rows and `debug_assert!` the same bounds).
+/// allocate `num_slots` rows of the table's lane type and `debug_assert!`
+/// the same bounds) and a narrow table exact: every `u32` kernel's mask
+/// fits 32 bits, every slot it touches is a 32-bit slot, and
+/// [`narrow_exact`] holds of it in the variant it was compiled as.
 pub fn analyze_compiled(plan: &SimPlan, compiled: &[CompiledLayer]) -> AnalysisReport {
     let mut rep = Reporter::default();
     let n = plan.num_slots;
+    let layout = LaneLayout::of(plan);
+    let lane = compiled.iter().flatten().next().map(|c| c.lane_type());
     if compiled.len() != plan.layers.len() {
         rep.push(Diagnostic::new(
             Severity::Error,
@@ -1268,8 +1283,57 @@ pub fn analyze_compiled(plan: &SimPlan, compiled: &[CompiledLayer]) -> AnalysisR
                     );
                 }
             }
-            let width = (op.width as u32).clamp(1, 64);
-            if c.mask() != mask(width) || c.shift() != 64 - width || c.is_signed() != op.signed {
+            if Some(c.lane_type()) != lane {
+                rep.push(
+                    Diagnostic::new(
+                        Severity::Error,
+                        DiagKind::KernelLaneMismatch,
+                        format!(
+                            "kernel walks {:?} rows in a table of {lane:?} ones",
+                            c.lane_type()
+                        ),
+                    )
+                    .at_op(i, k),
+                );
+            }
+            if c.lane_type() == LaneType::Narrow {
+                let types = layout.slot_types();
+                let operands: Vec<SlotType> = slots
+                    .iter()
+                    .filter_map(|&s| types.get(s as usize).copied())
+                    .collect();
+                let wide_slot = std::iter::once(c.out_slot())
+                    .chain(slots.iter().copied())
+                    .find(|&s| types.get(s as usize).is_some_and(|&(w, _)| w > 32));
+                let form = c.opcode().map(|d| narrow_exact(d, &operands, &op.params));
+                let fault = if let Some(s) = wide_slot {
+                    Some(format!("slot {s} is {} bits wide", types[s as usize].0))
+                } else if c.mask() > u32::MAX as u64 {
+                    Some(format!("mask {:#x} does not fit 32 bits", c.mask()))
+                } else if operands.len() != slots.len() || form != Some(c.narrow_form()) {
+                    Some(format!(
+                        "compiled as {:?}, narrow_exact on {operands:?} says {form:?}",
+                        c.narrow_form()
+                    ))
+                } else {
+                    None
+                };
+                if let Some(fault) = fault {
+                    rep.push(
+                        Diagnostic::new(
+                            Severity::Error,
+                            DiagKind::KernelLaneMismatch,
+                            format!("kernel for u32 rows: {fault}"),
+                        )
+                        .with_signal(slot_name(plan, op.out))
+                        .at_op(i, k)
+                        .on_slot(op.out),
+                    );
+                }
+            }
+            let bits = c.lane_type().bits();
+            let width = (op.width as u32).clamp(1, bits);
+            if c.mask() != mask(width) || c.shift() != bits - width || c.is_signed() != op.signed {
                 rep.push(
                     Diagnostic::new(
                         Severity::Error,

@@ -18,16 +18,18 @@
 //! kernels ([`crate::lane_kernel`]) and the thread-parallel engine in
 //! `rteaal-kernels` are differentially tested against.
 
-use crate::lane_kernel::LaneWindow;
+use crate::lane_kernel::{Lane, LaneWindow};
 use crate::op::canonicalize;
 use crate::plan::{split_commits, SimPlan};
 
 /// Replicates a plan's initial `LI` contents across `lanes` lanes in
-/// slot-major layout.
-pub fn init_lanes(plan: &SimPlan, lanes: usize) -> Vec<u64> {
+/// slot-major layout, in rows of `T` (a plan's own lane type is
+/// [`LaneType::of`](crate::lane_kernel::LaneType::of); `u64` rows hold
+/// any plan).
+pub fn init_lanes<T: Lane>(plan: &SimPlan, lanes: usize) -> Vec<T> {
     let mut li = Vec::with_capacity(plan.num_slots * lanes);
     for &v in &plan.init_values {
-        li.extend(std::iter::repeat_n(v, lanes));
+        li.extend(std::iter::repeat_n(T::truncate(v), lanes));
     }
     li
 }

@@ -6,7 +6,7 @@
 //! and re-derives the canonicalization mask *per lane, per op, per cycle*,
 //! which blocks autovectorization. This module lowers each [`OpInst`] into
 //! a [`CompiledOp`] once, at plan-load time: a monomorphized
-//! `unsafe fn(*mut u64, &KernelArgs, LaneWindow)` chosen from a
+//! `unsafe fn(*mut (), &KernelArgs, LaneWindow)` chosen from a
 //! per-(opcode × arity × signedness) kernel table, with the opcode
 //! dispatch, operand base offsets, static parameters, and the
 //! width/sign canonicalization all resolved up front and folded into a
@@ -18,33 +18,48 @@
 //!
 //! The one set of bodies is plain scalar Rust (no `std::arch`
 //! intrinsics) that LLVM autovectorizes, and it is instantiated once per
-//! table by `kernel_table!`: `baseline` compiles for the target's
-//! baseline — SSE2 on x86-64, two `u64` lanes per instruction; NEON on
-//! aarch64 — and, on x86-64 only, `avx2` compiles the same source under
-//! `#[target_feature(enable = "avx2")]`, four lanes per instruction.
-//! [`CompiledOp::compile`] picks the table once per op: `avx2` if
-//! `is_x86_feature_detected!("avx2")`, else `baseline`. No build flag,
-//! configuration field or environment variable is involved, so the
-//! binary starts on any x86-64.
+//! table by `kernel_table!`, along two axes:
+//!
+//! - **Instruction set.** `baseline` compiles for the target's baseline —
+//!   SSE2 on x86-64; NEON on aarch64 — and, on x86-64 only, `avx2`
+//!   compiles the same source under `#[target_feature(enable = "avx2")]`.
+//!   [`CompiledOp::compile`] picks once per op: `avx2` if
+//!   `is_x86_feature_detected!("avx2")`, else `baseline`.
+//! - **Lane type.** A lane row holds one element per stimulus lane, and
+//!   the element is a property of the *plan* ([`LaneType::of`]): `u32`
+//!   ([`LaneType::Narrow`]) when every slot of the design fits 32 bits
+//!   and every op's 32-bit body provably equals the truncation of its
+//!   64-bit one ([`narrow_exact`]), `u64` ([`LaneType::Wide`]) otherwise.
+//!   Half the bytes per lane through the caches and twice the lanes per
+//!   vector instruction; a design with one 33-bit signal keeps the whole
+//!   plan on `u64` rows, which is the code that ran before narrow rows
+//!   existed.
+//!
+//! No build flag, configuration field or environment variable is
+//! involved in either choice, so the binary starts on any x86-64.
 //!
 //! Semantics are bit-identical to `eval_raw` + [`canonicalize`] per lane
-//! by construction, and enforced by differential tests against every
-//! table the host supports (unit tests here, a proptest sweep in
+//! — truncated to the row's element, for narrow rows — by construction,
+//! and enforced by differential tests against every table the host
+//! supports (unit tests here, a proptest sweep in
 //! `tests/lane_kernel_props.rs`, and the whole-design equivalence suite
 //! in the workspace `tests/`). The interpreted walk is retained as the
 //! golden model — see [`BatchEngine`].
 //!
 //! ## Unsafe audit
 //!
-//! Every kernel here is an `unsafe fn` over a raw `*mut u64` matrix; the
-//! single safety contract is documented on [`CompiledOp::eval_lanes_ptr`]
-//! and threaded through [`KernelFn`], `run`, `run_chain`, and each
-//! generated body as explicit `// SAFETY:` blocks
-//! (`unsafe_op_in_unsafe_fn` is denied). The bounds side of the contract
-//! — every folded slot offset `< num_slots` — is *proven statically* per
-//! design by [`crate::analyze::analyze_compiled`] and mirrored
-//! dynamically by `debug_assert!`s on the safe entry points. The
-//! instruction-set side is carried by a type: see [`LaneIsa`].
+//! Every kernel here is an `unsafe fn` over an untyped pointer to a lane
+//! matrix whose rows are of the table's lane type; the single safety
+//! contract is documented on [`CompiledOp::eval_lanes_ptr`] and threaded
+//! through [`KernelFn`], `run`, `run_chain`, and each generated body as
+//! explicit `// SAFETY:` blocks (`unsafe_op_in_unsafe_fn` is denied). The
+//! bounds side of the contract — every folded slot offset `< num_slots` —
+//! is *proven statically* per design by
+//! [`crate::analyze::analyze_compiled`] and mirrored dynamically by
+//! `debug_assert!`s on the safe entry points; so is the narrow side —
+//! every slot a narrow kernel touches fits 32 bits and its op is
+//! narrow-exact. The instruction-set side is carried by a type: see
+//! [`LaneIsa`].
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
@@ -85,6 +100,352 @@ impl LaneWindow {
     }
 }
 
+/// The element type of a plan's lane rows — a pure function of the
+/// [`SimPlan`] ([`LaneType::of`]), never a setting.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum LaneType {
+    /// `u32` rows: every slot fits 32 bits and every op is
+    /// [`narrow_exact`]. A value is stored as the low 32 bits of its
+    /// canonical form and widens back by its slot's signedness.
+    Narrow,
+    /// `u64` rows holding canonical values as they are.
+    Wide,
+}
+
+impl LaneType {
+    /// The lane type a plan runs in.
+    pub fn of(plan: &SimPlan) -> LaneType {
+        LaneLayout::of(plan).lane_type()
+    }
+
+    /// Bytes per lane of a row.
+    pub fn bytes(self) -> usize {
+        self.bits() as usize / 8
+    }
+
+    /// Bits per lane of a row.
+    pub fn bits(self) -> u32 {
+        match self {
+            LaneType::Narrow => 32,
+            LaneType::Wide => 64,
+        }
+    }
+
+    /// Every lane type a plan can run in, `Wide` first — what the
+    /// differential tests sweep, as they sweep [`LaneIsa::supported`]:
+    /// any plan runs in `u64` rows, and a plan [`LaneType::of`] calls
+    /// `Narrow` also runs in `u32` ones. Pair with [`LaneLayout::of_as`].
+    #[doc(hidden)]
+    pub fn supported_for(plan: &SimPlan) -> Vec<LaneType> {
+        match LaneType::of(plan) {
+            LaneType::Wide => vec![LaneType::Wide],
+            LaneType::Narrow => vec![LaneType::Wide, LaneType::Narrow],
+        }
+    }
+}
+
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for u32 {}
+    impl Sealed for u64 {}
+}
+
+/// A row element: `u32` or `u64`, nothing else (the trait is sealed —
+/// the kernels trust `TYPE` to name the type it is implemented on).
+pub trait Lane: sealed::Sealed + Copy + PartialEq + Default + std::fmt::Debug + 'static {
+    /// The [`LaneType`] whose rows hold this element.
+    const TYPE: LaneType;
+
+    /// The stored form of a canonical value: its low bits.
+    fn truncate(canonical: u64) -> Self;
+
+    /// The canonical value of a stored element of a `signed` slot
+    /// (sign- or zero-extended; the identity on `u64`).
+    fn widen(self, signed: bool) -> u64;
+
+    /// `then` if `self` is nonzero, else `otherwise` — as mask
+    /// arithmetic, because that is what keeps a cascade of these a vector
+    /// blend (an `if` whose arm is a load compiles to a branch per lane).
+    fn select(self, then: Self, otherwise: Self) -> Self;
+}
+
+/// [`Lane::select`], the same for both elements.
+macro_rules! select_by_mask {
+    () => {
+        #[inline(always)]
+        fn select(self, then: Self, otherwise: Self) -> Self {
+            let taken = ((self != 0) as Self).wrapping_neg();
+            (then & taken) | (otherwise & !taken)
+        }
+    };
+}
+
+impl Lane for u32 {
+    const TYPE: LaneType = LaneType::Narrow;
+
+    #[inline(always)]
+    fn truncate(canonical: u64) -> u32 {
+        canonical as u32
+    }
+
+    #[inline(always)]
+    fn widen(self, signed: bool) -> u64 {
+        if signed {
+            self as i32 as i64 as u64
+        } else {
+            self as u64
+        }
+    }
+
+    select_by_mask!();
+}
+
+impl Lane for u64 {
+    const TYPE: LaneType = LaneType::Wide;
+
+    #[inline(always)]
+    fn truncate(canonical: u64) -> u64 {
+        canonical
+    }
+
+    #[inline(always)]
+    fn widen(self, _signed: bool) -> u64 {
+        self
+    }
+
+    select_by_mask!();
+}
+
+/// Width and signedness of the value a slot holds.
+pub type SlotType = (u8, bool);
+
+/// How an op's body over `u32` rows relates to its body over `u64` rows
+/// — the answer of [`narrow_exact`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Narrow {
+    /// The same body, on truncated operands, yields the truncated result.
+    Exact,
+    /// The *unsigned* counterpart of the body does (`ltu` for `lts`,
+    /// `divu` for `divs`, a logical for an arithmetic right shift): the
+    /// op reads its operands as `i64`, and these operands are
+    /// zero-extended values with bit 31 in use.
+    Logical,
+    /// Neither: the op needs bits a `u32` row does not hold.
+    Inexact,
+}
+
+/// Whether an op may run on `u32` rows: does its 32-bit body, on the low
+/// 32 bits of its operands, produce the low 32 bits of what `eval_raw`
+/// produces on the canonical 64-bit operands? (The result's own
+/// canonicalization then commutes with truncation whenever the result is
+/// at most 32 bits wide, which [`LaneLayout::of`] checks beside this.)
+///
+/// `operands` are the types of the operand slots, each at most 32 bits
+/// wide. Ops that only ever combine low bits — arithmetic, bitwise,
+/// left shifts, selects, `cat`, resizes — always qualify. The rest read
+/// bits 32..63, which a narrow row has to *infer*: a value widens by
+/// zero-extension if its slot is unsigned and by sign-extension if it is
+/// signed, and an unsigned value under 32 bits wide does either. Order
+/// and equality ops need both operands under one extension; ops that
+/// read operands as `i64` (`lts`.., `divs`, `rems`, `shr`, `dshr`) run
+/// as themselves on sign-extendable operands and as their unsigned
+/// counterpart on zero-extended ones; `divu`/`remu` need zero-extended
+/// ones; extracts must stay below bit 32.
+pub fn narrow_exact(op: DfgOp, operands: &[SlotType], params: &[u64]) -> Narrow {
+    use DfgOp::*;
+    let zext = |k: usize| operands.get(k).is_some_and(|&(_, signed)| !signed);
+    let sext = |k: usize| operands.get(k).is_some_and(|&(w, signed)| signed || w < 32);
+    let param = |k: usize| params.get(k).copied().unwrap_or(u64::MAX);
+    let when = |exact: bool| {
+        if exact {
+            Narrow::Exact
+        } else {
+            Narrow::Inexact
+        }
+    };
+    // Reads operands as `i64`: itself if they sign-extend, its unsigned
+    // counterpart if they zero-extend.
+    let as_i64 = |sext: bool, zext: bool| match (sext, zext) {
+        (true, _) => Narrow::Exact,
+        (false, true) => Narrow::Logical,
+        (false, false) => Narrow::Inexact,
+    };
+    match op {
+        Input | RegState => Narrow::Inexact,
+        Const | Add | Sub | Mul | And | Or | Xor | Not | Neg | Orr | Dshl | Shl | Cat | Resize
+        | Identity | Mux | ValidIf | MuxChain => Narrow::Exact,
+        Ltu | Leu | Gtu | Geu | Eq | Neq => when((zext(0) && zext(1)) || (sext(0) && sext(1))),
+        Lts | Les | Gts | Ges | Divs | Rems => as_i64(sext(0) && sext(1), zext(0) && zext(1)),
+        Divu | Remu => when(zext(0) && zext(1)),
+        // The shift amount only matters up to "32 or more", which both
+        // extensions of a 32-bit amount agree on.
+        Shr | Dshr => as_i64(sext(0), zext(0)),
+        // p0 = operand width: the reduction must not look past bit 31.
+        Andr | Xorr => when(param(0) <= 32),
+        // p0/p1 = hi/lo.
+        Bits => when(param(1) <= param(0) && param(0) < 32),
+        // p0/p1 = n/operand width; the body shifts by `wa - n`.
+        Head => when(param(0) <= param(1) && param(1) <= 32 && param(1) - param(0) < 32),
+    }
+}
+
+/// The slot types of a plan and the lane type they allow: what a kernel
+/// table is compiled against and what a batch state lays its rows out
+/// by. A pure function of the [`SimPlan`] — op outputs are typed by
+/// their [`OpInst`], inputs by `input_types`, registers by their probe,
+/// constants (and whatever else no op writes) by their power-on value —
+/// so nothing is serialized and every consumer of one plan agrees.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LaneLayout {
+    lane: LaneType,
+    slots: Vec<SlotType>,
+    why_wide: Option<String>,
+}
+
+/// The narrowest type holding a value no op ever rewrites.
+fn type_of_value(v: u64) -> SlotType {
+    if (v as i64) < 0 {
+        (65 - (!v).leading_zeros() as u8, true)
+    } else {
+        ((64 - v.leading_zeros() as u8).max(1), false)
+    }
+}
+
+impl LaneLayout {
+    /// Types every slot of `plan` and decides its lane type: `Narrow` iff
+    /// every slot is at most 32 bits wide, every power-on value survives
+    /// the round trip through its slot's 32-bit form, and every op is
+    /// [`narrow_exact`]. Anything unproven keeps the whole plan `Wide`
+    /// ([`Self::why_wide`] names the first reason). Total on malformed
+    /// plans (out-of-range slots, unknown opcodes): those are `Wide`.
+    pub fn of(plan: &SimPlan) -> LaneLayout {
+        let n = plan.num_slots;
+        let mut typed: Vec<Option<SlotType>> = vec![None; n];
+        let mut set = |s: u32, ty: SlotType| {
+            if let Some(slot) = typed.get_mut(s as usize) {
+                *slot = Some(ty);
+            }
+        };
+        // Later sources override earlier ones: a probe only names a
+        // signal, the port list and the op own its type.
+        for (_, s, w, signed) in plan.typed_probes() {
+            set(s, (w, signed));
+        }
+        for (&s, &ty) in plan.input_slots.iter().zip(&plan.input_types) {
+            set(s, ty);
+        }
+        for op in plan.layers.iter().flatten() {
+            set(op.out, (op.width.clamp(1, 64), op.signed));
+        }
+        // An unprobed register holds what its commit copies into it.
+        for &(dst, src) in &plan.commits {
+            if let (Some(None), Some(&src)) = (typed.get(dst as usize), typed.get(src as usize)) {
+                typed[dst as usize] = src;
+            }
+        }
+        let slots: Vec<SlotType> = typed
+            .iter()
+            .zip(&plan.init_values)
+            .map(|(ty, &init)| ty.unwrap_or_else(|| type_of_value(init)))
+            .collect();
+        let mut why_wide = (slots.len() != n).then(|| format!("{n} slots, {} typed", slots.len()));
+        let mut veto = |reason: String| {
+            why_wide.get_or_insert(reason);
+        };
+        for (s, (&(w, signed), &init)) in slots.iter().zip(&plan.init_values).enumerate() {
+            if w > 32 {
+                veto(format!("slot {s} is {w} bits wide"));
+            } else if u32::truncate(init).widen(signed) != init {
+                veto(format!(
+                    "slot {s} powers on as {init:#x}, not a {w}-bit value"
+                ));
+            }
+        }
+        let mut operands = Vec::new();
+        for (i, layer) in plan.layers.iter().enumerate() {
+            for op in layer {
+                operands.clear();
+                operands.extend(op.ins.iter().filter_map(|&r| slots.get(r as usize)));
+                let exact = operands.len() == op.ins.len()
+                    && DfgOp::from_n_coord(op.n)
+                        .is_some_and(|d| narrow_exact(d, &operands, &op.params) != Narrow::Inexact);
+                if !exact {
+                    veto(format!(
+                        "layer {i}: op {} into slot {} is not narrow-exact on {operands:?}",
+                        op.n, op.out
+                    ));
+                }
+            }
+        }
+        let lane = match why_wide {
+            None => LaneType::Narrow,
+            Some(_) => LaneType::Wide,
+        };
+        LaneLayout {
+            lane,
+            slots,
+            why_wide,
+        }
+    }
+
+    /// [`Self::of`], run in `lane` rows instead of the plan's own — the
+    /// witness through which tests reach both lane types of one plan.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `lane` is in [`LaneType::supported_for`]`(plan)`.
+    #[doc(hidden)]
+    pub fn of_as(plan: &SimPlan, lane: LaneType) -> LaneLayout {
+        let mut layout = LaneLayout::of(plan);
+        assert!(
+            lane == LaneType::Wide || layout.lane == LaneType::Narrow,
+            "plan `{}` does not run in u32 rows: {}",
+            plan.name,
+            layout.why_wide.as_deref().unwrap_or("?")
+        );
+        if lane != layout.lane {
+            layout.lane = lane;
+            layout.why_wide = Some("forced by a test".into());
+        }
+        layout
+    }
+
+    /// The lane type rows are held in.
+    pub fn lane_type(&self) -> LaneType {
+        self.lane
+    }
+
+    /// Every slot's type, by slot.
+    pub fn slot_types(&self) -> &[SlotType] {
+        &self.slots
+    }
+
+    /// Why the plan runs in `u64` rows (`None` for a narrow plan): the
+    /// first slot or op that vetoed `u32` ones.
+    pub fn why_wide(&self) -> Option<&str> {
+        self.why_wide.as_deref()
+    }
+
+    /// Per slot, whether a narrow row widens by sign-extension — what a
+    /// batch state and the interpreted walk read `u32` rows through.
+    pub fn signed_slots(&self) -> Vec<bool> {
+        self.slots.iter().map(|&(_, signed)| signed).collect()
+    }
+
+    /// How `op` runs in this layout's rows (`Exact` in `u64` ones).
+    fn narrow_form(&self, op: &OpInst) -> Narrow {
+        if self.lane == LaneType::Wide {
+            return Narrow::Exact;
+        }
+        let operands: Option<Vec<SlotType>> = op
+            .ins
+            .iter()
+            .map(|&r| self.slots.get(r as usize).copied())
+            .collect();
+        operands.map_or(Narrow::Inexact, |t| narrow_exact(op.op(), &t, &op.params))
+    }
+}
+
 /// Pre-resolved arguments of one compiled operation: everything the
 /// interpreted path re-derived per lane, folded once at compile time.
 #[derive(Debug, Clone)]
@@ -102,12 +463,17 @@ pub struct KernelArgs {
     p1: u64,
     /// Result width mask (unsigned canonicalization).
     msk: u64,
-    /// `64 - width` (signed canonicalization shift).
+    /// Lane bits minus width (signed canonicalization shift).
     sh: u32,
     /// Opcode and result signedness, for the plan verifier (the kernels
     /// bake both into their function identity).
     n: u16,
     signed: bool,
+    /// The table the kernel came from: the lane type of the rows it
+    /// walks, and whether it is the op's unsigned counterpart
+    /// ([`Narrow::Logical`]).
+    lane: LaneType,
+    logical: bool,
     /// The whole operand list of the one variable-arity op, a mux chain
     /// (`[c0, v0, c1, v1, .., default]`); `None` for every other op.
     var: Option<Box<VarArgs>>,
@@ -130,25 +496,28 @@ struct VarArgs {
 /// # Safety
 ///
 /// The contract every `KernelFn` body relies on (identical to
-/// [`CompiledOp::eval_lanes_ptr`]; callers must uphold all three):
+/// [`CompiledOp::eval_lanes_ptr`]; callers must uphold all four):
 ///
-/// 1. the pointer addresses a live slot-major matrix of `w.stride` lanes
-///    per slot with at least `KernelArgs::max_slot + 1` rows, so every
-///    folded offset `slot * w.stride + lane` is in bounds;
+/// 1. the pointer addresses a live slot-major matrix of **rows of the
+///    table's lane type** (`u32` for a narrow table, `u64` for a wide
+///    one), `w.stride` lanes per slot, with at least
+///    `KernelArgs::max_slot + 1` rows, so every folded offset
+///    `slot * w.stride + lane` is in bounds;
 /// 2. `w.active <= w.stride`, so the evaluated lane prefix never leaves
 ///    its row;
 /// 3. no other thread concurrently accesses the output row or mutates an
-///    operand row for the duration of the call.
+///    operand row for the duration of the call;
+/// 4. the CPU runs the table's instruction set, which [`LaneIsa`]
+///    attests.
 ///
 /// (1) is exactly what [`crate::analyze::analyze_compiled`] proves per
-/// design against the plan's `num_slots`. A kernel of the `avx2` table
-/// additionally needs a CPU with AVX2, which [`LaneIsa`] attests.
-pub type KernelFn = unsafe fn(*mut u64, &KernelArgs, LaneWindow);
+/// design against the plan's `num_slots` and slot types.
+pub type KernelFn = unsafe fn(*mut (), &KernelArgs, LaneWindow);
 
-/// Which instantiation of the kernel table a [`CompiledOp`] points into.
-/// The field is private and `detect` is the only place that sets it, so
-/// a `CompiledOp` holds an `avx2` function pointer only if detection
-/// succeeded in this process.
+/// Which instruction-set instantiation of the kernel table a
+/// [`CompiledOp`] points into. The field is private and `detect` is the
+/// only place that sets it, so a `CompiledOp` holds an `avx2` function
+/// pointer only if detection succeeded in this process.
 #[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LaneIsa {
@@ -176,37 +545,40 @@ impl LaneIsa {
         }
     }
 
-    /// The kernel for an opcode/arity/signedness triple in this table;
-    /// `None` for a source op or an arity `check_op_shape` rejects.
-    fn kernel(self, op: DfgOp, arity: usize, signed: bool) -> Option<KernelFn> {
+    /// The kernel for an opcode/arity/signedness triple in this
+    /// instruction set's table for `lane` rows — the op's unsigned
+    /// counterpart if `logical`; `None` for a source op or an arity
+    /// `check_op_shape` rejects.
+    fn kernel(
+        self,
+        lane: LaneType,
+        op: DfgOp,
+        arity: usize,
+        signed: bool,
+        logical: bool,
+    ) -> Option<KernelFn> {
         // SAFETY (of every later call through the pointer): `self.avx2`
         // is `detect`'s answer, so an `avx2` kernel leaves here only on a
         // CPU that has the instructions it was compiled to.
         #[cfg(target_arch = "x86_64")]
         if self.avx2 {
-            return avx2::kernel_table(op, arity, signed);
+            return match lane {
+                LaneType::Narrow => avx2_u32::kernel_table(op, arity, signed, logical),
+                LaneType::Wide => avx2_u64::kernel_table(op, arity, signed, logical),
+            };
         }
-        baseline::kernel_table(op, arity, signed)
+        match lane {
+            LaneType::Narrow => baseline_u32::kernel_table(op, arity, signed, logical),
+            LaneType::Wide => baseline_u64::kernel_table(op, arity, signed, logical),
+        }
     }
-}
-
-/// Unsigned canonicalization folded into a kernel body.
-#[inline(always)]
-fn cu(raw: u64, args: &KernelArgs) -> u64 {
-    raw & args.msk
-}
-
-/// Signed canonicalization folded into a kernel body:
-/// `sext(raw & mask, width)` as two shifts.
-#[inline(always)]
-fn cs(raw: u64, args: &KernelArgs) -> u64 {
-    (((raw & args.msk) << args.sh) as i64 >> args.sh) as u64
 }
 
 /// Lanes per iteration of the drivers' main loops. A chunk's loads all
 /// precede its stores (staged through an array that lives in registers),
-/// so the unrolled body vectorizes without an alias check: two 256-bit
-/// vectors per row under AVX2, four 128-bit ones at the SSE2 baseline.
+/// so the unrolled body vectorizes without an alias check: per row, two
+/// 256-bit vectors of `u64` lanes or one of `u32` lanes under AVX2, four
+/// or two 128-bit ones at the SSE2 baseline.
 const CHUNK: usize = 8;
 
 /// Runs an `N`-operand body (`N <= 3`: rows `a`, `b`, `c`) over the
@@ -214,30 +586,31 @@ const CHUNK: usize = 8;
 ///
 /// # Safety
 ///
-/// As [`CompiledOp::eval_lanes_ptr`].
+/// As [`CompiledOp::eval_lanes_ptr`], for rows of `T`.
 #[inline(always)]
-unsafe fn run<const N: usize>(
-    li: *mut u64,
+unsafe fn run<T: Lane, const N: usize>(
+    li: *mut T,
     args: &KernelArgs,
     w: LaneWindow,
-    f: impl Fn([u64; N]) -> u64,
+    f: impl Fn([T; N]) -> T,
 ) {
     debug_assert!(w.active <= w.stride, "lane window outgrew its stride");
+    debug_assert_eq!(T::TYPE, args.lane, "kernel walks rows of its table's type");
     let rows = [args.a, args.b, args.c];
     debug_assert!(rows[..N].iter().all(|&r| r <= args.max_slot) && args.out <= args.max_slot);
     // SAFETY: per the `KernelFn` contract, `li` spans `>= max_slot + 1`
-    // rows of `w.stride` lanes and the output and operand rows are
+    // rows of `w.stride` lanes of `T` and the output and operand rows are
     // `<= max_slot`, so every `row + lane` offset below (`lane < w.active
     // <= w.stride`) stays in bounds; the output row is exclusively ours
     // for the call.
     unsafe {
         let out = li.add(args.out as usize * w.stride);
-        let p: [*const u64; N] =
+        let p: [*const T; N] =
             std::array::from_fn(|i| li.add(rows[i] as usize * w.stride).cast_const());
         let n = w.active;
         let mut lane = 0;
         while lane + CHUNK <= n {
-            let r: [u64; CHUNK] = std::array::from_fn(|k| f(p.map(|p| *p.add(lane + k))));
+            let r: [T; CHUNK] = std::array::from_fn(|k| f(p.map(|p| *p.add(lane + k))));
             for (k, r) in r.into_iter().enumerate() {
                 *out.add(lane + k) = r;
             }
@@ -258,28 +631,29 @@ unsafe fn run<const N: usize>(
 ///
 /// # Safety
 ///
-/// As [`CompiledOp::eval_lanes_ptr`].
+/// As [`CompiledOp::eval_lanes_ptr`], for rows of `T`.
 #[inline(always)]
-unsafe fn run_chain(li: *mut u64, args: &KernelArgs, w: LaneWindow, canon: impl Fn(u64) -> u64) {
+unsafe fn run_chain<T: Lane>(li: *mut T, args: &KernelArgs, w: LaneWindow, canon: impl Fn(T) -> T) {
     debug_assert!(w.active <= w.stride, "lane window outgrew its stride");
+    debug_assert_eq!(T::TYPE, args.lane, "kernel walks rows of its table's type");
     let var = args.var.as_deref().expect("a chain carries its operands");
     let (&default, pairs) = var.ins.split_last().expect("a chain has a default");
     debug_assert!(var.ins.iter().all(|&r| r <= args.max_slot) && args.out <= args.max_slot);
     // SAFETY: per the `KernelFn` contract every slot in `var.ins` and
-    // `args.out` is `<= max_slot`, so each `slot * w.stride + lane`
-    // offset (`lane < w.active <= w.stride`) is in bounds; the output
-    // row is exclusively ours for the call.
+    // `args.out` is `<= max_slot` of a matrix of `T` rows, so each
+    // `slot * w.stride + lane` offset (`lane < w.active <= w.stride`) is
+    // in bounds; the output row is exclusively ours for the call.
     unsafe {
         let row = |r: u32| li.add(r as usize * w.stride).cast_const();
         let (out, pd) = (li.add(args.out as usize * w.stride), row(default));
         let n = w.active;
         let mut lane = 0;
         while lane + CHUNK <= n {
-            let mut acc: [u64; CHUNK] = std::array::from_fn(|k| *pd.add(lane + k));
+            let mut acc: [T; CHUNK] = std::array::from_fn(|k| *pd.add(lane + k));
             for pair in pairs.chunks_exact(2).rev() {
                 let (pc, pv) = (row(pair[0]).add(lane), row(pair[1]).add(lane));
                 for (k, acc) in acc.iter_mut().enumerate() {
-                    *acc = if *pc.add(k) != 0 { *pv.add(k) } else { *acc };
+                    *acc = (*pc.add(k)).select(*pv.add(k), *acc);
                 }
             }
             for (k, acc) in acc.into_iter().enumerate() {
@@ -290,11 +664,7 @@ unsafe fn run_chain(li: *mut u64, args: &KernelArgs, w: LaneWindow, canon: impl 
         while lane < n {
             let mut acc = *pd.add(lane);
             for pair in pairs.chunks_exact(2).rev() {
-                acc = if *row(pair[0]).add(lane) != 0 {
-                    *row(pair[1]).add(lane)
-                } else {
-                    acc
-                };
+                acc = (*row(pair[0]).add(lane)).select(*row(pair[1]).add(lane), acc);
             }
             *out.add(lane) = canon(acc);
             lane += 1;
@@ -303,42 +673,76 @@ unsafe fn run_chain(li: *mut u64, args: &KernelArgs, w: LaneWindow, canon: impl 
 }
 
 /// Generates the unsigned/signed kernel pair of each fixed-arity body in
-/// a `|args, operands..| raw-result` list, every function under `$attr`.
+/// a `|args, operands..| raw-result` list, every function under `$attr`,
+/// over rows of the enclosing table's lane type `T`.
 macro_rules! lane_kernels {
     ([$(#[$attr:meta])*]) => {};
     ([$(#[$attr:meta])*] $un:ident, $sn:ident: |$g:ident $(, $x:ident)+| $body:expr; $($rest:tt)*) => {
         /// # Safety
         /// As [`CompiledOp::eval_lanes_ptr`].
         $(#[$attr])*
-        unsafe fn $un(li: *mut u64, $g: &KernelArgs, w: LaneWindow) {
-            // SAFETY: forwarding the caller's `KernelFn` contract intact.
-            unsafe { run(li, $g, w, |[$($x),+]| cu($body, $g)) };
+        unsafe fn $un(li: *mut (), $g: &KernelArgs, w: LaneWindow) {
+            // SAFETY: forwarding the caller's `KernelFn` contract intact:
+            // the rows are of this table's lane type `T`.
+            unsafe { run(li.cast::<T>(), $g, w, |[$($x),+]| cu($body, $g)) };
         }
         /// # Safety
         /// As [`CompiledOp::eval_lanes_ptr`].
         $(#[$attr])*
-        unsafe fn $sn(li: *mut u64, $g: &KernelArgs, w: LaneWindow) {
-            // SAFETY: forwarding the caller's `KernelFn` contract intact.
-            unsafe { run(li, $g, w, |[$($x),+]| cs($body, $g)) };
+        unsafe fn $sn(li: *mut (), $g: &KernelArgs, w: LaneWindow) {
+            // SAFETY: forwarding the caller's `KernelFn` contract intact:
+            // the rows are of this table's lane type `T`.
+            unsafe { run(li.cast::<T>(), $g, w, |[$($x),+]| cs($body, $g)) };
         }
         lane_kernels! { [$(#[$attr])*] $($rest)* }
     };
 }
 
-/// Instantiates the kernel table — every body, once — as module `$isa`,
-/// each kernel compiled under `$attr` (a tier's `#[target_feature]`; the
-/// baseline has none). The drivers above are `#[inline(always)]` plain
-/// Rust, so each instantiation is the same source under another codegen.
+/// Instantiates the kernel table — every body, once — as module `$table`
+/// over rows of `$t` (`$s` its signed twin), each kernel compiled under
+/// `$attr` (a tier's `#[target_feature]`; the baseline has none). The
+/// drivers above are `#[inline(always)]` plain Rust generic over the row
+/// element, so each instantiation is the same source under another
+/// element type and codegen.
 macro_rules! kernel_table {
-    ($isa:ident $(, #[$attr:meta])?) => {
-        mod $isa {
+    ($table:ident, $t:ty, $s:ty $(, #[$attr:meta])?) => {
+        mod $table {
             use super::*;
 
-            // The bodies mirror `eval_raw` case-for-case, rewritten
+            /// The row element of this table, its signed twin (what an
+            /// op that reads operands as signed reads them as), and its
+            /// width.
+            type T = $t;
+            type S = $s;
+            const BITS: u32 = T::BITS;
+
+            /// Unsigned canonicalization folded into a kernel body.
+            #[inline(always)]
+            fn cu(raw: T, args: &KernelArgs) -> T {
+                raw & args.msk as T
+            }
+
+            /// Signed canonicalization folded into a kernel body:
+            /// `sext(raw & mask, width)` as two shifts by
+            /// `args.sh = BITS - width`.
+            #[inline(always)]
+            fn cs(raw: T, args: &KernelArgs) -> T {
+                (((raw & args.msk as T) << args.sh) as S >> args.sh) as T
+            }
+
+            /// `mask(w)`, saturating at the row element's width.
+            #[inline(always)]
+            fn m(w: u32) -> T {
+                mask(w) as T
+            }
+
+            // The bodies mirror `eval_raw` case-for-case — with `T`,
+            // `S` and `BITS` where it says `u64`, `i64` and 64 — rewritten
             // branch-free where the interpreted form branches (dynamic
             // shifts, selects) so the chunked loops vectorize.
             // Equivalence with `eval_raw` is asserted per opcode by the
-            // differential tests.
+            // differential tests; for `u32` rows it holds for exactly the
+            // shapes `narrow_exact` admits.
             lane_kernels! { [$(#[$attr])?]
                 k_add_u, k_add_s: |_g, a, b| a.wrapping_add(b);
                 k_sub_u, k_sub_s: |_g, a, b| a.wrapping_sub(b);
@@ -347,78 +751,90 @@ macro_rules! kernel_table {
                 k_divs_u, k_divs_s: |_g, a, b| if b == 0 {
                     0
                 } else {
-                    (a as i64).wrapping_div(b as i64) as u64
+                    (a as S).wrapping_div(b as S) as T
                 };
                 k_remu_u, k_remu_s: |_g, a, b| if b == 0 { 0 } else { a % b };
                 k_rems_u, k_rems_s: |_g, a, b| if b == 0 {
                     0
                 } else {
-                    (a as i64).wrapping_rem(b as i64) as u64
+                    (a as S).wrapping_rem(b as S) as T
                 };
                 k_and_u, k_and_s: |_g, a, b| a & b;
                 k_or_u, k_or_s: |_g, a, b| a | b;
                 k_xor_u, k_xor_s: |_g, a, b| a ^ b;
-                k_ltu_u, k_ltu_s: |_g, a, b| (a < b) as u64;
-                k_lts_u, k_lts_s: |_g, a, b| ((a as i64) < (b as i64)) as u64;
-                k_leu_u, k_leu_s: |_g, a, b| (a <= b) as u64;
-                k_les_u, k_les_s: |_g, a, b| ((a as i64) <= (b as i64)) as u64;
-                k_gtu_u, k_gtu_s: |_g, a, b| (a > b) as u64;
-                k_gts_u, k_gts_s: |_g, a, b| ((a as i64) > (b as i64)) as u64;
-                k_geu_u, k_geu_s: |_g, a, b| (a >= b) as u64;
-                k_ges_u, k_ges_s: |_g, a, b| ((a as i64) >= (b as i64)) as u64;
-                k_eq_u, k_eq_s: |_g, a, b| (a == b) as u64;
-                k_neq_u, k_neq_s: |_g, a, b| (a != b) as u64;
-                // Branch-free out-of-range guard: `(b < 64)` widens to an
-                // all-ones / all-zeros mask, so the lane loop stays a
+                k_ltu_u, k_ltu_s: |_g, a, b| (a < b) as T;
+                k_lts_u, k_lts_s: |_g, a, b| ((a as S) < (b as S)) as T;
+                k_leu_u, k_leu_s: |_g, a, b| (a <= b) as T;
+                k_les_u, k_les_s: |_g, a, b| ((a as S) <= (b as S)) as T;
+                k_gtu_u, k_gtu_s: |_g, a, b| (a > b) as T;
+                k_gts_u, k_gts_s: |_g, a, b| ((a as S) > (b as S)) as T;
+                k_geu_u, k_geu_s: |_g, a, b| (a >= b) as T;
+                k_ges_u, k_ges_s: |_g, a, b| ((a as S) >= (b as S)) as T;
+                k_eq_u, k_eq_s: |_g, a, b| (a == b) as T;
+                k_neq_u, k_neq_s: |_g, a, b| (a != b) as T;
+                // Branch-free out-of-range guard: `(b < BITS)` widens to
+                // an all-ones / all-zeros mask, so the lane loop stays a
                 // straight select.
-                k_dshl_u, k_dshl_s: |_g, a, b| (a << (b & 63)) & ((b < 64) as u64).wrapping_neg();
-                k_dshr_u, k_dshr_s: |_g, a, b| ((a as i64) >> b.min(63)) as u64;
+                k_dshl_u, k_dshl_s: |_g, a, b| {
+                    (a << (b & (BITS - 1) as T)) & ((b < BITS as T) as T).wrapping_neg()
+                };
+                k_dshr_u, k_dshr_s: |_g, a, b| ((a as S) >> b.min((BITS - 1) as T)) as T;
+                // The unsigned counterpart of `dshr` (`Narrow::Logical`).
+                k_dshrl_u, k_dshrl_s: |_g, a, b| {
+                    (a >> (b & (BITS - 1) as T)) & ((b < BITS as T) as T).wrapping_neg()
+                };
                 k_cat_u, k_cat_s: |g, a, b| {
                     // p0/p1 = operand widths, truncated to u32 exactly as
-                    // eval_raw does; wb >= 64 passes b through.
+                    // eval_raw does; wb >= BITS passes b through.
                     let (wa, wb) = (g.p0 as u32, g.p1 as u32);
-                    if wb >= 64 {
+                    if wb >= BITS {
                         b
                     } else {
-                        ((a & mask(wa)) << wb) | (b & mask(wb))
+                        ((a & m(wa)) << wb) | (b & m(wb))
                     }
                 };
                 k_validif_u, k_validif_s: |_g, a, b| if a != 0 { b } else { 0 };
                 k_not_u, k_not_s: |_g, a| !a;
                 k_neg_u, k_neg_s: |_g, a| a.wrapping_neg();
                 // p0 = operand width for the reductions.
-                k_andr_u, k_andr_s: |g, a| ((a & mask(g.p0 as u32)) == mask(g.p0 as u32)) as u64;
-                k_orr_u, k_orr_s: |_g, a| (a != 0) as u64;
-                k_xorr_u, k_xorr_s: |g, a| ((a & mask(g.p0 as u32)).count_ones() & 1) as u64;
+                k_andr_u, k_andr_s: |g, a| ((a & m(g.p0 as u32)) == m(g.p0 as u32)) as T;
+                k_orr_u, k_orr_s: |_g, a| (a != 0) as T;
+                k_xorr_u, k_xorr_s: |g, a| ((a & m(g.p0 as u32)).count_ones() & 1) as T;
                 k_shl_u, k_shl_s: |g, a| {
                     let n = g.p0 as u32; // eval_raw truncates before the range check
-                    (a << (n & 63)) & ((n < 64) as u64).wrapping_neg()
+                    (a << (n & (BITS - 1))) & ((n < BITS) as T).wrapping_neg()
                 };
-                k_shr_u, k_shr_s: |g, a| ((a as i64) >> (g.p0 as u32).min(63)) as u64;
+                k_shr_u, k_shr_s: |g, a| ((a as S) >> (g.p0 as u32).min(BITS - 1)) as T;
+                // The unsigned counterpart of `shr` (`Narrow::Logical`).
+                k_shrl_u, k_shrl_s: |g, a| {
+                    let n = g.p0 as u32;
+                    (a >> (n & (BITS - 1))) & ((n < BITS) as T).wrapping_neg()
+                };
                 // p0/p1 = hi/lo bit indices.
-                k_bits_u, k_bits_s: |g, a| (a >> g.p1) & mask((g.p0 - g.p1 + 1) as u32);
+                k_bits_u, k_bits_s: |g, a| (a >> g.p1) & m((g.p0 - g.p1 + 1) as u32);
                 // p0/p1 = n/operand width.
-                k_head_u, k_head_s: |g, a| (a & mask(g.p1 as u32)) >> (g.p1 - g.p0);
+                k_head_u, k_head_s: |g, a| (a & m(g.p1 as u32)) >> (g.p1 - g.p0);
                 k_resize_u, k_resize_s: |_g, a| a;
                 k_mux_u, k_mux_s: |_g, c, t, f| if c != 0 { t } else { f };
             }
 
             /// Constant kernel: `p0` already holds the canonical value,
-            /// so the row is a plain fill.
+            /// so the row is a plain fill with its low `BITS` bits.
             ///
             /// # Safety
             /// As [`CompiledOp::eval_lanes_ptr`].
             $(#[$attr])?
-            unsafe fn k_const(li: *mut u64, args: &KernelArgs, w: LaneWindow) {
+            unsafe fn k_const(li: *mut (), args: &KernelArgs, w: LaneWindow) {
                 debug_assert!(w.active <= w.stride, "lane window outgrew its stride");
-                // SAFETY: per the `KernelFn` contract the output row
+                // SAFETY: per the `KernelFn` contract the rows are of
+                // this table's lane type `T`, the output row
                 // `args.out <= max_slot` is in bounds and exclusively
                 // ours; `lane < w.active <= w.stride` keeps the fill
                 // inside the row.
                 unsafe {
-                    let out = li.add(args.out as usize * w.stride);
+                    let out = li.cast::<T>().add(args.out as usize * w.stride);
                     for lane in 0..w.active {
-                        *out.add(lane) = args.p0;
+                        *out.add(lane) = args.p0 as T;
                     }
                 }
             }
@@ -426,24 +842,42 @@ macro_rules! kernel_table {
             /// # Safety
             /// As [`CompiledOp::eval_lanes_ptr`].
             $(#[$attr])?
-            unsafe fn k_chain_u(li: *mut u64, args: &KernelArgs, w: LaneWindow) {
-                // SAFETY: forwarding the caller's `KernelFn` contract intact.
-                unsafe { run_chain(li, args, w, |acc| cu(acc, args)) };
+            unsafe fn k_chain_u(li: *mut (), args: &KernelArgs, w: LaneWindow) {
+                // SAFETY: forwarding the caller's `KernelFn` contract
+                // intact: the rows are of this table's lane type `T`.
+                unsafe { run_chain(li.cast::<T>(), args, w, |acc| cu(acc, args)) };
             }
 
             /// # Safety
             /// As [`CompiledOp::eval_lanes_ptr`].
             $(#[$attr])?
-            unsafe fn k_chain_s(li: *mut u64, args: &KernelArgs, w: LaneWindow) {
-                // SAFETY: forwarding the caller's `KernelFn` contract intact.
-                unsafe { run_chain(li, args, w, |acc| cs(acc, args)) };
+            unsafe fn k_chain_s(li: *mut (), args: &KernelArgs, w: LaneWindow) {
+                // SAFETY: forwarding the caller's `KernelFn` contract
+                // intact: the rows are of this table's lane type `T`.
+                unsafe { run_chain(li.cast::<T>(), args, w, |acc| cs(acc, args)) };
             }
 
             /// This table's kernel for an opcode/arity/signedness
             /// triple: total over every shape `check_op_shape` accepts.
-            pub(super) fn kernel_table(op: DfgOp, arity: usize, signed: bool) -> Option<KernelFn> {
+            /// `logical` asks for the unsigned counterpart of an op that
+            /// reads its operands as signed, and is ignored by the rest.
+            pub(super) fn kernel_table(
+                op: DfgOp,
+                arity: usize,
+                signed: bool,
+                logical: bool,
+            ) -> Option<KernelFn> {
                 use DfgOp::*;
                 let pick = |u: KernelFn, s: KernelFn| Some(if signed { s } else { u });
+                let op = match op {
+                    Lts if logical => Ltu,
+                    Les if logical => Leu,
+                    Gts if logical => Gtu,
+                    Ges if logical => Geu,
+                    Divs if logical => Divu,
+                    Rems if logical => Remu,
+                    _ => op,
+                };
                 match (op, arity) {
                     (Const, 0) => Some(k_const),
                     (Add, 2) => pick(k_add_u, k_add_s),
@@ -467,6 +901,7 @@ macro_rules! kernel_table {
                     (Eq, 2) => pick(k_eq_u, k_eq_s),
                     (Neq, 2) => pick(k_neq_u, k_neq_s),
                     (Dshl, 2) => pick(k_dshl_u, k_dshl_s),
+                    (Dshr, 2) if logical => pick(k_dshrl_u, k_dshrl_s),
                     (Dshr, 2) => pick(k_dshr_u, k_dshr_s),
                     (Cat, 2) => pick(k_cat_u, k_cat_s),
                     (ValidIf, 2) => pick(k_validif_u, k_validif_s),
@@ -476,6 +911,7 @@ macro_rules! kernel_table {
                     (Orr, 1) => pick(k_orr_u, k_orr_s),
                     (Xorr, 1) => pick(k_xorr_u, k_xorr_s),
                     (Shl, 1) => pick(k_shl_u, k_shl_s),
+                    (Shr, 1) if logical => pick(k_shrl_u, k_shrl_s),
                     (Shr, 1) => pick(k_shr_u, k_shr_s),
                     (Bits, 1) => pick(k_bits_u, k_bits_s),
                     (Head, 1) => pick(k_head_u, k_head_s),
@@ -489,9 +925,12 @@ macro_rules! kernel_table {
     };
 }
 
-kernel_table!(baseline);
+kernel_table!(baseline_u64, u64, i64);
+kernel_table!(baseline_u32, u32, i32);
 #[cfg(target_arch = "x86_64")]
-kernel_table!(avx2, #[target_feature(enable = "avx2")]);
+kernel_table!(avx2_u64, u64, i64, #[target_feature(enable = "avx2")]);
+#[cfg(target_arch = "x86_64")]
+kernel_table!(avx2_u32, u32, i32, #[target_feature(enable = "avx2")]);
 
 /// One operation compiled to a specialized lane kernel: the executable
 /// form of an [`OpInst`].
@@ -502,10 +941,12 @@ pub struct CompiledOp {
 }
 
 impl CompiledOp {
-    /// Compiles an operation instance: resolves the kernel from the
+    /// Compiles an operation instance for `u64` rows — the lane type
+    /// that needs no plan: resolves the kernel from the
     /// per-(opcode × arity × signedness) table of the widest instruction
     /// set this CPU has and folds operand offsets, parameters, and the
-    /// canonicalization mask into [`KernelArgs`].
+    /// canonicalization mask into [`KernelArgs`]. A plan's ops compile in
+    /// the plan's lane type through [`compile_layer`].
     ///
     /// # Panics
     ///
@@ -521,12 +962,50 @@ impl CompiledOp {
     /// sweep every one in [`LaneIsa::supported`].
     #[doc(hidden)]
     pub fn compile_for(op: &OpInst, isa: LaneIsa) -> CompiledOp {
+        Self::build(op, isa, LaneType::Wide, false)
+    }
+
+    /// Compiles `op` for `u32` rows against a chosen table, given its
+    /// operand slots' types: `None` where [`narrow_exact`] (or a result
+    /// wider than 32 bits) rules that out.
+    #[doc(hidden)]
+    pub fn compile_narrow_for(
+        op: &OpInst,
+        isa: LaneIsa,
+        operands: &[SlotType],
+    ) -> Option<CompiledOp> {
+        let form = narrow_exact(op.op(), operands, &op.params);
+        (op.width <= 32 && form != Narrow::Inexact)
+            .then(|| Self::build(op, isa, LaneType::Narrow, form == Narrow::Logical))
+    }
+
+    /// Compiles `op` for the rows of `layout`, the layout of the plan it
+    /// belongs to.
+    ///
+    /// # Panics
+    ///
+    /// As [`compile`](Self::compile); and if `layout` is narrow but the
+    /// op is not narrow-exact on its slots, i.e. `layout` is of another
+    /// plan.
+    pub(crate) fn compile_in(op: &OpInst, layout: &LaneLayout) -> CompiledOp {
+        let form = layout.narrow_form(op);
+        assert!(
+            form != Narrow::Inexact,
+            "`{}` into slot {} is not narrow-exact in this layout",
+            op.op(),
+            op.out
+        );
+        let logical = form == Narrow::Logical;
+        Self::build(op, LaneIsa::detect(), layout.lane, logical)
+    }
+
+    fn build(op: &OpInst, isa: LaneIsa, lane: LaneType, logical: bool) -> CompiledOp {
         let d = op.op();
         let arity = op.ins.len();
         let kernel = isa
-            .kernel(d, arity, op.signed)
+            .kernel(lane, d, arity, op.signed, logical)
             .unwrap_or_else(|| panic!("`{d}` with {arity} operand(s) is not compilable"));
-        let width = (op.width as u32).clamp(1, 64);
+        let width = (op.width as u32).clamp(1, lane.bits());
         let p0 = op.params.first().copied().unwrap_or(0);
         let max_slot = op
             .ins
@@ -547,9 +1026,11 @@ impl CompiledOp {
             },
             p1: op.params.get(1).copied().unwrap_or(0),
             msk: mask(width),
-            sh: 64 - width,
+            sh: lane.bits() - width,
             n: op.n,
             signed: op.signed,
+            lane,
+            logical,
             max_slot,
             var: (d == DfgOp::MuxChain).then(|| {
                 Box::new(VarArgs {
@@ -584,7 +1065,7 @@ impl CompiledOp {
         self.args.msk
     }
 
-    /// Folded sign-extension shift (`64 - width`).
+    /// Folded sign-extension shift (lane bits minus width).
     pub fn shift(&self) -> u32 {
         self.args.sh
     }
@@ -592,6 +1073,21 @@ impl CompiledOp {
     /// Whether the op canonicalizes as a signed value.
     pub fn is_signed(&self) -> bool {
         self.args.signed
+    }
+
+    /// The lane type of the rows this kernel walks.
+    pub fn lane_type(&self) -> LaneType {
+        self.args.lane
+    }
+
+    /// How the kernel relates to the op's 64-bit body: `Logical` for the
+    /// unsigned counterpart, else `Exact`.
+    pub fn narrow_form(&self) -> Narrow {
+        if self.args.logical {
+            Narrow::Logical
+        } else {
+            Narrow::Exact
+        }
     }
 
     /// Highest LI slot this kernel reads or writes.
@@ -604,34 +1100,46 @@ impl CompiledOp {
     ///
     /// # Safety
     ///
-    /// `li` must point to a live slot-major matrix of `w.stride` lanes
-    /// per slot covering every slot this op references, `w.active <=
-    /// w.stride`, and no other thread may concurrently access the op's
-    /// output row or mutate its operand rows for the duration of the
-    /// call. (Within one levelized layer, output rows are disjoint per op
-    /// and operand rows come from earlier layers, so layer-barriered
-    /// workers satisfy this.)
+    /// `T` must be the element of this kernel's [`lane_type`]
+    /// (debug-checked: the batch engine checks it once per walk, where
+    /// kernel and state meet). `li` must point to a live slot-major
+    /// matrix of `w.stride` lanes per slot covering every slot this op
+    /// references, `w.active <= w.stride`, and no other thread may
+    /// concurrently access the op's output row or mutate its operand rows
+    /// for the duration of the call. (Within one levelized layer, output
+    /// rows are disjoint per op and operand rows come from earlier
+    /// layers, so layer-barriered workers satisfy this.)
+    ///
+    /// [`lane_type`]: Self::lane_type
     #[inline]
-    pub unsafe fn eval_lanes_ptr(&self, li: *mut u64, w: LaneWindow) {
+    pub unsafe fn eval_lanes_ptr<T: Lane>(&self, li: *mut T, w: LaneWindow) {
         debug_assert!(w.active <= w.stride, "lane window outgrew its stride");
+        debug_assert_eq!(T::TYPE, self.args.lane, "rows are not of the kernel's type");
         // SAFETY: the caller upholds this method's contract, which is
-        // exactly the `KernelFn` contract the folded kernel requires; and
-        // the kernel came out of the table of a `LaneIsa`, which exists
-        // only for an instruction set detected on this CPU.
-        unsafe { (self.kernel)(li, &self.args, w) };
+        // exactly the `KernelFn` contract the folded kernel requires —
+        // the rows are of the table's lane type; and the kernel came out
+        // of the table of a `LaneIsa`, which exists only for an
+        // instruction set detected on this CPU.
+        unsafe { (self.kernel)(li.cast(), &self.args, w) };
     }
 
     /// Evaluates over the active window of an exclusively borrowed `LI`
     /// matrix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `T` is not the element of this kernel's lane type.
     #[inline]
-    pub fn eval_lanes(&self, li: &mut [u64], w: LaneWindow) {
+    pub fn eval_lanes<T: Lane>(&self, li: &mut [T], w: LaneWindow) {
+        assert_eq!(T::TYPE, self.args.lane, "rows are not of the kernel's type");
         debug_assert!(w.active <= w.stride);
         debug_assert!(
             li.len() >= (self.args.max_slot as usize + 1) * w.stride,
             "LI matrix does not cover slot {}",
             self.args.max_slot
         );
-        // SAFETY: an exclusive borrow covers the whole matrix, and the
+        // SAFETY: an exclusive borrow covers the whole matrix, whose
+        // element was just checked against the kernel's, and the
         // debug-checked length bound is what `analyze_compiled` proves
         // statically for verifier-clean plans.
         unsafe { self.eval_lanes_ptr(li.as_mut_ptr(), w) }
@@ -642,16 +1150,25 @@ impl CompiledOp {
 /// guaranteed by levelization).
 pub type CompiledLayer = Vec<CompiledOp>;
 
-/// Compiles every layer of a plan. Layer and op order are preserved, so
-/// swizzled traversals can compile their own reordered layer lists with
-/// [`compile_layer`].
+/// Compiles every layer of a plan, in the plan's lane type. Layer and op
+/// order are preserved, so swizzled traversals can compile their own
+/// reordered layer lists with [`compile_layer`].
 pub fn compile_plan(plan: &SimPlan) -> Vec<CompiledLayer> {
-    plan.layers.iter().map(|l| compile_layer(l)).collect()
+    let layout = LaneLayout::of(plan);
+    plan.layers
+        .iter()
+        .map(|l| compile_layer(l, &layout))
+        .collect()
 }
 
-/// Compiles one layer's operations in order.
-pub fn compile_layer(layer: &[OpInst]) -> CompiledLayer {
-    layer.iter().map(CompiledOp::compile).collect()
+/// Compiles one layer's operations in order, for the rows of `layout` —
+/// the layout of the plan the layer (or a reordering, replica or subset
+/// of it) belongs to.
+pub fn compile_layer(layer: &[OpInst], layout: &LaneLayout) -> CompiledLayer {
+    layer
+        .iter()
+        .map(|op| CompiledOp::compile_in(op, layout))
+        .collect()
 }
 
 #[cfg(test)]
@@ -672,22 +1189,44 @@ mod tests {
         }
     }
 
-    /// A fixed stimulus matrix whose lanes cover the operand classes that
-    /// decide an op's outcome — 0, 1, all-ones, a small value (an in-range
-    /// shift amount), the same lane of the row above (equal operands) —
-    /// next to uniform 64-bit values.
+    /// The `i`-th element of a fixed stimulus stream whose lanes cover
+    /// the operand classes that decide an op's outcome — 0, 1, all-ones,
+    /// a small value (an in-range shift amount), the same lane of the row
+    /// above (equal operands; `above`) — next to uniform 64-bit values.
+    fn stimulus_at(i: usize, above: Option<u64>) -> u64 {
+        let h = (i as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        match ((h >> 59) % 6, above) {
+            (0, _) => 0,
+            (1, _) => 1,
+            (2, _) => u64::MAX,
+            (3, _) => h % 70,
+            (4, Some(above)) => above,
+            _ => h,
+        }
+    }
+
     fn stimulus(slots: usize, lanes: usize) -> Vec<u64> {
         let mut li = Vec::with_capacity(slots * lanes);
         for i in 0..slots * lanes {
-            let h = (i as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            li.push(match (h >> 59) % 6 {
-                0 => 0,
-                1 => 1,
-                2 => u64::MAX,
-                3 => h % 70,
-                4 if i >= lanes => li[i - lanes],
-                _ => h,
-            });
+            li.push(stimulus_at(i, i.checked_sub(lanes).map(|j| li[j])));
+        }
+        li
+    }
+
+    /// The same stream as rows of `u32`, each element canonical for its
+    /// slot's type (`types[0]` is the output's) — and, one element in
+    /// three, with the type's top bit forced on: bit 31 of a 32-bit
+    /// unsigned value, the sign of a signed one. Those are the values a
+    /// narrow row must *widen* right.
+    fn narrow_stimulus(types: &[SlotType], lanes: usize) -> Vec<u32> {
+        let mut li: Vec<u32> = Vec::with_capacity(types.len() * lanes);
+        for (s, &(w, signed)) in types.iter().enumerate() {
+            for lane in 0..lanes {
+                let i = s * lanes + lane;
+                let above = i.checked_sub(lanes).map(|j| li[j].widen(types[s - 1].1));
+                let top = if i % 3 == 0 { 1 << (w - 1) } else { 0 };
+                li.push(canonicalize(stimulus_at(i, above) | top, w as u32, signed) as u32);
+            }
         }
         li
     }
@@ -721,6 +1260,84 @@ mod tests {
         }
     }
 
+    /// The narrow half of [`assert_matches_interpreter`]: where
+    /// `narrow_exact` admits `op` on operands of `types` (slot order, so
+    /// `types[0]` is ignored), the `u32` kernel of every supported table
+    /// must produce the *truncation* of what `eval_raw` + `canonicalize`
+    /// produce on the widened operands. Returns whether it was admitted.
+    fn assert_narrow_matches_interpreter(op: &OpInst, types: &[SlotType], lanes: usize) -> bool {
+        let operands: Vec<SlotType> = op.ins.iter().map(|&r| types[r as usize]).collect();
+        let li = narrow_stimulus(types, lanes);
+        let mut admitted = false;
+        for active in [lanes, lanes / 2] {
+            let mut want = li.clone();
+            for lane in 0..active {
+                let ins: Vec<u64> = op
+                    .ins
+                    .iter()
+                    .map(|&r| li[r as usize * lanes + lane].widen(types[r as usize].1))
+                    .collect();
+                let raw = eval_raw(op.op(), &op.params, &ins);
+                want[op.out as usize * lanes + lane] =
+                    canonicalize(raw, op.width as u32, op.signed) as u32;
+            }
+            let w = LaneWindow {
+                stride: lanes,
+                active,
+            };
+            for isa in LaneIsa::supported() {
+                let Some(compiled) = CompiledOp::compile_narrow_for(op, isa, &operands) else {
+                    continue;
+                };
+                admitted = true;
+                assert_eq!(compiled.lane_type(), LaneType::Narrow);
+                let mut got = li.clone();
+                compiled.eval_lanes(&mut got, w);
+                assert_eq!(
+                    got,
+                    want,
+                    "narrow op {} {:?} on {operands:?} params {:?} active {active} {isa:?}",
+                    op.op(),
+                    (op.width, op.signed),
+                    op.params
+                );
+            }
+        }
+        admitted
+    }
+
+    /// Operand types the narrow sweeps draw from: every signedness at the
+    /// widths where something changes (1 bit, mid-width, one under and at
+    /// the row's width).
+    const NARROW_TYPES: [SlotType; 8] = [
+        (1, false),
+        (1, true),
+        (12, false),
+        (12, true),
+        (31, false),
+        (31, true),
+        (32, false),
+        (32, true),
+    ];
+
+    /// Parameter sets worth running `op` under when its first operand is
+    /// `a` wide and its second `b`.
+    fn narrow_params(op: DfgOp, a: u8, b: u8) -> Vec<Vec<u64>> {
+        let a = a as u64;
+        match op {
+            DfgOp::Const => vec![vec![0xdead_beef_cafe], vec![u64::MAX]],
+            DfgOp::Andr | DfgOp::Orr | DfgOp::Xorr => vec![vec![a]],
+            DfgOp::Shl | DfgOp::Shr => [0, 1, 7, 31, 32, 33, 63, 64, 70]
+                .iter()
+                .map(|&n| vec![n])
+                .collect(),
+            DfgOp::Bits => vec![vec![a - 1, 0], vec![a - 1, a / 2], vec![a / 2, a / 2]],
+            DfgOp::Head => vec![vec![1, a], vec![a, a]],
+            DfgOp::Cat => vec![vec![a, b as u64]],
+            _ => vec![vec![]],
+        }
+    }
+
     #[test]
     fn every_evaluable_opcode_matches_eval_raw() {
         for &op in &ALL_OPS {
@@ -743,6 +1360,114 @@ mod tests {
                     let op = inst(op, arity, params.clone(), width, signed);
                     assert_matches_interpreter(&op, lanes);
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn every_narrow_exact_shape_matches_eval_raw_truncated() {
+        // Every opcode × result type × operand type combination
+        // (`NARROW_TYPES`² for the first two operands; the third of a mux
+        // and the tail of a chain rotate through the list), whichever way
+        // the predicate answers: an admitted shape must be exact, and the
+        // low-bits-only ops must be admitted.
+        let mut admitted = 0;
+        for &op in &ALL_OPS {
+            if matches!(op, DfgOp::Input | DfgOp::RegState) {
+                continue;
+            }
+            let arity = op.arity().unwrap_or(7);
+            for (k, &out) in NARROW_TYPES.iter().enumerate() {
+                for (i, &a) in NARROW_TYPES.iter().enumerate() {
+                    for (j, &b) in NARROW_TYPES.iter().enumerate() {
+                        if (arity < 2 && j > 0) || (arity < 1 && i > 0) {
+                            continue;
+                        }
+                        let mut types = vec![out, a, b];
+                        types.extend((2..arity).map(|o| NARROW_TYPES[(i + j + k + o) % 8]));
+                        for params in narrow_params(op, a.0, b.0) {
+                            let op = inst(op, arity, params, out.0, out.1);
+                            let ok = assert_narrow_matches_interpreter(&op, &types, 2 * CHUNK + 3);
+                            admitted += ok as usize;
+                            let form = narrow_exact(op.op(), &types[1..=arity], &op.params);
+                            assert_eq!(ok, form != Narrow::Inexact);
+                        }
+                    }
+                }
+            }
+        }
+        assert!(admitted > 5000, "the sweep ran narrow kernels: {admitted}");
+    }
+
+    #[test]
+    fn narrow_exact_rejects_or_handles_the_known_hard_shapes() {
+        use DfgOp::*;
+        use Narrow::*;
+        const U32: SlotType = (32, false);
+        const S32: SlotType = (32, true);
+        const U31: SlotType = (31, false);
+        const S12: SlotType = (12, true);
+        let table: &[(DfgOp, &[SlotType], &[u64], Narrow)] = &[
+            // Ops that read operands as `i64`, on zero-extended operands
+            // with bit 31 in use: handled, as their unsigned counterpart.
+            (Lts, &[U32, U32], &[], Logical),
+            (Ges, &[U32, U31], &[], Logical),
+            (Shr, &[U32], &[3], Logical),
+            (Shr, &[U32], &[40], Logical),
+            (Dshr, &[U32, U32], &[], Logical),
+            (Dshr, &[U32, S12], &[], Logical),
+            (Divs, &[U32, U32], &[], Logical),
+            (Rems, &[U32, U31], &[], Logical),
+            // ... themselves, wherever the operands sign-extend.
+            (Lts, &[S32, S12], &[], Exact),
+            (Lts, &[U31, S32], &[], Exact),
+            (Shr, &[S32], &[33], Exact),
+            (Shr, &[U31], &[3], Exact),
+            (Dshr, &[S32, U32], &[], Exact),
+            (Divs, &[S32, S32], &[], Exact),
+            // ... and nothing when the two operands extend differently.
+            (Lts, &[U32, S32], &[], Inexact),
+            (Divs, &[S12, U32], &[], Inexact),
+            // Order, equality and unsigned division across signedness.
+            (Ltu, &[U32, S32], &[], Inexact),
+            (Eq, &[S12, U32], &[], Inexact),
+            (Neq, &[U32, S32], &[], Inexact),
+            (Ltu, &[S32, S12], &[], Exact),
+            (Eq, &[U31, S32], &[], Exact),
+            (Divu, &[U32, S32], &[], Inexact),
+            (Divu, &[S32, S32], &[], Inexact),
+            (Remu, &[U31, S12], &[], Inexact),
+            (Divu, &[U32, U31], &[], Exact),
+            // Left shifts by 32..63 zero the low word either way.
+            (Shl, &[U32], &[32], Exact),
+            (Shl, &[S32], &[63], Exact),
+            (Dshl, &[U32, U32], &[], Exact),
+            (Dshl, &[S32, S32], &[], Exact),
+            // A `cat` past 32 bits (a fused truncation) keeps its low word.
+            (Cat, &[U32, U32], &[32, 32], Exact),
+            (Cat, &[(20, false), (20, true)], &[20, 20], Exact),
+            // Extracts must stay below bit 32.
+            (Bits, &[S32], &[32, 4], Inexact),
+            (Bits, &[S32], &[31, 4], Exact),
+            (Head, &[U32], &[4, 40], Inexact),
+            (Head, &[U32], &[0, 32], Inexact),
+            (Andr, &[S12], &[33], Inexact),
+            (Xorr, &[S32], &[32], Exact),
+        ];
+        for &(op, operands, params, want) in table {
+            assert_eq!(
+                narrow_exact(op, operands, params),
+                want,
+                "{op} on {operands:?} params {params:?}"
+            );
+            // Whatever was admitted is run, against results as wide as a
+            // narrow row holds and as narrow as one bit.
+            for out in [(32, false), (32, true), (1, false)] {
+                let mut types = vec![out];
+                types.extend_from_slice(operands);
+                let op = inst(op, operands.len(), params.to_vec(), out.0, out.1);
+                let ran = assert_narrow_matches_interpreter(&op, &types, 3 * CHUNK + 1);
+                assert_eq!(ran, want != Inexact);
             }
         }
     }
@@ -773,6 +1498,14 @@ mod tests {
         let mut li = vec![0u64; 5];
         compiled.eval_lanes(&mut li, LaneWindow::full(5));
         assert_eq!(li, vec![(-4i64) as u64; 5]);
+        // In a narrow row, its low word — which widens back to it.
+        for isa in LaneIsa::supported() {
+            let narrow = CompiledOp::compile_narrow_for(&op, isa, &[]).expect("const is exact");
+            let mut li = vec![0u32; 5];
+            narrow.eval_lanes(&mut li, LaneWindow::full(5));
+            assert_eq!(li, vec![(-4i32) as u32; 5]);
+            assert_eq!(li[0].widen(true), (-4i64) as u64);
+        }
     }
 
     #[test]
@@ -788,6 +1521,13 @@ mod tests {
         compiled.eval_lanes(&mut li, w);
         assert_eq!(&li[0..4], &[0xfe, 0xfd, 0xfc, 0xfb]);
         assert_eq!(&li[4..6], &[0, 0], "tail of the output row untouched");
+    }
+
+    #[test]
+    #[should_panic(expected = "rows are not of the kernel's type")]
+    fn a_kernel_refuses_rows_of_the_other_lane_type() {
+        let op = inst(DfgOp::Not, 1, vec![], 8, false);
+        CompiledOp::compile(&op).eval_lanes(&mut [0u32; 4], LaneWindow::full(2));
     }
 
     #[test]
@@ -812,21 +1552,111 @@ mod tests {
                     Some(arity) => (vec![arity], vec![arity + 1, 4]),
                     None => (vec![1, 3, 5, 33], vec![0, 2]),
                 };
-                for signed in [false, true] {
+                let shapes = [LaneType::Narrow, LaneType::Wide]
+                    .into_iter()
+                    .flat_map(|lane| [(lane, false, false), (lane, true, false)])
+                    .chain([
+                        (LaneType::Narrow, false, true),
+                        (LaneType::Narrow, true, true),
+                    ]);
+                for (lane, signed, logical) in shapes {
                     for &arity in &good {
                         assert!(
-                            isa.kernel(op, arity, signed).is_some(),
-                            "{isa:?}: no kernel for {op} arity {arity} signed {signed}"
+                            isa.kernel(lane, op, arity, signed, logical).is_some(),
+                            "{isa:?}/{lane:?}: no kernel for {op} arity {arity} signed {signed}"
                         );
                     }
                     for &arity in &bad {
                         assert!(
-                            isa.kernel(op, arity, signed).is_none(),
+                            isa.kernel(lane, op, arity, signed, logical).is_none(),
                             "{op} arity {arity}"
                         );
                     }
                 }
             }
         }
+    }
+
+    /// A hand-built plan: one register fed by `op(reg, input)`, the
+    /// register and input typed `reg` and `input`.
+    fn tiny_plan(op: DfgOp, reg: SlotType, input: SlotType, out: SlotType) -> SimPlan {
+        SimPlan {
+            name: "tiny".into(),
+            num_slots: 4,
+            input_slots: vec![1],
+            input_types: vec![input],
+            output_slots: vec![("out".into(), 3)],
+            const_slots: (2, 3),
+            commits: vec![(0, 3)],
+            init_values: vec![0, 0, 5, 0],
+            layers: vec![vec![OpInst {
+                n: op.n_coord(),
+                out: 3,
+                ins: vec![0, 1],
+                params: vec![],
+                width: out.0,
+                signed: out.1,
+            }]],
+            stats: Default::default(),
+            probes: vec![("r".into(), 0, reg.0)],
+            signed_probes: if reg.1 { vec![0] } else { vec![] },
+        }
+    }
+
+    #[test]
+    fn the_lane_type_is_a_function_of_slot_types_and_the_predicate() {
+        let narrow = tiny_plan(DfgOp::Add, (32, false), (12, true), (32, false));
+        let layout = LaneLayout::of(&narrow);
+        assert_eq!(layout.lane_type(), LaneType::Narrow);
+        assert_eq!(layout.why_wide(), None);
+        // Register from its probe, input from the port list, the constant
+        // from its value, the op's output from the op.
+        assert_eq!(
+            layout.slot_types(),
+            &[(32, false), (12, true), (3, false), (32, false)]
+        );
+        assert_eq!(layout.signed_slots(), [false, true, false, false]);
+        assert_eq!(
+            LaneType::supported_for(&narrow),
+            [LaneType::Wide, LaneType::Narrow]
+        );
+        assert_eq!(
+            LaneLayout::of_as(&narrow, LaneType::Wide).lane_type(),
+            LaneType::Wide
+        );
+
+        // One 33-bit register, one 33-bit result, one op the predicate
+        // rejects, one power-on value that is not its slot's: each keeps
+        // the whole plan wide, and says why.
+        let wide_reg = tiny_plan(DfgOp::Add, (33, false), (12, true), (32, false));
+        let wide_out = tiny_plan(DfgOp::Add, (32, false), (12, true), (33, false));
+        let inexact = tiny_plan(DfgOp::Ltu, (32, false), (12, true), (1, false));
+        let mut bad_init = narrow.clone();
+        bad_init.init_values[0] = 1 << 40;
+        for (plan, why) in [
+            (&wide_reg, "slot 0 is 33 bits wide"),
+            (&wide_out, "slot 3 is 33 bits wide"),
+            (&inexact, "not narrow-exact"),
+            (&bad_init, "slot 0 powers on as"),
+        ] {
+            let layout = LaneLayout::of(plan);
+            assert_eq!(layout.lane_type(), LaneType::Wide, "{why}");
+            assert!(layout.why_wide().is_some_and(|w| w.contains(why)), "{why}");
+            assert_eq!(LaneType::supported_for(plan), [LaneType::Wide]);
+        }
+        // A constant is as wide as its value: negative ones are signed.
+        assert_eq!(type_of_value(0), (1, false));
+        assert_eq!(type_of_value(u32::MAX as u64), (32, false));
+        assert_eq!(type_of_value(1 << 32), (33, false));
+        assert_eq!(type_of_value(u64::MAX), (1, true));
+        assert_eq!(type_of_value(i32::MIN as i64 as u64), (32, true));
+        assert_eq!(type_of_value(i32::MIN as i64 as u64 - 1), (33, true));
+    }
+
+    #[test]
+    #[should_panic(expected = "does not run in u32 rows: slot 0 is 33 bits wide")]
+    fn the_witness_cannot_force_a_wide_plan_narrow() {
+        let plan = tiny_plan(DfgOp::Add, (33, false), (12, true), (32, false));
+        LaneLayout::of_as(&plan, LaneType::Narrow);
     }
 }

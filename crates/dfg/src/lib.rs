@@ -78,7 +78,9 @@ pub use batch::BatchPlanSim;
 pub use build::build;
 pub use error::{DfgError, Result};
 pub use graph::{Graph, Node, NodeId, RegDef};
-pub use lane_kernel::{BatchEngine, CompiledLayer, CompiledOp, KernelArgs, LaneWindow};
+pub use lane_kernel::{
+    BatchEngine, CompiledLayer, CompiledOp, KernelArgs, Lane, LaneLayout, LaneType, LaneWindow,
+};
 pub use op::{DfgOp, OpClass};
 pub use partition::{PartitionSchedule, PartitionedPlan, RumEntry};
 pub use plan::{OpInst, PlanSim, SimPlan};

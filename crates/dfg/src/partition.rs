@@ -26,6 +26,7 @@
 //! waveforms and halt conditions) are folded into partition 0, so any
 //! probed slot reads the same value a scalar run would report.
 
+use crate::lane_kernel::LaneLayout;
 use crate::plan::SimPlan;
 use crate::OpInst;
 use std::collections::HashSet;
@@ -92,6 +93,10 @@ pub struct PartitionedPlan {
     pub replicated_ops: usize,
     /// Ops in the unpartitioned plan.
     pub base_ops: usize,
+    /// The source plan's slot types and lane type: the schedules alone do
+    /// not type registers, inputs and constants, and the kernel and the
+    /// state built from this decomposition must agree on the rows.
+    pub lanes: LaneLayout,
 }
 
 impl PartitionedPlan {
@@ -238,6 +243,7 @@ impl PartitionedPlan {
             home,
             replicated_ops,
             base_ops: plan.total_ops(),
+            lanes: LaneLayout::of(plan),
         }
     }
 

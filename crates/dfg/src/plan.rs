@@ -17,7 +17,7 @@
 //! reference model.
 
 use crate::graph::Graph;
-use crate::lane_kernel::LaneWindow;
+use crate::lane_kernel::{Lane, LaneType, LaneWindow};
 use crate::level::{levelize, IdentityStats};
 use crate::op::{canonicalize, eval_raw, DfgOp};
 use serde::{Deserialize, Serialize};
@@ -63,74 +63,94 @@ impl OpInst {
     ///
     /// This is the *interpreted* lane walk — the golden model the
     /// compiled kernels of [`crate::lane_kernel`] are differentially
-    /// tested against.
+    /// tested against — over `u64` rows.
     #[inline]
     pub fn eval_lanes(&self, li: &mut [u64], w: LaneWindow, buf: &mut Vec<u64>) {
-        // SAFETY: an exclusive borrow covers the whole matrix.
-        unsafe { self.eval_lanes_ptr(li.as_mut_ptr(), w, buf) }
+        // SAFETY: an exclusive borrow covers the whole matrix; `u64`
+        // rows never consult the signedness table.
+        unsafe { self.eval_lanes_ptr(li.as_mut_ptr(), w, &[], buf) }
     }
 
     /// Lane-wise evaluation through a raw pointer — the layer-parallel
     /// engine's entry point, sharing the arity-specialized inner loops
-    /// with [`eval_lanes`](Self::eval_lanes).
+    /// with [`eval_lanes`](Self::eval_lanes). Rows are of either lane
+    /// type, the arithmetic is always `eval_raw`'s on canonical 64-bit
+    /// values: an operand element widens by its slot's entry in `signed`
+    /// (`LaneLayout::signed_slots`; never read for `u64` rows, which may
+    /// pass `&[]`) and the canonical result is truncated into its row —
+    /// which is what makes this walk the reference for narrow kernels
+    /// too.
     ///
     /// # Safety
     ///
     /// `li` must point to a live slot-major `LI` matrix of `w.stride`
     /// lanes per slot covering every slot this op references, `w.active
-    /// <= w.stride`, and no other thread may concurrently access the
+    /// <= w.stride`, `signed` must cover those slots when `T` is `u32`,
+    /// and no other thread may concurrently access the
     /// op's output row or mutate its operand rows for the duration of
     /// the call. (Within one levelized layer, output rows are disjoint
     /// per op and operand rows come from earlier layers, so
     /// layer-barriered workers satisfy this.)
     #[inline]
-    pub unsafe fn eval_lanes_ptr(&self, li: *mut u64, w: LaneWindow, buf: &mut Vec<u64>) {
+    pub unsafe fn eval_lanes_ptr<T: Lane>(
+        &self,
+        li: *mut T,
+        w: LaneWindow,
+        signed: &[bool],
+        buf: &mut Vec<u64>,
+    ) {
         let op = self.op();
-        let (width, signed) = (self.width as u32, self.signed);
+        let (width, signed_out) = (self.width as u32, self.signed);
         let (stride, active) = (w.stride, w.active);
-        let out = li.add(self.out as usize * stride);
-        match *self.ins.as_slice() {
-            [a] => {
-                let a0 = li.add(a as usize * stride);
-                for lane in 0..active {
-                    let raw = eval_raw(op, &self.params, &[*a0.add(lane)]);
-                    *out.add(lane) = canonicalize(raw, width, signed);
+        let sx = |r: u32| T::TYPE == LaneType::Narrow && signed[r as usize];
+        // SAFETY: per the contract every `slot * stride + lane` offset
+        // below (`lane < active <= stride`) is in bounds, and the output
+        // row is exclusively ours for the call.
+        unsafe {
+            let out = li.add(self.out as usize * stride);
+            let row = |r: u32| (li.add(r as usize * stride).cast_const(), sx(r));
+            let put = |lane: usize, raw: u64| {
+                *out.add(lane) = T::truncate(canonicalize(raw, width, signed_out));
+            };
+            match *self.ins.as_slice() {
+                [a] => {
+                    let (a0, sa) = row(a);
+                    for lane in 0..active {
+                        put(
+                            lane,
+                            eval_raw(op, &self.params, &[(*a0.add(lane)).widen(sa)]),
+                        );
+                    }
                 }
-            }
-            [a, b] => {
-                let (a0, b0) = (li.add(a as usize * stride), li.add(b as usize * stride));
-                for lane in 0..active {
-                    let raw = eval_raw(op, &self.params, &[*a0.add(lane), *b0.add(lane)]);
-                    *out.add(lane) = canonicalize(raw, width, signed);
+                [a, b] => {
+                    let ((a0, sa), (b0, sb)) = (row(a), row(b));
+                    for lane in 0..active {
+                        let ins = [(*a0.add(lane)).widen(sa), (*b0.add(lane)).widen(sb)];
+                        put(lane, eval_raw(op, &self.params, &ins));
+                    }
                 }
-            }
-            [a, b, c] => {
-                let (a0, b0, c0) = (
-                    li.add(a as usize * stride),
-                    li.add(b as usize * stride),
-                    li.add(c as usize * stride),
-                );
-                for lane in 0..active {
-                    let raw = eval_raw(
-                        op,
-                        &self.params,
-                        &[*a0.add(lane), *b0.add(lane), *c0.add(lane)],
-                    );
-                    *out.add(lane) = canonicalize(raw, width, signed);
+                [a, b, c] => {
+                    let ((a0, sa), (b0, sb), (c0, sc)) = (row(a), row(b), row(c));
+                    for lane in 0..active {
+                        let ins = [
+                            (*a0.add(lane)).widen(sa),
+                            (*b0.add(lane)).widen(sb),
+                            (*c0.add(lane)).widen(sc),
+                        ];
+                        put(lane, eval_raw(op, &self.params, &ins));
+                    }
                 }
-            }
-            _ => {
-                // Variable-arity ops (mux chains, no-operand sources)
-                // stage operands per lane.
-                for lane in 0..active {
-                    buf.clear();
-                    buf.extend(
-                        self.ins
-                            .iter()
-                            .map(|&r| *li.add(r as usize * stride + lane)),
-                    );
-                    let raw = eval_raw(op, &self.params, buf);
-                    *out.add(lane) = canonicalize(raw, width, signed);
+                _ => {
+                    // Variable-arity ops (mux chains, no-operand sources)
+                    // stage operands per lane.
+                    for lane in 0..active {
+                        buf.clear();
+                        buf.extend(self.ins.iter().map(|&r| {
+                            let (r0, sr) = row(r);
+                            (*r0.add(lane)).widen(sr)
+                        }));
+                        put(lane, eval_raw(op, &self.params, buf));
+                    }
                 }
             }
         }

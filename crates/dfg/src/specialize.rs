@@ -56,7 +56,7 @@
 //! walk needs one extra barrier per layer that has boundary moves and
 //! nothing else.
 
-use crate::lane_kernel::{CompiledOp, LaneWindow};
+use crate::lane_kernel::{CompiledOp, Lane, LaneLayout, LaneType, LaneWindow};
 use crate::op::DfgOp;
 use crate::plan::{OpInst, SimPlan};
 use serde::{Deserialize, Serialize};
@@ -322,6 +322,8 @@ struct SpecLayer {
 pub struct SpecProgram {
     layers: Vec<SpecLayer>,
     bit_rows: usize,
+    /// The lane type of the wide (`LI`) rows the program walks.
+    lane: LaneType,
 }
 
 /// How a slot's value is produced, for packability classification.
@@ -338,10 +340,18 @@ enum SlotKind {
 }
 
 impl SpecProgram {
-    /// Lowers a plan's layers. With `pack = false` every op stays wide
-    /// (the program is the plan's per-op walk); with `pack = true`,
-    /// eligible 1-bit interior wires are packed 64 lanes per word.
+    /// Lowers a plan's layers, for rows of the plan's lane type. With
+    /// `pack = false` every op stays wide (the program is the plan's
+    /// per-op walk); with `pack = true`, eligible 1-bit interior wires
+    /// are packed 64 lanes per word.
     pub fn build(plan: &SimPlan, pack: bool) -> SpecProgram {
+        Self::build_in(plan, pack, &LaneLayout::of(plan))
+    }
+
+    /// [`build`](Self::build) for the rows of a given layout of `plan`
+    /// (`LaneLayout::of_as`: how tests reach both lane types).
+    #[doc(hidden)]
+    pub fn build_in(plan: &SimPlan, pack: bool, layout: &LaneLayout) -> SpecProgram {
         let n = plan.num_slots;
         let mut kind = vec![SlotKind::Static; n];
         for layer in &plan.layers {
@@ -564,14 +574,20 @@ impl SpecProgram {
                     };
                     layers[i].bits.push(BitInst { body, d, a, b, c });
                 } else {
-                    layers[i].wide.push(CompiledOp::compile(op));
+                    layers[i].wide.push(CompiledOp::compile_in(op, layout));
                 }
             }
         }
         SpecProgram {
             layers,
             bit_rows: next_row as usize,
+            lane: layout.lane_type(),
         }
+    }
+
+    /// The lane type of the `LI` rows this program walks.
+    pub fn lane_type(&self) -> LaneType {
+        self.lane
     }
 
     /// Number of layers (matches the plan's).
@@ -622,17 +638,18 @@ impl SpecProgram {
     ///
     /// # Safety
     ///
-    /// `li` must cover the slot-major `LI` matrix (stride `w.stride`)
+    /// `li` must cover the slot-major `LI` matrix (stride `w.stride`) in
+    /// rows of this program's [`lane_type`](Self::lane_type),
     /// and `bits` must cover [`Self::bits_len`]`(w.stride)` words.
     /// Phase-A instructions write disjoint rows (each pack owns its bit
     /// row, each unpack its wide row) and read rows no phase-A
     /// instruction writes, so concurrent callers over disjoint ranges
     /// are race-free as long as the previous layer's phase B is
     /// barrier-sealed.
-    pub unsafe fn eval_phase_a(
+    pub unsafe fn eval_phase_a<T: Lane>(
         &self,
         i: usize,
-        li: *mut u64,
+        li: *mut T,
         w: LaneWindow,
         bits: *mut u64,
         range: Range<usize>,
@@ -663,10 +680,10 @@ impl SpecProgram {
     /// contract for the wide portion. Phase-B instructions write
     /// disjoint rows and read only rows sealed by phase A or earlier
     /// layers.
-    pub unsafe fn eval_phase_b(
+    pub unsafe fn eval_phase_b<T: Lane>(
         &self,
         i: usize,
-        li: *mut u64,
+        li: *mut T,
         w: LaneWindow,
         bits: *mut u64,
         range: Range<usize>,
@@ -722,7 +739,14 @@ fn sub_range(r: &Range<usize>, start: usize, len: usize) -> Range<usize> {
 ///
 /// `li` must cover `slot`'s row at stride `w.stride`; `bits` must cover
 /// row `row` at `wpr` words; the caller must own the destination row.
-unsafe fn pack_row(li: *const u64, bits: *mut u64, slot: u32, row: u32, w: LaneWindow, wpr: usize) {
+unsafe fn pack_row<T: Lane>(
+    li: *const T,
+    bits: *mut u64,
+    slot: u32,
+    row: u32,
+    w: LaneWindow,
+    wpr: usize,
+) {
     // SAFETY: row starts are in bounds per the caller contract.
     let src = unsafe { li.add(slot as usize * w.stride) };
     // SAFETY: as above.
@@ -733,7 +757,7 @@ unsafe fn pack_row(li: *const u64, bits: *mut u64, slot: u32, row: u32, w: LaneW
         let mut word = 0u64;
         for k in 0..cnt {
             // SAFETY: lane0 + k < w.active <= w.stride.
-            word |= (unsafe { *src.add(lane0 + k) } & 1) << k;
+            word |= (unsafe { *src.add(lane0 + k) }.widen(false) & 1) << k;
         }
         // SAFETY: wi < wpr by construction.
         unsafe { *dst.add(wi) = word };
@@ -747,8 +771,8 @@ unsafe fn pack_row(li: *const u64, bits: *mut u64, slot: u32, row: u32, w: LaneW
 /// # Safety
 ///
 /// As [`pack_row`], with the wide row as the owned destination.
-unsafe fn unpack_row(
-    li: *mut u64,
+unsafe fn unpack_row<T: Lane>(
+    li: *mut T,
     bits: *const u64,
     slot: u32,
     row: u32,
@@ -766,7 +790,7 @@ unsafe fn unpack_row(
         let word = unsafe { *src.add(wi) };
         for k in 0..cnt {
             // SAFETY: lane0 + k < w.active <= w.stride.
-            unsafe { *dst.add(lane0 + k) = (word >> k) & 1 };
+            unsafe { *dst.add(lane0 + k) = T::truncate((word >> k) & 1) };
         }
     }
 }
@@ -784,10 +808,18 @@ mod tests {
     }
 
     /// One layer single-threaded: all of phase A, then all of phase B.
-    fn eval_layer(prog: &SpecProgram, i: usize, li: &mut [u64], w: LaneWindow, bits: &mut [u64]) {
+    fn eval_layer<T: Lane>(
+        prog: &SpecProgram,
+        i: usize,
+        li: &mut [T],
+        w: LaneWindow,
+        bits: &mut [u64],
+    ) {
+        assert_eq!(T::TYPE, prog.lane_type());
         let (li, bits) = (li.as_mut_ptr(), bits.as_mut_ptr());
         // SAFETY: exclusive borrows sized by the caller (`bits` holds
-        // `bits_len(w.stride)` words), phases in program order.
+        // `bits_len(w.stride)` words), rows of the program's lane type,
+        // phases in program order.
         unsafe {
             prog.eval_phase_a(i, li, w, bits, 0..prog.phase_a_len(i));
             prog.eval_phase_b(i, li, w, bits, 0..prog.phase_b_len(i));
@@ -1009,18 +1041,31 @@ circuit Dense :
     }
 
     /// Drives the packed program directly (layer walk + manual commit)
-    /// against the interpreted golden model, full and partial windows.
+    /// against the interpreted golden model, full and partial windows, in
+    /// both lane types (DENSE is an 8-bit design: its own is `u32`).
     #[test]
     fn packed_walk_is_bit_exact_on_observables() {
         let p = with_anonymous_wires(plan_of(DENSE));
         let sp = specialize(&p);
-        let prog = SpecProgram::build(&sp.plan, true);
+        assert_eq!(
+            LaneType::supported_for(&sp.plan),
+            [LaneType::Wide, LaneType::Narrow]
+        );
+        packed_walk::<u64>(&p, &sp);
+        packed_walk::<u32>(&p, &sp);
+    }
+
+    fn packed_walk<T: Lane>(p: &SimPlan, sp: &SpecializedPlan) {
+        let layout = LaneLayout::of_as(&sp.plan, T::TYPE);
+        let signed = layout.signed_slots();
+        let prog = SpecProgram::build_in(&sp.plan, true, &layout);
+        assert!(prog.packed_ops() > 0);
         for lanes in [1usize, 3, 64, 65, 130] {
-            let mut golden = BatchPlanSim::interpreted(&p, lanes);
-            let mut li = init_lanes(&sp.plan, lanes);
+            let mut golden = BatchPlanSim::interpreted(p, lanes);
+            let mut li: Vec<T> = init_lanes(&sp.plan, lanes);
             let mut bits = vec![0u64; prog.bits_len(lanes)];
             let (direct, staged) = split_commits(&sp.plan.commits);
-            let mut commit_buf = vec![0u64; staged.len() * lanes];
+            let mut commit_buf = vec![T::default(); staged.len() * lanes];
             let mut rng = rand::rngs::StdRng::seed_from_u64(lanes as u64);
             for cycle in 0..60u64 {
                 // After cycle 30, shrink the spec walk's window; the
@@ -1037,7 +1082,7 @@ circuit Dense :
                         golden.set_input(idx, lane, v);
                         let (iw, is) = sp.plan.input_types[idx];
                         li[sp.plan.input_slots[idx] as usize * lanes + lane] =
-                            crate::op::canonicalize(v, iw as u32, is);
+                            T::truncate(crate::op::canonicalize(v, iw as u32, is));
                     }
                 }
                 golden.step();
@@ -1056,10 +1101,13 @@ circuit Dense :
                     let d0 = dst as usize * lanes;
                     li[d0..d0 + active].copy_from_slice(&commit_buf[k * lanes..k * lanes + active]);
                 }
+                let read = |slot: u32, lane: usize| {
+                    li[slot as usize * lanes + lane].widen(signed[slot as usize])
+                };
                 for lane in 0..active {
                     for (name, slot, _) in &p.probes {
                         assert_eq!(
-                            li[*slot as usize * lanes + lane],
+                            read(*slot, lane),
                             golden.slot(*slot, lane),
                             "lanes={lanes} probe {name} lane {lane} @ {cycle}"
                         );
@@ -1067,7 +1115,7 @@ circuit Dense :
                     for (idx, (name, slot)) in p.output_slots.iter().enumerate() {
                         let _ = name;
                         assert_eq!(
-                            li[*slot as usize * lanes + lane],
+                            read(*slot, lane),
                             golden.output(idx, lane),
                             "lanes={lanes} output slot {slot} lane {lane} @ {cycle}"
                         );

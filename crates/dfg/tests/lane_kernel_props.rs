@@ -1,14 +1,21 @@
 //! Property-based differential test of the kernel-compilation stage:
 //! for every opcode × arity × random width/signedness, the compiled lane
-//! kernel of **every table the host supports** must produce an output
-//! row bit-identical to the interpreted `eval_raw` + `canonicalize` per
-//! lane — on operand lanes drawn from the classes that decide an op's
-//! outcome (a zero condition, equal operands, a zero divisor, an
-//! in-range shift), on aliased operand rows, on lane counts either side
-//! of every chunk boundary, and on partial (early-exit) lane windows.
+//! kernel of **every table the host supports** — each instruction set ×
+//! both lane types — must produce an output row bit-identical to the
+//! interpreted `eval_raw` + `canonicalize` per lane — on operand lanes
+//! drawn from the classes that decide an op's outcome (a zero condition,
+//! equal operands, a zero divisor, an in-range shift), on aliased operand
+//! rows, on lane counts either side of every chunk boundary, and on
+//! partial (early-exit) lane windows. For `u32` rows "identical" means
+//! the truncation of the 64-bit result, operands are canonical for
+//! randomly typed slots (every signedness combination, bit 31 in use one
+//! time in three), and the kernel exists exactly where `narrow_exact`
+//! admits the shape.
 
 use proptest::prelude::*;
-use rteaal_dfg::lane_kernel::{CompiledOp, LaneIsa, LaneWindow};
+use rteaal_dfg::lane_kernel::{
+    narrow_exact, CompiledOp, Lane, LaneIsa, LaneWindow, Narrow, SlotType,
+};
 use rteaal_dfg::op::{canonicalize, eval_raw, DfgOp, ALL_OPS};
 use rteaal_dfg::OpInst;
 
@@ -107,8 +114,125 @@ fn interpret(inst: &OpInst, li: &mut [u64], w: LaneWindow) {
     }
 }
 
+/// Widths narrow slots are drawn from: 1 bit, small, mid, one under and
+/// at the row's width.
+const NARROW_WIDTHS: [u8; 6] = [1, 2, 8, 12, 31, 32];
+
+/// A narrow-row case: `op` at a result type over operand slots of random
+/// narrow types (`types[0]` is the output slot's), parameters taken from
+/// the operand types where the op's own say so (reductions, `head`,
+/// `cat`) and straddling 32 where they are free (shifts, `bits`), and a
+/// `u32` matrix canonical for those types — one element in three with its
+/// type's top bit forced on.
+fn narrow_case(
+    op: DfgOp,
+    out: SlotType,
+    lanes: usize,
+    seed: &mut u64,
+) -> (OpInst, Vec<SlotType>, Vec<u32>) {
+    let arity = match op {
+        DfgOp::MuxChain => 1 + 2 * (mix(seed) % 9) as usize,
+        _ => op.arity().expect("fixed arity"),
+    };
+    let mut types = vec![out];
+    types.extend((0..arity).map(|_| {
+        let w = NARROW_WIDTHS[(mix(seed) % 6) as usize];
+        (w, mix(seed).is_multiple_of(2))
+    }));
+    let wa = types.get(1).map_or(1, |t| t.0 as u64);
+    let params = match op {
+        DfgOp::Const => vec![mix(seed)],
+        DfgOp::Andr | DfgOp::Orr | DfgOp::Xorr => vec![wa],
+        DfgOp::Shl | DfgOp::Shr => vec![mix(seed) % 70],
+        DfgOp::Bits => {
+            let lo = mix(seed) % 34;
+            vec![lo + mix(seed) % (34 - lo), lo]
+        }
+        DfgOp::Head => vec![1 + mix(seed) % wa, wa],
+        DfgOp::Cat => vec![wa, types[2].0 as u64],
+        _ => vec![],
+    };
+    let alias = mix(seed).is_multiple_of(4);
+    let ins: Vec<u32> = (1..=arity as u32)
+        .map(|slot| match mix(seed) % 3 {
+            0 if alias => 1 + (mix(seed) % arity as u64) as u32,
+            _ => slot,
+        })
+        .collect();
+    let inst = OpInst {
+        n: op.n_coord(),
+        out: 0,
+        ins,
+        params,
+        width: out.0,
+        signed: out.1,
+    };
+    let mut li: Vec<u32> = Vec::with_capacity(types.len() * lanes);
+    for (s, &(w, signed)) in types.iter().enumerate() {
+        for _ in 0..lanes {
+            let v = match mix(seed) % 6 {
+                0 => 0,
+                1 => 1,
+                2 => u64::MAX,
+                3 => mix(seed) % 40,
+                4 if s > 0 => li[li.len() - lanes].widen(types[s - 1].1),
+                _ => mix(seed),
+            };
+            let top = if mix(seed).is_multiple_of(3) {
+                1 << (w - 1)
+            } else {
+                0
+            };
+            li.push(canonicalize(v | top, w as u32, signed) as u32);
+        }
+    }
+    (inst, types, li)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 300, ..ProptestConfig::default() })]
+
+    #[test]
+    fn narrow_kernels_match_the_interpreter_truncated(
+        op in prop::sample::select(evaluable_ops()),
+        width in prop::sample::select(NARROW_WIDTHS.to_vec()),
+        signed in any::<bool>(),
+        lanes in prop::sample::select(lane_counts()),
+        seed in any::<u64>(),
+    ) {
+        let mut seed = seed;
+        let (inst, types, li) = narrow_case(op, (width, signed), lanes, &mut seed);
+        let operands: Vec<SlotType> = inst.ins.iter().map(|&r| types[r as usize]).collect();
+        let admitted = narrow_exact(op, &operands, &inst.params) != Narrow::Inexact;
+        for active in [lanes, 1 + (mix(&mut seed) as usize) % lanes] {
+            let w = LaneWindow { stride: lanes, active };
+            // The golden row: `eval_raw` on the operands widened by
+            // their slots' signedness, canonicalized, truncated.
+            let mut want = li.clone();
+            for lane in 0..active {
+                let ins: Vec<u64> = inst
+                    .ins
+                    .iter()
+                    .map(|&r| li[r as usize * lanes + lane].widen(types[r as usize].1))
+                    .collect();
+                let raw = eval_raw(op, &inst.params, &ins);
+                want[lane] = canonicalize(raw, width as u32, signed) as u32;
+            }
+            for isa in LaneIsa::supported() {
+                let compiled = CompiledOp::compile_narrow_for(&inst, isa, &operands);
+                prop_assert_eq!(compiled.is_some(), admitted);
+                let Some(compiled) = compiled else { continue };
+                let mut got = li.clone();
+                compiled.eval_lanes(&mut got, w);
+                prop_assert_eq!(
+                    &got,
+                    &want,
+                    "{:?} op {} ins {:?} on {:?} params {:?} -> {:?} lanes {} active {}",
+                    isa, op, &inst.ins, &operands, &inst.params, (width, signed), lanes, active
+                );
+            }
+        }
+    }
 
     #[test]
     fn compiled_kernels_match_the_interpreter(

@@ -47,7 +47,9 @@ use crate::parallel::{chunk, schedule, Segment, SpinBarrier};
 use crate::profile::{oim_addr, MemProbe, OimArray, Probe, CODE_BASE, HANDLER_BYTES, LI_BASE};
 use crate::rolled::exec_cost;
 use rteaal_dfg::batch::init_lanes;
-use rteaal_dfg::lane_kernel::{compile_layer, BatchEngine, CompiledLayer, LaneWindow};
+use rteaal_dfg::lane_kernel::{
+    compile_layer, BatchEngine, CompiledLayer, Lane, LaneLayout, LaneType, LaneWindow,
+};
 use rteaal_dfg::op::canonicalize;
 use rteaal_dfg::partition::{PartitionedPlan, RumEntry};
 use rteaal_dfg::plan::split_commits;
@@ -63,9 +65,61 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// [`split_commits`]).
 type PartCommits = (Vec<(u32, u32)>, Vec<(u32, u32)>);
 
+/// The lane matrix and its two same-shaped companions, in rows of one
+/// lane type.
+#[derive(Debug, Clone)]
+struct Matrix<T> {
+    li: Vec<T>,
+    /// The power-on image of `li`.
+    init: Vec<T>,
+    /// Staging rows of the widest partition's overlapping commits.
+    commit_buf: Vec<T>,
+}
+
+impl<T: Lane> Matrix<T> {
+    fn new(plan: &SimPlan, lanes: usize, parts: usize, staged: usize) -> Self {
+        let mut li = init_lanes::<T>(plan, lanes);
+        let span = li.len();
+        for _ in 1..parts {
+            li.extend_from_within(..span);
+        }
+        Matrix {
+            init: li.clone(),
+            li,
+            commit_buf: vec![T::default(); staged * lanes],
+        }
+    }
+}
+
+/// A state's rows, in the lane type of its plan.
+#[derive(Debug, Clone)]
+enum Rows {
+    Narrow(Matrix<u32>),
+    Wide(Matrix<u64>),
+}
+
+/// The one typed row accessor: evaluates `$body` with `$m` bound to the
+/// state's [`Matrix`] in its own element type. Everything that touches a
+/// row — reads, pokes, lane swaps, resets, the commit, the walk's
+/// pointer — goes through here, so nothing reinterprets a row.
+macro_rules! rows {
+    ($rows:expr, $m:ident => $body:expr) => {
+        match $rows {
+            Rows::Narrow($m) => $body,
+            Rows::Wide($m) => $body,
+        }
+    };
+}
+
 /// The mutable batched simulation state: `B` lanes per `LI` slot, of
 /// which the `live` prefix is evaluated (lane-liveness early exit swaps
 /// finished lanes past the prefix and shrinks it).
+///
+/// Rows are held in the plan's lane type ([`LaneType::of`]): `u32` for a
+/// design whose every signal fits 32 bits, `u64` otherwise. The public
+/// methods speak canonical `u64` values either way — a read widens the
+/// stored element by its slot's signedness, a write stores the low bits
+/// of a canonical value.
 ///
 /// With a RepCut decomposition ([`BatchLiState::new_partitioned`]) the
 /// matrix is additionally replicated per partition: replica `p` occupies
@@ -80,20 +134,21 @@ type PartCommits = (Vec<(u32, u32)>, Vec<(u32, u32)>);
 /// partition-oblivious.
 #[derive(Debug, Clone)]
 pub struct BatchLiState {
-    li: Vec<u64>,
+    rows: Rows,
+    /// Per slot, whether a narrow row widens by sign-extension (empty
+    /// for `u64` rows, which hold canonical values as they are).
+    signed: Vec<bool>,
     /// Partition replica count (1 = the classic unpartitioned layout).
     parts: usize,
     /// Size of one replica: `num_slots * lanes`.
     span: usize,
     lanes: usize,
     live: usize,
-    init: Vec<u64>,
     input_slots: Vec<u32>,
     input_types: Vec<(u8, bool)>,
     output_slots: Vec<(String, u32)>,
     /// Per-partition register commits (one entry when unpartitioned).
     commits: Vec<PartCommits>,
-    commit_buf: Vec<u64>,
     /// Register update map rows; empty when unpartitioned.
     rum: Vec<RumEntry>,
     /// `slot -> home replica` (all zeros when unpartitioned).
@@ -122,14 +177,22 @@ impl BatchLiState {
     ///
     /// Panics if `lanes` is zero.
     pub fn new(plan: &SimPlan, lanes: usize) -> Self {
+        Self::new_in(plan, lanes, &LaneLayout::of(plan))
+    }
+
+    /// [`new`](Self::new) with rows of a given layout of `plan`
+    /// (`LaneLayout::of_as`: how tests reach both lane types).
+    #[doc(hidden)]
+    pub fn new_in(plan: &SimPlan, lanes: usize, layout: &LaneLayout) -> Self {
         let commits = vec![split_commits(&plan.commits)];
-        Self::with_layout(plan, lanes, commits, Vec::new(), vec![0; plan.num_slots])
+        let home = vec![0; plan.num_slots];
+        Self::with_layout(plan, lanes, commits, Vec::new(), home, layout)
     }
 
     /// Initializes a partition-replicated state: one `LI` replica per
-    /// partition of `pp`, every lane at the power-on state. Pair with a
-    /// kernel from [`BatchKernel::compile_partitioned`] over the same
-    /// decomposition.
+    /// partition of `pp`, every lane at the power-on state, in rows of
+    /// `pp.lanes`. Pair with a kernel from
+    /// [`BatchKernel::compile_partitioned`] over the same decomposition.
     ///
     /// # Panics
     ///
@@ -140,7 +203,8 @@ impl BatchLiState {
             .iter()
             .map(|s| split_commits(&s.commits))
             .collect();
-        Self::with_layout(plan, lanes, commits, pp.rum.clone(), pp.home.clone())
+        let (rum, home) = (pp.rum.clone(), pp.home.clone());
+        Self::with_layout(plan, lanes, commits, rum, home, &pp.lanes)
     }
 
     /// The one state constructor: a replica per entry of `commits`
@@ -152,26 +216,36 @@ impl BatchLiState {
         commits: Vec<PartCommits>,
         rum: Vec<RumEntry>,
         home: Vec<u32>,
+        layout: &LaneLayout,
     ) -> Self {
         assert!(lanes > 0, "batch needs at least one lane");
+        assert_eq!(
+            layout.slot_types().len(),
+            plan.num_slots,
+            "lane layout is of another plan"
+        );
         let parts = commits.len();
-        let mut li = init_lanes(plan, lanes);
-        let span = li.len();
-        for _ in 1..parts {
-            li.extend_from_within(..span);
-        }
-        let max_staged = commits.iter().map(|(_, s)| s.len()).max().unwrap_or(0);
+        let staged = commits.iter().map(|(_, s)| s.len()).max().unwrap_or(0);
+        let (rows, signed) = match layout.lane_type() {
+            LaneType::Narrow => (
+                Rows::Narrow(Matrix::new(plan, lanes, parts, staged)),
+                layout.signed_slots(),
+            ),
+            LaneType::Wide => (
+                Rows::Wide(Matrix::new(plan, lanes, parts, staged)),
+                Vec::new(),
+            ),
+        };
         BatchLiState {
-            init: li.clone(),
-            li,
+            rows,
+            signed,
             parts,
-            span,
+            span: plan.num_slots * lanes,
             lanes,
             live: lanes,
             input_slots: plan.input_slots.clone(),
             input_types: plan.input_types.clone(),
             output_slots: plan.output_slots.clone(),
-            commit_buf: vec![0; max_staged * lanes],
             commits,
             rum,
             home,
@@ -185,6 +259,14 @@ impl BatchLiState {
     /// Number of stimulus lanes.
     pub fn lanes(&self) -> usize {
         self.lanes
+    }
+
+    /// The lane type the rows are held in.
+    pub fn lane_type(&self) -> LaneType {
+        match self.rows {
+            Rows::Narrow(_) => LaneType::Narrow,
+            Rows::Wide(_) => LaneType::Wide,
+        }
     }
 
     /// Number of partition replicas (1 = unpartitioned).
@@ -229,9 +311,11 @@ impl BatchLiState {
             return;
         }
         let lanes = self.lanes;
-        for s0 in (0..self.li.len()).step_by(lanes) {
-            self.li.swap(s0 + a, s0 + b);
-        }
+        rows!(&mut self.rows, m => {
+            for s0 in (0..m.li.len()).step_by(lanes) {
+                m.li.swap(s0 + a, s0 + b);
+            }
+        });
         self.settled = false;
     }
 
@@ -242,7 +326,7 @@ impl BatchLiState {
 
     /// Resets every lane to the power-on state and revives all lanes.
     pub fn reset(&mut self) {
-        self.li.copy_from_slice(&self.init);
+        rows!(&mut self.rows, m => m.li.copy_from_slice(&m.init));
         self.live = self.lanes;
         self.cycle = 0;
         self.settled = false;
@@ -265,9 +349,12 @@ impl BatchLiState {
     /// Panics if `phys` is out of range.
     pub fn reset_lane(&mut self, phys: usize) {
         assert!(phys < self.lanes, "lane {phys} out of range");
-        for s0 in (0..self.li.len()).step_by(self.lanes) {
-            self.li[s0 + phys] = self.init[s0 + phys];
-        }
+        let lanes = self.lanes;
+        rows!(&mut self.rows, m => {
+            for s0 in (phys..m.li.len()).step_by(lanes) {
+                m.li[s0] = m.init[s0];
+            }
+        });
         self.settled = false;
     }
 
@@ -299,11 +386,11 @@ impl BatchLiState {
         );
     }
 
-    /// The one external write: `v` into lanes `[lo, hi)` of slot `s` in
-    /// every replica, disarming the activity gate. Through the raw
-    /// pointer rather than a slice borrow: inside a stimulus callback,
-    /// parked workers hold pointers into this buffer, so no reference to
-    /// it is materialized.
+    /// The one external write: the canonical value `v` into lanes
+    /// `[lo, hi)` of slot `s` in every replica, disarming the activity
+    /// gate. Through the raw pointer rather than a slice borrow: inside a
+    /// stimulus callback, parked workers hold pointers into this buffer,
+    /// so no reference to it is materialized.
     fn write(&mut self, s: u32, lo: usize, hi: usize, v: u64) {
         assert!(
             lo <= hi && hi <= self.lanes,
@@ -311,16 +398,26 @@ impl BatchLiState {
         );
         let row = s as usize * self.lanes;
         assert!(row < self.span, "slot {s} out of range");
-        let li = self.li.as_mut_ptr();
-        for p in 0..self.parts {
-            for lane in lo..hi {
-                // SAFETY: row and lane were just bounds-checked against
-                // one replica, and `p` counts the replicas; nothing else
-                // runs — `&mut self`, and a stimulus callback sits in the
-                // cycle loop's single-threaded window.
-                unsafe { *li.add(p * self.span + row + lane) = v };
+        let (parts, span) = (self.parts, self.span);
+        let signed = self.signed.get(s as usize).copied().unwrap_or(false);
+        rows!(&mut self.rows, m => {
+            let (li, e) = (m.li.as_mut_ptr(), Lane::truncate(v));
+            debug_assert_eq!(
+                Lane::widen(e, signed),
+                v,
+                "{v:#x} is not a canonical value of slot {s}: a narrow row would truncate it"
+            );
+            for p in 0..parts {
+                for lane in lo..hi {
+                    // SAFETY: row and lane were just bounds-checked
+                    // against one replica, and `p` counts the replicas;
+                    // nothing else runs — `&mut self`, and a stimulus
+                    // callback sits in the cycle loop's single-threaded
+                    // window.
+                    unsafe { *li.add(p * span + row + lane) = e };
+                }
             }
-        }
+        });
         self.settled = false;
     }
 
@@ -339,17 +436,23 @@ impl BatchLiState {
     }
 
     /// Reads an arbitrary slot on one lane (probe / waveform path),
-    /// through the slot's home replica.
+    /// through the slot's home replica: the canonical value, whatever
+    /// the rows are held in.
     pub fn slot(&self, s: u32, lane: usize) -> u64 {
         assert!(lane < self.lanes, "lane {lane} out of range");
+        assert!((s as usize) < self.home.len(), "slot {s} out of range");
         let home = self.home[s as usize] as usize;
-        self.li[home * self.span + s as usize * self.lanes + lane]
+        let at = home * self.span + s as usize * self.lanes + lane;
+        let signed = self.signed.get(s as usize).copied().unwrap_or(false);
+        rows!(&self.rows, m => m.li[at].widen(signed))
     }
 
     /// Writes a slot on one lane (DMI poke) — into every replica, so a
-    /// partitioned run sees the poke wherever the slot is read. Slots
-    /// carry no type: `value` must already be canonical for the signal,
-    /// which the `rteaal-core` front doors ensure.
+    /// partitioned run sees the poke wherever the slot is read. This
+    /// door does not canonicalize: `value` must already be canonical for
+    /// the signal, which the `rteaal-core` front doors ensure — a narrow
+    /// row keeps only its low 32 bits (debug builds assert that nothing
+    /// else was there).
     pub fn poke_slot(&mut self, s: u32, lane: usize, value: u64) {
         self.write(s, lane, lane + 1, value);
     }
@@ -367,11 +470,18 @@ impl BatchLiState {
     }
 }
 
+/// The raw `LI` matrix, in its rows' lane type.
+#[derive(Clone, Copy)]
+enum RowsPtr {
+    Narrow(*mut u32),
+    Wide(*mut u64),
+}
+
 /// What the workers of one walk share: the raw `LI` and bit-plane
-/// matrices, the replica stride, and the lane window.
+/// matrices, the replica stride (in lanes), and the lane window.
 #[derive(Clone, Copy)]
 struct Walk {
-    li: *mut u64,
+    li: RowsPtr,
     bits: *mut u64,
     span: usize,
     w: LaneWindow,
@@ -397,17 +507,24 @@ unsafe impl Send for Walk {}
 ///
 /// # Safety
 ///
-/// `cx.li` must cover every replica of the state the commit lists and
-/// RUM belong to, `buf` must hold `w.stride` lanes per staged commit of
-/// the widest partition, and no other thread may touch `LI` during the
-/// call (the cycle loop's single-threaded window).
-unsafe fn commit(cx: &Walk, commits: &[PartCommits], buf: &mut [u64], rum: &[RumEntry]) -> bool {
-    let (lanes, n) = (cx.w.stride, cx.w.active);
+/// `li` must cover every replica (`span` lanes apart) of the state the
+/// commit lists and RUM belong to, `buf` must hold `w.stride` lanes per
+/// staged commit of the widest partition, and no other thread may touch
+/// `LI` during the call (the cycle loop's single-threaded window).
+unsafe fn commit<T: Lane>(
+    li: *mut T,
+    span: usize,
+    w: LaneWindow,
+    commits: &[PartCommits],
+    buf: &mut [T],
+    rum: &[RumEntry],
+) -> bool {
+    let (lanes, n) = (w.stride, w.active);
     let mut changed = false;
     // One row over another. Once a change is seen the compare is moot, so
     // a busy design pays for (part of) one `memcmp` per cycle and a plain
     // `memcpy` per row.
-    let mut copy_row = |dst: *mut u64, src: *const u64| {
+    let mut copy_row = |dst: *mut T, src: *const T| {
         if std::ptr::eq(dst, src) {
             return;
         }
@@ -423,7 +540,7 @@ unsafe fn commit(cx: &Walk, commits: &[PartCommits], buf: &mut [u64], rum: &[Rum
     // source and destination rows are distinct slots or the same one.
     unsafe {
         for (p, (direct, staged)) in commits.iter().enumerate() {
-            let base = cx.li.add(p * cx.span);
+            let base = li.add(p * span);
             for (k, &(_, src)) in staged.iter().enumerate() {
                 let stage = buf[k * lanes..k * lanes + n].as_mut_ptr();
                 std::ptr::copy_nonoverlapping(base.add(src as usize * lanes), stage, n);
@@ -441,9 +558,9 @@ unsafe fn commit(cx: &Walk, commits: &[PartCommits], buf: &mut [u64], rum: &[Rum
         }
         for e in rum {
             let row = e.slot as usize * lanes;
-            let src = cx.li.add(e.owner as usize * cx.span + row);
+            let src = li.add(e.owner as usize * span + row);
             for &q in &e.readers {
-                copy_row(cx.li.add(q as usize * cx.span + row), src);
+                copy_row(li.add(q as usize * span + row), src);
             }
         }
     }
@@ -529,11 +646,18 @@ pub struct BatchKernel {
     spec: Option<SpecProgram>,
     /// What a cycle walks, in order.
     phases: Vec<Phase>,
+    /// The lane type of the rows every table above was compiled for; a
+    /// walk checks it against the state's before touching a row.
+    lane: LaneType,
+    /// Per slot, how a narrow row widens — the interpreted walk's view of
+    /// the rows ([`BatchEngine::Interpreted`] only; empty otherwise).
+    signed: Vec<bool>,
 }
 
 impl BatchKernel {
     /// Compiles a plan into a batched kernel under a configuration,
-    /// lowering every operation into a specialized lane kernel.
+    /// lowering every operation into a specialized lane kernel over rows
+    /// of the plan's lane type ([`LaneType::of`]).
     ///
     /// Swizzled kinds (NU/PSU/IU) regroup each layer by opcode (`[I, N,
     /// S]` order); other kinds keep coordinate-assignment order. Both are
@@ -547,7 +671,20 @@ impl BatchKernel {
     /// dispatch — the golden model, and the baseline of the
     /// interpreted-vs-compiled benchmark axis).
     pub fn compile_with_engine(plan: &SimPlan, config: KernelConfig, engine: BatchEngine) -> Self {
-        Self::from_layers(config, engine, vec![plan.layers.clone()], None)
+        Self::compile_in(plan, config, engine, &LaneLayout::of(plan))
+    }
+
+    /// [`compile_with_engine`](Self::compile_with_engine) for the rows of
+    /// a given layout of `plan` (`LaneLayout::of_as`: how tests reach
+    /// both lane types).
+    #[doc(hidden)]
+    pub fn compile_in(
+        plan: &SimPlan,
+        config: KernelConfig,
+        engine: BatchEngine,
+        layout: &LaneLayout,
+    ) -> Self {
+        Self::from_layers(config, engine, vec![plan.layers.clone()], None, layout)
     }
 
     /// Compiles a RepCut decomposition into a partitioned kernel: one op
@@ -556,7 +693,7 @@ impl BatchKernel {
     /// decomposition.
     pub fn compile_partitioned(pp: &PartitionedPlan, config: KernelConfig) -> Self {
         let layers = pp.partitions.iter().map(|s| s.layers.clone()).collect();
-        Self::from_layers(config, BatchEngine::Compiled, layers, None)
+        Self::from_layers(config, BatchEngine::Compiled, layers, None, &pp.lanes)
     }
 
     fn from_layers(
@@ -564,6 +701,7 @@ impl BatchKernel {
         engine: BatchEngine,
         mut part_layers: Vec<Vec<Vec<OpInst>>>,
         spec: Option<SpecProgram>,
+        layout: &LaneLayout,
     ) -> Self {
         if config.kind.is_swizzled() {
             for layers in &mut part_layers {
@@ -588,7 +726,7 @@ impl BatchKernel {
         let compiled = match (engine, &spec) {
             (BatchEngine::Compiled, None) => part_layers
                 .iter()
-                .map(|layers| layers.iter().map(|l| compile_layer(l)).collect())
+                .map(|layers| layers.iter().map(|l| compile_layer(l, layout)).collect())
                 .collect(),
             _ => Vec::new(),
         };
@@ -617,6 +755,11 @@ impl BatchKernel {
             offsets,
             spec,
             phases,
+            lane: layout.lane_type(),
+            signed: match engine {
+                BatchEngine::Interpreted => layout.signed_slots(),
+                BatchEngine::Compiled => Vec::new(),
+            },
         }
     }
 
@@ -631,9 +774,22 @@ impl BatchKernel {
     /// RepCut decomposition consumes the transformed plan instead
     /// (fold/dedup/DCE still apply, packing does not).
     pub fn compile_specialized(sp: &SpecializedPlan, config: KernelConfig, pack: bool) -> Self {
-        let spec = Some(SpecProgram::build(&sp.plan, pack));
+        Self::compile_specialized_in(sp, config, pack, &LaneLayout::of(&sp.plan))
+    }
+
+    /// [`compile_specialized`](Self::compile_specialized) for the rows of
+    /// a given layout of `sp.plan` (`LaneLayout::of_as`: how tests reach
+    /// both lane types).
+    #[doc(hidden)]
+    pub fn compile_specialized_in(
+        sp: &SpecializedPlan,
+        config: KernelConfig,
+        pack: bool,
+        layout: &LaneLayout,
+    ) -> Self {
+        let spec = Some(SpecProgram::build_in(&sp.plan, pack, layout));
         let layers = vec![sp.plan.layers.clone()];
-        Self::from_layers(config, BatchEngine::Compiled, layers, spec)
+        Self::from_layers(config, BatchEngine::Compiled, layers, spec, layout)
     }
 
     /// The configuration this kernel was compiled under.
@@ -644,6 +800,12 @@ impl BatchKernel {
     /// The executor this kernel walks its layers with.
     pub fn engine(&self) -> BatchEngine {
         self.engine
+    }
+
+    /// The lane type of the rows this kernel walks: the state it steps
+    /// must hold the same.
+    pub fn lane_type(&self) -> LaneType {
+        self.lane
     }
 
     /// The packed program of a specialized kernel, if any.
@@ -681,12 +843,38 @@ impl BatchKernel {
     /// within a phase; distinct replicas across partitions).
     #[inline]
     unsafe fn eval_phase(&self, k: usize, cx: &Walk, r: Range<usize>, buf: &mut Vec<u64>) {
+        // SAFETY: each arm forwards the caller contract unchanged, with
+        // the matrix pointer in the element type it was captured in.
+        unsafe {
+            match cx.li {
+                RowsPtr::Narrow(li) => self.eval_phase_in(k, li, cx, r, buf),
+                RowsPtr::Wide(li) => self.eval_phase_in(k, li, cx, r, buf),
+            }
+        }
+    }
+
+    /// [`Self::eval_phase`] over rows of `T`.
+    ///
+    /// # Safety
+    ///
+    /// As [`Self::eval_phase`]; `li` is `cx`'s matrix, and `T` the
+    /// element of this kernel's lane type (`walk_context` checked the
+    /// state's against it).
+    #[inline]
+    unsafe fn eval_phase_in<T: Lane>(
+        &self,
+        k: usize,
+        li: *mut T,
+        cx: &Walk,
+        r: Range<usize>,
+        buf: &mut Vec<u64>,
+    ) {
         let (i, moves) = (self.phases[k].layer, self.phases[k].moves);
         // SAFETY: each arm forwards the caller contract unchanged.
         unsafe {
             match (&self.spec, moves) {
-                (Some(prog), true) => prog.eval_phase_a(i, cx.li, cx.w, cx.bits, r),
-                (Some(prog), false) => prog.eval_phase_b(i, cx.li, cx.w, cx.bits, r),
+                (Some(prog), true) => prog.eval_phase_a(i, li, cx.w, cx.bits, r),
+                (Some(prog), false) => prog.eval_phase_b(i, li, cx.w, cx.bits, r),
                 (None, _) => {
                     let pref = &self.offsets[i];
                     for p in 0..self.layers.len() {
@@ -695,7 +883,7 @@ impl BatchKernel {
                             continue;
                         }
                         let (la, lb) = (a - pref[p], b - pref[p]);
-                        let base = cx.li.add(p * cx.span);
+                        let base = li.add(p * cx.span);
                         match self.engine {
                             BatchEngine::Compiled => {
                                 for op in &self.compiled[p][i][la..lb] {
@@ -704,7 +892,7 @@ impl BatchKernel {
                             }
                             BatchEngine::Interpreted => {
                                 for op in &self.layers[p][i][la..lb] {
-                                    op.eval_lanes_ptr(base, cx.w, buf);
+                                    op.eval_lanes_ptr(base, cx.w, &self.signed, buf);
                                 }
                             }
                         }
@@ -759,18 +947,31 @@ impl BatchKernel {
         }
     }
 
-    /// Checks the kernel/state pairing, sizes the bit-plane sidecar, and
-    /// captures the pointers and window a walk shares.
+    /// Checks the kernel/state pairing — partition count and lane type:
+    /// a kernel only ever sees rows of the element it was compiled for —
+    /// sizes the bit-plane sidecar, and captures the pointers and window
+    /// a walk shares.
     fn walk_context(&self, st: &mut BatchLiState) -> Walk {
         assert_eq!(
             self.layers.len(),
             st.parts,
             "kernel/state partition mismatch"
         );
+        assert_eq!(
+            self.lane,
+            st.lane_type(),
+            "kernel/state lane type mismatch: the kernel was compiled for {:?} rows, the state \
+             holds {:?} ones (were they built from the same plan?)",
+            self.lane,
+            st.lane_type()
+        );
         let need = self.spec.as_ref().map_or(0, |p| p.bits_len(st.lanes));
         st.bits.resize(need, 0);
         Walk {
-            li: st.li.as_mut_ptr(),
+            li: match &mut st.rows {
+                Rows::Narrow(m) => RowsPtr::Narrow(m.li.as_mut_ptr()),
+                Rows::Wide(m) => RowsPtr::Wide(m.li.as_mut_ptr()),
+            },
             bits: st.bits.as_mut_ptr(),
             span: st.span,
             w: st.window(),
@@ -818,7 +1019,10 @@ impl BatchKernel {
                     // single-threaded window.
                     let changed = unsafe {
                         self.walk(&cx, segments, 0, threads, barrier, buf, &mut after_layer);
-                        commit(&cx, &st.commits, &mut st.commit_buf, &st.rum)
+                        rows!(&mut st.rows, m => {
+                            let li = m.li.as_mut_ptr(); // materializes no reference
+                            commit(li, cx.span, cx.w, &st.commits, &mut m.commit_buf, &st.rum)
+                        })
                     };
                     st.settled = !changed;
                 }
@@ -898,9 +1102,10 @@ impl BatchKernel {
         st.settled = false;
         let (live, lanes, span) = (st.live, st.lanes, st.span);
         // Address of one lane of a slot in replica `p` of the slot-major
-        // batched `LI` matrix (8 bytes per lane element).
+        // batched `LI` matrix (one element of the rows' lane type each).
+        let bytes = st.lane_type().bytes();
         let li_addr = |p: usize, slot: u32, lane: usize| {
-            LI_BASE + ((p * span + slot as usize * lanes + lane) * 8) as u64
+            LI_BASE + ((p * span + slot as usize * lanes + lane) * bytes) as u64
         };
         let mut probe = MemProbe::new(mem);
         let mut samples = Vec::with_capacity(self.offsets.len());

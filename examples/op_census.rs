@@ -1,8 +1,13 @@
 //! Per-opcode time census of the compiled lane kernels — the first
-//! answer to "why is this design slow". Every `CompiledOp` of a design is
-//! grouped by opcode and timed over a live 64-lane `LI` image: op count,
-//! share of the summed walk, ns per op and per op-lane; then the
-//! plan-order walk against a whole `step` (the rest is the commit).
+//! answer to "why is this design slow". First what rows the plan runs in
+//! (`u32` or `u64`, and if `u64`, which slot or op said so), the slot
+//! width histogram and how many truncations the graph pass fused. Then
+//! every `CompiledOp` of a design is grouped by opcode and timed over a
+//! live 64-lane `LI` image: op count, share of the summed walk, ns per op
+//! and per op-lane; then the plan-order walk against a whole `step` (the
+//! rest is the commit) — in the plan's own lane type, and for a narrow
+//! plan also forced onto `u64` rows, which splits what the smaller plan
+//! buys from what the narrower rows buy.
 //!
 //! ```text
 //! cargo run --release --example op_census
@@ -10,7 +15,10 @@
 
 use rteaal_core::Compiler;
 use rteaal_designs::{rocket, ChipConfig, Stimulus, Workload};
-use rteaal_dfg::lane_kernel::{CompiledOp, LaneWindow};
+use rteaal_dfg::lane_kernel::{
+    compile_layer, BatchEngine, CompiledOp, Lane, LaneLayout, LaneType, LaneWindow,
+};
+use rteaal_dfg::{OpInst, SimPlan};
 use rteaal_firrtl::Circuit;
 use rteaal_kernels::{BatchKernel, BatchLiState, KernelConfig, KernelKind, LanePoker};
 use std::collections::BTreeMap;
@@ -30,8 +38,69 @@ fn best_ns(passes: usize, mut pass: impl FnMut()) -> f64 {
     timed.fold(f64::INFINITY, f64::min)
 }
 
-/// Pokes `x15` on every lane (RV32I's loop bound), drives `input` with
-/// `value(cycle, lane)` for `warm` cycles to a live image, then takes the
+/// Times the compiled walk of `plan`'s ops over `image` (every slot's
+/// canonical value, slot-major, `LANES` per slot) held in rows of `T`:
+/// with `detail`, per opcode — op count, share of the summed walk, ns per
+/// op and per op-lane; always the plan-order walk. Returns the walk's ns.
+fn timed_walk<T: Lane>(plan: &SimPlan, image: &[u64], detail: bool) -> f64 {
+    let layout = LaneLayout::of_as(plan, T::TYPE);
+    let flat: Vec<OpInst> = plan.layers.iter().flatten().cloned().collect();
+    let ops = compile_layer(&flat, &layout);
+    let mut li: Vec<T> = image.iter().map(|&v| T::truncate(v)).collect();
+    let w = LaneWindow::full(LANES);
+    let mut walk = |ops: &[&CompiledOp]| {
+        let passes = (200_000 / ops.len()).clamp(5, 2_000);
+        best_ns(passes, || {
+            ops.iter()
+                .for_each(|op| op.eval_lanes(black_box(&mut li), w))
+        })
+    };
+    let mut sum_ns = 0.0;
+    if detail {
+        let mut groups: BTreeMap<String, Vec<&CompiledOp>> = BTreeMap::new();
+        for op in &ops {
+            let name = op.opcode().expect("valid opcode").to_string();
+            groups.entry(name).or_default().push(op);
+        }
+        let count: usize = groups.values().map(Vec::len).sum();
+        assert_eq!(
+            count,
+            plan.total_ops(),
+            "every scheduled op is in one group"
+        );
+        let rows: Vec<(&String, usize, f64)> = groups
+            .iter()
+            .map(|(name, ops)| (name, ops.len(), walk(ops)))
+            .collect();
+        sum_ns = rows.iter().map(|r| r.2).sum();
+        println!(
+            "  {:<10} {:>6} {:>7} {:>9} {:>11}",
+            "opcode", "ops", "share", "ns/op", "ns/op-lane"
+        );
+        for (name, n, ns) in rows {
+            let per_op = ns / n as f64;
+            let share = 100.0 * ns / sum_ns;
+            println!(
+                "  {name:<10} {n:>6} {share:>6.1}% {per_op:>9.1} {:>11.3}",
+                per_op / LANES as f64
+            );
+        }
+    }
+    let walk_ns = walk(&ops.iter().collect::<Vec<_>>());
+    if detail {
+        println!(
+            "  walk {:.1} us (groups sum to {:.1})",
+            walk_ns / 1e3,
+            sum_ns / 1e3
+        );
+    }
+    walk_ns
+}
+
+/// Compiles `circuit`, says what rows its plan runs in and why, then —
+/// in each lane type the plan supports, its own last and in detail —
+/// pokes `x15` on every lane (RV32I's loop bound), drives `input` with
+/// `value(cycle, lane)` for `warm` cycles to a live image, and takes the
 /// census.
 fn census(
     circuit: &Circuit,
@@ -41,16 +110,27 @@ fn census(
     value: &mut dyn FnMut(u64, usize) -> u64,
 ) {
     let config = KernelConfig::new(KernelKind::Psu);
-    let plan = Compiler::new(config)
-        .compile(circuit)
-        .expect("compiles")
-        .plan;
-    let kernel = BatchKernel::compile(&plan, config);
-    let mut st = BatchLiState::new(&plan, LANES);
-    if let Some(k) = x15 {
-        let x15 = plan.signal_slot("x15").expect("probed");
-        (0..LANES).for_each(|lane| st.poke_slot(x15, lane, k));
+    let compiled = Compiler::new(config).compile(circuit).expect("compiles");
+    let plan = &compiled.plan;
+    let own = LaneLayout::of(plan);
+    println!("{}: {} ops, B = {LANES}", plan.name, plan.total_ops());
+    println!(
+        "  lane type {:?}: {} bytes per row of {LANES} lanes, {} slots{}",
+        own.lane_type(),
+        own.lane_type().bytes() * LANES,
+        plan.num_slots,
+        own.why_wide()
+            .map_or(String::new(), |why| format!(" (u64 rows because {why})"))
+    );
+    let mut hist = [0usize; 5];
+    for &(w, _) in own.slot_types() {
+        hist[[1, 8, 16, 32].iter().filter(|&&top| w > top).count()] += 1;
     }
+    println!(
+        "  slot widths: {} x 1, {} x 2-8, {} x 9-16, {} x 17-32, {} x 33-64; \
+         {} truncation(s) fused into their producer",
+        hist[0], hist[1], hist[2], hist[3], hist[4], compiled.pass_stats.truncs_fused
+    );
     let slot = plan.signal_slot(input).expect("input is probed");
     let idx = plan
         .input_slots
@@ -60,73 +140,41 @@ fn census(
     let mut drive = |cycle: u64, poker: &mut LanePoker| {
         (0..LANES).for_each(|lane| poker.set_input(idx, lane, value(cycle, lane)));
     };
-    kernel.run_with_stimulus(&mut st, warm, 1, &mut drive);
-    let mut li: Vec<u64> = (0..plan.num_slots as u32)
-        .flat_map(|s| (0..LANES).map(move |lane| (s, lane)))
-        .map(|(s, lane)| st.slot(s, lane))
-        .collect();
-    let w = LaneWindow::full(LANES);
-
-    let ops: Vec<CompiledOp> = plan
-        .layers
-        .iter()
-        .flatten()
-        .map(CompiledOp::compile)
-        .collect();
-    let mut groups: BTreeMap<String, Vec<&CompiledOp>> = BTreeMap::new();
-    for op in &ops {
-        let name = op.opcode().expect("valid opcode").to_string();
-        groups.entry(name).or_default().push(op);
-    }
-    let count: usize = groups.values().map(Vec::len).sum();
-    assert_eq!(
-        count,
-        plan.total_ops(),
-        "every scheduled op is in one group"
-    );
-
-    let mut walk = |ops: &[&CompiledOp]| {
-        let passes = (200_000 / ops.len()).clamp(5, 2_000);
-        best_ns(passes, || {
-            ops.iter()
-                .for_each(|op| op.eval_lanes(black_box(&mut li), w))
-        })
-    };
-    let rows: Vec<(&String, usize, f64)> = groups
-        .iter()
-        .map(|(name, ops)| (name, ops.len(), walk(ops)))
-        .collect();
-    let walk_ns = walk(&ops.iter().collect::<Vec<_>>());
-    let sum_ns: f64 = rows.iter().map(|r| r.2).sum();
-    let step_ns = best_ns(100, || kernel.run_with_stimulus(&mut st, 4, 1, &mut drive)) / 4.0;
-    assert!(!st.settled(), "the timed steps ran on a live image");
-
-    println!("{}: {} ops, B = {LANES}", plan.name, plan.total_ops());
-    println!(
-        "  {:<10} {:>6} {:>7} {:>9} {:>11}",
-        "opcode", "ops", "share", "ns/op", "ns/op-lane"
-    );
-    for (name, n, ns) in rows {
-        let per_op = ns / n as f64;
-        let share = 100.0 * ns / sum_ns;
+    for lane in LaneType::supported_for(plan) {
+        let layout = LaneLayout::of_as(plan, lane);
+        let kernel = BatchKernel::compile_in(plan, config, BatchEngine::Compiled, &layout);
+        let mut st = BatchLiState::new_in(plan, LANES, &layout);
+        if let Some(k) = x15 {
+            let x15 = plan.signal_slot("x15").expect("probed");
+            (0..LANES).for_each(|lane| st.poke_slot(x15, lane, k));
+        }
+        kernel.run_with_stimulus(&mut st, warm, 1, &mut drive);
+        let image: Vec<u64> = (0..plan.num_slots as u32)
+            .flat_map(|s| (0..LANES).map(move |lane| (s, lane)))
+            .map(|(s, lane)| st.slot(s, lane))
+            .collect();
+        let detail = lane == own.lane_type();
+        let walk_ns = match lane {
+            LaneType::Narrow => timed_walk::<u32>(plan, &image, detail),
+            LaneType::Wide => timed_walk::<u64>(plan, &image, detail),
+        };
+        let step_ns = best_ns(100, || kernel.run_with_stimulus(&mut st, 4, 1, &mut drive)) / 4.0;
+        assert!(!st.settled(), "the timed steps ran on a live image");
         println!(
-            "  {name:<10} {n:>6} {share:>6.1}% {per_op:>9.1} {:>11.3}",
-            per_op / LANES as f64
+            "  in {lane:?} rows: walk {:.1} us, step {:.1} us: commit + loop = {:.1}%",
+            walk_ns / 1e3,
+            step_ns / 1e3,
+            100.0 * (step_ns - walk_ns) / step_ns
         );
     }
-    println!(
-        "  walk {:.1} us (groups sum to {:.1}), step {:.1} us: commit + loop = {:.1}%\n",
-        walk_ns / 1e3,
-        sum_ns / 1e3,
-        step_ns / 1e3,
-        100.0 * (step_ns - walk_ns) / step_ns
-    );
+    println!();
 }
 
 fn main() {
     // The benchmark's two engine designs (`rv32i_steady`, `chip_stim`):
     // the core mid-loop on every lane, the chip under fresh random
-    // stimulus every cycle.
+    // stimulus every cycle — and `sha3`, a 64-bit design, for a plan
+    // that stays on `u64` rows.
     let core = Workload::param_sum_circuit();
     census(&core, Some(200), "reset", 40, &mut |cycle, _| {
         u64::from(cycle < 2)
