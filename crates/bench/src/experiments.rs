@@ -1910,8 +1910,10 @@ pub fn repcut_partitions(ctx: &Ctx) -> Vec<String> {
 pub fn lint_corpus(ctx: &Ctx) -> Vec<String> {
     use rteaal_designs::{gemmini, pipeline, sha3};
     use rteaal_dfg::analyze::{
-        analyze_design, analyze_graph, analyze_partitioned, analyze_plan, DiagKind,
+        analyze_compiled, analyze_design, analyze_graph, analyze_partitioned, analyze_plan,
+        DiagKind,
     };
+    use rteaal_dfg::lane_kernel::{compile_plan, LaneType};
     use rteaal_dfg::op::DfgOp;
     use rteaal_dfg::partition::PartitionedPlan;
 
@@ -1930,8 +1932,8 @@ pub fn lint_corpus(ctx: &Ctx) -> Vec<String> {
         ("pipeline-3", pipeline(3, 16)),
     ];
     out.push(format!(
-        "{:<12} {:>8} {:>8} {:>7} {:>6} {:>10} {:>10} {:>7}",
-        "design", "ops", "slots", "layers", "dead", "nontoggle", "activity", "status"
+        "{:<12} {:>8} {:>8} {:>7} {:>6} {:>10} {:>10} {:>6} {:>7}",
+        "design", "ops", "slots", "layers", "dead", "nontoggle", "activity", "rows", "status"
     ));
     let mut all_clean = true;
     let mut plans = Vec::new();
@@ -1945,13 +1947,17 @@ pub fn lint_corpus(ctx: &Ctx) -> Vec<String> {
         let clean = report.is_clean();
         all_clean &= clean;
         out.push(format!(
-            "{name:<12} {:>8} {:>8} {:>7} {:>6} {:>10} {:>10.0} {:>7}",
+            "{name:<12} {:>8} {:>8} {:>7} {:>6} {:>10} {:>10.0} {:>6} {:>7}",
             report.stats.ops,
             report.stats.slots,
             report.stats.layers,
             report.stats.dead_ops,
             report.stats.never_toggling,
             report.stats.total_activity,
+            match LaneType::of(&p) {
+                LaneType::Narrow => "u32",
+                LaneType::Wide => "u64",
+            },
             if clean { "clean" } else { "ERROR" },
         ));
         if !clean {
@@ -2057,6 +2063,42 @@ pub fn lint_corpus(ctx: &Ctx) -> Vec<String> {
     );
     caught += 1;
     out.push("  injected-comb-cycle  -> comb-cycle (named trace)".to_string());
+
+    // 6./7. A kernel table compiled for `u32` rows, checked against a
+    //    plan that no longer allows them: one result grown to 33 bits,
+    //    then one `bits` reaching past bit 31 (which `narrow_exact`
+    //    rejects). The table is the clean plan's, as a stale or hostile
+    //    one would be.
+    let narrow = plans
+        .iter()
+        .find(|p| LaneType::of(p) == LaneType::Narrow)
+        .expect("the corpus has a design that runs in u32 rows");
+    let table = compile_plan(narrow);
+    assert!(analyze_compiled(narrow, &table).is_clean());
+    let mut grown = narrow.clone();
+    grown.layers[0][0].width = 33;
+    let report = analyze_compiled(&grown, &table);
+    assert!(
+        report.has(DiagKind::KernelLaneMismatch),
+        "a u32 kernel writing a 33-bit slot must be caught: {report}"
+    );
+    caught += 1;
+    out.push("  narrow-kernel-33-bit -> kernel-lane-mismatch".to_string());
+    let mut reaching = narrow.clone();
+    let bits = reaching
+        .layers
+        .iter_mut()
+        .flatten()
+        .find(|op| op.op() == DfgOp::Bits)
+        .expect("corpus plans extract bit fields");
+    bits.params[0] = 32;
+    let report = analyze_compiled(&reaching, &table);
+    assert!(
+        report.has(DiagKind::KernelLaneMismatch),
+        "a narrow kernel for an op the predicate rejects must be caught: {report}"
+    );
+    caught += 1;
+    out.push("  inexact-op-narrow    -> kernel-lane-mismatch".to_string());
 
     out.push(String::new());
     out.push(format!(

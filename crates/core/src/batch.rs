@@ -273,13 +273,11 @@ impl BatchSimulation {
             }
         };
         let kernel_config = compiled.kernel.config();
-        let layout = match lane {
-            None => LaneLayout::of(&plan),
-            Some(lane) => LaneLayout::of_as(&plan, lane),
-        };
         let (kernel, state) = if parts > 1 {
             let mut pp = PartitionedPlan::new(&plan, parts);
-            pp.lanes = layout;
+            if let Some(lane) = lane {
+                pp.lanes = LaneLayout::of_as(&plan, lane);
+            }
             let report = analyze_partitioned(&plan, &pp);
             if !report.is_clean() {
                 return Err(report);
@@ -288,6 +286,10 @@ impl BatchSimulation {
             let state = BatchLiState::new_partitioned(&plan, config.lanes, &pp);
             (kernel, state)
         } else {
+            let layout = match lane {
+                None => LaneLayout::of(&plan),
+                Some(lane) => LaneLayout::of_as(&plan, lane),
+            };
             let kernel = match &sp {
                 Some(sp) => {
                     let pack = config.lanes >= 32;

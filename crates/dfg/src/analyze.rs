@@ -1455,6 +1455,47 @@ circuit Mixed :
     }
 
     #[test]
+    fn a_narrow_table_is_checked_against_the_plans_slot_types() {
+        // MIXED is an 8-bit design, so its table is for `u32` rows; its
+        // `lt(acc, x)`-style ops are exact there. The same table against
+        // a plan that outgrew 32 bits, or whose operand types make an op
+        // inexact, or mixed with a `u64` kernel, must be refused.
+        let p = mixed_plan();
+        let compiled = compile_plan(&p);
+        assert!(compiled
+            .iter()
+            .flatten()
+            .all(|c| c.lane_type() == LaneType::Narrow));
+        assert!(analyze_compiled(&p, &compiled).is_clean());
+
+        let mut grown = p.clone();
+        grown.layers[0][0].width = 33;
+        let report = analyze_compiled(&grown, &compiled);
+        assert!(report.has(DiagKind::KernelLaneMismatch), "{report}");
+
+        // `gt(cnt, 10)` with the counter re-typed as a signed 32-bit
+        // register and the constant grown to use bit 31: an unsigned
+        // order across one sign-extended and one zero-extended operand,
+        // which no `u32` kernel computes.
+        let mut retyped = p.clone();
+        let cnt = retyped.signal_slot("cnt").expect("cnt is probed");
+        retyped.signed_probes.push(cnt);
+        retyped.signed_probes.sort_unstable();
+        retyped.probes.iter_mut().find(|pr| pr.1 == cnt).unwrap().2 = 32;
+        let mut ops = retyped.layers.iter().flatten();
+        let gt = ops.find(|op| op.op() == DfgOp::Gtu && op.ins[0] == cnt);
+        let ten = gt.expect("flag compares cnt").ins[1];
+        retyped.init_values[ten as usize] = 1 << 31;
+        let report = analyze_compiled(&retyped, &compiled);
+        assert!(report.has(DiagKind::KernelLaneMismatch), "{report}");
+
+        let mut mixed = compiled.clone();
+        mixed[0][0] = crate::lane_kernel::CompiledOp::compile(&p.layers[0][0]);
+        let report = analyze_compiled(&p, &mixed);
+        assert!(report.has(DiagKind::KernelLaneMismatch), "{report}");
+    }
+
+    #[test]
     fn corrupted_rum_owner_is_caught() {
         let p = mixed_plan();
         let mut pp = PartitionedPlan::new(&p, 2);

@@ -1224,7 +1224,7 @@ mod tests {
             for lane in 0..lanes {
                 let i = s * lanes + lane;
                 let above = i.checked_sub(lanes).map(|j| li[j].widen(types[s - 1].1));
-                let top = if i % 3 == 0 { 1 << (w - 1) } else { 0 };
+                let top = if i.is_multiple_of(3) { 1 << (w - 1) } else { 0 };
                 li.push(canonicalize(stimulus_at(i, above) | top, w as u32, signed) as u32);
             }
         }

@@ -14,7 +14,7 @@
 //! ```
 
 use rteaal_core::Compiler;
-use rteaal_designs::{rocket, ChipConfig, Stimulus, Workload};
+use rteaal_designs::{rocket, sha3, ChipConfig, Stimulus, Workload};
 use rteaal_dfg::lane_kernel::{
     compile_layer, BatchEngine, CompiledOp, Lane, LaneLayout, LaneType, LaneWindow,
 };
@@ -99,15 +99,15 @@ fn timed_walk<T: Lane>(plan: &SimPlan, image: &[u64], detail: bool) -> f64 {
 
 /// Compiles `circuit`, says what rows its plan runs in and why, then —
 /// in each lane type the plan supports, its own last and in detail —
-/// pokes `x15` on every lane (RV32I's loop bound), drives `input` with
-/// `value(cycle, lane)` for `warm` cycles to a live image, and takes the
-/// census.
+/// pokes `x15` on every lane (RV32I's loop bound), drives the `k`-th of
+/// `inputs` with `value(cycle, lane, k)` for `warm` cycles to a live
+/// image, and takes the census.
 fn census(
     circuit: &Circuit,
     x15: Option<u64>,
-    input: &str,
+    inputs: &[&str],
     warm: u64,
-    value: &mut dyn FnMut(u64, usize) -> u64,
+    value: &mut dyn FnMut(u64, usize, usize) -> u64,
 ) {
     let config = KernelConfig::new(KernelKind::Psu);
     let compiled = Compiler::new(config).compile(circuit).expect("compiles");
@@ -131,14 +131,18 @@ fn census(
          {} truncation(s) fused into their producer",
         hist[0], hist[1], hist[2], hist[3], hist[4], compiled.pass_stats.truncs_fused
     );
-    let slot = plan.signal_slot(input).expect("input is probed");
-    let idx = plan
-        .input_slots
+    let ports: Vec<usize> = inputs
         .iter()
-        .position(|&s| s == slot)
-        .expect("an input");
+        .map(|name| {
+            let slot = plan.signal_slot(name).expect("input is probed");
+            let port = plan.input_slots.iter().position(|&s| s == slot);
+            port.expect("an input")
+        })
+        .collect();
     let mut drive = |cycle: u64, poker: &mut LanePoker| {
-        (0..LANES).for_each(|lane| poker.set_input(idx, lane, value(cycle, lane)));
+        for (k, &port) in ports.iter().enumerate() {
+            (0..LANES).for_each(|lane| poker.set_input(port, lane, value(cycle, lane, k)));
+        }
     };
     for lane in LaneType::supported_for(plan) {
         let layout = LaneLayout::of_as(plan, lane);
@@ -176,12 +180,20 @@ fn main() {
     // stimulus every cycle — and `sha3`, a 64-bit design, for a plan
     // that stays on `u64` rows.
     let core = Workload::param_sum_circuit();
-    census(&core, Some(200), "reset", 40, &mut |cycle, _| {
+    census(&core, Some(200), &["reset"], 40, &mut |cycle, _, _| {
         u64::from(cycle < 2)
     });
     let chip = rocket(ChipConfig::new(4).with_scale(0.5));
     let mut streams: Vec<Stimulus> = (0..LANES as u64).map(Stimulus::from_seed).collect();
-    census(&chip, None, "stim", 8, &mut |_, lane| {
+    census(&chip, None, &["stim"], 8, &mut |_, lane, _| {
         streams[lane].next_value()
+    });
+    // A fresh block absorbed every 25 cycles keeps the permutation busy.
+    let names: Vec<String> = (0..17).map(|i| format!("in{i}")).collect();
+    let mut inputs = vec!["start"];
+    inputs.extend(names.iter().map(String::as_str));
+    census(&sha3(), None, &inputs, 30, &mut |cycle, lane, k| match k {
+        0 => u64::from(cycle % 25 == 0),
+        _ => streams[lane].next_value(),
     });
 }

@@ -4,24 +4,30 @@
 //! every engine shape — specialization × threads × partitioning —
 //! under per-lane divergent stimulus, halt compaction and mid-run DMI
 //! pokes: one differential oracle, [`assert_bit_exact`], that every row
-//! goes through. Plus the compiled-vs-interpreted engine differential.
+//! goes through — and that asserts the lane type (`u32` or `u64` rows)
+//! the engine picked for the design, so an engine that silently always
+//! ran `u64` rows would fail here. Plus the compiled-vs-interpreted
+//! engine differential.
 
 use rteaal_core::{
     BatchSimulation, Compiler, DebugModule, EngineConfig, Partitioning, Simulation, Specialization,
 };
 use rteaal_designs::rv32i::{asm::*, rv32i};
-use rteaal_designs::{sha3, Stimulus, Workload};
+use rteaal_designs::{rocket, sha3, ChipConfig, Stimulus, Workload};
+use rteaal_dfg::lane_kernel::{BatchEngine, LaneLayout, LaneType};
 use rteaal_dfg::specialize::{specialize, SpecProgram};
 use rteaal_dfg::{BatchPlanSim, SimPlan};
 use rteaal_firrtl::Circuit;
 use rteaal_kernels::{BatchKernel, BatchLiState, KernelConfig, KernelKind};
 
 /// A design under differential test: the circuit, the scalar kernel kind
-/// it compiles under, and the halt signal to watch (if any).
+/// it compiles under, the halt signal to watch (if any), and the lane
+/// type its plan must run in.
 struct Design {
     circuit: Circuit,
     kind: KernelKind,
     halt: Option<&'static str>,
+    lane: LaneType,
 }
 
 /// Per-lane stimulus for `cycles` cycles: `drive(lane, cycle, input)`
@@ -47,9 +53,21 @@ fn random(seed: u64, lanes: usize) -> impl FnMut(usize, u64, &str) -> u64 {
 /// stimulus and asserts every probed signal is bit-identical on every
 /// lane after every cycle. With a halt signal the batch compacts halted
 /// lanes out of its window; each scalar run stops at its own halt, and
-/// the completion cycles must agree. Returns the batch for further
+/// the completion cycles must agree. The engine must have picked
+/// `design.lane` rows by itself. Returns the batch for further
 /// (architectural) checks.
 fn assert_bit_exact(design: &Design, stim: Stim<'_>, config: EngineConfig) -> BatchSimulation {
+    assert_bit_exact_in(design, stim, config, None)
+}
+
+/// [`assert_bit_exact`], with the engine built in `lane` rows through
+/// the test witness when given (`LaneType::supported_for`).
+fn assert_bit_exact_in(
+    design: &Design,
+    stim: Stim<'_>,
+    config: EngineConfig,
+    lane: Option<LaneType>,
+) -> BatchSimulation {
     let kind = design.kind;
     let compiled = Compiler::new(KernelConfig::new(kind))
         .compile(&design.circuit)
@@ -80,7 +98,17 @@ fn assert_bit_exact(design: &Design, stim: Stim<'_>, config: EngineConfig) -> Ba
         .collect();
 
     let lanes = config.lanes;
-    let mut batch = BatchSimulation::build(&compiled, config).expect("plan verifies");
+    let mut batch = match lane {
+        None => BatchSimulation::build(&compiled, config),
+        Some(lane) => BatchSimulation::build_for(&compiled, config, lane),
+    }
+    .expect("plan verifies");
+    assert_eq!(
+        batch.lane_type(),
+        lane.unwrap_or(design.lane),
+        "{} under {config:?} runs in the wrong rows",
+        plan.name
+    );
     if let Some(halt) = design.halt {
         batch.watch_halt(halt).expect("halt signal resolves");
     }
@@ -145,7 +173,7 @@ fn assert_bit_exact(design: &Design, stim: Stim<'_>, config: EngineConfig) -> Ba
 
 /// The random-stimulus row shape the per-design tests below share.
 fn assert_batch_matches_sequential(
-    circuit: Circuit,
+    (circuit, lane): (Circuit, LaneType),
     kind: KernelKind,
     lanes: usize,
     threads: usize,
@@ -156,6 +184,7 @@ fn assert_batch_matches_sequential(
         circuit,
         kind,
         halt: None,
+        lane,
     };
     let stim = Stim {
         cycles,
@@ -167,6 +196,16 @@ fn assert_batch_matches_sequential(
         ..EngineConfig::new(lanes)
     };
     assert_bit_exact(&design, stim, config);
+}
+
+/// The two evaluation designs with the rows each must run in: the core
+/// is a 32-bit machine, Keccak lanes are 64 bits wide.
+fn rv32i_narrow() -> (Circuit, LaneType) {
+    (rv32i_circuit(), LaneType::Narrow)
+}
+
+fn sha3_wide() -> (Circuit, LaneType) {
+    (sha3(), LaneType::Wide)
 }
 
 /// The RV32I test program: sum 1..=20 into a0, then halt.
@@ -186,24 +225,24 @@ fn rv32i_circuit() -> Circuit {
 #[test]
 fn rv32i_batch_matches_sequential() {
     // Random reset toggling makes the lanes genuinely diverge.
-    assert_batch_matches_sequential(rv32i_circuit(), KernelKind::Psu, 4, 2, 120, 0xb001);
+    assert_batch_matches_sequential(rv32i_narrow(), KernelKind::Psu, 4, 2, 120, 0xb001);
 }
 
 #[test]
 fn rv32i_batch_matches_sequential_single_thread() {
-    assert_batch_matches_sequential(rv32i_circuit(), KernelKind::Ti, 3, 1, 120, 0xb002);
+    assert_batch_matches_sequential(rv32i_narrow(), KernelKind::Ti, 3, 1, 120, 0xb002);
 }
 
 #[test]
 fn sha3_batch_matches_sequential() {
-    assert_batch_matches_sequential(sha3(), KernelKind::Psu, 4, 4, 60, 0xb003);
+    assert_batch_matches_sequential(sha3_wide(), KernelKind::Psu, 4, 4, 60, 0xb003);
 }
 
 #[test]
 fn sha3_batch_matches_sequential_swizzled_vs_plain() {
     // Both traversal orders of the batch engine against the scalar path.
-    assert_batch_matches_sequential(sha3(), KernelKind::Ru, 2, 2, 40, 0xb004);
-    assert_batch_matches_sequential(sha3(), KernelKind::Iu, 2, 3, 40, 0xb005);
+    assert_batch_matches_sequential(sha3_wide(), KernelKind::Ru, 2, 2, 40, 0xb004);
+    assert_batch_matches_sequential(sha3_wide(), KernelKind::Iu, 2, 3, 40, 0xb005);
 }
 
 /// Runs the compiled batch kernel and the interpreted golden model of
@@ -245,9 +284,25 @@ fn plan_of(circuit: &Circuit) -> SimPlan {
     )
 }
 
+/// The plan `Compiler::compile` builds: the default passes first.
+fn optimized_plan_of(circuit: &Circuit) -> SimPlan {
+    let compiler = Compiler::new(KernelConfig::new(KernelKind::Psu));
+    compiler.compile(circuit).expect("compiles").plan
+}
+
 #[test]
 fn rv32i_compiled_kernels_match_interpreted_walk() {
-    assert_compiled_matches_interpreted(&plan_of(&rv32i_circuit()), 5, 150, 0xc001);
+    // Unoptimized, the core still has its 33-bit sums and runs in `u64`
+    // rows; optimized, it is all 32-bit and the compiled side runs in
+    // `u32` rows — against the same 64-bit interpreted walk, slot by slot.
+    let (raw, optimized) = (
+        plan_of(&rv32i_circuit()),
+        optimized_plan_of(&rv32i_circuit()),
+    );
+    assert_eq!(LaneType::of(&raw), LaneType::Wide);
+    assert_eq!(LaneType::of(&optimized), LaneType::Narrow);
+    assert_compiled_matches_interpreted(&raw, 5, 150, 0xc001);
+    assert_compiled_matches_interpreted(&optimized, 5, 150, 0xc001);
 }
 
 #[test]
@@ -268,6 +323,7 @@ fn halting_rv32i() -> Design {
         circuit: workload.circuit,
         kind: KernelKind::Psu,
         halt: workload.halt_signal,
+        lane: LaneType::Narrow,
     }
 }
 
@@ -296,29 +352,76 @@ fn rv32i_halting_at_19_lanes_runs_chunked_kernels_and_ragged_tails() {
     // 19 lanes is whole chunks plus a ragged tail, and a different loop
     // bound per lane (`x15`, in no lane order) halts the lanes one by
     // one, so the compacted window passes through every length from 19
-    // down — chunk multiples and ragged ones — on the default engine.
+    // down — chunk multiples and ragged ones — on the default engine, in
+    // the `u32` rows it picks for the core and in `u64` ones.
     const LANES: usize = 19;
     let workload = Workload::rv32i_param_sum(1);
     let design = Design {
         circuit: workload.circuit,
         kind: KernelKind::Psu,
         halt: workload.halt_signal,
+        lane: LaneType::Narrow,
     };
     let bound = |lane: usize| 1 + (lane as u64 * 7) % LANES as u64;
     let pokes: Vec<_> = (0..LANES)
         .map(|lane| (0, "x15", lane, bound(lane)))
         .collect();
+    for lane_type in [None, Some(LaneType::Wide)] {
+        let stim = Stim {
+            cycles: 100,
+            drive: &mut |_, cycle, _| u64::from(cycle < 2),
+            poke_state: &pokes,
+        };
+        let batch = assert_bit_exact_in(&design, stim, EngineConfig::new(LANES), lane_type);
+        assert_eq!(batch.live_lanes(), 0, "every lane halts within the budget");
+        for lane in 0..LANES {
+            let sum = Workload::param_sum_expected(bound(lane));
+            assert_eq!(batch.peek("a0", lane), Some(sum), "lane {lane} result");
+        }
+    }
+}
+
+/// The halting core plus one live 33-bit counter on an output of its
+/// own: a single signal past 32 bits.
+fn rv32i_with_a_33_bit_counter() -> Circuit {
+    let text = rteaal_firrtl::parser::emit(&Workload::rv32i_sum_loop().circuit);
+    let port = "    output halt : UInt<1>\n";
+    assert_eq!(text.matches(port).count(), 1, "the core's port list moved");
+    let text = text.replace(port, &format!("{port}    output ticks : UInt<33>\n"));
+    let counter = "    reg tick : UInt<33>, clock
+    tick <= tail(add(tick, UInt<33>(1)), 1)
+    ticks <= tick
+";
+    rteaal_firrtl::parser::parse(&format!("{text}{counter}")).expect("parses")
+}
+
+#[test]
+fn one_33_bit_signal_keeps_the_whole_core_on_u64_rows_bit_exact() {
+    // The fallback is per plan, not per slot: the counter alone moves
+    // every row of the core to `u64`, which is the engine every design
+    // ran on before narrow rows — bit-exact, halting, same result.
+    const LANES: usize = 4;
+    let design = Design {
+        circuit: rv32i_with_a_33_bit_counter(),
+        kind: KernelKind::Psu,
+        halt: Some("halt"),
+        lane: LaneType::Wide,
+    };
+    let compiled = Compiler::new(KernelConfig::new(design.kind))
+        .compile(&design.circuit)
+        .expect("compiles");
+    let why = LaneLayout::of(&compiled.plan).why_wide().map(str::to_owned);
+    assert!(
+        why.as_deref().is_some_and(|w| w.contains("33 bits wide")),
+        "the counter is the reason: {why:?}"
+    );
     let stim = Stim {
-        cycles: 100,
-        drive: &mut |_, cycle, _| u64::from(cycle < 2),
-        poke_state: &pokes,
+        cycles: 400,
+        drive: &mut staggered_reset,
+        poke_state: &[(30, "x1", 1, 1000)],
     };
     let batch = assert_bit_exact(&design, stim, EngineConfig::new(LANES));
     assert_eq!(batch.live_lanes(), 0, "every lane halts within the budget");
-    for lane in 0..LANES {
-        let sum = Workload::param_sum_expected(bound(lane));
-        assert_eq!(batch.peek("a0", lane), Some(sum), "lane {lane} result");
-    }
 }
 
 #[test]
@@ -330,6 +433,7 @@ fn rv32i_batch_runs_the_program_on_every_lane() {
         circuit: rv32i_circuit(),
         kind: KernelKind::Psu,
         halt: None,
+        lane: LaneType::Narrow,
     };
     let stim = Stim {
         cycles: 202,
@@ -351,14 +455,17 @@ fn rv32i_batch_runs_the_program_on_every_lane() {
 fn every_engine_shape_is_bit_exact_on_rv32i_and_sha3() {
     // The tier-1 sweep: specialization × threads × partitioning, on the
     // halting core (halt compaction, a DMI write into the accumulator
-    // mid-loop) and on the free-running SHA3 datapath (random stimulus,
-    // a DMI write into the Keccak state).
+    // mid-loop; `u32` rows) and on the free-running SHA3 datapath (random
+    // stimulus, a DMI write into the Keccak state; `u64` rows). The
+    // unspecialized threaded and partitioned shapes run the core in
+    // `u64` rows as well, through the witness.
     const LANES: usize = 4;
     let rv32i = halting_rv32i();
     let sha3 = Design {
         circuit: sha3(),
         kind: KernelKind::Psu,
         halt: None,
+        lane: LaneType::Wide,
     };
     for specialization in [Specialization::Off, Specialization::Auto] {
         for threads in [1, 2] {
@@ -369,13 +476,20 @@ fn every_engine_shape_is_bit_exact_on_rv32i_and_sha3() {
                     partitioning,
                     specialization,
                 };
-                let stim = Stim {
-                    cycles: 400,
-                    drive: &mut staggered_reset,
-                    poke_state: &[(30, "x1", 1, 1000)],
-                };
-                let batch = assert_bit_exact(&rv32i, stim, config);
-                assert_eq!(batch.live_lanes(), 0, "{config:?}: every lane halts");
+                let both = specialization == Specialization::Off
+                    && (threads == 2) != (partitioning != Partitioning::None);
+                for lane_type in [None, Some(LaneType::Wide)] {
+                    if lane_type.is_some() && !both {
+                        continue;
+                    }
+                    let stim = Stim {
+                        cycles: 400,
+                        drive: &mut staggered_reset,
+                        poke_state: &[(30, "x1", 1, 1000)],
+                    };
+                    let batch = assert_bit_exact_in(&rv32i, stim, config, lane_type);
+                    assert_eq!(batch.live_lanes(), 0, "{config:?}: every lane halts");
+                }
                 let stim = Stim {
                     cycles: 40,
                     drive: &mut random(0xb006, LANES),
@@ -429,6 +543,7 @@ fn bit_packed_control_interior_is_bit_exact_at_64_lanes() {
         circuit: dense_control(),
         kind: KernelKind::Psu,
         halt: None,
+        lane: LaneType::Narrow,
     };
     // The program `BatchSimulation::build` lowers this design to.
     let compiled = Compiler::new(KernelConfig::new(design.kind))
@@ -451,4 +566,43 @@ fn bit_packed_control_interior_is_bit_exact_at_64_lanes() {
         };
         assert_bit_exact(&design, stim, config);
     }
+}
+
+#[test]
+fn a_specialized_kernel_over_the_plain_plans_state_agrees_on_the_lane_type() {
+    // The shape `benchmark/src/probes.rs` builds: the kernel from
+    // `specialize(plan)`, the state from `plan`. Folding turns op outputs
+    // into power-on constants, typed by value instead of by op — the lane
+    // type must come out the same on every corpus design, and the pair
+    // must step.
+    let cfg = KernelConfig::new(KernelKind::Psu);
+    let chip = rocket(ChipConfig::new(4).with_scale(0.5));
+    for (circuit, lane) in [
+        (Workload::param_sum_circuit(), LaneType::Narrow),
+        (chip, LaneType::Narrow),
+        (sha3(), LaneType::Wide),
+    ] {
+        let plan = Compiler::new(cfg).compile(&circuit).expect("compiles").plan;
+        assert_eq!(LaneType::of(&plan), lane, "{}", plan.name);
+        let kernel = BatchKernel::compile_specialized(&specialize(&plan), cfg, true);
+        let mut state = BatchLiState::new(&plan, 2);
+        assert_eq!(kernel.lane_type(), lane, "{} kernel", plan.name);
+        assert_eq!(state.lane_type(), lane, "{} state", plan.name);
+        kernel.run(&mut state, 2);
+        assert_eq!(state.cycle(), 2);
+    }
+}
+
+#[test]
+#[should_panic(expected = "kernel/state lane type mismatch")]
+fn a_kernel_never_walks_a_state_of_the_other_lane_type() {
+    // A `u64` kernel over `u32` rows would read two lanes as one: the
+    // first step refuses, with a message, instead of reinterpreting.
+    let cfg = KernelConfig::new(KernelKind::Psu);
+    let plan = optimized_plan_of(&rv32i_circuit());
+    let wide = LaneLayout::of_as(&plan, LaneType::Wide);
+    let kernel = BatchKernel::compile_in(&plan, cfg, BatchEngine::Compiled, &wide);
+    let mut state = BatchLiState::new(&plan, 4);
+    assert_eq!(state.lane_type(), LaneType::Narrow);
+    kernel.step(&mut state);
 }
