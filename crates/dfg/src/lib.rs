@@ -27,7 +27,9 @@
 //! - [`lane_kernel`]: the kernel-compilation stage between a
 //!   [`plan::SimPlan`] and execution — every operation lowered once into
 //!   a specialized, autovectorizable lane kernel with dispatch, operand
-//!   offsets, and canonicalization folded in.
+//!   offsets, and canonicalization folded in, over lane rows of the
+//!   plan's own element type (`u32` when every signal fits 32 bits and
+//!   every op is provably exact there, else `u64`).
 //! - [`analyze`]: the static plan verifier — schedule legality,
 //!   combinational-cycle traces, RUM ownership/coverage, kernel-table
 //!   bounds, and dataflow statistics as typed [`analyze::Diagnostic`]s

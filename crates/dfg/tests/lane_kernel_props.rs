@@ -67,24 +67,28 @@ fn arity_and_params(op: DfgOp, seed: &mut u64) -> (usize, Vec<u64>) {
     }
 }
 
-/// One op over slots `1..=arity` (output in slot 0) — one time in four
-/// with an operand row aliased to another (`add(a, a)`, `mux(c, x, x)`,
-/// a chain whose condition row is also a value row) — and a stimulus
-/// matrix whose every lane is drawn from {0, 1, all-ones, < 70, the
-/// same lane of the row above, uniform}.
-fn case(op: DfgOp, width: u32, signed: bool, lanes: usize, seed: &mut u64) -> (OpInst, Vec<u64>) {
-    let (arity, params) = arity_and_params(op, seed);
+/// Operand slots `1..=arity` — one time in four with an operand row
+/// aliased to another (`add(a, a)`, `mux(c, x, x)`, a chain whose
+/// condition row is also a value row).
+fn operand_slots(arity: usize, seed: &mut u64) -> Vec<u32> {
     let alias = mix(seed).is_multiple_of(4);
-    let ins = (1..=arity as u32)
+    (1..=arity as u32)
         .map(|slot| match mix(seed) % 3 {
             0 if alias => 1 + (mix(seed) % arity as u64) as u32,
             _ => slot,
         })
-        .collect();
+        .collect()
+}
+
+/// One op over [`operand_slots`] (output in slot 0) and a stimulus
+/// matrix whose every lane is drawn from {0, 1, all-ones, < 70, the
+/// same lane of the row above, uniform}.
+fn case(op: DfgOp, width: u32, signed: bool, lanes: usize, seed: &mut u64) -> (OpInst, Vec<u64>) {
+    let (arity, params) = arity_and_params(op, seed);
     let inst = OpInst {
         n: op.n_coord(),
         out: 0,
-        ins,
+        ins: operand_slots(arity, seed),
         params,
         width: width as u8,
         signed,
@@ -152,17 +156,10 @@ fn narrow_case(
         DfgOp::Cat => vec![wa, types[2].0 as u64],
         _ => vec![],
     };
-    let alias = mix(seed).is_multiple_of(4);
-    let ins: Vec<u32> = (1..=arity as u32)
-        .map(|slot| match mix(seed) % 3 {
-            0 if alias => 1 + (mix(seed) % arity as u64) as u32,
-            _ => slot,
-        })
-        .collect();
     let inst = OpInst {
         n: op.n_coord(),
         out: 0,
-        ins,
+        ins: operand_slots(arity, seed),
         params,
         width: out.0,
         signed: out.1,

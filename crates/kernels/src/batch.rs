@@ -2,7 +2,8 @@
 //!
 //! One compiled design, `B` independent stimulus lanes, `T` worker
 //! threads. The `LI` slot array is widened to `B` lanes per slot in
-//! slot-major layout (slot `s` occupies `li[s * B .. (s + 1) * B]`), the
+//! slot-major layout (slot `s` occupies `li[s * B .. (s + 1) * B]`; a
+//! lane is a `u32` or a `u64`, whichever `LaneType::of` the plan is), the
 //! layer walk runs lane-wise over each operation, and the operations
 //! *within* one layer are split across threads. The layer barrier that
 //! levelization guarantees (operands always come from strictly earlier
