@@ -5,9 +5,10 @@
 //! every `CompiledOp` of a design is grouped by opcode and timed over a
 //! live 64-lane `LI` image: op count, share of the summed walk, ns per op
 //! and per op-lane; then the plan-order walk against a whole `step` (the
-//! rest is the commit) — in the plan's own lane type, and for a narrow
-//! plan also forced onto `u64` rows, which splits what the smaller plan
-//! buys from what the narrower rows buy.
+//! rest is the stimulus and the commit; the two are timed apart, so a few
+//! percent either way is noise) — in the plan's own lane type, and for a
+//! narrow plan also forced onto `u64` rows, which splits what the smaller
+//! plan buys from what the narrower rows buy.
 //!
 //! ```text
 //! cargo run --release --example op_census
@@ -165,7 +166,7 @@ fn census(
         let step_ns = best_ns(100, || kernel.run_with_stimulus(&mut st, 4, 1, &mut drive)) / 4.0;
         assert!(!st.settled(), "the timed steps ran on a live image");
         println!(
-            "  in {lane:?} rows: walk {:.1} us, step {:.1} us: commit + loop = {:.1}%",
+            "  in {lane:?} rows: walk {:.1} us, step {:.1} us: stimulus + commit + loop = {:.1}%",
             walk_ns / 1e3,
             step_ns / 1e3,
             100.0 * (step_ns - walk_ns) / step_ns
