@@ -2100,6 +2100,20 @@ pub fn lint_corpus(ctx: &Ctx) -> Vec<String> {
     caught += 1;
     out.push("  inexact-op-narrow    -> kernel-lane-mismatch".to_string());
 
+    // 8. A static shift past the widest signal — every consumer shifts
+    //    by its parameters (the scalar kernels narrow them to a byte).
+    let mut shifted = base.clone();
+    let mut ops = shifted.layers.iter_mut().flatten();
+    let shl = ops.find(|op| op.op() == DfgOp::Shl);
+    shl.expect("corpus plans shift by constants").params[0] = 70;
+    let report = analyze_plan(&shifted);
+    assert!(
+        report.has(DiagKind::MalformedOp),
+        "shl by 70 must be malformed: {report}"
+    );
+    caught += 1;
+    out.push("  shl-by-70            -> malformed-op".to_string());
+
     out.push(String::new());
     out.push(format!(
         "gate: {} designs clean at 1/2/4 partitions; {caught} seeded mutants caught",

@@ -84,8 +84,9 @@ pub enum DiagKind {
     /// bypassing commit semantics.
     SourceOverwrite,
     /// An `OpInst` carries an opcode coordinate with no [`DfgOp`], a
-    /// source opcode scheduled into a layer, or an operand count that
-    /// contradicts the opcode's arity.
+    /// source opcode scheduled into a layer, an operand count that
+    /// contradicts the opcode's arity, or static parameters that are
+    /// missing, inverted or over 64.
     MalformedOp,
     /// A commit references an out-of-range slot.
     CommitOutOfBounds,
@@ -382,11 +383,15 @@ impl Reporter {
     }
 }
 
+/// Largest static parameter of a well-formed op (the widest signal).
+const MAX_PARAM: u64 = 64;
+
 /// Validates one [`OpInst`]'s shape: a real non-source opcode, the right
-/// operand count, and enough (ordered) static parameters for the opcode's
-/// kernel body to be panic-free. Everything downstream — constant
-/// folding here, `OpInst::op()`, the `k_bits`/`k_head` kernels — may
-/// index what this function has checked.
+/// operand count, and enough (ordered, bounded) static parameters for the
+/// opcode's kernel body to be panic-free. Everything downstream —
+/// constant folding here, `OpInst::op()`, the `k_bits`/`k_head` kernels,
+/// the scalar kernels' one-byte record fields — may index, shift by and
+/// narrow what this function has checked.
 fn check_op_shape(op: &crate::plan::OpInst) -> Result<DfgOp, String> {
     let d = DfgOp::from_n_coord(op.n)
         .ok_or_else(|| format!("opcode coordinate {} is not a DfgOp", op.n))?;
@@ -415,6 +420,11 @@ fn check_op_shape(op: &crate::plan::OpInst) -> Result<DfgOp, String> {
             "`{d}` needs {need} parameter(s), got {}",
             op.params.len()
         ));
+    }
+    // Every parameter is a bit index, a width or a shift amount of a
+    // value of at most 64 bits, and every consumer shifts by it.
+    if let Some(p) = op.params.iter().find(|&&p| p > MAX_PARAM) {
+        return Err(format!("`{d}` parameter {p} exceeds {MAX_PARAM}"));
     }
     if d == DfgOp::Bits && op.params[0] < op.params[1] {
         return Err(format!(
@@ -1606,6 +1616,18 @@ circuit Mixed :
         let mut p = base.clone();
         p.layers[0][0].ins.push(0);
         assert!(analyze_plan(&p).has(DiagKind::MalformedOp));
+
+        // A static shift past the widest signal: named with its op.
+        let mut p = base.clone();
+        p.layers[1][0].n = DfgOp::Shl.n_coord();
+        p.layers[1][0].params = vec![70];
+        let report = analyze_plan(&p);
+        let diag = report.errors().find(|d| d.kind == DiagKind::MalformedOp);
+        let diag = diag.expect("shl by 70 is malformed");
+        assert!(diag.message.contains("parameter 70 exceeds 64"), "{diag}");
+        assert_eq!((diag.layer, diag.op), (Some(1), Some(0)), "{diag}");
+        p.layers[1][0].params = vec![64];
+        assert!(analyze_plan(&p).is_clean());
 
         // Same-layer read: strictly-earlier-layer rule.
         let mut p = base.clone();

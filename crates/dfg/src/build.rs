@@ -201,8 +201,10 @@ fn monomorphize(op: PrimOp, arg_tys: &[Type], params: &[u64]) -> (DfgOp, Vec<u64
         PrimOp::Pad | PrimOp::AsUInt | PrimOp::AsSInt | PrimOp::Cvt | PrimOp::Tail => {
             (DfgOp::Resize, vec![])
         }
-        PrimOp::Shl => (DfgOp::Shl, params.to_vec()),
-        PrimOp::Shr => (DfgOp::Shr, params.to_vec()),
+        // FIRRTL allows any static amount; past the widest signal they
+        // all shift everything out, and the verifier bounds parameters.
+        PrimOp::Shl => (DfgOp::Shl, vec![params[0].min(64)]),
+        PrimOp::Shr => (DfgOp::Shr, vec![params[0].min(64)]),
         PrimOp::Dshl => (DfgOp::Dshl, vec![]),
         PrimOp::Dshr => (DfgOp::Dshr, vec![]),
         PrimOp::Neg => (DfgOp::Neg, vec![]),
@@ -359,5 +361,30 @@ circuit C :
         );
         let (_, node) = g.iter().find(|(_, n)| n.op == DfgOp::Cat).unwrap();
         assert_eq!(node.params, vec![4, 3]);
+    }
+
+    #[test]
+    fn static_shifts_past_the_widest_signal_are_clamped() {
+        let g = graph_of(
+            "\
+circuit C :
+  module C :
+    input a : SInt<8>
+    output l : SInt<64>
+    output r : SInt<1>
+    l <= shl(a, 70)
+    r <= shr(a, 100)
+",
+        );
+        for op in [DfgOp::Shl, DfgOp::Shr] {
+            let (_, node) = g.iter().find(|(_, n)| n.op == op).unwrap();
+            assert_eq!(node.params, vec![64], "{op}");
+        }
+        let p = crate::plan::plan(&g);
+        assert!(crate::analyze::analyze_plan(&p).is_clean());
+        let mut sim = crate::plan::PlanSim::new(&p);
+        sim.set_input(0, -3i64 as u64);
+        sim.step();
+        assert_eq!((sim.output(0), sim.output(1) as i64), (0, -1));
     }
 }

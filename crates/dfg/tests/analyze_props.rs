@@ -54,7 +54,7 @@ const SCHEDULABLE: &[DfgOp] = &[
 fn arity_and_params(op: DfgOp, seed: &mut u64) -> (usize, Vec<u64>) {
     match op {
         DfgOp::Andr | DfgOp::Xorr => (1, vec![1 + mix(seed) % 64]),
-        DfgOp::Shl | DfgOp::Shr => (1, vec![mix(seed) % 70]),
+        DfgOp::Shl | DfgOp::Shr => (1, vec![(mix(seed) % 70).min(64)]),
         DfgOp::Bits => {
             let lo = mix(seed) % 63;
             let hi = lo + mix(seed) % (63 - lo + 1);

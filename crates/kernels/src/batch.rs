@@ -37,11 +37,10 @@
 //! [`BatchKernel::run_with_stimulus`] call and live for the whole span of
 //! cycles, so the per-cycle cost is the barriers, not thread creation.
 //!
-//! The traversal order honors the kernel configuration: swizzled kinds
-//! (NU/PSU/IU) regroup each layer's operations by opcode — the `[I, N,
-//! S]` loop order of Algorithm 4 — which keeps the dispatch branch
-//! per-group stable; the remaining kinds keep plan order. Within-layer
-//! reordering is sound for the same reason the parallelism is.
+//! Every kernel kind walks plan order: the lane walk dispatches per op,
+//! not per `(layer, type)` group, so the swizzle of Algorithm 4 buys it
+//! nothing, and plan order is the order `plan()` numbered the output rows
+//! in — a layer's results are written front to back.
 
 use crate::config::{KernelConfig, KernelKind};
 use crate::parallel::{chunk, schedule, Segment, SpinBarrier};
@@ -658,11 +657,7 @@ pub struct BatchKernel {
 impl BatchKernel {
     /// Compiles a plan into a batched kernel under a configuration,
     /// lowering every operation into a specialized lane kernel over rows
-    /// of the plan's lane type ([`LaneType::of`]).
-    ///
-    /// Swizzled kinds (NU/PSU/IU) regroup each layer by opcode (`[I, N,
-    /// S]` order); other kinds keep coordinate-assignment order. Both are
-    /// bit-identical — within-layer operations are independent.
+    /// of the plan's lane type ([`LaneType::of`]), in plan order.
     pub fn compile(plan: &SimPlan, config: KernelConfig) -> Self {
         Self::compile_with_engine(plan, config, BatchEngine::Compiled)
     }
@@ -704,13 +699,6 @@ impl BatchKernel {
         spec: Option<SpecProgram>,
         layout: &LaneLayout,
     ) -> Self {
-        if config.kind.is_swizzled() {
-            for layers in &mut part_layers {
-                for layer in layers.iter_mut() {
-                    layer.sort_by_key(|op| op.n);
-                }
-            }
-        }
         let num_layers = part_layers.iter().map(Vec::len).max().unwrap_or(0);
         for layers in &mut part_layers {
             layers.resize_with(num_layers, Vec::new);
@@ -1660,17 +1648,22 @@ circuit Wide :
     }
 
     #[test]
-    fn swizzled_kinds_group_by_opcode() {
-        let p = plan_of(DESIGN);
-        let swz = BatchKernel::compile(&p, KernelConfig::new(KernelKind::Psu));
-        assert_eq!(swz.partitions(), 1);
-        for layer in &swz.layers[0] {
-            for pair in layer.windows(2) {
-                assert!(pair[0].n <= pair[1].n, "layer not grouped by opcode");
+    fn every_kind_compiles_the_plans_layers_in_plan_order() {
+        // The walk writes output rows in the order `plan()` numbered them.
+        for src in [DESIGN.to_string(), wide_design()] {
+            let p = plan_of(&src);
+            let pp = PartitionedPlan::new(&p, 3);
+            for kind in ALL_KERNELS {
+                let flat = BatchKernel::compile(&p, KernelConfig::new(kind));
+                assert_eq!(flat.layers, std::slice::from_ref(&p.layers), "{kind:?}");
+                assert_eq!(flat.ops_per_cycle(), p.total_ops());
+                let parts = BatchKernel::compile_partitioned(&pp, KernelConfig::new(kind));
+                for (got, want) in parts.layers.iter().zip(&pp.partitions) {
+                    assert_eq!(got[..want.layers.len()], want.layers, "{kind:?}");
+                    assert!(got[want.layers.len()..].iter().all(Vec::is_empty));
+                }
             }
         }
-        assert_eq!(swz.ops_per_cycle(), p.total_ops());
-        assert_eq!(swz.config().kind, KernelKind::Psu);
     }
 
     #[test]

@@ -31,22 +31,24 @@
 //! what the wall clock sees.
 //!
 //! - Real: RU/OU decode and dispatch every operation through `eval_raw`'s
-//!   full match; NU/PSU/IU dispatch once per `(layer, type)` group and
-//!   then run a loop specialized for that opcode and arity
-//!   (`RolledKernel::run_group`), with operands at `r_base + A·j + o`
-//!   instead of an `r_offsets` lookup. NU/PSU scan all of a layer's type
-//!   counts; IU walks only its non-empty groups.
+//!   full match; NU, PSU and IU run **the same machine code** — one walk
+//!   (`RolledKernel::step_grouped`) over the occupied `(layer, type)`
+//!   groups of format (c), the `N` rank read compressed, dispatching once
+//!   per group into a loop specialized for that opcode and arity over one
+//!   packed `OpRecord` per op. Their wall-clock rates read alike.
 //! - Modeled only: RU's `sel_inputs` staging traffic (RU and OU both
-//!   stage operands in a stack array), PSU's 8×/24× partial unrolling
-//!   (back-edge accounting; NU and PSU run the same machine code), the
-//!   per-group code bodies of IU, and the `-O0` analog's spills.
+//!   stage operands in a stack array), everything that tells NU, PSU and
+//!   IU apart — the scan of the uncompressed `N` rank (all 40 counts of
+//!   every layer, which NU/PSU account and IU does not), PSU's 8×/24×
+//!   partial unrolling (back-edge accounting), the per-group code bodies
+//!   of IU — and the `-O0` analog's spills.
 
 use crate::config::{KernelConfig, KernelKind, OptLevel};
 use crate::profile::{li_addr, oim_addr, OimArray, Probe, CODE_BASE, HANDLER_BYTES};
-use crate::state::{eval_staged, Canon, LiState};
+use crate::state::{eval_staged, Canon, LiState, MAX_FIXED_ARITY};
 use rteaal_dfg::op::{eval_raw, DfgOp, ALL_OPS, NUM_OPCODES};
 use rteaal_dfg::SimPlan;
-use rteaal_tensor::oim::{OimOptimized, OimSwizzled};
+use rteaal_tensor::oim::{OimOptimized, OimSwizzled, OpMeta};
 use std::ops::Range;
 
 /// Code address of the outer-loop bookkeeping.
@@ -93,36 +95,50 @@ struct GroupCode {
 }
 
 impl GroupCode {
-    /// Opcode `n`'s shared specialized loop (NU/PSU).
-    fn handler(n: u16) -> Self {
+    /// The loop `s_loop` bytes into the code at `base`: opcode `n`'s
+    /// shared handler enters its loop past a prologue (NU/PSU), one of
+    /// IU's per-group bodies is all loop.
+    fn at(base: u64, s_loop: u64) -> Self {
         GroupCode {
-            back_edge: handler(n) + 0x40,
-            exec: handler(n) + 0x50,
-            result: handler(n),
-        }
-    }
-
-    /// IU's `index`-th per-group body.
-    fn iu_body(index: usize) -> Self {
-        let base = IU_GROUP_BASE + index as u64 * IU_GROUP_BYTES;
-        GroupCode {
-            back_edge: base,
-            exec: base + 0x10,
+            back_edge: base + s_loop,
+            exec: base + s_loop + 0x10,
             result: base,
         }
     }
 }
 
-/// One IU schedule entry: a non-empty `(layer, type)` group.
+/// One occupied `(layer, type)` group of format (c): the unit NU, PSU and
+/// IU dispatch on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct IuGroup {
+struct Group {
     op: DfgOp,
-    /// Range into the swizzled op arrays.
+    /// `layer × NUM_OPCODES + type`: the group's coordinate in the
+    /// uncompressed `N` rank the model scans.
+    index: u32,
+    /// Range into `records` (and the swizzled op arrays).
     start: u32,
     len: u32,
-    /// This group's own code body.
-    code: GroupCode,
+    /// Start of the group's operand run in `r_coords`.
+    r_base: u32,
 }
+
+/// One op of format (c) as the grouped walk reads it: output slot,
+/// operand slots, result canonicalization and static parameters in one
+/// record, in traversal order. Kernel-side, like `canon`: the OIM arrays
+/// and their size accounting are unchanged, and the modeled stream still
+/// addresses them. A mux chain's operands stay in `r_coords`.
+#[repr(C)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct OpRecord {
+    /// [`Canon`]'s mask and shift.
+    mask: u64,
+    s: u32,
+    r: [u32; MAX_FIXED_ARITY],
+    shift: u8,
+    params: [u8; 2],
+}
+
+const _: () = assert!(std::mem::size_of::<OpRecord>() <= 32);
 
 /// A compiled rolled kernel.
 #[derive(Debug, Clone)]
@@ -132,13 +148,15 @@ pub struct RolledKernel {
     oim_b: Option<OimOptimized>,
     /// Format (c) arrays (NU/PSU/IU).
     oim_c: Option<OimSwizzled>,
-    /// IU's flattened non-empty-group schedule.
-    schedule: Vec<IuGroup>,
+    /// The occupied groups of format (c), in traversal order.
+    schedule: Vec<Group>,
+    /// One record per op of format (c), in traversal order.
+    records: Vec<OpRecord>,
     /// Distinct opcodes used (handler footprint).
     used_opcodes: usize,
-    /// Each op's result canonicalization, in the traversal order of the
-    /// format in use (kernel-side: the OIM side table keeps width and
-    /// signedness, and its size accounting is unchanged).
+    /// Each op's result canonicalization in format (b)'s traversal order
+    /// (kernel-side: the OIM side table keeps width and signedness, and
+    /// its size accounting is unchanged).
     canon: Vec<Canon>,
 }
 
@@ -148,8 +166,9 @@ impl RolledKernel {
     /// # Panics
     ///
     /// Panics if `cfg.kind` is SU or TI (see `crate::unrolled`), or if a
-    /// fixed-arity op carries another operand count (the plan verifier
-    /// rejects such plans; the per-type loops index operands by arity).
+    /// fixed-arity op carries another operand count or a static parameter
+    /// that does not fit its record field (the plan verifier rejects such
+    /// plans; the per-type loops index operands by arity).
     pub fn compile(plan: &SimPlan, cfg: KernelConfig) -> Self {
         assert!(
             !cfg.kind.is_unrolled(),
@@ -166,47 +185,50 @@ impl RolledKernel {
                 op.ins.len()
             );
         }
-        let used_opcodes = used.iter().filter(|&&u| u).count();
-        let (oim_b, oim_c, schedule) = match cfg.kind {
-            KernelKind::Ru | KernelKind::Ou => (Some(OimOptimized::from_plan(plan)), None, vec![]),
-            KernelKind::Nu | KernelKind::Psu => (None, Some(OimSwizzled::from_plan(plan)), vec![]),
-            KernelKind::Iu => {
-                let oim = OimSwizzled::from_plan(plan);
-                let mut schedule = Vec::new();
-                for i in 0..oim.num_layers {
-                    for (n, &op) in ALL_OPS.iter().enumerate() {
-                        let range = oim.group(i, n as u16);
-                        if !range.is_empty() {
-                            schedule.push(IuGroup {
-                                op,
-                                start: range.start as u32,
-                                len: range.len() as u32,
-                                code: GroupCode::iu_body(schedule.len()),
-                            });
-                        }
-                    }
-                }
-                (None, Some(oim), schedule)
-            }
-            KernelKind::Su | KernelKind::Ti => unreachable!(),
-        };
-        let metas = match (&oim_b, &oim_c) {
-            (Some(b), _) => &b.meta,
-            (_, Some(c)) => &c.meta,
-            _ => unreachable!("every rolled kernel traverses one format"),
-        };
-        let canon = metas
-            .iter()
-            .map(|m| Canon::new(m.width as u32, m.signed))
-            .collect();
-        RolledKernel {
+        let mut kernel = RolledKernel {
             cfg,
-            oim_b,
-            oim_c,
-            schedule,
-            used_opcodes,
-            canon,
+            oim_b: None,
+            oim_c: None,
+            schedule: Vec::new(),
+            records: Vec::new(),
+            used_opcodes: used.iter().filter(|&&u| u).count(),
+            canon: Vec::new(),
+        };
+        let canon = |m: &OpMeta| Canon::new(m.width as u32, m.signed);
+        if matches!(cfg.kind, KernelKind::Ru | KernelKind::Ou) {
+            let oim = OimOptimized::from_plan(plan);
+            kernel.canon = oim.meta.iter().map(canon).collect();
+            kernel.oim_b = Some(oim);
+            return kernel;
         }
+        let oim = OimSwizzled::from_plan(plan);
+        for (index, bounds) in oim.group_offsets.windows(2).enumerate() {
+            if bounds[0] < bounds[1] {
+                kernel.schedule.push(Group {
+                    op: ALL_OPS[index % NUM_OPCODES],
+                    index: index as u32,
+                    start: bounds[0],
+                    len: bounds[1] - bounds[0],
+                    r_base: oim.r_offsets[bounds[0] as usize],
+                });
+            }
+        }
+        let narrow = |p: u64| u8::try_from(p).expect("static parameter fits its record field");
+        kernel.records = (0..oim.num_ops())
+            .map(|k| {
+                let (s, rs, meta) = oim.op_at(k);
+                let Canon { mask, shift } = canon(meta);
+                OpRecord {
+                    mask,
+                    s,
+                    r: std::array::from_fn(|o| rs.get(o).copied().unwrap_or(0)),
+                    shift: shift as u8,
+                    params: meta.params.map(narrow),
+                }
+            })
+            .collect();
+        kernel.oim_c = Some(oim);
+        kernel
     }
 
     /// The configuration.
@@ -219,7 +241,10 @@ impl RolledKernel {
     pub fn code_bytes(&self) -> u64 {
         let interpreter = 0x1000; // loops, dispatch, commit
         let handlers = self.used_opcodes as u64 * HANDLER_BYTES;
-        let groups = self.schedule.len() as u64 * IU_GROUP_BYTES;
+        let groups = match self.cfg.kind {
+            KernelKind::Iu => self.schedule.len() as u64 * IU_GROUP_BYTES,
+            _ => 0, // every group of a type runs through its shared handler
+        };
         interpreter + handlers + groups
     }
 
@@ -238,9 +263,7 @@ impl RolledKernel {
         match self.cfg.kind {
             KernelKind::Ru => self.step_per_op(st, probe, true),
             KernelKind::Ou => self.step_per_op(st, probe, false),
-            KernelKind::Nu => self.step_grouped(st, probe, 1),
-            KernelKind::Psu => self.step_grouped(st, probe, self.cfg.psu_op_unroll),
-            KernelKind::Iu => self.step_iu(st, probe),
+            KernelKind::Nu | KernelKind::Psu | KernelKind::Iu => self.step_grouped(st, probe),
             KernelKind::Su | KernelKind::Ti => unreachable!(),
         }
         let wb_unroll = match self.cfg.kind {
@@ -333,118 +356,116 @@ impl RolledKernel {
         }
     }
 
-    /// NU/PSU: Algorithm 4 over the swizzled format; `s_unroll` amortizes
-    /// the per-op loop overhead (1 = NU, 8 = PSU).
-    fn step_grouped<P: Probe>(&self, st: &mut LiState, probe: &mut P, s_unroll: usize) {
-        let oim = self.oim_c.as_ref().expect("NU/PSU use format (c)");
-        let mut start = 0usize;
-        for (i, counts) in oim.n_payloads.chunks_exact(NUM_OPCODES).enumerate() {
-            probe.branch(LOOP_ADDR);
-            for (n, (&len, &op)) in counts.iter().zip(&ALL_OPS).enumerate() {
-                // Unrolled N rank: each type's loop reads its own count.
-                probe.load(oim_addr(OimArray::NPayloads, i * NUM_OPCODES + n, 4));
-                probe.exec(handler(n as u16), self.o0_mul()); // the count check itself
-                if len == 0 {
-                    continue;
-                }
-                let end = start + len as usize;
-                let code = GroupCode::handler(n as u16);
-                self.run_group(oim, st, probe, op, start..end, code, s_unroll);
-                start = end;
+    /// NU, PSU and IU: Algorithm 4 over the swizzled format, the `N` rank
+    /// read compressed — one walk over the occupied groups, dispatching
+    /// on the opcode once per group into that type's own `S` loop. The
+    /// kinds differ only in the model: NU and PSU account the scan of the
+    /// uncompressed rank and run every group of a type through its shared
+    /// handler; IU accounts no scan and gives each group its own body;
+    /// `s_unroll` amortizes the per-op loop overhead (1 = NU).
+    fn step_grouped<P: Probe>(&self, st: &mut LiState, probe: &mut P) {
+        let oim = self.oim_c.as_ref().expect("NU/PSU/IU use format (c)");
+        let scans = self.cfg.kind != KernelKind::Iu;
+        let s_unroll = match self.cfg.kind {
+            KernelKind::Nu => 1,
+            _ => self.cfg.psu_op_unroll.max(1),
+        };
+        let mut scanned = 0;
+        for (g, group) in self.schedule.iter().enumerate() {
+            let code = if scans {
+                let upto = group.index as usize + 1;
+                self.account(probe, scanned..upto);
+                scanned = upto;
+                GroupCode::at(handler(group.op.n_coord()), 0x40)
+            } else {
+                GroupCode::at(IU_GROUP_BASE + g as u64 * IU_GROUP_BYTES, 0)
+            };
+            let first = group.start as usize;
+            let records = &self.records[first..first + group.len as usize];
+            // Each arm passes its opcode as a literal into an inlined
+            // loop, so `eval_raw`'s match folds away inside every body.
+            macro_rules! per_type {
+                ($($arity:literal: $($op:ident)|+;)+) => {
+                    match group.op {
+                        $($(DfgOp::$op => {
+                            self.fixed_loop::<$arity, P>(st, probe, DfgOp::$op, group, records, code, s_unroll)
+                        })+)+
+                        _ => self.chain_loop(oim, st, probe, group, records, code, s_unroll),
+                    }
+                };
+            }
+            per_type! {
+                1: Not | Neg | Andr | Orr | Xorr | Shl | Shr | Bits | Head | Resize | Identity;
+                2: Add | Sub | Mul | Divu | Divs | Remu | Rems | And | Or | Xor | Ltu | Lts | Leu
+                    | Les | Gtu | Gts | Geu | Ges | Eq | Neq | Dshl | Dshr | Cat | ValidIf;
+                3: Mux;
             }
         }
-    }
-
-    /// IU: the flattened non-empty-group schedule (zero-iteration `S`
-    /// loops eliminated; each group has its own code body).
-    fn step_iu<P: Probe>(&self, st: &mut LiState, probe: &mut P) {
-        let oim = self.oim_c.as_ref().expect("IU uses format (c)");
-        let s_unroll = self.cfg.psu_op_unroll;
-        for group in &self.schedule {
-            let range = group.start as usize..(group.start + group.len) as usize;
-            self.run_group(oim, st, probe, group.op, range, group.code, s_unroll);
+        if scans {
+            self.account(probe, scanned..oim.n_payloads.len());
         }
     }
 
-    /// The per-type loop bodies of Algorithm 4: dispatches on the opcode
-    /// once per `(layer, type)` group, then runs that type's own `S` loop.
-    #[allow(clippy::too_many_arguments)]
-    fn run_group<P: Probe>(
-        &self,
-        oim: &OimSwizzled,
-        st: &mut LiState,
-        probe: &mut P,
-        op: DfgOp,
-        range: Range<usize>,
-        code: GroupCode,
-        s_unroll: usize,
-    ) {
-        let s_unroll = s_unroll.max(1);
-        // Each arm passes its opcode as a literal into an inlined loop, so
-        // `eval_raw`'s match folds away inside every body.
-        macro_rules! per_type {
-            ($($arity:literal: $($op:ident)|+;)+) => {
-                match op {
-                    $($(DfgOp::$op => {
-                        self.fixed_loop::<$arity, P>(oim, st, probe, DfgOp::$op, range, code, s_unroll)
-                    })+)+
-                    _ => self.chain_loop(oim, st, probe, op, range, code, s_unroll),
-                }
-            };
-        }
-        per_type! {
-            1: Not | Neg | Andr | Orr | Xorr | Shl | Shr | Bits | Head | Resize | Identity;
-            2: Add | Sub | Mul | Divu | Divs | Remu | Rems | And | Or | Xor | Ltu | Lts | Leu
-                | Les | Gtu | Gts | Geu | Ges | Eq | Neq | Dshl | Dshr | Cat | ValidIf;
-            3: Mux;
+    /// The scan of the uncompressed `N` rank, as the paper's NU and PSU
+    /// perform it: the layer loop's branch at each layer boundary, then
+    /// each type's count load and check. Model only — the walk knows its
+    /// occupied groups, and under `NoProbe` this is an empty loop.
+    #[inline(always)]
+    fn account<P: Probe>(&self, probe: &mut P, counts: Range<usize>) {
+        for c in counts {
+            let n = c % NUM_OPCODES;
+            if n == 0 {
+                probe.branch(LOOP_ADDR);
+            }
+            // Unrolled N rank: each type's loop reads its own count.
+            probe.load(oim_addr(OimArray::NPayloads, c, 4));
+            probe.exec(handler(n as u16), self.o0_mul()); // the count check itself
         }
     }
 
-    /// One type's `S` loop at fixed arity `A`: operand `o` of the group's
-    /// `j`-th op is `r_coords[r_base + A * j + o]`, staged in a stack
-    /// array.
+    /// One type's `S` loop at fixed arity `A` over the group's records;
+    /// the model addresses operand `o` of the `j`-th op where format (c)
+    /// keeps it, at `r_coords[r_base + A * j + o]`.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
     fn fixed_loop<const A: usize, P: Probe>(
         &self,
-        oim: &OimSwizzled,
         st: &mut LiState,
         probe: &mut P,
         op: DfgOp,
-        range: Range<usize>,
+        group: &Group,
+        records: &[OpRecord],
         code: GroupCode,
         s_unroll: usize,
     ) {
         debug_assert_eq!(op.arity(), Some(A));
-        let first = range.start;
-        let r_base = oim.r_offsets[first] as usize;
-        let s_coords = &oim.s_coords[range.clone()];
-        let (r_coords, _) = oim.r_coords[r_base..r_base + A * range.len()].as_chunks::<A>();
-        let metas = &oim.meta[range.clone()];
-        let canons = &self.canon[range];
+        let (first, r_base) = (group.start as usize, group.r_base as usize);
         let cost = exec_cost(op, A) * self.o0_mul();
-        let ops = s_coords.iter().zip(r_coords).zip(metas).zip(canons);
-        for (j, (((&s, rs), meta), canon)) in ops.enumerate() {
+        for (j, rec) in records.iter().enumerate() {
             if j % s_unroll == 0 {
                 probe.branch(code.back_edge);
             }
             probe.load(oim_addr(OimArray::SCoords, first + j, 4));
-            if reads_meta(op) {
+            // Widths and masks are baked into a type's loop: only per-op
+            // parameters send it to the side table.
+            if param_count(op) > 0 {
                 probe.load(oim_addr(OimArray::Meta, first + j, 24));
             }
             let mut ins = [0u64; A];
-            for (o, (v, &r)) in ins.iter_mut().zip(rs).enumerate() {
+            for (o, (v, &r)) in ins.iter_mut().zip(&rec.r).enumerate() {
                 probe.load(oim_addr(OimArray::RCoords, r_base + A * j + o, 4));
                 probe.load(li_addr(r));
                 self.spill(probe, o);
                 *v = st.li[r as usize];
             }
             probe.exec(code.exec, cost);
-            let raw = eval_raw(op, &meta.params[..param_count(op)], &ins);
-            let v = canon.apply(raw);
-            probe.store(li_addr(s));
+            let params = rec.params.map(u64::from);
+            let raw = eval_raw(op, &params[..param_count(op)], &ins);
+            let (mask, shift) = (rec.mask, rec.shift as u32);
+            let v = Canon { mask, shift }.apply(raw);
+            probe.store(li_addr(rec.s));
             self.o0_result(probe, code.result);
-            st.li[s as usize] = v;
+            st.li[rec.s as usize] = v;
         }
     }
 
@@ -456,44 +477,36 @@ impl RolledKernel {
         oim: &OimSwizzled,
         st: &mut LiState,
         probe: &mut P,
-        op: DfgOp,
-        range: Range<usize>,
+        group: &Group,
+        records: &[OpRecord],
         code: GroupCode,
         s_unroll: usize,
     ) {
-        for (j, k) in range.enumerate() {
+        let op = DfgOp::MuxChain;
+        for (j, rec) in records.iter().enumerate() {
             if j % s_unroll == 0 {
                 probe.branch(code.back_edge);
             }
-            let (s, rs, meta) = oim.op_at(k);
+            let k = group.start as usize + j;
             probe.load(oim_addr(OimArray::SCoords, k, 4));
-            if reads_meta(op) {
-                probe.load(oim_addr(OimArray::Meta, k, 24));
-            }
-            let r_base = oim.r_offsets[k] as usize;
+            probe.load(oim_addr(OimArray::Meta, k, 24)); // the per-op operand count
+            let (r_base, r_end) = (oim.r_offsets[k] as usize, oim.r_offsets[k + 1] as usize);
+            let rs = &oim.r_coords[r_base..r_end];
             let li = &st.li;
-            let params = &meta.params[..param_count(op)];
-            let raw = eval_staged(op, params, rs.len(), &mut st.scratch, |o| {
+            let raw = eval_staged(op, &[], rs.len(), &mut st.scratch, |o| {
                 probe.load(oim_addr(OimArray::RCoords, r_base + o, 4));
                 probe.load(li_addr(rs[o]));
                 self.spill(probe, o);
                 li[rs[o] as usize]
             });
             probe.exec(code.exec, exec_cost(op, rs.len()) * self.o0_mul());
-            let v = self.canon[k].apply(raw);
-            probe.store(li_addr(s));
+            let (mask, shift) = (rec.mask, rec.shift as u32);
+            let v = Canon { mask, shift }.apply(raw);
+            probe.store(li_addr(rec.s));
             self.o0_result(probe, code.result);
-            st.li[s as usize] = v;
+            st.li[rec.s as usize] = v;
         }
     }
-}
-
-/// Whether a type's specialized loop reads the per-op side table: widths
-/// and masks are baked into the code, so only ops with per-op parameters
-/// (or a per-op operand count) do.
-#[inline]
-fn reads_meta(op: DfgOp) -> bool {
-    param_count(op) > 0 || op == DfgOp::MuxChain
 }
 
 /// Real static-parameter count of an op (the meta table stores two slots).
@@ -512,6 +525,7 @@ mod tests {
     use super::*;
     use crate::profile::{MemProbe, NoProbe};
     use rand::{Rng, SeedableRng};
+    use rteaal_dfg::passes::{optimize, PassOptions};
     use rteaal_dfg::plan::{plan, PlanSim};
     use rteaal_firrtl::{lower::lower_typed, parser::parse};
     use rteaal_perfmodel::Machine;
@@ -673,6 +687,55 @@ circuit Big :
         };
         assert!(count(KernelKind::Ru) > count(KernelKind::Nu));
         assert!(count(KernelKind::Nu) > count(KernelKind::Psu));
+    }
+
+    /// Records the `NPayloads` indices a walk loads, in order.
+    struct ScanProbe(Vec<usize>);
+
+    impl Probe for ScanProbe {
+        fn load(&mut self, addr: u64) {
+            let base = oim_addr(OimArray::NPayloads, 0, 4);
+            if (base..oim_addr(OimArray::Meta, 0, 4)).contains(&addr) {
+                self.0.push(((addr - base) / 4) as usize);
+            }
+        }
+    }
+
+    #[test]
+    fn nu_and_psu_model_the_whole_n_rank_scan_and_iu_models_none() {
+        // The walk reads the rank compressed; the model must not follow.
+        let core = lower_typed(&rteaal_designs::Workload::param_sum_circuit()).unwrap();
+        let core = rteaal_dfg::build(&core).unwrap();
+        let core = plan(&optimize(&core, &PassOptions::default()).0);
+        assert_eq!((core.total_ops(), core.layers.len()), (274, 22));
+        let small = plan_of(DESIGN);
+        let last = small.layers.last().unwrap();
+        assert!(
+            last.iter().all(|op| op.op() != DfgOp::MuxChain),
+            "counts trail the last group"
+        );
+        for p in [core, small] {
+            for kind in [KernelKind::Nu, KernelKind::Psu, KernelKind::Iu] {
+                let kernel = RolledKernel::compile(&p, KernelConfig::new(kind));
+                let mut probe = ScanProbe(Vec::new());
+                kernel.step(&mut LiState::new(&p), &mut probe);
+                let scanned = match kind {
+                    KernelKind::Iu => 0,
+                    _ => p.layers.len() * NUM_OPCODES,
+                };
+                assert_eq!(probe.0, (0..scanned).collect::<Vec<_>>(), "{kind:?}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "static parameter")]
+    fn a_parameter_past_its_record_field_does_not_compile() {
+        let mut p = plan_of(DESIGN);
+        let mut ops = p.layers.iter_mut().flatten();
+        let bits = ops.find(|op| op.op() == DfgOp::Bits).unwrap();
+        bits.params[0] = 300;
+        RolledKernel::compile(&p, KernelConfig::new(KernelKind::Psu));
     }
 
     #[test]

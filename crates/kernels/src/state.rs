@@ -14,9 +14,9 @@ use rteaal_firrtl::ty::mask;
 /// once per op at kernel compile time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Canon {
-    mask: u64,
+    pub(crate) mask: u64,
     /// `64 - width` for a signed type narrower than 64 bits, else 0.
-    shift: u32,
+    pub(crate) shift: u32,
 }
 
 impl Canon {

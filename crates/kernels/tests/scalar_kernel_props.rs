@@ -4,10 +4,15 @@
 //! `canonicalize` and to `PlanSim`; and whole layers that mix a mux chain
 //! with several fixed-arity groups must match `PlanSim` cycle by cycle.
 //!
-//! The per-type loop bodies of NU/PSU/IU index operands by arity and take
-//! their canonicalization from a kernel-side table; SU/TI read operands
-//! from one stream beside the instruction list. This is the sweep that pins all of that to
-//! the one definition of op semantics.
+//! NU, PSU and IU walk a kernel-side schedule of the occupied `(layer,
+//! type)` groups over one packed record per op (operands by arity,
+//! canonicalization pair, parameters narrowed to a byte); SU/TI read
+//! operands from one stream beside the instruction list. This is the sweep
+//! that pins all of that to the one definition of op semantics — and, for
+//! the grouped three, slot for slot to `PlanSim` on the shapes a schedule
+//! can get wrong: a layer that is only a mux chain, one-op groups, the
+//! last group of the last layer, no ops at all, signed results at every
+//! width.
 
 use proptest::prelude::*;
 use rteaal_dfg::op::{canonicalize, eval_raw, DfgOp, OpClass, ALL_OPS};
@@ -40,11 +45,12 @@ fn mix(seed: &mut u64) -> u64 {
 }
 
 /// Valid-by-construction arity and parameters for one opcode (shift
-/// amounts deliberately straddle 64 to hit the out-of-range paths).
+/// amounts deliberately reach 64, the verifier's bound, to hit the
+/// out-of-range paths).
 fn arity_and_params(op: DfgOp, seed: &mut u64) -> (usize, Vec<u64>) {
     match op {
         DfgOp::Andr | DfgOp::Orr | DfgOp::Xorr => (1, vec![1 + mix(seed) % 64]),
-        DfgOp::Shl | DfgOp::Shr => (1, vec![mix(seed) % 80]),
+        DfgOp::Shl | DfgOp::Shr => (1, vec![(mix(seed) % 80).min(64)]),
         DfgOp::Bits => {
             let lo = mix(seed) % 63;
             let hi = lo + mix(seed) % (63 - lo + 1);
@@ -55,7 +61,7 @@ fn arity_and_params(op: DfgOp, seed: &mut u64) -> (usize, Vec<u64>) {
             let n = 1 + mix(seed) % wa;
             (1, vec![n, wa])
         }
-        DfgOp::Cat => (2, vec![1 + mix(seed) % 64, 1 + mix(seed) % 70]),
+        DfgOp::Cat => (2, vec![1 + mix(seed) % 64, 1 + mix(seed) % 64]),
         DfgOp::MuxChain => (3 + 2 * (mix(seed) % 4) as usize, vec![]),
         _ => (op.arity().expect("fixed arity"), vec![]),
     }
@@ -102,12 +108,14 @@ fn all_configs() -> impl Iterator<Item = KernelConfig> {
 }
 
 /// Operand values that stress canonicalization: all-zeros, all-ones, the
-/// sign bit, then noise.
+/// sign bit, small values (shift amounts on both sides of 64, which make
+/// the dynamic shifts order-sensitive), then noise.
 fn stimulus(round: usize, seed: &mut u64) -> u64 {
     match round {
         0 => 0,
         1 => u64::MAX,
         2 => 1 << 63,
+        3 => mix(seed) % 67,
         _ => mix(seed),
     }
 }
@@ -253,4 +261,168 @@ proptest! {
             }
         }
     }
+}
+
+/// One op over the given operand slots, its parameters drawn as
+/// [`arity_and_params`] draws them (a chain keeps the operands it is
+/// given).
+fn inst(op: DfgOp, out: u32, ins: &[u32], width: u8, signed: bool, seed: &mut u64) -> OpInst {
+    let (arity, params) = arity_and_params(op, seed);
+    let arity = op.arity().map_or(ins.len(), |_| arity);
+    OpInst {
+        n: op.n_coord(),
+        out,
+        ins: ins[..arity].to_vec(),
+        params,
+        width,
+        signed,
+    }
+}
+
+/// Six cycles of `plan` on NU, PSU and IU at both compile analogs — the
+/// kernels that walk the occupied-group schedule, none of which elides a
+/// store — against `PlanSim`, every slot, every cycle.
+fn assert_grouped_kernels_match_slot_for_slot(plan: &SimPlan, what: &str) {
+    let mut seed = 0xface_u64;
+    let mut golden = PlanSim::new(plan);
+    let mut kernels: Vec<Kernel> = all_configs()
+        .filter(|c| c.kind.is_swizzled())
+        .map(|c| Kernel::compile(plan, c))
+        .collect();
+    assert_eq!(kernels.len(), 6);
+    for cycle in 0..6 {
+        let ins: Vec<u64> = (0..INPUTS).map(|_| stimulus(cycle, &mut seed)).collect();
+        for (i, &v) in ins.iter().enumerate() {
+            golden.set_input(i, v);
+        }
+        golden.step();
+        for kernel in &mut kernels {
+            for (i, &v) in ins.iter().enumerate() {
+                kernel.set_input(i, v);
+            }
+            kernel.step();
+            for s in 0..plan.num_slots as u32 {
+                assert_eq!(
+                    kernel.slot(s),
+                    golden.slot(s),
+                    "{what}: {} cycle {cycle} slot {s}",
+                    kernel.config()
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn a_layer_whose_only_op_is_a_mux_chain() {
+    // First, middle-free and last: the schedule's chain groups stand
+    // alone, the last one closing the `N` rank of the last layer.
+    let mut seed = 1;
+    let all: Vec<u32> = (0..INPUTS).collect();
+    let s = INPUTS;
+    let layers = vec![
+        vec![inst(DfgOp::MuxChain, s, &all, 33, true, &mut seed)],
+        vec![inst(DfgOp::Sub, s + 1, &[s, 0], 64, false, &mut seed)],
+        vec![inst(
+            DfgOp::MuxChain,
+            s + 2,
+            &[1, s, 2, s + 1, 3],
+            7,
+            false,
+            &mut seed,
+        )],
+    ];
+    assert_grouped_kernels_match_slot_for_slot(&plan_of(layers, &[s + 2, s]), "chain-only layers");
+}
+
+#[test]
+fn one_op_groups_down_to_the_last_group_of_the_last_layer() {
+    // Every schedulable type once per layer: 37 one-op groups, the second
+    // layer reading the first. With two layers the last group is the last
+    // type of the last layer (nothing left to scan after it); a third
+    // layer of one `sub` leaves 37 empty counts behind the last group.
+    let mut seed = 2;
+    let ops = schedulable_ops();
+    let mut layers: Vec<Vec<OpInst>> = Vec::new();
+    let mut next = INPUTS;
+    for layer in 0..2 {
+        let mut insts = Vec::new();
+        for (k, &op) in ops.iter().enumerate() {
+            // Operands rotate over the inputs, then over the layer below.
+            let base = if layer == 0 { 0 } else { INPUTS };
+            let span = if layer == 0 { INPUTS } else { ops.len() as u32 };
+            let ins: Vec<u32> = (0..9).map(|o| base + (k as u32 + 3 * o) % span).collect();
+            let width = WIDTHS[(k + layer) % WIDTHS.len()];
+            insts.push(inst(op, next, &ins, width, k % 2 == 0, &mut seed));
+            next += 1;
+        }
+        layers.push(insts);
+    }
+    let last = next - 1;
+    assert_eq!(layers[1].last().map(OpInst::op), Some(DfgOp::MuxChain));
+    assert_grouped_kernels_match_slot_for_slot(
+        &plan_of(layers.clone(), &[last, INPUTS]),
+        "one-op groups, chain last",
+    );
+    layers.push(vec![inst(
+        DfgOp::Sub,
+        next,
+        &[last, last - 1],
+        64,
+        true,
+        &mut seed,
+    )]);
+    assert_grouped_kernels_match_slot_for_slot(
+        &plan_of(layers, &[next, last]),
+        "one-op groups, sub last",
+    );
+}
+
+#[test]
+fn a_design_with_no_ops_at_all() {
+    // Pure wire: registers committed straight from inputs, no layer or
+    // one empty layer — an empty schedule either way.
+    for layers in [vec![], vec![vec![]]] {
+        assert_grouped_kernels_match_slot_for_slot(&plan_of(layers, &[0, 3]), "pure wire");
+    }
+}
+
+#[test]
+fn signed_results_at_every_width_reach_their_readers_sign_extended() {
+    let mut seed = 3;
+    let producers = [
+        DfgOp::Add,
+        DfgOp::Sub,
+        DfgOp::Mul,
+        DfgOp::Dshl,
+        DfgOp::Neg,
+        DfgOp::Not,
+        DfgOp::Mux,
+        DfgOp::MuxChain,
+    ];
+    let mut first = Vec::new();
+    let mut next = INPUTS;
+    for width in [1, 2, 31, 32, 33, 63, 64] {
+        for (k, &op) in producers.iter().enumerate() {
+            let ins: Vec<u32> = (0..5).map(|o| (k as u32 + o) % INPUTS).collect();
+            first.push(inst(op, next, &ins, width, true, &mut seed));
+            next += 1;
+        }
+    }
+    // Readers that tell a sign-extended operand from a masked one.
+    let mut second = Vec::new();
+    for (k, producer) in first.iter().enumerate() {
+        let op = [DfgOp::Lts, DfgOp::Dshr, DfgOp::Ges, DfgOp::Resize][k % 4];
+        second.push(inst(
+            op,
+            next,
+            &[producer.out, 0],
+            64,
+            k % 3 == 0,
+            &mut seed,
+        ));
+        next += 1;
+    }
+    let plan = plan_of(vec![first, second], &[next - 1, INPUTS]);
+    assert_grouped_kernels_match_slot_for_slot(&plan, "signed widths");
 }

@@ -2,13 +2,18 @@
 //! answer to "why is this design slow". First what rows the plan runs in
 //! (`u32` or `u64`, and if `u64`, which slot or op said so), the slot
 //! width histogram and how many truncations the graph pass fused. Then
-//! every `CompiledOp` of a design is grouped by opcode and timed over a
-//! live 64-lane `LI` image: op count, share of the summed walk, ns per op
-//! and per op-lane; then the plan-order walk against a whole `step` (the
-//! rest is the stimulus and the commit; the two are timed apart, so a few
-//! percent either way is noise) — in the plan's own lane type, and for a
-//! narrow plan also forced onto `u64` rows, which splits what the smaller
-//! plan buys from what the narrower rows buy.
+//! the scalar side ("why is the scalar kernel slow on this design"): how
+//! much of format (c)'s `N` rank is occupied — `(layer, type)` groups with
+//! an op, of layers × 40 — how many ops a group holds, and the step of
+//! NU, PSU and IU per cycle, per group and per op (one walk, so the three
+//! read alike). Then every `CompiledOp` of a design is grouped by opcode
+//! and timed over a live 64-lane `LI` image: op count, share of the
+//! summed walk, ns per op and per op-lane; then the plan-order walk —
+//! the order the engine walks, whatever the kernel kind — against a whole
+//! `step` (the rest is the stimulus and the commit; the two are timed
+//! apart, so a few percent either way is noise) — in the plan's own lane
+//! type, and for a narrow plan also forced onto `u64` rows, which splits
+//! what the smaller plan buys from what the narrower rows buy.
 //!
 //! ```text
 //! cargo run --release --example op_census
@@ -19,9 +24,10 @@ use rteaal_designs::{rocket, sha3, ChipConfig, Stimulus, Workload};
 use rteaal_dfg::lane_kernel::{
     compile_layer, BatchEngine, CompiledOp, Lane, LaneLayout, LaneType, LaneWindow,
 };
+use rteaal_dfg::op::NUM_OPCODES;
 use rteaal_dfg::{OpInst, SimPlan};
 use rteaal_firrtl::Circuit;
-use rteaal_kernels::{BatchKernel, BatchLiState, KernelConfig, KernelKind, LanePoker};
+use rteaal_kernels::{BatchKernel, BatchLiState, Kernel, KernelConfig, KernelKind, LanePoker};
 use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::time::Instant;
@@ -98,11 +104,65 @@ fn timed_walk<T: Lane>(plan: &SimPlan, image: &[u64], detail: bool) -> f64 {
     walk_ns
 }
 
-/// Compiles `circuit`, says what rows its plan runs in and why, then —
-/// in each lane type the plan supports, its own last and in detail —
-/// pokes `x15` on every lane (RV32I's loop bound), drives the `k`-th of
-/// `inputs` with `value(cycle, lane, k)` for `warm` cycles to a live
-/// image, and takes the census.
+/// The scalar side of `plan`: occupancy of format (c)'s `N` rank, ops per
+/// occupied group, and the step of the three kernels that walk those
+/// groups — lane 0's stimulus for `warm` cycles, then timed with the
+/// inputs held.
+fn scalar_census(
+    plan: &SimPlan,
+    x15: Option<u64>,
+    ports: &[usize],
+    warm: u64,
+    value: &mut dyn FnMut(u64, usize, usize) -> u64,
+) {
+    let mut per_group: BTreeMap<(usize, u16), usize> = BTreeMap::new();
+    for (i, layer) in plan.layers.iter().enumerate() {
+        for op in layer {
+            *per_group.entry((i, op.n)).or_default() += 1;
+        }
+    }
+    let mut sizes: Vec<usize> = per_group.into_values().collect();
+    sizes.sort_unstable();
+    let (groups, rank) = (sizes.len(), plan.layers.len() * NUM_OPCODES);
+    let at = |q: usize| sizes.get((groups.max(1) - 1) * q / 4).copied().unwrap_or(0);
+    println!(
+        "  N rank: {groups} of {rank} (layer, type) groups occupied ({:.1}%), \
+         ops per group min/q1/median/q3/max {}/{}/{}/{}/{}",
+        100.0 * groups as f64 / rank.max(1) as f64,
+        at(0),
+        at(1),
+        at(2),
+        at(3),
+        at(4)
+    );
+    let cycles = (100_000 / plan.total_ops().max(1)).clamp(4, 256);
+    let mut line = String::from("  scalar step:");
+    for kind in [KernelKind::Nu, KernelKind::Psu, KernelKind::Iu] {
+        let mut kernel = Kernel::compile(plan, KernelConfig::new(kind));
+        if let Some(k) = x15 {
+            kernel.poke_slot(plan.signal_slot("x15").expect("probed"), k);
+        }
+        for cycle in 0..warm {
+            for (k, &port) in ports.iter().enumerate() {
+                kernel.set_input(port, value(cycle, 0, k));
+            }
+            kernel.step();
+        }
+        let ns = best_ns(50, || black_box(&mut kernel).run(cycles as u64)) / cycles as f64;
+        line += &format!(
+            " {kind:?} {ns:.0} ns/cycle ({:.1} per group, {:.2} per op);",
+            ns / groups.max(1) as f64,
+            ns / plan.total_ops().max(1) as f64
+        );
+    }
+    println!("{}", line.trim_end_matches(';'));
+}
+
+/// Compiles `circuit`, says what rows its plan runs in and why, takes
+/// the scalar census, then — in each lane type the plan supports, its own
+/// last and in detail — pokes `x15` on every lane (RV32I's loop bound),
+/// drives the `k`-th of `inputs` with `value(cycle, lane, k)` for `warm`
+/// cycles to a live image, and takes the lane census.
 fn census(
     circuit: &Circuit,
     x15: Option<u64>,
@@ -140,6 +200,7 @@ fn census(
             port.expect("an input")
         })
         .collect();
+    scalar_census(plan, x15, &ports, warm, value);
     let mut drive = |cycle: u64, poker: &mut LanePoker| {
         for (k, &port) in ports.iter().enumerate() {
             (0..LANES).for_each(|lane| poker.set_input(port, lane, value(cycle, lane, k)));
