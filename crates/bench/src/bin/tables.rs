@@ -15,7 +15,7 @@ static ALLOC: rteaal_perfmodel::memtrack::CountingAlloc = rteaal_perfmodel::memt
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // Hidden mode: the `shard` experiment re-launches this binary as
+    // Hidden mode: the `fleet` experiment re-launches this binary as
     // real serve processes for its loopback fleet.
     if args.first().map(String::as_str) == Some("shard-server") {
         rteaal_bench::experiments::shard_server_process();
@@ -33,18 +33,17 @@ fn main() {
     } else {
         ids
     };
+    // Every id is checked before the first experiment runs: a typo at
+    // the end of the list must not cost the minutes before it.
+    if let Some(id) = ids.iter().find(|id| !ALL_EXPERIMENTS.contains(id)) {
+        eprintln!("unknown experiment `{id}`; known: {ALL_EXPERIMENTS:?}");
+        std::process::exit(2);
+    }
     for id in ids {
-        match run_experiment(id, &ctx) {
-            Some(rows) => {
-                for row in rows {
-                    println!("{row}");
-                }
-                println!();
-            }
-            None => {
-                eprintln!("unknown experiment `{id}`; known: {ALL_EXPERIMENTS:?}");
-                std::process::exit(2);
-            }
+        let rows = run_experiment(id, &ctx).expect("every listed id is dispatched");
+        for row in rows {
+            println!("{row}");
         }
+        println!();
     }
 }

@@ -4,10 +4,9 @@
 //! server slows the driver down, so measured latency flattens exactly
 //! when the system is struggling — the coordinated-omission trap. An
 //! *open-loop* driver fixes arrivals in advance (here: Poisson, the
-//! memoryless arrival process of independent clients) and measures each
-//! job's latency **from its scheduled arrival time**, so queueing delay
-//! that a struggling fleet builds up is charged to the jobs that
-//! suffered it.
+//! memoryless arrival process of independent clients), so the offered
+//! load never bends to the fleet's state: a leg that loses a shard
+//! faces exactly the arrivals the healthy leg faced.
 //!
 //! The pieces:
 //!
@@ -18,8 +17,6 @@
 //!   phases* (rate multipliers over sub-intervals, the SPEC-style mixed
 //!   load shape), plus a per-arrival draw from a mixed design/length
 //!   corpus.
-//! - [`quantiles`] / [`LatencyReport`] — p50/p99/p999 over recorded
-//!   latencies, nearest-rank on the sorted sample.
 
 use std::time::Duration;
 
@@ -139,60 +136,6 @@ impl ArrivalPlan {
     }
 }
 
-/// Nearest-rank quantile over an *unsorted* sample (sorts a copy).
-/// `q` in `[0, 1]`; an empty sample reports zero.
-pub fn quantiles(sample: &[Duration], qs: &[f64]) -> Vec<Duration> {
-    if sample.is_empty() {
-        return qs.iter().map(|_| Duration::ZERO).collect();
-    }
-    let mut sorted = sample.to_vec();
-    sorted.sort_unstable();
-    qs.iter()
-        .map(|q| {
-            // Canonical nearest-rank: ⌈q·n⌉, 1-indexed.
-            let rank = (sorted.len() as f64 * q.clamp(0.0, 1.0)).ceil() as usize;
-            sorted[rank.max(1).min(sorted.len()) - 1]
-        })
-        .collect()
-}
-
-/// The tail-latency summary an open-loop leg reports.
-#[derive(Debug, Clone, Copy)]
-pub struct LatencyReport {
-    /// Median latency.
-    pub p50: Duration,
-    /// 99th percentile.
-    pub p99: Duration,
-    /// 99.9th percentile.
-    pub p999: Duration,
-    /// Worst observed.
-    pub max: Duration,
-}
-
-impl LatencyReport {
-    /// Summarizes a latency sample (empty sample = all zeros).
-    pub fn from_sample(sample: &[Duration]) -> Self {
-        let qs = quantiles(sample, &[0.5, 0.99, 0.999, 1.0]);
-        LatencyReport {
-            p50: qs[0],
-            p99: qs[1],
-            p999: qs[2],
-            max: qs[3],
-        }
-    }
-
-    /// `p50/p99/p999/max` in milliseconds, for table rows.
-    pub fn row(&self) -> String {
-        format!(
-            "{:>7.2} {:>8.2} {:>8.2} {:>8.2}",
-            self.p50.as_secs_f64() * 1e3,
-            self.p99.as_secs_f64() * 1e3,
-            self.p999.as_secs_f64() * 1e3,
-            self.max.as_secs_f64() * 1e3,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,20 +186,5 @@ mod tests {
             burst_span < base_span,
             "burst phase must be denser: base {base_span:?} vs burst {burst_span:?}"
         );
-    }
-
-    #[test]
-    fn quantiles_hit_known_ranks() {
-        let ms = |n: u64| Duration::from_millis(n);
-        // 1..=100 ms, shuffled order doesn't matter.
-        let sample: Vec<Duration> = (1..=100).rev().map(ms).collect();
-        let report = LatencyReport::from_sample(&sample);
-        assert_eq!(report.p50, ms(50));
-        assert_eq!(report.p99, ms(99));
-        assert_eq!(report.p999, ms(100));
-        assert_eq!(report.max, ms(100));
-        let empty = LatencyReport::from_sample(&[]);
-        assert_eq!(empty.p50, Duration::ZERO);
-        assert_eq!(empty.max, Duration::ZERO);
     }
 }

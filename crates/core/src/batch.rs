@@ -35,7 +35,6 @@ use rteaal_dfg::lane_kernel::{BatchEngine, LaneLayout, LaneType};
 use rteaal_dfg::op::canonicalize;
 use rteaal_dfg::partition::PartitionedPlan;
 use rteaal_dfg::plan::SimPlan;
-use rteaal_dfg::specialize::{specialize, SpecStats, Specialization};
 use rteaal_kernels::{BatchKernel, BatchLiState, LanePoker};
 use std::collections::HashMap;
 
@@ -69,19 +68,16 @@ pub struct EngineConfig {
     pub threads: usize,
     /// RepCut decomposition.
     pub partitioning: Partitioning,
-    /// Whole-design specialization tier.
-    pub specialization: Specialization,
 }
 
 impl EngineConfig {
-    /// The default engine at `lanes` lanes: one thread, unpartitioned,
-    /// unspecialized. Override fields with struct-update syntax.
+    /// The default engine at `lanes` lanes: one thread, unpartitioned.
+    /// Override fields with struct-update syntax.
     pub fn new(lanes: usize) -> Self {
         EngineConfig {
             lanes,
             threads: 1,
             partitioning: Partitioning::None,
-            specialization: Specialization::Off,
         }
     }
 }
@@ -126,9 +122,6 @@ pub struct BatchSimulation {
     threads: usize,
     liveness: Option<LaneLiveness>,
     vcd: Option<LaneVcd>,
-    /// What the specialization transform removed (`None` when built
-    /// with [`Specialization::Off`]).
-    spec_stats: Option<SpecStats>,
 }
 
 /// Single-lane VCD capture state: the chosen user-facing lane and the
@@ -192,7 +185,7 @@ impl LaneLiveness {
 
 impl BatchSimulation {
     /// Builds a `lanes`-wide simulation from a compile result under the
-    /// default [`EngineConfig`]: one thread, unpartitioned, unspecialized.
+    /// default [`EngineConfig`]: one thread, unpartitioned.
     ///
     /// # Panics
     ///
@@ -204,27 +197,14 @@ impl BatchSimulation {
 
     /// The one constructor. Every `config` is bit-identical through every
     /// public method — lane reset, admission, halt compaction, pokes and
-    /// probes are all partition- and specialization-aware — it only
-    /// changes how a cycle's work is represented and divided.
-    ///
-    /// [`Specialization::Auto`] first applies the plan transform
-    /// ([`rteaal_dfg::specialize`]) — constant folding of
-    /// never-toggling cones, value-numbering dedup, dead-code
-    /// elimination over the observable roots — and then decides the
-    /// execution form: every op runs through the same lane kernels as
-    /// an unspecialized engine, and unpartitioned simulations with
-    /// `lanes >= 32` additionally bit-pack 1-bit interior wires 64 lanes
-    /// per word where that out-earns the pack/unpack boundary (below 32
-    /// lanes it never does), while partitioned simulations execute the
-    /// transformed plan through the per-op RepCut walk (packing needs
-    /// whole-schedule consumer analysis, which replicated fan-in cones
-    /// invalidate).
+    /// probes are all partition-aware — it only changes how a cycle's
+    /// work is divided.
     ///
     /// # Errors
     ///
     /// Returns the static verifier's [`AnalysisReport`]
     /// ([`rteaal_dfg::analyze`]) if the RepCut decomposition of the
-    /// (possibly specialized) plan violates a structural invariant
+    /// plan violates a structural invariant
     /// (foreign commit, missing RUM reader, uncovered op, …) — the engine
     /// is never constructed over an unverified partitioning.
     ///
@@ -242,7 +222,7 @@ impl BatchSimulation {
     /// # Panics
     ///
     /// As [`build`](Self::build), and unless `lane` is in
-    /// `LaneType::supported_for` of the (possibly specialized) plan.
+    /// `LaneType::supported_for` of the plan.
     #[doc(hidden)]
     pub fn build_for(
         compiled: &Compiled,
@@ -257,14 +237,10 @@ impl BatchSimulation {
         config: EngineConfig,
         lane: Option<LaneType>,
     ) -> Result<Self, AnalysisReport> {
-        let sp = match config.specialization {
-            Specialization::Off => None,
-            Specialization::Auto => Some(specialize(&compiled.plan)),
-        };
         // Cloned *before* the kernel is compiled, on purpose: the clone soaks
         // up the compile pipeline's free chunks, so the kernel's op tables —
         // streamed every cycle — land contiguous (−10 % on the chip otherwise).
-        let plan = sp.as_ref().map_or(&compiled.plan, |sp| &sp.plan).clone();
+        let plan = compiled.plan.clone();
         let parts = match config.partitioning {
             Partitioning::None => 1,
             Partitioning::Fixed(p) => {
@@ -290,15 +266,8 @@ impl BatchSimulation {
                 None => LaneLayout::of(&plan),
                 Some(lane) => LaneLayout::of_as(&plan, lane),
             };
-            let kernel = match &sp {
-                Some(sp) => {
-                    let pack = config.lanes >= 32;
-                    BatchKernel::compile_specialized_in(sp, kernel_config, pack, &layout)
-                }
-                None => {
-                    BatchKernel::compile_in(&plan, kernel_config, BatchEngine::Compiled, &layout)
-                }
-            };
+            let kernel =
+                BatchKernel::compile_in(&plan, kernel_config, BatchEngine::Compiled, &layout);
             (kernel, BatchLiState::new_in(&plan, config.lanes, &layout))
         };
         let mut input_index = HashMap::new();
@@ -325,18 +294,11 @@ impl BatchSimulation {
             threads,
             liveness: None,
             vcd: None,
-            spec_stats: sp.as_ref().map(|sp| sp.stats),
         })
     }
 
-    /// What the specialization transform removed, when this simulation
-    /// was built with [`Specialization::Auto`].
-    pub fn specialization_stats(&self) -> Option<SpecStats> {
-        self.spec_stats
-    }
-
     /// The lane type the engine holds its rows in — `u32` when every
-    /// signal of the (possibly specialized) plan fits 32 bits, else `u64`
+    /// signal of the plan fits 32 bits, else `u64`
     /// (see `rteaal_dfg::lane_kernel`). Never a setting.
     pub fn lane_type(&self) -> LaneType {
         self.state.lane_type()

@@ -57,6 +57,5 @@ pub use rteaal_dfg::analyze::{
     AnalysisStats, DiagKind, Diagnostic, Severity,
 };
 pub use rteaal_dfg::partition::PartitionedPlan;
-pub use rteaal_dfg::specialize::{SpecStats, Specialization};
 pub use simulation::{DebugModule, Simulation, UnknownSignal};
 pub use waveform::VcdWriter;

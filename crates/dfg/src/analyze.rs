@@ -32,8 +32,9 @@
 //! `rteaal_core::Compiler` runs [`analyze_design`] on every compile and
 //! turns `Error`-level findings into a structured compile error;
 //! `rteaal-serve` re-runs the partition checks at registration time and
-//! surfaces the per-design [`AnalysisStats`] over the wire; `tables --
-//! lint` sweeps the whole design corpus plus seeded-violation mutants.
+//! surfaces the per-design [`AnalysisStats`] over the wire; the root
+//! test `tests/plan_lint.rs` sweeps the whole design corpus plus
+//! seeded-violation mutants.
 
 use crate::graph::Graph;
 use crate::lane_kernel::{

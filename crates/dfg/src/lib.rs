@@ -86,4 +86,4 @@ pub use lane_kernel::{
 pub use op::{DfgOp, OpClass};
 pub use partition::{PartitionSchedule, PartitionedPlan, RumEntry};
 pub use plan::{OpInst, PlanSim, SimPlan};
-pub use specialize::{specialize, SpecProgram, SpecStats, Specialization, SpecializedPlan};
+pub use specialize::{specialize, SpecProgram, SpecStats, SpecializedPlan};

@@ -63,23 +63,6 @@ use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 
-/// Whether the execution stack applies the specialization tier.
-///
-/// `Off` is the seed behavior (and the golden model's): the plan is
-/// executed exactly as coordinate assignment produced it. `Auto`
-/// applies [`specialize`] and lets the engine builder decide whether
-/// bit-packing ([`SpecProgram`]) pays for the lane count at hand (it
-/// packs when `lanes >= 32`; below that the gather/scatter boundary
-/// costs more than 64-lanes-per-word saves).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum Specialization {
-    /// Execute the plan as-is.
-    #[default]
-    Off,
-    /// Fold, dedup, eliminate — and bit-pack when it pays.
-    Auto,
-}
-
 /// What the plan transform did, for reports and telemetry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct SpecStats {

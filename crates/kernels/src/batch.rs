@@ -763,22 +763,10 @@ impl BatchKernel {
     /// RepCut decomposition consumes the transformed plan instead
     /// (fold/dedup/DCE still apply, packing does not).
     pub fn compile_specialized(sp: &SpecializedPlan, config: KernelConfig, pack: bool) -> Self {
-        Self::compile_specialized_in(sp, config, pack, &LaneLayout::of(&sp.plan))
-    }
-
-    /// [`compile_specialized`](Self::compile_specialized) for the rows of
-    /// a given layout of `sp.plan` (`LaneLayout::of_as`: how tests reach
-    /// both lane types).
-    #[doc(hidden)]
-    pub fn compile_specialized_in(
-        sp: &SpecializedPlan,
-        config: KernelConfig,
-        pack: bool,
-        layout: &LaneLayout,
-    ) -> Self {
-        let spec = Some(SpecProgram::build_in(&sp.plan, pack, layout));
+        let layout = LaneLayout::of(&sp.plan);
+        let spec = Some(SpecProgram::build_in(&sp.plan, pack, &layout));
         let layers = vec![sp.plan.layers.clone()];
-        Self::from_layers(config, BatchEngine::Compiled, layers, spec, layout)
+        Self::from_layers(config, BatchEngine::Compiled, layers, spec, &layout)
     }
 
     /// The configuration this kernel was compiled under.

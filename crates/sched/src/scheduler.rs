@@ -14,8 +14,8 @@
 //! batch, drains it completely (early exit still compacts finished lanes
 //! out of the evaluated window), and only then admits the next batch —
 //! the baseline whose utilization decays toward zero as the batch's
-//! stragglers dominate. `tables -- sched` quantifies the gap on a
-//! mixed-length rv32i corpus.
+//! stragglers dominate. `tests/corpus_equivalence.rs` gates the gap on
+//! a mixed-length rv32i corpus.
 
 use crate::job::{Job, JobId, JobOutcome, JobQueue, JobResult, Queued};
 use rteaal_core::{AnalysisReport, BatchSimulation, Compiled, EngineConfig, UnknownSignal};
@@ -190,12 +190,11 @@ impl Scheduler {
     }
 
     /// The one constructor: a scheduler over the engine `config`
-    /// describes ([`BatchSimulation::build`]) — RepCut-partitioned so
-    /// each cycle's ops split across `config.threads` workers,
-    /// specialized ([`rteaal_core::Specialization`]), or both.
-    /// Scheduling behavior — admission, harvest, eviction, lane
-    /// recycling, halt detection, peeks and pokes — is bit-identical
-    /// across every engine shape.
+    /// describes ([`BatchSimulation::build`]) — threaded, or
+    /// RepCut-partitioned so each cycle's ops split across
+    /// `config.threads` workers. Scheduling behavior — admission,
+    /// harvest, eviction, lane recycling, halt detection, peeks and
+    /// pokes — is bit-identical across every engine shape.
     ///
     /// # Errors
     ///
@@ -666,7 +665,7 @@ impl Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rteaal_core::{Compiler, Partitioning, Specialization};
+    use rteaal_core::{Compiler, Partitioning};
     use rteaal_kernels::{KernelConfig, KernelKind};
 
     /// A counter that raises `done` at a per-lane limit — the minimal
@@ -736,35 +735,6 @@ circuit H :
                 u.is_finite() && (0.0..=1.0).contains(&u),
                 "lanes={lanes}: {u}"
             );
-        }
-    }
-
-    #[test]
-    fn specialized_scheduler_matches_plain_on_a_corpus() {
-        let c = compiled();
-        let limits = [5u64, 20, 3, 4, 9, 2, 11];
-        let run = |spec: Specialization| {
-            let config = EngineConfig {
-                specialization: spec,
-                ..EngineConfig::new(2)
-            };
-            let mut sched = Scheduler::build(&c, config, "done").unwrap();
-            let mut ids: Vec<JobId> = limits.iter().map(|&l| sched.submit(count_job(l))).collect();
-            sched.run(10_000);
-            ids.sort_unstable();
-            let mut results = sched.results().to_vec();
-            results.sort_by_key(|r| r.id);
-            (ids, results)
-        };
-        let (ids_off, off) = run(Specialization::Off);
-        let (ids_auto, auto) = run(Specialization::Auto);
-        assert_eq!(ids_off, ids_auto);
-        assert_eq!(off.len(), auto.len());
-        for (a, b) in off.iter().zip(&auto) {
-            assert_eq!(a.id, b.id);
-            assert_eq!(a.outputs, b.outputs, "job {}", a.name);
-            assert_eq!(a.cycles, b.cycles);
-            assert_eq!(a.outcome, b.outcome);
         }
     }
 

@@ -21,9 +21,8 @@
 //! state, which is what makes registry-replay testable.
 //!
 //! This is a *test harness*, shipped in the library so the
-//! fault-injection proptests, the `tables -- shard` / `tables -- fleet`
-//! experiments, and downstream users hardening their own deployments
-//! can all share it.
+//! fault-injection proptests, the `tables -- fleet` experiment, and
+//! downstream users hardening their own deployments can all share it.
 
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};

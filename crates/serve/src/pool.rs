@@ -29,7 +29,7 @@
 
 use rteaal_core::{
     analyze_design, analyze_partitioned, AnalysisReport, AnalysisStats, Compiled, EngineConfig,
-    PartitionedPlan, Partitioning, Specialization, UnknownSignal,
+    PartitionedPlan, Partitioning, UnknownSignal,
 };
 use rteaal_sched::{Job, JobId, JobOutcome, JobResult, SchedStats, Scheduler};
 use rteaal_telemetry::{Gauge, JobStage, MetricsRegistry};
@@ -85,12 +85,6 @@ pub struct ServeConfig {
     /// partition-parallel execution (replicated fan-in cones would cost
     /// more than the parallelism wins).
     pub max_replication: f64,
-    /// Whole-design specialization tier for every worker's engine:
-    /// `Off` runs plans as compiled, `Auto` folds/dedups/prunes them and
-    /// bit-packs 1-bit slots when the lane count pays for it. Results
-    /// are bit-identical either way — the specialized plan is
-    /// re-verified against the same analyzer the compiler runs.
-    pub specialization: Specialization,
 }
 
 impl Default for ServeConfig {
@@ -101,7 +95,6 @@ impl Default for ServeConfig {
             max_budget: 1 << 20,
             partitions: 1,
             max_replication: 1.5,
-            specialization: Specialization::Off,
         }
     }
 }
@@ -939,10 +932,7 @@ fn build_scheduler(
     w: usize,
     partition_parallel: bool,
 ) -> Scheduler {
-    let mut engine = EngineConfig {
-        specialization: config.specialization,
-        ..EngineConfig::new(config.lanes)
-    };
+    let mut engine = EngineConfig::new(config.lanes);
     if partition_parallel && w == 0 {
         engine.partitioning = Partitioning::Fixed(config.partitions);
         engine.threads = config.partitions;
@@ -1742,33 +1732,6 @@ circuit W :
         assert!(stats.accounting_balanced());
         assert_eq!(stats.merged.completed, 11);
         assert_eq!(stats.per_worker[1].admitted, 11, "all work moved to w1");
-    }
-
-    #[test]
-    fn specialized_pools_serve_bit_identical_results() {
-        // The serve-layer opt-in for the specialization tier: an Auto
-        // pool (lanes >= 32, so 1-bit slots bit-pack) must be
-        // indistinguishable from an Off pool on a whole corpus.
-        let c = compiled();
-        let limits: Vec<u64> = (0..12).map(|i| 2 + (i * 7) % 23).collect();
-        let run = |spec: Specialization| -> Vec<JobResult> {
-            let mut cfg = ServeConfig::with_workers(2);
-            cfg.lanes = 64;
-            cfg.specialization = spec;
-            let pool = ServerPool::new(&c, cfg, "done").unwrap();
-            let handles: Vec<JobHandle> =
-                limits.iter().map(|&l| pool.submit(count_job(l))).collect();
-            let results = handles.iter().map(|h| h.wait()).collect();
-            pool.shutdown();
-            results
-        };
-        let plain = run(Specialization::Off);
-        let spec = run(Specialization::Auto);
-        for (p, s) in plain.iter().zip(&spec) {
-            assert_eq!(p.outcome, s.outcome, "{}", p.name);
-            assert_eq!(p.outputs, s.outputs, "{}", p.name);
-            assert_eq!(p.cycles, s.cycles, "{}", p.name);
-        }
     }
 
     #[test]

@@ -482,9 +482,9 @@ pub struct ShardRouter {
 
 /// The router's slice of the metrics registry: every fleet-level
 /// counter lives in the registry (so [`FleetStats`] and
-/// [`RouterStats`] are *views* over it, and the `tables` experiments
-/// read one coherent snapshot), with the hot-path handles interned
-/// once here.
+/// [`RouterStats`] are *views* over it, and the `tables -- fleet`
+/// experiment reads one coherent snapshot), with the hot-path handles
+/// interned once here.
 #[derive(Debug)]
 struct RouterTelemetry {
     registry: Arc<MetricsRegistry>,

@@ -135,6 +135,16 @@ proptest! {
         doomed.kill();
         results.extend(router.drain().expect("drain survives chaos"));
         prop_assert!(router.accounting_balanced());
+        // A death is an event, not a deadline: the drain noticed the kill
+        // only if it still had a job on the doomed shard. Probe until the
+        // breaker has opened — every probe of a killed host is one fatal
+        // fault, so the reconnect budget bounds how many it takes.
+        for _ in 0..=config.reconnects {
+            if router.stats().shard_deaths >= 1 {
+                break;
+            }
+            router.poll_health().expect("the healthy shard holds the fleet up");
+        }
 
         // Exactly once: every submitted id appears exactly one time.
         prop_assert_eq!(results.len(), jobs);

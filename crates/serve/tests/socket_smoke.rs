@@ -1,7 +1,6 @@
 //! End-to-end loopback smoke of the socket front end: a real
 //! `TcpListener`, real corpus jobs over the wire, and a bit-exactness
-//! check of every streamed result against scalar runs — the same
-//! sequence the CI smoke drives through `tables -- serve`.
+//! check of every streamed result against scalar runs.
 
 use rteaal_core::{Compiler, DebugModule, Simulation};
 use rteaal_designs::Workload;

@@ -1,7 +1,7 @@
 //! Batched-vs-sequential equivalence: a `B`-lane [`BatchSimulation`]
 //! must match `B` independent [`Simulation`] runs bit-for-bit, on the
 //! real evaluation designs (the RV32I core and the SHA3 datapath), for
-//! every engine shape — specialization × threads × partitioning —
+//! every engine shape — threads × partitioning —
 //! under per-lane divergent stimulus, halt compaction and mid-run DMI
 //! pokes: one differential oracle, [`assert_bit_exact`], that every row
 //! goes through — and that asserts the lane type (`u32` or `u64` rows)
@@ -9,13 +9,11 @@
 //! ran `u64` rows would fail here. Plus the compiled-vs-interpreted
 //! engine differential.
 
-use rteaal_core::{
-    BatchSimulation, Compiler, DebugModule, EngineConfig, Partitioning, Simulation, Specialization,
-};
+use rteaal_core::{BatchSimulation, Compiler, DebugModule, EngineConfig, Partitioning, Simulation};
 use rteaal_designs::rv32i::{asm::*, rv32i};
 use rteaal_designs::{rocket, sha3, ChipConfig, Stimulus, Workload};
 use rteaal_dfg::lane_kernel::{BatchEngine, LaneLayout, LaneType};
-use rteaal_dfg::specialize::{specialize, SpecProgram};
+use rteaal_dfg::specialize::specialize;
 use rteaal_dfg::{BatchPlanSim, SimPlan};
 use rteaal_firrtl::Circuit;
 use rteaal_kernels::{BatchKernel, BatchLiState, KernelConfig, KernelKind};
@@ -453,12 +451,11 @@ fn rv32i_batch_runs_the_program_on_every_lane() {
 
 #[test]
 fn every_engine_shape_is_bit_exact_on_rv32i_and_sha3() {
-    // The tier-1 sweep: specialization × threads × partitioning, on the
-    // halting core (halt compaction, a DMI write into the accumulator
-    // mid-loop; `u32` rows) and on the free-running SHA3 datapath (random
-    // stimulus, a DMI write into the Keccak state; `u64` rows). The
-    // unspecialized threaded and partitioned shapes run the core in
-    // `u64` rows as well, through the witness.
+    // The tier-1 sweep: threads × partitioning, on the halting core (halt
+    // compaction, a DMI write into the accumulator mid-loop; `u32` rows)
+    // and on the free-running SHA3 datapath (random stimulus, a DMI write
+    // into the Keccak state; `u64` rows). The threaded and partitioned
+    // shapes run the core in `u64` rows as well, through the witness.
     const LANES: usize = 4;
     let rv32i = halting_rv32i();
     let sha3 = Design {
@@ -467,104 +464,33 @@ fn every_engine_shape_is_bit_exact_on_rv32i_and_sha3() {
         halt: None,
         lane: LaneType::Wide,
     };
-    for specialization in [Specialization::Off, Specialization::Auto] {
-        for threads in [1, 2] {
-            for partitioning in [Partitioning::None, Partitioning::Fixed(2)] {
-                let config = EngineConfig {
-                    lanes: LANES,
-                    threads,
-                    partitioning,
-                    specialization,
-                };
-                let both = specialization == Specialization::Off
-                    && (threads == 2) != (partitioning != Partitioning::None);
-                for lane_type in [None, Some(LaneType::Wide)] {
-                    if lane_type.is_some() && !both {
-                        continue;
-                    }
-                    let stim = Stim {
-                        cycles: 400,
-                        drive: &mut staggered_reset,
-                        poke_state: &[(30, "x1", 1, 1000)],
-                    };
-                    let batch = assert_bit_exact_in(&rv32i, stim, config, lane_type);
-                    assert_eq!(batch.live_lanes(), 0, "{config:?}: every lane halts");
+    for threads in [1, 2] {
+        for partitioning in [Partitioning::None, Partitioning::Fixed(2)] {
+            let config = EngineConfig {
+                lanes: LANES,
+                threads,
+                partitioning,
+            };
+            let both = (threads == 2) != (partitioning != Partitioning::None);
+            for lane_type in [None, Some(LaneType::Wide)] {
+                if lane_type.is_some() && !both {
+                    continue;
                 }
                 let stim = Stim {
-                    cycles: 40,
-                    drive: &mut random(0xb006, LANES),
-                    poke_state: &[(17, "s_1_2", 2, 0x0123_4567_89ab_cdef)],
+                    cycles: 400,
+                    drive: &mut staggered_reset,
+                    poke_state: &[(30, "x1", 1, 1000)],
                 };
-                assert_bit_exact(&sha3, stim, config);
+                let batch = assert_bit_exact_in(&rv32i, stim, config, lane_type);
+                assert_eq!(batch.live_lanes(), 0, "{config:?}: every lane halts");
             }
+            let stim = Stim {
+                cycles: 40,
+                drive: &mut random(0xb006, LANES),
+                poke_state: &[(17, "s_1_2", 2, 0x0123_4567_89ab_cdef)],
+            };
+            assert_bit_exact(&sha3, stim, config);
         }
-    }
-}
-
-/// A control-dense design: a 17-deep chain of anonymous 1-bit ops over
-/// three shared sources feeding a toggling flag, next to a wide
-/// accumulator — an interior the bit-packer keeps (the boundary is four
-/// moves).
-fn dense_control() -> Circuit {
-    let mut chain = String::from("and(en, sel)");
-    for k in 0..16 {
-        let src = ["bits(x, 0, 0)", "en", "sel"][k % 3];
-        let op = ["or", "xor", "and"][k % 3];
-        chain = format!("{op}({chain}, {src})");
-    }
-    let src = format!(
-        "\
-circuit Dense :
-  module Dense :
-    input clock : Clock
-    input x : UInt<8>
-    input en : UInt<1>
-    input sel : UInt<1>
-    output out : UInt<8>
-    output hit : UInt<1>
-    reg acc : UInt<8>, clock
-    reg flag : UInt<1>, clock
-    acc <= tail(add(acc, x), 1)
-    flag <= xor(flag, {chain})
-    out <= acc
-    hit <= flag
-"
-    );
-    rteaal_firrtl::parser::parse(&src).expect("parses")
-}
-
-#[test]
-fn bit_packed_control_interior_is_bit_exact_at_64_lanes() {
-    // The sweep above runs 4 lanes, below the builder's 32-lane packing
-    // threshold, on designs that pack nothing anyway: this row is the
-    // tier-1 run of the packed bodies and the boundary-move phase.
-    const LANES: usize = 64;
-    let design = Design {
-        circuit: dense_control(),
-        kind: KernelKind::Psu,
-        halt: None,
-        lane: LaneType::Narrow,
-    };
-    // The program `BatchSimulation::build` lowers this design to.
-    let compiled = Compiler::new(KernelConfig::new(design.kind))
-        .compile(&design.circuit)
-        .expect("compiles");
-    assert!(
-        SpecProgram::build(&specialize(&compiled.plan).plan, true).bit_rows() > 0,
-        "the design no longer packs: this test would not run a packed body"
-    );
-    for threads in [1, 2] {
-        let config = EngineConfig {
-            threads,
-            specialization: Specialization::Auto,
-            ..EngineConfig::new(LANES)
-        };
-        let stim = Stim {
-            cycles: 60,
-            drive: &mut random(0xb007, LANES),
-            poke_state: &[(20, "flag", 37, 1)],
-        };
-        assert_bit_exact(&design, stim, config);
     }
 }
 
