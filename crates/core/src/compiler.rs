@@ -56,6 +56,8 @@ impl From<rteaal_dfg::DfgError> for CompileError {
 /// Per-stage wall-clock timings (seconds).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StageTimings {
+    /// Parsing the source text (0 when compiling from an AST).
+    pub parse: f64,
     /// FIRRTL lowering (flatten, mem lowering, when resolution, typing).
     pub lower: f64,
     /// Dataflow-graph construction.
@@ -73,7 +75,7 @@ pub struct StageTimings {
 impl StageTimings {
     /// Total front-end + kernel time.
     pub fn total(&self) -> f64 {
-        self.lower + self.graph + self.optimize + self.plan + self.verify + self.kernel
+        self.parse + self.lower + self.graph + self.optimize + self.plan + self.verify + self.kernel
     }
 }
 
@@ -120,7 +122,12 @@ impl Compiler {
     ///
     /// Returns [`CompileError`] for parse, type, lower, or graph errors.
     pub fn compile_str(&self, src: &str) -> Result<Compiled, CompileError> {
-        self.compile(&parser::parse(src)?)
+        let t0 = Instant::now();
+        let circuit = parser::parse(src)?;
+        let parse = t0.elapsed().as_secs_f64();
+        let mut compiled = self.compile(&circuit)?;
+        compiled.timings.parse = parse;
+        Ok(compiled)
     }
 
     /// Compiles a circuit AST.
@@ -134,12 +141,16 @@ impl Compiler {
         let flat = lower_typed(circuit)?;
         t.lower = t0.elapsed().as_secs_f64();
 
+        // Each level of the flow is dropped as soon as the next one
+        // exists: the peak is two levels, not all of them.
         let t0 = Instant::now();
-        let graph = rteaal_dfg::build(&flat)?;
+        let raw = rteaal_dfg::build(&flat)?;
+        drop(flat);
         t.graph = t0.elapsed().as_secs_f64();
 
         let t0 = Instant::now();
-        let (graph, pass_stats) = optimize(&graph, &self.passes);
+        let (graph, pass_stats) = optimize(&raw, &self.passes);
+        drop(raw);
         t.optimize = t0.elapsed().as_secs_f64();
 
         // The builder already rejects combinational cycles, but a buggy
@@ -153,6 +164,7 @@ impl Compiler {
         }
 
         let sim_plan = plan(&graph);
+        drop(graph);
         t.plan = t0.elapsed().as_secs_f64();
 
         let t0 = Instant::now();
@@ -245,7 +257,8 @@ circuit T :
         k.set_input(0, 5);
         k.run(3);
         assert_eq!(k.output(0), 15);
-        assert!(compiled.timings.total() > 0.0);
+        let t = compiled.timings;
+        assert!(t.parse > 0.0 && t.total() > t.parse);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use rteaal_firrtl::ast::Expr;
 use rteaal_firrtl::lower::FlatModule;
 use rteaal_firrtl::ops::PrimOp;
 use rteaal_firrtl::ty::Type;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Builds the dataflow graph of a flat module.
 ///
@@ -26,15 +26,10 @@ use std::collections::{HashMap, HashSet};
 pub fn build(flat: &FlatModule) -> Result<Graph> {
     let mut b = Builder {
         graph: Graph::new(flat.name.clone()),
-        defs: HashMap::new(),
-        resolved: HashMap::new(),
-        visiting: HashSet::new(),
+        names: HashMap::with_capacity(flat.signal_count()),
     };
-    for (name, _, expr) in &flat.nodes {
-        b.defs.insert(name.as_str(), expr);
-    }
-    for (name, _, expr) in &flat.outputs {
-        b.defs.insert(name.as_str(), expr);
+    for (name, _, expr) in flat.nodes.iter().chain(&flat.outputs) {
+        b.names.insert(name, Binding::Defined(expr));
     }
     // Seed sources: inputs and register state nodes.
     for (name, ty) in &flat.inputs {
@@ -42,7 +37,7 @@ pub fn build(flat: &FlatModule) -> Result<Graph> {
             .graph
             .add_source(DfgOp::Input, ty.width(), ty.is_signed(), name.clone());
         b.graph.inputs.push(id);
-        b.resolved.insert(name.clone(), id);
+        b.names.insert(name, Binding::Built(id));
     }
     for reg in &flat.regs {
         let id = b.graph.add_source(
@@ -51,7 +46,7 @@ pub fn build(flat: &FlatModule) -> Result<Graph> {
             reg.ty.is_signed(),
             reg.name.clone(),
         );
-        b.resolved.insert(reg.name.clone(), id);
+        b.names.insert(&reg.name, Binding::Built(id));
         // `next` is patched below once expressions are built.
         b.graph.regs.push(RegDef {
             state: id,
@@ -78,7 +73,7 @@ pub fn build(flat: &FlatModule) -> Result<Graph> {
     // Give named combinational bindings their names (for waveforms / XMR),
     // but only when the binding actually materialized a node.
     for (name, _, _) in &flat.nodes {
-        if let Some(&id) = b.resolved.get(name) {
+        if let Some(&Binding::Built(id)) = b.names.get(name.as_str()) {
             if b.graph.node(id).name.is_none() {
                 b.graph.set_name(id, name.clone());
             }
@@ -87,28 +82,39 @@ pub fn build(flat: &FlatModule) -> Result<Graph> {
     Ok(b.graph)
 }
 
+/// What a name of the flat module stands for while the graph is built.
+#[derive(Clone, Copy)]
+enum Binding<'a> {
+    /// A node or output whose expression is not built yet.
+    Defined(&'a Expr),
+    /// Its expression is being built: a reference to it now is a cycle.
+    Building,
+    /// An input, a register, or a binding whose expression is built.
+    Built(NodeId),
+}
+
 struct Builder<'a> {
     graph: Graph,
-    defs: HashMap<&'a str, &'a Expr>,
-    resolved: HashMap<String, NodeId>,
-    visiting: HashSet<String>,
+    /// Every name of the flat module, borrowed from it.
+    names: HashMap<&'a str, Binding<'a>>,
 }
 
 impl<'a> Builder<'a> {
     fn resolve(&mut self, name: &str) -> Result<NodeId> {
-        if let Some(&id) = self.resolved.get(name) {
-            return Ok(id);
-        }
-        if !self.visiting.insert(name.to_string()) {
-            return Err(DfgError::CombCycle(name.to_string()));
-        }
-        let expr = *self
-            .defs
-            .get(name)
+        let binding = self
+            .names
+            .get_mut(name)
             .ok_or_else(|| DfgError::Undefined(name.to_string()))?;
+        let expr = match std::mem::replace(binding, Binding::Building) {
+            Binding::Defined(expr) => expr,
+            Binding::Building => return Err(DfgError::CombCycle(name.to_string())),
+            built @ Binding::Built(id) => {
+                *binding = built;
+                return Ok(id);
+            }
+        };
         let id = self.build_expr(expr)?;
-        self.visiting.remove(name);
-        self.resolved.insert(name.to_string(), id);
+        *self.names.get_mut(name).expect("looked up above") = Binding::Built(id);
         Ok(id)
     }
 
@@ -132,7 +138,7 @@ impl<'a> Builder<'a> {
             .add_op(DfgOp::Resize, vec![], vec![id], width, signed)
     }
 
-    fn build_expr(&mut self, expr: &Expr) -> Result<NodeId> {
+    fn build_expr(&mut self, expr: &'a Expr) -> Result<NodeId> {
         match expr {
             Expr::Ref(name) => self.resolve(name),
             Expr::UIntLit { value, width } => Ok(self.graph.add_const(*value, *width, false)),
@@ -141,43 +147,46 @@ impl<'a> Builder<'a> {
                 let c = self.build_expr(cond)?;
                 let t = self.build_expr(tval)?;
                 let f = self.build_expr(fval)?;
-                let (tt, ft) = (self.ty_of(t), self.ty_of(f));
-                let width = tt.width().max(ft.width());
-                Ok(self
-                    .graph
-                    .add_op(DfgOp::Mux, vec![], vec![c, t, f], width, tt.is_signed()))
+                Ok(self.add_select(DfgOp::Mux, &[c, t, f]))
             }
             Expr::ValidIf { cond, value } => {
                 let c = self.build_expr(cond)?;
                 let v = self.build_expr(value)?;
-                let vt = self.ty_of(v);
-                Ok(self.graph.add_op(
-                    DfgOp::ValidIf,
-                    vec![],
-                    vec![c, v],
-                    vt.width(),
-                    vt.is_signed(),
-                ))
+                Ok(self.add_select(DfgOp::ValidIf, &[c, v]))
             }
             Expr::Prim { op, args, params } => {
-                let arg_ids: Vec<NodeId> = args
-                    .iter()
-                    .map(|a| self.build_expr(a))
-                    .collect::<Result<_>>()?;
-                let arg_tys: Vec<Type> = arg_ids.iter().map(|&id| self.ty_of(id)).collect();
-                let result = op
-                    .result_type(&arg_tys, params)
-                    .map_err(|e| DfgError::Type(e.to_string()))?;
-                let (dfg_op, dfg_params) = monomorphize(*op, &arg_tys, params);
-                Ok(self.graph.add_op(
-                    dfg_op,
-                    dfg_params,
-                    arg_ids,
-                    result.width(),
-                    result.is_signed(),
-                ))
+                let mut arg_ids = Vec::with_capacity(args.len());
+                for a in args {
+                    arg_ids.push(self.build_expr(a)?);
+                }
+                self.add_prim(*op, arg_ids, params)
             }
         }
+    }
+
+    /// A `Mux` or `ValidIf` over a condition and one or two values: signed
+    /// like the first value, as wide as the widest.
+    fn add_select(&mut self, op: DfgOp, operands: &[NodeId]) -> NodeId {
+        let values = operands[1..].iter().map(|&v| self.graph.node(v));
+        let width = values.map(|v| v.width).max().expect("a value");
+        let signed = self.graph.node(operands[1]).signed;
+        self.graph
+            .add_op(op, vec![], operands.to_vec(), width, signed)
+    }
+
+    fn add_prim(&mut self, op: PrimOp, arg_ids: Vec<NodeId>, params: &[u64]) -> Result<NodeId> {
+        let arg_tys: Vec<Type> = arg_ids.iter().map(|&id| self.ty_of(id)).collect();
+        let result = op
+            .result_type(&arg_tys, params)
+            .map_err(|e| DfgError::Type(e.to_string()))?;
+        let (dfg_op, dfg_params) = monomorphize(op, &arg_tys, params);
+        Ok(self.graph.add_op(
+            dfg_op,
+            dfg_params,
+            arg_ids,
+            result.width(),
+            result.is_signed(),
+        ))
     }
 }
 

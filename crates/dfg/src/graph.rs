@@ -10,8 +10,10 @@
 //! number of distinct operations.
 
 use crate::op::{DfgOp, OpClass};
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::BuildHasher;
 
 /// Index of a node in a [`Graph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -60,15 +62,114 @@ pub struct RegDef {
     pub name: String,
 }
 
-/// Hash-consing key: the full structural identity of a node.
-type ConsKey = (DfgOp, Vec<u64>, Vec<NodeId>, u32, bool);
+/// The hash-consing table: the ids of the operation nodes, found by the
+/// structure of the node an id names. It holds no second copy of a node's
+/// `params` and `operands`: a probe compares against `nodes[id]`.
+///
+/// Open addressing with linear probing over a power-of-two table at most
+/// half full. The hash is multiply-rotate over the structure's words —
+/// SipHash over the same words was a third of a graph rebuild — indexed by
+/// its top bits and started from a per-table random seed, because constant
+/// values and parameters come from the source text: without the seed a
+/// design could be written to land every node on one probe sequence.
+#[derive(Debug, Clone)]
+struct ConsTable {
+    slots: Vec<u32>,
+    len: usize,
+    seed: u64,
+}
+
+/// A free slot of the [`ConsTable`].
+const FREE: u32 = u32::MAX;
+
+impl Default for ConsTable {
+    fn default() -> Self {
+        ConsTable {
+            slots: Vec::new(),
+            len: 0,
+            seed: RandomState::new().hash_one(0u8),
+        }
+    }
+}
+
+impl ConsTable {
+    fn hash(
+        &self,
+        op: DfgOp,
+        params: &[u64],
+        operands: &[NodeId],
+        width: u32,
+        signed: bool,
+    ) -> u64 {
+        let mix = |h: u64, word: u64| (h.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+        let head = (op as u64) << 48 | (params.len() as u64) << 32 | u64::from(width) << 1;
+        let mut h = mix(self.seed, head | u64::from(signed));
+        for &p in params {
+            h = mix(h, p);
+        }
+        for o in operands {
+            h = mix(h, u64::from(o.0));
+        }
+        h
+    }
+
+    fn hash_of(&self, node: &Node) -> u64 {
+        self.hash(
+            node.op,
+            &node.params,
+            &node.operands,
+            node.width,
+            node.signed,
+        )
+    }
+
+    /// The slots to probe for `hash`, in order, until a free one.
+    fn probe(&self, hash: u64) -> impl Iterator<Item = usize> + '_ {
+        let mask = self.slots.len() - 1;
+        let start = (hash >> (64 - self.slots.len().trailing_zeros())) as usize;
+        (0..self.slots.len()).map(move |k| (start + k) & mask)
+    }
+
+    /// The id under `hash` whose node `is_it` accepts.
+    fn find(&self, hash: u64, is_it: impl Fn(&Node) -> bool, nodes: &[Node]) -> Option<NodeId> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        self.probe(hash)
+            .map(|slot| self.slots[slot])
+            .take_while(|&id| id != FREE)
+            .find(|&id| is_it(&nodes[id as usize]))
+            .map(NodeId)
+    }
+
+    /// Records `id`, whose node hashes to `hash` and is not in the table.
+    fn insert(&mut self, hash: u64, id: NodeId, nodes: &[Node]) {
+        if (self.len + 1) * 2 > self.slots.len() {
+            let ids = std::mem::take(&mut self.slots);
+            self.slots = vec![FREE; (ids.len() * 2).max(16)];
+            for old in ids.into_iter().filter(|&old| old != FREE) {
+                self.place(self.hash_of(&nodes[old as usize]), old);
+            }
+        }
+        self.place(hash, id.0);
+        self.len += 1;
+    }
+
+    fn place(&mut self, hash: u64, id: u32) {
+        let slot = self
+            .probe(hash)
+            .find(|&slot| self.slots[slot] == FREE)
+            .expect("the table is at most half full");
+        self.slots[slot] = id;
+    }
+}
 
 /// The dataflow graph of a flattened design.
 #[derive(Debug, Clone, Default)]
 pub struct Graph {
     nodes: Vec<Node>,
-    /// Hash-consing table: structural key -> existing node.
-    cons: HashMap<ConsKey, NodeId>,
+    /// Hash-consing table over the operation nodes.
+    cons: ConsTable,
     /// Input nodes, in port order.
     pub inputs: Vec<NodeId>,
     /// Registers, in declaration order.
@@ -107,7 +208,9 @@ impl Graph {
         &self.nodes[id.index()]
     }
 
-    /// Mutable access to a node (passes rewriting in place).
+    /// Mutable access to a node (tests seeding a corrupt graph). The
+    /// hash-consing table is not told: a node rewritten here is simply no
+    /// longer found by structure.
     pub fn node_mut(&mut self, id: NodeId) -> &mut Node {
         &mut self.nodes[id.index()]
     }
@@ -147,12 +250,18 @@ impl Graph {
         if let Some(arity) = op.arity() {
             debug_assert_eq!(operands.len(), arity, "{op}: wrong operand count");
         }
-        let key = (op, params, operands, width, signed);
-        if let Some(&id) = self.cons.get(&key) {
+        let hash = self.cons.hash(op, &params, &operands, width, signed);
+        let same = |n: &Node| {
+            n.op == op
+                && n.width == width
+                && n.signed == signed
+                && n.params == params
+                && n.operands == operands
+        };
+        if let Some(id) = self.cons.find(hash, same, &self.nodes) {
             return id;
         }
         let id = NodeId(self.nodes.len() as u32);
-        let (op, params, operands, width, signed) = key.clone();
         self.nodes.push(Node {
             op,
             params,
@@ -161,7 +270,7 @@ impl Graph {
             signed,
             name: None,
         });
-        self.cons.insert(key, id);
+        self.cons.insert(hash, id, &self.nodes);
         id
     }
 

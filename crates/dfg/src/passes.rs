@@ -21,9 +21,8 @@
 //! - **Dead-code elimination** — inherent in every rebuild (only nodes
 //!   reachable from outputs and register next-states are copied).
 
-use crate::graph::{Graph, NodeId, RegDef};
+use crate::graph::{Graph, Node, NodeId, RegDef};
 use crate::op::{canonicalize, eval_raw, DfgOp, OpClass};
-use std::collections::{HashMap, HashSet};
 
 /// Which passes to run (ablation hooks for the `opt-ablation` bench).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,15 +82,21 @@ pub struct PassStats {
 }
 
 /// Runs the configured passes and returns the optimized graph with stats.
+///
+/// Two rebuilds at most: one for folding, copy propagation and truncation
+/// fusion, one for chain fusion, which also sweeps what the first left
+/// dead. Each works from one topological order of the graph it reads, and
+/// everything keyed by a node is a `Vec` indexed by its dense id.
 pub fn optimize(graph: &Graph, opts: &PassOptions) -> (Graph, PassStats) {
     let mut stats = PassStats::default();
+    let order = graph.topo_order();
     let uses = if opts.copy_prop {
-        use_counts(graph)
+        use_counts(graph, &order)
     } else {
-        HashMap::new()
+        Vec::new()
     };
-    let mut g = rebuild(graph, &mut |new, node, ops| {
-        transform(new, graph, &uses, node, ops, opts, &mut stats)
+    let mut g = rebuild(graph, &order, &mut |new, id, ops, _| {
+        transform(new, graph, &uses, graph.node(id), ops, opts, &mut stats)
     });
     if opts.fuse_mux_chains {
         g = fuse_mux_chains(&g, opts.min_chain_len, &mut stats);
@@ -100,14 +105,21 @@ pub fn optimize(graph: &Graph, opts: &PassOptions) -> (Graph, PassStats) {
     (g, stats)
 }
 
-/// Rebuilds a graph bottom-up, letting `f` choose the replacement node for
-/// each live operation. Sources are copied verbatim; dead nodes vanish.
-pub fn rebuild(
+/// In a rebuild's old-to-new map: not live, or left out by the closure.
+const DROPPED: NodeId = NodeId(u32::MAX);
+
+/// Rebuilds a graph bottom-up along `order` (its [`Graph::topo_order`]),
+/// letting `f` choose the replacement node for each live operation from
+/// its id, its operands in the new graph, and the old-to-new map so far;
+/// an operation `f` answers [`DROPPED`] for is left out (nothing that is
+/// kept may use it). Sources are copied verbatim; dead nodes vanish.
+fn rebuild(
     graph: &Graph,
-    f: &mut impl FnMut(&mut Graph, &crate::graph::Node, &[NodeId]) -> NodeId,
+    order: &[NodeId],
+    f: &mut impl FnMut(&mut Graph, NodeId, &[NodeId], &[NodeId]) -> NodeId,
 ) -> Graph {
     let mut new = Graph::new(graph.name.clone());
-    let mut map: HashMap<NodeId, NodeId> = HashMap::with_capacity(graph.len());
+    let mut map = vec![DROPPED; graph.len()];
     for &input in &graph.inputs {
         let node = graph.node(input);
         let id = new.add_source(
@@ -117,7 +129,7 @@ pub fn rebuild(
             node.name.clone().unwrap_or_default(),
         );
         new.inputs.push(id);
-        map.insert(input, id);
+        map[input.index()] = id;
     }
     for reg in &graph.regs {
         let node = graph.node(reg.state);
@@ -128,45 +140,47 @@ pub fn rebuild(
             init: reg.init,
             name: reg.name.clone(),
         });
-        map.insert(reg.state, id);
+        map[reg.state.index()] = id;
     }
     for (id, node) in graph.iter() {
         if node.op == DfgOp::Const {
-            map.insert(id, new.add_const(node.params[0], node.width, node.signed));
+            map[id.index()] = new.add_const(node.params[0], node.width, node.signed);
         }
     }
     let mut operand_buf = Vec::new();
-    for id in graph.topo_order() {
+    for &id in order {
         let node = graph.node(id);
         operand_buf.clear();
-        operand_buf.extend(node.operands.iter().map(|o| map[o]));
-        let new_id = f(&mut new, node, &operand_buf);
+        operand_buf.extend(node.operands.iter().map(|o| map[o.index()]));
+        let new_id = f(&mut new, id, &operand_buf, &map);
+        if new_id == DROPPED {
+            continue;
+        }
         if let Some(name) = &node.name {
             if new.node(new_id).name.is_none() {
                 new.set_name(new_id, name.clone());
             }
         }
-        map.insert(id, new_id);
+        map[id.index()] = new_id;
     }
     for (k, reg) in graph.regs.iter().enumerate() {
-        new.regs[k].next = map[&reg.next];
+        new.regs[k].next = map[reg.next.index()];
     }
     for (name, out) in &graph.outputs {
-        new.outputs.push((name.clone(), map[out]));
+        new.outputs.push((name.clone(), map[out.index()]));
     }
     new
 }
 
-/// Consumers of each node among the live ops, plus one per output port
-/// and register next-state it drives.
-fn use_counts(graph: &Graph) -> HashMap<NodeId, usize> {
-    let mut uses: HashMap<NodeId, usize> = HashMap::new();
+/// Per node id: its consumers among the live ops (`order`), plus one per
+/// output port and register next-state it drives.
+fn use_counts(graph: &Graph, order: &[NodeId]) -> Vec<u32> {
+    let mut uses = vec![0; graph.len()];
     let roots = graph.outputs.iter().map(|(_, id)| *id);
     let roots = roots.chain(graph.regs.iter().map(|r| r.next));
-    let live = graph.topo_order();
-    let operands = live.iter().flat_map(|&id| graph.node(id).operands.iter());
+    let operands = order.iter().flat_map(|&id| graph.node(id).operands.iter());
     for id in operands.copied().chain(roots) {
-        *uses.entry(id).or_insert(0) += 1;
+        uses[id.index()] += 1;
     }
     uses
 }
@@ -174,8 +188,8 @@ fn use_counts(graph: &Graph) -> HashMap<NodeId, usize> {
 fn transform(
     new: &mut Graph,
     old: &Graph,
-    uses: &HashMap<NodeId, usize>,
-    node: &crate::graph::Node,
+    uses: &[u32],
+    node: &Node,
     ops: &[NodeId],
     opts: &PassOptions,
     stats: &mut PassStats,
@@ -240,7 +254,7 @@ fn transform(
         // through the rebuild as itself.
         if matches!(node.op, DfgOp::Identity | DfgOp::Resize) {
             let (was, src) = (old.node(node.operands[0]), new.node(ops[0]));
-            if uses.get(&node.operands[0]) == Some(&1)
+            if uses[node.operands[0].index()] == 1
                 && src.op == was.op
                 && !matches!(src.op.class(), OpClass::Source)
                 && src.name.is_none()
@@ -275,16 +289,19 @@ fn coerce_like(new: &mut Graph, id: NodeId, width: u32, signed: bool) -> NodeId 
     }
 }
 
-/// Fuses single-use nested mux chains into [`DfgOp::MuxChain`] ops.
+/// Fuses single-use nested mux chains into [`DfgOp::MuxChain`] ops, in one
+/// rebuild: a chain's head is emitted as the `MuxChain` over the whole
+/// chain, and the muxes it absorbs — each has exactly one consumer, the
+/// mux above it in the chain — are left out.
 fn fuse_mux_chains(graph: &Graph, min_len: usize, stats: &mut PassStats) -> Graph {
     let live = graph.topo_order();
-    let uses = use_counts(graph);
+    let uses = use_counts(graph, &live);
     // Count appearances as the false-arm of a live mux.
-    let mut fval_uses: HashMap<NodeId, usize> = HashMap::new();
+    let mut fval_uses = vec![0u32; graph.len()];
     for &id in &live {
         let node = graph.node(id);
         if node.op == DfgOp::Mux {
-            *fval_uses.entry(node.operands[2]).or_insert(0) += 1;
+            fval_uses[node.operands[2].index()] += 1;
         }
     }
     // A mux is absorbable if its only use is as the false-arm of exactly
@@ -292,7 +309,7 @@ fn fuse_mux_chains(graph: &Graph, min_len: usize, stats: &mut PassStats) -> Grap
     // than an arm, or signed differently (truncation fusion makes those),
     // canonicalizes on the way through, which a chain's one result type
     // cannot.
-    let selects_verbatim = |mux: &crate::graph::Node| {
+    let selects_verbatim = |mux: &Node| {
         mux.operands[1..].iter().all(|&arm| {
             let arm = graph.node(arm);
             arm.signed == mux.signed && arm.width <= mux.width
@@ -300,123 +317,60 @@ fn fuse_mux_chains(graph: &Graph, min_len: usize, stats: &mut PassStats) -> Grap
     };
     let absorbable = |id: NodeId| -> bool {
         graph.node(id).op == DfgOp::Mux
-            && uses.get(&id).copied().unwrap_or(0) == 1
-            && fval_uses.get(&id).copied().unwrap_or(0) == 1
+            && uses[id.index()] == 1
+            && fval_uses[id.index()] == 1
             && selects_verbatim(graph.node(id))
     };
-    // Identify chain heads: muxes whose false arm starts a chain but which
-    // are not absorbable themselves.
-    let mut planned: HashMap<NodeId, Vec<NodeId>> = HashMap::new(); // head -> chain muxes
-    let mut absorbed: HashSet<NodeId> = HashSet::new();
+    let below = |id: NodeId| graph.node(id).operands[2];
+    // Chain heads: muxes whose false arm starts a chain of absorbable
+    // muxes but which are not absorbable themselves (an absorbable mux is
+    // claimed when its head is reached). A head's chain is its `absorbed`
+    // false arms, walked again when it is emitted.
+    let mut is_head = vec![false; graph.len()];
+    let mut absorbed = vec![false; graph.len()];
+    let mut chain = Vec::new();
     for &id in &live {
-        let node = graph.node(id);
-        if node.op != DfgOp::Mux || absorbed.contains(&id) {
+        if graph.node(id).op != DfgOp::Mux || absorbable(id) {
             continue;
         }
-        // Is this node itself going to be absorbed by its consumer?
-        // We only start chains at non-absorbable heads; absorbable nodes
-        // get claimed when their head is processed. Walk down the chain.
-        if absorbable(id) {
-            continue;
+        chain.clear();
+        let mut next = below(id);
+        while absorbable(next) {
+            chain.push(next);
+            next = below(next);
         }
-        let mut chain = vec![id];
-        let mut cur = id;
-        while absorbable(graph.node(cur).operands[2]) {
-            cur = graph.node(cur).operands[2];
-            chain.push(cur);
-        }
-        if chain.len() >= min_len {
-            for &m in &chain[1..] {
-                absorbed.insert(m);
-            }
-            planned.insert(id, chain);
+        if 1 + chain.len() >= min_len {
+            is_head[id.index()] = true;
+            chain.iter().for_each(|m| absorbed[m.index()] = true);
+            stats.chains_fused += 1;
+            stats.muxes_absorbed += chain.len();
         }
     }
-    if planned.is_empty() {
-        return rebuild(graph, &mut |new, node, ops| {
-            new.add_op(
+    rebuild(graph, &live, &mut |new, id, ops, map| {
+        let node = graph.node(id);
+        if absorbed[id.index()] {
+            return DROPPED;
+        }
+        if !is_head[id.index()] {
+            return new.add_op(
                 node.op,
                 node.params.clone(),
                 ops.to_vec(),
                 node.width,
                 node.signed,
-            )
-        });
-    }
-    stats.chains_fused += planned.len();
-    stats.muxes_absorbed += absorbed.len();
-    // Manual rebuild (the generic `rebuild` cannot see old node ids, which
-    // the chain plan is keyed by): heads become MuxChain ops gathering
-    // (cond, val) pairs from the whole chain; absorbed muxes are still
-    // materialized here but end up dead and are dropped by the final
-    // rebuild below.
-    let mut new = Graph::new(graph.name.clone());
-    let mut map: HashMap<NodeId, NodeId> = HashMap::with_capacity(graph.len());
-    for &input in &graph.inputs {
-        let node = graph.node(input);
-        let id = new.add_source(
-            node.op,
-            node.width,
-            node.signed,
-            node.name.clone().unwrap_or_default(),
-        );
-        new.inputs.push(id);
-        map.insert(input, id);
-    }
-    for reg in &graph.regs {
-        let node = graph.node(reg.state);
-        let id = new.add_source(node.op, node.width, node.signed, reg.name.clone());
-        new.regs.push(RegDef {
-            state: id,
-            next: id,
-            init: reg.init,
-            name: reg.name.clone(),
-        });
-        map.insert(reg.state, id);
-    }
-    for (id, node) in graph.iter() {
-        if node.op == DfgOp::Const {
-            map.insert(id, new.add_const(node.params[0], node.width, node.signed));
+            );
         }
-    }
-    for id in graph.topo_order() {
-        let node = graph.node(id);
-        let new_id = if let Some(chain) = planned.get(&id) {
-            let mut operands = Vec::with_capacity(chain.len() * 2 + 1);
-            for &m in chain {
-                let mn = graph.node(m);
-                operands.push(map[&mn.operands[0]]);
-                operands.push(map[&mn.operands[1]]);
-            }
-            let default = graph.node(*chain.last().unwrap()).operands[2];
-            operands.push(map[&default]);
-            new.add_op(DfgOp::MuxChain, vec![], operands, node.width, node.signed)
-        } else {
-            let ops: Vec<NodeId> = node.operands.iter().map(|o| map[o]).collect();
-            new.add_op(node.op, node.params.clone(), ops, node.width, node.signed)
-        };
-        if let Some(name) = &node.name {
-            if new.node(new_id).name.is_none() {
-                new.set_name(new_id, name.clone());
-            }
+        // (cond, val) of every mux of the chain, then the last one's
+        // false arm as the default.
+        let mut operands = ops[..2].to_vec();
+        let mut default = below(id);
+        while absorbed[default.index()] {
+            let mux = graph.node(default);
+            operands.extend(mux.operands[..2].iter().map(|o| map[o.index()]));
+            default = below(default);
         }
-        map.insert(id, new_id);
-    }
-    for (k, reg) in graph.regs.iter().enumerate() {
-        new.regs[k].next = map[&reg.next];
-    }
-    for (name, out) in &graph.outputs {
-        new.outputs.push((name.clone(), map[out]));
-    }
-    // Final plain rebuild drops the absorbed (now-dead) muxes.
-    rebuild(&new, &mut |g, node, ops| {
-        g.add_op(
-            node.op,
-            node.params.clone(),
-            ops.to_vec(),
-            node.width,
-            node.signed,
-        )
+        operands.push(map[default.index()]);
+        new.add_op(DfgOp::MuxChain, vec![], operands, node.width, node.signed)
     })
 }
 
@@ -804,5 +758,64 @@ circuit C :
         );
         let (opt, _) = optimize(&g, &PassOptions::default());
         assert_equivalent(&g, &opt, 300, 7);
+    }
+
+    /// A mux ladder over `c0.. : UInt<1>` and `v0.. : UInt<8>` ending in
+    /// `d`, one link per entry of `links`, outermost first: 0 a plain mux;
+    /// 1 the ladder below it named; 2 named and read by a second output;
+    /// 3 a mux over 9-bit arms cut back to 8 bits, which truncation
+    /// fusion turns into a mux narrower than its arms. A chain stops at a
+    /// shared link and at a truncating one.
+    fn ladder(links: &[u8]) -> String {
+        let mut src = String::from("circuit L :\n  module L :\n    input d : UInt<8>\n");
+        for k in 0..links.len() {
+            src += &format!("    input c{k} : UInt<1>\n    input v{k} : UInt<8>\n");
+        }
+        src += "    output out : UInt<8>\n";
+        let shared = links.iter().filter(|&&link| link == 2);
+        for k in 0..shared.count() {
+            src += &format!("    output aux{k} : UInt<8>\n");
+        }
+        let (mut below, mut aux) = (String::from("d"), 0);
+        for (k, link) in links.iter().enumerate().rev() {
+            below = match link {
+                3 => format!("tail(mux(c{k}, add(v{k}, d), pad({below}, 9)), 1)"),
+                _ => format!("mux(c{k}, v{k}, {below})"),
+            };
+            if matches!(link, 1 | 2) {
+                src += &format!("    node l{k} = {below}\n");
+                below = format!("l{k}");
+            }
+            if *link == 2 {
+                src += &format!("    aux{aux} <= l{k}\n");
+                aux += 1;
+            }
+        }
+        src + &format!("    out <= {below}\n")
+    }
+
+    proptest::proptest! {
+        /// On ladders of every mix of links the passes keep behaviour, and
+        /// a second run finds nothing left to remove.
+        #[test]
+        fn optimize_is_equivalent_and_idempotent_on_mux_ladders(
+            links in proptest::prop::collection::vec(0u8..4, 1..12),
+            seed in proptest::any::<u64>(),
+        ) {
+            let g = graph_of(&ladder(&links));
+            let (once, stats) = optimize(&g, &PassOptions::default());
+            assert_equivalent(&g, &once, 64, seed);
+            let (twice, again) = optimize(&once, &PassOptions::default());
+            proptest::prop_assert_eq!(twice.len(), once.len());
+            proptest::prop_assert_eq!(again.chains_fused + again.truncs_fused, 0);
+            assert_equivalent(&g, &twice, 64, seed);
+            // An unbroken ladder of three plain links and up is one chain.
+            if links.len() >= 3 && links.iter().all(|&link| link == 0) {
+                proptest::prop_assert_eq!(
+                    (stats.chains_fused, stats.muxes_absorbed),
+                    (1, links.len() - 1)
+                );
+            }
+        }
     }
 }

@@ -9,16 +9,20 @@
 
 use crate::ast::{Circuit, Direction, Expr, Module, Stmt};
 use crate::error::{FirrtlError, Result};
+use crate::ops::PrimOp;
 use crate::ty::{bits_for, Type};
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::collections::hash_map::{Entry, HashMap};
 
-/// Types of every referenceable signal in one module.
+/// Types of every referenceable signal in one module. Names declared in
+/// the source are borrowed from it; only synthesized ones (`inst.port`,
+/// `mem.raddr`, a flattened `core0.alu.acc`) are owned.
 #[derive(Debug, Clone, Default)]
-pub struct TypeEnv {
-    map: HashMap<String, Type>,
+pub struct TypeEnv<'a> {
+    map: HashMap<Cow<'a, str>, Type>,
 }
 
-impl TypeEnv {
+impl<'a> TypeEnv<'a> {
     /// Looks up the type of a name.
     pub fn get(&self, name: &str) -> Option<Type> {
         self.map.get(name).copied()
@@ -35,15 +39,8 @@ impl TypeEnv {
     }
 
     /// Iterates over `(name, type)` pairs in arbitrary order.
-    pub fn iter(&self) -> impl Iterator<Item = (&String, &Type)> {
-        self.map.iter()
-    }
-
-    fn insert(&mut self, name: String, ty: Type) -> Result<()> {
-        if self.map.insert(name.clone(), ty).is_some() {
-            return Err(FirrtlError::Duplicate(name));
-        }
-        Ok(())
+    pub fn iter(&self) -> impl Iterator<Item = (&str, Type)> {
+        self.map.iter().map(|(name, ty)| (name.as_ref(), *ty))
     }
 
     /// Binds a name to a type.
@@ -51,8 +48,14 @@ impl TypeEnv {
     /// # Errors
     ///
     /// Returns [`FirrtlError::Duplicate`] if the name is already bound.
-    pub fn bind(&mut self, name: String, ty: Type) -> Result<()> {
-        self.insert(name, ty)
+    pub fn bind(&mut self, name: impl Into<Cow<'a, str>>, ty: Type) -> Result<()> {
+        match self.map.entry(name.into()) {
+            Entry::Occupied(bound) => Err(FirrtlError::Duplicate(bound.key().to_string())),
+            Entry::Vacant(free) => {
+                free.insert(ty);
+                Ok(())
+            }
+        }
     }
 
     /// Infers the type of an expression under this environment.
@@ -62,63 +65,108 @@ impl TypeEnv {
     /// Returns an error for undefined references, clock misuse, or operand
     /// type violations (via [`PrimOp::result_type`](crate::ops::PrimOp::result_type)).
     pub fn type_of(&self, expr: &Expr) -> Result<Type> {
-        match expr {
-            Expr::Ref(name) => self
-                .get(name)
-                .ok_or_else(|| FirrtlError::Undefined(name.clone())),
-            Expr::UIntLit { value, width } => {
-                if bits_for(*value) > *width {
-                    return Err(FirrtlError::Type(format!(
-                        "literal {value} does not fit in UInt<{width}>"
-                    )));
-                }
-                Ok(Type::uint(*width))
-            }
-            Expr::SIntLit { value, width } => {
-                let needed = if *value < 0 {
-                    64 - (!*value as u64).leading_zeros() + 1
-                } else {
-                    bits_for(*value as u64) + 1
-                };
-                if needed > *width {
-                    return Err(FirrtlError::Type(format!(
-                        "literal {value} does not fit in SInt<{width}>"
-                    )));
-                }
-                Ok(Type::sint(*width))
-            }
-            Expr::Mux { cond, tval, fval } => {
-                let ct = self.type_of(cond)?;
-                if ct.is_clock() {
-                    return Err(FirrtlError::Type("mux condition cannot be a clock".into()));
-                }
-                let tt = self.type_of(tval)?;
-                let ft = self.type_of(fval)?;
-                if tt.is_signed() != ft.is_signed() || tt.is_clock() || ft.is_clock() {
-                    return Err(FirrtlError::Type(format!(
-                        "mux arm types disagree: {tt} vs {ft}"
-                    )));
-                }
-                Ok(tt.with_width(tt.width().max(ft.width())))
-            }
-            Expr::ValidIf { cond, value } => {
-                let ct = self.type_of(cond)?;
-                if ct.is_clock() {
-                    return Err(FirrtlError::Type(
-                        "validif condition cannot be a clock".into(),
-                    ));
-                }
-                self.type_of(value)
-            }
-            Expr::Prim { op, args, params } => {
-                let arg_tys: Vec<Type> = args
-                    .iter()
-                    .map(|a| self.type_of(a))
-                    .collect::<Result<_>>()?;
-                op.result_type(&arg_tys, params)
-            }
-        }
+        type_of(expr, &|name| self.get(name))
     }
+}
+
+/// Infers the type of an expression whose references `lookup` types.
+///
+/// This and the three functions it hands the nested forms to recurse once
+/// per nesting level, up to the parser's
+/// [`MAX_EXPR_DEPTH`](crate::parser::MAX_EXPR_DEPTH); each form has a
+/// function of its own, and the checks that can fail theirs, because an
+/// unoptimized build gives every `?` and every message of a function room
+/// in each of its frames.
+///
+/// # Errors
+///
+/// See [`TypeEnv::type_of`].
+pub(crate) fn type_of(expr: &Expr, lookup: &impl Fn(&str) -> Option<Type>) -> Result<Type> {
+    match expr {
+        Expr::Ref(name) => lookup(name).ok_or_else(|| FirrtlError::Undefined(name.clone())),
+        Expr::UIntLit { value, width } => literal_type(bits_for(*value), *width, false, value),
+        Expr::SIntLit { value, width } => {
+            let needed = if *value < 0 {
+                64 - (!*value as u64).leading_zeros() + 1
+            } else {
+                bits_for(*value as u64) + 1
+            };
+            literal_type(needed, *width, true, value)
+        }
+        Expr::Mux { cond, tval, fval } => type_of_mux(cond, tval, fval, lookup),
+        Expr::ValidIf { cond, value } => {
+            not_a_clock(type_of(cond, lookup)?, "validif")?;
+            type_of(value, lookup)
+        }
+        Expr::Prim { op, args, params } => type_of_prim(*op, args, params, lookup),
+    }
+}
+
+fn type_of_mux(
+    cond: &Expr,
+    tval: &Expr,
+    fval: &Expr,
+    lookup: &impl Fn(&str) -> Option<Type>,
+) -> Result<Type> {
+    not_a_clock(type_of(cond, lookup)?, "mux")?;
+    let tt = type_of(tval, lookup)?;
+    let ft = type_of(fval, lookup)?;
+    if tt.is_signed() != ft.is_signed() || tt.is_clock() || ft.is_clock() {
+        return Err(arms_disagree(tt, ft));
+    }
+    Ok(tt.with_width(tt.width().max(ft.width())))
+}
+
+fn type_of_prim(
+    op: PrimOp,
+    args: &[Expr],
+    params: &[u64],
+    lookup: &impl Fn(&str) -> Option<Type>,
+) -> Result<Type> {
+    // No op takes more than two operands; a malformed longer list still
+    // reaches `result_type`'s count check.
+    let mut pair = [Type::Clock; 2];
+    if args.len() > pair.len() {
+        let spill = args.iter().map(|a| type_of(a, lookup));
+        return op.result_type(&spill.collect::<Result<Vec<_>>>()?, params);
+    }
+    for (ty, a) in pair.iter_mut().zip(args) {
+        *ty = type_of(a, lookup)?;
+    }
+    op.result_type(&pair[..args.len()], params)
+}
+
+/// The type of a literal that needs `needed` bits, if `width` has them.
+fn literal_type(
+    needed: u32,
+    width: u32,
+    signed: bool,
+    value: &dyn std::fmt::Display,
+) -> Result<Type> {
+    let kind = if signed { 'S' } else { 'U' };
+    if needed > width {
+        return Err(FirrtlError::Type(format!(
+            "literal {value} does not fit in {kind}Int<{width}>"
+        )));
+    }
+    Ok(if signed {
+        Type::sint(width)
+    } else {
+        Type::uint(width)
+    })
+}
+
+fn not_a_clock(cond: Type, of: &str) -> Result<()> {
+    if cond.is_clock() {
+        return Err(FirrtlError::Type(format!(
+            "{of} condition cannot be a clock"
+        )));
+    }
+    Ok(())
+}
+
+fn arms_disagree(tt: Type, ft: Type) -> FirrtlError {
+    FirrtlError::Type(format!("mux arm types disagree: {tt} vs {ft}"))
 }
 
 /// Index width for a memory of the given depth (at least 1 bit).
@@ -137,10 +185,10 @@ pub fn mem_addr_width(depth: usize) -> u32 {
 /// Returns [`FirrtlError::Duplicate`] for redefined names,
 /// [`FirrtlError::Undefined`] for instances of unknown modules, and
 /// [`FirrtlError::Type`] for mis-typed node definitions.
-pub fn build_env(circuit: &Circuit, module: &Module) -> Result<TypeEnv> {
+pub fn build_env<'c>(circuit: &'c Circuit, module: &'c Module) -> Result<TypeEnv<'c>> {
     let mut env = TypeEnv::default();
     for port in &module.ports {
-        env.insert(port.name.clone(), port.ty)?;
+        env.bind(port.name.as_str(), port.ty)?;
     }
     collect_decls(circuit, &module.body, &mut env)?;
     // Nodes are typed in a second pass, in order, because a node's type
@@ -149,28 +197,27 @@ pub fn build_env(circuit: &Circuit, module: &Module) -> Result<TypeEnv> {
     Ok(env)
 }
 
-fn collect_decls(circuit: &Circuit, body: &[Stmt], env: &mut TypeEnv) -> Result<()> {
+fn collect_decls<'c>(circuit: &'c Circuit, body: &'c [Stmt], env: &mut TypeEnv<'c>) -> Result<()> {
     for stmt in body {
         match stmt {
-            Stmt::Wire { name, ty } => env.insert(name.clone(), *ty)?,
-            Stmt::Reg { name, ty, .. } => env.insert(name.clone(), *ty)?,
+            Stmt::Wire { name, ty } | Stmt::Reg { name, ty, .. } => env.bind(name.as_str(), *ty)?,
             Stmt::Instance { name, module } => {
                 let target = circuit
                     .module(module)
                     .ok_or_else(|| FirrtlError::Undefined(format!("module {module}")))?;
                 for port in &target.ports {
-                    env.insert(format!("{name}.{}", port.name), port.ty)?;
+                    env.bind(format!("{name}.{}", port.name), port.ty)?;
                 }
             }
             Stmt::Mem {
                 name, ty, depth, ..
             } => {
                 let aw = mem_addr_width(*depth);
-                env.insert(format!("{name}.raddr"), Type::uint(aw))?;
-                env.insert(format!("{name}.rdata"), *ty)?;
-                env.insert(format!("{name}.waddr"), Type::uint(aw))?;
-                env.insert(format!("{name}.wdata"), *ty)?;
-                env.insert(format!("{name}.wen"), Type::uint(1))?;
+                env.bind(format!("{name}.raddr"), Type::uint(aw))?;
+                env.bind(format!("{name}.rdata"), *ty)?;
+                env.bind(format!("{name}.waddr"), Type::uint(aw))?;
+                env.bind(format!("{name}.wdata"), *ty)?;
+                env.bind(format!("{name}.wen"), Type::uint(1))?;
             }
             Stmt::When {
                 then_body,
@@ -186,12 +233,12 @@ fn collect_decls(circuit: &Circuit, body: &[Stmt], env: &mut TypeEnv) -> Result<
     Ok(())
 }
 
-fn type_nodes(body: &[Stmt], env: &mut TypeEnv) -> Result<()> {
+fn type_nodes<'c>(body: &'c [Stmt], env: &mut TypeEnv<'c>) -> Result<()> {
     for stmt in body {
         match stmt {
             Stmt::Node { name, value } => {
                 let ty = env.type_of(value)?;
-                env.insert(name.clone(), ty)?;
+                env.bind(name.as_str(), ty)?;
             }
             Stmt::When {
                 then_body,
@@ -214,7 +261,7 @@ fn type_nodes(body: &[Stmt], env: &mut TypeEnv) -> Result<()> {
 /// # Errors
 ///
 /// Returns the first type error found.
-pub fn check_module(circuit: &Circuit, module: &Module) -> Result<TypeEnv> {
+pub fn check_module<'c>(circuit: &'c Circuit, module: &'c Module) -> Result<TypeEnv<'c>> {
     let env = build_env(circuit, module)?;
     check_body(&env, &module.body)?;
     // Every output port must ultimately be driven; enforced during lowering
@@ -230,7 +277,7 @@ pub fn check_module(circuit: &Circuit, module: &Module) -> Result<TypeEnv> {
     Ok(env)
 }
 
-fn check_body(env: &TypeEnv, body: &[Stmt]) -> Result<()> {
+fn check_body(env: &TypeEnv<'_>, body: &[Stmt]) -> Result<()> {
     for stmt in body {
         match stmt {
             Stmt::Connect { target, value } => {
@@ -266,9 +313,6 @@ fn check_body(env: &TypeEnv, body: &[Stmt]) -> Result<()> {
                     env.type_of(init)?;
                 }
             }
-            Stmt::Node { value, .. } => {
-                env.type_of(value)?;
-            }
             Stmt::When {
                 cond,
                 then_body,
@@ -281,7 +325,12 @@ fn check_body(env: &TypeEnv, body: &[Stmt]) -> Result<()> {
                 check_body(env, then_body)?;
                 check_body(env, else_body)?;
             }
-            Stmt::Wire { .. } | Stmt::Instance { .. } | Stmt::Mem { .. } | Stmt::Skip => {}
+            // A node's value was typed when the environment was built.
+            Stmt::Node { .. }
+            | Stmt::Wire { .. }
+            | Stmt::Instance { .. }
+            | Stmt::Mem { .. }
+            | Stmt::Skip => {}
         }
     }
     Ok(())

@@ -22,10 +22,11 @@
 
 use crate::ast::{Circuit, Direction, Expr, Module, Stmt};
 use crate::error::{FirrtlError, Result};
-use crate::infer::{build_env, check_module, mem_addr_width};
+use crate::infer::{check_module, mem_addr_width, type_of, TypeEnv};
 use crate::ops::PrimOp;
 use crate::ty::Type;
-use std::collections::{HashMap, HashSet};
+use std::borrow::Cow;
+use std::collections::HashMap;
 
 /// A register in the flattened design.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,260 +69,231 @@ impl FlatModule {
     }
 }
 
-/// Lowers a circuit to a [`FlatModule`].
+/// Lowers and fully types a circuit: the main entry point used by the rest
+/// of the workspace. Every stage is entered once: each module is typed
+/// where it is checked, flattening (which lowers the memories it meets) is
+/// the only copy of the borrowed circuit, and `when` resolution takes the
+/// flat body by value and moves its expressions on.
 ///
 /// # Errors
 ///
 /// Returns an error if any module fails type checking, the hierarchy
-/// contains an instance cycle, a wire or output is never driven, or the top
-/// module is missing.
-pub fn lower(circuit: &Circuit) -> Result<FlatModule> {
+/// contains an instance cycle, a wire or output is never driven, the top
+/// module is missing, or a combinational binding cannot be typed (which
+/// indicates a combinational cycle through wires).
+pub fn lower_typed(circuit: &Circuit) -> Result<FlatModule> {
     let top = circuit
-        .top()
+        .modules
+        .iter()
+        .position(|m| m.name == circuit.name)
         .ok_or_else(|| FirrtlError::Lower(format!("no top module named {}", circuit.name)))?;
-    for module in &circuit.modules {
-        check_module(circuit, module)?;
+    let envs = circuit
+        .modules
+        .iter()
+        .map(|module| check_module(circuit, module))
+        .collect::<Result<Vec<_>>>()?;
+    let top_module = &circuit.modules[top];
+    let mut flattener = Flattener {
+        circuit,
+        top: top_module,
+        envs,
+        path: Vec::new(),
+        env: TypeEnv::default(),
+    };
+    for port in &top_module.ports {
+        flattener.env.bind(port.name.as_str(), port.ty)?;
     }
-    let mut flat = flatten_module(circuit, &top.name, &mut Vec::new())?;
-    lower_mems(&mut flat)?;
-    resolve(circuit, flat)
+    let mut body = Vec::new();
+    flattener.flatten_module(top, "", &mut body)?;
+    let (mut flat, first_wire) = resolve(top_module, body, &flattener.env)?;
+    retype_nodes(&mut flat, first_wire)?;
+    Ok(flat)
 }
 
-/// Recursively inlines all instances of `name`, producing a module with no
-/// `Instance` statements.
-fn flatten_module(circuit: &Circuit, name: &str, stack: &mut Vec<String>) -> Result<Module> {
-    if stack.iter().any(|s| s == name) {
-        return Err(FirrtlError::Lower(format!(
-            "instance cycle: {} -> {name}",
-            stack.join(" -> ")
-        )));
-    }
-    let module = circuit
-        .module(name)
-        .ok_or_else(|| FirrtlError::Undefined(format!("module {name}")))?;
-    stack.push(name.to_string());
-    let mut out = Module::new(name);
-    out.ports = module.ports.clone();
-    flatten_body(circuit, &module.body, &mut out.body, stack)?;
-    stack.pop();
-    Ok(out)
+/// Inlines the instance hierarchy below one module, renaming every signal
+/// of an instance `inst.signal`, lowers the memories it meets, and types
+/// the result as it goes.
+struct Flattener<'c> {
+    circuit: &'c Circuit,
+    /// The design's top module: its clock clocks every memory.
+    top: &'c Module,
+    /// Each module's own names, by position in `circuit.modules`.
+    envs: Vec<TypeEnv<'c>>,
+    /// The modules being inlined, outermost first.
+    path: Vec<&'c str>,
+    /// Every name of the flat module, under its hierarchical name: the
+    /// types come from `envs`, so no expression is typed again.
+    env: TypeEnv<'c>,
 }
 
-fn flatten_body(
-    circuit: &Circuit,
-    body: &[Stmt],
-    out: &mut Vec<Stmt>,
-    stack: &mut Vec<String>,
-) -> Result<()> {
-    for stmt in body {
-        match stmt {
-            Stmt::Instance { name, module } => {
-                let sub = flatten_module(circuit, module, stack)?;
-                // Ports of the instance become wires named `inst.port`.
-                let locals: HashSet<String> = sub
-                    .ports
-                    .iter()
-                    .map(|p| p.name.clone())
-                    .chain(declared_names(&sub.body))
-                    .collect();
-                for port in &sub.ports {
-                    out.push(Stmt::Wire {
-                        name: format!("{name}.{}", port.name),
-                        ty: port.ty,
-                    });
-                }
-                let mut prefixed = Vec::new();
-                prefix_body(&sub.body, name, &locals, &mut prefixed);
-                out.extend(prefixed);
-            }
-            Stmt::When {
-                cond,
-                then_body,
-                else_body,
-            } => {
-                let mut t = Vec::new();
-                let mut e = Vec::new();
-                flatten_body(circuit, then_body, &mut t, stack)?;
-                flatten_body(circuit, else_body, &mut e, stack)?;
-                out.push(Stmt::When {
-                    cond: cond.clone(),
-                    then_body: t,
-                    else_body: e,
-                });
-            }
-            other => out.push(other.clone()),
+impl<'c> Flattener<'c> {
+    /// Appends the body of module `index`, instantiated under `prefix`
+    /// (empty for the top), to `out`.
+    fn flatten_module(&mut self, index: usize, prefix: &str, out: &mut Vec<Stmt>) -> Result<()> {
+        let module = &self.circuit.modules[index];
+        if self.path.contains(&module.name.as_str()) {
+            return Err(FirrtlError::Lower(format!(
+                "instance cycle: {} -> {}",
+                self.path.join(" -> "),
+                module.name
+            )));
         }
+        self.path.push(&module.name);
+        self.flatten_body(index, prefix, &module.body, out)?;
+        self.path.pop();
+        Ok(())
     }
-    Ok(())
-}
 
-/// All names declared (wire/reg/node/mem ports) in a statement list,
-/// recursively.
-fn declared_names(body: &[Stmt]) -> Vec<String> {
-    let mut names = Vec::new();
-    collect_declared(body, &mut names);
-    names
-}
-
-fn collect_declared(body: &[Stmt], names: &mut Vec<String>) {
-    for stmt in body {
-        match stmt {
-            Stmt::Wire { name, .. } | Stmt::Reg { name, .. } | Stmt::Node { name, .. } => {
-                names.push(name.clone());
-            }
-            Stmt::Mem { name, .. } => {
-                for field in ["raddr", "rdata", "waddr", "wdata", "wen"] {
-                    names.push(format!("{name}.{field}"));
+    fn flatten_body(
+        &mut self,
+        index: usize,
+        prefix: &str,
+        body: &'c [Stmt],
+        out: &mut Vec<Stmt>,
+    ) -> Result<()> {
+        for stmt in body {
+            let stmt = match stmt {
+                Stmt::Wire { name, ty } => Stmt::Wire {
+                    name: self.declare(prefix, name, *ty)?,
+                    ty: *ty,
+                },
+                Stmt::Reg {
+                    name,
+                    ty,
+                    clock,
+                    reset,
+                } => Stmt::Reg {
+                    name: self.declare(prefix, name, *ty)?,
+                    ty: *ty,
+                    clock: prefix_expr(clock, prefix),
+                    reset: reset
+                        .as_ref()
+                        .map(|(r, i)| (prefix_expr(r, prefix), prefix_expr(i, prefix))),
+                },
+                Stmt::Node { name, value } => {
+                    let ty = self.envs[index].get(name).expect("typed by its module");
+                    Stmt::Node {
+                        name: self.declare(prefix, name, ty)?,
+                        value: prefix_expr(value, prefix),
+                    }
                 }
-                names.push(name.clone());
-            }
-            Stmt::When {
-                then_body,
-                else_body,
-                ..
-            } => {
-                collect_declared(then_body, names);
-                collect_declared(else_body, names);
-            }
-            Stmt::Instance { .. } | Stmt::Connect { .. } | Stmt::Skip => {}
+                Stmt::Connect { target, value } => Stmt::Connect {
+                    target: prefix_name(target, prefix).into_owned(),
+                    value: prefix_expr(value, prefix),
+                },
+                Stmt::Mem {
+                    name, ty, depth, ..
+                } => {
+                    let name = prefix_name(name, prefix);
+                    lower_mem(&name, *ty, *depth, self.top, &mut self.env, out)?;
+                    continue;
+                }
+                Stmt::Instance { name, module } => {
+                    let sub = self
+                        .circuit
+                        .modules
+                        .iter()
+                        .position(|m| m.name == *module)
+                        .ok_or_else(|| FirrtlError::Undefined(format!("module {module}")))?;
+                    let inst = prefix_name(name, prefix);
+                    // Ports of the instance become wires named `inst.port`.
+                    for port in &self.circuit.modules[sub].ports {
+                        let wire = format!("{inst}.{}", port.name);
+                        self.env.bind(wire.clone(), port.ty)?;
+                        out.push(Stmt::Wire {
+                            name: wire,
+                            ty: port.ty,
+                        });
+                    }
+                    self.flatten_module(sub, &inst, out)?;
+                    continue;
+                }
+                Stmt::When {
+                    cond,
+                    then_body,
+                    else_body,
+                } => {
+                    let mut t = Vec::new();
+                    let mut e = Vec::new();
+                    self.flatten_body(index, prefix, then_body, &mut t)?;
+                    self.flatten_body(index, prefix, else_body, &mut e)?;
+                    Stmt::When {
+                        cond: prefix_expr(cond, prefix),
+                        then_body: t,
+                        else_body: e,
+                    }
+                }
+                Stmt::Skip => Stmt::Skip,
+            };
+            out.push(stmt);
         }
+        Ok(())
+    }
+
+    /// Binds a declared name under its hierarchical name, which it returns.
+    fn declare(&mut self, prefix: &str, name: &'c str, ty: Type) -> Result<String> {
+        let name = prefix_name(name, prefix);
+        self.env.bind(name.clone(), ty)?;
+        Ok(name.into_owned())
     }
 }
 
-fn prefix_name(name: &str, prefix: &str, locals: &HashSet<String>) -> String {
-    // Memory/instance port fields `base.field` are local iff their base or
-    // full name is local.
-    if locals.contains(name) || locals.contains(name.split('.').next().unwrap_or(name)) {
-        format!("{prefix}.{name}")
+/// `name` as seen from the top: every name a checked module mentions is
+/// its own, so all of them move under the instance's prefix.
+fn prefix_name<'c>(name: &'c str, prefix: &str) -> Cow<'c, str> {
+    if prefix.is_empty() {
+        Cow::Borrowed(name)
     } else {
-        name.to_string()
+        Cow::Owned(format!("{prefix}.{name}"))
     }
 }
 
-fn prefix_expr(expr: &Expr, prefix: &str, locals: &HashSet<String>) -> Expr {
+fn prefix_expr(expr: &Expr, prefix: &str) -> Expr {
+    if prefix.is_empty() {
+        return expr.clone();
+    }
     match expr {
-        Expr::Ref(n) => Expr::Ref(prefix_name(n, prefix, locals)),
+        Expr::Ref(n) => Expr::Ref(prefix_name(n, prefix).into_owned()),
         Expr::UIntLit { .. } | Expr::SIntLit { .. } => expr.clone(),
         Expr::Mux { cond, tval, fval } => Expr::Mux {
-            cond: Box::new(prefix_expr(cond, prefix, locals)),
-            tval: Box::new(prefix_expr(tval, prefix, locals)),
-            fval: Box::new(prefix_expr(fval, prefix, locals)),
+            cond: Box::new(prefix_expr(cond, prefix)),
+            tval: Box::new(prefix_expr(tval, prefix)),
+            fval: Box::new(prefix_expr(fval, prefix)),
         },
         Expr::ValidIf { cond, value } => Expr::ValidIf {
-            cond: Box::new(prefix_expr(cond, prefix, locals)),
-            value: Box::new(prefix_expr(value, prefix, locals)),
+            cond: Box::new(prefix_expr(cond, prefix)),
+            value: Box::new(prefix_expr(value, prefix)),
         },
-        Expr::Prim { op, args, params } => Expr::Prim {
-            op: *op,
-            args: args
-                .iter()
-                .map(|a| prefix_expr(a, prefix, locals))
-                .collect(),
-            params: params.clone(),
-        },
-    }
-}
-
-fn prefix_body(body: &[Stmt], prefix: &str, locals: &HashSet<String>, out: &mut Vec<Stmt>) {
-    for stmt in body {
-        let stmt = match stmt {
-            Stmt::Wire { name, ty } => Stmt::Wire {
-                name: prefix_name(name, prefix, locals),
-                ty: *ty,
-            },
-            Stmt::Reg {
-                name,
-                ty,
-                clock,
-                reset,
-            } => Stmt::Reg {
-                name: prefix_name(name, prefix, locals),
-                ty: *ty,
-                clock: prefix_expr(clock, prefix, locals),
-                reset: reset.as_ref().map(|(r, i)| {
-                    (
-                        prefix_expr(r, prefix, locals),
-                        prefix_expr(i, prefix, locals),
-                    )
-                }),
-            },
-            Stmt::Node { name, value } => Stmt::Node {
-                name: prefix_name(name, prefix, locals),
-                value: prefix_expr(value, prefix, locals),
-            },
-            Stmt::Connect { target, value } => Stmt::Connect {
-                target: prefix_name(target, prefix, locals),
-                value: prefix_expr(value, prefix, locals),
-            },
-            Stmt::Mem {
-                name,
-                ty,
-                depth,
-                init,
-            } => Stmt::Mem {
-                name: prefix_name(name, prefix, locals),
-                ty: *ty,
-                depth: *depth,
-                init: init.clone(),
-            },
-            Stmt::When {
-                cond,
-                then_body,
-                else_body,
-            } => {
-                let mut t = Vec::new();
-                let mut e = Vec::new();
-                prefix_body(then_body, prefix, locals, &mut t);
-                prefix_body(else_body, prefix, locals, &mut e);
-                Stmt::When {
-                    cond: prefix_expr(cond, prefix, locals),
-                    then_body: t,
-                    else_body: e,
-                }
+        Expr::Prim { op, args, params } => {
+            // A loop, not `map().collect()`: this recurses once per
+            // nesting level, and unoptimized every adapter is a frame.
+            let mut prefixed = Vec::with_capacity(args.len());
+            for a in args {
+                prefixed.push(prefix_expr(a, prefix));
             }
-            Stmt::Instance { .. } => unreachable!("instances are inlined before prefixing"),
-            Stmt::Skip => Stmt::Skip,
-        };
-        out.push(stmt);
-    }
-}
-
-/// Rewrites `Mem` statements into registers + mux trees, in place.
-fn lower_mems(module: &mut Module) -> Result<()> {
-    let clock = module
-        .ports
-        .iter()
-        .find(|p| p.dir == Direction::Input && p.ty.is_clock())
-        .map(|p| p.name.clone());
-    let mut body = Vec::new();
-    for stmt in std::mem::take(&mut module.body) {
-        match stmt {
-            Stmt::Mem {
-                name,
-                ty,
-                depth,
-                init,
-            } => {
-                let clock = clock.clone().ok_or_else(|| {
-                    FirrtlError::Lower(format!("memory {name} requires a clock input port"))
-                })?;
-                lower_one_mem(&name, ty, depth, &init, &clock, &mut body)?;
-            }
-            other => body.push(other),
+            Expr::prim_p(*op, prefixed, params.clone())
         }
     }
-    module.body = body;
-    Ok(())
 }
 
-fn lower_one_mem(
+/// Appends what a `mem` of the design under `top` becomes — port wires,
+/// a register per cell clocked by the design's clock, a read mux tree —
+/// to `out`, and declares it in `env`.
+fn lower_mem(
     name: &str,
     ty: Type,
     depth: usize,
-    init: &[u64],
-    clock: &str,
+    top: &Module,
+    env: &mut TypeEnv<'_>,
     out: &mut Vec<Stmt>,
 ) -> Result<()> {
+    let clock = top
+        .ports
+        .iter()
+        .find(|p| p.dir == Direction::Input && p.ty.is_clock());
+    let clock = clock
+        .map(|p| p.name.as_str())
+        .ok_or_else(|| FirrtlError::Lower(format!("memory {name} requires a clock input port")))?;
     if depth == 0 {
         return Err(FirrtlError::Lower(format!("memory {name} has zero depth")));
     }
@@ -333,16 +305,17 @@ fn lower_one_mem(
         ("wdata", ty),
         ("wen", Type::uint(1)),
     ] {
+        let wire = format!("{name}.{field}");
+        env.bind(wire.clone(), fty)?;
         out.push(Stmt::Wire {
-            name: format!("{name}.{field}"),
+            name: wire,
             ty: fty,
         });
     }
-    // One register per cell; write-enable mux on the next state. Each cell
-    // register carries a synthetic `mem_init` marker via its name so the
-    // resolver can attach the power-on value (FIRRTL has no reg init).
+    // One register per cell; write-enable mux on the next state.
     for k in 0..depth {
         let cell = format!("{name}.cell_{k}");
+        env.bind(cell.clone(), ty)?;
         out.push(Stmt::Reg {
             name: cell.clone(),
             ty,
@@ -364,16 +337,15 @@ fn lower_one_mem(
             value: Expr::mux(hit, Expr::r(format!("{name}.wdata")), Expr::r(cell)),
         });
     }
-    // The init values are smuggled out through a side table keyed by the
-    // cell name; see `resolve`.
-    let _ = init;
     // Combinational read: balanced mux tree over the address bits.
     let cells: Vec<Expr> = (0..depth)
         .map(|k| Expr::r(format!("{name}.cell_{k}")))
         .collect();
     let tree = mux_tree(&Expr::r(format!("{name}.raddr")), &cells, aw, ty);
+    let rdata = format!("{name}.rdata");
+    env.bind(rdata.clone(), env.type_of(&tree)?)?;
     out.push(Stmt::Node {
-        name: format!("{name}.rdata"),
+        name: rdata,
         value: tree,
     });
     Ok(())
@@ -408,26 +380,19 @@ fn mux_tree(addr: &Expr, cells: &[Expr], addr_width: u32, ty: Type) -> Expr {
     rec(addr, cells, addr_width as i64 - 1, 0, span, &zero)
 }
 
-/// Resolves `when` blocks and assembles the [`FlatModule`].
-fn resolve(circuit: &Circuit, module: Module) -> Result<FlatModule> {
-    // Re-derive the env for the mem-lowered module: memories are gone, so
-    // build a one-module circuit around it for instance-free env building.
-    let solo = Circuit {
-        name: module.name.clone(),
-        modules: vec![module.clone()],
-    };
-    let env = build_env(&solo, &module)?;
-    let _ = circuit;
+/// A register declaration: name, type, and optional (reset, init) pair.
+type RegTarget = (String, Type, Option<(Expr, Expr)>);
 
+/// Resolves the `when` blocks of the flattened `body` of `top` and
+/// assembles the [`FlatModule`], moving every expression out of `body`.
+/// Also returns how many of the flat module's `nodes` were nodes in the
+/// source; the rest were wires.
+fn resolve(top: &Module, body: Vec<Stmt>, env: &TypeEnv<'_>) -> Result<(FlatModule, usize)> {
     let mut flat = FlatModule {
-        name: module.name.clone(),
+        name: top.name.clone(),
         ..FlatModule::default()
     };
-    let mut reg_info: Vec<RegTarget> = Vec::new();
-    let mut wire_names: Vec<(String, Type)> = Vec::new();
-    collect_targets(&module.body, &env, &mut reg_info, &mut wire_names);
-
-    for port in &module.ports {
+    for port in &top.ports {
         match (port.dir, port.ty) {
             (Direction::Input, Type::Clock) => flat.clocks.push(port.name.clone()),
             (Direction::Input, ty) => flat.inputs.push((port.name.clone(), ty)),
@@ -442,15 +407,22 @@ fn resolve(circuit: &Circuit, module: Module) -> Result<FlatModule> {
     }
 
     // Last-connect-wins resolution. Registers start bound to themselves
-    // (hold); wires and outputs start unbound.
-    let mut bindings: HashMap<String, Expr> = HashMap::new();
-    for (name, _, _) in &reg_info {
-        bindings.insert(name.clone(), Expr::r(name.clone()));
-    }
-    resolve_body(&module.body, &mut bindings, &mut flat)?;
+    // (hold), wherever they are declared; wires and outputs start unbound.
+    let mut resolver = Resolver {
+        env,
+        nodes: Vec::new(),
+        regs: Vec::new(),
+        wires: Vec::new(),
+    };
+    let mut bindings = Scope::default();
+    hold_registers(&body, &mut bindings.own);
+    resolver.resolve_body(body, &mut bindings)?;
+    let mut bindings = bindings.own;
+    flat.nodes = resolver.nodes;
+    let first_wire = flat.nodes.len();
 
     // Registers: apply synchronous reset with highest priority.
-    for (name, ty, reset) in reg_info {
+    for (name, ty, reset) in resolver.regs {
         let mut next = bindings
             .remove(&name)
             .expect("register binding seeded above");
@@ -465,14 +437,14 @@ fn resolve(circuit: &Circuit, module: Module) -> Result<FlatModule> {
         });
     }
     // Wires must be driven; they become nodes bound to their final value.
-    for (name, ty) in wire_names {
+    for (name, ty) in resolver.wires {
         let value = bindings
             .remove(&name)
             .ok_or_else(|| FirrtlError::Lower(format!("wire {name} is never driven")))?;
         flat.nodes.push((name, ty, value));
     }
     // Outputs must be driven.
-    for port in &module.ports {
+    for port in &top.ports {
         if port.dir == Direction::Output {
             let value = bindings.remove(&port.name).ok_or_else(|| {
                 FirrtlError::Lower(format!("output {} is never driven", port.name))
@@ -480,182 +452,210 @@ fn resolve(circuit: &Circuit, module: Module) -> Result<FlatModule> {
             flat.outputs.push((port.name.clone(), port.ty, value));
         }
     }
-    Ok(flat)
+    Ok((flat, first_wire))
 }
 
-/// A register declaration: name, type, and optional (reset, init) pair.
-type RegTarget = (String, Type, Option<(Expr, Expr)>);
-
-fn collect_targets(
-    body: &[Stmt],
-    env: &crate::infer::TypeEnv,
-    regs: &mut Vec<RegTarget>,
-    wires: &mut Vec<(String, Type)>,
-) {
+fn hold_registers(body: &[Stmt], bindings: &mut HashMap<String, Expr>) {
     for stmt in body {
         match stmt {
-            Stmt::Reg {
-                name, ty, reset, ..
-            } => {
-                regs.push((name.clone(), *ty, reset.clone()));
-            }
-            Stmt::Wire { name, .. } => {
-                let ty = env.get(name).expect("wire typed by env");
-                wires.push((name.clone(), ty));
+            Stmt::Reg { name, .. } => {
+                bindings.insert(name.clone(), Expr::r(name.clone()));
             }
             Stmt::When {
                 then_body,
                 else_body,
                 ..
             } => {
-                collect_targets(then_body, env, regs, wires);
-                collect_targets(else_body, env, regs, wires);
+                hold_registers(then_body, bindings);
+                hold_registers(else_body, bindings);
             }
             _ => {}
         }
     }
 }
 
-fn resolve_body(
-    body: &[Stmt],
-    bindings: &mut HashMap<String, Expr>,
-    flat: &mut FlatModule,
-) -> Result<()> {
-    for stmt in body {
-        match stmt {
-            Stmt::Connect { target, value } => {
-                bindings.insert(target.clone(), value.clone());
-            }
-            Stmt::Node { name, value } => {
-                // Nodes are immutable; record as a combinational binding.
-                flat.nodes
-                    .push((name.clone(), Type::uint(1), value.clone()));
-            }
-            Stmt::When {
-                cond,
-                then_body,
-                else_body,
-            } => {
-                let mut then_b = bindings.clone();
-                let mut else_b = bindings.clone();
-                resolve_body(then_body, &mut then_b, flat)?;
-                resolve_body(else_body, &mut else_b, flat)?;
-                let targets: HashSet<String> = then_b
-                    .iter()
-                    .chain(else_b.iter())
-                    .filter(|(k, v)| bindings.get(*k) != Some(*v))
-                    .map(|(k, _)| k.clone())
-                    .collect();
-                for t in targets {
-                    let tv = then_b.get(&t).or_else(|| bindings.get(&t)).cloned();
-                    let ev = else_b.get(&t).or_else(|| bindings.get(&t)).cloned();
-                    match (tv, ev) {
-                        (Some(tv), Some(ev)) => {
-                            if tv == ev {
-                                bindings.insert(t, tv);
-                            } else {
-                                bindings.insert(t, Expr::mux(cond.clone(), tv, ev));
-                            }
-                        }
-                        (Some(tv), None) => {
+/// The connects made so far in one `when` branch, over those of the
+/// enclosing blocks.
+#[derive(Default)]
+struct Scope<'p> {
+    own: HashMap<String, Expr>,
+    parent: Option<&'p Scope<'p>>,
+}
+
+impl Scope<'_> {
+    fn get(&self, target: &str) -> Option<&Expr> {
+        self.own
+            .get(target)
+            .or_else(|| self.parent.and_then(|p| p.get(target)))
+    }
+}
+
+/// What `when` resolution takes out of the module's statements, in
+/// statement order.
+struct Resolver<'e> {
+    env: &'e TypeEnv<'e>,
+    nodes: Vec<(String, Type, Expr)>,
+    regs: Vec<RegTarget>,
+    wires: Vec<(String, Type)>,
+}
+
+impl Resolver<'_> {
+    fn resolve_body(&mut self, body: Vec<Stmt>, bindings: &mut Scope<'_>) -> Result<()> {
+        for stmt in body {
+            match stmt {
+                Stmt::Connect { target, value } => {
+                    bindings.own.insert(target, value);
+                }
+                Stmt::Node { name, value } => {
+                    // Nodes are immutable; record as a combinational binding.
+                    let ty = self.env.get(&name).expect("declared while flattening");
+                    self.nodes.push((name, ty, value));
+                }
+                Stmt::Reg {
+                    name, ty, reset, ..
+                } => self.regs.push((name, ty, reset)),
+                Stmt::Wire { name, ty } => self.wires.push((name, ty)),
+                Stmt::When {
+                    cond,
+                    then_body,
+                    else_body,
+                } => {
+                    let mut branch = |body| {
+                        let mut scope = Scope {
+                            own: HashMap::new(),
+                            parent: Some(&*bindings),
+                        };
+                        self.resolve_body(body, &mut scope)?;
+                        Ok(scope.own)
+                    };
+                    let (mut then_b, mut else_b) = (branch(then_body)?, branch(else_body)?);
+                    // A target connected in neither branch keeps its value;
+                    // one connected in a single branch holds it in the other.
+                    let targets: Vec<String> = then_b
+                        .keys()
+                        .chain(else_b.keys().filter(|t| !then_b.contains_key(*t)))
+                        .cloned()
+                        .collect();
+                    for t in targets {
+                        let tv = then_b.remove(&t).or_else(|| bindings.get(&t).cloned());
+                        let ev = else_b.remove(&t).or_else(|| bindings.get(&t).cloned());
+                        let merged = match (tv, ev) {
+                            (Some(tv), Some(ev)) if tv == ev => tv,
+                            (Some(tv), Some(ev)) => Expr::mux(cond.clone(), tv, ev),
                             // Driven only in the then-branch of a when with
                             // no prior default: conditionally valid.
-                            bindings.insert(
-                                t,
-                                Expr::ValidIf {
-                                    cond: Box::new(cond.clone()),
-                                    value: Box::new(tv),
-                                },
-                            );
-                        }
-                        (None, Some(ev)) => {
-                            let not_cond =
-                                Expr::prim(PrimOp::Eq, vec![cond.clone(), Expr::u(0, 1)]);
-                            bindings.insert(
-                                t,
-                                Expr::ValidIf {
-                                    cond: Box::new(not_cond),
-                                    value: Box::new(ev),
-                                },
-                            );
-                        }
-                        (None, None) => {}
+                            (Some(tv), None) => Expr::ValidIf {
+                                cond: Box::new(cond.clone()),
+                                value: Box::new(tv),
+                            },
+                            (None, Some(ev)) => Expr::ValidIf {
+                                cond: Box::new(Expr::prim(
+                                    PrimOp::Eq,
+                                    vec![cond.clone(), Expr::u(0, 1)],
+                                )),
+                                value: Box::new(ev),
+                            },
+                            (None, None) => unreachable!("a target is connected in a branch"),
+                        };
+                        bindings.own.insert(t, merged);
                     }
                 }
-            }
-            Stmt::Wire { .. } | Stmt::Reg { .. } | Stmt::Skip => {}
-            Stmt::Instance { .. } | Stmt::Mem { .. } => {
-                unreachable!("instances and mems lowered before resolution")
+                Stmt::Skip => {}
+                Stmt::Instance { .. } | Stmt::Mem { .. } => {
+                    unreachable!("instances and mems lowered before resolution")
+                }
             }
         }
+        Ok(())
     }
-    Ok(())
 }
 
-/// Fixes up node types in a resolved flat module (nodes were recorded with a
-/// placeholder type during resolution). Called by [`lower`]'s wrapper; kept
-/// separate for testability.
-pub(crate) fn retype_nodes(flat: &mut FlatModule) -> Result<()> {
-    let mut env = crate::infer::TypeEnv::default();
-    for (name, ty) in &flat.inputs {
-        env_insert(&mut env, name, *ty)?;
+/// Narrows the former wires of a resolved flat module — `nodes[first_wire..]`
+/// — from their declared type to the type of what drives them, and retypes
+/// the bindings that (transitively) refer to a wire whose type moved; the
+/// others keep the type of their one typing untouched. Bindings may refer
+/// to each other in any order after `when` resolution, so this walks
+/// references depth-first instead of in definition order; a wire that
+/// reaches itself is a combinational cycle.
+fn retype_nodes(flat: &mut FlatModule, first_wire: usize) -> Result<()> {
+    if first_wire == flat.nodes.len() {
+        return Ok(());
     }
-    for clock in &flat.clocks {
-        env_insert(&mut env, clock, Type::Clock)?;
+    let mut sources = TypeEnv::default();
+    let ports = flat.inputs.iter().map(|(name, ty)| (name, *ty));
+    let ports = ports.chain(flat.clocks.iter().map(|name| (name, Type::Clock)));
+    for (name, ty) in ports.chain(flat.regs.iter().map(|reg| (&reg.name, reg.ty))) {
+        sources.bind(name.as_str(), ty)?;
     }
-    for reg in &flat.regs {
-        env_insert(&mut env, &reg.name, reg.ty)?;
-    }
-    // Nodes may reference each other in any order after when-resolution;
-    // iterate until all are typed (bounded by node count).
-    let mut remaining: Vec<usize> = (0..flat.nodes.len()).collect();
-    let mut made_progress = true;
-    while made_progress && !remaining.is_empty() {
-        made_progress = false;
-        remaining.retain(|&idx| {
-            let (name, _, expr) = &flat.nodes[idx];
-            match env.type_of(expr) {
-                Ok(ty) => {
-                    let name = name.clone();
-                    flat.nodes[idx].1 = ty;
-                    env_insert(&mut env, &name, ty).expect("unique node names");
-                    made_progress = true;
-                    false
-                }
-                Err(_) => true,
-            }
-        });
-    }
-    if !remaining.is_empty() {
-        let names: Vec<&str> = remaining
-            .iter()
-            .take(5)
-            .map(|&i| flat.nodes[i].0.as_str())
-            .collect();
+    let names = flat.nodes.iter().map(|(name, _, _)| name.as_str());
+    let mut retyper = Retyper {
+        nodes: &flat.nodes,
+        first_wire,
+        sources,
+        index: names.clone().zip(0..).collect(),
+        types: flat.nodes.iter().map(|(_, ty, _)| Some(*ty)).collect(),
+        visited: vec![false; flat.nodes.len()],
+        moved: vec![true; flat.nodes.len()],
+    };
+    (0..flat.nodes.len()).for_each(|i| {
+        retyper.visit(i);
+    });
+    let types = retyper.types;
+    let untyped = names.zip(&types).filter(|(_, ty)| ty.is_none());
+    let untyped: Vec<&str> = untyped.map(|(name, _)| name).collect();
+    if !untyped.is_empty() {
         return Err(FirrtlError::Lower(format!(
             "could not type {} combinational bindings (cycle or undefined ref?): {:?}",
-            remaining.len(),
-            names
+            untyped.len(),
+            &untyped[..untyped.len().min(5)]
         )));
+    }
+    for (node, ty) in flat.nodes.iter_mut().zip(types) {
+        node.1 = ty.expect("checked above");
     }
     Ok(())
 }
 
-fn env_insert(env: &mut crate::infer::TypeEnv, name: &str, ty: Type) -> Result<()> {
-    env.bind(name.to_string(), ty)
+struct Retyper<'f> {
+    nodes: &'f [(String, Type, Expr)],
+    first_wire: usize,
+    /// Inputs, clocks and registers.
+    sources: TypeEnv<'f>,
+    index: HashMap<&'f str, usize>,
+    /// `None` while a binding is on the walk's path (a reference to it from
+    /// there is a cycle) and when it could not be typed.
+    types: Vec<Option<Type>>,
+    visited: Vec<bool>,
+    /// Whether a visited binding's type changed, or failed; read as true
+    /// on the walk's path.
+    moved: Vec<bool>,
 }
 
-/// Lowers and fully types a circuit: the main entry point used by the rest
-/// of the workspace.
-///
-/// # Errors
-///
-/// See [`lower`]; additionally fails if a combinational binding cannot be
-/// typed (which indicates a combinational cycle through wires).
-pub fn lower_typed(circuit: &Circuit) -> Result<FlatModule> {
-    let mut flat = lower(circuit)?;
-    retype_nodes(&mut flat)?;
-    Ok(flat)
+impl Retyper<'_> {
+    /// Types binding `i` after everything it refers to; whether it moved.
+    fn visit(&mut self, i: usize) -> bool {
+        if std::mem::replace(&mut self.visited[i], true) {
+            return self.moved[i];
+        }
+        let (expr, recorded) = (&self.nodes[i].2, self.types[i].take());
+        // What drives a wire has never been typed as a whole.
+        let mut retype = i >= self.first_wire;
+        expr.for_each_ref(&mut |name| {
+            if let Some(&j) = self.index.get(name) {
+                retype |= self.visit(j);
+            }
+        });
+        let lookup = |name: &str| match self.index.get(name) {
+            Some(&j) => self.types[j],
+            None => self.sources.get(name),
+        };
+        self.types[i] = match retype {
+            true => type_of(expr, &lookup).ok(),
+            false => recorded,
+        };
+        self.moved[i] = self.types[i] != recorded;
+        self.moved[i]
+    }
 }
 
 #[cfg(test)]
@@ -782,7 +782,7 @@ mod tests {
         let mut cb = CircuitBuilder::new("A");
         cb.add_module(a.finish());
         cb.add_module(b.finish());
-        let err = lower(&cb.finish()).unwrap_err();
+        let err = lower_typed(&cb.finish()).unwrap_err();
         assert!(matches!(err, FirrtlError::Lower(m) if m.contains("cycle")));
     }
 
@@ -792,7 +792,7 @@ mod tests {
         b.output("out", Type::uint(1));
         let mut cb = CircuitBuilder::new("M");
         cb.add_module(b.finish());
-        let err = lower(&cb.finish()).unwrap_err();
+        let err = lower_typed(&cb.finish()).unwrap_err();
         assert!(matches!(err, FirrtlError::Lower(m) if m.contains("never driven")));
     }
 
@@ -825,7 +825,7 @@ mod tests {
         b.output_expr("out", Type::uint(1), Expr::u(0, 1));
         let mut cb = CircuitBuilder::new("M");
         cb.add_module(b.finish());
-        let err = lower(&cb.finish()).unwrap_err();
+        let err = lower_typed(&cb.finish()).unwrap_err();
         assert!(matches!(err, FirrtlError::Lower(m) if m.contains("clock domain")));
     }
 
@@ -867,5 +867,61 @@ mod tests {
             }
             other => panic!("expected nested mux, got {other}"),
         }
+    }
+
+    #[test]
+    fn a_mem_declared_under_a_when_is_lowered_there() {
+        // Its cells are hoisted like any register; their writes stay
+        // under the condition. (This used to reach `unreachable!`.)
+        let src = "\
+circuit M :
+  module M :
+    input clock : Clock
+    input c : UInt<1>
+    input a : UInt<1>
+    input d : UInt<8>
+    output o : UInt<8>
+    when c :
+      mem m : UInt<8>[2]
+      m.raddr <= a
+      m.waddr <= a
+      m.wdata <= d
+      m.wen <= c
+    o <= m.rdata
+";
+        let flat = lower_typed(&crate::parser::parse(src).unwrap()).unwrap();
+        assert_eq!(flat.regs.len(), 2);
+        for cell in &flat.regs {
+            let hold = Expr::r(cell.name.clone());
+            assert!(
+                matches!(&cell.next, Expr::Mux { cond, fval, .. }
+                    if **cond == Expr::r("c") && **fval == hold),
+                "{}",
+                cell.next
+            );
+        }
+    }
+
+    #[test]
+    fn a_wire_is_typed_by_its_driver_and_so_is_what_reads_it() {
+        // `w` is declared 8 bits wide and driven by 4; `n` reads it before
+        // it is driven and `k` never reads it.
+        let src = "\
+circuit M :
+  module M :
+    input a : UInt<4>
+    input b : UInt<8>
+    output o : UInt<9>
+    wire w : UInt<8>
+    node k = not(b)
+    node n = add(w, a)
+    w <= a
+    o <= add(n, k)
+";
+        let flat = lower_typed(&crate::parser::parse(src).unwrap()).unwrap();
+        let ty = |name: &str| flat.nodes.iter().find(|n| n.0 == name).unwrap().1;
+        assert_eq!(ty("w"), Type::uint(4));
+        assert_eq!(ty("n"), Type::uint(5));
+        assert_eq!(ty("k"), Type::uint(8));
     }
 }

@@ -61,79 +61,81 @@ pub fn parse(src: &str) -> Result<Circuit> {
     p.parse_circuit()
 }
 
-/// One meaningful source line.
-#[derive(Debug, Clone)]
-struct Line {
+/// Deepest expression nesting the parser accepts. Type inference,
+/// flattening, graph construction and the clone and drop of an `Expr` all
+/// recurse on nesting depth, and a stack overflow is an abort no caller
+/// can catch. A design at this bound compiles on a thread with the default
+/// 2 MiB stack — in 1.6 MiB of it unoptimized, a fifth of that in a
+/// release build; the corpus stays under it: the benchmark's chip nests
+/// 301 deep, the full-scale BOOM-like one 951.
+pub const MAX_EXPR_DEPTH: usize = 1024;
+
+/// One meaningful source line, borrowed from the source text.
+#[derive(Debug, Clone, Copy)]
+struct Line<'s> {
     /// 1-based source line number.
     num: usize,
     /// Leading spaces (tabs count as 4).
     indent: usize,
     /// Trimmed text with comments stripped.
-    text: String,
+    text: &'s str,
 }
 
-fn lex_lines(src: &str) -> Vec<Line> {
+fn lex_lines(src: &str) -> Vec<Line<'_>> {
     let mut out = Vec::new();
     for (i, raw) in src.lines().enumerate() {
-        let without_comment = match raw.find(';') {
-            Some(idx) => &raw[..idx],
-            None => raw,
-        };
-        let text = without_comment.trim_end();
+        let text = raw.split(';').next().unwrap_or(raw).trim_end();
         let trimmed = text.trim_start();
         if trimmed.is_empty() {
             continue;
         }
-        let indent = text
+        let indent = text[..text.len() - trimmed.len()]
             .chars()
-            .take_while(|c| c.is_whitespace())
             .map(|c| if c == '\t' { 4 } else { 1 })
             .sum();
         out.push(Line {
             num: i + 1,
             indent,
-            text: trimmed.to_string(),
+            text: trimmed,
         });
     }
     out
 }
 
-struct Parser {
-    lines: Vec<Line>,
+fn err<T>(line: usize, msg: impl Into<String>) -> Result<T> {
+    Err(FirrtlError::Parse {
+        line,
+        msg: msg.into(),
+    })
+}
+
+struct Parser<'s> {
+    lines: Vec<Line<'s>>,
     pos: usize,
 }
 
-impl Parser {
-    fn err<T>(&self, line: usize, msg: impl Into<String>) -> Result<T> {
-        Err(FirrtlError::Parse {
-            line,
-            msg: msg.into(),
-        })
-    }
-
-    fn peek(&self) -> Option<&Line> {
-        self.lines.get(self.pos)
+impl<'s> Parser<'s> {
+    fn peek(&self) -> Option<Line<'s>> {
+        self.lines.get(self.pos).copied()
     }
 
     fn parse_circuit(&mut self) -> Result<Circuit> {
-        let line = match self.peek() {
-            Some(l) => l.clone(),
-            None => return self.err(1, "empty input"),
+        let Some(line) = self.peek() else {
+            return err(1, "empty input");
         };
-        let name = match line.text.strip_prefix("circuit ") {
-            Some(rest) => rest.trim_end_matches(':').trim().to_string(),
-            None => return self.err(line.num, "expected `circuit Name :`"),
+        let Some(name) = line.text.strip_prefix("circuit ") else {
+            return err(line.num, "expected `circuit Name :`");
         };
         self.pos += 1;
-        let mut circuit = Circuit::new(name);
+        let mut circuit = Circuit::new(name.trim_end_matches(':').trim());
         while let Some(l) = self.peek() {
             if l.indent <= line.indent {
-                return self.err(l.num, "unexpected content outside circuit body");
+                return err(l.num, "unexpected content outside circuit body");
             }
             circuit.modules.push(self.parse_module()?);
         }
         if circuit.top().is_none() {
-            return self.err(
+            return err(
                 line.num,
                 format!("no module named {} (the top)", circuit.name),
             );
@@ -142,13 +144,12 @@ impl Parser {
     }
 
     fn parse_module(&mut self) -> Result<Module> {
-        let line = self.peek().expect("caller checked").clone();
-        let name = match line.text.strip_prefix("module ") {
-            Some(rest) => rest.trim_end_matches(':').trim().to_string(),
-            None => return self.err(line.num, "expected `module Name :`"),
+        let line = self.peek().expect("caller checked");
+        let Some(name) = line.text.strip_prefix("module ") else {
+            return err(line.num, "expected `module Name :`");
         };
         self.pos += 1;
-        let mut module = Module::new(name);
+        let mut module = Module::new(name.trim_end_matches(':').trim());
         let body_indent = match self.peek() {
             Some(l) if l.indent > line.indent => l.indent,
             _ => return Ok(module), // empty module
@@ -158,56 +159,20 @@ impl Parser {
             if l.indent < body_indent {
                 break;
             }
-            let l = l.clone();
-            if let Some(rest) = l.text.strip_prefix("input ") {
-                module
-                    .ports
-                    .push(self.parse_port(&l, rest, Direction::Input)?);
-                self.pos += 1;
+            let (rest, dir) = if let Some(rest) = l.text.strip_prefix("input ") {
+                (rest, Direction::Input)
             } else if let Some(rest) = l.text.strip_prefix("output ") {
-                module
-                    .ports
-                    .push(self.parse_port(&l, rest, Direction::Output)?);
-                self.pos += 1;
+                (rest, Direction::Output)
             } else {
                 break;
-            }
+            };
+            let (name, ty_text) = split_decl(l.num, rest)?;
+            let (name, ty) = (name.to_string(), parse_type(l.num, ty_text)?);
+            module.ports.push(Port { name, dir, ty });
+            self.pos += 1;
         }
         module.body = self.parse_block(body_indent)?;
         Ok(module)
-    }
-
-    fn parse_port(&self, line: &Line, rest: &str, dir: Direction) -> Result<Port> {
-        let (name, ty_text) = match rest.split_once(':') {
-            Some((n, t)) => (n.trim(), t.trim()),
-            None => return self.err(line.num, "expected `name : Type`"),
-        };
-        let ty = self.parse_type(line, ty_text)?;
-        Ok(Port {
-            name: name.to_string(),
-            dir,
-            ty,
-        })
-    }
-
-    fn parse_type(&self, line: &Line, text: &str) -> Result<Type> {
-        let text = text.trim();
-        if text == "Clock" {
-            return Ok(Type::Clock);
-        }
-        for (prefix, signed) in [("UInt<", false), ("SInt<", true)] {
-            if let Some(rest) = text.strip_prefix(prefix) {
-                let w: u32 = match rest.strip_suffix('>').and_then(|s| s.trim().parse().ok()) {
-                    Some(w) => w,
-                    None => return self.err(line.num, format!("bad width in type `{text}`")),
-                };
-                if w == 0 || w > crate::ty::MAX_WIDTH {
-                    return self.err(line.num, format!("width {w} out of range 1..=64"));
-                }
-                return Ok(if signed { Type::SInt(w) } else { Type::UInt(w) });
-            }
-        }
-        self.err(line.num, format!("unknown type `{text}`"))
     }
 
     /// Parses statements at exactly `indent`, descending into `when` blocks.
@@ -217,105 +182,95 @@ impl Parser {
             if l.indent < indent {
                 break;
             }
-            let l = l.clone();
             if l.indent > indent {
-                return self.err(l.num, "unexpected indentation");
+                return err(l.num, "unexpected indentation");
             }
             if l.text.starts_with("module ") {
                 break;
             }
             self.pos += 1;
-            body.push(self.parse_stmt(&l, indent)?);
+            body.push(self.parse_stmt(l, indent)?);
         }
         Ok(body)
     }
 
-    fn parse_stmt(&mut self, l: &Line, indent: usize) -> Result<Stmt> {
-        let text = &l.text;
+    fn parse_stmt(&mut self, l: Line<'s>, indent: usize) -> Result<Stmt> {
+        let text = l.text;
         if text == "skip" {
             return Ok(Stmt::Skip);
         }
         if let Some(rest) = text.strip_prefix("wire ") {
-            let (name, ty_text) = self.split_decl(l, rest)?;
+            let (name, ty_text) = split_decl(l.num, rest)?;
             return Ok(Stmt::Wire {
-                name,
-                ty: self.parse_type(l, &ty_text)?,
+                name: name.to_string(),
+                ty: parse_type(l.num, ty_text)?,
             });
         }
-        if let Some(rest) = text.strip_prefix("regreset ") {
-            let (name, after) = self.split_decl(l, rest)?;
-            let parts = split_top_level(&after, ',');
-            if parts.len() != 4 {
-                return self.err(l.num, "regreset needs `Type, clock, reset, init`");
+        for (keyword, what) in [
+            ("regreset ", "regreset `Type, clock, reset, init`"),
+            ("reg ", "reg `Type, clock`"),
+        ] {
+            if let Some(rest) = text.strip_prefix(keyword) {
+                let (name, after) = split_decl(l.num, rest)?;
+                let Some((ty_text, exprs)) = after.split_once(',') else {
+                    return err(l.num, what);
+                };
+                let mut c = Cursor::new(l.num, exprs);
+                let clock = c.expr(0)?;
+                let reset = match keyword {
+                    "reg " => None,
+                    _ => Some((c.arg(what, false, 0)?, c.arg(what, false, 0)?)),
+                };
+                c.end()?;
+                return Ok(Stmt::Reg {
+                    name: name.to_string(),
+                    ty: parse_type(l.num, ty_text)?,
+                    clock,
+                    reset,
+                });
             }
-            let ty = self.parse_type(l, &parts[0])?;
-            let clock = self.parse_expr(l, &parts[1])?;
-            let reset = self.parse_expr(l, &parts[2])?;
-            let init = self.parse_expr(l, &parts[3])?;
-            return Ok(Stmt::Reg {
-                name,
-                ty,
-                clock,
-                reset: Some((reset, init)),
-            });
-        }
-        if let Some(rest) = text.strip_prefix("reg ") {
-            let (name, after) = self.split_decl(l, rest)?;
-            let parts = split_top_level(&after, ',');
-            if parts.len() != 2 {
-                return self.err(l.num, "reg needs `Type, clock`");
-            }
-            let ty = self.parse_type(l, &parts[0])?;
-            let clock = self.parse_expr(l, &parts[1])?;
-            return Ok(Stmt::Reg {
-                name,
-                ty,
-                clock,
-                reset: None,
-            });
         }
         if let Some(rest) = text.strip_prefix("node ") {
             let (name, value_text) = match rest.split_once('=') {
-                Some((n, v)) => (n.trim().to_string(), v.trim().to_string()),
-                None => return self.err(l.num, "expected `node name = expr`"),
+                Some((n, v)) => (n.trim(), v),
+                None => return err(l.num, "expected `node name = expr`"),
             };
             return Ok(Stmt::Node {
-                name,
-                value: self.parse_expr(l, &value_text)?,
+                name: name.to_string(),
+                value: parse_expr(l.num, value_text)?,
             });
         }
         if let Some(rest) = text.strip_prefix("inst ") {
             let (name, module) = match rest.split_once(" of ") {
                 Some((n, m)) => (n.trim().to_string(), m.trim().to_string()),
-                None => return self.err(l.num, "expected `inst name of Module`"),
+                None => return err(l.num, "expected `inst name of Module`"),
             };
             return Ok(Stmt::Instance { name, module });
         }
         if let Some(rest) = text.strip_prefix("mem ") {
-            let (name, spec) = self.split_decl(l, rest)?;
+            let (name, spec) = split_decl(l.num, rest)?;
             // `UInt<8>[16]`
             let (ty_text, depth_text) = match spec.split_once('[') {
                 Some((t, d)) => (t.trim(), d.trim_end_matches(']').trim()),
-                None => return self.err(l.num, "expected `mem name : Type[depth]`"),
+                None => return err(l.num, "expected `mem name : Type[depth]`"),
             };
-            let ty = self.parse_type(l, ty_text)?;
+            let ty = parse_type(l.num, ty_text)?;
             let depth: usize = match depth_text.parse() {
                 Ok(d) => d,
-                Err(_) => return self.err(l.num, format!("bad memory depth `{depth_text}`")),
+                Err(_) => return err(l.num, format!("bad memory depth `{depth_text}`")),
             };
             return Ok(Stmt::Mem {
-                name,
+                name: name.to_string(),
                 ty,
                 depth,
                 init: vec![],
             });
         }
         if let Some(rest) = text.strip_prefix("when ") {
-            let cond_text = rest.trim_end_matches(':').trim();
-            let cond = self.parse_expr(l, cond_text)?;
+            let cond = parse_expr(l.num, rest.trim_end_matches(':'))?;
             let then_indent = match self.peek() {
                 Some(nl) if nl.indent > indent => nl.indent,
-                _ => return self.err(l.num, "empty when body"),
+                _ => return err(l.num, "empty when body"),
             };
             let then_body = self.parse_block(then_indent)?;
             let mut else_body = Vec::new();
@@ -324,7 +279,7 @@ impl Parser {
                     self.pos += 1;
                     let else_indent = match self.peek() {
                         Some(el) if el.indent > indent => el.indent,
-                        _ => return self.err(l.num, "empty else body"),
+                        _ => return err(l.num, "empty else body"),
                     };
                     else_body = self.parse_block(else_indent)?;
                 }
@@ -336,118 +291,224 @@ impl Parser {
             });
         }
         if let Some((target, value_text)) = text.split_once("<=") {
-            let target = target.trim().to_string();
-            if target.is_empty() || !is_ident(&target) {
-                return self.err(l.num, format!("bad connect target `{target}`"));
+            let target = target.trim();
+            if !is_ident(target) {
+                return err(l.num, format!("bad connect target `{target}`"));
             }
             return Ok(Stmt::Connect {
-                target,
-                value: self.parse_expr(l, value_text.trim())?,
+                target: target.to_string(),
+                value: parse_expr(l.num, value_text)?,
             });
         }
-        self.err(l.num, format!("unrecognized statement `{text}`"))
-    }
-
-    fn split_decl(&self, l: &Line, rest: &str) -> Result<(String, String)> {
-        match rest.split_once(':') {
-            Some((n, t)) => Ok((n.trim().to_string(), t.trim().to_string())),
-            None => self.err(l.num, "expected `name : ...`"),
-        }
-    }
-
-    fn parse_expr(&self, l: &Line, text: &str) -> Result<Expr> {
-        let text = text.trim();
-        if text.is_empty() {
-            return self.err(l.num, "empty expression");
-        }
-        // Literals: UInt<8>(42), SInt<8>(-3).
-        for (prefix, signed) in [("UInt<", false), ("SInt<", true)] {
-            if let Some(rest) = text.strip_prefix(prefix) {
-                let (w_text, v_text) = match rest.split_once(">(") {
-                    Some((w, v)) => (w, v.trim_end_matches(')')),
-                    None => return self.err(l.num, format!("bad literal `{text}`")),
-                };
-                let width: u32 = w_text.trim().parse().map_err(|_| FirrtlError::Parse {
-                    line: l.num,
-                    msg: format!("bad literal width `{w_text}`"),
-                })?;
-                return if signed {
-                    let value = parse_int_i64(v_text).ok_or_else(|| FirrtlError::Parse {
-                        line: l.num,
-                        msg: format!("bad literal value `{v_text}`"),
-                    })?;
-                    Ok(Expr::SIntLit { value, width })
-                } else {
-                    let value = parse_int_u64(v_text).ok_or_else(|| FirrtlError::Parse {
-                        line: l.num,
-                        msg: format!("bad literal value `{v_text}`"),
-                    })?;
-                    Ok(Expr::UIntLit { value, width })
-                };
-            }
-        }
-        // Call forms: mux(...), validif(...), primop(...).
-        if let Some(open) = text.find('(') {
-            let head = &text[..open];
-            if is_ident(head) && text.ends_with(')') {
-                let args_text = &text[open + 1..text.len() - 1];
-                let parts = split_top_level(args_text, ',');
-                if head == "mux" {
-                    if parts.len() != 3 {
-                        return self.err(l.num, "mux takes 3 arguments");
-                    }
-                    return Ok(Expr::Mux {
-                        cond: Box::new(self.parse_expr(l, &parts[0])?),
-                        tval: Box::new(self.parse_expr(l, &parts[1])?),
-                        fval: Box::new(self.parse_expr(l, &parts[2])?),
-                    });
-                }
-                if head == "validif" {
-                    if parts.len() != 2 {
-                        return self.err(l.num, "validif takes 2 arguments");
-                    }
-                    return Ok(Expr::ValidIf {
-                        cond: Box::new(self.parse_expr(l, &parts[0])?),
-                        value: Box::new(self.parse_expr(l, &parts[1])?),
-                    });
-                }
-                if let Some(op) = PrimOp::from_mnemonic(head) {
-                    let (na, np) = (op.num_args(), op.num_params());
-                    if parts.len() != na + np {
-                        return self.err(
-                            l.num,
-                            format!("{head} takes {na} args + {np} params, got {}", parts.len()),
-                        );
-                    }
-                    let mut args = Vec::with_capacity(na);
-                    for part in &parts[..na] {
-                        args.push(self.parse_expr(l, part)?);
-                    }
-                    let mut params = Vec::with_capacity(np);
-                    for part in &parts[na..] {
-                        let v = parse_int_u64(part.trim()).ok_or_else(|| FirrtlError::Parse {
-                            line: l.num,
-                            msg: format!("bad static parameter `{part}` for {head}"),
-                        })?;
-                        params.push(v);
-                    }
-                    return Ok(Expr::Prim { op, args, params });
-                }
-                return self.err(l.num, format!("unknown operation `{head}`"));
-            }
-        }
-        if is_ident(text) {
-            return Ok(Expr::Ref(text.to_string()));
-        }
-        self.err(l.num, format!("cannot parse expression `{text}`"))
+        err(l.num, format!("unrecognized statement `{text}`"))
     }
 }
 
+fn parse_type(line: usize, text: &str) -> Result<Type> {
+    let text = text.trim();
+    if text == "Clock" {
+        return Ok(Type::Clock);
+    }
+    for (prefix, signed) in [("UInt<", false), ("SInt<", true)] {
+        if let Some(rest) = text.strip_prefix(prefix) {
+            let w = match rest.strip_suffix('>').and_then(|s| s.trim().parse().ok()) {
+                Some(w) => checked_width(line, w)?,
+                None => return err(line, format!("bad width in type `{text}`")),
+            };
+            return Ok(if signed { Type::SInt(w) } else { Type::UInt(w) });
+        }
+    }
+    err(line, format!("unknown type `{text}`"))
+}
+
+/// The one width rule, for declared types and literals alike.
+fn checked_width(line: usize, w: u32) -> Result<u32> {
+    if w == 0 || w > crate::ty::MAX_WIDTH {
+        return err(line, format!("width {w} out of range 1..=64"));
+    }
+    Ok(w)
+}
+
+fn split_decl(line: usize, rest: &str) -> Result<(&str, &str)> {
+    match rest.split_once(':') {
+        Some((n, t)) => Ok((n.trim(), t.trim())),
+        None => err(line, "expected `name : ...`"),
+    }
+}
+
+/// Parses `text` as exactly one expression.
+fn parse_expr(line: usize, text: &str) -> Result<Expr> {
+    let mut c = Cursor::new(line, text);
+    let e = c.expr(0)?;
+    c.end()?;
+    Ok(e)
+}
+
+fn is_ident_char(c: char) -> bool {
+    c.is_alphanumeric() || c == '_' || c == '.' || c == '$'
+}
+
 fn is_ident(s: &str) -> bool {
-    !s.is_empty()
-        && s.chars()
-            .all(|c| c.is_alphanumeric() || c == '_' || c == '.' || c == '$')
-        && !s.chars().next().unwrap().is_numeric()
+    s.chars().all(is_ident_char) && s.chars().next().is_some_and(|c| !c.is_numeric())
+}
+
+/// A recursive-descent expression parser over one line: every method
+/// consumes from `pos` and leaves it where it stopped, so no argument text
+/// is split off or copied. What recurses — `expr` and the three call
+/// forms — only parses; error messages are built in leaf methods, off the
+/// frames that stack up [`MAX_EXPR_DEPTH`] deep.
+struct Cursor<'s> {
+    text: &'s str,
+    pos: usize,
+    line: usize,
+}
+
+impl<'s> Cursor<'s> {
+    fn new(line: usize, text: &'s str) -> Self {
+        Cursor { text, pos: 0, line }
+    }
+
+    /// What is left, with leading whitespace skipped.
+    fn rest(&mut self) -> &'s str {
+        let rest = self.text[self.pos..].trim_start();
+        self.pos = self.text.len() - rest.len();
+        rest
+    }
+
+    /// The error `msg`, naming what is left.
+    fn fail<T>(&mut self, msg: String) -> Result<T> {
+        match self.rest() {
+            "" => err(self.line, format!("{msg} at the end of the line")),
+            rest => err(self.line, format!("{msg} at `{rest:.24}`")),
+        }
+    }
+
+    /// Steps over `byte`, the next thing `what` needs.
+    fn expect(&mut self, byte: u8, what: &str) -> Result<()> {
+        if self.rest().as_bytes().first() != Some(&byte) {
+            return self.fail(format!("{what}: expected `{}`", byte as char));
+        }
+        self.pos += 1;
+        Ok(())
+    }
+
+    /// Nothing but whitespace may be left.
+    fn end(&mut self) -> Result<()> {
+        match self.rest() {
+            "" => Ok(()),
+            _ => self.fail("unexpected text after the expression".to_string()),
+        }
+    }
+
+    /// Consumes up to (not including) the first of the `stop` bytes, or
+    /// everything.
+    fn until(&mut self, stop: &[u8]) -> &'s str {
+        let rest = &self.text[self.pos..];
+        let n = rest.bytes().position(|b| stop.contains(&b));
+        let n = n.unwrap_or(rest.len());
+        self.pos += n;
+        &rest[..n]
+    }
+
+    fn expr(&mut self, depth: usize) -> Result<Expr> {
+        let rest = self.rest();
+        let head = &rest[..rest.find(|c: char| !is_ident_char(c)).unwrap_or(rest.len())];
+        if depth > MAX_EXPR_DEPTH || !is_ident(head) {
+            return self.no_expr(depth);
+        }
+        self.pos += head.len();
+        match (head, self.rest().bytes().next()) {
+            ("UInt", Some(b'<')) => self.literal(false),
+            ("SInt", Some(b'<')) => self.literal(true),
+            ("mux", Some(b'(')) => self.mux(depth + 1),
+            ("validif", Some(b'(')) => self.validif(depth + 1),
+            (_, Some(b'(')) => self.prim(head, depth + 1),
+            _ => Ok(Expr::Ref(head.to_string())),
+        }
+    }
+
+    /// Why no expression starts here, `depth` calls deep.
+    fn no_expr<T>(&mut self, depth: usize) -> Result<T> {
+        match depth > MAX_EXPR_DEPTH {
+            true => self.fail(format!("expression nests deeper than {MAX_EXPR_DEPTH}")),
+            false => self.fail("cannot parse expression: stopped".to_string()),
+        }
+    }
+
+    /// `<width>(value)` of a literal: `UInt<8>(42)`, `SInt<8>(-3)`.
+    fn literal(&mut self, signed: bool) -> Result<Expr> {
+        self.pos += 1;
+        let w_text = self.until(b">");
+        self.expect(b'>', "literal")?;
+        let width = match w_text.trim().parse() {
+            Ok(w) => checked_width(self.line, w)?,
+            Err(_) => return err(self.line, format!("bad literal width `{w_text}`")),
+        };
+        self.expect(b'(', "literal")?;
+        let v_text = self.until(b")");
+        self.expect(b')', "literal")?;
+        let value = match signed {
+            true => parse_int_i64(v_text).map(|value| Expr::SIntLit { value, width }),
+            false => parse_int_u64(v_text).map(|value| Expr::UIntLit { value, width }),
+        };
+        value.ok_or_else(|| FirrtlError::Parse {
+            line: self.line,
+            msg: format!("bad literal value `{v_text}`"),
+        })
+    }
+
+    /// The next argument of `what`: its `first`, after the parenthesis the
+    /// cursor is on, or a later one, after a comma.
+    fn arg(&mut self, what: &str, first: bool, depth: usize) -> Result<Expr> {
+        if first {
+            self.pos += 1;
+        } else {
+            self.expect(b',', what)?;
+        }
+        self.expr(depth)
+    }
+
+    fn mux(&mut self, depth: usize) -> Result<Expr> {
+        let cond = Box::new(self.arg("mux", true, depth)?);
+        let tval = Box::new(self.arg("mux", false, depth)?);
+        let fval = Box::new(self.arg("mux", false, depth)?);
+        self.expect(b')', "mux")?;
+        Ok(Expr::Mux { cond, tval, fval })
+    }
+
+    fn validif(&mut self, depth: usize) -> Result<Expr> {
+        let cond = Box::new(self.arg("validif", true, depth)?);
+        let value = Box::new(self.arg("validif", false, depth)?);
+        self.expect(b')', "validif")?;
+        Ok(Expr::ValidIf { cond, value })
+    }
+
+    /// `(args..., params...)` of a primitive op.
+    fn prim(&mut self, head: &str, depth: usize) -> Result<Expr> {
+        let Some(op) = PrimOp::from_mnemonic(head) else {
+            return err(self.line, format!("unknown operation `{head}`"));
+        };
+        let mut args = Vec::with_capacity(op.num_args());
+        for k in 0..op.num_args() {
+            args.push(self.arg(head, k == 0, depth)?);
+        }
+        let mut params = Vec::with_capacity(op.num_params());
+        for _ in 0..op.num_params() {
+            params.push(self.param(head)?);
+        }
+        self.expect(b')', head)?;
+        Ok(Expr::Prim { op, args, params })
+    }
+
+    /// `, n`: the next static integer parameter of `head`.
+    fn param(&mut self, head: &str) -> Result<u64> {
+        self.expect(b',', head)?;
+        let part = self.until(b",)");
+        parse_int_u64(part).ok_or_else(|| FirrtlError::Parse {
+            line: self.line,
+            msg: format!("bad static parameter `{}` for {head}", part.trim()),
+        })
+    }
 }
 
 fn parse_int_u64(s: &str) -> Option<u64> {
@@ -462,38 +523,10 @@ fn parse_int_u64(s: &str) -> Option<u64> {
 fn parse_int_i64(s: &str) -> Option<i64> {
     let s = s.trim();
     if let Some(rest) = s.strip_prefix('-') {
-        parse_int_u64(rest).map(|v| -(v as i64))
+        parse_int_u64(rest).map(|v| (v as i64).wrapping_neg())
     } else {
         parse_int_u64(s).map(|v| v as i64)
     }
-}
-
-/// Splits on `sep` at paren depth 0.
-fn split_top_level(s: &str, sep: char) -> Vec<String> {
-    let mut parts = Vec::new();
-    let mut depth = 0usize;
-    let mut cur = String::new();
-    for c in s.chars() {
-        match c {
-            '(' | '<' | '[' => {
-                depth += 1;
-                cur.push(c);
-            }
-            ')' | '>' | ']' => {
-                depth = depth.saturating_sub(1);
-                cur.push(c);
-            }
-            c if c == sep && depth == 0 => {
-                parts.push(cur.trim().to_string());
-                cur = String::new();
-            }
-            c => cur.push(c),
-        }
-    }
-    if !cur.trim().is_empty() {
-        parts.push(cur.trim().to_string());
-    }
-    parts
 }
 
 /// Pretty-prints a circuit back to parseable FIRRTL text (round-trip tested).
@@ -671,23 +704,14 @@ circuit M :
 
     #[test]
     fn literal_forms() {
-        let p = Parser {
-            lines: vec![],
-            pos: 0,
-        };
-        let l = Line {
-            num: 1,
-            indent: 0,
-            text: String::new(),
-        };
-        assert_eq!(p.parse_expr(&l, "UInt<8>(0x2a)").unwrap(), Expr::u(42, 8));
-        assert_eq!(p.parse_expr(&l, "SInt<8>(-3)").unwrap(), Expr::s(-3, 8));
+        assert_eq!(parse_expr(1, "UInt<8>(0x2a)").unwrap(), Expr::u(42, 8));
+        assert_eq!(parse_expr(1, "SInt<8>(-3)").unwrap(), Expr::s(-3, 8));
         assert_eq!(
-            p.parse_expr(&l, "bits(x, 7, 0)").unwrap(),
+            parse_expr(1, "bits(x, 7, 0)").unwrap(),
             Expr::prim_p(PrimOp::Bits, vec![Expr::r("x")], vec![7, 0])
         );
-        assert!(p.parse_expr(&l, "mux(a, b)").is_err());
-        assert!(p.parse_expr(&l, "7up").is_err());
+        assert!(parse_expr(1, "mux(a, b)").is_err());
+        assert!(parse_expr(1, "7up").is_err());
     }
 
     #[test]
@@ -696,12 +720,6 @@ circuit M :
         let emitted = emit(&c1);
         let c2 = parse(&emitted).unwrap();
         assert_eq!(c1, c2);
-    }
-
-    #[test]
-    fn split_top_level_respects_nesting() {
-        let parts = split_top_level("add(a, b), UInt<4>(1), c", ',');
-        assert_eq!(parts, vec!["add(a, b)", "UInt<4>(1)", "c"]);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use rteaal_core::{Compiler, DebugModule, Simulation};
 use rteaal_designs::Workload;
 use rteaal_kernels::{KernelConfig, KernelKind};
 use rteaal_sched::Job;
-use rteaal_serve::{ServeClient, ServeConfig, ServerPool, SocketServer};
+use rteaal_serve::{ProtocolError, ServeClient, ServeConfig, ServerPool, SocketServer};
 
 fn corpus_job(k: u64) -> Job {
     let mut job = Job::new(format!("sum-{k}"), Workload::param_sum_budget(k));
@@ -81,4 +81,56 @@ fn three_jobs_over_loopback_are_bit_exact() {
     let mut raw = ServeClient::connect(addr).expect("second client connects");
     assert!(raw.poll(12345).is_err(), "unknown id on a fresh connection");
     assert!(raw.stats().is_ok(), "connection stays usable after errors");
+}
+
+/// A design whose one output is `expr` over its input `a`.
+fn design_driving_o_with(expr: &str) -> String {
+    format!(
+        "circuit H :\n  module H :\n    input a : UInt<8>\n    output o : UInt<8>\n    o <= {expr}\n"
+    )
+}
+
+#[test]
+fn a_hostile_register_is_a_structured_error_and_the_server_keeps_serving() {
+    let compiled = Compiler::new(KernelConfig::new(KernelKind::Psu))
+        .compile(&Workload::param_sum_circuit())
+        .expect("rv32i compiles");
+    let pool =
+        ServerPool::new(&compiled, ServeConfig::with_workers(1), "halt").expect("halt resolves");
+    let addr = SocketServer::bind(pool, "127.0.0.1:0")
+        .expect("binds loopback")
+        .spawn()
+        .expect("accept loop spawns");
+    let mut client = ServeClient::connect(addr).expect("connects");
+    // Nesting no stack would hold (the compile runs on this connection's
+    // thread, and an overflow there is an abort, not an unwind), a literal
+    // wider than a signal can be, parentheses that close nothing.
+    let deep = format!("{}a{}", "not(".repeat(100_000), ")".repeat(100_000));
+    for (expr, what) in [
+        (deep.as_str(), "nests deeper than"),
+        ("tail(UInt<200>(1), 56)", "width 200 out of range 1..=64"),
+        (
+            "or(a, UInt<8>(1))))))",
+            "unexpected text after the expression at `))))`",
+        ),
+    ] {
+        match client.register("hostile", &design_driving_o_with(expr), "o") {
+            Err(ProtocolError::Server(message)) => {
+                assert!(message.contains("parse error at line 5"), "{message}");
+                assert!(message.contains(what), "{message}");
+            }
+            other => panic!("a hostile design should fail server-side: {other:?}"),
+        }
+    }
+    // Same connection, same server: the next requests are served — a
+    // design at the nesting bound among them, compiled on the connection
+    // thread's default stack.
+    let depth = rteaal_firrtl::parser::MAX_EXPR_DEPTH;
+    let at_bound = format!("{}a{}", "not(".repeat(depth), ")".repeat(depth));
+    client
+        .register("at-the-bound", &design_driving_o_with(&at_bound), "o")
+        .expect("registers");
+    let id = client.submit(&corpus_job(7)).expect("submits");
+    let result = client.result(id).expect("streams the result");
+    assert_eq!(result.output("a0"), Some(Workload::param_sum_expected(7)));
 }

@@ -1,5 +1,11 @@
 //! Per-opcode time census of the compiled lane kernels — the first
-//! answer to "why is this design slow". First what rows the plan runs in
+//! answer to "why is this design slow" — opened, per design, by the first
+//! answer to "why is this design slow to set up": the compile budget from
+//! FIRRTL text, stage by stage (best of five compiles), with the rate each
+//! front-end stage works at — MB/s of source and ns per expression node
+//! for the parser and the lowering, ns per graph node for graph
+//! construction and the passes — and the graph's node count before and
+//! after each of the passes' two rebuilds. Then what rows the plan runs in
 //! (`u32` or `u64`, and if `u64`, which slot or op said so), the slot
 //! width histogram and how many truncations the graph pass fused. Then
 //! the scalar side ("why is the scalar kernel slow on this design"): how
@@ -19,13 +25,15 @@
 //! cargo run --release --example op_census
 //! ```
 
-use rteaal_core::Compiler;
+use rteaal_core::{Compiled, Compiler, StageTimings};
 use rteaal_designs::{rocket, sha3, ChipConfig, Stimulus, Workload};
 use rteaal_dfg::lane_kernel::{
     compile_layer, BatchEngine, CompiledOp, Lane, LaneLayout, LaneType, LaneWindow,
 };
 use rteaal_dfg::op::NUM_OPCODES;
+use rteaal_dfg::passes::{optimize, PassOptions};
 use rteaal_dfg::{OpInst, SimPlan};
+use rteaal_firrtl::ast::{Expr, Stmt};
 use rteaal_firrtl::Circuit;
 use rteaal_kernels::{BatchKernel, BatchLiState, Kernel, KernelConfig, KernelKind, LanePoker};
 use std::collections::BTreeMap;
@@ -158,6 +166,103 @@ fn scalar_census(
     println!("{}", line.trim_end_matches(';'));
 }
 
+fn expr_nodes(e: &Expr) -> usize {
+    1 + match e {
+        Expr::Ref(_) | Expr::UIntLit { .. } | Expr::SIntLit { .. } => 0,
+        Expr::Mux { cond, tval, fval } => expr_nodes(cond) + expr_nodes(tval) + expr_nodes(fval),
+        Expr::ValidIf { cond, value } => expr_nodes(cond) + expr_nodes(value),
+        Expr::Prim { args, .. } => args.iter().map(expr_nodes).sum(),
+    }
+}
+
+fn stmt_expr_nodes(body: &[Stmt]) -> usize {
+    let of = |stmt: &Stmt| match stmt {
+        Stmt::Node { value, .. } | Stmt::Connect { value, .. } => expr_nodes(value),
+        Stmt::Reg { reset, .. } => {
+            let reset = reset.iter().map(|(r, i)| expr_nodes(r) + expr_nodes(i));
+            reset.sum()
+        }
+        Stmt::When {
+            cond,
+            then_body,
+            else_body,
+        } => expr_nodes(cond) + stmt_expr_nodes(then_body) + stmt_expr_nodes(else_body),
+        _ => 0,
+    };
+    body.iter().map(of).sum()
+}
+
+/// Compiles `circuit` from its FIRRTL text five times and prints the best
+/// time of every stage, what each front-end stage costs per unit of its
+/// input, and the node counts around the passes' two rebuilds.
+fn compile_budget(compiler: &Compiler, circuit: &Circuit) -> Compiled {
+    let text = rteaal_firrtl::parser::emit(circuit);
+    let mut compiled = compiler.compile_str(&text).expect("compiles");
+    let mut best = compiled.timings;
+    for _ in 0..4 {
+        compiled = compiler.compile_str(&text).expect("compiles");
+        let t = compiled.timings;
+        best = StageTimings {
+            parse: best.parse.min(t.parse),
+            lower: best.lower.min(t.lower),
+            graph: best.graph.min(t.graph),
+            optimize: best.optimize.min(t.optimize),
+            plan: best.plan.min(t.plan),
+            verify: best.verify.min(t.verify),
+            kernel: best.kernel.min(t.kernel),
+        };
+    }
+    let exprs: usize = circuit
+        .modules
+        .iter()
+        .map(|m| stmt_expr_nodes(&m.body))
+        .sum();
+    let flat = rteaal_firrtl::lower_typed(circuit).expect("lowers");
+    let raw = rteaal_dfg::build(&flat).expect("builds");
+    let unfused = PassOptions {
+        fuse_mux_chains: false,
+        ..compiler.passes
+    };
+    let (first, last) = (
+        optimize(&raw, &unfused).0,
+        optimize(&raw, &compiler.passes).0,
+    );
+    println!(
+        "{}: compile from {} bytes of FIRRTL, {:.2} ms ({exprs} expression nodes, {} graph nodes)",
+        circuit.name,
+        text.len(),
+        best.total() * 1e3,
+        raw.len()
+    );
+    let per = |secs: f64, n: usize| secs * 1e9 / n.max(1) as f64;
+    println!(
+        "  parse {:.2} ms ({:.0} MB/s, {:.0} ns per expression node), lower {:.2} ms ({:.0})",
+        best.parse * 1e3,
+        text.len() as f64 / best.parse / 1e6,
+        per(best.parse, exprs),
+        best.lower * 1e3,
+        per(best.lower, exprs)
+    );
+    println!(
+        "  graph {:.2} ms ({:.0} ns per graph node), optimize {:.2} ms ({:.0}): \
+         {} nodes -> {} after fold/copy/truncate -> {} after chain fusion",
+        best.graph * 1e3,
+        per(best.graph, raw.len()),
+        best.optimize * 1e3,
+        per(best.optimize, raw.len()),
+        raw.len(),
+        first.len(),
+        last.len()
+    );
+    println!(
+        "  plan {:.2} ms, verify {:.2} ms, kernel {:.2} ms",
+        best.plan * 1e3,
+        best.verify * 1e3,
+        best.kernel * 1e3
+    );
+    compiled
+}
+
 /// Compiles `circuit`, says what rows its plan runs in and why, takes
 /// the scalar census, then — in each lane type the plan supports, its own
 /// last and in detail — pokes `x15` on every lane (RV32I's loop bound),
@@ -171,10 +276,10 @@ fn census(
     value: &mut dyn FnMut(u64, usize, usize) -> u64,
 ) {
     let config = KernelConfig::new(KernelKind::Psu);
-    let compiled = Compiler::new(config).compile(circuit).expect("compiles");
+    let compiled = compile_budget(&Compiler::new(config), circuit);
     let plan = &compiled.plan;
     let own = LaneLayout::of(plan);
-    println!("{}: {} ops, B = {LANES}", plan.name, plan.total_ops());
+    println!("  {} ops, B = {LANES}", plan.total_ops());
     println!(
         "  lane type {:?}: {} bytes per row of {LANES} lanes, {} slots{}",
         own.lane_type(),
