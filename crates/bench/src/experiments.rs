@@ -1004,7 +1004,7 @@ impl FleetFixture {
 /// Poisson schedule with a mid-run burst and a mixed design corpus —
 /// arrivals are fixed in advance, so a struggling fleet cannot slow its
 /// own load down. Three legs over the *identical* schedule, one row
-/// each ([`Fault`]): healthy; the busiest shard `SIGKILL`ed mid-corpus;
+/// each (`Fault`): healthy; the busiest shard `SIGKILL`ed mid-corpus;
 /// one shard behind a kill/revive proxy and the other behind a delay
 /// proxy. Then the healthy fleet's story is read back *through the
 /// wire*, per shard: the `timeline` verb for every job it ran, the

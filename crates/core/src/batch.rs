@@ -1,6 +1,6 @@
 //! The user-facing batched simulation handle: one compiled design, `B`
-//! independent stimulus lanes, named per-lane poke/peek, and
-//! thread-parallel cycle stepping.
+//! independent stimulus lanes, named per-lane poke/peek, and cycle
+//! stepping over the lanes still live.
 //!
 //! [`BatchSimulation`] is the throughput front door: where
 //! [`Simulation`](crate::Simulation) answers "what does this design do
@@ -28,59 +28,12 @@
 //! lane addressing.
 
 use crate::compiler::Compiled;
-use crate::simulation::UnknownSignal;
+use crate::simulation::{SignalIndex, UnknownSignal};
 use crate::waveform::VcdWriter;
-use rteaal_dfg::analyze::{analyze_partitioned, AnalysisReport};
 use rteaal_dfg::lane_kernel::{BatchEngine, LaneLayout, LaneType};
 use rteaal_dfg::op::canonicalize;
-use rteaal_dfg::partition::PartitionedPlan;
 use rteaal_dfg::plan::SimPlan;
 use rteaal_kernels::{BatchKernel, BatchLiState, LanePoker};
-use std::collections::HashMap;
-
-/// How a batched simulation decomposes the design across partitions
-/// (paper Appendix C, Cascade 2 — the RepCut replication scheme).
-///
-/// Lane-wise batching is orthogonal: partitioning splits the *ops of one
-/// cycle* across workers, so it is the lever for per-job latency on
-/// large designs, where lanes are the lever for throughput.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum Partitioning {
-    /// Classic single-schedule execution (the default).
-    #[default]
-    None,
-    /// Exactly this many RepCut partitions (1 behaves like `None`).
-    Fixed(usize),
-}
-
-/// Everything settable about a batched engine — the one argument of
-/// [`BatchSimulation::build`] (and of `rteaal_sched::Scheduler::build`
-/// above it).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EngineConfig {
-    /// Stimulus lanes (nonzero).
-    pub lanes: usize,
-    /// Worker threads each layer's operations are split across (1 =
-    /// sequential). Clamped to the host's available parallelism —
-    /// oversubscribing a batch run only adds barrier overhead (drive
-    /// [`BatchKernel::run_parallel`](rteaal_kernels::BatchKernel)
-    /// directly to force an exact count).
-    pub threads: usize,
-    /// RepCut decomposition.
-    pub partitioning: Partitioning,
-}
-
-impl EngineConfig {
-    /// The default engine at `lanes` lanes: one thread, unpartitioned.
-    /// Override fields with struct-update syntax.
-    pub fn new(lanes: usize) -> Self {
-        EngineConfig {
-            lanes,
-            threads: 1,
-            partitioning: Partitioning::None,
-        }
-    }
-}
 
 /// A running batched simulation of one compiled design.
 ///
@@ -116,10 +69,7 @@ pub struct BatchSimulation {
     kernel: BatchKernel,
     state: BatchLiState,
     plan: SimPlan,
-    input_index: HashMap<String, usize>,
-    /// Probe name → `(slot, width, signed)`.
-    probe_index: HashMap<String, (u32, u8, bool)>,
-    threads: usize,
+    signals: SignalIndex,
     liveness: Option<LaneLiveness>,
     vcd: Option<LaneVcd>,
 }
@@ -184,117 +134,50 @@ impl LaneLiveness {
 }
 
 impl BatchSimulation {
-    /// Builds a `lanes`-wide simulation from a compile result under the
-    /// default [`EngineConfig`]: one thread, unpartitioned.
+    /// Builds a `lanes`-wide simulation from a compile result — the one
+    /// constructor.
     ///
     /// # Panics
     ///
     /// Panics if `lanes` is zero.
     pub fn new(compiled: &Compiled, lanes: usize) -> Self {
-        Self::build(compiled, EngineConfig::new(lanes))
-            .expect("an unpartitioned engine has no decomposition to reject")
+        Self::with_layout(compiled, lanes, LaneLayout::of)
     }
 
-    /// The one constructor. Every `config` is bit-identical through every
-    /// public method — lane reset, admission, halt compaction, pokes and
-    /// probes are all partition-aware — it only changes how a cycle's
-    /// work is divided.
-    ///
-    /// # Errors
-    ///
-    /// Returns the static verifier's [`AnalysisReport`]
-    /// ([`rteaal_dfg::analyze`]) if the RepCut decomposition of the
-    /// plan violates a structural invariant
-    /// (foreign commit, missing RUM reader, uncovered op, …) — the engine
-    /// is never constructed over an unverified partitioning.
+    /// [`new`](Self::new) with the rows held in `lane` instead of the
+    /// plan's own lane type — the witness through which tests run one
+    /// design in both.
     ///
     /// # Panics
     ///
-    /// Panics if `lanes` is zero, or on `Partitioning::Fixed(0)`.
-    pub fn build(compiled: &Compiled, config: EngineConfig) -> Result<Self, AnalysisReport> {
-        Self::build_as(compiled, config, None)
-    }
-
-    /// [`build`](Self::build) with the rows held in `lane` instead of
-    /// the plan's own lane type — the witness through which tests run
-    /// one design in both.
-    ///
-    /// # Panics
-    ///
-    /// As [`build`](Self::build), and unless `lane` is in
+    /// As [`new`](Self::new), and unless `lane` is in
     /// `LaneType::supported_for` of the plan.
     #[doc(hidden)]
-    pub fn build_for(
-        compiled: &Compiled,
-        config: EngineConfig,
-        lane: LaneType,
-    ) -> Result<Self, AnalysisReport> {
-        Self::build_as(compiled, config, Some(lane))
+    pub fn new_in(compiled: &Compiled, lanes: usize, lane: LaneType) -> Self {
+        Self::with_layout(compiled, lanes, |plan| LaneLayout::of_as(plan, lane))
     }
 
-    fn build_as(
+    fn with_layout(
         compiled: &Compiled,
-        config: EngineConfig,
-        lane: Option<LaneType>,
-    ) -> Result<Self, AnalysisReport> {
+        lanes: usize,
+        layout: impl FnOnce(&SimPlan) -> LaneLayout,
+    ) -> Self {
         // Cloned *before* the kernel is compiled, on purpose: the clone soaks
         // up the compile pipeline's free chunks, so the kernel's op tables —
         // streamed every cycle — land contiguous (−10 % on the chip otherwise).
         let plan = compiled.plan.clone();
-        let parts = match config.partitioning {
-            Partitioning::None => 1,
-            Partitioning::Fixed(p) => {
-                assert!(p > 0, "partition count must be nonzero");
-                p
-            }
-        };
-        let kernel_config = compiled.kernel.config();
-        let (kernel, state) = if parts > 1 {
-            let mut pp = PartitionedPlan::new(&plan, parts);
-            if let Some(lane) = lane {
-                pp.lanes = LaneLayout::of_as(&plan, lane);
-            }
-            let report = analyze_partitioned(&plan, &pp);
-            if !report.is_clean() {
-                return Err(report);
-            }
-            let kernel = BatchKernel::compile_partitioned(&pp, kernel_config);
-            let state = BatchLiState::new_partitioned(&plan, config.lanes, &pp);
-            (kernel, state)
-        } else {
-            let layout = match lane {
-                None => LaneLayout::of(&plan),
-                Some(lane) => LaneLayout::of_as(&plan, lane),
-            };
-            let kernel =
-                BatchKernel::compile_in(&plan, kernel_config, BatchEngine::Compiled, &layout);
-            (kernel, BatchLiState::new_in(&plan, config.lanes, &layout))
-        };
-        let mut input_index = HashMap::new();
-        for (idx, &slot) in plan.input_slots.iter().enumerate() {
-            if let Some((name, _, _)) = plan.probes.iter().find(|(_, s, _)| *s == slot) {
-                input_index.insert(name.clone(), idx);
-            }
-        }
-        let probe_index = plan
-            .typed_probes()
-            .map(|(n, s, w, signed)| (n.to_string(), (s, w, signed)))
-            .collect();
-        // Asking the host costs a syscall and cgroup reads: only when it matters.
-        let threads = match config.threads {
-            0 | 1 => 1,
-            t => t.min(std::thread::available_parallelism().map_or(1, usize::from)),
-        };
-        Ok(BatchSimulation {
+        let layout = layout(&plan);
+        let config = compiled.kernel.config();
+        let kernel = BatchKernel::compile_in(&plan, config, BatchEngine::Compiled, &layout);
+        let state = BatchLiState::new_in(&plan, lanes, &layout);
+        BatchSimulation {
+            signals: SignalIndex::of(&plan),
             kernel,
             state,
             plan,
-            input_index,
-            probe_index,
-            threads,
             liveness: None,
             vcd: None,
-        })
+        }
     }
 
     /// The lane type the engine holds its rows in — `u32` when every
@@ -304,30 +187,9 @@ impl BatchSimulation {
         self.state.lane_type()
     }
 
-    /// Number of RepCut partitions this simulation executes (1 =
-    /// unpartitioned).
-    pub fn partitions(&self) -> usize {
-        self.state.partitions()
-    }
-
-    /// RepCut replication factor of the decomposition: total scheduled
-    /// ops (including replicated fan-in cones) over the plan's ops. 1.0
-    /// when unpartitioned.
-    pub fn replication_factor(&self) -> f64 {
-        match self.plan.total_ops() {
-            0 => 1.0,
-            base => self.kernel.ops_per_cycle() as f64 / base as f64,
-        }
-    }
-
     /// Number of stimulus lanes.
     pub fn lanes(&self) -> usize {
         self.state.lanes()
-    }
-
-    /// Worker threads used per step.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Physical lane column of a user-facing lane index (identity until
@@ -338,7 +200,8 @@ impl BatchSimulation {
     }
 
     fn input(&self, name: &str) -> Result<usize, UnknownSignal> {
-        self.input_index(name)
+        self.signals
+            .input(name)
             .ok_or_else(|| UnknownSignal(name.to_string()))
     }
 
@@ -370,31 +233,30 @@ impl BatchSimulation {
     /// halted lane reads its state frozen at the halt cycle.
     pub fn peek(&self, name: &str, lane: usize) -> Option<u64> {
         let phys = self.phys(lane);
-        if let Some(&(slot, _, _)) = self.probe_index.get(name) {
+        if let Some((slot, _, _)) = self.signals.probe(name) {
             return Some(self.state.slot(slot, phys));
         }
         self.state.output_by_name(name, phys)
     }
 
-    /// Advances one clock cycle on the live lanes, using the configured
-    /// worker threads. With a halt watch enabled, finished lanes are
-    /// compacted out of the evaluated window after the cycle; once every
-    /// lane has halted this is a no-op.
+    /// Advances one clock cycle on the live lanes. With a halt watch
+    /// enabled, finished lanes are compacted out of the evaluated window
+    /// after the cycle; once every lane has halted this is a no-op.
     pub fn step(&mut self) {
         if self.liveness.is_some() && self.state.live() == 0 {
             return;
         }
-        self.kernel.run_parallel(&mut self.state, 1, self.threads);
+        self.kernel.step(&mut self.state);
         self.probe_halts();
         self.sample_vcd();
     }
 
-    /// Advances `n` cycles on the live lanes, using the configured
-    /// worker threads. Inputs hold their last poked values. With a halt
-    /// watch enabled, stops early once every lane has halted.
+    /// Advances `n` cycles on the live lanes. Inputs hold their last
+    /// poked values. With a halt watch enabled, stops early once every
+    /// lane has halted.
     pub fn step_cycles(&mut self, n: u64) {
         if self.liveness.is_none() && self.vcd.is_none() {
-            self.kernel.run_parallel(&mut self.state, n, self.threads);
+            self.kernel.run(&mut self.state, n);
             return;
         }
         for _ in 0..n {
@@ -419,13 +281,13 @@ impl BatchSimulation {
     pub fn run_with_stimulus(&mut self, n: u64, mut stimulus: impl FnMut(u64, &mut LanePoker<'_>)) {
         if self.vcd.is_none() {
             self.kernel
-                .run_with_stimulus(&mut self.state, n, self.threads, stimulus);
+                .run_with_stimulus(&mut self.state, n, 1, stimulus);
             self.probe_halts();
             return;
         }
         for _ in 0..n {
             self.kernel
-                .run_with_stimulus(&mut self.state, 1, self.threads, &mut stimulus);
+                .run_with_stimulus(&mut self.state, 1, 1, &mut stimulus);
             self.sample_vcd();
         }
         self.probe_halts();
@@ -666,9 +528,9 @@ impl BatchSimulation {
     ///
     /// Returns [`UnknownSignal`] if the name is not probed.
     pub fn poke_state(&mut self, name: &str, lane: usize, value: u64) -> Result<(), UnknownSignal> {
-        let &(slot, width, signed) = self
-            .probe_index
-            .get(name)
+        let (slot, width, signed) = self
+            .signals
+            .probe(name)
             .ok_or_else(|| UnknownSignal(name.to_string()))?;
         let phys = self.phys(lane);
         let value = canonicalize(value, width as u32, signed);
@@ -681,7 +543,7 @@ impl BatchSimulation {
     /// testbench's bindings before mutating any lane (see the
     /// `rteaal-sched` admission path).
     pub fn probed(&self, name: &str) -> bool {
-        self.probe_index.contains_key(name)
+        self.signals.probe(name).is_some()
     }
 
     /// Enables VCD waveform capture of ONE user-facing lane, over all
@@ -725,7 +587,7 @@ impl BatchSimulation {
     /// Index of a named input port (for driving through a
     /// [`LanePoker`] inside [`run_with_stimulus`](Self::run_with_stimulus)).
     pub fn input_index(&self, name: &str) -> Option<usize> {
-        self.input_index.get(name).copied()
+        self.signals.input(name)
     }
 
     /// The plan (OIM content) this simulation executes.
@@ -735,9 +597,7 @@ impl BatchSimulation {
 
     /// All probe names (sorted) — the visible signal namespace.
     pub fn signals(&self) -> Vec<&str> {
-        let mut names: Vec<&str> = self.probe_index.keys().map(String::as_str).collect();
-        names.sort_unstable();
-        names
+        self.signals.names()
     }
 }
 
@@ -789,14 +649,7 @@ circuit S :
     fn lanes_match_scalar_simulations() {
         let c = compiled(KernelKind::Nu);
         const LANES: usize = 5;
-        let mut batch = BatchSimulation::build(
-            &c,
-            EngineConfig {
-                threads: 2,
-                ..EngineConfig::new(LANES)
-            },
-        )
-        .unwrap();
+        let mut batch = BatchSimulation::new(&c, LANES);
         let x_idx = batch.input_index("x").unwrap();
         batch.run_with_stimulus(50, |cycle, poker| {
             for lane in 0..LANES {
@@ -1054,64 +907,9 @@ circuit H :
     }
 
     #[test]
-    fn partitioned_simulation_matches_unpartitioned_lifecycle() {
-        let c = Compiler::new(KernelConfig::new(KernelKind::Psu))
-            .compile_str(HALT_SRC)
-            .unwrap();
-        const LANES: usize = 5;
-        for parts in [2, 4] {
-            let mut flat = BatchSimulation::new(&c, LANES);
-            let config = EngineConfig {
-                partitioning: Partitioning::Fixed(parts),
-                ..EngineConfig::new(LANES)
-            };
-            let mut part = BatchSimulation::build(&c, config).unwrap();
-            assert_eq!(part.partitions(), parts);
-            assert!(part.replication_factor() >= 1.0);
-            for sim in [&mut flat, &mut part] {
-                sim.watch_halt("done").unwrap();
-                for lane in 0..LANES {
-                    sim.poke("limit", lane, lane as u64 + 2).unwrap();
-                }
-            }
-            flat.run_until_halt(100);
-            part.run_until_halt(100);
-            for lane in 0..LANES {
-                assert_eq!(
-                    part.completion_cycle(lane),
-                    flat.completion_cycle(lane),
-                    "{parts} partitions, lane {lane}"
-                );
-                assert_eq!(part.peek("cnt", lane), flat.peek("cnt", lane));
-            }
-            // Recycle a lane mid-run in both and keep going.
-            flat.admit(2, [("limit", 7u64)]).unwrap();
-            part.admit(2, [("limit", 7u64)]).unwrap();
-            flat.run_until_halt(100);
-            part.run_until_halt(100);
-            for lane in 0..LANES {
-                assert_eq!(
-                    part.completion_cycle(lane),
-                    flat.completion_cycle(lane),
-                    "{parts} partitions, post-admit lane {lane}"
-                );
-                assert_eq!(part.peek("cnt", lane), flat.peek("cnt", lane));
-            }
-        }
-    }
-
-    #[test]
     fn poke_all_and_reset() {
         let c = compiled(KernelKind::Ti);
-        let config = EngineConfig {
-            threads: 4,
-            ..EngineConfig::new(4)
-        };
-        let mut batch = BatchSimulation::build(&c, config).unwrap();
-        let cores = std::thread::available_parallelism()
-            .map(usize::from)
-            .unwrap_or(1);
-        assert_eq!(batch.threads(), 4.min(cores));
+        let mut batch = BatchSimulation::new(&c, 4);
         assert_eq!(batch.lanes(), 4);
         batch.poke_all("x", 5).unwrap();
         batch.step_cycles(3);

@@ -300,5 +300,23 @@ circuit T :
             c.compile_str("garbage"),
             Err(CompileError::Firrtl(_))
         ));
+        // A second clock input is refused (paper §6.2: one clock domain).
+        let two_clocks = "\
+circuit M :
+  module M :
+    input clk_a : Clock
+    input clk_b : Clock
+    output o : UInt<1>
+    reg a : UInt<1>, clk_a
+    reg b : UInt<1>, clk_b
+    a <= b
+    b <= a
+    o <= a
+";
+        let err = c.compile_str(two_clocks).unwrap_err();
+        assert!(
+            err.to_string().contains("2 clock inputs found"),
+            "two clocks: {err}"
+        );
     }
 }

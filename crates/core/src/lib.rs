@@ -14,9 +14,10 @@
 //! - [`simulation::Simulation`] — named poke/peek (including internal
 //!   signals, the XMR path), cycle stepping, and profiled runs.
 //! - [`batch::BatchSimulation`] — the same design over `B` independent
-//!   stimulus lanes at once, with layer-parallel thread execution and an
-//!   optional RepCut decomposition ([`batch::Partitioning`]) that splits
-//!   each cycle's ops across partitions for per-job latency.
+//!   stimulus lanes at once: one compile and one traversal of the OIM
+//!   per cycle for the whole batch, with halted lanes compacted out of
+//!   the evaluated window and freed lanes recycled mid-run. Lanes are
+//!   the only axis of the engine.
 //! - [`waveform::VcdWriter`] — change-detecting VCD generation (§6.2).
 //! - [`simulation::DebugModule`] — the DMI-style host↔DUT channel (§6.2).
 //!
@@ -44,18 +45,15 @@
 //! ```
 
 pub mod batch;
-pub mod clock;
 pub mod compiler;
 pub mod simulation;
 pub mod waveform;
 
-pub use batch::{BatchSimulation, EngineConfig, Partitioning};
-pub use clock::{clock_domains, is_single_clock, ClockDomain};
+pub use batch::BatchSimulation;
 pub use compiler::{CompileError, Compiled, Compiler, StageTimings};
 pub use rteaal_dfg::analyze::{
-    analyze_design, analyze_graph, analyze_partitioned, analyze_plan, AnalysisReport,
-    AnalysisStats, DiagKind, Diagnostic, Severity,
+    analyze_design, analyze_graph, analyze_plan, AnalysisReport, AnalysisStats, DiagKind,
+    Diagnostic, Severity,
 };
-pub use rteaal_dfg::partition::PartitionedPlan;
 pub use simulation::{DebugModule, Simulation, UnknownSignal};
 pub use waveform::VcdWriter;

@@ -38,10 +38,54 @@ use std::collections::HashMap;
 pub struct Simulation {
     kernel: Kernel,
     plan: SimPlan,
-    input_index: HashMap<String, usize>,
-    /// Probe name → `(slot, width, signed)`.
-    probe_index: HashMap<String, (u32, u8, bool)>,
+    signals: SignalIndex,
     vcd: Option<VcdWriter>,
+}
+
+/// The name tables of one plan, shared by both front doors: which input
+/// port and which probe a name stands for.
+#[derive(Debug)]
+pub(crate) struct SignalIndex {
+    /// Input name → index into the plan's `input_slots`.
+    inputs: HashMap<String, usize>,
+    /// Probe name → `(slot, width, signed)`.
+    probes: HashMap<String, (u32, u8, bool)>,
+}
+
+impl SignalIndex {
+    pub(crate) fn of(plan: &SimPlan) -> Self {
+        // An input answers to the first probe that names its slot.
+        let mut unnamed: HashMap<u32, usize> = plan
+            .input_slots
+            .iter()
+            .enumerate()
+            .map(|(idx, &slot)| (slot, idx))
+            .collect();
+        let mut inputs = HashMap::new();
+        let mut probes = HashMap::with_capacity(plan.probes.len());
+        for (name, slot, width, signed) in plan.typed_probes() {
+            if let Some(idx) = unnamed.remove(&slot) {
+                inputs.insert(name.to_string(), idx);
+            }
+            probes.insert(name.to_string(), (slot, width, signed));
+        }
+        SignalIndex { inputs, probes }
+    }
+
+    pub(crate) fn input(&self, name: &str) -> Option<usize> {
+        self.inputs.get(name).copied()
+    }
+
+    pub(crate) fn probe(&self, name: &str) -> Option<(u32, u8, bool)> {
+        self.probes.get(name).copied()
+    }
+
+    /// All probe names, sorted.
+    pub(crate) fn names(&self) -> Vec<&str> {
+        let mut names: Vec<&str> = self.probes.keys().map(String::as_str).collect();
+        names.sort_unstable();
+        names
+    }
 }
 
 /// Error for unknown signal names.
@@ -59,22 +103,10 @@ impl std::error::Error for UnknownSignal {}
 impl Simulation {
     /// Wraps a compile result.
     pub fn new(compiled: Compiled) -> Self {
-        let plan = compiled.plan;
-        let mut input_index = HashMap::new();
-        for (idx, &slot) in plan.input_slots.iter().enumerate() {
-            if let Some((name, _, _)) = plan.probes.iter().find(|(_, s, _)| *s == slot) {
-                input_index.insert(name.clone(), idx);
-            }
-        }
-        let probe_index = plan
-            .typed_probes()
-            .map(|(n, s, w, signed)| (n.to_string(), (s, w, signed)))
-            .collect();
         Simulation {
+            signals: SignalIndex::of(&compiled.plan),
             kernel: compiled.kernel,
-            plan,
-            input_index,
-            probe_index,
+            plan: compiled.plan,
             vcd: None,
         }
     }
@@ -85,9 +117,9 @@ impl Simulation {
     ///
     /// Returns [`UnknownSignal`] if no input port has this name.
     pub fn poke(&mut self, name: &str, value: u64) -> Result<(), UnknownSignal> {
-        let idx = *self
-            .input_index
-            .get(name)
+        let idx = self
+            .signals
+            .input(name)
             .ok_or_else(|| UnknownSignal(name.to_string()))?;
         self.kernel.set_input(idx, value);
         Ok(())
@@ -96,7 +128,7 @@ impl Simulation {
     /// Reads any probed signal — output ports, registers, inputs, or named
     /// internal nodes (the XMR front door, §6.2).
     pub fn peek(&self, name: &str) -> Option<u64> {
-        if let Some(&(slot, _, _)) = self.probe_index.get(name) {
+        if let Some((slot, _, _)) = self.signals.probe(name) {
             return Some(self.kernel.slot(slot));
         }
         self.kernel.output_by_name(name)
@@ -147,9 +179,7 @@ impl Simulation {
 
     /// All probe names (sorted) — the visible signal namespace.
     pub fn signals(&self) -> Vec<&str> {
-        let mut names: Vec<&str> = self.probe_index.keys().map(String::as_str).collect();
-        names.sort_unstable();
-        names
+        self.signals.names()
     }
 }
 
@@ -175,10 +205,10 @@ impl<'sim> DebugModule<'sim> {
     ///
     /// Returns [`UnknownSignal`] if the name is not a probed register.
     pub fn poke_reg(&mut self, name: &str, value: u64) -> Result<(), UnknownSignal> {
-        let &(slot, width, signed) = self
+        let (slot, width, signed) = self
             .sim
-            .probe_index
-            .get(name)
+            .signals
+            .probe(name)
             .ok_or_else(|| UnknownSignal(name.to_string()))?;
         let value = canonicalize(value, width as u32, signed);
         self.sim.kernel.poke_slot(slot, value);

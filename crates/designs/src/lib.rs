@@ -6,7 +6,7 @@
 //! - [`chip`]: synthetic RocketChip-like and SmallBOOM-like multicores
 //!   (calibrated to Table 1 op-count ratios) and a *real* Gemmini-like
 //!   weight-stationary systolic MAC array.
-//! - [`sha3`]: a *real* Keccak-f[1600] round datapath validated against
+//! - [`mod@sha3`]: a *real* Keccak-f\[1600\] round datapath validated against
 //!   a software golden model.
 //! - [`rv32i`]: a single-cycle RV32I-subset core with an ISA-level golden
 //!   model and a tiny assembler (used by the examples).

@@ -1,4 +1,4 @@
-//! A real Keccak-f[1600] round datapath (the paper's SHA3 accelerator,
+//! A real Keccak-f\[1600\] round datapath (the paper's SHA3 accelerator,
 //! [Schmidt & Izraelevitz 2013]).
 //!
 //! Unlike the synthetic multicores, SHA3 is small enough to build
@@ -53,7 +53,7 @@ pub const RHO_OFFSETS: [[u32; 5]; 5] = [
     [18, 2, 61, 56, 14],
 ];
 
-/// The reference software Keccak-f[1600] permutation (golden model).
+/// The reference software Keccak-f\[1600\] permutation (golden model).
 pub fn keccak_f(state: &mut [[u64; 5]; 5]) {
     for rc in ROUND_CONSTANTS {
         keccak_round(state, rc);

@@ -18,10 +18,10 @@
 //!    inside levelization.
 //! 3. **RUM coverage and single ownership** ([`analyze_partitioned`]) —
 //!    every replicated register has exactly one owner, every
-//!    cross-partition reader appears in its [`RumEntry`], and no
+//!    cross-partition reader appears in its [`RumEntry`](crate::partition::RumEntry), and no
 //!    partition commits a register it doesn't own.
 //! 4. **Kernel-table consistency** ([`analyze_compiled`]) — every
-//!    [`CompiledOp`]'s folded operand offsets are in-bounds for the `LI`
+//!    [`CompiledOp`](crate::lane_kernel::CompiledOp)'s folded operand offsets are in-bounds for the `LI`
 //!    tensor and its mask/shift matches the declared width/sign, making
 //!    the `unsafe fn(*mut u64, ...)` kernels provably in-bounds by
 //!    construction.
@@ -108,7 +108,7 @@ pub enum DiagKind {
     /// pair absent from the plan.
     ForeignCommit,
     /// A partition reads a register replica without appearing in that
-    /// register's [`RumEntry::readers`] — it would see stale values.
+    /// register's [`RumEntry::readers`](crate::partition::RumEntry::readers) — it would see stale values.
     MissingRumReader,
     /// A RUM entry lists a reader that never reads the register
     /// (harmless but wasteful exchange traffic).

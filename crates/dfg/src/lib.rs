@@ -5,7 +5,7 @@
 //! Implements the compiler pipeline of paper Figure 14 between the FIRRTL
 //! front end and `OIM` generation:
 //!
-//! - [`build`]: dataflow-graph construction from a flattened module, with
+//! - [`mod@build`]: dataflow-graph construction from a flattened module, with
 //!   hash-consing (CSE) and monomorphization of FIRRTL's polymorphic ops
 //!   into the [`op::DfgOp`] set.
 //! - [`passes`]: constant folding, copy propagation, mux-chain operator

@@ -4,7 +4,7 @@
 //! 2016] restricted to ground types, which is what RTeAAL Sim's `OIM` `N`
 //! rank supports ("OIM's N rank supports all FIRRTL primitive operations",
 //! §6.1). Width rules follow the spec with one documented deviation: result
-//! widths saturate at [`MAX_WIDTH`](crate::ty::MAX_WIDTH) bits and the value
+//! widths saturate at [`MAX_WIDTH`] bits and the value
 //! is truncated to its low 64 bits (see `DESIGN.md` §4.7).
 
 use crate::error::{FirrtlError, Result};

@@ -752,7 +752,7 @@ impl BatchKernel {
         }
     }
 
-    /// Compiles a specialized plan ([`rteaal_dfg::specialize`]): the
+    /// Compiles a specialized plan ([`mod@rteaal_dfg::specialize`]): the
     /// cycle walks its [`SpecProgram`] — per layer the same lane kernels
     /// a per-op kernel runs, and when `pack`, bit-packed
     /// 64-lanes-per-word bodies for the 1-bit interior wires that pay for

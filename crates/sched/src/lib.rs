@@ -16,7 +16,9 @@
 //!
 //! Results are keyed by [`JobId`], never by lane: lanes are *slots* that
 //! get recycled, and a recycled lane's completion records always refer
-//! to its current occupant.
+//! to its current occupant. Lanes are also the scheduler's only sizing
+//! axis: [`Scheduler::new`] is its one constructor and the lane count its
+//! one engine parameter.
 //!
 //! ## Example
 //!
@@ -66,4 +68,4 @@ pub mod job;
 pub mod scheduler;
 
 pub use job::{Job, JobId, JobOutcome, JobQueue, JobResult, Queued};
-pub use scheduler::{AdmitPolicy, SchedBuildError, SchedStats, Scheduler};
+pub use scheduler::{AdmitPolicy, SchedStats, Scheduler};

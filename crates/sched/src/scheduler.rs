@@ -18,38 +18,9 @@
 //! a mixed-length rv32i corpus.
 
 use crate::job::{Job, JobId, JobOutcome, JobQueue, JobResult, Queued};
-use rteaal_core::{AnalysisReport, BatchSimulation, Compiled, EngineConfig, UnknownSignal};
+use rteaal_core::{BatchSimulation, Compiled, UnknownSignal};
 use rteaal_telemetry::{Counter, Gauge, JobStage, MetricsRegistry};
 use std::sync::Arc;
-
-/// Why a scheduler could not be built (see
-/// [`Scheduler::build`]).
-#[derive(Debug)]
-pub enum SchedBuildError {
-    /// `halt_signal` names neither a probe nor an output port.
-    UnknownSignal(UnknownSignal),
-    /// The static verifier rejected the RepCut decomposition.
-    Rejected(AnalysisReport),
-}
-
-impl std::fmt::Display for SchedBuildError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SchedBuildError::UnknownSignal(e) => write!(f, "{e}"),
-            SchedBuildError::Rejected(report) => {
-                write!(f, "partitioned plan failed verification: {report}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for SchedBuildError {}
-
-impl From<UnknownSignal> for SchedBuildError {
-    fn from(e: UnknownSignal) -> Self {
-        SchedBuildError::UnknownSignal(e)
-    }
-}
 
 /// When freed lanes accept new jobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -164,9 +135,8 @@ pub struct Scheduler {
 }
 
 impl Scheduler {
-    /// Builds a `lanes`-wide scheduler over a compile result under the
-    /// default [`EngineConfig`], watching `halt_signal` for per-lane
-    /// completion.
+    /// Builds a `lanes`-wide scheduler over a compile result, watching
+    /// `halt_signal` for per-lane completion — the one constructor.
     ///
     /// # Errors
     ///
@@ -181,38 +151,7 @@ impl Scheduler {
         lanes: usize,
         halt_signal: &str,
     ) -> Result<Self, UnknownSignal> {
-        Self::build(compiled, EngineConfig::new(lanes), halt_signal).map_err(|e| match e {
-            SchedBuildError::UnknownSignal(e) => e,
-            SchedBuildError::Rejected(report) => {
-                unreachable!("an unpartitioned engine has no decomposition to reject: {report}")
-            }
-        })
-    }
-
-    /// The one constructor: a scheduler over the engine `config`
-    /// describes ([`BatchSimulation::build`]) — threaded, or
-    /// RepCut-partitioned so each cycle's ops split across
-    /// `config.threads` workers. Scheduling behavior — admission,
-    /// harvest, eviction, lane recycling, halt detection, peeks and
-    /// pokes — is bit-identical across every engine shape.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SchedBuildError`] for an unresolvable halt signal or a
-    /// RepCut decomposition the static verifier rejects; nothing panics
-    /// on malformed input past the zero-lane / zero-partition asserts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.lanes` is zero, or on `Partitioning::Fixed(0)`.
-    pub fn build(
-        compiled: &Compiled,
-        config: EngineConfig,
-        halt_signal: &str,
-    ) -> Result<Self, SchedBuildError> {
-        let lanes = config.lanes;
-        let mut sim =
-            BatchSimulation::build(compiled, config).map_err(SchedBuildError::Rejected)?;
+        let mut sim = BatchSimulation::new(compiled, lanes);
         sim.watch_halt(halt_signal)?;
         // Park every lane out of the evaluated window until a job claims
         // it (retired-at-cycle-0 records are cleared on admission).
@@ -328,12 +267,6 @@ impl Scheduler {
     /// Counters of the run so far.
     pub fn stats(&self) -> SchedStats {
         self.stats.clone()
-    }
-
-    /// Number of RepCut partitions the engine executes (1 =
-    /// unpartitioned).
-    pub fn partitions(&self) -> usize {
-        self.sim.partitions()
     }
 
     /// Occupied-lane cycles over total lane cycles stepped (1.0 = every
@@ -665,7 +598,7 @@ impl Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rteaal_core::{Compiler, Partitioning};
+    use rteaal_core::Compiler;
     use rteaal_kernels::{KernelConfig, KernelKind};
 
     /// A counter that raises `done` at a per-lane limit — the minimal
@@ -1075,103 +1008,6 @@ circuit H :
                 (b.admitted_at, b.finished_at)
             );
             assert_eq!(a.outputs, b.outputs);
-        }
-    }
-
-    #[test]
-    fn partitioned_scheduler_is_bit_identical_and_tracks_partition_work() {
-        // The same mixed corpus — completions, a budget eviction, lane
-        // recycling — through a flat and a partitioned engine must
-        // produce bit-identical results.
-        let c = compiled();
-        let jobs = || {
-            vec![
-                count_job(5),
-                Job::new("runaway", 6)
-                    .with_input("limit", 200)
-                    .with_probe("cnt"),
-                count_job(12),
-                count_job(2),
-                count_job(8),
-            ]
-        };
-        let run = |partitioning: Partitioning| {
-            let config = EngineConfig {
-                partitioning,
-                ..EngineConfig::new(2)
-            };
-            let mut sched = Scheduler::build(&c, config, "done").unwrap();
-            for job in jobs() {
-                sched.submit(job);
-            }
-            sched.run(10_000);
-            #[allow(clippy::type_complexity)]
-            let mut outs: Vec<(JobId, JobOutcome, Vec<(String, u64)>, u64)> = sched
-                .results()
-                .iter()
-                .map(|r| (r.id, r.outcome, r.outputs.clone(), r.cycles))
-                .collect();
-            outs.sort_by_key(|(id, ..)| *id);
-            (sched.stats(), outs)
-        };
-        let (flat_stats, flat) = run(Partitioning::None);
-        for parts in [2usize, 4] {
-            let (stats, outs) = run(Partitioning::Fixed(parts));
-            assert_eq!(outs, flat, "{parts} partitions");
-            assert_eq!(stats.cycles, flat_stats.cycles);
-            assert_eq!(stats.busy_lane_cycles, flat_stats.busy_lane_cycles);
-        }
-    }
-
-    #[test]
-    fn admit_after_evict_on_partitioned_lanes_leaves_other_lanes_bit_identical() {
-        // Regression guard for the partitioned state layout: recycling a
-        // lane (evict + admit) must clear the column in *every* partition
-        // replica and perturb no other lane. Witnessed by lock-stepping a
-        // partitioned scheduler against a flat one through the recycle
-        // and comparing every lane's probes cycle by cycle.
-        let c = compiled();
-        let mk = |partitioning| {
-            let config = EngineConfig {
-                partitioning,
-                ..EngineConfig::new(3)
-            };
-            let mut s = Scheduler::build(&c, config, "done").unwrap();
-            // Three runaways fill the lanes; one short job waits.
-            for _ in 0..3 {
-                s.submit(
-                    Job::new("long", 40)
-                        .with_input("limit", 200)
-                        .with_probe("cnt"),
-                );
-            }
-            s
-        };
-        let mut flat = mk(Partitioning::None);
-        let mut part = mk(Partitioning::Fixed(2));
-        assert_eq!(part.partitions(), 2);
-        flat.run_for(5);
-        part.run_for(5);
-        // Evict lane 1's occupant by hand, then admit a replacement.
-        flat.sim_mut().retire_lane(1);
-        part.sim_mut().retire_lane(1);
-        flat.sim_mut().admit(1, [("limit", 9u64)]).unwrap();
-        part.sim_mut().admit(1, [("limit", 9u64)]).unwrap();
-        for cycle in 0..20u64 {
-            for lane in 0..3 {
-                assert_eq!(
-                    part.sim_mut().peek("cnt", lane),
-                    flat.sim_mut().peek("cnt", lane),
-                    "cycle {cycle} lane {lane}"
-                );
-                assert_eq!(
-                    part.sim_mut().peek("acc", lane),
-                    flat.sim_mut().peek("acc", lane),
-                    "cycle {cycle} lane {lane}"
-                );
-            }
-            flat.sim_mut().step();
-            part.sim_mut().step();
         }
     }
 

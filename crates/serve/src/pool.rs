@@ -16,7 +16,10 @@
 //! thread: the slot-major lane matrix splits on the lane axis, so W
 //! workers × L lanes behave like one W·L-lane engine whose lanes drain
 //! and refill independently — the multi-worker shape the ROADMAP pairs
-//! with the async front end.
+//! with the async front end. Workers and lanes are the pool's only
+//! sizing axes ([`ServeConfig`]): every job of every design goes to the
+//! least-loaded live worker, and a job's cycles run on that worker's
+//! thread alone.
 //!
 //! A pool starts with one design (the *default*, the compile it was
 //! constructed over) and grows by [`register`](ServerPool::register):
@@ -27,10 +30,7 @@
 //! multi-design shape a cross-host [`ShardRouter`](crate::ShardRouter)
 //! fleet is built from.
 
-use rteaal_core::{
-    analyze_design, analyze_partitioned, AnalysisReport, AnalysisStats, Compiled, EngineConfig,
-    PartitionedPlan, Partitioning, UnknownSignal,
-};
+use rteaal_core::{analyze_design, AnalysisReport, AnalysisStats, Compiled, UnknownSignal};
 use rteaal_sched::{Job, JobId, JobOutcome, JobResult, SchedStats, Scheduler};
 use rteaal_telemetry::{Gauge, JobStage, MetricsRegistry};
 use std::collections::HashMap;
@@ -72,19 +72,6 @@ pub struct ServeConfig {
     /// (guards a server against unhaltable testbenches with huge
     /// budgets).
     pub max_budget: u64,
-    /// RepCut partition count for partition-parallel designs (1 = the
-    /// mode is off). When > 1, each registered design is *individually*
-    /// assessed: if its replication factor at this partition count stays
-    /// within [`max_replication`](Self::max_replication), the design's
-    /// jobs run on worker 0 with each cycle's ops spread across
-    /// `partitions` engine threads — one big job's cycle spans several
-    /// cores instead of one design per worker. Designs that replicate
-    /// too heavily keep the classic one-scheduler-per-worker execution.
-    pub partitions: usize,
-    /// Replication-factor ceiling above which a design opts out of
-    /// partition-parallel execution (replicated fan-in cones would cost
-    /// more than the parallelism wins).
-    pub max_replication: f64,
 }
 
 impl Default for ServeConfig {
@@ -93,8 +80,6 @@ impl Default for ServeConfig {
             workers: 2,
             lanes: 8,
             max_budget: 1 << 20,
-            partitions: 1,
-            max_replication: 1.5,
         }
     }
 }
@@ -419,14 +404,12 @@ pub struct ServerPool {
     started: Instant,
 }
 
-/// One registered design's registry entry: routing mode plus the static
+/// One registered design's registry entry: its name plus the static
 /// verifier's per-design statistics (what the `designs` verb reports).
 #[derive(Debug, Clone)]
 pub struct DesignInfo {
     /// Registry name.
     pub name: String,
-    /// Whether worker 0 runs this design partition-parallel.
-    pub partition_parallel: bool,
     /// The verifier's dataflow statistics for the design (activity,
     /// dead ops, never-toggling signals, shape counts).
     pub analysis: AnalysisStats,
@@ -465,8 +448,6 @@ enum WorkerMsg {
         compiled: Arc<Compiled>,
         /// Per-lane completion probe.
         halt: String,
-        /// Whether worker 0 runs this design partition-parallel.
-        partition_parallel: bool,
     },
     /// Test-only: panic the worker thread while it holds the ledger
     /// lock — the worst-case stand-in for an engine bug killing a
@@ -479,21 +460,6 @@ enum WorkerMsg {
     /// up at once.
     #[cfg(test)]
     Hold(Arc<std::sync::Barrier>),
-}
-
-/// Decides whether a design runs partition-parallel under a config: the
-/// mode must be on (`partitions > 1`), the design's RepCut replication
-/// factor at that partition count must stay within the configured
-/// ceiling, and the decomposition must pass the static verifier — a
-/// rejected decomposition silently opts the design back into
-/// single-schedule execution rather than letting an engine panic on it.
-fn partition_parallel_mode(config: &ServeConfig, compiled: &Compiled) -> bool {
-    if config.partitions <= 1 {
-        return false;
-    }
-    let pp = PartitionedPlan::new(&compiled.plan, config.partitions);
-    pp.replication_factor() <= config.max_replication
-        && analyze_partitioned(&compiled.plan, &pp).is_clean()
 }
 
 impl ServerPool {
@@ -538,7 +504,6 @@ impl ServerPool {
         });
         let loads: Arc<Vec<AtomicUsize>> =
             Arc::new((0..config.workers).map(|_| AtomicUsize::new(0)).collect());
-        let default_parallel = partition_parallel_mode(&config, compiled);
         let compiled = Arc::new(compiled.clone());
         let halt = halt_signal.to_string();
         let mut senders = Vec::with_capacity(config.workers);
@@ -551,18 +516,7 @@ impl ServerPool {
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("rteaal-serve-{w}"))
-                    .spawn(move || {
-                        worker_loop(
-                            &compiled,
-                            &halt,
-                            default_parallel,
-                            config,
-                            rx,
-                            &shared,
-                            &loads,
-                            w,
-                        )
-                    })
+                    .spawn(move || worker_loop(&compiled, &halt, config, rx, &shared, &loads, w))
                     .expect("worker thread spawns"),
             );
         }
@@ -571,7 +525,6 @@ impl ServerPool {
             routing: Mutex::new(Routing {
                 designs: vec![DesignInfo {
                     name: DEFAULT_DESIGN.to_string(),
-                    partition_parallel: default_parallel,
                     analysis: compiled.analysis.stats.clone(),
                 }],
                 senders,
@@ -625,14 +578,12 @@ impl ServerPool {
         if !report.is_clean() {
             return Err(RegisterError::Rejected(report));
         }
-        let partition_parallel = partition_parallel_mode(&self.config, compiled);
         let mut routing = lock_or_recover(&self.routing);
         if routing.designs.iter().any(|d| d.name == name) {
             return Err(RegisterError::DuplicateDesign(name.to_string()));
         }
         routing.designs.push(DesignInfo {
             name: name.to_string(),
-            partition_parallel,
             analysis: report.stats,
         });
         // Broadcast under the lock: no job naming this design can be
@@ -648,7 +599,6 @@ impl ServerPool {
                     design: name.to_string(),
                     compiled: Arc::clone(&compiled),
                     halt: halt_signal.to_string(),
-                    partition_parallel,
                 })
                 .is_err()
             {
@@ -668,8 +618,8 @@ impl ServerPool {
             .collect()
     }
 
-    /// The full registry entries — name, routing mode, and the static
-    /// verifier's per-design statistics — in registration order.
+    /// The full registry entries — name and the static verifier's
+    /// per-design statistics — in registration order.
     pub fn design_infos(&self) -> Vec<DesignInfo> {
         lock_or_recover(&self.routing).designs.clone()
     }
@@ -682,17 +632,6 @@ impl ServerPool {
             .iter()
             .find(|d| d.name == name)
             .map(|d| d.analysis.clone())
-    }
-
-    /// Whether a registered design runs partition-parallel (its jobs'
-    /// cycles span `config.partitions` engine threads on worker 0), or
-    /// `None` for an unregistered name.
-    pub fn partition_parallel(&self, name: &str) -> Option<bool> {
-        lock_or_recover(&self.routing)
-            .designs
-            .iter()
-            .find(|d| d.name == name)
-            .map(|d| d.partition_parallel)
     }
 
     /// Enqueues a job onto the least-loaded worker and returns a handle
@@ -721,17 +660,11 @@ impl ServerPool {
                 }
             },
         };
-        // Partition-parallel designs live on worker 0, whose scheduler
-        // spreads each cycle across the partition threads; everything
-        // else gets least-loaded dispatch over the *live* workers (ties
-        // go to the lowest index). Dead workers never receive jobs.
-        let target = if routing.designs[index].partition_parallel {
-            (!self.shared.dead[0].load(Ordering::Acquire)).then_some(0)
-        } else {
-            (0..self.loads.len())
-                .filter(|&w| !self.shared.dead[w].load(Ordering::Acquire))
-                .min_by_key(|&w| self.loads[w].load(Ordering::Acquire))
-        };
+        // Least-loaded dispatch over the *live* workers (ties go to the
+        // lowest index). Dead workers never receive jobs.
+        let target = (0..self.loads.len())
+            .filter(|&w| !self.shared.dead[w].load(Ordering::Acquire))
+            .min_by_key(|&w| self.loads[w].load(Ordering::Acquire));
         let Some(w) = target else {
             let error = format!(
                 "no live worker can run design `{}`",
@@ -921,33 +854,12 @@ impl Drop for ServerPool {
     }
 }
 
-/// Builds one worker's scheduler for a design: worker 0 gives
-/// partition-parallel designs a RepCut-decomposed engine whose cycles
-/// span `config.partitions` threads; every other (worker, design) pair
-/// keeps the single-schedule, single-thread engine.
-fn build_scheduler(
-    compiled: &Compiled,
-    halt: &str,
-    config: ServeConfig,
-    w: usize,
-    partition_parallel: bool,
-) -> Scheduler {
-    let mut engine = EngineConfig::new(config.lanes);
-    if partition_parallel && w == 0 {
-        engine.partitioning = Partitioning::Fixed(config.partitions);
-        engine.threads = config.partitions;
-    }
-    Scheduler::build(compiled, engine, halt).expect("halt and decomposition validated by the pool")
-}
-
 /// One worker: a scheduler per design driven a quantum at a time, fed
 /// from its queue, publishing results as lanes drain. Exits once the pool
 /// disconnects the queue *and* all outstanding work is done.
-#[allow(clippy::too_many_arguments)]
 fn worker_loop(
     compiled: &Compiled,
     halt: &str,
-    default_parallel: bool,
     config: ServeConfig,
     rx: Receiver<WorkerMsg>,
     shared: &Shared,
@@ -964,28 +876,23 @@ fn worker_loop(
         w,
         rx,
     };
-    let attach = |sched: &mut Scheduler, design: &str| {
+    // The pool resolved `halt` on the design before sending it here.
+    let build = |compiled: &Compiled, halt: &str, design: &str| {
+        let mut sched = Scheduler::new(compiled, config.lanes, halt)
+            .expect("halt signal validated by the pool");
         sched.attach_telemetry(Arc::clone(&shared.telemetry), w, design);
+        sched
     };
     // A Vec, not a map: designs stay in registration order (determinism
     // for the multiplexed drive below) and the registry is small.
-    let mut designs: Vec<Scheduler> = vec![{
-        let mut sched = build_scheduler(compiled, halt, config, w, default_parallel);
-        attach(&mut sched, DEFAULT_DESIGN);
-        sched
-    }];
+    let mut designs: Vec<Scheduler> = vec![build(compiled, halt, DEFAULT_DESIGN)];
     let dispatch_latency = shared.telemetry.histogram("serve.dispatch_latency_us");
     let apply = |designs: &mut Vec<Scheduler>, msg: WorkerMsg| match msg {
         WorkerMsg::Register {
             design,
             compiled,
             halt,
-            partition_parallel,
-        } => {
-            let mut sched = build_scheduler(&compiled, &halt, config, w, partition_parallel);
-            attach(&mut sched, &design);
-            designs.push(sched);
-        }
+        } => designs.push(build(&compiled, &halt, &design)),
         WorkerMsg::Job {
             id,
             design,
@@ -1414,61 +1321,6 @@ circuit D :
             ServerPool::new(&c, ServeConfig::default(), "ghost").err(),
             Some(UnknownSignal("ghost".to_string()))
         );
-    }
-
-    #[test]
-    fn partition_parallel_jobs_return_bit_identical_results_exactly_once() {
-        let c = compiled();
-        // Plain pool: the reference results.
-        let plain = ServerPool::new(&c, ServeConfig::with_workers(1), "done").unwrap();
-        let limits: Vec<u64> = (0..8).map(|i| 2 + (i * 5) % 17).collect();
-        let reference: Vec<JobResult> = limits
-            .iter()
-            .map(|&l| plain.submit(count_job(l)).wait())
-            .collect();
-        plain.shutdown();
-        // Partition-parallel pool: one big job's cycle spans several
-        // engine threads on worker 0.
-        let mut cfg = ServeConfig::with_workers(2);
-        cfg.partitions = 2;
-        cfg.max_replication = 8.0; // the tiny counter replicates freely
-        for (worker, parts) in [(0, 2), (1, 1)] {
-            let sched = build_scheduler(&c, "done", cfg, worker, true);
-            assert_eq!(sched.partitions(), parts, "only worker 0 partitions");
-        }
-        let pool = ServerPool::new(&c, cfg, "done").unwrap();
-        assert_eq!(pool.partition_parallel(DEFAULT_DESIGN), Some(true));
-        assert_eq!(pool.partition_parallel("nope"), None);
-        let handles: Vec<JobHandle> = limits.iter().map(|&l| pool.submit(count_job(l))).collect();
-        for (r, h) in reference.iter().zip(&handles) {
-            let p = h.wait();
-            assert_eq!(p.outcome, r.outcome);
-            assert_eq!(p.outputs, r.outputs, "{}", p.name);
-            assert_eq!(p.cycles, r.cycles);
-            // Exactly-once delivery: the claim drained the slot.
-            assert!(h.poll().is_none());
-        }
-        let stats = pool.shutdown();
-        assert_eq!(stats.merged.completed, limits.len());
-        // Every partition-parallel job ran on worker 0; worker 1 only
-        // idles (its stats never move).
-        assert_eq!(stats.per_worker[1].admitted, 0);
-        assert_eq!(stats.per_worker[0].completed, limits.len());
-    }
-
-    #[test]
-    fn heavy_replication_opts_a_design_out_of_partition_parallel() {
-        let c = compiled();
-        let mut cfg = ServeConfig::with_workers(2);
-        cfg.partitions = 2;
-        cfg.max_replication = 0.0; // nothing can qualify
-        let pool = ServerPool::new(&c, cfg, "done").unwrap();
-        assert_eq!(pool.partition_parallel(DEFAULT_DESIGN), Some(false));
-        // Jobs still serve correctly through the classic path.
-        let r = pool.submit(count_job(4)).wait();
-        assert!(r.completed());
-        assert_eq!(r.outputs[0], ("cnt".to_string(), 5));
-        pool.shutdown();
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //!
 //! - [`fibertree`]: the fibertree view of tensors (paper §2.2) used by the
 //!   Einsum interpreter and the paper's worked examples.
-//! - [`format`]: TeAAL per-rank format specifications with `cbits`/`pbits`
+//! - [`mod@format`]: TeAAL per-rank format specifications with `cbits`/`pbits`
 //!   size accounting (§2.5.2, Figure 6).
 //! - [`oim`]: the three concrete encodings of the `OIM` operation-input-
 //!   mask tensor from Figure 12 — unoptimized (a), optimized (b), and

@@ -3,7 +3,7 @@
 //! The `OIM` is the paper's central data structure (§4, §5.1): a 5-rank
 //! sparse binary tensor over `[I, S, N, O, R]` — layer, operation, op type,
 //! operand order, operand slot. This module lowers a
-//! [`SimPlan`](rteaal_dfg::SimPlan) onto the three concrete formats of
+//! [`SimPlan`] onto the three concrete formats of
 //! Figure 12:
 //!
 //! - [`OimUnoptimized`] — format (a): every rank keeps explicit payloads.

@@ -1,18 +1,21 @@
 //! Batched-vs-sequential equivalence: a `B`-lane [`BatchSimulation`]
 //! must match `B` independent [`Simulation`] runs bit-for-bit, on the
-//! real evaluation designs (the RV32I core and the SHA3 datapath), for
-//! every engine shape — threads × partitioning —
-//! under per-lane divergent stimulus, halt compaction and mid-run DMI
-//! pokes: one differential oracle, [`assert_bit_exact`], that every row
-//! goes through — and that asserts the lane type (`u32` or `u64` rows)
-//! the engine picked for the design, so an engine that silently always
-//! ran `u64` rows would fail here. Plus the compiled-vs-interpreted
-//! engine differential.
+//! real evaluation designs (the RV32I core and the SHA3 datapath), at
+//! every lane count and in both lane types, under per-lane divergent
+//! stimulus, halt compaction and mid-run DMI pokes: one differential
+//! oracle, [`assert_bit_exact`], that every row goes through — and that
+//! asserts the lane type (`u32` or `u64` rows) the engine picked for the
+//! design, so an engine that silently always ran `u64` rows would fail
+//! here. Plus the compiled-vs-interpreted engine differential, and the
+//! kernel-level one for the two axes the front door does not have:
+//! worker threads and the RepCut decomposition
+//! ([`assert_kernel_shapes_match_the_serial_walk`]).
 
-use rteaal_core::{BatchSimulation, Compiler, DebugModule, EngineConfig, Partitioning, Simulation};
+use rteaal_core::{BatchSimulation, Compiler, DebugModule, Simulation};
 use rteaal_designs::rv32i::{asm::*, rv32i};
 use rteaal_designs::{rocket, sha3, ChipConfig, Stimulus, Workload};
 use rteaal_dfg::lane_kernel::{BatchEngine, LaneLayout, LaneType};
+use rteaal_dfg::partition::PartitionedPlan;
 use rteaal_dfg::specialize::specialize;
 use rteaal_dfg::{BatchPlanSim, SimPlan};
 use rteaal_firrtl::Circuit;
@@ -46,16 +49,25 @@ fn random(seed: u64, lanes: usize) -> impl FnMut(usize, u64, &str) -> u64 {
     move |lane, _, _| streams[lane].next_value()
 }
 
-/// The differential oracle: drives a batch simulation built from
-/// `config` and `config.lanes` scalar simulations with the same per-lane
-/// stimulus and asserts every probed signal is bit-identical on every
-/// lane after every cycle. With a halt signal the batch compacts halted
+/// The probe name of each input port, in port order.
+fn input_names(plan: &SimPlan) -> Vec<&str> {
+    let name_of = |slot| plan.probes.iter().find(|p| p.1 == slot);
+    plan.input_slots
+        .iter()
+        .map(|&slot| name_of(slot).expect("every input is probed").0.as_str())
+        .collect()
+}
+
+/// The differential oracle: drives a `lanes`-wide batch simulation and
+/// `lanes` scalar simulations with the same per-lane stimulus and asserts
+/// every probed signal is bit-identical on every lane after every
+/// cycle. With a halt signal the batch compacts halted
 /// lanes out of its window; each scalar run stops at its own halt, and
 /// the completion cycles must agree. The engine must have picked
 /// `design.lane` rows by itself. Returns the batch for further
 /// (architectural) checks.
-fn assert_bit_exact(design: &Design, stim: Stim<'_>, config: EngineConfig) -> BatchSimulation {
-    assert_bit_exact_in(design, stim, config, None)
+fn assert_bit_exact(design: &Design, stim: Stim<'_>, lanes: usize) -> BatchSimulation {
+    assert_bit_exact_in(design, stim, lanes, None)
 }
 
 /// [`assert_bit_exact`], with the engine built in `lane` rows through
@@ -63,7 +75,7 @@ fn assert_bit_exact(design: &Design, stim: Stim<'_>, config: EngineConfig) -> Ba
 fn assert_bit_exact_in(
     design: &Design,
     stim: Stim<'_>,
-    config: EngineConfig,
+    lanes: usize,
     lane: Option<LaneType>,
 ) -> BatchSimulation {
     let kind = design.kind;
@@ -71,12 +83,7 @@ fn assert_bit_exact_in(
         .compile(&design.circuit)
         .expect("compiles");
     let plan = &compiled.plan;
-    let probe_of = |slot: &u32| plan.probes.iter().find(|(_, s, _)| s == slot);
-    let inputs: Vec<&String> = plan
-        .input_slots
-        .iter()
-        .map(|slot| &probe_of(slot).expect("every input is probed").0)
-        .collect();
+    let inputs = input_names(plan);
     // TI elides stores of forwarded intermediate nodes, so the *scalar*
     // TI kernel leaves those LI slots stale (observability traded for
     // speed, as in the paper); compare the architectural surface —
@@ -95,16 +102,14 @@ fn assert_bit_exact_in(
         .map(|(n, _, _)| n)
         .collect();
 
-    let lanes = config.lanes;
     let mut batch = match lane {
-        None => BatchSimulation::build(&compiled, config),
-        Some(lane) => BatchSimulation::build_for(&compiled, config, lane),
-    }
-    .expect("plan verifies");
+        None => BatchSimulation::new(&compiled, lanes),
+        Some(lane) => BatchSimulation::new_in(&compiled, lanes, lane),
+    };
     assert_eq!(
         batch.lane_type(),
         lane.unwrap_or(design.lane),
-        "{} under {config:?} runs in the wrong rows",
+        "{} at {lanes} lanes runs in the wrong rows",
         plan.name
     );
     if let Some(halt) = design.halt {
@@ -138,7 +143,7 @@ fn assert_bit_exact_in(
                 single.step();
                 halted[lane] = design.halt.is_some_and(|h| single.peek(h) == Some(1));
             }
-            let ctx = format!("{kind:?} {config:?} lane {lane} @ cycle {cycle}");
+            let ctx = format!("{kind:?} lane {lane} of {lanes} @ cycle {cycle}");
             assert_eq!(
                 batch.completion_cycle(lane).is_some(),
                 halted[lane],
@@ -174,7 +179,6 @@ fn assert_batch_matches_sequential(
     (circuit, lane): (Circuit, LaneType),
     kind: KernelKind,
     lanes: usize,
-    threads: usize,
     cycles: u64,
     seed: u64,
 ) {
@@ -189,11 +193,7 @@ fn assert_batch_matches_sequential(
         drive: &mut random(seed, lanes),
         poke_state: &[],
     };
-    let config = EngineConfig {
-        threads,
-        ..EngineConfig::new(lanes)
-    };
-    assert_bit_exact(&design, stim, config);
+    assert_bit_exact(&design, stim, lanes);
 }
 
 /// The two evaluation designs with the rows each must run in: the core
@@ -223,24 +223,24 @@ fn rv32i_circuit() -> Circuit {
 #[test]
 fn rv32i_batch_matches_sequential() {
     // Random reset toggling makes the lanes genuinely diverge.
-    assert_batch_matches_sequential(rv32i_narrow(), KernelKind::Psu, 4, 2, 120, 0xb001);
+    assert_batch_matches_sequential(rv32i_narrow(), KernelKind::Psu, 4, 120, 0xb001);
 }
 
 #[test]
 fn rv32i_batch_matches_sequential_single_thread() {
-    assert_batch_matches_sequential(rv32i_narrow(), KernelKind::Ti, 3, 1, 120, 0xb002);
+    assert_batch_matches_sequential(rv32i_narrow(), KernelKind::Ti, 3, 120, 0xb002);
 }
 
 #[test]
 fn sha3_batch_matches_sequential() {
-    assert_batch_matches_sequential(sha3_wide(), KernelKind::Psu, 4, 4, 60, 0xb003);
+    assert_batch_matches_sequential(sha3_wide(), KernelKind::Psu, 4, 60, 0xb003);
 }
 
 #[test]
 fn sha3_batch_matches_sequential_swizzled_vs_plain() {
     // Both traversal orders of the batch engine against the scalar path.
-    assert_batch_matches_sequential(sha3_wide(), KernelKind::Ru, 2, 2, 40, 0xb004);
-    assert_batch_matches_sequential(sha3_wide(), KernelKind::Iu, 2, 3, 40, 0xb005);
+    assert_batch_matches_sequential(sha3_wide(), KernelKind::Ru, 2, 40, 0xb004);
+    assert_batch_matches_sequential(sha3_wide(), KernelKind::Iu, 2, 40, 0xb005);
 }
 
 /// Runs the compiled batch kernel and the interpreted golden model of
@@ -336,7 +336,7 @@ fn rv32i_early_exit_matches_scalar_runs() {
         drive: &mut staggered_reset,
         poke_state: &[],
     };
-    let batch = assert_bit_exact(&halting_rv32i(), stim, EngineConfig::new(LANES));
+    let batch = assert_bit_exact(&halting_rv32i(), stim, LANES);
     assert_eq!(batch.live_lanes(), 0, "every lane halts within the budget");
     for lane in 0..LANES {
         assert!(batch.halted(lane));
@@ -370,7 +370,7 @@ fn rv32i_halting_at_19_lanes_runs_chunked_kernels_and_ragged_tails() {
             drive: &mut |_, cycle, _| u64::from(cycle < 2),
             poke_state: &pokes,
         };
-        let batch = assert_bit_exact_in(&design, stim, EngineConfig::new(LANES), lane_type);
+        let batch = assert_bit_exact_in(&design, stim, LANES, lane_type);
         assert_eq!(batch.live_lanes(), 0, "every lane halts within the budget");
         for lane in 0..LANES {
             let sum = Workload::param_sum_expected(bound(lane));
@@ -418,15 +418,15 @@ fn one_33_bit_signal_keeps_the_whole_core_on_u64_rows_bit_exact() {
         drive: &mut staggered_reset,
         poke_state: &[(30, "x1", 1, 1000)],
     };
-    let batch = assert_bit_exact(&design, stim, EngineConfig::new(LANES));
+    let batch = assert_bit_exact(&design, stim, LANES);
     assert_eq!(batch.live_lanes(), 0, "every lane halts within the budget");
 }
 
 #[test]
 fn rv32i_batch_runs_the_program_on_every_lane() {
     // Functional check on top of the bit-level one: every lane of a
-    // free-running two-thread batch executes the program to the
-    // architectural result (a0 = sum(1..=20) = 210).
+    // free-running batch executes the program to the architectural
+    // result (a0 = sum(1..=20) = 210).
     let design = Design {
         circuit: rv32i_circuit(),
         kind: KernelKind::Psu,
@@ -438,24 +438,107 @@ fn rv32i_batch_runs_the_program_on_every_lane() {
         drive: &mut |_, cycle, _| u64::from(cycle < 2),
         poke_state: &[],
     };
-    let config = EngineConfig {
-        threads: 2,
-        ..EngineConfig::new(5)
-    };
-    let batch = assert_bit_exact(&design, stim, config);
+    let batch = assert_bit_exact(&design, stim, 5);
     for lane in 0..5 {
         assert_eq!(batch.peek("halt", lane), Some(1), "lane {lane} halted");
         assert_eq!(batch.peek("a0", lane), Some(210), "lane {lane} result");
     }
 }
 
+/// The kernel-level companion of the front-door rows, for the two axes
+/// only `BatchKernel` has: the RepCut decomposition at two partitions
+/// (one replica of `LI` each) walked by one worker and by two, and the
+/// flat kernel with each layer split across two workers, against the
+/// flat serial walk — every slot of every lane after every cycle, frozen
+/// columns included, in rows of `lane`. On the way every state makes
+/// the lane-axis moves the front door makes for a served run, by hand:
+/// at cycle 12 column 1 is swapped behind the live window and the window
+/// shrinks over it (a halt), at cycle 22 the window grows back and the
+/// column restarts from power-on (a recycled lane), and `stim.poke_state`
+/// are DMI writes of canonical values into *columns*.
+fn assert_kernel_shapes_match_the_serial_walk(
+    plan: &SimPlan,
+    lane: LaneType,
+    lanes: usize,
+    stim: Stim<'_>,
+) {
+    const FREEZE_AT: u64 = 12;
+    const REVIVE_AT: u64 = 22;
+    let cfg = KernelConfig::new(KernelKind::Psu);
+    let layout = &LaneLayout::of_as(plan, lane);
+    let mut pp = PartitionedPlan::new(plan, 2);
+    pp.lanes = layout.clone();
+    let flat = || {
+        (
+            BatchKernel::compile_in(plan, cfg, BatchEngine::Compiled, layout),
+            BatchLiState::new_in(plan, lanes, layout),
+        )
+    };
+    let parted = || {
+        (
+            BatchKernel::compile_partitioned(&pp, cfg),
+            BatchLiState::new_partitioned(plan, lanes, &pp),
+        )
+    };
+    // (what, threads, (kernel, state)); the serial flat walk leads.
+    let mut shapes = [
+        ("flat, 1 thread", 1, flat()),
+        ("flat, 2 threads", 2, flat()),
+        ("2 partitions, 1 thread", 1, parted()),
+        ("2 partitions, 2 threads", 2, parted()),
+    ];
+    let inputs = input_names(plan);
+    let num_inputs = inputs.len();
+    for cycle in 0..stim.cycles {
+        for (_, _, (_, st)) in &mut shapes {
+            let live = st.live();
+            if cycle == FREEZE_AT {
+                st.swap_lanes(1, live - 1);
+                st.set_live(live - 1);
+            }
+            if cycle == REVIVE_AT {
+                st.set_live(live + 1);
+                st.reset_lane(live);
+            }
+            for &(_, signal, column, value) in stim.poke_state.iter().filter(|p| p.0 == cycle) {
+                st.poke_slot(plan.signal_slot(signal).expect("probed"), column, value);
+            }
+        }
+        let live = shapes[0].2 .1.live();
+        let values: Vec<u64> = (0..live * num_inputs)
+            .map(|at| (stim.drive)(at / num_inputs, cycle, inputs[at % num_inputs]))
+            .collect();
+        for (_, threads, (kernel, st)) in &mut shapes {
+            kernel.run_with_stimulus(st, 1, *threads, |_, poker| {
+                for (at, &v) in values.iter().enumerate() {
+                    poker.set_input(at % num_inputs, at / num_inputs, v);
+                }
+            });
+        }
+        let [(_, _, (_, serial)), others @ ..] = &shapes;
+        for (what, _, (_, st)) in others {
+            for slot in 0..plan.num_slots as u32 {
+                for lane in 0..lanes {
+                    assert_eq!(
+                        st.slot(slot, lane),
+                        serial.slot(slot, lane),
+                        "{}, {what}: slot {slot} lane {lane} @ cycle {cycle}",
+                        plan.name
+                    );
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn every_engine_shape_is_bit_exact_on_rv32i_and_sha3() {
-    // The tier-1 sweep: threads × partitioning, on the halting core (halt
-    // compaction, a DMI write into the accumulator mid-loop; `u32` rows)
-    // and on the free-running SHA3 datapath (random stimulus, a DMI write
-    // into the Keccak state; `u64` rows). The threaded and partitioned
-    // shapes run the core in `u64` rows as well, through the witness.
+    // The tier-1 sweep, on the halting core (halt compaction, a DMI write
+    // into the accumulator mid-loop; `u32` rows, and `u64` ones through
+    // the witness) and on the free-running SHA3 datapath (random
+    // stimulus, a DMI write into the Keccak state; `u64` rows): the front
+    // door against scalar runs, then the threaded and the RepCut kernels
+    // against the serial walk on the same designs, stimulus and writes.
     const LANES: usize = 4;
     let rv32i = halting_rv32i();
     let sha3 = Design {
@@ -464,34 +547,38 @@ fn every_engine_shape_is_bit_exact_on_rv32i_and_sha3() {
         halt: None,
         lane: LaneType::Wide,
     };
-    for threads in [1, 2] {
-        for partitioning in [Partitioning::None, Partitioning::Fixed(2)] {
-            let config = EngineConfig {
-                lanes: LANES,
-                threads,
-                partitioning,
-            };
-            let both = (threads == 2) != (partitioning != Partitioning::None);
-            for lane_type in [None, Some(LaneType::Wide)] {
-                if lane_type.is_some() && !both {
-                    continue;
-                }
-                let stim = Stim {
-                    cycles: 400,
-                    drive: &mut staggered_reset,
-                    poke_state: &[(30, "x1", 1, 1000)],
-                };
-                let batch = assert_bit_exact_in(&rv32i, stim, config, lane_type);
-                assert_eq!(batch.live_lanes(), 0, "{config:?}: every lane halts");
-            }
-            let stim = Stim {
-                cycles: 40,
-                drive: &mut random(0xb006, LANES),
-                poke_state: &[(17, "s_1_2", 2, 0x0123_4567_89ab_cdef)],
-            };
-            assert_bit_exact(&sha3, stim, config);
-        }
+    let core_pokes = [(30, "x1", 1, 1000)];
+    let sha3_pokes = [(17, "s_1_2", 2, 0x0123_4567_89ab_cdef)];
+    let core = optimized_plan_of(&rv32i.circuit);
+    for lane_type in [None, Some(LaneType::Wide)] {
+        let stim = Stim {
+            cycles: 400,
+            drive: &mut staggered_reset,
+            poke_state: &core_pokes,
+        };
+        let batch = assert_bit_exact_in(&rv32i, stim, LANES, lane_type);
+        assert_eq!(batch.live_lanes(), 0, "{lane_type:?}: every lane halts");
+        let stim = Stim {
+            cycles: 120,
+            drive: &mut staggered_reset,
+            poke_state: &core_pokes,
+        };
+        let lane = lane_type.unwrap_or(rv32i.lane);
+        assert_kernel_shapes_match_the_serial_walk(&core, lane, LANES, stim);
     }
+    let stim = Stim {
+        cycles: 40,
+        drive: &mut random(0xb006, LANES),
+        poke_state: &sha3_pokes,
+    };
+    assert_bit_exact(&sha3, stim, LANES);
+    let stim = Stim {
+        cycles: 40,
+        drive: &mut random(0xb006, LANES),
+        poke_state: &sha3_pokes,
+    };
+    let keccak = optimized_plan_of(&sha3.circuit);
+    assert_kernel_shapes_match_the_serial_walk(&keccak, sha3.lane, LANES, stim);
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! off the wire — the kernels assume every `LI` value is canonical, so a
 //! raw out-of-range poke used to read back wrong and compare wrong.
 
-use rteaal_core::{BatchSimulation, Compiled, Compiler, DebugModule, EngineConfig, Simulation};
+use rteaal_core::{BatchSimulation, Compiled, Compiler, DebugModule, Simulation};
 use rteaal_dfg::lane_kernel::{LaneLayout, LaneType};
 use rteaal_kernels::{BatchLiState, KernelConfig, KernelKind};
 use rteaal_sched::Job;
@@ -146,8 +146,7 @@ fn a_negative_poke_reads_back_sign_extended_through_every_door_in_both_lane_type
         assert_eq!(read, [0, MINUS_5, 0], "{lane_type:?} slot");
 
         // `peek` and the VCD, under `poke_state`'s: any 12-bit pattern.
-        let mut sim = BatchSimulation::build_for(&narrow, EngineConfig::new(3), lane_type)
-            .expect("plan verifies");
+        let mut sim = BatchSimulation::new_in(&narrow, 3, lane_type);
         assert_eq!(sim.lane_type(), lane_type);
         sim.enable_lane_waveforms(1);
         sim.poke_state("s12", 1, 0xffb).expect("s12 is probed");
