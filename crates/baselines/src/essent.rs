@@ -197,7 +197,7 @@ impl EssentLike {
             let node = graph.node(id);
             instrs.push(EInstr {
                 op: node.op,
-                params: node.params.clone(),
+                params: node.params.to_vec(),
                 srcs: node.operands.iter().map(|o| loc(o.0)).collect(),
                 dst: loc(id.0),
                 canon: Canon::new(node.width, node.signed),
@@ -234,7 +234,7 @@ impl EssentLike {
             outputs: graph
                 .outputs
                 .iter()
-                .map(|(n, id)| (n.clone(), id.0))
+                .map(|(n, id)| (n.to_string(), id.0))
                 .collect(),
             commits,
             commit_buf: vec![0; commit_len],

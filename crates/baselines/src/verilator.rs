@@ -93,7 +93,7 @@ impl VerilatorLike {
                     .map(|o| alias.get(o).copied().unwrap_or(o.0))
                     .collect();
                 if opt == OptLevel::Full {
-                    let key = (node.op, node.params.clone(), srcs.clone());
+                    let key = (node.op, node.params.to_vec(), srcs.clone());
                     if let Some(&prev) = local_cse.get(&key) {
                         alias.insert(id, prev);
                         continue;
@@ -102,7 +102,7 @@ impl VerilatorLike {
                 }
                 schedule.push(VNode {
                     op: node.op,
-                    params: node.params.clone(),
+                    params: node.params.to_vec(),
                     srcs,
                     dst: id.0,
                     canon: Canon::new(node.width, node.signed),
@@ -142,7 +142,7 @@ impl VerilatorLike {
                 outputs: graph
                     .outputs
                     .iter()
-                    .map(|(n, id)| (n.clone(), alias.get(id).copied().unwrap_or(id.0)))
+                    .map(|(n, id)| (n.to_string(), alias.get(id).copied().unwrap_or(id.0)))
                     .collect(),
                 commits,
                 commit_buf: vec![0; commit_len],

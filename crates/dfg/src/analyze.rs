@@ -469,9 +469,10 @@ pub fn analyze_graph(graph: &Graph) -> AnalysisReport {
     roots.extend(graph.regs.iter().map(|r| r.next));
     let label = |id: crate::NodeId| {
         let node = graph.node(id);
-        node.name
-            .clone()
-            .unwrap_or_else(|| format!("{}:{}", node.op, id))
+        match &node.name {
+            Some(name) => name.to_string(),
+            None => format!("{}:{}", node.op, id),
+        }
     };
     'roots: for root in roots {
         if state[root.index()] != 0 {
@@ -511,9 +512,9 @@ pub fn analyze_graph(graph: &Graph) -> AnalysisReport {
                                 format!("combinational cycle: {}", trace.join(" -> ")),
                             )
                             .with_signal(
-                                stack[start..]
-                                    .iter()
-                                    .find_map(|&(s, _)| graph.node(s).name.clone()),
+                                stack[start..].iter().find_map(|&(s, _)| {
+                                    graph.node(s).name.as_deref().map(str::to_string)
+                                }),
                             ),
                         );
                         break 'roots;
@@ -1542,8 +1543,8 @@ circuit Mixed :
         let mut g = Graph::new("cyclic");
         let x = g.add_source(DfgOp::Input, 8, false, "x".into());
         g.inputs.push(x);
-        let a = g.add_op(DfgOp::Add, vec![], vec![x, x], 8, false);
-        let b = g.add_op(DfgOp::Not, vec![], vec![a], 8, false);
+        let a = g.add_op(DfgOp::Add, &[], &[x, x], 8, false);
+        let b = g.add_op(DfgOp::Not, &[], &[a], 8, false);
         g.set_name(a, "sig_a");
         g.set_name(b, "sig_b");
         g.outputs.push(("y".into(), b));
@@ -1657,7 +1658,7 @@ circuit Mixed :
         let mut g = Graph::new("consts");
         let a = g.add_const(3, 8, false);
         let b = g.add_const(4, 8, false);
-        let sum = g.add_op(DfgOp::Add, vec![], vec![a, b], 8, false);
+        let sum = g.add_op(DfgOp::Add, &[], &[a, b], 8, false);
         g.set_name(sum, "const_sum");
         g.outputs.push(("y".into(), sum));
         let state = g.add_source(DfgOp::RegState, 8, false, "r".into());

@@ -1,20 +1,32 @@
 //! Dataflow-graph construction from a flattened FIRRTL module.
 //!
 //! This is the "Dataflow Graph Construction" stage of the RTeAAL Sim
-//! compiler (paper Figure 14). Expressions are resolved recursively with
-//! memoization and combinational-cycle detection; FIRRTL's polymorphic
-//! primitive ops are monomorphized into the [`DfgOp`] set; connect sites
-//! insert [`DfgOp::Resize`] nodes only where widths actually narrow (the
+//! compiler (paper Figure 14). FIRRTL's polymorphic primitive ops are
+//! monomorphized into the [`DfgOp`] set; connect sites insert
+//! [`DfgOp::Resize`] nodes only where widths actually narrow (the
 //! canonical value form makes widening free).
+//!
+//! ## Id tables
+//!
+//! The flat module names every signal by a dense [`SignalId`] and every
+//! expression by a [`TermId`] into one arena, so what a signal stands for
+//! while the graph is built is a `Vec` indexed by signal id, not a map
+//! from names. An expression is built by a depth-first walk over its
+//! terms with an explicit stack — operands left to right, a binding built
+//! where it is first read, a binding read while it is being built a
+//! combinational cycle — which makes the nodes in exactly the order the
+//! recursive walk it replaced made them, at any depth of named nodes. A
+//! name is copied out of the flat module once, into the `Arc<str>` the
+//! graph and its rebuilds share.
 
 use crate::error::{DfgError, Result};
 use crate::graph::{Graph, NodeId, RegDef};
 use crate::op::DfgOp;
-use rteaal_firrtl::ast::Expr;
 use rteaal_firrtl::lower::FlatModule;
 use rteaal_firrtl::ops::PrimOp;
+use rteaal_firrtl::term::{SignalId, Term, TermId};
 use rteaal_firrtl::ty::Type;
-use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Builds the dataflow graph of a flat module.
 ///
@@ -26,96 +38,160 @@ use std::collections::HashMap;
 pub fn build(flat: &FlatModule) -> Result<Graph> {
     let mut b = Builder {
         graph: Graph::new(flat.name.clone()),
-        names: HashMap::with_capacity(flat.signal_count()),
+        flat,
+        bindings: vec![Binding::Unbound; flat.types.len()],
+        walk: Vec::new(),
+        values: Vec::new(),
     };
-    for (name, _, expr) in flat.nodes.iter().chain(&flat.outputs) {
-        b.names.insert(name, Binding::Defined(expr));
+    for &(id, term) in flat.nodes.iter().chain(&flat.wires).chain(&flat.outputs) {
+        b.bindings[id.index()] = Binding::Defined(term);
     }
     // Seed sources: inputs and register state nodes.
-    for (name, ty) in &flat.inputs {
+    for &input in &flat.inputs {
+        let ty = flat.types[input.index()];
+        let name = b.name(input);
         let id = b
             .graph
-            .add_source(DfgOp::Input, ty.width(), ty.is_signed(), name.clone());
+            .add_source(DfgOp::Input, ty.width(), ty.is_signed(), name);
         b.graph.inputs.push(id);
-        b.names.insert(name, Binding::Built(id));
+        b.bindings[input.index()] = Binding::Built(id);
     }
     for reg in &flat.regs {
-        let id = b.graph.add_source(
-            DfgOp::RegState,
-            reg.ty.width(),
-            reg.ty.is_signed(),
-            reg.name.clone(),
-        );
-        b.names.insert(&reg.name, Binding::Built(id));
+        let ty = flat.types[reg.id.index()];
+        let name = b.name(reg.id);
+        let id = b
+            .graph
+            .add_source(DfgOp::RegState, ty.width(), ty.is_signed(), name.clone());
+        b.bindings[reg.id.index()] = Binding::Built(id);
         // `next` is patched below once expressions are built.
         b.graph.regs.push(RegDef {
             state: id,
             next: id,
             init: reg.init,
-            name: reg.name.clone(),
+            name,
         });
     }
     // Register next-state expressions, coerced to the register type.
     for (idx, reg) in flat.regs.iter().enumerate() {
-        let next = b.build_expr(&reg.next)?;
-        let next = b.coerce(next, reg.ty.width(), reg.ty.is_signed());
+        let next = b.build_term(reg.next)?;
+        let ty = flat.types[reg.id.index()];
+        let next = b.coerce(next, ty.width(), ty.is_signed());
         b.graph.regs[idx].next = next;
     }
     // Outputs, coerced to the port type.
-    for (name, ty, expr) in &flat.outputs {
-        let id = b.build_expr(expr)?;
+    for &(output, term) in &flat.outputs {
+        let id = b.build_term(term)?;
+        let ty = flat.types[output.index()];
         let id = b.coerce(id, ty.width(), ty.is_signed());
+        let name = b.name(output);
         if b.graph.node(id).name.is_none() {
             b.graph.set_name(id, name.clone());
         }
-        b.graph.outputs.push((name.clone(), id));
+        b.graph.outputs.push((name, id));
     }
     // Give named combinational bindings their names (for waveforms / XMR),
     // but only when the binding actually materialized a node.
-    for (name, _, _) in &flat.nodes {
-        if let Some(&Binding::Built(id)) = b.names.get(name.as_str()) {
+    for &(binding, _) in flat.nodes.iter().chain(&flat.wires) {
+        if let Binding::Built(id) = b.bindings[binding.index()] {
             if b.graph.node(id).name.is_none() {
-                b.graph.set_name(id, name.clone());
+                let name = b.name(binding);
+                b.graph.set_name(id, name);
             }
         }
     }
     Ok(b.graph)
 }
 
-/// What a name of the flat module stands for while the graph is built.
+/// What a signal of the flat module stands for while the graph is built.
 #[derive(Clone, Copy)]
-enum Binding<'a> {
-    /// A node or output whose expression is not built yet.
-    Defined(&'a Expr),
+enum Binding {
+    /// A clock: nothing an expression can read.
+    Unbound,
+    /// A node, wire or output whose expression is not built yet.
+    Defined(TermId),
     /// Its expression is being built: a reference to it now is a cycle.
     Building,
     /// An input, a register, or a binding whose expression is built.
     Built(NodeId),
 }
 
-struct Builder<'a> {
-    graph: Graph,
-    /// Every name of the flat module, borrowed from it.
-    names: HashMap<&'a str, Binding<'a>>,
+/// One step of the walk that builds an expression.
+#[derive(Clone, Copy)]
+enum Step {
+    /// Build the term, whose first `.1` operands are built.
+    Term(TermId, u8),
+    /// The signal's expression is built: bind it to the last value.
+    Bind(SignalId),
 }
 
-impl<'a> Builder<'a> {
-    fn resolve(&mut self, name: &str) -> Result<NodeId> {
-        let binding = self
-            .names
-            .get_mut(name)
-            .ok_or_else(|| DfgError::Undefined(name.to_string()))?;
-        let expr = match std::mem::replace(binding, Binding::Building) {
-            Binding::Defined(expr) => expr,
-            Binding::Building => return Err(DfgError::CombCycle(name.to_string())),
-            built @ Binding::Built(id) => {
-                *binding = built;
-                return Ok(id);
+struct Builder<'f> {
+    graph: Graph,
+    flat: &'f FlatModule,
+    /// Every signal of the flat module, by id.
+    bindings: Vec<Binding>,
+    /// The walk's pending steps, innermost last.
+    walk: Vec<Step>,
+    /// The nodes of the operands built so far, innermost last.
+    values: Vec<NodeId>,
+}
+
+impl Builder<'_> {
+    fn name(&self, id: SignalId) -> Arc<str> {
+        Arc::from(self.flat.names.get(id))
+    }
+
+    /// Builds `root`: every term under it, operands left to right, and
+    /// every binding it reads that is not built yet, where it reads it.
+    fn build_term(&mut self, root: TermId) -> Result<NodeId> {
+        let terms = &self.flat.terms;
+        self.walk.push(Step::Term(root, 0));
+        while let Some(step) = self.walk.pop() {
+            let (id, done) = match step {
+                Step::Bind(signal) => {
+                    let built = *self.values.last().expect("a bound value");
+                    self.bindings[signal.index()] = Binding::Built(built);
+                    continue;
+                }
+                Step::Term(id, done) => (id, done),
+            };
+            let term = &terms[id.index()];
+            let operands = term.operands();
+            if usize::from(done) < operands.len() {
+                self.walk.push(Step::Term(id, done + 1));
+                self.walk.push(Step::Term(operands[usize::from(done)], 0));
+                continue;
             }
-        };
-        let id = self.build_expr(expr)?;
-        *self.names.get_mut(name).expect("looked up above") = Binding::Built(id);
-        Ok(id)
+            let at = self.values.len() - operands.len();
+            let node = match *term {
+                Term::Signal(signal) => match self.bindings[signal.index()] {
+                    Binding::Built(node) => node,
+                    Binding::Defined(value) => {
+                        self.bindings[signal.index()] = Binding::Building;
+                        self.walk.push(Step::Bind(signal));
+                        self.walk.push(Step::Term(value, 0));
+                        continue;
+                    }
+                    Binding::Building => return Err(self.cycle(signal)),
+                    Binding::Unbound => return Err(self.undefined(signal)),
+                },
+                Term::UIntLit { value, width } => self.graph.add_const(value, width, false),
+                Term::SIntLit { value, width } => self.graph.add_const(value as u64, width, true),
+                Term::Mux(_) => self.add_select(DfgOp::Mux, at),
+                Term::ValidIf(_) => self.add_select(DfgOp::ValidIf, at),
+                Term::Prim { op, .. } => self.add_prim(op, at, term.params())?,
+            };
+            self.values.truncate(at);
+            self.values.push(node);
+        }
+        Ok(self.values.pop().expect("the root's value"))
+    }
+
+    fn cycle(&self, signal: SignalId) -> DfgError {
+        DfgError::CombCycle(self.flat.names.get(signal).to_string())
+    }
+
+    fn undefined(&self, signal: SignalId) -> DfgError {
+        DfgError::Undefined(self.flat.names.get(signal).to_string())
     }
 
     fn ty_of(&self, id: NodeId) -> Type {
@@ -134,56 +210,36 @@ impl<'a> Builder<'a> {
         if node.signed == signed && node.width <= width {
             return id;
         }
-        self.graph
-            .add_op(DfgOp::Resize, vec![], vec![id], width, signed)
+        self.graph.add_op(DfgOp::Resize, &[], &[id], width, signed)
     }
 
-    fn build_expr(&mut self, expr: &'a Expr) -> Result<NodeId> {
-        match expr {
-            Expr::Ref(name) => self.resolve(name),
-            Expr::UIntLit { value, width } => Ok(self.graph.add_const(*value, *width, false)),
-            Expr::SIntLit { value, width } => Ok(self.graph.add_const(*value as u64, *width, true)),
-            Expr::Mux { cond, tval, fval } => {
-                let c = self.build_expr(cond)?;
-                let t = self.build_expr(tval)?;
-                let f = self.build_expr(fval)?;
-                Ok(self.add_select(DfgOp::Mux, &[c, t, f]))
-            }
-            Expr::ValidIf { cond, value } => {
-                let c = self.build_expr(cond)?;
-                let v = self.build_expr(value)?;
-                Ok(self.add_select(DfgOp::ValidIf, &[c, v]))
-            }
-            Expr::Prim { op, args, params } => {
-                let mut arg_ids = Vec::with_capacity(args.len());
-                for a in args {
-                    arg_ids.push(self.build_expr(a)?);
-                }
-                self.add_prim(*op, arg_ids, params)
-            }
-        }
-    }
-
-    /// A `Mux` or `ValidIf` over a condition and one or two values: signed
-    /// like the first value, as wide as the widest.
-    fn add_select(&mut self, op: DfgOp, operands: &[NodeId]) -> NodeId {
+    /// A `Mux` or `ValidIf` over a condition and one or two values — the
+    /// operands from `values[at]` on: signed like the first value, as wide
+    /// as the widest.
+    fn add_select(&mut self, op: DfgOp, at: usize) -> NodeId {
+        let operands = &self.values[at..];
         let values = operands[1..].iter().map(|&v| self.graph.node(v));
         let width = values.map(|v| v.width).max().expect("a value");
         let signed = self.graph.node(operands[1]).signed;
-        self.graph
-            .add_op(op, vec![], operands.to_vec(), width, signed)
+        self.graph.add_op(op, &[], operands, width, signed)
     }
 
-    fn add_prim(&mut self, op: PrimOp, arg_ids: Vec<NodeId>, params: &[u64]) -> Result<NodeId> {
-        let arg_tys: Vec<Type> = arg_ids.iter().map(|&id| self.ty_of(id)).collect();
+    /// A primitive op over the operands from `values[at]` on.
+    fn add_prim(&mut self, op: PrimOp, at: usize, params: &[u64]) -> Result<NodeId> {
+        let args = &self.values[at..];
+        let mut arg_tys = [Type::Clock; 2];
+        for (ty, &id) in arg_tys.iter_mut().zip(args) {
+            *ty = self.ty_of(id);
+        }
+        let arg_tys = &arg_tys[..args.len()];
         let result = op
-            .result_type(&arg_tys, params)
+            .result_type(arg_tys, params)
             .map_err(|e| DfgError::Type(e.to_string()))?;
-        let (dfg_op, dfg_params) = monomorphize(op, &arg_tys, params);
+        let (dfg_op, dfg_params) = monomorphize(op, arg_tys, params);
         Ok(self.graph.add_op(
             dfg_op,
-            dfg_params,
-            arg_ids,
+            &dfg_params,
+            args,
             result.width(),
             result.is_signed(),
         ))
@@ -192,43 +248,49 @@ impl<'a> Builder<'a> {
 
 /// Maps a FIRRTL primitive op (plus operand types) to a concrete
 /// [`DfgOp`] and its static parameters.
-fn monomorphize(op: PrimOp, arg_tys: &[Type], params: &[u64]) -> (DfgOp, Vec<u64>) {
+fn monomorphize(op: PrimOp, arg_tys: &[Type], params: &[u64]) -> (DfgOp, ShortParams) {
     let signed = arg_tys[0].is_signed();
     let w0 = arg_tys[0].width() as u64;
+    let none = ShortParams::default();
     match op {
-        PrimOp::Add => (DfgOp::Add, vec![]),
-        PrimOp::Sub => (DfgOp::Sub, vec![]),
-        PrimOp::Mul => (DfgOp::Mul, vec![]),
-        PrimOp::Div => (if signed { DfgOp::Divs } else { DfgOp::Divu }, vec![]),
-        PrimOp::Rem => (if signed { DfgOp::Rems } else { DfgOp::Remu }, vec![]),
-        PrimOp::Lt => (if signed { DfgOp::Lts } else { DfgOp::Ltu }, vec![]),
-        PrimOp::Leq => (if signed { DfgOp::Les } else { DfgOp::Leu }, vec![]),
-        PrimOp::Gt => (if signed { DfgOp::Gts } else { DfgOp::Gtu }, vec![]),
-        PrimOp::Geq => (if signed { DfgOp::Ges } else { DfgOp::Geu }, vec![]),
-        PrimOp::Eq => (DfgOp::Eq, vec![]),
-        PrimOp::Neq => (DfgOp::Neq, vec![]),
+        PrimOp::Add => (DfgOp::Add, none),
+        PrimOp::Sub => (DfgOp::Sub, none),
+        PrimOp::Mul => (DfgOp::Mul, none),
+        PrimOp::Div => (if signed { DfgOp::Divs } else { DfgOp::Divu }, none),
+        PrimOp::Rem => (if signed { DfgOp::Rems } else { DfgOp::Remu }, none),
+        PrimOp::Lt => (if signed { DfgOp::Lts } else { DfgOp::Ltu }, none),
+        PrimOp::Leq => (if signed { DfgOp::Les } else { DfgOp::Leu }, none),
+        PrimOp::Gt => (if signed { DfgOp::Gts } else { DfgOp::Gtu }, none),
+        PrimOp::Geq => (if signed { DfgOp::Ges } else { DfgOp::Geu }, none),
+        PrimOp::Eq => (DfgOp::Eq, none),
+        PrimOp::Neq => (DfgOp::Neq, none),
         PrimOp::Pad | PrimOp::AsUInt | PrimOp::AsSInt | PrimOp::Cvt | PrimOp::Tail => {
-            (DfgOp::Resize, vec![])
+            (DfgOp::Resize, none)
         }
         // FIRRTL allows any static amount; past the widest signal they
         // all shift everything out, and the verifier bounds parameters.
-        PrimOp::Shl => (DfgOp::Shl, vec![params[0].min(64)]),
-        PrimOp::Shr => (DfgOp::Shr, vec![params[0].min(64)]),
-        PrimOp::Dshl => (DfgOp::Dshl, vec![]),
-        PrimOp::Dshr => (DfgOp::Dshr, vec![]),
-        PrimOp::Neg => (DfgOp::Neg, vec![]),
-        PrimOp::Not => (DfgOp::Not, vec![]),
-        PrimOp::And => (DfgOp::And, vec![]),
-        PrimOp::Or => (DfgOp::Or, vec![]),
-        PrimOp::Xor => (DfgOp::Xor, vec![]),
-        PrimOp::Andr => (DfgOp::Andr, vec![w0]),
-        PrimOp::Orr => (DfgOp::Orr, vec![]),
-        PrimOp::Xorr => (DfgOp::Xorr, vec![w0]),
-        PrimOp::Cat => (DfgOp::Cat, vec![w0, arg_tys[1].width() as u64]),
-        PrimOp::Bits => (DfgOp::Bits, params.to_vec()),
-        PrimOp::Head => (DfgOp::Head, vec![params[0], w0]),
+        PrimOp::Shl => (DfgOp::Shl, ShortParams::from(&[params[0].min(64)][..])),
+        PrimOp::Shr => (DfgOp::Shr, ShortParams::from(&[params[0].min(64)][..])),
+        PrimOp::Dshl => (DfgOp::Dshl, none),
+        PrimOp::Dshr => (DfgOp::Dshr, none),
+        PrimOp::Neg => (DfgOp::Neg, none),
+        PrimOp::Not => (DfgOp::Not, none),
+        PrimOp::And => (DfgOp::And, none),
+        PrimOp::Or => (DfgOp::Or, none),
+        PrimOp::Xor => (DfgOp::Xor, none),
+        PrimOp::Andr => (DfgOp::Andr, ShortParams::from(&[w0][..])),
+        PrimOp::Orr => (DfgOp::Orr, none),
+        PrimOp::Xorr => (DfgOp::Xorr, ShortParams::from(&[w0][..])),
+        PrimOp::Cat => (
+            DfgOp::Cat,
+            ShortParams::from(&[w0, arg_tys[1].width() as u64][..]),
+        ),
+        PrimOp::Bits => (DfgOp::Bits, ShortParams::from(params)),
+        PrimOp::Head => (DfgOp::Head, ShortParams::from(&[params[0], w0][..])),
     }
 }
+
+type ShortParams = crate::graph::ShortList<u64, 2>;
 
 #[cfg(test)]
 mod tests {
@@ -369,7 +431,7 @@ circuit C :
 ",
         );
         let (_, node) = g.iter().find(|(_, n)| n.op == DfgOp::Cat).unwrap();
-        assert_eq!(node.params, vec![4, 3]);
+        assert_eq!(*node.params, [4, 3]);
     }
 
     #[test]
@@ -387,7 +449,7 @@ circuit C :
         );
         for op in [DfgOp::Shl, DfgOp::Shr] {
             let (_, node) = g.iter().find(|(_, n)| n.op == op).unwrap();
-            assert_eq!(node.params, vec![64], "{op}");
+            assert_eq!(*node.params, [64], "{op}");
         }
         let p = crate::plan::plan(&g);
         assert!(crate::analyze::analyze_plan(&p).is_clean());

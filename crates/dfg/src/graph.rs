@@ -14,9 +14,10 @@ use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::BuildHasher;
+use std::sync::Arc;
 
 /// Index of a node in a [`Graph`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -32,21 +33,93 @@ impl fmt::Display for NodeId {
     }
 }
 
-/// A dataflow-graph node: one primitive operation instance.
+/// A short list kept in place — a node's operands or parameters — read as
+/// a slice. Only a list longer than `N` (a mux chain's operands) is put on
+/// the heap; the unused places of a short one hold `T::default()`, so two
+/// short lists compare as their fixed-size arrays, word by word.
+#[derive(Clone, PartialEq, Eq)]
+pub enum ShortList<T: Copy + Default, const N: usize> {
+    /// Up to `N` items, in place.
+    Inline { len: u8, items: [T; N] },
+    /// More than `N` items.
+    Spilled(Box<[T]>),
+}
+
+impl<T: Copy + Default, const N: usize> Default for ShortList<T, N> {
+    fn default() -> Self {
+        ShortList::Inline {
+            len: 0,
+            items: [T::default(); N],
+        }
+    }
+}
+
+impl<T: Copy + Default, const N: usize> From<&[T]> for ShortList<T, N> {
+    fn from(items: &[T]) -> Self {
+        if items.len() > N {
+            return ShortList::Spilled(items.into());
+        }
+        let mut inline = [T::default(); N];
+        inline[..items.len()].copy_from_slice(items);
+        ShortList::Inline {
+            len: items.len() as u8,
+            items: inline,
+        }
+    }
+}
+
+impl<T: Copy + Default, const N: usize> std::ops::Deref for ShortList<T, N> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        match self {
+            ShortList::Inline { len, items } => &items[..usize::from(*len)],
+            ShortList::Spilled(items) => items,
+        }
+    }
+}
+
+impl<T: Copy + Default, const N: usize> std::ops::DerefMut for ShortList<T, N> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        match self {
+            ShortList::Inline { len, items } => &mut items[..usize::from(*len)],
+            ShortList::Spilled(items) => items,
+        }
+    }
+}
+
+impl<'a, T: Copy + Default, const N: usize> IntoIterator for &'a ShortList<T, N> {
+    type Item = &'a T;
+    type IntoIter = std::slice::Iter<'a, T>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl<T: Copy + Default + fmt::Debug, const N: usize> fmt::Debug for ShortList<T, N> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// A dataflow-graph node: one primitive operation instance. Nothing of it
+/// is on the heap but a mux chain's operands; its name is shared with
+/// every graph the node is rebuilt into.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Node {
     /// The operation.
     pub op: DfgOp,
     /// Static parameters (bit indices, shift amounts, widths, const value).
-    pub params: Vec<u64>,
+    pub params: ShortList<u64, 2>,
     /// Operand node ids, in operand order (the `O` rank).
-    pub operands: Vec<NodeId>,
+    pub operands: ShortList<NodeId, 3>,
     /// Result width in bits.
     pub width: u32,
     /// Whether the result is signed (canonical form sign-extended).
     pub signed: bool,
     /// Source-level name, if the node corresponds to a named signal.
-    pub name: Option<String>,
+    pub name: Option<Arc<str>>,
 }
 
 /// A register: its state node, next-state driver, and power-on value.
@@ -58,8 +131,8 @@ pub struct RegDef {
     pub next: NodeId,
     /// Power-on value (canonical form).
     pub init: u64,
-    /// Hierarchical register name.
-    pub name: String,
+    /// Hierarchical register name (its state node's).
+    pub name: Arc<str>,
 }
 
 /// The hash-consing table: the ids of the operation nodes, found by the
@@ -175,7 +248,7 @@ pub struct Graph {
     /// Registers, in declaration order.
     pub regs: Vec<RegDef>,
     /// Output ports: name and driving node.
-    pub outputs: Vec<(String, NodeId)>,
+    pub outputs: Vec<(Arc<str>, NodeId)>,
     /// Design name.
     pub name: String,
 }
@@ -224,13 +297,13 @@ impl Graph {
     }
 
     /// Adds a *source* node (input/register state); never hash-consed.
-    pub fn add_source(&mut self, op: DfgOp, width: u32, signed: bool, name: String) -> NodeId {
+    pub fn add_source(&mut self, op: DfgOp, width: u32, signed: bool, name: Arc<str>) -> NodeId {
         debug_assert_eq!(op.class(), OpClass::Source);
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(Node {
             op,
-            params: vec![],
-            operands: vec![],
+            params: ShortList::default(),
+            operands: ShortList::default(),
             width,
             signed,
             name: Some(name),
@@ -242,15 +315,16 @@ impl Graph {
     pub fn add_op(
         &mut self,
         op: DfgOp,
-        params: Vec<u64>,
-        operands: Vec<NodeId>,
+        params: &[u64],
+        operands: &[NodeId],
         width: u32,
         signed: bool,
     ) -> NodeId {
         if let Some(arity) = op.arity() {
             debug_assert_eq!(operands.len(), arity, "{op}: wrong operand count");
         }
-        let hash = self.cons.hash(op, &params, &operands, width, signed);
+        let hash = self.cons.hash(op, params, operands, width, signed);
+        let (params, operands) = (ShortList::from(params), ShortList::from(operands));
         let same = |n: &Node| {
             n.op == op
                 && n.width == width
@@ -277,11 +351,11 @@ impl Graph {
     /// Adds a constant node with the given canonical value.
     pub fn add_const(&mut self, value: u64, width: u32, signed: bool) -> NodeId {
         let canonical = crate::op::canonicalize(value, width, signed);
-        self.add_op(DfgOp::Const, vec![canonical], vec![], width, signed)
+        self.add_op(DfgOp::Const, &[canonical], &[], width, signed)
     }
 
     /// Attaches a source-level name to a node (used for waveforms / XMR).
-    pub fn set_name(&mut self, id: NodeId, name: impl Into<String>) {
+    pub fn set_name(&mut self, id: NodeId, name: impl Into<Arc<str>>) {
         self.nodes[id.index()].name = Some(name.into());
     }
 
@@ -366,7 +440,7 @@ mod tests {
         let a = g.add_source(DfgOp::Input, 8, false, "a".into());
         g.inputs.push(a);
         let r = g.add_source(DfgOp::RegState, 8, false, "r".into());
-        let sum = g.add_op(DfgOp::Add, vec![], vec![a, r], 8, false);
+        let sum = g.add_op(DfgOp::Add, &[], &[a, r], 8, false);
         g.regs.push(RegDef {
             state: r,
             next: sum,
@@ -383,11 +457,11 @@ mod tests {
         let a = g.inputs[0];
         let r = g.regs[0].state;
         let before = g.len();
-        let dup = g.add_op(DfgOp::Add, vec![], vec![a, r], 8, false);
+        let dup = g.add_op(DfgOp::Add, &[], &[a, r], 8, false);
         assert_eq!(g.len(), before);
         assert_eq!(dup, g.regs[0].next);
         // Different width is a different node.
-        let other = g.add_op(DfgOp::Add, vec![], vec![a, r], 9, false);
+        let other = g.add_op(DfgOp::Add, &[], &[a, r], 9, false);
         assert_ne!(other, dup);
     }
 
@@ -395,7 +469,7 @@ mod tests {
     fn topo_order_respects_dependencies() {
         let mut g = tiny();
         let sum = g.regs[0].next;
-        let sq = g.add_op(DfgOp::Mul, vec![], vec![sum, sum], 8, false);
+        let sq = g.add_op(DfgOp::Mul, &[], &[sum, sum], 8, false);
         g.outputs.push(("sq".into(), sq));
         let order = g.topo_order();
         let pos = |id: NodeId| order.iter().position(|&x| x == id).unwrap();
@@ -409,7 +483,7 @@ mod tests {
         let mut g = tiny();
         // A dead node: never referenced by outputs or reg nexts.
         let a = g.inputs[0];
-        g.add_op(DfgOp::Not, vec![], vec![a], 8, false);
+        g.add_op(DfgOp::Not, &[], &[a], 8, false);
         let hist = g.op_histogram();
         assert_eq!(hist.get(&DfgOp::Add), Some(&1));
         assert_eq!(hist.get(&DfgOp::Not), None);

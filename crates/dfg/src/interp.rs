@@ -145,7 +145,7 @@ impl<'g> Interpreter<'g> {
         self.graph
             .outputs
             .iter()
-            .find(|(n, _)| n == name)
+            .find(|(n, _)| **n == *name)
             .map(|(_, id)| self.values[id.index()])
     }
 

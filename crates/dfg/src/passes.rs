@@ -126,7 +126,7 @@ fn rebuild(
             node.op,
             node.width,
             node.signed,
-            node.name.clone().unwrap_or_default(),
+            node.name.clone().unwrap_or_else(|| "".into()),
         );
         new.inputs.push(id);
         map[input.index()] = id;
@@ -262,18 +262,12 @@ fn transform(
             {
                 stats.truncs_fused += 1;
                 let (op, params, operands) = (src.op, src.params.clone(), src.operands.clone());
-                return new.add_op(op, params, operands, node.width, node.signed);
+                return new.add_op(op, &params, &operands, node.width, node.signed);
             }
         }
     }
     let before = new.len();
-    let id = new.add_op(
-        node.op,
-        node.params.clone(),
-        ops.to_vec(),
-        node.width,
-        node.signed,
-    );
+    let id = new.add_op(node.op, &node.params, ops, node.width, node.signed);
     if new.len() == before {
         stats.cse_merged += 1;
     }
@@ -285,7 +279,7 @@ fn coerce_like(new: &mut Graph, id: NodeId, width: u32, signed: bool) -> NodeId 
     if node.signed == signed && node.width <= width {
         id
     } else {
-        new.add_op(DfgOp::Resize, vec![], vec![id], width, signed)
+        new.add_op(DfgOp::Resize, &[], &[id], width, signed)
     }
 }
 
@@ -352,13 +346,7 @@ fn fuse_mux_chains(graph: &Graph, min_len: usize, stats: &mut PassStats) -> Grap
             return DROPPED;
         }
         if !is_head[id.index()] {
-            return new.add_op(
-                node.op,
-                node.params.clone(),
-                ops.to_vec(),
-                node.width,
-                node.signed,
-            );
+            return new.add_op(node.op, &node.params, ops, node.width, node.signed);
         }
         // (cond, val) of every mux of the chain, then the last one's
         // false arm as the default.
@@ -370,7 +358,7 @@ fn fuse_mux_chains(graph: &Graph, min_len: usize, stats: &mut PassStats) -> Grap
             default = below(default);
         }
         operands.push(map[default.index()]);
-        new.add_op(DfgOp::MuxChain, vec![], operands, node.width, node.signed)
+        new.add_op(DfgOp::MuxChain, &[], &operands, node.width, node.signed)
     })
 }
 
@@ -733,7 +721,7 @@ circuit C :
         );
         // Manually add dead nodes.
         let a = g.inputs[0];
-        g.add_op(DfgOp::Neg, vec![], vec![a], 9, true);
+        g.add_op(DfgOp::Neg, &[], &[a], 9, true);
         let before = g.len();
         let (opt, stats) = optimize(&g, &PassOptions::default());
         assert!(opt.len() < before);

@@ -289,7 +289,7 @@ pub fn plan(graph: &Graph) -> SimPlan {
             &mut init_values,
         );
         slot_of[reg.state.index()] = s;
-        probes.push((reg.name.clone(), s, node.width as u8));
+        probes.push((reg.name.to_string(), s, node.width as u8));
         signed_probes.extend(node.signed.then_some(s));
     }
     let mut input_slots = Vec::with_capacity(graph.inputs.len());
@@ -301,7 +301,7 @@ pub fn plan(graph: &Graph) -> SimPlan {
         let node = graph.node(input);
         input_types.push((node.width as u8, node.signed));
         if let Some(name) = &graph.node(input).name {
-            probes.push((name.clone(), s, node.width as u8));
+            probes.push((name.to_string(), s, node.width as u8));
             signed_probes.extend(node.signed.then_some(s));
         }
     }
@@ -324,14 +324,14 @@ pub fn plan(graph: &Graph) -> SimPlan {
             let out = alloc(0, &mut init_values);
             slot_of[id.index()] = out;
             if let Some(name) = &node.name {
-                probes.push((name.clone(), out, node.width as u8));
+                probes.push((name.to_string(), out, node.width as u8));
                 signed_probes.extend(node.signed.then_some(out));
             }
             layer.push(OpInst {
                 n: node.op.n_coord(),
                 out,
                 ins: node.operands.iter().map(|o| slot_of[o.index()]).collect(),
-                params: node.params.clone(),
+                params: node.params.to_vec(),
                 width: node.width as u8,
                 signed: node.signed,
             });
@@ -355,7 +355,7 @@ pub fn plan(graph: &Graph) -> SimPlan {
     let output_slots: Vec<(String, u32)> = graph
         .outputs
         .iter()
-        .map(|(name, id)| (name.clone(), slot_of[id.index()]))
+        .map(|(name, id)| (name.to_string(), slot_of[id.index()]))
         .collect();
     let stats = PlanStats {
         effectual_ops: layers.iter().map(Vec::len).sum(),
@@ -436,7 +436,7 @@ pub fn plan_unelided(graph: &Graph) -> SimPlan {
         let s = init_values.len() as u32;
         init_values.push(canonicalize(reg.init, node.width, node.signed));
         slot_at.insert((reg.state.0, 0), s);
-        probes.push((reg.name.clone(), s, node.width as u8));
+        probes.push((reg.name.to_string(), s, node.width as u8));
         signed_probes.extend(node.signed.then_some(s));
     }
     let mut input_slots = Vec::new();
@@ -492,7 +492,7 @@ pub fn plan_unelided(graph: &Graph) -> SimPlan {
                 n: node.op.n_coord(),
                 out: slot(id.0, i + 1),
                 ins: node.operands.iter().map(|o| slot(o.0, i)).collect(),
-                params: node.params.clone(),
+                params: node.params.to_vec(),
                 width: node.width as u8,
                 signed: node.signed,
             });
@@ -532,7 +532,7 @@ pub fn plan_unelided(graph: &Graph) -> SimPlan {
             } else {
                 depth
             };
-            (name.clone(), slot(id.0, layer))
+            (name.to_string(), slot(id.0, layer))
         })
         .collect();
     let stats = PlanStats {

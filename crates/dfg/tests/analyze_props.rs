@@ -303,7 +303,7 @@ proptest! {
         let mut chain = Vec::new();
         let mut prev = x;
         for i in 0..chain_len {
-            let n = g.add_op(DfgOp::Not, vec![], vec![prev], 8, false);
+            let n = g.add_op(DfgOp::Not, &[], &[prev], 8, false);
             g.set_name(n, format!("sig_{i}"));
             chain.push(n);
             prev = n;

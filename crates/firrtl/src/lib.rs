@@ -15,9 +15,12 @@
 //! - [`ops`] / [`value`]: the full FIRRTL primitive-op set with
 //!   width-inference rules and bit-accurate evaluation semantics (the single
 //!   source of operator truth for every simulator in the workspace).
-//! - [`infer`]: type checking and width inference.
+//! - [`infer`]: type checking, width inference and name resolution: every
+//!   signal of a module gets a dense id, every expression becomes
+//!   [`term`]s over those ids.
 //! - [`lower`]: instance flattening, memory lowering, and `when` resolution
-//!   into a [`lower::FlatModule`] — the hand-off point to `rteaal-dfg`.
+//!   into a [`lower::FlatModule`] — one name table, one term arena — the
+//!   hand-off point to `rteaal-dfg`.
 //!
 //! ## Example
 //!
@@ -48,6 +51,7 @@ pub mod infer;
 pub mod lower;
 pub mod ops;
 pub mod parser;
+pub mod term;
 pub mod ty;
 pub mod value;
 
@@ -55,4 +59,5 @@ pub use ast::{Circuit, Direction, Expr, Module, Port, Stmt};
 pub use error::{FirrtlError, Result};
 pub use lower::{lower_typed, FlatModule, FlatReg};
 pub use ops::PrimOp;
+pub use term::{SignalId, Term, TermId};
 pub use ty::Type;

@@ -1,4 +1,4 @@
-//! Lowering from the structured FIRRTL AST to a [`FlatModule`].
+//! Lowering from the type-checked FIRRTL AST to a [`FlatModule`].
 //!
 //! The pipeline mirrors what the RTeAAL Sim compiler front end does before
 //! dataflow-graph construction (paper §6.1, Figure 14):
@@ -19,61 +19,136 @@
 //! The result is a [`FlatModule`]: inputs, registers with next-state
 //! expressions, named combinational bindings, and outputs — the direct
 //! input to `rteaal-dfg`'s graph construction.
+//!
+//! ## Id tables
+//!
+//! Nothing here looks a name up. [`check_module`] numbers each module's
+//! signals and resolves its expressions into [`Term`]s over those numbers;
+//! the three stages above are one walk over the typed statements. The top
+//! module's signals are the flat design's first ones and its term arena
+//! the start of the flat one, taken over without a copy. An instance
+//! stamps its module in: the module's own signals get the next flat ids,
+//! its ports map onto the parent's `inst.port` signals, and its terms are
+//! appended with their operands and signals shifted. A flat signal's name
+//! is written once, into one [`Names`] buffer — under an instance, as
+//! `inst.name`. `when` resolution keeps the last connect of every flat
+//! signal in a `Vec` indexed by id, with an undo log to leave a branch, and
+//! shares a condition between the muxes it builds instead of copying it.
 
-use crate::ast::{Circuit, Direction, Expr, Module, Stmt};
+use crate::ast::{Circuit, Direction};
 use crate::error::{FirrtlError, Result};
-use crate::infer::{check_module, mem_addr_width, type_of, TypeEnv};
+use crate::infer::{check_module, mem_addr_width, TypedModule, TypedStmt};
 use crate::ops::PrimOp;
+use crate::term::{same_expr, SignalId, Term, TermId};
 use crate::ty::Type;
-use std::borrow::Cow;
-use std::collections::HashMap;
+use std::collections::HashSet;
+use std::fmt::{self, Write};
+
+/// The names of a flat module's signals, by [`SignalId`], in one buffer.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct Names {
+    text: String,
+    /// Where each name ends in `text`.
+    ends: Vec<u32>,
+}
+
+impl Names {
+    /// The name of signal `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id is out of range.
+    pub fn get(&self, id: SignalId) -> &str {
+        let end = self.ends[id.index()] as usize;
+        let start = match id.index() {
+            0 => 0,
+            i => self.ends[i - 1] as usize,
+        };
+        &self.text[start..end]
+    }
+
+    /// Number of names.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Whether there are none.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Every name, in id order.
+    pub fn iter(&self) -> impl Iterator<Item = &str> {
+        (0..self.ends.len()).map(|i| self.get(SignalId(i as u32)))
+    }
+
+    /// Appends `prefix` followed by `name` as the next signal's name.
+    fn push(&mut self, prefix: &str, name: impl fmt::Display) {
+        self.text.push_str(prefix);
+        write!(self.text, "{name}").expect("a String takes any write");
+        self.ends.push(self.text.len() as u32);
+    }
+}
 
 /// A register in the flattened design.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlatReg {
-    /// Hierarchical name (e.g. `core0.alu.acc`).
-    pub name: String,
-    /// Value type.
-    pub ty: Type,
+    /// The register's signal.
+    pub id: SignalId,
     /// Next-state expression, evaluated every cycle (already includes the
     /// synchronous-reset mux if the register had one).
-    pub next: Expr,
+    pub next: TermId,
     /// Power-on value (0 unless the register came from an initialized
     /// memory).
     pub init: u64,
 }
 
-/// A fully lowered, flat, single-module design.
+/// A fully lowered, flat, single-module design over one signal table and
+/// one term arena.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FlatModule {
     /// Design name (the circuit's top module name).
     pub name: String,
-    /// Non-clock input ports.
-    pub inputs: Vec<(String, Type)>,
-    /// Clock input port names (at most one is accepted; the paper targets a
+    /// Every signal's hierarchical name (e.g. `core0.alu.acc`), by id.
+    pub names: Names,
+    /// Every signal's declared type, by id.
+    pub types: Vec<Type>,
+    /// Every expression of the design; the lists below refer into it.
+    pub terms: Vec<Term>,
+    /// Non-clock input ports, in port order.
+    pub inputs: Vec<SignalId>,
+    /// Clock input ports (at most one is accepted; the paper targets a
     /// single clock domain, §6.2).
-    pub clocks: Vec<String>,
-    /// Output ports with their final driving expressions.
-    pub outputs: Vec<(String, Type, Expr)>,
-    /// Registers with next-state expressions.
+    pub clocks: Vec<SignalId>,
+    /// Output ports, in port order, with their final driving expressions.
+    pub outputs: Vec<(SignalId, TermId)>,
+    /// Registers with next-state expressions, in definition order.
     pub regs: Vec<FlatReg>,
-    /// Named combinational bindings (former nodes and wires), in definition
-    /// order. Expressions may reference any input, register, or binding.
-    pub nodes: Vec<(String, Type, Expr)>,
+    /// Named combinational bindings from `node`s (and memory read trees),
+    /// in definition order.
+    pub nodes: Vec<(SignalId, TermId)>,
+    /// Wires (instance and memory ports included) with their final
+    /// driving expressions, in definition order. Expressions may reference
+    /// any signal.
+    pub wires: Vec<(SignalId, TermId)>,
 }
 
 impl FlatModule {
-    /// Total number of named signals (inputs + regs + nodes + outputs).
+    /// Total number of named signals (inputs + regs + nodes + wires +
+    /// outputs).
     pub fn signal_count(&self) -> usize {
-        self.inputs.len() + self.regs.len() + self.nodes.len() + self.outputs.len()
+        self.inputs.len()
+            + self.regs.len()
+            + self.nodes.len()
+            + self.wires.len()
+            + self.outputs.len()
     }
 }
 
 /// Lowers and fully types a circuit: the main entry point used by the rest
-/// of the workspace. Every stage is entered once: each module is typed
-/// where it is checked, flattening (which lowers the memories it meets) is
-/// the only copy of the borrowed circuit, and `when` resolution takes the
-/// flat body by value and moves its expressions on.
+/// of the workspace. Every module is checked and resolved once, then one
+/// walk from the top stamps the hierarchy, lowers the memories and
+/// resolves the `when`s.
 ///
 /// # Errors
 ///
@@ -87,49 +162,172 @@ pub fn lower_typed(circuit: &Circuit) -> Result<FlatModule> {
         .iter()
         .position(|m| m.name == circuit.name)
         .ok_or_else(|| FirrtlError::Lower(format!("no top module named {}", circuit.name)))?;
-    let envs = circuit
+    let mut typed = circuit
         .modules
         .iter()
         .map(|module| check_module(circuit, module))
         .collect::<Result<Vec<_>>>()?;
     let top_module = &circuit.modules[top];
-    let mut flattener = Flattener {
-        circuit,
-        top: top_module,
-        envs,
-        path: Vec::new(),
-        env: TypeEnv::default(),
+    // The top's signals and terms become the flat design's first ones; it
+    // is never stamped again (that would be an instance cycle).
+    let mut flat = FlatModule {
+        name: top_module.name.clone(),
+        terms: std::mem::take(&mut typed[top].terms),
+        ..FlatModule::default()
     };
-    for port in &top_module.ports {
-        flattener.env.bind(port.name.as_str(), port.ty)?;
+    for name in typed[top].env.names() {
+        flat.names.push("", name);
     }
-    let mut body = Vec::new();
-    flattener.flatten_module(top, "", &mut body)?;
-    let (mut flat, first_wire) = resolve(top_module, body, &flattener.env)?;
-    retype_nodes(&mut flat, first_wire)?;
+    flat.types = typed[top].env.types().to_vec();
+    for (k, port) in top_module.ports.iter().enumerate() {
+        match (port.dir, port.ty) {
+            (Direction::Input, Type::Clock) => flat.clocks.push(SignalId(k as u32)),
+            (Direction::Input, _) => flat.inputs.push(SignalId(k as u32)),
+            (Direction::Output, _) => {} // filled below
+        }
+    }
+    let mut walk = Walk {
+        circuit,
+        typed: &typed,
+        has_clock: !flat.clocks.is_empty(),
+        path: vec![top_module.name.as_str()],
+        slots: vec![None; flat.types.len()],
+        log: Vec::new(),
+        branches: 0,
+        seen: vec![0; flat.types.len()],
+        generation: 0,
+        other: vec![None; flat.types.len()],
+        regs: Vec::new(),
+        wires: Vec::new(),
+        stamped: false,
+        flat,
+    };
+    let ports = top_module.ports.len() as u32;
+    let top_stamp = Stamp {
+        ports: 0,
+        nports: ports,
+        base: ports,
+        terms: 0,
+    };
+    walk.hold(&typed[top], top_stamp);
+    walk.flatten_body(&typed[top].body, "", top_stamp)?;
+    let Walk {
+        mut flat,
+        slots,
+        regs,
+        wires,
+        stamped,
+        ..
+    } = walk;
+    if stamped {
+        unique_names(&flat.names)?;
+    }
+    if flat.clocks.len() > 1 {
+        return Err(FirrtlError::Lower(format!(
+            "{} clock inputs found; RTeAAL Sim targets a single clock domain (paper §6.2)",
+            flat.clocks.len()
+        )));
+    }
+    // Registers: apply synchronous reset with highest priority.
+    for (id, reset) in regs {
+        let mut next = slots[id.index()].expect("registers hold until connected");
+        if let Some((rst, init)) = reset {
+            next = push(&mut flat.terms, Term::Mux([rst, init, next]));
+        }
+        flat.regs.push(FlatReg { id, next, init: 0 });
+    }
+    // Wires must be driven.
+    for id in wires {
+        let value = slots[id.index()].ok_or_else(|| {
+            FirrtlError::Lower(format!("wire {} is never driven", flat.names.get(id)))
+        })?;
+        flat.wires.push((id, value));
+    }
+    // Outputs must be driven.
+    for (k, port) in top_module.ports.iter().enumerate() {
+        if port.dir == Direction::Output {
+            let value = slots[k].ok_or_else(|| {
+                FirrtlError::Lower(format!("output {} is never driven", port.name))
+            })?;
+            flat.outputs.push((SignalId(k as u32), value));
+        }
+    }
+    retype_wires(&mut flat)?;
     Ok(flat)
 }
 
-/// Inlines the instance hierarchy below one module, renaming every signal
-/// of an instance `inst.signal`, lowers the memories it meets, and types
-/// the result as it goes.
-struct Flattener<'c> {
-    circuit: &'c Circuit,
-    /// The design's top module: its clock clocks every memory.
-    top: &'c Module,
-    /// Each module's own names, by position in `circuit.modules`.
-    envs: Vec<TypeEnv<'c>>,
-    /// The modules being inlined, outermost first.
-    path: Vec<&'c str>,
-    /// Every name of the flat module, under its hierarchical name: the
-    /// types come from `envs`, so no expression is typed again.
-    env: TypeEnv<'c>,
+/// Where one instance of a module sits in the flat design: its ports are
+/// the flat signals from `ports` on, its other signals the ones from
+/// `base` on, its terms the ones from `terms` on.
+#[derive(Debug, Clone, Copy)]
+struct Stamp {
+    ports: u32,
+    nports: u32,
+    base: u32,
+    terms: u32,
 }
 
-impl<'c> Flattener<'c> {
-    /// Appends the body of module `index`, instantiated under `prefix`
-    /// (empty for the top), to `out`.
-    fn flatten_module(&mut self, index: usize, prefix: &str, out: &mut Vec<Stmt>) -> Result<()> {
+impl Stamp {
+    /// The flat id of the module's signal `id`.
+    fn signal(&self, id: SignalId) -> SignalId {
+        if id.0 < self.nports {
+            SignalId(self.ports + id.0)
+        } else {
+            SignalId(self.base + id.0 - self.nports)
+        }
+    }
+
+    /// The flat id of the module's term `id`.
+    fn term(&self, id: TermId) -> TermId {
+        TermId(self.terms + id.0)
+    }
+}
+
+/// The one walk from the top: flattening, memory lowering and `when`
+/// resolution.
+struct Walk<'c, 't> {
+    circuit: &'c Circuit,
+    /// Every module, typed, by position in `circuit.modules`.
+    typed: &'t [TypedModule<'c>],
+    /// Whether the top has a clock input to clock the memories.
+    has_clock: bool,
+    /// The modules being inlined, outermost first.
+    path: Vec<&'c str>,
+    flat: FlatModule,
+    /// The last connect of every flat signal so far, as seen from where
+    /// the walk is; registers start out holding their value.
+    slots: Vec<Option<TermId>>,
+    /// What a connect inside a `when` branch overwrote, to leave the
+    /// branch by.
+    log: Vec<(SignalId, Option<TermId>)>,
+    /// How many `when` branches the walk is inside.
+    branches: usize,
+    /// Marks the targets of one branch, by `generation`.
+    seen: Vec<u32>,
+    generation: u32,
+    /// The else-branch values of one `when` while it is merged.
+    other: Vec<Option<TermId>>,
+    /// Registers in definition order, with their `(reset, init)`.
+    regs: Vec<(SignalId, Option<(TermId, TermId)>)>,
+    /// Wires in definition order.
+    wires: Vec<SignalId>,
+    /// Whether any instance or memory named a signal here.
+    stamped: bool,
+}
+
+impl<'c, 't> Walk<'c, 't> {
+    /// Starts every register and memory cell of one instance holding its
+    /// value.
+    fn hold(&mut self, typed: &TypedModule<'_>, stamp: Stamp) {
+        for &id in &typed.holds {
+            let id = stamp.signal(id);
+            self.slots[id.index()] = Some(push(&mut self.flat.terms, Term::Signal(id)));
+        }
+    }
+
+    /// Stamps module `index` in as instance `prefix` whose ports are the
+    /// flat signals from `ports` on, and walks its body.
+    fn flatten_module(&mut self, index: usize, prefix: &str, ports: SignalId) -> Result<()> {
         let module = &self.circuit.modules[index];
         if self.path.contains(&module.name.as_str()) {
             return Err(FirrtlError::Lower(format!(
@@ -139,470 +337,374 @@ impl<'c> Flattener<'c> {
             )));
         }
         self.path.push(&module.name);
-        self.flatten_body(index, prefix, &module.body, out)?;
+        let all = self.typed;
+        let typed = &all[index];
+        let nports = module.ports.len() as u32;
+        let stamp = Stamp {
+            ports: ports.0,
+            nports,
+            base: self.flat.types.len() as u32,
+            terms: self.flat.terms.len() as u32,
+        };
+        let dotted = format!("{prefix}.");
+        for name in &typed.env.names()[nports as usize..] {
+            self.flat.names.push(&dotted, name);
+        }
+        self.flat
+            .types
+            .extend(&typed.env.types()[nports as usize..]);
+        let signal = |id| stamp.signal(id);
+        let terms = typed.terms.iter().map(|t| t.stamped(stamp.terms, signal));
+        self.flat.terms.extend(terms);
+        let n = self.flat.types.len();
+        self.slots.resize(n, None);
+        self.seen.resize(n, 0);
+        self.other.resize(n, None);
+        self.hold(typed, stamp);
+        self.flatten_body(&typed.body, prefix, stamp)?;
         self.path.pop();
         Ok(())
     }
 
-    fn flatten_body(
-        &mut self,
-        index: usize,
-        prefix: &str,
-        body: &'c [Stmt],
-        out: &mut Vec<Stmt>,
-    ) -> Result<()> {
+    fn flatten_body(&mut self, body: &'t [TypedStmt<'c>], prefix: &str, s: Stamp) -> Result<()> {
         for stmt in body {
-            let stmt = match stmt {
-                Stmt::Wire { name, ty } => Stmt::Wire {
-                    name: self.declare(prefix, name, *ty)?,
-                    ty: *ty,
-                },
-                Stmt::Reg {
+            match stmt {
+                TypedStmt::Wire(id) => self.wires.push(s.signal(*id)),
+                TypedStmt::Reg { id, reset } => {
+                    let reset = reset.map(|(rst, init)| (s.term(rst), s.term(init)));
+                    self.regs.push((s.signal(*id), reset));
+                }
+                TypedStmt::Node { id, value } => {
+                    self.flat.nodes.push((s.signal(*id), s.term(*value)));
+                }
+                TypedStmt::Connect { target, value } => {
+                    self.connect(s.signal(*target), s.term(*value));
+                }
+                TypedStmt::Instance {
+                    name,
+                    module,
+                    ports,
+                } => {
+                    self.stamped = true;
+                    let inst = prefixed(prefix, name);
+                    // Ports of the instance become wires named `inst.port`.
+                    let first = s.signal(*ports);
+                    let nports = self.circuit.modules[*module].ports.len() as u32;
+                    self.wires.extend((first.0..first.0 + nports).map(SignalId));
+                    self.flatten_module(*module, &inst, first)?;
+                }
+                TypedStmt::Mem {
                     name,
                     ty,
-                    clock,
-                    reset,
-                } => Stmt::Reg {
-                    name: self.declare(prefix, name, *ty)?,
-                    ty: *ty,
-                    clock: prefix_expr(clock, prefix),
-                    reset: reset
-                        .as_ref()
-                        .map(|(r, i)| (prefix_expr(r, prefix), prefix_expr(i, prefix))),
-                },
-                Stmt::Node { name, value } => {
-                    let ty = self.envs[index].get(name).expect("typed by its module");
-                    Stmt::Node {
-                        name: self.declare(prefix, name, ty)?,
-                        value: prefix_expr(value, prefix),
-                    }
-                }
-                Stmt::Connect { target, value } => Stmt::Connect {
-                    target: prefix_name(target, prefix).into_owned(),
-                    value: prefix_expr(value, prefix),
-                },
-                Stmt::Mem {
-                    name, ty, depth, ..
-                } => {
-                    let name = prefix_name(name, prefix);
-                    lower_mem(&name, *ty, *depth, self.top, &mut self.env, out)?;
-                    continue;
-                }
-                Stmt::Instance { name, module } => {
-                    let sub = self
-                        .circuit
-                        .modules
-                        .iter()
-                        .position(|m| m.name == *module)
-                        .ok_or_else(|| FirrtlError::Undefined(format!("module {module}")))?;
-                    let inst = prefix_name(name, prefix);
-                    // Ports of the instance become wires named `inst.port`.
-                    for port in &self.circuit.modules[sub].ports {
-                        let wire = format!("{inst}.{}", port.name);
-                        self.env.bind(wire.clone(), port.ty)?;
-                        out.push(Stmt::Wire {
-                            name: wire,
-                            ty: port.ty,
-                        });
-                    }
-                    self.flatten_module(sub, &inst, out)?;
-                    continue;
-                }
-                Stmt::When {
+                    depth,
+                    ports,
+                } => self.lower_mem(prefix, name, *ty, *depth, s.signal(*ports))?,
+                TypedStmt::When {
                     cond,
                     then_body,
                     else_body,
                 } => {
-                    let mut t = Vec::new();
-                    let mut e = Vec::new();
-                    self.flatten_body(index, prefix, then_body, &mut t)?;
-                    self.flatten_body(index, prefix, else_body, &mut e)?;
-                    Stmt::When {
-                        cond: prefix_expr(cond, prefix),
-                        then_body: t,
-                        else_body: e,
-                    }
+                    let then_own = self.branch(then_body, prefix, s)?;
+                    let else_own = self.branch(else_body, prefix, s)?;
+                    self.merge(s.term(*cond), &then_own, &else_own);
                 }
-                Stmt::Skip => Stmt::Skip,
-            };
-            out.push(stmt);
+            }
         }
         Ok(())
     }
 
-    /// Binds a declared name under its hierarchical name, which it returns.
-    fn declare(&mut self, prefix: &str, name: &'c str, ty: Type) -> Result<String> {
-        let name = prefix_name(name, prefix);
-        self.env.bind(name.clone(), ty)?;
-        Ok(name.into_owned())
+    /// Connects `value` to `target`, last connect wins.
+    fn connect(&mut self, target: SignalId, value: TermId) {
+        let slot = &mut self.slots[target.index()];
+        if self.branches > 0 {
+            self.log.push((target, *slot));
+        }
+        *slot = Some(value);
     }
-}
 
-/// `name` as seen from the top: every name a checked module mentions is
-/// its own, so all of them move under the instance's prefix.
-fn prefix_name<'c>(name: &'c str, prefix: &str) -> Cow<'c, str> {
-    if prefix.is_empty() {
-        Cow::Borrowed(name)
-    } else {
-        Cow::Owned(format!("{prefix}.{name}"))
-    }
-}
-
-fn prefix_expr(expr: &Expr, prefix: &str) -> Expr {
-    if prefix.is_empty() {
-        return expr.clone();
-    }
-    match expr {
-        Expr::Ref(n) => Expr::Ref(prefix_name(n, prefix).into_owned()),
-        Expr::UIntLit { .. } | Expr::SIntLit { .. } => expr.clone(),
-        Expr::Mux { cond, tval, fval } => Expr::Mux {
-            cond: Box::new(prefix_expr(cond, prefix)),
-            tval: Box::new(prefix_expr(tval, prefix)),
-            fval: Box::new(prefix_expr(fval, prefix)),
-        },
-        Expr::ValidIf { cond, value } => Expr::ValidIf {
-            cond: Box::new(prefix_expr(cond, prefix)),
-            value: Box::new(prefix_expr(value, prefix)),
-        },
-        Expr::Prim { op, args, params } => {
-            // A loop, not `map().collect()`: this recurses once per
-            // nesting level, and unoptimized every adapter is a frame.
-            let mut prefixed = Vec::with_capacity(args.len());
-            for a in args {
-                prefixed.push(prefix_expr(a, prefix));
+    /// Walks one branch of a `when` and leaves it: every target it
+    /// connects, with its last value there.
+    fn branch(
+        &mut self,
+        body: &'t [TypedStmt<'c>],
+        prefix: &str,
+        s: Stamp,
+    ) -> Result<Vec<(SignalId, TermId)>> {
+        let mark = self.log.len();
+        self.branches += 1;
+        self.flatten_body(body, prefix, s)?;
+        self.branches -= 1;
+        self.generation += 1;
+        let mut own = Vec::new();
+        for &(target, _) in &self.log[mark..] {
+            if std::mem::replace(&mut self.seen[target.index()], self.generation) != self.generation
+            {
+                own.push((target, self.slots[target.index()].expect("connected here")));
             }
-            Expr::prim_p(*op, prefixed, params.clone())
+        }
+        for (target, before) in self.log.drain(mark..).rev() {
+            self.slots[target.index()] = before;
+        }
+        Ok(own)
+    }
+
+    /// Connects every target of a `when` over `cond` to what its two
+    /// branches leave it: a target connected in one branch only holds its
+    /// value in the other.
+    fn merge(
+        &mut self,
+        cond: TermId,
+        then_own: &[(SignalId, TermId)],
+        else_own: &[(SignalId, TermId)],
+    ) {
+        for &(target, ev) in else_own {
+            self.other[target.index()] = Some(ev);
+        }
+        for &(target, tv) in then_own {
+            let ev = self.other[target.index()].take();
+            let ev = ev.or(self.slots[target.index()]);
+            self.merge_one(cond, target, Some(tv), ev);
+        }
+        for &(target, ev) in else_own {
+            // Not taken above: connected in the else-branch only.
+            if self.other[target.index()].take().is_some() {
+                let tv = self.slots[target.index()];
+                self.merge_one(cond, target, tv, Some(ev));
+            }
         }
     }
+
+    fn merge_one(
+        &mut self,
+        cond: TermId,
+        target: SignalId,
+        tv: Option<TermId>,
+        ev: Option<TermId>,
+    ) {
+        let terms = &mut self.flat.terms;
+        let merged = match (tv, ev) {
+            (Some(tv), Some(ev)) if same_expr(terms, tv, ev) => tv,
+            (Some(tv), Some(ev)) => push(terms, Term::Mux([cond, tv, ev])),
+            // Driven only in the then-branch of a when with no prior
+            // default: conditionally valid.
+            (Some(tv), None) => push(terms, Term::ValidIf([cond, tv])),
+            (None, Some(ev)) => {
+                let zero = push(terms, Term::UIntLit { value: 0, width: 1 });
+                let not = push(
+                    terms,
+                    Term::Prim {
+                        op: PrimOp::Eq,
+                        args: [cond, zero],
+                        params: [0; 2],
+                    },
+                );
+                push(terms, Term::ValidIf([not, ev]))
+            }
+            (None, None) => unreachable!("a target is connected in a branch"),
+        };
+        self.connect(target, merged);
+    }
+
+    /// Lowers a `mem` of the instance `prefix` whose ports are the flat
+    /// signals from `ports` on and whose cells follow them: the port wires,
+    /// a register per cell clocked by the design's clock, a write-enable
+    /// mux per cell, a read mux tree.
+    fn lower_mem(
+        &mut self,
+        prefix: &str,
+        name: &str,
+        ty: Type,
+        depth: usize,
+        ports: SignalId,
+    ) -> Result<()> {
+        self.stamped = true;
+        if !self.has_clock {
+            return Err(FirrtlError::Lower(format!(
+                "memory {} requires a clock input port",
+                prefixed(prefix, name)
+            )));
+        }
+        if depth == 0 {
+            return Err(FirrtlError::Lower(format!(
+                "memory {} has zero depth",
+                prefixed(prefix, name)
+            )));
+        }
+        if ty.is_clock() {
+            return Err(FirrtlError::Type(format!(
+                "memory {} cannot hold a clock",
+                prefixed(prefix, name)
+            )));
+        }
+        let port = |k: u32| SignalId(ports.0 + k);
+        let (raddr, rdata, waddr, wdata, wen) = (port(0), port(1), port(2), port(3), port(4));
+        // Port wires keep their names so parent connects keep working.
+        self.wires.extend([raddr, waddr, wdata, wen]);
+        let aw = mem_addr_width(depth);
+        let terms = &mut self.flat.terms;
+        let [wen_t, waddr_t, wdata_t] = [wen, waddr, wdata].map(|s| push(terms, Term::Signal(s)));
+        // One register per cell; write-enable mux on the next state.
+        let mut cells = Vec::with_capacity(depth);
+        for k in 0..depth {
+            let cell = port(5 + k as u32);
+            self.regs.push((cell, None));
+            let terms = &mut self.flat.terms;
+            let index = push(
+                terms,
+                Term::UIntLit {
+                    value: k as u64,
+                    width: aw,
+                },
+            );
+            let eq = push(
+                terms,
+                Term::Prim {
+                    op: PrimOp::Eq,
+                    args: [waddr_t, index],
+                    params: [0; 2],
+                },
+            );
+            let hit = push(
+                terms,
+                Term::Prim {
+                    op: PrimOp::And,
+                    args: [wen_t, eq],
+                    params: [0; 2],
+                },
+            );
+            let hold = push(terms, Term::Signal(cell));
+            cells.push(hold);
+            let next = push(terms, Term::Mux([hit, wdata_t, hold]));
+            self.connect(cell, next);
+        }
+        // Combinational read: balanced mux tree over the address bits.
+        let terms = &mut self.flat.terms;
+        let addr = push(terms, Term::Signal(raddr));
+        let tree = mux_tree(terms, addr, &cells, aw, ty);
+        self.flat.nodes.push((rdata, tree));
+        Ok(())
+    }
 }
 
-/// Appends what a `mem` of the design under `top` becomes — port wires,
-/// a register per cell clocked by the design's clock, a read mux tree —
-/// to `out`, and declares it in `env`.
-fn lower_mem(
-    name: &str,
-    ty: Type,
-    depth: usize,
-    top: &Module,
-    env: &mut TypeEnv<'_>,
-    out: &mut Vec<Stmt>,
-) -> Result<()> {
-    let clock = top
-        .ports
-        .iter()
-        .find(|p| p.dir == Direction::Input && p.ty.is_clock());
-    let clock = clock
-        .map(|p| p.name.as_str())
-        .ok_or_else(|| FirrtlError::Lower(format!("memory {name} requires a clock input port")))?;
-    if depth == 0 {
-        return Err(FirrtlError::Lower(format!("memory {name} has zero depth")));
+fn push(terms: &mut Vec<Term>, term: Term) -> TermId {
+    terms.push(term);
+    TermId(terms.len() as u32 - 1)
+}
+
+/// `name` as seen from the top, for a signal of the instance `prefix`.
+fn prefixed(prefix: &str, name: &str) -> String {
+    if prefix.is_empty() {
+        name.to_string()
+    } else {
+        format!("{prefix}.{name}")
     }
-    let aw = mem_addr_width(depth);
-    // Port wires keep their names so parent connects keep working.
-    for (field, fty) in [
-        ("raddr", Type::uint(aw)),
-        ("waddr", Type::uint(aw)),
-        ("wdata", ty),
-        ("wen", Type::uint(1)),
-    ] {
-        let wire = format!("{name}.{field}");
-        env.bind(wire.clone(), fty)?;
-        out.push(Stmt::Wire {
-            name: wire,
-            ty: fty,
-        });
-    }
-    // One register per cell; write-enable mux on the next state.
-    for k in 0..depth {
-        let cell = format!("{name}.cell_{k}");
-        env.bind(cell.clone(), ty)?;
-        out.push(Stmt::Reg {
-            name: cell.clone(),
-            ty,
-            clock: Expr::r(clock),
-            reset: None,
-        });
-        let hit = Expr::prim(
-            PrimOp::And,
-            vec![
-                Expr::r(format!("{name}.wen")),
-                Expr::prim(
-                    PrimOp::Eq,
-                    vec![Expr::r(format!("{name}.waddr")), Expr::u(k as u64, aw)],
-                ),
-            ],
-        );
-        out.push(Stmt::Connect {
-            target: cell.clone(),
-            value: Expr::mux(hit, Expr::r(format!("{name}.wdata")), Expr::r(cell)),
-        });
-    }
-    // Combinational read: balanced mux tree over the address bits.
-    let cells: Vec<Expr> = (0..depth)
-        .map(|k| Expr::r(format!("{name}.cell_{k}")))
-        .collect();
-    let tree = mux_tree(&Expr::r(format!("{name}.raddr")), &cells, aw, ty);
-    let rdata = format!("{name}.rdata");
-    env.bind(rdata.clone(), env.type_of(&tree)?)?;
-    out.push(Stmt::Node {
-        name: rdata,
-        value: tree,
-    });
-    Ok(())
 }
 
 /// Builds a balanced mux tree selecting `cells[addr]`; out-of-range
 /// addresses (non-power-of-two depth) read as 0.
-fn mux_tree(addr: &Expr, cells: &[Expr], addr_width: u32, ty: Type) -> Expr {
-    fn rec(addr: &Expr, cells: &[Expr], bit: i64, lo: usize, span: usize, zero: &Expr) -> Expr {
+fn mux_tree(
+    terms: &mut Vec<Term>,
+    addr: TermId,
+    cells: &[TermId],
+    addr_width: u32,
+    ty: Type,
+) -> TermId {
+    fn rec(
+        terms: &mut Vec<Term>,
+        addr: TermId,
+        cells: &[TermId],
+        bit: i64,
+        lo: usize,
+        span: usize,
+        zero: TermId,
+    ) -> TermId {
         if span == 1 {
-            return cells.get(lo).cloned().unwrap_or_else(|| zero.clone());
+            return cells.get(lo).copied().unwrap_or(zero);
         }
         if lo >= cells.len() {
-            return zero.clone();
+            return zero;
         }
         let half = span / 2;
-        let sel = Expr::prim_p(
-            PrimOp::Bits,
-            vec![addr.clone()],
-            vec![bit as u64, bit as u64],
+        let sel = push(
+            terms,
+            Term::Prim {
+                op: PrimOp::Bits,
+                args: [addr, TermId(0)],
+                params: [bit as u64, bit as u64],
+            },
         );
-        let low = rec(addr, cells, bit - 1, lo, half, zero);
-        let high = rec(addr, cells, bit - 1, lo + half, half, zero);
-        Expr::mux(sel, high, low)
+        let low = rec(terms, addr, cells, bit - 1, lo, half, zero);
+        let high = rec(terms, addr, cells, bit - 1, lo + half, half, zero);
+        push(terms, Term::Mux([sel, high, low]))
     }
     let zero = if ty.is_signed() {
-        Expr::s(0, ty.width())
+        Term::SIntLit {
+            value: 0,
+            width: ty.width(),
+        }
     } else {
-        Expr::u(0, ty.width())
+        Term::UIntLit {
+            value: 0,
+            width: ty.width(),
+        }
     };
+    let zero = push(terms, zero);
     let span = 1usize << addr_width;
-    rec(addr, cells, addr_width as i64 - 1, 0, span, &zero)
+    rec(terms, addr, cells, addr_width as i64 - 1, 0, span, zero)
 }
 
-/// A register declaration: name, type, and optional (reset, init) pair.
-type RegTarget = (String, Type, Option<(Expr, Expr)>);
-
-/// Resolves the `when` blocks of the flattened `body` of `top` and
-/// assembles the [`FlatModule`], moving every expression out of `body`.
-/// Also returns how many of the flat module's `nodes` were nodes in the
-/// source; the rest were wires.
-fn resolve(top: &Module, body: Vec<Stmt>, env: &TypeEnv<'_>) -> Result<(FlatModule, usize)> {
-    let mut flat = FlatModule {
-        name: top.name.clone(),
-        ..FlatModule::default()
-    };
-    for port in &top.ports {
-        match (port.dir, port.ty) {
-            (Direction::Input, Type::Clock) => flat.clocks.push(port.name.clone()),
-            (Direction::Input, ty) => flat.inputs.push((port.name.clone(), ty)),
-            (Direction::Output, _) => {} // filled below
+/// Refuses two flat signals of one name: only names an instance or a
+/// memory made up can meet a declared one.
+fn unique_names(names: &Names) -> Result<()> {
+    let mut seen = HashSet::new();
+    for name in names.iter().filter(|name| name.contains('.')) {
+        if !seen.insert(name) {
+            return Err(FirrtlError::Duplicate(name.to_string()));
         }
     }
-    if flat.clocks.len() > 1 {
-        return Err(FirrtlError::Lower(format!(
-            "{} clock inputs found; RTeAAL Sim targets a single clock domain (paper §6.2)",
-            flat.clocks.len()
-        )));
-    }
-
-    // Last-connect-wins resolution. Registers start bound to themselves
-    // (hold), wherever they are declared; wires and outputs start unbound.
-    let mut resolver = Resolver {
-        env,
-        nodes: Vec::new(),
-        regs: Vec::new(),
-        wires: Vec::new(),
-    };
-    let mut bindings = Scope::default();
-    hold_registers(&body, &mut bindings.own);
-    resolver.resolve_body(body, &mut bindings)?;
-    let mut bindings = bindings.own;
-    flat.nodes = resolver.nodes;
-    let first_wire = flat.nodes.len();
-
-    // Registers: apply synchronous reset with highest priority.
-    for (name, ty, reset) in resolver.regs {
-        let mut next = bindings
-            .remove(&name)
-            .expect("register binding seeded above");
-        if let Some((rst, init)) = reset {
-            next = Expr::mux(rst, init, next);
-        }
-        flat.regs.push(FlatReg {
-            name,
-            ty,
-            next,
-            init: 0,
-        });
-    }
-    // Wires must be driven; they become nodes bound to their final value.
-    for (name, ty) in resolver.wires {
-        let value = bindings
-            .remove(&name)
-            .ok_or_else(|| FirrtlError::Lower(format!("wire {name} is never driven")))?;
-        flat.nodes.push((name, ty, value));
-    }
-    // Outputs must be driven.
-    for port in &top.ports {
-        if port.dir == Direction::Output {
-            let value = bindings.remove(&port.name).ok_or_else(|| {
-                FirrtlError::Lower(format!("output {} is never driven", port.name))
-            })?;
-            flat.outputs.push((port.name.clone(), port.ty, value));
-        }
-    }
-    Ok((flat, first_wire))
+    Ok(())
 }
 
-fn hold_registers(body: &[Stmt], bindings: &mut HashMap<String, Expr>) {
-    for stmt in body {
-        match stmt {
-            Stmt::Reg { name, .. } => {
-                bindings.insert(name.clone(), Expr::r(name.clone()));
-            }
-            Stmt::When {
-                then_body,
-                else_body,
-                ..
-            } => {
-                hold_registers(then_body, bindings);
-                hold_registers(else_body, bindings);
-            }
-            _ => {}
-        }
-    }
-}
-
-/// The connects made so far in one `when` branch, over those of the
-/// enclosing blocks.
-#[derive(Default)]
-struct Scope<'p> {
-    own: HashMap<String, Expr>,
-    parent: Option<&'p Scope<'p>>,
-}
-
-impl Scope<'_> {
-    fn get(&self, target: &str) -> Option<&Expr> {
-        self.own
-            .get(target)
-            .or_else(|| self.parent.and_then(|p| p.get(target)))
-    }
-}
-
-/// What `when` resolution takes out of the module's statements, in
-/// statement order.
-struct Resolver<'e> {
-    env: &'e TypeEnv<'e>,
-    nodes: Vec<(String, Type, Expr)>,
-    regs: Vec<RegTarget>,
-    wires: Vec<(String, Type)>,
-}
-
-impl Resolver<'_> {
-    fn resolve_body(&mut self, body: Vec<Stmt>, bindings: &mut Scope<'_>) -> Result<()> {
-        for stmt in body {
-            match stmt {
-                Stmt::Connect { target, value } => {
-                    bindings.own.insert(target, value);
-                }
-                Stmt::Node { name, value } => {
-                    // Nodes are immutable; record as a combinational binding.
-                    let ty = self.env.get(&name).expect("declared while flattening");
-                    self.nodes.push((name, ty, value));
-                }
-                Stmt::Reg {
-                    name, ty, reset, ..
-                } => self.regs.push((name, ty, reset)),
-                Stmt::Wire { name, ty } => self.wires.push((name, ty)),
-                Stmt::When {
-                    cond,
-                    then_body,
-                    else_body,
-                } => {
-                    let mut branch = |body| {
-                        let mut scope = Scope {
-                            own: HashMap::new(),
-                            parent: Some(&*bindings),
-                        };
-                        self.resolve_body(body, &mut scope)?;
-                        Ok(scope.own)
-                    };
-                    let (mut then_b, mut else_b) = (branch(then_body)?, branch(else_body)?);
-                    // A target connected in neither branch keeps its value;
-                    // one connected in a single branch holds it in the other.
-                    let targets: Vec<String> = then_b
-                        .keys()
-                        .chain(else_b.keys().filter(|t| !then_b.contains_key(*t)))
-                        .cloned()
-                        .collect();
-                    for t in targets {
-                        let tv = then_b.remove(&t).or_else(|| bindings.get(&t).cloned());
-                        let ev = else_b.remove(&t).or_else(|| bindings.get(&t).cloned());
-                        let merged = match (tv, ev) {
-                            (Some(tv), Some(ev)) if tv == ev => tv,
-                            (Some(tv), Some(ev)) => Expr::mux(cond.clone(), tv, ev),
-                            // Driven only in the then-branch of a when with
-                            // no prior default: conditionally valid.
-                            (Some(tv), None) => Expr::ValidIf {
-                                cond: Box::new(cond.clone()),
-                                value: Box::new(tv),
-                            },
-                            (None, Some(ev)) => Expr::ValidIf {
-                                cond: Box::new(Expr::prim(
-                                    PrimOp::Eq,
-                                    vec![cond.clone(), Expr::u(0, 1)],
-                                )),
-                                value: Box::new(ev),
-                            },
-                            (None, None) => unreachable!("a target is connected in a branch"),
-                        };
-                        bindings.own.insert(t, merged);
-                    }
-                }
-                Stmt::Skip => {}
-                Stmt::Instance { .. } | Stmt::Mem { .. } => {
-                    unreachable!("instances and mems lowered before resolution")
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Narrows the former wires of a resolved flat module — `nodes[first_wire..]`
-/// — from their declared type to the type of what drives them, and retypes
-/// the bindings that (transitively) refer to a wire whose type moved; the
-/// others keep the type of their one typing untouched. Bindings may refer
-/// to each other in any order after `when` resolution, so this walks
-/// references depth-first instead of in definition order; a wire that
-/// reaches itself is a combinational cycle.
-fn retype_nodes(flat: &mut FlatModule, first_wire: usize) -> Result<()> {
-    if first_wire == flat.nodes.len() {
+/// Narrows the wires of a resolved flat module from their declared type to
+/// the type of what drives them, and retypes the bindings that
+/// (transitively) refer to a wire whose type moved; the others keep the
+/// type of their one typing. Bindings may refer to each other in any order
+/// after `when` resolution, so this walks references depth-first instead of
+/// in definition order; a wire that reaches itself is a combinational cycle.
+fn retype_wires(flat: &mut FlatModule) -> Result<()> {
+    if flat.wires.is_empty() {
         return Ok(());
     }
-    let mut sources = TypeEnv::default();
-    let ports = flat.inputs.iter().map(|(name, ty)| (name, *ty));
-    let ports = ports.chain(flat.clocks.iter().map(|name| (name, Type::Clock)));
-    for (name, ty) in ports.chain(flat.regs.iter().map(|reg| (&reg.name, reg.ty))) {
-        sources.bind(name.as_str(), ty)?;
+    let bindings: Vec<(SignalId, TermId)> = flat.nodes.iter().chain(&flat.wires).copied().collect();
+    let mut index = vec![None; flat.types.len()];
+    for (i, (id, _)) in bindings.iter().enumerate() {
+        index[id.index()] = Some(i);
     }
-    let names = flat.nodes.iter().map(|(name, _, _)| name.as_str());
+    let mut sources = vec![None; flat.types.len()];
+    let regs = flat.regs.iter().map(|reg| &reg.id);
+    for &id in flat.inputs.iter().chain(&flat.clocks).chain(regs) {
+        sources[id.index()] = Some(flat.types[id.index()]);
+    }
+    let n = bindings.len();
     let mut retyper = Retyper {
-        nodes: &flat.nodes,
-        first_wire,
+        terms: &flat.terms,
+        bindings: &bindings,
+        first_wire: flat.nodes.len(),
+        index,
         sources,
-        index: names.clone().zip(0..).collect(),
-        types: flat.nodes.iter().map(|(_, ty, _)| Some(*ty)).collect(),
-        visited: vec![false; flat.nodes.len()],
-        moved: vec![true; flat.nodes.len()],
+        types: bindings
+            .iter()
+            .map(|(id, _)| Some(flat.types[id.index()]))
+            .collect(),
+        visited: vec![false; n],
+        moved: vec![true; n],
     };
-    (0..flat.nodes.len()).for_each(|i| {
+    (0..n).for_each(|i| {
         retyper.visit(i);
     });
     let types = retyper.types;
-    let untyped = names.zip(&types).filter(|(_, ty)| ty.is_none());
-    let untyped: Vec<&str> = untyped.map(|(name, _)| name).collect();
+    let untyped = bindings.iter().zip(&types).filter(|(_, ty)| ty.is_none());
+    let untyped: Vec<&str> = untyped.map(|((id, _), _)| flat.names.get(*id)).collect();
     if !untyped.is_empty() {
         return Err(FirrtlError::Lower(format!(
             "could not type {} combinational bindings (cycle or undefined ref?): {:?}",
@@ -610,18 +712,20 @@ fn retype_nodes(flat: &mut FlatModule, first_wire: usize) -> Result<()> {
             &untyped[..untyped.len().min(5)]
         )));
     }
-    for (node, ty) in flat.nodes.iter_mut().zip(types) {
-        node.1 = ty.expect("checked above");
+    for ((id, _), ty) in bindings.iter().zip(types) {
+        flat.types[id.index()] = ty.expect("checked above");
     }
     Ok(())
 }
 
 struct Retyper<'f> {
-    nodes: &'f [(String, Type, Expr)],
+    terms: &'f [Term],
+    bindings: &'f [(SignalId, TermId)],
     first_wire: usize,
+    /// Which binding each signal is, if any.
+    index: Vec<Option<usize>>,
     /// Inputs, clocks and registers.
-    sources: TypeEnv<'f>,
-    index: HashMap<&'f str, usize>,
+    sources: Vec<Option<Type>>,
     /// `None` while a binding is on the walk's path (a reference to it from
     /// there is a cycle) and when it could not be typed.
     types: Vec<Option<Type>>,
@@ -637,31 +741,87 @@ impl Retyper<'_> {
         if std::mem::replace(&mut self.visited[i], true) {
             return self.moved[i];
         }
-        let (expr, recorded) = (&self.nodes[i].2, self.types[i].take());
+        let (term, recorded) = (self.bindings[i].1, self.types[i].take());
         // What drives a wire has never been typed as a whole.
         let mut retype = i >= self.first_wire;
-        expr.for_each_ref(&mut |name| {
-            if let Some(&j) = self.index.get(name) {
-                retype |= self.visit(j);
+        let mut pending = vec![term];
+        while let Some(t) = pending.pop() {
+            let term = &self.terms[t.index()];
+            if let Term::Signal(id) = term {
+                if let Some(j) = self.index[id.index()] {
+                    retype |= self.visit(j);
+                }
             }
-        });
-        let lookup = |name: &str| match self.index.get(name) {
-            Some(&j) => self.types[j],
-            None => self.sources.get(name),
-        };
+            pending.extend(term.operands().iter().rev());
+        }
         self.types[i] = match retype {
-            true => type_of(expr, &lookup).ok(),
+            true => self.type_of(term),
             false => recorded,
         };
         self.moved[i] = self.types[i] != recorded;
         self.moved[i]
+    }
+
+    fn type_of(&self, term: TermId) -> Option<Type> {
+        let term = &self.terms[term.index()];
+        match *term {
+            Term::Signal(id) => match self.index[id.index()] {
+                Some(j) => self.types[j],
+                None => self.sources[id.index()],
+            },
+            Term::UIntLit { width, .. } => Some(Type::uint(width)),
+            Term::SIntLit { width, .. } => Some(Type::sint(width)),
+            Term::Mux([c, t, f]) => {
+                let (ct, tt, ft) = (self.type_of(c)?, self.type_of(t)?, self.type_of(f)?);
+                let clocked = ct.is_clock() || tt.is_clock() || ft.is_clock();
+                if clocked || tt.is_signed() != ft.is_signed() {
+                    return None;
+                }
+                Some(tt.with_width(tt.width().max(ft.width())))
+            }
+            Term::ValidIf([c, v]) => match self.type_of(c)?.is_clock() {
+                true => None,
+                false => self.type_of(v),
+            },
+            Term::Prim { op, .. } => {
+                let args: Option<Vec<Type>> =
+                    term.operands().iter().map(|&a| self.type_of(a)).collect();
+                op.result_type(&args?, term.params()).ok()
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ast::{Expr, Stmt};
     use crate::builder::{CircuitBuilder, ModuleBuilder};
+
+    /// The expression `term` stands for, spelled with signal names.
+    fn expr(flat: &FlatModule, term: TermId) -> Expr {
+        let of = |t: &TermId| expr(flat, *t);
+        let term = &flat.terms[term.index()];
+        match *term {
+            Term::Signal(id) => Expr::r(flat.names.get(id)),
+            Term::UIntLit { value, width } => Expr::u(value, width),
+            Term::SIntLit { value, width } => Expr::s(value, width),
+            Term::Mux([c, t, f]) => Expr::mux(of(&c), of(&t), of(&f)),
+            Term::ValidIf([c, v]) => Expr::ValidIf {
+                cond: Box::new(of(&c)),
+                value: Box::new(of(&v)),
+            },
+            Term::Prim { op, .. } => Expr::prim_p(
+                op,
+                term.operands().iter().map(of).collect(),
+                term.params().to_vec(),
+            ),
+        }
+    }
+
+    fn named<'f>(flat: &'f FlatModule, list: &[(SignalId, TermId)]) -> Vec<&'f str> {
+        list.iter().map(|(id, _)| flat.names.get(*id)).collect()
+    }
 
     fn counter_circuit() -> Circuit {
         let mut b = ModuleBuilder::new("Counter");
@@ -685,9 +845,24 @@ mod tests {
         let flat = lower_typed(&counter_circuit()).unwrap();
         assert_eq!(flat.regs.len(), 1);
         assert_eq!(flat.outputs.len(), 1);
-        assert_eq!(flat.clocks, vec!["clock"]);
+        assert_eq!(flat.names.get(flat.clocks[0]), "clock");
+        assert_eq!(flat.clocks.len(), 1);
         // Reset wraps the next expression in a mux.
-        assert!(matches!(flat.regs[0].next, Expr::Mux { .. }));
+        assert_eq!(
+            expr(&flat, flat.regs[0].next),
+            Expr::mux(
+                Expr::r("reset"),
+                Expr::u(0, 8),
+                Expr::prim_p(
+                    PrimOp::Tail,
+                    vec![Expr::prim(
+                        PrimOp::Add,
+                        vec![Expr::r("count"), Expr::u(1, 8)]
+                    )],
+                    vec![1],
+                )
+            )
+        );
     }
 
     #[test]
@@ -710,14 +885,10 @@ mod tests {
         cb.add_module(b.finish());
         let flat = lower_typed(&cb.finish()).unwrap();
         // r_next = mux(c, 2, 1)
-        match &flat.regs[0].next {
-            Expr::Mux { cond, tval, fval } => {
-                assert_eq!(**cond, Expr::r("c"));
-                assert_eq!(**tval, Expr::u(2, 4));
-                assert_eq!(**fval, Expr::u(1, 4));
-            }
-            other => panic!("expected mux, got {other}"),
-        }
+        assert_eq!(
+            expr(&flat, flat.regs[0].next),
+            Expr::mux(Expr::r("c"), Expr::u(2, 4), Expr::u(1, 4))
+        );
     }
 
     #[test]
@@ -738,22 +909,23 @@ mod tests {
         let mut cb = CircuitBuilder::new("M");
         cb.add_module(b.finish());
         let flat = lower_typed(&cb.finish()).unwrap();
-        match &flat.regs[0].next {
-            Expr::Mux { fval, .. } => assert_eq!(**fval, Expr::r("r")),
-            other => panic!("expected mux with hold arm, got {other}"),
-        }
+        assert_eq!(
+            expr(&flat, flat.regs[0].next),
+            Expr::mux(Expr::r("c"), Expr::u(7, 4), Expr::r("r"))
+        );
     }
 
     #[test]
     fn instances_flatten_with_hierarchical_names() {
         let mut sub = ModuleBuilder::new("Inc");
         let x = sub.input("x", Type::uint(8));
+        let k = sub.node("k", Expr::u(1, 8));
         sub.output_expr(
             "y",
             Type::uint(8),
             Expr::prim_p(
                 PrimOp::Tail,
-                vec![Expr::prim(PrimOp::Add, vec![x, Expr::u(1, 8)])],
+                vec![Expr::prim(PrimOp::Add, vec![x, k])],
                 vec![1],
             ),
         );
@@ -768,9 +940,43 @@ mod tests {
         cb.add_module(sub.finish());
         cb.add_module(top.finish());
         let flat = lower_typed(&cb.finish()).unwrap();
-        assert!(flat.nodes.iter().any(|(n, _, _)| n == "i0.y"));
-        assert!(flat.nodes.iter().any(|(n, _, _)| n == "i1.x"));
+        // Each instance's ports are wires of the parent, and each instance
+        // has its own copy of the module's signals.
+        assert_eq!(named(&flat, &flat.wires), ["i0.x", "i0.y", "i1.x", "i1.y"]);
+        assert_eq!(named(&flat, &flat.nodes), ["i0.k", "i1.k"]);
         assert_eq!(flat.regs.len(), 0);
+        let driver = |name: &str| {
+            let wire = flat.wires.iter().find(|w| flat.names.get(w.0) == name);
+            expr(&flat, wire.unwrap().1)
+        };
+        assert_eq!(driver("i1.x"), Expr::r("i0.y"));
+        let add = |x: &str, k: &str| {
+            let sum = Expr::prim(PrimOp::Add, vec![Expr::r(x), Expr::r(k)]);
+            Expr::prim_p(PrimOp::Tail, vec![sum], vec![1])
+        };
+        assert_eq!(driver("i0.y"), add("i0.x", "i0.k"));
+        assert_eq!(driver("i1.y"), add("i1.x", "i1.k"));
+        assert_eq!(expr(&flat, flat.outputs[0].1), Expr::r("i1.y"));
+    }
+
+    #[test]
+    fn nested_instances_are_named_from_the_top() {
+        let mut leaf = ModuleBuilder::new("Leaf");
+        leaf.output_expr("o", Type::uint(1), Expr::u(1, 1));
+        let mut mid = ModuleBuilder::new("Mid");
+        mid.instance("l", "Leaf");
+        mid.output_expr("o", Type::uint(1), Expr::r("l.o"));
+        let mut top = ModuleBuilder::new("Top");
+        top.instance("m", "Mid");
+        top.output_expr("out", Type::uint(1), Expr::r("m.o"));
+        let mut cb = CircuitBuilder::new("Top");
+        for module in [leaf, mid, top] {
+            cb.add_module(module.finish());
+        }
+        let flat = lower_typed(&cb.finish()).unwrap();
+        let names: Vec<&str> = flat.names.iter().collect();
+        assert_eq!(names, ["out", "m.o", "m.l.o"]);
+        assert_eq!(named(&flat, &flat.wires), ["m.o", "m.l.o"]);
     }
 
     #[test]
@@ -813,8 +1019,21 @@ mod tests {
         let mut cb = CircuitBuilder::new("M");
         cb.add_module(b.finish());
         let flat = lower_typed(&cb.finish()).unwrap();
-        assert_eq!(flat.regs.len(), 4); // one per cell
-        assert!(flat.nodes.iter().any(|(n, _, _)| n == "m.rdata"));
+        let cells: Vec<&str> = flat.regs.iter().map(|r| flat.names.get(r.id)).collect();
+        assert_eq!(cells, ["m.cell_0", "m.cell_1", "m.cell_2", "m.cell_3"]);
+        assert_eq!(named(&flat, &flat.nodes), ["m.rdata"]);
+        let wen = Expr::r("m.wen");
+        let hit = Expr::prim(
+            PrimOp::And,
+            vec![
+                wen,
+                Expr::prim(PrimOp::Eq, vec![Expr::r("m.waddr"), Expr::u(2, 2)]),
+            ],
+        );
+        assert_eq!(
+            expr(&flat, flat.regs[2].next),
+            Expr::mux(hit, Expr::r("m.wdata"), Expr::r("m.cell_2"))
+        );
     }
 
     #[test]
@@ -859,14 +1078,57 @@ mod tests {
         cb.add_module(b.finish());
         let flat = lower_typed(&cb.finish()).unwrap();
         // next = mux(c1, mux(c2, 3, 5), 9)
-        match &flat.regs[0].next {
-            Expr::Mux { cond, tval, fval } => {
-                assert_eq!(**cond, Expr::r("c1"));
-                assert!(matches!(**tval, Expr::Mux { .. }));
-                assert_eq!(**fval, Expr::u(9, 4));
-            }
-            other => panic!("expected nested mux, got {other}"),
-        }
+        let inner = Expr::mux(Expr::r("c2"), Expr::u(3, 4), Expr::u(5, 4));
+        assert_eq!(
+            expr(&flat, flat.regs[0].next),
+            Expr::mux(Expr::r("c1"), inner, Expr::u(9, 4))
+        );
+    }
+
+    #[test]
+    fn a_target_driven_in_one_branch_only_is_valid_there() {
+        let src = "\
+circuit M :
+  module M :
+    input c : UInt<1>
+    input a : UInt<4>
+    output o : UInt<4>
+    output p : UInt<4>
+    when c :
+      o <= a
+    else :
+      p <= a
+";
+        let flat = lower_typed(&crate::parser::parse(src).unwrap()).unwrap();
+        let valid = |cond, value| Expr::ValidIf {
+            cond: Box::new(cond),
+            value: Box::new(value),
+        };
+        let not_c = Expr::prim(PrimOp::Eq, vec![Expr::r("c"), Expr::u(0, 1)]);
+        assert_eq!(
+            expr(&flat, flat.outputs[0].1),
+            valid(Expr::r("c"), Expr::r("a"))
+        );
+        assert_eq!(expr(&flat, flat.outputs[1].1), valid(not_c, Expr::r("a")));
+    }
+
+    #[test]
+    fn a_target_driven_alike_in_both_branches_is_no_mux() {
+        let src = "\
+circuit M :
+  module M :
+    input c : UInt<1>
+    input a : UInt<4>
+    output o : UInt<5>
+    o <= a
+    when c :
+      o <= add(a, UInt<4>(1))
+    else :
+      o <= add(a, UInt<4>(1))
+";
+        let flat = lower_typed(&crate::parser::parse(src).unwrap()).unwrap();
+        let sum = Expr::prim(PrimOp::Add, vec![Expr::r("a"), Expr::u(1, 4)]);
+        assert_eq!(expr(&flat, flat.outputs[0].1), sum);
     }
 
     #[test]
@@ -892,14 +1154,32 @@ circuit M :
         let flat = lower_typed(&crate::parser::parse(src).unwrap()).unwrap();
         assert_eq!(flat.regs.len(), 2);
         for cell in &flat.regs {
-            let hold = Expr::r(cell.name.clone());
+            let hold = Expr::r(flat.names.get(cell.id));
             assert!(
-                matches!(&cell.next, Expr::Mux { cond, fval, .. }
-                    if **cond == Expr::r("c") && **fval == hold),
+                matches!(expr(&flat, cell.next), Expr::Mux { cond, fval, .. }
+                    if *cond == Expr::r("c") && *fval == hold),
                 "{}",
-                cell.next
+                expr(&flat, cell.next)
             );
         }
+    }
+
+    #[test]
+    fn a_declared_name_that_meets_an_instance_signal_is_a_duplicate() {
+        let src = "\
+circuit Top :
+  module Sub :
+    output o : UInt<1>
+    node n = UInt<1>(1)
+    o <= n
+  module Top :
+    output out : UInt<1>
+    inst i of Sub
+    node i.n = UInt<1>(0)
+    out <= and(i.o, i.n)
+";
+        let err = lower_typed(&crate::parser::parse(src).unwrap()).unwrap_err();
+        assert_eq!(err, FirrtlError::Duplicate("i.n".into()));
     }
 
     #[test]
@@ -919,7 +1199,10 @@ circuit M :
     o <= add(n, k)
 ";
         let flat = lower_typed(&crate::parser::parse(src).unwrap()).unwrap();
-        let ty = |name: &str| flat.nodes.iter().find(|n| n.0 == name).unwrap().1;
+        let ty = |name: &str| {
+            let id = flat.names.iter().position(|n| n == name).unwrap();
+            flat.types[id]
+        };
         assert_eq!(ty("w"), Type::uint(4));
         assert_eq!(ty("n"), Type::uint(5));
         assert_eq!(ty("k"), Type::uint(8));

@@ -61,10 +61,11 @@ pub fn parse(src: &str) -> Result<Circuit> {
     p.parse_circuit()
 }
 
-/// Deepest expression nesting the parser accepts. Type inference,
-/// flattening, graph construction and the clone and drop of an `Expr` all
-/// recurse on nesting depth, and a stack overflow is an abort no caller
-/// can catch. A design at this bound compiles on a thread with the default
+/// Deepest expression nesting the parser accepts. The parser itself and
+/// the clone and drop of an `Expr` recurse on nesting depth (type
+/// inference and graph construction walk with stacks of their own), and a
+/// stack overflow is an abort no caller can catch. A design at this bound
+/// compiles on a thread with the default
 /// 2 MiB stack — in 1.6 MiB of it unoptimized, a fifth of that in a
 /// release build; the corpus stays under it: the benchmark's chip nests
 /// 301 deep, the full-scale BOOM-like one 951.

@@ -222,29 +222,17 @@ fn respond(pool: &ServerPool, handles: &mut HashMap<u64, JobHandle>, request: Re
             };
             // Compiling in the connection thread keeps workers serving;
             // the design becomes routable the moment `register` returns.
-            // The compiler's own failure modes (including the static
-            // verifier's) are typed errors, but a malformed design that
-            // trips an assert anywhere in the flow must also come back
-            // as a structured refusal instead of tearing the session
-            // down, so the whole stage is unwind-guarded.
-            let compiled = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                Compiler::new(KernelConfig::new(KernelKind::Psu)).compile_str(&source)
-            })) {
-                Ok(Ok(compiled)) => compiled,
-                Ok(Err(e)) => {
-                    return Response::error(format!("design `{design}` failed to compile: {e}"))
-                }
-                Err(panic) => {
-                    let what = panic
-                        .downcast_ref::<String>()
-                        .map(String::as_str)
-                        .or_else(|| panic.downcast_ref::<&str>().copied())
-                        .unwrap_or("unknown panic");
-                    return Response::error(format!(
-                        "design `{design}` failed to compile: internal error: {what}"
-                    ));
-                }
-            };
+            // Every failure of the compiler, the static verifier's
+            // included, is a typed error, and no stage of it recurses on
+            // anything the parser does not bound: a hostile source comes
+            // back as a refusal on this thread's default stack.
+            let compiled =
+                match Compiler::new(KernelConfig::new(KernelKind::Psu)).compile_str(&source) {
+                    Ok(compiled) => compiled,
+                    Err(e) => {
+                        return Response::error(format!("design `{design}` failed to compile: {e}"))
+                    }
+                };
             match pool.register(&design, &compiled, &halt) {
                 Ok(()) => Response::registered(design),
                 Err(e) => Response::error(e.to_string()),

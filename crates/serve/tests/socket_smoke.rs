@@ -134,3 +134,30 @@ fn a_hostile_register_is_a_structured_error_and_the_server_keeps_serving() {
     let result = client.result(id).expect("streams the result");
     assert_eq!(result.output("a0"), Some(Workload::param_sum_expected(7)));
 }
+
+#[test]
+fn registering_a_deep_chain_of_named_nodes_leaves_the_server_serving() {
+    let compiled = Compiler::new(KernelConfig::new(KernelKind::Psu))
+        .compile(&Workload::param_sum_circuit())
+        .expect("rv32i compiles");
+    let pool =
+        ServerPool::new(&compiled, ServeConfig::with_workers(1), "halt").expect("halt resolves");
+    let addr = SocketServer::bind(pool, "127.0.0.1:0")
+        .expect("binds loopback")
+        .spawn()
+        .expect("accept loop spawns");
+    let mut client = ServeClient::connect(addr).expect("connects");
+    // 100 000 links of `node n_k = not(n_{k-1})`, compiled on the
+    // connection thread's default stack: graph construction walks the
+    // chain from the output down to the input.
+    let mut chain = String::from("circuit C :\n  module C :\n    input a : UInt<8>\n    output o : UInt<8>\n    node n0 = not(a)\n");
+    for k in 1..100_000 {
+        chain += &format!("    node n{k} = not(n{})\n", k - 1);
+    }
+    chain += "    o <= n99999\n";
+    client.register("chain", &chain, "o").expect("registers");
+    let designs = client.designs().expect("the server still answers");
+    let names: Vec<&str> = designs.iter().map(|d| d.name.as_str()).collect();
+    assert_eq!(names.len(), 2);
+    assert!(names.contains(&"chain"), "{names:?}");
+}

@@ -4,8 +4,13 @@
 //! FIRRTL text, stage by stage (best of five compiles), with the rate each
 //! front-end stage works at — MB/s of source and ns per expression node
 //! for the parser and the lowering, ns per graph node for graph
-//! construction and the passes — and the graph's node count before and
-//! after each of the passes' two rebuilds. Then what rows the plan runs in
+//! construction and the passes — the graph's node count before and after
+//! each of the passes' two rebuilds, the allocations each stage makes
+//! (counted by a global allocator of this example's own), and set-up the
+//! way the benchmark's `setup_s` counts it: `compile_str`, then
+//! `BatchSimulation::new` and the first step, with what `compile_str`
+//! spends outside its stages — the drops of the levels it is done with —
+//! and what each drop costs. Then what rows the plan runs in
 //! (`u32` or `u64`, and if `u64`, which slot or op said so), the slot
 //! width histogram and how many truncations the graph pass fused. Then
 //! the scalar side ("why is the scalar kernel slow on this design"): how
@@ -25,8 +30,9 @@
 //! cargo run --release --example op_census
 //! ```
 
-use rteaal_core::{Compiled, Compiler, StageTimings};
+use rteaal_core::{BatchSimulation, Compiled, Compiler};
 use rteaal_designs::{rocket, sha3, ChipConfig, Stimulus, Workload};
+use rteaal_dfg::analyze::{analyze_design, analyze_graph};
 use rteaal_dfg::lane_kernel::{
     compile_layer, BatchEngine, CompiledOp, Lane, LaneLayout, LaneType, LaneWindow,
 };
@@ -36,8 +42,10 @@ use rteaal_dfg::{OpInst, SimPlan};
 use rteaal_firrtl::ast::{Expr, Stmt};
 use rteaal_firrtl::Circuit;
 use rteaal_kernels::{BatchKernel, BatchLiState, Kernel, KernelConfig, KernelKind, LanePoker};
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::BTreeMap;
 use std::hint::black_box;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 const LANES: usize = 64;
@@ -192,25 +200,137 @@ fn stmt_expr_nodes(body: &[Stmt]) -> usize {
     body.iter().map(of).sum()
 }
 
+/// Counts the program's allocations (`alloc`, `alloc_zeroed` and
+/// `realloc` calls), so the compile budget can say how many each stage
+/// makes.
+struct Counting;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every call is handed on to `System` unchanged.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// What `f` returns, the seconds it took and the allocations it made.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, f64, u64) {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let t = Instant::now();
+    let out = f();
+    let secs = t.elapsed().as_secs_f64();
+    (out, secs, ALLOCATIONS.load(Ordering::Relaxed) - before)
+}
+
+/// The set-up stages of one design, timed one by one as the benchmark's
+/// `compile_stages` probe times them (no level's drop inside a stage),
+/// the drops apart, then `setup_s`'s three parts.
+#[derive(Clone, Copy)]
+struct Budget {
+    /// Seconds per stage: parse, lower, graph, optimize, plan (the graph
+    /// check included), verify, kernel.
+    stages: [f64; 7],
+    /// Allocations per stage, same order.
+    allocs: [u64; 7],
+    /// Seconds to drop the flat module, the raw graph, the optimized graph
+    /// and the parsed circuit.
+    drops: [f64; 4],
+    compile_str: f64,
+    compile_allocs: u64,
+    batch_new: f64,
+    first_step: f64,
+}
+
+impl Budget {
+    fn measure(compiler: &Compiler, text: &str) -> (Budget, Compiled) {
+        let (circuit, parse, parse_n) = counted(|| rteaal_firrtl::parser::parse(text));
+        let circuit = circuit.expect("parses");
+        let (flat, lower, lower_n) = counted(|| rteaal_firrtl::lower_typed(&circuit));
+        let flat = flat.expect("lowers");
+        let (raw, graph, graph_n) = counted(|| rteaal_dfg::build(&flat));
+        let raw = raw.expect("builds");
+        let ((), drop_flat, _) = counted(|| drop(flat));
+        let ((opt, _), optimize_s, optimize_n) = counted(|| optimize(&raw, &compiler.passes));
+        let ((), drop_raw, _) = counted(|| drop(raw));
+        let (plan, plan_s, plan_n) = counted(|| {
+            assert!(analyze_graph(&opt).is_clean());
+            rteaal_dfg::plan::plan(&opt)
+        });
+        let ((), drop_graph, _) = counted(|| drop(opt));
+        let (report, verify, verify_n) = counted(|| analyze_design(&plan));
+        assert!(report.is_clean());
+        let (kernel, kernel_s, kernel_n) = counted(|| Kernel::compile(&plan, compiler.kernel));
+        black_box(kernel);
+        let ((), drop_circuit, _) = counted(|| drop(circuit));
+        let (compiled, compile_str, compile_allocs) = counted(|| compiler.compile_str(text));
+        let compiled = compiled.expect("compiles");
+        let (mut sim, batch_new, _) = counted(|| BatchSimulation::new(&compiled, LANES));
+        let ((), first_step, _) = counted(|| sim.step());
+        let budget = Budget {
+            stages: [parse, lower, graph, optimize_s, plan_s, verify, kernel_s],
+            allocs: [
+                parse_n, lower_n, graph_n, optimize_n, plan_n, verify_n, kernel_n,
+            ],
+            drops: [drop_flat, drop_raw, drop_graph, drop_circuit],
+            compile_str,
+            compile_allocs,
+            batch_new,
+            first_step,
+        };
+        (budget, compiled)
+    }
+
+    /// The fastest of two budgets, column by column (allocation counts
+    /// repeat exactly).
+    fn min(self, other: Budget) -> Budget {
+        let min = |a: f64, b: f64| a.min(b);
+        Budget {
+            stages: std::array::from_fn(|i| min(self.stages[i], other.stages[i])),
+            drops: std::array::from_fn(|i| min(self.drops[i], other.drops[i])),
+            compile_str: min(self.compile_str, other.compile_str),
+            batch_new: min(self.batch_new, other.batch_new),
+            first_step: min(self.first_step, other.first_step),
+            ..self
+        }
+    }
+
+    fn setup(&self) -> f64 {
+        self.compile_str + self.batch_new + self.first_step
+    }
+}
+
 /// Compiles `circuit` from its FIRRTL text five times and prints the best
-/// time of every stage, what each front-end stage costs per unit of its
-/// input, and the node counts around the passes' two rebuilds.
+/// time and the allocations of every stage, what each front-end stage
+/// costs per unit of its input, the node counts around the passes' two
+/// rebuilds, and set-up as `setup_s` counts it: `compile_str`, then
+/// `BatchSimulation::new` and the first step; what `compile_str` spends
+/// outside the stages is the drops of the levels it is done with.
 fn compile_budget(compiler: &Compiler, circuit: &Circuit) -> Compiled {
     let text = rteaal_firrtl::parser::emit(circuit);
-    let mut compiled = compiler.compile_str(&text).expect("compiles");
-    let mut best = compiled.timings;
+    let (mut best, mut compiled) = Budget::measure(compiler, &text);
     for _ in 0..4 {
-        compiled = compiler.compile_str(&text).expect("compiles");
-        let t = compiled.timings;
-        best = StageTimings {
-            parse: best.parse.min(t.parse),
-            lower: best.lower.min(t.lower),
-            graph: best.graph.min(t.graph),
-            optimize: best.optimize.min(t.optimize),
-            plan: best.plan.min(t.plan),
-            verify: best.verify.min(t.verify),
-            kernel: best.kernel.min(t.kernel),
-        };
+        let (budget, again) = Budget::measure(compiler, &text);
+        best = best.min(budget);
+        compiled = again;
     }
     let exprs: usize = circuit
         .modules
@@ -227,38 +347,64 @@ fn compile_budget(compiler: &Compiler, circuit: &Circuit) -> Compiled {
         optimize(&raw, &unfused).0,
         optimize(&raw, &compiler.passes).0,
     );
+    let [parse, lower, graph, optimize_s, plan, verify, kernel] = best.stages;
+    let stages: f64 = best.stages.iter().sum();
     println!(
-        "{}: compile from {} bytes of FIRRTL, {:.2} ms ({exprs} expression nodes, {} graph nodes)",
+        "{}: compile from {} bytes of FIRRTL, {:.2} ms in stages ({exprs} expression nodes, {} graph nodes)",
         circuit.name,
         text.len(),
-        best.total() * 1e3,
+        stages * 1e3,
         raw.len()
     );
     let per = |secs: f64, n: usize| secs * 1e9 / n.max(1) as f64;
     println!(
         "  parse {:.2} ms ({:.0} MB/s, {:.0} ns per expression node), lower {:.2} ms ({:.0})",
-        best.parse * 1e3,
-        text.len() as f64 / best.parse / 1e6,
-        per(best.parse, exprs),
-        best.lower * 1e3,
-        per(best.lower, exprs)
+        parse * 1e3,
+        text.len() as f64 / parse / 1e6,
+        per(parse, exprs),
+        lower * 1e3,
+        per(lower, exprs)
     );
     println!(
         "  graph {:.2} ms ({:.0} ns per graph node), optimize {:.2} ms ({:.0}): \
          {} nodes -> {} after fold/copy/truncate -> {} after chain fusion",
-        best.graph * 1e3,
-        per(best.graph, raw.len()),
-        best.optimize * 1e3,
-        per(best.optimize, raw.len()),
+        graph * 1e3,
+        per(graph, raw.len()),
+        optimize_s * 1e3,
+        per(optimize_s, raw.len()),
         raw.len(),
         first.len(),
         last.len()
     );
     println!(
         "  plan {:.2} ms, verify {:.2} ms, kernel {:.2} ms",
-        best.plan * 1e3,
-        best.verify * 1e3,
-        best.kernel * 1e3
+        plan * 1e3,
+        verify * 1e3,
+        kernel * 1e3
+    );
+    let [a_parse, a_lower, a_graph, a_optimize, a_plan, a_verify, a_kernel] = best.allocs;
+    println!(
+        "  allocations: parse {a_parse}, lower {a_lower}, graph {a_graph}, \
+         optimize {a_optimize}, plan {a_plan}, verify {a_verify}, kernel {a_kernel}; \
+         compile_str {}",
+        best.compile_allocs
+    );
+    let [flat_d, raw_d, graph_d, circuit_d] = best.drops;
+    let residual = best.compile_str - stages;
+    println!(
+        "  set-up {:.2} ms = compile_str {:.2} + BatchSimulation::new {:.2} + first step {:.2}; \
+         compile_str outside the stages {:.2} ms ({:.2} of it), the drops of the flat module \
+         {:.2}, the raw graph {:.2}, the graph {:.2}, the circuit {:.2}",
+        best.setup() * 1e3,
+        best.compile_str * 1e3,
+        best.batch_new * 1e3,
+        best.first_step * 1e3,
+        residual * 1e3,
+        residual / best.compile_str,
+        flat_d * 1e3,
+        raw_d * 1e3,
+        graph_d * 1e3,
+        circuit_d * 1e3
     );
     compiled
 }

@@ -312,3 +312,24 @@ fn hostile_literals_and_parentheses_are_parse_errors() {
         assert!(err.contains(what), "{expr}: {err}");
     }
 }
+
+/// `node n_k = not(n_{k-1})`, `length` lines, and `o <= n_{length-1}`:
+/// a chain as deep as it is long, every link of it named.
+fn chain(length: usize) -> String {
+    let mut text = String::from("circuit C :\n  module C :\n    input a : UInt<8>\n    output o : UInt<8>\n    node n0 = not(a)\n");
+    for k in 1..length {
+        text += &format!("    node n{k} = not(n{})\n", k - 1);
+    }
+    text + &format!("    o <= n{}\n", length - 1)
+}
+
+#[test]
+fn a_chain_of_named_nodes_compiles_on_a_default_stack() {
+    // Each link is a statement of its own, so no parse nests; the graph
+    // is built from the output down through every link.
+    let mut compiled = compile_on_a_default_stack(chain(100_000)).expect("a deep chain compiles");
+    assert_eq!(compiled.plan_stats().effectual_ops, 100_000);
+    compiled.kernel.set_input(0, 0x5a);
+    compiled.kernel.step();
+    assert_eq!(compiled.kernel.output(0), 0x5a, "an even number of nots");
+}

@@ -137,8 +137,8 @@ fn every_seeded_mutant_is_caught_with_its_diagnostic_kind() {
     let mut g = Graph::new("cyclic");
     let x = g.add_source(DfgOp::Input, 8, false, "x".into());
     g.inputs.push(x);
-    let a = g.add_op(DfgOp::Add, vec![], vec![x, x], 8, false);
-    let b = g.add_op(DfgOp::Not, vec![], vec![a], 8, false);
+    let a = g.add_op(DfgOp::Add, &[], &[x, x], 8, false);
+    let b = g.add_op(DfgOp::Not, &[], &[a], 8, false);
     g.set_name(a, "sig_a");
     g.set_name(b, "sig_b");
     g.outputs.push(("y".into(), b));
