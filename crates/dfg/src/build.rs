@@ -32,7 +32,8 @@ use std::sync::Arc;
 ///
 /// # Errors
 ///
-/// Returns [`DfgError::CombCycle`] if combinational logic forms a cycle and
+/// Returns [`DfgError::CombCycle`] if combinational logic forms a cycle,
+/// whether or not an output or a register reads it, and
 /// [`DfgError::Undefined`] / [`DfgError::Type`] for malformed inputs
 /// (which `lower_typed` should have rejected already).
 pub fn build(flat: &FlatModule) -> Result<Graph> {
@@ -43,8 +44,11 @@ pub fn build(flat: &FlatModule) -> Result<Graph> {
         walk: Vec::new(),
         values: Vec::new(),
     };
-    for &(id, term) in flat.nodes.iter().chain(&flat.wires).chain(&flat.outputs) {
-        b.bindings[id.index()] = Binding::Defined(term);
+    for &(id, value) in flat.nodes.iter().chain(&flat.outputs) {
+        b.bindings[id.index()] = Binding::Defined { value, wire: false };
+    }
+    for &(id, value) in &flat.wires {
+        b.bindings[id.index()] = Binding::Defined { value, wire: true };
     }
     // Seed sources: inputs and register state nodes.
     for &input in &flat.inputs {
@@ -99,6 +103,14 @@ pub fn build(flat: &FlatModule) -> Result<Graph> {
             }
         }
     }
+    // A cycle nothing reads is a cycle all the same.
+    for &(binding, _) in flat.nodes.iter().chain(&flat.wires) {
+        if let Binding::Defined { value, wire } = b.bindings[binding.index()] {
+            b.enter(binding, value, wire);
+            b.run(false)?;
+            b.values.pop();
+        }
+    }
     Ok(b.graph)
 }
 
@@ -107,8 +119,9 @@ pub fn build(flat: &FlatModule) -> Result<Graph> {
 enum Binding {
     /// A clock: nothing an expression can read.
     Unbound,
-    /// A node, wire or output whose expression is not built yet.
-    Defined(TermId),
+    /// A node, wire or output whose expression is not built yet; a wire
+    /// has its declared type whatever the width and sign of its driver.
+    Defined { value: TermId, wire: bool },
     /// Its expression is being built: a reference to it now is a cycle.
     Building,
     /// An input, a register, or a binding whose expression is built.
@@ -120,8 +133,9 @@ enum Binding {
 enum Step {
     /// Build the term, whose first `.1` operands are built.
     Term(TermId, u8),
-    /// The signal's expression is built: bind it to the last value.
-    Bind(SignalId),
+    /// The signal's expression is built: bind it to the last value — a
+    /// wire to that value at its declared type.
+    Bind(SignalId, bool),
 }
 
 struct Builder<'f> {
@@ -143,12 +157,30 @@ impl Builder<'_> {
     /// Builds `root`: every term under it, operands left to right, and
     /// every binding it reads that is not built yet, where it reads it.
     fn build_term(&mut self, root: TermId) -> Result<NodeId> {
-        let terms = &self.flat.terms;
         self.walk.push(Step::Term(root, 0));
+        self.run(true)?;
+        Ok(self.values.pop().expect("the root's value"))
+    }
+
+    /// Starts building the expression `value` of `signal`.
+    fn enter(&mut self, signal: SignalId, value: TermId, wire: bool) {
+        self.bindings[signal.index()] = Binding::Building;
+        self.walk.push(Step::Bind(signal, wire));
+        self.walk.push(Step::Term(value, 0));
+    }
+
+    /// Runs the walk until it is done. Without `make` it only follows the
+    /// references, to find a cycle, and adds no node.
+    fn run(&mut self, make: bool) -> Result<()> {
+        let terms = &self.flat.terms;
         while let Some(step) = self.walk.pop() {
             let (id, done) = match step {
-                Step::Bind(signal) => {
-                    let built = *self.values.last().expect("a bound value");
+                Step::Bind(signal, wire) => {
+                    let mut built = self.values.pop().expect("a bound value");
+                    if make && wire {
+                        built = self.declared(built, self.flat.types[signal.index()]);
+                    }
+                    self.values.push(built);
                     self.bindings[signal.index()] = Binding::Built(built);
                     continue;
                 }
@@ -165,15 +197,16 @@ impl Builder<'_> {
             let node = match *term {
                 Term::Signal(signal) => match self.bindings[signal.index()] {
                     Binding::Built(node) => node,
-                    Binding::Defined(value) => {
-                        self.bindings[signal.index()] = Binding::Building;
-                        self.walk.push(Step::Bind(signal));
-                        self.walk.push(Step::Term(value, 0));
+                    Binding::Defined { value, wire } => {
+                        self.enter(signal, value, wire);
                         continue;
                     }
                     Binding::Building => return Err(self.cycle(signal)),
-                    Binding::Unbound => return Err(self.undefined(signal)),
+                    // Only a built expression may not read a clock.
+                    Binding::Unbound if make => return Err(self.undefined(signal)),
+                    Binding::Unbound => NodeId::default(),
                 },
+                _ if !make => NodeId::default(),
                 Term::UIntLit { value, width } => self.graph.add_const(value, width, false),
                 Term::SIntLit { value, width } => self.graph.add_const(value as u64, width, true),
                 Term::Mux(_) => self.add_select(DfgOp::Mux, at),
@@ -183,7 +216,7 @@ impl Builder<'_> {
             self.values.truncate(at);
             self.values.push(node);
         }
-        Ok(self.values.pop().expect("the root's value"))
+        Ok(())
     }
 
     fn cycle(&self, signal: SignalId) -> DfgError {
@@ -210,6 +243,18 @@ impl Builder<'_> {
         if node.signed == signed && node.width <= width {
             return id;
         }
+        self.graph.add_op(DfgOp::Resize, &[], &[id], width, signed)
+    }
+
+    /// `id` at the declared type `ty` of the wire it drives: a driver of
+    /// another width or sign goes through a resize — a widening one copies
+    /// the value, but what reads the wire is typed by its declared width.
+    fn declared(&mut self, id: NodeId, ty: Type) -> NodeId {
+        let node = self.graph.node(id);
+        if node.width == ty.width() && node.signed == ty.is_signed() {
+            return id;
+        }
+        let (width, signed) = (ty.width(), ty.is_signed());
         self.graph.add_op(DfgOp::Resize, &[], &[id], width, signed)
     }
 
@@ -323,6 +368,10 @@ circuit C :
         assert_eq!(hist.get(&DfgOp::Resize), Some(&1));
     }
 
+    fn build_err(src: &str) -> DfgError {
+        build(&lower_typed(&parse(src).unwrap()).unwrap()).unwrap_err()
+    }
+
     #[test]
     fn comb_cycle_rejected() {
         // Two wires feeding each other.
@@ -337,13 +386,133 @@ circuit C :
     w2 <= or(w1, a)
     out <= w1
 ";
-        let flat = lower_typed(&parse(src).unwrap()).unwrap_err();
-        // lower_typed already refuses to type the cycle.
-        let msg = flat.to_string();
-        assert!(
-            msg.contains("cycle") || msg.contains("could not type"),
-            "{msg}"
-        );
+        assert_eq!(build_err(src), DfgError::CombCycle("w1".into()));
+    }
+
+    #[test]
+    fn a_cycle_nothing_reads_is_rejected_too() {
+        let src = "\
+circuit C :
+  module C :
+    input a : UInt<4>
+    output out : UInt<4>
+    wire w1 : UInt<4>
+    wire w2 : UInt<4>
+    node n = not(w2)
+    w1 <= and(n, a)
+    w2 <= w1
+    out <= a
+";
+        assert_eq!(build_err(src), DfgError::CombCycle("n".into()));
+    }
+
+    /// The outputs of `src` after each cycle of `stimulus` (one value per
+    /// input), read from the interpreter over the built graph and from the
+    /// plan of the optimized one, which must agree.
+    fn run(src: &str, stimulus: &[&[u64]]) -> Vec<Vec<u64>> {
+        let raw = graph_of(src);
+        let (opt, _) = crate::passes::optimize(&raw, &crate::passes::PassOptions::default());
+        let p = crate::plan::plan(&opt);
+        assert!(crate::analyze::analyze_plan(&p).is_clean());
+        let mut golden = crate::interp::Interpreter::new(&raw);
+        let mut sim = crate::plan::PlanSim::new(&p);
+        let mut seen = Vec::new();
+        for inputs in stimulus {
+            for (k, &v) in inputs.iter().enumerate() {
+                golden.set_input(k, v);
+                sim.set_input(k, v);
+            }
+            golden.step();
+            sim.step();
+            let outputs: Vec<u64> = (0..raw.outputs.len()).map(|k| golden.output(k)).collect();
+            let planned: Vec<u64> = (0..raw.outputs.len()).map(|k| sim.output(k)).collect();
+            assert_eq!(outputs, planned);
+            seen.push(outputs);
+        }
+        seen
+    }
+
+    #[test]
+    fn a_wire_driven_narrower_reads_at_its_declared_width() {
+        // FIRRTL: `w` is 8 bits, so `cat` puts the 1 above bit 7.
+        let src = "\
+circuit W :
+  module W :
+    input a : UInt<2>
+    output o : UInt<9>
+    wire w : UInt<8>
+    w <= a
+    o <= cat(UInt<1>(1), w)
+";
+        assert_eq!(run(src, &[&[3]]), [[259]]);
+    }
+
+    #[test]
+    fn a_wire_driven_narrower_has_its_declared_bits() {
+        let src = "\
+circuit W :
+  module W :
+    input a : UInt<6>
+    output o : UInt<4>
+    wire w : UInt<8>
+    w <= a
+    o <= bits(w, 7, 4)
+";
+        assert_eq!(run(src, &[&[0b11_0101]]), [[0b0011]]);
+    }
+
+    #[test]
+    fn a_memory_address_driven_narrower_reads_its_cell() {
+        let src = "\
+circuit R :
+  module R :
+    input clock : Clock
+    input a : UInt<2>
+    input d : UInt<8>
+    input we : UInt<1>
+    output o : UInt<8>
+    mem m : UInt<8>[16]
+    m.raddr <= a
+    m.waddr <= a
+    m.wdata <= d
+    m.wen <= we
+    o <= m.rdata
+";
+        // Written in the first cycle, read in the second; cell 2 is empty.
+        let seen = run(src, &[&[3, 0x5a, 1], &[3, 0, 0], &[2, 0, 0]]);
+        assert_eq!(seen, [[0], [0x5a], [0]]);
+    }
+
+    #[test]
+    fn an_instance_input_driven_narrower_has_its_declared_bits() {
+        let src = "\
+circuit T :
+  module S :
+    input x : UInt<8>
+    output y : UInt<4>
+    y <= bits(x, 7, 4)
+  module T :
+    input a : UInt<6>
+    output o : UInt<4>
+    inst s of S
+    s.x <= a
+    o <= s.y
+";
+        assert_eq!(run(src, &[&[0b11_0101]]), [[0b0011]]);
+    }
+
+    #[test]
+    fn a_wire_driven_wider_keeps_its_declared_bits() {
+        let src = "\
+circuit W :
+  module W :
+    input a : UInt<8>
+    output o : UInt<8>
+    wire w : UInt<4>
+    w <= a
+    o <= w
+";
+        assert_eq!(run(src, &[&[0xab]]), [[0xb]]);
     }
 
     #[test]

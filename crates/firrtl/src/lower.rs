@@ -153,9 +153,9 @@ impl FlatModule {
 /// # Errors
 ///
 /// Returns an error if any module fails type checking, the hierarchy
-/// contains an instance cycle, a wire or output is never driven, the top
-/// module is missing, or a combinational binding cannot be typed (which
-/// indicates a combinational cycle through wires).
+/// contains an instance cycle, a wire or output is never driven, or the
+/// top module is missing. A combinational cycle through wires is graph
+/// construction's to refuse.
 pub fn lower_typed(circuit: &Circuit) -> Result<FlatModule> {
     let top = circuit
         .modules
@@ -252,7 +252,6 @@ pub fn lower_typed(circuit: &Circuit) -> Result<FlatModule> {
             flat.outputs.push((SignalId(k as u32), value));
         }
     }
-    retype_wires(&mut flat)?;
     Ok(flat)
 }
 
@@ -665,133 +664,6 @@ fn unique_names(names: &Names) -> Result<()> {
     Ok(())
 }
 
-/// Narrows the wires of a resolved flat module from their declared type to
-/// the type of what drives them, and retypes the bindings that
-/// (transitively) refer to a wire whose type moved; the others keep the
-/// type of their one typing. Bindings may refer to each other in any order
-/// after `when` resolution, so this walks references depth-first instead of
-/// in definition order; a wire that reaches itself is a combinational cycle.
-fn retype_wires(flat: &mut FlatModule) -> Result<()> {
-    if flat.wires.is_empty() {
-        return Ok(());
-    }
-    let bindings: Vec<(SignalId, TermId)> = flat.nodes.iter().chain(&flat.wires).copied().collect();
-    let mut index = vec![None; flat.types.len()];
-    for (i, (id, _)) in bindings.iter().enumerate() {
-        index[id.index()] = Some(i);
-    }
-    let mut sources = vec![None; flat.types.len()];
-    let regs = flat.regs.iter().map(|reg| &reg.id);
-    for &id in flat.inputs.iter().chain(&flat.clocks).chain(regs) {
-        sources[id.index()] = Some(flat.types[id.index()]);
-    }
-    let n = bindings.len();
-    let mut retyper = Retyper {
-        terms: &flat.terms,
-        bindings: &bindings,
-        first_wire: flat.nodes.len(),
-        index,
-        sources,
-        types: bindings
-            .iter()
-            .map(|(id, _)| Some(flat.types[id.index()]))
-            .collect(),
-        visited: vec![false; n],
-        moved: vec![true; n],
-    };
-    (0..n).for_each(|i| {
-        retyper.visit(i);
-    });
-    let types = retyper.types;
-    let untyped = bindings.iter().zip(&types).filter(|(_, ty)| ty.is_none());
-    let untyped: Vec<&str> = untyped.map(|((id, _), _)| flat.names.get(*id)).collect();
-    if !untyped.is_empty() {
-        return Err(FirrtlError::Lower(format!(
-            "could not type {} combinational bindings (cycle or undefined ref?): {:?}",
-            untyped.len(),
-            &untyped[..untyped.len().min(5)]
-        )));
-    }
-    for ((id, _), ty) in bindings.iter().zip(types) {
-        flat.types[id.index()] = ty.expect("checked above");
-    }
-    Ok(())
-}
-
-struct Retyper<'f> {
-    terms: &'f [Term],
-    bindings: &'f [(SignalId, TermId)],
-    first_wire: usize,
-    /// Which binding each signal is, if any.
-    index: Vec<Option<usize>>,
-    /// Inputs, clocks and registers.
-    sources: Vec<Option<Type>>,
-    /// `None` while a binding is on the walk's path (a reference to it from
-    /// there is a cycle) and when it could not be typed.
-    types: Vec<Option<Type>>,
-    visited: Vec<bool>,
-    /// Whether a visited binding's type changed, or failed; read as true
-    /// on the walk's path.
-    moved: Vec<bool>,
-}
-
-impl Retyper<'_> {
-    /// Types binding `i` after everything it refers to; whether it moved.
-    fn visit(&mut self, i: usize) -> bool {
-        if std::mem::replace(&mut self.visited[i], true) {
-            return self.moved[i];
-        }
-        let (term, recorded) = (self.bindings[i].1, self.types[i].take());
-        // What drives a wire has never been typed as a whole.
-        let mut retype = i >= self.first_wire;
-        let mut pending = vec![term];
-        while let Some(t) = pending.pop() {
-            let term = &self.terms[t.index()];
-            if let Term::Signal(id) = term {
-                if let Some(j) = self.index[id.index()] {
-                    retype |= self.visit(j);
-                }
-            }
-            pending.extend(term.operands().iter().rev());
-        }
-        self.types[i] = match retype {
-            true => self.type_of(term),
-            false => recorded,
-        };
-        self.moved[i] = self.types[i] != recorded;
-        self.moved[i]
-    }
-
-    fn type_of(&self, term: TermId) -> Option<Type> {
-        let term = &self.terms[term.index()];
-        match *term {
-            Term::Signal(id) => match self.index[id.index()] {
-                Some(j) => self.types[j],
-                None => self.sources[id.index()],
-            },
-            Term::UIntLit { width, .. } => Some(Type::uint(width)),
-            Term::SIntLit { width, .. } => Some(Type::sint(width)),
-            Term::Mux([c, t, f]) => {
-                let (ct, tt, ft) = (self.type_of(c)?, self.type_of(t)?, self.type_of(f)?);
-                let clocked = ct.is_clock() || tt.is_clock() || ft.is_clock();
-                if clocked || tt.is_signed() != ft.is_signed() {
-                    return None;
-                }
-                Some(tt.with_width(tt.width().max(ft.width())))
-            }
-            Term::ValidIf([c, v]) => match self.type_of(c)?.is_clock() {
-                true => None,
-                false => self.type_of(v),
-            },
-            Term::Prim { op, .. } => {
-                let args: Option<Vec<Type>> =
-                    term.operands().iter().map(|&a| self.type_of(a)).collect();
-                op.result_type(&args?, term.params()).ok()
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1183,7 +1055,7 @@ circuit Top :
     }
 
     #[test]
-    fn a_wire_is_typed_by_its_driver_and_so_is_what_reads_it() {
+    fn a_wire_has_its_declared_type_whatever_drives_it() {
         // `w` is declared 8 bits wide and driven by 4; `n` reads it before
         // it is driven and `k` never reads it.
         let src = "\
@@ -1203,8 +1075,9 @@ circuit M :
             let id = flat.names.iter().position(|n| n == name).unwrap();
             flat.types[id]
         };
-        assert_eq!(ty("w"), Type::uint(4));
-        assert_eq!(ty("n"), Type::uint(5));
+        assert_eq!(ty("w"), Type::uint(8));
+        assert_eq!(ty("n"), Type::uint(9));
         assert_eq!(ty("k"), Type::uint(8));
+        assert_eq!(expr(&flat, flat.wires[0].1), Expr::r("a"));
     }
 }

@@ -36,11 +36,9 @@ struct ModuleGen<'r> {
     rng: &'r mut Rng,
     /// What an expression may refer to.
     pool: Vec<Sig>,
-    /// Registers and wires a `when` body may connect, each with how much
-    /// of `pool` may drive it: a wire only what was in scope before it,
-    /// or the new driver could be computed from the wire itself. (And only
-    /// under a `when`, where the new driver is muxed with the old one: an
-    /// unconditional narrower one would narrow the wire under its users.)
+    /// Registers and wires a connect may drive, each with how much of
+    /// `pool` may drive it: a wire only what was in scope before it, or
+    /// the new driver could be computed from the wire itself.
     targets: Vec<(String, Type, usize)>,
     /// Names declared so far, for unique ones.
     names: usize,
@@ -177,13 +175,10 @@ impl ModuleGen<'_> {
         Stmt::Connect { target, value }
     }
 
-    /// Drives a memory or instance port with a value at least as wide as
-    /// `ty`. A port is a wire, and lowering types a wire by its driver: a
-    /// narrower one would narrow the port under the read tree's address
-    /// bits, or under whatever the instance computes from it.
-    fn connect_port(&mut self, target: String, ty: Type) -> Stmt {
-        let value = self.pick_signed(ty.is_signed()).0;
-        let value = Expr::prim_p(PrimOp::Pad, vec![value], vec![ty.width() as u64]);
+    /// Drives a memory or instance port with a value of its signedness,
+    /// of any width: a port is a wire, and a wire has its declared type.
+    fn connect_port(&mut self, target: String, signed: bool) -> Stmt {
+        let value = self.pick_signed(signed).0;
         Stmt::Connect { target, value }
     }
 
@@ -226,9 +221,8 @@ impl ModuleGen<'_> {
 
     /// A wire of the type of something in scope — now and then declared
     /// wider than what drives it — driven unconditionally, in both
-    /// branches of a `when`, or only in one. Lowering types a wire by its
-    /// driver, so that is the type it is in scope with: parameters in range
-    /// for the narrower type are in range for the declared one too.
+    /// branches of a `when`, or only in one. It is in scope with its
+    /// declared type.
     fn wire(&mut self, body: &mut Vec<Stmt>) {
         let bound = self.pool.len();
         let (value, ty) = self.expr(2);
@@ -269,10 +263,10 @@ impl ModuleGen<'_> {
             }),
             _ => {
                 body.extend(drive(value));
-                self.targets.push((name.clone(), ty, bound));
+                self.targets.push((name.clone(), declared, bound));
             }
         }
-        self.pool.push((Expr::r(name), ty));
+        self.pool.push((Expr::r(name), declared));
     }
 
     fn reg(&mut self, body: &mut Vec<Stmt>) {
@@ -306,7 +300,7 @@ impl ModuleGen<'_> {
             init: vec![],
         });
         for field in ["raddr", "waddr", "wdata", "wen"] {
-            body.push(self.connect_port(format!("{name}.{field}"), Type::uint(4)));
+            body.push(self.connect_port(format!("{name}.{field}"), false));
         }
         self.pool.push((Expr::r(format!("{name}.rdata")), ty));
     }
@@ -324,7 +318,7 @@ impl ModuleGen<'_> {
                     target: port_name,
                     value: Expr::r("clock"),
                 }),
-                (Direction::Input, ty) => body.push(self.connect_port(port_name, ty)),
+                (Direction::Input, ty) => body.push(self.connect_port(port_name, ty.is_signed())),
                 (Direction::Output, ty) => self.pool.push((Expr::r(port_name), ty)),
             }
         }
@@ -381,13 +375,10 @@ fn module(rng: &mut Rng, name: &str, leaf: Option<&Module>, statements: u64) -> 
                 None => g.reg(&mut body),
             },
             7 | 8 => body.push(g.when(3, 0)),
-            9 => {
-                let mut regs = g.targets.iter().filter(|t| t.2 == usize::MAX);
-                match regs.next_back().cloned() {
-                    Some(reg) => body.push(g.connect(reg)),
-                    None => g.reg(&mut body),
-                }
-            }
+            9 => match g.targets.last().cloned() {
+                Some(target) => body.push(g.connect(target)),
+                None => g.reg(&mut body),
+            },
             _ => {
                 let value = g.expr(3);
                 g.node(&mut body, value);
