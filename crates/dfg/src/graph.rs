@@ -262,6 +262,15 @@ impl Graph {
         }
     }
 
+    /// An empty graph with room for `nodes` nodes: a rebuild of a graph
+    /// never grows past the graph it reads.
+    pub(crate) fn with_capacity(name: impl Into<String>, nodes: usize) -> Self {
+        let mut graph = Graph::new(name);
+        graph.nodes.reserve(nodes);
+        graph.cons.slots = vec![FREE; (2 * nodes).next_power_of_two().max(16)];
+        graph
+    }
+
     /// Number of nodes (including sources and dead nodes).
     pub fn len(&self) -> usize {
         self.nodes.len()

@@ -118,7 +118,7 @@ fn rebuild(
     order: &[NodeId],
     f: &mut impl FnMut(&mut Graph, NodeId, &[NodeId], &[NodeId]) -> NodeId,
 ) -> Graph {
-    let mut new = Graph::new(graph.name.clone());
+    let mut new = Graph::with_capacity(graph.name.clone(), graph.len());
     let mut map = vec![DROPPED; graph.len()];
     for &input in &graph.inputs {
         let node = graph.node(input);

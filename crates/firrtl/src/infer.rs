@@ -374,6 +374,12 @@ pub fn check_module<'c>(circuit: &'c Circuit, module: &'c Module) -> Result<Type
         walked: (0, 0),
         resolver: Resolver::default(),
     };
+    // Most statements declare one name.
+    checker
+        .typed
+        .env
+        .ids
+        .reserve(module.ports.len() + module.body.len());
     for port in &module.ports {
         checker.typed.env.bind(port.name.as_str(), port.ty)?;
     }
