@@ -68,8 +68,8 @@ type PartCommits = (Vec<(u32, u32)>, Vec<(u32, u32)>);
 /// The lane matrix and its two same-shaped companions, in rows of one
 /// lane type.
 #[derive(Debug, Clone)]
-struct Matrix<T> {
-    li: Vec<T>,
+struct Matrix<T: Lane> {
+    li: LineAligned<T>,
     /// The power-on image of `li`.
     init: Vec<T>,
     /// Staging rows of the widest partition's overlapping commits.
@@ -78,16 +78,62 @@ struct Matrix<T> {
 
 impl<T: Lane> Matrix<T> {
     fn new(plan: &SimPlan, lanes: usize, parts: usize, staged: usize) -> Self {
-        let mut li = init_lanes::<T>(plan, lanes);
-        let span = li.len();
+        let mut init = init_lanes::<T>(plan, lanes);
+        let span = init.len();
         for _ in 1..parts {
-            li.extend_from_within(..span);
+            init.extend_from_within(..span);
         }
         Matrix {
-            init: li.clone(),
-            li,
+            li: LineAligned::from_slice(&init),
+            init,
             commit_buf: vec![T::default(); staged * lanes],
         }
+    }
+}
+
+/// The lane matrix's storage: a slice that starts on a 64-byte boundary,
+/// so a row of the walk — 64 lanes, whole cache lines — is never split
+/// across two lines by a vector load. Where the allocator left a `Vec`'s
+/// rows 16 or 48 bytes past a line, the lane walk ran ≈ 25 % slower (RV32I
+/// 14.4 M against 18.0 M lane-cycles/s, the chip 160 k against 192 k), and
+/// which of the two a process got followed from everything it had
+/// allocated before.
+#[derive(Debug)]
+struct LineAligned<T> {
+    buf: Vec<T>,
+    /// Where the slice starts in `buf`.
+    start: usize,
+}
+
+impl<T: Lane> LineAligned<T> {
+    fn from_slice(items: &[T]) -> Self {
+        let pad = 64 / std::mem::size_of::<T>();
+        let mut buf: Vec<T> = Vec::with_capacity(items.len() + pad);
+        // Within the capacity: `buf` never moves after this.
+        let start = buf.as_ptr().align_offset(64).min(pad);
+        buf.resize(start, T::default());
+        buf.extend_from_slice(items);
+        LineAligned { buf, start }
+    }
+}
+
+impl<T: Lane> Clone for LineAligned<T> {
+    fn clone(&self) -> Self {
+        LineAligned::from_slice(self)
+    }
+}
+
+impl<T> std::ops::Deref for LineAligned<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        &self.buf[self.start..]
+    }
+}
+
+impl<T> std::ops::DerefMut for LineAligned<T> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        &mut self.buf[self.start..]
     }
 }
 
@@ -1204,6 +1250,26 @@ circuit D :
     out <= a
     flag <= orr(b)
 ";
+
+    #[test]
+    fn the_lane_matrix_starts_on_a_cache_line_wherever_it_is_allocated() {
+        // Allocations of every size in between, so the matrix lands at
+        // every offset the allocator hands out.
+        let mut keep = Vec::new();
+        for k in 0..64usize {
+            keep.push(vec![0u8; 1 + k * 8]);
+            let narrow = LineAligned::from_slice(&vec![7u32; 24 * 64 + k]);
+            let wide = LineAligned::from_slice(&vec![7u64; 24 * 64 + k]);
+            for (ptr, len) in [
+                (narrow.as_ptr() as usize, narrow.len()),
+                (wide.as_ptr() as usize, wide.len()),
+                (narrow.clone().as_ptr() as usize, narrow.clone().len()),
+            ] {
+                assert_eq!((ptr % 64, len), (0, 24 * 64 + k));
+            }
+            assert!(narrow.iter().all(|&v| v == 7) && wide.iter().all(|&v| v == 7));
+        }
+    }
 
     fn plan_of(src: &str) -> SimPlan {
         plan(&rteaal_dfg::build(&lower_typed(&parse(src).unwrap()).unwrap()).unwrap())
