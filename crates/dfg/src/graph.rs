@@ -8,6 +8,17 @@
 //! Construction hash-conses nodes (structural deduplication), so building
 //! from a `FlatModule` with heavily shared expressions stays linear in the
 //! number of distinct operations.
+//!
+//! ## Id tables
+//!
+//! A node is its dense [`NodeId`], and everything keyed by a node — the
+//! hash-consing table, the passes' use counts and old-to-new maps — is a
+//! table indexed by it. A [`Node`] has nothing of its own on the heap: its
+//! operands and parameters are a [`ShortList`] kept in place (only a mux
+//! chain's operands spill), and its name is an `Arc<str>` that the graph
+//! built from the flat module and every graph rebuilt from it share, so a
+//! rebuild copies no string and allocates nothing per node, and the
+//! hash-consing table compares a probe with a node word by word.
 
 use crate::op::{DfgOp, OpClass};
 use std::collections::hash_map::RandomState;

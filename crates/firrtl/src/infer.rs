@@ -60,11 +60,6 @@ impl<'a> TypeEnv<'a> {
         Some((id, self.types[id.index()]))
     }
 
-    /// The type of the signal `id`.
-    pub fn ty(&self, id: SignalId) -> Type {
-        self.types[id.index()]
-    }
-
     /// Every signal's type, by id.
     pub fn types(&self) -> &[Type] {
         &self.types

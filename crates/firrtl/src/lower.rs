@@ -67,16 +67,6 @@ impl Names {
         &self.text[start..end]
     }
 
-    /// Number of names.
-    pub fn len(&self) -> usize {
-        self.ends.len()
-    }
-
-    /// Whether there are none.
-    pub fn is_empty(&self) -> bool {
-        self.ends.is_empty()
-    }
-
     /// Every name, in id order.
     pub fn iter(&self) -> impl Iterator<Item = &str> {
         (0..self.ends.len()).map(|i| self.get(SignalId(i as u32)))

@@ -11,7 +11,6 @@
 //! walks an expression with an explicit stack.
 
 use crate::ops::PrimOp;
-use std::fmt;
 
 /// Index of a signal in a module's, or the flat design's, signal table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -21,12 +20,6 @@ impl SignalId {
     /// The index as a `usize`.
     pub fn index(self) -> usize {
         self.0 as usize
-    }
-}
-
-impl fmt::Display for SignalId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "s{}", self.0)
     }
 }
 
