@@ -11,7 +11,7 @@
 
 use crate::ast::{Circuit, Direction, Expr, Module, Stmt};
 use crate::error::{FirrtlError, Result};
-use crate::term::{SignalId, Term, TermId};
+use crate::term::{push, SignalId, Term, TermId};
 use crate::ty::{bits_for, Type};
 use std::borrow::Cow;
 use std::collections::hash_map::{Entry, HashMap};
@@ -250,11 +250,6 @@ fn typed(expr: &Expr, operands: &[(TermId, Type)], env: &TypeEnv<'_>) -> Result<
             (term, ty)
         }
     })
-}
-
-fn push(terms: &mut Vec<Term>, term: Term) -> TermId {
-    terms.push(term);
-    TermId(terms.len() as u32 - 1)
 }
 
 /// The type of a literal that needs `needed` bits, if `width` has them.

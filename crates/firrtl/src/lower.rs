@@ -39,7 +39,7 @@ use crate::ast::{Circuit, Direction};
 use crate::error::{FirrtlError, Result};
 use crate::infer::{check_module, mem_addr_width, TypedModule, TypedStmt};
 use crate::ops::PrimOp;
-use crate::term::{same_expr, SignalId, Term, TermId};
+use crate::term::{push, same_expr, SignalId, Term, TermId};
 use crate::ty::Type;
 use std::collections::HashSet;
 use std::fmt::{self, Write};
@@ -573,11 +573,6 @@ impl<'c, 't> Walk<'c, 't> {
         self.flat.nodes.push((rdata, tree));
         Ok(())
     }
-}
-
-fn push(terms: &mut Vec<Term>, term: Term) -> TermId {
-    terms.push(term);
-    TermId(terms.len() as u32 - 1)
 }
 
 /// `name` as seen from the top, for a signal of the instance `prefix`.

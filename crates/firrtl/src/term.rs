@@ -96,6 +96,12 @@ impl Term {
     }
 }
 
+/// Appends `term` to the arena `terms`; its id.
+pub(crate) fn push(terms: &mut Vec<Term>, term: Term) -> TermId {
+    terms.push(term);
+    TermId(terms.len() as u32 - 1)
+}
+
 /// Whether the terms under `a` and `b` spell the same expression: what
 /// `when` resolution asks before it muxes two values. An explicit stack,
 /// not recursion: a target connected under a long run of `when`s is a mux
