@@ -747,6 +747,8 @@ struct Delivered {
     result: rteaal_serve::WireResult,
     /// Index of the arrival it answers.
     arrival: usize,
+    /// From the arrival's scheduled time to its delivery.
+    latency: std::time::Duration,
 }
 
 /// What a leg leaves behind: its servers (still up, for the read-back),
@@ -855,12 +857,16 @@ impl FleetFixture {
                 next += 1;
             }
             match router.poll_once().expect("pump survives the leg") {
-                Some(routed) => done.push(Delivered {
-                    id: routed.id,
-                    shard: routed.shard,
-                    result: routed.result,
-                    arrival: arrival_of[&routed.id],
-                }),
+                Some(routed) => {
+                    let arrival = arrival_of[&routed.id];
+                    done.push(Delivered {
+                        id: routed.id,
+                        shard: routed.shard,
+                        result: routed.result,
+                        arrival,
+                        latency: start.elapsed().saturating_sub(plan.arrivals[arrival].at),
+                    });
+                }
                 None => {
                     // Nothing finished: sleep to the next arrival (or a
                     // poll tick) instead of spinning.
@@ -1036,14 +1042,32 @@ pub fn elastic_fleet(ctx: &Ctx) -> Vec<String> {
         fx.corpus.len(),
     ));
     out.push(format!(
-        "{:<12} {:>8} {:>8} {:>6} {:>7} {:>8} {:>6} {:>5} {:>5} {:>9}",
-        "leg", "s0 jobs", "s1 jobs", "resub", "deaths", "rejoins", "hedge", "won", "lost", "exact"
+        "{:<12} {:>8} {:>8} {:>6} {:>7} {:>8} {:>6} {:>5} {:>5} {:>7} {:>7} {:>9}",
+        "leg",
+        "s0 jobs",
+        "s1 jobs",
+        "resub",
+        "deaths",
+        "rejoins",
+        "hedge",
+        "won",
+        "lost",
+        "p50 ms",
+        "p99 ms",
+        "exact"
     ));
     let mut leg = |name: &str, fault: Fault| {
         let run = fx.run(fault);
         let s = &run.stats;
+        let mut latencies: Vec<_> = run.done.iter().map(|d| d.latency).collect();
+        latencies.sort_unstable();
+        // Nearest rank: the smallest latency at or above a `q` share.
+        let ms = |q: f64| {
+            let rank = ((q * latencies.len() as f64).ceil() as usize).max(1);
+            latencies[rank - 1].as_secs_f64() * 1e3
+        };
         out.push(format!(
-            "{name:<12} {:>8} {:>8} {:>6} {:>7} {:>8} {:>6} {:>5} {:>5} {:>6}/{jobs}",
+            "{name:<12} {:>8} {:>8} {:>6} {:>7} {:>8} {:>6} {:>5} {:>5} {:>7.1} {:>7.1} {:>6}/{jobs}",
             s.per_shard[0].delivered,
             s.per_shard[1].delivered,
             s.resubmitted,
@@ -1052,6 +1076,8 @@ pub fn elastic_fleet(ctx: &Ctx) -> Vec<String> {
             s.hedges,
             s.hedges_won,
             s.hedges_lost,
+            ms(0.5),
+            ms(0.99),
             run.done.len(),
         ));
         run
