@@ -28,10 +28,9 @@
 //! - [`ShardRouter`] — the cross-host supervisor: consistent-hash job
 //!   placement ([`HashRing`]) over a fleet of server processes, with
 //!   per-shard circuit breakers (exponential backoff, half-open `ping`
-//!   probes, shard rejoin with registry replay), replica hedging of
-//!   stragglers, automatic resubmission of jobs lost to dead shards,
-//!   and a [`FleetStats`] snapshot; results merge into one
-//!   completion-ordered stream.
+//!   probes, shard rejoin with registry replay), automatic
+//!   resubmission of jobs lost to dead shards, and a [`FleetStats`]
+//!   snapshot; results merge into one completion-ordered stream.
 //! - [`chaos`] — the fault-injection harness ([`ChaosShard`]): a
 //!   line-level TCP proxy that delays, drops, truncates, kills — and
 //!   revives — so the router's failure *and recovery* paths are
@@ -99,6 +98,6 @@ pub use protocol::{
     WireJob, WirePong, WireResult, WireStats,
 };
 pub use shard::{
-    FleetShard, FleetStats, HashRing, Routed, RouterError, RouterStats, ShardConfig, ShardLoad,
-    ShardPhase, ShardRouter,
+    FleetShard, FleetStats, HashRing, Routed, RouterError, ShardConfig, ShardPhase, ShardRouter,
+    RING_POINTS,
 };

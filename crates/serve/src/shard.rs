@@ -24,19 +24,13 @@
 //!   partition: only the keys the ring math assigns it move, and only
 //!   for placements made after the rejoin — jobs in flight elsewhere
 //!   stay put.
-//! - **Replica hedging.** A pending job whose age passes a latency
-//!   quantile of recent deliveries (times a multiplier, floored) is
-//!   resubmitted to the next distinct shard on the ring. First result
-//!   wins; the loser's copy is drained and discarded through the
-//!   protocol's exactly-once delivery path, which makes the duplicate
-//!   unobservable by construction.
 //!
-//! Delivery is **exactly once** even under at-least-once execution: a
-//! result can only be claimed over the connection that submitted its
-//! job (the serve protocol's per-connection handle scope), so a job
-//! rerun after a shard death — or raced by a hedge — can never surface
-//! twice: the losing copy is either unreachable (its connection died)
-//! or explicitly claimed-and-dropped by the router.
+//! A job lives on exactly one shard at a time and moves only when that
+//! shard fails. Delivery is **exactly once** even under at-least-once
+//! execution: a result can only be claimed over the connection that
+//! submitted its job (the serve protocol's per-connection handle
+//! scope), so the copy of a job rerun after a shard death is
+//! unreachable — its connection died with the shard.
 //!
 //! The router is deliberately synchronous and single-threaded: one
 //! poll sweep across the fleet per [`poll_once`](ShardRouter::poll_once)
@@ -65,6 +59,12 @@ pub(crate) fn mix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Virtual ring points per shard in the router's [`HashRing`].
+pub const RING_POINTS: usize = 64;
+
+/// Sleep between poll sweeps that found nothing finished.
+const POLL_INTERVAL: Duration = Duration::from_micros(200);
+
 /// A consistent-hash ring over shard slots, with virtual nodes.
 ///
 /// Each shard contributes `replicas` points (hashes of `(shard,
@@ -74,7 +74,8 @@ pub(crate) fn mix64(x: u64) -> u64 {
 /// stability property that makes mid-corpus shard loss cheap: only the
 /// dead shard's jobs move. Because the points are pure hashes of the
 /// slot, re-adding a shard restores its old partition *exactly* — the
-/// rejoin path's bounded-movement guarantee.
+/// rejoin path's bounded-movement guarantee. The router's ring has
+/// [`RING_POINTS`] points per shard.
 #[derive(Debug, Clone)]
 pub struct HashRing {
     replicas: usize,
@@ -130,23 +131,6 @@ impl HashRing {
         Some(self.points[idx % self.points.len()].1)
     }
 
-    /// The first shard at or after `key`'s hash that is *not*
-    /// `exclude`: where the key would live if `exclude` were removed.
-    /// This is the hedge target — the replica the consistent-hash
-    /// topology itself nominates — and `None` when `exclude` is the
-    /// only live shard.
-    pub fn shard_for_excluding(&self, key: u64, exclude: usize) -> Option<usize> {
-        if self.points.is_empty() {
-            return None;
-        }
-        let hash = mix64(key);
-        let start = self.points.partition_point(|&(p, _)| p < hash);
-        let n = self.points.len();
-        (0..n)
-            .map(|i| self.points[(start + i) % n].1)
-            .find(|&s| s != exclude)
-    }
-
     /// The live shard slots, sorted.
     pub fn live(&self) -> &[usize] {
         &self.live
@@ -163,11 +147,9 @@ impl HashRing {
     }
 }
 
-/// Router sizing, pacing, and failure-tolerance knobs.
+/// The router's failure-tolerance knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct ShardConfig {
-    /// Virtual ring points per shard (more points = smoother balance).
-    pub replicas: usize,
     /// How long any single exchange may wait for a shard's response
     /// before the host counts as hung (a fatal fault).
     pub read_timeout: Duration,
@@ -177,8 +159,6 @@ pub struct ShardConfig {
     /// not merely accept connections — and probing continues past
     /// death: a dead shard that answers a probe rejoins.
     pub reconnects: usize,
-    /// Sleep between poll sweeps that found nothing finished.
-    pub poll_interval: Duration,
     /// *Consecutive failed* placements one job may burn before the
     /// router gives up on it — a backstop against a job no host will
     /// take. A successful placement resets the count, so honest
@@ -188,41 +168,19 @@ pub struct ShardConfig {
     pub backoff_base: Duration,
     /// Ceiling on the probe delay, whatever the failure count.
     pub backoff_cap: Duration,
-    /// Master switch for replica hedging.
-    pub hedge: bool,
-    /// The delivery-latency quantile (0..=1) that defines a straggler.
-    pub hedge_quantile: f64,
-    /// Straggler threshold = quantile latency × this multiplier.
-    pub hedge_multiplier: f64,
-    /// Deliveries observed before hedging activates (the quantile
-    /// needs a sample).
-    pub hedge_min_samples: usize,
-    /// Minimum straggler threshold — keeps a fast fleet from hedging
-    /// its entire corpus on microsecond noise.
-    pub hedge_floor: Duration,
 }
 
 impl Default for ShardConfig {
     fn default() -> Self {
         ShardConfig {
-            replicas: 64,
             read_timeout: Duration::from_secs(5),
             reconnects: 2,
-            poll_interval: Duration::from_micros(200),
             max_attempts: 16,
             backoff_base: Duration::from_millis(10),
             backoff_cap: Duration::from_millis(500),
-            hedge: true,
-            hedge_quantile: 0.9,
-            hedge_multiplier: 2.0,
-            hedge_min_samples: 16,
-            hedge_floor: Duration::from_millis(10),
         }
     }
 }
-
-/// The longest latency history the hedging quantile is computed over.
-const LATENCY_WINDOW: usize = 4096;
 
 /// One shard's connection, breaker, and accounting.
 #[derive(Debug)]
@@ -237,13 +195,9 @@ struct ShardState {
     dead: bool,
     /// When the breaker next half-opens for a probe (down shards only).
     retry_at: Option<Instant>,
-    /// Router ids currently awaiting results on this shard (as primary
-    /// or as hedge).
+    /// Router ids currently awaiting results on this shard.
     inflight: Vec<u64>,
-    /// Remote ids of hedge losers still to be claimed-and-discarded on
-    /// this connection — the exactly-once cleanup of the duplicate.
-    zombies: Vec<u64>,
-    /// Jobs ever dispatched here (including resubmissions and hedges).
+    /// Jobs ever dispatched here (including resubmissions).
     dispatched: u64,
     /// Results this shard delivered.
     delivered: u64,
@@ -265,21 +219,14 @@ struct PendingJob {
     /// Registered design the job targets (`None` = each shard's
     /// default).
     design: Option<String>,
-    /// The id the owning shard's pool assigned.
+    /// The id the owning shard's pool assigned; the owner is the shard
+    /// whose in-flight list holds the job.
     remote_id: u64,
-    /// The shard currently running it (`usize::MAX` while unplaced).
-    shard: usize,
     /// Placements so far.
     attempts: usize,
-    /// When the router first accepted the job — the latency origin for
-    /// hedging decisions and delivery accounting, preserved across
-    /// resubmissions.
+    /// When the router first accepted the job — the origin of its
+    /// delivery latency, preserved across resubmissions.
     submitted_at: Instant,
-    /// An outstanding hedge copy, as `(shard, remote id)`.
-    hedge: Option<(usize, u64)>,
-    /// Whether this job *is* a surviving hedge copy (its primary's
-    /// shard died and the hedge was promoted in place).
-    promoted: bool,
 }
 
 /// A result delivered by the router's merged stream.
@@ -345,38 +292,6 @@ impl std::fmt::Display for RouterError {
 
 impl std::error::Error for RouterError {}
 
-/// Aggregate router counters.
-#[derive(Debug, Clone)]
-pub struct RouterStats {
-    /// Jobs accepted by [`ShardRouter::submit`].
-    pub submitted: u64,
-    /// Results delivered through the merged stream.
-    pub delivered: u64,
-    /// Job placements repeated because their shard's connection was
-    /// lost (each orphaned job counts once per loss).
-    pub resubmitted: u64,
-    /// Down episodes: times a shard's breaker opened and it left the
-    /// ring (a later rejoin starts a fresh episode).
-    pub shard_deaths: u64,
-    /// Per-shard accounting, by slot.
-    pub per_shard: Vec<ShardLoad>,
-}
-
-/// One shard's routing accounting.
-#[derive(Debug, Clone)]
-pub struct ShardLoad {
-    /// The shard's address.
-    pub addr: SocketAddr,
-    /// Whether the shard is in the ring.
-    pub alive: bool,
-    /// Jobs ever dispatched to it (including resubmissions).
-    pub dispatched: u64,
-    /// Results it delivered.
-    pub delivered: u64,
-    /// Jobs currently awaiting results on it.
-    pub in_flight: usize,
-}
-
 /// Where one shard's circuit breaker currently stands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardPhase {
@@ -403,10 +318,9 @@ pub struct FleetShard {
     pub addr: SocketAddr,
     /// Breaker phase.
     pub phase: ShardPhase,
-    /// Jobs currently awaiting results on it (primary or hedge).
+    /// Jobs currently awaiting results on it.
     pub in_flight: usize,
-    /// Jobs ever dispatched to it (including resubmissions and
-    /// hedges).
+    /// Jobs ever dispatched to it (including resubmissions).
     pub dispatched: u64,
     /// Results it delivered.
     pub delivered: u64,
@@ -414,8 +328,10 @@ pub struct FleetShard {
     pub rejoins: u64,
 }
 
-/// The elastic-fleet snapshot: everything [`RouterStats`] counts, plus
-/// breaker phases, rejoins, and the hedging ledger.
+/// The router's snapshot: fleet-wide counters plus each shard's
+/// breaker phase and load. With no job lost, every placement is a first
+/// dispatch or a resubmission, so the per-shard `dispatched` counts sum
+/// to `submitted + resubmitted`.
 #[derive(Debug, Clone)]
 pub struct FleetStats {
     /// Jobs accepted by [`ShardRouter::submit`].
@@ -423,29 +339,20 @@ pub struct FleetStats {
     /// Results delivered through the merged stream.
     pub delivered: u64,
     /// Job placements repeated because their shard's connection was
-    /// lost.
+    /// lost (each orphaned job counts once per loss).
     pub resubmitted: u64,
     /// Down episodes: times a shard's breaker opened and it left the
-    /// ring.
+    /// ring (a later rejoin starts a fresh episode).
     pub shard_deaths: u64,
     /// Shards that re-entered the ring after being down, fleet-wide.
     pub rejoins: u64,
-    /// Hedge copies submitted.
-    pub hedges: u64,
-    /// Jobs whose hedge copy delivered the result (including promoted
-    /// hedges that outlived their primary's shard).
-    pub hedges_won: u64,
-    /// Hedge copies that lost the race to their primary and were
-    /// discarded.
-    pub hedges_lost: u64,
     /// Per-shard accounting, by slot.
     pub per_shard: Vec<FleetShard>,
 }
 
 /// The cross-host supervisor: consistent-hash job placement over a
 /// fleet of serve processes, with circuit-breaker health tracking,
-/// shard rejoin, registration fan-out, replica hedging, and automatic
-/// resubmission. See the [module docs](self) for the design.
+/// shard rejoin, registration fan-out, and automatic resubmission. See the [module docs](self) for the design.
 ///
 /// ```no_run
 /// use rteaal_sched::Job;
@@ -472,19 +379,14 @@ pub struct ShardRouter {
     /// Designs registered through the router, in order — replayed to
     /// every rejoiner before it re-enters the ring.
     registry: Vec<(String, String, String)>,
-    /// Recent delivery latencies (ring buffer of `LATENCY_WINDOW`), the
-    /// hedging quantile's sample.
-    latencies: Vec<Duration>,
-    latency_cursor: usize,
     next_id: u64,
     telemetry: RouterTelemetry,
 }
 
 /// The router's slice of the metrics registry: every fleet-level
-/// counter lives in the registry (so [`FleetStats`] and
-/// [`RouterStats`] are *views* over it, and the `tables -- fleet`
-/// experiment reads one coherent snapshot), with the hot-path handles
-/// interned once here.
+/// counter lives in the registry (so [`FleetStats`] is a *view* over
+/// it, and the `tables -- fleet` experiment reads one coherent
+/// snapshot), with the hot-path handles interned once here.
 #[derive(Debug)]
 struct RouterTelemetry {
     registry: Arc<MetricsRegistry>,
@@ -504,12 +406,6 @@ struct RouterTelemetry {
     rejoins: Arc<Counter>,
     /// Half-open probe attempts, answered or not.
     probes: Arc<Counter>,
-    /// Hedge copies submitted.
-    hedges: Arc<Counter>,
-    /// Races the hedge copy won (including promoted hedges).
-    hedges_won: Arc<Counter>,
-    /// Hedge copies that lost to their primary and were discarded.
-    hedges_lost: Arc<Counter>,
 }
 
 impl RouterTelemetry {
@@ -523,9 +419,6 @@ impl RouterTelemetry {
             shard_deaths: registry.counter("router.shard_deaths"),
             rejoins: registry.counter("router.rejoins"),
             probes: registry.counter("router.probe_attempts"),
-            hedges: registry.counter("router.hedges"),
-            hedges_won: registry.counter("router.hedges_won"),
-            hedges_lost: registry.counter("router.hedges_lost"),
             registry,
         }
     }
@@ -546,7 +439,7 @@ impl ShardRouter {
     pub fn connect(addrs: &[SocketAddr], config: ShardConfig) -> Result<Self, RouterError> {
         assert!(!addrs.is_empty(), "a fleet needs at least one shard");
         let mut shards = Vec::with_capacity(addrs.len());
-        let mut ring = HashRing::new(config.replicas);
+        let mut ring = HashRing::new(RING_POINTS);
         for (slot, &addr) in addrs.iter().enumerate() {
             let client = Self::open(addr, config.read_timeout)
                 .map_err(|error| RouterError::Shard { shard: slot, error })?;
@@ -558,7 +451,6 @@ impl ShardRouter {
                 dead: false,
                 retry_at: None,
                 inflight: Vec::new(),
-                zombies: Vec::new(),
                 dispatched: 0,
                 delivered: 0,
                 rejoins: 0,
@@ -570,8 +462,6 @@ impl ShardRouter {
             ring,
             pending: HashMap::new(),
             registry: Vec::new(),
-            latencies: Vec::new(),
-            latency_cursor: 0,
             next_id: 0,
             telemetry: RouterTelemetry::new(),
         })
@@ -651,11 +541,8 @@ impl ShardRouter {
                 job,
                 design: design.map(str::to_string),
                 remote_id: 0,
-                shard: usize::MAX,
                 attempts: 0,
                 submitted_at: Instant::now(),
-                hedge: None,
-                promoted: false,
             },
         );
         self.dispatch(vec![id])?;
@@ -756,7 +643,6 @@ impl ShardRouter {
                     Ok(remote_id) => {
                         let p = self.pending.get_mut(&id).expect("dispatching a known job");
                         p.remote_id = remote_id;
-                        p.shard = shard;
                         // A successful placement clears the job's
                         // failure streak: `max_attempts` guards against
                         // a job no host will *take*, not against honest
@@ -799,17 +685,11 @@ impl ShardRouter {
     /// additionally reports it dead — probing continues regardless.
     ///
     /// Either way the shard's in-flight jobs are orphaned — their
-    /// handles lived on the broken connection. A job whose *hedge*
-    /// lives on a healthy shard is rescued in place (the hedge is
-    /// promoted to primary, no resubmission); jobs that were only
-    /// hedged *here* simply lose the hedge; the rest are returned for
+    /// handles lived on the broken connection — and are returned for
     /// redispatch.
     fn shard_failed(&mut self, shard: usize) -> Vec<u64> {
         let st = &mut self.shards[shard];
         st.client = None;
-        // Zombie claims die with the connection; the server's tombstone
-        // path discards their results.
-        st.zombies.clear();
         st.failures += 1;
         let failures = st.failures;
         let was_inflight = std::mem::take(&mut st.inflight);
@@ -831,34 +711,8 @@ impl ShardRouter {
                 st.dead = true;
             }
         }
-        let mut orphans = Vec::new();
-        for id in was_inflight {
-            let Some(p) = self.pending.get_mut(&id) else {
-                continue;
-            };
-            if p.shard == shard {
-                match p.hedge.take() {
-                    Some((h, rid)) if h != shard && self.shards[h].live() => {
-                        // The hedge copy survives: promote it instead of
-                        // replaying the job. It is already in shard h's
-                        // inflight list.
-                        p.shard = h;
-                        p.remote_id = rid;
-                        p.promoted = true;
-                    }
-                    _ => {
-                        p.shard = usize::MAX;
-                        p.remote_id = 0;
-                        orphans.push(id);
-                        self.telemetry.resubmitted.inc();
-                    }
-                }
-            } else if p.hedge.is_some_and(|(h, _)| h == shard) {
-                // Only the hedge copy lived here; the primary is fine.
-                p.hedge = None;
-            }
-        }
-        orphans
+        self.telemetry.resubmitted.add(was_inflight.len() as u64);
+        was_inflight
     }
 
     /// Half-open probes for every down shard whose backoff has lapsed:
@@ -914,104 +768,13 @@ impl ShardRouter {
         }
     }
 
-    /// The current straggler threshold.
-    ///
-    /// While the delivery-latency window is empty or below
-    /// `hedge_min_samples`, the configured `hedge_floor` stands in:
-    /// returning `None` there would disable hedging until the window
-    /// warms (a cold router never rescues a straggler), and returning
-    /// zero would make *every* dispatch a straggler (a hedge storm).
-    /// The quantile is clamped to `[0, 1]` and the index it produces is
-    /// re-clamped into the sample, so `hedge_quantile` 0.0 / 1.0 (and
-    /// NaN, which casts to index 0) select the min / max sample instead
-    /// of indexing out of bounds — and whatever they select is floored
-    /// too, so a degenerate quantile over a microsecond-fast window
-    /// still can't drive the threshold to zero.
-    fn hedge_threshold(&self) -> Duration {
-        if self.latencies.len() < self.config.hedge_min_samples.max(1) {
-            return self.config.hedge_floor;
-        }
-        let mut sorted = self.latencies.clone();
-        sorted.sort_unstable();
-        let q = self.config.hedge_quantile.clamp(0.0, 1.0);
-        let idx = (((sorted.len() - 1) as f64 * q) as usize).min(sorted.len() - 1);
-        sorted[idx]
-            .mul_f64(self.config.hedge_multiplier.max(1.0))
-            .max(self.config.hedge_floor)
-    }
-
-    /// Hedges every straggler: a pending job older than the quantile
-    /// threshold is resubmitted to the next distinct shard on the ring
-    /// (first result will win; the loser is discarded through the
-    /// exactly-once path).
-    fn maybe_hedge(&mut self) -> Result<(), RouterError> {
-        if !self.config.hedge || self.ring.len() < 2 {
-            return Ok(());
-        }
-        let threshold = self.hedge_threshold();
-        let ids: Vec<u64> = self.pending.keys().copied().collect();
-        for id in ids {
-            let primary = {
-                let Some(p) = self.pending.get(&id) else {
-                    continue;
-                };
-                if p.hedge.is_some()
-                    || p.promoted
-                    || p.shard == usize::MAX
-                    || p.submitted_at.elapsed() < threshold
-                {
-                    continue;
-                }
-                p.shard
-            };
-            let Some(target) = self.ring.shard_for_excluding(id, primary) else {
-                continue;
-            };
-            if target == primary || !self.shards[target].live() {
-                continue;
-            }
-            let outcome = {
-                let p = &self.pending[&id];
-                let client = self.shards[target]
-                    .client
-                    .as_mut()
-                    .expect("hedge targets are live");
-                match &p.design {
-                    Some(d) => client.submit_to(d, &p.job),
-                    None => client.submit(&p.job),
-                }
-            };
-            match outcome {
-                Ok(remote_id) => {
-                    let st = &mut self.shards[target];
-                    st.dispatched += 1;
-                    st.inflight.push(id);
-                    if let Some(p) = self.pending.get_mut(&id) {
-                        p.hedge = Some((target, remote_id));
-                    }
-                    self.telemetry.hedges.inc();
-                }
-                Err(error) if error.is_fatal() => {
-                    let orphans = self.shard_failed(target);
-                    self.dispatch(orphans)?;
-                }
-                // A server-side refusal of the duplicate is harmless:
-                // the primary carries on alone.
-                Err(_) => {}
-            }
-        }
-        Ok(())
-    }
-
-    /// Records one delivery and settles the hedge race for `id`.
+    /// Records one delivery of `id` by `shard`.
     fn deliver(&mut self, id: u64, shard: usize, result: WireResult) -> Routed {
         let p = self.pending.remove(&id).expect("delivering a pending job");
-        {
-            let st = &mut self.shards[shard];
-            st.inflight.retain(|&i| i != id);
-            st.delivered += 1;
-            st.failures = 0;
-        }
+        let st = &mut self.shards[shard];
+        st.inflight.retain(|&i| i != id);
+        st.delivered += 1;
+        st.failures = 0;
         self.telemetry.delivered.inc();
         self.telemetry.registry.record_event(
             id,
@@ -1020,48 +783,19 @@ impl ShardRouter {
             None,
             Some(shard as u64),
         );
-        if p.shard == shard {
-            if let Some((h, rid)) = p.hedge {
-                // Primary won the race: the hedge copy becomes a zombie
-                // claim, drained and discarded on its own connection.
-                self.telemetry.hedges_lost.inc();
-                let hs = &mut self.shards[h];
-                hs.inflight.retain(|&i| i != id);
-                if hs.live() {
-                    hs.zombies.push(rid);
-                }
-            } else if p.promoted {
-                self.telemetry.hedges_won.inc();
-            }
-        } else {
-            // The hedge copy won: retire the primary's claim.
-            self.telemetry.hedges_won.inc();
-            let ps = &mut self.shards[p.shard];
-            ps.inflight.retain(|&i| i != id);
-            if ps.live() {
-                ps.zombies.push(p.remote_id);
-            }
-        }
-        let latency = p.submitted_at.elapsed();
         self.telemetry
             .registry
             .histogram("router.delivery_latency_us")
-            .record(latency.as_micros() as u64);
-        if self.latencies.len() < LATENCY_WINDOW {
-            self.latencies.push(latency);
-        } else {
-            self.latencies[self.latency_cursor % LATENCY_WINDOW] = latency;
-            self.latency_cursor = self.latency_cursor.wrapping_add(1);
-        }
+            .record(p.submitted_at.elapsed().as_micros() as u64);
         Routed { id, shard, result }
     }
 
     /// One non-blocking pass over the fleet: run due probes (rejoins
-    /// happen here), hedge stragglers, drain zombie claims, and poll
-    /// every in-flight job once. Returns the first finished job found,
-    /// `Ok(None)` if nothing finished — including when nothing is
-    /// pending, which makes this the idle-safe pump for open-loop
-    /// drivers that interleave submission with collection.
+    /// happen here) and poll every in-flight job once. Returns the
+    /// first finished job found, `Ok(None)` if nothing finished —
+    /// including when nothing is pending, which makes this the
+    /// idle-safe pump for open-loop drivers that interleave submission
+    /// with collection.
     ///
     /// # Errors
     ///
@@ -1070,7 +804,6 @@ impl ShardRouter {
     /// [`RouterError::Shard`] on a protocol violation.
     pub fn poll_once(&mut self) -> Result<Option<Routed>, RouterError> {
         self.run_probes();
-        self.maybe_hedge()?;
         for shard in self.ring.live().to_vec() {
             // Re-check against the *current* ring: an earlier failure
             // in this sweep can cascade (via resubmission) into the
@@ -1078,50 +811,14 @@ impl ShardRouter {
             if !self.shards[shard].live() {
                 continue;
             }
-            // Drain zombie claims first: hedge losers whose results
-            // must be claimed-and-discarded to stay exactly-once.
-            let zombies = std::mem::take(&mut self.shards[shard].zombies);
-            let mut kept = Vec::new();
-            let mut shard_ok = true;
-            for rid in zombies {
-                let polled = self.shards[shard]
-                    .client
-                    .as_mut()
-                    .expect("live shards have clients")
-                    .poll(rid);
-                match polled {
-                    Ok(Some(_)) => {} // claimed and dropped
-                    Ok(None) => kept.push(rid),
-                    Err(error) if error.is_fatal() => {
-                        let orphans = self.shard_failed(shard);
-                        self.dispatch(orphans)?;
-                        shard_ok = false;
-                        break;
-                    }
-                    // The claim outlived its connection's scope; the
-                    // server already tombstoned it.
-                    Err(_) => {}
-                }
-            }
-            if !shard_ok {
-                continue;
-            }
-            self.shards[shard].zombies = kept;
-            // Snapshot: the sweep mutates inflight on delivery.
+            // Snapshot: a fatal fault mid-sweep takes the inflight list.
             let ids = self.shards[shard].inflight.clone();
             for id in ids {
-                let remote_id = match self.pending.get(&id) {
-                    Some(p) if p.shard == shard => p.remote_id,
-                    Some(p) if p.hedge.is_some_and(|(h, _)| h == shard) => {
-                        p.hedge.expect("just matched").1
-                    }
-                    // Stale entry: delivered via the other copy, or
-                    // rehashed away.
-                    _ => {
-                        self.shards[shard].inflight.retain(|&i| i != id);
-                        continue;
-                    }
-                };
+                let remote_id = self
+                    .pending
+                    .get(&id)
+                    .expect("in-flight jobs are pending")
+                    .remote_id;
                 let polled = self.shards[shard]
                     .client
                     .as_mut()
@@ -1171,7 +868,7 @@ impl ShardRouter {
             if let Some(routed) = self.poll_once()? {
                 return Ok(routed);
             }
-            std::thread::sleep(self.config.poll_interval);
+            std::thread::sleep(POLL_INTERVAL);
         }
     }
 
@@ -1198,9 +895,9 @@ impl ShardRouter {
         self.ring.len()
     }
 
-    /// A snapshot of the router's counters — a view over the metrics
-    /// registry.
-    pub fn stats(&self) -> RouterStats {
+    /// A snapshot of the router's counters and each shard's breaker
+    /// phase — a view over the metrics registry.
+    pub fn stats(&self) -> FleetStats {
         debug_assert!(
             self.accounting_balanced(),
             "router accounting leak: submitted {} != delivered {} + pending {} + lost {}",
@@ -1209,39 +906,12 @@ impl ShardRouter {
             self.pending.len(),
             self.telemetry.lost.get(),
         );
-        RouterStats {
-            submitted: self.next_id,
-            delivered: self.telemetry.delivered.get(),
-            resubmitted: self.telemetry.resubmitted.get(),
-            shard_deaths: self.telemetry.shard_deaths.get(),
-            per_shard: self
-                .shards
-                .iter()
-                .map(|st| ShardLoad {
-                    addr: st.addr,
-                    alive: st.live(),
-                    dispatched: st.dispatched,
-                    delivered: st.delivered,
-                    in_flight: st.inflight.len(),
-                })
-                .collect(),
-        }
-    }
-
-    /// The elastic-fleet snapshot: breaker phases, rejoins, and the
-    /// hedging ledger, on top of everything [`stats`](Self::stats)
-    /// counts.
-    pub fn fleet_stats(&self) -> FleetStats {
-        debug_assert!(self.accounting_balanced(), "router accounting leak");
         FleetStats {
             submitted: self.next_id,
             delivered: self.telemetry.delivered.get(),
             resubmitted: self.telemetry.resubmitted.get(),
             shard_deaths: self.telemetry.shard_deaths.get(),
             rejoins: self.telemetry.rejoins.get(),
-            hedges: self.telemetry.hedges.get(),
-            hedges_won: self.telemetry.hedges_won.get(),
-            hedges_lost: self.telemetry.hedges_lost.get(),
             per_shard: self
                 .shards
                 .iter()
@@ -1306,87 +976,6 @@ impl ShardRouter {
 mod tests {
     use super::*;
 
-    /// A router with no connections — enough structure to exercise the
-    /// pure threshold math without a live fleet.
-    fn bare_router(config: ShardConfig) -> ShardRouter {
-        ShardRouter {
-            config,
-            shards: Vec::new(),
-            ring: HashRing::new(config.replicas),
-            pending: HashMap::new(),
-            registry: Vec::new(),
-            latencies: Vec::new(),
-            latency_cursor: 0,
-            next_id: 0,
-            telemetry: RouterTelemetry::new(),
-        }
-    }
-
-    #[test]
-    fn hedge_threshold_falls_back_to_the_floor_on_a_cold_window() {
-        // Boundary 1: an empty latency window. The threshold must be
-        // the floor — not `None` (hedging would never activate on a
-        // cold router) and not zero (every job would hedge).
-        let config = ShardConfig::default();
-        let floor = config.hedge_floor;
-        let router = bare_router(config);
-        assert!(router.latencies.is_empty());
-        assert_eq!(router.hedge_threshold(), floor);
-        assert!(router.hedge_threshold() > Duration::ZERO);
-    }
-
-    #[test]
-    fn hedge_threshold_falls_back_to_the_floor_below_min_samples() {
-        // Boundary 2: a warming window, one short of `hedge_min_samples`
-        // — still the floor, untouched by the (tiny) samples, then the
-        // quantile path takes over on the very next delivery.
-        let config = ShardConfig {
-            hedge_min_samples: 4,
-            hedge_multiplier: 2.0,
-            hedge_quantile: 1.0,
-            ..ShardConfig::default()
-        };
-        let floor = config.hedge_floor;
-        let mut router = bare_router(config);
-        for _ in 0..3 {
-            router.latencies.push(Duration::from_micros(5));
-            assert_eq!(router.hedge_threshold(), floor);
-        }
-        router.latencies.push(Duration::from_secs(1));
-        assert_eq!(router.hedge_threshold(), Duration::from_secs(2));
-    }
-
-    #[test]
-    fn hedge_threshold_survives_degenerate_quantiles() {
-        // Boundary 3: `hedge_quantile` 0.0 and 1.0 (and beyond) over a
-        // full window. 0.0 selects the fastest sample — which over a
-        // microsecond-fast fleet must still be floored, not turned into
-        // a hedge storm; 1.0 selects the slowest sample without
-        // indexing out of bounds; out-of-range values clamp.
-        let config = ShardConfig {
-            hedge_min_samples: 4,
-            hedge_multiplier: 2.0,
-            hedge_floor: Duration::from_millis(10),
-            ..ShardConfig::default()
-        };
-        let mut router = bare_router(config);
-        router.latencies = vec![
-            Duration::from_micros(1),
-            Duration::from_millis(3),
-            Duration::from_millis(40),
-            Duration::from_millis(100),
-        ];
-        router.config.hedge_quantile = 0.0;
-        // 1 µs × 2 would be a 2 µs threshold — a hedge storm. Floored.
-        assert_eq!(router.hedge_threshold(), Duration::from_millis(10));
-        router.config.hedge_quantile = 1.0;
-        assert_eq!(router.hedge_threshold(), Duration::from_millis(200));
-        router.config.hedge_quantile = 7.5;
-        assert_eq!(router.hedge_threshold(), Duration::from_millis(200));
-        router.config.hedge_quantile = -1.0;
-        assert_eq!(router.hedge_threshold(), Duration::from_millis(10));
-    }
-
     #[test]
     fn ring_is_deterministic_and_covers_all_live_shards() {
         let mut ring = HashRing::new(64);
@@ -1432,30 +1021,6 @@ mod tests {
     }
 
     #[test]
-    fn excluding_owner_matches_removal_without_mutating() {
-        let mut ring = HashRing::new(64);
-        for s in 0..3 {
-            ring.add(s);
-        }
-        // The hedge target for a key is exactly where the key would go
-        // if its owner were removed.
-        for k in 0..200u64 {
-            let owner = ring.shard_for(k).unwrap();
-            let hedge = ring.shard_for_excluding(k, owner).unwrap();
-            assert_ne!(hedge, owner);
-            let mut without = ring.clone();
-            without.remove(owner);
-            assert_eq!(without.shard_for(k), Some(hedge), "key {k}");
-        }
-        // Excluding a non-owner changes nothing.
-        for k in 0..50u64 {
-            let owner = ring.shard_for(k).unwrap();
-            let other = (0..3).find(|&s| s != owner).unwrap();
-            assert_eq!(ring.shard_for_excluding(k, other), Some(owner));
-        }
-    }
-
-    #[test]
     fn empty_and_single_shard_rings() {
         let mut ring = HashRing::new(8);
         assert!(ring.is_empty());
@@ -1465,8 +1030,6 @@ mod tests {
         for k in 0..32 {
             assert_eq!(ring.shard_for(k), Some(5));
         }
-        // The only shard excluded: nowhere to hedge.
-        assert_eq!(ring.shard_for_excluding(7, 5), None);
         ring.remove(5);
         assert_eq!(ring.shard_for(7), None);
     }

@@ -14,8 +14,8 @@ use rteaal_designs::Workload;
 use rteaal_kernels::{KernelConfig, KernelKind};
 use rteaal_sched::Job;
 use rteaal_serve::{
-    ChaosPlan, ChaosShard, RouterError, ServeConfig, ServerPool, ShardConfig, ShardRouter,
-    SocketServer,
+    ChaosPlan, ChaosShard, RouterError, ServeConfig, ServerPool, ShardConfig, ShardPhase,
+    ShardRouter, SocketServer,
 };
 use std::collections::{HashMap, HashSet};
 use std::net::SocketAddr;
@@ -184,20 +184,26 @@ proptest! {
         prop_assert!(doomed.is_killed());
         prop_assert!(stats.shard_deaths >= 1, "the doomed shard must register as dead");
         prop_assert!(
-            stats.per_shard.iter().any(|s| !s.alive),
+            stats.per_shard.iter().any(|s| s.phase != ShardPhase::Live),
             "{:?}", stats.per_shard
         );
 
         // The stats structs are views over the metrics registry: the
         // registry snapshot must agree counter for counter.
         let snap = router.metrics().snapshot();
-        let fleet = router.fleet_stats();
+        let fleet = router.stats();
         prop_assert_eq!(snap.counter("router.submitted"), fleet.submitted);
         prop_assert_eq!(snap.counter("router.delivered"), fleet.delivered);
         prop_assert_eq!(snap.counter("router.resubmitted"), fleet.resubmitted);
         prop_assert_eq!(snap.counter("router.shard_deaths"), fleet.shard_deaths);
         prop_assert_eq!(snap.counter("router.rejoins"), fleet.rejoins);
-        prop_assert_eq!(snap.counter("router.hedges"), fleet.hedges);
+        // With no job lost, every placement is a first dispatch or a
+        // resubmission.
+        prop_assert_eq!(
+            fleet.per_shard.iter().map(|s| s.dispatched).sum::<u64>(),
+            fleet.submitted + fleet.resubmitted,
+            "{:?}", fleet
+        );
         prop_assert_eq!(
             snap.histogram("router.delivery_latency_us")
                 .map_or(0, |h| h.hist.count),

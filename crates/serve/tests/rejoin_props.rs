@@ -24,7 +24,7 @@ use rteaal_kernels::{KernelConfig, KernelKind};
 use rteaal_sched::Job;
 use rteaal_serve::{
     ChaosPlan, ChaosShard, HashRing, Routed, ServeConfig, ServerPool, ShardConfig, ShardPhase,
-    ShardRouter, SocketServer,
+    ShardRouter, SocketServer, RING_POINTS,
 };
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -112,10 +112,6 @@ proptest! {
         let addrs = vec![spawn_server(), spawn_server(), chaos.addr()];
         let config = ShardConfig {
             read_timeout: Duration::from_secs(20),
-            // Hedging off: every `Routed.shard` is then exactly the
-            // ring placement, which is what the movement property
-            // inspects.
-            hedge: false,
             // Probe fast so the rejoin happens within the test.
             backoff_base: Duration::from_millis(2),
             backoff_cap: Duration::from_millis(25),
@@ -125,8 +121,8 @@ proptest! {
 
         // Client-side oracles: the same deterministic ring math the
         // router uses, with and without shard 2.
-        let mut full_ring = HashRing::new(config.replicas);
-        let mut degraded_ring = HashRing::new(config.replicas);
+        let mut full_ring = HashRing::new(RING_POINTS);
+        let mut degraded_ring = HashRing::new(RING_POINTS);
         for s in 0..3 {
             full_ring.add(s);
         }
@@ -186,7 +182,7 @@ proptest! {
                 prop_assert_ne!(routed.shard, 2, "key routed to a dead shard");
             }
         }
-        let mid = router.fleet_stats();
+        let mid = router.stats();
         prop_assert!(mid.shard_deaths >= 1, "the outage must register");
         prop_assert!(
             matches!(mid.per_shard[2].phase, ShardPhase::Open { .. } | ShardPhase::Dead { .. }),
@@ -200,7 +196,7 @@ proptest! {
         chaos.retarget(spawn_server());
         chaos.revive();
         let deadline = Instant::now() + Duration::from_secs(30);
-        while router.fleet_stats().rejoins < 1 {
+        while router.stats().rejoins < 1 {
             prop_assert!(Instant::now() < deadline, "shard 2 never rejoined");
             router.poll_once().expect("idle pump");
             std::thread::sleep(Duration::from_millis(2));
@@ -250,7 +246,7 @@ proptest! {
             }
         }
 
-        let end = router.fleet_stats();
+        let end = router.stats();
         prop_assert_eq!(end.delivered, (3 * wave + extra) as u64);
         prop_assert!(end.rejoins >= 1);
         prop_assert_eq!(end.per_shard[2].phase, ShardPhase::Live);

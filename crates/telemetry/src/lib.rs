@@ -3,7 +3,7 @@
 //! One [`MetricsRegistry`] per process collects three kinds of
 //! instruments plus a per-job event timeline:
 //!
-//! * [`Counter`] — monotone atomic `u64` (jobs submitted, hedges fired).
+//! * [`Counter`] — monotone atomic `u64` (jobs submitted, shards rejoined).
 //! * [`Gauge`] — signed atomic level (queue depth, worker occupancy).
 //! * [`Histogram`] — log2-bucketed latency distribution with the same
 //!   nearest-rank quantile definition the open-loop benchmark uses.

@@ -1,5 +1,6 @@
 //! Shape checks for the paper's evaluation claims, run at a reduced
-//! scale: these are the assertions behind EXPERIMENTS.md. Each test
+//! scale: these are the assertions behind README's "Benchmarks and
+//! paper experiments" section. Each test
 //! encodes the *qualitative* result of a table or figure — who wins, in
 //! which direction a trend moves — using the same code paths as the
 //! `tables` binary.
