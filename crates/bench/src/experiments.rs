@@ -1010,9 +1010,9 @@ impl FleetFixture {
 /// one shard behind a kill/revive proxy and the other behind a delay
 /// proxy. Each row carries the leg's p50 and p99 latency, from each
 /// arrival's scheduled time to its delivery. Then the healthy fleet's
-/// story is read back *through the wire*, per shard: the `timeline` verb for every job it ran, the
-/// `metrics` verb (registry snapshot + Prometheus text) and the `stats`
-/// verb.
+/// story is read back *through the wire*, per shard: the `timeline`
+/// verb for every job it ran, the `metrics` verb (registry snapshot +
+/// Prometheus text) and the `stats` verb.
 ///
 /// Gates: in every leg each arrival is delivered exactly once and
 /// bit-identical to a scalar `Simulation` run, and the per-shard
@@ -1020,11 +1020,10 @@ impl FleetFixture {
 /// nobody dies, consistent hashing spreads the corpus. Process kill:
 /// exactly one death, and the lost jobs are resubmitted. Kill/revive: a
 /// death and a probe-driven rejoin (replaying the fan-out-registered
-/// design). Read-back: every timeline
-/// has all six stages in order with monotonic timestamps, the fleet's
-/// `sched.completed` counters sum to the delivered count, the
-/// exposition carries the scheduler counters, and the drained queues
-/// are empty.
+/// design). Read-back: every timeline has all six stages in order with
+/// monotonic timestamps, the fleet's `sched.completed` counters sum to
+/// the delivered count, the exposition carries the scheduler counters,
+/// and the drained queues are empty.
 pub fn elastic_fleet(ctx: &Ctx) -> Vec<String> {
     use rteaal_serve::ServeClient;
     use rteaal_telemetry::ALL_STAGES;

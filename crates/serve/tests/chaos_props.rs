@@ -188,7 +188,7 @@ proptest! {
             "{:?}", stats.per_shard
         );
 
-        // The stats structs are views over the metrics registry: the
+        // The stats struct is a view over the metrics registry: the
         // registry snapshot must agree counter for counter.
         let snap = router.metrics().snapshot();
         let fleet = router.stats();
