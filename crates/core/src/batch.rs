@@ -162,10 +162,12 @@ impl BatchSimulation {
         lanes: usize,
         layout: impl FnOnce(&SimPlan) -> LaneLayout,
     ) -> Self {
-        // Cloned *before* the kernel is compiled, on purpose: the clone soaks
-        // up the compile pipeline's free chunks, so the kernel's op tables —
-        // streamed every cycle — land contiguous (−10 % on the chip otherwise).
-        let plan = compiled.plan.clone();
+        // The engine's own copy, its rows numbered in emission order so the
+        // one-thread walk is depth-first. Built *before* the kernel is
+        // compiled, on purpose: the copy soaks up the compile pipeline's free
+        // chunks, so the kernel's op tables — streamed every cycle — land
+        // contiguous (−10 % on the chip otherwise).
+        let plan = compiled.plan.in_emission_order();
         let layout = layout(&plan);
         let config = compiled.kernel.config();
         let kernel = BatchKernel::compile_in(&plan, config, BatchEngine::Compiled, &layout);
@@ -590,7 +592,10 @@ impl BatchSimulation {
         self.signals.input(name)
     }
 
-    /// The plan (OIM content) this simulation executes.
+    /// The plan (OIM content) this simulation executes:
+    /// [`Compiled::plan`] [in emission order](SimPlan::in_emission_order).
+    /// Its slots differ from `Compiled::plan`'s, its names do not — every
+    /// name this simulation takes resolves through it.
     pub fn plan(&self) -> &SimPlan {
         &self.plan
     }

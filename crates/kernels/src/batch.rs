@@ -12,18 +12,20 @@
 //! bit-identical to the sequential one — the safety and determinism
 //! argument is exactly the paper's §4.2 levelization invariant.
 //!
-//! Every kernel lowers at compile time to a flat list of `Phase`s —
-//! barrier-delimited runs of independent instructions — that **one**
-//! cycle loop executes: `stimulus → [settled? clock only] → walk phases
-//! → commit`. A classic kernel has one phase per layer, over the
-//! flattened `(partition, op)` range of [`CompiledLayer`] slices (each
-//! operation pre-lowered by `rteaal_dfg::lane_kernel` into an
-//! autovectorizable lane kernel); a specialized kernel adds a boundary
-//! move phase before the bodies of each layer that bit-packs (see
-//! `rteaal_dfg::specialize`). Serial is the
-//! `threads = 1` case of that loop (no barrier, no thread scope),
-//! unpartitioned the `P = 1` case. The interpreted
-//! [`OpInst::eval_lanes`] dispatch is retained behind
+//! One **cycle loop** runs every kernel: `stimulus → [settled? clock
+//! only] → walk → commit`. Each partition's operations are stored once,
+//! pre-lowered by `rteaal_dfg::lane_kernel` into autovectorizable lane
+//! kernels, in walk order. The one-thread walk (`threads = 1`: no
+//! barrier, no thread scope) runs each partition's ops front to back
+//! with no indirection. The layer-barriered walks — worker threads, and
+//! the per-layer attribution of [`BatchKernel::step_profiled`] — follow a
+//! flat list of `Phase`s instead: barrier-delimited runs of independent
+//! instructions, one per layer over the flattened `(partition, op)`
+//! range, each reaching its layer's ops through an index list. A
+//! specialized kernel walks its own phases on one thread too, adding a
+//! boundary move phase before the bodies of each layer that bit-packs
+//! (see `rteaal_dfg::specialize`). Unpartitioned is the `P = 1` case. The
+//! interpreted [`OpInst::eval_lanes`] dispatch is retained behind
 //! [`BatchEngine::Interpreted`] as the differential-testing golden
 //! model. Every walk evaluates only the *active* lane window of
 //! [`BatchLiState`], which lane-liveness early exit (driven by
@@ -37,10 +39,18 @@
 //! [`BatchKernel::run_with_stimulus`] call and live for the whole span of
 //! cycles, so the per-cycle cost is the barriers, not thread creation.
 //!
-//! Every kernel kind walks plan order: the lane walk dispatches per op,
-//! not per `(layer, type)` group, so the swizzle of Algorithm 4 buys it
-//! nothing, and plan order is the order `plan()` numbered the output rows
-//! in — a layer's results are written front to back.
+//! Walk order is ascending output slot, which is a row order: each op's
+//! result row is written in the order the rows are numbered. For every
+//! plan `plan()` builds that is plan order, layer after layer. For a
+//! plan [in emission order](rteaal_dfg::SimPlan::in_emission_order) —
+//! the copy `rteaal_core::BatchSimulation` runs — it is depth-first: an
+//! op runs right after the ops it reads, while their rows are still in
+//! cache. Where ascending output slot is not a topological order (a plan
+//! [renamed](rteaal_dfg::SimPlan::renamed) against the data flow), the
+//! walk keeps plan order. Every
+//! kernel kind walks the same way: the lane walk dispatches per op, not
+//! per `(layer, type)` group, so the swizzle of Algorithm 4 buys it
+//! nothing.
 
 use crate::config::{KernelConfig, KernelKind};
 use crate::parallel::{chunk, schedule, Segment, SpinBarrier};
@@ -48,11 +58,11 @@ use crate::profile::{oim_addr, MemProbe, OimArray, Probe, CODE_BASE, HANDLER_BYT
 use crate::rolled::exec_cost;
 use rteaal_dfg::batch::init_lanes;
 use rteaal_dfg::lane_kernel::{
-    compile_layer, BatchEngine, CompiledLayer, Lane, LaneLayout, LaneType, LaneWindow,
+    compile_layer, BatchEngine, CompiledOp, Lane, LaneLayout, LaneType, LaneWindow,
 };
 use rteaal_dfg::op::canonicalize;
 use rteaal_dfg::partition::{PartitionedPlan, RumEntry};
-use rteaal_dfg::plan::split_commits;
+use rteaal_dfg::plan::{ascends_topologically, split_commits};
 use rteaal_dfg::specialize::{SpecProgram, SpecializedPlan};
 use rteaal_dfg::{OpInst, SimPlan};
 use rteaal_perfmodel::cache::MemSim;
@@ -537,6 +547,20 @@ struct Walk {
 // `BatchKernel::eval_phase`); the pointers themselves are plain data.
 unsafe impl Send for Walk {}
 
+/// Ends a threaded run when dropped: publishes `done` and crosses the
+/// opening barrier once, which lets the parked workers leave their loop.
+struct EndOfRun<'a> {
+    barrier: &'a SpinBarrier,
+    done: &'a AtomicBool,
+}
+
+impl Drop for EndOfRun<'_> {
+    fn drop(&mut self) {
+        self.done.store(true, Ordering::Relaxed);
+        self.barrier.wait();
+    }
+}
+
 /// Lane-wise register commit over the active window (the final
 /// `LI_{i+1}` Einsum of Cascade 1): per replica, staged sources first,
 /// direct alias-free copies, then the staged writes — each partition
@@ -661,36 +685,98 @@ pub struct LayerSample {
     pub stores: u64,
 }
 
-/// The batched, layer-parallel kernel: a layer-structured op program
-/// (one schedule per partition), its kernel-compiled form, and the flat
-/// phase list the cycle loop walks.
+/// One partition's op program: its operations stored once, in the order
+/// the one-thread walk runs them, and the per-layer index list through
+/// which the layer-barriered walks reach them.
+#[derive(Debug, Clone)]
+struct Program {
+    /// The operations in walk order: ascending output slot where that is
+    /// a topological order ([`ascends_topologically`]), else plan order.
+    /// For a plan `plan()` built the two are the same. The interpreted
+    /// form, also what the profiled walk models.
+    ops: Vec<OpInst>,
+    /// `ops` kernel-compiled, in the same order (compiled per-op kernels
+    /// only: a specialized kernel walks its `SpecProgram`).
+    compiled: Vec<CompiledOp>,
+    /// Positions in `ops` of every layer's operations, layer after layer
+    /// and in plan order within a layer.
+    by_layer: Vec<u32>,
+    /// Where each layer starts in `by_layer` (`layers + 1` entries; the
+    /// layers past this partition's last are empty).
+    layer_at: Vec<usize>,
+}
+
+impl Program {
+    /// Copies a partition's layers (padded to `num_layers`) into walk
+    /// order, compiling the ops for the rows of `layout` when `compile`.
+    fn new(layers: &[Vec<OpInst>], num_layers: usize, layout: &LaneLayout, compile: bool) -> Self {
+        let plan_order: Vec<&OpInst> = layers.iter().flatten().collect();
+        let mut layer_at = Vec::with_capacity(num_layers + 1);
+        layer_at.push(0);
+        for layer in layers {
+            layer_at.push(layer_at[layer_at.len() - 1] + layer.len());
+        }
+        layer_at.resize(num_layers + 1, plan_order.len());
+        let num_slots = layout.slot_types().len();
+        let walk: Vec<u32> = if ascends_topologically(plan_order.iter().copied(), num_slots) {
+            // Every op owns its output slot: ascending is one bucket pass.
+            let mut by_slot = vec![u32::MAX; num_slots];
+            for (k, op) in plan_order.iter().enumerate() {
+                by_slot[op.out as usize] = k as u32;
+            }
+            by_slot.into_iter().filter(|&k| k != u32::MAX).collect()
+        } else {
+            (0..plan_order.len() as u32).collect()
+        };
+        let mut by_layer = vec![0; walk.len()];
+        for (at, &k) in walk.iter().enumerate() {
+            by_layer[k as usize] = at as u32;
+        }
+        let ops: Vec<OpInst> = (walk.iter())
+            .map(|&k| plan_order[k as usize].clone())
+            .collect();
+        let compiled = if compile {
+            compile_layer(&ops, layout)
+        } else {
+            Vec::new()
+        };
+        Program {
+            ops,
+            compiled,
+            by_layer,
+            layer_at,
+        }
+    }
+
+    /// Positions in `ops` of layer `i`'s operations, in plan order.
+    fn layer(&self, i: usize) -> &[u32] {
+        &self.by_layer[self.layer_at[i]..self.layer_at[i + 1]]
+    }
+}
+
+/// The batched, layer-parallel kernel: one op program per partition,
+/// its kernel-compiled form, and the flat phase list the layer-barriered
+/// walks follow.
 ///
 /// Unpartitioned kernels are the one-partition special case. Partitioned
-/// kernels ([`BatchKernel::compile_partitioned`]) hold one op schedule
-/// per RepCut partition over the same layer grid; a layer's phase
-/// flattens its (partition, op) pairs into one work range so worker
-/// threads own (partition, op-chunk) tiles, and the layer barrier
-/// argument carries over unchanged: output rows are unique within a
-/// partition's layer and live in distinct replicas across partitions.
+/// kernels ([`BatchKernel::compile_partitioned`]) hold one op program
+/// per RepCut partition over the same layer grid. The one-thread walk
+/// runs each partition's program front to back in its own replica. A
+/// layer's phase flattens its (partition, op) pairs into one work range
+/// so worker threads own (partition, op-chunk) tiles, and the layer
+/// barrier argument carries over unchanged: output rows are unique
+/// within a partition's layer and live in distinct replicas across
+/// partitions.
 #[derive(Debug, Clone)]
 pub struct BatchKernel {
     config: KernelConfig,
     engine: BatchEngine,
-    /// Operations per partition per layer (`layers[p][i]`), in execution
-    /// order (the interpreted form, also what the profiled walk models).
-    layers: Vec<Vec<Vec<OpInst>>>,
-    /// Kernel-compiled layers, same shape (compiled per-op kernels only:
-    /// a specialized kernel walks `spec` instead).
-    compiled: Vec<Vec<CompiledLayer>>,
-    /// Per layer (equal count across partitions; short ones padded),
-    /// prefix sums of per-partition op counts (`parts + 1` entries, the
-    /// last being the layer's total) — maps a flattened work range back
-    /// to per-partition slices.
-    offsets: Vec<Vec<usize>>,
+    /// One program per partition.
+    programs: Vec<Program>,
     /// Bit-packing program of a specialized kernel
     /// ([`BatchKernel::compile_specialized`]).
     spec: Option<SpecProgram>,
-    /// What a cycle walks, in order.
+    /// What a layer-barriered cycle walks, in order.
     phases: Vec<Phase>,
     /// The lane type of the rows every table above was compiled for; a
     /// walk checks it against the state's before touching a row.
@@ -703,7 +789,7 @@ pub struct BatchKernel {
 impl BatchKernel {
     /// Compiles a plan into a batched kernel under a configuration,
     /// lowering every operation into a specialized lane kernel over rows
-    /// of the plan's lane type ([`LaneType::of`]), in plan order.
+    /// of the plan's lane type ([`LaneType::of`]), in walk order.
     pub fn compile(plan: &SimPlan, config: KernelConfig) -> Self {
         Self::compile_with_engine(plan, config, BatchEngine::Compiled)
     }
@@ -726,7 +812,7 @@ impl BatchKernel {
         engine: BatchEngine,
         layout: &LaneLayout,
     ) -> Self {
-        Self::from_layers(config, engine, vec![plan.layers.clone()], None, layout)
+        Self::from_layers(config, engine, &[&plan.layers], None, layout)
     }
 
     /// Compiles a RepCut decomposition into a partitioned kernel: one op
@@ -734,37 +820,23 @@ impl BatchKernel {
     /// state of [`BatchLiState::new_partitioned`] over the same
     /// decomposition.
     pub fn compile_partitioned(pp: &PartitionedPlan, config: KernelConfig) -> Self {
-        let layers = pp.partitions.iter().map(|s| s.layers.clone()).collect();
-        Self::from_layers(config, BatchEngine::Compiled, layers, None, &pp.lanes)
+        let layers: Vec<&[Vec<OpInst>]> = pp.partitions.iter().map(|s| &s.layers[..]).collect();
+        Self::from_layers(config, BatchEngine::Compiled, &layers, None, &pp.lanes)
     }
 
     fn from_layers(
         config: KernelConfig,
         engine: BatchEngine,
-        mut part_layers: Vec<Vec<Vec<OpInst>>>,
+        part_layers: &[&[Vec<OpInst>]],
         spec: Option<SpecProgram>,
         layout: &LaneLayout,
     ) -> Self {
-        let num_layers = part_layers.iter().map(Vec::len).max().unwrap_or(0);
-        for layers in &mut part_layers {
-            layers.resize_with(num_layers, Vec::new);
-        }
-        let offsets: Vec<Vec<usize>> = (0..num_layers)
-            .map(|i| {
-                let mut pref = vec![0];
-                for layers in &part_layers {
-                    pref.push(pref[pref.len() - 1] + layers[i].len());
-                }
-                pref
-            })
+        let num_layers = part_layers.iter().map(|l| l.len()).max().unwrap_or(0);
+        let compile = engine == BatchEngine::Compiled && spec.is_none();
+        let programs: Vec<Program> = (part_layers.iter())
+            .map(|layers| Program::new(layers, num_layers, layout, compile))
             .collect();
-        let compiled = match (engine, &spec) {
-            (BatchEngine::Compiled, None) => part_layers
-                .iter()
-                .map(|layers| layers.iter().map(|l| compile_layer(l, layout)).collect())
-                .collect(),
-            _ => Vec::new(),
-        };
+        let layer_len = |i: usize| programs.iter().map(|p| p.layer(i).len()).sum();
         let phase = |layer, moves, len| Phase { layer, moves, len };
         let phases = match &spec {
             // A layer without boundary moves gets no move phase, so a
@@ -779,15 +851,13 @@ impl BatchKernel {
                 .filter(|ph| !ph.moves || ph.len > 0)
                 .collect(),
             None => (0..num_layers)
-                .map(|i| phase(i, false, offsets[i][offsets[i].len() - 1]))
+                .map(|i| phase(i, false, layer_len(i)))
                 .collect(),
         };
         BatchKernel {
             config,
             engine,
-            layers: part_layers,
-            compiled,
-            offsets,
+            programs,
             spec,
             phases,
             lane: layout.lane_type(),
@@ -811,8 +881,13 @@ impl BatchKernel {
     pub fn compile_specialized(sp: &SpecializedPlan, config: KernelConfig, pack: bool) -> Self {
         let layout = LaneLayout::of(&sp.plan);
         let spec = Some(SpecProgram::build_in(&sp.plan, pack, &layout));
-        let layers = vec![sp.plan.layers.clone()];
-        Self::from_layers(config, BatchEngine::Compiled, layers, spec, &layout)
+        Self::from_layers(
+            config,
+            BatchEngine::Compiled,
+            &[&sp.plan.layers],
+            spec,
+            &layout,
+        )
     }
 
     /// The configuration this kernel was compiled under.
@@ -839,22 +914,77 @@ impl BatchKernel {
     /// Number of partitions this kernel was compiled for (1 =
     /// unpartitioned).
     pub fn partitions(&self) -> usize {
-        self.layers.len()
+        self.programs.len()
     }
 
     /// Total operations per simulated cycle (per lane), across all
     /// partitions — for a partitioned kernel this includes the
     /// replicated fan-in cones.
     pub fn ops_per_cycle(&self) -> usize {
-        self.offsets
-            .iter()
-            .map(|pref| pref[self.layers.len()])
-            .sum()
+        self.programs.iter().map(|p| p.ops.len()).sum()
+    }
+
+    /// The one-thread walk of a cycle: each partition's program front to
+    /// back in its own replica, straight through the compiled ops — no
+    /// phase, barrier or index list. A specialized kernel walks its
+    /// phases in order.
+    ///
+    /// # Safety
+    ///
+    /// As `CompiledOp::eval_lanes_ptr` for every op: `cx` must describe
+    /// the state this kernel is paired with, and nothing else may touch
+    /// it during the call.
+    unsafe fn walk_serial(&self, cx: &Walk, buf: &mut Vec<u64>) {
+        // SAFETY: each arm forwards the caller contract unchanged, with
+        // the matrix pointer in the element type it was captured in.
+        unsafe {
+            match cx.li {
+                RowsPtr::Narrow(li) => self.walk_serial_in(li, cx, buf),
+                RowsPtr::Wide(li) => self.walk_serial_in(li, cx, buf),
+            }
+        }
+    }
+
+    /// [`Self::walk_serial`] over rows of `T`.
+    ///
+    /// # Safety
+    ///
+    /// As [`Self::walk_serial`]; `li` is `cx`'s matrix, and `T` the
+    /// element of this kernel's lane type.
+    unsafe fn walk_serial_in<T: Lane>(&self, li: *mut T, cx: &Walk, buf: &mut Vec<u64>) {
+        if self.spec.is_some() {
+            for (k, phase) in self.phases.iter().enumerate() {
+                // SAFETY: program order seals every earlier phase.
+                unsafe { self.eval_phase_in(k, li, cx, 0..phase.len, buf) };
+            }
+            return;
+        }
+        for (p, program) in self.programs.iter().enumerate() {
+            // SAFETY: replica `p` lies within the state's matrix; walk
+            // order evaluates every op after the ops it reads, and one
+            // thread owns every row.
+            unsafe {
+                let base = li.add(p * cx.span);
+                match self.engine {
+                    BatchEngine::Compiled => {
+                        for op in &program.compiled {
+                            op.eval_lanes_ptr(base, cx.w);
+                        }
+                    }
+                    BatchEngine::Interpreted => {
+                        for op in &program.ops {
+                            op.eval_lanes_ptr(base, cx.w, &self.signed, buf);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// Evaluates instructions `r` of phase `k`. A layer phase's range
-    /// indexes its flattened (partition, op) pairs, intersected per
-    /// partition via the prefix sums: a (partition, op-range) tile set.
+    /// indexes its flattened (partition, op) pairs, intersected with each
+    /// partition's share of the layer and reached through its index
+    /// list: a (partition, op-range) tile set.
     ///
     /// # Safety
     ///
@@ -899,26 +1029,29 @@ impl BatchKernel {
                 (Some(prog), true) => prog.eval_phase_a(i, li, cx.w, cx.bits, r),
                 (Some(prog), false) => prog.eval_phase_b(i, li, cx.w, cx.bits, r),
                 (None, _) => {
-                    let pref = &self.offsets[i];
-                    for p in 0..self.layers.len() {
-                        let (a, b) = (pref[p].max(r.start), pref[p + 1].min(r.end));
-                        if a >= b {
-                            continue;
-                        }
-                        let (la, lb) = (a - pref[p], b - pref[p]);
-                        let base = li.add(p * cx.span);
-                        match self.engine {
-                            BatchEngine::Compiled => {
-                                for op in &self.compiled[p][i][la..lb] {
-                                    op.eval_lanes_ptr(base, cx.w);
+                    // Flattened index of partition `p`'s first op of the layer.
+                    let mut first = 0;
+                    for (p, program) in self.programs.iter().enumerate() {
+                        let layer = program.layer(i);
+                        let (a, b) = (r.start.max(first), r.end.min(first + layer.len()));
+                        if a < b {
+                            let tile = &layer[a - first..b - first];
+                            let base = li.add(p * cx.span);
+                            match self.engine {
+                                BatchEngine::Compiled => {
+                                    for &k in tile {
+                                        program.compiled[k as usize].eval_lanes_ptr(base, cx.w);
+                                    }
+                                }
+                                BatchEngine::Interpreted => {
+                                    for &k in tile {
+                                        let op = &program.ops[k as usize];
+                                        op.eval_lanes_ptr(base, cx.w, &self.signed, buf);
+                                    }
                                 }
                             }
-                            BatchEngine::Interpreted => {
-                                for op in &self.layers[p][i][la..lb] {
-                                    op.eval_lanes_ptr(base, cx.w, &self.signed, buf);
-                                }
-                            }
                         }
+                        first += layer.len();
                     }
                 }
             }
@@ -928,8 +1061,8 @@ impl BatchKernel {
     /// Walks one cycle's phases as `worker` of `threads`: its chunk of
     /// each `Parallel` phase, all of each `Serial` run if it is worker 0,
     /// every segment ending at `barrier` (absent on a one-worker walk,
-    /// where program order seals the phases). `after_layer(i)` fires once
-    /// this worker has evaluated the last phase of layer `i`.
+    /// where program order seals the phases). `after_layer(i)`, if given,
+    /// fires once this worker has evaluated the last phase of layer `i`.
     ///
     /// # Safety
     ///
@@ -937,7 +1070,7 @@ impl BatchKernel {
     /// walk the same `segments` over the same `cx` and meet at the same
     /// `barrier`, and nothing else touches the state meanwhile.
     #[allow(clippy::too_many_arguments)]
-    unsafe fn walk(
+    unsafe fn walk<'h>(
         &self,
         cx: &Walk,
         segments: &[Segment],
@@ -945,15 +1078,15 @@ impl BatchKernel {
         threads: usize,
         barrier: Option<&SpinBarrier>,
         buf: &mut Vec<u64>,
-        mut after_layer: impl FnMut(usize),
+        mut after_layer: Option<&mut (dyn FnMut(usize) + 'h)>,
     ) {
         let mut eval = |k: usize, range: Range<usize>| {
             // SAFETY: ranges of one phase are disjoint across workers, and
             // the previous segment's barrier (or, within a serial run,
             // program order) sealed every earlier phase.
             unsafe { self.eval_phase(k, cx, range, buf) };
-            if !self.phases[k].moves {
-                after_layer(self.phases[k].layer);
+            if let Some(hook) = after_layer.as_mut().filter(|_| !self.phases[k].moves) {
+                hook(self.phases[k].layer);
             }
         };
         for segment in segments {
@@ -976,7 +1109,7 @@ impl BatchKernel {
     /// a walk shares.
     fn walk_context(&self, st: &mut BatchLiState) -> Walk {
         assert_eq!(
-            self.layers.len(),
+            self.programs.len(),
             st.parts,
             "kernel/state partition mismatch"
         );
@@ -1002,28 +1135,30 @@ impl BatchKernel {
     }
 
     /// The one cycle loop: `cycles` × `stimulus → [settled? clock only]
-    /// → walk phases → commit`, across `threads` workers. Worker 0 (the
-    /// caller) runs stimulus and commit in the single-threaded window
-    /// between walks and opens each walked cycle at the barrier the other
-    /// workers park at — a settled cycle costs them nothing. One thread
-    /// means no barrier and no thread scope.
+    /// → walk → commit`, across `threads` workers. One thread walks each
+    /// partition's program straight through ([`Self::walk_serial`]), with
+    /// no barrier and no thread scope, unless `after_layer` asks for the
+    /// layers one by one. More walk the phases layer by layer: worker 0
+    /// (the caller) runs stimulus and commit in the single-threaded
+    /// window between walks and opens each walked cycle at the barrier
+    /// the other workers park at — a settled cycle costs them nothing.
     fn cycles(
         &self,
         st: &mut BatchLiState,
         cycles: u64,
         threads: usize,
         mut stimulus: impl FnMut(u64, &mut LanePoker<'_>),
-        mut after_layer: impl FnMut(usize),
+        mut after_layer: Option<&mut dyn FnMut(usize)>,
     ) {
         let threads = threads.max(1);
         let cx = self.walk_context(st);
-        let whole = [Segment::Serial(0, self.phases.len())];
-        let split = if threads > 1 {
-            schedule(self.phases.iter().map(|ph| ph.len), st.lanes)
+        // The layer-barriered schedule, for the workers to split or the
+        // per-layer hook to follow; none for the one-thread walk.
+        let segments = if threads > 1 {
+            Some(schedule(self.phases.iter().map(|ph| ph.len), st.lanes))
         } else {
-            Vec::new()
+            (after_layer.is_some()).then(|| vec![Segment::Serial(0, self.phases.len())])
         };
-        let segments: &[Segment] = if threads > 1 { &split } else { &whole };
         // The end of the run, read by the other workers after the opening
         // barrier (which orders it).
         let done = AtomicBool::new(false);
@@ -1041,7 +1176,13 @@ impl BatchKernel {
                     // next opening barrier — the commit's
                     // single-threaded window.
                     let changed = unsafe {
-                        self.walk(&cx, segments, 0, threads, barrier, buf, &mut after_layer);
+                        match &segments {
+                            None => self.walk_serial(&cx, buf),
+                            Some(segments) => {
+                                let hook = after_layer.as_deref_mut();
+                                self.walk(&cx, segments, 0, threads, barrier, buf, hook);
+                            }
+                        }
                         rows!(&mut st.rows, m => {
                             let li = m.li.as_mut_ptr(); // materializes no reference
                             commit(li, cx.span, cx.w, &st.commits, &mut m.commit_buf, &st.rum)
@@ -1055,6 +1196,9 @@ impl BatchKernel {
         if threads == 1 {
             return lead(None);
         }
+        let segments = segments
+            .as_deref()
+            .expect("threads > 1 walk layer by layer");
         let barrier = SpinBarrier::new(threads);
         std::thread::scope(|scope| {
             for worker in 1..threads {
@@ -1075,15 +1219,22 @@ impl BatchKernel {
                                 threads,
                                 Some(barrier),
                                 &mut buf,
-                                |_| {},
+                                None,
                             )
                         };
                     }
                 });
             }
+            // Ends the run when `lead` returns, and when it unwinds: the
+            // only code of the caller's in the loop is the stimulus
+            // callback, which runs while the others are parked at the
+            // opening barrier — released here, so the scope can join them
+            // and the panic reaches the caller.
+            let _end = EndOfRun {
+                barrier: &barrier,
+                done: &done,
+            };
             lead(Some(&barrier));
-            done.store(true, Ordering::Relaxed);
-            barrier.wait();
         });
     }
 
@@ -1093,7 +1244,7 @@ impl BatchKernel {
     ///
     /// Panics if the state's partition count differs from the kernel's.
     pub fn step(&self, st: &mut BatchLiState) {
-        self.cycles(st, 1, 1, |_, _| {}, |_| {});
+        self.cycles(st, 1, 1, |_, _| {}, None);
     }
 
     /// One cycle with per-layer instrumentation: the real (bit-exact)
@@ -1131,16 +1282,16 @@ impl BatchKernel {
             LI_BASE + ((p * span + slot as usize * lanes + lane) * bytes) as u64
         };
         let mut probe = MemProbe::new(mem);
-        let mut samples = Vec::with_capacity(self.offsets.len());
+        let mut samples = Vec::with_capacity(self.phases.len());
         // OIM arrays are laid out in schedule order: the coordinate index
         // is global across layers (and partitions), as is the running
         // base into the flattened `R`-rank operand array.
         let mut op_index = 0usize;
         let mut r_index = 0usize;
-        let after_layer = |i: usize| {
+        let mut after_layer = |i: usize| {
             let before = probe.counters;
-            for p in 0..self.layers.len() {
-                for op in &self.layers[p][i] {
+            for (p, program) in self.programs.iter().enumerate() {
+                for op in program.layer(i).iter().map(|&k| &program.ops[k as usize]) {
                     probe.load(oim_addr(OimArray::NCoords, op_index, 2));
                     probe.load(oim_addr(OimArray::SCoords, op_index, 4));
                     probe.load(oim_addr(OimArray::Meta, op_index, 24));
@@ -1164,13 +1315,13 @@ impl BatchKernel {
             let after = probe.counters;
             samples.push(LayerSample {
                 layer: i,
-                ops: self.offsets[i][self.layers.len()],
+                ops: self.programs.iter().map(|p| p.layer(i).len()).sum(),
                 instructions: after.instructions - before.instructions,
                 loads: after.loads - before.loads,
                 stores: after.stores - before.stores,
             });
         };
-        self.cycles(st, 1, 1, |_, _| {}, after_layer);
+        self.cycles(st, 1, 1, |_, _| {}, Some(&mut after_layer));
         profile.instructions += probe.counters.instructions;
         profile.branches += probe.counters.branches;
         profile.branch_entropy = match self.config.kind {
@@ -1192,22 +1343,21 @@ impl BatchKernel {
     /// testbench is admitted, before spending a cycle on it.
     pub fn eval_comb(&self, st: &mut BatchLiState) {
         let cx = self.walk_context(st);
-        let whole = [Segment::Serial(0, self.phases.len())];
         // SAFETY: `cx` was just captured from this exclusively borrowed
-        // state, and a one-worker walk seals phases by program order.
-        unsafe { self.walk(&cx, &whole, 0, 1, None, &mut st.scratch, |_| {}) };
+        // state.
+        unsafe { self.walk_serial(&cx, &mut st.scratch) };
     }
 
     /// `cycles` cycles on the active lanes, single-threaded.
     pub fn run(&self, st: &mut BatchLiState, cycles: u64) {
-        self.cycles(st, cycles, 1, |_, _| {}, |_| {});
+        self.cycles(st, cycles, 1, |_, _| {}, None);
     }
 
     /// `cycles` cycles with the instructions of each phase split across
     /// `threads` workers (layer barrier preserved). Inputs keep whatever
     /// values they currently hold.
     pub fn run_parallel(&self, st: &mut BatchLiState, cycles: u64, threads: usize) {
-        self.cycles(st, cycles, threads, |_, _| {}, |_| {});
+        self.cycles(st, cycles, threads, |_, _| {}, None);
     }
 
     /// `cycles` cycles across `threads` workers, invoking `stimulus`
@@ -1220,7 +1370,7 @@ impl BatchKernel {
         threads: usize,
         stimulus: impl FnMut(u64, &mut LanePoker<'_>),
     ) {
-        self.cycles(st, cycles, threads, stimulus, |_| {});
+        self.cycles(st, cycles, threads, stimulus, None);
     }
 }
 
@@ -1373,7 +1523,7 @@ circuit Wide :
         // Every non-empty layer attributes nonzero work, and the per-op
         // coordinate stream plus per-lane body both show up: at least
         // one instruction per lane per op, plus the coordinate loads.
-        assert_eq!(samples.len(), kernel.offsets.len());
+        assert_eq!(samples.len(), kernel.phases.len());
         for s in &samples {
             assert!(s.ops > 0, "layer {} has ops", s.layer);
             assert!(
@@ -1702,22 +1852,100 @@ circuit Wide :
     }
 
     #[test]
-    fn every_kind_compiles_the_plans_layers_in_plan_order() {
-        // The walk writes output rows in the order `plan()` numbered them.
+    fn a_plans_one_thread_walk_visits_the_flattened_layers_in_order() {
+        // Ascending output slot is plan order for every plan `plan()`
+        // builds: the one-thread walk is the layers front to back, and
+        // each layer's index list is its stretch of the walk.
         for src in [DESIGN.to_string(), wide_design()] {
             let p = plan_of(&src);
             let pp = PartitionedPlan::new(&p, 3);
+            let in_order = |program: &Program, layers: &[Vec<OpInst>]| {
+                assert_eq!(program.ops, layers.concat());
+                let positions: Vec<u32> = (0..program.ops.len() as u32).collect();
+                assert_eq!(program.by_layer, positions);
+                for (i, layer) in layers.iter().enumerate() {
+                    assert_eq!(program.layer(i).len(), layer.len(), "layer {i}");
+                }
+            };
             for kind in ALL_KERNELS {
                 let flat = BatchKernel::compile(&p, KernelConfig::new(kind));
-                assert_eq!(flat.layers, std::slice::from_ref(&p.layers), "{kind:?}");
+                assert_eq!(flat.programs.len(), 1);
+                in_order(&flat.programs[0], &p.layers);
                 assert_eq!(flat.ops_per_cycle(), p.total_ops());
                 let parts = BatchKernel::compile_partitioned(&pp, KernelConfig::new(kind));
-                for (got, want) in parts.layers.iter().zip(&pp.partitions) {
-                    assert_eq!(got[..want.layers.len()], want.layers, "{kind:?}");
-                    assert!(got[want.layers.len()..].iter().all(Vec::is_empty));
+                for (program, want) in parts.programs.iter().zip(&pp.partitions) {
+                    in_order(program, &want.layers);
                 }
             }
         }
+    }
+
+    #[test]
+    fn the_walk_keeps_plan_order_only_where_ascending_slots_are_not_topological() {
+        // `plan_unelided` numbers each value's per-layer copies together:
+        // ascending output slot is not plan order there, but it is still
+        // topological, so the walk takes it. Numbered backwards, the
+        // core's op outputs are read before they are written in ascending
+        // order: the walk keeps plan order. Both are bit-exact.
+        let core = rteaal_designs::Workload::rv32i_sum_loop().circuit;
+        let graph = rteaal_dfg::build(&lower_typed(&core).unwrap()).unwrap();
+        let unelided = rteaal_dfg::plan::plan_unelided(&graph);
+        let p = plan(&graph);
+        let mut outs: Vec<u32> = p.layers.iter().flatten().map(|op| op.out).collect();
+        outs.sort_unstable();
+        let mut to: Vec<u32> = (0..p.num_slots as u32).collect();
+        for (&from, &into) in outs.iter().zip(outs.iter().rev()) {
+            to[from as usize] = into;
+        }
+        let backwards = p.renamed(&to);
+        for (p, ascends) in [(unelided, true), (backwards, false)] {
+            let flat: Vec<OpInst> = p.layers.concat();
+            assert_eq!(ascends_topologically(flat.iter(), p.num_slots), ascends);
+            let kernel = BatchKernel::compile(&p, KernelConfig::new(KernelKind::Psu));
+            let walk: Vec<u32> = kernel.programs[0].ops.iter().map(|op| op.out).collect();
+            let plan_order: Vec<u32> = flat.iter().map(|op| op.out).collect();
+            assert_eq!(walk.is_sorted(), ascends, "{}", p.name);
+            assert_eq!(walk == plan_order, !ascends, "{}", p.name);
+            const LANES: usize = 3;
+            let mut st = BatchLiState::new(&p, LANES);
+            let mut golden = BatchPlanSim::interpreted(&p, LANES);
+            for cycle in 0..60u64 {
+                for lane in 0..LANES {
+                    let reset = u64::from(cycle < lane as u64 + 2);
+                    st.set_input(0, lane, reset);
+                    golden.set_input(0, lane, reset);
+                }
+                kernel.step(&mut st);
+                golden.step();
+                for s in 0..p.num_slots as u32 {
+                    for lane in 0..LANES {
+                        let at = format!("{} slot {s} lane {lane} @ {cycle}", p.name);
+                        assert_eq!(st.slot(s, lane), golden.slot(s, lane), "{at}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_stimulus_panic_on_a_threaded_run_reaches_the_caller() {
+        // The panic unwinds out of the cycle loop while the other worker
+        // is parked at the opening barrier; the run must release it, or
+        // the thread scope waits on it forever.
+        let p = plan_of(&wide_design());
+        let kernel = BatchKernel::compile(&p, KernelConfig::new(KernelKind::Psu));
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut st = BatchLiState::new(&p, 8);
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                kernel.run_with_stimulus(&mut st, 10, 2, |cycle, _| {
+                    assert_ne!(cycle, 3, "stimulus fails at cycle 3");
+                });
+            }));
+            tx.send(run.is_err()).unwrap();
+        });
+        let reported = rx.recv_timeout(std::time::Duration::from_secs(10));
+        assert_eq!(reported, Ok(true), "the panic did not reach the caller");
     }
 
     #[test]

@@ -24,7 +24,11 @@
 //! `step` (the rest is the stimulus and the commit; the two are timed
 //! apart, so a few percent either way is noise) — in the plan's own lane
 //! type, and for a narrow plan also forced onto `u64` rows, which splits
-//! what the smaller plan buys from what the narrower rows buy.
+//! what the smaller plan buys from what the narrower rows buy. Last, the
+//! one-thread step over the plan and over the copy `BatchSimulation` runs
+//! (the plan in emission order, walked depth-first), timed in interleaved
+//! blocks on a live image, with the median distance in ops from a value's
+//! producer to its readers under each numbering.
 //!
 //! ```text
 //! cargo run --release --example op_census
@@ -491,7 +495,73 @@ fn census(
             100.0 * (step_ns - walk_ns) / step_ns
         );
     }
+    step_orders(plan, config, x15, warm, &mut drive);
     println!();
+}
+
+/// The one-thread step over `plan` and over the front door's copy of it
+/// in emission order, each warmed up `warm` cycles under `drive` to a
+/// live image and timed in interleaved blocks, and the median distance
+/// from a value's producer to its readers under each numbering.
+fn step_orders(
+    plan: &SimPlan,
+    config: KernelConfig,
+    x15: Option<u64>,
+    warm: u64,
+    drive: &mut dyn FnMut(u64, &mut LanePoker),
+) {
+    let renamed = plan.in_emission_order();
+    let mut runs: Vec<(&str, &SimPlan, BatchKernel, BatchLiState, f64)> =
+        [("plan order", plan), ("emission order", &renamed)]
+            .into_iter()
+            .map(|(what, p)| {
+                let kernel = BatchKernel::compile(p, config);
+                let mut st = BatchLiState::new(p, LANES);
+                if let Some(k) = x15 {
+                    let x15 = p.signal_slot("x15").expect("probed");
+                    (0..LANES).for_each(|lane| st.poke_slot(x15, lane, k));
+                }
+                kernel.run_with_stimulus(&mut st, warm, 1, &mut *drive);
+                (what, p, kernel, st, f64::INFINITY)
+            })
+            .collect();
+    for _ in 0..50 {
+        for (_, _, kernel, st, best) in &mut runs {
+            let ns = best_ns(2, || kernel.run_with_stimulus(st, 4, 1, &mut *drive)) / 4.0;
+            *best = best.min(ns);
+        }
+    }
+    let mut line = String::from("  one-thread step:");
+    for (what, p, _, st, ns) in &runs {
+        assert!(!st.settled(), "the timed steps ran on a live image");
+        line += &format!(
+            " {what} {:.1} us (median producer-to-reader distance {} ops);",
+            ns / 1e3,
+            median_distance(p)
+        );
+    }
+    println!("{}", line.trim_end_matches(';'));
+}
+
+/// The median, over every operand an op reads from another op, of how
+/// many ops apart the two run in the lane walk (ascending output slot).
+fn median_distance(plan: &SimPlan) -> usize {
+    let mut walk: Vec<&OpInst> = plan.layers.iter().flatten().collect();
+    walk.sort_unstable_by_key(|op| op.out);
+    let mut at = vec![None; plan.num_slots];
+    for (k, op) in walk.iter().enumerate() {
+        at[op.out as usize] = Some(k);
+    }
+    let mut distances: Vec<usize> = (walk.iter().enumerate())
+        .flat_map(|(k, op)| {
+            op.ins
+                .iter()
+                .filter_map(|&r| at[r as usize])
+                .map(move |j| k - j)
+        })
+        .collect();
+    distances.sort_unstable();
+    distances.get(distances.len() / 2).copied().unwrap_or(0)
 }
 
 fn main() {

@@ -582,6 +582,24 @@ fn every_engine_shape_is_bit_exact_on_rv32i_and_sha3() {
 }
 
 #[test]
+fn the_renamed_core_is_bit_exact_in_every_engine_shape() {
+    // The core as the front door runs it, in emission order: a layer's
+    // ops lie scattered over the walk, so the threaded walks reach them
+    // through their index lists — at 64 lanes the wider layers are split
+    // across both workers — and each partition's one-thread walk runs its
+    // replica depth-first.
+    let core = optimized_plan_of(&halting_rv32i().circuit).in_emission_order();
+    for (lanes, lane) in [(64, LaneType::Narrow), (4, LaneType::Wide)] {
+        let stim = Stim {
+            cycles: 120,
+            drive: &mut staggered_reset,
+            poke_state: &[(30, "x1", 1, 1000)],
+        };
+        assert_kernel_shapes_match_the_serial_walk(&core, lane, lanes, stim);
+    }
+}
+
+#[test]
 fn a_specialized_kernel_over_the_plain_plans_state_agrees_on_the_lane_type() {
     // The shape `benchmark/src/probes.rs` builds: the kernel from
     // `specialize(plan)`, the state from `plan`. Folding turns op outputs
