@@ -64,6 +64,8 @@
 //! one poison job can never wedge the queue behind it. The `rteaal-serve`
 //! crate puts this scheduler behind a thread pool and a socket front end.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 pub mod job;
 pub mod scheduler;
 

@@ -94,8 +94,8 @@ struct Running {
     admitted_at: u64,
 }
 
-/// Interned telemetry handles: looked up once at attach time so the
-/// scheduler's hot path pays one relaxed atomic op per update.
+/// Interned telemetry handles, looked up once at attach time. The
+/// counters are written from [`SchedStats`] once per drive call.
 #[derive(Debug)]
 struct SchedTelemetry {
     registry: Arc<MetricsRegistry>,
@@ -175,9 +175,9 @@ impl Scheduler {
     /// events (queued/admitted/halted) flow into the registry's event
     /// ring keyed by trace id, the queue-depth gauge
     /// (`sched.queue_depth.w{worker}`) tracks this worker's backlog, and
-    /// admit/complete/evict/reject counters plus the per-design
-    /// busy-cycle counter (`sched.busy_cycles.{design}`) mirror
-    /// [`SchedStats`] live.
+    /// each drive call adds its [`SchedStats`] delta to the
+    /// admit/complete/evict/reject counters and the per-design busy-cycle
+    /// counter (`sched.busy_cycles.{design}`).
     pub fn attach_telemetry(
         &mut self,
         registry: Arc<MetricsRegistry>,
@@ -333,7 +333,7 @@ impl Scheduler {
     /// idle or `cycles` — or, with `stop_at_event`, until the caller has
     /// something to do.
     fn drive(&mut self, cycles: u64, stop_at_event: bool) -> u64 {
-        let busy0 = self.stats.busy_lane_cycles;
+        let was = self.stats.clone();
         let results0 = self.results.len();
         let mut stepped = 0;
         loop {
@@ -378,7 +378,12 @@ impl Scheduler {
             self.harvest();
         }
         if let Some(t) = &self.telemetry {
-            t.busy_cycles.add(self.stats.busy_lane_cycles - busy0);
+            let s = &self.stats;
+            t.busy_cycles.add(s.busy_lane_cycles - was.busy_lane_cycles);
+            t.admitted.add((s.admitted - was.admitted) as u64);
+            t.completed.add((s.completed - was.completed) as u64);
+            t.evicted.add((s.evicted - was.evicted) as u64);
+            t.rejected.add((s.rejected - was.rejected) as u64);
         }
         self.debug_assert_accounting();
         stepped
@@ -452,7 +457,6 @@ impl Scheduler {
             admitted += 1;
             if let Some(t) = &self.telemetry {
                 t.queue_depth.sub(1);
-                t.admitted.inc();
                 t.registry.record_event(
                     trace,
                     JobStage::Admitted,
@@ -480,7 +484,6 @@ impl Scheduler {
         self.stats.rejected += 1;
         if let Some(t) = &self.telemetry {
             t.queue_depth.sub(1);
-            t.rejected.inc();
         }
         self.results.push(JobResult {
             id,
@@ -566,11 +569,6 @@ impl Scheduler {
                 JobOutcome::Evicted
             };
             if let Some(t) = &self.telemetry {
-                if outcome == JobOutcome::Completed {
-                    t.completed.inc();
-                } else {
-                    t.evicted.inc();
-                }
                 t.registry.record_event(
                     trace,
                     JobStage::Halted,
@@ -1033,7 +1031,8 @@ circuit H :
     #[test]
     fn accounting_closes_at_every_snapshot() {
         // The ledger identity must hold mid-run — after every chunk, at
-        // every queue depth — not just once the scheduler drains.
+        // every queue depth — not just once the scheduler drains, and
+        // the registry counters must equal SchedStats after every chunk.
         let c = compiled();
         let mut sched = Scheduler::new(&c, 2, "done").unwrap();
         let registry = Arc::new(MetricsRegistry::new());
@@ -1055,6 +1054,26 @@ circuit H :
                 sched.pending(),
                 sched.running(),
                 sched.stats(),
+            );
+            let (snap, s) = (registry.snapshot(), sched.stats());
+            let counter = |name: &str| snap.counter(name);
+            assert_eq!(
+                [
+                    counter("sched.admitted"),
+                    counter("sched.completed"),
+                    counter("sched.evicted"),
+                    counter("sched.rejected"),
+                    counter("sched.busy_cycles.count"),
+                ],
+                [
+                    s.admitted as u64,
+                    s.completed as u64,
+                    s.evicted as u64,
+                    s.rejected as u64,
+                    s.busy_lane_cycles,
+                ],
+                "registry counters after cycle {}",
+                s.cycles
             );
         }
         let stats = sched.stats();

@@ -34,7 +34,7 @@ use rteaal_core::{analyze_design, AnalysisReport, AnalysisStats, Compiled, Unkno
 use rteaal_sched::{Job, JobId, JobOutcome, JobResult, SchedStats, Scheduler};
 use rteaal_telemetry::{Gauge, JobStage, MetricsRegistry};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
@@ -94,7 +94,6 @@ impl ServeConfig {
     }
 }
 
-/// State shared between workers, handles, and the pool front end.
 /// The published-results table: finished jobs awaiting their handle,
 /// plus tombstones for jobs whose handle was dropped unclaimed (so the
 /// eventual publication is discarded instead of leaking — a
@@ -107,43 +106,89 @@ struct ResultsTable {
     abandoned: std::collections::HashSet<u64>,
 }
 
+/// State shared between workers, handles, and the pool front end.
 #[derive(Debug)]
 struct Shared {
     results: Mutex<ResultsTable>,
     /// Signalled whenever new results land.
     done: Condvar,
-    /// Per-worker scheduler counters, refreshed after every quantum
-    /// that stepped or finished something.
-    ///
-    /// This mutex doubles as the pool's *ledger lock*: id assignment +
-    /// load increments (submission) and stats refresh + load decrements
-    /// (publication) each happen inside one critical section on it, so
-    /// any reader holding it sees every job in exactly one ledger state
-    /// — the accounting-closure invariant `stats()` asserts.
-    stats: Mutex<Vec<SchedStats>>,
-    /// Dispatched-but-unfinished jobs by pool-global id: which worker
-    /// owns each and the job's name (parked here while the job runs
-    /// nameless, and moved into the result at publication). Maintained
-    /// inside ledger sections (insert at submission, remove at
-    /// publication) so a dying worker's unwind guard can fail exactly
-    /// the jobs that will never publish — the "handles must not wedge"
-    /// invariant.
-    assigned: Mutex<HashMap<u64, (usize, String)>>,
-    /// Jobs rejected pool-side without a worker scheduler ever counting
-    /// them (unknown design, dead worker, stranded by a worker panic) —
-    /// folded into the merged `rejected` counter so
-    /// `submitted == completed + evicted + rejected + in_flight`
-    /// always closes.
-    unrouted: AtomicU64,
-    /// Per-worker death flags: set when a worker thread panics (by its
-    /// unwind guard) or its queue is found disconnected. Dead workers
-    /// are excluded from dispatch.
-    dead: Vec<AtomicBool>,
+    /// The pool's one account of its jobs.
+    ledger: Mutex<Ledger>,
     /// The pool-wide metrics registry and per-job event ring.
     telemetry: Arc<MetricsRegistry>,
-    /// Per-worker occupancy gauges (`serve.worker_inflight.w{n}`),
-    /// mirroring `loads` into the registry.
+    /// `sched.queue_depth.w{n}`: each worker's queued backlog, which its
+    /// schedulers keep and a dead worker's sweep zeroes.
+    queue_depth: Vec<Arc<Gauge>>,
+}
+
+/// The pool's accounting. Every term of the identity `submitted ==
+/// completed + evicted + rejected + in_flight` lives here, so one
+/// critical section on [`Shared::ledger`] sees every job in exactly one
+/// state; no section on it takes another lock.
+///
+/// A dispatched job has an `assigned` record until it finishes. Whoever
+/// removes the record — the worker publishing the job, a submission
+/// whose send failed, or a dead worker's sweep — publishes the job's
+/// result, so it is published exactly once and a dying worker fails
+/// exactly the jobs that will never publish.
+#[derive(Debug)]
+struct Ledger {
+    /// Ids handed out so far: the pool's `submitted`.
+    next_id: u64,
+    /// Per worker: jobs dispatched to it and not yet finished.
+    in_flight: Vec<usize>,
+    /// Per worker: set when its thread panicked or its queue was found
+    /// disconnected. Dispatch skips dead workers.
+    dead: Vec<bool>,
+    /// Dispatched-but-unfinished jobs by id: the owning worker and the
+    /// job's name, parked here while the job runs nameless.
+    assigned: HashMap<u64, (usize, String)>,
+    /// Per worker: its schedulers' counters, merged across designs.
+    stats: Vec<SchedStats>,
+    /// Jobs rejected without a worker's scheduler counting them
+    /// (unknown design, no live worker, stranded by a worker's death).
+    unrouted: usize,
+    /// `serve.worker_inflight.w{n}`, written from `in_flight`.
     occupancy: Vec<Arc<Gauge>>,
+}
+
+impl Ledger {
+    fn take_id(&mut self) -> u64 {
+        let id = self.next_id;
+        self.next_id += 1;
+        id
+    }
+
+    /// Dispatches a job to the least-loaded live worker (ties go to the
+    /// lowest index) and returns its id and worker, or hands the name
+    /// back if every worker is dead.
+    fn assign(&mut self, name: String) -> Result<(u64, usize), String> {
+        let live = (0..self.dead.len()).filter(|&w| !self.dead[w]);
+        let Some(w) = live.min_by_key(|&w| self.in_flight[w]) else {
+            return Err(name);
+        };
+        let id = self.take_id();
+        self.assigned.insert(id, (w, name));
+        self.in_flight[w] += 1;
+        self.occupancy[w].set(self.in_flight[w] as i64);
+        Ok((id, w))
+    }
+
+    /// Removes a job's record and returns its name, or `None` if someone
+    /// else removed it first (and so publishes it).
+    fn settle(&mut self, id: u64) -> Option<String> {
+        let (w, name) = self.assigned.remove(&id)?;
+        self.in_flight[w] -= 1;
+        self.occupancy[w].set(self.in_flight[w] as i64);
+        Some(name)
+    }
+
+    /// [`settle`](Self::settle) for a job that will never run.
+    fn strand(&mut self, id: u64) -> Option<String> {
+        let name = self.settle(id)?;
+        self.unrouted += 1;
+        Some(name)
+    }
 }
 
 /// Aggregate pool statistics (the `stats` verb's payload).
@@ -234,7 +279,7 @@ impl std::error::Error for RegisterError {}
 pub struct JobHandle {
     id: u64,
     shared: Arc<Shared>,
-    claimed: std::sync::atomic::AtomicBool,
+    claimed: AtomicBool,
 }
 
 impl JobHandle {
@@ -393,10 +438,7 @@ pub struct ServerPool {
     /// message reaches every worker queue before any job naming it —
     /// and dropping the senders signals shutdown.
     routing: Mutex<Routing>,
-    /// Jobs dispatched to but not yet finished by each worker.
-    loads: Arc<Vec<AtomicUsize>>,
     workers: Vec<JoinHandle<()>>,
-    next_id: AtomicU64,
     config: ServeConfig,
     /// When the pool was constructed — the `ping` verb's uptime origin,
     /// which lets a health prober distinguish a host that recovered
@@ -434,7 +476,7 @@ enum WorkerMsg {
         /// Registry index: designs reach every worker in registration
         /// order, so the pool's index is the worker's.
         design: usize,
-        /// The job itself; its name waits in [`Shared::assigned`].
+        /// The job itself; its name waits in [`Ledger::assigned`].
         job: Job,
         /// Registry timestamp at submission, for the dispatch-latency
         /// histogram (time from front-end submit to worker pickup).
@@ -487,23 +529,26 @@ impl ServerPool {
             return Err(UnknownSignal(halt_signal.to_string()));
         }
         let telemetry = Arc::new(MetricsRegistry::new());
-        let occupancy = (0..config.workers)
-            .map(|w| telemetry.gauge(&format!("serve.worker_inflight.w{w}")))
-            .collect();
+        let gauges = |prefix: &str| -> Vec<Arc<Gauge>> {
+            let gauge = |w| telemetry.gauge(&format!("{prefix}.w{w}"));
+            (0..config.workers).map(gauge).collect()
+        };
+        let ledger = Ledger {
+            next_id: 0,
+            in_flight: vec![0; config.workers],
+            dead: vec![false; config.workers],
+            assigned: HashMap::new(),
+            stats: vec![SchedStats::default(); config.workers],
+            unrouted: 0,
+            occupancy: gauges("serve.worker_inflight"),
+        };
         let shared = Arc::new(Shared {
             results: Mutex::new(ResultsTable::default()),
             done: Condvar::new(),
-            stats: Mutex::new(vec![SchedStats::default(); config.workers]),
-            assigned: Mutex::new(HashMap::new()),
-            unrouted: AtomicU64::new(0),
-            dead: (0..config.workers)
-                .map(|_| AtomicBool::new(false))
-                .collect(),
+            ledger: Mutex::new(ledger),
+            queue_depth: gauges("sched.queue_depth"),
             telemetry,
-            occupancy,
         });
-        let loads: Arc<Vec<AtomicUsize>> =
-            Arc::new((0..config.workers).map(|_| AtomicUsize::new(0)).collect());
         let compiled = Arc::new(compiled.clone());
         let halt = halt_signal.to_string();
         let mut senders = Vec::with_capacity(config.workers);
@@ -512,11 +557,11 @@ impl ServerPool {
             let (tx, rx) = mpsc::channel();
             senders.push(tx);
             let (compiled, halt) = (Arc::clone(&compiled), halt.clone());
-            let (shared, loads) = (Arc::clone(&shared), Arc::clone(&loads));
+            let shared = Arc::clone(&shared);
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("rteaal-serve-{w}"))
-                    .spawn(move || worker_loop(&compiled, &halt, config, rx, &shared, &loads, w))
+                    .spawn(move || worker_loop(&compiled, &halt, config, rx, &shared, w))
                     .expect("worker thread spawns"),
             );
         }
@@ -529,9 +574,7 @@ impl ServerPool {
                 }],
                 senders,
             }),
-            loads,
             workers,
-            next_id: AtomicU64::new(0),
             config,
             started: Instant::now(),
         })
@@ -602,7 +645,7 @@ impl ServerPool {
                 })
                 .is_err()
             {
-                self.shared.dead[w].store(true, Ordering::Release);
+                lock_or_recover(&self.shared.ledger).dead[w] = true;
             }
         }
         Ok(())
@@ -660,31 +703,17 @@ impl ServerPool {
                 }
             },
         };
-        // Least-loaded dispatch over the *live* workers (ties go to the
-        // lowest index). Dead workers never receive jobs.
-        let target = (0..self.loads.len())
-            .filter(|&w| !self.shared.dead[w].load(Ordering::Acquire))
-            .min_by_key(|&w| self.loads[w].load(Ordering::Acquire));
-        let Some(w) = target else {
-            let error = format!(
-                "no live worker can run design `{}`",
-                routing.designs[index].name
-            );
-            drop(routing);
-            return self.reject_unrouted(name, error);
+        // One ledger section picks the worker and records the job on it.
+        let assigned = lock_or_recover(&self.shared.ledger).assign(name);
+        let (id, w) = match assigned {
+            Ok(dispatch) => dispatch,
+            Err(name) => {
+                let design = &routing.designs[index].name;
+                let error = format!("no live worker can run design `{design}`");
+                drop(routing);
+                return self.reject_unrouted(name, error);
+            }
         };
-        // Ledger section: id assignment, the in-flight increment, and
-        // the assignment record are atomic with respect to stats() and
-        // to any worker's unwind guard, so `submitted` and `in_flight`
-        // can never disagree about this job.
-        let id = {
-            let _ledger = lock_or_recover(&self.shared.stats);
-            let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-            self.loads[w].fetch_add(1, Ordering::AcqRel);
-            lock_or_recover(&self.shared.assigned).insert(id, (w, name));
-            id
-        };
-        self.shared.occupancy[w].add(1);
         let submitted_at_us = self.shared.telemetry.now_us();
         self.shared
             .telemetry
@@ -700,35 +729,34 @@ impl ServerPool {
         });
         drop(routing);
         if sent.is_err() {
-            // The worker died between the liveness check and the send.
-            // Roll the dispatch back and reject — unless the worker's
-            // unwind guard swept the assignment first (it then already
-            // published a rejection for this id).
-            self.shared.dead[w].store(true, Ordering::Release);
-            if let Some(name) = unassign(&self.shared, &self.loads, w, id) {
-                self.shared.occupancy[w].sub(1);
-                self.publish_unrouted(id, name, format!("worker {w} is no longer running"));
+            // The worker died between dispatch and the send: reject the
+            // job, unless the worker's sweep removed its record first.
+            let stranded = {
+                let mut ledger = lock_or_recover(&self.shared.ledger);
+                ledger.dead[w] = true;
+                ledger.strand(id)
+            };
+            if let Some(name) = stranded {
+                let error = format!("worker {w} is no longer running");
+                publish_rejected(&self.shared, id, name, error);
             }
         }
         self.handle(id)
     }
 
     /// Rejects a job that cannot be dispatched at all (unknown design,
-    /// no live worker): assigns an id, accounts it rejected inside a
-    /// ledger section, and publishes the structured result.
+    /// no live worker): its id is counted rejected in the same ledger
+    /// section that issues it, then the structured result is published.
     fn reject_unrouted(&self, name: String, error: String) -> JobHandle {
-        // Ledger section: the id exists and is already accounted
-        // rejected before any stats() reader can observe it.
         let id = {
-            let _ledger = lock_or_recover(&self.shared.stats);
-            let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-            self.shared.unrouted.fetch_add(1, Ordering::Relaxed);
-            id
+            let mut ledger = lock_or_recover(&self.shared.ledger);
+            ledger.unrouted += 1;
+            ledger.take_id()
         };
         self.shared
             .telemetry
             .record_event(id, JobStage::Submitted, None, None, None);
-        self.publish_unrouted(id, name, error);
+        publish_rejected(&self.shared, id, name, error);
         self.handle(id)
     }
 
@@ -737,25 +765,18 @@ impl ServerPool {
         JobHandle {
             id,
             shared: Arc::clone(&self.shared),
-            claimed: std::sync::atomic::AtomicBool::new(false),
+            claimed: AtomicBool::new(false),
         }
-    }
-
-    /// Publishes a rejected result for a job that never reached a
-    /// worker (e.g. an unknown design name). The caller has already
-    /// counted it in `unrouted` inside a ledger section.
-    fn publish_unrouted(&self, id: u64, name: String, error: String) {
-        publish_rejected(&self.shared, id, name, error);
     }
 
     /// Jobs submitted so far.
     pub fn submitted(&self) -> u64 {
-        self.next_id.load(Ordering::Relaxed)
+        lock_or_recover(&self.shared.ledger).next_id
     }
 
     /// Jobs dispatched but not yet finished, across all workers.
     pub fn in_flight(&self) -> usize {
-        self.loads.iter().map(|l| l.load(Ordering::Acquire)).sum()
+        lock_or_recover(&self.shared.ledger).in_flight.iter().sum()
     }
 
     /// The pool's metrics registry: counters, gauges, latency
@@ -774,34 +795,30 @@ impl ServerPool {
     /// Every term of the ledger identity (`submitted`, `in_flight`, the
     /// finished counters) is sampled inside one critical section on the
     /// ledger lock, so [`ServeStats::accounting_balanced`] holds for
-    /// every snapshot — debug builds assert it here.
+    /// every snapshot — debug builds assert it here, and that the
+    /// `serve.worker_inflight.w{n}` gauges sum to `in_flight`.
     pub fn stats(&self) -> ServeStats {
-        // Lock order is routing → stats everywhere (submission takes
-        // routing first), so read the registry size before the ledger.
         let designs = lock_or_recover(&self.routing).designs.len();
-        let ledger = lock_or_recover(&self.shared.stats);
-        let per_worker = ledger.clone();
-        let submitted = self.submitted();
-        let in_flight: usize = self.loads.iter().map(|l| l.load(Ordering::Acquire)).sum();
-        let unrouted = self.shared.unrouted.load(Ordering::Relaxed) as usize;
+        let ledger = lock_or_recover(&self.shared.ledger);
+        let in_flight: usize = ledger.in_flight.iter().sum();
+        debug_assert_eq!(
+            ledger.occupancy.iter().map(|g| g.get()).sum::<i64>(),
+            in_flight as i64,
+            "serve.worker_inflight gauges disagree with the ledger"
+        );
+        let (submitted, per_worker) = (ledger.next_id, ledger.stats.clone());
+        // Pool-side rejections never touch a worker's scheduler; they
+        // start the fold so the finished counters cover every job.
+        let mut merged = SchedStats {
+            rejected: ledger.unrouted,
+            ..SchedStats::default()
+        };
         drop(ledger);
-        let mut merged = SchedStats::default();
         for s in &per_worker {
             merged.merge(s);
         }
-        // Pool-side rejections (unknown design) never touch a worker's
-        // scheduler; fold them in so the finished counters account for
-        // every submission.
-        merged.rejected += unrouted;
-        let queue_depth = (0..self.config.workers)
-            .map(|w| {
-                self.shared
-                    .telemetry
-                    .gauge(&format!("sched.queue_depth.w{w}"))
-                    .get()
-                    .max(0) as usize
-            })
-            .sum();
+        let queue_depth = self.shared.queue_depth.iter();
+        let queue_depth = queue_depth.map(|g| g.get().max(0) as usize).sum();
         let stats = ServeStats {
             workers: self.config.workers,
             lanes: self.config.lanes,
@@ -838,7 +855,7 @@ impl ServerPool {
             // through its unwind guard; the drain must not turn one
             // lost worker into a pool-wide panic.
             if handle.join().is_err() {
-                self.shared.dead[w].store(true, Ordering::Release);
+                lock_or_recover(&self.shared.ledger).dead[w] = true;
             }
         }
         self.stats()
@@ -863,19 +880,13 @@ fn worker_loop(
     config: ServeConfig,
     rx: Receiver<WorkerMsg>,
     shared: &Shared,
-    loads: &[AtomicUsize],
     w: usize,
 ) {
     // Armed first and owning the queue: if anything below panics, the
     // guard's Drop runs during unwind, disconnects the queue, and fails
     // every job this worker owns, so no handle ever wedges on a dead
     // worker.
-    let watch = Deathwatch {
-        shared,
-        loads,
-        w,
-        rx,
-    };
+    let watch = Deathwatch { shared, w, rx };
     // The pool resolved `halt` on the design before sending it here.
     let build = |compiled: &Compiled, halt: &str, design: &str| {
         let mut sched = Scheduler::new(compiled, config.lanes, halt)
@@ -906,9 +917,11 @@ fn worker_loop(
                 // name the design), but a broken invariant must fail
                 // one job, not the worker.
                 debug_assert!(false, "job for unregistered design #{design}");
-                reject_on_worker(shared, loads, w, id, {
-                    format!("design #{design} is not registered on worker {w}")
-                });
+                let stranded = lock_or_recover(&shared.ledger).strand(id);
+                if let Some(name) = stranded {
+                    let error = format!("design #{design} is not registered on worker {w}");
+                    publish_rejected(shared, id, name, error);
+                }
                 return;
             };
             // Trace under the pool-global id: the scheduler's queued /
@@ -919,7 +932,7 @@ fn worker_loop(
         }
         #[cfg(test)]
         WorkerMsg::Die => {
-            let _poison = shared.stats.lock();
+            let _poison = shared.ledger.lock();
             panic!("worker {w} killed by test");
         }
         #[cfg(test)]
@@ -948,21 +961,17 @@ fn worker_loop(
                 stepped += sched.run_quantum(QUANTUM_CAP);
             }
         }
-        publish(&mut designs, shared, loads, w, stepped);
+        publish(&mut designs, shared, w, stepped);
     }
 }
 
 /// Publishes a round of quanta's harvested results under their
-/// pool-global ids and refreshes the worker's stats snapshot (merged
-/// across designs). A round that stepped nothing and finished nothing
-/// moved no counter and takes no lock.
-fn publish(
-    designs: &mut [Scheduler],
-    shared: &Shared,
-    loads: &[AtomicUsize],
-    w: usize,
-    stepped: u64,
-) {
+/// pool-global ids. One ledger section stores the worker's counters
+/// (merged across designs) and settles each harvested job, whose record
+/// hands its name back to the result; the results table is written
+/// after it. A round that stepped nothing and finished nothing moved no
+/// counter and takes no lock.
+fn publish(designs: &mut [Scheduler], shared: &Shared, w: usize, stepped: u64) {
     // Harvest before touching the results table: quanta that finished
     // nothing must not contend on the mutex that handles block on.
     let mut harvested: Vec<JobResult> = Vec::new();
@@ -976,30 +985,21 @@ fn publish(
     for sched in designs.iter() {
         merged.merge(&sched.stats());
     }
-    // Ledger section: the refreshed finished counters, the in-flight
-    // decrements, and the assignment-record removals land atomically
-    // with respect to stats() readers and unwind guards, so a finishing
-    // job is never double-counted, dropped mid-snapshot, or re-failed
-    // by a later worker death. The removed record hands the job's name
-    // back to its result.
     {
-        let mut ledger = lock_or_recover(&shared.stats);
-        ledger[w] = merged;
-        if harvested.is_empty() {
-            return;
-        }
-        let mut assigned = lock_or_recover(&shared.assigned);
+        let mut ledger = lock_or_recover(&shared.ledger);
+        ledger.stats[w] = merged;
         for r in &mut harvested {
             // From here on the result goes by its pool-global id, the
             // one its scheduler traced it under.
             r.id = JobId(r.trace);
-            loads[w].fetch_sub(1, Ordering::AcqRel);
-            if let Some((_, name)) = assigned.remove(&r.trace) {
+            if let Some(name) = ledger.settle(r.trace) {
                 r.name = name;
             }
         }
     }
-    shared.occupancy[w].sub(harvested.len() as i64);
+    if harvested.is_empty() {
+        return;
+    }
     for r in &harvested {
         let lane = (r.lane != usize::MAX).then_some(r.lane as u64);
         shared
@@ -1048,41 +1048,18 @@ fn publish_rejected(shared: &Shared, id: u64, name: String, error: String) {
     shared.done.notify_all();
 }
 
-/// Undoes one job's dispatch accounting inside a ledger section — the
-/// job will be rejected, not run — and returns its parked name, or
-/// `None` if the record is already gone (an unwind guard swept it and
-/// published the rejection itself).
-fn unassign(shared: &Shared, loads: &[AtomicUsize], w: usize, id: u64) -> Option<String> {
-    let _ledger = lock_or_recover(&shared.stats);
-    let (_, name) = lock_or_recover(&shared.assigned).remove(&id)?;
-    loads[w].fetch_sub(1, Ordering::AcqRel);
-    shared.unrouted.fetch_add(1, Ordering::Relaxed);
-    Some(name)
-}
-
-/// Fails one dispatched job from its owning worker and publishes a
-/// rejection so the job's handle resolves.
-fn reject_on_worker(shared: &Shared, loads: &[AtomicUsize], w: usize, id: u64, error: String) {
-    let name = unassign(shared, loads, w, id).unwrap_or_default();
-    shared.occupancy[w].sub(1);
-    publish_rejected(shared, id, name, error);
-}
-
 /// The unwind guard armed at the top of every worker thread, owning
 /// the worker's submission queue. If the worker panics (an engine bug,
-/// a poisoned invariant), the guard runs during unwind and (a) marks
-/// the worker dead so dispatch skips it, (b) disconnects the queue so
-/// racing submissions fail their sends instead of landing messages
-/// nobody will read, then (c) fails every job the worker still owns —
-/// queued or mid-run — with a structured rejection, keeping blocked
-/// `wait` calls and the pool ledger
-/// (`submitted == finished + in_flight`) intact. The (b) → (c) order
-/// is load-bearing: a submission is recorded in `assigned` *before*
-/// its send, so any job that slips past the disconnect is already
-/// visible to the sweep.
+/// a poisoned invariant), the guard runs during unwind: it disconnects
+/// the queue, so racing submissions fail their sends instead of landing
+/// messages nobody will read, then in one ledger section marks the
+/// worker dead, strands every job the worker still owns — queued or
+/// mid-run — and zeroes its queue-depth gauge, and last publishes a
+/// rejection for each stranded job. A submission records its job in
+/// the ledger before its send, so a job that slips past the disconnect
+/// is either swept here or rolled back by its submitter.
 struct Deathwatch<'a> {
     shared: &'a Shared,
-    loads: &'a [AtomicUsize],
     w: usize,
     rx: Receiver<WorkerMsg>,
 }
@@ -1093,43 +1070,23 @@ impl Drop for Deathwatch<'_> {
             return;
         }
         let w = self.w;
-        self.shared.dead[w].store(true, Ordering::Release);
         // Disconnect the queue *now* — struct fields would only drop
         // after this function returns, which would be after the sweep.
         let (_tx, dummy) = mpsc::channel();
         drop(std::mem::replace(&mut self.rx, dummy));
-        // Ledger section: strand-sweeping is atomic with respect to
-        // stats() readers and racing submissions — a job is failed here
-        // exactly when its assignment record is still present.
         let stranded: Vec<(u64, String)> = {
-            let _ledger = lock_or_recover(&self.shared.stats);
-            let mut assigned = lock_or_recover(&self.shared.assigned);
-            let ids: Vec<u64> = assigned
-                .iter()
-                .filter(|(_, (owner, _))| *owner == w)
-                .map(|(&id, _)| id)
-                .collect();
-            let stranded: Vec<(u64, String)> = ids
-                .into_iter()
-                .filter_map(|id| assigned.remove(&id).map(|(_, name)| (id, name)))
-                .collect();
-            for _ in 0..stranded.len() {
-                self.loads[w].fetch_sub(1, Ordering::AcqRel);
-                self.shared.unrouted.fetch_add(1, Ordering::Relaxed);
-            }
-            stranded
+            let mut ledger = lock_or_recover(&self.shared.ledger);
+            ledger.dead[w] = true;
+            self.shared.queue_depth[w].set(0);
+            let owned = ledger.assigned.iter().filter(|(_, (owner, _))| *owner == w);
+            let ids: Vec<u64> = owned.map(|(&id, _)| id).collect();
+            ids.into_iter()
+                .filter_map(|id| Some((id, ledger.strand(id)?)))
+                .collect()
         };
-        if stranded.is_empty() {
-            return;
-        }
-        self.shared.occupancy[w].sub(stranded.len() as i64);
         for (id, name) in stranded {
-            publish_rejected(
-                self.shared,
-                id,
-                name,
-                format!("worker {w} died before the job could finish"),
-            );
+            let error = format!("worker {w} died before the job could finish");
+            publish_rejected(self.shared, id, name, error);
         }
     }
 }
@@ -1140,6 +1097,7 @@ mod tests {
     use rteaal_core::Compiler;
     use rteaal_kernels::{KernelConfig, KernelKind};
     use rteaal_sched::JobOutcome;
+    use std::sync::atomic::AtomicU64;
 
     const HALT_SRC: &str = "\
 circuit H :
@@ -1554,6 +1512,29 @@ circuit W :
     }
 
     #[test]
+    fn a_dead_worker_leaves_no_phantom_backlog() {
+        // Jobs sitting in a worker's scheduler queue when it dies are
+        // rejected by its sweep, and must leave the reported backlog.
+        let c = compiled();
+        let mut cfg = ServeConfig::with_workers(1);
+        cfg.lanes = 2;
+        let pool = ServerPool::new(&c, cfg, "done").unwrap();
+        let gate = Arc::new(std::sync::Barrier::new(2));
+        let send = |msg| lock_or_recover(&pool.routing).senders[0].send(msg).unwrap();
+        send(WorkerMsg::Hold(Arc::clone(&gate)));
+        let doomed: Vec<JobHandle> = (0..5).map(|_| pool.submit(count_job(200))).collect();
+        send(WorkerMsg::Die);
+        gate.wait();
+        for h in &doomed {
+            assert_eq!(h.wait().outcome, JobOutcome::Rejected);
+        }
+        let stats = pool.stats();
+        assert_eq!((stats.in_flight, stats.merged.rejected), (0, 5));
+        assert_eq!(stats.queue_depth, 0, "the dead worker's queue is gone");
+        pool.shutdown();
+    }
+
+    #[test]
     fn surviving_workers_keep_serving_after_one_dies() {
         let c = compiled();
         let mut cfg = ServeConfig::with_workers(2);
@@ -1564,7 +1545,7 @@ circuit W :
             .unwrap();
         // Wait for the unwind guard to mark the worker dead so the
         // whole corpus provably dispatches against a one-worker pool.
-        while !pool.shared.dead[0].load(Ordering::Acquire) {
+        while !lock_or_recover(&pool.shared.ledger).dead[0] {
             std::thread::yield_now();
         }
         let handles: Vec<JobHandle> = (0..10).map(|i| pool.submit(count_job(2 + i))).collect();

@@ -379,7 +379,6 @@ pub struct ShardRouter {
     /// Designs registered through the router, in order — replayed to
     /// every rejoiner before it re-enters the ring.
     registry: Vec<(String, String, String)>,
-    next_id: u64,
     telemetry: RouterTelemetry,
 }
 
@@ -390,7 +389,8 @@ pub struct ShardRouter {
 #[derive(Debug)]
 struct RouterTelemetry {
     registry: Arc<MetricsRegistry>,
-    /// Jobs accepted by `submit` / `submit_on`.
+    /// Jobs accepted by `submit` / `submit_on`; its value before a
+    /// submission is that job's router-global id.
     submitted: Arc<Counter>,
     /// Results delivered through the merged stream.
     delivered: Arc<Counter>,
@@ -462,7 +462,6 @@ impl ShardRouter {
             ring,
             pending: HashMap::new(),
             registry: Vec::new(),
-            next_id: 0,
             telemetry: RouterTelemetry::new(),
         })
     }
@@ -478,7 +477,7 @@ impl ShardRouter {
     /// accepted job is delivered, still pending, or counted lost —
     /// never silently dropped.
     pub fn accounting_balanced(&self) -> bool {
-        self.next_id
+        self.telemetry.submitted.get()
             == self.telemetry.delivered.get()
                 + self.pending.len() as u64
                 + self.telemetry.lost.get()
@@ -529,8 +528,7 @@ impl ShardRouter {
     /// [`RouterError::NoLiveShards`] / [`RouterError::JobLost`] when
     /// the fleet cannot take the job at all.
     pub fn submit_on(&mut self, design: Option<&str>, job: Job) -> Result<u64, RouterError> {
-        let id = self.next_id;
-        self.next_id += 1;
+        let id = self.telemetry.submitted.get();
         self.telemetry.submitted.inc();
         self.telemetry
             .registry
@@ -898,20 +896,27 @@ impl ShardRouter {
     /// A snapshot of the router's counters and each shard's breaker
     /// phase — a view over the metrics registry.
     pub fn stats(&self) -> FleetStats {
+        let t = &self.telemetry;
         debug_assert!(
             self.accounting_balanced(),
             "router accounting leak: submitted {} != delivered {} + pending {} + lost {}",
-            self.next_id,
-            self.telemetry.delivered.get(),
+            t.submitted.get(),
+            t.delivered.get(),
             self.pending.len(),
-            self.telemetry.lost.get(),
+            t.lost.get(),
+        );
+        let per_shard = |count: fn(&ShardState) -> u64| self.shards.iter().map(count).sum();
+        debug_assert_eq!(
+            (per_shard(|st| st.delivered), per_shard(|st| st.rejoins)),
+            (t.delivered.get(), t.rejoins.get()),
+            "per-shard delivered/rejoins disagree with router.delivered/router.rejoins"
         );
         FleetStats {
-            submitted: self.next_id,
-            delivered: self.telemetry.delivered.get(),
-            resubmitted: self.telemetry.resubmitted.get(),
-            shard_deaths: self.telemetry.shard_deaths.get(),
-            rejoins: self.telemetry.rejoins.get(),
+            submitted: t.submitted.get(),
+            delivered: t.delivered.get(),
+            resubmitted: t.resubmitted.get(),
+            shard_deaths: t.shard_deaths.get(),
+            rejoins: t.rejoins.get(),
             per_shard: self
                 .shards
                 .iter()

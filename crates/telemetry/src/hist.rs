@@ -1,10 +1,10 @@
 //! Log2-bucketed latency histograms with nearest-rank quantiles.
 //!
-//! The quantile definition is the one the open-loop generator uses
-//! (`crates/bench/src/openloop.rs`): the nearest-rank method, rank
-//! `⌈q·n⌉` 1-indexed. Here the "sorted sample" is the bucket sequence,
-//! so a quantile resolves to the inclusive upper bound of the bucket
-//! holding the rank-th recorded value — a conservative (never
+//! Quantiles use the nearest-rank method: of `n` recorded values, the
+//! `q` quantile is the one at rank `⌈q·n⌉` (1-indexed, clamped to
+//! `[1, n]`) in sorted order. Here the sorted sample is the bucket
+//! sequence, so a quantile resolves to the inclusive upper bound of the
+//! bucket holding the rank-th recorded value — a conservative (never
 //! under-reporting) estimate with ≤ 2× relative error by construction.
 
 use serde::{Deserialize, Serialize};
@@ -110,8 +110,8 @@ impl Default for HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// Nearest-rank quantile (same rank math as `openloop::quantiles`):
-    /// rank `⌈q·n⌉`, 1-indexed, clamped to `[1, n]`. Returns the upper
+    /// Nearest-rank quantile: the value at rank `⌈q·n⌉` of the `n`
+    /// recorded, 1-indexed and clamped to `[1, n]`. Returns the upper
     /// bound of the bucket containing that rank; 0 for an empty histogram.
     pub fn quantile(&self, q: f64) -> u64 {
         let n: u64 = self.buckets.iter().sum();

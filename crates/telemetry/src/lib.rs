@@ -35,7 +35,11 @@ pub struct Counter(AtomicU64);
 
 impl Counter {
     /// Adds `n` (saturating — counters never wrap backwards past zero).
+    /// Adding zero touches nothing.
     pub fn add(&self, n: u64) {
+        if n == 0 {
+            return;
+        }
         self.0
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
                 Some(v.saturating_add(n))
