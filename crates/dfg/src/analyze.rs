@@ -594,7 +594,7 @@ pub fn analyze_plan(plan: &SimPlan) -> AnalysisReport {
     // semantics (registers must only change at end of cycle).
     for &s in reg_slots.iter().chain(input_slots.iter()) {
         if op_written(s) {
-            let (i, k) = written_by[s as usize].unwrap();
+            let (i, k) = written_by[s as usize].expect("`op_written` saw its writer");
             rep.push(
                 Diagnostic::new(
                     Severity::Error,

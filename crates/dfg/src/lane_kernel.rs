@@ -38,6 +38,31 @@
 //! No build flag, configuration field or environment variable is
 //! involved in either choice, so the binary starts on any x86-64.
 //!
+//! ## Two entries per op
+//!
+//! Each table instantiates every body twice ([`Entry`]): a
+//! **whole-window** kernel that runs only whole `CHUNK`-lane chunks — two
+//! per loop iteration, then at most one more — and an **any-window**
+//! kernel that runs the chunks one per iteration and then the remainder
+//! lane by lane. Which one runs is a property of the window, not a
+//! setting: [`CompiledOp::eval_lanes_ptr`] takes the whole-window entry
+//! when `w.active % CHUNK == 0`, and since a walk hands every op the same
+//! window, it indexes the same entry for all of them.
+//!
+//! The reason is codegen. LLVM auto-vectorizes a lane-by-lane remainder
+//! loop into runtime alias checks and a 32-lane unrolled body, and the
+//! registers that code needs make the whole kernel open with six
+//! callee-saved pushes and stack spills — paid on every call, also by the
+//! 8- and 64-lane windows that never reach the remainder. Without it the
+//! `avx2` × `u32` `and` kernel is 200 bytes instead of 630. One kernel
+//! that calls out to a remainder function instead costs ragged windows
+//! dearly (a 5-lane window ran at 0.61× its speed), and a masked last
+//! chunk over padded rows, a staged remainder and a bound on the
+//! remainder's trip count each kept the bloat or slowed a 1-lane window.
+//! Both entries come from the one body list (`lane_kernels!`,
+//! `kernel_table!`), and [`CompiledOp`] holds the two pointers in the 72
+//! bytes it held one in.
+//!
 //! Semantics are bit-identical to `eval_raw` + [`canonicalize`] per lane
 //! — truncated to the row's element, for narrow rows — by construction,
 //! and enforced by differential tests against every table the host
@@ -55,8 +80,8 @@
 //! explicit `// SAFETY:` blocks (`unsafe_op_in_unsafe_fn` is denied). The
 //! bounds side of the contract — every folded slot offset `< num_slots` —
 //! is *proven statically* per design by
-//! [`crate::analyze::analyze_compiled`] and mirrored dynamically by
-//! `debug_assert!`s on the safe entry points; so is the narrow side —
+//! [`crate::analyze::analyze_compiled`] and checked by `assert!`s on the
+//! safe entry points; so is the narrow side —
 //! every slot a narrow kernel touches fits 32 bits and its op is
 //! narrow-exact. The instruction-set side is carried by a type: see
 //! [`LaneIsa`].
@@ -458,13 +483,15 @@ pub struct KernelArgs {
     b: u32,
     c: u32,
     /// Static parameters 0/1 (bit indices, widths, shift amounts; for
-    /// `Const`, `p0` holds the already-canonicalized value).
+    /// `Const`, `p0` holds the already-canonicalized value). `p1` is
+    /// never more than a bit index or a width, which the plan verifier
+    /// bounds at 64, so it keeps the low 32 bits `cat` reads it as.
     p0: u64,
-    p1: u64,
+    p1: u32,
     /// Result width mask (unsigned canonicalization).
     msk: u64,
     /// Lane bits minus width (signed canonicalization shift).
-    sh: u32,
+    sh: u8,
     /// Opcode and result signedness, for the plan verifier (the kernels
     /// bake both into their function identity).
     n: u16,
@@ -479,7 +506,7 @@ pub struct KernelArgs {
     var: Option<Box<VarArgs>>,
     /// Highest `LI` slot this op references (output or any operand) —
     /// the bound the static verifier proves and the safe entry points
-    /// `debug_assert!`.
+    /// check.
     max_slot: u32,
 }
 
@@ -545,10 +572,10 @@ impl LaneIsa {
         }
     }
 
-    /// The kernel for an opcode/arity/signedness triple in this
-    /// instruction set's table for `lane` rows — the op's unsigned
-    /// counterpart if `logical`; `None` for a source op or an arity
-    /// `check_op_shape` rejects.
+    /// The two entries of the kernel for an opcode/arity/signedness
+    /// triple in this instruction set's table for `lane` rows, indexed by
+    /// [`Entry`] — the op's unsigned counterpart if `logical`; `None` for
+    /// a source op or an arity `check_op_shape` rejects.
     fn kernel(
         self,
         lane: LaneType,
@@ -556,7 +583,7 @@ impl LaneIsa {
         arity: usize,
         signed: bool,
         logical: bool,
-    ) -> Option<KernelFn> {
+    ) -> Option<[KernelFn; 2]> {
         // SAFETY (of every later call through the pointer): `self.avx2`
         // is `detect`'s answer, so an `avx2` kernel leaves here only on a
         // CPU that has the instructions it was compiled to.
@@ -574,21 +601,134 @@ impl LaneIsa {
     }
 }
 
-/// Lanes per iteration of the drivers' main loops. A chunk's loads all
+/// Lanes per chunk of the drivers' main loops. A chunk's loads all
 /// precede its stores (staged through an array that lives in registers),
 /// so the unrolled body vectorizes without an alias check: per row, two
 /// 256-bit vectors of `u64` lanes or one of `u32` lanes under AVX2, four
 /// or two 128-bit ones at the SSE2 baseline.
 const CHUNK: usize = 8;
 
+/// Which of an op's two kernels runs a window — a property of the window,
+/// never a setting: [`Entry::Whole`] when its active lanes are whole
+/// `CHUNK`-lane chunks, [`Entry::Any`] otherwise. Both come from the one
+/// body per op; see the module docs for why there are two.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Entry {
+    /// Whole chunks only, two per loop iteration and then at most one
+    /// more: no lane-by-lane remainder, so none of the code LLVM grows
+    /// around one.
+    Whole = 0,
+    /// Whole chunks, then the remainder lane by lane.
+    Any = 1,
+}
+
+impl Entry {
+    /// The entry that runs `w`.
+    #[inline(always)]
+    pub fn of(w: LaneWindow) -> Entry {
+        if w.active.is_multiple_of(CHUNK) {
+            Entry::Whole
+        } else {
+            Entry::Any
+        }
+    }
+}
+
+/// A kernel body as the drivers walk it: a chunk at a time, and — in the
+/// [`Entry::Any`] kernel — a lane at a time after the last whole chunk.
+/// Methods, not closures, so that `#[inline(always)]` holds: a closure
+/// the walk calls three times is one LLVM may leave a call, and then one
+/// compiled without the table's instruction set.
+trait Body {
+    /// Evaluates lanes `lane .. lane + CHUNK`.
+    ///
+    /// # Safety
+    ///
+    /// As [`CompiledOp::eval_lanes_ptr`], with `lane + CHUNK <= w.active`.
+    unsafe fn chunk(&self, lane: usize);
+
+    /// Evaluates lane `lane`.
+    ///
+    /// # Safety
+    ///
+    /// As [`CompiledOp::eval_lanes_ptr`], with `lane < w.active`.
+    unsafe fn lane(&self, lane: usize);
+}
+
+/// Runs `body` over the first `n` lanes: the [`Entry::Whole`] kernel if
+/// `WHOLE` — two chunks per iteration and then at most one more, which
+/// leaves a ragged remainder unwritten and so is only for windows of whole
+/// chunks — else the [`Entry::Any`] one: a chunk per iteration, then the
+/// remainder lane by lane.
+///
+/// # Safety
+///
+/// As [`CompiledOp::eval_lanes_ptr`], with `n` the window's `active`.
+#[inline(always)]
+unsafe fn drive<const WHOLE: bool>(n: usize, body: &impl Body) {
+    let mut lane = 0;
+    // SAFETY: every chunk started here ends by `n` and every lane is
+    // below it, which is what `Body` asks on top of the caller's contract.
+    unsafe {
+        if WHOLE {
+            while lane + 2 * CHUNK <= n {
+                body.chunk(lane);
+                body.chunk(lane + CHUNK);
+                lane += 2 * CHUNK;
+            }
+            if lane + CHUNK <= n {
+                body.chunk(lane);
+            }
+        } else {
+            while lane + CHUNK <= n {
+                body.chunk(lane);
+                lane += CHUNK;
+            }
+            while lane < n {
+                body.lane(lane);
+                lane += 1;
+            }
+        }
+    }
+}
+
+/// An `N`-operand body (`N <= 3`) over its output row and operand rows.
+struct Fixed<T, F, const N: usize> {
+    out: *mut T,
+    rows: [*const T; N],
+    f: F,
+}
+
+impl<T: Lane, F: Fn([T; N]) -> T, const N: usize> Body for Fixed<T, F, N> {
+    #[inline(always)]
+    unsafe fn chunk(&self, lane: usize) {
+        // SAFETY: per `Body::chunk`, lanes `lane .. lane + CHUNK` are in
+        // every row, and the output row is exclusively ours.
+        unsafe {
+            let r: [T; CHUNK] =
+                std::array::from_fn(|k| (self.f)(self.rows.map(|p| *p.add(lane + k))));
+            for (k, r) in r.into_iter().enumerate() {
+                *self.out.add(lane + k) = r;
+            }
+        }
+    }
+
+    #[inline(always)]
+    unsafe fn lane(&self, lane: usize) {
+        // SAFETY: per `Body::lane`, `lane` is in every row, and the output
+        // row is exclusively ours.
+        unsafe { *self.out.add(lane) = (self.f)(self.rows.map(|p| *p.add(lane))) };
+    }
+}
+
 /// Runs an `N`-operand body (`N <= 3`: rows `a`, `b`, `c`) over the
-/// active lanes, `CHUNK` lanes at a time and then lane by lane.
+/// active lanes through the entry `WHOLE` names (see [`drive`]).
 ///
 /// # Safety
 ///
 /// As [`CompiledOp::eval_lanes_ptr`], for rows of `T`.
 #[inline(always)]
-unsafe fn run<T: Lane, const N: usize>(
+unsafe fn run<T: Lane, const N: usize, const WHOLE: bool>(
     li: *mut T,
     args: &KernelArgs,
     w: LaneWindow,
@@ -600,40 +740,95 @@ unsafe fn run<T: Lane, const N: usize>(
     debug_assert!(rows[..N].iter().all(|&r| r <= args.max_slot) && args.out <= args.max_slot);
     // SAFETY: per the `KernelFn` contract, `li` spans `>= max_slot + 1`
     // rows of `w.stride` lanes of `T` and the output and operand rows are
-    // `<= max_slot`, so every `row + lane` offset below (`lane < w.active
-    // <= w.stride`) stays in bounds; the output row is exclusively ours
-    // for the call.
+    // `<= max_slot`, so every `row + lane` offset the body reads or writes
+    // (`lane < w.active <= w.stride`) stays in bounds; the output row is
+    // exclusively ours for the call.
     unsafe {
-        let out = li.add(args.out as usize * w.stride);
-        let p: [*const T; N] =
-            std::array::from_fn(|i| li.add(rows[i] as usize * w.stride).cast_const());
-        let n = w.active;
-        let mut lane = 0;
-        while lane + CHUNK <= n {
-            let r: [T; CHUNK] = std::array::from_fn(|k| f(p.map(|p| *p.add(lane + k))));
-            for (k, r) in r.into_iter().enumerate() {
-                *out.add(lane + k) = r;
+        let body = Fixed {
+            out: li.add(args.out as usize * w.stride),
+            rows: std::array::from_fn(|i| li.add(rows[i] as usize * w.stride).cast_const()),
+            f,
+        };
+        drive::<WHOLE>(w.active, &body);
+    }
+}
+
+/// A mux chain `[c0, v0, c1, v1, .., default]` as a select cascade: the
+/// accumulator starts as the default row and the pairs are applied **last
+/// to first**, so the lowest true condition wins, as in `eval_raw`.
+/// `canon` is the table's `cu` or `cs`.
+struct Chain<'a, T, C> {
+    li: *mut T,
+    stride: usize,
+    out: *mut T,
+    default: *const T,
+    pairs: &'a [u32],
+    args: &'a KernelArgs,
+    canon: C,
+}
+
+impl<T: Lane, C: Fn(T, &KernelArgs) -> T> Chain<'_, T, C> {
+    /// Row `r` of the matrix.
+    ///
+    /// # Safety
+    ///
+    /// `r` is a row of the matrix (`<= max_slot`).
+    #[inline(always)]
+    unsafe fn row(&self, r: u32) -> *const T {
+        // SAFETY: per the caller, row `r` is in the matrix.
+        unsafe { self.li.add(r as usize * self.stride).cast_const() }
+    }
+}
+
+impl<T: Lane, C: Fn(T, &KernelArgs) -> T> Body for Chain<'_, T, C> {
+    #[inline(always)]
+    unsafe fn chunk(&self, lane: usize) {
+        // SAFETY: per `Body::chunk`, lanes `lane .. lane + CHUNK` are in
+        // every row the chain names, and the output row is exclusively
+        // ours.
+        unsafe {
+            let mut acc: [T; CHUNK] = std::array::from_fn(|k| *self.default.add(lane + k));
+            for pair in self.pairs.chunks_exact(2).rev() {
+                let (pc, pv) = (self.row(pair[0]).add(lane), self.row(pair[1]).add(lane));
+                for (k, acc) in acc.iter_mut().enumerate() {
+                    *acc = (*pc.add(k)).select(*pv.add(k), *acc);
+                }
             }
-            lane += CHUNK;
+            for (k, acc) in acc.into_iter().enumerate() {
+                *self.out.add(lane + k) = (self.canon)(acc, self.args);
+            }
         }
-        while lane < n {
-            *out.add(lane) = f(p.map(|p| *p.add(lane)));
-            lane += 1;
+    }
+
+    #[inline(always)]
+    unsafe fn lane(&self, lane: usize) {
+        // SAFETY: per `Body::lane`, `lane` is in every row the chain
+        // names, and the output row is exclusively ours.
+        unsafe {
+            let mut acc = *self.default.add(lane);
+            for pair in self.pairs.chunks_exact(2).rev() {
+                acc = (*self.row(pair[0]).add(lane)).select(*self.row(pair[1]).add(lane), acc);
+            }
+            *self.out.add(lane) = (self.canon)(acc, self.args);
         }
     }
 }
 
-/// Runs a mux chain `[c0, v0, c1, v1, .., default]` over the active
-/// lanes as a select cascade: the accumulator starts as the default row
-/// and the pairs are applied **last to first**, so the lowest true
-/// condition wins, as in `eval_raw`. Every row is read stride-1, once
-/// per chunk; `canon` is `cu` or `cs` of the result.
+/// Runs a mux chain over the active lanes as a [`Chain`] cascade, every
+/// row read stride-1 once per chunk, through the entry `WHOLE` names (see
+/// [`drive`]). `canon` is a function item, not a closure around one, for
+/// the reason [`Body`] gives.
 ///
 /// # Safety
 ///
 /// As [`CompiledOp::eval_lanes_ptr`], for rows of `T`.
 #[inline(always)]
-unsafe fn run_chain<T: Lane>(li: *mut T, args: &KernelArgs, w: LaneWindow, canon: impl Fn(T) -> T) {
+unsafe fn run_chain<T: Lane, const WHOLE: bool>(
+    li: *mut T,
+    args: &KernelArgs,
+    w: LaneWindow,
+    canon: impl Fn(T, &KernelArgs) -> T,
+) {
     debug_assert!(w.active <= w.stride, "lane window outgrew its stride");
     debug_assert_eq!(T::TYPE, args.lane, "kernel walks rows of its table's type");
     let var = args.var.as_deref().expect("a chain carries its operands");
@@ -644,55 +839,42 @@ unsafe fn run_chain<T: Lane>(li: *mut T, args: &KernelArgs, w: LaneWindow, canon
     // `slot * w.stride + lane` offset (`lane < w.active <= w.stride`) is
     // in bounds; the output row is exclusively ours for the call.
     unsafe {
-        let row = |r: u32| li.add(r as usize * w.stride).cast_const();
-        let (out, pd) = (li.add(args.out as usize * w.stride), row(default));
-        let n = w.active;
-        let mut lane = 0;
-        while lane + CHUNK <= n {
-            let mut acc: [T; CHUNK] = std::array::from_fn(|k| *pd.add(lane + k));
-            for pair in pairs.chunks_exact(2).rev() {
-                let (pc, pv) = (row(pair[0]).add(lane), row(pair[1]).add(lane));
-                for (k, acc) in acc.iter_mut().enumerate() {
-                    *acc = (*pc.add(k)).select(*pv.add(k), *acc);
-                }
-            }
-            for (k, acc) in acc.into_iter().enumerate() {
-                *out.add(lane + k) = canon(acc);
-            }
-            lane += CHUNK;
-        }
-        while lane < n {
-            let mut acc = *pd.add(lane);
-            for pair in pairs.chunks_exact(2).rev() {
-                acc = (*row(pair[0]).add(lane)).select(*row(pair[1]).add(lane), acc);
-            }
-            *out.add(lane) = canon(acc);
-            lane += 1;
-        }
+        let body = Chain {
+            li,
+            stride: w.stride,
+            out: li.add(args.out as usize * w.stride),
+            default: li.add(default as usize * w.stride).cast_const(),
+            pairs,
+            args,
+            canon,
+        };
+        drive::<WHOLE>(w.active, &body);
     }
 }
 
 /// Generates the unsigned/signed kernel pair of each fixed-arity body in
 /// a `|args, operands..| raw-result` list, every function under `$attr`,
-/// over rows of the enclosing table's lane type `T`.
+/// over rows of the enclosing table's lane type `T` — each generic over
+/// `WHOLE`, which instantiates its [`Entry::Whole`] and [`Entry::Any`]
+/// kernels from the one body.
 macro_rules! lane_kernels {
     ([$(#[$attr:meta])*]) => {};
     ([$(#[$attr:meta])*] $un:ident, $sn:ident: |$g:ident $(, $x:ident)+| $body:expr; $($rest:tt)*) => {
         /// # Safety
         /// As [`CompiledOp::eval_lanes_ptr`].
         $(#[$attr])*
-        unsafe fn $un(li: *mut (), $g: &KernelArgs, w: LaneWindow) {
+        unsafe fn $un<const WHOLE: bool>(li: *mut (), $g: &KernelArgs, w: LaneWindow) {
             // SAFETY: forwarding the caller's `KernelFn` contract intact:
             // the rows are of this table's lane type `T`.
-            unsafe { run(li.cast::<T>(), $g, w, |[$($x),+]| cu($body, $g)) };
+            unsafe { run::<T, _, WHOLE>(li.cast(), $g, w, |[$($x),+]| cu($body, $g)) };
         }
         /// # Safety
         /// As [`CompiledOp::eval_lanes_ptr`].
         $(#[$attr])*
-        unsafe fn $sn(li: *mut (), $g: &KernelArgs, w: LaneWindow) {
+        unsafe fn $sn<const WHOLE: bool>(li: *mut (), $g: &KernelArgs, w: LaneWindow) {
             // SAFETY: forwarding the caller's `KernelFn` contract intact:
             // the rows are of this table's lane type `T`.
-            unsafe { run(li.cast::<T>(), $g, w, |[$($x),+]| cs($body, $g)) };
+            unsafe { run::<T, _, WHOLE>(li.cast(), $g, w, |[$($x),+]| cs($body, $g)) };
         }
         lane_kernels! { [$(#[$attr])*] $($rest)* }
     };
@@ -786,7 +968,7 @@ macro_rules! kernel_table {
                 k_cat_u, k_cat_s: |g, a, b| {
                     // p0/p1 = operand widths, truncated to u32 exactly as
                     // eval_raw does; wb >= BITS passes b through.
-                    let (wa, wb) = (g.p0 as u32, g.p1 as u32);
+                    let (wa, wb) = (g.p0 as u32, g.p1);
                     if wb >= BITS {
                         b
                     } else {
@@ -811,9 +993,9 @@ macro_rules! kernel_table {
                     (a >> (n & (BITS - 1))) & ((n < BITS) as T).wrapping_neg()
                 };
                 // p0/p1 = hi/lo bit indices.
-                k_bits_u, k_bits_s: |g, a| (a >> g.p1) & m((g.p0 - g.p1 + 1) as u32);
+                k_bits_u, k_bits_s: |g, a| (a >> g.p1) & m((g.p0 - g.p1 as u64 + 1) as u32);
                 // p0/p1 = n/operand width.
-                k_head_u, k_head_s: |g, a| (a & m(g.p1 as u32)) >> (g.p1 - g.p0);
+                k_head_u, k_head_s: |g, a| (a & m(g.p1)) >> (g.p1 as u64 - g.p0);
                 k_resize_u, k_resize_s: |_g, a| a;
                 k_mux_u, k_mux_s: |_g, c, t, f| if c != 0 { t } else { f };
             }
@@ -824,51 +1006,65 @@ macro_rules! kernel_table {
             /// # Safety
             /// As [`CompiledOp::eval_lanes_ptr`].
             $(#[$attr])?
-            unsafe fn k_const(li: *mut (), args: &KernelArgs, w: LaneWindow) {
-                debug_assert!(w.active <= w.stride, "lane window outgrew its stride");
-                // SAFETY: per the `KernelFn` contract the rows are of
-                // this table's lane type `T`, the output row
-                // `args.out <= max_slot` is in bounds and exclusively
-                // ours; `lane < w.active <= w.stride` keeps the fill
-                // inside the row.
-                unsafe {
-                    let out = li.cast::<T>().add(args.out as usize * w.stride);
-                    for lane in 0..w.active {
-                        *out.add(lane) = args.p0 as T;
-                    }
-                }
+            unsafe fn k_const<const WHOLE: bool>(li: *mut (), args: &KernelArgs, w: LaneWindow) {
+                // SAFETY: forwarding the caller's `KernelFn` contract
+                // intact: the rows are of this table's lane type `T`.
+                unsafe { run::<T, 0, WHOLE>(li.cast(), args, w, |[]| args.p0 as T) };
             }
 
             /// # Safety
             /// As [`CompiledOp::eval_lanes_ptr`].
             $(#[$attr])?
-            unsafe fn k_chain_u(li: *mut (), args: &KernelArgs, w: LaneWindow) {
+            unsafe fn k_chain_u<const WHOLE: bool>(li: *mut (), args: &KernelArgs, w: LaneWindow) {
                 // SAFETY: forwarding the caller's `KernelFn` contract
                 // intact: the rows are of this table's lane type `T`.
-                unsafe { run_chain(li.cast::<T>(), args, w, |acc| cu(acc, args)) };
+                unsafe { run_chain::<T, WHOLE>(li.cast(), args, w, cu) };
             }
 
             /// # Safety
             /// As [`CompiledOp::eval_lanes_ptr`].
             $(#[$attr])?
-            unsafe fn k_chain_s(li: *mut (), args: &KernelArgs, w: LaneWindow) {
+            unsafe fn k_chain_s<const WHOLE: bool>(li: *mut (), args: &KernelArgs, w: LaneWindow) {
                 // SAFETY: forwarding the caller's `KernelFn` contract
                 // intact: the rows are of this table's lane type `T`.
-                unsafe { run_chain(li.cast::<T>(), args, w, |acc| cs(acc, args)) };
+                unsafe { run_chain::<T, WHOLE>(li.cast(), args, w, cs) };
             }
 
-            /// This table's kernel for an opcode/arity/signedness
-            /// triple: total over every shape `check_op_shape` accepts.
-            /// `logical` asks for the unsigned counterpart of an op that
-            /// reads its operands as signed, and is ignored by the rest.
+            /// This table's two entries for an opcode/arity/signedness
+            /// triple, indexed by [`Entry`]: total over every shape
+            /// `check_op_shape` accepts. `logical` asks for the unsigned
+            /// counterpart of an op that reads its operands as signed,
+            /// and is ignored by the rest.
             pub(super) fn kernel_table(
+                op: DfgOp,
+                arity: usize,
+                signed: bool,
+                logical: bool,
+            ) -> Option<[KernelFn; 2]> {
+                Some([
+                    entry::<true>(op, arity, signed, logical)?,
+                    entry::<false>(op, arity, signed, logical)?,
+                ])
+            }
+
+            /// [`kernel_table`]'s [`Entry::Whole`] kernel if `WHOLE`,
+            /// else its [`Entry::Any`] one.
+            fn entry<const WHOLE: bool>(
                 op: DfgOp,
                 arity: usize,
                 signed: bool,
                 logical: bool,
             ) -> Option<KernelFn> {
                 use DfgOp::*;
-                let pick = |u: KernelFn, s: KernelFn| Some(if signed { s } else { u });
+                macro_rules! pick {
+                    ($unsigned:ident, $signed:ident) => {
+                        Some(if signed {
+                            $signed::<WHOLE> as KernelFn
+                        } else {
+                            $unsigned::<WHOLE>
+                        })
+                    };
+                }
                 let op = match op {
                     Lts if logical => Ltu,
                     Les if logical => Leu,
@@ -879,45 +1075,45 @@ macro_rules! kernel_table {
                     _ => op,
                 };
                 match (op, arity) {
-                    (Const, 0) => Some(k_const),
-                    (Add, 2) => pick(k_add_u, k_add_s),
-                    (Sub, 2) => pick(k_sub_u, k_sub_s),
-                    (Mul, 2) => pick(k_mul_u, k_mul_s),
-                    (Divu, 2) => pick(k_divu_u, k_divu_s),
-                    (Divs, 2) => pick(k_divs_u, k_divs_s),
-                    (Remu, 2) => pick(k_remu_u, k_remu_s),
-                    (Rems, 2) => pick(k_rems_u, k_rems_s),
-                    (And, 2) => pick(k_and_u, k_and_s),
-                    (Or, 2) => pick(k_or_u, k_or_s),
-                    (Xor, 2) => pick(k_xor_u, k_xor_s),
-                    (Ltu, 2) => pick(k_ltu_u, k_ltu_s),
-                    (Lts, 2) => pick(k_lts_u, k_lts_s),
-                    (Leu, 2) => pick(k_leu_u, k_leu_s),
-                    (Les, 2) => pick(k_les_u, k_les_s),
-                    (Gtu, 2) => pick(k_gtu_u, k_gtu_s),
-                    (Gts, 2) => pick(k_gts_u, k_gts_s),
-                    (Geu, 2) => pick(k_geu_u, k_geu_s),
-                    (Ges, 2) => pick(k_ges_u, k_ges_s),
-                    (Eq, 2) => pick(k_eq_u, k_eq_s),
-                    (Neq, 2) => pick(k_neq_u, k_neq_s),
-                    (Dshl, 2) => pick(k_dshl_u, k_dshl_s),
-                    (Dshr, 2) if logical => pick(k_dshrl_u, k_dshrl_s),
-                    (Dshr, 2) => pick(k_dshr_u, k_dshr_s),
-                    (Cat, 2) => pick(k_cat_u, k_cat_s),
-                    (ValidIf, 2) => pick(k_validif_u, k_validif_s),
-                    (Not, 1) => pick(k_not_u, k_not_s),
-                    (Neg, 1) => pick(k_neg_u, k_neg_s),
-                    (Andr, 1) => pick(k_andr_u, k_andr_s),
-                    (Orr, 1) => pick(k_orr_u, k_orr_s),
-                    (Xorr, 1) => pick(k_xorr_u, k_xorr_s),
-                    (Shl, 1) => pick(k_shl_u, k_shl_s),
-                    (Shr, 1) if logical => pick(k_shrl_u, k_shrl_s),
-                    (Shr, 1) => pick(k_shr_u, k_shr_s),
-                    (Bits, 1) => pick(k_bits_u, k_bits_s),
-                    (Head, 1) => pick(k_head_u, k_head_s),
-                    (Resize, 1) | (Identity, 1) => pick(k_resize_u, k_resize_s),
-                    (Mux, 3) => pick(k_mux_u, k_mux_s),
-                    (MuxChain, n) if n % 2 == 1 => pick(k_chain_u, k_chain_s),
+                    (Const, 0) => Some(k_const::<WHOLE>),
+                    (Add, 2) => pick!(k_add_u, k_add_s),
+                    (Sub, 2) => pick!(k_sub_u, k_sub_s),
+                    (Mul, 2) => pick!(k_mul_u, k_mul_s),
+                    (Divu, 2) => pick!(k_divu_u, k_divu_s),
+                    (Divs, 2) => pick!(k_divs_u, k_divs_s),
+                    (Remu, 2) => pick!(k_remu_u, k_remu_s),
+                    (Rems, 2) => pick!(k_rems_u, k_rems_s),
+                    (And, 2) => pick!(k_and_u, k_and_s),
+                    (Or, 2) => pick!(k_or_u, k_or_s),
+                    (Xor, 2) => pick!(k_xor_u, k_xor_s),
+                    (Ltu, 2) => pick!(k_ltu_u, k_ltu_s),
+                    (Lts, 2) => pick!(k_lts_u, k_lts_s),
+                    (Leu, 2) => pick!(k_leu_u, k_leu_s),
+                    (Les, 2) => pick!(k_les_u, k_les_s),
+                    (Gtu, 2) => pick!(k_gtu_u, k_gtu_s),
+                    (Gts, 2) => pick!(k_gts_u, k_gts_s),
+                    (Geu, 2) => pick!(k_geu_u, k_geu_s),
+                    (Ges, 2) => pick!(k_ges_u, k_ges_s),
+                    (Eq, 2) => pick!(k_eq_u, k_eq_s),
+                    (Neq, 2) => pick!(k_neq_u, k_neq_s),
+                    (Dshl, 2) => pick!(k_dshl_u, k_dshl_s),
+                    (Dshr, 2) if logical => pick!(k_dshrl_u, k_dshrl_s),
+                    (Dshr, 2) => pick!(k_dshr_u, k_dshr_s),
+                    (Cat, 2) => pick!(k_cat_u, k_cat_s),
+                    (ValidIf, 2) => pick!(k_validif_u, k_validif_s),
+                    (Not, 1) => pick!(k_not_u, k_not_s),
+                    (Neg, 1) => pick!(k_neg_u, k_neg_s),
+                    (Andr, 1) => pick!(k_andr_u, k_andr_s),
+                    (Orr, 1) => pick!(k_orr_u, k_orr_s),
+                    (Xorr, 1) => pick!(k_xorr_u, k_xorr_s),
+                    (Shl, 1) => pick!(k_shl_u, k_shl_s),
+                    (Shr, 1) if logical => pick!(k_shrl_u, k_shrl_s),
+                    (Shr, 1) => pick!(k_shr_u, k_shr_s),
+                    (Bits, 1) => pick!(k_bits_u, k_bits_s),
+                    (Head, 1) => pick!(k_head_u, k_head_s),
+                    (Resize, 1) | (Identity, 1) => pick!(k_resize_u, k_resize_s),
+                    (Mux, 3) => pick!(k_mux_u, k_mux_s),
+                    (MuxChain, n) if n % 2 == 1 => pick!(k_chain_u, k_chain_s),
                     _ => None,
                 }
             }
@@ -933,12 +1129,19 @@ kernel_table!(avx2_u64, u64, i64, #[target_feature(enable = "avx2")]);
 kernel_table!(avx2_u32, u32, i32, #[target_feature(enable = "avx2")]);
 
 /// One operation compiled to a specialized lane kernel: the executable
-/// form of an [`OpInst`].
+/// form of an [`OpInst`] — its two entries, indexed by [`Entry`], and the
+/// arguments both read.
 #[derive(Debug, Clone)]
 pub struct CompiledOp {
-    kernel: KernelFn,
+    kernels: [KernelFn; 2],
     args: KernelArgs,
 }
+
+// The walk streams these: growing one by a cache line's worth cost the
+// memory-bound chip 13 % of its lane rate, and the second entry pointer
+// fits only because `p1` and `sh` were narrowed to make room for it.
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(std::mem::size_of::<CompiledOp>() == 72);
 
 impl CompiledOp {
     /// Compiles an operation instance for `u64` rows — the lane type
@@ -1002,7 +1205,7 @@ impl CompiledOp {
     fn build(op: &OpInst, isa: LaneIsa, lane: LaneType, logical: bool) -> CompiledOp {
         let d = op.op();
         let arity = op.ins.len();
-        let kernel = isa
+        let kernels = isa
             .kernel(lane, d, arity, op.signed, logical)
             .unwrap_or_else(|| panic!("`{d}` with {arity} operand(s) is not compilable"));
         let width = (op.width as u32).clamp(1, lane.bits());
@@ -1024,9 +1227,9 @@ impl CompiledOp {
             } else {
                 p0
             },
-            p1: op.params.get(1).copied().unwrap_or(0),
+            p1: op.params.get(1).copied().unwrap_or(0) as u32,
             msk: mask(width),
-            sh: lane.bits() - width,
+            sh: (lane.bits() - width) as u8,
             n: op.n,
             signed: op.signed,
             lane,
@@ -1038,7 +1241,7 @@ impl CompiledOp {
                 })
             }),
         };
-        CompiledOp { kernel, args }
+        CompiledOp { kernels, args }
     }
 
     /// Output slot this kernel writes.
@@ -1067,7 +1270,7 @@ impl CompiledOp {
 
     /// Folded sign-extension shift (lane bits minus width).
     pub fn shift(&self) -> u32 {
-        self.args.sh
+        u32::from(self.args.sh)
     }
 
     /// Whether the op canonicalizes as a signed value.
@@ -1096,7 +1299,9 @@ impl CompiledOp {
     }
 
     /// Evaluates over the active window of a slot-major `LI` matrix
-    /// through a raw pointer — the layer-parallel engine's entry point.
+    /// through a raw pointer — the layer-parallel engine's entry point —
+    /// with the entry [`Entry::of`] the window picks. A walk passes one
+    /// window to every op, so the pick is the same index for all of them.
     ///
     /// # Safety
     ///
@@ -1119,8 +1324,10 @@ impl CompiledOp {
         // exactly the `KernelFn` contract the folded kernel requires —
         // the rows are of the table's lane type; and the kernel came out
         // of the table of a `LaneIsa`, which exists only for an
-        // instruction set detected on this CPU.
-        unsafe { (self.kernel)(li.cast(), &self.args, w) };
+        // instruction set detected on this CPU. (`Entry::of` hands the
+        // `Whole` kernel only windows of whole chunks; it would be as safe
+        // on any other, just leave the remainder unwritten.)
+        unsafe { (self.kernels[Entry::of(w) as usize])(li.cast(), &self.args, w) };
     }
 
     /// Evaluates over the active window of an exclusively borrowed `LI`
@@ -1128,22 +1335,56 @@ impl CompiledOp {
     ///
     /// # Panics
     ///
-    /// Panics if `T` is not the element of this kernel's lane type.
+    /// Panics if `T` is not the element of this kernel's lane type, if
+    /// the window is wider than its stride, or if `li` does not hold
+    /// every row the op references.
     #[inline]
     pub fn eval_lanes<T: Lane>(&self, li: &mut [T], w: LaneWindow) {
-        assert_eq!(T::TYPE, self.args.lane, "rows are not of the kernel's type");
-        debug_assert!(w.active <= w.stride);
-        debug_assert!(
-            li.len() >= (self.args.max_slot as usize + 1) * w.stride,
-            "LI matrix does not cover slot {}",
-            self.args.max_slot
-        );
-        // SAFETY: an exclusive borrow covers the whole matrix, whose
-        // element was just checked against the kernel's, and the
-        // debug-checked length bound is what `analyze_compiled` proves
-        // statically for verifier-clean plans.
-        unsafe { self.eval_lanes_ptr(li.as_mut_ptr(), w) }
+        self.eval_lanes_as(Entry::of(w), li, w);
     }
+
+    /// [`eval_lanes`](Self::eval_lanes) through a chosen entry, so tests
+    /// can run [`Entry::Any`] over whole windows too.
+    ///
+    /// # Panics
+    ///
+    /// As [`eval_lanes`](Self::eval_lanes); and if `entry` is
+    /// [`Entry::Whole`] but the window is not whole chunks.
+    #[doc(hidden)]
+    pub fn eval_lanes_as<T: Lane>(&self, entry: Entry, li: &mut [T], w: LaneWindow) {
+        assert_eq!(T::TYPE, self.args.lane, "rows are not of the kernel's type");
+        assert!(
+            entry == Entry::Any || Entry::of(w) == Entry::Whole,
+            "{} lanes are not whole chunks",
+            w.active
+        );
+        assert_covers(li.len(), self.args.max_slot, w);
+        // SAFETY: an exclusive borrow covers the whole matrix, whose
+        // element was just checked against the kernel's, and whose length
+        // and window `assert_covers` just checked: the contract of either
+        // entry, whose `Whole` form was just checked to fit the window.
+        unsafe { (self.kernels[entry as usize])(li.as_mut_ptr().cast(), &self.args, w) }
+    }
+}
+
+/// Panics unless a lane matrix of `len` elements holds rows `0..=max_slot`
+/// of `w.stride` lanes each and `w` fits within its stride: the bounds
+/// side of the kernel contract, which the safe entry points (here and
+/// [`OpInst::eval_lanes`]) check before they walk.
+#[inline]
+pub(crate) fn assert_covers(len: usize, max_slot: u32, w: LaneWindow) {
+    assert!(
+        w.active <= w.stride,
+        "a window of {} lanes is wider than its stride {}",
+        w.active,
+        w.stride
+    );
+    let need = (max_slot as usize + 1).checked_mul(w.stride);
+    assert!(
+        need.is_some_and(|need| len >= need),
+        "a lane matrix of {len} elements is short of slot {max_slot} at stride {}",
+        w.stride
+    );
 }
 
 /// One layer of compiled operations (independent within the layer, as
@@ -1521,6 +1762,139 @@ mod tests {
         compiled.eval_lanes(&mut li, w);
         assert_eq!(&li[0..4], &[0xfe, 0xfd, 0xfc, 0xfb]);
         assert_eq!(&li[4..6], &[0, 0], "tail of the output row untouched");
+    }
+
+    /// Lanes per row of the entry sweep: past the widest window, so every
+    /// window leaves lanes whose values must survive it.
+    const SWEEP_STRIDE: usize = 67;
+
+    /// Windows of the entry sweep: whole chunks, then ragged ones either
+    /// side of a chunk boundary.
+    const SWEEP_WINDOWS: [usize; 9] = [8, 16, 24, 64, 1, 5, 7, 9, 63];
+
+    /// `eval_raw` + `canonicalize` of `op` on every lane of `w`, on
+    /// operands widened by their slot's signedness (`signed`, by slot),
+    /// truncated into rows of `T`; every other element as in `li`.
+    fn golden<T: Lane>(op: &OpInst, li: &[T], signed: &[bool], w: LaneWindow) -> Vec<T> {
+        let mut want = li.to_vec();
+        for lane in 0..w.active {
+            let ins: Vec<u64> = (op.ins.iter())
+                .map(|&r| li[r as usize * w.stride + lane].widen(signed[r as usize]))
+                .collect();
+            let raw = eval_raw(op.op(), &op.params, &ins);
+            want[op.out as usize * w.stride + lane] =
+                T::truncate(canonicalize(raw, op.width as u32, op.signed));
+        }
+        want
+    }
+
+    /// Runs `compiled` through every entry that may run `w` — both on a
+    /// window of whole chunks, [`Entry::Any`] on any other — and asserts
+    /// each leaves `want`.
+    fn assert_entries<T: Lane>(compiled: &CompiledOp, li: &[T], want: &[T], w: LaneWindow) {
+        for entry in [Entry::Whole, Entry::Any] {
+            if entry == Entry::Whole && Entry::of(w) != Entry::Whole {
+                continue;
+            }
+            let mut got = li.to_vec();
+            compiled.eval_lanes_as(entry, &mut got, w);
+            assert_eq!(
+                got,
+                want,
+                "{} {:?} {:?} params {:?} {entry:?} active {}",
+                compiled.opcode().expect("valid opcode"),
+                compiled.lane_type(),
+                (compiled.args.msk, compiled.is_signed()),
+                (compiled.args.p0, compiled.args.p1),
+                w.active
+            );
+        }
+    }
+
+    #[test]
+    fn both_entries_match_eval_raw_on_whole_and_partial_windows() {
+        // Every op of every table this CPU runs, in both lane types, through
+        // both entries, on whole windows and ragged ones: lanes inside the
+        // window agree with the interpreter, lanes past it keep their
+        // values.
+        let types = [(1, false), (12, true), (32, false)];
+        for &op in &ALL_OPS {
+            if matches!(op, DfgOp::Input | DfgOp::RegState) {
+                continue;
+            }
+            let arity = op.arity().unwrap_or(7);
+            let mut narrow_runs = 0;
+            for params in narrow_params(op, 32, 32) {
+                for (width, signed) in [(1, false), (13, true), (32, false), (64, true)] {
+                    let op = inst(op, arity, params.clone(), width, signed);
+                    let li = stimulus(arity + 1, SWEEP_STRIDE);
+                    for active in SWEEP_WINDOWS {
+                        let w = LaneWindow {
+                            stride: SWEEP_STRIDE,
+                            active,
+                        };
+                        let want = golden(&op, &li, &vec![false; arity + 1], w);
+                        for isa in LaneIsa::supported() {
+                            assert_entries(&CompiledOp::compile_for(&op, isa), &li, &want, w);
+                        }
+                    }
+                }
+                for out in types {
+                    for operand in types {
+                        let mut slots = vec![out];
+                        slots.extend(std::iter::repeat_n(operand, arity));
+                        let op = inst(op, arity, params.clone(), out.0, out.1);
+                        let signed: Vec<bool> = slots.iter().map(|t| t.1).collect();
+                        let li = narrow_stimulus(&slots, SWEEP_STRIDE);
+                        for active in SWEEP_WINDOWS {
+                            let w = LaneWindow {
+                                stride: SWEEP_STRIDE,
+                                active,
+                            };
+                            let want = golden(&op, &li, &signed, w);
+                            for isa in LaneIsa::supported() {
+                                let Some(compiled) =
+                                    CompiledOp::compile_narrow_for(&op, isa, &slots[1..])
+                                else {
+                                    continue;
+                                };
+                                narrow_runs += 1;
+                                assert_entries(&compiled, &li, &want, w);
+                            }
+                        }
+                    }
+                }
+            }
+            assert!(narrow_runs > 0, "{op} ran in u32 rows");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "1 lanes are not whole chunks")]
+    fn the_whole_window_entry_refuses_a_ragged_window() {
+        let op = inst(DfgOp::Not, 1, vec![], 8, false);
+        let w = LaneWindow::full(1);
+        CompiledOp::compile(&op).eval_lanes_as(Entry::Whole, &mut [0u64; 2], w);
+    }
+
+    #[test]
+    #[should_panic(expected = "a lane matrix of 4 elements is short of slot 10 at stride 1")]
+    fn eval_lanes_refuses_a_matrix_short_of_the_ops_rows() {
+        let mut op = inst(DfgOp::Add, 2, vec![], 8, false);
+        op.out = 10;
+        let mut backing = [7u64; 16];
+        CompiledOp::compile(&op).eval_lanes(&mut backing[..4], LaneWindow::full(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "a window of 9 lanes is wider than its stride 2")]
+    fn eval_lanes_refuses_a_window_wider_than_its_stride() {
+        let op = inst(DfgOp::Add, 2, vec![], 8, false);
+        let w = LaneWindow {
+            stride: 2,
+            active: 9,
+        };
+        CompiledOp::compile(&op).eval_lanes(&mut [7u64; 64], w);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! reference model.
 
 use crate::graph::Graph;
-use crate::lane_kernel::{Lane, LaneType, LaneWindow};
+use crate::lane_kernel::{assert_covers, Lane, LaneType, LaneWindow};
 use crate::level::{levelize, IdentityStats};
 use crate::op::{canonicalize, eval_raw, DfgOp};
 use serde::{Deserialize, Serialize};
@@ -64,10 +64,18 @@ impl OpInst {
     /// This is the *interpreted* lane walk — the golden model the
     /// compiled kernels of [`crate::lane_kernel`] are differentially
     /// tested against — over `u64` rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window is wider than its stride or `li` does not
+    /// hold every row the op references.
     #[inline]
     pub fn eval_lanes(&self, li: &mut [u64], w: LaneWindow, buf: &mut Vec<u64>) {
-        // SAFETY: an exclusive borrow covers the whole matrix; `u64`
-        // rows never consult the signedness table.
+        let max_slot = self.ins.iter().fold(self.out, |m, &r| m.max(r));
+        assert_covers(li.len(), max_slot, w);
+        // SAFETY: an exclusive borrow covers the whole matrix, whose
+        // length and window were just checked against every row the op
+        // references; `u64` rows never consult the signedness table.
         unsafe { self.eval_lanes_ptr(li.as_mut_ptr(), w, &[], buf) }
     }
 
@@ -796,6 +804,35 @@ circuit Mixed :
     out <= acc
     flag <= andr(cnt)
 ";
+
+    /// `add(slot 1, slot 2)` into `out`.
+    fn add_into(out: u32) -> OpInst {
+        OpInst {
+            n: DfgOp::Add.n_coord(),
+            out,
+            ins: vec![1, 2],
+            params: vec![],
+            width: 8,
+            signed: false,
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a lane matrix of 4 elements is short of slot 10 at stride 1")]
+    fn eval_lanes_refuses_a_matrix_short_of_the_ops_rows() {
+        let mut backing = [7u64; 16];
+        add_into(10).eval_lanes(&mut backing[..4], LaneWindow::full(1), &mut Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "a window of 9 lanes is wider than its stride 2")]
+    fn eval_lanes_refuses_a_window_wider_than_its_stride() {
+        let w = LaneWindow {
+            stride: 2,
+            active: 9,
+        };
+        add_into(0).eval_lanes(&mut [7u64; 64], w, &mut Vec::new());
+    }
 
     #[test]
     fn plan_matches_graph_interpreter() {

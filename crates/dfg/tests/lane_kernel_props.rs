@@ -10,11 +10,13 @@
 //! the truncation of the 64-bit result, operands are canonical for
 //! randomly typed slots (every signedness combination, bit 31 in use one
 //! time in three), and the kernel exists exactly where `narrow_exact`
-//! admits the shape.
+//! admits the shape. Each op's two entries — whole-chunk windows only,
+//! and any window — are run apart on whole and ragged windows of a wider
+//! row, whose lanes past the window must keep their values.
 
 use proptest::prelude::*;
 use rteaal_dfg::lane_kernel::{
-    narrow_exact, CompiledOp, Lane, LaneIsa, LaneWindow, Narrow, SlotType,
+    narrow_exact, CompiledOp, Entry, Lane, LaneIsa, LaneWindow, Narrow, SlotType,
 };
 use rteaal_dfg::op::{canonicalize, eval_raw, DfgOp, ALL_OPS};
 use rteaal_dfg::OpInst;
@@ -32,6 +34,23 @@ fn evaluable_ops() -> Vec<DfgOp> {
 /// side of two, four and eight 8-lane chunks.
 fn lane_counts() -> Vec<usize> {
     (1..=12).chain([15, 16, 17, 31, 32, 33, 64, 65]).collect()
+}
+
+/// Windows both entries run, in rows of [`ENTRY_STRIDE`] lanes: whole
+/// chunks, then ragged ones either side of a chunk boundary.
+fn entry_windows() -> Vec<usize> {
+    vec![8, 16, 24, 64, 1, 5, 7, 9, 63]
+}
+
+/// Lanes per row under [`entry_windows`]: past the widest one.
+const ENTRY_STRIDE: usize = 67;
+
+/// The entries that may run `w`: both on whole chunks, else `Any`.
+fn entries(w: LaneWindow) -> Vec<Entry> {
+    match Entry::of(w) {
+        Entry::Whole => vec![Entry::Whole, Entry::Any],
+        Entry::Any => vec![Entry::Any],
+    }
 }
 
 /// splitmix64 — dependent random values derived from one generated seed.
@@ -116,6 +135,21 @@ fn interpret(inst: &OpInst, li: &mut [u64], w: LaneWindow) {
         let raw = eval_raw(inst.op(), &inst.params, &ins);
         li[inst.out as usize * w.stride + lane] = canonicalize(raw, inst.width as u32, inst.signed);
     }
+}
+
+/// The golden `u32` rows: `eval_raw` on the operands widened by their
+/// slots' signedness, canonicalized, truncated, on every lane of `w`.
+fn interpret_narrow(inst: &OpInst, types: &[SlotType], li: &[u32], w: LaneWindow) -> Vec<u32> {
+    let mut want = li.to_vec();
+    for lane in 0..w.active {
+        let ins: Vec<u64> = (inst.ins.iter())
+            .map(|&r| li[r as usize * w.stride + lane].widen(types[r as usize].1))
+            .collect();
+        let raw = eval_raw(inst.op(), &inst.params, &ins);
+        want[inst.out as usize * w.stride + lane] =
+            canonicalize(raw, inst.width as u32, inst.signed) as u32;
+    }
+    want
 }
 
 /// Widths narrow slots are drawn from: 1 bit, small, mid, one under and
@@ -281,6 +315,58 @@ proptest! {
         let mut want = li;
         inst.eval_lanes(&mut want, w, &mut Vec::new());
         prop_assert_eq!(&got, &want, "op {} ins {:?}", op, &inst.ins);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 300, ..ProptestConfig::default() })]
+
+    #[test]
+    fn both_entries_match_the_interpreter(
+        op in prop::sample::select(evaluable_ops()),
+        width in 1u32..65,
+        signed in any::<bool>(),
+        active in prop::sample::select(entry_windows()),
+        seed in any::<u64>(),
+    ) {
+        let mut seed = seed;
+        let w = LaneWindow { stride: ENTRY_STRIDE, active };
+        let (inst, li) = case(op, width, signed, ENTRY_STRIDE, &mut seed);
+        let mut want = li.clone();
+        interpret(&inst, &mut want, w);
+        for isa in LaneIsa::supported() {
+            let compiled = CompiledOp::compile_for(&inst, isa);
+            for entry in entries(w) {
+                let mut got = li.clone();
+                compiled.eval_lanes_as(entry, &mut got, w);
+                prop_assert_eq!(
+                    &got,
+                    &want,
+                    "{:?} {:?} op {} ins {:?} width {} signed {} active {}",
+                    isa, entry, op, &inst.ins, width, signed, active
+                );
+            }
+        }
+        // The same window over `u32` rows, where the shape is admitted.
+        let out = (NARROW_WIDTHS[(width % 6) as usize], signed);
+        let (inst, types, li) = narrow_case(op, out, ENTRY_STRIDE, &mut seed);
+        let operands: Vec<SlotType> = inst.ins.iter().map(|&r| types[r as usize]).collect();
+        let want = interpret_narrow(&inst, &types, &li, w);
+        for isa in LaneIsa::supported() {
+            let Some(compiled) = CompiledOp::compile_narrow_for(&inst, isa, &operands) else {
+                continue;
+            };
+            for entry in entries(w) {
+                let mut got = li.clone();
+                compiled.eval_lanes_as(entry, &mut got, w);
+                prop_assert_eq!(
+                    &got,
+                    &want,
+                    "{:?} {:?} narrow op {} ins {:?} on {:?} -> {:?} active {}",
+                    isa, entry, op, &inst.ins, &operands, out, active
+                );
+            }
+        }
     }
 }
 

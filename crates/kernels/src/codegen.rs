@@ -106,7 +106,7 @@ fn emit_rolled(out: &mut String, _plan: &SimPlan, config: KernelConfig) {
         );
         let _ = writeln!(out, "  for (int i = 0; i < NUM_LAYERS; i++) {{");
         for n in 0..NUM_OPCODES as u16 {
-            let op = DfgOp::from_n_coord(n).unwrap();
+            let op = DfgOp::from_n_coord(n).expect("every n below NUM_OPCODES is an opcode");
             if matches!(op, DfgOp::Input | DfgOp::RegState | DfgOp::Const) {
                 continue;
             }
@@ -130,7 +130,7 @@ fn emit_rolled(out: &mut String, _plan: &SimPlan, config: KernelConfig) {
         let _ = writeln!(out, "    for (uint32_t k = 0; k < OIM_CNT[i]; k++)");
         let _ = writeln!(out, "      dispatch(OIM_N[k], OIM_S, OIM_R);");
         for n in 0..NUM_OPCODES as u16 {
-            let op = DfgOp::from_n_coord(n).unwrap();
+            let op = DfgOp::from_n_coord(n).expect("every n below NUM_OPCODES is an opcode");
             if matches!(op, DfgOp::Input | DfgOp::RegState | DfgOp::Const) {
                 continue;
             }

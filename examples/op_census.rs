@@ -28,7 +28,10 @@
 //! one-thread step over the plan and over the copy `BatchSimulation` runs
 //! (the plan in emission order, walked depth-first), timed in interleaved
 //! blocks on a live image, with the median distance in ops from a value's
-//! producer to its readers under each numbering.
+//! producer to its readers under each numbering; and the step of that copy
+//! at 1, 2, 4, 5, 7, 8, 16 and 64 live lanes, with the entry of the lane
+//! kernels each window takes (whole chunks or any window) — the crossover
+//! table a few-lane window is judged by.
 //!
 //! ```text
 //! cargo run --release --example op_census
@@ -38,7 +41,7 @@ use rteaal_core::{BatchSimulation, Compiled, Compiler};
 use rteaal_designs::{rocket, sha3, ChipConfig, Stimulus, Workload};
 use rteaal_dfg::analyze::{analyze_design, analyze_graph};
 use rteaal_dfg::lane_kernel::{
-    compile_layer, BatchEngine, CompiledOp, Lane, LaneLayout, LaneType, LaneWindow,
+    compile_layer, BatchEngine, CompiledOp, Entry, Lane, LaneLayout, LaneType, LaneWindow,
 };
 use rteaal_dfg::op::NUM_OPCODES;
 use rteaal_dfg::passes::{optimize, PassOptions};
@@ -424,13 +427,16 @@ fn compile_budget(compiler: &Compiler, circuit: &Circuit) -> Compiled {
 /// the scalar census, then — in each lane type the plan supports, its own
 /// last and in detail — pokes `x15` on every lane (RV32I's loop bound),
 /// drives the `k`-th of `inputs` with `value(cycle, lane, k)` for `warm`
-/// cycles to a live image, and takes the lane census.
+/// cycles to a live image, and takes the lane census; with `crossover`,
+/// also the step by live lanes (a design whose image stays live with its
+/// inputs held).
 fn census(
     circuit: &Circuit,
     x15: Option<u64>,
     inputs: &[&str],
     warm: u64,
     value: &mut dyn FnMut(u64, usize, usize) -> u64,
+    crossover: bool,
 ) {
     let config = KernelConfig::new(KernelKind::Psu);
     let compiled = compile_budget(&Compiler::new(config), circuit);
@@ -496,7 +502,66 @@ fn census(
         );
     }
     step_orders(plan, config, x15, warm, &mut drive);
+    if crossover {
+        live_lane_steps(plan, config, x15.is_some(), warm, &mut drive);
+    }
     println!();
+}
+
+/// The live-lane counts of the crossover table: ragged windows below a
+/// chunk, whole ones, and the full batch.
+const LIVE: [usize; 8] = [1, 2, 4, 5, 7, 8, 16, 64];
+
+/// A loop bound RV32I's sum loop takes three billion cycles to reach.
+const ENDLESS: u64 = 1 << 30;
+
+/// The one-thread step of the front door's copy of `plan` (emission
+/// order) with each of [`LIVE`] lanes live: warmed up `warm` cycles under
+/// `drive` on every lane to a live image, then timed with the inputs held
+/// (the walk, not the stimulus) in interleaved blocks, each window's best
+/// block; and the entry of the lane kernels each window takes. With
+/// `endless`, RV32I's loop bound `x15` is [`ENDLESS`], so that no timed
+/// cycle reaches the end of the loop.
+fn live_lane_steps(
+    plan: &SimPlan,
+    config: KernelConfig,
+    endless: bool,
+    warm: u64,
+    drive: &mut dyn FnMut(u64, &mut LanePoker),
+) {
+    let renamed = plan.in_emission_order();
+    let kernel = BatchKernel::compile(&renamed, config);
+    let mut st = BatchLiState::new(&renamed, LANES);
+    if endless {
+        let x15 = renamed.signal_slot("x15").expect("probed");
+        (0..LANES).for_each(|lane| st.poke_slot(x15, lane, ENDLESS));
+    }
+    kernel.run_with_stimulus(&mut st, warm, 1, drive);
+    let mut best = [f64::INFINITY; LIVE.len()];
+    for _ in 0..50 {
+        for (best, &live) in best.iter_mut().zip(&LIVE) {
+            st.set_live(live);
+            *best = best.min(best_ns(2, || kernel.run(&mut st, 4)) / 4.0);
+        }
+    }
+    assert!(!st.settled(), "the timed steps ran on a live image");
+    println!("  one-thread step by live lanes (emission order, inputs held):");
+    println!(
+        "  {:>6} {:>6} {:>10} {:>16}",
+        "live", "entry", "step us", "ns/lane-cycle"
+    );
+    for (ns, &live) in best.iter().zip(&LIVE) {
+        let entry = Entry::of(LaneWindow {
+            stride: LANES,
+            active: live,
+        });
+        println!(
+            "  {live:>6} {:>6} {:>10.2} {:>16.1}",
+            format!("{entry:?}"),
+            ns / 1e3,
+            ns / live as f64
+        );
+    }
 }
 
 /// The one-thread step over `plan` and over the front door's copy of it
@@ -570,20 +635,19 @@ fn main() {
     // stimulus every cycle — and `sha3`, a 64-bit design, for a plan
     // that stays on `u64` rows.
     let core = Workload::param_sum_circuit();
-    census(&core, Some(200), &["reset"], 40, &mut |cycle, _, _| {
-        u64::from(cycle < 2)
-    });
+    let reset = &mut |cycle, _, _| u64::from(cycle < 2);
+    census(&core, Some(200), &["reset"], 40, reset, true);
     let chip = rocket(ChipConfig::new(4).with_scale(0.5));
     let mut streams: Vec<Stimulus> = (0..LANES as u64).map(Stimulus::from_seed).collect();
-    census(&chip, None, &["stim"], 8, &mut |_, lane, _| {
-        streams[lane].next_value()
-    });
+    let stim = &mut |_, lane: usize, _| streams[lane].next_value();
+    census(&chip, None, &["stim"], 8, stim, true);
     // A fresh block absorbed every 25 cycles keeps the permutation busy.
     let names: Vec<String> = (0..17).map(|i| format!("in{i}")).collect();
     let mut inputs = vec!["start"];
     inputs.extend(names.iter().map(String::as_str));
-    census(&sha3(), None, &inputs, 30, &mut |cycle, lane, k| match k {
+    let absorb = &mut |cycle, lane: usize, k| match k {
         0 => u64::from(cycle % 25 == 0),
         _ => streams[lane].next_value(),
-    });
+    };
+    census(&sha3(), None, &inputs, 30, absorb, false);
 }

@@ -308,6 +308,62 @@ fn sha3_compiled_kernels_match_interpreted_walk() {
     assert_compiled_matches_interpreted(&plan_of(&sha3()), 3, 60, 0xc002);
 }
 
+#[test]
+fn a_window_shrinking_from_64_lanes_to_1_matches_the_interpreted_walk() {
+    // The front door's window passes through whole chunks (64, 40, 8) and
+    // ragged ones (5, 1), so the walk runs each op's whole-chunk kernel
+    // and then its any-window one: every live lane matches the
+    // interpreted walk every cycle, and every retired lane keeps what it
+    // held when it left the window. Random reset toggling keeps the
+    // lanes apart and keeps any of them from reaching its halt.
+    const LANES: usize = 64;
+    let compiled = Compiler::new(KernelConfig::new(KernelKind::Psu))
+        .compile(&rv32i_circuit())
+        .expect("compiles");
+    let plan = &compiled.plan;
+    let mut batch = BatchSimulation::new(&compiled, LANES);
+    assert_eq!(batch.lane_type(), LaneType::Narrow);
+    batch.watch_halt("halt").expect("halt signal resolves");
+    let mut golden = BatchPlanSim::interpreted(plan, LANES);
+    let inputs = input_names(plan);
+    let mut drive = random(0xc0de, LANES);
+    // Lanes leave in a scattered order, so compaction moves columns.
+    let leaving: Vec<usize> = (0..LANES).map(|k| k * 37 % LANES).collect();
+    let mut frozen: Vec<Option<Vec<Option<u64>>>> = vec![None; LANES];
+    let mut cycle = 0;
+    for live in [64, 40, 8, 5, 1] {
+        for &lane in &leaving[..LANES - live] {
+            if frozen[lane].is_none() {
+                frozen[lane] = Some(plan.probes.iter().map(|p| batch.peek(&p.0, lane)).collect());
+                batch.retire_lane(lane);
+            }
+        }
+        for _ in 0..12 {
+            for lane in (0..LANES).filter(|&lane| frozen[lane].is_none()) {
+                for (idx, name) in inputs.iter().enumerate() {
+                    let v = drive(lane, cycle, name);
+                    batch.poke(name, lane, v).expect("an input");
+                    golden.set_input(idx, lane, v);
+                }
+            }
+            batch.step();
+            golden.step();
+            assert_eq!(batch.live_lanes(), live, "no lane halted @ cycle {cycle}");
+            for (lane, frozen) in frozen.iter().enumerate() {
+                for (k, (name, slot, _)) in plan.probes.iter().enumerate() {
+                    let want = match frozen {
+                        Some(held) => held[k],
+                        None => Some(golden.slot(*slot, lane)),
+                    };
+                    let at = format!("`{name}` lane {lane} @ cycle {cycle}, {live} live");
+                    assert_eq!(batch.peek(name, lane), want, "{at}");
+                }
+            }
+            cycle += 1;
+        }
+    }
+}
+
 /// The halting RV32I workload under a *different* reset-release cycle
 /// per lane, so the lanes halt at different cycles and the batch
 /// compacts them out one by one.
