@@ -24,7 +24,8 @@
 //!   job's six-stage lifecycle timeline.
 //! - [`SocketServer`] / [`ServeClient`] — a `std::net::TcpListener`
 //!   front end speaking that protocol, one connection per client, and
-//!   its blocking client.
+//!   its blocking client, which fetches every finished job of its
+//!   connection in one `result` exchange and buffers the rest.
 //! - [`ShardRouter`] — the cross-host supervisor: consistent-hash job
 //!   placement ([`HashRing`]) over a fleet of server processes, with
 //!   per-shard circuit breakers (exponential backoff, half-open `ping`
@@ -91,7 +92,7 @@ pub mod protocol;
 pub mod shard;
 
 pub use chaos::{ChaosPlan, ChaosShard};
-pub use net::{ServeClient, SocketServer};
+pub use net::{ServeClient, SocketServer, MAX_LINE};
 pub use pool::{
     DesignInfo, JobHandle, RegisterError, ServeConfig, ServeStats, ServerPool, DEFAULT_DESIGN,
 };

@@ -9,13 +9,13 @@
 
 use crate::pool::{JobHandle, ServerPool};
 use crate::protocol::{
-    designs_digest, ProtocolError, Request, Response, Verb, WireAnalysis, WireDesign, WireJob,
-    WirePong, WireResult, WireStats,
+    designs_digest, result_len, ProtocolError, Request, Response, Verb, WireAnalysis, WireDesign,
+    WireJob, WirePong, WireResult, WireStats,
 };
 use rteaal_core::Compiler;
 use rteaal_kernels::{KernelConfig, KernelKind};
 use rteaal_telemetry::{JobEvent, MetricsSnapshot};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
@@ -84,8 +84,18 @@ impl SocketServer {
 
 /// Longest line either end will buffer, newline included: over three
 /// times the largest `register` line of the design corpus (the 23 k-op
-/// chip's FIRRTL source is 1.1 MB; a test below holds that margin).
-const MAX_LINE: usize = 4 << 20;
+/// chip's FIRRTL source is 1.1 MB; a test below holds that margin). A
+/// batched `result` answer stays under it.
+pub const MAX_LINE: usize = 4 << 20;
+
+/// What a batched `result` line spends besides its results: the
+/// envelope around them at its widest id, and the newline.
+const BATCH_ENVELOPE: usize =
+    r#"{"ok":true,"kind":"result","id":18446744073709551615,"result":,"more":[]}"#.len() + 1;
+
+/// How many finished jobs [`ServeClient::next_result`] asks for in one
+/// exchange; the server sends only those already finished.
+const RESULT_BATCH: u64 = 64;
 
 /// How [`read_line`] left the buffer.
 #[derive(Debug, PartialEq, Eq)]
@@ -204,13 +214,28 @@ fn respond(pool: &ServerPool, handles: &mut HashMap<u64, JobHandle>, request: Re
                 };
                 Response::result(WireResult::from(handle.wait()))
             }
-            // No id: stream this connection's next completion.
+            // No id: this connection's next completion, and up to
+            // `max − 1` more that already finished, while the line stays
+            // under `MAX_LINE` (each job after the first pays a comma).
             None => {
-                let Some(result) = JobHandle::wait_any_of(handles.values()) else {
+                let max = request
+                    .max
+                    .map_or(1, |max| usize::try_from(max).unwrap_or(usize::MAX));
+                let mut room = MAX_LINE - BATCH_ENVELOPE;
+                let batch = JobHandle::wait_some_of(handles.values(), max, |r| {
+                    let cost = result_len(r) + 1;
+                    let fits = cost < room;
+                    room = room.saturating_sub(cost);
+                    fits
+                });
+                for r in &batch {
+                    handles.remove(&r.id.0);
+                }
+                let mut batch = batch.into_iter().map(WireResult::from);
+                let Some(first) = batch.next() else {
                     return Response::error("no outstanding jobs on this connection");
                 };
-                handles.remove(&result.id.0);
-                Response::result(WireResult::from(result))
+                Response::results(first, batch.collect())
             }
         },
         Verb::Stats => Response::stats(WireStats::from(&pool.stats())),
@@ -280,7 +305,15 @@ fn respond(pool: &ServerPool, handles: &mut HashMap<u64, JobHandle>, request: Re
 /// [`ProtocolError::TruncatedLine`] carrying the partial line, a clean
 /// close as [`ProtocolError::ConnectionClosed`], and a per-request
 /// server-side refusal as [`ProtocolError::Server`] (the only
-/// non-fatal kind — the connection stays usable after it).
+/// non-fatal kind — the connection stays usable after it). Every other
+/// error condemns the connection: each later call fails with
+/// [`ProtocolError::Broken`] and writes nothing, since a reply left
+/// partly unread would otherwise answer the next request.
+///
+/// [`next_result`](Self::next_result) takes every job of the
+/// connection that has finished in one exchange and hands them out one
+/// call at a time; [`poll`](Self::poll) and [`result`](Self::result)
+/// find a job already delivered that way without asking the server.
 #[derive(Debug)]
 pub struct ServeClient {
     reader: BufReader<TcpStream>,
@@ -289,6 +322,11 @@ pub struct ServeClient {
     line: String,
     /// The incoming line, likewise.
     reply: Vec<u8>,
+    /// Finished jobs a batched `result` delivered ahead of the calls
+    /// that return them, oldest first.
+    ready: VecDeque<WireResult>,
+    /// The fatal error that condemned the connection, once one has.
+    broken: Option<String>,
 }
 
 impl ServeClient {
@@ -304,6 +342,8 @@ impl ServeClient {
             reader: BufReader::new(stream),
             line: String::new(),
             reply: Vec::new(),
+            ready: VecDeque::new(),
+            broken: None,
         })
     }
 
@@ -322,8 +362,24 @@ impl ServeClient {
         Ok(())
     }
 
-    /// One request/response round trip.
+    /// One request/response round trip, refused without a write once a
+    /// fatal error has condemned the connection.
     fn call(&mut self, request: &Request) -> Result<Response, ProtocolError> {
+        if let Some(cause) = &self.broken {
+            return Err(ProtocolError::Broken {
+                cause: cause.clone(),
+            });
+        }
+        let response = self.exchange(request);
+        if let Err(error) = &response {
+            if error.is_fatal() {
+                self.broken = Some(error.to_string());
+            }
+        }
+        response
+    }
+
+    fn exchange(&mut self, request: &Request) -> Result<Response, ProtocolError> {
         self.line.clear();
         request.encode(&mut self.line);
         self.line.push('\n');
@@ -396,6 +452,9 @@ impl ServeClient {
     /// Transport faults and server-side errors (e.g. an id this
     /// connection never submitted), as [`ProtocolError`].
     pub fn poll(&mut self, id: u64) -> Result<Option<WireResult>, ProtocolError> {
+        if let Some(r) = self.take_ready(id) {
+            return Ok(Some(r));
+        }
         let response = self.call(&Request::poll(id))?;
         Ok(response.result)
     }
@@ -406,6 +465,9 @@ impl ServeClient {
     ///
     /// Transport faults and server-side errors, as [`ProtocolError`].
     pub fn result(&mut self, id: u64) -> Result<WireResult, ProtocolError> {
+        if let Some(r) = self.take_ready(id) {
+            return Ok(r);
+        }
         let response = self.call(&Request::result(Some(id)))?;
         response
             .result
@@ -414,17 +476,30 @@ impl ServeClient {
 
     /// Blocks until *any* of this connection's outstanding jobs
     /// finishes and returns it — results stream back in completion
-    /// order, not submission order.
+    /// order, not submission order. One exchange fetches every job that
+    /// has finished by then; the calls after it return those without
+    /// touching the socket.
     ///
     /// # Errors
     ///
     /// Transport faults, and a server-side error when nothing is
     /// outstanding, as [`ProtocolError`].
     pub fn next_result(&mut self) -> Result<WireResult, ProtocolError> {
-        let response = self.call(&Request::result(None))?;
-        response
+        if let Some(r) = self.ready.pop_front() {
+            return Ok(r);
+        }
+        let response = self.call(&Request::results(RESULT_BATCH))?;
+        let first = response
             .result
-            .ok_or(ProtocolError::MissingPayload { kind: "result" })
+            .ok_or(ProtocolError::MissingPayload { kind: "result" })?;
+        self.ready.extend(response.more.into_iter().flatten());
+        Ok(first)
+    }
+
+    /// Removes job `id` from the delivered-ahead buffer, if it is there.
+    fn take_ready(&mut self, id: u64) -> Option<WireResult> {
+        let at = self.ready.iter().position(|r| r.id == id)?;
+        self.ready.remove(at)
     }
 
     /// Fetches the pool's counters.
@@ -620,5 +695,63 @@ circuit H :
         assert_eq!(client.reply.len(), MAX_LINE);
         drop(client);
         server.join().unwrap();
+    }
+
+    #[test]
+    fn a_reply_left_partly_unread_condemns_the_client() {
+        // An oversize line, then a valid answer the client must never
+        // take for a later request's.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (written_tx, written) = std::sync::mpsc::channel();
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let mut request = String::new();
+            reader.read_line(&mut request).unwrap();
+            let mut reply = vec![b'y'; MAX_LINE + 1];
+            reply.push(b'\n');
+            let mut pong = String::new();
+            Response::pong(WirePong {
+                uptime_ms: 1,
+                designs: 1,
+                digest: 7,
+            })
+            .encode(&mut pong);
+            reply.extend_from_slice(pong.as_bytes());
+            reply.push(b'\n');
+            (&stream).write_all(&reply).unwrap();
+            written_tx.send(()).unwrap();
+            // Count what the client sends after that until it hangs up;
+            // closing with the pong unread, it resets the connection.
+            let mut later = 0;
+            request.clear();
+            while matches!(reader.read_line(&mut request), Ok(n) if n > 0) {
+                later += 1;
+                request.clear();
+            }
+            later
+        });
+        let mut client = ServeClient::connect(addr).unwrap();
+        assert!(matches!(
+            client.ping(),
+            Err(ProtocolError::Malformed { .. })
+        ));
+        written.recv().unwrap();
+        for _ in 0..3 {
+            match client.ping() {
+                Err(ProtocolError::Broken { cause }) => {
+                    assert!(cause.contains("exceeds"), "{cause}");
+                }
+                other => panic!("a condemned client answered {other:?}"),
+            }
+        }
+        assert!(client.stats().is_err() && client.poll(0).is_err());
+        drop(client);
+        assert_eq!(
+            server.join().unwrap(),
+            0,
+            "a condemned client writes nothing"
+        );
     }
 }

@@ -335,42 +335,72 @@ impl JobHandle {
     /// Returns `None` if `handles` is empty. All handles must come from
     /// the same pool.
     pub fn wait_any(handles: &[JobHandle]) -> Option<(usize, JobResult)> {
-        let r = Self::wait_any_of(handles)?;
+        let r = Self::wait_some_of(handles, 1, |_| true).pop()?;
         let claimed = handles.iter().position(|h| h.id == r.id.0);
         Some((claimed.expect("the result belongs to one of `handles`"), r))
     }
 
+    /// Blocks until at least one of the given handles' jobs finishes,
+    /// then takes up to `max` finished ones (at least one, whatever
+    /// `max` says) in the same lock section — the batched form of
     /// [`wait_any`](Self::wait_any) over any collection that can be
-    /// walked more than once (a map's values, say), in place: the
-    /// delivered [`JobResult::id`] is the claimed handle's
-    /// [`id`](Self::id).
-    pub fn wait_any_of<'a, I>(handles: I) -> Option<JobResult>
+    /// walked more than once (a map's values, say). Each delivered
+    /// [`JobResult::id`] is its claimed handle's [`id`](Self::id).
+    ///
+    /// `fits` is asked about each finished job in turn, before it is
+    /// taken; the batch ends at the first it refuses, and that job
+    /// stays unclaimed. The first job is taken whatever `fits` answers,
+    /// so a batch is never empty unless `handles` is.
+    pub fn wait_some_of<'a, I>(
+        handles: I,
+        max: usize,
+        mut fits: impl FnMut(&JobResult) -> bool,
+    ) -> Vec<JobResult>
     where
         I: IntoIterator<Item = &'a JobHandle> + Clone,
     {
-        let shared = &handles.clone().into_iter().next()?.shared;
+        let Some(first) = handles.clone().into_iter().next() else {
+            return Vec::new();
+        };
+        let shared = &first.shared;
         debug_assert!(
             handles
                 .clone()
                 .into_iter()
                 .all(|h| Arc::ptr_eq(&h.shared, shared)),
-            "wait_any handles must share one pool"
+            "wait_some_of handles must share one pool"
         );
+        let mut batch = Vec::new();
         let mut table = lock_or_recover(&shared.results);
         loop {
             for h in handles.clone() {
-                if let Some(r) = table.ready.remove(&h.id) {
-                    h.mark_claimed();
-                    drop(table);
-                    h.record_delivered();
-                    return Some(r);
+                let Some(r) = table.ready.get(&h.id) else {
+                    continue;
+                };
+                if !fits(r) && !batch.is_empty() {
+                    break;
                 }
+                batch.extend(table.ready.remove(&h.id));
+                h.mark_claimed();
+                if batch.len() >= max {
+                    break;
+                }
+            }
+            if !batch.is_empty() {
+                break;
             }
             table = shared
                 .done
                 .wait(table)
                 .unwrap_or_else(PoisonError::into_inner);
         }
+        drop(table);
+        for r in &batch {
+            shared
+                .telemetry
+                .record_event(r.id.0, JobStage::Delivered, None, None, None);
+        }
+        batch
     }
 }
 

@@ -7,7 +7,7 @@
 //! |------------|----------------|----------|
 //! | `submit`   | `job`          | `{"ok":true,"kind":"submitted","id":N}` |
 //! | `poll`     | `id`           | `kind:"result"` if finished, else `kind:"pending"` |
-//! | `result`   | `id` (optional)| blocks; with no `id`, the *next* of this connection's jobs to finish |
+//! | `result`   | `id` or `max` (both optional) | blocks; with no `id`, the *next* of this connection's jobs to finish, and in `more` up to `max − 1` others already finished |
 //! | `stats`    | —              | `kind:"stats"` with pool counters |
 //! | `register` | `design`, `source`, `halt` | compiles the FIRRTL `source` server-side and adds it to the design registry |
 //! | `designs`  | —              | `kind:"designs"` listing every registered design |
@@ -26,7 +26,22 @@
 //! {"ok":true,"kind":"submitted","id":0}
 //! > {"verb":"result","id":0}
 //! {"ok":true,"kind":"result","id":0,"result":{"id":0,"name":"sum-5","outcome":"completed",...,"outputs":[{"name":"a0","value":15}]}}
+//! > {"verb":"submit","job":{"name":"sum-6","budget":27,"state_pokes":[{"name":"x15","value":6}],"probes":["a0"]}}
+//! {"ok":true,"kind":"submitted","id":1}
+//! > {"verb":"submit","job":{"name":"sum-7","budget":27,"state_pokes":[{"name":"x15","value":7}],"probes":["a0"]}}
+//! {"ok":true,"kind":"submitted","id":2}
+//! > {"verb":"result","max":16}
+//! {"ok":true,"kind":"result","id":2,"result":{"id":2,"name":"sum-7",...},"more":[{"id":1,"name":"sum-6",...}]}
 //! ```
+//!
+//! A no-`id` `result` takes every finished job of the connection in one
+//! round trip: it blocks until at least one is finished, answers with
+//! that one in `result`, and puts up to `max − 1` more that had already
+//! finished in `more` (omitted when empty). Without `max` (or with
+//! `max` 0 or 1) the exchange is the one-job answer byte for byte. The
+//! server stops filling `more` before the line would reach
+//! [`MAX_LINE`](crate::MAX_LINE); what does not fit waits, unclaimed,
+//! for the next call. An `id` wins over `max`, which is then ignored.
 //!
 //! Envelope (de)serialization is hand-written against the vendored
 //! serde's [`Content`] tree so optional fields may simply be omitted —
@@ -40,13 +55,15 @@
 //! through `serde_json` alone. The socket front end goes through
 //! [`Request::encode`]/[`Request::decode`] and
 //! [`Response::encode`]/[`Response::decode`] instead, which put a typed
-//! codec in front of the reference for the four lines a job costs:
+//! codec in front of the reference for the lines a job costs — its
+//! `submit` and `submitted`, and its share of a `result` exchange:
 //!
 //! - requests whose verb is `submit`, `poll` or `result` and whose only
-//!   keys are `verb`, `job` and `id` (inside `job`: `name`, `budget`,
-//!   `inputs`, `state_pokes`, `probes`, `design`);
-//! - responses whose only keys are `ok`, `kind`, `id`, `result` and
-//!   `error` — the `submitted`, `pending`, `result` and `error` kinds.
+//!   keys are `verb`, `job`, `id` and `max` (inside `job`: `name`,
+//!   `budget`, `inputs`, `state_pokes`, `probes`, `design`);
+//! - responses whose only keys are `ok`, `kind`, `id`, `result`, `more`
+//!   and `error` — the `submitted`, `pending`, `result` and `error`
+//!   kinds.
 //!
 //! Those are written straight into the caller's line buffer, byte for
 //! byte what `serde_json` writes, and read by a pull parser that builds
@@ -267,17 +284,20 @@ impl WireResult {
     }
 }
 
+fn outcome_str(outcome: JobOutcome) -> &'static str {
+    match outcome {
+        JobOutcome::Completed => "completed",
+        JobOutcome::Evicted => "evicted",
+        JobOutcome::Rejected => "rejected",
+    }
+}
+
 impl From<JobResult> for WireResult {
     fn from(r: JobResult) -> Self {
         WireResult {
             id: r.id.0,
             name: r.name,
-            outcome: match r.outcome {
-                JobOutcome::Completed => "completed",
-                JobOutcome::Evicted => "evicted",
-                JobOutcome::Rejected => "rejected",
-            }
-            .to_string(),
+            outcome: outcome_str(r.outcome).to_string(),
             error: r.error,
             outputs: r
                 .outputs
@@ -434,6 +454,9 @@ pub struct Request {
     pub job: Option<WireJob>,
     /// The job id to check (`poll`; optional for `result`).
     pub id: Option<u64>,
+    /// The most finished jobs one answer may carry (`result` without an
+    /// `id`; absent means 1).
+    pub max: Option<u64>,
     /// The design name to register (`register` only).
     pub design: Option<String>,
     /// The FIRRTL source to compile (`register` only).
@@ -448,6 +471,7 @@ impl Request {
             verb,
             job: None,
             id: None,
+            max: None,
             design: None,
             source: None,
             halt: None,
@@ -474,6 +498,15 @@ impl Request {
     pub fn result(id: Option<u64>) -> Self {
         Request {
             id,
+            ..Self::base(Verb::Result)
+        }
+    }
+
+    /// A blocking `result` request for the next of the connection's
+    /// jobs to finish plus up to `max − 1` more that already have.
+    pub fn results(max: u64) -> Self {
+        Request {
+            max: Some(max),
             ..Self::base(Verb::Result)
         }
     }
@@ -543,6 +576,7 @@ impl Serialize for Request {
         let mut entries = vec![("verb".to_string(), self.verb.to_content())];
         push_opt(&mut entries, "job", &self.job);
         push_opt(&mut entries, "id", &self.id);
+        push_opt(&mut entries, "max", &self.max);
         push_opt(&mut entries, "design", &self.design);
         push_opt(&mut entries, "source", &self.source);
         push_opt(&mut entries, "halt", &self.halt);
@@ -561,6 +595,7 @@ impl Deserialize for Request {
             verb,
             job: opt_field(content, "job")?,
             id: opt_field(content, "id")?,
+            max: opt_field(content, "max")?,
             design: opt_field(content, "design")?,
             source: opt_field(content, "source")?,
             halt: opt_field(content, "halt")?,
@@ -580,6 +615,9 @@ pub struct Response {
     pub id: Option<u64>,
     /// The finished job (`kind:"result"`).
     pub result: Option<WireResult>,
+    /// Further finished jobs a batched `result` delivers with the first
+    /// (never `Some` of an empty list from [`Response::results`]).
+    pub more: Option<Vec<WireResult>>,
     /// Pool counters (`kind:"stats"`).
     pub stats: Option<WireStats>,
     /// Liveness payload (`kind:"pong"`).
@@ -606,6 +644,7 @@ impl Response {
             kind: kind.into(),
             id: None,
             result: None,
+            more: None,
             stats: None,
             pong: None,
             design: None,
@@ -639,6 +678,16 @@ impl Response {
             id: Some(r.id),
             result: Some(r),
             ..Self::base(true, "result")
+        }
+    }
+
+    /// Delivers a batch of finished jobs: `first` as
+    /// [`result`](Self::result) does, the rest in `more` (left out when
+    /// there is none, so a batch of one is the one-job line).
+    pub fn results(first: WireResult, more: Vec<WireResult>) -> Self {
+        Response {
+            more: (!more.is_empty()).then_some(more),
+            ..Self::result(first)
         }
     }
 
@@ -709,6 +758,7 @@ impl Serialize for Response {
         ];
         push_opt(&mut entries, "id", &self.id);
         push_opt(&mut entries, "result", &self.result);
+        push_opt(&mut entries, "more", &self.more);
         push_opt(&mut entries, "stats", &self.stats);
         push_opt(&mut entries, "pong", &self.pong);
         push_opt(&mut entries, "design", &self.design);
@@ -733,6 +783,7 @@ impl Deserialize for Response {
             kind: Deserialize::from_content(req("kind")?)?,
             id: opt_field(content, "id")?,
             result: opt_field(content, "result")?,
+            more: opt_field(content, "more")?,
             stats: opt_field(content, "stats")?,
             pong: opt_field(content, "pong")?,
             design: opt_field(content, "design")?,
@@ -878,8 +929,71 @@ fn write_request(request: &Request, out: &mut String) -> bool {
         out.push_str(",\"id\":");
         write_u64(id, out);
     }
+    if let Some(max) = request.max {
+        out.push_str(",\"max\":");
+        write_u64(max, out);
+    }
     out.push('}');
     true
+}
+
+fn write_result(r: &WireResult, out: &mut String) {
+    out.push_str("{\"id\":");
+    write_u64(r.id, out);
+    out.push_str(",\"name\":");
+    write_str(&r.name, out);
+    out.push_str(",\"outcome\":");
+    write_str(&r.outcome, out);
+    out.push_str(",\"error\":");
+    write_opt_str(r.error.as_deref(), out);
+    out.push_str(",\"outputs\":");
+    write_bindings(&r.outputs, out);
+    out.push_str(",\"cycles\":");
+    write_u64(r.cycles, out);
+    out.push_str(",\"admitted_at\":");
+    write_u64(r.admitted_at, out);
+    out.push_str(",\"finished_at\":");
+    write_u64(r.finished_at, out);
+    out.push('}');
+}
+
+/// The bytes [`write_str`] writes for `s`.
+fn str_len(s: &str) -> usize {
+    let escaped: usize = s
+        .bytes()
+        .map(|b| match b {
+            b'"' | b'\\' | b'\n' | b'\r' | b'\t' => 2,
+            0..=0x1f => 6,
+            _ => 1,
+        })
+        .sum();
+    escaped + 2
+}
+
+fn u64_len(v: u64) -> usize {
+    v.checked_ilog10().map_or(1, |digits| digits as usize + 1)
+}
+
+/// The bytes the typed writer spends on `r` as one element of a
+/// response's `result` or `more`: what a batch counts against
+/// [`MAX_LINE`](crate::MAX_LINE) before it claims the job.
+pub(crate) fn result_len(r: &JobResult) -> usize {
+    let outputs: usize = r
+        .outputs
+        .iter()
+        .map(|(name, value)| r#"{"name":,"value":}"#.len() + str_len(name) + u64_len(*value))
+        .sum();
+    r#"{"id":,"name":,"outcome":,"error":,"outputs":[],"cycles":,"admitted_at":,"finished_at":}"#
+        .len()
+        + u64_len(r.id.0)
+        + str_len(&r.name)
+        + str_len(outcome_str(r.outcome))
+        + r.error.as_deref().map_or("null".len(), str_len)
+        + outputs
+        + r.outputs.len().saturating_sub(1)
+        + u64_len(r.cycles)
+        + u64_len(r.admitted_at)
+        + u64_len(r.finished_at)
 }
 
 /// Writes `response` if it is one of the typed lines; `false` (and
@@ -890,6 +1004,7 @@ fn write_response(response: &Response, out: &mut String) -> bool {
         kind,
         id,
         result,
+        more,
         stats: None,
         pong: None,
         design: None,
@@ -913,23 +1028,18 @@ fn write_response(response: &Response, out: &mut String) -> bool {
         write_u64(*id, out);
     }
     if let Some(r) = result {
-        out.push_str(",\"result\":{\"id\":");
-        write_u64(r.id, out);
-        out.push_str(",\"name\":");
-        write_str(&r.name, out);
-        out.push_str(",\"outcome\":");
-        write_str(&r.outcome, out);
-        out.push_str(",\"error\":");
-        write_opt_str(r.error.as_deref(), out);
-        out.push_str(",\"outputs\":");
-        write_bindings(&r.outputs, out);
-        out.push_str(",\"cycles\":");
-        write_u64(r.cycles, out);
-        out.push_str(",\"admitted_at\":");
-        write_u64(r.admitted_at, out);
-        out.push_str(",\"finished_at\":");
-        write_u64(r.finished_at, out);
-        out.push('}');
+        out.push_str(",\"result\":");
+        write_result(r, out);
+    }
+    if let Some(more) = more {
+        out.push_str(",\"more\":[");
+        for (i, r) in more.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            write_result(r, out);
+        }
+        out.push(']');
     }
     if let Some(error) = error {
         out.push_str(",\"error\":");
@@ -1167,7 +1277,7 @@ impl<'a> Reader<'a> {
     }
 
     fn request(mut self) -> Option<Request> {
-        let (mut verb, mut job, mut id) = (None, None, None);
+        let (mut verb, mut job, mut id, mut max) = (None, None, None, None);
         self.ws();
         self.object(|r, key| match key {
             "verb" => set(
@@ -1181,18 +1291,21 @@ impl<'a> Reader<'a> {
             ),
             "job" => set(&mut job, r.job()?),
             "id" => set(&mut id, r.u64()?),
+            "max" => set(&mut max, r.u64()?),
             _ => None,
         })?;
         self.end()?;
         Some(Request {
             job,
             id,
+            max,
             ..Request::base(verb?)
         })
     }
 
     fn response(mut self) -> Option<Response> {
-        let (mut ok, mut kind, mut id, mut result, mut error) = (None, None, None, None, None);
+        let (mut ok, mut kind, mut id, mut error) = (None, None, None, None);
+        let (mut result, mut more) = (None, None);
         self.ws();
         self.object(|r, key| match key {
             "ok" => {
@@ -1203,6 +1316,7 @@ impl<'a> Reader<'a> {
             "kind" => set(&mut kind, r.string()?),
             "id" => set(&mut id, r.u64()?),
             "result" => set(&mut result, r.result()?),
+            "more" => set(&mut more, r.array(Self::result)?),
             "error" => set(&mut error, r.string()?),
             _ => None,
         })?;
@@ -1210,6 +1324,7 @@ impl<'a> Reader<'a> {
         Some(Response {
             id,
             result,
+            more,
             error,
             ..Response::base(ok?, kind?)
         })
@@ -1252,6 +1367,14 @@ pub enum ProtocolError {
         /// The response kind that arrived without its payload.
         kind: &'static str,
     },
+    /// An earlier fatal error condemned this connection, so the call
+    /// was refused without writing anything: after a reply cut short or
+    /// left partly unread, the next line read would be the wrong
+    /// request's answer.
+    Broken {
+        /// The error that condemned the connection, as displayed.
+        cause: String,
+    },
 }
 
 impl ProtocolError {
@@ -1291,6 +1414,9 @@ impl std::fmt::Display for ProtocolError {
             ProtocolError::Server(message) => write!(f, "server error: {message}"),
             ProtocolError::MissingPayload { kind } => {
                 write!(f, "`{kind}` response arrived without its payload")
+            }
+            ProtocolError::Broken { cause } => {
+                write!(f, "connection unusable after an earlier failure: {cause}")
             }
         }
     }
@@ -1334,6 +1460,7 @@ mod tests {
             Request::poll(3),
             Request::result(None),
             Request::result(Some(7)),
+            Request::results(16),
             Request::stats(),
             Request::register("sha3", "circuit S :\n  ...", "done"),
             Request::designs(),
@@ -1378,7 +1505,8 @@ mod tests {
         for resp in [
             Response::submitted(4),
             Response::pending(4),
-            Response::result(r),
+            Response::result(r.clone()),
+            Response::results(r.clone(), vec![r.clone(), r]),
             Response::registered("sha3"),
             Response::designs(vec![
                 WireDesign {
@@ -1448,7 +1576,7 @@ mod tests {
     }
 
     #[test]
-    fn a_jobs_four_lines_take_the_typed_path_and_the_rest_defer() {
+    fn a_jobs_lines_take_the_typed_path_and_the_rest_defer() {
         // `tests/codec_props.rs` holds the typed path to the reference
         // from outside, where a path that always deferred would pass
         // too: pin here which lines it owns.
@@ -1482,6 +1610,7 @@ mod tests {
             Request::poll(3),
             Request::result(None),
             Request::result(Some(7)),
+            Request::results(16),
         ] {
             let mut line = String::new();
             assert!(write_request(&request, &mut line), "{request:?}");
@@ -1491,7 +1620,8 @@ mod tests {
         for response in [
             Response::submitted(4),
             Response::pending(4),
-            Response::result(result),
+            Response::result(result.clone()),
+            Response::results(result.clone(), vec![result]),
             Response::error("unknown id"),
         ] {
             let mut line = String::new();
@@ -1515,6 +1645,8 @@ mod tests {
             r#"{"verb":"poll","\u0069d":7}"#,
             r#"{"verb":"poll","id":18446744073709551616}"#,
             r#"{"verb":"poll","id":7} {}"#,
+            r#"{"verb":"result","max":null}"#,
+            r#"{"verb":"result","max":-1}"#,
         ] {
             assert_eq!(Reader::new(deferred).request(), None, "{deferred}");
         }
@@ -1522,8 +1654,82 @@ mod tests {
             r#"{"ok":true,"kind":"registered","design":"d"}"#,
             r#"{"ok":true,"kind":"submitted","id":4,"pong":null}"#,
             r#"{"ok":true,"kind":"result","id":4,"result":null}"#,
+            r#"{"ok":true,"kind":"result","id":4,"more":null}"#,
+            r#"{"ok":true,"kind":"result","id":4,"more":[null]}"#,
         ] {
             assert_eq!(Reader::new(deferred).response(), None, "{deferred}");
+        }
+    }
+
+    #[test]
+    fn the_typed_reader_takes_a_batched_result_line() {
+        let line = concat!(
+            r#"{"ok":true,"kind":"result","id":4,"result":{"id":4,"name":"a","#,
+            r#""outcome":"completed","error":null,"outputs":[{"name":"a0","value":15}],"#,
+            r#""cycles":20,"admitted_at":2,"finished_at":22},"more":[{"id":9,"name":"b","#,
+            r#""outcome":"evicted","error":null,"outputs":[],"cycles":64,"admitted_at":0,"#,
+            r#""finished_at":64},{"id":2,"name":"c","outcome":"rejected","error":"no","#,
+            r#""outputs":[],"cycles":0,"admitted_at":0,"finished_at":0}]}"#
+        );
+        let response = Reader::new(line).response().expect("typed, not deferred");
+        assert_eq!(response, serde_json::from_str::<Response>(line).unwrap());
+        assert_eq!(response.result.map(|r| r.id), Some(4));
+        let more: Vec<u64> = response.more.unwrap().iter().map(|r| r.id).collect();
+        assert_eq!(more, [9, 2]);
+        let request = Reader::new(r#"{"verb":"result","max":16}"#).request();
+        assert_eq!(request, Some(Request::results(16)));
+    }
+
+    #[test]
+    fn a_batch_of_one_is_the_one_job_line() {
+        let r = WireResult::from(job_result(3, "one", vec![("a0".to_string(), 15)]));
+        let (mut one, mut batch) = (String::new(), String::new());
+        Response::result(r.clone()).encode(&mut one);
+        Response::results(r, Vec::new()).encode(&mut batch);
+        assert_eq!(one, batch);
+        assert!(!batch.contains("more"), "{batch}");
+    }
+
+    fn job_result(id: u64, name: &str, outputs: Vec<(String, u64)>) -> JobResult {
+        JobResult {
+            id: rteaal_sched::JobId(id),
+            trace: id,
+            name: name.to_string(),
+            outputs,
+            outcome: JobOutcome::Completed,
+            error: None,
+            cycles: 20,
+            admitted_at: 2,
+            finished_at: 22,
+            lane: 0,
+        }
+    }
+
+    #[test]
+    fn result_len_is_the_bytes_the_writer_spends() {
+        let nasty = "\"\\\n\r\t\u{0}\u{1f}\u{7f}é→𝄞/ ";
+        let mut cases = vec![
+            job_result(0, "", Vec::new()),
+            job_result(u64::MAX, nasty, vec![(nasty.to_string(), u64::MAX)]),
+            job_result(
+                10,
+                "sum-7",
+                (0..5).map(|i| (format!("x{i}"), 10u64.pow(i))).collect(),
+            ),
+        ];
+        let mut rejected = job_result(9, "r", Vec::new());
+        rejected.outcome = JobOutcome::Rejected;
+        rejected.error = Some(nasty.to_string());
+        cases.push(rejected);
+        let mut evicted = job_result(99_999, "e", Vec::new());
+        evicted.outcome = JobOutcome::Evicted;
+        evicted.finished_at = 1 << 40;
+        cases.push(evicted);
+        for r in cases {
+            let mut line = String::new();
+            let expected = result_len(&r);
+            write_result(&WireResult::from(r), &mut line);
+            assert_eq!(expected, line.len(), "{line}");
         }
     }
 

@@ -14,7 +14,7 @@
 use proptest::prelude::*;
 use rteaal_designs::workload::Stimulus;
 use rteaal_serve::{
-    Request, Response, WireAnalysis, WireBinding, WireDesign, WireJob, WirePong, WireResult,
+    Request, Response, Verb, WireAnalysis, WireBinding, WireDesign, WireJob, WirePong, WireResult,
     WireStats,
 };
 use rteaal_telemetry::{JobEvent, JobStage, MetricsRegistry};
@@ -102,6 +102,19 @@ fn request() -> impl Strategy<Value = Request> {
         job().prop_map(Request::submit),
         number().prop_map(Request::poll),
         option(number()).prop_map(Request::result),
+        number().prop_map(Request::results),
+        // A `max` beside an id, or on a verb that ignores it.
+        (
+            option(number()),
+            number(),
+            prop::sample::select(vec![Verb::Result, Verb::Poll])
+        )
+            .prop_map(|(id, max, verb)| Request {
+                verb,
+                id,
+                max: Some(max),
+                ..Request::result(None)
+            }),
         (job(), number()).prop_map(|(job, id)| Request {
             job: Some(job),
             ..Request::poll(id)
@@ -160,6 +173,13 @@ fn response() -> impl Strategy<Value = Response> {
         number().prop_map(Response::submitted),
         number().prop_map(Response::pending),
         result().prop_map(Response::result),
+        (result(), prop::collection::vec(result(), 0..4))
+            .prop_map(|(first, more)| Response::results(first, more)),
+        // Off-shape: an empty `more`, which `results` never writes.
+        result().prop_map(|first| Response {
+            more: Some(Vec::new()),
+            ..Response::result(first)
+        }),
         name().prop_map(Response::error),
         // Off-shape but on the typed path: an error that names an id.
         (name(), number()).prop_map(|(message, id)| Response {
@@ -408,7 +428,7 @@ proptest! {
         request in request(),
         seed in any::<u64>(),
     ) {
-        let line = respell(&request, &["job", "id", "design", "source", "halt"], seed);
+        let line = respell(&request, &["job", "id", "max", "design", "source", "halt"], seed);
         let (typed, reference) = verdicts(Request::decode(&line), serde_json::from_str(&line));
         prop_assert_eq!(&typed, &reference, "{}", line);
         // Dropping a `null` the reference requires is the one respelling
@@ -423,7 +443,7 @@ proptest! {
         response in response(),
         seed in any::<u64>(),
     ) {
-        let line = respell(&response, &["id", "result", "stats", "design", "error"], seed);
+        let line = respell(&response, &["id", "result", "more", "stats", "design", "error"], seed);
         let (typed, reference) = verdicts(Response::decode(&line), serde_json::from_str(&line));
         prop_assert_eq!(&typed, &reference, "{}", line);
         if let Ok(decoded) = typed {
@@ -485,6 +505,11 @@ fn the_edges_of_numbers_escapes_and_keys_agree() {
         "",
         "{",
         r#"{"verb":"result""#,
+        r#"{"verb":"result","max":0}"#,
+        r#"{"verb":"result","max":18446744073709551616}"#,
+        r#"{"verb":"result","max":16,"max":16}"#,
+        r#"{"verb":"result","max":"16"}"#,
+        r#"{"verb":"result","id":3,"max":16}"#,
     ];
     for line in lines {
         let (typed, reference) = verdicts(Request::decode(line), serde_json::from_str(line));
@@ -508,6 +533,10 @@ fn the_edges_of_numbers_escapes_and_keys_agree() {
         r#"{"ok":false,"kind":"error","error":null}"#,
         r#"{"ok":false,"kind":"error","error":"a","error":"b"}"#,
         r#"{"ok":true,"kind":"result","id":1,"result":{"id":1}}"#,
+        r#"{"ok":true,"kind":"result","id":1,"more":[]}"#,
+        r#"{"ok":true,"kind":"result","id":1,"more":[{"id":1}]}"#,
+        r#"{"ok":true,"kind":"result","id":1,"more":[],"more":[]}"#,
+        r#"{"ok":true,"kind":"result","id":1,"more":{}}"#,
         r#"{"ok":true,"kind":"result","id":1,"result":{"id":1,"name":"","outcome":"completed","outputs":[],"cycles":1,"admitted_at":0,"finished_at":1}}"#,
         r#"{"ok":true,"kind":"result","id":1,"result":{"id":1,"name":"","outcome":"completed","error":null,"outputs":[{"name":"a","value":1,"value":2}],"cycles":1,"admitted_at":0,"finished_at":1}}"#,
         r#"{"ok":true,"kind":"result","id":1,"result":{"id":1,"name":"","outcome":"completed","error":null,"outputs":[{"value":18446744073709551615,"name":" "}],"cycles":1,"admitted_at":0,"finished_at":1,"lane":3}}"#,
