@@ -13,8 +13,9 @@
 //! - [`builder`]: a programmatic construction API used by the synthetic
 //!   design generators.
 //! - [`ops`] / [`value`]: the full FIRRTL primitive-op set with
-//!   width-inference rules and bit-accurate evaluation semantics (the single
-//!   source of operator truth for every simulator in the workspace).
+//!   width-inference rules and a typed, bit-accurate reference evaluator
+//!   (the one the root test `op_semantics` holds the simulators'
+//!   `rteaal_dfg::op::eval_raw` against; no simulator calls it).
 //! - [`infer`]: type checking, width inference and name resolution: every
 //!   signal of a module gets a dense id, every expression becomes
 //!   [`term`]s over those ids.

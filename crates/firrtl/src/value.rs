@@ -2,10 +2,11 @@
 //!
 //! Every signal value is a `u64` holding the low `width` bits of the
 //! mathematical value (two's complement for `SInt`). [`eval_prim`] is the
-//! single source of truth for operator semantics: the dataflow-graph
-//! interpreter, the Einsum golden model, every RTeAAL kernel, and both
-//! baseline simulators all bottom out here, which is what makes the
-//! cross-simulator equivalence tests meaningful.
+//! typed reference for operator semantics, written over typed operands.
+//! No simulator calls it: the simulators evaluate monomorphized ops
+//! through `rteaal_dfg::op::eval_raw` (the lane kernels through code
+//! tested against it), and the root test `op_semantics` holds
+//! `eval_raw` against this function for every primitive op.
 
 use crate::ops::PrimOp;
 use crate::ty::{mask, sext, Type};

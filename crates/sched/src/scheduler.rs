@@ -297,23 +297,16 @@ impl Scheduler {
     /// [`JobResult::error`], no lane is touched, and the scheduler keeps
     /// serving the jobs behind it — a poison job can never wedge the
     /// queue.
-    pub fn run(&mut self, max_cycles: u64) -> u64 {
-        self.run_for(max_cycles)
-    }
-
-    /// Steps at most `cycles` engine cycles, admitting and harvesting as
-    /// it goes, and returns early the moment no lane is busy and no job
-    /// is queued. Returns the number of cycles stepped.
     ///
     /// Chunks compose: draining [`take_results`](Self::take_results)
     /// and calling [`submit`](Self::submit) between calls feeds lanes
     /// exactly like submissions made before the run.
-    pub fn run_for(&mut self, cycles: u64) -> u64 {
-        self.drive(cycles, false)
+    pub fn run(&mut self, max_cycles: u64) -> u64 {
+        self.drive(max_cycles, false)
     }
 
     /// One quantum of a caller that has other things to look at: like
-    /// [`run_for`](Self::run_for), but control also comes back the cycle
+    /// [`run`](Self::run), but control also comes back the cycle
     /// a job finishes — so its result can be handed on while its
     /// neighbours keep running — and, after at least one step, whenever
     /// a lane is free with nothing queued, so the caller can look for
@@ -327,8 +320,7 @@ impl Scheduler {
         self.drive(cap, true)
     }
 
-    /// The one cycle loop behind [`run`](Self::run),
-    /// [`run_for`](Self::run_for) and
+    /// The one cycle loop behind [`run`](Self::run) and
     /// [`run_quantum`](Self::run_quantum): admit, step, harvest, until
     /// idle or `cycles` — or, with `stop_at_event`, until the caller has
     /// something to do.
@@ -911,8 +903,8 @@ circuit H :
     }
 
     #[test]
-    fn run_for_chunks_compose_with_mid_run_submission() {
-        // The serve layer's drive pattern: small run_for chunks with
+    fn run_chunks_compose_with_mid_run_submission() {
+        // A chunked drive: small `run` chunks with
         // submissions and result drains interleaved.
         let c = compiled();
         let mut sched = Scheduler::new(&c, 2, "done").unwrap();
@@ -923,7 +915,7 @@ circuit H :
         let mut submitted_late = false;
         let mut guard = 0;
         while sched.has_work() {
-            sched.run_for(3);
+            sched.run(3);
             harvested.extend(sched.take_results());
             if !submitted_late {
                 // A job arriving mid-run is served like any other.
@@ -1046,7 +1038,7 @@ circuit H :
         // A zero-budget job exercises the evicted leg.
         sched.submit(Job::new("starved", 0).with_input("limit", 200));
         while sched.has_work() {
-            sched.run_for(1);
+            sched.run(1);
             assert!(
                 sched.accounting_balanced(),
                 "mid-run: submitted {} queued {} running {} stats {:?}",

@@ -26,12 +26,12 @@
 //!   front end speaking that protocol, one connection per client, and
 //!   its blocking client, which fetches every finished job of its
 //!   connection in one `result` exchange and buffers the rest.
-//! - [`ShardRouter`] — the cross-host supervisor: consistent-hash job
-//!   placement ([`HashRing`]) over a fleet of server processes, with
-//!   per-shard circuit breakers (exponential backoff, half-open `ping`
-//!   probes, shard rejoin with registry replay), automatic
-//!   resubmission of jobs lost to dead shards, and a [`FleetStats`]
-//!   snapshot; results merge into one completion-ordered stream.
+//! - [`ShardRouter`] — the cross-host supervisor: least-in-flight job
+//!   placement over a fleet of server processes, with per-shard
+//!   circuit breakers (half-open `ping` probes every sweep, shard
+//!   rejoin with registry replay), automatic resubmission of jobs lost
+//!   to dead shards, and a [`FleetStats`] snapshot; results merge into
+//!   one completion-ordered stream.
 //! - [`chaos`] — the fault-injection harness ([`ChaosShard`]): a
 //!   line-level TCP proxy that delays, drops, truncates, kills — and
 //!   revives — so the router's failure *and recovery* paths are
@@ -101,6 +101,5 @@ pub use protocol::{
     WireJob, WirePong, WireResult, WireStats,
 };
 pub use shard::{
-    FleetShard, FleetStats, HashRing, Routed, RouterError, ShardConfig, ShardPhase, ShardRouter,
-    RING_POINTS,
+    FleetShard, FleetStats, Routed, RouterError, ShardConfig, ShardPhase, ShardRouter,
 };

@@ -336,7 +336,26 @@ impl ServeClient {
     ///
     /// [`ProtocolError::Io`] on connect failure.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, ProtocolError> {
-        let stream = TcpStream::connect(addr)?;
+        Self::over(TcpStream::connect(addr)?)
+    }
+
+    /// Connects with a deadline on the connect itself, then bounds every
+    /// exchange by the same `timeout` (see
+    /// [`set_read_timeout`](Self::set_read_timeout)). A host that drops
+    /// connection attempts fails this call after about `timeout`, not
+    /// after the kernel's connect timeout of minutes.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::Io`] on connect failure or a lapsed deadline.
+    pub fn connect_timeout(addr: SocketAddr, timeout: Duration) -> Result<Self, ProtocolError> {
+        let client = Self::over(TcpStream::connect_timeout(&addr, timeout)?)?;
+        client.set_read_timeout(Some(timeout))?;
+        Ok(client)
+    }
+
+    /// A client over an open connection.
+    fn over(stream: TcpStream) -> Result<Self, ProtocolError> {
         Ok(ServeClient {
             writer: stream.try_clone()?,
             reader: BufReader::new(stream),
@@ -752,6 +771,38 @@ circuit H :
             server.join().unwrap(),
             0,
             "a condemned client writes nothing"
+        );
+    }
+
+    /// Linux drops a SYN once a listener's accept queue is full, so a
+    /// listener that never accepts stands in for a host that drops
+    /// connection attempts.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_connect_to_a_host_that_drops_syns_gives_up_at_its_deadline() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        // std listens with a backlog of 128: fill the queue until a
+        // connect goes unanswered.
+        let mut held = Vec::new();
+        let full = (0..1024).any(|_| {
+            match TcpStream::connect_timeout(&addr, Duration::from_millis(100)) {
+                Ok(stream) => {
+                    held.push(stream);
+                    false
+                }
+                Err(_) => true,
+            }
+        });
+        assert!(full, "the accept queue never filled ({} held)", held.len());
+        let timeout = Duration::from_millis(200);
+        let start = std::time::Instant::now();
+        let outcome = ServeClient::connect_timeout(addr, timeout);
+        let waited = start.elapsed();
+        assert!(outcome.is_err(), "a full accept queue took a connection");
+        assert!(
+            waited >= timeout / 2 && waited < timeout * 5,
+            "gave up after {waited:?}, deadline {timeout:?}"
         );
     }
 }

@@ -697,16 +697,6 @@ impl ServerPool {
         lock_or_recover(&self.routing).designs.clone()
     }
 
-    /// The static verifier's statistics for a registered design, or
-    /// `None` for an unregistered name.
-    pub fn analysis_stats(&self, name: &str) -> Option<AnalysisStats> {
-        lock_or_recover(&self.routing)
-            .designs
-            .iter()
-            .find(|d| d.name == name)
-            .map(|d| d.analysis.clone())
-    }
-
     /// Enqueues a job onto the least-loaded worker and returns a handle
     /// to its eventual result. Never blocks on the simulation.
     pub fn submit(&self, job: Job) -> JobHandle {

@@ -429,10 +429,9 @@ pub struct WirePong {
 }
 
 /// Digests a design-name list into one order-sensitive `u64`: each name
-/// is FNV-1a-hashed, then folded through the same `splitmix64`
-/// finalizer the [`HashRing`](crate::HashRing) uses. Client and server
-/// compute it identically, so a rejoining shard's registry can be
-/// compared without shipping the full listing.
+/// is FNV-1a-hashed, then folded through the `splitmix64` finalizer.
+/// Client and server compute it identically, so a rejoining shard's
+/// registry can be compared without shipping the full listing.
 pub fn designs_digest(names: &[String]) -> u64 {
     let mut acc = 0xcbf2_9ce4_8422_2325u64;
     for name in names {
@@ -440,9 +439,18 @@ pub fn designs_digest(names: &[String]) -> u64 {
         for b in name.bytes() {
             h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
         }
-        acc = crate::shard::mix64(acc ^ h);
+        acc = mix64(acc ^ h);
     }
     acc
+}
+
+/// Finalizes `splitmix64`: a deterministic, well-mixed 64-bit hash, the
+/// same in every process (no `RandomState`).
+fn mix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
 /// One client request line.

@@ -1,29 +1,27 @@
 //! Cross-host shard routing over the serve protocol.
 //!
 //! [`ShardRouter`] is the client-side supervisor of a fleet of server
-//! processes: it holds one [`ServeClient`] connection per shard,
-//! partitions submitted jobs with **consistent hashing** keyed by the
-//! router-global job id ([`HashRing`], stable under shard add/remove),
-//! dispatches with per-shard in-flight accounting, merges every shard's
-//! results into a single completion-ordered stream, and runs the
-//! elastic-fleet loop:
+//! processes: it holds one [`ServeClient`] connection per shard, places
+//! each submitted job on the live shard with the fewest jobs in flight
+//! (ties go to the shard dispatched to less, then to the lower slot),
+//! merges every shard's results into a single completion-ordered stream,
+//! and runs the elastic-fleet loop:
 //!
 //! - **Circuit breaker per shard.** A connection that errors, times
 //!   out, or dies mid-line gets one immediate reconnect (the cheap
 //!   retry for a transient blip); if that fails, the breaker *opens*:
-//!   the shard leaves the ring and is probed on a capped exponential
-//!   backoff with deterministic jitter instead of being hammered. A
-//!   shard whose consecutive failures exceed
+//!   the shard takes no placements and is probed once per poll sweep.
+//!   A shard whose consecutive failures exceed
 //!   [`ShardConfig::reconnects`] is reported dead — but probing never
-//!   stops, because hosts come back.
+//!   stops, because hosts come back. Every connect, probe or reconnect,
+//!   gives up after [`ShardConfig::read_timeout`], so a host that drops
+//!   connection attempts cannot hold the router for the kernel's
+//!   connect timeout.
 //! - **Rejoin.** The half-open probe is the `ping` verb; when it
 //!   answers, the router replays its design registry to the host
 //!   (registration fan-out — see [`register`](ShardRouter::register))
-//!   and only then re-adds the shard to the ring. The ring's points
-//!   are deterministic, so a rejoiner gets back *exactly* its old
-//!   partition: only the keys the ring math assigns it move, and only
-//!   for placements made after the rejoin — jobs in flight elsewhere
-//!   stay put.
+//!   and only then lets the shard take placements again. A rejoiner
+//!   has nothing in flight, so it takes the next placements.
 //!
 //! A job lives on exactly one shard at a time and moves only when that
 //! shard fails. Delivery is **exactly once** even under at-least-once
@@ -48,110 +46,28 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Finalizes `splitmix64`: a deterministic, well-mixed 64-bit hash.
-/// Used for ring points, key placement, and backoff jitter so the
-/// partition is reproducible across processes and runs (no
-/// `RandomState`).
-pub(crate) fn mix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Virtual ring points per shard in the router's [`HashRing`].
-pub const RING_POINTS: usize = 64;
-
 /// Sleep between poll sweeps that found nothing finished.
 const POLL_INTERVAL: Duration = Duration::from_micros(200);
 
-/// A consistent-hash ring over shard slots, with virtual nodes.
-///
-/// Each shard contributes `replicas` points (hashes of `(shard,
-/// replica)`); a key maps to the shard owning the first point at or
-/// after the key's hash, wrapping. Removing a shard removes only its
-/// points, so every key it did *not* own keeps its owner — the
-/// stability property that makes mid-corpus shard loss cheap: only the
-/// dead shard's jobs move. Because the points are pure hashes of the
-/// slot, re-adding a shard restores its old partition *exactly* — the
-/// rejoin path's bounded-movement guarantee. The router's ring has
-/// [`RING_POINTS`] points per shard.
-#[derive(Debug, Clone)]
-pub struct HashRing {
-    replicas: usize,
-    /// `(point hash, shard)`, sorted; ties broken by shard index so the
-    /// mapping is deterministic.
-    points: Vec<(u64, usize)>,
-    /// Sorted live shard slots.
-    live: Vec<usize>,
-}
-
-impl HashRing {
-    /// An empty ring with `replicas` virtual nodes per shard.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `replicas` is zero.
-    pub fn new(replicas: usize) -> Self {
-        assert!(replicas > 0, "a shard needs at least one ring point");
-        HashRing {
-            replicas,
-            points: Vec::new(),
-            live: Vec::new(),
-        }
-    }
-
-    /// Adds a shard slot (no-op if already present).
-    pub fn add(&mut self, shard: usize) {
-        if self.live.contains(&shard) {
-            return;
-        }
-        for replica in 0..self.replicas {
-            let point = mix64(mix64(shard as u64 + 1) ^ replica as u64);
-            self.points.push((point, shard));
-        }
-        self.points.sort_unstable();
-        self.live.push(shard);
-        self.live.sort_unstable();
-    }
-
-    /// Removes a shard slot and every point it owns.
-    pub fn remove(&mut self, shard: usize) {
-        self.points.retain(|&(_, s)| s != shard);
-        self.live.retain(|&s| s != shard);
-    }
-
-    /// The shard owning `key`, or `None` on an empty ring.
-    pub fn shard_for(&self, key: u64) -> Option<usize> {
-        if self.points.is_empty() {
-            return None;
-        }
-        let hash = mix64(key);
-        let idx = self.points.partition_point(|&(p, _)| p < hash);
-        Some(self.points[idx % self.points.len()].1)
-    }
-
-    /// The live shard slots, sorted.
-    pub fn live(&self) -> &[usize] {
-        &self.live
-    }
-
-    /// Live shard count.
-    pub fn len(&self) -> usize {
-        self.live.len()
-    }
-
-    /// Whether no shard is live.
-    pub fn is_empty(&self) -> bool {
-        self.live.is_empty()
-    }
+/// The placement rule over each shard's `(live, in_flight, dispatched)`,
+/// by slot: the live shard with the fewest jobs in flight, ties to the
+/// one with fewer dispatches, then to the lower slot — the pool's
+/// least-loaded rule plus one tie key, so a light load still spreads.
+/// `None` when no shard is live.
+fn place(shards: impl IntoIterator<Item = (bool, usize, u64)>) -> Option<usize> {
+    shards
+        .into_iter()
+        .enumerate()
+        .filter(|&(_, (live, _, _))| live)
+        .min_by_key(|&(slot, (_, in_flight, dispatched))| (in_flight, dispatched, slot))
+        .map(|(slot, _)| slot)
 }
 
 /// The router's failure-tolerance knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct ShardConfig {
-    /// How long any single exchange may wait for a shard's response
-    /// before the host counts as hung (a fatal fault).
+    /// How long a connect, or any single exchange, may wait for a
+    /// shard before the host counts as hung (a fatal fault).
     pub read_timeout: Duration,
     /// Consecutive failures (transport faults and failed probes) a
     /// shard is allowed before it is *reported* dead. Delivering a
@@ -164,10 +80,6 @@ pub struct ShardConfig {
     /// take. A successful placement resets the count, so honest
     /// resubmission churn under flapping shards never exhausts a job.
     pub max_attempts: usize,
-    /// First open-breaker probe delay; doubles per consecutive failure.
-    pub backoff_base: Duration,
-    /// Ceiling on the probe delay, whatever the failure count.
-    pub backoff_cap: Duration,
 }
 
 impl Default for ShardConfig {
@@ -176,8 +88,6 @@ impl Default for ShardConfig {
             read_timeout: Duration::from_secs(5),
             reconnects: 2,
             max_attempts: 16,
-            backoff_base: Duration::from_millis(10),
-            backoff_cap: Duration::from_millis(500),
         }
     }
 }
@@ -186,22 +96,20 @@ impl Default for ShardConfig {
 #[derive(Debug)]
 struct ShardState {
     addr: SocketAddr,
-    /// `Some` iff the shard is in the ring (breaker closed).
+    /// `Some` iff the shard is live (breaker closed).
     client: Option<ServeClient>,
     /// Consecutive failures since the last successful exchange.
     failures: u32,
     /// Whether `failures` has crossed the death threshold (reported in
     /// stats; probing continues regardless).
     dead: bool,
-    /// When the breaker next half-opens for a probe (down shards only).
-    retry_at: Option<Instant>,
     /// Router ids currently awaiting results on this shard.
     inflight: Vec<u64>,
     /// Jobs ever dispatched here (including resubmissions).
     dispatched: u64,
     /// Results this shard delivered.
     delivered: u64,
-    /// Times this shard re-entered the ring after being down.
+    /// Times this shard went live again after being down.
     rejoins: u64,
 }
 
@@ -295,10 +203,9 @@ impl std::error::Error for RouterError {}
 /// Where one shard's circuit breaker currently stands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardPhase {
-    /// Breaker closed: connected and in the ring.
+    /// Breaker closed: connected and taking placements.
     Live,
-    /// Breaker open: out of the ring, awaiting its next half-open
-    /// probe.
+    /// Breaker open: taking no placements, probed once per sweep.
     Open {
         /// Consecutive failures so far.
         failures: u32,
@@ -324,7 +231,7 @@ pub struct FleetShard {
     pub dispatched: u64,
     /// Results it delivered.
     pub delivered: u64,
-    /// Times it re-entered the ring after being down.
+    /// Times it went live again after being down.
     pub rejoins: u64,
 }
 
@@ -341,18 +248,19 @@ pub struct FleetStats {
     /// Job placements repeated because their shard's connection was
     /// lost (each orphaned job counts once per loss).
     pub resubmitted: u64,
-    /// Down episodes: times a shard's breaker opened and it left the
-    /// ring (a later rejoin starts a fresh episode).
+    /// Down episodes: times a shard's breaker opened (a later rejoin
+    /// starts a fresh episode).
     pub shard_deaths: u64,
-    /// Shards that re-entered the ring after being down, fleet-wide.
+    /// Shards that went live again after being down, fleet-wide.
     pub rejoins: u64,
     /// Per-shard accounting, by slot.
     pub per_shard: Vec<FleetShard>,
 }
 
-/// The cross-host supervisor: consistent-hash job placement over a
+/// The cross-host supervisor: least-in-flight job placement over a
 /// fleet of serve processes, with circuit-breaker health tracking,
-/// shard rejoin, registration fan-out, and automatic resubmission. See the [module docs](self) for the design.
+/// shard rejoin, registration fan-out, and automatic resubmission. See
+/// the [module docs](self) for the design.
 ///
 /// ```no_run
 /// use rteaal_sched::Job;
@@ -373,11 +281,10 @@ pub struct FleetStats {
 pub struct ShardRouter {
     config: ShardConfig,
     shards: Vec<ShardState>,
-    ring: HashRing,
     /// Router id -> its pending job, across all shards.
     pending: HashMap<u64, PendingJob>,
     /// Designs registered through the router, in order — replayed to
-    /// every rejoiner before it re-enters the ring.
+    /// every rejoiner before it takes placements again.
     registry: Vec<(String, String, String)>,
     telemetry: RouterTelemetry,
 }
@@ -400,7 +307,7 @@ struct RouterTelemetry {
     lost: Arc<Counter>,
     /// Placements repeated after a shard's connection was lost.
     resubmitted: Arc<Counter>,
-    /// Breaker closed→open edges (shard left the ring).
+    /// Breaker closed→open edges.
     shard_deaths: Arc<Counter>,
     /// Breaker open→closed edges (probe answered; registry replayed).
     rejoins: Arc<Counter>,
@@ -439,17 +346,14 @@ impl ShardRouter {
     pub fn connect(addrs: &[SocketAddr], config: ShardConfig) -> Result<Self, RouterError> {
         assert!(!addrs.is_empty(), "a fleet needs at least one shard");
         let mut shards = Vec::with_capacity(addrs.len());
-        let mut ring = HashRing::new(RING_POINTS);
         for (slot, &addr) in addrs.iter().enumerate() {
-            let client = Self::open(addr, config.read_timeout)
+            let client = ServeClient::connect_timeout(addr, config.read_timeout)
                 .map_err(|error| RouterError::Shard { shard: slot, error })?;
-            ring.add(slot);
             shards.push(ShardState {
                 addr,
                 client: Some(client),
                 failures: 0,
                 dead: false,
-                retry_at: None,
                 inflight: Vec::new(),
                 dispatched: 0,
                 delivered: 0,
@@ -459,7 +363,6 @@ impl ShardRouter {
         Ok(ShardRouter {
             config,
             shards,
-            ring,
             pending: HashMap::new(),
             registry: Vec::new(),
             telemetry: RouterTelemetry::new(),
@@ -483,31 +386,19 @@ impl ShardRouter {
                 + self.telemetry.lost.get()
     }
 
-    /// Connects to one shard with the router's read deadline applied.
-    fn open(addr: SocketAddr, timeout: Duration) -> Result<ServeClient, ProtocolError> {
-        let client = ServeClient::connect(addr)?;
-        client.set_read_timeout(Some(timeout))?;
-        Ok(client)
-    }
-
-    /// The backoff before failure number `failures`' next probe:
-    /// exponential in the failure count, capped, with deterministic
-    /// jitter in `[0.5, 1.0)` of the nominal delay so a fleet of
-    /// routers probing the same revived host decorrelate.
-    fn backoff_for(config: &ShardConfig, shard: usize, failures: u32) -> Duration {
-        let exp = failures.saturating_sub(1).min(12);
-        let mut delay = config.backoff_base.saturating_mul(1u32 << exp);
-        if delay > config.backoff_cap {
-            delay = config.backoff_cap;
-        }
-        let jitter = mix64(((shard as u64) << 32) ^ u64::from(failures)) as f64 / u64::MAX as f64;
-        delay.mul_f64(0.5 + 0.5 * jitter)
+    /// Where the next job goes: see [`place`].
+    fn placement(&self) -> Option<usize> {
+        place(
+            self.shards
+                .iter()
+                .map(|st| (st.live(), st.inflight.len(), st.dispatched)),
+        )
     }
 
     /// Submits a job to every shard's default design: assigns a
-    /// router-global id, places it on the shard the ring maps that id
-    /// to, and returns the id. Placement failures cascade through the
-    /// failure path (reconnect, then rehash to survivors) before this
+    /// router-global id, places it on the least-loaded live shard, and
+    /// returns the id. Placement failures cascade through the failure
+    /// path (reconnect, then placement on a survivor) before this
     /// returns.
     ///
     /// # Errors
@@ -587,9 +478,9 @@ impl ShardRouter {
         Ok(())
     }
 
-    /// Places every job in `work` on the shard its id hashes to,
-    /// walking the failure path (reconnect, rehash) as shards fall
-    /// over.
+    /// Places every job in `work` on the least-loaded live shard,
+    /// walking the failure path (reconnect, placement elsewhere) as
+    /// shards fall over.
     ///
     /// A job that fails *individually* — placement budget exhausted, or
     /// a protocol violation on submit — is removed from the router's
@@ -597,24 +488,25 @@ impl ShardRouter {
     /// before its error is returned: one abandoned job must never
     /// strand the others in a pending-but-nowhere limbo that
     /// [`drain`](Self::drain) would wait on forever. Only a fleet-wide
-    /// failure (empty ring) aborts immediately; the jobs it leaves
+    /// failure (no live shard) aborts immediately; the jobs it leaves
     /// pending are the `stranded` count, and every later call keeps
     /// reporting [`RouterError::NoLiveShards`] for them.
     fn dispatch(&mut self, mut work: Vec<u64>) -> Result<(), RouterError> {
         let mut first_failure: Option<RouterError> = None;
         while let Some(id) = work.pop() {
             loop {
-                if self.ring.is_empty() {
-                    // Give due probes one chance to revive the fleet
+                let mut placed = self.placement();
+                if placed.is_none() {
+                    // Give the probes one chance to revive the fleet
                     // before declaring it exhausted.
                     self.run_probes();
+                    placed = self.placement();
                 }
-                if self.ring.is_empty() {
+                let Some(shard) = placed else {
                     return Err(RouterError::NoLiveShards {
                         stranded: self.pending.len(),
                     });
-                }
-                let shard = self.ring.shard_for(id).expect("ring is non-empty");
+                };
                 let attempts = {
                     let p = self.pending.get_mut(&id).expect("dispatching a known job");
                     p.attempts += 1;
@@ -631,7 +523,7 @@ impl ShardRouter {
                     let client = self.shards[shard]
                         .client
                         .as_mut()
-                        .expect("ring only maps live shards");
+                        .expect("placement picks live shards");
                     match &p.design {
                         Some(d) => client.submit_to(d, &p.job),
                         None => client.submit(&p.job),
@@ -653,9 +545,9 @@ impl ShardRouter {
                     }
                     Err(error) if error.is_fatal() => {
                         // The shard's orphans (and this job) go back on
-                        // the worklist; the ring may or may not still
-                        // contain the shard depending on whether the
-                        // immediate reconnect lands.
+                        // the worklist; the shard may or may not still
+                        // be live depending on whether the immediate
+                        // reconnect lands.
                         work.extend(self.shard_failed(shard));
                         continue;
                     }
@@ -677,10 +569,10 @@ impl ShardRouter {
     /// Handles a fatal transport fault on one shard: the breaker's
     /// closed→open edge. The shard gets one immediate reconnect (if
     /// its consecutive-failure count is still within budget); if that
-    /// fails it leaves the ring (one counted down episode) and is
-    /// probed on capped exponential backoff with jitter by
-    /// [`run_probes`](Self::run_probes). Crossing the failure budget
-    /// additionally reports it dead — probing continues regardless.
+    /// fails the shard is down (one counted down episode) and is probed
+    /// on every sweep by [`run_probes`](Self::run_probes). Crossing the
+    /// failure budget additionally reports it dead — probing continues
+    /// regardless.
     ///
     /// Either way the shard's in-flight jobs are orphaned — their
     /// handles lived on the broken connection — and are returned for
@@ -692,19 +584,15 @@ impl ShardRouter {
         let failures = st.failures;
         let was_inflight = std::mem::take(&mut st.inflight);
         if failures <= self.config.reconnects as u32 {
-            if let Ok(client) = Self::open(st.addr, self.config.read_timeout) {
+            if let Ok(client) = ServeClient::connect_timeout(st.addr, self.config.read_timeout) {
                 st.client = Some(client);
             }
         }
-        if self.shards[shard].client.is_none() {
-            self.ring.remove(shard);
+        if st.client.is_none() {
             // One down episode = one death, counted at the moment the
-            // shard leaves the ring (probe failures while it stays out
-            // are the same episode).
+            // shard goes down (probe failures while it stays down are
+            // the same episode).
             self.telemetry.shard_deaths.inc();
-            let retry_at = Instant::now() + Self::backoff_for(&self.config, shard, failures);
-            let st = &mut self.shards[shard];
-            st.retry_at = Some(retry_at);
             if failures > self.config.reconnects as u32 {
                 st.dead = true;
             }
@@ -713,23 +601,19 @@ impl ShardRouter {
         was_inflight
     }
 
-    /// Half-open probes for every down shard whose backoff has lapsed:
-    /// connect, `ping`, replay the design registry, and only then
-    /// re-add the shard to the ring (the rejoin). A failed probe
-    /// doubles the backoff; crossing the failure budget marks the
-    /// shard dead, but probing never stops.
+    /// Half-open probes for every down shard: connect, `ping`, replay
+    /// the design registry, and only then mark the shard live (the
+    /// rejoin). A failed probe counts as a failure; crossing the
+    /// failure budget marks the shard dead, but probing never stops.
     fn run_probes(&mut self) {
-        let now = Instant::now();
         for shard in 0..self.shards.len() {
             if self.shards[shard].live() {
                 continue;
             }
-            if self.shards[shard].retry_at.is_some_and(|t| t > now) {
-                continue;
-            }
             let addr = self.shards[shard].addr;
             self.telemetry.probes.inc();
-            let probe = Self::open(addr, self.config.read_timeout).and_then(|mut client| {
+            let probe = ServeClient::connect_timeout(addr, self.config.read_timeout);
+            let probe = probe.and_then(|mut client| {
                 client.ping()?;
                 for (design, source, halt) in &self.registry {
                     match client.register(design, source, halt) {
@@ -748,18 +632,14 @@ impl ShardRouter {
                     st.client = Some(client);
                     st.failures = 0;
                     st.dead = false;
-                    st.retry_at = None;
                     st.rejoins += 1;
                     self.telemetry.rejoins.inc();
-                    self.ring.add(shard);
                 }
                 Err(_) => {
                     let st = &mut self.shards[shard];
                     st.failures += 1;
-                    let failures = st.failures;
-                    st.retry_at = Some(now + Self::backoff_for(&self.config, shard, failures));
-                    if failures > self.config.reconnects as u32 {
-                        self.shards[shard].dead = true;
+                    if st.failures > self.config.reconnects as u32 {
+                        st.dead = true;
                     }
                 }
             }
@@ -788,9 +668,9 @@ impl ShardRouter {
         Routed { id, shard, result }
     }
 
-    /// One non-blocking pass over the fleet: run due probes (rejoins
-    /// happen here) and poll every in-flight job once. Returns the
-    /// first finished job found, `Ok(None)` if nothing finished —
+    /// One non-blocking pass over the fleet: probe every down shard
+    /// (rejoins happen here) and poll every in-flight job once. Returns
+    /// the first finished job found, `Ok(None)` if nothing finished —
     /// including when nothing is pending, which makes this the
     /// idle-safe pump for open-loop drivers that interleave submission
     /// with collection.
@@ -802,10 +682,9 @@ impl ShardRouter {
     /// [`RouterError::Shard`] on a protocol violation.
     pub fn poll_once(&mut self) -> Result<Option<Routed>, RouterError> {
         self.run_probes();
-        for shard in self.ring.live().to_vec() {
-            // Re-check against the *current* ring: an earlier failure
-            // in this sweep can cascade (via resubmission) into the
-            // death of a shard later in the snapshot.
+        for shard in 0..self.shards.len() {
+            // An earlier failure in this sweep can cascade (via
+            // resubmission) into the death of a later shard.
             if !self.shards[shard].live() {
                 continue;
             }
@@ -855,10 +734,10 @@ impl ShardRouter {
             // Pending jobs with no fleet left can never complete *now*:
             // report that instead of sleeping (probes still got their
             // chance through the dispatch/poll paths).
-            if self.ring.is_empty() {
+            if self.live_shards() == 0 {
                 self.run_probes();
             }
-            if self.ring.is_empty() {
+            if self.live_shards() == 0 {
                 return Err(RouterError::NoLiveShards {
                     stranded: self.pending.len(),
                 });
@@ -890,7 +769,7 @@ impl ShardRouter {
 
     /// Live shard count.
     pub fn live_shards(&self) -> usize {
-        self.ring.len()
+        self.shards.iter().filter(|st| st.live()).count()
     }
 
     /// A snapshot of the router's counters and each shard's breaker
@@ -982,88 +861,54 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ring_is_deterministic_and_covers_all_live_shards() {
-        let mut ring = HashRing::new(64);
-        for s in 0..4 {
-            ring.add(s);
-        }
-        let owners: Vec<usize> = (0..256)
-            .map(|k| ring.shard_for(k).expect("non-empty ring"))
-            .collect();
-        // Deterministic: a second pass agrees.
-        for (k, &owner) in owners.iter().enumerate() {
-            assert_eq!(ring.shard_for(k as u64), Some(owner));
-            assert!(ring.live().contains(&owner));
-        }
-        // Every shard owns a reasonable share of 256 keys.
-        for s in 0..4 {
-            let share = owners.iter().filter(|&&o| o == s).count();
-            assert!(share > 16, "shard {s} owns only {share}/256 keys");
-        }
-    }
-
-    #[test]
-    fn removing_a_shard_moves_only_its_keys() {
-        let mut ring = HashRing::new(64);
-        for s in 0..3 {
-            ring.add(s);
-        }
-        let before: Vec<usize> = (0..200).map(|k| ring.shard_for(k).unwrap()).collect();
-        ring.remove(1);
-        for (k, &owner) in before.iter().enumerate() {
-            let now = ring.shard_for(k as u64).unwrap();
-            if owner == 1 {
-                assert_ne!(now, 1, "key {k} still maps to the removed shard");
-            } else {
-                assert_eq!(now, owner, "key {k} moved without cause");
+    fn placement_never_picks_a_down_shard() {
+        // The down shard is the idlest; the live ones are busy.
+        assert_eq!(place([(true, 3, 9), (false, 0, 0), (true, 2, 40)]), Some(2));
+        // Every shape of three shards: the pick is live and holds the
+        // fewest jobs in flight of the live ones.
+        for mask in 0u32..1 << 9 {
+            let shards: Vec<(bool, usize, u64)> = (0..3)
+                .map(|s| {
+                    let bits = mask >> (3 * s);
+                    (
+                        bits & 1 == 1,
+                        (bits >> 1 & 1) as usize,
+                        u64::from(bits >> 2 & 1),
+                    )
+                })
+                .collect();
+            let least = shards.iter().filter(|s| s.0).map(|s| s.1).min();
+            match place(shards.iter().copied()) {
+                Some(slot) => {
+                    assert!(shards[slot].0, "{shards:?} placed on down shard {slot}");
+                    assert_eq!(Some(shards[slot].1), least, "{shards:?}");
+                }
+                None => assert_eq!(least, None, "{shards:?} has a live shard"),
             }
         }
-        // Adding it back restores the original partition exactly.
-        ring.add(1);
-        for (k, &owner) in before.iter().enumerate() {
-            assert_eq!(ring.shard_for(k as u64), Some(owner));
-        }
     }
 
     #[test]
-    fn empty_and_single_shard_rings() {
-        let mut ring = HashRing::new(8);
-        assert!(ring.is_empty());
-        assert_eq!(ring.shard_for(7), None);
-        ring.add(5);
-        assert_eq!(ring.len(), 1);
-        for k in 0..32 {
-            assert_eq!(ring.shard_for(k), Some(5));
+    fn placement_ties_go_to_fewer_dispatches_then_the_lower_slot() {
+        // Fewer in flight beats fewer dispatches.
+        assert_eq!(place([(true, 2, 0), (true, 1, 100)]), Some(1));
+        // Equal in flight: fewer dispatches wins.
+        assert_eq!(place([(true, 1, 7), (true, 1, 3), (true, 1, 5)]), Some(1));
+        // Equal on both: the lower slot wins.
+        assert_eq!(place([(false, 0, 0), (true, 1, 3), (true, 1, 3)]), Some(1));
+        // A light load alternates between two idle shards.
+        let mut dispatched = [0u64; 2];
+        for _ in 0..10 {
+            let slot = place([(true, 0, dispatched[0]), (true, 0, dispatched[1])])
+                .expect("both shards are live");
+            dispatched[slot] += 1;
         }
-        ring.remove(5);
-        assert_eq!(ring.shard_for(7), None);
+        assert_eq!(dispatched, [5, 5]);
     }
 
     #[test]
-    fn backoff_grows_caps_and_jitters_deterministically() {
-        let config = ShardConfig::default();
-        let mut prev = Duration::ZERO;
-        for failures in 1..6 {
-            let d = ShardRouter::backoff_for(&config, 0, failures);
-            // Jitter keeps it within [0.5, 1.0) of the nominal delay.
-            let nominal = config.backoff_base * (1 << (failures - 1));
-            assert!(d >= nominal.mul_f64(0.5), "failure {failures}: {d:?}");
-            assert!(d < nominal, "failure {failures}: {d:?} >= {nominal:?}");
-            assert!(d > prev, "backoff must grow");
-            prev = d;
-        }
-        // Capped however high the failure count climbs.
-        let huge = ShardRouter::backoff_for(&config, 0, 1000);
-        assert!(huge <= config.backoff_cap);
-        // Deterministic per (shard, failures).
-        assert_eq!(
-            ShardRouter::backoff_for(&config, 3, 4),
-            ShardRouter::backoff_for(&config, 3, 4)
-        );
-        // Different shards decorrelate.
-        assert_ne!(
-            ShardRouter::backoff_for(&config, 0, 4),
-            ShardRouter::backoff_for(&config, 1, 4)
-        );
+    fn placement_is_none_when_no_shard_is_live() {
+        assert_eq!(place([]), None);
+        assert_eq!(place([(false, 0, 0), (false, 3, 1)]), None);
     }
 }

@@ -277,7 +277,6 @@ fn a_job_that_exhausts_its_placements_is_abandoned_not_stranded() {
         reconnects: 16,
         max_attempts: 3,
         read_timeout: Duration::from_secs(2),
-        ..ShardConfig::default()
     };
     let mut router = ShardRouter::connect(&[chaos.addr()], config).expect("fleet connects");
     chaos.kill();
