@@ -910,7 +910,7 @@ impl FleetFixture {
         };
         let fronts = match &proxies {
             None => addrs,
-            Some((breaker, slow)) => [breaker.addr(), slow.addr()],
+            Some((killable, slow)) => [killable.addr(), slow.addr()],
         };
         let mut router = ShardRouter::connect(&fronts, config).expect("fleet connects");
         router
@@ -919,18 +919,12 @@ impl FleetFixture {
 
         let (kill_at, revive_at) = (self.plan.len() / 3, 2 * self.plan.len() / 3);
         // A death is an event, not a deadline: the router only learns of
-        // one when it next touches the host. Probe until the breaker has
-        // opened — each probe of a down host is one fatal fault, so the
-        // reconnect budget bounds how many it takes.
+        // one when it next touches the host. One health probe does that,
+        // and one fault takes the shard down.
         let observe_death = |router: &mut ShardRouter| {
-            for _ in 0..=config.reconnects {
-                if router.stats().shard_deaths >= 1 {
-                    return;
-                }
-                router
-                    .poll_health()
-                    .expect("the survivor holds the fleet up");
-            }
+            router
+                .poll_health()
+                .expect("the survivor holds the fleet up");
         };
         let done = self.drive(&mut router, |i, router| match (fault, &proxies) {
             (Fault::ProcessKill, _) if i == kill_at => {
@@ -942,11 +936,11 @@ impl FleetFixture {
                 servers[victim].kill();
                 observe_death(router);
             }
-            (Fault::KillRevive, Some((breaker, _))) if i == kill_at => {
-                breaker.kill();
+            (Fault::KillRevive, Some((killable, _))) if i == kill_at => {
+                killable.kill();
                 observe_death(router);
             }
-            (Fault::KillRevive, Some((breaker, _))) if i == revive_at => breaker.revive(),
+            (Fault::KillRevive, Some((killable, _))) if i == revive_at => killable.revive(),
             _ => {}
         });
         if fault == Fault::KillRevive {
@@ -1079,7 +1073,10 @@ pub fn elastic_fleet(ctx: &Ctx) -> Vec<String> {
     );
 
     let revived = leg("kill+revive", Fault::KillRevive).stats;
-    assert!(revived.shard_deaths >= 1, "the kill must open the breaker");
+    assert!(
+        revived.shard_deaths >= 1,
+        "the kill must take the shard down"
+    );
     assert!(revived.rejoins >= 1, "the revived shard must rejoin");
 
     // The healthy fleet is still up: read its story back through the wire.

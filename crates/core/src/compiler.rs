@@ -86,9 +86,6 @@ pub struct Compiler {
     pub kernel: KernelConfig,
     /// Dataflow-graph optimization options.
     pub passes: PassOptions,
-    /// Waveform mode: keep every named signal observable (§6.2 disables
-    /// signal-eliminating optimizations when waveforms are requested).
-    pub keep_signals: bool,
 }
 
 impl Compiler {
@@ -97,22 +94,15 @@ impl Compiler {
         Compiler {
             kernel,
             passes: PassOptions::default(),
-            keep_signals: false,
         }
     }
 
-    /// Enables waveform mode (disables signal-eliminating optimizations).
+    /// Enables waveform mode: every named signal stays observable (§6.2
+    /// disables signal-eliminating optimizations when waveforms are
+    /// requested). Copy propagation and constant folding can remove
+    /// named signals, so every pass is off.
     pub fn with_waveforms(mut self) -> Self {
-        self.keep_signals = true;
-        // Copy propagation and constant folding can remove named
-        // signals; keep the graph intact.
         self.passes = PassOptions::none();
-        self
-    }
-
-    /// Overrides the pass options.
-    pub fn with_passes(mut self, passes: PassOptions) -> Self {
-        self.passes = passes;
         self
     }
 

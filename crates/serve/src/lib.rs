@@ -27,11 +27,12 @@
 //!   its blocking client, which fetches every finished job of its
 //!   connection in one `result` exchange and buffers the rest.
 //! - [`ShardRouter`] — the cross-host supervisor: least-in-flight job
-//!   placement over a fleet of server processes, with per-shard
-//!   circuit breakers (half-open `ping` probes every sweep, shard
-//!   rejoin with registry replay), automatic resubmission of jobs lost
-//!   to dead shards, and a [`FleetStats`] snapshot; results merge into
-//!   one completion-ordered stream.
+//!   placement over a fleet of server processes. A shard leaves the
+//!   live set on its first transport fault and its jobs are
+//!   resubmitted to the survivors; every sweep probes each down shard
+//!   (connect, `ping`, registry replay), the only way back into
+//!   placement. Results merge into one completion-ordered stream, and
+//!   [`FleetStats`] is the snapshot.
 //! - [`chaos`] — the fault-injection harness ([`ChaosShard`]): a
 //!   line-level TCP proxy that delays, drops, truncates, kills — and
 //!   revives — so the router's failure *and recovery* paths are
@@ -97,9 +98,7 @@ pub use pool::{
     DesignInfo, JobHandle, RegisterError, ServeConfig, ServeStats, ServerPool, DEFAULT_DESIGN,
 };
 pub use protocol::{
-    designs_digest, ProtocolError, Request, Response, Verb, WireAnalysis, WireBinding, WireDesign,
-    WireJob, WirePong, WireResult, WireStats,
+    ProtocolError, Request, Response, Verb, WireAnalysis, WireBinding, WireDesign, WireJob,
+    WirePong, WireResult, WireStats,
 };
-pub use shard::{
-    FleetShard, FleetStats, Routed, RouterError, ShardConfig, ShardPhase, ShardRouter,
-};
+pub use shard::{FleetShard, FleetStats, Routed, RouterError, ShardConfig, ShardRouter};

@@ -9,8 +9,8 @@
 
 use crate::pool::{JobHandle, ServerPool};
 use crate::protocol::{
-    designs_digest, result_len, ProtocolError, Request, Response, Verb, WireAnalysis, WireDesign,
-    WireJob, WirePong, WireResult, WireStats,
+    result_len, ProtocolError, Request, Response, Verb, WireAnalysis, WireDesign, WireJob,
+    WirePong, WireResult, WireStats,
 };
 use rteaal_core::Compiler;
 use rteaal_kernels::{KernelConfig, KernelKind};
@@ -274,14 +274,9 @@ fn respond(pool: &ServerPool, handles: &mut HashMap<u64, JobHandle>, request: Re
                 })
                 .collect(),
         ),
-        Verb::Ping => {
-            let designs = pool.designs();
-            Response::pong(WirePong {
-                uptime_ms: pool.uptime().as_millis() as u64,
-                designs: designs.len() as u64,
-                digest: designs_digest(&designs),
-            })
-        }
+        Verb::Ping => Response::pong(WirePong {
+            uptime_ms: pool.uptime().as_millis() as u64,
+        }),
         Verb::Metrics => {
             let snapshot = pool.metrics().snapshot();
             let exposition = snapshot.prometheus();
@@ -562,10 +557,10 @@ impl ServeClient {
             .ok_or(ProtocolError::MissingPayload { kind: "designs" })
     }
 
-    /// Liveness probe: the server's uptime and a digest of its design
-    /// registry. The cheapest full round trip the protocol offers —
-    /// what the [`ShardRouter`](crate::ShardRouter)'s health loop uses
-    /// to decide a host is really back.
+    /// Liveness probe: the server's uptime. The cheapest full round
+    /// trip the protocol offers — what the
+    /// [`ShardRouter`](crate::ShardRouter)'s probe uses to decide a host
+    /// is really back.
     ///
     /// # Errors
     ///
@@ -731,12 +726,7 @@ circuit H :
             let mut reply = vec![b'y'; MAX_LINE + 1];
             reply.push(b'\n');
             let mut pong = String::new();
-            Response::pong(WirePong {
-                uptime_ms: 1,
-                designs: 1,
-                digest: 7,
-            })
-            .encode(&mut pong);
+            Response::pong(WirePong { uptime_ms: 1 }).encode(&mut pong);
             reply.extend_from_slice(pong.as_bytes());
             reply.push(b'\n');
             (&stream).write_all(&reply).unwrap();

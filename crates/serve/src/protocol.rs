@@ -11,7 +11,7 @@
 //! | `stats`    | —              | `kind:"stats"` with pool counters |
 //! | `register` | `design`, `source`, `halt` | compiles the FIRRTL `source` server-side and adds it to the design registry |
 //! | `designs`  | —              | `kind:"designs"` listing every registered design |
-//! | `ping`     | —              | `kind:"pong"` with server uptime and a digest of the design registry — the health probe |
+//! | `ping`     | —              | `kind:"pong"` with server uptime — the health probe |
 //! | `metrics`  | —              | `kind:"metrics"`: the full registry snapshot (counters, gauges, histograms) plus a Prometheus-style text exposition |
 //! | `timeline` | `id`           | `kind:"timeline"`: one job's retained lifecycle events (submitted → ... → delivered) |
 //!
@@ -412,45 +412,13 @@ impl From<&ServeStats> for WireStats {
     }
 }
 
-/// The `ping` verb's payload: enough for a router's health probe to
-/// decide whether a host that answers is *the fleet member it expects*
-/// — a freshly restarted process shows a small `uptime_ms`, and a
-/// registry digest mismatch tells the prober its designs still need to
-/// be replayed.
+/// The `ping` verb's payload. A freshly restarted process shows a
+/// small `uptime_ms`; the router's probe does not compare anything — an
+/// answer is enough, and it replays its registry unconditionally.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WirePong {
     /// Milliseconds since the server's pool was constructed.
     pub uptime_ms: u64,
-    /// Registered design count.
-    pub designs: u64,
-    /// Order-sensitive digest of the registry names
-    /// (see [`designs_digest`]).
-    pub digest: u64,
-}
-
-/// Digests a design-name list into one order-sensitive `u64`: each name
-/// is FNV-1a-hashed, then folded through the `splitmix64` finalizer.
-/// Client and server compute it identically, so a rejoining shard's
-/// registry can be compared without shipping the full listing.
-pub fn designs_digest(names: &[String]) -> u64 {
-    let mut acc = 0xcbf2_9ce4_8422_2325u64;
-    for name in names {
-        let mut h = 0x100_0000_01b3u64;
-        for b in name.bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-        }
-        acc = mix64(acc ^ h);
-    }
-    acc
-}
-
-/// Finalizes `splitmix64`: a deterministic, well-mixed 64-bit hash, the
-/// same in every process (no `RandomState`).
-fn mix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// One client request line.
@@ -1537,11 +1505,7 @@ mod tests {
                     analysis: WireAnalysis::default(),
                 },
             ]),
-            Response::pong(WirePong {
-                uptime_ms: 1234,
-                designs: 2,
-                digest: designs_digest(&["default".to_string(), "sha3".to_string()]),
-            }),
+            Response::pong(WirePong { uptime_ms: 1234 }),
             {
                 let reg = rteaal_telemetry::MetricsRegistry::new();
                 reg.counter("sched.admitted").add(3);
@@ -1739,15 +1703,6 @@ mod tests {
             write_result(&WireResult::from(r), &mut line);
             assert_eq!(expected, line.len(), "{line}");
         }
-    }
-
-    #[test]
-    fn designs_digest_is_order_sensitive_and_deterministic() {
-        let a = vec!["default".to_string(), "sha3".to_string()];
-        let b = vec!["sha3".to_string(), "default".to_string()];
-        assert_eq!(designs_digest(&a), designs_digest(&a));
-        assert_ne!(designs_digest(&a), designs_digest(&b));
-        assert_ne!(designs_digest(&a), designs_digest(&a[..1]));
     }
 
     #[test]

@@ -7,21 +7,21 @@
 //! merges every shard's results into a single completion-ordered stream,
 //! and runs the elastic-fleet loop:
 //!
-//! - **Circuit breaker per shard.** A connection that errors, times
-//!   out, or dies mid-line gets one immediate reconnect (the cheap
-//!   retry for a transient blip); if that fails, the breaker *opens*:
-//!   the shard takes no placements and is probed once per poll sweep.
-//!   A shard whose consecutive failures exceed
-//!   [`ShardConfig::reconnects`] is reported dead — but probing never
-//!   stops, because hosts come back. Every connect, probe or reconnect,
-//!   gives up after [`ShardConfig::read_timeout`], so a host that drops
+//! - **Down on the first fault.** A connection that errors, times out,
+//!   or dies mid-line takes its shard out of placement at once — one
+//!   down episode — and the jobs in flight on it are resubmitted to the
+//!   survivors. Every poll sweep probes each down shard once, and
+//!   probing never stops, because hosts come back. Every connect gives
+//!   up after [`ShardConfig::read_timeout`], so a host that drops
 //!   connection attempts cannot hold the router for the kernel's
 //!   connect timeout.
-//! - **Rejoin.** The half-open probe is the `ping` verb; when it
-//!   answers, the router replays its design registry to the host
-//!   (registration fan-out — see [`register`](ShardRouter::register))
-//!   and only then lets the shard take placements again. A rejoiner
-//!   has nothing in flight, so it takes the next placements.
+//! - **One way back.** The probe is the only path into the live set:
+//!   connect, the `ping` verb, then a replay of the router's design
+//!   registry (registration fan-out — see
+//!   [`register`](ShardRouter::register)), and only then placements. A
+//!   host that rebooted with an empty registry therefore never sees a
+//!   job for a design it lacks. A rejoiner has nothing in flight, so it
+//!   takes the next placements.
 //!
 //! A job lives on exactly one shard at a time and moves only when that
 //! shard fails. Delivery is **exactly once** even under at-least-once
@@ -69,16 +69,12 @@ pub struct ShardConfig {
     /// How long a connect, or any single exchange, may wait for a
     /// shard before the host counts as hung (a fatal fault).
     pub read_timeout: Duration,
-    /// Consecutive failures (transport faults and failed probes) a
-    /// shard is allowed before it is *reported* dead. Delivering a
-    /// result resets the count — a host must prove it can finish work,
-    /// not merely accept connections — and probing continues past
-    /// death: a dead shard that answers a probe rejoins.
-    pub reconnects: usize,
     /// *Consecutive failed* placements one job may burn before the
-    /// router gives up on it — a backstop against a job no host will
-    /// take. A successful placement resets the count, so honest
-    /// resubmission churn under flapping shards never exhausts a job.
+    /// router gives up on it — the backstop against a host that passes
+    /// the probe but dies on every `submit`, which would otherwise
+    /// cycle the job forever. A successful placement resets the count,
+    /// so honest resubmission churn under flapping shards never
+    /// exhausts a job.
     pub max_attempts: usize,
 }
 
@@ -86,23 +82,17 @@ impl Default for ShardConfig {
     fn default() -> Self {
         ShardConfig {
             read_timeout: Duration::from_secs(5),
-            reconnects: 2,
             max_attempts: 16,
         }
     }
 }
 
-/// One shard's connection, breaker, and accounting.
+/// One shard's connection and accounting.
 #[derive(Debug)]
 struct ShardState {
     addr: SocketAddr,
-    /// `Some` iff the shard is live (breaker closed).
+    /// `Some` iff the shard is live (takes placements).
     client: Option<ServeClient>,
-    /// Consecutive failures since the last successful exchange.
-    failures: u32,
-    /// Whether `failures` has crossed the death threshold (reported in
-    /// stats; probing continues regardless).
-    dead: bool,
     /// Router ids currently awaiting results on this shard.
     inflight: Vec<u64>,
     /// Jobs ever dispatched here (including resubmissions).
@@ -200,31 +190,14 @@ impl std::fmt::Display for RouterError {
 
 impl std::error::Error for RouterError {}
 
-/// Where one shard's circuit breaker currently stands.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardPhase {
-    /// Breaker closed: connected and taking placements.
-    Live,
-    /// Breaker open: taking no placements, probed once per sweep.
-    Open {
-        /// Consecutive failures so far.
-        failures: u32,
-    },
-    /// Failures crossed [`ShardConfig::reconnects`]; still probed (a
-    /// dead host that answers rejoins), but reported as dead.
-    Dead {
-        /// Consecutive failures so far.
-        failures: u32,
-    },
-}
-
 /// One shard's slice of a [`FleetStats`] snapshot.
 #[derive(Debug, Clone)]
 pub struct FleetShard {
     /// The shard's address.
     pub addr: SocketAddr,
-    /// Breaker phase.
-    pub phase: ShardPhase,
+    /// Whether it takes placements; a down shard is probed every
+    /// sweep.
+    pub live: bool,
     /// Jobs currently awaiting results on it.
     pub in_flight: usize,
     /// Jobs ever dispatched to it (including resubmissions).
@@ -236,7 +209,7 @@ pub struct FleetShard {
 }
 
 /// The router's snapshot: fleet-wide counters plus each shard's
-/// breaker phase and load. With no job lost, every placement is a first
+/// liveness and load. With no job lost, every placement is a first
 /// dispatch or a resubmission, so the per-shard `dispatched` counts sum
 /// to `submitted + resubmitted`.
 #[derive(Debug, Clone)]
@@ -248,8 +221,8 @@ pub struct FleetStats {
     /// Job placements repeated because their shard's connection was
     /// lost (each orphaned job counts once per loss).
     pub resubmitted: u64,
-    /// Down episodes: times a shard's breaker opened (a later rejoin
-    /// starts a fresh episode).
+    /// Down episodes: times a shard left the live set on a transport
+    /// fault (a later rejoin starts a fresh episode).
     pub shard_deaths: u64,
     /// Shards that went live again after being down, fleet-wide.
     pub rejoins: u64,
@@ -258,8 +231,8 @@ pub struct FleetStats {
 }
 
 /// The cross-host supervisor: least-in-flight job placement over a
-/// fleet of serve processes, with circuit-breaker health tracking,
-/// shard rejoin, registration fan-out, and automatic resubmission. See
+/// fleet of serve processes, with probe-driven shard rejoin,
+/// registration fan-out, and automatic resubmission. See
 /// the [module docs](self) for the design.
 ///
 /// ```no_run
@@ -307,11 +280,11 @@ struct RouterTelemetry {
     lost: Arc<Counter>,
     /// Placements repeated after a shard's connection was lost.
     resubmitted: Arc<Counter>,
-    /// Breaker closed→open edges.
+    /// Live→down edges.
     shard_deaths: Arc<Counter>,
-    /// Breaker open→closed edges (probe answered; registry replayed).
+    /// Down→live edges (probe answered; registry replayed).
     rejoins: Arc<Counter>,
-    /// Half-open probe attempts, answered or not.
+    /// Probe attempts, answered or not.
     probes: Arc<Counter>,
 }
 
@@ -352,8 +325,6 @@ impl ShardRouter {
             shards.push(ShardState {
                 addr,
                 client: Some(client),
-                failures: 0,
-                dead: false,
                 inflight: Vec::new(),
                 dispatched: 0,
                 delivered: 0,
@@ -398,8 +369,8 @@ impl ShardRouter {
     /// Submits a job to every shard's default design: assigns a
     /// router-global id, places it on the least-loaded live shard, and
     /// returns the id. Placement failures cascade through the failure
-    /// path (reconnect, then placement on a survivor) before this
-    /// returns.
+    /// path (the shard goes down, the job goes to a survivor) before
+    /// this returns.
     ///
     /// # Errors
     ///
@@ -479,8 +450,8 @@ impl ShardRouter {
     }
 
     /// Places every job in `work` on the least-loaded live shard,
-    /// walking the failure path (reconnect, placement elsewhere) as
-    /// shards fall over.
+    /// walking the failure path (the shard goes down, the job goes
+    /// elsewhere) as shards fall over.
     ///
     /// A job that fails *individually* — placement budget exhausted, or
     /// a protocol violation on submit — is removed from the router's
@@ -544,10 +515,8 @@ impl ShardRouter {
                         break;
                     }
                     Err(error) if error.is_fatal() => {
-                        // The shard's orphans (and this job) go back on
-                        // the worklist; the shard may or may not still
-                        // be live depending on whether the immediate
-                        // reconnect lands.
+                        // The shard is down; its orphans (and this job)
+                        // go back on the worklist.
                         work.extend(self.shard_failed(shard));
                         continue;
                     }
@@ -566,45 +535,24 @@ impl ShardRouter {
         }
     }
 
-    /// Handles a fatal transport fault on one shard: the breaker's
-    /// closed→open edge. The shard gets one immediate reconnect (if
-    /// its consecutive-failure count is still within budget); if that
-    /// fails the shard is down (one counted down episode) and is probed
-    /// on every sweep by [`run_probes`](Self::run_probes). Crossing the
-    /// failure budget additionally reports it dead — probing continues
-    /// regardless.
-    ///
-    /// Either way the shard's in-flight jobs are orphaned — their
-    /// handles lived on the broken connection — and are returned for
-    /// redispatch.
+    /// Handles a fatal transport fault on one live shard: it leaves the
+    /// live set — one down episode, however many probes fail before it
+    /// rejoins — and comes back only through
+    /// [`run_probes`](Self::run_probes). Its in-flight jobs are
+    /// orphaned — their handles lived on the broken connection — and
+    /// are returned for redispatch.
     fn shard_failed(&mut self, shard: usize) -> Vec<u64> {
         let st = &mut self.shards[shard];
         st.client = None;
-        st.failures += 1;
-        let failures = st.failures;
-        let was_inflight = std::mem::take(&mut st.inflight);
-        if failures <= self.config.reconnects as u32 {
-            if let Ok(client) = ServeClient::connect_timeout(st.addr, self.config.read_timeout) {
-                st.client = Some(client);
-            }
-        }
-        if st.client.is_none() {
-            // One down episode = one death, counted at the moment the
-            // shard goes down (probe failures while it stays down are
-            // the same episode).
-            self.telemetry.shard_deaths.inc();
-            if failures > self.config.reconnects as u32 {
-                st.dead = true;
-            }
-        }
-        self.telemetry.resubmitted.add(was_inflight.len() as u64);
-        was_inflight
+        let orphans = std::mem::take(&mut st.inflight);
+        self.telemetry.shard_deaths.inc();
+        self.telemetry.resubmitted.add(orphans.len() as u64);
+        orphans
     }
 
-    /// Half-open probes for every down shard: connect, `ping`, replay
-    /// the design registry, and only then mark the shard live (the
-    /// rejoin). A failed probe counts as a failure; crossing the
-    /// failure budget marks the shard dead, but probing never stops.
+    /// Probes every down shard: connect, `ping`, replay the design
+    /// registry, and only then mark the shard live (the rejoin). A
+    /// failed probe leaves the shard down until the next sweep.
     fn run_probes(&mut self) {
         for shard in 0..self.shards.len() {
             if self.shards[shard].live() {
@@ -626,22 +574,11 @@ impl ShardRouter {
                 }
                 Ok(client)
             });
-            match probe {
-                Ok(client) => {
-                    let st = &mut self.shards[shard];
-                    st.client = Some(client);
-                    st.failures = 0;
-                    st.dead = false;
-                    st.rejoins += 1;
-                    self.telemetry.rejoins.inc();
-                }
-                Err(_) => {
-                    let st = &mut self.shards[shard];
-                    st.failures += 1;
-                    if st.failures > self.config.reconnects as u32 {
-                        st.dead = true;
-                    }
-                }
+            if let Ok(client) = probe {
+                let st = &mut self.shards[shard];
+                st.client = Some(client);
+                st.rejoins += 1;
+                self.telemetry.rejoins.inc();
             }
         }
     }
@@ -652,7 +589,6 @@ impl ShardRouter {
         let st = &mut self.shards[shard];
         st.inflight.retain(|&i| i != id);
         st.delivered += 1;
-        st.failures = 0;
         self.telemetry.delivered.inc();
         self.telemetry.registry.record_event(
             id,
@@ -772,8 +708,8 @@ impl ShardRouter {
         self.shards.iter().filter(|st| st.live()).count()
     }
 
-    /// A snapshot of the router's counters and each shard's breaker
-    /// phase — a view over the metrics registry.
+    /// A snapshot of the router's counters and each shard's liveness —
+    /// a view over the metrics registry.
     pub fn stats(&self) -> FleetStats {
         let t = &self.telemetry;
         debug_assert!(
@@ -801,17 +737,7 @@ impl ShardRouter {
                 .iter()
                 .map(|st| FleetShard {
                     addr: st.addr,
-                    phase: if st.live() {
-                        ShardPhase::Live
-                    } else if st.dead {
-                        ShardPhase::Dead {
-                            failures: st.failures,
-                        }
-                    } else {
-                        ShardPhase::Open {
-                            failures: st.failures,
-                        }
-                    },
+                    live: st.live(),
                     in_flight: st.inflight.len(),
                     dispatched: st.dispatched,
                     delivered: st.delivered,
@@ -822,9 +748,9 @@ impl ShardRouter {
     }
 
     /// Polls every live shard's `stats` verb: the load probe. A shard
-    /// that fails the probe takes the usual failure path (breaker
-    /// opens, jobs resubmitted) and reports `None`, as do shards
-    /// currently down.
+    /// that fails the probe takes the usual failure path (the shard
+    /// goes down, its jobs are resubmitted) and reports `None`, as do
+    /// shards currently down.
     ///
     /// # Errors
     ///

@@ -5,7 +5,7 @@
 //! `kill()`, dying mid-line when it goes). The property: **every
 //! submitted job completes exactly once and bit-identical to a scalar
 //! [`Simulation`] run** despite the chaos, with no job stranded on a
-//! dead shard — the router's reconnect/resubmission machinery must be
+//! dead shard — the router's probe/resubmission machinery must be
 //! invisible in the merged result stream.
 
 use proptest::prelude::*;
@@ -14,8 +14,8 @@ use rteaal_designs::Workload;
 use rteaal_kernels::{KernelConfig, KernelKind};
 use rteaal_sched::Job;
 use rteaal_serve::{
-    ChaosPlan, ChaosShard, RouterError, ServeConfig, ServerPool, ShardConfig, ShardPhase,
-    ShardRouter, SocketServer,
+    ChaosPlan, ChaosShard, RouterError, ServeConfig, ServerPool, ShardConfig, ShardRouter,
+    SocketServer,
 };
 use std::collections::{HashMap, HashSet};
 use std::net::SocketAddr;
@@ -107,7 +107,6 @@ proptest! {
         let addrs = vec![healthy, flaky.addr(), doomed.addr()];
         let config = ShardConfig {
             read_timeout: Duration::from_secs(20),
-            reconnects: 3,
             ..ShardConfig::default()
         };
         let mut router = ShardRouter::connect(&addrs, config).expect("fleet connects");
@@ -136,15 +135,9 @@ proptest! {
         results.extend(router.drain().expect("drain survives chaos"));
         prop_assert!(router.accounting_balanced());
         // A death is an event, not a deadline: the drain noticed the kill
-        // only if it still had a job on the doomed shard. Probe until the
-        // breaker has opened — every probe of a killed host is one fatal
-        // fault, so the reconnect budget bounds how many it takes.
-        for _ in 0..=config.reconnects {
-            if router.stats().shard_deaths >= 1 {
-                break;
-            }
-            router.poll_health().expect("the healthy shard holds the fleet up");
-        }
+        // only if it still had a job on the doomed shard. One health
+        // probe makes the router touch it — one fault takes it down.
+        router.poll_health().expect("the healthy shard holds the fleet up");
 
         // Exactly once: every submitted id appears exactly one time.
         prop_assert_eq!(results.len(), jobs);
@@ -184,7 +177,7 @@ proptest! {
         prop_assert!(doomed.is_killed());
         prop_assert!(stats.shard_deaths >= 1, "the doomed shard must register as dead");
         prop_assert!(
-            stats.per_shard.iter().any(|s| s.phase != ShardPhase::Live),
+            stats.per_shard.iter().any(|s| !s.live),
             "{:?}", stats.per_shard
         );
 
@@ -241,7 +234,6 @@ fn exhausted_fleet_reports_no_live_shards_instead_of_hanging() {
     let chaos =
         ChaosShard::spawn(spawn_server(), ChaosPlan::default()).expect("chaos proxy spawns");
     let config = ShardConfig {
-        reconnects: 0,
         read_timeout: Duration::from_secs(2),
         ..ShardConfig::default()
     };
@@ -268,18 +260,21 @@ fn a_job_that_exhausts_its_placements_is_abandoned_not_stranded() {
     // while belonging to no shard's in-flight list, so drain() (and
     // every next_result) waited on a ghost forever. It must be removed
     // from the books when JobLost is reported.
-    let chaos =
-        ChaosShard::spawn(spawn_server(), ChaosPlan::default()).expect("chaos proxy spawns");
+    // Every connection answers exactly one exchange: the probe's `ping`
+    // passes, so the shard rejoins, and every `submit` dies — the host
+    // that would cycle a job forever without the placement budget.
+    let plan = ChaosPlan {
+        drop_every: Some(1),
+        ..ChaosPlan::default()
+    };
+    let chaos = ChaosShard::spawn(spawn_server(), plan).expect("chaos proxy spawns");
     let config = ShardConfig {
-        // Reconnects always "succeed" (the killed proxy still accepts,
-        // then slams the connection), so the shard never leaves the
-        // ring — every placement burns an attempt instead.
-        reconnects: 16,
         max_attempts: 3,
         read_timeout: Duration::from_secs(2),
     };
     let mut router = ShardRouter::connect(&[chaos.addr()], config).expect("fleet connects");
-    chaos.kill();
+    // Spend the first connection's one exchange.
+    router.poll_health().expect("the first exchange answers");
     match router.submit(job_for(5)) {
         Err(RouterError::JobLost { attempts, .. }) => assert_eq!(attempts, 4),
         other => panic!("expected JobLost, got {other:?}"),

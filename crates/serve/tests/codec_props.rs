@@ -197,11 +197,7 @@ fn response() -> impl Strategy<Value = Response> {
                 ..WireAnalysis::default()
             },
         }])),
-        number().prop_map(|n| Response::pong(WirePong {
-            uptime_ms: n,
-            designs: 2,
-            digest: !n,
-        })),
+        number().prop_map(|n| Response::pong(WirePong { uptime_ms: n })),
         number().prop_map(|n| {
             let registry = MetricsRegistry::new();
             registry.counter("sched.admitted").add(n % 1000);

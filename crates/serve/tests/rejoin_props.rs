@@ -14,6 +14,10 @@
 //! 3. **Exactly-once bit-exactness.** Every job in every wave
 //!    completes exactly once, bit-identical to a scalar
 //!    [`Simulation`] run, throughout the kill/revive cycle.
+//!
+//! A second test pins the one way back on its own: a shard whose host
+//! reboots between two exchanges must rejoin through the probe's
+//! registry replay, never straight back into placement.
 
 use proptest::prelude::*;
 use rteaal_core::{Compiled, Compiler, DebugModule, Simulation};
@@ -21,8 +25,7 @@ use rteaal_designs::Workload;
 use rteaal_kernels::{KernelConfig, KernelKind};
 use rteaal_sched::Job;
 use rteaal_serve::{
-    ChaosPlan, ChaosShard, Routed, ServeConfig, ServerPool, ShardConfig, ShardPhase, ShardRouter,
-    SocketServer,
+    ChaosPlan, ChaosShard, Routed, ServeConfig, ServerPool, ShardConfig, ShardRouter, SocketServer,
 };
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -148,11 +151,7 @@ proptest! {
         }
         let mid = router.stats();
         prop_assert!(mid.shard_deaths >= 1, "the outage must register");
-        prop_assert!(
-            matches!(mid.per_shard[2].phase, ShardPhase::Open { .. } | ShardPhase::Dead { .. }),
-            "shard 2 must be down: {:?}",
-            mid.per_shard[2].phase
-        );
+        prop_assert!(!mid.per_shard[2].live, "shard 2 must be down");
         prop_assert_eq!(mid.per_shard[2].dispatched, before, "a placement reached the down shard");
 
         // ---- Revive behind a *fresh* pool: the host rebooted with an
@@ -188,8 +187,63 @@ proptest! {
         let end = router.stats();
         prop_assert_eq!(end.delivered, (3 * wave) as u64);
         prop_assert!(end.rejoins >= 1);
-        prop_assert_eq!(end.per_shard[2].phase, ShardPhase::Live);
+        prop_assert!(end.per_shard[2].live);
         prop_assert!(end.per_shard.iter().all(|s| s.in_flight == 0));
         prop_assert_eq!(router.pending(), 0);
     }
+}
+
+#[test]
+fn a_rebooted_shard_rejoins_only_through_the_registry_replaying_probe() {
+    // Regression: a transport fault used to buy the shard one immediate
+    // reconnect — a bare TCP connect, no `ping`, no registry replay —
+    // so a host that rebooted with an empty registry went straight back
+    // into placement and rejected every job on a design registered
+    // through the router.
+    let chaos =
+        ChaosShard::spawn(spawn_server(), ChaosPlan::default()).expect("chaos proxy spawns");
+    let config = ShardConfig {
+        read_timeout: Duration::from_secs(20),
+        ..ShardConfig::default()
+    };
+    let mut router = ShardRouter::connect(&[chaos.addr()], config).expect("fleet connects");
+    let twin_src = rteaal_firrtl::parser::emit(&Workload::param_sum_circuit());
+    router
+        .register("twin", &twin_src, "halt")
+        .expect("fan-out registers");
+    let mut id_to_k = HashMap::new();
+    let mut reference = HashMap::new();
+    let id = router
+        .submit_on(Some("twin"), job_for(7))
+        .expect("fleet takes the job");
+    id_to_k.insert(id, 7);
+    let before = router.drain().expect("healthy drain");
+    check_wave(&before, &id_to_k, &mut reference);
+
+    // The host reboots behind the same address with an empty registry;
+    // the router touches it while it is down.
+    chaos.retarget(spawn_server());
+    chaos.kill();
+    router
+        .poll_health()
+        .expect("a fault with nothing in flight");
+    chaos.revive();
+
+    let id = router
+        .submit_on(Some("twin"), job_for(9))
+        .expect("the rejoined shard takes the job");
+    id_to_k.insert(id, 9);
+    let after = router.drain().expect("drain after the reboot");
+    assert_eq!(
+        after[0].result.outcome, "completed",
+        "the job after the reboot ran on a host without `twin`: {:?}",
+        after[0].result.error
+    );
+    check_wave(&after, &id_to_k, &mut reference);
+
+    let stats = router.stats();
+    assert_eq!(stats.shard_deaths, 1, "{stats:?}");
+    assert_eq!(stats.rejoins, 1, "{stats:?}");
+    assert!(stats.per_shard[0].live);
+    assert_eq!(router.pending(), 0);
 }
