@@ -85,11 +85,17 @@ pub fn measure<R>(f: impl FnOnce() -> R) -> (R, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, PoisonError};
+
+    /// Both tests use the process-wide counters, and the test harness
+    /// runs tests on parallel threads: each holds this while it does.
+    static COUNTERS: Mutex<()> = Mutex::new(());
 
     // The test binary does not install the allocator, so the counters
     // must stay quiet and `measure` must degrade gracefully.
     #[test]
     fn inactive_allocator_reports_zero() {
+        let _counters = COUNTERS.lock().unwrap_or_else(PoisonError::into_inner);
         let (value, peak) = measure(|| vec![0u8; 1 << 20].len());
         assert_eq!(value, 1 << 20);
         assert_eq!(peak, 0);
@@ -98,6 +104,7 @@ mod tests {
 
     #[test]
     fn bookkeeping_math() {
+        let _counters = COUNTERS.lock().unwrap_or_else(PoisonError::into_inner);
         // Exercise the counters directly (as the allocator hooks would).
         LIVE.store(100, Ordering::Relaxed);
         PEAK.store(100, Ordering::Relaxed);

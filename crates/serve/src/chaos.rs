@@ -185,7 +185,12 @@ fn pump(
     killed: Arc<AtomicBool>,
     responses: &AtomicU64,
 ) -> io::Result<()> {
+    // Each forwarded line is a write of its own: without `TCP_NODELAY`,
+    // Nagle's algorithm would hold the second of two back-to-back answers
+    // to a pipelining client until the client's delayed ACK of the first.
+    client.set_nodelay(true)?;
     let up = TcpStream::connect(upstream)?;
+    up.set_nodelay(true)?;
     let mut up_writer = up.try_clone()?;
     let mut up_reader = BufReader::new(up);
     let mut client_writer = client.try_clone()?;

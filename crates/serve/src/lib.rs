@@ -16,16 +16,18 @@
 //!   [`register`](ServerPool::register) grows the design registry at
 //!   runtime; jobs route by design name.
 //! - [`protocol`] — the line-delimited-JSON wire format:
-//!   `submit` / `poll` / `result` / `stats` / `register` / `designs` /
-//!   `ping` / `metrics` / `timeline` verbs, and the typed
+//!   `submit` / `reserve` / `poll` / `result` / `stats` / `register` /
+//!   `designs` / `ping` / `metrics` / `timeline` verbs, and the typed
 //!   [`ProtocolError`] every client exchange can surface. The last two
 //!   expose the pool's `rteaal-telemetry` registry: a full counters /
 //!   gauges / histograms snapshot (JSON plus Prometheus text), and one
 //!   job's six-stage lifecycle timeline.
 //! - [`SocketServer`] / [`ServeClient`] — a `std::net::TcpListener`
 //!   front end speaking that protocol, one connection per client, and
-//!   its blocking client, which fetches every finished job of its
-//!   connection in one `result` exchange and buffers the rest.
+//!   its blocking client, which stamps its submits with reserved ids and
+//!   sends them with its next request instead of waiting for each ack,
+//!   and fetches every finished job of its connection in one `result`
+//!   exchange and buffers the rest.
 //! - [`ShardRouter`] — the cross-host supervisor: least-in-flight job
 //!   placement over a fleet of server processes. A shard leaves the
 //!   live set on its first transport fault and its jobs are
@@ -95,7 +97,8 @@ pub mod shard;
 pub use chaos::{ChaosPlan, ChaosShard};
 pub use net::{ServeClient, SocketServer, MAX_LINE};
 pub use pool::{
-    DesignInfo, JobHandle, RegisterError, ServeConfig, ServeStats, ServerPool, DEFAULT_DESIGN,
+    DesignInfo, JobHandle, RegisterError, Reservation, ServeConfig, ServeStats, ServerPool,
+    DEFAULT_DESIGN, MAX_RESERVE,
 };
 pub use protocol::{
     ProtocolError, Request, Response, Verb, WireAnalysis, WireBinding, WireDesign, WireJob,

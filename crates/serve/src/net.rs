@@ -6,8 +6,15 @@
 //! vendors no async runtime, and the pool's workers are already the
 //! concurrency that matters; connection threads only parse lines and
 //! block on [`JobHandle`]s.
+//!
+//! Both ends write once per exchange: the client sends its queued
+//! submits with the request that follows them, and the server answers a
+//! burst of requests with one write, made when no complete request line
+//! is left unread. Neither end ever has a small write in flight when it
+//! makes the next, so Nagle's algorithm never holds one back for a
+//! delayed ACK; both set `TCP_NODELAY` all the same.
 
-use crate::pool::{JobHandle, ServerPool};
+use crate::pool::{JobHandle, Reservation, ServerPool, MAX_RESERVE};
 use crate::protocol::{
     result_len, ProtocolError, Request, Response, Verb, WireAnalysis, WireDesign, WireJob,
     WirePong, WireResult, WireStats,
@@ -18,6 +25,7 @@ use rteaal_telemetry::{JobEvent, MetricsSnapshot};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -97,6 +105,15 @@ const BATCH_ENVELOPE: usize =
 /// exchange; the server sends only those already finished.
 const RESULT_BATCH: u64 = 64;
 
+/// How many ids [`ServeClient`] reserves in one `reserve` exchange.
+const RESERVE_BLOCK: u64 = 1024;
+
+/// How many submits [`ServeClient`] queues before it sends them and
+/// reads their acks on its own: a burst never leaves more unread acks
+/// than fit in the socket buffers, so it cannot wedge both ends in
+/// `write`.
+const PIPELINE_DEPTH: usize = 64;
+
 /// How [`read_line`] left the buffer.
 #[derive(Debug, PartialEq, Eq)]
 enum Line {
@@ -133,21 +150,37 @@ fn utf8(line: &[u8]) -> io::Result<&str> {
     std::str::from_utf8(line).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
-/// Serves one client connection: a request line in, a response line
-/// out, until EOF. Malformed requests get `kind:"error"` responses and
-/// the connection stays usable; only I/O failures and a line longer
-/// than [`MAX_LINE`] end the session.
+/// One connection's server-side state.
+#[derive(Default)]
+struct Session {
+    /// This connection's submissions, by pool-global id. `poll`/`result`
+    /// resolve ids against these handles (one connection per client: a
+    /// client can only claim results it submitted).
+    handles: HashMap<u64, JobHandle>,
+    /// The ids of its latest `reserve` not stamped on a submit yet.
+    reserved: Option<Reservation>,
+}
+
+/// Serves one client connection: a response line for every request
+/// line, in order, until EOF. The answers to a burst of requests go out
+/// in one write, once no complete request line is left in the read
+/// buffer — never between the acks of pipelined submits and the
+/// blocking `result` after them. Malformed requests get `kind:"error"`
+/// responses and the connection stays usable; only I/O failures and a
+/// line longer than [`MAX_LINE`] end the session.
 fn handle_client(pool: &ServerPool, stream: TcpStream) -> io::Result<()> {
+    stream.set_nodelay(true)?;
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
-    // This connection's submissions, by pool-global id. `poll`/`result`
-    // resolve ids against these handles (one connection per client: a
-    // client can only claim results it submitted).
-    let mut handles: HashMap<u64, JobHandle> = HashMap::new();
-    // One buffer per direction for the whole session.
+    let mut session = Session::default();
+    // One buffer per direction for the whole session; `out` holds the
+    // answers not written yet.
     let (mut line, mut out) = (Vec::new(), String::new());
     loop {
-        out.clear();
+        if !out.is_empty() && !reader.buffer().contains(&b'\n') {
+            writer.write_all(out.as_bytes())?;
+            out.clear();
+        }
         match read_line(&mut reader, &mut line)? {
             Line::Eof => return Ok(()),
             Line::Oversize => {
@@ -170,27 +203,51 @@ fn handle_client(pool: &ServerPool, stream: TcpStream) -> io::Result<()> {
             continue;
         }
         let response = match Request::decode(text) {
-            Ok(request) => respond(pool, &mut handles, request),
+            Ok(request) => respond(pool, &mut session, request),
             Err(e) => Response::error(format!("bad request: {e}")),
         };
         response.encode(&mut out);
         out.push('\n');
-        writer.write_all(out.as_bytes())?;
     }
 }
 
-/// Executes one request against the pool and this connection's handles.
-fn respond(pool: &ServerPool, handles: &mut HashMap<u64, JobHandle>, request: Request) -> Response {
+/// Executes one request against the pool and this connection's state.
+fn respond(pool: &ServerPool, session: &mut Session, request: Request) -> Response {
+    let handles = &mut session.handles;
     match request.verb {
         Verb::Submit => {
             let Some(job) = request.job else {
                 return Response::error("submit needs a `job`");
             };
             let design = job.design.clone();
-            let handle = pool.submit_named(design.as_deref(), job.into());
+            let handle = match request.id {
+                None => pool.submit_named(design.as_deref(), job.into()),
+                Some(id) => {
+                    let stamped = session.reserved.as_mut().and_then(|reservation| {
+                        pool.submit_reserved(reservation, id, design.as_deref(), job.into())
+                    });
+                    let Some(handle) = stamped else {
+                        return Response::error(format!(
+                            "id {id} is not the next id reserved on this connection"
+                        ));
+                    };
+                    handle
+                }
+            };
             let id = handle.id();
             handles.insert(id, handle);
             Response::submitted(id)
+        }
+        Verb::Reserve => {
+            let Some(n) = request.max else {
+                return Response::error("reserve needs a `max`");
+            };
+            let Some(reservation) = pool.reserve(n) else {
+                return Response::error(format!("reserve takes 1 to {MAX_RESERVE} ids, not {n}"));
+            };
+            let first = reservation.ids().start;
+            session.reserved = Some(reservation);
+            Response::reserved(first)
         }
         Verb::Poll => {
             let Some(id) = request.id else {
@@ -305,6 +362,21 @@ fn respond(pool: &ServerPool, handles: &mut HashMap<u64, JobHandle>, request: Re
 /// [`ProtocolError::Broken`] and writes nothing, since a reply left
 /// partly unread would otherwise answer the next request.
 ///
+/// [`submit`](Self::submit) does not wait for the server while the
+/// connection has jobs outstanding: the client reserves a block of
+/// pool-global ids (one `reserve` exchange per 1 024 submits), stamps
+/// each submit with the next of them, returns that id at once and
+/// queues the line. A queued submit reaches the wire with the client's
+/// next request — whichever call makes it — or on
+/// [`flush`](Self::flush), on drop, or when 64 submits are queued; its
+/// ack is read just before that request's answer, and a fault the ack
+/// would have shown surfaces on that call. A submit with no other job
+/// outstanding (none whose result this client has not handed out yet)
+/// is sent at once and waits for its ack: it is the first of a burst,
+/// and nothing else would tell a dead connection from a live one
+/// before its result is asked for. A server that refuses `reserve`
+/// gets one round trip per submit.
+///
 /// [`next_result`](Self::next_result) takes every job of the
 /// connection that has finished in one exchange and hands them out one
 /// call at a time; [`poll`](Self::poll) and [`result`](Self::result)
@@ -313,9 +385,19 @@ fn respond(pool: &ServerPool, handles: &mut HashMap<u64, JobHandle>, request: Re
 pub struct ServeClient {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
-    /// The outgoing line, reused across calls.
-    line: String,
-    /// The incoming line, likewise.
+    /// The queued submit lines, then the request that carries them:
+    /// what the next write sends.
+    outgoing: String,
+    /// The ids the queued submits are stamped with, in order.
+    queued: Vec<u64>,
+    /// Reserved ids not stamped on a submit yet.
+    reserved: Range<u64>,
+    /// Set once the server refused `reserve`: every submit then waits
+    /// for its own ack.
+    unpipelined: bool,
+    /// Jobs submitted whose results this client has not returned yet.
+    outstanding: usize,
+    /// The incoming line, reused across calls.
     reply: Vec<u8>,
     /// Finished jobs a batched `result` delivered ahead of the calls
     /// that return them, oldest first.
@@ -351,10 +433,15 @@ impl ServeClient {
 
     /// A client over an open connection.
     fn over(stream: TcpStream) -> Result<Self, ProtocolError> {
+        stream.set_nodelay(true)?;
         Ok(ServeClient {
             writer: stream.try_clone()?,
             reader: BufReader::new(stream),
-            line: String::new(),
+            outgoing: String::new(),
+            queued: Vec::new(),
+            reserved: 0..0,
+            unpipelined: false,
+            outstanding: 0,
             reply: Vec::new(),
             ready: VecDeque::new(),
             broken: None,
@@ -376,28 +463,83 @@ impl ServeClient {
         Ok(())
     }
 
-    /// One request/response round trip, refused without a write once a
-    /// fatal error has condemned the connection.
-    fn call(&mut self, request: &Request) -> Result<Response, ProtocolError> {
-        if let Some(cause) = &self.broken {
-            return Err(ProtocolError::Broken {
+    /// Refuses every call once a fatal error has condemned the
+    /// connection.
+    fn usable(&self) -> Result<(), ProtocolError> {
+        match &self.broken {
+            Some(cause) => Err(ProtocolError::Broken {
                 cause: cause.clone(),
-            });
+            }),
+            None => Ok(()),
         }
-        let response = self.exchange(request);
-        if let Err(error) = &response {
+    }
+
+    /// Runs `step` unless the connection is condemned (then nothing is
+    /// written), and lets a fatal error of its own condemn it.
+    fn guarded<T>(
+        &mut self,
+        step: impl FnOnce(&mut Self) -> Result<T, ProtocolError>,
+    ) -> Result<T, ProtocolError> {
+        self.usable()?;
+        let outcome = step(self);
+        if let Err(error) = &outcome {
             if error.is_fatal() {
                 self.broken = Some(error.to_string());
             }
         }
-        response
+        outcome
     }
 
-    fn exchange(&mut self, request: &Request) -> Result<Response, ProtocolError> {
-        self.line.clear();
-        request.encode(&mut self.line);
-        self.line.push('\n');
-        self.writer.write_all(self.line.as_bytes())?;
+    /// One round trip: the queued submits and `request` in one write,
+    /// then the submits' acks and `request`'s answer.
+    fn call(&mut self, request: &Request) -> Result<Response, ProtocolError> {
+        self.guarded(|client| {
+            request.encode(&mut client.outgoing);
+            client.outgoing.push('\n');
+            client.send_and_ack()?;
+            let response = client.read_response()?;
+            if !response.ok {
+                return Err(ProtocolError::Server(
+                    response.error.unwrap_or_else(|| "server error".to_string()),
+                ));
+            }
+            Ok(response)
+        })
+    }
+
+    /// Writes everything outgoing, then reads the queued submits' acks.
+    fn send_and_ack(&mut self) -> Result<(), ProtocolError> {
+        let sent = self.writer.write_all(self.outgoing.as_bytes());
+        self.outgoing.clear();
+        sent?;
+        for id in std::mem::take(&mut self.queued) {
+            let ack = self.read_response()?;
+            if !(ack.ok && ack.kind == "submitted" && ack.id == Some(id)) {
+                let reason = ack
+                    .error
+                    .unwrap_or_else(|| format!("{} {:?}", ack.kind, ack.id));
+                return Err(ProtocolError::SubmitRefused { id, reason });
+            }
+        }
+        Ok(())
+    }
+
+    /// Sends the queued submits now and reads their acks; a no-op when
+    /// none is queued.
+    ///
+    /// # Errors
+    ///
+    /// Transport faults, and [`ProtocolError::SubmitRefused`] for a
+    /// submit the server did not take under its id.
+    pub fn flush(&mut self) -> Result<(), ProtocolError> {
+        if self.queued.is_empty() {
+            return Ok(());
+        }
+        self.guarded(Self::send_and_ack)
+    }
+
+    /// Reads and decodes the next response line, `ok` or not.
+    fn read_response(&mut self) -> Result<Response, ProtocolError> {
         let trimmed = match read_line(&mut self.reader, &mut self.reply)? {
             Line::Complete => utf8(&self.reply)?.trim_end(),
             Line::Eof => return Err(ProtocolError::ConnectionClosed),
@@ -415,20 +557,15 @@ impl ServeClient {
                 })
             }
         };
-        let response = Response::decode(trimmed).map_err(|e| ProtocolError::Malformed {
+        Response::decode(trimmed).map_err(|e| ProtocolError::Malformed {
             line: trimmed.to_string(),
             reason: e.to_string(),
-        })?;
-        if !response.ok {
-            return Err(ProtocolError::Server(
-                response.error.unwrap_or_else(|| "server error".to_string()),
-            ));
-        }
-        Ok(response)
+        })
     }
 
     /// Submits a job to the server's default design; returns its
-    /// pool-global id.
+    /// pool-global id. The submit may be queued rather than sent at
+    /// once (see [`ServeClient`]).
     ///
     /// # Errors
     ///
@@ -453,10 +590,43 @@ impl ServeClient {
     }
 
     fn submit_wire(&mut self, job: WireJob) -> Result<u64, ProtocolError> {
-        let response = self.call(&Request::submit(job))?;
-        response
-            .id
-            .ok_or(ProtocolError::MissingPayload { kind: "submitted" })
+        if self.reserved.is_empty() && !self.unpipelined {
+            match self.call(&Request::reserve(RESERVE_BLOCK)) {
+                Ok(response) => {
+                    let first = response
+                        .id
+                        .ok_or(ProtocolError::MissingPayload { kind: "reserved" })?;
+                    self.reserved = first..first.saturating_add(RESERVE_BLOCK);
+                }
+                Err(ProtocolError::Server(_)) => self.unpipelined = true,
+                Err(error) => return Err(error),
+            }
+        }
+        let id = if self.unpipelined {
+            let response = self.call(&Request::submit(job))?;
+            response
+                .id
+                .ok_or(ProtocolError::MissingPayload { kind: "submitted" })?
+        } else {
+            self.usable()?;
+            let id = self.reserved.start;
+            self.reserved.start += 1;
+            Request::submit_reserved(job, id).encode(&mut self.outgoing);
+            self.outgoing.push('\n');
+            self.queued.push(id);
+            if self.outstanding == 0 || self.queued.len() >= PIPELINE_DEPTH {
+                self.flush()?;
+            }
+            id
+        };
+        self.outstanding += 1;
+        Ok(id)
+    }
+
+    /// Hands a result to the caller: its job is no longer outstanding.
+    fn delivered(&mut self, r: WireResult) -> WireResult {
+        self.outstanding = self.outstanding.saturating_sub(1);
+        r
     }
 
     /// Non-blocking result check; `None` while the job is running.
@@ -466,11 +636,11 @@ impl ServeClient {
     /// Transport faults and server-side errors (e.g. an id this
     /// connection never submitted), as [`ProtocolError`].
     pub fn poll(&mut self, id: u64) -> Result<Option<WireResult>, ProtocolError> {
-        if let Some(r) = self.take_ready(id) {
-            return Ok(Some(r));
-        }
-        let response = self.call(&Request::poll(id))?;
-        Ok(response.result)
+        let r = match self.take_ready(id) {
+            Some(r) => Some(r),
+            None => self.call(&Request::poll(id))?.result,
+        };
+        Ok(r.map(|r| self.delivered(r)))
     }
 
     /// Blocks until the job finishes and returns its result.
@@ -479,13 +649,14 @@ impl ServeClient {
     ///
     /// Transport faults and server-side errors, as [`ProtocolError`].
     pub fn result(&mut self, id: u64) -> Result<WireResult, ProtocolError> {
-        if let Some(r) = self.take_ready(id) {
-            return Ok(r);
-        }
-        let response = self.call(&Request::result(Some(id)))?;
-        response
-            .result
-            .ok_or(ProtocolError::MissingPayload { kind: "result" })
+        let r = match self.take_ready(id) {
+            Some(r) => r,
+            None => self
+                .call(&Request::result(Some(id)))?
+                .result
+                .ok_or(ProtocolError::MissingPayload { kind: "result" })?,
+        };
+        Ok(self.delivered(r))
     }
 
     /// Blocks until *any* of this connection's outstanding jobs
@@ -499,15 +670,17 @@ impl ServeClient {
     /// Transport faults, and a server-side error when nothing is
     /// outstanding, as [`ProtocolError`].
     pub fn next_result(&mut self) -> Result<WireResult, ProtocolError> {
-        if let Some(r) = self.ready.pop_front() {
-            return Ok(r);
-        }
-        let response = self.call(&Request::results(RESULT_BATCH))?;
-        let first = response
-            .result
-            .ok_or(ProtocolError::MissingPayload { kind: "result" })?;
-        self.ready.extend(response.more.into_iter().flatten());
-        Ok(first)
+        let r = match self.ready.pop_front() {
+            Some(r) => r,
+            None => {
+                let response = self.call(&Request::results(RESULT_BATCH))?;
+                self.ready.extend(response.more.into_iter().flatten());
+                response
+                    .result
+                    .ok_or(ProtocolError::MissingPayload { kind: "result" })?
+            }
+        };
+        Ok(self.delivered(r))
     }
 
     /// Removes job `id` from the delivered-ahead buffer, if it is there.
@@ -598,6 +771,14 @@ impl ServeClient {
         response
             .timeline
             .ok_or(ProtocolError::MissingPayload { kind: "timeline" })
+    }
+}
+
+impl Drop for ServeClient {
+    /// Sends what is still queued, so every id `submit` returned names a
+    /// job the server took.
+    fn drop(&mut self) {
+        let _ = self.flush();
     }
 }
 

@@ -34,6 +34,7 @@ use rteaal_core::{analyze_design, AnalysisReport, AnalysisStats, Compiled, Unkno
 use rteaal_sched::{Job, JobId, JobOutcome, JobResult, SchedStats, Scheduler};
 use rteaal_telemetry::{Gauge, JobStage, MetricsRegistry};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -55,6 +56,9 @@ fn lock_or_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// The name of the design every pool starts with (the compile passed to
 /// [`ServerPool::new`]); jobs that name no design run on it.
 pub const DEFAULT_DESIGN: &str = "default";
+
+/// The most ids one [`ServerPool::reserve`] sets aside.
+pub const MAX_RESERVE: u64 = 1 << 16;
 
 /// Longest quantum a worker gives one design's scheduler when no job
 /// finishes and every lane stays busy: bounds how long the worker's
@@ -133,8 +137,12 @@ struct Shared {
 /// exactly the jobs that will never publish.
 #[derive(Debug)]
 struct Ledger {
-    /// Ids handed out so far: the pool's `submitted`.
+    /// The next id nobody holds: every id below it went to a job or to
+    /// a [`Reservation`].
     next_id: u64,
+    /// Jobs submitted so far: `next_id` less the reserved ids not (or
+    /// not yet) stamped on a job.
+    submitted: u64,
     /// Per worker: jobs dispatched to it and not yet finished.
     in_flight: Vec<usize>,
     /// Per worker: set when its thread panicked or its queue was found
@@ -153,21 +161,24 @@ struct Ledger {
 }
 
 impl Ledger {
-    fn take_id(&mut self) -> u64 {
-        let id = self.next_id;
-        self.next_id += 1;
-        id
+    /// Counts one job submitted under `reserved`, or under a fresh id.
+    fn take_id(&mut self, reserved: Option<u64>) -> u64 {
+        self.submitted += 1;
+        reserved.unwrap_or_else(|| {
+            self.next_id += 1;
+            self.next_id - 1
+        })
     }
 
     /// Dispatches a job to the least-loaded live worker (ties go to the
     /// lowest index) and returns its id and worker, or hands the name
     /// back if every worker is dead.
-    fn assign(&mut self, name: String) -> Result<(u64, usize), String> {
+    fn assign(&mut self, name: String, reserved: Option<u64>) -> Result<(u64, usize), String> {
         let live = (0..self.dead.len()).filter(|&w| !self.dead[w]);
         let Some(w) = live.min_by_key(|&w| self.in_flight[w]) else {
             return Err(name);
         };
-        let id = self.take_id();
+        let id = self.take_id(reserved);
         self.assigned.insert(id, (w, name));
         self.in_flight[w] += 1;
         self.occupancy[w].set(self.in_flight[w] as i64);
@@ -266,6 +277,22 @@ impl std::fmt::Display for RegisterError {
 }
 
 impl std::error::Error for RegisterError {}
+
+/// A block of pool-global ids set aside by [`ServerPool::reserve`] for
+/// [`ServerPool::submit_reserved`], which takes them in order. Ids
+/// never taken are never used.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Reservation {
+    ids: Range<u64>,
+}
+
+impl Reservation {
+    /// The ids not taken yet; the first is the next one
+    /// [`ServerPool::submit_reserved`] accepts.
+    pub fn ids(&self) -> Range<u64> {
+        self.ids.clone()
+    }
+}
 
 /// A claim on one submitted job's eventual [`JobResult`].
 ///
@@ -565,6 +592,7 @@ impl ServerPool {
         };
         let ledger = Ledger {
             next_id: 0,
+            submitted: 0,
             in_flight: vec![0; config.workers],
             dead: vec![false; config.workers],
             assigned: HashMap::new(),
@@ -707,7 +735,45 @@ impl ServerPool {
     /// A job naming an unregistered design comes back through its
     /// handle as a [`JobOutcome::Rejected`] result — submission itself
     /// never fails.
-    pub fn submit_named(&self, design: Option<&str>, mut job: Job) -> JobHandle {
+    pub fn submit_named(&self, design: Option<&str>, job: Job) -> JobHandle {
+        self.submit_as(None, design, job)
+    }
+
+    /// Sets aside `n` consecutive ids, none of which any other
+    /// submission will get, for [`submit_reserved`](Self::submit_reserved).
+    /// `None` unless `1 ≤ n ≤` [`MAX_RESERVE`]. A reservation counts as
+    /// no job: only the submissions stamped with its ids do.
+    pub fn reserve(&self, n: u64) -> Option<Reservation> {
+        if n == 0 || n > MAX_RESERVE {
+            return None;
+        }
+        let mut ledger = lock_or_recover(&self.shared.ledger);
+        let first = ledger.next_id;
+        ledger.next_id += n;
+        Some(Reservation {
+            ids: first..ledger.next_id,
+        })
+    }
+
+    /// [`submit_named`](Self::submit_named) under a reserved id: the job
+    /// gets `id` if `id` is the next id of `reservation`, which then
+    /// moves past it. Any other id submits nothing and returns `None`.
+    pub fn submit_reserved(
+        &self,
+        reservation: &mut Reservation,
+        id: u64,
+        design: Option<&str>,
+        job: Job,
+    ) -> Option<JobHandle> {
+        if reservation.ids.is_empty() || reservation.ids.start != id {
+            return None;
+        }
+        reservation.ids.start += 1;
+        Some(self.submit_as(Some(id), design, job))
+    }
+
+    /// Submits under `reserved`, or under a fresh id.
+    fn submit_as(&self, reserved: Option<u64>, design: Option<&str>, mut job: Job) -> JobHandle {
         job.budget = job.budget.min(self.config.max_budget);
         // The job runs nameless: its name is parked in the assignment
         // record and rejoins the result at publication.
@@ -719,19 +785,20 @@ impl ServerPool {
                 Some(index) => index,
                 None => {
                     drop(routing);
-                    return self.reject_unrouted(name, format!("unknown design `{design}`"));
+                    let error = format!("unknown design `{design}`");
+                    return self.reject_unrouted(name, error, reserved);
                 }
             },
         };
         // One ledger section picks the worker and records the job on it.
-        let assigned = lock_or_recover(&self.shared.ledger).assign(name);
+        let assigned = lock_or_recover(&self.shared.ledger).assign(name, reserved);
         let (id, w) = match assigned {
             Ok(dispatch) => dispatch,
             Err(name) => {
                 let design = &routing.designs[index].name;
                 let error = format!("no live worker can run design `{design}`");
                 drop(routing);
-                return self.reject_unrouted(name, error);
+                return self.reject_unrouted(name, error, reserved);
             }
         };
         let submitted_at_us = self.shared.telemetry.now_us();
@@ -767,11 +834,11 @@ impl ServerPool {
     /// Rejects a job that cannot be dispatched at all (unknown design,
     /// no live worker): its id is counted rejected in the same ledger
     /// section that issues it, then the structured result is published.
-    fn reject_unrouted(&self, name: String, error: String) -> JobHandle {
+    fn reject_unrouted(&self, name: String, error: String, reserved: Option<u64>) -> JobHandle {
         let id = {
             let mut ledger = lock_or_recover(&self.shared.ledger);
             ledger.unrouted += 1;
-            ledger.take_id()
+            ledger.take_id(reserved)
         };
         self.shared
             .telemetry
@@ -791,7 +858,7 @@ impl ServerPool {
 
     /// Jobs submitted so far.
     pub fn submitted(&self) -> u64 {
-        lock_or_recover(&self.shared.ledger).next_id
+        lock_or_recover(&self.shared.ledger).submitted
     }
 
     /// Jobs dispatched but not yet finished, across all workers.
@@ -826,7 +893,7 @@ impl ServerPool {
             in_flight as i64,
             "serve.worker_inflight gauges disagree with the ledger"
         );
-        let (submitted, per_worker) = (ledger.next_id, ledger.stats.clone());
+        let (submitted, per_worker) = (ledger.submitted, ledger.stats.clone());
         // Pool-side rejections never touch a worker's scheduler; they
         // start the fold so the finished counters cover every job.
         let mut merged = SchedStats {

@@ -1,11 +1,12 @@
 //! The line-delimited-JSON wire protocol of the socket front end.
 //!
 //! One request per line, one response per line, one connection per
-//! client. Nine verbs:
+//! client. Ten verbs:
 //!
 //! | verb       | request fields | response |
 //! |------------|----------------|----------|
-//! | `submit`   | `job`          | `{"ok":true,"kind":"submitted","id":N}` |
+//! | `submit`   | `job`, optional `id` | `{"ok":true,"kind":"submitted","id":N}`; with `id`, N is that id, which must be the next unused id this connection reserved |
+//! | `reserve`  | `max`          | `{"ok":true,"kind":"reserved","id":N}`: the `max` pool-global ids from N on are this connection's to stamp its submits with, in order (1 ≤ `max` ≤ [`MAX_RESERVE`](crate::pool::MAX_RESERVE)) |
 //! | `poll`     | `id`           | `kind:"result"` if finished, else `kind:"pending"` |
 //! | `result`   | `id` or `max` (both optional) | blocks; with no `id`, the *next* of this connection's jobs to finish, and in `more` up to `max − 1` others already finished |
 //! | `stats`    | —              | `kind:"stats"` with pool counters |
@@ -32,7 +33,28 @@
 //! {"ok":true,"kind":"submitted","id":2}
 //! > {"verb":"result","max":16}
 //! {"ok":true,"kind":"result","id":2,"result":{"id":2,"name":"sum-7",...},"more":[{"id":1,"name":"sum-6",...}]}
+//! > {"verb":"reserve","max":1024}
+//! {"ok":true,"kind":"reserved","id":3}
+//! > {"verb":"submit","job":{"name":"sum-8",...},"id":3}
+//! > {"verb":"submit","job":{"name":"sum-9",...},"id":4}
+//! > {"verb":"result","max":16}
+//! {"ok":true,"kind":"submitted","id":3}
+//! {"ok":true,"kind":"submitted","id":4}
+//! {"ok":true,"kind":"result","id":4,"result":{"id":4,"name":"sum-9",...}}
 //! ```
+//!
+//! The last three client lines are one pipelined burst, sent in one
+//! write: the client knew the ids of its submits before their acks came
+//! (they are the ids it reserved, taken in order), so it did not wait
+//! for them. The server answers requests strictly in order and writes
+//! its answers when no complete request line is left unread, so the
+//! burst comes back in one write too — the acks, then the `result`
+//! answer. A stamped `id` that is not the next id of the connection's
+//! latest reservation is refused with a `kind:"error"` line (the
+//! connection stays usable), and a `submit` without `id` is answered
+//! exactly as before reservations existed. Reserved ids that are never
+//! stamped are never used, and a stamped job's id is as unique and
+//! pool-global as any other: its `timeline` works from any connection.
 //!
 //! A no-`id` `result` takes every finished job of the connection in one
 //! round trip: it blocks until at least one is finished, answers with
@@ -58,12 +80,12 @@
 //! codec in front of the reference for the lines a job costs — its
 //! `submit` and `submitted`, and its share of a `result` exchange:
 //!
-//! - requests whose verb is `submit`, `poll` or `result` and whose only
-//!   keys are `verb`, `job`, `id` and `max` (inside `job`: `name`,
-//!   `budget`, `inputs`, `state_pokes`, `probes`, `design`);
+//! - requests whose verb is `submit`, `reserve`, `poll` or `result` and
+//!   whose only keys are `verb`, `job`, `id` and `max` (inside `job`:
+//!   `name`, `budget`, `inputs`, `state_pokes`, `probes`, `design`);
 //! - responses whose only keys are `ok`, `kind`, `id`, `result`, `more`
-//!   and `error` — the `submitted`, `pending`, `result` and `error`
-//!   kinds.
+//!   and `error` — the `submitted`, `reserved`, `pending`, `result` and
+//!   `error` kinds.
 //!
 //! Those are written straight into the caller's line buffer, byte for
 //! byte what `serde_json` writes, and read by a pull parser that builds
@@ -88,6 +110,9 @@ use crate::pool::ServeStats;
 pub enum Verb {
     /// Enqueue a job; responds immediately with its id.
     Submit,
+    /// Set aside a block of pool-global ids for this connection's
+    /// stamped submits.
+    Reserve,
     /// Non-blocking result check for an id.
     Poll,
     /// Blocking result fetch (by id, or the next to finish).
@@ -98,7 +123,7 @@ pub enum Verb {
     Register,
     /// List the registered designs.
     Designs,
-    /// Liveness probe: uptime plus a digest of the design registry.
+    /// Liveness probe: the server's uptime.
     Ping,
     /// Full metrics-registry snapshot plus Prometheus text exposition.
     Metrics,
@@ -110,6 +135,7 @@ impl Verb {
     fn as_str(self) -> &'static str {
         match self {
             Verb::Submit => "submit",
+            Verb::Reserve => "reserve",
             Verb::Poll => "poll",
             Verb::Result => "result",
             Verb::Stats => "stats",
@@ -133,6 +159,7 @@ impl Deserialize for Verb {
         match content {
             Content::Str(s) => match s.as_str() {
                 "submit" => Ok(Verb::Submit),
+                "reserve" => Ok(Verb::Reserve),
                 "poll" => Ok(Verb::Poll),
                 "result" => Ok(Verb::Result),
                 "stats" => Ok(Verb::Stats),
@@ -428,10 +455,11 @@ pub struct Request {
     pub verb: Verb,
     /// The job to submit (`submit` only).
     pub job: Option<WireJob>,
-    /// The job id to check (`poll`; optional for `result`).
+    /// The job id to check (`poll`; optional for `result`), or the
+    /// reserved id a `submit` is stamped with (optional).
     pub id: Option<u64>,
     /// The most finished jobs one answer may carry (`result` without an
-    /// `id`; absent means 1).
+    /// `id`; absent means 1), or how many ids to set aside (`reserve`).
     pub max: Option<u64>,
     /// The design name to register (`register` only).
     pub design: Option<String>,
@@ -459,6 +487,23 @@ impl Request {
         Request {
             job: Some(job),
             ..Self::base(Verb::Submit)
+        }
+    }
+
+    /// A `submit` stamped with `id`, the next unused id of the
+    /// connection's reservation.
+    pub fn submit_reserved(job: WireJob, id: u64) -> Self {
+        Request {
+            id: Some(id),
+            ..Self::submit(job)
+        }
+    }
+
+    /// A `reserve` request for `n` ids.
+    pub fn reserve(n: u64) -> Self {
+        Request {
+            max: Some(n),
+            ..Self::base(Verb::Reserve)
         }
     }
 
@@ -584,10 +629,12 @@ impl Deserialize for Request {
 pub struct Response {
     /// `false` only for `kind:"error"`.
     pub ok: bool,
-    /// `submitted`, `pending`, `result`, `stats`, `registered`,
-    /// `designs`, `pong`, `metrics`, `timeline`, or `error`.
+    /// `submitted`, `reserved`, `pending`, `result`, `stats`,
+    /// `registered`, `designs`, `pong`, `metrics`, `timeline`, or
+    /// `error`.
     pub kind: String,
-    /// The id the response refers to (submit/poll/result kinds).
+    /// The id the response refers to (submit/poll/result kinds), or the
+    /// first of the ids a `reserve` set aside.
     pub id: Option<u64>,
     /// The finished job (`kind:"result"`).
     pub result: Option<WireResult>,
@@ -637,6 +684,15 @@ impl Response {
         Response {
             id: Some(id),
             ..Self::base(true, "submitted")
+        }
+    }
+
+    /// Grants a reservation: the requested number of ids, from `first`
+    /// on.
+    pub fn reserved(first: u64) -> Self {
+        Response {
+            id: Some(first),
+            ..Self::base(true, "reserved")
         }
     }
 
@@ -874,7 +930,10 @@ fn write_bindings(bindings: &[WireBinding], out: &mut String) {
 /// Writes `request` if it is one of the typed lines; `false` (and `out`
 /// untouched) if it is `serde_json`'s.
 fn write_request(request: &Request, out: &mut String) -> bool {
-    let hot = matches!(request.verb, Verb::Submit | Verb::Poll | Verb::Result);
+    let hot = matches!(
+        request.verb,
+        Verb::Submit | Verb::Reserve | Verb::Poll | Verb::Result
+    );
     if !hot || request.design.is_some() || request.source.is_some() || request.halt.is_some() {
         return false;
     }
@@ -1260,6 +1319,7 @@ impl<'a> Reader<'a> {
                 &mut verb,
                 match r.key()? {
                     "submit" => Verb::Submit,
+                    "reserve" => Verb::Reserve,
                     "poll" => Verb::Poll,
                     "result" => Verb::Result,
                     _ => return None,
@@ -1343,6 +1403,15 @@ pub enum ProtocolError {
         /// The response kind that arrived without its payload.
         kind: &'static str,
     },
+    /// A pipelined submit's ack was not `submitted` with the id the
+    /// client stamped it with. The client had already returned that id,
+    /// so it no longer agrees with the server on what it submitted.
+    SubmitRefused {
+        /// The id the submit was stamped with.
+        id: u64,
+        /// The server's error, or what it answered instead.
+        reason: String,
+    },
     /// An earlier fatal error condemned this connection, so the call
     /// was refused without writing anything: after a reply cut short or
     /// left partly unread, the next line read would be the wrong
@@ -1390,6 +1459,9 @@ impl std::fmt::Display for ProtocolError {
             ProtocolError::Server(message) => write!(f, "server error: {message}"),
             ProtocolError::MissingPayload { kind } => {
                 write!(f, "`{kind}` response arrived without its payload")
+            }
+            ProtocolError::SubmitRefused { id, reason } => {
+                write!(f, "pipelined submit {id} was not acknowledged: {reason}")
             }
             ProtocolError::Broken { cause } => {
                 write!(f, "connection unusable after an earlier failure: {cause}")

@@ -31,7 +31,12 @@
 //! producer to its readers under each numbering; and the step of that copy
 //! at 1, 2, 4, 5, 7, 8, 16 and 64 live lanes, with the entry of the lane
 //! kernels each window takes (whole chunks or any window) — the crossover
-//! table a few-lane window is judged by.
+//! table a few-lane window is judged by. Then the pair census of that
+//! copy, what fused op pairs would have to work with: every two ops
+//! adjacent in the walk where the second reads the first, grouped by
+//! (producer, consumer, operand), and how many such pairs a greedy pass
+//! can take without two sharing an op — the dispatches pair kernels
+//! could save at most.
 //!
 //! ```text
 //! cargo run --release --example op_census
@@ -505,7 +510,51 @@ fn census(
     if crossover {
         live_lane_steps(plan, config, x15.is_some(), warm, &mut drive);
     }
+    pair_census(&plan.in_emission_order());
     println!();
+}
+
+/// How many pair kinds [`pair_census`] lists by name.
+const TOP_PAIRS: usize = 8;
+
+/// The adjacent producer→consumer pairs of the walk over `plan`
+/// (ascending output slot): their kinds by count, and the pairs a greedy
+/// left-to-right pass takes when no op may be in two.
+fn pair_census(plan: &SimPlan) {
+    let mut walk: Vec<&OpInst> = plan.layers.iter().flatten().collect();
+    walk.sort_unstable_by_key(|op| op.out);
+    let mut kinds: BTreeMap<String, usize> = BTreeMap::new();
+    let (mut pairs, mut disjoint, mut taken_until) = (0, 0, 0);
+    for (k, w) in walk.windows(2).enumerate() {
+        let (producer, consumer) = (w[0], w[1]);
+        let Some(operand) = consumer.ins.iter().position(|&r| r == producer.out) else {
+            continue;
+        };
+        pairs += 1;
+        *kinds
+            .entry(format!("{}->{}@{operand}", producer.op(), consumer.op()))
+            .or_default() += 1;
+        if k >= taken_until {
+            disjoint += 1;
+            taken_until = k + 2;
+        }
+    }
+    let mut by_count: Vec<(&String, &usize)> = kinds.iter().collect();
+    by_count.sort_by(|a, b| b.1.cmp(a.1).then(a.0.cmp(b.0)));
+    let top: Vec<String> = (by_count.iter().take(TOP_PAIRS))
+        .map(|(kind, n)| format!("{kind} {n}"))
+        .collect();
+    println!(
+        "  pair census (emission order): {pairs} adjacent producer->consumer pairs of {} kinds; \
+         {disjoint} greedy disjoint pairs, so {} -> {} dispatches at most",
+        kinds.len(),
+        walk.len(),
+        walk.len() - disjoint
+    );
+    println!(
+        "  top pairs (producer->consumer@operand): {}",
+        top.join(", ")
+    );
 }
 
 /// The live-lane counts of the crossover table: ragged windows below a

@@ -46,6 +46,16 @@ fn fig7_essent_beats_verilator_on_frontend_and_speculation() {
     assert!(e.frontend_bound + e.bad_speculation <= v.frontend_bound + v.bad_speculation + 1e-9);
 }
 
+/// The fastest of `COMPILE_TRIES` wall-clock timings: a single
+/// few-millisecond compile is at the mercy of whatever else the host
+/// runs, the fastest of several is the compile's own cost.
+fn best_of(mut seconds: impl FnMut() -> f64) -> f64 {
+    const COMPILE_TRIES: usize = 5;
+    (0..COMPILE_TRIES)
+        .map(|_| seconds())
+        .fold(f64::INFINITY, f64::min)
+}
+
 /// Figure 8 / Table 7: ESSENT compiles slower than Verilator, and both
 /// grow with design size while the PSU kernel generation stays flat.
 #[test]
@@ -54,20 +64,24 @@ fn fig8_table7_compile_cost_scaling() {
     let mut psu_times = Vec::new();
     for cores in [1usize, 4] {
         let g = raw_graph_of(&rocket(ChipConfig::new(cores).with_scale(SCALE)));
-        let e = EssentLike::compile(&g, OptLevel::Full)
-            .compile_report()
-            .seconds;
-        let v = VerilatorLike::compile(&g, OptLevel::Full)
-            .compile_report()
-            .seconds;
+        let e = best_of(|| {
+            EssentLike::compile(&g, OptLevel::Full)
+                .compile_report()
+                .seconds
+        });
+        let v = best_of(|| {
+            VerilatorLike::compile(&g, OptLevel::Full)
+                .compile_report()
+                .seconds
+        });
         assert!(e > v, "cores={cores}: essent {e} !> verilator {v}");
         essent_times.push(e);
         let p = plan(&g);
-        psu_times.push(
+        psu_times.push(best_of(|| {
             Kernel::compile(&p, KernelConfig::new(KernelKind::Psu))
                 .compile_report()
-                .seconds,
-        );
+                .seconds
+        }));
     }
     // ESSENT's compile grows markedly with the design...
     assert!(essent_times[1] > 2.0 * essent_times[0]);
