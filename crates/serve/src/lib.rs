@@ -98,7 +98,7 @@ pub use chaos::{ChaosPlan, ChaosShard};
 pub use net::{ServeClient, SocketServer, MAX_LINE};
 pub use pool::{
     DesignInfo, JobHandle, RegisterError, Reservation, ServeConfig, ServeStats, ServerPool,
-    DEFAULT_DESIGN, MAX_RESERVE,
+    DEFAULT_DESIGN,
 };
 pub use protocol::{
     ProtocolError, Request, Response, Verb, WireAnalysis, WireBinding, WireDesign, WireJob,

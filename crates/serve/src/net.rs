@@ -14,7 +14,7 @@
 //! makes the next, so Nagle's algorithm never holds one back for a
 //! delayed ACK; both set `TCP_NODELAY` all the same.
 
-use crate::pool::{JobHandle, Reservation, ServerPool, MAX_RESERVE};
+use crate::pool::{JobHandle, Reservation, ServerPool, RESERVE_BLOCK};
 use crate::protocol::{
     result_len, ProtocolError, Request, Response, Verb, WireAnalysis, WireDesign, WireJob,
     WirePong, WireResult, WireStats,
@@ -105,14 +105,15 @@ const BATCH_ENVELOPE: usize =
 /// exchange; the server sends only those already finished.
 const RESULT_BATCH: u64 = 64;
 
-/// How many ids [`ServeClient`] reserves in one `reserve` exchange.
-const RESERVE_BLOCK: u64 = 1024;
-
 /// How many submits [`ServeClient`] queues before it sends them and
 /// reads their acks on its own: a burst never leaves more unread acks
 /// than fit in the socket buffers, so it cannot wedge both ends in
 /// `write`.
 const PIPELINE_DEPTH: usize = 64;
+
+/// The longest a dropped [`ServeClient`] waits on the socket at a time
+/// while it hands the server its queued submits.
+const DROP_WAIT: Duration = Duration::from_secs(1);
 
 /// How [`read_line`] left the buffer.
 #[derive(Debug, PartialEq, Eq)]
@@ -181,9 +182,9 @@ fn handle_client(pool: &ServerPool, stream: TcpStream) -> io::Result<()> {
             writer.write_all(out.as_bytes())?;
             out.clear();
         }
-        match read_line(&mut reader, &mut line)? {
-            Line::Eof => return Ok(()),
-            Line::Oversize => {
+        let text = match read_line(&mut reader, &mut line) {
+            Ok(Line::Eof) => return Ok(()),
+            Ok(Line::Oversize) => {
                 pool.metrics().counter("serve.rejected_oversize").inc();
                 Response::error(format!("request line exceeds {MAX_LINE} bytes")).encode(&mut out);
                 out.push('\n');
@@ -196,9 +197,18 @@ fn handle_client(pool: &ServerPool, stream: TcpStream) -> io::Result<()> {
                 io::copy(&mut reader.take(MAX_LINE as u64), &mut io::sink())?;
                 return Ok(());
             }
-            Line::Complete | Line::Partial => {}
-        }
-        let text = utf8(&line)?;
+            Ok(Line::Complete | Line::Partial) => utf8(&line),
+            Err(e) => Err(e),
+        };
+        let text = match text {
+            Ok(text) => text,
+            Err(e) => {
+                // The session ends on this line, but the pool has taken
+                // the jobs of the lines before it: answer those first.
+                let _ = writer.write_all(out.as_bytes());
+                return Err(e);
+            }
+        };
         if text.trim().is_empty() {
             continue;
         }
@@ -239,12 +249,7 @@ fn respond(pool: &ServerPool, session: &mut Session, request: Request) -> Respon
             Response::submitted(id)
         }
         Verb::Reserve => {
-            let Some(n) = request.max else {
-                return Response::error("reserve needs a `max`");
-            };
-            let Some(reservation) = pool.reserve(n) else {
-                return Response::error(format!("reserve takes 1 to {MAX_RESERVE} ids, not {n}"));
-            };
+            let reservation = pool.reserve();
             let first = reservation.ids().start;
             session.reserved = Some(reservation);
             Response::reserved(first)
@@ -368,9 +373,13 @@ fn respond(pool: &ServerPool, session: &mut Session, request: Request) -> Respon
 /// each submit with the next of them, returns that id at once and
 /// queues the line. A queued submit reaches the wire with the client's
 /// next request — whichever call makes it — or on
-/// [`flush`](Self::flush), on drop, or when 64 submits are queued; its
-/// ack is read just before that request's answer, and a fault the ack
-/// would have shown surfaces on that call. A submit with no other job
+/// [`flush`](Self::flush), or when 64 submits are queued; its ack is
+/// read just before that request's answer, and a fault the ack would
+/// have shown surfaces on that call. Until then the returned id is only
+/// a promise: a client that submits and then waits elsewhere leaves the
+/// job unsent, so call `flush` first. Drop sends what is still queued
+/// and waits at most a second at a time for the server to take it,
+/// without learning whether it did. A submit with no other job
 /// outstanding (none whose result this client has not handed out yet)
 /// is sent at once and waits for its ack: it is the first of a burst,
 /// and nothing else would tell a dead connection from a live one
@@ -565,7 +574,8 @@ impl ServeClient {
 
     /// Submits a job to the server's default design; returns its
     /// pool-global id. The submit may be queued rather than sent at
-    /// once (see [`ServeClient`]).
+    /// once (see [`ServeClient`]): the server has the job only once a
+    /// later call or [`flush`](Self::flush) returns `Ok`.
     ///
     /// # Errors
     ///
@@ -591,7 +601,7 @@ impl ServeClient {
 
     fn submit_wire(&mut self, job: WireJob) -> Result<u64, ProtocolError> {
         if self.reserved.is_empty() && !self.unpipelined {
-            match self.call(&Request::reserve(RESERVE_BLOCK)) {
+            match self.call(&Request::reserve()) {
                 Ok(response) => {
                     let first = response
                         .id
@@ -775,10 +785,23 @@ impl ServeClient {
 }
 
 impl Drop for ServeClient {
-    /// Sends what is still queued, so every id `submit` returned names a
-    /// job the server took.
+    /// Sends what is still queued, ends the client's side, and reads
+    /// until the server hangs up: the server answers the queued submits
+    /// and closes once it has read them all. Hanging up with those
+    /// answers unread would reset the connection, and a reset discards
+    /// whatever lines the server has not read yet. Each write and read
+    /// here waits at most a second.
     fn drop(&mut self) {
-        let _ = self.flush();
+        if self.broken.is_some() || self.queued.is_empty() {
+            return;
+        }
+        let _ = self.writer.set_write_timeout(Some(DROP_WAIT));
+        let _ = self.writer.set_read_timeout(Some(DROP_WAIT));
+        if self.writer.write_all(self.outgoing.as_bytes()).is_ok()
+            && self.writer.shutdown(Shutdown::Write).is_ok()
+        {
+            let _ = io::copy(&mut self.reader, &mut io::sink());
+        }
     }
 }
 

@@ -57,8 +57,8 @@ fn lock_or_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// [`ServerPool::new`]); jobs that name no design run on it.
 pub const DEFAULT_DESIGN: &str = "default";
 
-/// The most ids one [`ServerPool::reserve`] sets aside.
-pub const MAX_RESERVE: u64 = 1 << 16;
+/// How many ids one [`ServerPool::reserve`] sets aside.
+pub(crate) const RESERVE_BLOCK: u64 = 1024;
 
 /// Longest quantum a worker gives one design's scheduler when no job
 /// finishes and every lane stays busy: bounds how long the worker's
@@ -739,20 +739,17 @@ impl ServerPool {
         self.submit_as(None, design, job)
     }
 
-    /// Sets aside `n` consecutive ids, none of which any other
+    /// Sets aside 1 024 consecutive ids, none of which any other
     /// submission will get, for [`submit_reserved`](Self::submit_reserved).
-    /// `None` unless `1 ≤ n ≤` [`MAX_RESERVE`]. A reservation counts as
-    /// no job: only the submissions stamped with its ids do.
-    pub fn reserve(&self, n: u64) -> Option<Reservation> {
-        if n == 0 || n > MAX_RESERVE {
-            return None;
-        }
+    /// A reservation counts as no job: only the submissions stamped with
+    /// its ids do.
+    pub fn reserve(&self) -> Reservation {
         let mut ledger = lock_or_recover(&self.shared.ledger);
         let first = ledger.next_id;
-        ledger.next_id += n;
-        Some(Reservation {
+        ledger.next_id += RESERVE_BLOCK;
+        Reservation {
             ids: first..ledger.next_id,
-        })
+        }
     }
 
     /// [`submit_named`](Self::submit_named) under a reserved id: the job

@@ -6,7 +6,7 @@
 //! | verb       | request fields | response |
 //! |------------|----------------|----------|
 //! | `submit`   | `job`, optional `id` | `{"ok":true,"kind":"submitted","id":N}`; with `id`, N is that id, which must be the next unused id this connection reserved |
-//! | `reserve`  | `max`          | `{"ok":true,"kind":"reserved","id":N}`: the `max` pool-global ids from N on are this connection's to stamp its submits with, in order (1 ≤ `max` ≤ [`MAX_RESERVE`](crate::pool::MAX_RESERVE)) |
+//! | `reserve`  | —              | `{"ok":true,"kind":"reserved","id":N}`: the 1 024 pool-global ids from N on are this connection's to stamp its submits with, in order |
 //! | `poll`     | `id`           | `kind:"result"` if finished, else `kind:"pending"` |
 //! | `result`   | `id` or `max` (both optional) | blocks; with no `id`, the *next* of this connection's jobs to finish, and in `more` up to `max − 1` others already finished |
 //! | `stats`    | —              | `kind:"stats"` with pool counters |
@@ -33,7 +33,7 @@
 //! {"ok":true,"kind":"submitted","id":2}
 //! > {"verb":"result","max":16}
 //! {"ok":true,"kind":"result","id":2,"result":{"id":2,"name":"sum-7",...},"more":[{"id":1,"name":"sum-6",...}]}
-//! > {"verb":"reserve","max":1024}
+//! > {"verb":"reserve"}
 //! {"ok":true,"kind":"reserved","id":3}
 //! > {"verb":"submit","job":{"name":"sum-8",...},"id":3}
 //! > {"verb":"submit","job":{"name":"sum-9",...},"id":4}
@@ -459,7 +459,7 @@ pub struct Request {
     /// reserved id a `submit` is stamped with (optional).
     pub id: Option<u64>,
     /// The most finished jobs one answer may carry (`result` without an
-    /// `id`; absent means 1), or how many ids to set aside (`reserve`).
+    /// `id`; absent means 1).
     pub max: Option<u64>,
     /// The design name to register (`register` only).
     pub design: Option<String>,
@@ -499,12 +499,9 @@ impl Request {
         }
     }
 
-    /// A `reserve` request for `n` ids.
-    pub fn reserve(n: u64) -> Self {
-        Request {
-            max: Some(n),
-            ..Self::base(Verb::Reserve)
-        }
+    /// A `reserve` request.
+    pub fn reserve() -> Self {
+        Self::base(Verb::Reserve)
     }
 
     /// A `poll` request.
@@ -687,8 +684,7 @@ impl Response {
         }
     }
 
-    /// Grants a reservation: the requested number of ids, from `first`
-    /// on.
+    /// Grants a reservation: the 1 024 ids from `first` on.
     pub fn reserved(first: u64) -> Self {
         Response {
             id: Some(first),

@@ -10,7 +10,7 @@ use rteaal_kernels::{KernelConfig, KernelKind};
 use rteaal_sched::Job;
 use rteaal_serve::{
     ChaosPlan, ChaosShard, Request, Response, ServeClient, ServeConfig, ServerPool, ShardConfig,
-    ShardRouter, SocketServer, Verb, WireJob, MAX_RESERVE,
+    ShardRouter, SocketServer, Verb, WireJob,
 };
 use std::collections::HashSet;
 use std::io::{BufRead, BufReader, Write};
@@ -138,32 +138,21 @@ fn a_stamped_id_outside_the_reservation_is_refused_and_the_connection_lives_on()
         .unwrap()
         .contains("not the next id reserved"));
 
-    let answers = burst(
-        &mut stream,
-        &mut reader,
-        &[
-            line(&Request::reserve(0)),
-            line(&Request::reserve(MAX_RESERVE + 1)),
-            line(&Request::reserve(2)),
-        ],
-    );
-    for out_of_bounds in &answers[..2] {
-        assert_eq!(out_of_bounds.kind, "error", "{out_of_bounds:?}");
-    }
-    assert_eq!(answers[2].kind, "reserved");
-    let first = answers[2].id.expect("the reservation's first id");
+    let reserved = &burst(&mut stream, &mut reader, &[line(&Request::reserve())])[0];
+    assert_eq!(reserved.kind, "reserved");
+    let first = reserved.id.expect("the reservation's first id");
 
-    // Ahead of the next id, the next id, the same id again, then past
-    // the end: only the in-order ids go through.
+    // Ahead of the next id, past the block, the next id, the same id
+    // again, the next: only the in-order ids go through.
     let answers = burst(
         &mut stream,
         &mut reader,
         &[
             line(&Request::submit_reserved(job(), first + 1)),
+            line(&Request::submit_reserved(job(), first + 1024)),
             line(&Request::submit_reserved(job(), first)),
             line(&Request::submit_reserved(job(), first)),
             line(&Request::submit_reserved(job(), first + 1)),
-            line(&Request::submit_reserved(job(), first + 2)),
         ],
     );
     let kinds: Vec<_> = answers.iter().map(|a| (a.kind.as_str(), a.id)).collect();
@@ -171,33 +160,55 @@ fn a_stamped_id_outside_the_reservation_is_refused_and_the_connection_lives_on()
         kinds,
         [
             ("error", None),
+            ("error", None),
             ("submitted", Some(first)),
             ("error", None),
             ("submitted", Some(first + 1)),
-            ("error", None),
         ]
     );
 
-    // Still usable: both stamped jobs deliver, and an unstamped submit
-    // is answered with a fresh id past the reservation.
+    // A new reservation replaces the old: the old block's next id is
+    // refused, the new block's first is taken.
+    let answers = burst(
+        &mut stream,
+        &mut reader,
+        &[
+            line(&Request::reserve()),
+            line(&Request::submit_reserved(job(), first + 2)),
+        ],
+    );
+    assert_eq!(answers[0].kind, "reserved");
+    let second = answers[0].id.expect("the second reservation's first id");
+    assert!(second >= first + 1024, "the blocks overlap");
+    assert_eq!(answers[1].kind, "error");
+    let taken = &burst(
+        &mut stream,
+        &mut reader,
+        &[line(&Request::submit_reserved(job(), second))],
+    )[0];
+    assert_eq!((taken.kind.as_str(), taken.id), ("submitted", Some(second)));
+
+    // Still usable: the stamped jobs deliver, and an unstamped submit
+    // is answered with a fresh id past both reservations.
     let answers = burst(
         &mut stream,
         &mut reader,
         &[
             line(&Request::result(Some(first))),
             line(&Request::result(Some(first + 1))),
+            line(&Request::result(Some(second))),
             line(&Request::submit(job())),
         ],
     );
-    for (answer, id) in answers[..2].iter().zip([first, first + 1]) {
+    for (answer, id) in answers[..3].iter().zip([first, first + 1, second]) {
         let r = answer.result.as_ref().expect("a result");
         assert_eq!((r.id, r.completed(), r.output("cnt")), (id, true, Some(4)));
     }
-    assert_eq!(answers[2].kind, "submitted");
-    assert!(answers[2].id.expect("an id") >= first + 2);
+    assert_eq!(answers[3].kind, "submitted");
+    assert!(answers[3].id.expect("an id") >= second + 1024);
     let mut client = ServeClient::connect(stream.peer_addr().expect("peer")).expect("connects");
     let stats = client.stats().expect("stats");
-    assert_eq!(stats.submitted, 3, "refusals and reservations are no jobs");
+    assert_eq!(stats.submitted, 4, "refusals and reservations are no jobs");
 }
 
 #[test]
@@ -215,11 +226,17 @@ fn an_unstamped_submit_is_answered_byte_for_byte_as_before() {
 
 #[test]
 fn a_client_dropped_straight_after_submit_still_has_its_jobs_run() {
-    const JOBS: u64 = 5;
+    // The first submit is acknowledged at once; the other 62 are queued
+    // when the client drops, more bytes than the server reads at a time.
+    const JOBS: u64 = 63;
     let addr = serve(counter(), "done");
     let mut client = ServeClient::connect(addr).expect("connects");
     let ids: Vec<u64> = (0..JOBS)
-        .map(|n| client.submit(&count_job(20 + n)).expect("submits"))
+        .map(|n| {
+            let mut job = count_job(20 + n % 30);
+            job.name = format!("{}-{}", job.name, "x".repeat(200));
+            client.submit(&job).expect("submits")
+        })
         .collect();
     drop(client);
 
@@ -227,11 +244,11 @@ fn a_client_dropped_straight_after_submit_still_has_its_jobs_run() {
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
         let stats = watcher.stats().expect("stats");
-        assert_eq!(
-            stats.submitted, JOBS,
-            "every queued submit reached the pool"
-        );
         if stats.completed == JOBS {
+            assert_eq!(
+                stats.submitted, JOBS,
+                "every queued submit reached the pool"
+            );
             break;
         }
         assert!(Instant::now() < deadline, "the jobs never ran: {stats:?}");
@@ -242,6 +259,87 @@ fn a_client_dropped_straight_after_submit_still_has_its_jobs_run() {
         let timeline = watcher.timeline(id).expect("timeline");
         assert!(timeline.len() >= 3, "job {id}: {timeline:?}");
     }
+}
+
+#[test]
+fn dropping_a_client_never_waits_on_a_server_that_stops_answering() {
+    // A server that answers the `reserve` and the first submit, then
+    // reads on and answers nothing.
+    let listener = TcpListener::bind("127.0.0.1:0").expect("binds");
+    let addr = listener.local_addr().expect("addr");
+    let (lines_tx, lines) = mpsc::channel();
+    std::thread::spawn(move || {
+        let (stream, _) = listener.accept().expect("accepts");
+        let mut writer = stream.try_clone().expect("clones");
+        let mut reader = BufReader::new(stream);
+        let mut seen = Vec::new();
+        let mut request = String::new();
+        while matches!(reader.read_line(&mut request), Ok(n) if n > 0) {
+            let decoded = Request::decode(request.trim_end()).expect("a request");
+            let answer = match seen.len() {
+                0 => Some(Response::reserved(0)),
+                1 => Some(Response::submitted(0)),
+                _ => None,
+            };
+            if let Some(answer) = answer {
+                let mut out = String::new();
+                answer.encode(&mut out);
+                out.push('\n');
+                writer.write_all(out.as_bytes()).expect("answers");
+            }
+            seen.push((decoded.verb, decoded.id));
+            request.clear();
+        }
+        let _ = lines_tx.send(seen);
+    });
+    let mut client = ServeClient::connect(addr).expect("connects");
+    for n in 0..3 {
+        assert_eq!(client.submit(&count_job(1)).expect("submits"), n);
+    }
+    let (dropped_tx, dropped) = mpsc::channel();
+    std::thread::spawn(move || {
+        drop(client);
+        let _ = dropped_tx.send(());
+    });
+    dropped
+        .recv_timeout(Duration::from_secs(10))
+        .expect("drop returns without the server's answers");
+    let seen = lines
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the server sees the connection close");
+    assert_eq!(
+        seen,
+        [
+            (Verb::Reserve, None),
+            (Verb::Submit, Some(0)),
+            (Verb::Submit, Some(1)),
+            (Verb::Submit, Some(2)),
+        ],
+        "drop wrote the queued submits"
+    );
+}
+
+#[test]
+fn a_line_that_ends_the_session_still_lets_the_burst_before_it_be_answered() {
+    let mut stream = TcpStream::connect(serve(counter(), "done")).expect("connects");
+    let mut reader = BufReader::new(stream.try_clone().expect("clones"));
+    let first = burst(&mut stream, &mut reader, &[line(&Request::reserve())])[0]
+        .id
+        .expect("a reservation");
+    // A stamped submit and a line that is not UTF-8, in one write.
+    let mut bytes = line(&Request::submit_reserved(
+        WireJob::from(&count_job(2)),
+        first,
+    ))
+    .into_bytes();
+    bytes.extend_from_slice(b"\n\xff\xfe\n");
+    stream.write_all(&bytes).expect("writes");
+    let mut answer = String::new();
+    reader.read_line(&mut answer).expect("the ack arrives");
+    let ack = Response::decode(answer.trim_end()).expect("a response");
+    assert_eq!((ack.kind.as_str(), ack.id), ("submitted", Some(first)));
+    answer.clear();
+    assert_eq!(reader.read_line(&mut answer).expect("a clean close"), 0);
 }
 
 /// What the fake server saw.
@@ -373,8 +471,7 @@ fn a_shard_killed_mid_burst_loses_no_job_and_delivers_none_twice() {
 fn the_reserve_lines_cross_the_two_codecs_unchanged() {
     let job = WireJob::from(&count_job(3)).on_design("twin");
     let requests = [
-        Request::reserve(1024),
-        Request::reserve(u64::MAX),
+        Request::reserve(),
         Request::submit_reserved(job.clone(), 0),
         Request::submit_reserved(job, u64::MAX),
     ];
