@@ -55,14 +55,14 @@ impl SplitMix64 {
     }
 
     /// Uniform in `0..bound` (`bound` ≥ 1).
-    pub fn next_below(&mut self, bound: u64) -> u64 {
+    fn next_below(&mut self, bound: u64) -> u64 {
         self.next_u64() % bound.max(1)
     }
 
     /// An exponential inter-arrival gap for rate `per_sec` (the inverse
     /// CDF: `-ln(u)/λ`). Poisson arrivals are gaps of exactly this
     /// shape.
-    pub fn next_exp_gap(&mut self, per_sec: f64) -> Duration {
+    fn next_exp_gap(&mut self, per_sec: f64) -> Duration {
         let gap = -self.next_unit().ln() / per_sec.max(1e-9);
         Duration::from_secs_f64(gap.min(10.0)) // clamp pathological tails
     }

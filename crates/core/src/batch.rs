@@ -218,18 +218,6 @@ impl BatchSimulation {
         Ok(())
     }
 
-    /// Drives an input port identically on every live lane, by name
-    /// (halted lanes keep their state frozen at the halt cycle).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UnknownSignal`] if no input port has this name.
-    pub fn poke_all(&mut self, name: &str, value: u64) -> Result<(), UnknownSignal> {
-        // Every lane is live until a halt watch starts freezing them.
-        self.state.set_input_live(self.input(name)?, value);
-        Ok(())
-    }
-
     /// Reads any probed signal on one lane — output ports, registers,
     /// inputs, or named internal nodes (the XMR path, per lane). A
     /// halted lane reads its state frozen at the halt cycle.
@@ -858,7 +846,9 @@ circuit H :
     fn poke_state_is_a_per_lane_dmi() {
         let c = compiled(KernelKind::Psu);
         let mut sim = BatchSimulation::new(&c, 2);
-        sim.poke_all("x", 1).unwrap();
+        for lane in 0..2 {
+            sim.poke("x", lane, 1).unwrap();
+        }
         sim.poke_state("acc", 1, 90).unwrap();
         assert!(sim.poke_state("nope", 0, 1).is_err());
         sim.step_cycles(3);
@@ -916,7 +906,9 @@ circuit H :
         let c = compiled(KernelKind::Ti);
         let mut batch = BatchSimulation::new(&c, 4);
         assert_eq!(batch.lanes(), 4);
-        batch.poke_all("x", 5).unwrap();
+        for lane in 0..4 {
+            batch.poke("x", lane, 5).unwrap();
+        }
         batch.step_cycles(3);
         for lane in 0..4 {
             assert_eq!(batch.peek("out", lane), Some(15));

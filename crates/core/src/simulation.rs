@@ -215,11 +215,6 @@ impl<'sim> DebugModule<'sim> {
         Ok(())
     }
 
-    /// Reads a register or signal.
-    pub fn peek_reg(&self, name: &str) -> Option<u64> {
-        self.sim.peek(name)
-    }
-
     /// Runs the DUT until `signal` becomes nonzero or `max_cycles`
     /// elapse; returns the cycle count if the condition was met.
     pub fn run_until(&mut self, signal: &str, max_cycles: u64) -> Option<u64> {
@@ -289,7 +284,7 @@ circuit S :
         // acc crosses 100 within a few cycles.
         let cycle = dmi.run_until("big", 20).expect("condition reached");
         assert!(cycle <= 10);
-        assert!(dmi.peek_reg("acc").unwrap() > 100);
+        assert!(s.peek("acc").unwrap() > 100);
     }
 
     #[test]

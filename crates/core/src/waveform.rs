@@ -82,11 +82,6 @@ impl VcdWriter {
         }
     }
 
-    /// Number of signals tracked.
-    pub fn num_signals(&self) -> usize {
-        self.signals.len()
-    }
-
     /// Finishes and returns the complete VCD text.
     pub fn finish(self) -> String {
         format!("{}{}", self.header, self.body)

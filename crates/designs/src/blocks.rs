@@ -1,7 +1,7 @@
 //! Reusable synchronous logic blocks for the design generators.
 //!
 //! These produce *connected, typed* FIRRTL logic — ALU slices, balanced
-//! mux trees, priority mux chains, decoders, xor-reduction trees, LFSRs —
+//! mux trees, priority mux chains, decoders, xor-reduction trees —
 //! so the synthetic Chipyard-like designs exercise realistic op mixes,
 //! fan-out, and levelization depth rather than random DAG noise
 //! (DESIGN.md §4.1).
@@ -9,7 +9,6 @@
 use rteaal_firrtl::ast::Expr;
 use rteaal_firrtl::builder::ModuleBuilder;
 use rteaal_firrtl::ops::PrimOp;
-use rteaal_firrtl::ty::Type;
 
 /// Truncating add: `tail(add(a, b), 1)` — keeps the operand width.
 pub fn add_w(b: &mut ModuleBuilder, a: Expr, x: Expr) -> Expr {
@@ -158,47 +157,13 @@ pub fn alu(b: &mut ModuleBuilder, op: &Expr, a: Expr, x: Expr, width: u32) -> Ex
     mux_tree(b, op, &[sum, diff, and, or, xor, slt, sll, srl], 3)
 }
 
-/// A Fibonacci LFSR register of the given width; returns the state
-/// expression. Used by workload drivers for deterministic stimulus.
-pub fn lfsr(b: &mut ModuleBuilder, name: &str, clock: Expr, width: u32, seed: u64) -> Expr {
-    let ty = Type::uint(width);
-    let r = b.reg(name, ty, clock.clone());
-    // Feedback from the top two bits.
-    let t1 = Expr::prim_p(
-        PrimOp::Bits,
-        vec![r.clone()],
-        vec![(width - 1) as u64, (width - 1) as u64],
-    );
-    let t2 = Expr::prim_p(
-        PrimOp::Bits,
-        vec![r.clone()],
-        vec![(width - 2) as u64, (width - 2) as u64],
-    );
-    let fb = b.node_fresh("fb", Expr::prim(PrimOp::Xor, vec![t1, t2]));
-    let shifted = Expr::prim_p(PrimOp::Bits, vec![r.clone()], vec![(width - 2) as u64, 0]);
-    let next = b.node_fresh("lfsr_next", Expr::prim(PrimOp::Cat, vec![shifted, fb]));
-    // Seed via a self-clearing "first cycle" flag so the LFSR never
-    // sticks at zero.
-    let boot = b.reg(format!("{name}_boot"), Type::uint(1), clock);
-    b.connect(format!("{name}_boot"), Expr::u(1, 1));
-    let seeded = b.node_fresh(
-        "seeded",
-        Expr::mux(
-            Expr::prim(PrimOp::Eq, vec![boot, Expr::u(0, 1)]),
-            Expr::u(seed & rteaal_firrtl::ty::mask(width), width),
-            next,
-        ),
-    );
-    b.connect(name, seeded);
-    r
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rteaal_dfg::interp::Interpreter;
     use rteaal_firrtl::builder::CircuitBuilder;
     use rteaal_firrtl::lower::lower_typed;
+    use rteaal_firrtl::ty::Type;
 
     fn finish(b: ModuleBuilder, name: &str) -> rteaal_dfg::Graph {
         let mut cb = CircuitBuilder::new(name);
@@ -323,24 +288,5 @@ mod tests {
         }
         sim.step();
         assert_eq!(sim.output(0), vals.iter().fold(0, |a, b| a ^ b));
-    }
-
-    #[test]
-    fn lfsr_cycles_without_sticking() {
-        let mut b = ModuleBuilder::new("T");
-        b.input("clock", Type::Clock);
-        let r = lfsr(&mut b, "rng", Expr::r("clock"), 16, 0xace1);
-        b.output_expr("out", Type::uint(16), r);
-        let g = finish(b, "T");
-        let mut sim = Interpreter::new(&g);
-        sim.step(); // seeds
-        let mut seen = std::collections::HashSet::new();
-        for _ in 0..200 {
-            sim.step();
-            let v = sim.output(0);
-            assert_ne!(v, 0, "LFSR stuck at zero");
-            seen.insert(v);
-        }
-        assert!(seen.len() > 150, "LFSR not cycling: {} states", seen.len());
     }
 }

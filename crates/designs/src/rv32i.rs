@@ -344,14 +344,6 @@ pub mod asm {
     pub fn addi(rd: u32, rs1: u32, imm: i32) -> u32 {
         itype(0x13, rd, 0, rs1, imm)
     }
-    /// `andi rd, rs1, imm`.
-    pub fn andi(rd: u32, rs1: u32, imm: i32) -> u32 {
-        itype(0x13, rd, 7, rs1, imm)
-    }
-    /// `xori rd, rs1, imm`.
-    pub fn xori(rd: u32, rs1: u32, imm: i32) -> u32 {
-        itype(0x13, rd, 4, rs1, imm)
-    }
     /// `slli rd, rs1, shamt`.
     pub fn slli(rd: u32, rs1: u32, shamt: u32) -> u32 {
         itype(0x13, rd, 1, rs1, shamt as i32)
@@ -413,10 +405,6 @@ pub mod asm {
             | (2 << 12)
             | (((imm as u32) & 0x1f) << 7)
             | 0x23
-    }
-    /// The canonical `nop`.
-    pub fn nop() -> u32 {
-        addi(0, 0, 0)
     }
 
     fn itype(op: u32, rd: u32, f3: u32, rs1: u32, imm: i32) -> u32 {

@@ -61,7 +61,7 @@ pub fn keccak_f(state: &mut [[u64; 5]; 5]) {
 }
 
 /// One software Keccak round.
-pub fn keccak_round(s: &mut [[u64; 5]; 5], rc: u64) {
+fn keccak_round(s: &mut [[u64; 5]; 5], rc: u64) {
     // θ
     let mut c = [0u64; 5];
     for x in 0..5 {

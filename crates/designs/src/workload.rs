@@ -43,7 +43,7 @@ pub struct Workload {
     /// lives in a register, not in the ROM (see
     /// [`rv32i_param_sum`](Self::rv32i_param_sum)).
     pub state_pokes: Vec<(String, u64)>,
-    /// Stimulus generator state.
+    /// Seed of the lane stimulus streams.
     seed: u64,
 }
 
@@ -223,18 +223,9 @@ impl Workload {
         (self.full_cycles / divisor.max(1)).max(10)
     }
 
-    /// Advances the stimulus generator and returns the next input vector
-    /// value (splitmix64 — deterministic across all simulators).
-    pub fn next_stimulus(&mut self) -> u64 {
-        let mut stream = Stimulus { seed: self.seed };
-        let value = stream.next_value();
-        self.seed = stream.seed;
-        value
-    }
-
     /// An independent deterministic stimulus stream for one batch lane.
     ///
-    /// Lane 0 reproduces this workload's own stream (`next_stimulus`);
+    /// Lane 0 runs on this workload's own seed;
     /// other lanes decorrelate the seed, so a `B`-lane batch run sees `B`
     /// distinct but reproducible testbenches — the batched analog of
     /// running the benchmark grid `B` times with different seeds.
@@ -311,24 +302,24 @@ mod tests {
 
     #[test]
     fn stimulus_is_deterministic_per_workload() {
-        let mut a = Workload::rocket(1);
-        let mut b = Workload::rocket(1);
-        let xs: Vec<u64> = (0..10).map(|_| a.next_stimulus()).collect();
-        let ys: Vec<u64> = (0..10).map(|_| b.next_stimulus()).collect();
+        let mut a = Workload::rocket(1).lane_stimulus(0);
+        let mut b = Workload::rocket(1).lane_stimulus(0);
+        let xs: Vec<u64> = (0..10).map(|_| a.next_value()).collect();
+        let ys: Vec<u64> = (0..10).map(|_| b.next_value()).collect();
         assert_eq!(xs, ys);
         // Different workloads diverge.
-        let mut c = Workload::rocket(4);
-        assert_ne!(xs[0], c.next_stimulus());
+        let mut c = Workload::rocket(4).lane_stimulus(0);
+        assert_ne!(xs[0], c.next_value());
     }
 
     #[test]
     fn lane_streams_are_deterministic_and_distinct() {
         let w = Workload::sha3();
-        // Lane 0 reproduces the workload's own stream.
-        let mut own = Workload::sha3();
+        // Lane 0 runs on the workload's own seed.
+        let mut own = Stimulus::from_seed(w.seed);
         let mut lane0 = w.lane_stimulus(0);
         for _ in 0..20 {
-            assert_eq!(lane0.next_value(), own.next_stimulus());
+            assert_eq!(lane0.next_value(), own.next_value());
         }
         // Lanes are reproducible and pairwise distinct.
         for lane in 0..8 {

@@ -211,26 +211,26 @@ impl Diagnostic {
     }
 
     /// Attaches a signal name.
-    pub fn with_signal(mut self, signal: Option<String>) -> Self {
+    fn with_signal(mut self, signal: Option<String>) -> Self {
         self.signal = signal;
         self
     }
 
     /// Attaches a `(layer, op index)` location.
-    pub fn at_op(mut self, layer: usize, op: usize) -> Self {
+    fn at_op(mut self, layer: usize, op: usize) -> Self {
         self.layer = Some(layer);
         self.op = Some(op);
         self
     }
 
     /// Attaches a partition id.
-    pub fn in_partition(mut self, partition: u32) -> Self {
+    fn in_partition(mut self, partition: u32) -> Self {
         self.partition = Some(partition);
         self
     }
 
     /// Attaches a slot.
-    pub fn on_slot(mut self, slot: u32) -> Self {
+    fn on_slot(mut self, slot: u32) -> Self {
         self.slot = Some(slot);
         self
     }

@@ -171,15 +171,6 @@ impl<'g> Interpreter<'g> {
     pub fn cycle(&self) -> u64 {
         self.cycle
     }
-
-    /// Snapshot of all register values, in register order.
-    pub fn reg_values(&self) -> Vec<u64> {
-        self.graph
-            .regs
-            .iter()
-            .map(|r| self.values[r.state.index()])
-            .collect()
-    }
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@
 
 use crate::graph::Graph;
 use crate::lane_kernel::{assert_covers, Lane, LaneType, LaneWindow};
-use crate::level::{levelize, IdentityStats};
+use crate::level::levelize;
 use crate::op::{canonicalize, eval_raw, DfgOp};
 use serde::{Deserialize, Serialize};
 
@@ -529,12 +529,6 @@ pub fn plan(graph: &Graph) -> SimPlan {
         probes,
         signed_probes,
     }
-}
-
-/// Identity accounting for a graph without building the full plan
-/// (Table 1 harness).
-pub fn identity_stats(graph: &Graph) -> IdentityStats {
-    levelize(graph).identities
 }
 
 /// Builds the *un-elided* plan: the strict Cascade 1 formulation in which

@@ -47,9 +47,9 @@ pub struct CascadeSim {
     cycle: u64,
 }
 
-/// Builds the `OIM` fibertree of a plan (exposed for format experiments
-/// and the Figure 13 example in the tests).
-pub fn oim_fibertree(plan: &SimPlan) -> Tensor {
+/// Builds the `OIM` fibertree of a plan (the tests read it for the
+/// Figure 13 example).
+fn oim_fibertree(plan: &SimPlan) -> Tensor {
     let mut t = Tensor::new(
         "OIM",
         ["I", "S", "N", "O", "R"],

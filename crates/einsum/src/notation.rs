@@ -127,7 +127,7 @@ impl Action {
     }
 
     /// Whether both operators are pass-through (omitted from notation).
-    pub fn is_trivial(&self) -> bool {
+    fn is_trivial(&self) -> bool {
         self.compute == ComputeOp::PassThrough && self.coord == CoordOp::PassThrough
     }
 }
@@ -203,7 +203,7 @@ impl Einsum {
     }
 
     /// Attaches a side condition.
-    pub fn with_condition(mut self, cond: impl Into<String>) -> Self {
+    fn with_condition(mut self, cond: impl Into<String>) -> Self {
         self.condition = Some(cond.into());
         self
     }

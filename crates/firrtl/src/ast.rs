@@ -89,28 +89,6 @@ impl Expr {
     pub fn prim_p(op: PrimOp, args: Vec<Expr>, params: Vec<u64>) -> Expr {
         Expr::Prim { op, args, params }
     }
-
-    /// Visits every `Ref` name in the expression tree.
-    pub fn for_each_ref(&self, f: &mut impl FnMut(&str)) {
-        match self {
-            Expr::Ref(n) => f(n),
-            Expr::UIntLit { .. } | Expr::SIntLit { .. } => {}
-            Expr::Mux { cond, tval, fval } => {
-                cond.for_each_ref(f);
-                tval.for_each_ref(f);
-                fval.for_each_ref(f);
-            }
-            Expr::ValidIf { cond, value } => {
-                cond.for_each_ref(f);
-                value.for_each_ref(f);
-            }
-            Expr::Prim { args, .. } => {
-                for a in args {
-                    a.for_each_ref(f);
-                }
-            }
-        }
-    }
 }
 
 impl fmt::Display for Expr {
@@ -246,18 +224,6 @@ mod tests {
         assert_eq!(b.to_string(), "bits(x, 7, 0)");
         let m = Expr::mux(Expr::r("c"), Expr::r("t"), Expr::r("f"));
         assert_eq!(m.to_string(), "mux(c, t, f)");
-    }
-
-    #[test]
-    fn for_each_ref_visits_all() {
-        let e = Expr::mux(
-            Expr::r("c"),
-            Expr::prim(PrimOp::Add, vec![Expr::r("a"), Expr::r("b")]),
-            Expr::u(0, 1),
-        );
-        let mut seen = Vec::new();
-        e.for_each_ref(&mut |n| seen.push(n.to_string()));
-        assert_eq!(seen, vec!["c", "a", "b"]);
     }
 
     #[test]

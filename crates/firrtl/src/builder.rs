@@ -27,7 +27,7 @@ use std::collections::HashMap;
 /// let x = b.input("b", Type::uint(8));
 /// let sum = b.node("sum", Expr::prim(PrimOp::Add, vec![a, x]));
 /// let r = b.reg("acc", Type::uint(9), clk);
-/// b.connect_expr(r.clone(), sum);
+/// b.connect("acc", sum);
 /// b.output_expr("out", Type::uint(9), r);
 /// let m = b.finish();
 /// assert_eq!(m.ports.len(), 4);
@@ -163,7 +163,7 @@ impl ModuleBuilder {
     /// # Panics
     ///
     /// Panics if `target` is not an [`Expr::Ref`].
-    pub fn connect_expr(&mut self, target: Expr, value: Expr) {
+    fn connect_expr(&mut self, target: Expr, value: Expr) {
         match target {
             Expr::Ref(name) => self.connect(name, value),
             other => panic!("connect target must be a reference, got {other}"),

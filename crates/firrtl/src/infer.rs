@@ -55,7 +55,7 @@ impl<'a> TypeEnv<'a> {
     }
 
     /// Looks up the id and the type of a name.
-    pub fn lookup(&self, name: &str) -> Option<(SignalId, Type)> {
+    fn lookup(&self, name: &str) -> Option<(SignalId, Type)> {
         let id = *self.ids.get(name)?;
         Some((id, self.types[id.index()]))
     }
@@ -114,17 +114,6 @@ impl<'a> TypeEnv<'a> {
         self.types.extend(std::iter::repeat_n(ty, depth));
         self.cells.push((first, depth, mem));
         first
-    }
-
-    /// Infers the type of an expression under this environment.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for undefined references, clock misuse, or operand
-    /// type violations (via [`PrimOp::result_type`](crate::ops::PrimOp::result_type)).
-    pub fn type_of(&self, expr: &Expr) -> Result<Type> {
-        let mut resolver = Resolver::default();
-        resolver.term(expr, self, &mut Vec::new()).map(|(_, ty)| ty)
     }
 }
 
@@ -600,6 +589,12 @@ mod tests {
     use crate::builder::{CircuitBuilder, ModuleBuilder};
     use crate::ops::PrimOp;
 
+    /// Types one expression under `env` with the resolver lowering uses.
+    fn type_of(env: &TypeEnv, expr: &Expr) -> Result<Type> {
+        let mut resolver = Resolver::default();
+        resolver.term(expr, env, &mut Vec::new()).map(|(_, ty)| ty)
+    }
+
     fn simple_circuit() -> Circuit {
         let mut b = ModuleBuilder::new("Top");
         let clk = b.input("clock", Type::Clock);
@@ -724,12 +719,12 @@ mod tests {
     #[test]
     fn literal_width_check() {
         let env = TypeEnv::default();
-        assert!(env.type_of(&Expr::u(255, 8)).is_ok());
-        assert!(env.type_of(&Expr::u(256, 8)).is_err());
-        assert!(env.type_of(&Expr::s(-128, 8)).is_ok());
-        assert!(env.type_of(&Expr::s(-129, 8)).is_err());
-        assert!(env.type_of(&Expr::s(127, 8)).is_ok());
-        assert!(env.type_of(&Expr::s(128, 8)).is_err());
+        assert!(type_of(&env, &Expr::u(255, 8)).is_ok());
+        assert!(type_of(&env, &Expr::u(256, 8)).is_err());
+        assert!(type_of(&env, &Expr::s(-128, 8)).is_ok());
+        assert!(type_of(&env, &Expr::s(-129, 8)).is_err());
+        assert!(type_of(&env, &Expr::s(127, 8)).is_ok());
+        assert!(type_of(&env, &Expr::s(128, 8)).is_err());
     }
 
     #[test]
@@ -743,7 +738,7 @@ mod tests {
         let c = cb.finish();
         let env = env_of(&c).unwrap();
         let m = Expr::mux(Expr::r("c"), Expr::r("t"), Expr::r("f"));
-        assert_eq!(env.type_of(&m).unwrap(), Type::uint(8));
+        assert_eq!(type_of(&env, &m).unwrap(), Type::uint(8));
     }
 
     #[test]

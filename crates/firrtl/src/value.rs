@@ -233,27 +233,6 @@ fn cmp(
     r as u64
 }
 
-/// Evaluates a 2-way mux: `cond != 0 ? tval : fval`.
-#[inline]
-pub fn eval_mux(cond: u64, tval: u64, fval: u64) -> u64 {
-    if cond != 0 {
-        tval
-    } else {
-        fval
-    }
-}
-
-/// Evaluates `validif(cond, value)`: the value when `cond` is nonzero, and
-/// our defined "undefined" value 0 otherwise.
-#[inline]
-pub fn eval_validif(cond: u64, value: u64) -> u64 {
-    if cond != 0 {
-        value
-    } else {
-        0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -448,14 +427,6 @@ mod tests {
             eval_prim(PrimOp::Not, &[uv(0b1010, 4)], &[], Type::uint(4)),
             0b0101
         );
-    }
-
-    #[test]
-    fn mux_and_validif() {
-        assert_eq!(eval_mux(1, 7, 9), 7);
-        assert_eq!(eval_mux(0, 7, 9), 9);
-        assert_eq!(eval_validif(1, 42), 42);
-        assert_eq!(eval_validif(0, 42), 0);
     }
 
     #[test]

@@ -917,13 +917,6 @@ impl BatchKernel {
         self.programs.len()
     }
 
-    /// Total operations per simulated cycle (per lane), across all
-    /// partitions — for a partitioned kernel this includes the
-    /// replicated fan-in cones.
-    pub fn ops_per_cycle(&self) -> usize {
-        self.programs.iter().map(|p| p.ops.len()).sum()
-    }
-
     /// The one-thread walk of a cycle: each partition's program front to
     /// back in its own replica, straight through the compiled ops — no
     /// phase, barrier or index list. A specialized kernel walks its
@@ -1871,7 +1864,7 @@ circuit Wide :
                 let flat = BatchKernel::compile(&p, KernelConfig::new(kind));
                 assert_eq!(flat.programs.len(), 1);
                 in_order(&flat.programs[0], &p.layers);
-                assert_eq!(flat.ops_per_cycle(), p.total_ops());
+                assert_eq!(flat.programs[0].ops.len(), p.total_ops());
                 let parts = BatchKernel::compile_partitioned(&pp, KernelConfig::new(kind));
                 for (program, want) in parts.programs.iter().zip(&pp.partitions) {
                     in_order(program, &want.layers);

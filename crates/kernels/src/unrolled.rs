@@ -65,7 +65,7 @@ pub struct Instr {
 impl Instr {
     /// Modeled machine instructions in this block: one compute sequence,
     /// a load per slot operand, a store if kept.
-    pub fn machine_instrs(&self, stream: &[Operand]) -> u32 {
+    fn machine_instrs(&self, stream: &[Operand]) -> u32 {
         let operands = self.operands(stream);
         let loads = operands
             .iter()
@@ -231,11 +231,6 @@ impl UnrolledKernel {
         0
     }
 
-    /// Number of straight-line instruction blocks.
-    pub fn num_instrs(&self) -> usize {
-        self.instrs.len()
-    }
-
     /// One simulated clock cycle.
     pub fn step<P: Probe>(&self, st: &mut LiState, probe: &mut P) {
         let o0 = match self.cfg.opt {
@@ -384,7 +379,7 @@ circuit D :
         let k_small = UnrolledKernel::compile(&small, KernelConfig::new(KernelKind::Su));
         let k_big = UnrolledKernel::compile(&big, KernelConfig::new(KernelKind::Su));
         assert!(k_big.code_bytes() > k_small.code_bytes());
-        assert!(k_big.num_instrs() > k_small.num_instrs());
+        assert!(k_big.instrs.len() > k_small.instrs.len());
     }
 
     #[test]

@@ -12,9 +12,8 @@
 //!
 //! and wrap each compile phase in [`measure`], which returns the phase's
 //! result together with the peak live-byte delta during the phase. When
-//! the allocator is not installed the deltas are zero and
-//! [`is_active`] reports `false` — the harness prints "n/a" instead of a
-//! misleading zero.
+//! the allocator is not installed the deltas are zero, and the harness
+//! prints "n/a" instead of a misleading zero.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -59,16 +58,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 }
 
-/// Live heap bytes right now (0 unless the allocator is installed).
-pub fn live_bytes() -> usize {
-    LIVE.load(Ordering::Relaxed)
-}
-
-/// Whether the counting allocator appears to be installed.
-pub fn is_active() -> bool {
-    LIVE.load(Ordering::Relaxed) != 0
-}
-
 /// Runs `f` and returns `(result, peak_delta_bytes)`: the high-water mark
 /// of live bytes during `f`, relative to the live bytes at entry.
 ///
@@ -99,7 +88,7 @@ mod tests {
         let (value, peak) = measure(|| vec![0u8; 1 << 20].len());
         assert_eq!(value, 1 << 20);
         assert_eq!(peak, 0);
-        assert!(!is_active());
+        assert_eq!(LIVE.load(Ordering::Relaxed), 0);
     }
 
     #[test]

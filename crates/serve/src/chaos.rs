@@ -141,21 +141,6 @@ impl ChaosShard {
         self.killed.store(false, Ordering::Release);
     }
 
-    /// Kills the host now and revives it after `down` — the manual
-    /// down-window, for experiments that script an outage mid-corpus
-    /// without blocking their own thread.
-    pub fn kill_for(&self, down: Duration) {
-        self.kill();
-        let killed = Arc::clone(&self.killed);
-        std::thread::Builder::new()
-            .name("rteaal-chaos-revive".to_string())
-            .spawn(move || {
-                std::thread::sleep(down);
-                killed.store(false, Ordering::Release);
-            })
-            .expect("revive timer spawns");
-    }
-
     /// Points future connections at a different upstream. Combined
     /// with [`revive`](Self::revive), this models the harshest rejoin:
     /// the host came back with a *fresh, empty* server behind it, so
@@ -366,24 +351,6 @@ mod tests {
         assert_eq!(call(&mut fresh, "alive").unwrap(), "ALIVE\n");
         assert_eq!(call(&mut fresh, "still").unwrap(), "STILL\n");
         assert!(!chaos.is_killed());
-    }
-
-    #[test]
-    fn kill_for_revives_after_the_down_window() {
-        let chaos = ChaosShard::spawn(echo_server(), ChaosPlan::default()).unwrap();
-        let mut conn = TcpStream::connect(chaos.addr()).unwrap();
-        assert_eq!(call(&mut conn, "pre").unwrap(), "PRE\n");
-        chaos.kill_for(Duration::from_millis(50));
-        assert!(chaos.is_killed());
-        assert_eq!(call(&mut conn, "mid").unwrap_or_default(), "");
-        // Wait out the window (generously, for slow CI).
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while chaos.is_killed() && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        assert!(!chaos.is_killed(), "down-window never ended");
-        let mut fresh = TcpStream::connect(chaos.addr()).unwrap();
-        assert_eq!(call(&mut fresh, "back").unwrap(), "BACK\n");
     }
 
     #[test]

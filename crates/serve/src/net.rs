@@ -367,24 +367,23 @@ fn respond(pool: &ServerPool, session: &mut Session, request: Request) -> Respon
 /// [`ProtocolError::Broken`] and writes nothing, since a reply left
 /// partly unread would otherwise answer the next request.
 ///
-/// [`submit`](Self::submit) does not wait for the server while the
-/// connection has jobs outstanding: the client reserves a block of
-/// pool-global ids (one `reserve` exchange per 1 024 submits), stamps
-/// each submit with the next of them, returns that id at once and
-/// queues the line. A queued submit reaches the wire with the client's
-/// next request — whichever call makes it — or on
-/// [`flush`](Self::flush), or when 64 submits are queued; its ack is
-/// read just before that request's answer, and a fault the ack would
-/// have shown surfaces on that call. Until then the returned id is only
-/// a promise: a client that submits and then waits elsewhere leaves the
-/// job unsent, so call `flush` first. Drop sends what is still queued
-/// and waits at most a second at a time for the server to take it,
-/// without learning whether it did. A submit with no other job
-/// outstanding (none whose result this client has not handed out yet)
-/// is sent at once and waits for its ack: it is the first of a burst,
-/// and nothing else would tell a dead connection from a live one
-/// before its result is asked for. A server that refuses `reserve`
-/// gets one round trip per submit.
+/// [`submit`](Self::submit) never waits for the server's ack: the
+/// client reserves a block of pool-global ids (one `reserve` exchange
+/// per 1 024 submits), stamps each submit with the next of them,
+/// returns that id at once and queues the line. A queued submit reaches
+/// the wire with the client's next request — whichever call makes it —
+/// or on [`flush`](Self::flush), on drop, or when 64 submits are
+/// queued; its ack is read just before that request's answer, and a
+/// fault the ack would have shown surfaces on that call. Until then the
+/// returned id is only a promise: a client that submits and then waits
+/// elsewhere leaves the job unsent, so call `flush` first. A caller
+/// that must know at once whether the connection is alive flushes too:
+/// the [`ShardRouter`](crate::ShardRouter) does after placing the
+/// first job on an idle shard, so a dead shard fails that placement
+/// rather than a later poll. Drop sends what is still queued and waits
+/// at most a second at a time for the server to take it, without
+/// learning whether it did. A server that refuses `reserve` fails the
+/// submit with [`ProtocolError::Server`].
 ///
 /// [`next_result`](Self::next_result) takes every job of the
 /// connection that has finished in one exchange and hands them out one
@@ -401,11 +400,6 @@ pub struct ServeClient {
     queued: Vec<u64>,
     /// Reserved ids not stamped on a submit yet.
     reserved: Range<u64>,
-    /// Set once the server refused `reserve`: every submit then waits
-    /// for its own ack.
-    unpipelined: bool,
-    /// Jobs submitted whose results this client has not returned yet.
-    outstanding: usize,
     /// The incoming line, reused across calls.
     reply: Vec<u8>,
     /// Finished jobs a batched `result` delivered ahead of the calls
@@ -449,8 +443,6 @@ impl ServeClient {
             outgoing: String::new(),
             queued: Vec::new(),
             reserved: 0..0,
-            unpipelined: false,
-            outstanding: 0,
             reply: Vec::new(),
             ready: VecDeque::new(),
             broken: None,
@@ -534,7 +526,10 @@ impl ServeClient {
     }
 
     /// Sends the queued submits now and reads their acks; a no-op when
-    /// none is queued.
+    /// none is queued. The caller learns here, not at its next request,
+    /// whether the server took its jobs (the
+    /// [`ShardRouter`](crate::ShardRouter) flushes a shard's first
+    /// placement).
     ///
     /// # Errors
     ///
@@ -573,13 +568,15 @@ impl ServeClient {
     }
 
     /// Submits a job to the server's default design; returns its
-    /// pool-global id. The submit may be queued rather than sent at
-    /// once (see [`ServeClient`]): the server has the job only once a
-    /// later call or [`flush`](Self::flush) returns `Ok`.
+    /// pool-global id. The submit is queued, not sent (see
+    /// [`ServeClient`]): the server has the job only once a later call
+    /// or [`flush`](Self::flush) returns `Ok`.
     ///
     /// # Errors
     ///
-    /// Transport faults and server-side errors, as [`ProtocolError`].
+    /// Transport faults and server-side errors, as [`ProtocolError`]:
+    /// a refused `reserve` is [`ProtocolError::Server`], and the submit
+    /// after it asks for a reservation again.
     pub fn submit(&mut self, job: &rteaal_sched::Job) -> Result<u64, ProtocolError> {
         self.submit_wire(WireJob::from(job))
     }
@@ -600,43 +597,23 @@ impl ServeClient {
     }
 
     fn submit_wire(&mut self, job: WireJob) -> Result<u64, ProtocolError> {
-        if self.reserved.is_empty() && !self.unpipelined {
-            match self.call(&Request::reserve()) {
-                Ok(response) => {
-                    let first = response
-                        .id
-                        .ok_or(ProtocolError::MissingPayload { kind: "reserved" })?;
-                    self.reserved = first..first.saturating_add(RESERVE_BLOCK);
-                }
-                Err(ProtocolError::Server(_)) => self.unpipelined = true,
-                Err(error) => return Err(error),
-            }
-        }
-        let id = if self.unpipelined {
-            let response = self.call(&Request::submit(job))?;
-            response
+        if self.reserved.is_empty() {
+            let first = self
+                .call(&Request::reserve())?
                 .id
-                .ok_or(ProtocolError::MissingPayload { kind: "submitted" })?
-        } else {
-            self.usable()?;
-            let id = self.reserved.start;
-            self.reserved.start += 1;
-            Request::submit_reserved(job, id).encode(&mut self.outgoing);
-            self.outgoing.push('\n');
-            self.queued.push(id);
-            if self.outstanding == 0 || self.queued.len() >= PIPELINE_DEPTH {
-                self.flush()?;
-            }
-            id
-        };
-        self.outstanding += 1;
+                .ok_or(ProtocolError::MissingPayload { kind: "reserved" })?;
+            self.reserved = first..first.saturating_add(RESERVE_BLOCK);
+        }
+        self.usable()?;
+        let id = self.reserved.start;
+        self.reserved.start += 1;
+        Request::submit_reserved(job, id).encode(&mut self.outgoing);
+        self.outgoing.push('\n');
+        self.queued.push(id);
+        if self.queued.len() >= PIPELINE_DEPTH {
+            self.flush()?;
+        }
         Ok(id)
-    }
-
-    /// Hands a result to the caller: its job is no longer outstanding.
-    fn delivered(&mut self, r: WireResult) -> WireResult {
-        self.outstanding = self.outstanding.saturating_sub(1);
-        r
     }
 
     /// Non-blocking result check; `None` while the job is running.
@@ -646,11 +623,10 @@ impl ServeClient {
     /// Transport faults and server-side errors (e.g. an id this
     /// connection never submitted), as [`ProtocolError`].
     pub fn poll(&mut self, id: u64) -> Result<Option<WireResult>, ProtocolError> {
-        let r = match self.take_ready(id) {
-            Some(r) => Some(r),
-            None => self.call(&Request::poll(id))?.result,
-        };
-        Ok(r.map(|r| self.delivered(r)))
+        if let Some(r) = self.take_ready(id) {
+            return Ok(Some(r));
+        }
+        Ok(self.call(&Request::poll(id))?.result)
     }
 
     /// Blocks until the job finishes and returns its result.
@@ -659,14 +635,12 @@ impl ServeClient {
     ///
     /// Transport faults and server-side errors, as [`ProtocolError`].
     pub fn result(&mut self, id: u64) -> Result<WireResult, ProtocolError> {
-        let r = match self.take_ready(id) {
-            Some(r) => r,
-            None => self
-                .call(&Request::result(Some(id)))?
-                .result
-                .ok_or(ProtocolError::MissingPayload { kind: "result" })?,
-        };
-        Ok(self.delivered(r))
+        if let Some(r) = self.take_ready(id) {
+            return Ok(r);
+        }
+        self.call(&Request::result(Some(id)))?
+            .result
+            .ok_or(ProtocolError::MissingPayload { kind: "result" })
     }
 
     /// Blocks until *any* of this connection's outstanding jobs
@@ -680,17 +654,14 @@ impl ServeClient {
     /// Transport faults, and a server-side error when nothing is
     /// outstanding, as [`ProtocolError`].
     pub fn next_result(&mut self) -> Result<WireResult, ProtocolError> {
-        let r = match self.ready.pop_front() {
-            Some(r) => r,
-            None => {
-                let response = self.call(&Request::results(RESULT_BATCH))?;
-                self.ready.extend(response.more.into_iter().flatten());
-                response
-                    .result
-                    .ok_or(ProtocolError::MissingPayload { kind: "result" })?
-            }
-        };
-        Ok(self.delivered(r))
+        if let Some(r) = self.ready.pop_front() {
+            return Ok(r);
+        }
+        let response = self.call(&Request::results(RESULT_BATCH))?;
+        self.ready.extend(response.more.into_iter().flatten());
+        response
+            .result
+            .ok_or(ProtocolError::MissingPayload { kind: "result" })
     }
 
     /// Removes job `id` from the delivered-ahead buffer, if it is there.

@@ -491,14 +491,22 @@ impl ShardRouter {
                 }
                 let outcome = {
                     let p = &self.pending[&id];
-                    let client = self.shards[shard]
-                        .client
-                        .as_mut()
-                        .expect("placement picks live shards");
-                    match &p.design {
+                    let st = &mut self.shards[shard];
+                    let idle = st.inflight.is_empty();
+                    let client = st.client.as_mut().expect("placement picks live shards");
+                    let submitted = match &p.design {
                         Some(d) => client.submit_to(d, &p.job),
                         None => client.submit(&p.job),
-                    }
+                    };
+                    // The first job on an idle shard waits for its ack:
+                    // nothing else would tell a dead shard from a live
+                    // one before its result is asked for.
+                    submitted.and_then(|remote_id| {
+                        if idle {
+                            client.flush()?;
+                        }
+                        Ok(remote_id)
+                    })
                 };
                 match outcome {
                     Ok(remote_id) => {

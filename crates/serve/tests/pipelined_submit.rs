@@ -9,8 +9,8 @@ use rteaal_designs::Workload;
 use rteaal_kernels::{KernelConfig, KernelKind};
 use rteaal_sched::Job;
 use rteaal_serve::{
-    ChaosPlan, ChaosShard, Request, Response, ServeClient, ServeConfig, ServerPool, ShardConfig,
-    ShardRouter, SocketServer, Verb, WireJob,
+    ChaosPlan, ChaosShard, ProtocolError, Request, Response, ServeClient, ServeConfig, ServerPool,
+    ShardConfig, ShardRouter, SocketServer, Verb, WireJob,
 };
 use std::collections::HashSet;
 use std::io::{BufRead, BufReader, Write};
@@ -226,8 +226,8 @@ fn an_unstamped_submit_is_answered_byte_for_byte_as_before() {
 
 #[test]
 fn a_client_dropped_straight_after_submit_still_has_its_jobs_run() {
-    // The first submit is acknowledged at once; the other 62 are queued
-    // when the client drops, more bytes than the server reads at a time.
+    // All 63 submits are still queued when the client drops, more bytes
+    // than the server reads at a time.
     const JOBS: u64 = 63;
     let addr = serve(counter(), "done");
     let mut client = ServeClient::connect(addr).expect("connects");
@@ -342,75 +342,43 @@ fn a_line_that_ends_the_session_still_lets_the_burst_before_it_be_answered() {
     assert_eq!(reader.read_line(&mut answer).expect("a clean close"), 0);
 }
 
-/// What the fake server saw.
-#[derive(Debug, Default)]
-struct Seen {
-    reserves: usize,
-    stamped: usize,
-    /// Lines read with more of the client's bytes already waiting
-    /// behind them: sent before their answer came.
-    pipelined: usize,
-    lines: usize,
-}
-
-/// A server that does not know `reserve`: refuses it as a server that
-/// predates the verb would, and passes every other line to a real
-/// server, one exchange at a time.
-fn server_without_reserve(upstream: SocketAddr) -> (SocketAddr, mpsc::Receiver<Seen>) {
+#[test]
+fn a_refused_reserve_fails_the_submit_and_leaves_the_client_usable() {
+    // A server that refuses every line, and counts what it reads.
     let listener = TcpListener::bind("127.0.0.1:0").expect("binds");
     let addr = listener.local_addr().expect("addr");
-    let (tx, rx) = mpsc::channel();
+    let (lines_tx, lines) = mpsc::channel();
     std::thread::spawn(move || {
-        let (client, _) = listener.accept().expect("accepts");
-        let mut client_writer = client.try_clone().expect("clones");
-        let mut client_reader = BufReader::new(client);
-        let up = TcpStream::connect(upstream).expect("reaches upstream");
-        let mut up_writer = up.try_clone().expect("clones");
-        let mut up_reader = BufReader::new(up);
-        let mut seen = Seen::default();
+        let (stream, _) = listener.accept().expect("accepts");
+        let mut writer = stream.try_clone().expect("clones");
+        let mut reader = BufReader::new(stream);
+        let mut seen = Vec::new();
         let mut request = String::new();
-        while matches!(client_reader.read_line(&mut request), Ok(n) if n > 0) {
-            seen.lines += 1;
-            seen.pipelined += usize::from(!client_reader.buffer().is_empty());
-            let decoded = Request::decode(request.trim_end()).expect("a request");
-            let mut answer = String::new();
-            if decoded.verb == Verb::Reserve {
-                seen.reserves += 1;
-                answer.push_str(
-                    r#"{"ok":false,"kind":"error","error":"bad request: unknown verb `reserve`"}"#,
-                );
-                answer.push('\n');
-            } else {
-                seen.stamped += usize::from(decoded.verb == Verb::Submit && decoded.id.is_some());
-                up_writer.write_all(request.as_bytes()).expect("forwards");
-                up_reader.read_line(&mut answer).expect("upstream answers");
-            }
-            client_writer.write_all(answer.as_bytes()).expect("answers");
+        while matches!(reader.read_line(&mut request), Ok(n) if n > 0) {
+            seen.push(Request::decode(request.trim_end()).expect("a request").verb);
+            writer
+                .write_all(b"{\"ok\":false,\"kind\":\"error\",\"error\":\"no\"}\n")
+                .expect("answers");
             request.clear();
         }
-        let _ = tx.send(seen);
+        let _ = lines_tx.send(seen);
     });
-    (addr, rx)
-}
-
-#[test]
-fn against_a_server_that_refuses_reserve_every_submit_takes_its_own_round_trip() {
-    const JOBS: u64 = 20;
-    let (addr, seen) = server_without_reserve(serve(counter(), "done"));
     let mut client = ServeClient::connect(addr).expect("connects");
-    let mut ids = HashSet::new();
-    for n in 0..JOBS {
-        assert!(ids.insert(client.submit(&count_job(1 + n % 5)).expect("submits")));
-    }
-    for _ in 0..JOBS {
-        let r = client.next_result().expect("streams a result");
-        assert!(ids.remove(&r.id) && r.completed(), "{r:?}");
+    for _ in 0..2 {
+        match client.submit(&count_job(1)) {
+            Err(ProtocolError::Server(reason)) => assert_eq!(reason, "no"),
+            other => panic!("expected the server's refusal, got {other:?}"),
+        }
     }
     drop(client);
-    let seen = seen.recv().expect("the fake server reports");
-    assert_eq!(seen.reserves, 1, "{seen:?}");
-    assert_eq!((seen.stamped, seen.pipelined), (0, 0), "{seen:?}");
-    assert!(seen.lines > JOBS as usize, "{seen:?}");
+    let seen = lines
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the server sees the connection close");
+    assert_eq!(
+        seen,
+        [Verb::Reserve, Verb::Reserve],
+        "each submit asked for a reservation, and none was sent"
+    );
 }
 
 #[test]

@@ -107,7 +107,7 @@ impl MetricsRegistry {
     }
 
     /// A registry whose event ring holds at most `capacity` events.
-    pub fn with_event_capacity(capacity: usize) -> MetricsRegistry {
+    fn with_event_capacity(capacity: usize) -> MetricsRegistry {
         MetricsRegistry {
             epoch: Instant::now(),
             counters: Mutex::new(Vec::new()),

@@ -94,7 +94,7 @@ impl Fiber {
     }
 
     /// The payload at a coordinate.
-    pub fn payload_at(&self, coord: usize) -> Option<&Payload> {
+    fn payload_at(&self, coord: usize) -> Option<&Payload> {
         self.entries.get(&coord)
     }
 
@@ -128,7 +128,7 @@ impl Fiber {
     /// # Panics
     ///
     /// Panics if `coord` is outside the shape.
-    pub fn set_fiber(&mut self, coord: usize, fiber: Fiber) {
+    fn set_fiber(&mut self, coord: usize, fiber: Fiber) {
         assert!(
             coord < self.shape,
             "coordinate {coord} outside shape {}",
@@ -240,18 +240,13 @@ impl Tensor {
     }
 
     /// Number of ranks.
-    pub fn num_ranks(&self) -> usize {
+    fn num_ranks(&self) -> usize {
         self.rank_names.len()
     }
 
     /// The root fiber.
     pub fn root(&self) -> &Fiber {
         &self.root
-    }
-
-    /// Mutable root fiber (for constructing deeper trees by hand).
-    pub fn root_mut(&mut self) -> &mut Fiber {
-        &mut self.root
     }
 
     /// Reads the scalar at a full coordinate tuple; `None` when any level

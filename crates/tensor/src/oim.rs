@@ -385,11 +385,6 @@ impl OimSwizzled {
         self.group_offsets[g] as usize..self.group_offsets[g + 1] as usize
     }
 
-    /// Number of ops of type `n` in `layer`.
-    pub fn group_len(&self, layer: usize, n: u16) -> usize {
-        self.n_payloads[layer * NUM_OPCODES + n as usize] as usize
-    }
-
     /// Random access to op `k` in grouped traversal order.
     pub fn op_at(&self, k: usize) -> (u32, &[u32], &OpMeta) {
         let (lo, hi) = (self.r_offsets[k] as usize, self.r_offsets[k + 1] as usize);
@@ -490,7 +485,10 @@ circuit Mixed :
             let mut total = 0;
             for n in 0..NUM_OPCODES as u16 {
                 let range = oim.group(i, n);
-                assert_eq!(range.len(), oim.group_len(i, n));
+                assert_eq!(
+                    range.len(),
+                    oim.n_payloads[i * NUM_OPCODES + n as usize] as usize
+                );
                 total += range.len();
             }
             assert_eq!(total, layer.len());
