@@ -128,10 +128,16 @@ impl Simulation {
     /// Reads any probed signal — output ports, registers, inputs, or named
     /// internal nodes (the XMR front door, §6.2).
     pub fn peek(&self, name: &str) -> Option<u64> {
-        if let Some((slot, _, _)) = self.signals.probe(name) {
-            return Some(self.kernel.slot(slot));
+        self.slot_of(name).map(|slot| self.kernel.slot(slot))
+    }
+
+    /// The slot [`Simulation::peek`] reads for `name`: a probe's, else
+    /// an output port's.
+    fn slot_of(&self, name: &str) -> Option<u32> {
+        match self.signals.probe(name) {
+            Some((slot, _, _)) => Some(slot),
+            None => self.kernel.output_slot(name),
         }
-        self.kernel.output_by_name(name)
     }
 
     /// Advances one clock cycle (and records waveform changes if enabled).
@@ -216,10 +222,12 @@ impl<'sim> DebugModule<'sim> {
     }
 
     /// Runs the DUT until `signal` becomes nonzero or `max_cycles`
-    /// elapse; returns the cycle count if the condition was met.
+    /// elapse; returns the cycle count if the condition was met. The
+    /// name is resolved once; an unknown one never becomes nonzero.
     pub fn run_until(&mut self, signal: &str, max_cycles: u64) -> Option<u64> {
+        let slot = self.sim.slot_of(signal);
         for _ in 0..max_cycles {
-            if self.sim.peek(signal).unwrap_or(0) != 0 {
+            if slot.is_some_and(|slot| self.sim.kernel.slot(slot) != 0) {
                 return Some(self.sim.cycle());
             }
             self.sim.step();
@@ -285,6 +293,40 @@ circuit S :
         let cycle = dmi.run_until("big", 20).expect("condition reached");
         assert!(cycle <= 10);
         assert!(s.peek("acc").unwrap() > 100);
+    }
+
+    #[test]
+    fn run_until_an_unknown_signal_runs_out_its_cycles() {
+        let mut s = sim(KernelKind::Psu);
+        s.poke("x", 1).unwrap();
+        let mut dmi = DebugModule::new(&mut s);
+        assert_eq!(dmi.run_until("ghost", 7), None);
+        assert_eq!(s.cycle(), 7);
+        assert_eq!(s.peek("acc"), Some(7));
+    }
+
+    #[test]
+    fn run_until_stops_where_a_peek_loop_stops() {
+        // Output ports and internal probes, on every kernel kind.
+        for kind in rteaal_kernels::ALL_KERNELS {
+            for signal in ["big", "acc", "out", "sum"] {
+                let mut a = sim(kind);
+                let mut b = sim(kind);
+                a.poke("x", 9).unwrap();
+                b.poke("x", 9).unwrap();
+                let mut by_peek = None;
+                for _ in 0..30 {
+                    if b.peek(signal).unwrap_or(0) != 0 {
+                        by_peek = Some(b.cycle());
+                        break;
+                    }
+                    b.step();
+                }
+                let got = DebugModule::new(&mut a).run_until(signal, 30);
+                assert_eq!(got, by_peek, "{kind:?} {signal}");
+                assert_eq!(a.cycle(), b.cycle(), "{kind:?} {signal}");
+            }
+        }
     }
 
     #[test]

@@ -107,9 +107,9 @@ impl Kernel {
         self.state.output(idx)
     }
 
-    /// Output value by port name.
-    pub fn output_by_name(&self, name: &str) -> Option<u64> {
-        self.state.output_by_name(name)
+    /// The slot of the output port `name`.
+    pub fn output_slot(&self, name: &str) -> Option<u32> {
+        self.state.output_slot(name)
     }
 
     /// Reads a slot (probes / waveforms / DMI peek).

@@ -36,17 +36,26 @@
 //!   groups of format (c), the `N` rank read compressed, dispatching once
 //!   per group into a loop specialized for that opcode and arity over one
 //!   packed `OpRecord` per op. Their wall-clock rates read alike.
+//!   That walk does only what the paper's loop does: `LI` is bounds
+//!   checked once per `step` (every slot a record or chain names was
+//!   checked against the plan at compile time), a group whose results are
+//!   all unsigned or 64 bits wide canonicalizes by the mask alone (the
+//!   sign-extending shift pair only runs in a group that holds a signed
+//!   narrower op), and a mux chain reads its operands from `LI` in
+//!   priority order and stops at the first true condition.
 //! - Modeled only: RU's `sel_inputs` staging traffic (RU and OU both
 //!   stage operands in a stack array), everything that tells NU, PSU and
 //!   IU apart — the scan of the uncompressed `N` rank (all 40 counts of
 //!   every layer, which NU/PSU account and IU does not), PSU's 8×/24×
 //!   partial unrolling (back-edge accounting), the per-group code bodies
-//!   of IU — and the `-O0` analog's spills.
+//!   of IU — and the `-O0` analog's spills. The model still loads every
+//!   operand of a mux chain, in order, where the walk stops at the first
+//!   true condition.
 
 use crate::config::{KernelConfig, KernelKind, OptLevel};
 use crate::profile::{li_addr, oim_addr, OimArray, Probe, CODE_BASE, HANDLER_BYTES};
 use crate::state::{eval_staged, Canon, LiState, MAX_FIXED_ARITY};
-use rteaal_dfg::op::{eval_raw, DfgOp, ALL_OPS, NUM_OPCODES};
+use rteaal_dfg::op::{eval_raw, DfgOp, OpClass, ALL_OPS, NUM_OPCODES};
 use rteaal_dfg::SimPlan;
 use rteaal_tensor::oim::{OimOptimized, OimSwizzled, OpMeta};
 use std::ops::Range;
@@ -120,6 +129,9 @@ struct Group {
     len: u32,
     /// Start of the group's operand run in `r_coords`.
     r_base: u32,
+    /// Every record of the group has `shift == 0`: its loop canonicalizes
+    /// by the mask alone.
+    mask_only: bool,
 }
 
 /// One op of format (c) as the grouped walk reads it: output slot,
@@ -140,6 +152,24 @@ struct OpRecord {
 
 const _: () = assert!(std::mem::size_of::<OpRecord>() <= 32);
 
+impl OpRecord {
+    /// The result canonicalized by the record's pair; `MASK_ONLY` (the
+    /// record's group has no signed op narrower than 64 bits) leaves out
+    /// the shift pair, a no-op at shift 0.
+    #[inline(always)]
+    fn canon<const MASK_ONLY: bool>(&self, raw: u64) -> u64 {
+        if MASK_ONLY {
+            raw & self.mask
+        } else {
+            Canon {
+                mask: self.mask,
+                shift: self.shift as u32,
+            }
+            .apply(raw)
+        }
+    }
+}
+
 /// A compiled rolled kernel.
 #[derive(Debug, Clone)]
 pub struct RolledKernel {
@@ -152,6 +182,9 @@ pub struct RolledKernel {
     schedule: Vec<Group>,
     /// One record per op of format (c), in traversal order.
     records: Vec<OpRecord>,
+    /// The plan's slot count: every slot a record or a mux chain of
+    /// format (c) names is below it (checked by `compile`).
+    num_slots: usize,
     /// Distinct opcodes used (handler footprint).
     used_opcodes: usize,
     /// Each op's result canonicalization in format (b)'s traversal order
@@ -165,10 +198,13 @@ impl RolledKernel {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg.kind` is SU or TI (see `crate::unrolled`), or if a
+    /// Panics if `cfg.kind` is SU or TI (see `crate::unrolled`), if a
+    /// layer holds a source op (input, register state, constant), a
     /// fixed-arity op carries another operand count or a static parameter
-    /// that does not fit its record field (the plan verifier rejects such
-    /// plans; the per-type loops index operands by arity).
+    /// that does not fit its record field, a mux chain has no operand, or
+    /// an op names a slot past the plan's `num_slots` (the plan verifier
+    /// rejects such plans; the per-type loops index operands by arity and
+    /// read and write `LI` unchecked).
     pub fn compile(plan: &SimPlan, cfg: KernelConfig) -> Self {
         assert!(
             !cfg.kind.is_unrolled(),
@@ -177,9 +213,14 @@ impl RolledKernel {
         let mut used = [false; NUM_OPCODES];
         for op in plan.layers.iter().flatten() {
             used[op.n as usize] = true;
+            assert!(
+                op.op().class() != OpClass::Source,
+                "source op `{}` in a layer",
+                op.op()
+            );
             let arity = op.op().arity();
             assert!(
-                arity.is_none() || arity == Some(op.ins.len()),
+                arity.map_or(!op.ins.is_empty(), |a| a == op.ins.len()),
                 "`{}` with {} operands",
                 op.op(),
                 op.ins.len()
@@ -191,6 +232,7 @@ impl RolledKernel {
             oim_c: None,
             schedule: Vec::new(),
             records: Vec::new(),
+            num_slots: plan.num_slots,
             used_opcodes: used.iter().filter(|&&u| u).count(),
             canon: Vec::new(),
         };
@@ -202,17 +244,12 @@ impl RolledKernel {
             return kernel;
         }
         let oim = OimSwizzled::from_plan(plan);
-        for (index, bounds) in oim.group_offsets.windows(2).enumerate() {
-            if bounds[0] < bounds[1] {
-                kernel.schedule.push(Group {
-                    op: ALL_OPS[index % NUM_OPCODES],
-                    index: index as u32,
-                    start: bounds[0],
-                    len: bounds[1] - bounds[0],
-                    r_base: oim.r_offsets[bounds[0] as usize],
-                });
-            }
-        }
+        let in_plan = |s: &u32| (*s as usize) < plan.num_slots;
+        assert!(
+            oim.s_coords.iter().chain(&oim.r_coords).all(in_plan),
+            "an op names a slot past the plan's {}",
+            plan.num_slots
+        );
         let narrow = |p: u64| u8::try_from(p).expect("static parameter fits its record field");
         kernel.records = (0..oim.num_ops())
             .map(|k| {
@@ -227,6 +264,19 @@ impl RolledKernel {
                 }
             })
             .collect();
+        for (index, bounds) in oim.group_offsets.windows(2).enumerate() {
+            let records = &kernel.records[bounds[0] as usize..bounds[1] as usize];
+            if !records.is_empty() {
+                kernel.schedule.push(Group {
+                    op: ALL_OPS[index % NUM_OPCODES],
+                    index: index as u32,
+                    start: bounds[0],
+                    len: bounds[1] - bounds[0],
+                    r_base: oim.r_offsets[bounds[0] as usize],
+                    mask_only: records.iter().all(|rec| rec.shift == 0),
+                });
+            }
+        }
         kernel.oim_c = Some(oim);
         kernel
     }
@@ -363,8 +413,17 @@ impl RolledKernel {
     /// uncompressed rank and run every group of a type through its shared
     /// handler; IU accounts no scan and gives each group its own body;
     /// `s_unroll` amortizes the per-op loop overhead (1 = NU).
+    ///
+    /// `LI` is bounds checked here, once: past the assert the loops read
+    /// and write it unchecked.
     fn step_grouped<P: Probe>(&self, st: &mut LiState, probe: &mut P) {
         let oim = self.oim_c.as_ref().expect("NU/PSU/IU use format (c)");
+        assert!(
+            st.li.len() >= self.num_slots,
+            "`LI` holds {} slots; the kernel addresses {}",
+            st.li.len(),
+            self.num_slots
+        );
         let scans = self.cfg.kind != KernelKind::Iu;
         let s_unroll = match self.cfg.kind {
             KernelKind::Nu => 1,
@@ -383,14 +442,26 @@ impl RolledKernel {
             let first = group.start as usize;
             let records = &self.records[first..first + group.len as usize];
             // Each arm passes its opcode as a literal into an inlined
-            // loop, so `eval_raw`'s match folds away inside every body.
+            // loop, so `eval_raw`'s match folds away inside every body;
+            // each opcode has a mask-only body and a general one.
             macro_rules! per_type {
                 ($($arity:literal: $($op:ident)|+;)+) => {
-                    match group.op {
-                        $($(DfgOp::$op => {
-                            self.fixed_loop::<$arity, P>(st, probe, DfgOp::$op, group, records, code, s_unroll)
-                        })+)+
-                        _ => self.chain_loop(oim, st, probe, group, records, code, s_unroll),
+                    match (group.op, group.mask_only) {
+                        $($(
+                            (DfgOp::$op, true) => self.fixed_loop::<$arity, true, P>(
+                                st, probe, DfgOp::$op, group, records, code, s_unroll,
+                            ),
+                            (DfgOp::$op, false) => self.fixed_loop::<$arity, false, P>(
+                                st, probe, DfgOp::$op, group, records, code, s_unroll,
+                            ),
+                        )+)+
+                        (DfgOp::MuxChain, true) => {
+                            self.chain_loop::<true, P>(oim, st, probe, group, records, code, s_unroll)
+                        }
+                        (DfgOp::MuxChain, false) => {
+                            self.chain_loop::<false, P>(oim, st, probe, group, records, code, s_unroll)
+                        }
+                        _ => unreachable!("`compile` admits no source op into a layer"),
                     }
                 };
             }
@@ -425,10 +496,11 @@ impl RolledKernel {
 
     /// One type's `S` loop at fixed arity `A` over the group's records;
     /// the model addresses operand `o` of the `j`-th op where format (c)
-    /// keeps it, at `r_coords[r_base + A * j + o]`.
+    /// keeps it, at `r_coords[r_base + A * j + o]`. `MASK_ONLY` is the
+    /// group's flag.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
-    fn fixed_loop<const A: usize, P: Probe>(
+    fn fixed_loop<const A: usize, const MASK_ONLY: bool, P: Probe>(
         &self,
         st: &mut LiState,
         probe: &mut P,
@@ -456,23 +528,29 @@ impl RolledKernel {
                 probe.load(oim_addr(OimArray::RCoords, r_base + A * j + o, 4));
                 probe.load(li_addr(r));
                 self.spill(probe, o);
-                *v = st.li[r as usize];
+                // SAFETY: `compile` checked every operand slot against
+                // `num_slots`, and `step_grouped` asserted `LI` holds
+                // that many.
+                *v = unsafe { *st.li.get_unchecked(r as usize) };
             }
             probe.exec(code.exec, cost);
             let params = rec.params.map(u64::from);
             let raw = eval_raw(op, &params[..param_count(op)], &ins);
-            let (mask, shift) = (rec.mask, rec.shift as u32);
-            let v = Canon { mask, shift }.apply(raw);
+            let v = rec.canon::<MASK_ONLY>(raw);
             probe.store(li_addr(rec.s));
             self.o0_result(probe, code.result);
-            st.li[rec.s as usize] = v;
+            // SAFETY: as for the operands: the output slot was checked by
+            // `compile` against `num_slots`, asserted held by `LI`.
+            unsafe { *st.li.get_unchecked_mut(rec.s as usize) = v };
         }
     }
 
     /// The variable-arity `S` loop (mux chains): operand runs located
-    /// through `r_offsets`, staged in the state's scratch buffer.
+    /// through `r_offsets`, read from `LI` in priority order up to the
+    /// first true condition. The model loads every operand first, as
+    /// staging them would.
     #[allow(clippy::too_many_arguments)]
-    fn chain_loop<P: Probe>(
+    fn chain_loop<const MASK_ONLY: bool, P: Probe>(
         &self,
         oim: &OimSwizzled,
         st: &mut LiState,
@@ -492,21 +570,50 @@ impl RolledKernel {
             probe.load(oim_addr(OimArray::Meta, k, 24)); // the per-op operand count
             let (r_base, r_end) = (oim.r_offsets[k] as usize, oim.r_offsets[k + 1] as usize);
             let rs = &oim.r_coords[r_base..r_end];
-            let li = &st.li;
-            let raw = eval_staged(op, &[], rs.len(), &mut st.scratch, |o| {
+            for (o, &r) in rs.iter().enumerate() {
                 probe.load(oim_addr(OimArray::RCoords, r_base + o, 4));
-                probe.load(li_addr(rs[o]));
+                probe.load(li_addr(r));
                 self.spill(probe, o);
-                li[rs[o] as usize]
-            });
+            }
+            // SAFETY: `group.op` is `MuxChain` (`step_grouped`'s match),
+            // and `compile` checked that a chain has operands and that
+            // every slot in `r_coords` is below `num_slots`;
+            // `step_grouped` asserted `LI` holds that many.
+            let raw = unsafe { chain_select(&st.li, rs) };
             probe.exec(code.exec, exec_cost(op, rs.len()) * self.o0_mul());
-            let (mask, shift) = (rec.mask, rec.shift as u32);
-            let v = Canon { mask, shift }.apply(raw);
+            let v = rec.canon::<MASK_ONLY>(raw);
             probe.store(li_addr(rec.s));
             self.o0_result(probe, code.result);
-            st.li[rec.s as usize] = v;
+            // SAFETY: the output slot was checked by `compile` against
+            // `num_slots`, asserted held by `LI` in `step_grouped`.
+            unsafe { *st.li.get_unchecked_mut(rec.s as usize) = v };
         }
     }
+}
+
+/// `eval_raw`'s mux chain over the operand slots `rs` (`[c0, v0, c1, v1,
+/// …, default]`), read from `li` in priority order: the value of the
+/// first nonzero condition, else the default — nothing is staged, and no
+/// operand past the first true condition is read.
+///
+/// # Safety
+///
+/// `rs` is not empty and every slot in it is below `li.len()`.
+#[inline(always)]
+unsafe fn chain_select(li: &[u64], rs: &[u32]) -> u64 {
+    // SAFETY: `rs` is not empty (the caller's contract).
+    let (&default, pairs) = unsafe { rs.split_last().unwrap_unchecked() };
+    for pair in pairs.chunks_exact(2) {
+        // SAFETY: every slot of `rs` is below `li.len()` (the caller's
+        // contract).
+        unsafe {
+            if *li.get_unchecked(pair[0] as usize) != 0 {
+                return *li.get_unchecked(pair[1] as usize);
+            }
+        }
+    }
+    // SAFETY: as for the pairs.
+    unsafe { *li.get_unchecked(default as usize) }
 }
 
 /// Real static-parameter count of an op (the meta table stores two slots).
@@ -736,6 +843,58 @@ circuit Big :
         let bits = ops.find(|op| op.op() == DfgOp::Bits).unwrap();
         bits.params[0] = 300;
         RolledKernel::compile(&p, KernelConfig::new(KernelKind::Psu));
+    }
+
+    /// What stepping `kernel` over `st` panics with.
+    fn refusal(kernel: &RolledKernel, mut st: LiState) -> String {
+        let stepped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            kernel.step(&mut st, &mut NoProbe)
+        }));
+        let payload = stepped.expect_err("the step was refused");
+        payload.downcast::<String>().map(|m| *m).unwrap_or_default()
+    }
+
+    #[test]
+    fn a_state_too_small_for_the_plan_is_refused_before_any_access() {
+        // `li` is a public field: only `step` can check it, once.
+        let big = plan_of(&big_design());
+        let small = plan_of(DESIGN);
+        for kind in [KernelKind::Nu, KernelKind::Psu, KernelKind::Iu] {
+            let kernel = RolledKernel::compile(&big, KernelConfig::new(kind));
+            let other_plan = refusal(&kernel, LiState::new(&small));
+            let want = format!("`LI` holds {} slots; the kernel addresses", small.num_slots);
+            assert!(other_plan.starts_with(&want), "{kind:?}: {other_plan}");
+            let mut truncated = LiState::new(&big);
+            truncated.li.pop();
+            let message = refusal(&kernel, truncated);
+            let want = format!(
+                "`LI` holds {} slots; the kernel addresses",
+                big.num_slots - 1
+            );
+            assert!(message.starts_with(&want), "{kind:?}: {message}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "source op `const` in a layer")]
+    fn a_source_op_in_a_layer_does_not_compile() {
+        // A constant has arity 0, so the operand-count check alone would
+        // let it reach the walk, which only handles computing ops.
+        let mut p = plan_of(DESIGN);
+        let op = p.layers.iter_mut().flatten().next().unwrap();
+        op.n = DfgOp::Const.n_coord();
+        op.ins.clear();
+        op.params = vec![0];
+        RolledKernel::compile(&p, KernelConfig::new(KernelKind::Psu));
+    }
+
+    #[test]
+    #[should_panic(expected = "names a slot past the plan's")]
+    fn an_operand_past_the_plan_does_not_compile() {
+        let mut p = plan_of(DESIGN);
+        let op = p.layers.iter_mut().flatten().next().unwrap();
+        op.ins[0] = p.num_slots as u32;
+        RolledKernel::compile(&p, KernelConfig::new(KernelKind::Iu));
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! Shared runtime state for all kernels: the `LI` slot array, input
 //! binding, register commit, and output reads — plus the two helpers
-//! every scalar executor (the seven kernels and both baselines) evaluates
-//! an operation through: operand staging ([`eval_staged`]) and result
-//! canonicalization ([`Canon`]).
+//! the scalar executors evaluate an operation through: operand staging
+//! ([`eval_staged`]: RU/OU, SU/TI and both baselines; the grouped walk of
+//! NU/PSU/IU reads operands straight from `LI`) and result
+//! canonicalization ([`Canon`], or its mask alone where the executor
+//! knows at compile time that the shift pair is a no-op).
 
 use crate::profile::{li_addr, Probe, CODE_BASE};
 use rteaal_dfg::op::{canonicalize, eval_raw, DfgOp};
@@ -37,6 +39,19 @@ impl Canon {
     #[inline(always)]
     pub fn apply(self, raw: u64) -> u64 {
         (((raw & self.mask) << self.shift) as i64 >> self.shift) as u64
+    }
+
+    /// Whether [`Canon::apply`] is the mask alone (shift 0: an unsigned
+    /// or a 64-bit type), so an executor can pick [`Canon::apply_mask`]
+    /// for the op when it compiles it.
+    pub fn is_mask_only(self) -> bool {
+        self.shift == 0
+    }
+
+    /// [`Canon::apply`] for a pair whose shift is 0: the mask alone.
+    #[inline(always)]
+    pub fn apply_mask(self, raw: u64) -> u64 {
+        raw & self.mask
     }
 }
 
@@ -77,6 +92,9 @@ pub struct LiState {
     input_types: Vec<(u8, bool)>,
     output_slots: Vec<(String, u32)>,
     commits: Vec<(u32, u32)>,
+    /// One past the highest slot `commits` names: `commit` asserts `li`
+    /// holds that many, then reads and writes it unchecked.
+    commit_span: usize,
     commit_buf: Vec<u64>,
     /// Operand staging for variable-arity ops (sized to the plan's
     /// widest op, so `step` never allocates).
@@ -97,6 +115,12 @@ impl LiState {
             input_types: plan.input_types.clone(),
             output_slots: plan.output_slots.clone(),
             commits: plan.commits.clone(),
+            commit_span: plan
+                .commits
+                .iter()
+                .map(|&(dst, src)| dst.max(src) as usize + 1)
+                .max()
+                .unwrap_or(0),
             commit_buf: vec![0; plan.commits.len()],
             scratch: vec![0; widest_op],
             cycle: 0,
@@ -125,12 +149,12 @@ impl LiState {
         self.li[self.output_slots[idx].1 as usize]
     }
 
-    /// Output value by port name.
-    pub fn output_by_name(&self, name: &str) -> Option<u64> {
+    /// The slot of the output port `name`.
+    pub fn output_slot(&self, name: &str) -> Option<u32> {
         self.output_slots
             .iter()
             .find(|(n, _)| n == name)
-            .map(|(_, s)| self.li[*s as usize])
+            .map(|&(_, s)| s)
     }
 
     /// Reads an arbitrary slot (probe / waveform path).
@@ -156,19 +180,33 @@ impl LiState {
     /// `unroll` amortizes the loop-overhead accounting (PSU unrolls this
     /// loop 24×, §5.2); `code_addr` locates the loop in the code-space
     /// model.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `li` was shortened below a slot the plan commits.
     #[inline]
     pub fn commit<P: Probe>(&mut self, probe: &mut P, unroll: usize, code_addr: u64) {
+        assert!(
+            self.li.len() >= self.commit_span,
+            "`li` holds {} slots; the commit list addresses {}",
+            self.li.len(),
+            self.commit_span
+        );
         let unroll = unroll.max(1);
-        for (k, &(_, src)) in self.commits.iter().enumerate() {
+        let pairs = self.commit_buf.iter_mut().zip(&self.commits);
+        for (k, (buf, &(_, src))) in pairs.enumerate() {
             probe.load(li_addr(src));
-            self.commit_buf[k] = self.li[src as usize];
+            // SAFETY: `src` is below `commit_span`, and `li` holds that
+            // many slots (asserted above).
+            *buf = unsafe { *self.li.get_unchecked(src as usize) };
             if k % unroll == 0 {
                 probe.branch(code_addr);
             }
         }
-        for (k, &(dst, _)) in self.commits.iter().enumerate() {
+        for (k, (&v, &(dst, _))) in self.commit_buf.iter().zip(&self.commits).enumerate() {
             probe.store(li_addr(dst));
-            self.li[dst as usize] = self.commit_buf[k];
+            // SAFETY: as for the sources: `dst` is below `commit_span`.
+            unsafe { *self.li.get_unchecked_mut(dst as usize) = v };
             if k % unroll == 0 {
                 probe.branch(code_addr + 64);
             }
@@ -217,9 +255,19 @@ circuit S :
         st.poke_slot(p.commits[0].0, 3);
         st.poke_slot(p.commits[1].0, 9);
         st.commit(&mut NoProbe, 1, LiState::commit_code_addr());
-        assert_eq!(st.output_by_name("oa"), Some(9));
-        assert_eq!(st.output_by_name("ob"), Some(3));
+        let output = |name: &str| st.output_slot(name).map(|s| st.slot(s));
+        assert_eq!(output("oa"), Some(9));
+        assert_eq!(output("ob"), Some(3));
+        assert_eq!(st.output_slot("ghost"), None);
         assert_eq!(st.cycle(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "`li` holds 1 slots; the commit list addresses 2")]
+    fn commit_refuses_a_truncated_li() {
+        let (_, mut st) = state_of(SWAP);
+        st.li.truncate(1);
+        st.commit(&mut NoProbe, 1, LiState::commit_code_addr());
     }
 
     #[test]

@@ -284,14 +284,22 @@ fn inst(op: DfgOp, out: u32, ins: &[u32], width: u8, signed: bool, seed: &mut u6
 /// store — against `PlanSim`, every slot, every cycle.
 fn assert_grouped_kernels_match_slot_for_slot(plan: &SimPlan, what: &str) {
     let mut seed = 0xface_u64;
+    let inputs = (0..6)
+        .map(|cycle| (0..INPUTS).map(|_| stimulus(cycle, &mut seed)).collect())
+        .collect();
+    assert_grouped_kernels_match_under(plan, what, inputs);
+}
+
+/// [`assert_grouped_kernels_match_slot_for_slot`] with the inputs of
+/// every cycle given.
+fn assert_grouped_kernels_match_under(plan: &SimPlan, what: &str, inputs: Vec<Vec<u64>>) {
     let mut golden = PlanSim::new(plan);
     let mut kernels: Vec<Kernel> = all_configs()
         .filter(|c| c.kind.is_swizzled())
         .map(|c| Kernel::compile(plan, c))
         .collect();
     assert_eq!(kernels.len(), 6);
-    for cycle in 0..6 {
-        let ins: Vec<u64> = (0..INPUTS).map(|_| stimulus(cycle, &mut seed)).collect();
+    for (cycle, ins) in inputs.into_iter().enumerate() {
         for (i, &v) in ins.iter().enumerate() {
             golden.set_input(i, v);
         }
@@ -425,4 +433,98 @@ fn signed_results_at_every_width_reach_their_readers_sign_extended() {
     }
     let plan = plan_of(vec![first, second], &[next - 1, INPUTS]);
     assert_grouped_kernels_match_slot_for_slot(&plan, "signed widths");
+}
+
+#[test]
+fn a_group_of_signed_and_unsigned_ops_takes_the_general_body() {
+    // One layer: per opcode, every width signed and unsigned in one
+    // group (a signed op narrower than 64 bits makes it general), beside
+    // an all-unsigned group and an all-64-bit signed one (mask-only);
+    // then readers that tell a sign-extended operand from a masked one.
+    let mut seed = 4;
+    let mut first = Vec::new();
+    let mut next = INPUTS;
+    let mut push = |layer: &mut Vec<OpInst>, op, width, signed, seed: &mut u64| {
+        let ins: Vec<u32> = (0..3).map(|o| (next + o) % INPUTS).collect();
+        layer.push(inst(op, next, &ins, width, signed, seed));
+        next += 1;
+    };
+    for op in [DfgOp::Add, DfgOp::Neg, DfgOp::Mux, DfgOp::Shr, DfgOp::Bits] {
+        for width in WIDTHS {
+            for signed in [false, true] {
+                push(&mut first, op, width, signed, &mut seed);
+            }
+        }
+    }
+    for width in WIDTHS {
+        push(&mut first, DfgOp::Sub, width, false, &mut seed);
+    }
+    for _ in 0..3 {
+        push(&mut first, DfgOp::Mul, 64, true, &mut seed);
+    }
+    let mut second = Vec::new();
+    for (k, producer) in first.iter().enumerate() {
+        let op = [DfgOp::Lts, DfgOp::Dshr, DfgOp::Ges, DfgOp::Resize][k % 4];
+        second.push(inst(
+            op,
+            next,
+            &[producer.out, 0],
+            64,
+            k % 3 == 0,
+            &mut seed,
+        ));
+        next += 1;
+    }
+    let plan = plan_of(vec![first, second], &[next - 1, INPUTS]);
+    assert_grouped_kernels_match_slot_for_slot(&plan, "mixed signedness");
+}
+
+#[test]
+fn mux_chains_stop_at_their_first_true_condition() {
+    // Chains over the inputs `[c0, v0, c1, v1, c2, v2, c3, v3, default]`
+    // and a one-pair `[c0, v0, default]`, at widths 1, 32 and 64, signed
+    // and unsigned; unsigned chains share a mask-only layer, signed ones
+    // a general one. The cycles make the first, a middle, the last or no
+    // condition true, with a condition true only in its sign bit, before
+    // random cycles.
+    let mut seed = 5;
+    let all: Vec<u32> = (0..INPUTS).collect();
+    let mut layers = Vec::new();
+    let mut next = INPUTS;
+    for signed in [false, true] {
+        let mut layer = Vec::new();
+        for width in [1, 32, 64] {
+            for ins in [&all[..], &[0, 1, 8]] {
+                layer.push(inst(DfgOp::MuxChain, next, ins, width, signed, &mut seed));
+                next += 1;
+            }
+        }
+        layers.push(layer);
+    }
+    let conditions: [[u64; 4]; 5] = [
+        [1, 1, 1, 1],
+        [0, 0, 1 << 63, 1],
+        [0, 0, 0, 3],
+        [0, 0, 0, 0],
+        [1 << 63, 0, 0, 0],
+    ];
+    let mut inputs: Vec<Vec<u64>> = conditions
+        .iter()
+        .map(|conds| {
+            let mut ins: Vec<u64> = (0..INPUTS).map(|_| mix(&mut seed)).collect();
+            for (k, &c) in conds.iter().enumerate() {
+                ins[2 * k] = c;
+            }
+            ins
+        })
+        .collect();
+    for _ in 0..3 {
+        inputs.push(
+            (0..INPUTS)
+                .map(|_| mix(&mut seed) & mix(&mut seed))
+                .collect(),
+        );
+    }
+    let plan = plan_of(layers, &[next - 1, INPUTS]);
+    assert_grouped_kernels_match_under(&plan, "chain priority", inputs);
 }

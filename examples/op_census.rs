@@ -17,26 +17,29 @@
 //! much of format (c)'s `N` rank is occupied — `(layer, type)` groups with
 //! an op, of layers × 40 — how many ops a group holds, and the step of
 //! NU, PSU and IU per cycle, per group and per op (one walk, so the three
-//! read alike). Then every `CompiledOp` of a design is grouped by opcode
-//! and timed over a live 64-lane `LI` image: op count, share of the
-//! summed walk, ns per op and per op-lane; then the plan-order walk —
-//! the order the engine walks, whatever the kernel kind — against a whole
-//! `step` (the rest is the stimulus and the commit; the two are timed
-//! apart, so a few percent either way is noise) — in the plan's own lane
-//! type, and for a narrow plan also forced onto `u64` rows, which splits
-//! what the smaller plan buys from what the narrower rows buy. Last, the
-//! one-thread step over the plan and over the copy `BatchSimulation` runs
-//! (the plan in emission order, walked depth-first), timed in interleaved
-//! blocks on a live image, with the median distance in ops from a value's
-//! producer to its readers under each numbering; and the step of that copy
-//! at 1, 2, 4, 5, 7, 8, 16 and 64 live lanes, with the entry of the lane
-//! kernels each window takes (whole chunks or any window) — the crossover
-//! table a few-lane window is judged by. Then the pair census of that
-//! copy, what fused op pairs would have to work with: every two ops
-//! adjacent in the walk where the second reads the first, grouped by
-//! (producer, consumer, operand), and how many such pairs a greedy pass
-//! can take without two sharing an op — the dispatches pair kernels
-//! could save at most.
+//! read alike), with the share of groups and of ops whose loop
+//! canonicalizes by the mask alone (no signed op narrower than 64 bits in
+//! the group) and how many operands a mux chain reads, on the warmed-up
+//! image, up to its first true condition. Then every `CompiledOp` of a
+//! design is grouped by opcode and timed over a live 64-lane `LI` image:
+//! op count, share of the summed walk, ns per op and per op-lane; then
+//! the plan-order walk — the order the engine walks, whatever the kernel
+//! kind — against a whole `step` (the rest is the stimulus and the
+//! commit; the two are timed apart, so a few percent either way is noise)
+//! — in the plan's own lane type, and for a narrow plan also forced onto
+//! `u64` rows, which splits what the smaller plan buys from what the
+//! narrower rows buy. Last, the one-thread step over the plan and over
+//! the copy `BatchSimulation` runs (the plan in emission order, walked
+//! depth-first), timed in interleaved blocks on a live image, with the
+//! median distance in ops from a value's producer to its readers under
+//! each numbering; and the step of that copy at 1, 2, 4, 5, 7, 8, 16 and
+//! 64 live lanes, with the entry of the lane kernels each window takes
+//! (whole chunks or any window) — the crossover table a few-lane window
+//! is judged by. Then the pair census of that copy, what fused op pairs
+//! would have to work with: every two ops adjacent in the walk where the
+//! second reads the first, grouped by (producer, consumer, operand), and
+//! how many such pairs a greedy pass can take without two sharing an op —
+//! the dispatches pair kernels could save at most.
 //!
 //! ```text
 //! cargo run --release --example op_census
@@ -48,11 +51,12 @@ use rteaal_dfg::analyze::{analyze_design, analyze_graph};
 use rteaal_dfg::lane_kernel::{
     compile_layer, BatchEngine, CompiledOp, Entry, Lane, LaneLayout, LaneType, LaneWindow,
 };
-use rteaal_dfg::op::NUM_OPCODES;
+use rteaal_dfg::op::{DfgOp, NUM_OPCODES};
 use rteaal_dfg::passes::{optimize, PassOptions};
 use rteaal_dfg::{OpInst, SimPlan};
 use rteaal_firrtl::ast::{Expr, Stmt};
 use rteaal_firrtl::Circuit;
+use rteaal_kernels::state::Canon;
 use rteaal_kernels::{BatchKernel, BatchLiState, Kernel, KernelConfig, KernelKind, LanePoker};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::BTreeMap;
@@ -142,7 +146,10 @@ fn timed_walk<T: Lane>(plan: &SimPlan, image: &[u64], detail: bool) -> f64 {
 /// The scalar side of `plan`: occupancy of format (c)'s `N` rank, ops per
 /// occupied group, and the step of the three kernels that walk those
 /// groups — lane 0's stimulus for `warm` cycles, then timed with the
-/// inputs held.
+/// inputs held — with the groups and ops that take the mask-only body,
+/// and how many operands a mux chain reads on the image after `warm`
+/// cycles: its conditions up to the first true one and that one's value,
+/// or every condition and the default (against its length).
 fn scalar_census(
     plan: &SimPlan,
     x15: Option<u64>,
@@ -150,13 +157,17 @@ fn scalar_census(
     warm: u64,
     value: &mut dyn FnMut(u64, usize, usize) -> u64,
 ) {
-    let mut per_group: BTreeMap<(usize, u16), usize> = BTreeMap::new();
+    // Per group: its op count, and whether every op is mask-only.
+    let mut per_group: BTreeMap<(usize, u16), (usize, bool)> = BTreeMap::new();
     for (i, layer) in plan.layers.iter().enumerate() {
         for op in layer {
-            *per_group.entry((i, op.n)).or_default() += 1;
+            let group = per_group.entry((i, op.n)).or_insert((0, true));
+            group.0 += 1;
+            group.1 &= Canon::new(op.width as u32, op.signed).is_mask_only();
         }
     }
-    let mut sizes: Vec<usize> = per_group.into_values().collect();
+    let mask_only: Vec<usize> = per_group.values().filter(|g| g.1).map(|g| g.0).collect();
+    let mut sizes: Vec<usize> = per_group.into_values().map(|g| g.0).collect();
     sizes.sort_unstable();
     let (groups, rank) = (sizes.len(), plan.layers.len() * NUM_OPCODES);
     let at = |q: usize| sizes.get((groups.max(1) - 1) * q / 4).copied().unwrap_or(0);
@@ -172,6 +183,8 @@ fn scalar_census(
     );
     let cycles = (100_000 / plan.total_ops().max(1)).clamp(4, 256);
     let mut line = String::from("  scalar step:");
+    // Mux chains on the warmed-up image: count, operands read, operands.
+    let (mut chains, mut read, mut operands) = (0, 0, 0);
     for kind in [KernelKind::Nu, KernelKind::Psu, KernelKind::Iu] {
         let mut kernel = Kernel::compile(plan, KernelConfig::new(kind));
         if let Some(k) = x15 {
@@ -183,6 +196,19 @@ fn scalar_census(
             }
             kernel.step();
         }
+        if kind == KernelKind::Nu {
+            for chain in plan.layers.iter().flatten() {
+                if chain.op() != DfgOp::MuxChain {
+                    continue;
+                }
+                let pairs = (chain.ins.len() - 1) / 2;
+                let mut conditions = chain.ins.chunks_exact(2).take(pairs);
+                let taken = conditions.position(|pair| kernel.slot(pair[0]) != 0);
+                chains += 1;
+                read += taken.map_or(pairs + 1, |k| k + 2);
+                operands += chain.ins.len();
+            }
+        }
         let ns = best_ns(50, || black_box(&mut kernel).run(cycles as u64)) / cycles as f64;
         line += &format!(
             " {kind:?} {ns:.0} ns/cycle ({:.1} per group, {:.2} per op);",
@@ -190,7 +216,19 @@ fn scalar_census(
             ns / plan.total_ops().max(1) as f64
         );
     }
-    println!("{}", line.trim_end_matches(';'));
+    let ops: usize = mask_only.iter().sum();
+    let per_chain = |n: usize| n as f64 / chains.max(1) as f64;
+    println!(
+        "{}; mask-only bodies: {} of {groups} groups ({:.1}%), {ops} of {} ops ({:.1}%); \
+         {chains} mux chains read {:.2} of {:.2} operands to the first true condition",
+        line.trim_end_matches(';'),
+        mask_only.len(),
+        100.0 * mask_only.len() as f64 / groups.max(1) as f64,
+        plan.total_ops(),
+        100.0 * ops as f64 / plan.total_ops().max(1) as f64,
+        per_chain(read),
+        per_chain(operands)
+    );
 }
 
 fn expr_nodes(e: &Expr) -> usize {
