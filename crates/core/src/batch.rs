@@ -162,8 +162,9 @@ impl BatchSimulation {
         lanes: usize,
         layout: impl FnOnce(&SimPlan) -> LaneLayout,
     ) -> Self {
-        // The engine's own copy, its rows numbered in emission order so the
-        // one-thread walk is depth-first. Built *before* the kernel is
+        // The engine's own copy, its rows numbered in emission order (a
+        // value's row next to its readers'; the walk is layer-major runs
+        // whatever the numbering). Built *before* the kernel is
         // compiled, on purpose: the copy soaks up the compile pipeline's free
         // chunks, so the kernel's op tables — streamed every cycle — land
         // contiguous (−10 % on the chip otherwise).

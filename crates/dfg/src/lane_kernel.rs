@@ -6,15 +6,19 @@
 //! and re-derives the canonicalization mask *per lane, per op, per cycle*,
 //! which blocks autovectorization. This module lowers each [`OpInst`] into
 //! a [`CompiledOp`] once, at plan-load time: a monomorphized
-//! `unsafe fn(*mut (), &KernelArgs, LaneWindow)` chosen from a
+//! `unsafe fn(*mut (), &[KernelArgs], LaneWindow)` chosen from a
 //! per-(opcode × arity × signedness) kernel table, with the opcode
 //! dispatch, operand base offsets, static parameters, and the
 //! width/sign canonicalization all resolved up front and folded into a
-//! stride-1 inner loop. **Every** schedulable op has a lane kernel: the
-//! fixed-arity ones run a branch-free body over `CHUNK`-lane chunks,
-//! and the one variable-arity op, the mux chain, runs a select cascade
-//! over the same chunks (`run_chain`) — nothing is staged per lane and
-//! nothing re-enters `eval_raw`.
+//! stride-1 inner loop. A kernel takes a *run* — a slice of ops that
+//! share it ([`KernelKey`]) — and evaluates them in slice order, so the
+//! batched engine ([`compile_runs`]) sorts each levelized layer by kernel
+//! and makes one call per `(layer, kernel)` run: the swizzle of the
+//! paper's Algorithm 4, in the lane walk. **Every** schedulable op has a
+//! lane kernel: the fixed-arity ones run a branch-free body over
+//! `CHUNK`-lane chunks, and the one variable-arity op, the mux chain,
+//! runs a select cascade over the same chunks (`run_chain`) — nothing is
+//! staged per lane and nothing re-enters `eval_raw`.
 //!
 //! The one set of bodies is plain scalar Rust (no `std::arch`
 //! intrinsics) that LLVM autovectorizes, and it is instantiated once per
@@ -54,14 +58,15 @@
 //! registers that code needs make the whole kernel open with six
 //! callee-saved pushes and stack spills — paid on every call, also by the
 //! 8- and 64-lane windows that never reach the remainder. Without it the
-//! `avx2` × `u32` `and` kernel is 200 bytes instead of 630. One kernel
+//! `avx2` × `u32` `and` kernel is 200 bytes instead of 630. (Since a
+//! kernel takes a run, its prologue is paid once per run, not once per
+//! op; the saved registers stay live across the run's loop.) One kernel
 //! that calls out to a remainder function instead costs ragged windows
 //! dearly (a 5-lane window ran at 0.61× its speed), and a masked last
 //! chunk over padded rows, a staged remainder and a bound on the
 //! remainder's trip count each kept the bloat or slowed a 1-lane window.
 //! Both entries come from the one body list (`lane_kernels!`,
-//! `kernel_table!`), and [`CompiledOp`] holds the two pointers in the 72
-//! bytes it held one in.
+//! `kernel_table!`), and a [`KernelRun`] holds the two pointers.
 //!
 //! Semantics are bit-identical to `eval_raw` + [`canonicalize`] per lane
 //! — truncated to the row's element, for narrow rows — by construction,
@@ -91,6 +96,7 @@
 use crate::op::{canonicalize, DfgOp};
 use crate::plan::{OpInst, SimPlan};
 use rteaal_firrtl::ty::mask;
+use std::ops::Range;
 
 /// Which executor a batch simulator walks its layers with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -462,12 +468,27 @@ impl LaneLayout {
         if self.lane == LaneType::Wide {
             return Narrow::Exact;
         }
-        let operands: Option<Vec<SlotType>> = op
-            .ins
-            .iter()
-            .map(|&r| self.slots.get(r as usize).copied())
-            .collect();
-        operands.map_or(Narrow::Inexact, |t| narrow_exact(op.op(), &t, &op.params))
+        if op.ins.iter().any(|&r| r as usize >= self.slots.len()) {
+            return Narrow::Inexact;
+        }
+        // Only a mux chain has more than three operands, and its answer
+        // reads none of them: no operand list is allocated.
+        let operands: [SlotType; 3] = std::array::from_fn(|k| {
+            op.ins
+                .get(k)
+                .map_or((1, false), |&r| self.slots[r as usize])
+        });
+        let arity = op.ins.len().min(3);
+        narrow_exact(op.op(), &operands[..arity], &op.params)
+    }
+
+    /// The key of the kernel `op` runs in this layout's rows (`None` for
+    /// an op no kernel runs): what the batched engine sorts each layer by
+    /// before [`compile_runs`], so that every kernel of a layer is one
+    /// run.
+    pub fn kernel_key(&self, op: &OpInst) -> Option<KernelKey> {
+        let logical = self.narrow_form(op) == Narrow::Logical;
+        KernelKey::of(op.op(), op.ins.len(), op.signed, logical)
     }
 }
 
@@ -517,13 +538,17 @@ struct VarArgs {
     ins: Box<[u32]>,
 }
 
-/// A specialized lane kernel: evaluates one operation over the active
-/// lanes of a slot-major `LI` matrix.
+/// A specialized lane kernel: evaluates a run of operations that share
+/// it ([`KernelKey`]) over the active lanes of a slot-major `LI` matrix,
+/// one op after the other **in slice order** — each op over every active
+/// lane before the next begins, so a later op reads what an earlier one
+/// wrote.
 ///
 /// # Safety
 ///
-/// The contract every `KernelFn` body relies on (identical to
-/// [`CompiledOp::eval_lanes_ptr`]; callers must uphold all four):
+/// The contract every `KernelFn` body relies on, for **every** op of the
+/// slice (identical to [`CompiledOp::eval_lanes_ptr`] per op; callers
+/// must uphold all four):
 ///
 /// 1. the pointer addresses a live slot-major matrix of **rows of the
 ///    table's lane type** (`u32` for a narrow table, `u64` for a wide
@@ -532,19 +557,68 @@ struct VarArgs {
 ///    `slot * w.stride + lane` is in bounds;
 /// 2. `w.active <= w.stride`, so the evaluated lane prefix never leaves
 ///    its row;
-/// 3. no other thread concurrently accesses the output row or mutates an
+/// 3. no other thread concurrently accesses an output row or mutates an
 ///    operand row for the duration of the call;
 /// 4. the CPU runs the table's instruction set, which [`LaneIsa`]
 ///    attests.
 ///
 /// (1) is exactly what [`crate::analyze::analyze_compiled`] proves per
 /// design against the plan's `num_slots` and slot types.
-pub type KernelFn = unsafe fn(*mut (), &KernelArgs, LaneWindow);
+pub type KernelFn = unsafe fn(*mut (), &[KernelArgs], LaneWindow);
+
+/// Which kernel of a table runs an op: its body — the opcode after the
+/// `logical` remap ([`Narrow::Logical`]), with the opcodes that share a
+/// body folded together — whether that body is the logical form of a
+/// right shift, and whether it canonicalizes as signed. (A mux chain and
+/// a fixed-arity op differ in body; every chain runs the one chain
+/// kernel, whatever its length.) A table maps a key to one pair of
+/// entries, so ops with equal keys run the same kernel: what the batched
+/// engine sorts a layer by and cuts it into runs at ([`compile_runs`]).
+/// Plain data with a total order, never a function address, which code
+/// folding makes unpredictable.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct KernelKey {
+    body: DfgOp,
+    logical: bool,
+    signed: bool,
+}
+
+impl KernelKey {
+    /// The key of an op of opcode `op` over `arity` operands, signed or
+    /// not, run as its unsigned counterpart if `logical`; `None` for a
+    /// source op or an arity `check_op_shape` rejects.
+    fn of(op: DfgOp, arity: usize, signed: bool, logical: bool) -> Option<KernelKey> {
+        use DfgOp::*;
+        let shaped = match op.arity() {
+            Some(0) => op == Const && arity == 0,
+            Some(n) => arity == n,
+            None => arity % 2 == 1,
+        };
+        let (body, logical) = match op {
+            Lts if logical => (Ltu, false),
+            Les if logical => (Leu, false),
+            Gts if logical => (Gtu, false),
+            Ges if logical => (Geu, false),
+            Divs if logical => (Divu, false),
+            Rems if logical => (Remu, false),
+            Shr | Dshr => (op, logical),
+            Identity => (Resize, false),
+            _ => (op, false),
+        };
+        // A constant's value is canonicalized at compile time.
+        let signed = signed && body != Const;
+        shaped.then_some(KernelKey {
+            body,
+            logical,
+            signed,
+        })
+    }
+}
 
 /// Which instruction-set instantiation of the kernel table a
-/// [`CompiledOp`] points into. The field is private and `detect` is the
-/// only place that sets it, so a `CompiledOp` holds an `avx2` function
-/// pointer only if detection succeeded in this process.
+/// [`CompiledOp`] or [`KernelRun`] points into. The field is private and
+/// `detect` is the only place that sets it, so either holds an `avx2`
+/// function pointer only if detection succeeded in this process.
 #[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LaneIsa {
@@ -572,31 +646,22 @@ impl LaneIsa {
         }
     }
 
-    /// The two entries of the kernel for an opcode/arity/signedness
-    /// triple in this instruction set's table for `lane` rows, indexed by
-    /// [`Entry`] — the op's unsigned counterpart if `logical`; `None` for
-    /// a source op or an arity `check_op_shape` rejects.
-    fn kernel(
-        self,
-        lane: LaneType,
-        op: DfgOp,
-        arity: usize,
-        signed: bool,
-        logical: bool,
-    ) -> Option<[KernelFn; 2]> {
+    /// The two entries of `key`'s kernel in this instruction set's table
+    /// for `lane` rows, indexed by [`Entry`].
+    fn kernels(self, lane: LaneType, key: KernelKey) -> [KernelFn; 2] {
         // SAFETY (of every later call through the pointer): `self.avx2`
         // is `detect`'s answer, so an `avx2` kernel leaves here only on a
         // CPU that has the instructions it was compiled to.
         #[cfg(target_arch = "x86_64")]
         if self.avx2 {
             return match lane {
-                LaneType::Narrow => avx2_u32::kernel_table(op, arity, signed, logical),
-                LaneType::Wide => avx2_u64::kernel_table(op, arity, signed, logical),
+                LaneType::Narrow => avx2_u32::kernel_table(key),
+                LaneType::Wide => avx2_u64::kernel_table(key),
             };
         }
         match lane {
-            LaneType::Narrow => baseline_u32::kernel_table(op, arity, signed, logical),
-            LaneType::Wide => baseline_u64::kernel_table(op, arity, signed, logical),
+            LaneType::Narrow => baseline_u32::kernel_table(key),
+            LaneType::Wide => baseline_u64::kernel_table(key),
         }
     }
 }
@@ -861,20 +926,26 @@ macro_rules! lane_kernels {
     ([$(#[$attr:meta])*]) => {};
     ([$(#[$attr:meta])*] $un:ident, $sn:ident: |$g:ident $(, $x:ident)+| $body:expr; $($rest:tt)*) => {
         /// # Safety
-        /// As [`CompiledOp::eval_lanes_ptr`].
+        /// As [`KernelFn`].
         $(#[$attr])*
-        unsafe fn $un<const WHOLE: bool>(li: *mut (), $g: &KernelArgs, w: LaneWindow) {
-            // SAFETY: forwarding the caller's `KernelFn` contract intact:
-            // the rows are of this table's lane type `T`.
-            unsafe { run::<T, _, WHOLE>(li.cast(), $g, w, |[$($x),+]| cu($body, $g)) };
+        unsafe fn $un<const WHOLE: bool>(li: *mut (), ops: &[KernelArgs], w: LaneWindow) {
+            for $g in ops {
+                // SAFETY: forwarding the caller's `KernelFn` contract
+                // intact, op by op: the rows are of this table's lane
+                // type `T`.
+                unsafe { run::<T, _, WHOLE>(li.cast(), $g, w, |[$($x),+]| cu($body, $g)) };
+            }
         }
         /// # Safety
-        /// As [`CompiledOp::eval_lanes_ptr`].
+        /// As [`KernelFn`].
         $(#[$attr])*
-        unsafe fn $sn<const WHOLE: bool>(li: *mut (), $g: &KernelArgs, w: LaneWindow) {
-            // SAFETY: forwarding the caller's `KernelFn` contract intact:
-            // the rows are of this table's lane type `T`.
-            unsafe { run::<T, _, WHOLE>(li.cast(), $g, w, |[$($x),+]| cs($body, $g)) };
+        unsafe fn $sn<const WHOLE: bool>(li: *mut (), ops: &[KernelArgs], w: LaneWindow) {
+            for $g in ops {
+                // SAFETY: forwarding the caller's `KernelFn` contract
+                // intact, op by op: the rows are of this table's lane
+                // type `T`.
+                unsafe { run::<T, _, WHOLE>(li.cast(), $g, w, |[$($x),+]| cs($body, $g)) };
+            }
         }
         lane_kernels! { [$(#[$attr])*] $($rest)* }
     };
@@ -1004,117 +1075,102 @@ macro_rules! kernel_table {
             /// so the row is a plain fill with its low `BITS` bits.
             ///
             /// # Safety
-            /// As [`CompiledOp::eval_lanes_ptr`].
+            /// As [`KernelFn`].
             $(#[$attr])?
-            unsafe fn k_const<const WHOLE: bool>(li: *mut (), args: &KernelArgs, w: LaneWindow) {
-                // SAFETY: forwarding the caller's `KernelFn` contract
-                // intact: the rows are of this table's lane type `T`.
-                unsafe { run::<T, 0, WHOLE>(li.cast(), args, w, |[]| args.p0 as T) };
+            unsafe fn k_const<const WHOLE: bool>(li: *mut (), ops: &[KernelArgs], w: LaneWindow) {
+                for args in ops {
+                    // SAFETY: forwarding the caller's `KernelFn` contract
+                    // intact, op by op: the rows are of this table's lane
+                    // type `T`.
+                    unsafe { run::<T, 0, WHOLE>(li.cast(), args, w, |[]| args.p0 as T) };
+                }
             }
 
             /// # Safety
-            /// As [`CompiledOp::eval_lanes_ptr`].
+            /// As [`KernelFn`].
             $(#[$attr])?
-            unsafe fn k_chain_u<const WHOLE: bool>(li: *mut (), args: &KernelArgs, w: LaneWindow) {
-                // SAFETY: forwarding the caller's `KernelFn` contract
-                // intact: the rows are of this table's lane type `T`.
-                unsafe { run_chain::<T, WHOLE>(li.cast(), args, w, cu) };
+            unsafe fn k_chain_u<const WHOLE: bool>(li: *mut (), ops: &[KernelArgs], w: LaneWindow) {
+                for args in ops {
+                    // SAFETY: forwarding the caller's `KernelFn` contract
+                    // intact, op by op: the rows are of this table's lane
+                    // type `T`.
+                    unsafe { run_chain::<T, WHOLE>(li.cast(), args, w, cu) };
+                }
             }
 
             /// # Safety
-            /// As [`CompiledOp::eval_lanes_ptr`].
+            /// As [`KernelFn`].
             $(#[$attr])?
-            unsafe fn k_chain_s<const WHOLE: bool>(li: *mut (), args: &KernelArgs, w: LaneWindow) {
-                // SAFETY: forwarding the caller's `KernelFn` contract
-                // intact: the rows are of this table's lane type `T`.
-                unsafe { run_chain::<T, WHOLE>(li.cast(), args, w, cs) };
+            unsafe fn k_chain_s<const WHOLE: bool>(li: *mut (), ops: &[KernelArgs], w: LaneWindow) {
+                for args in ops {
+                    // SAFETY: forwarding the caller's `KernelFn` contract
+                    // intact, op by op: the rows are of this table's lane
+                    // type `T`.
+                    unsafe { run_chain::<T, WHOLE>(li.cast(), args, w, cs) };
+                }
             }
 
-            /// This table's two entries for an opcode/arity/signedness
-            /// triple, indexed by [`Entry`]: total over every shape
-            /// `check_op_shape` accepts. `logical` asks for the unsigned
-            /// counterpart of an op that reads its operands as signed,
-            /// and is ignored by the rest.
-            pub(super) fn kernel_table(
-                op: DfgOp,
-                arity: usize,
-                signed: bool,
-                logical: bool,
-            ) -> Option<[KernelFn; 2]> {
-                Some([
-                    entry::<true>(op, arity, signed, logical)?,
-                    entry::<false>(op, arity, signed, logical)?,
-                ])
+            /// This table's two entries for a kernel key, indexed by
+            /// [`Entry`]: total over every key [`KernelKey::of`] makes.
+            pub(super) fn kernel_table(key: KernelKey) -> [KernelFn; 2] {
+                [entry::<true>(key), entry::<false>(key)]
             }
 
             /// [`kernel_table`]'s [`Entry::Whole`] kernel if `WHOLE`,
             /// else its [`Entry::Any`] one.
-            fn entry<const WHOLE: bool>(
-                op: DfgOp,
-                arity: usize,
-                signed: bool,
-                logical: bool,
-            ) -> Option<KernelFn> {
+            fn entry<const WHOLE: bool>(key: KernelKey) -> KernelFn {
                 use DfgOp::*;
                 macro_rules! pick {
                     ($unsigned:ident, $signed:ident) => {
-                        Some(if signed {
+                        if key.signed {
                             $signed::<WHOLE> as KernelFn
                         } else {
                             $unsigned::<WHOLE>
-                        })
+                        }
                     };
                 }
-                let op = match op {
-                    Lts if logical => Ltu,
-                    Les if logical => Leu,
-                    Gts if logical => Gtu,
-                    Ges if logical => Geu,
-                    Divs if logical => Divu,
-                    Rems if logical => Remu,
-                    _ => op,
-                };
-                match (op, arity) {
-                    (Const, 0) => Some(k_const::<WHOLE>),
-                    (Add, 2) => pick!(k_add_u, k_add_s),
-                    (Sub, 2) => pick!(k_sub_u, k_sub_s),
-                    (Mul, 2) => pick!(k_mul_u, k_mul_s),
-                    (Divu, 2) => pick!(k_divu_u, k_divu_s),
-                    (Divs, 2) => pick!(k_divs_u, k_divs_s),
-                    (Remu, 2) => pick!(k_remu_u, k_remu_s),
-                    (Rems, 2) => pick!(k_rems_u, k_rems_s),
-                    (And, 2) => pick!(k_and_u, k_and_s),
-                    (Or, 2) => pick!(k_or_u, k_or_s),
-                    (Xor, 2) => pick!(k_xor_u, k_xor_s),
-                    (Ltu, 2) => pick!(k_ltu_u, k_ltu_s),
-                    (Lts, 2) => pick!(k_lts_u, k_lts_s),
-                    (Leu, 2) => pick!(k_leu_u, k_leu_s),
-                    (Les, 2) => pick!(k_les_u, k_les_s),
-                    (Gtu, 2) => pick!(k_gtu_u, k_gtu_s),
-                    (Gts, 2) => pick!(k_gts_u, k_gts_s),
-                    (Geu, 2) => pick!(k_geu_u, k_geu_s),
-                    (Ges, 2) => pick!(k_ges_u, k_ges_s),
-                    (Eq, 2) => pick!(k_eq_u, k_eq_s),
-                    (Neq, 2) => pick!(k_neq_u, k_neq_s),
-                    (Dshl, 2) => pick!(k_dshl_u, k_dshl_s),
-                    (Dshr, 2) if logical => pick!(k_dshrl_u, k_dshrl_s),
-                    (Dshr, 2) => pick!(k_dshr_u, k_dshr_s),
-                    (Cat, 2) => pick!(k_cat_u, k_cat_s),
-                    (ValidIf, 2) => pick!(k_validif_u, k_validif_s),
-                    (Not, 1) => pick!(k_not_u, k_not_s),
-                    (Neg, 1) => pick!(k_neg_u, k_neg_s),
-                    (Andr, 1) => pick!(k_andr_u, k_andr_s),
-                    (Orr, 1) => pick!(k_orr_u, k_orr_s),
-                    (Xorr, 1) => pick!(k_xorr_u, k_xorr_s),
-                    (Shl, 1) => pick!(k_shl_u, k_shl_s),
-                    (Shr, 1) if logical => pick!(k_shrl_u, k_shrl_s),
-                    (Shr, 1) => pick!(k_shr_u, k_shr_s),
-                    (Bits, 1) => pick!(k_bits_u, k_bits_s),
-                    (Head, 1) => pick!(k_head_u, k_head_s),
-                    (Resize, 1) | (Identity, 1) => pick!(k_resize_u, k_resize_s),
-                    (Mux, 3) => pick!(k_mux_u, k_mux_s),
-                    (MuxChain, n) if n % 2 == 1 => pick!(k_chain_u, k_chain_s),
-                    _ => None,
+                match key.body {
+                    Const => k_const::<WHOLE>,
+                    Add => pick!(k_add_u, k_add_s),
+                    Sub => pick!(k_sub_u, k_sub_s),
+                    Mul => pick!(k_mul_u, k_mul_s),
+                    Divu => pick!(k_divu_u, k_divu_s),
+                    Divs => pick!(k_divs_u, k_divs_s),
+                    Remu => pick!(k_remu_u, k_remu_s),
+                    Rems => pick!(k_rems_u, k_rems_s),
+                    And => pick!(k_and_u, k_and_s),
+                    Or => pick!(k_or_u, k_or_s),
+                    Xor => pick!(k_xor_u, k_xor_s),
+                    Ltu => pick!(k_ltu_u, k_ltu_s),
+                    Lts => pick!(k_lts_u, k_lts_s),
+                    Leu => pick!(k_leu_u, k_leu_s),
+                    Les => pick!(k_les_u, k_les_s),
+                    Gtu => pick!(k_gtu_u, k_gtu_s),
+                    Gts => pick!(k_gts_u, k_gts_s),
+                    Geu => pick!(k_geu_u, k_geu_s),
+                    Ges => pick!(k_ges_u, k_ges_s),
+                    Eq => pick!(k_eq_u, k_eq_s),
+                    Neq => pick!(k_neq_u, k_neq_s),
+                    Dshl => pick!(k_dshl_u, k_dshl_s),
+                    Dshr if key.logical => pick!(k_dshrl_u, k_dshrl_s),
+                    Dshr => pick!(k_dshr_u, k_dshr_s),
+                    Cat => pick!(k_cat_u, k_cat_s),
+                    ValidIf => pick!(k_validif_u, k_validif_s),
+                    Not => pick!(k_not_u, k_not_s),
+                    Neg => pick!(k_neg_u, k_neg_s),
+                    Andr => pick!(k_andr_u, k_andr_s),
+                    Orr => pick!(k_orr_u, k_orr_s),
+                    Xorr => pick!(k_xorr_u, k_xorr_s),
+                    Shl => pick!(k_shl_u, k_shl_s),
+                    Shr if key.logical => pick!(k_shrl_u, k_shrl_s),
+                    Shr => pick!(k_shr_u, k_shr_s),
+                    Bits => pick!(k_bits_u, k_bits_s),
+                    Head => pick!(k_head_u, k_head_s),
+                    Resize | Identity => pick!(k_resize_u, k_resize_s),
+                    Mux => pick!(k_mux_u, k_mux_s),
+                    MuxChain => pick!(k_chain_u, k_chain_s),
+                    // `KernelKey::of` keys no source op.
+                    Input | RegState => unreachable!("a source op has no kernel"),
                 }
             }
         }
@@ -1130,18 +1186,32 @@ kernel_table!(avx2_u32, u32, i32, #[target_feature(enable = "avx2")]);
 
 /// One operation compiled to a specialized lane kernel: the executable
 /// form of an [`OpInst`] — its two entries, indexed by [`Entry`], and the
-/// arguments both read.
+/// arguments both read. The batched engine keeps no `CompiledOp`s: it
+/// walks [`KernelRun`]s over the args [`compile_runs`] folds. This is
+/// the one-op form the verifier, the specialized tier and the tests use.
 #[derive(Debug, Clone)]
 pub struct CompiledOp {
     kernels: [KernelFn; 2],
     args: KernelArgs,
 }
 
-// The walk streams these: growing one by a cache line's worth cost the
-// memory-bound chip 13 % of its lane rate, and the second entry pointer
-// fits only because `p1` and `sh` were narrowed to make room for it.
+// The run walk streams these: growing one by a cache line's worth cost
+// the memory-bound chip 13 % of its lane rate (measured when the walk
+// streamed a `CompiledOp`, these args and their two entries).
 #[cfg(target_pointer_width = "64")]
-const _: () = assert!(std::mem::size_of::<CompiledOp>() == 72);
+const _: () = assert!(std::mem::size_of::<KernelArgs>() == 56);
+
+impl KernelArgs {
+    /// The key of the kernel these arguments were folded for.
+    fn key(&self) -> Option<KernelKey> {
+        let op = DfgOp::from_n_coord(self.n)?;
+        let arity = match self.var.as_deref() {
+            Some(var) => var.ins.len(),
+            None => op.arity()?,
+        };
+        KernelKey::of(op, arity, self.signed, self.logical)
+    }
+}
 
 impl CompiledOp {
     /// Compiles an operation instance for `u64` rows — the lane type
@@ -1149,7 +1219,8 @@ impl CompiledOp {
     /// per-(opcode × arity × signedness) table of the widest instruction
     /// set this CPU has and folds operand offsets, parameters, and the
     /// canonicalization mask into [`KernelArgs`]. A plan's ops compile in
-    /// the plan's lane type through [`compile_layer`].
+    /// the plan's lane type through [`compile_layer`] (one op at a time)
+    /// or [`compile_runs`] (the batched engine's runs).
     ///
     /// # Panics
     ///
@@ -1191,57 +1262,19 @@ impl CompiledOp {
     /// op is not narrow-exact on its slots, i.e. `layout` is of another
     /// plan.
     pub(crate) fn compile_in(op: &OpInst, layout: &LaneLayout) -> CompiledOp {
-        let form = layout.narrow_form(op);
-        assert!(
-            form != Narrow::Inexact,
-            "`{}` into slot {} is not narrow-exact in this layout",
-            op.op(),
-            op.out
-        );
-        let logical = form == Narrow::Logical;
-        Self::build(op, LaneIsa::detect(), layout.lane, logical)
+        let (key, args) = fold_in(op, layout);
+        CompiledOp {
+            kernels: LaneIsa::detect().kernels(layout.lane, key),
+            args,
+        }
     }
 
     fn build(op: &OpInst, isa: LaneIsa, lane: LaneType, logical: bool) -> CompiledOp {
-        let d = op.op();
-        let arity = op.ins.len();
-        let kernels = isa
-            .kernel(lane, d, arity, op.signed, logical)
-            .unwrap_or_else(|| panic!("`{d}` with {arity} operand(s) is not compilable"));
-        let width = (op.width as u32).clamp(1, lane.bits());
-        let p0 = op.params.first().copied().unwrap_or(0);
-        let max_slot = op
-            .ins
-            .iter()
-            .copied()
-            .chain(std::iter::once(op.out))
-            .max()
-            .expect("chain is non-empty");
-        let args = KernelArgs {
-            out: op.out,
-            a: op.ins.first().copied().unwrap_or(0),
-            b: op.ins.get(1).copied().unwrap_or(0),
-            c: op.ins.get(2).copied().unwrap_or(0),
-            p0: if d == DfgOp::Const {
-                canonicalize(p0, width, op.signed)
-            } else {
-                p0
-            },
-            p1: op.params.get(1).copied().unwrap_or(0) as u32,
-            msk: mask(width),
-            sh: (lane.bits() - width) as u8,
-            n: op.n,
-            signed: op.signed,
-            lane,
-            logical,
-            max_slot,
-            var: (d == DfgOp::MuxChain).then(|| {
-                Box::new(VarArgs {
-                    ins: op.ins.clone().into_boxed_slice(),
-                })
-            }),
-        };
-        CompiledOp { kernels, args }
+        let (key, args) = fold(op, lane, logical);
+        CompiledOp {
+            kernels: isa.kernels(lane, key),
+            args,
+        }
     }
 
     /// Output slot this kernel writes.
@@ -1299,9 +1332,8 @@ impl CompiledOp {
     }
 
     /// Evaluates over the active window of a slot-major `LI` matrix
-    /// through a raw pointer — the layer-parallel engine's entry point —
-    /// with the entry [`Entry::of`] the window picks. A walk passes one
-    /// window to every op, so the pick is the same index for all of them.
+    /// through a raw pointer — the specialized tier's entry point — with
+    /// the entry [`Entry::of`] the window picks: a run of one op.
     ///
     /// # Safety
     ///
@@ -1320,14 +1352,15 @@ impl CompiledOp {
     pub unsafe fn eval_lanes_ptr<T: Lane>(&self, li: *mut T, w: LaneWindow) {
         debug_assert!(w.active <= w.stride, "lane window outgrew its stride");
         debug_assert_eq!(T::TYPE, self.args.lane, "rows are not of the kernel's type");
+        let ops = std::slice::from_ref(&self.args);
         // SAFETY: the caller upholds this method's contract, which is
-        // exactly the `KernelFn` contract the folded kernel requires —
-        // the rows are of the table's lane type; and the kernel came out
-        // of the table of a `LaneIsa`, which exists only for an
-        // instruction set detected on this CPU. (`Entry::of` hands the
-        // `Whole` kernel only windows of whole chunks; it would be as safe
-        // on any other, just leave the remainder unwritten.)
-        unsafe { (self.kernels[Entry::of(w) as usize])(li.cast(), &self.args, w) };
+        // exactly the `KernelFn` contract the folded kernel requires for
+        // its one op — the rows are of the table's lane type; and the
+        // kernel came out of the table of a `LaneIsa`, which exists only
+        // for an instruction set detected on this CPU. (`Entry::of` hands
+        // the `Whole` kernel only windows of whole chunks; it would be as
+        // safe on any other, just leave the remainder unwritten.)
+        unsafe { (self.kernels[Entry::of(w) as usize])(li.cast(), ops, w) };
     }
 
     /// Evaluates over the active window of an exclusively borrowed `LI`
@@ -1352,19 +1385,120 @@ impl CompiledOp {
     /// [`Entry::Whole`] but the window is not whole chunks.
     #[doc(hidden)]
     pub fn eval_lanes_as<T: Lane>(&self, entry: Entry, li: &mut [T], w: LaneWindow) {
+        self.check_rows::<T>(entry, li.len(), w);
+        let ops = std::slice::from_ref(&self.args);
+        // SAFETY: an exclusive borrow covers the whole matrix, whose
+        // element, length and window `check_rows` just checked against
+        // the kernel's: the contract of either entry, whose `Whole` form
+        // was just checked to fit the window.
+        unsafe { (self.kernels[entry as usize])(li.as_mut_ptr().cast(), ops, w) }
+    }
+
+    /// Evaluates `run` — ops that share one kernel ([`KernelKey`]) — by
+    /// one call of the first op's `entry` over all their args, in order:
+    /// what one run of the batched engine's walk does, for tests to hold
+    /// against one call per op.
+    ///
+    /// # Panics
+    ///
+    /// As [`eval_lanes_as`](Self::eval_lanes_as) for every op of `run`;
+    /// and if two of them do not share a kernel.
+    #[doc(hidden)]
+    pub fn eval_run_as<T: Lane>(run: &[CompiledOp], entry: Entry, li: &mut [T], w: LaneWindow) {
+        let Some(first) = run.first() else {
+            return;
+        };
+        for op in run {
+            op.check_rows::<T>(entry, li.len(), w);
+            assert_eq!(
+                op.args.key(),
+                first.args.key(),
+                "the ops of a run share a kernel"
+            );
+        }
+        let ops: Vec<KernelArgs> = run.iter().map(|op| op.args.clone()).collect();
+        // SAFETY: as `eval_lanes_as`, for every op of the run, whose
+        // element, length and window `check_rows` checked one by one.
+        unsafe { (first.kernels[entry as usize])(li.as_mut_ptr().cast(), &ops, w) }
+    }
+
+    /// Panics unless `entry` may run this op over a matrix of `len`
+    /// elements of `T` in window `w`: the element is the kernel's, the
+    /// matrix holds every row the op names, the window fits its stride,
+    /// and a [`Entry::Whole`] window is whole chunks.
+    fn check_rows<T: Lane>(&self, entry: Entry, len: usize, w: LaneWindow) {
         assert_eq!(T::TYPE, self.args.lane, "rows are not of the kernel's type");
         assert!(
             entry == Entry::Any || Entry::of(w) == Entry::Whole,
             "{} lanes are not whole chunks",
             w.active
         );
-        assert_covers(li.len(), self.args.max_slot, w);
-        // SAFETY: an exclusive borrow covers the whole matrix, whose
-        // element was just checked against the kernel's, and whose length
-        // and window `assert_covers` just checked: the contract of either
-        // entry, whose `Whole` form was just checked to fit the window.
-        unsafe { (self.kernels[entry as usize])(li.as_mut_ptr().cast(), &self.args, w) }
+        assert_covers(len, self.args.max_slot, w);
     }
+}
+
+/// Folds `op` for rows of `lane` — as its unsigned counterpart if
+/// `logical` — into the key of its kernel and its arguments.
+///
+/// # Panics
+///
+/// As [`CompiledOp::compile`].
+fn fold(op: &OpInst, lane: LaneType, logical: bool) -> (KernelKey, KernelArgs) {
+    let d = op.op();
+    let arity = op.ins.len();
+    let key = KernelKey::of(d, arity, op.signed, logical)
+        .unwrap_or_else(|| panic!("`{d}` with {arity} operand(s) is not compilable"));
+    let width = (op.width as u32).clamp(1, lane.bits());
+    let p0 = op.params.first().copied().unwrap_or(0);
+    let max_slot = op
+        .ins
+        .iter()
+        .copied()
+        .chain(std::iter::once(op.out))
+        .max()
+        .expect("chain is non-empty");
+    let args = KernelArgs {
+        out: op.out,
+        a: op.ins.first().copied().unwrap_or(0),
+        b: op.ins.get(1).copied().unwrap_or(0),
+        c: op.ins.get(2).copied().unwrap_or(0),
+        p0: if d == DfgOp::Const {
+            canonicalize(p0, width, op.signed)
+        } else {
+            p0
+        },
+        p1: op.params.get(1).copied().unwrap_or(0) as u32,
+        msk: mask(width),
+        sh: (lane.bits() - width) as u8,
+        n: op.n,
+        signed: op.signed,
+        lane,
+        logical,
+        max_slot,
+        var: (d == DfgOp::MuxChain).then(|| {
+            Box::new(VarArgs {
+                ins: op.ins.clone().into_boxed_slice(),
+            })
+        }),
+    };
+    (key, args)
+}
+
+/// [`fold`] for the rows of `layout`, the layout of the plan `op`
+/// belongs to.
+///
+/// # Panics
+///
+/// As [`CompiledOp::compile_in`].
+fn fold_in(op: &OpInst, layout: &LaneLayout) -> (KernelKey, KernelArgs) {
+    let form = layout.narrow_form(op);
+    assert!(
+        form != Narrow::Inexact,
+        "`{}` into slot {} is not narrow-exact in this layout",
+        op.op(),
+        op.out
+    );
+    fold(op, layout.lane, form == Narrow::Logical)
 }
 
 /// Panics unless a lane matrix of `len` elements holds rows `0..=max_slot`
@@ -1410,6 +1544,83 @@ pub fn compile_layer(layer: &[OpInst], layout: &LaneLayout) -> CompiledLayer {
         .iter()
         .map(|op| CompiledOp::compile_in(op, layout))
         .collect()
+}
+
+/// A run of the batched engine's walk: consecutive ops of one layer that
+/// share a kernel ([`KernelKey`]), which one call evaluates in order.
+/// Its ops are a stretch of the args [`compile_runs`] folded them into.
+#[derive(Debug, Clone)]
+pub struct KernelRun {
+    kernels: [KernelFn; 2],
+    ops: Range<u32>,
+}
+
+impl KernelRun {
+    /// Where the run's ops are in the args they were folded into.
+    pub fn ops(&self) -> Range<usize> {
+        self.ops.start as usize..self.ops.end as usize
+    }
+
+    /// Evaluates `ops` — the run's args or a stretch of them — over the
+    /// active window of a slot-major `LI` matrix, one op after the other,
+    /// through the entry [`Entry::of`] the window picks: one kernel call.
+    ///
+    /// # Safety
+    ///
+    /// As [`CompiledOp::eval_lanes_ptr`] for every op of `ops`, which
+    /// must be args [`compile_runs`] folded for this run: `T` is the
+    /// element of the rows they were compiled for (debug-checked), `li`
+    /// covers every slot they reference, and no other thread touches
+    /// their output rows or mutates their operand rows meanwhile. (A
+    /// later op of a run may read an earlier one's output: the kernel
+    /// finishes each op before it starts the next.)
+    #[inline]
+    pub unsafe fn eval_lanes_ptr<T: Lane>(&self, li: *mut T, ops: &[KernelArgs], w: LaneWindow) {
+        debug_assert!(w.active <= w.stride, "lane window outgrew its stride");
+        debug_assert!(
+            ops.iter().all(|op| op.lane == T::TYPE),
+            "rows are not of the kernel's type"
+        );
+        // SAFETY: the caller upholds the `KernelFn` contract for every op
+        // of `ops`, and the kernel came out of the table of a `LaneIsa`
+        // detected on this CPU (as in `CompiledOp::eval_lanes_ptr`).
+        unsafe { (self.kernels[Entry::of(w) as usize])(li.cast(), ops, w) };
+    }
+}
+
+/// Compiles one layer's operations in order for the rows of `layout` —
+/// the layout of the plan the layer (or a partition's share of it)
+/// belongs to — into the batched engine's run form: appends each op's
+/// args to `args`, and to `runs` the maximal stretches of consecutive
+/// ops with one kernel. Runs end at the layer's end. Sort the layer by
+/// [`LaneLayout::kernel_key`] first and it becomes one run per kernel.
+///
+/// # Panics
+///
+/// As [`CompiledOp::compile`], for every op; and if `layout` is narrow
+/// but an op is not narrow-exact on its slots, i.e. `layout` is of
+/// another plan.
+pub fn compile_runs(
+    layer: &[OpInst],
+    layout: &LaneLayout,
+    args: &mut Vec<KernelArgs>,
+    runs: &mut Vec<KernelRun>,
+) {
+    let isa = LaneIsa::detect();
+    let mut last = None;
+    for op in layer {
+        let (key, folded) = fold_in(op, layout);
+        let at = u32::try_from(args.len()).expect("fewer than 2^32 ops");
+        args.push(folded);
+        match runs.last_mut() {
+            Some(run) if last == Some(key) => run.ops.end = at + 1,
+            _ => runs.push(KernelRun {
+                kernels: isa.kernels(layout.lane, key),
+                ops: at..at + 1,
+            }),
+        }
+        last = Some(key);
+    }
 }
 
 #[cfg(test)]
@@ -1935,14 +2146,15 @@ mod tests {
                     ]);
                 for (lane, signed, logical) in shapes {
                     for &arity in &good {
-                        assert!(
-                            isa.kernel(lane, op, arity, signed, logical).is_some(),
-                            "{isa:?}/{lane:?}: no kernel for {op} arity {arity} signed {signed}"
-                        );
+                        let key = KernelKey::of(op, arity, signed, logical);
+                        let key = key.unwrap_or_else(|| {
+                            panic!("{isa:?}/{lane:?}: no kernel for {op} arity {arity} signed {signed}")
+                        });
+                        isa.kernels(lane, key);
                     }
                     for &arity in &bad {
                         assert!(
-                            isa.kernel(lane, op, arity, signed, logical).is_none(),
+                            KernelKey::of(op, arity, signed, logical).is_none(),
                             "{op} arity {arity}"
                         );
                     }

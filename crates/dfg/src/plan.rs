@@ -332,8 +332,9 @@ impl SimPlan {
     ///
     /// Row order is a lowering decision of one target, not a fact about
     /// the plan: the batched front door (`rteaal_core::BatchSimulation`)
-    /// runs its own copy renamed this way, where the lane walk reads a
-    /// row while it is still in cache.
+    /// runs its own copy renamed this way. Its lane walk does not follow
+    /// the numbering (it runs each layer as runs of one kernel), so what
+    /// the renaming decides there is where rows lie.
     ///
     /// # Panics
     ///

@@ -12,7 +12,10 @@
 //! time in three), and the kernel exists exactly where `narrow_exact`
 //! admits the shape. Each op's two entries — whole-chunk windows only,
 //! and any window — are run apart on whole and ragged windows of a wider
-//! row, whose lanes past the window must keep their values.
+//! row, whose lanes past the window must keep their values. And a kernel
+//! takes a run: one call over `k` ops that share it must leave what `k`
+//! one-op calls leave, in order — a later op reading an earlier one's
+//! output, and mux chains of different lengths in one run.
 
 use proptest::prelude::*;
 use rteaal_dfg::lane_kernel::{
@@ -417,6 +420,184 @@ fn mux_chains_select_the_lowest_true_pair() {
                         "{isa:?} pairs {pairs} lanes {lanes} active {active}"
                     );
                 }
+            }
+        }
+    }
+}
+
+/// A run of `k` ops of one opcode that share a kernel — one signedness,
+/// widths and parameters per op — over slots `0..k` (op `j` writes slot
+/// `j`) and `k + 3` operand rows. Every op after the first reads the one
+/// before it as its first operand; the rest of its operands are any row
+/// but its own output, earlier and later ops' included. Mux chains draw
+/// a length per op. `u64` rows, as [`case`] draws them.
+fn run_case(op: DfgOp, signed: bool, k: usize, seed: &mut u64) -> (Vec<OpInst>, Vec<u64>) {
+    let slots = 2 * k + 3;
+    let ops: Vec<OpInst> = (0..k)
+        .map(|j| {
+            let (arity, params) = arity_and_params(op, seed);
+            let ins = (0..arity)
+                .map(|o| match (o, j) {
+                    (0, 1..) => j as u32 - 1,
+                    _ => (j as u64 + 1 + mix(seed) % (slots as u64 - 1)) as u32 % slots as u32,
+                })
+                .collect();
+            OpInst {
+                n: op.n_coord(),
+                out: j as u32,
+                ins,
+                params,
+                width: (1 + mix(seed) % 64) as u8,
+                signed,
+            }
+        })
+        .collect();
+    let mut li = Vec::with_capacity(slots * ENTRY_STRIDE);
+    for i in 0..slots * ENTRY_STRIDE {
+        li.push(match mix(seed) % 6 {
+            0 => 0,
+            1 => 1,
+            2 => u64::MAX,
+            3 => mix(seed) % 70,
+            4 if i >= ENTRY_STRIDE => li[i - ENTRY_STRIDE],
+            _ => mix(seed),
+        });
+    }
+    (ops, li)
+}
+
+/// [`run_case`] in `u32` rows: every slot of one narrow type `ty`, so
+/// that the ops a narrow table admits share a kernel, and the matrix
+/// canonical for it, one element in three with the type's top bit on.
+fn narrow_run_case(op: DfgOp, ty: SlotType, k: usize, seed: &mut u64) -> (Vec<OpInst>, Vec<u32>) {
+    let (mut ops, wide) = run_case(op, ty.1, k, seed);
+    let w = u64::from(ty.0);
+    for inst in &mut ops {
+        inst.width = ty.0;
+        inst.params = match op {
+            DfgOp::Andr | DfgOp::Orr | DfgOp::Xorr => vec![w],
+            DfgOp::Shl | DfgOp::Shr => vec![mix(seed) % 70],
+            DfgOp::Bits => {
+                let lo = mix(seed) % 34;
+                vec![lo + mix(seed) % (34 - lo), lo]
+            }
+            DfgOp::Head => vec![1 + mix(seed) % w, w],
+            DfgOp::Cat => vec![w, w],
+            _ => std::mem::take(&mut inst.params),
+        };
+    }
+    let li = (wide.iter().enumerate())
+        .map(|(i, &v)| {
+            let top = if i % 3 == 0 { 1 << (ty.0 - 1) } else { 0 };
+            canonicalize(v | top, ty.0 as u32, ty.1) as u32
+        })
+        .collect();
+    (ops, li)
+}
+
+/// Asserts that, through every entry that may run `w`, one call over `run`
+/// leaves `li` as one call per op, in order, leaves it.
+fn assert_one_call_per_run<T: Lane>(run: &[CompiledOp], li: &[T], w: LaneWindow, what: &str) {
+    for entry in entries(w) {
+        let mut one_by_one = li.to_vec();
+        for op in run {
+            op.eval_lanes_as(entry, &mut one_by_one, w);
+        }
+        let mut got = li.to_vec();
+        CompiledOp::eval_run_as(run, entry, &mut got, w);
+        assert_eq!(got, one_by_one, "{what} {entry:?} active {}", w.active);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 300, ..ProptestConfig::default() })]
+
+    #[test]
+    fn one_call_over_a_run_equals_one_call_per_op(
+        op in prop::sample::select(evaluable_ops()),
+        signed in any::<bool>(),
+        k in 2usize..7,
+        active in prop::sample::select(entry_windows()),
+        seed in any::<u64>(),
+    ) {
+        let mut seed = seed;
+        let w = LaneWindow { stride: ENTRY_STRIDE, active };
+        let (ops, li) = run_case(op, signed, k, &mut seed);
+        // The run is also the interpreter's ops one after the other.
+        let mut want = li.clone();
+        for inst in &ops {
+            interpret(inst, &mut want, w);
+        }
+        for isa in LaneIsa::supported() {
+            let run: Vec<CompiledOp> = ops.iter().map(|i| CompiledOp::compile_for(i, isa)).collect();
+            let what = format!("{isa:?} {op} ops {ops:?}");
+            assert_one_call_per_run(&run, &li, w, &what);
+            let mut got = li.clone();
+            CompiledOp::eval_run_as(&run, Entry::of(w), &mut got, w);
+            prop_assert_eq!(&got, &want, "{} against the interpreter", what);
+        }
+        // The same in `u32` rows: the ops a narrow table admits.
+        let ty = (NARROW_WIDTHS[(mix(&mut seed) % 6) as usize], signed);
+        let (ops, li) = narrow_run_case(op, ty, k, &mut seed);
+        for isa in LaneIsa::supported() {
+            let run: Vec<CompiledOp> = (ops.iter())
+                .filter_map(|i| CompiledOp::compile_narrow_for(i, isa, &vec![ty; i.ins.len()]))
+                .collect();
+            let what = format!("{isa:?} narrow {op} on {ty:?} ops {ops:?}");
+            assert_one_call_per_run(&run, &li, w, &what);
+        }
+    }
+}
+
+/// One run of mux chains of every length from 1 to 17 operands, each
+/// after the first taking the previous chain's output as its first
+/// condition: one call over the run leaves what one call per chain
+/// leaves, on both entries, both lane types, both signednesses and every
+/// table.
+#[test]
+fn a_run_of_mux_chains_of_different_lengths_is_one_call() {
+    let mut seed = 0x5eed;
+    let wide: Vec<u64> = (0..29 * ENTRY_STRIDE)
+        .map(|_| match mix(&mut seed) % 3 {
+            0 => 0,
+            _ => mix(&mut seed) & 0xffff_ffff,
+        })
+        .collect();
+    let narrow: Vec<u32> = wide.iter().map(|&v| v as u32).collect();
+    for signed in [false, true] {
+        let chains: Vec<OpInst> = (0..9u32)
+            .map(|j| OpInst {
+                n: DfgOp::MuxChain.n_coord(),
+                out: j,
+                ins: (0..2 * j + 1)
+                    .map(|o| match (o, j) {
+                        (0, 1..) => j - 1,
+                        _ => 9 + (mix(&mut seed) % 20) as u32,
+                    })
+                    .collect(),
+                params: vec![],
+                width: 32,
+                signed,
+            })
+            .collect();
+        for isa in LaneIsa::supported() {
+            let run: Vec<CompiledOp> = (chains.iter())
+                .map(|c| CompiledOp::compile_for(c, isa))
+                .collect();
+            let narrow_run: Vec<CompiledOp> = (chains.iter())
+                .map(|c| {
+                    let types = vec![(32, false); c.ins.len()];
+                    CompiledOp::compile_narrow_for(c, isa, &types).expect("a chain is exact")
+                })
+                .collect();
+            for active in entry_windows() {
+                let w = LaneWindow {
+                    stride: ENTRY_STRIDE,
+                    active,
+                };
+                let what = format!("{isa:?} chains signed {signed}");
+                assert_one_call_per_run(&run, &wide, w, &format!("{what}, u64 rows"));
+                assert_one_call_per_run(&narrow_run, &narrow, w, &format!("{what}, u32 rows"));
             }
         }
     }

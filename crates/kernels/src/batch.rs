@@ -15,13 +15,14 @@
 //! One **cycle loop** runs every kernel: `stimulus → [settled? clock
 //! only] → walk → commit`. Each partition's operations are stored once,
 //! pre-lowered by `rteaal_dfg::lane_kernel` into autovectorizable lane
-//! kernels, in walk order. The one-thread walk (`threads = 1`: no
-//! barrier, no thread scope) runs each partition's ops front to back
-//! with no indirection. The layer-barriered walks — worker threads, and
-//! the per-layer attribution of [`BatchKernel::step_profiled`] — follow a
-//! flat list of `Phase`s instead: barrier-delimited runs of independent
-//! instructions, one per layer over the flattened `(partition, op)`
-//! range, each reaching its layer's ops through an index list. A
+//! kernels, in walk order, and cut into *runs* — consecutive ops of one
+//! layer that share a kernel. The one-thread walk (`threads = 1`: no
+//! barrier, no thread scope) runs each partition's runs front to back,
+//! one kernel call per run. The layer-barriered walks — worker threads,
+//! and the per-layer attribution of [`BatchKernel::step_profiled`] —
+//! follow a flat list of `Phase`s instead: barrier-delimited stretches of
+//! independent instructions, one per layer over the flattened
+//! `(partition, op)` range, each tile of it cut at the layer's runs. A
 //! specialized kernel walks its own phases on one thread too, adding a
 //! boundary move phase before the bodies of each layer that bit-packs
 //! (see `rteaal_dfg::specialize`). Unpartitioned is the `P = 1` case. The
@@ -39,18 +40,17 @@
 //! [`BatchKernel::run_with_stimulus`] call and live for the whole span of
 //! cycles, so the per-cycle cost is the barriers, not thread creation.
 //!
-//! Walk order is ascending output slot, which is a row order: each op's
-//! result row is written in the order the rows are numbered. For every
-//! plan `plan()` builds that is plan order, layer after layer. For a
-//! plan [in emission order](rteaal_dfg::SimPlan::in_emission_order) —
-//! the copy `rteaal_core::BatchSimulation` runs — it is depth-first: an
-//! op runs right after the ops it reads, while their rows are still in
-//! cache. Where ascending output slot is not a topological order (a plan
-//! [renamed](rteaal_dfg::SimPlan::renamed) against the data flow), the
-//! walk keeps plan order. Every
-//! kernel kind walks the same way: the lane walk dispatches per op, not
-//! per `(layer, type)` group, so the swizzle of Algorithm 4 buys it
-//! nothing.
+//! Walk order is layer-major, the swizzle of the paper's Algorithm 4:
+//! layer after layer, each layer's ops stably sorted by the kernel that
+//! runs them ([`LaneLayout::kernel_key`]: the opcode after the narrow
+//! `logical` remap, and the signedness), so that each `(layer, kernel)`
+//! group is one run and one indirect call, its ops in plan order. A
+//! levelized layer reads only earlier layers, so the order is topological
+//! for every plan — in plan order, [in emission
+//! order](rteaal_dfg::SimPlan::in_emission_order) (the copy
+//! `rteaal_core::BatchSimulation` runs) or
+//! [renamed](rteaal_dfg::SimPlan::renamed) any other way — and no plan
+//! needs another. Every kernel kind walks the same way.
 
 use crate::config::{KernelConfig, KernelKind};
 use crate::parallel::{chunk, schedule, Segment, SpinBarrier};
@@ -58,11 +58,11 @@ use crate::profile::{oim_addr, MemProbe, OimArray, Probe, CODE_BASE, HANDLER_BYT
 use crate::rolled::exec_cost;
 use rteaal_dfg::batch::init_lanes;
 use rteaal_dfg::lane_kernel::{
-    compile_layer, BatchEngine, CompiledOp, Lane, LaneLayout, LaneType, LaneWindow,
+    compile_runs, BatchEngine, KernelArgs, KernelRun, Lane, LaneLayout, LaneType, LaneWindow,
 };
 use rteaal_dfg::op::canonicalize;
 use rteaal_dfg::partition::{PartitionedPlan, RumEntry};
-use rteaal_dfg::plan::{ascends_topologically, split_commits};
+use rteaal_dfg::plan::split_commits;
 use rteaal_dfg::specialize::{SpecProgram, SpecializedPlan};
 use rteaal_dfg::{OpInst, SimPlan};
 use rteaal_perfmodel::cache::MemSim;
@@ -685,72 +685,84 @@ pub struct LayerSample {
     pub stores: u64,
 }
 
-/// One partition's op program: its operations stored once, in the order
-/// the one-thread walk runs them, and the per-layer index list through
-/// which the layer-barriered walks reach them.
+/// One partition's op program: its operations stored once, layer after
+/// layer, in the order the walks run them; their kernel-compiled args;
+/// and the runs of those args that share a kernel.
 #[derive(Debug, Clone)]
 struct Program {
-    /// The operations in walk order: ascending output slot where that is
-    /// a topological order ([`ascends_topologically`]), else plan order.
-    /// For a plan `plan()` built the two are the same. The interpreted
-    /// form, also what the profiled walk models.
+    /// The operations in walk order: layer after layer, each layer's
+    /// stably sorted by [`LaneLayout::kernel_key`] — topological for any
+    /// levelized plan. The interpreted form, also what the profiled walk
+    /// models.
     ops: Vec<OpInst>,
     /// `ops` kernel-compiled, in the same order (compiled per-op kernels
-    /// only: a specialized kernel walks its `SpecProgram`).
-    compiled: Vec<CompiledOp>,
-    /// Positions in `ops` of every layer's operations, layer after layer
-    /// and in plan order within a layer.
-    by_layer: Vec<u32>,
-    /// Where each layer starts in `by_layer` (`layers + 1` entries; the
-    /// layers past this partition's last are empty).
+    /// only: a specialized kernel walks its `SpecProgram`, an interpreted
+    /// one `ops`).
+    args: Vec<KernelArgs>,
+    /// The maximal stretches of `args` that share a kernel, in order;
+    /// none crosses a layer.
+    runs: Vec<KernelRun>,
+    /// Where each layer starts in `ops` (`layers + 1` entries; the layers
+    /// past this partition's last are empty).
     layer_at: Vec<usize>,
+    /// Where each layer starts in `runs` (`layers + 1` entries).
+    run_at: Vec<usize>,
 }
 
 impl Program {
     /// Copies a partition's layers (padded to `num_layers`) into walk
-    /// order, compiling the ops for the rows of `layout` when `compile`.
+    /// order, compiling the ops into runs for the rows of `layout` when
+    /// `compile`.
     fn new(layers: &[Vec<OpInst>], num_layers: usize, layout: &LaneLayout, compile: bool) -> Self {
-        let plan_order: Vec<&OpInst> = layers.iter().flatten().collect();
-        let mut layer_at = Vec::with_capacity(num_layers + 1);
-        layer_at.push(0);
+        let mut ops: Vec<OpInst> = Vec::with_capacity(layers.iter().map(Vec::len).sum());
+        let (mut args, mut runs) = (Vec::new(), Vec::new());
+        let (mut layer_at, mut run_at) = (vec![0], vec![0]);
         for layer in layers {
-            layer_at.push(layer_at[layer_at.len() - 1] + layer.len());
-        }
-        layer_at.resize(num_layers + 1, plan_order.len());
-        let num_slots = layout.slot_types().len();
-        let walk: Vec<u32> = if ascends_topologically(plan_order.iter().copied(), num_slots) {
-            // Every op owns its output slot: ascending is one bucket pass.
-            let mut by_slot = vec![u32::MAX; num_slots];
-            for (k, op) in plan_order.iter().enumerate() {
-                by_slot[op.out as usize] = k as u32;
+            let at = ops.len();
+            ops.extend_from_slice(layer);
+            // Stable: within a kernel's run, plan order.
+            ops[at..].sort_by_cached_key(|op| layout.kernel_key(op));
+            if compile {
+                compile_runs(&ops[at..], layout, &mut args, &mut runs);
             }
-            by_slot.into_iter().filter(|&k| k != u32::MAX).collect()
-        } else {
-            (0..plan_order.len() as u32).collect()
-        };
-        let mut by_layer = vec![0; walk.len()];
-        for (at, &k) in walk.iter().enumerate() {
-            by_layer[k as usize] = at as u32;
+            layer_at.push(ops.len());
+            run_at.push(runs.len());
         }
-        let ops: Vec<OpInst> = (walk.iter())
-            .map(|&k| plan_order[k as usize].clone())
-            .collect();
-        let compiled = if compile {
-            compile_layer(&ops, layout)
-        } else {
-            Vec::new()
-        };
+        layer_at.resize(num_layers + 1, ops.len());
+        run_at.resize(num_layers + 1, runs.len());
         Program {
             ops,
-            compiled,
-            by_layer,
+            args,
+            runs,
             layer_at,
+            run_at,
         }
     }
 
-    /// Positions in `ops` of layer `i`'s operations, in plan order.
-    fn layer(&self, i: usize) -> &[u32] {
-        &self.by_layer[self.layer_at[i]..self.layer_at[i + 1]]
+    /// Positions in `ops` of layer `i`'s operations.
+    fn layer(&self, i: usize) -> Range<usize> {
+        self.layer_at[i]..self.layer_at[i + 1]
+    }
+
+    /// Evaluates the compiled ops at positions `r` of layer `i` in the
+    /// replica at `base`: one kernel call per run of the layer that `r`
+    /// meets, over the part of it inside `r`.
+    ///
+    /// # Safety
+    ///
+    /// As `KernelRun::eval_lanes_ptr` for every op of `r`, which lies
+    /// within layer `i` of a compiled program.
+    #[inline]
+    unsafe fn eval_runs<T: Lane>(&self, i: usize, base: *mut T, w: LaneWindow, r: Range<usize>) {
+        for run in &self.runs[self.run_at[i]..self.run_at[i + 1]] {
+            let ops = run.ops();
+            let (a, b) = (ops.start.max(r.start), ops.end.min(r.end));
+            if a < b {
+                // SAFETY: forwarding the caller's contract for ops
+                // `a..b`, a stretch of this run.
+                unsafe { run.eval_lanes_ptr(base, &self.args[a..b], w) };
+            }
+        }
     }
 }
 
@@ -778,6 +790,9 @@ pub struct BatchKernel {
     spec: Option<SpecProgram>,
     /// What a layer-barriered cycle walks, in order.
     phases: Vec<Phase>,
+    /// Rows the ops address: one past the highest slot any op names. A
+    /// walk checks the state holds that many before touching a row.
+    rows: usize,
     /// The lane type of the rows every table above was compiled for; a
     /// walk checks it against the state's before touching a row.
     lane: LaneType,
@@ -837,6 +852,10 @@ impl BatchKernel {
             .map(|layers| Program::new(layers, num_layers, layout, compile))
             .collect();
         let layer_len = |i: usize| programs.iter().map(|p| p.layer(i).len()).sum();
+        let rows = (programs.iter().flat_map(|p| &p.ops))
+            .map(|op| op.ins.iter().fold(op.out, |m, &r| m.max(r)) as usize + 1)
+            .max()
+            .unwrap_or(0);
         let phase = |layer, moves, len| Phase { layer, moves, len };
         let phases = match &spec {
             // A layer without boundary moves gets no move phase, so a
@@ -860,6 +879,7 @@ impl BatchKernel {
             programs,
             spec,
             phases,
+            rows,
             lane: layout.lane_type(),
             signed: match engine {
                 BatchEngine::Interpreted => layout.signed_slots(),
@@ -917,14 +937,20 @@ impl BatchKernel {
         self.programs.len()
     }
 
+    /// The ops of every run of the compiled walk — one kernel call each —
+    /// partition after partition, in walk order (none for a specialized
+    /// or interpreted kernel).
+    pub fn runs(&self) -> impl Iterator<Item = &[OpInst]> {
+        (self.programs.iter()).flat_map(|p| p.runs.iter().map(|run| &p.ops[run.ops()]))
+    }
+
     /// The one-thread walk of a cycle: each partition's program front to
-    /// back in its own replica, straight through the compiled ops — no
-    /// phase, barrier or index list. A specialized kernel walks its
-    /// phases in order.
+    /// back in its own replica, one kernel call per run — no phase or
+    /// barrier. A specialized kernel walks its phases in order.
     ///
     /// # Safety
     ///
-    /// As `CompiledOp::eval_lanes_ptr` for every op: `cx` must describe
+    /// As `KernelRun::eval_lanes_ptr` for every op: `cx` must describe
     /// the state this kernel is paired with, and nothing else may touch
     /// it during the call.
     unsafe fn walk_serial(&self, cx: &Walk, buf: &mut Vec<u64>) {
@@ -953,15 +979,16 @@ impl BatchKernel {
             return;
         }
         for (p, program) in self.programs.iter().enumerate() {
-            // SAFETY: replica `p` lies within the state's matrix; walk
-            // order evaluates every op after the ops it reads, and one
-            // thread owns every row.
+            // SAFETY: replica `p` lies within the state's matrix, which
+            // holds every row an op names (`walk_context`); walk order
+            // evaluates every op after the ops it reads, and one thread
+            // owns every row.
             unsafe {
                 let base = li.add(p * cx.span);
                 match self.engine {
                     BatchEngine::Compiled => {
-                        for op in &program.compiled {
-                            op.eval_lanes_ptr(base, cx.w);
+                        for run in &program.runs {
+                            run.eval_lanes_ptr(base, &program.args[run.ops()], cx.w);
                         }
                     }
                     BatchEngine::Interpreted => {
@@ -976,12 +1003,12 @@ impl BatchKernel {
 
     /// Evaluates instructions `r` of phase `k`. A layer phase's range
     /// indexes its flattened (partition, op) pairs, intersected with each
-    /// partition's share of the layer and reached through its index
-    /// list: a (partition, op-range) tile set.
+    /// partition's stretch of the layer and cut at its runs: a
+    /// (partition, op-range) tile set.
     ///
     /// # Safety
     ///
-    /// As `CompiledOp::eval_lanes_ptr` (`SpecProgram::eval_phase_a` / `_b`
+    /// As `KernelRun::eval_lanes_ptr` (`SpecProgram::eval_phase_a` / `_b`
     /// for a specialized kernel): `cx` must describe the state this
     /// kernel is paired with, every earlier phase must be sealed (program
     /// order or a barrier), and concurrent callers must pass disjoint
@@ -1028,17 +1055,12 @@ impl BatchKernel {
                         let layer = program.layer(i);
                         let (a, b) = (r.start.max(first), r.end.min(first + layer.len()));
                         if a < b {
-                            let tile = &layer[a - first..b - first];
+                            let tile = layer.start + (a - first)..layer.start + (b - first);
                             let base = li.add(p * cx.span);
                             match self.engine {
-                                BatchEngine::Compiled => {
-                                    for &k in tile {
-                                        program.compiled[k as usize].eval_lanes_ptr(base, cx.w);
-                                    }
-                                }
+                                BatchEngine::Compiled => program.eval_runs(i, base, cx.w, tile),
                                 BatchEngine::Interpreted => {
-                                    for &k in tile {
-                                        let op = &program.ops[k as usize];
+                                    for op in &program.ops[tile] {
                                         op.eval_lanes_ptr(base, cx.w, &self.signed, buf);
                                     }
                                 }
@@ -1096,15 +1118,22 @@ impl BatchKernel {
         }
     }
 
-    /// Checks the kernel/state pairing — partition count and lane type:
-    /// a kernel only ever sees rows of the element it was compiled for —
-    /// sizes the bit-plane sidecar, and captures the pointers and window
-    /// a walk shares.
+    /// Checks the kernel/state pairing — partition count, rows and lane
+    /// type: a kernel only ever sees a state that holds every row its ops
+    /// name, in the element it was compiled for — sizes the bit-plane
+    /// sidecar, and captures the pointers and window a walk shares.
     fn walk_context(&self, st: &mut BatchLiState) -> Walk {
         assert_eq!(
             self.programs.len(),
             st.parts,
             "kernel/state partition mismatch"
+        );
+        let slots = st.span / st.lanes;
+        assert!(
+            slots >= self.rows,
+            "`LI` holds {slots} slots; the kernel addresses {} (were they built from the same \
+             plan?)",
+            self.rows
         );
         assert_eq!(
             self.lane,
@@ -1284,7 +1313,7 @@ impl BatchKernel {
         let mut after_layer = |i: usize| {
             let before = probe.counters;
             for (p, program) in self.programs.iter().enumerate() {
-                for op in program.layer(i).iter().map(|&k| &program.ops[k as usize]) {
+                for op in &program.ops[program.layer(i)] {
                     probe.load(oim_addr(OimArray::NCoords, op_index, 2));
                     probe.load(oim_addr(OimArray::SCoords, op_index, 4));
                     probe.load(oim_addr(OimArray::Meta, op_index, 24));
@@ -1844,42 +1873,77 @@ circuit Wide :
         }
     }
 
+    /// Asserts `program` walks `layers` under the run contract: each
+    /// layer is one contiguous stretch of the walk holding its own ops,
+    /// sorted by kernel key and in plan order within a key; the layer's
+    /// runs tile its stretch, never cross into the next layer, carry one
+    /// key each and are maximal (two neighbours never share a key).
+    fn assert_walks_in_runs(program: &Program, layers: &[Vec<OpInst>], layout: &LaneLayout) {
+        let key = |op: &OpInst| layout.kernel_key(op);
+        assert_eq!(program.layer_at[0], 0);
+        assert_eq!(program.args.len(), program.ops.len());
+        for (i, layer) in layers.iter().enumerate() {
+            let stretch = program.layer(i);
+            let mut want = layer.clone();
+            want.sort_by_key(key); // stable
+            assert_eq!(&program.ops[stretch.clone()], &want[..], "layer {i}");
+            let runs = &program.runs[program.run_at[i]..program.run_at[i + 1]];
+            let mut at = stretch.start;
+            for (k, run) in runs.iter().enumerate() {
+                let ops = run.ops();
+                assert!(
+                    ops.start == at && ops.end > at,
+                    "layer {i} run {k}: {ops:?}"
+                );
+                let first = key(&program.ops[at]);
+                assert!(
+                    program.ops[ops.clone()].iter().all(|op| key(op) == first),
+                    "layer {i} run {k}: one kernel"
+                );
+                if k > 0 {
+                    assert_ne!(
+                        key(&program.ops[at - 1]),
+                        first,
+                        "layer {i} run {k}: maximal"
+                    );
+                }
+                at = ops.end;
+            }
+            assert_eq!(at, stretch.end, "layer {i}: its runs cover it");
+        }
+        assert_eq!(program.layer_at[layers.len()], program.ops.len());
+    }
+
     #[test]
     fn a_plans_one_thread_walk_visits_the_flattened_layers_in_order() {
-        // Ascending output slot is plan order for every plan `plan()`
-        // builds: the one-thread walk is the layers front to back, and
-        // each layer's index list is its stretch of the walk.
+        // Layer after layer, each layer one stretch of the walk sorted by
+        // kernel into maximal runs — for the flat kernel of every kind,
+        // and for each partition of a partitioned one.
         for src in [DESIGN.to_string(), wide_design()] {
             let p = plan_of(&src);
+            let layout = LaneLayout::of(&p);
             let pp = PartitionedPlan::new(&p, 3);
-            let in_order = |program: &Program, layers: &[Vec<OpInst>]| {
-                assert_eq!(program.ops, layers.concat());
-                let positions: Vec<u32> = (0..program.ops.len() as u32).collect();
-                assert_eq!(program.by_layer, positions);
-                for (i, layer) in layers.iter().enumerate() {
-                    assert_eq!(program.layer(i).len(), layer.len(), "layer {i}");
-                }
-            };
             for kind in ALL_KERNELS {
                 let flat = BatchKernel::compile(&p, KernelConfig::new(kind));
                 assert_eq!(flat.programs.len(), 1);
-                in_order(&flat.programs[0], &p.layers);
+                assert_walks_in_runs(&flat.programs[0], &p.layers, &layout);
                 assert_eq!(flat.programs[0].ops.len(), p.total_ops());
                 let parts = BatchKernel::compile_partitioned(&pp, KernelConfig::new(kind));
                 for (program, want) in parts.programs.iter().zip(&pp.partitions) {
-                    in_order(program, &want.layers);
+                    assert_walks_in_runs(program, &want.layers, &pp.lanes);
                 }
             }
         }
     }
 
     #[test]
-    fn the_walk_keeps_plan_order_only_where_ascending_slots_are_not_topological() {
-        // `plan_unelided` numbers each value's per-layer copies together:
-        // ascending output slot is not plan order there, but it is still
-        // topological, so the walk takes it. Numbered backwards, the
-        // core's op outputs are read before they are written in ascending
-        // order: the walk keeps plan order. Both are bit-exact.
+    fn a_backwards_numbered_core_walks_layer_major_runs_bit_exact() {
+        // `plan_unelided` numbers each value's per-layer copies together,
+        // and the core numbered backwards reads its op outputs before it
+        // writes them in ascending slot order: neither numbering is plan
+        // order, and the walk does not care — it is layer-major runs on
+        // both, and bit-exact to the interpreted golden model on every
+        // cycle, slot and lane.
         let core = rteaal_designs::Workload::rv32i_sum_loop().circuit;
         let graph = rteaal_dfg::build(&lower_typed(&core).unwrap()).unwrap();
         let unelided = rteaal_dfg::plan::plan_unelided(&graph);
@@ -1891,15 +1955,20 @@ circuit Wide :
             to[from as usize] = into;
         }
         let backwards = p.renamed(&to);
-        for (p, ascends) in [(unelided, true), (backwards, false)] {
-            let flat: Vec<OpInst> = p.layers.concat();
-            assert_eq!(ascends_topologically(flat.iter(), p.num_slots), ascends);
+        let flat: Vec<OpInst> = backwards.layers.concat();
+        assert!(!rteaal_dfg::plan::ascends_topologically(
+            flat.iter(),
+            backwards.num_slots
+        ));
+        for p in [unelided, backwards] {
             let kernel = BatchKernel::compile(&p, KernelConfig::new(KernelKind::Psu));
-            let walk: Vec<u32> = kernel.programs[0].ops.iter().map(|op| op.out).collect();
-            let plan_order: Vec<u32> = flat.iter().map(|op| op.out).collect();
-            assert_eq!(walk.is_sorted(), ascends, "{}", p.name);
-            assert_eq!(walk == plan_order, !ascends, "{}", p.name);
-            const LANES: usize = 3;
+            assert_walks_in_runs(&kernel.programs[0], &p.layers, &LaneLayout::of(&p));
+            assert!(
+                kernel.programs[0].runs.len() < p.total_ops(),
+                "{}: some layer's kernel runs more than one op",
+                p.name
+            );
+            const LANES: usize = 8;
             let mut st = BatchLiState::new(&p, LANES);
             let mut golden = BatchPlanSim::interpreted(&p, LANES);
             for cycle in 0..60u64 {
@@ -1916,6 +1985,34 @@ circuit Wide :
                         assert_eq!(st.slot(s, lane), golden.slot(s, lane), "{at}");
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn a_state_too_small_for_the_kernel_is_refused_before_any_access() {
+        // Both in `u64` rows and one partition: only the row count tells
+        // kernel and state apart, and the walks address rows unchecked.
+        let (big, small) = (plan_of(&wide_design()), plan_of(DESIGN));
+        let wide = |p: &SimPlan| LaneLayout::of_as(p, LaneType::Wide);
+        let want = format!("`LI` holds {} slots; the kernel addresses", small.num_slots);
+        let cfg = KernelConfig::new(KernelKind::Psu);
+        for engine in [BatchEngine::Compiled, BatchEngine::Interpreted] {
+            let kernel = BatchKernel::compile_in(&big, cfg, engine, &wide(&big));
+            for threads in [0, 1, 2] {
+                let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    let mut st = BatchLiState::new_in(&small, 8, &wide(&small));
+                    match threads {
+                        0 => kernel.eval_comb(&mut st),
+                        _ => kernel.run_parallel(&mut st, 1, threads),
+                    }
+                }));
+                let payload = refused.expect_err("the walk was refused");
+                let message = payload.downcast::<String>().map(|m| *m).unwrap_or_default();
+                assert!(
+                    message.starts_with(&want),
+                    "{engine:?} threads {threads}: {message}"
+                );
             }
         }
     }

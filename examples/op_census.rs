@@ -23,23 +23,24 @@
 //! image, up to its first true condition. Then every `CompiledOp` of a
 //! design is grouped by opcode and timed over a live 64-lane `LI` image:
 //! op count, share of the summed walk, ns per op and per op-lane; then
-//! the plan-order walk — the order the engine walks, whatever the kernel
-//! kind — against a whole `step` (the rest is the stimulus and the
-//! commit; the two are timed apart, so a few percent either way is noise)
+//! the walk of one call per op in plan order against a whole `step` (the
+//! rest is the stimulus and the commit, less what the engine's run walk
+//! saves; the two are timed apart, so a few percent either way is noise)
 //! — in the plan's own lane type, and for a narrow plan also forced onto
 //! `u64` rows, which splits what the smaller plan buys from what the
 //! narrower rows buy. Last, the one-thread step over the plan and over
-//! the copy `BatchSimulation` runs (the plan in emission order, walked
-//! depth-first), timed in interleaved blocks on a live image, with the
-//! median distance in ops from a value's producer to its readers under
-//! each numbering; and the step of that copy at 1, 2, 4, 5, 7, 8, 16 and
-//! 64 live lanes, with the entry of the lane kernels each window takes
+//! the copy `BatchSimulation` runs (the plan in emission order), timed in
+//! interleaved blocks on a live image, with the median distance in ops
+//! from a value's producer to its readers in the run walk under each
+//! numbering; and the step of that copy at 1, 2, 4, 5, 7, 8, 16 and 64
+//! live lanes, with the entry of the lane kernels each window takes
 //! (whole chunks or any window) — the crossover table a few-lane window
-//! is judged by. Then the pair census of that copy, what fused op pairs
-//! would have to work with: every two ops adjacent in the walk where the
-//! second reads the first, grouped by (producer, consumer, operand), and
-//! how many such pairs a greedy pass can take without two sharing an op —
-//! the dispatches pair kernels could save at most.
+//! is judged by. Then the lane walk of that copy: its runs (one kernel
+//! call each: count, mean and longest), and the pair census, what fused
+//! op pairs would have to work with: every two ops adjacent in the walk
+//! where the second reads the first, grouped by (producer, consumer,
+//! operand), and how many such pairs a greedy pass can take without two
+//! sharing an op — the dispatches pair kernels could save at most.
 //!
 //! ```text
 //! cargo run --release --example op_census
@@ -80,7 +81,8 @@ fn best_ns(passes: usize, mut pass: impl FnMut()) -> f64 {
 /// Times the compiled walk of `plan`'s ops over `image` (every slot's
 /// canonical value, slot-major, `LANES` per slot) held in rows of `T`:
 /// with `detail`, per opcode — op count, share of the summed walk, ns per
-/// op and per op-lane; always the plan-order walk. Returns the walk's ns.
+/// op and per op-lane; always the walk of one call per op in plan order.
+/// Returns the walk's ns.
 fn timed_walk<T: Lane>(plan: &SimPlan, image: &[u64], detail: bool) -> f64 {
     let layout = LaneLayout::of_as(plan, T::TYPE);
     let flat: Vec<OpInst> = plan.layers.iter().flatten().cloned().collect();
@@ -548,19 +550,31 @@ fn census(
     if crossover {
         live_lane_steps(plan, config, x15.is_some(), warm, &mut drive);
     }
-    pair_census(&plan.in_emission_order());
+    walk_census(&plan.in_emission_order(), config);
     println!();
 }
 
-/// How many pair kinds [`pair_census`] lists by name.
+/// How many pair kinds [`walk_census`] lists by name.
 const TOP_PAIRS: usize = 8;
 
-/// The adjacent producer→consumer pairs of the walk over `plan`
-/// (ascending output slot): their kinds by count, and the pairs a greedy
-/// left-to-right pass takes when no op may be in two.
-fn pair_census(plan: &SimPlan) {
-    let mut walk: Vec<&OpInst> = plan.layers.iter().flatten().collect();
-    walk.sort_unstable_by_key(|op| op.out);
+/// The lane walk over `plan` (the front door's copy, in emission order):
+/// its runs — how many kernel calls a step makes, and how many ops a run
+/// holds on average and at most — then its adjacent producer→consumer
+/// pairs: their kinds by count, and the pairs a greedy left-to-right
+/// pass takes when no op may be in two.
+fn walk_census(plan: &SimPlan, config: KernelConfig) {
+    let kernel = BatchKernel::compile(plan, config);
+    let runs: Vec<&[OpInst]> = kernel.runs().collect();
+    let walk: Vec<&OpInst> = runs.iter().copied().flatten().collect();
+    println!(
+        "  lane walk: {} runs over {} ops in {} layers (one kernel call each): \
+         {:.2} ops per run, at most {}",
+        runs.len(),
+        walk.len(),
+        plan.layers.len(),
+        walk.len() as f64 / runs.len().max(1) as f64,
+        runs.iter().map(|run| run.len()).max().unwrap_or(0)
+    );
     let mut kinds: BTreeMap<String, usize> = BTreeMap::new();
     let (mut pairs, mut disjoint, mut taken_until) = (0, 0, 0);
     for (k, w) in walk.windows(2).enumerate() {
@@ -583,7 +597,7 @@ fn pair_census(plan: &SimPlan) {
         .map(|(kind, n)| format!("{kind} {n}"))
         .collect();
     println!(
-        "  pair census (emission order): {pairs} adjacent producer->consumer pairs of {} kinds; \
+        "  pair census (emission order, run walk): {pairs} adjacent producer->consumer pairs of {} kinds; \
          {disjoint} greedy disjoint pairs, so {} -> {} dispatches at most",
         kinds.len(),
         walk.len(),
@@ -684,23 +698,22 @@ fn step_orders(
         }
     }
     let mut line = String::from("  one-thread step:");
-    for (what, p, _, st, ns) in &runs {
+    for (what, p, kernel, st, ns) in &runs {
         assert!(!st.settled(), "the timed steps ran on a live image");
         line += &format!(
             " {what} {:.1} us (median producer-to-reader distance {} ops);",
             ns / 1e3,
-            median_distance(p)
+            median_distance(kernel, p.num_slots)
         );
     }
     println!("{}", line.trim_end_matches(';'));
 }
 
 /// The median, over every operand an op reads from another op, of how
-/// many ops apart the two run in the lane walk (ascending output slot).
-fn median_distance(plan: &SimPlan) -> usize {
-    let mut walk: Vec<&OpInst> = plan.layers.iter().flatten().collect();
-    walk.sort_unstable_by_key(|op| op.out);
-    let mut at = vec![None; plan.num_slots];
+/// many ops apart the two run in `kernel`'s lane walk.
+fn median_distance(kernel: &BatchKernel, num_slots: usize) -> usize {
+    let walk: Vec<&OpInst> = kernel.runs().flatten().collect();
+    let mut at = vec![None; num_slots];
     for (k, op) in walk.iter().enumerate() {
         at[op.out as usize] = Some(k);
     }

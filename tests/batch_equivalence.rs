@@ -640,10 +640,10 @@ fn every_engine_shape_is_bit_exact_on_rv32i_and_sha3() {
 #[test]
 fn the_renamed_core_is_bit_exact_in_every_engine_shape() {
     // The core as the front door runs it, in emission order: a layer's
-    // ops lie scattered over the walk, so the threaded walks reach them
-    // through their index lists — at 64 lanes the wider layers are split
-    // across both workers — and each partition's one-thread walk runs its
-    // replica depth-first.
+    // output rows lie scattered, and every walk runs the layer as one
+    // stretch of kernel runs — at 64 lanes the threaded walks split the
+    // wider layers' stretches across both workers, cutting runs — and
+    // each partition's one-thread walk runs its replica's runs.
     let core = optimized_plan_of(&halting_rv32i().circuit).in_emission_order();
     for (lanes, lane) in [(64, LaneType::Narrow), (4, LaneType::Wide)] {
         let stim = Stim {

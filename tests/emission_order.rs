@@ -1,14 +1,16 @@
 //! The batched front door's row numbering: `SimPlan::in_emission_order`
 //! renumbers a plan's op outputs in depth-first post-order from the
-//! roots, so the one-thread lane walk — ascending output slot — runs an
-//! op right after the ops it reads. Checked on the RV32I core, SHA3, the
-//! benchmark's chip and 64 generated circuits: the renaming is one to one
-//! and moves only op outputs, ascending output slot is a topological
-//! order, the renamed plan verifies clean with the same stats, every name
-//! resolves to its renamed slot (through `BatchSimulation` too), and the
-//! one-thread walk over the renamed plan is bit-exact, slot for slot
+//! roots, so that a value's row sits next to its readers' rows. The lane
+//! walk does not follow the numbering: it runs layer-major runs (each
+//! layer's ops sorted by kernel, one call per run), which is topological
+//! under any numbering. Checked on the RV32I core, SHA3, the benchmark's
+//! chip and 64 generated circuits: the renaming is one to one and moves
+//! only op outputs, ascending output slot is a topological order, the
+//! renamed plan verifies clean with the same stats, every name resolves
+//! to its renamed slot (through `BatchSimulation` too), and the
+//! one-thread run walk over the renamed plan is bit-exact, slot for slot
 //! through the renaming, to the walk over the plan and to the interpreted
-//! golden model.
+//! golden model — under release codegen too, where the kernels vectorize.
 
 // Only the generator's circuits are used here, not its respelling.
 #[allow(dead_code)]
