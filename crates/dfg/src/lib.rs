@@ -14,9 +14,8 @@
 //!   (§4.3, Table 1).
 //! - [`plan`]: coordinate assignment for the `I, S, N, O, R` ranks with
 //!   identity elision, producing a [`plan::SimPlan`] — the logical content
-//!   of the `OIM` tensor — and the plan's renumbering in emission order
-//!   ([`plan::SimPlan::in_emission_order`]) that the batched front door
-//!   runs.
+//!   of the `OIM` tensor, whose slot numbering the scalar and the batched
+//!   simulators both address.
 //! - [`partition`]: the RepCut decomposition of a plan (Appendix C,
 //!   Cascade 2) — per-partition op schedules with replicated fan-in
 //!   cones, the register update map, and the per-slot home map the

@@ -275,80 +275,12 @@ impl SimPlan {
         h
     }
 
-    /// The renaming [`in_emission_order`](Self::in_emission_order)
-    /// applies: entry `s` is slot `s`'s number there. It is one-to-one
-    /// and moves only op outputs, which it hands the op-output slots in
-    /// ascending order as the ops are emitted in depth-first post-order
-    /// from the roots — the commit sources in commit order, then the
-    /// output ports, then every op in plan order, operands in operand
-    /// order. Linear in ops and operands: the walk keeps an explicit
-    /// stack, however deep the design.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a plan the verifier rejects for a slot out of bounds or
-    /// written twice.
-    pub fn emission_order(&self) -> Vec<u32> {
-        // The op writing each slot, taken once the op is on the stack.
-        let mut producer: Vec<Option<&OpInst>> = vec![None; self.num_slots];
-        for op in self.layers.iter().flatten() {
-            producer[op.out as usize] = Some(op);
-        }
-        let op_outputs: Vec<u32> = (0..self.num_slots as u32)
-            .filter(|&s| producer[s as usize].is_some())
-            .collect();
-        let mut free = op_outputs.into_iter();
-        let mut rename: Vec<u32> = (0..self.num_slots as u32).collect();
-        let roots = (self.commits.iter().map(|&(_, src)| src))
-            .chain(self.output_slots.iter().map(|&(_, s)| s))
-            .chain(self.layers.iter().flatten().map(|op| op.out));
-        // Per op on the path: its operands still to visit, and its output.
-        let mut stack: Vec<(std::slice::Iter<u32>, u32)> = Vec::new();
-        for root in roots {
-            let Some(op) = producer[root as usize].take() else {
-                continue;
-            };
-            stack.push((op.ins.iter(), op.out));
-            while let Some((ins, out)) = stack.last_mut() {
-                if let Some(&r) = ins.next() {
-                    if let Some(child) = producer[r as usize].take() {
-                        stack.push((child.ins.iter(), child.out));
-                    }
-                } else {
-                    rename[*out as usize] = free.next().expect("an op output written twice");
-                    stack.pop();
-                }
-            }
-        }
-        rename
-    }
-
-    /// The same design with its op outputs numbered in emission order
-    /// (see [`emission_order`](Self::emission_order); applied by
-    /// [`renamed`](Self::renamed)): an op's operands are numbered just
-    /// before it, so a walk in ascending output slot evaluates each value
-    /// right before its first reader. Registers, inputs and constants
-    /// keep their slots.
-    ///
-    /// Row order is a lowering decision of one target, not a fact about
-    /// the plan: the batched front door (`rteaal_core::BatchSimulation`)
-    /// runs its own copy renamed this way. Its lane walk does not follow
-    /// the numbering (it runs each layer as runs of one kernel), so what
-    /// the renaming decides there is where rows lie.
-    ///
-    /// # Panics
-    ///
-    /// As [`emission_order`](Self::emission_order).
-    pub fn in_emission_order(&self) -> SimPlan {
-        self.renamed(&self.emission_order())
-    }
-
     /// The same design with slot `s` renumbered `to[s]`, for a one-to-one
-    /// `to` that moves only op outputs (as
-    /// [`emission_order`](Self::emission_order) does): layers, ports,
-    /// probes, commits, the power-on image and the signed probes carry
-    /// the new numbers, each layer lists its ops in ascending output
-    /// slot, and the name and the stats are unchanged.
+    /// `to` that moves only op outputs: layers, ports, probes, commits,
+    /// the power-on image and the signed probes carry the new numbers,
+    /// each layer lists its ops in ascending output slot, and the name
+    /// and the stats are unchanged. Tests use it as the witness for a
+    /// numbering other than the plan's own; nothing runs a renamed plan.
     ///
     /// # Panics
     ///
@@ -395,30 +327,6 @@ impl SimPlan {
             signed_probes,
         }
     }
-}
-
-/// Whether walking `ops` in ascending output slot evaluates every op
-/// after the ops whose outputs it reads, and every op owns its output
-/// slot — which makes that walk a legal schedule of a cycle. It holds
-/// for every plan [`plan`] builds (ascending output slot is plan order
-/// there), for every plan
-/// [in emission order](SimPlan::in_emission_order), and for
-/// [`plan_unelided`]'s (which number a value's per-layer copies together,
-/// so there it is a topological order other than plan order); not for a
-/// plan [`renamed`](SimPlan::renamed) against the data flow. Linear in
-/// ops and operands.
-pub fn ascends_topologically<'a>(
-    ops: impl Iterator<Item = &'a OpInst> + Clone,
-    num_slots: usize,
-) -> bool {
-    let mut written = vec![false; num_slots];
-    for op in ops.clone() {
-        if std::mem::replace(&mut written[op.out as usize], true) {
-            return false;
-        }
-    }
-    ops.into_iter()
-        .all(|op| op.ins.iter().all(|&r| !written[r as usize] || r < op.out))
 }
 
 /// Builds a [`SimPlan`] from a graph (levelizing internally).

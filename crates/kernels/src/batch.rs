@@ -46,8 +46,7 @@
 //! `logical` remap, and the signedness), so that each `(layer, kernel)`
 //! group is one run and one indirect call, its ops in plan order. A
 //! levelized layer reads only earlier layers, so the order is topological
-//! for every plan — in plan order, [in emission
-//! order](rteaal_dfg::SimPlan::in_emission_order) (the copy
+//! for every plan — in plan order (the numbering
 //! `rteaal_core::BatchSimulation` runs) or
 //! [renamed](rteaal_dfg::SimPlan::renamed) any other way — and no plan
 //! needs another. Every kernel kind walks the same way.
@@ -1955,11 +1954,12 @@ circuit Wide :
             to[from as usize] = into;
         }
         let backwards = p.renamed(&to);
-        let flat: Vec<OpInst> = backwards.layers.concat();
-        assert!(!rteaal_dfg::plan::ascends_topologically(
-            flat.iter(),
-            backwards.num_slots
-        ));
+        let reads_ahead =
+            |op: &OpInst| (op.ins.iter()).any(|&r| r > op.out && outs.binary_search(&r).is_ok());
+        assert!(
+            backwards.layers.iter().flatten().any(reads_ahead),
+            "some op reads an op output numbered above its own"
+        );
         for p in [unelided, backwards] {
             let kernel = BatchKernel::compile(&p, KernelConfig::new(KernelKind::Psu));
             assert_walks_in_runs(&kernel.programs[0], &p.layers, &LaneLayout::of(&p));

@@ -28,19 +28,17 @@
 //! saves; the two are timed apart, so a few percent either way is noise)
 //! — in the plan's own lane type, and for a narrow plan also forced onto
 //! `u64` rows, which splits what the smaller plan buys from what the
-//! narrower rows buy. Last, the one-thread step over the plan and over
-//! the copy `BatchSimulation` runs (the plan in emission order), timed in
-//! interleaved blocks on a live image, with the median distance in ops
-//! from a value's producer to its readers in the run walk under each
-//! numbering; and the step of that copy at 1, 2, 4, 5, 7, 8, 16 and 64
-//! live lanes, with the entry of the lane kernels each window takes
-//! (whole chunks or any window) — the crossover table a few-lane window
-//! is judged by. Then the lane walk of that copy: its runs (one kernel
-//! call each: count, mean and longest), and the pair census, what fused
-//! op pairs would have to work with: every two ops adjacent in the walk
-//! where the second reads the first, grouped by (producer, consumer,
-//! operand), and how many such pairs a greedy pass can take without two
-//! sharing an op — the dispatches pair kernels could save at most.
+//! narrower rows buy. Last, the one-thread step of the plan (the
+//! numbering `BatchSimulation` runs) at 1, 2, 4, 5, 7, 8, 16 and 64 live
+//! lanes, with the entry of the lane kernels each window takes (whole
+//! chunks or any window) — the crossover table a few-lane window is
+//! judged by. Then the lane walk: its runs (one kernel call each: count,
+//! mean and longest), the median distance in ops from a value's
+//! producer to its readers, and the pair census, what fused op pairs
+//! would have to work with: every two ops adjacent in the walk where the
+//! second reads the first, grouped by (producer, consumer, operand), and
+//! how many such pairs a greedy pass can take without two sharing an op
+//! — the dispatches pair kernels could save at most.
 //!
 //! ```text
 //! cargo run --release --example op_census
@@ -546,34 +544,34 @@ fn census(
             100.0 * (step_ns - walk_ns) / step_ns
         );
     }
-    step_orders(plan, config, x15, warm, &mut drive);
     if crossover {
         live_lane_steps(plan, config, x15.is_some(), warm, &mut drive);
     }
-    walk_census(&plan.in_emission_order(), config);
+    walk_census(plan, config);
     println!();
 }
 
 /// How many pair kinds [`walk_census`] lists by name.
 const TOP_PAIRS: usize = 8;
 
-/// The lane walk over `plan` (the front door's copy, in emission order):
-/// its runs — how many kernel calls a step makes, and how many ops a run
-/// holds on average and at most — then its adjacent producer→consumer
-/// pairs: their kinds by count, and the pairs a greedy left-to-right
-/// pass takes when no op may be in two.
+/// The lane walk over `plan`: its runs — how many kernel calls a step
+/// makes, and how many ops a run holds on average and at most — and the
+/// median distance from a value's producer to its readers, then its
+/// adjacent producer→consumer pairs: their kinds by count, and the pairs
+/// a greedy left-to-right pass takes when no op may be in two.
 fn walk_census(plan: &SimPlan, config: KernelConfig) {
     let kernel = BatchKernel::compile(plan, config);
     let runs: Vec<&[OpInst]> = kernel.runs().collect();
     let walk: Vec<&OpInst> = runs.iter().copied().flatten().collect();
     println!(
         "  lane walk: {} runs over {} ops in {} layers (one kernel call each): \
-         {:.2} ops per run, at most {}",
+         {:.2} ops per run, at most {}; median producer-to-reader distance {} ops",
         runs.len(),
         walk.len(),
         plan.layers.len(),
         walk.len() as f64 / runs.len().max(1) as f64,
-        runs.iter().map(|run| run.len()).max().unwrap_or(0)
+        runs.iter().map(|run| run.len()).max().unwrap_or(0),
+        median_distance(&walk, plan.num_slots)
     );
     let mut kinds: BTreeMap<String, usize> = BTreeMap::new();
     let (mut pairs, mut disjoint, mut taken_until) = (0, 0, 0);
@@ -597,7 +595,7 @@ fn walk_census(plan: &SimPlan, config: KernelConfig) {
         .map(|(kind, n)| format!("{kind} {n}"))
         .collect();
     println!(
-        "  pair census (emission order, run walk): {pairs} adjacent producer->consumer pairs of {} kinds; \
+        "  pair census (run walk): {pairs} adjacent producer->consumer pairs of {} kinds; \
          {disjoint} greedy disjoint pairs, so {} -> {} dispatches at most",
         kinds.len(),
         walk.len(),
@@ -616,13 +614,13 @@ const LIVE: [usize; 8] = [1, 2, 4, 5, 7, 8, 16, 64];
 /// A loop bound RV32I's sum loop takes three billion cycles to reach.
 const ENDLESS: u64 = 1 << 30;
 
-/// The one-thread step of the front door's copy of `plan` (emission
-/// order) with each of [`LIVE`] lanes live: warmed up `warm` cycles under
-/// `drive` on every lane to a live image, then timed with the inputs held
-/// (the walk, not the stimulus) in interleaved blocks, each window's best
-/// block; and the entry of the lane kernels each window takes. With
-/// `endless`, RV32I's loop bound `x15` is [`ENDLESS`], so that no timed
-/// cycle reaches the end of the loop.
+/// The one-thread step of `plan` with each of [`LIVE`] lanes live:
+/// warmed up `warm` cycles under `drive` on every lane to a live image,
+/// then timed with the inputs held (the walk, not the stimulus) in
+/// interleaved blocks, each window's best block; and the entry of the
+/// lane kernels each window takes. With `endless`, RV32I's loop bound
+/// `x15` is [`ENDLESS`], so that no timed cycle reaches the end of the
+/// loop.
 fn live_lane_steps(
     plan: &SimPlan,
     config: KernelConfig,
@@ -630,11 +628,10 @@ fn live_lane_steps(
     warm: u64,
     drive: &mut dyn FnMut(u64, &mut LanePoker),
 ) {
-    let renamed = plan.in_emission_order();
-    let kernel = BatchKernel::compile(&renamed, config);
-    let mut st = BatchLiState::new(&renamed, LANES);
+    let kernel = BatchKernel::compile(plan, config);
+    let mut st = BatchLiState::new(plan, LANES);
     if endless {
-        let x15 = renamed.signal_slot("x15").expect("probed");
+        let x15 = plan.signal_slot("x15").expect("probed");
         (0..LANES).for_each(|lane| st.poke_slot(x15, lane, ENDLESS));
     }
     kernel.run_with_stimulus(&mut st, warm, 1, drive);
@@ -646,7 +643,7 @@ fn live_lane_steps(
         }
     }
     assert!(!st.settled(), "the timed steps ran on a live image");
-    println!("  one-thread step by live lanes (emission order, inputs held):");
+    println!("  one-thread step by live lanes (inputs held):");
     println!(
         "  {:>6} {:>6} {:>10} {:>16}",
         "live", "entry", "step us", "ns/lane-cycle"
@@ -665,54 +662,9 @@ fn live_lane_steps(
     }
 }
 
-/// The one-thread step over `plan` and over the front door's copy of it
-/// in emission order, each warmed up `warm` cycles under `drive` to a
-/// live image and timed in interleaved blocks, and the median distance
-/// from a value's producer to its readers under each numbering.
-fn step_orders(
-    plan: &SimPlan,
-    config: KernelConfig,
-    x15: Option<u64>,
-    warm: u64,
-    drive: &mut dyn FnMut(u64, &mut LanePoker),
-) {
-    let renamed = plan.in_emission_order();
-    let mut runs: Vec<(&str, &SimPlan, BatchKernel, BatchLiState, f64)> =
-        [("plan order", plan), ("emission order", &renamed)]
-            .into_iter()
-            .map(|(what, p)| {
-                let kernel = BatchKernel::compile(p, config);
-                let mut st = BatchLiState::new(p, LANES);
-                if let Some(k) = x15 {
-                    let x15 = p.signal_slot("x15").expect("probed");
-                    (0..LANES).for_each(|lane| st.poke_slot(x15, lane, k));
-                }
-                kernel.run_with_stimulus(&mut st, warm, 1, &mut *drive);
-                (what, p, kernel, st, f64::INFINITY)
-            })
-            .collect();
-    for _ in 0..50 {
-        for (_, _, kernel, st, best) in &mut runs {
-            let ns = best_ns(2, || kernel.run_with_stimulus(st, 4, 1, &mut *drive)) / 4.0;
-            *best = best.min(ns);
-        }
-    }
-    let mut line = String::from("  one-thread step:");
-    for (what, p, kernel, st, ns) in &runs {
-        assert!(!st.settled(), "the timed steps ran on a live image");
-        line += &format!(
-            " {what} {:.1} us (median producer-to-reader distance {} ops);",
-            ns / 1e3,
-            median_distance(kernel, p.num_slots)
-        );
-    }
-    println!("{}", line.trim_end_matches(';'));
-}
-
 /// The median, over every operand an op reads from another op, of how
-/// many ops apart the two run in `kernel`'s lane walk.
-fn median_distance(kernel: &BatchKernel, num_slots: usize) -> usize {
-    let walk: Vec<&OpInst> = kernel.runs().flatten().collect();
+/// many ops apart the two run in `walk`.
+fn median_distance(walk: &[&OpInst], num_slots: usize) -> usize {
     let mut at = vec![None; num_slots];
     for (k, op) in walk.iter().enumerate() {
         at[op.out as usize] = Some(k);

@@ -6,10 +6,16 @@
 //! oracle, [`assert_bit_exact`], that every row goes through — and that
 //! asserts the lane type (`u32` or `u64` rows) the engine picked for the
 //! design, so an engine that silently always ran `u64` rows would fail
-//! here. Plus the compiled-vs-interpreted engine differential, and the
-//! kernel-level one for the two axes the front door does not have:
+//! here. Plus the compiled-vs-interpreted engine differential — on the
+//! core, SHA3, the benchmark's chip and 64 generated circuits too — and
+//! the kernel-level one for the two axes the front door does not have:
 //! worker threads and the RepCut decomposition
 //! ([`assert_kernel_shapes_match_the_serial_walk`]).
+
+// Only the generator's circuits are used here, not its respelling.
+#[allow(dead_code)]
+#[path = "../crates/firrtl/tests/gen/mod.rs"]
+mod gen;
 
 use rteaal_core::{BatchSimulation, Compiler, DebugModule, Simulation};
 use rteaal_designs::rv32i::{asm::*, rv32i};
@@ -306,6 +312,28 @@ fn rv32i_compiled_kernels_match_interpreted_walk() {
 #[test]
 fn sha3_compiled_kernels_match_interpreted_walk() {
     assert_compiled_matches_interpreted(&plan_of(&sha3()), 3, 60, 0xc002);
+}
+
+#[test]
+fn the_one_thread_walk_is_bit_exact_on_the_corpus() {
+    // Each plan as `Compiler::compile` builds it, the numbering the front
+    // door runs: the core, SHA3, the benchmark's chip at half scale and
+    // 64 generated circuits, at 3 lanes (the any-window entry) and at 8
+    // (the whole-chunk entry).
+    let compiler = Compiler::new(KernelConfig::new(KernelKind::Psu));
+    let designs = [
+        Workload::param_sum_circuit(),
+        sha3(),
+        rocket(ChipConfig::new(4).with_scale(0.5)),
+    ];
+    let generated = (0..64).map(gen::random_circuit);
+    for (k, circuit) in designs.into_iter().chain(generated).enumerate() {
+        let plan = compiler.compile(&circuit).expect("compiles").plan;
+        let cycles = if plan.total_ops() > 5_000 { 12 } else { 40 };
+        for lanes in [3, 8] {
+            assert_compiled_matches_interpreted(&plan, lanes, cycles, k as u64);
+        }
+    }
 }
 
 #[test]
@@ -639,12 +667,20 @@ fn every_engine_shape_is_bit_exact_on_rv32i_and_sha3() {
 
 #[test]
 fn the_renamed_core_is_bit_exact_in_every_engine_shape() {
-    // The core as the front door runs it, in emission order: a layer's
-    // output rows lie scattered, and every walk runs the layer as one
-    // stretch of kernel runs — at 64 lanes the threaded walks split the
-    // wider layers' stretches across both workers, cutting runs — and
-    // each partition's one-thread walk runs its replica's runs.
-    let core = optimized_plan_of(&halting_rv32i().circuit).in_emission_order();
+    // The core with its op outputs numbered backwards, so that ops read
+    // rows numbered above their own: a layer's output rows lie
+    // scattered, and every walk runs the layer as one stretch of kernel
+    // runs — at 64 lanes the threaded walks split the wider layers'
+    // stretches across both workers, cutting runs — and each partition's
+    // one-thread walk runs its replica's runs.
+    let core = optimized_plan_of(&halting_rv32i().circuit);
+    let mut outs: Vec<u32> = core.layers.iter().flatten().map(|op| op.out).collect();
+    outs.sort_unstable();
+    let mut to: Vec<u32> = (0..core.num_slots as u32).collect();
+    for (&from, &into) in outs.iter().zip(outs.iter().rev()) {
+        to[from as usize] = into;
+    }
+    let core = core.renamed(&to);
     for (lanes, lane) in [(64, LaneType::Narrow), (4, LaneType::Wide)] {
         let stim = Stim {
             cycles: 120,
