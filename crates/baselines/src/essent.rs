@@ -263,11 +263,6 @@ impl EssentLike {
         self.report
     }
 
-    /// Number of straight-line statements.
-    pub fn num_statements(&self) -> usize {
-        self.instrs.len()
-    }
-
     /// Drives input port `idx`.
     pub fn set_input(&mut self, idx: usize, value: u64) {
         let (w, signed) = self.input_types[idx];
@@ -277,19 +272,6 @@ impl EssentLike {
     /// Output value by port index.
     pub fn output(&self, idx: usize) -> u64 {
         self.values[self.outputs[idx].1 as usize]
-    }
-
-    /// Output by name.
-    pub fn output_by_name(&self, name: &str) -> Option<u64> {
-        self.outputs
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, id)| self.values[*id as usize])
-    }
-
-    /// Cycles simulated.
-    pub fn cycle(&self) -> u64 {
-        self.cycle
     }
 
     fn step_inner<P: Probe>(&mut self, probe: &mut P) {
@@ -460,10 +442,10 @@ circuit S :
         let e = EssentLike::compile(&g, OptLevel::Full);
         // Some values got registers (spills < statements).
         assert!(
-            e.spills < e.num_statements(),
+            e.spills < e.instrs.len(),
             "{} vs {}",
             e.spills,
-            e.num_statements()
+            e.instrs.len()
         );
         let mut mem = Machine::intel_core().mem_sim();
         let mut e3 = EssentLike::compile(&g, OptLevel::Full);
@@ -541,6 +523,6 @@ circuit O :
         let g = graph_of(src);
         let o3 = EssentLike::compile(&g, OptLevel::Full);
         let o0 = EssentLike::compile(&g, OptLevel::None);
-        assert!(o3.num_statements() < o0.num_statements());
+        assert!(o3.instrs.len() < o0.instrs.len());
     }
 }

@@ -173,11 +173,6 @@ impl VerilatorLike {
         self.report
     }
 
-    /// Number of scheduled statements.
-    pub fn num_statements(&self) -> usize {
-        self.schedule.len()
-    }
-
     /// Drives input port `idx`.
     pub fn set_input(&mut self, idx: usize, value: u64) {
         let (w, signed) = self.input_types[idx];
@@ -187,19 +182,6 @@ impl VerilatorLike {
     /// Output value by port index.
     pub fn output(&self, idx: usize) -> u64 {
         self.values[self.outputs[idx].1 as usize]
-    }
-
-    /// Output by name.
-    pub fn output_by_name(&self, name: &str) -> Option<u64> {
-        self.outputs
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, id)| self.values[*id as usize])
-    }
-
-    /// Cycles simulated.
-    pub fn cycle(&self) -> u64 {
-        self.cycle
     }
 
     fn step_inner<P: Probe>(&mut self, probe: &mut P) {
@@ -360,7 +342,7 @@ circuit C :
         // Note: the graph itself already hash-conses; simulate Verilator
         // seeing duplicated work by checking schedule <= graph size.
         let v = VerilatorLike::compile(&g, OptLevel::Full);
-        assert!(v.num_statements() <= g.effectual_ops());
+        assert!(v.schedule.len() <= g.effectual_ops());
     }
 
     #[test]

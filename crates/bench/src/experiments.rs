@@ -6,7 +6,7 @@
 //! not the authors' testbed); the *shape* — who wins, by what rough
 //! factor, where crossovers fall — is the reproduction target.
 //!
-//! One experiment is not a paper artifact: [`elastic_fleet`] is the gate
+//! One experiment is not a paper artifact: `elastic_fleet` is the gate
 //! of the sharded serving stack that needs real child processes, which
 //! `cargo test` has no binary to spawn from. Besides counts it prints
 //! each leg's p50/p99 latency, which no gate reads — the repo's
@@ -132,7 +132,7 @@ fn header(title: &str) -> Vec<String> {
 }
 
 /// Table 1: effectual vs identity operations.
-pub fn table1(ctx: &Ctx) -> Vec<String> {
+pub(crate) fn table1(ctx: &Ctx) -> Vec<String> {
     let mut out = header("Table 1: required identity operations (before elision)");
     out.push(format!(
         "{:<12} {:>14} {:>16} {:>8}",
@@ -167,7 +167,7 @@ pub fn table1(ctx: &Ctx) -> Vec<String> {
 }
 
 /// Figure 7: top-down breakdown for Verilator vs ESSENT.
-pub fn fig7(ctx: &Ctx) -> Vec<String> {
+pub(crate) fn fig7(ctx: &Ctx) -> Vec<String> {
     let mut out = header("Figure 7: top-down breakdown, Verilator vs ESSENT (Graviton 4)");
     let machine = Machine::aws_graviton4();
     out.push(format!(
@@ -205,7 +205,7 @@ pub fn fig7(ctx: &Ctx) -> Vec<String> {
 }
 
 /// Figure 8: compile time and peak memory, Verilator vs ESSENT.
-pub fn fig8(ctx: &Ctx) -> Vec<String> {
+pub(crate) fn fig8(ctx: &Ctx) -> Vec<String> {
     let mut out = header("Figure 8: compilation cost, Verilator vs ESSENT (measured)");
     out.push(format!(
         "{:<12} {:>12} {:>12} {:>14} {:>14}",
@@ -239,7 +239,7 @@ fn mb_or_na(bytes: usize) -> String {
 }
 
 /// Table 3: simulation cycles per design.
-pub fn table3(_ctx: &Ctx) -> Vec<String> {
+pub(crate) fn table3(_ctx: &Ctx) -> Vec<String> {
     let mut out = header("Table 3: simulation cycles (K)");
     out.push(format!("{:<12} {:>12}", "design", "cycles (K)"));
     for (name, k) in rteaal_designs::workload::TABLE3_KCYCLES {
@@ -249,7 +249,7 @@ pub fn table3(_ctx: &Ctx) -> Vec<String> {
 }
 
 /// Table 4: kernel binary size.
-pub fn table4(ctx: &Ctx) -> Vec<String> {
+pub(crate) fn table4(ctx: &Ctx) -> Vec<String> {
     let mut out = header("Table 4: kernel code footprint, 8-core RocketChip");
     let p = plan_of(&rocket(ChipConfig::new(8).with_scale(ctx.scale)));
     out.push(format!(
@@ -274,7 +274,7 @@ pub fn table4(ctx: &Ctx) -> Vec<String> {
 }
 
 /// Figure 15: kernel compile time and peak memory.
-pub fn fig15(ctx: &Ctx) -> Vec<String> {
+pub(crate) fn fig15(ctx: &Ctx) -> Vec<String> {
     let mut out = header("Figure 15: kernel compile cost, 8-core RocketChip (measured)");
     let p = plan_of(&rocket(ChipConfig::new(8).with_scale(ctx.scale)));
     out.push(format!(
@@ -295,7 +295,7 @@ pub fn fig15(ctx: &Ctx) -> Vec<String> {
 }
 
 /// Table 5: dynamic instructions and IPC per kernel.
-pub fn table5(ctx: &Ctx) -> Vec<String> {
+pub(crate) fn table5(ctx: &Ctx) -> Vec<String> {
     let mut out = header("Table 5: dynamic instructions and IPC, 8-core RocketChip on Intel Xeon");
     let p = plan_of(&rocket(ChipConfig::new(8).with_scale(ctx.scale)));
     let machine = Machine::intel_xeon();
@@ -319,7 +319,7 @@ pub fn table5(ctx: &Ctx) -> Vec<String> {
 }
 
 /// Table 6: cache profiling per kernel.
-pub fn table6(ctx: &Ctx) -> Vec<String> {
+pub(crate) fn table6(ctx: &Ctx) -> Vec<String> {
     let mut out = header("Table 6: cache behavior per kernel, 8-core RocketChip on Intel Xeon");
     let p = plan_of(&rocket(ChipConfig::new(8).with_scale(ctx.scale)));
     let machine = Machine::intel_xeon();
@@ -345,7 +345,7 @@ pub fn table6(ctx: &Ctx) -> Vec<String> {
 }
 
 /// Figure 16: simulation time per kernel across machines.
-pub fn fig16(ctx: &Ctx) -> Vec<String> {
+pub(crate) fn fig16(ctx: &Ctx) -> Vec<String> {
     let mut out = header("Figure 16: modeled simulation time (s) per kernel, 8-core RocketChip");
     let p = plan_of(&rocket(ChipConfig::new(8).with_scale(ctx.scale)));
     let full = 540_000;
@@ -381,7 +381,7 @@ pub fn fig16(ctx: &Ctx) -> Vec<String> {
 }
 
 /// Figure 17: kernel scaling across design sizes.
-pub fn fig17(ctx: &Ctx) -> Vec<String> {
+pub(crate) fn fig17(ctx: &Ctx) -> Vec<String> {
     let mut out = header("Figure 17: modeled sim time (s) vs design size, Intel Xeon");
     let kinds = [
         KernelKind::Ou,
@@ -418,7 +418,7 @@ pub fn fig17(ctx: &Ctx) -> Vec<String> {
 }
 
 /// Table 7: compile cost scaling for Verilator, ESSENT, PSU.
-pub fn table7(ctx: &Ctx) -> Vec<String> {
+pub(crate) fn table7(ctx: &Ctx) -> Vec<String> {
     let mut out = header("Table 7: compile cost scaling (measured)");
     out.push(format!(
         "{:<8} {:>12} {:>12} {:>12}",
@@ -450,7 +450,7 @@ pub fn table7(ctx: &Ctx) -> Vec<String> {
 }
 
 /// Figures 18/19: simulation time scaling for the three simulators.
-pub fn fig18_19(ctx: &Ctx, opt: OptLevel) -> Vec<String> {
+pub(crate) fn fig18_19(ctx: &Ctx, opt: OptLevel) -> Vec<String> {
     let title = match opt {
         OptLevel::Full => "Figure 18: modeled sim time (s), clang -O3 analog, Intel Xeon",
         OptLevel::None => "Figure 19: modeled sim time (s), clang -O0 analog, Intel Xeon",
@@ -485,7 +485,7 @@ pub fn fig18_19(ctx: &Ctx, opt: OptLevel) -> Vec<String> {
 }
 
 /// Figure 20: speedup over Verilator across designs and machines.
-pub fn fig20(ctx: &Ctx) -> Vec<String> {
+pub(crate) fn fig20(ctx: &Ctx) -> Vec<String> {
     let mut out = header("Figure 20: speedup over Verilator (best RTeAAL kernel | ESSENT)");
     out.push(format!(
         "{:<8} {:>16} {:>16} {:>16} {:>16}",
@@ -545,7 +545,7 @@ pub fn fig20(ctx: &Ctx) -> Vec<String> {
 }
 
 /// Figure 21: LLC capacity sweep on 8-core SmallBOOM.
-pub fn fig21(ctx: &Ctx) -> Vec<String> {
+pub(crate) fn fig21(ctx: &Ctx) -> Vec<String> {
     let mut out =
         header("Figure 21: speedup over Verilator as LLC shrinks (8-core SmallBOOM, Xeon)");
     // LLC effects only appear once the straight-line code footprints
@@ -579,7 +579,7 @@ pub fn fig21(ctx: &Ctx) -> Vec<String> {
 /// Ablation: identity elision on/off. Makes Table 1's cost
 /// executable: the strict cascade with materialized identity ops vs the
 /// coordinate-assigned plan.
-pub fn ablation_elision(ctx: &Ctx) -> Vec<String> {
+pub(crate) fn ablation_elision(ctx: &Ctx) -> Vec<String> {
     use rteaal_dfg::plan::{plan_unelided, PlanSim};
     let mut out = header("Ablation: identity elision (paper §4.3 / §6.1)");
     out.push(format!(
@@ -620,7 +620,7 @@ pub fn ablation_elision(ctx: &Ctx) -> Vec<String> {
 }
 
 /// Ablation: OIM storage format (Figure 12 a/b/c) packed sizes.
-pub fn ablation_format(ctx: &Ctx) -> Vec<String> {
+pub(crate) fn ablation_format(ctx: &Ctx) -> Vec<String> {
     use rteaal_tensor::oim::{OimOptimized, OimSwizzled, OimUnoptimized};
     let mut out = header("Ablation: OIM format compression (Figure 12)");
     out.push(format!(
@@ -1009,7 +1009,7 @@ impl FleetFixture {
 /// monotonic timestamps, the fleet's `sched.completed` counters sum to
 /// the delivered count, the exposition carries the scheduler counters,
 /// and the drained queues are empty.
-pub fn elastic_fleet(ctx: &Ctx) -> Vec<String> {
+pub(crate) fn elastic_fleet(ctx: &Ctx) -> Vec<String> {
     use rteaal_serve::ServeClient;
     use rteaal_telemetry::ALL_STAGES;
 

@@ -10,10 +10,10 @@
 //!
 //! The pieces:
 //!
-//! - [`SplitMix64`] — a tiny deterministic RNG (the vendored `rand` has
+//! - `SplitMix64` — a tiny deterministic RNG (the vendored `rand` has
 //!   no distributions; we only need uniform draws and `-ln(u)/λ`
 //!   exponentials, which is three lines).
-//! - [`ArrivalPlan`] — Poisson arrival offsets with optional *bursty
+//! - `ArrivalPlan` — Poisson arrival offsets with optional *bursty
 //!   phases* (rate multipliers over sub-intervals, the SPEC-style mixed
 //!   load shape), plus a per-arrival draw from a mixed design/length
 //!   corpus.
@@ -24,18 +24,18 @@ use std::time::Duration;
 /// `Copy`, and three lines — exactly enough RNG for arrival times and
 /// corpus draws, with no dependency.
 #[derive(Debug, Clone, Copy)]
-pub struct SplitMix64 {
+pub(crate) struct SplitMix64 {
     state: u64,
 }
 
 impl SplitMix64 {
     /// A generator seeded deterministically.
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         SplitMix64 { state: seed }
     }
 
     /// The next raw 64-bit draw.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -44,7 +44,7 @@ impl SplitMix64 {
     }
 
     /// Uniform in `(0, 1]` — open at zero so `ln` is always finite.
-    pub fn next_unit(&mut self) -> f64 {
+    pub(crate) fn next_unit(&mut self) -> f64 {
         // 53 mantissa bits, then nudge off exact zero.
         let u = (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
         if u == 0.0 {
@@ -72,7 +72,7 @@ impl SplitMix64 {
 /// multiplier. `1.0` is the base rate; a burst phase might run at
 /// `3.0`.
 #[derive(Debug, Clone, Copy)]
-pub struct Phase {
+pub(crate) struct Phase {
     /// How many arrivals this phase contributes.
     pub arrivals: usize,
     /// Rate multiplier over the plan's base rate.
@@ -82,7 +82,7 @@ pub struct Phase {
 /// One scheduled arrival: when (offset from the run's start) and what
 /// (an index into the caller's job corpus).
 #[derive(Debug, Clone, Copy)]
-pub struct Arrival {
+pub(crate) struct Arrival {
     /// Offset from the run's start at which the job is *due*.
     pub at: Duration,
     /// Index into the caller's corpus of job variants.
@@ -94,7 +94,7 @@ pub struct Arrival {
 /// seed, so two legs of an experiment (healthy vs fault) can replay
 /// the *identical* offered load.
 #[derive(Debug, Clone)]
-pub struct ArrivalPlan {
+pub(crate) struct ArrivalPlan {
     /// The arrivals, in nondecreasing `at` order.
     pub arrivals: Vec<Arrival>,
 }
@@ -103,7 +103,12 @@ impl ArrivalPlan {
     /// Draws a Poisson schedule: `phases` in order, each contributing
     /// its arrivals at `base_rate_per_sec × rate_multiplier`, with
     /// corpus indices uniform in `0..corpus_len`.
-    pub fn poisson(seed: u64, base_rate_per_sec: f64, corpus_len: usize, phases: &[Phase]) -> Self {
+    pub(crate) fn poisson(
+        seed: u64,
+        base_rate_per_sec: f64,
+        corpus_len: usize,
+        phases: &[Phase],
+    ) -> Self {
         let mut rng = SplitMix64::new(seed);
         let mut at = Duration::ZERO;
         let mut arrivals = Vec::new();
@@ -121,18 +126,8 @@ impl ArrivalPlan {
     }
 
     /// Total arrivals across all phases.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.arrivals.len()
-    }
-
-    /// Whether the plan schedules nothing.
-    pub fn is_empty(&self) -> bool {
-        self.arrivals.is_empty()
-    }
-
-    /// The scheduled span (last arrival's offset).
-    pub fn span(&self) -> Duration {
-        self.arrivals.last().map_or(Duration::ZERO, |a| a.at)
     }
 }
 
@@ -181,7 +176,7 @@ mod tests {
         // The burst phase packs its arrivals ~4x tighter (generously
         // bounded: 400 draws is a small sample).
         let base_span = plan.arrivals[199].at;
-        let burst_span = plan.span() - base_span;
+        let burst_span = plan.arrivals[plan.len() - 1].at - base_span;
         assert!(
             burst_span < base_span,
             "burst phase must be denser: base {base_span:?} vs burst {burst_span:?}"

@@ -18,7 +18,7 @@
 //! [`peek`](BatchSimulation::peek) stay stable across compaction; a
 //! finished lane's state is frozen at its halt cycle.
 //!
-//! Freed lanes need not stay frozen: [`BatchSimulation::reset_lane`]
+//! Freed lanes need not stay frozen: `BatchSimulation::reset_lane`
 //! revives a compacted-out lane at the power-on state and
 //! [`BatchSimulation::admit`] binds fresh stimulus to it, so new
 //! testbenches can enter mid-run the moment a lane drains — the
@@ -185,11 +185,6 @@ impl BatchSimulation {
     /// (see `rteaal_dfg::lane_kernel`). Never a setting.
     pub fn lane_type(&self) -> LaneType {
         self.state.lane_type()
-    }
-
-    /// Number of stimulus lanes.
-    pub fn lanes(&self) -> usize {
-        self.state.lanes()
     }
 
     /// Physical lane column of a user-facing lane index (identity until
@@ -376,7 +371,7 @@ impl BatchSimulation {
 
     /// Whether a lane's halt condition has fired (always `false` without
     /// a halt watch). Refers to the lane's *current* occupant: recycling
-    /// the lane with [`reset_lane`](Self::reset_lane) /
+    /// the lane with `reset_lane` /
     /// [`admit`](Self::admit) clears the record.
     pub fn halted(&self, lane: usize) -> bool {
         self.completion_cycle(lane).is_some()
@@ -384,7 +379,7 @@ impl BatchSimulation {
 
     /// The cycle at which a lane halted, or `None` while it is still
     /// running (or without a halt watch). Completion records belong to
-    /// lane *occupants*, not lanes: after [`reset_lane`](Self::reset_lane)
+    /// lane *occupants*, not lanes: after `reset_lane`
     /// this reports `None` until the new testbench halts — it never
     /// leaks the previous occupant's completion. Durable results must be
     /// keyed by a job id harvested before recycling (see `rteaal-sched`).
@@ -443,7 +438,7 @@ impl BatchSimulation {
     /// never the previous testbench's completion. Callers that need the
     /// old result must harvest it first (keyed by their own job id, as
     /// the scheduler does).
-    pub fn reset_lane(&mut self, lane: usize) {
+    pub(crate) fn reset_lane(&mut self, lane: usize) {
         let mut phys = self.phys(lane);
         if let Some(lv) = &mut self.liveness {
             lv.done_at[lane] = None;
@@ -895,7 +890,6 @@ circuit H :
     fn poke_all_and_reset() {
         let c = compiled(KernelKind::Ti);
         let mut batch = BatchSimulation::new(&c, 4);
-        assert_eq!(batch.lanes(), 4);
         for lane in 0..4 {
             batch.poke("x", lane, 5).unwrap();
         }

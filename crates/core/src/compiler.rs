@@ -72,12 +72,7 @@ pub struct StageTimings {
     pub kernel: f64,
 }
 
-impl StageTimings {
-    /// Total front-end + kernel time.
-    pub fn total(&self) -> f64 {
-        self.parse + self.lower + self.graph + self.optimize + self.plan + self.verify + self.kernel
-    }
-}
+impl StageTimings {}
 
 /// The compiler: configuration + entry points.
 #[derive(Debug, Clone)]
@@ -248,7 +243,9 @@ circuit T :
         k.run(3);
         assert_eq!(k.output(0), 15);
         let t = compiled.timings;
-        assert!(t.parse > 0.0 && t.total() > t.parse);
+        assert!(
+            t.parse > 0.0 && t.lower + t.graph + t.optimize + t.plan + t.verify + t.kernel > 0.0
+        );
     }
 
     #[test]

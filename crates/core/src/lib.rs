@@ -18,7 +18,8 @@
 //!   per cycle for the whole batch, with halted lanes compacted out of
 //!   the evaluated window and freed lanes recycled mid-run. Lanes are
 //!   the only axis of the engine.
-//! - [`waveform::VcdWriter`] — change-detecting VCD generation (§6.2).
+//! - VCD waveforms (§6.2): `Simulation::enable_waveforms` and
+//!   `BatchSimulation::enable_lane_waveforms` record change-detected dumps.
 //! - [`simulation::DebugModule`] — the DMI-style host↔DUT channel (§6.2).
 //!
 //! ## Quickstart
@@ -49,7 +50,7 @@
 pub mod batch;
 pub mod compiler;
 pub mod simulation;
-pub mod waveform;
+mod waveform;
 
 pub use batch::BatchSimulation;
 pub use compiler::{CompileError, Compiled, Compiler, StageTimings};
@@ -58,4 +59,3 @@ pub use rteaal_dfg::analyze::{
     Diagnostic, Severity,
 };
 pub use simulation::{DebugModule, Simulation, UnknownSignal};
-pub use waveform::VcdWriter;

@@ -178,11 +178,6 @@ impl Simulation {
         &mut self.kernel
     }
 
-    /// The plan (OIM content) this simulation executes.
-    pub fn plan(&self) -> &SimPlan {
-        &self.plan
-    }
-
     /// All probe names (sorted) — the visible signal namespace.
     pub fn signals(&self) -> Vec<&str> {
         self.signals.names()

@@ -11,7 +11,7 @@ use std::fmt::Write as _;
 
 /// An incremental VCD (Value Change Dump) writer.
 #[derive(Debug)]
-pub struct VcdWriter {
+pub(crate) struct VcdWriter {
     header: String,
     body: String,
     /// `(slot, width, vcd id)` per signal.
@@ -35,7 +35,7 @@ fn vcd_id(mut i: usize) -> String {
 
 impl VcdWriter {
     /// Starts a VCD for the given `(name, slot, width)` signals.
-    pub fn new(design: &str, signals: &[(String, u32, u8)]) -> Self {
+    pub(crate) fn new(design: &str, signals: &[(String, u32, u8)]) -> Self {
         let mut header = String::new();
         let _ = writeln!(header, "$date RTeAAL Sim $end");
         let _ = writeln!(header, "$version rteaal-sim reproduction $end");
@@ -62,7 +62,7 @@ impl VcdWriter {
     }
 
     /// Samples all signals at time `t`, emitting changes only.
-    pub fn sample(&mut self, t: u64, read: impl Fn(u32) -> u64) {
+    pub(crate) fn sample(&mut self, t: u64, read: impl Fn(u32) -> u64) {
         let mut changes = String::new();
         for (k, (slot, width, id)) in self.signals.iter().enumerate() {
             let v = read(*slot);
@@ -83,7 +83,7 @@ impl VcdWriter {
     }
 
     /// Finishes and returns the complete VCD text.
-    pub fn finish(self) -> String {
+    pub(crate) fn finish(self) -> String {
         format!("{}{}", self.header, self.body)
     }
 }

@@ -11,7 +11,7 @@ use rteaal_firrtl::builder::ModuleBuilder;
 use rteaal_firrtl::ops::PrimOp;
 
 /// Truncating add: `tail(add(a, b), 1)` — keeps the operand width.
-pub fn add_w(b: &mut ModuleBuilder, a: Expr, x: Expr) -> Expr {
+pub(crate) fn add_w(b: &mut ModuleBuilder, a: Expr, x: Expr) -> Expr {
     b.node_fresh(
         "addw",
         Expr::prim_p(
@@ -23,7 +23,7 @@ pub fn add_w(b: &mut ModuleBuilder, a: Expr, x: Expr) -> Expr {
 }
 
 /// Truncating subtract.
-pub fn sub_w(b: &mut ModuleBuilder, a: Expr, x: Expr) -> Expr {
+pub(crate) fn sub_w(b: &mut ModuleBuilder, a: Expr, x: Expr) -> Expr {
     b.node_fresh(
         "subw",
         Expr::prim_p(
@@ -35,7 +35,7 @@ pub fn sub_w(b: &mut ModuleBuilder, a: Expr, x: Expr) -> Expr {
 }
 
 /// Rotate-left of a `width`-bit value by a constant.
-pub fn rotl(b: &mut ModuleBuilder, v: Expr, r: u32, width: u32) -> Expr {
+pub(crate) fn rotl(b: &mut ModuleBuilder, v: Expr, r: u32, width: u32) -> Expr {
     let r = r % width;
     if r == 0 {
         return v;
@@ -55,7 +55,7 @@ pub fn rotl(b: &mut ModuleBuilder, v: Expr, r: u32, width: u32) -> Expr {
 
 /// A balanced select tree: `items[sel]` for a `sel` of `ceil(log2(n))`
 /// bits (out-of-range selects resolve to the last item).
-pub fn mux_tree(b: &mut ModuleBuilder, sel: &Expr, items: &[Expr], sel_width: u32) -> Expr {
+pub(crate) fn mux_tree(b: &mut ModuleBuilder, sel: &Expr, items: &[Expr], sel_width: u32) -> Expr {
     fn rec(b: &mut ModuleBuilder, sel: &Expr, items: &[Expr], bit: i64) -> Expr {
         if items.len() == 1 || bit < 0 {
             return items[0].clone();
@@ -79,7 +79,12 @@ pub fn mux_tree(b: &mut ModuleBuilder, sel: &Expr, items: &[Expr], sel_width: u3
 
 /// A priority mux chain (the structure operator fusion targets, Box 1):
 /// `conds[0] ? vals[0] : conds[1] ? vals[1] : … : default`.
-pub fn mux_chain(b: &mut ModuleBuilder, conds: &[Expr], vals: &[Expr], default: Expr) -> Expr {
+pub(crate) fn mux_chain(
+    b: &mut ModuleBuilder,
+    conds: &[Expr],
+    vals: &[Expr],
+    default: Expr,
+) -> Expr {
     assert_eq!(conds.len(), vals.len());
     let mut acc = default;
     for (c, v) in conds.iter().rev().zip(vals.iter().rev()) {
@@ -89,7 +94,7 @@ pub fn mux_chain(b: &mut ModuleBuilder, conds: &[Expr], vals: &[Expr], default: 
 }
 
 /// A one-hot decoder: `n` outputs, output `i` = (`sel == i`).
-pub fn decoder(b: &mut ModuleBuilder, sel: &Expr, n: usize, sel_width: u32) -> Vec<Expr> {
+pub(crate) fn decoder(b: &mut ModuleBuilder, sel: &Expr, n: usize, sel_width: u32) -> Vec<Expr> {
     (0..n)
         .map(|i| {
             b.node_fresh(
@@ -101,7 +106,7 @@ pub fn decoder(b: &mut ModuleBuilder, sel: &Expr, n: usize, sel_width: u32) -> V
 }
 
 /// A balanced xor-reduction tree over equal-width values.
-pub fn xor_tree(b: &mut ModuleBuilder, items: &[Expr]) -> Expr {
+pub(crate) fn xor_tree(b: &mut ModuleBuilder, items: &[Expr]) -> Expr {
     assert!(!items.is_empty());
     let mut level: Vec<Expr> = items.to_vec();
     while level.len() > 1 {
@@ -124,7 +129,7 @@ pub fn xor_tree(b: &mut ModuleBuilder, items: &[Expr]) -> Expr {
 /// An ALU slice: given two `width`-bit operands and a 3-bit opcode,
 /// computes add/sub/and/or/xor/slt/shifted variants through a mux tree.
 /// Returns the result expression. Roughly 10 effectual ops per slice.
-pub fn alu(b: &mut ModuleBuilder, op: &Expr, a: Expr, x: Expr, width: u32) -> Expr {
+pub(crate) fn alu(b: &mut ModuleBuilder, op: &Expr, a: Expr, x: Expr, width: u32) -> Expr {
     let sum = add_w(b, a.clone(), x.clone());
     let diff = sub_w(b, a.clone(), x.clone());
     let and = b.binop(PrimOp::And, a.clone(), x.clone());

@@ -16,11 +16,11 @@ use rteaal_firrtl::ty::Type;
 
 /// Number of architectural registers modeled (x0..x15; the assembler
 /// below only uses these).
-pub const NUM_REGS: usize = 16;
+pub(crate) const NUM_REGS: usize = 16;
 /// Instruction-memory depth (words).
-pub const IMEM_WORDS: usize = 64;
+pub(crate) const IMEM_WORDS: usize = 64;
 /// Data-memory depth (words).
-pub const DMEM_WORDS: usize = 32;
+pub(crate) const DMEM_WORDS: usize = 32;
 
 /// Builds the core with `program` preloaded into instruction memory.
 ///
@@ -528,11 +528,17 @@ mod tests {
     use rteaal_dfg::interp::Interpreter;
     use rteaal_firrtl::lower::lower_typed;
 
-    fn run_both(program: &[u32], cycles: usize) -> (Interpreter<'static>, GoldenCpu) {
-        let circuit = rv32i(program);
-        let graph = Box::leak(Box::new(
-            rteaal_dfg::build(&lower_typed(&circuit).unwrap()).unwrap(),
-        ));
+    /// The core's dataflow graph for `program`, owned by the caller so the
+    /// interpreter that borrows it is dropped before it.
+    fn core_graph(program: &[u32]) -> rteaal_dfg::Graph {
+        rteaal_dfg::build(&lower_typed(&rv32i(program)).unwrap()).unwrap()
+    }
+
+    fn run_both<'g>(
+        graph: &'g rteaal_dfg::Graph,
+        program: &[u32],
+        cycles: usize,
+    ) -> (Interpreter<'g>, GoldenCpu) {
         let mut hw = Interpreter::new(graph);
         let mut sw = GoldenCpu::new(program);
         for c in 0..cycles {
@@ -568,7 +574,8 @@ mod tests {
             slli(9, 1, 4),
             lui(10, 0xabcd),
         ];
-        let (hw, sw) = run_both(&program, 12);
+        let graph = core_graph(&program);
+        let (hw, sw) = run_both(&graph, &program, 12);
         assert_eq!(sw.x[3], 97);
         assert_eq!(sw.x[4], 103);
         assert_eq!(sw.x[8], 1); // 100 < 0xfffffffd unsigned
@@ -608,7 +615,8 @@ mod tests {
     #[test]
     fn load_store_roundtrip() {
         let program = [addi(1, 0, 0x7a), sw(1, 0, 8), lw(2, 0, 8), add(10, 2, 0)];
-        let (hw, sw) = run_both(&program, 6);
+        let graph = core_graph(&program);
+        let (hw, sw) = run_both(&graph, &program, 6);
         assert_eq!(sw.dmem[2], 0x7a);
         assert_eq!(hw.output_by_name("a0"), Some(0x7a));
     }
@@ -625,7 +633,8 @@ mod tests {
             addi(10, 0, 98), // skipped
             addi(4, 0, 1),
         ];
-        let (_, sw) = run_both(&program, 8);
+        let graph = core_graph(&program);
+        let (_, sw) = run_both(&graph, &program, 8);
         assert_eq!(sw.x[10], 0);
         assert_eq!(sw.x[4], 1);
     }

@@ -17,7 +17,7 @@ use rteaal_firrtl::ops::PrimOp;
 use rteaal_firrtl::ty::Type;
 
 /// Keccak round constants (ι step).
-pub const ROUND_CONSTANTS: [u64; 24] = [
+pub(crate) const ROUND_CONSTANTS: [u64; 24] = [
     0x0000000000000001,
     0x0000000000008082,
     0x800000000000808a,
@@ -45,7 +45,7 @@ pub const ROUND_CONSTANTS: [u64; 24] = [
 ];
 
 /// ρ-step rotation offsets, indexed `[y][x]`.
-pub const RHO_OFFSETS: [[u32; 5]; 5] = [
+pub(crate) const RHO_OFFSETS: [[u32; 5]; 5] = [
     [0, 1, 62, 28, 27],
     [36, 44, 6, 55, 20],
     [3, 10, 43, 25, 39],

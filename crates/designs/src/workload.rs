@@ -173,7 +173,7 @@ impl Workload {
     }
 
     /// SmallBOOM running the dhrystone analog.
-    pub fn small_boom(cores: usize) -> Workload {
+    pub(crate) fn small_boom(cores: usize) -> Workload {
         Workload::new(
             format!("s{cores}"),
             format!("{cores}-core SmallBOOM, dhrystone"),
@@ -183,7 +183,7 @@ impl Workload {
     }
 
     /// Gemmini running `matrix_add` on a `dim × dim` mesh.
-    pub fn gemmini(dim: usize) -> Workload {
+    pub(crate) fn gemmini(dim: usize) -> Workload {
         let kcycles = match dim {
             d if d <= 8 => 160,
             d if d <= 16 => 350,
@@ -198,7 +198,7 @@ impl Workload {
     }
 
     /// SHA3 running `sha3-rocc`.
-    pub fn sha3() -> Workload {
+    pub(crate) fn sha3() -> Workload {
         Workload::new("sha3", "SHA3 accelerator, sha3-rocc", sha3(), 1200)
     }
 
@@ -216,11 +216,6 @@ impl Workload {
             Workload::gemmini(16),
             Workload::sha3(),
         ]
-    }
-
-    /// Scaled cycle budget for a given divisor (CI-friendly runs).
-    pub fn cycles(&self, divisor: u64) -> u64 {
-        (self.full_cycles / divisor.max(1)).max(10)
     }
 
     /// An independent deterministic stimulus stream for one batch lane.
@@ -290,14 +285,6 @@ mod tests {
         assert_eq!(Workload::small_boom(8).full_cycles, 750_000);
         assert_eq!(Workload::gemmini(8).full_cycles, 160_000);
         assert_eq!(Workload::sha3().full_cycles, 1_200_000);
-    }
-
-    #[test]
-    fn cycle_scaling() {
-        let w = Workload::sha3();
-        assert_eq!(w.cycles(1000), 1200);
-        assert_eq!(w.cycles(0), w.full_cycles);
-        assert!(w.cycles(u64::MAX) >= 10);
     }
 
     #[test]

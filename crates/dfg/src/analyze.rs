@@ -197,7 +197,7 @@ pub struct Diagnostic {
 
 impl Diagnostic {
     /// A bare diagnostic with no location attached.
-    pub fn new(severity: Severity, kind: DiagKind, message: impl Into<String>) -> Self {
+    pub(crate) fn new(severity: Severity, kind: DiagKind, message: impl Into<String>) -> Self {
         Diagnostic {
             severity,
             kind,

@@ -72,11 +72,6 @@ impl<'p> BatchPlanSim<'p> {
         }
     }
 
-    /// Number of stimulus lanes.
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
     /// Drives input port `idx` on one lane (canonicalized to the port
     /// type).
     pub fn set_input(&mut self, idx: usize, lane: usize, value: u64) {
@@ -84,31 +79,6 @@ impl<'p> BatchPlanSim<'p> {
         let (w, signed) = self.plan.input_types[idx];
         self.li[self.plan.input_slots[idx] as usize * self.lanes + lane] =
             canonicalize(value, w as u32, signed);
-    }
-
-    /// Drives input port `idx` identically on every lane: canonicalizes
-    /// once and fills the lane row.
-    pub fn set_input_all(&mut self, idx: usize, value: u64) {
-        let (w, signed) = self.plan.input_types[idx];
-        let v = canonicalize(value, w as u32, signed);
-        let s0 = self.plan.input_slots[idx] as usize * self.lanes;
-        self.li[s0..s0 + self.lanes].fill(v);
-    }
-
-    /// Resets one lane's column to the plan's power-on state — register
-    /// init values, constants, and zeroed inputs/nodes — leaving every
-    /// other lane untouched. This is the per-lane analog of re-creating
-    /// the simulator: the enabling primitive for recycling a finished
-    /// lane under a new testbench mid-run (continuous batching).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of range.
-    pub fn reset_lane(&mut self, lane: usize) {
-        assert!(lane < self.lanes, "lane {lane} out of range");
-        for (s, &v) in self.plan.init_values.iter().enumerate() {
-            self.li[s * self.lanes + lane] = v;
-        }
     }
 
     /// One clock cycle on every lane: evaluate each layer lane-wise, then
@@ -230,31 +200,6 @@ circuit Mixed :
     }
 
     #[test]
-    fn set_input_all_broadcasts() {
-        let p = plan_of(MIXED);
-        let mut batch = BatchPlanSim::interpreted(&p, 4);
-        batch.set_input_all(0, 3);
-        batch.set_input_all(1, 1);
-        for _ in 0..5 {
-            batch.step();
-        }
-        let first = batch.output(0, 0);
-        for lane in 1..4 {
-            assert_eq!(batch.output(0, lane), first);
-        }
-        assert_eq!(batch.cycle(), 5);
-        assert_eq!(batch.slot_lanes(p.output_slots[0].1), &[first; 4]);
-    }
-
-    #[test]
-    fn set_input_all_canonicalizes_the_fill_value() {
-        let p = plan_of(MIXED);
-        let mut batch = BatchPlanSim::interpreted(&p, 3);
-        batch.set_input_all(0, 0xfff); // x is 8 bits wide
-        assert_eq!(batch.slot_lanes(p.input_slots[0]), &[0xff; 3]);
-    }
-
-    #[test]
     fn inputs_canonicalized_per_lane() {
         let p = plan_of(MIXED);
         let mut batch = BatchPlanSim::interpreted(&p, 2);
@@ -316,48 +261,5 @@ circuit Swap :
     fn zero_lanes_rejected() {
         let p = plan_of(MIXED);
         let _ = BatchPlanSim::interpreted(&p, 0);
-    }
-
-    #[test]
-    fn reset_lane_restores_power_on_and_spares_neighbors() {
-        let p = plan_of(MIXED);
-        const LANES: usize = 4;
-        let mut batch = BatchPlanSim::interpreted(&p, LANES);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        for _ in 0..20 {
-            for lane in 0..LANES {
-                batch.set_input(0, lane, rng.gen());
-                batch.set_input(1, lane, rng.gen());
-            }
-            batch.step();
-        }
-        let before: Vec<Vec<u64>> = (0..p.num_slots as u32)
-            .map(|s| batch.slot_lanes(s).to_vec())
-            .collect();
-        batch.reset_lane(2);
-        for s in 0..p.num_slots as u32 {
-            for (lane, &prev) in before[s as usize].iter().enumerate() {
-                let want = if lane == 2 {
-                    p.init_values[s as usize]
-                } else {
-                    prev
-                };
-                assert_eq!(batch.slot(s, lane), want, "slot {s} lane {lane}");
-            }
-        }
-        // The reset lane now evolves exactly like a fresh simulator.
-        let mut fresh = BatchPlanSim::interpreted(&p, 1);
-        for cycle in 0..30 {
-            let (x, sel) = (cycle * 3 + 1, cycle & 1);
-            batch.set_input(0, 2, x);
-            batch.set_input(1, 2, sel);
-            fresh.set_input(0, 0, x);
-            fresh.set_input(1, 0, sel);
-            batch.step();
-            fresh.step();
-            for s in 0..p.num_slots as u32 {
-                assert_eq!(batch.slot(s, 2), fresh.slot(s, 0), "slot {s} @ {cycle}");
-            }
-        }
     }
 }

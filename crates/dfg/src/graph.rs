@@ -22,7 +22,6 @@
 
 use crate::op::{DfgOp, OpClass};
 use std::collections::hash_map::RandomState;
-use std::collections::HashMap;
 use std::fmt;
 use std::hash::BuildHasher;
 use std::sync::Arc;
@@ -369,7 +368,7 @@ impl Graph {
     }
 
     /// Adds a constant node with the given canonical value.
-    pub fn add_const(&mut self, value: u64, width: u32, signed: bool) -> NodeId {
+    pub(crate) fn add_const(&mut self, value: u64, width: u32, signed: bool) -> NodeId {
         let canonical = crate::op::canonicalize(value, width, signed);
         self.add_op(DfgOp::Const, &[canonical], &[], width, signed)
     }
@@ -381,7 +380,7 @@ impl Graph {
 
     /// Finds a node by source-level name (linear scan; intended for tests
     /// and the XMR front door, not hot paths).
-    pub fn find_by_name(&self, name: &str) -> Option<NodeId> {
+    pub(crate) fn find_by_name(&self, name: &str) -> Option<NodeId> {
         self.iter()
             .find(|(_, n)| n.name.as_deref() == Some(name))
             .map(|(id, _)| id)
@@ -436,8 +435,9 @@ impl Graph {
 
     /// Histogram of live (reachable) operation counts per opcode, plus the
     /// total. Sources are excluded.
-    pub fn op_histogram(&self) -> HashMap<DfgOp, usize> {
-        let mut hist = HashMap::new();
+    #[cfg(test)]
+    pub(crate) fn op_histogram(&self) -> std::collections::HashMap<DfgOp, usize> {
+        let mut hist = std::collections::HashMap::new();
         for id in self.topo_order() {
             *hist.entry(self.nodes[id.index()].op).or_insert(0) += 1;
         }

@@ -120,13 +120,6 @@ impl<'g> Interpreter<'g> {
         self.cycle += 1;
     }
 
-    /// Runs `n` cycles with the current inputs.
-    pub fn run(&mut self, n: u64) {
-        for _ in 0..n {
-            self.step();
-        }
-    }
-
     /// The value of output port `idx` (by port order) *as of the last
     /// evaluation* (combinational view after the most recent [`step`]).
     ///
@@ -151,7 +144,7 @@ impl<'g> Interpreter<'g> {
 
     /// Reads any node's current value (the XMR front door: internal signals
     /// remain addressable by hierarchical name).
-    pub fn peek(&self, id: NodeId) -> u64 {
+    pub(crate) fn peek(&self, id: NodeId) -> u64 {
         self.values[id.index()]
     }
 
@@ -161,15 +154,11 @@ impl<'g> Interpreter<'g> {
     }
 
     /// Pokes a register's current state (the DMI write path).
-    pub fn poke_reg(&mut self, reg_idx: usize, value: u64) {
+    #[cfg(test)]
+    pub(crate) fn poke_reg(&mut self, reg_idx: usize, value: u64) {
         let reg = &self.graph.regs[reg_idx];
         let node = self.graph.node(reg.state);
         self.values[reg.state.index()] = canonicalize(value, node.width, node.signed);
-    }
-
-    /// Number of cycles simulated so far.
-    pub fn cycle(&self) -> u64 {
-        self.cycle
     }
 }
 
@@ -206,7 +195,7 @@ circuit C :
         sim.set_input_by_name("reset", 1);
         sim.step();
         assert_eq!(sim.output_by_name("out"), Some(0));
-        assert_eq!(sim.cycle(), 21);
+        assert_eq!(sim.cycle, 21);
     }
 
     #[test]

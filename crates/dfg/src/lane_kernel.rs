@@ -49,7 +49,7 @@
 //! per loop iteration, then at most one more — and an **any-window**
 //! kernel that runs the chunks one per iteration and then the remainder
 //! lane by lane. Which one runs is a property of the window, not a
-//! setting: [`CompiledOp::eval_lanes_ptr`] takes the whole-window entry
+//! setting: `CompiledOp::eval_lanes_ptr` takes the whole-window entry
 //! when `w.active % CHUNK == 0`, and since a walk hands every op the same
 //! window, it indexes the same entry for all of them.
 //!
@@ -80,8 +80,8 @@
 //!
 //! Every kernel here is an `unsafe fn` over an untyped pointer to a lane
 //! matrix whose rows are of the table's lane type; the single safety
-//! contract is documented on [`CompiledOp::eval_lanes_ptr`] and threaded
-//! through [`KernelFn`], `run`, `run_chain`, and each generated body as
+//! contract is documented on `CompiledOp::eval_lanes_ptr` and threaded
+//! through `KernelFn`, `run`, `run_chain`, and each generated body as
 //! explicit `// SAFETY:` blocks (`unsafe_op_in_unsafe_fn` is denied). The
 //! bounds side of the contract — every folded slot offset `< num_slots` —
 //! is *proven statically* per design by
@@ -155,7 +155,7 @@ impl LaneType {
     }
 
     /// Bits per lane of a row.
-    pub fn bits(self) -> u32 {
+    pub(crate) fn bits(self) -> u32 {
         match self {
             LaneType::Narrow => 32,
             LaneType::Wide => 64,
@@ -564,7 +564,7 @@ struct VarArgs {
 ///
 /// (1) is exactly what [`crate::analyze::analyze_compiled`] proves per
 /// design against the plan's `num_slots` and slot types.
-pub type KernelFn = unsafe fn(*mut (), &[KernelArgs], LaneWindow);
+pub(crate) type KernelFn = unsafe fn(*mut (), &[KernelArgs], LaneWindow);
 
 /// Which kernel of a table runs an op: its body — the opcode after the
 /// `logical` remap ([`Narrow::Logical`]), with the opcodes that share a
@@ -1288,7 +1288,7 @@ impl CompiledOp {
     }
 
     /// Operand slots this kernel reads, in operand order.
-    pub fn operand_slots(&self) -> Vec<u32> {
+    pub(crate) fn operand_slots(&self) -> Vec<u32> {
         if let Some(var) = self.args.var.as_deref() {
             return var.ins.to_vec();
         }
@@ -1297,38 +1297,33 @@ impl CompiledOp {
     }
 
     /// Folded canonicalization mask.
-    pub fn mask(&self) -> u64 {
+    pub(crate) fn mask(&self) -> u64 {
         self.args.msk
     }
 
     /// Folded sign-extension shift (lane bits minus width).
-    pub fn shift(&self) -> u32 {
+    pub(crate) fn shift(&self) -> u32 {
         u32::from(self.args.sh)
     }
 
     /// Whether the op canonicalizes as a signed value.
-    pub fn is_signed(&self) -> bool {
+    pub(crate) fn is_signed(&self) -> bool {
         self.args.signed
     }
 
     /// The lane type of the rows this kernel walks.
-    pub fn lane_type(&self) -> LaneType {
+    pub(crate) fn lane_type(&self) -> LaneType {
         self.args.lane
     }
 
     /// How the kernel relates to the op's 64-bit body: `Logical` for the
     /// unsigned counterpart, else `Exact`.
-    pub fn narrow_form(&self) -> Narrow {
+    pub(crate) fn narrow_form(&self) -> Narrow {
         if self.args.logical {
             Narrow::Logical
         } else {
             Narrow::Exact
         }
-    }
-
-    /// Highest LI slot this kernel reads or writes.
-    pub fn max_slot(&self) -> u32 {
-        self.args.max_slot
     }
 
     /// Evaluates over the active window of a slot-major `LI` matrix
@@ -1349,7 +1344,7 @@ impl CompiledOp {
     ///
     /// [`lane_type`]: Self::lane_type
     #[inline]
-    pub unsafe fn eval_lanes_ptr<T: Lane>(&self, li: *mut T, w: LaneWindow) {
+    pub(crate) unsafe fn eval_lanes_ptr<T: Lane>(&self, li: *mut T, w: LaneWindow) {
         debug_assert!(w.active <= w.stride, "lane window outgrew its stride");
         debug_assert_eq!(T::TYPE, self.args.lane, "rows are not of the kernel's type");
         let ops = std::slice::from_ref(&self.args);
@@ -1567,7 +1562,7 @@ impl KernelRun {
     ///
     /// # Safety
     ///
-    /// As [`CompiledOp::eval_lanes_ptr`] for every op of `ops`, which
+    /// As `CompiledOp::eval_lanes_ptr` for every op of `ops`, which
     /// must be args [`compile_runs`] folded for this run: `T` is the
     /// element of the rows they were compiled for (debug-checked), `li`
     /// covers every slot they reference, and no other thread touches

@@ -46,11 +46,6 @@ pub struct Levelization {
 }
 
 impl Levelization {
-    /// Number of layers (the shape of the iterative `I` rank).
-    pub fn depth(&self) -> usize {
-        self.layers.len()
-    }
-
     /// Number of effectual (live, non-identity) operations.
     pub fn effectual_ops(&self) -> usize {
         self.layers.iter().map(Vec::len).sum()
@@ -147,7 +142,7 @@ circuit F :
         );
         let lv = levelize(&g);
         // add/sub at layer 0, their tails at layer 1, `and` at layer 2.
-        assert_eq!(lv.depth(), 3);
+        assert_eq!(lv.layers.len(), 3);
         let and_id = g.iter().find(|(_, n)| n.op == DfgOp::And).unwrap().0;
         assert_eq!(lv.layer_of[and_id.index()], 2);
         // diff (tail at layer 1, avail 2) feeds reg3's writeback: carried
@@ -168,7 +163,7 @@ circuit S :
 ",
         );
         let lv = levelize(&g);
-        assert_eq!(lv.depth(), 1);
+        assert_eq!(lv.layers.len(), 1);
         assert_eq!(lv.effectual_ops(), 1);
         assert_eq!(lv.identities.edge_gap, 0);
         assert_eq!(lv.identities.carry_to_end, 0); // avail 1 == depth 1
@@ -189,7 +184,7 @@ circuit D :
 ",
         );
         let lv = levelize(&g);
-        assert_eq!(lv.depth(), 3);
+        assert_eq!(lv.layers.len(), 3);
         for layer in &lv.layers {
             assert_eq!(layer.len(), 1);
         }

@@ -86,7 +86,6 @@ pub use graph::{Graph, Node, NodeId, RegDef};
 pub use lane_kernel::{
     BatchEngine, CompiledLayer, CompiledOp, KernelArgs, Lane, LaneLayout, LaneType, LaneWindow,
 };
-pub use op::{DfgOp, OpClass};
 pub use partition::{PartitionSchedule, PartitionedPlan, RumEntry};
 pub use plan::{OpInst, PlanSim, SimPlan};
 pub use specialize::{specialize, SpecProgram, SpecStats, SpecializedPlan};

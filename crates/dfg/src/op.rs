@@ -194,7 +194,7 @@ impl DfgOp {
     }
 
     /// Short mnemonic for display and codegen.
-    pub fn mnemonic(self) -> &'static str {
+    pub(crate) fn mnemonic(self) -> &'static str {
         use DfgOp::*;
         match self {
             Input => "input",
@@ -373,7 +373,7 @@ pub fn eval_raw(op: DfgOp, params: &[u64], ins: &[u64]) -> u64 {
 
 /// Evaluates an op and canonicalizes the result in one step.
 #[inline]
-pub fn eval(op: DfgOp, params: &[u64], ins: &[u64], width: u32, signed: bool) -> u64 {
+pub(crate) fn eval(op: DfgOp, params: &[u64], ins: &[u64], width: u32, signed: bool) -> u64 {
     canonicalize(eval_raw(op, params, ins), width, signed)
 }
 

@@ -46,7 +46,7 @@ pub struct PartitionSchedule {
 
 impl PartitionSchedule {
     /// Ops this partition evaluates per cycle.
-    pub fn total_ops(&self) -> usize {
+    pub(crate) fn total_ops(&self) -> usize {
         self.layers.iter().map(Vec::len).sum()
     }
 }
@@ -247,11 +247,6 @@ impl PartitionedPlan {
         }
     }
 
-    /// Number of partitions.
-    pub fn num_partitions(&self) -> usize {
-        self.partitions.len()
-    }
-
     /// Replication overhead: total replicated ops over the unpartitioned
     /// op count (1.0 = no replication).
     pub fn replication_factor(&self) -> f64 {
@@ -307,7 +302,7 @@ circuit X :
     fn single_partition_covers_the_whole_plan_without_replication() {
         let p = plan_of(CROSS);
         let pp = PartitionedPlan::new(&p, 1);
-        assert_eq!(pp.num_partitions(), 1);
+        assert_eq!(pp.partitions.len(), 1);
         assert_eq!(pp.replicated_ops, p.total_ops());
         assert!((pp.replication_factor() - 1.0).abs() < 1e-12);
         assert_eq!(pp.partitions[0].commits, p.commits);
@@ -324,7 +319,7 @@ circuit X :
         let p = plan_of(CROSS);
         for parts in [2usize, 3, 4, 8] {
             let pp = PartitionedPlan::new(&p, parts);
-            assert_eq!(pp.num_partitions(), parts);
+            assert_eq!(pp.partitions.len(), parts);
             // Each op location appears in >= 1 partition: per-layer union
             // of outs covers the plan layer's outs.
             for (i, layer) in p.layers.iter().enumerate() {
@@ -442,7 +437,7 @@ circuit X :
     fn more_partitions_than_registers_leaves_empty_schedules() {
         let p = plan_of(CROSS); // 4 registers
         let pp = PartitionedPlan::new(&p, 8);
-        assert_eq!(pp.num_partitions(), 8);
+        assert_eq!(pp.partitions.len(), 8);
         let counts = pp.op_counts();
         assert_eq!(counts.len(), 8);
         // Ownerless partitions carry no commits and (here) no ops.

@@ -166,7 +166,7 @@ impl OpInst {
 }
 
 /// A list of register commits, each `(register slot, next-value slot)`.
-pub type CommitList = Vec<(u32, u32)>;
+pub(crate) type CommitList = Vec<(u32, u32)>;
 
 /// Splits register commits into alias-free pairs (safe to copy directly)
 /// and genuinely overlapping pairs (which need the two-phase staging
@@ -262,17 +262,6 @@ impl SimPlan {
             let signed = self.signed_probes.binary_search(slot).is_ok();
             (name.as_str(), *slot, *width, signed)
         })
-    }
-
-    /// Histogram of operations per opcode.
-    pub fn op_histogram(&self) -> std::collections::HashMap<DfgOp, usize> {
-        let mut h = std::collections::HashMap::new();
-        for layer in &self.layers {
-            for op in layer {
-                *h.entry(op.op()).or_insert(0) += 1;
-            }
-        }
-        h
     }
 
     /// The same design with slot `s` renumbered `to[s]`, for a one-to-one
@@ -666,16 +655,6 @@ impl<'p> PlanSim<'p> {
     pub fn slot(&self, s: u32) -> u64 {
         self.li[s as usize]
     }
-
-    /// Cycles simulated.
-    pub fn cycle(&self) -> u64 {
-        self.cycle
-    }
-
-    /// The full `LI` array (waveform capture reads this).
-    pub fn li(&self) -> &[u64] {
-        &self.li
-    }
 }
 
 #[cfg(test)]
@@ -870,8 +849,12 @@ circuit Mixed :
     fn unelided_identity_count_tracks_levelization_accounting() {
         let g = graph_of(MIXED);
         let unelided = plan_unelided(&g);
-        let hist = unelided.op_histogram();
-        let materialized = hist.get(&DfgOp::Identity).copied().unwrap_or(0);
+        let materialized = unelided
+            .layers
+            .iter()
+            .flatten()
+            .filter(|op| op.op() == DfgOp::Identity)
+            .count();
         assert_eq!(materialized, unelided.stats.identity_ops);
         // Per-value-per-layer carries are bounded by the per-edge
         // accounting of `levelize` plus the carry-to-end terms.

@@ -56,7 +56,7 @@
 //! walk needs one extra barrier per layer that has boundary moves and
 //! nothing else.
 
-use crate::lane_kernel::{CompiledOp, Lane, LaneLayout, LaneType, LaneWindow};
+use crate::lane_kernel::{CompiledOp, Lane, LaneLayout, LaneWindow};
 use crate::op::DfgOp;
 use crate::plan::{OpInst, SimPlan};
 use serde::{Deserialize, Serialize};
@@ -305,8 +305,6 @@ struct SpecLayer {
 pub struct SpecProgram {
     layers: Vec<SpecLayer>,
     bit_rows: usize,
-    /// The lane type of the wide (`LI`) rows the program walks.
-    lane: LaneType,
 }
 
 /// How a slot's value is produced, for packability classification.
@@ -564,13 +562,7 @@ impl SpecProgram {
         SpecProgram {
             layers,
             bit_rows: next_row as usize,
-            lane: layout.lane_type(),
         }
-    }
-
-    /// The lane type of the `LI` rows this program walks.
-    pub fn lane_type(&self) -> LaneType {
-        self.lane
     }
 
     /// Number of layers (matches the plan's).
@@ -584,7 +576,8 @@ impl SpecProgram {
     }
 
     /// Ops lowered to packed 64-lanes-per-word bodies.
-    pub fn packed_ops(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn packed_ops(&self) -> usize {
         self.layers.iter().map(|l| l.bits.len()).sum()
     }
 
@@ -596,7 +589,7 @@ impl SpecProgram {
     }
 
     /// Words per bit-plane row for a lane stride.
-    pub fn words_per_row(stride: usize) -> usize {
+    pub(crate) fn words_per_row(stride: usize) -> usize {
         stride.div_ceil(64)
     }
 
@@ -622,7 +615,7 @@ impl SpecProgram {
     /// # Safety
     ///
     /// `li` must cover the slot-major `LI` matrix (stride `w.stride`) in
-    /// rows of this program's [`lane_type`](Self::lane_type),
+    /// rows of this program's lane type,
     /// and `bits` must cover [`Self::bits_len`]`(w.stride)` words.
     /// Phase-A instructions write disjoint rows (each pack owns its bit
     /// row, each unpack its wide row) and read rows no phase-A
@@ -782,6 +775,7 @@ unsafe fn unpack_row<T: Lane>(
 mod tests {
     use super::*;
     use crate::batch::{init_lanes, BatchPlanSim};
+    use crate::lane_kernel::LaneType;
     use crate::plan::{plan, split_commits, PlanSim};
     use rand::{Rng, SeedableRng};
     use rteaal_firrtl::{lower::lower_typed, parser::parse};
@@ -798,7 +792,6 @@ mod tests {
         w: LaneWindow,
         bits: &mut [u64],
     ) {
-        assert_eq!(T::TYPE, prog.lane_type());
         let (li, bits) = (li.as_mut_ptr(), bits.as_mut_ptr());
         // SAFETY: exclusive borrows sized by the caller (`bits` holds
         // `bits_len(w.stride)` words), rows of the program's lane type,

@@ -191,24 +191,6 @@ impl CascadeSim {
     pub fn output(&self, idx: usize) -> u64 {
         self.li[self.output_slots[idx].1 as usize]
     }
-
-    /// Output value by name.
-    pub fn output_by_name(&self, name: &str) -> Option<u64> {
-        self.output_slots
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, s)| self.li[*s as usize])
-    }
-
-    /// Cycles simulated so far.
-    pub fn cycle(&self) -> u64 {
-        self.cycle
-    }
-
-    /// The OIM fibertree (for inspection).
-    pub fn oim(&self) -> &Tensor {
-        &self.oim
-    }
 }
 
 fn op_param_count(op: DfgOp) -> usize {

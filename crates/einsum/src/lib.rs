@@ -1,14 +1,7 @@
 //! # rteaal-einsum
 //!
-//! Extended (EDGE) Einsums and the RTeAAL Sim cascade golden model.
+//! The RTeAAL Sim Einsum cascades as executable golden models.
 //!
-//! - [`notation`]: the EDGE notation layer (paper §2.3–2.4) — map/reduce/
-//!   populate actions with compute and coordinate operators, Einsums,
-//!   cascades, and a renderer that reproduces the paper's formulas
-//!   (including [`notation::rteaal_cascade`], Cascade 1 itself).
-//! - [`eval`]: executable action semantics over fibers, with the paper's
-//!   worked examples (Figure 3 dot product, take-left/right, prefix sum,
-//!   the `max2` populate operator of Appendix A) as tests.
 //! - [`cascade`]: [`cascade::CascadeSim`], a golden model that simulates a
 //!   design by *traversing the OIM fibertree* per Cascade 1 — a second,
 //!   independent implementation of RTL-simulation-as-tensor-algebra that
@@ -20,20 +13,33 @@
 //! ## Example
 //!
 //! ```
-//! use rteaal_einsum::eval::dot_product;
-//! use rteaal_tensor::fibertree::Fiber;
+//! use rteaal_dfg::{build, plan::plan};
+//! use rteaal_einsum::CascadeSim;
+//! use rteaal_firrtl::{lower::lower_typed, parser::parse};
 //!
-//! // Paper Figure 3: map ×(∩), reduce +(∪).
-//! let a = Fiber::from_values(3, [(0, 2), (1, 4)]);
-//! let b = Fiber::from_values(3, [(0, 3), (1, 2), (2, 7)]);
-//! assert_eq!(dot_product(&a, &b), 14);
+//! let src = "\
+//! circuit Acc :
+//!   module Acc :
+//!     input clock : Clock
+//!     input x : UInt<8>
+//!     output out : UInt<8>
+//!     reg acc : UInt<8>, clock
+//!     acc <= tail(add(acc, x), 1)
+//!     out <= acc
+//! ";
+//! let plan = plan(&build(&lower_typed(&parse(src)?)?)?);
+//! // Cascade 1 by fiber traversal: the accumulator adds 5 per cycle.
+//! let mut sim = CascadeSim::new(&plan);
+//! sim.set_input(0, 5);
+//! for _ in 0..3 {
+//!     sim.step();
+//! }
+//! assert_eq!(sim.output(0), 15);
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 pub mod cascade;
-pub mod eval;
-pub mod notation;
 pub mod repcut;
 
 pub use cascade::CascadeSim;
-pub use notation::{Action, Cascade, ComputeOp, CoordOp, Einsum, TensorRef};
 pub use repcut::RepCutSim;

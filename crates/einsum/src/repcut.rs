@@ -37,7 +37,6 @@ pub struct RepCutSim {
     input_slots: Vec<u32>,
     input_types: Vec<(u8, bool)>,
     output_slots: Vec<(String, u32)>,
-    replication: f64,
     cycle: u64,
 }
 
@@ -52,7 +51,6 @@ impl RepCutSim {
     pub fn new(plan: &SimPlan, num_partitions: usize) -> Self {
         let pp = PartitionedPlan::new(plan, num_partitions);
         RepCutSim {
-            replication: pp.replication_factor(),
             partitions: pp
                 .partitions
                 .into_iter()
@@ -67,17 +65,6 @@ impl RepCutSim {
             output_slots: plan.output_slots.clone(),
             cycle: 0,
         }
-    }
-
-    /// Number of partitions.
-    pub fn num_partitions(&self) -> usize {
-        self.partitions.len()
-    }
-
-    /// Replication overhead: total replicated ops over the unpartitioned
-    /// op count (1.0 = no replication).
-    pub fn replication_factor(&self) -> f64 {
-        self.replication
     }
 
     /// Drives an input (canonicalized, replicated into every partition).
@@ -140,16 +127,6 @@ impl RepCutSim {
     /// Output value by port index (outputs live in partition 0).
     pub fn output(&self, idx: usize) -> u64 {
         self.partitions[0].li[self.output_slots[idx].1 as usize]
-    }
-
-    /// The register update map.
-    pub fn rum(&self) -> &[RumEntry] {
-        &self.rum
-    }
-
-    /// Cycles simulated.
-    pub fn cycle(&self) -> u64 {
-        self.cycle
     }
 }
 
@@ -214,8 +191,6 @@ circuit X :
 
     #[test]
     fn single_partition_is_identity() {
-        let (_, rc) = setup(1);
-        assert!((rc.replication_factor() - 1.0).abs() < 1e-9);
         check_equiv(1, false, 100);
     }
 
@@ -235,22 +210,10 @@ circuit X :
     }
 
     #[test]
-    fn replication_overhead_is_visible() {
-        // With cross-coupled registers, partitioning must replicate shared
-        // cones (RepCut's fundamental trade-off).
-        let (_, rc) = setup(4);
-        assert!(
-            rc.replication_factor() > 1.0,
-            "factor = {}",
-            rc.replication_factor()
-        );
-    }
-
-    #[test]
     fn rum_owners_cover_all_registers() {
         let (g, rc) = setup(3);
-        assert_eq!(rc.rum().len(), g.regs.len());
-        for (r, entry) in rc.rum().iter().enumerate() {
+        assert_eq!(rc.rum.len(), g.regs.len());
+        for (r, entry) in rc.rum.iter().enumerate() {
             assert_eq!(entry.owner as usize, r % 3);
             assert!(!entry.readers.contains(&entry.owner));
         }
@@ -261,6 +224,6 @@ circuit X :
         // Differential exchange: at least one register should *not* be
         // broadcast to every other partition.
         let (_, rc) = setup(4);
-        assert!(rc.rum().iter().any(|e| e.readers.len() < 3));
+        assert!(rc.rum.iter().any(|e| e.readers.len() < 3));
     }
 }

@@ -177,11 +177,6 @@ impl Module {
             body: Vec::new(),
         }
     }
-
-    /// Looks up a port by name.
-    pub fn port(&self, name: &str) -> Option<&Port> {
-        self.ports.iter().find(|p| p.name == name)
-    }
 }
 
 /// A FIRRTL circuit: a set of modules with a designated top.
@@ -202,12 +197,12 @@ impl Circuit {
     }
 
     /// The top module (same name as the circuit), if present.
-    pub fn top(&self) -> Option<&Module> {
+    pub(crate) fn top(&self) -> Option<&Module> {
         self.module(&self.name)
     }
 
     /// Looks up a module by name.
-    pub fn module(&self, name: &str) -> Option<&Module> {
+    pub(crate) fn module(&self, name: &str) -> Option<&Module> {
         self.modules.iter().find(|m| m.name == name)
     }
 }

@@ -48,13 +48,8 @@ impl ModuleBuilder {
         }
     }
 
-    /// The module name.
-    pub fn name(&self) -> &str {
-        &self.module.name
-    }
-
     /// Generates a fresh name `prefix_<n>` unique within this builder.
-    pub fn fresh(&mut self, prefix: &str) -> String {
+    pub(crate) fn fresh(&mut self, prefix: &str) -> String {
         let n = self.counters.entry(prefix.to_string()).or_insert(0);
         let name = format!("{prefix}_{n}");
         *n += 1;
@@ -74,7 +69,7 @@ impl ModuleBuilder {
 
     /// Declares an output port and returns a reference expression to it.
     /// The port must be driven via [`Self::connect`].
-    pub fn output(&mut self, name: impl Into<String>, ty: Type) -> Expr {
+    pub(crate) fn output(&mut self, name: impl Into<String>, ty: Type) -> Expr {
         let name = name.into();
         self.module.ports.push(Port {
             name: name.clone(),
@@ -92,7 +87,8 @@ impl ModuleBuilder {
     }
 
     /// Declares a wire and returns a reference expression to it.
-    pub fn wire(&mut self, name: impl Into<String>, ty: Type) -> Expr {
+    #[cfg(test)]
+    pub(crate) fn wire(&mut self, name: impl Into<String>, ty: Type) -> Expr {
         let name = name.into();
         self.module.body.push(Stmt::Wire {
             name: name.clone(),
@@ -172,7 +168,12 @@ impl ModuleBuilder {
 
     /// Instantiates `module` under the instance name `name`. Ports of the
     /// instance are referenced as `name.port`.
-    pub fn instance(&mut self, name: impl Into<String>, module: impl Into<String>) -> String {
+    #[cfg(test)]
+    pub(crate) fn instance(
+        &mut self,
+        name: impl Into<String>,
+        module: impl Into<String>,
+    ) -> String {
         let name = name.into();
         self.module.body.push(Stmt::Instance {
             name: name.clone(),
@@ -204,17 +205,13 @@ impl ModuleBuilder {
 
     /// Opens a `when cond:` block; statements added through the returned
     /// scope builder land in the conditional bodies.
-    pub fn when(&mut self, cond: Expr, then_body: Vec<Stmt>, else_body: Vec<Stmt>) {
+    #[cfg(test)]
+    pub(crate) fn when(&mut self, cond: Expr, then_body: Vec<Stmt>, else_body: Vec<Stmt>) {
         self.module.body.push(Stmt::When {
             cond,
             then_body,
             else_body,
         });
-    }
-
-    /// Pushes a raw statement (escape hatch for tests).
-    pub fn push(&mut self, stmt: Stmt) {
-        self.module.body.push(stmt);
     }
 
     /// Convenience: builds a binary primitive-op node with a fresh name.
@@ -225,11 +222,6 @@ impl ModuleBuilder {
     /// Convenience: builds a unary primitive-op node with a fresh name.
     pub fn unop(&mut self, op: PrimOp, a: Expr) -> Expr {
         self.node_fresh(op.mnemonic(), Expr::prim(op, vec![a]))
-    }
-
-    /// Convenience: builds a mux node with a fresh name.
-    pub fn mux(&mut self, cond: Expr, tval: Expr, fval: Expr) -> Expr {
-        self.node_fresh("mux", Expr::mux(cond, tval, fval))
     }
 
     /// Consumes the builder and returns the module.
@@ -247,7 +239,7 @@ impl ModuleBuilder {
 /// let mut cb = CircuitBuilder::new("Top");
 /// cb.add_module(ModuleBuilder::new("Top").finish());
 /// let c = cb.finish();
-/// assert!(c.top().is_some());
+/// assert_eq!(c.modules[0].name, c.name);
 /// ```
 #[derive(Debug, Clone)]
 pub struct CircuitBuilder {

@@ -1,8 +1,8 @@
 //! Type checking, width inference and name resolution for modules.
 //!
-//! [`check_module`] numbers every referenceable name of a module (ports,
+//! `check_module` numbers every referenceable name of a module (ports,
 //! wires, registers, nodes, instance ports `inst.port`, memory port fields
-//! `mem.raddr` …) densely in a [`TypeEnv`], types every expression, and
+//! `mem.raddr` …) densely in a `TypeEnv`, types every expression, and
 //! resolves it into the module's arena of [`Term`]s: each name is hashed
 //! when it is declared and once per reference here, and never again.
 //! Node types are *inferred* from their defining expression, in definition
@@ -22,7 +22,7 @@ use std::fmt;
 /// only synthesized ones (`inst.port`, `mem.raddr`) are owned. A memory's
 /// cells have ids but no name a reference could use.
 #[derive(Debug, Clone, Default)]
-pub struct TypeEnv<'a> {
+pub(crate) struct TypeEnv<'a> {
     ids: HashMap<Cow<'a, str>, SignalId>,
     types: Vec<Type>,
     /// `(first cell, depth, memory)` of every memory's cells.
@@ -32,7 +32,7 @@ pub struct TypeEnv<'a> {
 /// The name of a signal of a [`TypeEnv`], as the flat module spells it
 /// under an instance's prefix.
 #[derive(Debug, Clone, Copy)]
-pub enum SignalName<'a> {
+pub(crate) enum SignalName<'a> {
     /// A name the module declares or synthesizes.
     Named(&'a str),
     /// Cell `k` of memory `mem`: `mem.cell_k`.
@@ -49,11 +49,6 @@ impl fmt::Display for SignalName<'_> {
 }
 
 impl<'a> TypeEnv<'a> {
-    /// Looks up the type of a name.
-    pub fn get(&self, name: &str) -> Option<Type> {
-        self.lookup(name).map(|(_, ty)| ty)
-    }
-
     /// Looks up the id and the type of a name.
     fn lookup(&self, name: &str) -> Option<(SignalId, Type)> {
         let id = *self.ids.get(name)?;
@@ -61,22 +56,17 @@ impl<'a> TypeEnv<'a> {
     }
 
     /// Every signal's type, by id.
-    pub fn types(&self) -> &[Type] {
+    pub(crate) fn types(&self) -> &[Type] {
         &self.types
     }
 
     /// Number of signals, memory cells included.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.types.len()
     }
 
-    /// Whether the environment is empty.
-    pub fn is_empty(&self) -> bool {
-        self.types.is_empty()
-    }
-
     /// Every signal's name, by id.
-    pub fn names(&self) -> Vec<SignalName<'_>> {
+    pub(crate) fn names(&self) -> Vec<SignalName<'_>> {
         let mut names = vec![SignalName::Named(""); self.types.len()];
         for (name, id) in &self.ids {
             names[id.index()] = SignalName::Named(name);
@@ -95,7 +85,7 @@ impl<'a> TypeEnv<'a> {
     /// # Errors
     ///
     /// Returns [`FirrtlError::Duplicate`] if the name is already bound.
-    pub fn bind(&mut self, name: impl Into<Cow<'a, str>>, ty: Type) -> Result<SignalId> {
+    pub(crate) fn bind(&mut self, name: impl Into<Cow<'a, str>>, ty: Type) -> Result<SignalId> {
         let id = SignalId(self.types.len() as u32);
         match self.ids.entry(name.into()) {
             Entry::Occupied(bound) => Err(FirrtlError::Duplicate(bound.key().to_string())),
@@ -275,14 +265,14 @@ fn arms_disagree(tt: Type, ft: Type) -> FirrtlError {
 }
 
 /// Index width for a memory of the given depth (at least 1 bit).
-pub fn mem_addr_width(depth: usize) -> u32 {
+pub(crate) fn mem_addr_width(depth: usize) -> u32 {
     bits_for(depth.saturating_sub(1) as u64)
 }
 
 /// A type-checked module over ids: its signals, its expressions as terms,
 /// and its statements naming both by id.
 #[derive(Debug, Clone, Default)]
-pub struct TypedModule<'c> {
+pub(crate) struct TypedModule<'c> {
     /// Every signal of the module: its ports first, in port order.
     pub env: TypeEnv<'c>,
     /// Every expression of the module, operands before what uses them.
@@ -296,7 +286,7 @@ pub struct TypedModule<'c> {
 
 /// A statement of a [`TypedModule`]: a [`Stmt`] over ids.
 #[derive(Debug, Clone, PartialEq)]
-pub enum TypedStmt<'c> {
+pub(crate) enum TypedStmt<'c> {
     /// `wire`.
     Wire(SignalId),
     /// `reg`/`regreset` with its `(reset, init)`; the clock is the
@@ -344,7 +334,10 @@ pub enum TypedStmt<'c> {
 /// Returns the first error found: [`FirrtlError::Duplicate`] for redefined
 /// names, [`FirrtlError::Undefined`] for undefined references and
 /// instances of unknown modules, [`FirrtlError::Type`] otherwise.
-pub fn check_module<'c>(circuit: &'c Circuit, module: &'c Module) -> Result<TypedModule<'c>> {
+pub(crate) fn check_module<'c>(
+    circuit: &'c Circuit,
+    module: &'c Module,
+) -> Result<TypedModule<'c>> {
     let mut checker = Checker {
         circuit,
         typed: TypedModule::default(),
@@ -612,15 +605,19 @@ mod tests {
         check_module(c, c.top().unwrap()).map(|typed| typed.env)
     }
 
+    fn ty(env: &TypeEnv, name: &str) -> Option<Type> {
+        env.lookup(name).map(|(_, ty)| ty)
+    }
+
     #[test]
     fn env_types_everything() {
         let c = simple_circuit();
         let env = env_of(&c).unwrap();
-        assert_eq!(env.get("a"), Some(Type::uint(8)));
-        assert_eq!(env.get("r"), Some(Type::uint(8)));
-        assert_eq!(env.get("sum"), Some(Type::uint(9))); // add grows
-        assert_eq!(env.get("clock"), Some(Type::Clock));
-        assert!(env.get("nope").is_none());
+        assert_eq!(ty(&env, "a"), Some(Type::uint(8)));
+        assert_eq!(ty(&env, "r"), Some(Type::uint(8)));
+        assert_eq!(ty(&env, "sum"), Some(Type::uint(9))); // add grows
+        assert_eq!(ty(&env, "clock"), Some(Type::Clock));
+        assert!(ty(&env, "nope").is_none());
     }
 
     #[test]
@@ -692,9 +689,9 @@ mod tests {
         cb.add_module(top.finish());
         let c = cb.finish();
         let env = env_of(&c).unwrap();
-        assert_eq!(env.get("s0.x"), Some(Type::uint(4)));
-        assert_eq!(env.get("s0.y"), Some(Type::uint(4)));
-        assert_eq!(env.get("n"), Some(Type::uint(4)));
+        assert_eq!(ty(&env, "s0.x"), Some(Type::uint(4)));
+        assert_eq!(ty(&env, "s0.y"), Some(Type::uint(4)));
+        assert_eq!(ty(&env, "n"), Some(Type::uint(4)));
     }
 
     #[test]
@@ -705,15 +702,15 @@ mod tests {
         cb.add_module(b.finish());
         let c = cb.finish();
         let env = env_of(&c).unwrap();
-        assert_eq!(env.get("m.raddr"), Some(Type::uint(4)));
-        assert_eq!(env.get("m.rdata"), Some(Type::uint(8)));
-        assert_eq!(env.get("m.wen"), Some(Type::uint(1)));
+        assert_eq!(ty(&env, "m.raddr"), Some(Type::uint(4)));
+        assert_eq!(ty(&env, "m.rdata"), Some(Type::uint(8)));
+        assert_eq!(ty(&env, "m.wen"), Some(Type::uint(1)));
         assert_eq!(env.len(), 5 + 16);
         let names = env.names();
         assert_eq!(names[5].to_string(), "m.cell_0");
         assert_eq!(names[20].to_string(), "m.cell_15");
         // A cell has no name a reference could use.
-        assert!(env.get("m.cell_0").is_none());
+        assert!(ty(&env, "m.cell_0").is_none());
     }
 
     #[test]

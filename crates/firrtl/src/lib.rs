@@ -59,6 +59,3 @@ pub mod value;
 pub use ast::{Circuit, Direction, Expr, Module, Port, Stmt};
 pub use error::{FirrtlError, Result};
 pub use lower::{lower_typed, FlatModule, FlatReg};
-pub use ops::PrimOp;
-pub use term::{SignalId, Term, TermId};
-pub use ty::Type;

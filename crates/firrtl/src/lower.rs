@@ -22,7 +22,7 @@
 //!
 //! ## Id tables
 //!
-//! Nothing here looks a name up. [`check_module`] numbers each module's
+//! Nothing here looks a name up. `check_module` numbers each module's
 //! signals and resolves its expressions into [`Term`]s over those numbers;
 //! the three stages above are one walk over the typed statements. The top
 //! module's signals are the flat design's first ones and its term arena
@@ -68,7 +68,7 @@ impl Names {
     }
 
     /// Every name, in id order.
-    pub fn iter(&self) -> impl Iterator<Item = &str> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &str> {
         (0..self.ends.len()).map(|i| self.get(SignalId(i as u32)))
     }
 

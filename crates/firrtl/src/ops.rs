@@ -4,7 +4,7 @@
 //! 2016] restricted to ground types, which is what RTeAAL Sim's `OIM` `N`
 //! rank supports ("OIM's N rank supports all FIRRTL primitive operations",
 //! §6.1). Width rules follow the spec with one documented deviation: result
-//! widths saturate at [`MAX_WIDTH`] bits and the value
+//! widths saturate at `MAX_WIDTH` bits and the value
 //! is truncated to its low 64 bits (see `DESIGN.md` §4.7).
 
 use crate::error::{FirrtlError, Result};
@@ -104,7 +104,7 @@ pub const ALL_PRIM_OPS: &[PrimOp] = &[
 
 impl PrimOp {
     /// FIRRTL-source mnemonic of the op.
-    pub fn mnemonic(&self) -> &'static str {
+    pub(crate) fn mnemonic(&self) -> &'static str {
         match self {
             PrimOp::Add => "add",
             PrimOp::Sub => "sub",
@@ -141,7 +141,7 @@ impl PrimOp {
     }
 
     /// Parses a FIRRTL mnemonic into a `PrimOp`.
-    pub fn from_mnemonic(s: &str) -> Option<PrimOp> {
+    pub(crate) fn from_mnemonic(s: &str) -> Option<PrimOp> {
         ALL_PRIM_OPS.iter().copied().find(|op| op.mnemonic() == s)
     }
 
@@ -171,7 +171,7 @@ impl PrimOp {
 
     /// Number of static integer parameters the op takes (e.g. `bits` takes
     /// the `hi` and `lo` indices).
-    pub fn num_params(&self) -> usize {
+    pub(crate) fn num_params(&self) -> usize {
         match self {
             PrimOp::Pad | PrimOp::Shl | PrimOp::Shr | PrimOp::Head | PrimOp::Tail => 1,
             PrimOp::Bits => 2,

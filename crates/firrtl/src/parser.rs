@@ -52,7 +52,7 @@ use crate::ty::Type;
 ///     out <= r
 /// ";
 /// let circuit = rteaal_firrtl::parser::parse(src)?;
-/// assert_eq!(circuit.top().unwrap().ports.len(), 3);
+/// assert_eq!(circuit.modules[0].ports.len(), 3);
 /// # Ok::<(), rteaal_firrtl::error::FirrtlError>(())
 /// ```
 pub fn parse(src: &str) -> Result<Circuit> {

@@ -1,7 +1,7 @@
 //! Expressions over signal ids: what typing makes of a module's
 //! expressions, and what the flat module hands to graph construction.
 //!
-//! [`check_module`](crate::infer::check_module) numbers a module's signals
+//! `check_module` numbers a module's signals
 //! densely and resolves every reference to the [`SignalId`] of the signal
 //! it names, once; no name is looked up again after that. The expressions
 //! of a module live in one arena of [`Term`]s, each naming its operands by
@@ -49,7 +49,7 @@ pub enum Term {
     /// `validif(cond, value)` over `[cond, value]`.
     ValidIf([TermId; 2]),
     /// A primitive op: its first [`PrimOp::num_args`] `args` and first
-    /// [`PrimOp::num_params`] `params` are used, the rest are 0. Typing
+    /// `PrimOp::num_params` `params` are used, the rest are 0. Typing
     /// checked both counts, and no op takes more than two of either.
     Prim {
         op: PrimOp,
@@ -80,7 +80,7 @@ impl Term {
     /// The term with every operand moved `by` places up the arena and every
     /// signal renamed by `signal`: a module's term as one instance of it
     /// sees it.
-    pub fn stamped(self, by: u32, signal: impl Fn(SignalId) -> SignalId) -> Term {
+    pub(crate) fn stamped(self, by: u32, signal: impl Fn(SignalId) -> SignalId) -> Term {
         let up = |t: TermId| TermId(t.0 + by);
         match self {
             Term::Signal(s) => Term::Signal(signal(s)),
@@ -106,7 +106,7 @@ pub(crate) fn push(terms: &mut Vec<Term>, term: Term) -> TermId {
 /// `when` resolution asks before it muxes two values. An explicit stack,
 /// not recursion: a target connected under a long run of `when`s is a mux
 /// chain as deep as the run.
-pub fn same_expr(terms: &[Term], a: TermId, b: TermId) -> bool {
+pub(crate) fn same_expr(terms: &[Term], a: TermId, b: TermId) -> bool {
     let mut pending = vec![(a, b)];
     while let Some((a, b)) = pending.pop() {
         if a == b {

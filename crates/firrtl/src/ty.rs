@@ -9,7 +9,7 @@
 use std::fmt;
 
 /// Maximum supported signal width in bits.
-pub const MAX_WIDTH: u32 = 64;
+pub(crate) const MAX_WIDTH: u32 = 64;
 
 /// A ground type in the FIRRTL subset.
 ///
@@ -58,12 +58,12 @@ impl Type {
     }
 
     /// Whether this is a clock type.
-    pub fn is_clock(&self) -> bool {
+    pub(crate) fn is_clock(&self) -> bool {
         matches!(self, Type::Clock)
     }
 
     /// Returns the same kind of type (UInt/SInt) with a new width, saturated
-    /// at [`MAX_WIDTH`]. Clock stays Clock.
+    /// at `MAX_WIDTH`. Clock stays Clock.
     pub fn with_width(&self, width: u32) -> Self {
         let w = width.clamp(1, MAX_WIDTH);
         match self {

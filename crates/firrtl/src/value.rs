@@ -18,8 +18,7 @@ use crate::ty::{mask, sext, Type};
 /// ```
 /// use rteaal_firrtl::value::TypedValue;
 /// use rteaal_firrtl::ty::Type;
-/// let v = TypedValue::new(0xff, Type::sint(8));
-/// assert_eq!(v.as_i64(), -1);
+/// let v = TypedValue::new(0x1ff, Type::sint(8));
 /// assert_eq!(v.bits, 0xff);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -40,7 +39,7 @@ impl TypedValue {
     }
 
     /// The value as a mathematical integer (sign-extended if signed).
-    pub fn as_i64(&self) -> i64 {
+    pub(crate) fn as_i64(&self) -> i64 {
         if self.ty.is_signed() {
             sext(self.bits, self.ty.width())
         } else {

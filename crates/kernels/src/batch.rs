@@ -324,11 +324,6 @@ impl BatchLiState {
         }
     }
 
-    /// Number of partition replicas (1 = unpartitioned).
-    pub fn partitions(&self) -> usize {
-        self.parts
-    }
-
     /// Number of lanes still being evaluated (the active prefix).
     pub fn live(&self) -> usize {
         self.live
@@ -351,7 +346,7 @@ impl BatchLiState {
     }
 
     /// The active evaluation window.
-    pub fn window(&self) -> LaneWindow {
+    pub(crate) fn window(&self) -> LaneWindow {
         LaneWindow {
             stride: self.lanes,
             active: self.live,
@@ -372,11 +367,6 @@ impl BatchLiState {
             }
         });
         self.settled = false;
-    }
-
-    /// Number of input ports.
-    pub fn num_inputs(&self) -> usize {
-        self.input_slots.len()
     }
 
     /// Resets every lane to the power-on state and revives all lanes.
@@ -417,12 +407,6 @@ impl BatchLiState {
     /// type, written into every partition replica).
     pub fn set_input(&mut self, idx: usize, lane: usize, value: u64) {
         self.write_input(idx, lane, lane + 1, value);
-    }
-
-    /// Drives input port `idx` identically on every lane: canonicalizes
-    /// once and fills the lane row (of every replica).
-    pub fn set_input_all(&mut self, idx: usize, value: u64) {
-        self.write_input(idx, 0, self.lanes, value);
     }
 
     /// Drives input port `idx` identically on every *live* lane; frozen
@@ -909,16 +893,6 @@ impl BatchKernel {
         )
     }
 
-    /// The configuration this kernel was compiled under.
-    pub fn config(&self) -> KernelConfig {
-        self.config
-    }
-
-    /// The executor this kernel walks its layers with.
-    pub fn engine(&self) -> BatchEngine {
-        self.engine
-    }
-
     /// The lane type of the rows this kernel walks: the state it steps
     /// must hold the same.
     pub fn lane_type(&self) -> LaneType {
@@ -928,12 +902,6 @@ impl BatchKernel {
     /// The packed program of a specialized kernel, if any.
     pub fn specialized(&self) -> Option<&SpecProgram> {
         self.spec.as_ref()
-    }
-
-    /// Number of partitions this kernel was compiled for (1 =
-    /// unpartitioned).
-    pub fn partitions(&self) -> usize {
-        self.programs.len()
     }
 
     /// The ops of every run of the compiled walk — one kernel call each —
@@ -1278,7 +1246,7 @@ impl BatchKernel {
     /// them layer by layer.
     ///
     /// The modeled stream is the batched analog of the scalar
-    /// [`Kernel::step_profiled`](crate::Kernel::step_profiled): each op's
+    /// `Kernel::step_profiled`: each op's
     /// coordinates are fetched once per cycle while its lane loop streams
     /// `live` contiguous `LI` lanes — exactly the amortization the
     /// batched engine exists to buy. It models the per-op walk of the
@@ -1480,7 +1448,7 @@ circuit Wide :
         for kind in ALL_KERNELS {
             for engine in [BatchEngine::Compiled, BatchEngine::Interpreted] {
                 let kernel = BatchKernel::compile_with_engine(&p, KernelConfig::new(kind), engine);
-                assert_eq!(kernel.engine(), engine);
+                assert_eq!(kernel.engine, engine);
                 let mut st = BatchLiState::new(&p, LANES);
                 let mut golden = BatchPlanSim::interpreted(&p, LANES);
                 let mut rng = rand::rngs::StdRng::seed_from_u64(kind as u64 + 31);
@@ -1794,8 +1762,9 @@ circuit Wide :
         let kernel = BatchKernel::compile(&p, KernelConfig::new(KernelKind::Nu));
         let mut st = BatchLiState::new(&p, 3);
         assert_eq!(st.lanes(), 3);
-        assert_eq!(st.num_inputs(), 2);
-        st.set_input_all(0, 7);
+        for lane in 0..3 {
+            st.set_input(0, lane, 7);
+        }
         kernel.run(&mut st, 4);
         assert_eq!(st.cycle(), 4);
         assert!(st.output_by_name("out", 1).is_some());
@@ -1812,8 +1781,10 @@ circuit Wide :
         let p = plan_of(DESIGN);
         let kernel = BatchKernel::compile(&p, KernelConfig::new(KernelKind::Psu));
         let mut st = BatchLiState::new(&p, 4);
-        st.set_input_all(0, 9);
-        st.set_input_all(1, 1);
+        for lane in 0..4 {
+            st.set_input(0, lane, 9);
+            st.set_input(1, lane, 1);
+        }
         kernel.run(&mut st, 3);
         let frozen: Vec<u64> = (0..p.num_slots as u32).map(|s| st.slot(s, 3)).collect();
         // Freeze lane 3, keep stepping the first three.
@@ -2048,10 +2019,10 @@ circuit Wide :
                 let pp = PartitionedPlan::new(&p, parts);
                 let pkernel =
                     BatchKernel::compile_partitioned(&pp, KernelConfig::new(KernelKind::Psu));
-                assert_eq!(pkernel.partitions(), parts);
+                assert_eq!(pkernel.programs.len(), parts);
                 let mut flat = BatchLiState::new(&p, LANES);
                 let mut part = BatchLiState::new_partitioned(&p, LANES, &pp);
-                assert_eq!(part.partitions(), parts);
+                assert_eq!(part.parts, parts);
                 for cycle in 0..60u64 {
                     for lane in 0..LANES {
                         let x = cycle.wrapping_mul(0x9e37_79b9) ^ (lane as u64) << 17;

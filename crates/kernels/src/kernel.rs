@@ -118,7 +118,7 @@ impl Kernel {
     }
 
     /// Writes a slot (DMI poke); `value` must be canonical for the signal
-    /// (see [`LiState::poke_slot`]).
+    /// (see `LiState::poke_slot`).
     pub fn poke_slot(&mut self, s: u32, value: u64) {
         self.state.poke_slot(s, value);
     }
@@ -150,7 +150,7 @@ impl Kernel {
 
     /// One cycle with full instrumentation into `mem`; counters accumulate
     /// into `profile`.
-    pub fn step_profiled(&mut self, mem: &mut MemSim, profile: &mut ExecProfile) {
+    pub(crate) fn step_profiled(&mut self, mem: &mut MemSim, profile: &mut ExecProfile) {
         let mut probe = MemProbe::new(mem);
         match &self.inner {
             Inner::Rolled(k) => k.step(&mut self.state, &mut probe),

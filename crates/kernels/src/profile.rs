@@ -11,8 +11,8 @@
 //!
 //! | region | base | contents |
 //! |--------|------|----------|
-//! | `LI`   | [`LI_BASE`]   | the signal slot array, 8 B/slot |
-//! | OIM    | [`OIM_BASE`]… | coordinate/payload/side-table arrays |
+//! | `LI`   | `LI_BASE`   | the signal slot array, 8 B/slot |
+//! | OIM    | `OIM_BASE`… | coordinate/payload/side-table arrays |
 //! | code   | [`CODE_BASE`] | rolled: interpreter + per-op handlers; unrolled: one 16-B instruction block per operation |
 //!
 //! Rolled kernels execute from a small fixed code region (high reuse);
@@ -23,24 +23,22 @@ use rteaal_perfmodel::cache::MemSim;
 use serde::{Deserialize, Serialize};
 
 /// Base of the `LI` slot array (8 bytes per slot).
-pub const LI_BASE: u64 = 0x1000_0000;
+pub(crate) const LI_BASE: u64 = 0x1000_0000;
 /// Base of the OIM coordinate/payload arrays; each array gets a
 /// [`OIM_ARRAY_STRIDE`]-spaced region.
-pub const OIM_BASE: u64 = 0x2000_0000;
+pub(crate) const OIM_BASE: u64 = 0x2000_0000;
 /// Spacing between OIM array regions.
-pub const OIM_ARRAY_STRIDE: u64 = 0x0100_0000;
+pub(crate) const OIM_ARRAY_STRIDE: u64 = 0x0100_0000;
 /// Base of the code region.
 pub const CODE_BASE: u64 = 0x4000_0000;
 /// Bytes per modeled machine instruction.
-pub const INSTR_BYTES: u64 = 4;
+pub(crate) const INSTR_BYTES: u64 = 4;
 /// Code bytes reserved per opcode handler in rolled kernels.
-pub const HANDLER_BYTES: u64 = 256;
-/// Code bytes per operation in the unrolled (SU/TI) instruction stream.
-pub const UNROLLED_OP_BYTES: u64 = 16;
+pub(crate) const HANDLER_BYTES: u64 = 256;
 
 /// Index of an OIM array region (for address computation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OimArray {
+pub(crate) enum OimArray {
     /// `I`-rank payloads (ops per layer).
     IPayloads = 0,
     /// `S`-rank coordinates (output slots).
@@ -53,19 +51,17 @@ pub enum OimArray {
     NPayloads = 4,
     /// Per-op side table (params / width).
     Meta = 5,
-    /// Format (a) payload arrays (unoptimized traversal only).
-    ExtraPayloads = 6,
 }
 
 /// Address of element `idx` (of `elem_bytes` each) in an OIM array.
 #[inline]
-pub fn oim_addr(array: OimArray, idx: usize, elem_bytes: u64) -> u64 {
+pub(crate) fn oim_addr(array: OimArray, idx: usize, elem_bytes: u64) -> u64 {
     OIM_BASE + array as u64 * OIM_ARRAY_STRIDE + idx as u64 * elem_bytes
 }
 
 /// Address of `LI` slot `s`.
 #[inline]
-pub fn li_addr(slot: u32) -> u64 {
+pub(crate) fn li_addr(slot: u32) -> u64 {
     LI_BASE + slot as u64 * 8
 }
 
@@ -180,7 +176,7 @@ mod tests {
     #[test]
     fn address_regions_do_not_overlap() {
         assert!(li_addr(1 << 24) < OIM_BASE);
-        assert!(oim_addr(OimArray::ExtraPayloads, 1 << 20, 8) < CODE_BASE);
+        assert!(oim_addr(OimArray::Meta, 1 << 20, 8) < CODE_BASE);
     }
 
     #[test]

@@ -281,14 +281,9 @@ impl RolledKernel {
         kernel
     }
 
-    /// The configuration.
-    pub fn config(&self) -> KernelConfig {
-        self.cfg
-    }
-
     /// Static code footprint of the kernel (the Table 4 "binary size"
     /// analog, excluding the OIM data).
-    pub fn code_bytes(&self) -> u64 {
+    pub(crate) fn code_bytes(&self) -> u64 {
         let interpreter = 0x1000; // loops, dispatch, commit
         let handlers = self.used_opcodes as u64 * HANDLER_BYTES;
         let groups = match self.cfg.kind {
@@ -300,7 +295,7 @@ impl RolledKernel {
 
     /// In-memory bytes of the OIM arrays the kernel traverses (D-cache
     /// resident data).
-    pub fn data_bytes(&self) -> u64 {
+    pub(crate) fn data_bytes(&self) -> u64 {
         match (&self.oim_b, &self.oim_c) {
             (Some(b), _) => b.memory_bytes() as u64,
             (_, Some(c)) => c.memory_bytes() as u64,

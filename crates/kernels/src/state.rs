@@ -56,7 +56,7 @@ impl Canon {
 }
 
 /// Largest operand count of a fixed-arity op (`mux`).
-pub const MAX_FIXED_ARITY: usize = 3;
+pub(crate) const MAX_FIXED_ARITY: usize = 3;
 
 /// Gathers `arity` operands through `fetch` and evaluates `op` on them.
 /// Fixed-arity ops stage on the stack; only a longer mux chain uses the
@@ -128,29 +128,24 @@ impl LiState {
     }
 
     /// Resets registers and constants to their initial values.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.li.copy_from_slice(&self.init);
         self.cycle = 0;
     }
 
     /// Drives input port `idx` (canonicalized to the port type).
-    pub fn set_input(&mut self, idx: usize, value: u64) {
+    pub(crate) fn set_input(&mut self, idx: usize, value: u64) {
         let (w, signed) = self.input_types[idx];
         self.li[self.input_slots[idx] as usize] = canonicalize(value, w as u32, signed);
     }
 
-    /// Number of input ports.
-    pub fn num_inputs(&self) -> usize {
-        self.input_slots.len()
-    }
-
     /// Output value by port index.
-    pub fn output(&self, idx: usize) -> u64 {
+    pub(crate) fn output(&self, idx: usize) -> u64 {
         self.li[self.output_slots[idx].1 as usize]
     }
 
     /// The slot of the output port `name`.
-    pub fn output_slot(&self, name: &str) -> Option<u32> {
+    pub(crate) fn output_slot(&self, name: &str) -> Option<u32> {
         self.output_slots
             .iter()
             .find(|(n, _)| n == name)
@@ -158,19 +153,19 @@ impl LiState {
     }
 
     /// Reads an arbitrary slot (probe / waveform path).
-    pub fn slot(&self, s: u32) -> u64 {
+    pub(crate) fn slot(&self, s: u32) -> u64 {
         self.li[s as usize]
     }
 
     /// Writes a register slot directly (DMI poke). Slots carry no type:
     /// `value` must already be canonical for the signal, which the
     /// `rteaal-core` front doors ensure.
-    pub fn poke_slot(&mut self, s: u32, value: u64) {
+    pub(crate) fn poke_slot(&mut self, s: u32, value: u64) {
         self.li[s as usize] = value;
     }
 
     /// Cycles completed.
-    pub fn cycle(&self) -> u64 {
+    pub(crate) fn cycle(&self) -> u64 {
         self.cycle
     }
 
@@ -185,7 +180,7 @@ impl LiState {
     ///
     /// Panics if `li` was shortened below a slot the plan commits.
     #[inline]
-    pub fn commit<P: Probe>(&mut self, probe: &mut P, unroll: usize, code_addr: u64) {
+    pub(crate) fn commit<P: Probe>(&mut self, probe: &mut P, unroll: usize, code_addr: u64) {
         assert!(
             self.li.len() >= self.commit_span,
             "`li` holds {} slots; the commit list addresses {}",
@@ -215,7 +210,7 @@ impl LiState {
     }
 
     /// Default commit code address (shared loop in the interpreter region).
-    pub fn commit_code_addr() -> u64 {
+    pub(crate) fn commit_code_addr() -> u64 {
         CODE_BASE + 0x200
     }
 }

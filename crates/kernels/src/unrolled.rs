@@ -32,7 +32,7 @@ const STREAM_BASE: u64 = CODE_BASE + 0x100_0000;
 
 /// An operand source after tensor inlining.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Operand {
+pub(crate) enum Operand {
     /// Load from an `LI` slot.
     Slot(u32),
     /// Inlined immediate (constant slot).
@@ -44,7 +44,7 @@ pub enum Operand {
 
 /// One straight-line instruction: a fully specialized operation.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Instr {
+pub(crate) struct Instr {
     /// The operation.
     pub op: DfgOp,
     /// Destination slot.
@@ -75,13 +75,13 @@ impl Instr {
     }
 
     /// Code bytes this block occupies.
-    pub fn code_bytes(&self, stream: &[Operand]) -> u64 {
+    pub(crate) fn code_bytes(&self, stream: &[Operand]) -> u64 {
         (self.machine_instrs(stream) as u64 * INSTR_BYTES).max(4)
     }
 
     /// This instruction's operand sources within the kernel's `stream`.
     #[inline]
-    pub fn operands<'a>(&self, stream: &'a [Operand]) -> &'a [Operand] {
+    pub(crate) fn operands<'a>(&self, stream: &'a [Operand]) -> &'a [Operand] {
         &stream[self.operands.start as usize..self.operands.end as usize]
     }
 }
@@ -215,19 +215,14 @@ impl UnrolledKernel {
         self.code_bytes = addr - STREAM_BASE;
     }
 
-    /// The configuration.
-    pub fn config(&self) -> KernelConfig {
-        self.cfg
-    }
-
     /// Static code footprint: the whole design is instructions (Table 4's
     /// SU/TI rows).
-    pub fn code_bytes(&self) -> u64 {
+    pub(crate) fn code_bytes(&self) -> u64 {
         0x1000 + self.code_bytes // interpreter prologue + stream
     }
 
     /// OIM data resident in memory: none — it is embedded in the code.
-    pub fn data_bytes(&self) -> u64 {
+    pub(crate) fn data_bytes(&self) -> u64 {
         0
     }
 

@@ -23,7 +23,7 @@ pub struct CacheConfig {
 
 impl CacheConfig {
     /// A config with 64-byte lines.
-    pub const fn new(size_bytes: usize, ways: usize) -> Self {
+    pub(crate) const fn new(size_bytes: usize, ways: usize) -> Self {
         CacheConfig {
             size_bytes,
             line_bytes: 64,
@@ -32,7 +32,7 @@ impl CacheConfig {
     }
 
     /// Number of sets.
-    pub fn sets(&self) -> usize {
+    pub(crate) fn sets(&self) -> usize {
         (self.size_bytes / self.line_bytes / self.ways).max(1)
     }
 }
@@ -49,7 +49,7 @@ pub struct CacheStats {
 impl CacheStats {
     /// Misses per kilo-*events* (callers supply the event count, e.g.
     /// dynamic instructions for MPKI).
-    pub fn mpk(&self, events: u64) -> f64 {
+    pub(crate) fn mpk(&self, events: u64) -> f64 {
         if events == 0 {
             0.0
         } else {
@@ -76,7 +76,7 @@ impl Cache {
     /// # Panics
     ///
     /// Panics if the line size is not a power of two.
-    pub fn new(cfg: CacheConfig) -> Self {
+    pub(crate) fn new(cfg: CacheConfig) -> Self {
         assert!(
             cfg.line_bytes.is_power_of_two(),
             "line size must be a power of two"
@@ -92,13 +92,13 @@ impl Cache {
     }
 
     /// The geometry.
-    pub fn config(&self) -> CacheConfig {
+    pub(crate) fn config(&self) -> CacheConfig {
         self.cfg
     }
 
     /// Accesses `addr`; returns `true` on hit. Misses install the line
     /// (the caller forwards the miss to the next level).
-    pub fn access(&mut self, addr: u64) -> bool {
+    pub(crate) fn access(&mut self, addr: u64) -> bool {
         self.stats.accesses += 1;
         let line = addr >> self.line_shift;
         // Sets are a power of two in every real config; a non-power-of-two
@@ -122,13 +122,6 @@ impl Cache {
             }
             set.insert(0, tag);
             false
-        }
-    }
-
-    /// Drops all contents (keeps stats).
-    pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
         }
     }
 }
@@ -170,7 +163,12 @@ pub struct MemSim {
 
 impl MemSim {
     /// Builds the hierarchy from per-level configs.
-    pub fn new(l1i: CacheConfig, l1d: CacheConfig, l2: CacheConfig, llc: CacheConfig) -> Self {
+    pub(crate) fn new(
+        l1i: CacheConfig,
+        l1d: CacheConfig,
+        l2: CacheConfig,
+        llc: CacheConfig,
+    ) -> Self {
         MemSim {
             l1i: Cache::new(l1i),
             l1d: Cache::new(l1d),

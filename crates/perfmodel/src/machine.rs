@@ -139,11 +139,6 @@ impl Machine {
         ]
     }
 
-    /// Looks a machine up by id.
-    pub fn by_id(id: &str) -> Option<Machine> {
-        Machine::all().into_iter().find(|m| m.id == id)
-    }
-
     /// A copy with the LLC restricted to `bytes` (the Intel CAT analog
     /// used by Figure 21).
     pub fn with_llc_capacity(&self, bytes: usize) -> Machine {
@@ -200,8 +195,9 @@ mod tests {
     #[test]
     fn by_id_and_all() {
         assert_eq!(Machine::all().len(), 4);
-        assert_eq!(Machine::by_id("amd").unwrap().name, "AMD Ryzen 7 4800HS");
-        assert!(Machine::by_id("m1").is_none());
+        let by_id = |id: &str| Machine::all().into_iter().find(|m| m.id == id);
+        assert_eq!(by_id("amd").unwrap().name, "AMD Ryzen 7 4800HS");
+        assert!(by_id("m1").is_none());
     }
 
     #[test]

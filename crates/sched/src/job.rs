@@ -168,13 +168,13 @@ pub struct JobQueue {
 
 impl JobQueue {
     /// An empty queue.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         JobQueue::default()
     }
 
     /// Enqueues a job, assigning the next [`JobId`]; `trace` defaults
     /// to that id.
-    pub fn push(&mut self, job: Job, trace: Option<u64>) -> JobId {
+    pub(crate) fn push(&mut self, job: Job, trace: Option<u64>) -> JobId {
         let id = JobId(self.next);
         self.next += 1;
         self.pending.push_back(Queued {
@@ -186,28 +186,28 @@ impl JobQueue {
     }
 
     /// Dequeues the oldest pending job.
-    pub fn pop(&mut self) -> Option<Queued> {
+    pub(crate) fn pop(&mut self) -> Option<Queued> {
         self.pending.pop_front()
     }
 
     /// The oldest pending job, without dequeuing it (so a scheduler can
     /// validate its bindings before committing a lane to it).
-    pub fn front(&self) -> Option<&Queued> {
+    pub(crate) fn front(&self) -> Option<&Queued> {
         self.pending.front()
     }
 
     /// Pending jobs.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.pending.len()
     }
 
     /// Whether no jobs are pending.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.pending.is_empty()
     }
 
     /// Total jobs ever submitted (the next id's index).
-    pub fn submitted(&self) -> u64 {
+    pub(crate) fn submitted(&self) -> u64 {
         self.next
     }
 }

@@ -234,23 +234,13 @@ impl Scheduler {
         id
     }
 
-    /// Total jobs ever submitted to this scheduler.
-    pub fn submitted(&self) -> u64 {
-        self.queue.submitted()
-    }
-
     /// Lane capacity.
-    pub fn lanes(&self) -> usize {
+    pub(crate) fn lanes(&self) -> usize {
         self.running.len()
     }
 
-    /// Jobs waiting in the queue.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Jobs currently occupying lanes.
-    pub fn running(&self) -> usize {
+    pub(crate) fn running(&self) -> usize {
         self.busy
     }
 
@@ -385,7 +375,7 @@ impl Scheduler {
     /// place — still queued, occupying a lane, or finished under one of
     /// the three outcomes. Holds at every quiescent point, not just at
     /// shutdown; every drive call checks it on return in debug builds.
-    pub fn accounting_balanced(&self) -> bool {
+    pub(crate) fn accounting_balanced(&self) -> bool {
         self.queue.submitted() as usize
             == self.queue.len()
                 + self.running()
@@ -667,10 +657,10 @@ circuit H :
         let mut sched = Scheduler::new(&c, 2, "done").unwrap();
         let limits = [5u64, 20, 3, 4, 9, 2, 11];
         let ids: Vec<JobId> = limits.iter().map(|&l| sched.submit(count_job(l))).collect();
-        assert_eq!(sched.pending(), limits.len());
+        assert_eq!(sched.queue.len(), limits.len());
         let stepped = sched.run(10_000);
         assert!(stepped > 0);
-        assert_eq!(sched.pending(), 0);
+        assert_eq!(sched.queue.len(), 0);
         assert_eq!(sched.running(), 0);
         let stats = sched.stats();
         assert_eq!(stats.admitted, limits.len());
@@ -782,7 +772,7 @@ circuit H :
             let bad = sched.submit(poison);
             let after = sched.submit(count_job(5));
             sched.run(10_000);
-            assert_eq!(sched.pending(), 0);
+            assert_eq!(sched.queue.len(), 0);
             assert_eq!(sched.running(), 0);
             let stats = sched.stats();
             assert_eq!((stats.admitted, stats.completed, stats.rejected), (2, 2, 1));
@@ -949,7 +939,7 @@ circuit H :
         let done = sched.take_results();
         assert_eq!(done.len(), 1);
         assert_eq!((done[0].id, done[0].cycles), (short, 4));
-        assert_eq!((sched.running(), sched.pending()), (2, 0));
+        assert_eq!((sched.running(), sched.queue.len()), (2, 0));
         // Lanes full, nothing queued, nothing due: only the cap ends it.
         assert_eq!(sched.run_quantum(5), 5);
         assert!(sched.results().is_empty());
@@ -1042,8 +1032,8 @@ circuit H :
             assert!(
                 sched.accounting_balanced(),
                 "mid-run: submitted {} queued {} running {} stats {:?}",
-                sched.submitted(),
-                sched.pending(),
+                sched.queue.submitted(),
+                sched.queue.len(),
                 sched.running(),
                 sched.stats(),
             );

@@ -68,7 +68,6 @@ pub struct ChaosShard {
     addr: SocketAddr,
     upstream: Arc<Mutex<SocketAddr>>,
     killed: Arc<AtomicBool>,
-    responses: Arc<AtomicU64>,
 }
 
 impl ChaosShard {
@@ -83,12 +82,8 @@ impl ChaosShard {
         let addr = listener.local_addr()?;
         let upstream = Arc::new(Mutex::new(upstream));
         let killed = Arc::new(AtomicBool::new(false));
-        let responses = Arc::new(AtomicU64::new(0));
-        let (upstream_l, killed_l, responses_l) = (
-            Arc::clone(&upstream),
-            Arc::clone(&killed),
-            Arc::clone(&responses),
-        );
+        let (upstream_l, killed_l) = (Arc::clone(&upstream), Arc::clone(&killed));
+        let responses_l = Arc::new(AtomicU64::new(0));
         std::thread::Builder::new()
             .name("rteaal-chaos-accept".to_string())
             .spawn(move || {
@@ -117,7 +112,6 @@ impl ChaosShard {
             addr,
             upstream,
             killed,
-            responses,
         })
     }
 
@@ -153,11 +147,6 @@ impl ChaosShard {
     /// Whether the host is dead (by plan or by [`kill`](Self::kill)).
     pub fn is_killed(&self) -> bool {
         self.killed.load(Ordering::Acquire)
-    }
-
-    /// Responses forwarded so far, across all connections.
-    pub fn responses(&self) -> u64 {
-        self.responses.load(Ordering::Acquire)
     }
 }
 
@@ -279,7 +268,6 @@ mod tests {
         let mut conn = TcpStream::connect(chaos.addr()).unwrap();
         assert_eq!(call(&mut conn, "hello").unwrap(), "HELLO\n");
         assert_eq!(call(&mut conn, "again").unwrap(), "AGAIN\n");
-        assert_eq!(chaos.responses(), 2);
         assert!(!chaos.is_killed());
     }
 

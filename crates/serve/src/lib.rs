@@ -13,7 +13,7 @@
 //!   returns a [`JobHandle`] that can [`poll`](JobHandle::poll) or
 //!   [`wait`](JobHandle::wait) (or [`JobHandle::wait_any`] across
 //!   handles) for the job's [`JobResult`](rteaal_sched::JobResult).
-//!   [`register`](ServerPool::register) grows the design registry at
+//!   `register` grows the design registry at
 //!   runtime; jobs route by design name.
 //! - [`protocol`] — the line-delimited-JSON wire format:
 //!   `submit` / `reserve` / `poll` / `result` / `stats` / `register` /

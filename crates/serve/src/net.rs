@@ -372,7 +372,7 @@ fn respond(pool: &ServerPool, session: &mut Session, request: Request) -> Respon
 /// per 1 024 submits), stamps each submit with the next of them,
 /// returns that id at once and queues the line. A queued submit reaches
 /// the wire with the client's next request — whichever call makes it —
-/// or on [`flush`](Self::flush), on drop, or when 64 submits are
+/// or on `flush`, on drop, or when 64 submits are
 /// queued; its ack is read just before that request's answer, and a
 /// fault the ack would have shown surfaces on that call. Until then the
 /// returned id is only a promise: a client that submits and then waits
@@ -428,7 +428,10 @@ impl ServeClient {
     /// # Errors
     ///
     /// [`ProtocolError::Io`] on connect failure or a lapsed deadline.
-    pub fn connect_timeout(addr: SocketAddr, timeout: Duration) -> Result<Self, ProtocolError> {
+    pub(crate) fn connect_timeout(
+        addr: SocketAddr,
+        timeout: Duration,
+    ) -> Result<Self, ProtocolError> {
         let client = Self::over(TcpStream::connect_timeout(&addr, timeout)?)?;
         client.set_read_timeout(Some(timeout))?;
         Ok(client)
@@ -535,7 +538,7 @@ impl ServeClient {
     ///
     /// Transport faults, and [`ProtocolError::SubmitRefused`] for a
     /// submit the server did not take under its id.
-    pub fn flush(&mut self) -> Result<(), ProtocolError> {
+    pub(crate) fn flush(&mut self) -> Result<(), ProtocolError> {
         if self.queued.is_empty() {
             return Ok(());
         }
@@ -570,7 +573,7 @@ impl ServeClient {
     /// Submits a job to the server's default design; returns its
     /// pool-global id. The submit is queued, not sent (see
     /// [`ServeClient`]): the server has the job only once a later call
-    /// or [`flush`](Self::flush) returns `Ok`.
+    /// or `flush` returns `Ok`.
     ///
     /// # Errors
     ///

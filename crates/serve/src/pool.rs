@@ -22,9 +22,9 @@
 //! thread alone.
 //!
 //! A pool starts with one design (the *default*, the compile it was
-//! constructed over) and grows by [`register`](ServerPool::register):
+//! constructed over) and grows by `register`:
 //! every worker gains a scheduler for the new design, and jobs route by
-//! design name through [`submit_named`](ServerPool::submit_named) (or
+//! design name through `submit_named` (or
 //! the wire protocol's `"design"` job field). One server process can
 //! therefore hold a whole registry of compiled circuits — the
 //! multi-design shape a cross-host [`ShardRouter`](crate::ShardRouter)
@@ -231,7 +231,7 @@ impl ServeStats {
     /// Occupied-lane cycles over total lane cycles stepped, across all
     /// workers (`merged.cycles` already sums every worker's cycles, so
     /// the lane width here is per-worker).
-    pub fn utilization(&self) -> f64 {
+    pub(crate) fn utilization(&self) -> f64 {
         self.merged.utilization_of(self.lanes)
     }
 
@@ -239,7 +239,7 @@ impl ServeStats {
     /// finished (completed / evicted / rejected) or still in flight.
     /// Because `stats()` samples every term inside one ledger critical
     /// section, this closes at *every* snapshot, not just at shutdown.
-    pub fn accounting_balanced(&self) -> bool {
+    pub(crate) fn accounting_balanced(&self) -> bool {
         self.submitted as usize
             == self.merged.completed + self.merged.evicted + self.merged.rejected + self.in_flight
     }
@@ -278,8 +278,8 @@ impl std::fmt::Display for RegisterError {
 
 impl std::error::Error for RegisterError {}
 
-/// A block of pool-global ids set aside by [`ServerPool::reserve`] for
-/// [`ServerPool::submit_reserved`], which takes them in order. Ids
+/// A block of pool-global ids set aside by `ServerPool::reserve` for
+/// `ServerPool::submit_reserved`, which takes them in order. Ids
 /// never taken are never used.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Reservation {
@@ -289,7 +289,7 @@ pub struct Reservation {
 impl Reservation {
     /// The ids not taken yet; the first is the next one
     /// [`ServerPool::submit_reserved`] accepts.
-    pub fn ids(&self) -> Range<u64> {
+    pub(crate) fn ids(&self) -> Range<u64> {
         self.ids.clone()
     }
 }
@@ -378,7 +378,7 @@ impl JobHandle {
     /// taken; the batch ends at the first it refuses, and that job
     /// stays unclaimed. The first job is taken whatever `fits` answers,
     /// so a batch is never empty unless `handles` is.
-    pub fn wait_some_of<'a, I>(
+    pub(crate) fn wait_some_of<'a, I>(
         handles: I,
         max: usize,
         mut fits: impl FnMut(&JobResult) -> bool,
@@ -638,13 +638,8 @@ impl ServerPool {
         })
     }
 
-    /// The pool's sizing knobs.
-    pub fn config(&self) -> ServeConfig {
-        self.config
-    }
-
     /// Time since the pool was constructed.
-    pub fn uptime(&self) -> Duration {
+    pub(crate) fn uptime(&self) -> Duration {
         self.started.elapsed()
     }
 
@@ -660,7 +655,7 @@ impl ServerPool {
     /// [`RegisterError::DuplicateDesign`] if the name is taken;
     /// [`RegisterError::Rejected`] if the static plan verifier finds
     /// Error-level diagnostics (the plan never reaches a worker engine).
-    pub fn register(
+    pub(crate) fn register(
         &self,
         name: &str,
         compiled: &Compiled,
@@ -709,19 +704,9 @@ impl ServerPool {
         Ok(())
     }
 
-    /// The registered design names, in registration order (`[0]` is the
-    /// default).
-    pub fn designs(&self) -> Vec<String> {
-        lock_or_recover(&self.routing)
-            .designs
-            .iter()
-            .map(|d| d.name.clone())
-            .collect()
-    }
-
     /// The full registry entries — name and the static verifier's
     /// per-design statistics — in registration order.
-    pub fn design_infos(&self) -> Vec<DesignInfo> {
+    pub(crate) fn design_infos(&self) -> Vec<DesignInfo> {
         lock_or_recover(&self.routing).designs.clone()
     }
 
@@ -735,7 +720,7 @@ impl ServerPool {
     /// A job naming an unregistered design comes back through its
     /// handle as a [`JobOutcome::Rejected`] result — submission itself
     /// never fails.
-    pub fn submit_named(&self, design: Option<&str>, job: Job) -> JobHandle {
+    pub(crate) fn submit_named(&self, design: Option<&str>, job: Job) -> JobHandle {
         self.submit_as(None, design, job)
     }
 
@@ -743,7 +728,7 @@ impl ServerPool {
     /// submission will get, for [`submit_reserved`](Self::submit_reserved).
     /// A reservation counts as no job: only the submissions stamped with
     /// its ids do.
-    pub fn reserve(&self) -> Reservation {
+    pub(crate) fn reserve(&self) -> Reservation {
         let mut ledger = lock_or_recover(&self.shared.ledger);
         let first = ledger.next_id;
         ledger.next_id += RESERVE_BLOCK;
@@ -755,7 +740,7 @@ impl ServerPool {
     /// [`submit_named`](Self::submit_named) under a reserved id: the job
     /// gets `id` if `id` is the next id of `reservation`, which then
     /// moves past it. Any other id submits nothing and returns `None`.
-    pub fn submit_reserved(
+    pub(crate) fn submit_reserved(
         &self,
         reservation: &mut Reservation,
         id: u64,
@@ -853,16 +838,6 @@ impl ServerPool {
         }
     }
 
-    /// Jobs submitted so far.
-    pub fn submitted(&self) -> u64 {
-        lock_or_recover(&self.shared.ledger).submitted
-    }
-
-    /// Jobs dispatched but not yet finished, across all workers.
-    pub fn in_flight(&self) -> usize {
-        lock_or_recover(&self.shared.ledger).in_flight.iter().sum()
-    }
-
     /// The pool's metrics registry: counters, gauges, latency
     /// histograms, and the per-job event ring every layer records into.
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
@@ -881,7 +856,7 @@ impl ServerPool {
     /// ledger lock, so [`ServeStats::accounting_balanced`] holds for
     /// every snapshot — debug builds assert it here, and that the
     /// `serve.worker_inflight.w{n}` gauges sum to `in_flight`.
-    pub fn stats(&self) -> ServeStats {
+    pub(crate) fn stats(&self) -> ServeStats {
         let designs = lock_or_recover(&self.routing).designs.len();
         let ledger = lock_or_recover(&self.shared.ledger);
         let in_flight: usize = ledger.in_flight.iter().sum();
@@ -1316,7 +1291,10 @@ circuit D :
         let pool = ServerPool::new(&c, ServeConfig::with_workers(2), "done").unwrap();
         pool.register("double", &c2, "done").unwrap();
         assert_eq!(
-            pool.designs(),
+            pool.design_infos()
+                .into_iter()
+                .map(|d| d.name)
+                .collect::<Vec<_>>(),
             vec![DEFAULT_DESIGN.to_string(), "double".to_string()]
         );
         // Re-registration and unknown halts are refused.

@@ -40,7 +40,8 @@ pub const ALL_STAGES: [JobStage; 6] = [
 
 impl JobStage {
     /// Position in the pipeline, 0-based.
-    pub fn index(self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn index(self) -> usize {
         ALL_STAGES.iter().position(|&s| s == self).unwrap()
     }
 }
@@ -82,7 +83,7 @@ struct Ring {
 
 impl EventLog {
     /// A ring holding at most `capacity` events.
-    pub fn new(capacity: usize) -> EventLog {
+    pub(crate) fn new(capacity: usize) -> EventLog {
         EventLog {
             inner: Mutex::new(Ring {
                 buf: Vec::new(),
@@ -94,7 +95,7 @@ impl EventLog {
     }
 
     /// Appends an event, evicting the oldest once at capacity.
-    pub fn record(&self, event: JobEvent) {
+    pub(crate) fn record(&self, event: JobEvent) {
         let mut ring = self.inner.lock().unwrap();
         if ring.buf.len() < ring.capacity {
             ring.buf.push(event);
@@ -107,12 +108,12 @@ impl EventLog {
     }
 
     /// Total events ever recorded (including aged-out ones).
-    pub fn recorded(&self) -> u64 {
+    pub(crate) fn recorded(&self) -> u64 {
         self.inner.lock().unwrap().recorded
     }
 
     /// Events currently retained, oldest first.
-    pub fn all(&self) -> Vec<JobEvent> {
+    pub(crate) fn all(&self) -> Vec<JobEvent> {
         let ring = self.inner.lock().unwrap();
         let mut out = Vec::with_capacity(ring.buf.len());
         out.extend_from_slice(&ring.buf[ring.head..]);
@@ -121,7 +122,7 @@ impl EventLog {
     }
 
     /// One job's retained events, in recording (= time) order.
-    pub fn timeline(&self, job: u64) -> Vec<JobEvent> {
+    pub(crate) fn timeline(&self, job: u64) -> Vec<JobEvent> {
         self.all().into_iter().filter(|e| e.job == job).collect()
     }
 }

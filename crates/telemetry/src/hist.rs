@@ -52,10 +52,6 @@ impl Default for Histogram {
 }
 
 impl Histogram {
-    pub fn new() -> Histogram {
-        Histogram::default()
-    }
-
     /// Records one value (relaxed ordering: counters, not synchronization).
     pub fn record(&self, value: u64) {
         self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
@@ -69,13 +65,8 @@ impl Histogram {
             .ok();
     }
 
-    /// Number of recorded values.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
     /// An owned, mergeable point-in-time copy.
-    pub fn snapshot(&self) -> HistogramSnapshot {
+    pub(crate) fn snapshot(&self) -> HistogramSnapshot {
         let mut buckets = vec![0u64; NUM_BUCKETS];
         for (b, out) in self.buckets.iter().zip(buckets.iter_mut()) {
             *out = b.load(Ordering::Relaxed);
@@ -113,7 +104,7 @@ impl HistogramSnapshot {
     /// Nearest-rank quantile: the value at rank `⌈q·n⌉` of the `n`
     /// recorded, 1-indexed and clamped to `[1, n]`. Returns the upper
     /// bound of the bucket containing that rank; 0 for an empty histogram.
-    pub fn quantile(&self, q: f64) -> u64 {
+    pub(crate) fn quantile(&self, q: f64) -> u64 {
         let n: u64 = self.buckets.iter().sum();
         if n == 0 {
             return 0;
@@ -127,31 +118,6 @@ impl HistogramSnapshot {
             }
         }
         bucket_bounds(NUM_BUCKETS - 1).1
-    }
-
-    /// Mean of recorded values (0 for empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Elementwise saturating merge. Saturating addition is associative
-    /// (both groupings clamp the same true sum), which the proptests pin.
-    pub fn merge(&self, other: &HistogramSnapshot) -> HistogramSnapshot {
-        let mut buckets = vec![0u64; NUM_BUCKETS];
-        for (i, out) in buckets.iter_mut().enumerate() {
-            let a = self.buckets.get(i).copied().unwrap_or(0);
-            let b = other.buckets.get(i).copied().unwrap_or(0);
-            *out = a.saturating_add(b);
-        }
-        HistogramSnapshot {
-            count: self.count.saturating_add(other.count),
-            sum: self.sum.saturating_add(other.sum),
-            buckets,
-        }
     }
 }
 
@@ -184,12 +150,11 @@ mod tests {
         for q in [0.0, 0.5, 0.99, 1.0] {
             assert_eq!(s.quantile(q), 0);
         }
-        assert_eq!(s.mean(), 0.0);
     }
 
     #[test]
     fn quantile_never_under_reports() {
-        let h = Histogram::new();
+        let h = Histogram::default();
         for v in [3u64, 5, 9, 100, 1000] {
             h.record(v);
         }
@@ -200,47 +165,7 @@ mod tests {
         assert!(s.quantile(0.5) >= 9 && s.quantile(0.5) < 16);
     }
 
-    #[test]
-    fn saturating_counts_do_not_wrap() {
-        let a = HistogramSnapshot {
-            count: u64::MAX - 1,
-            sum: u64::MAX,
-            buckets: {
-                let mut b = vec![0; NUM_BUCKETS];
-                b[1] = u64::MAX - 1;
-                b
-            },
-        };
-        let m = a.merge(&a);
-        assert_eq!(m.count, u64::MAX);
-        assert_eq!(m.sum, u64::MAX);
-        assert_eq!(m.buckets[1], u64::MAX);
-        // Quantiles still resolve on a saturated histogram.
-        assert_eq!(m.quantile(0.99), bucket_bounds(1).1);
-    }
-
-    fn arb_snapshot() -> impl Strategy<Value = HistogramSnapshot> {
-        proptest::prop::collection::vec(any::<u64>(), NUM_BUCKETS).prop_map(|buckets| {
-            let count = buckets.iter().fold(0u64, |a, &b| a.saturating_add(b));
-            HistogramSnapshot {
-                count,
-                sum: count,
-                buckets,
-            }
-        })
-    }
-
     proptest! {
-        #[test]
-        fn merge_is_associative(a in arb_snapshot(), b in arb_snapshot(), c in arb_snapshot()) {
-            prop_assert_eq!(a.merge(&b).merge(&c), a.merge(&b.merge(&c)));
-        }
-
-        #[test]
-        fn merge_is_commutative(a in arb_snapshot(), b in arb_snapshot()) {
-            prop_assert_eq!(a.merge(&b), b.merge(&a));
-        }
-
         #[test]
         fn recorded_value_lands_in_its_bucket(v in any::<u64>()) {
             let (lo, hi) = bucket_bounds(bucket_index(v));
@@ -249,7 +174,7 @@ mod tests {
 
         #[test]
         fn quantile_upper_bounds_the_rank(v in any::<u64>(), q in 0.0f64..1.0) {
-            let h = Histogram::new();
+            let h = Histogram::default();
             h.record(v);
             prop_assert!(h.snapshot().quantile(q) >= v);
         }

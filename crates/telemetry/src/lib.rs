@@ -82,7 +82,7 @@ impl Gauge {
 
 /// Default event-ring capacity: 8192 events ≈ 1300 complete six-stage
 /// job timelines before the oldest age out.
-pub const DEFAULT_EVENT_CAPACITY: usize = 8192;
+pub(crate) const DEFAULT_EVENT_CAPACITY: usize = 8192;
 
 /// The process-wide instrument registry. Cheap to share (`Arc`), cheap
 /// to update (relaxed atomics), cheap to ignore (no background thread).
@@ -123,7 +123,7 @@ impl MetricsRegistry {
     }
 
     /// Milliseconds since this registry was created.
-    pub fn uptime_ms(&self) -> u64 {
+    pub(crate) fn uptime_ms(&self) -> u64 {
         self.epoch.elapsed().as_millis() as u64
     }
 
@@ -174,11 +174,6 @@ impl MetricsRegistry {
     /// One job's retained timeline, oldest event first.
     pub fn timeline(&self, job: u64) -> Vec<JobEvent> {
         self.events.timeline(job)
-    }
-
-    /// The underlying event ring.
-    pub fn events(&self) -> &EventLog {
-        &self.events
     }
 
     /// Freezes every instrument into a serializable snapshot, sorted by

@@ -23,7 +23,7 @@ pub enum Payload {
 
 impl Payload {
     /// The scalar, if this is a leaf payload.
-    pub fn value(&self) -> Option<u64> {
+    pub(crate) fn value(&self) -> Option<u64> {
         match self {
             Payload::Value(v) => Some(*v),
             Payload::Fiber(_) => None,
@@ -59,7 +59,7 @@ pub struct Fiber {
 
 impl Fiber {
     /// Creates an empty fiber with the given shape.
-    pub fn new(shape: usize) -> Self {
+    pub(crate) fn new(shape: usize) -> Self {
         Fiber {
             shape,
             entries: BTreeMap::new(),
@@ -88,11 +88,6 @@ impl Fiber {
         self.entries.len()
     }
 
-    /// Whether the fiber has no non-empty coordinates.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// The payload at a coordinate.
     fn payload_at(&self, coord: usize) -> Option<&Payload> {
         self.entries.get(&coord)
@@ -108,13 +103,12 @@ impl Fiber {
         self.payload_at(coord).and_then(Payload::fiber)
     }
 
-    /// Sets a leaf value (a zero still creates an explicit entry; use
-    /// [`Fiber::remove`] to make a coordinate empty).
+    /// Sets a leaf value (a zero still creates an explicit entry).
     ///
     /// # Panics
     ///
     /// Panics if `coord` is outside the shape.
-    pub fn set_value(&mut self, coord: usize, value: u64) {
+    pub(crate) fn set_value(&mut self, coord: usize, value: u64) {
         assert!(
             coord < self.shape,
             "coordinate {coord} outside shape {}",
@@ -135,11 +129,6 @@ impl Fiber {
             self.shape
         );
         self.entries.insert(coord, Payload::Fiber(fiber));
-    }
-
-    /// Removes (empties) a coordinate, returning its payload.
-    pub fn remove(&mut self, coord: usize) -> Option<Payload> {
-        self.entries.remove(&coord)
     }
 
     /// Iterates `(coordinate, payload)` pairs in coordinate order — the
@@ -222,16 +211,11 @@ impl Tensor {
         let mut t = Tensor::new(name, ranks, &[rows.len(), cols]);
         for (m, row) in rows.iter().enumerate() {
             let fiber = Fiber::from_values(cols, row.iter().enumerate().map(|(k, &v)| (k, v)));
-            if !fiber.is_empty() {
+            if fiber.occupancy() > 0 {
                 t.root.set_fiber(m, fiber);
             }
         }
         t
-    }
-
-    /// The tensor's name.
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// Rank names, outermost first.
@@ -305,7 +289,7 @@ impl Tensor {
     }
 
     /// Total number of non-empty leaf values.
-    pub fn nnz(&self) -> usize {
+    pub(crate) fn nnz(&self) -> usize {
         fn count(fiber: &Fiber) -> usize {
             fiber
                 .iter()

@@ -84,7 +84,7 @@ pub struct RankOccupancy {
 ///     RankSpec::uncompressed("M", 8),
 ///     RankSpec::compressed("K", 8, 8),
 /// ]);
-/// assert_eq!(csr.rank_order(), ["M", "K"]);
+/// assert_eq!(csr.ranks[1].name, "K");
 /// // 3 rows, 4 nonzeros: row-pointer-ish payloads + coord/payload pairs.
 /// let bits = csr.size_bits(&[(3, 3).into(), (4, 4).into()]);
 /// assert_eq!(bits, 3 * 8 + 4 * 8 + 4 * 8);
@@ -115,11 +115,6 @@ impl FormatSpec {
         }
     }
 
-    /// The rank order (outermost first).
-    pub fn rank_order(&self) -> Vec<&str> {
-        self.ranks.iter().map(|r| r.name.as_str()).collect()
-    }
-
     /// Total storage in bits for the given per-rank entry counts.
     ///
     /// # Panics
@@ -138,11 +133,6 @@ impl FormatSpec {
                 occ.coord_entries * spec.cbits as usize + occ.payload_entries * spec.pbits as usize
             })
             .sum()
-    }
-
-    /// Total storage in bytes (rounded up).
-    pub fn size_bytes(&self, occupancies: &[RankOccupancy]) -> usize {
-        self.size_bits(occupancies).div_ceil(8)
     }
 }
 
@@ -184,7 +174,7 @@ impl fmt::Display for FormatSpec {
 }
 
 /// Bits needed to store values in `0..=max_value` (at least 1).
-pub fn bits_for_max(max_value: u64) -> u32 {
+pub(crate) fn bits_for_max(max_value: u64) -> u32 {
     rteaal_firrtl::ty::bits_for(max_value)
 }
 
@@ -203,7 +193,13 @@ mod tests {
             ],
         );
         assert_eq!(csr.ranks[0].cbits, 0);
-        assert_eq!(csr.rank_order(), ["M", "K"]);
+        assert_eq!(
+            csr.ranks
+                .iter()
+                .map(|r| r.name.as_str())
+                .collect::<Vec<_>>(),
+            ["M", "K"]
+        );
         // 3 rows each with a payload; 4 nnz with coord+payload each.
         let size = csr.size_bits(&[(0, 3).into(), (4, 4).into()]);
         assert_eq!(size, 3 * 16 + 4 * 32);
@@ -221,12 +217,6 @@ mod tests {
         // Payload entries contribute nothing at pbits = 0.
         let size = spec.size_bits(&[(10, 10).into(), (30, 30).into()]);
         assert_eq!(size, (10 + 30) * 20);
-    }
-
-    #[test]
-    fn bytes_round_up() {
-        let spec = FormatSpec::new("T", [RankSpec::compressed("R", 3, 0)]);
-        assert_eq!(spec.size_bytes(&[(3, 0).into()]), 2); // 9 bits -> 2 bytes
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //! ";
 //! let plan = plan(&build(&lower_typed(&parse(src)?)?)?);
 //! let oim = OimOptimized::from_plan(&plan);
-//! assert_eq!(oim.format_spec().rank_order(), ["I", "S", "N", "O", "R"]);
+//! assert_eq!(oim.num_ops(), plan.total_ops());
 //! let json = serde_json::to_string(&oim)?; // the Figure-14 JSON artifact
 //! assert!(json.contains("s_coords"));
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -42,5 +42,4 @@ pub mod format;
 pub mod oim;
 
 pub use fibertree::{Fiber, Payload, Tensor};
-pub use format::{FormatSpec, RankFormat, RankSpec};
 pub use oim::{OimOptimized, OimSwizzled, OimUnoptimized, OpMeta, OpRef};

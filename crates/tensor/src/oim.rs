@@ -134,21 +134,9 @@ impl OimOptimized {
         oim
     }
 
-    /// Number of layers (`I`-rank shape).
-    pub fn num_layers(&self) -> usize {
-        self.i_payloads.len()
-    }
-
     /// Total operation count.
     pub fn num_ops(&self) -> usize {
         self.s_coords.len()
-    }
-
-    /// Iterates the ops of layer `i` in `S` order.
-    pub fn layer(&self, i: usize) -> impl Iterator<Item = OpRef<'_>> {
-        let start: usize = self.i_payloads[..i].iter().map(|&c| c as usize).sum();
-        let len = self.i_payloads[i] as usize;
-        (start..start + len).map(move |k| self.op_at(k))
     }
 
     /// Random access to op `k` in global traversal order.
@@ -164,7 +152,7 @@ impl OimOptimized {
 
     /// The TeAAL format specification (Figure 12b) with bitwidths derived
     /// from the actual coordinate/payload value ranges.
-    pub fn format_spec(&self) -> FormatSpec {
+    pub(crate) fn format_spec(&self) -> FormatSpec {
         let slot_bits = bits_for_max(self.num_slots.saturating_sub(1) as u64);
         let i_pbits = bits_for_max(self.i_payloads.iter().copied().max().unwrap_or(0) as u64);
         FormatSpec::new(
@@ -220,7 +208,7 @@ impl OimOptimized {
             .max()
             .unwrap_or(1)
             .max(1);
-        let volume = self.num_layers() as f64
+        let volume = self.i_payloads.len() as f64
             * self.num_slots as f64 // S shape
             * NUM_OPCODES as f64
             * max_arity as f64
@@ -268,7 +256,7 @@ impl OimUnoptimized {
     }
 
     /// The TeAAL format specification (Figure 12a).
-    pub fn format_spec(&self) -> FormatSpec {
+    pub(crate) fn format_spec(&self) -> FormatSpec {
         let slot_bits = bits_for_max(self.base.num_slots.saturating_sub(1) as u64);
         let i_pbits = bits_for_max(self.base.i_payloads.iter().copied().max().unwrap_or(0) as u64);
         let arity_bits = bits_for_max(self.n_payloads.iter().copied().max().unwrap_or(1) as u64);
@@ -294,16 +282,6 @@ impl OimUnoptimized {
             (self.base.r_coords.len(), self.r_payloads.len()).into(),
         ];
         self.format_spec().size_bits(&occ).div_ceil(8)
-    }
-
-    /// Actual in-memory bytes.
-    pub fn memory_bytes(&self) -> usize {
-        self.base.memory_bytes()
-            + (self.s_payloads.len()
-                + self.n_payloads.len()
-                + self.o_payloads.len()
-                + self.r_payloads.len())
-                * 4
     }
 }
 
@@ -392,7 +370,7 @@ impl OimSwizzled {
     }
 
     /// The TeAAL format specification (Figure 12c).
-    pub fn format_spec(&self) -> FormatSpec {
+    pub(crate) fn format_spec(&self) -> FormatSpec {
         let slot_bits = bits_for_max(self.num_slots.saturating_sub(1) as u64);
         let n_pbits = bits_for_max(self.n_payloads.iter().copied().max().unwrap_or(0) as u64);
         FormatSpec::new(
@@ -458,12 +436,14 @@ circuit Mixed :
     fn optimized_roundtrips_plan_content() {
         let p = plan_of(MIXED);
         let oim = OimOptimized::from_plan(&p);
-        assert_eq!(oim.num_layers(), p.layers.len());
+        assert_eq!(oim.i_payloads.len(), p.layers.len());
         assert_eq!(oim.num_ops(), p.total_ops());
         // Every op visible through the traversal matches the plan.
         let mut k = 0;
         for (i, layer) in p.layers.iter().enumerate() {
-            for (op, got) in layer.iter().zip(oim.layer(i)) {
+            assert_eq!(oim.i_payloads[i] as usize, layer.len());
+            for op in layer {
+                let got = oim.op_at(k);
                 assert_eq!(got.n, op.n);
                 assert_eq!(got.s, op.out);
                 assert_eq!(got.rs, op.ins.as_slice());
@@ -551,14 +531,20 @@ circuit D :
     fn format_specs_match_figure_12() {
         let p = plan_of(MIXED);
         let b = OimOptimized::from_plan(&p).format_spec();
-        assert_eq!(b.rank_order(), ["I", "S", "N", "O", "R"]);
+        assert_eq!(
+            b.ranks.iter().map(|r| r.name.as_str()).collect::<Vec<_>>(),
+            ["I", "S", "N", "O", "R"]
+        );
         assert_eq!(b.ranks[0].cbits, 0); // I uncompressed
         assert!(b.ranks[0].pbits > 0); // I payloads kept
         assert_eq!(b.ranks[1].pbits, 0); // S payloads eliminated
         assert_eq!(b.ranks[4].pbits, 0); // R payloads eliminated
 
         let c = OimSwizzled::from_plan(&p).format_spec();
-        assert_eq!(c.rank_order(), ["I", "N", "S", "O", "R"]);
+        assert_eq!(
+            c.ranks.iter().map(|r| r.name.as_str()).collect::<Vec<_>>(),
+            ["I", "N", "S", "O", "R"]
+        );
         assert_eq!(c.ranks[0].pbits, 0); // I payloads eliminated
         assert!(c.ranks[1].pbits > 0); // N payloads kept (op counts)
     }

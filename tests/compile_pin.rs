@@ -313,6 +313,37 @@ fn hostile_literals_and_parentheses_are_parse_errors() {
     }
 }
 
+/// Applies 1–4 random byte edits (replace, insert or delete) to `text`.
+fn mutate(text: &str, rng: &mut impl rand::Rng) -> String {
+    let mut bytes = text.as_bytes().to_vec();
+    for _ in 0..rng.gen_range(1..=4) {
+        let at = rng.gen_range(0..bytes.len());
+        match rng.gen_range(0..3) {
+            0 => bytes[at] = rng.gen(),
+            1 => bytes.insert(at, rng.gen()),
+            _ => {
+                bytes.remove(at);
+            }
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+#[test]
+fn a_byte_mutated_source_compiles_or_is_a_typed_error() {
+    use rand::SeedableRng;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x5eed);
+    let sources = [
+        rteaal_firrtl::parser::emit(&sha3()),
+        rteaal_firrtl::parser::emit(&Workload::param_sum_circuit()),
+    ];
+    for case in 0..64 {
+        let text = mutate(&sources[case % 2], &mut rng);
+        let compiled = std::panic::catch_unwind(|| compiler().compile_str(&text).map(|_| ()));
+        assert!(compiled.is_ok(), "case {case} panicked on:\n{text}");
+    }
+}
+
 /// `node n_k = not(n_{k-1})`, `length` lines, and `o <= n_{length-1}`:
 /// a chain as deep as it is long, every link of it named.
 fn chain(length: usize) -> String {
