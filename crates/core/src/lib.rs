@@ -55,7 +55,6 @@ mod waveform;
 pub use batch::BatchSimulation;
 pub use compiler::{CompileError, Compiled, Compiler, StageTimings};
 pub use rteaal_dfg::analyze::{
-    analyze_design, analyze_graph, analyze_plan, AnalysisReport, AnalysisStats, DiagKind,
-    Diagnostic, Severity,
+    analyze_design, AnalysisReport, AnalysisStats, Diagnostic, Severity,
 };
 pub use simulation::{DebugModule, Simulation, UnknownSignal};

@@ -22,5 +22,5 @@ pub mod sha3;
 pub mod workload;
 
 pub use chip::{gemmini, pipeline, rocket, small_boom, ChipConfig};
-pub use sha3::{keccak_f, sha3};
+pub use sha3::sha3;
 pub use workload::{Stimulus, Workload};

@@ -3,7 +3,7 @@
 use std::fmt;
 
 /// Convenience alias.
-pub type Result<T> = std::result::Result<T, DfgError>;
+pub(crate) type Result<T> = std::result::Result<T, DfgError>;
 
 /// Errors produced while building or transforming a dataflow graph.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -1518,7 +1518,7 @@ pub(crate) fn assert_covers(len: usize, max_slot: u32, w: LaneWindow) {
 
 /// One layer of compiled operations (independent within the layer, as
 /// guaranteed by levelization).
-pub type CompiledLayer = Vec<CompiledOp>;
+pub(crate) type CompiledLayer = Vec<CompiledOp>;
 
 /// Compiles every layer of a plan, in the plan's lane type. Layer and op
 /// order are preserved, so swizzled traversals can compile their own

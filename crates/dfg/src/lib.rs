@@ -75,17 +75,12 @@ pub mod passes;
 pub mod plan;
 pub mod specialize;
 
-pub use analyze::{
-    analyze_design, analyze_graph, analyze_partitioned, analyze_plan, AnalysisReport,
-    AnalysisStats, DiagKind, Diagnostic, Severity,
-};
+pub use analyze::{AnalysisReport, AnalysisStats, Diagnostic, Severity};
 pub use batch::BatchPlanSim;
 pub use build::build;
-pub use error::{DfgError, Result};
+pub use error::DfgError;
 pub use graph::{Graph, Node, NodeId, RegDef};
-pub use lane_kernel::{
-    BatchEngine, CompiledLayer, CompiledOp, KernelArgs, Lane, LaneLayout, LaneType, LaneWindow,
-};
+pub use lane_kernel::{BatchEngine, LaneLayout, LaneType};
 pub use partition::{PartitionSchedule, PartitionedPlan, RumEntry};
-pub use plan::{OpInst, PlanSim, SimPlan};
-pub use specialize::{specialize, SpecProgram, SpecStats, SpecializedPlan};
+pub use plan::{OpInst, SimPlan};
+pub use specialize::{specialize, SpecStats};

@@ -3,7 +3,7 @@
 use std::fmt;
 
 /// Convenience alias used throughout the crate.
-pub type Result<T> = std::result::Result<T, FirrtlError>;
+pub(crate) type Result<T> = std::result::Result<T, FirrtlError>;
 
 /// Errors produced while parsing, building, type-checking, or lowering a
 /// FIRRTL circuit.

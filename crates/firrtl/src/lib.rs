@@ -56,6 +56,6 @@ pub mod term;
 pub mod ty;
 pub mod value;
 
-pub use ast::{Circuit, Direction, Expr, Module, Port, Stmt};
-pub use error::{FirrtlError, Result};
-pub use lower::{lower_typed, FlatModule, FlatReg};
+pub use ast::{Circuit, Module, Port, Stmt};
+pub use error::FirrtlError;
+pub use lower::{lower_typed, FlatReg};

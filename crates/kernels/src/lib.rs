@@ -56,5 +56,5 @@ pub mod unrolled;
 pub use batch::{BatchKernel, BatchLiState, LanePoker, LayerSample};
 pub use config::{KernelConfig, KernelKind, OptLevel, ALL_KERNELS};
 pub use kernel::{CompileReport, Kernel};
-pub use rteaal_dfg::lane_kernel::{BatchEngine, LaneWindow};
+pub use rteaal_dfg::lane_kernel::BatchEngine;
 pub use state::LiState;

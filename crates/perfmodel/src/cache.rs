@@ -3,7 +3,7 @@
 //! The paper's evaluation is dominated by cache behavior: I-cache pressure
 //! from unrolled kernels (Tables 5–6), D-cache traffic from the `OIM`
 //! arrays, and LLC capacity effects (Figure 21). This module provides an
-//! LRU set-associative [`Cache`] and a three-level [`MemSim`] hierarchy
+//! LRU set-associative `Cache` and a three-level [`MemSim`] hierarchy
 //! (split L1I/L1D, unified L2, unified LLC) that the instrumented
 //! simulators feed with their actual instruction-fetch and data reference
 //! streams — miss counts are *measured*, only latencies are modeled.
@@ -60,7 +60,7 @@ impl CacheStats {
 
 /// An LRU set-associative cache over 64-bit byte addresses.
 #[derive(Debug, Clone)]
-pub struct Cache {
+pub(crate) struct Cache {
     cfg: CacheConfig,
     /// Per-set tag stacks, most-recently-used first. 0 = invalid.
     sets: Vec<Vec<u64>>,

@@ -23,6 +23,6 @@ pub mod machine;
 pub mod memtrack;
 pub mod topdown;
 
-pub use cache::{Cache, CacheConfig, CacheStats, MemSim, MemStats};
+pub use cache::{CacheConfig, CacheStats, MemStats};
 pub use machine::Machine;
 pub use topdown::{analyze, ExecProfile, TopDown};

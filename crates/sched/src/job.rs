@@ -148,20 +148,20 @@ impl JobResult {
 /// One pending job: its identity, the id its lifecycle events are
 /// recorded under, and the job itself.
 #[derive(Debug)]
-pub struct Queued {
+pub(crate) struct Queued {
     /// The submission-order identity.
-    pub id: JobId,
+    pub(crate) id: JobId,
     /// External trace id for event attribution across layers (the serve
     /// pool keys events by its pool-global id; standalone schedulers use
     /// the local id).
-    pub trace: u64,
+    pub(crate) trace: u64,
     /// The testbench.
-    pub job: Job,
+    pub(crate) job: Job,
 }
 
 /// FIFO of pending jobs with stable id assignment.
 #[derive(Debug, Default)]
-pub struct JobQueue {
+pub(crate) struct JobQueue {
     next: u64,
     pending: VecDeque<Queued>,
 }

@@ -7,7 +7,7 @@
 //! variable-length testbenches, lane-liveness early exit alone still
 //! leaves freed lanes frozen while stragglers finish, so utilization
 //! decays toward zero. This crate closes the loop the way
-//! continuous-batching LLM servers do: a [`JobQueue`] of testbench jobs,
+//! continuous-batching LLM servers do: a FIFO queue of testbench jobs,
 //! a [`Scheduler`] that packs jobs into lanes, and — the moment a lane's
 //! halt probe fires — per-[`JobId`] harvesting of the finished job's
 //! outputs followed by mid-run admission of the next queued job into the
@@ -69,5 +69,5 @@
 pub mod job;
 pub mod scheduler;
 
-pub use job::{Job, JobId, JobOutcome, JobQueue, JobResult, Queued};
+pub use job::{Job, JobId, JobOutcome, JobResult};
 pub use scheduler::{AdmitPolicy, SchedStats, Scheduler};

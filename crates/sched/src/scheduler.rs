@@ -1,7 +1,7 @@
 //! The continuous-batching lane scheduler.
 //!
 //! [`Scheduler`] turns a [`BatchSimulation`] into a continuously-fed
-//! simulation service: jobs are submitted into a [`JobQueue`], packed
+//! simulation service: jobs are submitted into a FIFO queue, packed
 //! into lanes, and run under the engine's lane-liveness early exit; the
 //! moment a lane's halt probe fires, the finished job's outputs and
 //! completion cycle are harvested under its stable [`JobId`] and a
@@ -130,6 +130,9 @@ pub struct Scheduler {
     stats: SchedStats,
     /// Lanes admitted since the last harvest-check (scratch, reused).
     newly_admitted: Vec<usize>,
+    /// Traces of the jobs the current drive call admitted into lanes,
+    /// until [`drain_admitted`](Self::drain_admitted) takes them.
+    admitted_traces: Vec<u64>,
     /// Optional metrics/event sink (see [`attach_telemetry`](Self::attach_telemetry)).
     telemetry: Option<SchedTelemetry>,
 }
@@ -167,6 +170,7 @@ impl Scheduler {
             results: Vec::new(),
             stats: SchedStats::default(),
             newly_admitted: Vec::new(),
+            admitted_traces: Vec::new(),
             telemetry: None,
         })
     }
@@ -254,6 +258,15 @@ impl Scheduler {
         std::mem::take(&mut self.results)
     }
 
+    /// Drains the traces of the jobs the latest [`run`](Self::run) or
+    /// [`run_quantum`](Self::run_quantum) call admitted into lanes, in
+    /// admission order — how the serve pool learns which of a client's
+    /// jobs stopped waiting for a lane. Each drive call starts the list
+    /// afresh, so a caller that never drains it holds one call's worth.
+    pub fn drain_admitted(&mut self) -> std::vec::Drain<'_, u64> {
+        self.admitted_traces.drain(..)
+    }
+
     /// Counters of the run so far.
     pub fn stats(&self) -> SchedStats {
         self.stats.clone()
@@ -317,6 +330,7 @@ impl Scheduler {
     fn drive(&mut self, cycles: u64, stop_at_event: bool) -> u64 {
         let was = self.stats.clone();
         let results0 = self.results.len();
+        self.admitted_traces.clear();
         let mut stepped = 0;
         loop {
             let admitted = self.admit_free();
@@ -448,6 +462,7 @@ impl Scheduler {
                 );
             }
             self.newly_admitted.push(lane);
+            self.admitted_traces.push(trace);
             self.busy += 1;
             self.running[lane] = Some(Running {
                 id,
@@ -958,6 +973,27 @@ circuit H :
         sched.submit(Job::new("no-budget", 0).with_input("limit", 9));
         assert_eq!(sched.run_quantum(64), 0);
         assert_eq!(sched.take_results()[0].outcome, JobOutcome::Evicted);
+    }
+
+    #[test]
+    fn each_drive_call_reports_the_traces_it_admitted() {
+        let mut sched = Scheduler::new(&compiled(), 2, "done").unwrap();
+        for (trace, limit) in [(10, 3), (11, 30), (12, 4)] {
+            sched.submit_traced(count_job(limit), trace);
+        }
+        // The first quantum fills both lanes and ends when the 3-cycle
+        // job halts, with the third job already in its lane.
+        sched.run_quantum(64);
+        assert_eq!(sched.drain_admitted().collect::<Vec<_>>(), [10, 11, 12]);
+        assert_eq!(sched.drain_admitted().count(), 0, "drained once");
+        // A quantum that admits nothing reports nothing, and a report
+        // left undrained does not outlive the next call.
+        sched.run_quantum(1);
+        assert_eq!(sched.drain_admitted().count(), 0);
+        sched.submit_traced(count_job(2), 13);
+        sched.run(1_000);
+        sched.run(1_000);
+        assert_eq!(sched.drain_admitted().count(), 0);
     }
 
     #[test]

@@ -96,10 +96,7 @@ pub mod shard;
 
 pub use chaos::{ChaosPlan, ChaosShard};
 pub use net::{ServeClient, SocketServer, MAX_LINE};
-pub use pool::{
-    DesignInfo, JobHandle, RegisterError, Reservation, ServeConfig, ServeStats, ServerPool,
-    DEFAULT_DESIGN,
-};
+pub use pool::{JobHandle, PoolError, ServeConfig, ServeStats, ServerPool};
 pub use protocol::{
     ProtocolError, Request, Response, Verb, WireAnalysis, WireBinding, WireDesign, WireJob,
     WirePong, WireResult, WireStats,

@@ -5,7 +5,7 @@
 //! The server is deliberately plain `std::net` — the build environment
 //! vendors no async runtime, and the pool's workers are already the
 //! concurrency that matters; connection threads only parse lines and
-//! block on [`JobHandle`]s.
+//! block on their session's inbox of finished jobs.
 //!
 //! Both ends write once per exchange: the client sends its queued
 //! submits with the request that follows them, and the server answers a
@@ -14,15 +14,15 @@
 //! makes the next, so Nagle's algorithm never holds one back for a
 //! delayed ACK; both set `TCP_NODELAY` all the same.
 
-use crate::pool::{JobHandle, Reservation, ServerPool, RESERVE_BLOCK};
+use crate::pool::{Inbox, Reservation, ServerPool, RESERVE_BLOCK};
 use crate::protocol::{
     result_len, ProtocolError, Request, Response, Verb, WireAnalysis, WireDesign, WireJob,
     WirePong, WireResult, WireStats,
 };
 use rteaal_core::Compiler;
 use rteaal_kernels::{KernelConfig, KernelKind};
-use rteaal_telemetry::{JobEvent, MetricsSnapshot};
-use std::collections::{HashMap, VecDeque};
+use rteaal_telemetry::{Counter, JobEvent, MetricsSnapshot};
+use std::collections::{HashSet, VecDeque};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::ops::Range;
@@ -58,16 +58,20 @@ impl SocketServer {
         self.listener.local_addr()
     }
 
-    /// Accepts connections forever, one handler thread per client.
-    /// Accept errors on individual connections are skipped; the loop
-    /// only ends (with an error) if the listener itself fails.
+    /// Accepts connections forever, one handler thread per client, named
+    /// `rteaal-conn`. Accept errors on individual connections are
+    /// skipped, and a connection the host refuses a thread for is
+    /// closed; the loop only ends (with an error) if the listener itself
+    /// fails.
     pub fn serve_forever(self) -> io::Result<()> {
         for stream in self.listener.incoming() {
             let Ok(stream) = stream else { continue };
             let pool = Arc::clone(&self.pool);
-            std::thread::spawn(move || {
-                let _ = handle_client(&pool, stream);
-            });
+            let _ = std::thread::Builder::new()
+                .name("rteaal-conn".to_string())
+                .spawn(move || {
+                    let _ = handle_client(&pool, stream);
+                });
         }
         Ok(())
     }
@@ -152,14 +156,19 @@ fn utf8(line: &[u8]) -> io::Result<&str> {
 }
 
 /// One connection's server-side state.
-#[derive(Default)]
 struct Session {
-    /// This connection's submissions, by pool-global id. `poll`/`result`
-    /// resolve ids against these handles (one connection per client: a
-    /// client can only claim results it submitted).
-    handles: HashMap<u64, JobHandle>,
+    /// Where this connection's finished jobs wait. It lives on after the
+    /// session until the last of them is published.
+    inbox: Arc<Inbox>,
+    /// This connection's submissions not claimed yet, by pool-global id.
+    /// `poll`/`result` resolve ids against these (one connection per
+    /// client: a client can only claim results it submitted).
+    outstanding: HashSet<u64>,
     /// The ids of its latest `reserve` not stamped on a submit yet.
     reserved: Option<Reservation>,
+    /// Results the session's answers have carried
+    /// (`serve.socket.results_answered`).
+    results_answered: Arc<Counter>,
 }
 
 /// Serves one client connection: a response line for every request
@@ -173,7 +182,14 @@ fn handle_client(pool: &ServerPool, stream: TcpStream) -> io::Result<()> {
     stream.set_nodelay(true)?;
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
-    let mut session = Session::default();
+    let metrics = pool.metrics();
+    let mut session = Session {
+        inbox: pool.open_inbox(),
+        outstanding: HashSet::new(),
+        reserved: None,
+        results_answered: metrics.counter("serve.socket.results_answered"),
+    };
+    let answers = metrics.counter("serve.socket.answers");
     // One buffer per direction for the whole session; `out` holds the
     // answers not written yet.
     let (mut line, mut out) = (Vec::new(), String::new());
@@ -181,6 +197,7 @@ fn handle_client(pool: &ServerPool, stream: TcpStream) -> io::Result<()> {
         if !out.is_empty() && !reader.buffer().contains(&b'\n') {
             writer.write_all(out.as_bytes())?;
             out.clear();
+            answers.inc();
         }
         let text = match read_line(&mut reader, &mut line) {
             Ok(Line::Eof) => return Ok(()),
@@ -223,29 +240,29 @@ fn handle_client(pool: &ServerPool, stream: TcpStream) -> io::Result<()> {
 
 /// Executes one request against the pool and this connection's state.
 fn respond(pool: &ServerPool, session: &mut Session, request: Request) -> Response {
-    let handles = &mut session.handles;
+    let outstanding = &mut session.outstanding;
     match request.verb {
         Verb::Submit => {
             let Some(job) = request.job else {
                 return Response::error("submit needs a `job`");
             };
             let design = job.design.clone();
-            let handle = match request.id {
-                None => pool.submit_named(design.as_deref(), job.into()),
+            let inbox = &session.inbox;
+            let id = match request.id {
+                None => pool.submit_into(inbox, design.as_deref(), job.into()),
                 Some(id) => {
                     let stamped = session.reserved.as_mut().and_then(|reservation| {
-                        pool.submit_reserved(reservation, id, design.as_deref(), job.into())
+                        pool.submit_reserved(reservation, id, inbox, design.as_deref(), job.into())
                     });
-                    let Some(handle) = stamped else {
+                    let Some(id) = stamped else {
                         return Response::error(format!(
                             "id {id} is not the next id reserved on this connection"
                         ));
                     };
-                    handle
+                    id
                 }
             };
-            let id = handle.id();
-            handles.insert(id, handle);
+            outstanding.insert(id);
             Response::submitted(id)
         }
         Verb::Reserve => {
@@ -258,12 +275,13 @@ fn respond(pool: &ServerPool, session: &mut Session, request: Request) -> Respon
             let Some(id) = request.id else {
                 return Response::error("poll needs an `id`");
             };
-            let Some(handle) = handles.get(&id) else {
+            if !outstanding.contains(&id) {
                 return Response::error(format!("unknown job id {id} on this connection"));
-            };
-            match handle.poll() {
+            }
+            match session.inbox.take(id) {
                 Some(result) => {
-                    handles.remove(&id);
+                    outstanding.remove(&id);
+                    session.results_answered.inc();
                     Response::result(WireResult::from(result))
                 }
                 None => Response::pending(id),
@@ -271,28 +289,34 @@ fn respond(pool: &ServerPool, session: &mut Session, request: Request) -> Respon
         }
         Verb::Result => match request.id {
             Some(id) => {
-                let Some(handle) = handles.remove(&id) else {
+                if !outstanding.remove(&id) {
                     return Response::error(format!("unknown job id {id} on this connection"));
-                };
-                Response::result(WireResult::from(handle.wait()))
+                }
+                session.results_answered.inc();
+                Response::result(WireResult::from(session.inbox.wait_for(id)))
             }
-            // No id: this connection's next completion, and up to
-            // `max − 1` more that already finished, while the line stays
-            // under `MAX_LINE` (each job after the first pays a comma).
+            // No id: once the connection has a finished job and at least
+            // as many finished as still wait for a lane, up to `max` of
+            // them, while the line stays under `MAX_LINE` (each job after
+            // the first pays a comma).
             None => {
+                if outstanding.is_empty() {
+                    return Response::error("no outstanding jobs on this connection");
+                }
                 let max = request
                     .max
                     .map_or(1, |max| usize::try_from(max).unwrap_or(usize::MAX));
                 let mut room = MAX_LINE - BATCH_ENVELOPE;
-                let batch = JobHandle::wait_some_of(handles.values(), max, |r| {
+                let batch = session.inbox.wait_batch(max, |r| {
                     let cost = result_len(r) + 1;
                     let fits = cost < room;
                     room = room.saturating_sub(cost);
                     fits
                 });
                 for r in &batch {
-                    handles.remove(&r.id.0);
+                    outstanding.remove(&r.id.0);
                 }
+                session.results_answered.add(batch.len() as u64);
                 let mut batch = batch.into_iter().map(WireResult::from);
                 let Some(first) = batch.next() else {
                     return Response::error("no outstanding jobs on this connection");
@@ -385,10 +409,15 @@ fn respond(pool: &ServerPool, session: &mut Session, request: Request) -> Respon
 /// learning whether it did. A server that refuses `reserve` fails the
 /// submit with [`ProtocolError::Server`].
 ///
-/// [`next_result`](Self::next_result) takes every job of the
-/// connection that has finished in one exchange and hands them out one
-/// call at a time; [`poll`](Self::poll) and [`result`](Self::result)
-/// find a job already delivered that way without asking the server.
+/// [`next_result`](Self::next_result) takes the connection's finished
+/// jobs a batch per exchange and hands them out one call at a time. The
+/// server answers the exchange once the connection has a finished job
+/// and at least as many finished as still wait for a lane: at the first
+/// completion when nothing waits, later under a backlog, when an
+/// earlier answer would not free a lane any sooner. With 16 jobs in
+/// flight on 8 lanes that is about four jobs per exchange.
+/// [`poll`](Self::poll) and [`result`](Self::result) find a job already
+/// delivered that way without asking the server.
 #[derive(Debug)]
 pub struct ServeClient {
     reader: BufReader<TcpStream>,
@@ -648,9 +677,11 @@ impl ServeClient {
 
     /// Blocks until *any* of this connection's outstanding jobs
     /// finishes and returns it — results stream back in completion
-    /// order, not submission order. One exchange fetches every job that
-    /// has finished by then; the calls after it return those without
-    /// touching the socket.
+    /// order, not submission order. One exchange fetches up to 64
+    /// finished jobs, answered once at least as many of the
+    /// connection's jobs have finished as still wait for a lane (at the
+    /// first completion when none waits); the calls after it return
+    /// those without touching the socket.
     ///
     /// # Errors
     ///

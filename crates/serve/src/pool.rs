@@ -8,9 +8,18 @@
 //! quantum ends the cycle a job finishes, or when a lane is free with
 //! nothing queued — interleaving mid-run admissions from its queue with
 //! harvests, and publishes every finished job's [`JobResult`] — keyed
-//! by a pool-global id — the cycle the lane's halt probe fires. Clients
-//! [`poll`](JobHandle::poll) or [`wait`](JobHandle::wait) on their
-//! handles; nothing blocks the workers.
+//! by a pool-global id — the cycle the lane's halt probe fires, into
+//! its submitter's *inbox*. Clients [`poll`](JobHandle::poll) or
+//! [`wait`](JobHandle::wait) on their handles; nothing blocks the
+//! workers.
+//!
+//! Every socket session has an inbox of its own, and the handles of
+//! [`ServerPool::submit`] share one. An inbox holds its finished
+//! results, its count of jobs still waiting for a lane, and its own
+//! condvar; a worker moves each round's results and admissions into
+//! their inboxes under each inbox's lock once, and wakes an inbox only
+//! when a thread blocks on it and that thread's answer is due (the
+//! socket's batched rule is in [`crate::protocol`]).
 //!
 //! Sharding is one `Scheduler` (and one `BatchSimulation`) per worker
 //! thread: the slot-major lane matrix splits on the lane axis, so W
@@ -33,7 +42,7 @@
 use rteaal_core::{analyze_design, AnalysisReport, AnalysisStats, Compiled, UnknownSignal};
 use rteaal_sched::{Job, JobId, JobOutcome, JobResult, SchedStats, Scheduler};
 use rteaal_telemetry::{Gauge, JobStage, MetricsRegistry};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
@@ -55,7 +64,7 @@ fn lock_or_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// The name of the design every pool starts with (the compile passed to
 /// [`ServerPool::new`]); jobs that name no design run on it.
-pub const DEFAULT_DESIGN: &str = "default";
+pub(crate) const DEFAULT_DESIGN: &str = "default";
 
 /// How many ids one [`ServerPool::reserve`] sets aside.
 pub(crate) const RESERVE_BLOCK: u64 = 1024;
@@ -98,24 +107,211 @@ impl ServeConfig {
     }
 }
 
-/// The published-results table: finished jobs awaiting their handle,
-/// plus tombstones for jobs whose handle was dropped unclaimed (so the
-/// eventual publication is discarded instead of leaking — a
-/// long-running server's clients may disconnect mid-job).
+/// Where one submitter's finished jobs wait to be claimed: a socket
+/// session's, or the one every [`JobHandle`] of [`ServerPool::submit`]
+/// shares. Workers [`deliver`](Self::deliver) into it; its claimers
+/// take, and block, under its own lock and condvar.
+#[derive(Debug)]
+pub(crate) struct Inbox {
+    state: Mutex<InboxState>,
+    /// Signalled when a blocked claimer's answer is due.
+    due: Condvar,
+    telemetry: Arc<MetricsRegistry>,
+    /// `serve.unclaimed`: finished results parked in any inbox.
+    unclaimed: Arc<Gauge>,
+}
+
 #[derive(Debug, Default)]
-struct ResultsTable {
+struct InboxState {
     /// Finished jobs by pool-global id, removed when claimed.
     ready: HashMap<u64, JobResult>,
-    /// Ids abandoned before publication; consumed at publish time.
-    abandoned: std::collections::HashSet<u64>,
+    /// Ids whose handle was dropped before publication: the result is
+    /// discarded on arrival instead of parked forever (a long-running
+    /// server's in-process clients may give up on a job).
+    abandoned: HashSet<u64>,
+    /// Jobs submitted into this inbox that are neither admitted into a
+    /// lane nor finished.
+    queued: usize,
+    /// Claimers blocked until any result lands.
+    any_waiters: usize,
+    /// The `max` of the claimer blocked in [`Inbox::wait_batch`]; 0 when
+    /// none is.
+    batch_max: usize,
+    /// A wake-up is out that no blocked claimer has answered yet: a
+    /// second one would only cost a futex call.
+    signalled: bool,
+}
+
+impl InboxState {
+    /// The batched claimer's rule: at least one finished job, and at
+    /// least as many as the inbox's jobs still waiting for a lane (or as
+    /// `max`, past which waiting cannot grow the answer).
+    fn batch_due(&self) -> bool {
+        let n = self.ready.len();
+        n > 0 && (n >= self.queued || n >= self.batch_max)
+    }
+}
+
+impl Inbox {
+    fn new(telemetry: &Arc<MetricsRegistry>) -> Inbox {
+        Inbox {
+            state: Mutex::new(InboxState::default()),
+            due: Condvar::new(),
+            unclaimed: telemetry.gauge("serve.unclaimed"),
+            telemetry: Arc::clone(telemetry),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, InboxState> {
+        lock_or_recover(&self.state)
+    }
+
+    /// Blocks on the condvar, first marking that the next due answer
+    /// needs a fresh wake-up.
+    fn block<'a>(&self, mut st: MutexGuard<'a, InboxState>) -> MutexGuard<'a, InboxState> {
+        st.signalled = false;
+        self.due.wait(st).unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Counts one job dispatched into this inbox's name, before any
+    /// worker can see it.
+    fn enqueue(&self) {
+        self.lock().queued += 1;
+    }
+
+    /// One worker round's share for this inbox, in one lock section:
+    /// `left_queue` of its jobs stopped waiting for a lane (admitted, or
+    /// finished without one) and `results` finished. A result whose
+    /// handle was dropped is discarded. A blocked claimer is woken only
+    /// if its answer is now due.
+    fn deliver(&self, results: impl IntoIterator<Item = JobResult>, left_queue: usize) {
+        let mut st = self.lock();
+        // Saturating: a miscount must never leave a claimer waiting on a
+        // backlog that is gone.
+        debug_assert!(st.queued >= left_queue, "inbox queue count underflow");
+        st.queued = st.queued.saturating_sub(left_queue);
+        let before = st.ready.len();
+        for r in results {
+            if !st.abandoned.remove(&r.trace) {
+                st.ready.insert(r.trace, r);
+            }
+        }
+        let added = st.ready.len() - before;
+        self.unclaimed.add(added as i64);
+        let wake = !st.signalled
+            && ((added > 0 && st.any_waiters > 0) || (st.batch_max > 0 && st.batch_due()));
+        st.signalled |= wake;
+        drop(st);
+        if wake {
+            self.due.notify_all();
+        }
+    }
+
+    fn record_delivered<'a>(&self, results: impl IntoIterator<Item = &'a JobResult>) {
+        let mut n = 0;
+        for r in results {
+            n += 1;
+            self.telemetry
+                .record_event(r.id.0, JobStage::Delivered, None, None, None);
+        }
+        self.unclaimed.sub(n);
+    }
+
+    /// Takes job `id`'s result if it has finished, without blocking.
+    pub(crate) fn take(&self, id: u64) -> Option<JobResult> {
+        let r = self.lock().ready.remove(&id)?;
+        self.record_delivered([&r]);
+        Some(r)
+    }
+
+    /// Blocks until one of `ids` has finished and takes it.
+    fn wait_any<I: IntoIterator<Item = u64> + Clone>(&self, ids: I) -> JobResult {
+        let mut st = self.lock();
+        let r = loop {
+            if let Some(r) = ids.clone().into_iter().find_map(|id| st.ready.remove(&id)) {
+                break r;
+            }
+            st.any_waiters += 1;
+            st = self.block(st);
+            st.any_waiters -= 1;
+        };
+        drop(st);
+        self.record_delivered([&r]);
+        r
+    }
+
+    /// Blocks until job `id` has finished and takes it.
+    pub(crate) fn wait_for(&self, id: u64) -> JobResult {
+        self.wait_any([id])
+    }
+
+    /// The socket's batched claim: blocks until at least one job of the
+    /// inbox has finished *and* at least as many have as are still
+    /// waiting for a lane (or `max` have), then takes up to `max` of
+    /// them (at least one, whatever `max` says). Without a backlog that
+    /// is the first completion; with one, an earlier answer would buy no
+    /// throughput, since every lane that frees already has one of the
+    /// inbox's jobs queued for it. Every job of the inbox must be
+    /// outstanding, or this waits forever.
+    ///
+    /// `fits` is asked about each finished job in turn, before it is
+    /// taken; the batch ends at the first it refuses, and that job stays
+    /// unclaimed. The first job is taken whatever `fits` answers.
+    pub(crate) fn wait_batch(
+        &self,
+        max: usize,
+        mut fits: impl FnMut(&JobResult) -> bool,
+    ) -> Vec<JobResult> {
+        let max = max.max(1);
+        let mut st = self.lock();
+        debug_assert_eq!(st.batch_max, 0, "one batched claimer per inbox");
+        st.batch_max = max;
+        while !st.batch_due() {
+            st = self.block(st);
+        }
+        st.batch_max = 0;
+        let (mut first, mut refused) = (true, false);
+        let batch: Vec<JobResult> = st
+            .ready
+            .extract_if(|_, r| {
+                let take = !refused && (fits(r) || first);
+                (first, refused) = (false, !take);
+                take
+            })
+            .take(max)
+            .map(|(_, r)| r)
+            .collect();
+        drop(st);
+        self.record_delivered(&batch);
+        batch
+    }
+
+    /// A handle gave up on job `id`: its result is freed now if it is
+    /// here, or discarded when it lands.
+    fn abandon(&self, id: u64) {
+        let mut st = self.lock();
+        if st.ready.remove(&id).is_some() {
+            self.unclaimed.sub(1);
+        } else {
+            st.abandoned.insert(id);
+        }
+    }
+}
+
+impl Drop for Inbox {
+    /// A session's inbox outlives the session until its last job is
+    /// published; what it still holds then was never claimed.
+    fn drop(&mut self) {
+        let st = self.state.get_mut().unwrap_or_else(PoisonError::into_inner);
+        self.unclaimed.sub(st.ready.len() as i64);
+    }
 }
 
 /// State shared between workers, handles, and the pool front end.
 #[derive(Debug)]
 struct Shared {
-    results: Mutex<ResultsTable>,
-    /// Signalled whenever new results land.
-    done: Condvar,
+    /// The inbox every [`JobHandle`] of [`ServerPool::submit`] shares.
+    inbox: Arc<Inbox>,
     /// The pool's one account of its jobs.
     ledger: Mutex<Ledger>,
     /// The pool-wide metrics registry and per-job event ring.
@@ -133,8 +329,8 @@ struct Shared {
 /// A dispatched job has an `assigned` record until it finishes. Whoever
 /// removes the record — the worker publishing the job, a submission
 /// whose send failed, or a dead worker's sweep — publishes the job's
-/// result, so it is published exactly once and a dying worker fails
-/// exactly the jobs that will never publish.
+/// result into the record's inbox, so it is published exactly once and
+/// a dying worker fails exactly the jobs that will never publish.
 #[derive(Debug)]
 struct Ledger {
     /// The next id nobody holds: every id below it went to a job or to
@@ -148,9 +344,8 @@ struct Ledger {
     /// Per worker: set when its thread panicked or its queue was found
     /// disconnected. Dispatch skips dead workers.
     dead: Vec<bool>,
-    /// Dispatched-but-unfinished jobs by id: the owning worker and the
-    /// job's name, parked here while the job runs nameless.
-    assigned: HashMap<u64, (usize, String)>,
+    /// Dispatched-but-unfinished jobs by id.
+    assigned: HashMap<u64, Assignment>,
     /// Per worker: its schedulers' counters, merged across designs.
     stats: Vec<SchedStats>,
     /// Jobs rejected without a worker's scheduler counting them
@@ -158,6 +353,20 @@ struct Ledger {
     unrouted: usize,
     /// `serve.worker_inflight.w{n}`, written from `in_flight`.
     occupancy: Vec<Arc<Gauge>>,
+}
+
+/// A dispatched job's record in the [`Ledger`].
+#[derive(Debug)]
+struct Assignment {
+    /// The worker that owns the job.
+    worker: usize,
+    /// The job's name, parked here while the job runs nameless.
+    name: String,
+    /// Where the job's result goes.
+    inbox: Arc<Inbox>,
+    /// Whether the job has left its worker's queue for a lane; until
+    /// then it counts in its inbox's `queued`.
+    admitted: bool,
 }
 
 impl Ledger {
@@ -173,32 +382,45 @@ impl Ledger {
     /// Dispatches a job to the least-loaded live worker (ties go to the
     /// lowest index) and returns its id and worker, or hands the name
     /// back if every worker is dead.
-    fn assign(&mut self, name: String, reserved: Option<u64>) -> Result<(u64, usize), String> {
+    fn assign(
+        &mut self,
+        name: String,
+        reserved: Option<u64>,
+        inbox: &Arc<Inbox>,
+    ) -> Result<(u64, usize), String> {
         let live = (0..self.dead.len()).filter(|&w| !self.dead[w]);
         let Some(w) = live.min_by_key(|&w| self.in_flight[w]) else {
             return Err(name);
         };
         let id = self.take_id(reserved);
-        self.assigned.insert(id, (w, name));
+        let inbox = Arc::clone(inbox);
+        let record = Assignment {
+            worker: w,
+            name,
+            inbox,
+            admitted: false,
+        };
+        self.assigned.insert(id, record);
         self.in_flight[w] += 1;
         self.occupancy[w].set(self.in_flight[w] as i64);
         Ok((id, w))
     }
 
-    /// Removes a job's record and returns its name, or `None` if someone
-    /// else removed it first (and so publishes it).
-    fn settle(&mut self, id: u64) -> Option<String> {
-        let (w, name) = self.assigned.remove(&id)?;
+    /// Removes a job's record and returns it, or `None` if someone else
+    /// removed it first (and so publishes it).
+    fn settle(&mut self, id: u64) -> Option<Assignment> {
+        let record = self.assigned.remove(&id)?;
+        let w = record.worker;
         self.in_flight[w] -= 1;
         self.occupancy[w].set(self.in_flight[w] as i64);
-        Some(name)
+        Some(record)
     }
 
     /// [`settle`](Self::settle) for a job that will never run.
-    fn strand(&mut self, id: u64) -> Option<String> {
-        let name = self.settle(id)?;
+    fn strand(&mut self, id: u64) -> Option<Assignment> {
+        let record = self.settle(id)?;
         self.unrouted += 1;
-        Some(name)
+        Some(record)
     }
 }
 
@@ -213,7 +435,7 @@ pub struct ServeStats {
     pub designs: usize,
     /// Jobs submitted through the pool so far.
     pub submitted: u64,
-    /// Results finished but not yet claimed by a handle.
+    /// Results finished but not yet claimed, in any inbox.
     pub unclaimed: usize,
     /// Jobs dispatched to workers but not yet finished.
     pub in_flight: usize,
@@ -247,7 +469,7 @@ impl ServeStats {
 
 /// Why a design registration was refused.
 #[derive(Debug, Clone, PartialEq)]
-pub enum RegisterError {
+pub(crate) enum RegisterError {
     /// The halt signal names neither a probe nor an output port of the
     /// design being registered.
     UnknownHalt(UnknownSignal),
@@ -278,11 +500,48 @@ impl std::fmt::Display for RegisterError {
 
 impl std::error::Error for RegisterError {}
 
+/// Why [`ServerPool::new`] refused to start a pool.
+#[derive(Debug)]
+pub enum PoolError {
+    /// The halt signal names neither a probe nor an output port of the
+    /// design.
+    UnknownHalt(UnknownSignal),
+    /// [`ServeConfig::workers`] is zero.
+    NoWorkers,
+    /// [`ServeConfig::lanes`] is zero.
+    NoLanes,
+    /// The host refused a worker thread. The workers spawned before it
+    /// were stopped and joined.
+    Spawn(std::io::Error),
+}
+
+impl std::fmt::Display for PoolError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            PoolError::UnknownHalt(UnknownSignal(name)) => {
+                write!(f, "unknown halt signal `{name}`")
+            }
+            PoolError::NoWorkers => write!(f, "a pool needs at least one worker"),
+            PoolError::NoLanes => write!(f, "a pool needs at least one lane per worker"),
+            PoolError::Spawn(e) => write!(f, "a worker thread failed to spawn: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for PoolError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            PoolError::Spawn(e) => Some(e),
+            _ => None,
+        }
+    }
+}
+
 /// A block of pool-global ids set aside by `ServerPool::reserve` for
 /// `ServerPool::submit_reserved`, which takes them in order. Ids
 /// never taken are never used.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Reservation {
+pub(crate) struct Reservation {
     ids: Range<u64>,
 }
 
@@ -305,7 +564,7 @@ impl Reservation {
 #[derive(Debug)]
 pub struct JobHandle {
     id: u64,
-    shared: Arc<Shared>,
+    inbox: Arc<Inbox>,
     claimed: AtomicBool,
 }
 
@@ -322,10 +581,9 @@ impl JobHandle {
 
     /// Takes the result if the job has finished, without blocking.
     pub fn poll(&self) -> Option<JobResult> {
-        let r = lock_or_recover(&self.shared.results).ready.remove(&self.id);
+        let r = self.inbox.take(self.id);
         if r.is_some() {
             self.mark_claimed();
-            self.record_delivered();
         }
         r
     }
@@ -334,26 +592,9 @@ impl JobHandle {
     /// on a dead worker: a panicking worker's unwind guard publishes
     /// [`JobOutcome::Rejected`] results for every job it strands.
     pub fn wait(&self) -> JobResult {
-        let mut table = lock_or_recover(&self.shared.results);
-        loop {
-            if let Some(r) = table.ready.remove(&self.id) {
-                self.mark_claimed();
-                drop(table);
-                self.record_delivered();
-                return r;
-            }
-            table = self
-                .shared
-                .done
-                .wait(table)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    fn record_delivered(&self) {
-        self.shared
-            .telemetry
-            .record_event(self.id, JobStage::Delivered, None, None, None);
+        let r = self.inbox.wait_for(self.id);
+        self.mark_claimed();
+        r
     }
 
     /// Blocks until *any* of the given handles' jobs finishes and takes
@@ -362,86 +603,22 @@ impl JobHandle {
     /// Returns `None` if `handles` is empty. All handles must come from
     /// the same pool.
     pub fn wait_any(handles: &[JobHandle]) -> Option<(usize, JobResult)> {
-        let r = Self::wait_some_of(handles, 1, |_| true).pop()?;
-        let claimed = handles.iter().position(|h| h.id == r.id.0);
-        Some((claimed.expect("the result belongs to one of `handles`"), r))
-    }
-
-    /// Blocks until at least one of the given handles' jobs finishes,
-    /// then takes up to `max` finished ones (at least one, whatever
-    /// `max` says) in the same lock section — the batched form of
-    /// [`wait_any`](Self::wait_any) over any collection that can be
-    /// walked more than once (a map's values, say). Each delivered
-    /// [`JobResult::id`] is its claimed handle's [`id`](Self::id).
-    ///
-    /// `fits` is asked about each finished job in turn, before it is
-    /// taken; the batch ends at the first it refuses, and that job
-    /// stays unclaimed. The first job is taken whatever `fits` answers,
-    /// so a batch is never empty unless `handles` is.
-    pub(crate) fn wait_some_of<'a, I>(
-        handles: I,
-        max: usize,
-        mut fits: impl FnMut(&JobResult) -> bool,
-    ) -> Vec<JobResult>
-    where
-        I: IntoIterator<Item = &'a JobHandle> + Clone,
-    {
-        let Some(first) = handles.clone().into_iter().next() else {
-            return Vec::new();
-        };
-        let shared = &first.shared;
+        let first = handles.first()?;
         debug_assert!(
-            handles
-                .clone()
-                .into_iter()
-                .all(|h| Arc::ptr_eq(&h.shared, shared)),
-            "wait_some_of handles must share one pool"
+            handles.iter().all(|h| Arc::ptr_eq(&h.inbox, &first.inbox)),
+            "wait_any handles must share one pool"
         );
-        let mut batch = Vec::new();
-        let mut table = lock_or_recover(&shared.results);
-        loop {
-            for h in handles.clone() {
-                let Some(r) = table.ready.get(&h.id) else {
-                    continue;
-                };
-                if !fits(r) && !batch.is_empty() {
-                    break;
-                }
-                batch.extend(table.ready.remove(&h.id));
-                h.mark_claimed();
-                if batch.len() >= max {
-                    break;
-                }
-            }
-            if !batch.is_empty() {
-                break;
-            }
-            table = shared
-                .done
-                .wait(table)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        drop(table);
-        for r in &batch {
-            shared
-                .telemetry
-                .record_event(r.id.0, JobStage::Delivered, None, None, None);
-        }
-        batch
+        let r = first.inbox.wait_any(handles.iter().map(JobHandle::id));
+        let at = handles.iter().position(|h| h.id == r.id.0)?;
+        handles[at].mark_claimed();
+        Some((at, r))
     }
 }
 
 impl Drop for JobHandle {
     fn drop(&mut self) {
-        if self.claimed.load(Ordering::Acquire) {
-            return;
-        }
-        // Abandoned before claiming: free the result slot now if the
-        // job already finished, or leave a tombstone so the publisher
-        // discards it on arrival (consumed there — neither side grows).
-        let mut table = lock_or_recover(&self.shared.results);
-        if table.ready.remove(&self.id).is_none() {
-            table.abandoned.insert(self.id);
+        if !self.claimed.load(Ordering::Acquire) {
+            self.inbox.abandon(self.id);
         }
     }
 }
@@ -506,7 +683,7 @@ pub struct ServerPool {
 /// One registered design's registry entry: its name plus the static
 /// verifier's per-design statistics (what the `designs` verb reports).
 #[derive(Debug, Clone)]
-pub struct DesignInfo {
+pub(crate) struct DesignInfo {
     /// Registry name.
     pub name: String,
     /// The verifier's dataflow statistics for the design (activity,
@@ -567,23 +744,28 @@ impl ServerPool {
     ///
     /// # Errors
     ///
-    /// Returns [`UnknownSignal`] if `halt_signal` names neither a probe
-    /// nor an output port of the design.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.workers` or `config.lanes` is zero.
+    /// [`PoolError::UnknownHalt`] if `halt_signal` names neither a probe
+    /// nor an output port of the design, [`PoolError::NoWorkers`] or
+    /// [`PoolError::NoLanes`] for a zero in `config`, and
+    /// [`PoolError::Spawn`] if the host refuses a worker thread (the
+    /// workers already running are stopped and joined first).
     pub fn new(
         compiled: &Compiled,
         config: ServeConfig,
         halt_signal: &str,
-    ) -> Result<Self, UnknownSignal> {
-        assert!(config.workers > 0, "pool needs at least one worker");
-        assert!(config.lanes > 0, "pool needs at least one lane per worker");
+    ) -> Result<Self, PoolError> {
+        if config.workers == 0 {
+            return Err(PoolError::NoWorkers);
+        }
+        if config.lanes == 0 {
+            return Err(PoolError::NoLanes);
+        }
         // Validate the halt probe before spawning anything, through the
         // same resolver `BatchSimulation::watch_halt` uses.
         if compiled.plan.signal_slot(halt_signal).is_none() {
-            return Err(UnknownSignal(halt_signal.to_string()));
+            return Err(PoolError::UnknownHalt(UnknownSignal(
+                halt_signal.to_string(),
+            )));
         }
         let telemetry = Arc::new(MetricsRegistry::new());
         let gauges = |prefix: &str| -> Vec<Arc<Gauge>> {
@@ -601,8 +783,7 @@ impl ServerPool {
             occupancy: gauges("serve.worker_inflight"),
         };
         let shared = Arc::new(Shared {
-            results: Mutex::new(ResultsTable::default()),
-            done: Condvar::new(),
+            inbox: Arc::new(Inbox::new(&telemetry)),
             ledger: Mutex::new(ledger),
             queue_depth: gauges("sched.queue_depth"),
             telemetry,
@@ -616,12 +797,20 @@ impl ServerPool {
             senders.push(tx);
             let (compiled, halt) = (Arc::clone(&compiled), halt.clone());
             let shared = Arc::clone(&shared);
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("rteaal-serve-{w}"))
-                    .spawn(move || worker_loop(&compiled, &halt, config, rx, &shared, w))
-                    .expect("worker thread spawns"),
-            );
+            let spawned = std::thread::Builder::new()
+                .name(format!("rteaal-serve-{w}"))
+                .spawn(move || worker_loop(&compiled, &halt, config, rx, &shared, w));
+            match spawned {
+                Ok(worker) => workers.push(worker),
+                Err(e) => {
+                    // Hanging up their queues stops the idle workers.
+                    drop(senders);
+                    for worker in workers {
+                        let _ = worker.join();
+                    }
+                    return Err(PoolError::Spawn(e));
+                }
+            }
         }
         Ok(ServerPool {
             shared,
@@ -721,7 +910,23 @@ impl ServerPool {
     /// handle as a [`JobOutcome::Rejected`] result — submission itself
     /// never fails.
     pub(crate) fn submit_named(&self, design: Option<&str>, job: Job) -> JobHandle {
-        self.submit_as(None, design, job)
+        let inbox = &self.shared.inbox;
+        JobHandle {
+            id: self.submit_as(inbox, None, design, job),
+            inbox: Arc::clone(inbox),
+            claimed: AtomicBool::new(false),
+        }
+    }
+
+    /// A new, empty inbox for one socket session's jobs.
+    pub(crate) fn open_inbox(&self) -> Arc<Inbox> {
+        Arc::new(Inbox::new(&self.shared.telemetry))
+    }
+
+    /// [`submit_named`](Self::submit_named) into `inbox`: the job's id,
+    /// under which its result lands there.
+    pub(crate) fn submit_into(&self, inbox: &Arc<Inbox>, design: Option<&str>, job: Job) -> u64 {
+        self.submit_as(inbox, None, design, job)
     }
 
     /// Sets aside 1 024 consecutive ids, none of which any other
@@ -737,25 +942,32 @@ impl ServerPool {
         }
     }
 
-    /// [`submit_named`](Self::submit_named) under a reserved id: the job
+    /// [`submit_into`](Self::submit_into) under a reserved id: the job
     /// gets `id` if `id` is the next id of `reservation`, which then
     /// moves past it. Any other id submits nothing and returns `None`.
     pub(crate) fn submit_reserved(
         &self,
         reservation: &mut Reservation,
         id: u64,
+        inbox: &Arc<Inbox>,
         design: Option<&str>,
         job: Job,
-    ) -> Option<JobHandle> {
+    ) -> Option<u64> {
         if reservation.ids.is_empty() || reservation.ids.start != id {
             return None;
         }
         reservation.ids.start += 1;
-        Some(self.submit_as(Some(id), design, job))
+        Some(self.submit_as(inbox, Some(id), design, job))
     }
 
-    /// Submits under `reserved`, or under a fresh id.
-    fn submit_as(&self, reserved: Option<u64>, design: Option<&str>, mut job: Job) -> JobHandle {
+    /// Submits into `inbox` under `reserved`, or under a fresh id.
+    fn submit_as(
+        &self,
+        inbox: &Arc<Inbox>,
+        reserved: Option<u64>,
+        design: Option<&str>,
+        mut job: Job,
+    ) -> u64 {
         job.budget = job.budget.min(self.config.max_budget);
         // The job runs nameless: its name is parked in the assignment
         // record and rejoins the result at publication.
@@ -768,19 +980,21 @@ impl ServerPool {
                 None => {
                     drop(routing);
                     let error = format!("unknown design `{design}`");
-                    return self.reject_unrouted(name, error, reserved);
+                    return self.reject_unrouted(inbox, name, error, reserved, 0);
                 }
             },
         };
+        // Counted waiting for a lane before any worker can admit it.
+        inbox.enqueue();
         // One ledger section picks the worker and records the job on it.
-        let assigned = lock_or_recover(&self.shared.ledger).assign(name, reserved);
+        let assigned = lock_or_recover(&self.shared.ledger).assign(name, reserved, inbox);
         let (id, w) = match assigned {
             Ok(dispatch) => dispatch,
             Err(name) => {
                 let design = &routing.designs[index].name;
                 let error = format!("no live worker can run design `{design}`");
                 drop(routing);
-                return self.reject_unrouted(name, error, reserved);
+                return self.reject_unrouted(inbox, name, error, reserved, 1);
             }
         };
         let submitted_at_us = self.shared.telemetry.now_us();
@@ -805,37 +1019,36 @@ impl ServerPool {
                 ledger.dead[w] = true;
                 ledger.strand(id)
             };
-            if let Some(name) = stranded {
+            if let Some(record) = stranded {
                 let error = format!("worker {w} is no longer running");
-                publish_rejected(&self.shared, id, name, error);
+                publish_rejected(&self.shared, id, record, error);
             }
         }
-        self.handle(id)
+        id
     }
 
     /// Rejects a job that cannot be dispatched at all (unknown design,
     /// no live worker): its id is counted rejected in the same ledger
-    /// section that issues it, then the structured result is published.
-    fn reject_unrouted(&self, name: String, error: String, reserved: Option<u64>) -> JobHandle {
+    /// section that issues it, then the structured result is published,
+    /// taking `left_queue` jobs off the inbox's count of waiting ones.
+    fn reject_unrouted(
+        &self,
+        inbox: &Inbox,
+        name: String,
+        error: String,
+        reserved: Option<u64>,
+        left_queue: usize,
+    ) -> u64 {
         let id = {
             let mut ledger = lock_or_recover(&self.shared.ledger);
             ledger.unrouted += 1;
             ledger.take_id(reserved)
         };
-        self.shared
-            .telemetry
-            .record_event(id, JobStage::Submitted, None, None, None);
-        publish_rejected(&self.shared, id, name, error);
-        self.handle(id)
-    }
-
-    /// Builds the claim handle for a pool-global id.
-    fn handle(&self, id: u64) -> JobHandle {
-        JobHandle {
-            id,
-            shared: Arc::clone(&self.shared),
-            claimed: AtomicBool::new(false),
-        }
+        let telemetry = &self.shared.telemetry;
+        telemetry.record_event(id, JobStage::Submitted, None, None, None);
+        telemetry.record_event(id, JobStage::Published, None, None, None);
+        inbox.deliver([rejected(id, name, error)], left_queue);
+        id
     }
 
     /// The pool's metrics registry: counters, gauges, latency
@@ -883,7 +1096,7 @@ impl ServerPool {
             lanes: self.config.lanes,
             designs,
             submitted,
-            unclaimed: lock_or_recover(&self.shared.results).ready.len(),
+            unclaimed: self.shared.inbox.unclaimed.get().max(0) as usize,
             in_flight,
             queue_depth,
             uptime_ms: self.uptime().as_millis() as u64,
@@ -977,9 +1190,9 @@ fn worker_loop(
                 // one job, not the worker.
                 debug_assert!(false, "job for unregistered design #{design}");
                 let stranded = lock_or_recover(&shared.ledger).strand(id);
-                if let Some(name) = stranded {
+                if let Some(record) = stranded {
                     let error = format!("design #{design} is not registered on worker {w}");
-                    publish_rejected(shared, id, name, error);
+                    publish_rejected(shared, id, record, error);
                 }
                 return;
             };
@@ -1024,87 +1237,115 @@ fn worker_loop(
     }
 }
 
-/// Publishes a round of quanta's harvested results under their
-/// pool-global ids. One ledger section stores the worker's counters
-/// (merged across designs) and settles each harvested job, whose record
-/// hands its name back to the result; the results table is written
-/// after it. A round that stepped nothing and finished nothing moved no
-/// counter and takes no lock.
+/// One inbox's share of a worker round.
+struct Delivery {
+    inbox: Arc<Inbox>,
+    /// Its jobs that stopped waiting for a lane this round.
+    left_queue: usize,
+    results: Vec<JobResult>,
+}
+
+/// The entry of `inbox` in `round`, made if it is not there yet.
+fn delivery<'a>(round: &'a mut Vec<Delivery>, inbox: &Arc<Inbox>) -> &'a mut Delivery {
+    let at = round.iter().position(|d| Arc::ptr_eq(&d.inbox, inbox));
+    let at = at.unwrap_or_else(|| {
+        round.push(Delivery {
+            inbox: Arc::clone(inbox),
+            left_queue: 0,
+            results: Vec::new(),
+        });
+        round.len() - 1
+    });
+    &mut round[at]
+}
+
+/// Publishes a round of quanta's admissions and harvested results
+/// under their pool-global ids. One ledger section stores the worker's
+/// counters (merged across designs), marks each admitted job, and
+/// settles each harvested one, whose record hands its name back to the
+/// result and names its inbox; then each inbox of the round takes its
+/// share under its own lock once. A round that stepped nothing and
+/// admitted or finished nothing moved no counter and takes no lock.
 fn publish(designs: &mut [Scheduler], shared: &Shared, w: usize, stepped: u64) {
-    // Harvest before touching the results table: quanta that finished
-    // nothing must not contend on the mutex that handles block on.
+    // Harvest before taking a lock: quanta that finished nothing must
+    // not contend with the claimers.
     let mut harvested: Vec<JobResult> = Vec::new();
+    let mut admitted: Vec<u64> = Vec::new();
     for sched in designs.iter_mut() {
         harvested.append(&mut sched.take_results());
+        admitted.extend(sched.drain_admitted());
     }
-    if stepped == 0 && harvested.is_empty() {
+    if stepped == 0 && harvested.is_empty() && admitted.is_empty() {
         return;
     }
     let mut merged = SchedStats::default();
     for sched in designs.iter() {
         merged.merge(&sched.stats());
     }
+    let mut round: Vec<Delivery> = Vec::new();
     {
         let mut ledger = lock_or_recover(&shared.ledger);
         ledger.stats[w] = merged;
-        for r in &mut harvested {
-            // From here on the result goes by its pool-global id, the
-            // one its scheduler traced it under.
-            r.id = JobId(r.trace);
-            if let Some(name) = ledger.settle(r.trace) {
-                r.name = name;
+        // Admissions first: a job admitted and finished in one round
+        // leaves its inbox's queue once.
+        for trace in admitted {
+            if let Some(record) = ledger.assigned.get_mut(&trace) {
+                record.admitted = true;
+                delivery(&mut round, &record.inbox).left_queue += 1;
             }
         }
-    }
-    if harvested.is_empty() {
-        return;
-    }
-    for r in &harvested {
-        let lane = (r.lane != usize::MAX).then_some(r.lane as u64);
-        shared
-            .telemetry
-            .record_event(r.trace, JobStage::Published, Some(w as u64), lane, None);
-    }
-    let mut table = lock_or_recover(&shared.results);
-    for r in harvested {
-        // A tombstone means the handle was dropped unclaimed: discard
-        // instead of parking the result forever.
-        if !table.abandoned.remove(&r.trace) {
-            table.ready.insert(r.trace, r);
+        for mut r in harvested {
+            // From here on the result goes by its pool-global id, the
+            // one its scheduler traced it under. A job with no record
+            // was settled, and published, by whoever removed it.
+            let Some(record) = ledger.settle(r.trace) else {
+                continue;
+            };
+            r.id = JobId(r.trace);
+            r.name = record.name;
+            let d = delivery(&mut round, &record.inbox);
+            d.left_queue += usize::from(!record.admitted);
+            d.results.push(r);
         }
     }
-    drop(table);
-    shared.done.notify_all();
+    for d in round {
+        for r in &d.results {
+            let lane = (r.lane != usize::MAX).then_some(r.lane as u64);
+            shared
+                .telemetry
+                .record_event(r.trace, JobStage::Published, Some(w as u64), lane, None);
+        }
+        d.inbox.deliver(d.results, d.left_queue);
+    }
 }
 
-/// Publishes a structured [`JobOutcome::Rejected`] result for a job
-/// that will never run (unknown design, dead worker, stranded by a
-/// worker panic), honoring abandoned-handle tombstones like any other
-/// publication.
-fn publish_rejected(shared: &Shared, id: u64, name: String, error: String) {
+/// A structured [`JobOutcome::Rejected`] result for a job that never
+/// ran.
+fn rejected(id: u64, name: String, error: String) -> JobResult {
+    JobResult {
+        id: JobId(id),
+        trace: id,
+        name,
+        outputs: Vec::new(),
+        outcome: JobOutcome::Rejected,
+        error: Some(error),
+        cycles: 0,
+        admitted_at: 0,
+        finished_at: 0,
+        lane: usize::MAX,
+    }
+}
+
+/// Publishes a rejection for a job whose record was settled before it
+/// could finish (dead worker, stranded by a worker panic, a design the
+/// worker does not hold) into the record's inbox.
+fn publish_rejected(shared: &Shared, id: u64, record: Assignment, error: String) {
     shared
         .telemetry
         .record_event(id, JobStage::Published, None, None, None);
-    let mut table = lock_or_recover(&shared.results);
-    if !table.abandoned.remove(&id) {
-        table.ready.insert(
-            id,
-            JobResult {
-                id: JobId(id),
-                trace: id,
-                name,
-                outputs: Vec::new(),
-                outcome: JobOutcome::Rejected,
-                error: Some(error),
-                cycles: 0,
-                admitted_at: 0,
-                finished_at: 0,
-                lane: usize::MAX,
-            },
-        );
-    }
-    drop(table);
-    shared.done.notify_all();
+    let left_queue = usize::from(!record.admitted);
+    let result = rejected(id, record.name, error);
+    record.inbox.deliver([result], left_queue);
 }
 
 /// The unwind guard armed at the top of every worker thread, owning
@@ -1133,19 +1374,22 @@ impl Drop for Deathwatch<'_> {
         // after this function returns, which would be after the sweep.
         let (_tx, dummy) = mpsc::channel();
         drop(std::mem::replace(&mut self.rx, dummy));
-        let stranded: Vec<(u64, String)> = {
+        let stranded: Vec<(u64, Assignment)> = {
             let mut ledger = lock_or_recover(&self.shared.ledger);
             ledger.dead[w] = true;
             self.shared.queue_depth[w].set(0);
-            let owned = ledger.assigned.iter().filter(|(_, (owner, _))| *owner == w);
+            let owned = ledger
+                .assigned
+                .iter()
+                .filter(|(_, record)| record.worker == w);
             let ids: Vec<u64> = owned.map(|(&id, _)| id).collect();
             ids.into_iter()
                 .filter_map(|id| Some((id, ledger.strand(id)?)))
                 .collect()
         };
-        for (id, name) in stranded {
+        for (id, record) in stranded {
             let error = format!("worker {w} died before the job could finish");
-            publish_rejected(self.shared, id, name, error);
+            publish_rejected(self.shared, id, record, error);
         }
     }
 }
@@ -1337,10 +1581,26 @@ circuit D :
     #[test]
     fn unknown_halt_signal_is_rejected_up_front() {
         let c = compiled();
-        assert_eq!(
-            ServerPool::new(&c, ServeConfig::default(), "ghost").err(),
-            Some(UnknownSignal("ghost".to_string()))
-        );
+        match ServerPool::new(&c, ServeConfig::default(), "ghost") {
+            Err(PoolError::UnknownHalt(UnknownSignal(name))) => assert_eq!(name, "ghost"),
+            other => panic!("expected an unknown halt, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_pool_without_workers_or_lanes_is_refused() {
+        let c = compiled();
+        let refused = |workers, lanes| {
+            let config = ServeConfig {
+                workers,
+                lanes,
+                ..ServeConfig::default()
+            };
+            ServerPool::new(&c, config, "done").err()
+        };
+        assert!(matches!(refused(0, 8), Some(PoolError::NoWorkers)));
+        assert!(matches!(refused(2, 0), Some(PoolError::NoLanes)));
+        assert!(refused(1, 1).is_none());
     }
 
     #[test]
@@ -1435,6 +1695,50 @@ circuit W :
         assert!(
             stage_at(&pool, &short, JobStage::Delivered) < stage_at(&pool, &long, JobStage::Halted)
         );
+        pool.shutdown();
+    }
+
+    #[test]
+    fn an_inbox_without_a_backlog_is_answered_at_its_first_completion_beside_one_with() {
+        // One worker, two lanes, held until every job is queued. Inbox
+        // `a`'s one short job and `b`'s first long job take the lanes;
+        // `b`'s second long job takes the short job's lane when it
+        // finishes, and its three short ones wait behind both.
+        let mut cfg = ServeConfig::with_workers(1);
+        cfg.lanes = 2;
+        let pool = ServerPool::new(&wide(), cfg, "done").unwrap();
+        let gate = Arc::new(std::sync::Barrier::new(2));
+        lock_or_recover(&pool.routing).senders[0]
+            .send(WorkerMsg::Hold(Arc::clone(&gate)))
+            .unwrap();
+        let long = || {
+            Job::new("long", 1 << 19)
+                .with_input("limit", u64::from(u32::MAX))
+                .with_probe("cnt")
+        };
+        let (a, b) = (pool.open_inbox(), pool.open_inbox());
+        let short = pool.submit_into(&a, None, count_job(5));
+        pool.submit_into(&b, None, long());
+        pool.submit_into(&b, None, long());
+        for limit in 1..=3 {
+            pool.submit_into(&b, None, count_job(limit));
+        }
+        assert_eq!(b.lock().queued, 5);
+        gate.wait();
+        let answer = a.wait_batch(16, |_| true);
+        assert_eq!(answer.len(), 1);
+        assert_eq!((answer[0].id.0, answer[0].outputs[0].1), (short, 6));
+        // Answered while `b` has none finished and its three short jobs
+        // still wait behind the long ones (five, if the worker has not
+        // yet moved the round's admissions into `b`): its own batched
+        // claim is not due.
+        let b_state = b.lock();
+        assert!(b_state.queued >= 3 && b_state.ready.is_empty());
+        drop(b_state);
+        // `b`'s first answer waits past its first completion: one long
+        // job finished leaves two short ones waiting.
+        let rest = b.wait_batch(16, |_| true);
+        assert!(rest.len() >= 2, "{} of b's jobs", rest.len());
         pool.shutdown();
     }
 

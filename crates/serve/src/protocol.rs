@@ -8,7 +8,7 @@
 //! | `submit`   | `job`, optional `id` | `{"ok":true,"kind":"submitted","id":N}`; with `id`, N is that id, which must be the next unused id this connection reserved |
 //! | `reserve`  | —              | `{"ok":true,"kind":"reserved","id":N}`: the 1 024 pool-global ids from N on are this connection's to stamp its submits with, in order |
 //! | `poll`     | `id`           | `kind:"result"` if finished, else `kind:"pending"` |
-//! | `result`   | `id` or `max` (both optional) | blocks; with no `id`, the *next* of this connection's jobs to finish, and in `more` up to `max − 1` others already finished |
+//! | `result`   | `id` or `max` (both optional) | blocks; with no `id` and no `max`, the *next* of this connection's jobs to finish; with `max` > 1, once the connection has a finished job and at least as many finished as still wait for a lane, up to `max` of them, the rest in `more` |
 //! | `stats`    | —              | `kind:"stats"` with pool counters |
 //! | `register` | `design`, `source`, `halt` | compiles the FIRRTL `source` server-side and adds it to the design registry |
 //! | `designs`  | —              | `kind:"designs"` listing every registered design |
@@ -56,12 +56,17 @@
 //! stamped are never used, and a stamped job's id is as unique and
 //! pool-global as any other: its `timeline` works from any connection.
 //!
-//! A no-`id` `result` takes every finished job of the connection in one
-//! round trip: it blocks until at least one is finished, answers with
-//! that one in `result`, and puts up to `max − 1` more that had already
-//! finished in `more` (omitted when empty). Without `max` (or with
-//! `max` 0 or 1) the exchange is the one-job answer byte for byte. The
-//! server stops filling `more` before the line would reach
+//! A no-`id` `result` takes finished jobs of the connection in batches,
+//! one round trip per batch. It blocks until the connection has at
+//! least one finished job *and* at least as many finished jobs as jobs
+//! of its own still waiting for a lane (or `max` finished ones), then
+//! answers with one of them in `result` and up to `max − 1` more in
+//! `more` (omitted when empty). With no backlog that is the first
+//! completion; with one, an earlier answer buys no throughput, because
+//! every lane that frees already has one of the connection's jobs
+//! queued for it. Without `max` (or with `max` 0 or 1) the exchange is
+//! the one-job answer at the first completion, byte for byte, backlog
+//! or not. The server stops filling `more` before the line would reach
 //! [`MAX_LINE`](crate::MAX_LINE); what does not fit waits, unclaimed,
 //! for the next call. An `id` wins over `max`, which is then ignored.
 //!
@@ -520,8 +525,9 @@ impl Request {
         }
     }
 
-    /// A blocking `result` request for the next of the connection's
-    /// jobs to finish plus up to `max − 1` more that already have.
+    /// A blocking `result` request for a batch of up to `max` of the
+    /// connection's finished jobs, answered once at least as many have
+    /// finished as still wait for a lane (see the module docs).
     pub fn results(max: u64) -> Self {
         Request {
             max: Some(max),

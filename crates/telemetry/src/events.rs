@@ -68,7 +68,7 @@ pub struct JobEvent {
 /// Recording takes one short mutex section; the lock also serializes
 /// timestamping, so events read back in non-decreasing `at_us` order.
 #[derive(Debug)]
-pub struct EventLog {
+pub(crate) struct EventLog {
     inner: Mutex<Ring>,
 }
 

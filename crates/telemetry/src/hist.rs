@@ -11,12 +11,12 @@ use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of buckets: one for zero, one per power-of-two decade of `u64`.
-pub const NUM_BUCKETS: usize = 65;
+pub(crate) const NUM_BUCKETS: usize = 65;
 
 /// Bucket index for a value: 0 holds exactly `0`; bucket `k ≥ 1` holds
 /// `[2^(k-1), 2^k - 1]`, so every exact power of two opens its own bucket.
 #[inline]
-pub fn bucket_index(value: u64) -> usize {
+pub(crate) fn bucket_index(value: u64) -> usize {
     if value == 0 {
         0
     } else {
@@ -25,7 +25,7 @@ pub fn bucket_index(value: u64) -> usize {
 }
 
 /// Inclusive `(lo, hi)` bounds of a bucket.
-pub fn bucket_bounds(index: usize) -> (u64, u64) {
+pub(crate) fn bucket_bounds(index: usize) -> (u64, u64) {
     match index {
         0 => (0, 0),
         64 => (1 << 63, u64::MAX),

@@ -7,7 +7,7 @@
 //! * [`Gauge`] — signed atomic level (queue depth, worker occupancy).
 //! * [`Histogram`] — log2-bucketed latency distribution with the same
 //!   nearest-rank quantile definition the open-loop benchmark uses.
-//! * [`EventLog`] — a fixed-capacity ring of typed [`JobEvent`]s
+//! * The event log — a fixed-capacity ring of typed [`JobEvent`]s
 //!   recording each job's submitted → queued → admitted → halted →
 //!   published → delivered trail with worker/lane/shard attribution.
 //!
@@ -21,8 +21,10 @@
 pub mod events;
 pub mod hist;
 
-pub use events::{EventLog, JobEvent, JobStage, ALL_STAGES};
-pub use hist::{bucket_bounds, bucket_index, Histogram, HistogramSnapshot, NUM_BUCKETS};
+use events::EventLog;
+pub use events::{JobEvent, JobStage, ALL_STAGES};
+use hist::bucket_bounds;
+pub use hist::{Histogram, HistogramSnapshot};
 
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};

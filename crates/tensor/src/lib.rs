@@ -41,5 +41,5 @@ pub mod fibertree;
 pub mod format;
 pub mod oim;
 
-pub use fibertree::{Fiber, Payload, Tensor};
-pub use oim::{OimOptimized, OimSwizzled, OimUnoptimized, OpMeta, OpRef};
+pub use fibertree::Fiber;
+pub use oim::OpRef;

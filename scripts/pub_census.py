@@ -4,9 +4,10 @@
 Usage: python3 scripts/pub_census.py
 
 On a copy of the working tree (never the checkout itself) every `pub`
-fn, struct, enum, const, static, type and trait item and every `pub use`
-re-export of `crates/*/src` (in-file `#[cfg(test)]` modules excepted) is
-demoted to `pub(crate)`.
+fn, struct, enum, const, static, type and trait item and every name a
+`pub use` re-exports from `crates/*/src` (in-file `#[cfg(test)]` modules
+excepted) is demoted to `pub(crate)`; a braced `pub use p::{A, B}` is
+split so that each name is demoted, and made public again, on its own.
 Then
 
     cargo check --offline --keep-going --all-targets
@@ -70,6 +71,11 @@ class Item:
         self.last = last or line  # a `pub use` may span lines
 
     @property
+    def leaf(self):
+        """The name the item is known by (for a re-export, the exported one)."""
+        return self.name.split("::")[-1]
+
+    @property
     def key(self):
         if self.kind == "use":
             return f"use:{self.name}"
@@ -125,7 +131,12 @@ def scan_crate(krate_dir):
                 last = next(j for j in range(i, len(lines)) if lines[j].rstrip().endswith(";"))
                 tree = "".join(t.strip() for t in lines[i : last + 1])
                 tree = tree[len("pub use ") : -1].replace(" ", "")
-                items.append(Item(krate_dir.name, rel, i + 1, "use", tree, None, last + 1))
+                # `p::{A, B}` is one item per name (the workspace's braces
+                # never nest); `p::A` is one item.
+                braced = re.fullmatch(r"(.*::)\{(.*)\}", tree)
+                paths = [braced[1] + n for n in braced[2].split(",") if n] if braced else [tree]
+                for path_ in paths:
+                    items.append(Item(krate_dir.name, rel, i + 1, "use", path_, None, last + 1))
                 continue
             m = ITEM.match(text)
             if not m:
@@ -168,10 +179,28 @@ def write_if_changed(path, data):
 def write_demoted(by_file, public):
     for rel, items in by_file.items():
         lines = (ROOT / rel).read_text().split("\n")
+        statements = defaultdict(list)
         for it in items:
-            if it not in public:
+            if it.kind == "use":
+                statements[it.line].append(it)
+            elif it not in public:
                 text = lines[it.line - 1]
                 lines[it.line - 1] = text.replace("pub ", "pub(crate) ", 1)
+        for line, uses in statements.items():
+            demoted = [it for it in uses if it not in public]
+            if not demoted:
+                continue
+            # One `use` per visibility on the statement's first line; its
+            # other lines stay, blank, so every later line keeps its number.
+            indent = re.match(r"\s*", lines[line - 1])[0]
+            kept = [it for it in uses if it in public]
+            text = indent
+            for vis, group in (("pub", kept), ("pub(crate)", demoted)):
+                if group:
+                    text += f"{vis} use {{{', '.join(it.name for it in group)}}}; "
+            lines[line - 1] = text.rstrip()
+            for j in range(line, uses[0].last):
+                lines[j] = ""
         write_if_changed(TREE / rel, "\n".join(lines).encode())
 
 
@@ -219,15 +248,25 @@ def tree_rel(file_name, build_dir):
         return None
 
 
+def items_at(span, build_dir, by_line):
+    """The items a span points at: on a split `pub use` line, the names it
+    highlights (all of the line's names if it highlights none of them)."""
+    at = by_line.get((tree_rel(span["file_name"], build_dir), span["line_start"]), [])
+    if len(at) < 2:
+        return set(at)
+    text = span.get("text") or [{}]
+    first = text[0]
+    marked = first.get("text", "")[first.get("highlight_start", 1) - 1 : first.get("highlight_end", 1) - 1]
+    words = set(re.findall(r"\w+", marked))
+    return {it for it in at if it.leaf in words} or set(at)
+
+
 def attribute(msg, build_dir, by_line, by_name):
     """The demoted items an error (or interface warning) is about."""
     code = (msg.get("code") or {}).get("code")
     hits = set()
     for span in spans_of(msg):
-        rel = tree_rel(span["file_name"], build_dir)
-        it = by_line.get((rel, span["line_start"]))
-        if it is not None:
-            hits.add(it)
+        hits |= items_at(span, build_dir, by_line)
     text = msg["message"]
     # Some errors only name the item; "is private" names it besides the
     # span of its definition, which is the safer witness when present.
@@ -250,15 +289,12 @@ def census():
     items = [it for d in sorted((ROOT / "crates").iterdir()) if (d / "Cargo.toml").exists()
              for it in scan_crate(d)]
     by_file = defaultdict(list)
-    by_line, by_name = {}, defaultdict(list)
+    by_line, by_name = defaultdict(list), defaultdict(list)
     for it in items:
         by_file[it.path].append(it)
         for line in range(it.line, it.last + 1):
-            by_line[(it.path, line)] = it
-        # A re-export is found by each name it exports.
-        names = re.findall(r"(\w+)\s*(?=[,}]|$)", it.name) if it.kind == "use" else [it.name]
-        for name in names:
-            by_name[name].append(it)
+            by_line[(it.path, line)].append(it)
+        by_name[it.leaf].append(it)
 
     public = set()
     builds = [
@@ -306,9 +342,7 @@ def census():
             # labels the enclosing impl or the enum of an unused variant.
             if not span["is_primary"]:
                 continue
-            it = by_line.get((tree_rel(span["file_name"], TREE), span["line_start"]))
-            if it is not None and it not in public:
-                dead.add(it)
+            dead |= items_at(span, TREE, by_line) - public
     return items, public, dead
 
 
